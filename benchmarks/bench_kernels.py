@@ -10,7 +10,11 @@ wall-clock of every registered :mod:`repro.backend` engine on
 
 together with the roofline ComputeEvent totals each run recorded —
 which must be *identical* across backends, pair for pair, because the
-accounting layer (not the engine) owns the events.  The payload lands
+accounting layer (not the engine) owns the events — and of the
+backend-independent cell-list neighbor search that feeds the CSR
+kernel.  The three BR rows also print nanoseconds per pair, the unit of
+the e2e ledger's ``backend.*_ns_per_pair`` and
+``spatial.neighbor_ns_per_pair`` lines.  The payload lands
 in ``results/BENCH_kernels.json`` (``$REPRO_RESULTS_DIR`` relocates
 it) and CI uploads it as a workflow artifact.
 
@@ -95,6 +99,16 @@ def _time_neighbors(backend):
     return elapsed, out["result"], kernel_breakdown(trace, LASSEN)
 
 
+def _time_search():
+    pts, _ = _surface(NB_NODES)
+    out = {}
+
+    def run():
+        out["lists"] = neighbor_lists(pts, pts, NB_CUTOFF)
+
+    return _best_of(run, 3), out["lists"].total_neighbors
+
+
 def _time_fft(backend):
     rng = np.random.default_rng(7)
     field = rng.normal(size=(FFT_NODES, FFT_NODES))
@@ -166,13 +180,30 @@ def test_backend_kernel_microbenchmarks():
             "speedup_vs_numpy": speedups,
             "events": events["numpy"],
         }
+        # The BR events count one item per pair; FFT rows have no pairs.
+        ns_per_pair = {b: "-" for b in backends}
+        if name.startswith("br_"):
+            pairs = events["numpy"][name]["items"]
+            ns_per_pair = {b: 1e9 * times[b] / pairs for b in backends}
+            payload["kernels"][name]["ns_per_pair"] = ns_per_pair
         for backend in backends:
-            rows.append([name, backend, times[backend], speedups[backend]])
+            rows.append([
+                name, backend, times[backend], speedups[backend],
+                ns_per_pair[backend],
+            ])
+
+    search_s, search_pairs = _time_search()
+    search_ns = 1e9 * search_s / search_pairs
+    payload["nodes"]["neighbor_search"] = NB_NODES
+    payload["kernels"]["neighbor_search"] = {
+        "seconds": search_s, "pairs": search_pairs, "ns_per_pair": search_ns,
+    }
+    rows.append(["neighbor_search", "-", search_s, "-", search_ns])
 
     path = save_results("BENCH_kernels", payload)
     print_series(
         "Kernel microbenchmarks (wall-clock per backend)",
-        ["kernel", "backend", "seconds", "speedup vs numpy"],
+        ["kernel", "backend", "seconds", "speedup vs numpy", "ns per pair"],
         rows,
     )
     print(f"payload: {path}")

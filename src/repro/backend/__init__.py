@@ -12,8 +12,9 @@ Shipped engines:
 
 * ``numpy`` — the reference implementation (the library's original
   kernel numerics).
-* ``blocked`` — cache-tiled panels, pair-symmetry reuse and BLAS-fused
-  cross-product reductions; ≥2× faster on the exact-BR hot path.
+* ``blocked`` — L2-sized panels, pair-symmetry reuse, BLAS-fused
+  cross-product reductions and segment-reduced CSR sums; ≥2× faster on
+  the exact-BR hot path.
 * ``numba`` — JIT pair loops; registered only when numba is
   importable (the error message says so otherwise).
 * ``cupy`` — device-resident BR/spectral kernels; registered only when

@@ -1,34 +1,48 @@
-"""The blocked backend: cache-tiled, symmetry-aware, BLAS-fused kernels.
+"""The blocked backend: L2-sized panels, fused BLAS reductions, CSR segments.
 
-Three optimizations over the numpy reference, all numerics-preserving
-to ~1e-12:
+Numerics-preserving to ~1e-12 against the numpy reference; what the BR
+kernels do, and why:
 
-1. **Tiling without broadcast temporaries.**  BR all-pairs blocks are
-   evaluated in ``tile × tile`` panels whose per-coordinate difference
-   matrices replace the reference's ``(nt, ns, 3)`` full-broadcast
-   temporary, and the slow ``r² ** -1.5`` power is replaced by a
-   vectorized ``1 / (r² √r²)``.
+1. **All-pairs in L2-resident panels.**  The weight matrix
+   ``w = 1/(r²+ε²)^{3/2}`` is formed one ``tile × tile`` panel at a
+   time in two scratch panels allocated once per call and rewritten in
+   place (``out=``), so a panel is produced and consumed without leaving
+   the cache.  The default edge is 256: two float64 panels are 1 MiB,
+   half of one core's 2 MiB L2 on the reference box, where the previous
+   512 (4 MiB of panels) streamed every pass through L3 — this kernel
+   measures 5.7 ns per pair at 512 and 3.4 at 256 (symmetric 4096²
+   call), flat from 192 to 256.  r² always comes from coordinate
+   differences (a GEMM expansion ``|t|²+|s|²−2t·s`` is faster but
+   loses ``|x|²/ε²`` digits); the differences themselves are K=2 GEMMs
+   ``[t 1]·[1 −s]ᵀ``, which round exactly like ``t − s`` and avoid
+   numpy's slow path for broadcast operands.
 
-2. **Fused cross-product reduction.**  The identity
+2. **One fused GEMM per panel.**  The identity
    ``Σ_j w_ij ω_j × (t_i − s_j) = (Σ_j w_ij ω_j) × t_i − Σ_j w_ij (ω_j × s_j)``
-   turns the three per-component einsum reductions of the reference
-   into two GEMMs against the single weight matrix ``w = 1/(r²+ε²)^{3/2}``
-   plus one pointwise cross product per target tile.  Coordinates are
-   centered on the source centroid first so the decomposition stays
-   well-conditioned, and exactly-coincident pairs (``r² == ε²`` after
-   the shift) get weight zero — preserving the exact-zero
-   self-interaction of the direct formulation.
+   turns the reference's per-component reductions into a single
+   ``(b, b) @ (b, 6)`` product against ``[ω | ω × s]`` plus one
+   pointwise cross product per call.  Coordinates are centered on the
+   source centroid first so the decomposition stays well-conditioned,
+   and exactly-coincident pairs (``r² == 0``) get weight zero —
+   preserving the exact-zero self-interaction of the direct
+   formulation, whose numerator the fused form never computes.
 
 3. **Pair symmetry.**  When targets and sources are the same point set
-   (the exact solver's own-block accumulation), the weight panel of
-   tile pair ``(I, J)`` is the transpose of ``(J, I)``, so only the
-   upper triangle of tile pairs is materialized — halving the
-   distance/inverse-root work of the diagonal ring hop.
+   (the exact solver's own-block hop), panel ``(I, J)`` is the
+   transpose of ``(J, I)``: only the upper triangle is formed and each
+   off-diagonal panel is applied a second time as ``w.T @``.
 
-The CSR neighbor kernel replaces the reference's ``np.add.at`` scatter
-(notoriously slow) with per-component ``np.bincount`` reductions, and
-the stencil / RK3 kernels run on in-place accumulations instead of
-full-expression temporaries.
+4. **One code path for solo and fleet.**  ``br_allpairs`` is
+   ``br_allpairs_batched`` with a stack of one, so a fleet-stepped
+   scenario replays exactly the operations of its solo run.
+
+The CSR neighbor kernel works in row-aligned chunks of ~32k pairs on
+contiguous per-component columns (no ``(pairs, 3)`` fancy-indexing
+temporaries) and reduces each target's segment with
+``np.add.reduceat`` over the CSR offsets instead of scatter-adding;
+the far-field kernel still scatters with ``np.bincount`` (its pair
+list is not sorted by target).  The stencil / RK3 kernels run on
+in-place accumulations instead of full-expression temporaries.
 """
 
 from __future__ import annotations
@@ -38,8 +52,14 @@ import numpy as np
 from repro.backend.base import ArrayBackend
 from repro.backend.stencils import check as _check
 from repro.backend.stencils import interior as _interior
+from repro.util.misc import chunk_rows
 
 __all__ = ["BlockedBackend"]
+
+#: Pairs per CSR-kernel chunk (whole rows, so a long row may exceed it).
+#: Ten columns of this length are live at once; ns/pair is flat from 16k
+#: to 32k and rises on either side (call overhead below, L2 misses above).
+_CSR_CHUNK = 32_768
 
 
 class BlockedBackend(ArrayBackend):
@@ -50,34 +70,10 @@ class BlockedBackend(ArrayBackend):
     def capabilities(self) -> frozenset[str]:
         return frozenset({"host", "tiled", "blas-fused"})
 
-    def __init__(self, tile: int = 512) -> None:
+    def __init__(self, tile: int = 256) -> None:
         self.tile = max(16, int(tile))
 
     # -- Birkhoff-Rott ----------------------------------------------------
-
-    @staticmethod
-    def _weights(t: np.ndarray, s: np.ndarray, eps2: float) -> np.ndarray:
-        """Panel of 1/(r²+ε²)^{3/2}; exactly coincident pairs get 0.
-
-        A squared distance that underflows against ``eps2`` (or is
-        exactly zero when ``eps2 == 0``) marks a self-pair whose true
-        numerator ``ω × (t − s)`` vanishes, so its weight is dropped —
-        required because the fused reduction never forms the numerator.
-        """
-        dc = t[:, 0, None] - s[None, :, 0]
-        r2 = dc * dc
-        dc = t[:, 1, None] - s[None, :, 1]
-        r2 += dc * dc
-        dc = t[:, 2, None] - s[None, :, 2]
-        r2 += dc * dc
-        r2 += eps2
-        coincident = r2 == eps2
-        w = np.sqrt(r2)
-        w *= r2
-        with np.errstate(divide="ignore"):
-            np.divide(1.0, w, out=w)
-        w[coincident] = 0.0
-        return w
 
     def br_allpairs(
         self,
@@ -91,39 +87,104 @@ class BlockedBackend(ArrayBackend):
         symmetric: bool = False,
         batch_pairs: int = 2_000_000,
     ) -> None:
-        nt, ns = targets.shape[0], sources.shape[0]
-        if nt == 0 or ns == 0:
+        # A fleet of one: solo and fleet runs share every operation.
+        self.br_allpairs_batched(
+            targets[None], sources[None], omega[None],
+            np.array([eps2]), np.array([prefactor]), out[None],
+            symmetric=symmetric,
+        )
+
+    def br_allpairs_batched(
+        self,
+        targets: np.ndarray,
+        sources: np.ndarray,
+        omega: np.ndarray,
+        eps2: np.ndarray,
+        prefactor: np.ndarray,
+        out: np.ndarray,
+        *,
+        symmetric: bool = False,
+        batch_pairs: int = 2_000_000,
+    ) -> None:
+        """Panelled BR accumulation over a stack of scenarios.
+
+        Scenarios advance in chunks whose combined ``tile x tile`` panel
+        holds at most ``tile**2`` pairs, so the two scratch panels
+        allocated here stay in L2 whatever the stack looks like (one
+        scenario per chunk once a scenario fills a panel).  Each panel
+        costs three K=2 GEMMs for the coordinate differences, a handful
+        of in-place passes for ``1/(r²+ε²)^{3/2}`` and one
+        ``(b, b) @ (b, 6)`` GEMM against ``[ω | ω × s]``; with
+        ``symmetric`` only the upper triangle of panels is formed and
+        each off-diagonal one is also applied transposed.  ``batch_pairs``
+        has nothing left to bound: no pair-sized temporary outgrows a
+        panel.
+        """
+        nb, nt, ns = targets.shape[0], targets.shape[1], sources.shape[1]
+        if nb == 0 or nt == 0 or ns == 0:
             return
-        center = sources.mean(axis=0)
+        eps2 = np.asarray(eps2, dtype=np.float64).reshape(nb, 1, 1)
+        pref = np.asarray(prefactor, dtype=np.float64).reshape(nb, 1, 1)
+        center = sources.mean(axis=1, keepdims=True)          # (nb, 1, 3)
         tgt = targets - center
         src = sources - center
-        momega = np.cross(omega, src)                      # ω_j × s'_j
+        # t_i − s_j as the K=2 product [t_i 1]·[1 −s_j]ᵀ: both products
+        # are exact, so it rounds like the subtraction — without the
+        # broadcast operand that drops numpy onto its buffered path
+        # (4× slower at panel widths under 4096).
+        t1 = np.ones((nb, 3, nt, 2))
+        t1[..., 0] = tgt.transpose(0, 2, 1)
+        s1 = np.ones((nb, 3, 2, ns))
+        np.negative(src.transpose(0, 2, 1), out=s1[:, :, 1])
+        rhs = np.empty((nb, ns, 6))
+        rhs[..., :3] = omega
+        rhs[..., 3:] = np.cross(omega, src)                   # ω_j × s'_j
+        acc = np.zeros((nb, nt, 6))        # Σ w ω_j | Σ w (ω_j × s'_j)
+
+        mirror = symmetric and nt == ns
         b = self.tile
-        scaled = np.zeros((nt, 3))                         # Σ w ω_j  per target
-        carried = np.zeros((nt, 3))                        # Σ w (ω_j × s'_j)
-        if symmetric and nt == ns:
+        edge_t, edge_s = min(b, nt), min(b, ns)
+        chunk = min(nb, max(1, (b * b) // (edge_t * edge_s)))
+        r2_buf = np.empty(chunk * edge_t * edge_s)
+        w_buf = np.empty_like(r2_buf)
+        hit_buf = np.empty(r2_buf.shape, dtype=bool)
+        for b0 in range(0, nb, chunk):
+            fleet = slice(b0, min(b0 + chunk, nb))
+            e = eps2[fleet]
             for i0 in range(0, nt, b):
                 i1 = min(i0 + b, nt)
-                for j0 in range(i0, ns, b):
+                for j0 in range(i0 if mirror else 0, ns, b):
                     j1 = min(j0 + b, ns)
-                    w = self._weights(tgt[i0:i1], src[j0:j1], eps2)
-                    scaled[i0:i1] += w @ omega[j0:j1]
-                    carried[i0:i1] += w @ momega[j0:j1]
-                    if j0 > i0:
-                        wt = w.T
-                        scaled[j0:j1] += wt @ omega[i0:i1]
-                        carried[j0:j1] += wt @ momega[i0:i1]
-        else:
-            for i0 in range(0, nt, b):
-                i1 = min(i0 + b, nt)
-                for j0 in range(0, ns, b):
-                    j1 = min(j0 + b, ns)
-                    w = self._weights(tgt[i0:i1], src[j0:j1], eps2)
-                    scaled[i0:i1] += w @ omega[j0:j1]
-                    carried[i0:i1] += w @ momega[j0:j1]
-        contrib = np.cross(scaled, tgt)
-        contrib -= carried
-        contrib *= prefactor
+                    shape = (e.shape[0], i1 - i0, j1 - j0)
+                    size = shape[0] * shape[1] * shape[2]
+                    r2 = r2_buf[:size].reshape(shape)
+                    w = w_buf[:size].reshape(shape)
+                    hit = hit_buf[:size].reshape(shape)
+                    tp, sp = t1[fleet, :, i0:i1], s1[fleet, :, :, j0:j1]
+                    np.matmul(tp[:, 0], sp[:, 0], out=w)
+                    np.multiply(w, w, out=r2)
+                    for axis in (1, 2):
+                        np.matmul(tp[:, axis], sp[:, axis], out=w)
+                        np.multiply(w, w, out=w)
+                        r2 += w
+                    r2 += e
+                    # r² + ε² == ε² marks a coincident pair, whose
+                    # numerator ω × (t − s) vanishes: the fused reduction
+                    # never forms it, so the weight is dropped instead.
+                    np.equal(r2, e, out=hit)
+                    np.sqrt(r2, out=w)
+                    w *= r2
+                    with np.errstate(divide="ignore"):    # ε = 0 self-pairs
+                        np.divide(1.0, w, out=w)
+                    np.copyto(w, 0.0, where=hit)
+                    acc[fleet, i0:i1] += w @ rhs[fleet, j0:j1]
+                    if mirror and j0 > i0:
+                        acc[fleet, j0:j1] += (
+                            w.transpose(0, 2, 1) @ rhs[fleet, i0:i1]
+                        )
+        contrib = np.cross(acc[..., :3], tgt)
+        contrib -= acc[..., 3:]
+        contrib *= pref
         out += contrib
 
     def br_neighbors(
@@ -139,36 +200,43 @@ class BlockedBackend(ArrayBackend):
         *,
         batch_pairs: int = 4_000_000,
     ) -> None:
-        nt = targets.shape[0]
         total_pairs = int(offsets[-1])
+        if total_pairs == 0:
+            return
+        # reduceat hands back an *element*, not 0, for an empty segment:
+        # only rows that own at least one pair enter the reduction.
         counts = np.diff(offsets)
-        pair_target = np.repeat(np.arange(nt, dtype=np.int64), counts)
-        for start in range(0, total_pairs, batch_pairs):
-            stop = min(start + batch_pairs, total_pairs)
-            ti = pair_target[start:stop]
-            sj = indices[start:stop]
-            diff = targets[ti] - sources[sj]                   # (b, 3)
-            r2 = diff[:, 0] * diff[:, 0]
-            r2 += diff[:, 1] * diff[:, 1]
-            r2 += diff[:, 2] * diff[:, 2]
-            r2 += eps2
-            inv = np.sqrt(r2)
-            inv *= r2
+        rows = np.flatnonzero(counts)
+        counts = counts[rows]
+        starts = np.append(offsets[rows], total_pairs)
+        tcol = np.ascontiguousarray(targets.T)
+        scol = np.ascontiguousarray(sources.T)
+        ocol = np.ascontiguousarray(omega.T)
+        cuts = chunk_rows(starts[:-1], total_pairs, _CSR_CHUNK)
+        for k0, k1 in zip(cuts[:-1], cuts[1:]):
+            p0, p1 = starts[k0], starts[k1]
+            sj = indices[p0:p1]
+            r = rows[k0:k1]
+            cnt = counts[k0:k1]
+            d = []
+            for axis in range(3):
+                da = np.repeat(tcol[axis][r], cnt)
+                da -= scol[axis][sj]
+                d.append(da)
+            inv = d[0] * d[0]
+            inv += d[1] * d[1]
+            inv += d[2] * d[2]
+            inv += eps2
+            comp = np.sqrt(inv)
+            inv *= comp
             np.divide(prefactor, inv, out=inv)
-            o = omega[sj]
-            comp = np.empty_like(r2)
-            np.multiply(o[:, 1], diff[:, 2], out=comp)
-            comp -= o[:, 2] * diff[:, 1]
-            comp *= inv
-            out[:, 0] += np.bincount(ti, weights=comp, minlength=nt)
-            np.multiply(o[:, 2], diff[:, 0], out=comp)
-            comp -= o[:, 0] * diff[:, 2]
-            comp *= inv
-            out[:, 1] += np.bincount(ti, weights=comp, minlength=nt)
-            np.multiply(o[:, 0], diff[:, 1], out=comp)
-            comp -= o[:, 1] * diff[:, 0]
-            comp *= inv
-            out[:, 2] += np.bincount(ti, weights=comp, minlength=nt)
+            o = [ocol[axis][sj] for axis in range(3)]
+            segments = starts[k0:k1] - p0
+            for axis, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
+                np.multiply(o[p], d[q], out=comp)
+                comp -= o[q] * d[p]
+                comp *= inv
+                out[r, axis] += np.add.reduceat(comp, segments)
 
     # -- Barnes-Hut tree kernels ------------------------------------------
 
@@ -346,71 +414,6 @@ class BlockedBackend(ArrayBackend):
                 "batched stencils need stacked ghosted arrays shaped "
                 f"(B, >=5, >=5, ...), got {full.shape}"
             )
-
-    def br_allpairs_batched(
-        self,
-        targets: np.ndarray,
-        sources: np.ndarray,
-        omega: np.ndarray,
-        eps2: np.ndarray,
-        prefactor: np.ndarray,
-        out: np.ndarray,
-        *,
-        symmetric: bool = False,
-        batch_pairs: int = 2_000_000,
-    ) -> None:
-        """Fused batched BR: scenario-chunked batched-GEMM accumulation.
-
-        Scenarios are processed in chunks whose combined pair panels
-        stay under ``batch_pairs`` entries; each chunk materializes one
-        ``(b, n, m)`` weight tensor and reduces it with two batched
-        matmuls (the scalar kernel's fused cross-product decomposition).
-        A scenario too large to panel whole falls back to the tiled
-        scalar kernel per scenario.  The ``symmetric`` hint is accepted
-        for interface parity but not exploited here — fleet grids are
-        small enough that the stacked GEMM already wins.
-        """
-        nb, nt = targets.shape[0], targets.shape[1]
-        ns = sources.shape[1]
-        if nb == 0 or nt == 0 or ns == 0:
-            return
-        if nt * ns > batch_pairs:
-            super().br_allpairs_batched(
-                targets, sources, omega, eps2, prefactor, out,
-                symmetric=symmetric, batch_pairs=batch_pairs,
-            )
-            return
-        eps2 = np.asarray(eps2, dtype=np.float64)
-        pref = np.asarray(prefactor, dtype=np.float64)
-        chunk = max(1, batch_pairs // (nt * ns))
-        for b0 in range(0, nb, chunk):
-            b1 = min(b0 + chunk, nb)
-            src = sources[b0:b1]
-            center = src.mean(axis=1, keepdims=True)          # (b, 1, 3)
-            tgt = targets[b0:b1] - center
-            src = src - center
-            om = omega[b0:b1]
-            momega = np.cross(om, src)                        # ω_j × s'_j
-            dc = tgt[:, :, None, 0] - src[:, None, :, 0]
-            r2 = dc * dc
-            dc = tgt[:, :, None, 1] - src[:, None, :, 1]
-            r2 += dc * dc
-            dc = tgt[:, :, None, 2] - src[:, None, :, 2]
-            r2 += dc * dc
-            e = eps2[b0:b1, None, None]
-            r2 += e
-            coincident = r2 == e
-            w = np.sqrt(r2)
-            w *= r2
-            with np.errstate(divide="ignore"):
-                np.divide(1.0, w, out=w)
-            w[coincident] = 0.0
-            scaled = w @ om                                   # (b, n, 3)
-            carried = w @ momega
-            contrib = np.cross(scaled, tgt)
-            contrib -= carried
-            contrib *= pref[b0:b1, None, None]
-            out[b0:b1] += contrib
 
     def riesz_w3hat_batched(
         self,

@@ -11,6 +11,7 @@ messages the functional code actually sends.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import reduce
 from typing import Sequence
 
@@ -141,3 +142,22 @@ def geometric_levels(lo: int, hi: int, factor: int = 2) -> list[int]:
     if points[-1] != hi and hi > points[-1]:
         points.append(hi)
     return points
+
+
+def chunk_rows(first: Sequence[int], total: int, budget: int) -> list[int]:
+    """Cut CSR-style rows into consecutive runs of about ``budget`` items.
+
+    ``first[k]`` is the number of items before row ``k`` (non-decreasing)
+    and ``total`` the number of items in all rows.  Returns the run
+    boundaries ``[0, k1, ..., len(first)]`` (just ``[len(first)]`` when
+    there are no items): a run ends at the first row starting at or past
+    each multiple of ``budget``, so runs hold whole rows and only a row
+    longer than ``budget`` makes its run exceed it.
+
+    >>> chunk_rows([0, 3, 3, 8, 9], 12, 4)
+    [0, 3, 5]
+    """
+    rows = len(first)
+    cuts = {bisect_left(first, mark) for mark in range(0, total, budget)}
+    # A multiple inside the last row lands past every row start.
+    return sorted(cut for cut in cuts if cut < rows) + [rows]

@@ -61,6 +61,29 @@ class TestKernelParity:
         )
         assert_matches(got, ref, f"{backend}: symmetric all-pairs")
 
+    def test_allpairs_ragged_panels(self, backend, rng):
+        """nt != ns, neither a multiple of the blocked panel edge."""
+        tgt, _ = _cloud(rng, 300)
+        src, om = _cloud(rng, 517)
+        ref = br_velocity_allpairs(tgt, src, om, 0.05, 0.2, backend="numpy")
+        got = br_velocity_allpairs(tgt, src, om, 0.05, 0.2, backend=backend)
+        assert_matches(got, ref, f"{backend}: ragged all-pairs")
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_allpairs_coincident_non_self_pairs(self, backend, rng, symmetric):
+        """Distinct indices at identical coordinates weigh exactly zero,
+        inside a diagonal panel and across panels (two blocked panels
+        plus a remainder of one)."""
+        pts, om = _cloud(rng, 513)
+        pts[8] = pts[7]
+        pts[400] = pts[7]
+        pts[512] = pts[300]
+        ref = br_velocity_allpairs(pts, pts, om, 0.05, 0.2, backend="numpy")
+        got = br_velocity_allpairs(
+            pts, pts, om, 0.05, 0.2, backend=backend, symmetric=symmetric
+        )
+        assert_matches(got, ref, f"{backend}: coincident non-self pairs")
+
     def test_allpairs_self_term_exactly_zero(self, backend):
         pts = np.array([[0.2, -0.4, 1.0]])
         om = np.array([[1.0, 2.0, -3.0]])
@@ -96,6 +119,36 @@ class TestKernelParity:
         ref = br_velocity_neighbors(*args, backend="numpy")
         got = br_velocity_neighbors(*args, backend=backend)
         assert_matches(got, ref, f"{backend}: neighbors")
+
+    def test_neighbors_empty_rows_across_chunks(self, backend, rng):
+        """Empty CSR rows at the start, middle and end stay exactly zero
+        while the pair list spans several of the blocked kernel's
+        reduction chunks (reduceat returns an element for an empty
+        segment, and rejects one that starts at the end)."""
+        tgt, _ = _cloud(rng, 300)
+        src, om = _cloud(rng, 400)
+        empty = [0, 1, 150, 151, 298, 299]
+        counts = np.full(300, 400)
+        counts[empty] = 0
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        indices = np.tile(np.arange(400), 300 - len(empty))
+        assert offsets[-1] > 3 * 32_768
+        args = (tgt, src, om, offsets, indices, 0.05, 0.3)
+        ref = br_velocity_neighbors(*args, backend="numpy")
+        got = br_velocity_neighbors(*args, backend=backend)
+        assert_matches(got, ref, f"{backend}: neighbors with empty rows")
+        assert np.all(got[empty] == 0.0)
+
+    def test_neighbors_row_longer_than_a_chunk(self, backend, rng):
+        """A chunk boundary that falls inside the last row."""
+        tgt, _ = _cloud(rng, 2)
+        src, om = _cloud(rng, 400)
+        offsets = np.array([0, 400, 40_400])
+        indices = np.tile(np.arange(400), 101)
+        args = (tgt, src, om, offsets, indices, 0.05, 0.3)
+        ref = br_velocity_neighbors(*args, backend="numpy")
+        got = br_velocity_neighbors(*args, backend=backend)
+        assert_matches(got, ref, f"{backend}: one long neighbor row")
 
     def test_stencils_parity(self, backend, rng):
         nb = get_backend(backend)

@@ -52,21 +52,40 @@ class TestBinning:
 
 
 class TestNeighborLists:
+    @pytest.mark.parametrize(
+        "layout", ["cloud", "one_z_layer", "one_cell", "targets_outside"]
+    )
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 2**31),
         ns=st.integers(1, 150),
         nt=st.integers(1, 100),
         cutoff=st.floats(0.1, 2.0),
+        batch_size=st.integers(1, 40),
+        same_set=st.booleans(),
     )
-    def test_matches_brute_force(self, seed, ns, nt, cutoff):
+    def test_matches_brute_force(
+        self, layout, seed, ns, nt, cutoff, batch_size, same_set
+    ):
         rng = np.random.default_rng(seed)
         src = rng.uniform(-2, 2, size=(ns, 3))
-        tgt = rng.uniform(-2, 2, size=(nt, 3))
-        fast = neighbor_lists(tgt, src, cutoff, batch_size=17)
-        slow = brute_force_lists(tgt, src, cutoff)
+        tgt = src if same_set else rng.uniform(-2, 2, size=(nt, 3))
+        if layout == "one_z_layer":
+            src[:, 2] = 0.25
+            tgt[:, 2] = 0.25
+        elif layout == "one_cell":
+            # Every point in one cell: batches smaller than its population.
+            src *= 0.1 * cutoff
+            tgt = tgt if same_set else tgt * 0.1 * cutoff
+        elif layout == "targets_outside" and not same_set:
+            tgt = tgt + np.array([3.0, -3.5, 0.0])
+        fast = neighbor_lists(
+            tgt, src, cutoff, batch_size=batch_size,
+            exclude_self_matches=same_set,
+        )
+        slow = brute_force_lists(tgt, src, cutoff, exclude_self_matches=same_set)
         assert np.array_equal(fast.offsets, slow.offsets)
-        for t in range(nt):
+        for t in range(tgt.shape[0]):
             assert np.array_equal(
                 np.sort(fast.neighbors_of(t)), slow.neighbors_of(t)
             )
