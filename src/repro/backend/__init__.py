@@ -1,7 +1,7 @@
 """repro.backend — pluggable compute engines for the dense hot paths.
 
-The solver's hot-path math (BR pair accumulation, spectral Riesz
-application, FFT stages, stencil operators, fused RK3 updates) is
+The solver's hot-path math (BR pair accumulation, FFT stages, stencil
+operators, fused RK3 updates) is
 expressed against the :class:`ArrayBackend` interface and selected by
 name through a registry — `SolverConfig.backend`, `rocketrig
 --backend`, a campaign deck's ``backend`` axis, or the
@@ -17,7 +17,7 @@ Shipped engines:
   the exact-BR hot path.
 * ``numba`` — JIT pair loops; registered only when numba is
   importable (the error message says so otherwise).
-* ``cupy`` — device-resident BR/spectral kernels; registered only when
+* ``cupy`` — device-resident BR/FFT kernels; registered only when
   cupy and a CUDA device are present (``unavailable_backends()`` and
   ``rocketrig --list-backends`` surface the reason otherwise).
 

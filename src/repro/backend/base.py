@@ -2,8 +2,8 @@
 
 The solver's compute substrate — Birkhoff-Rott pair accumulation
 (dense, CSR-neighbor and Barnes-Hut far-field), tree moment
-reductions, spectral Riesz application, 1D FFT stages, the
-two-node-deep stencil operators and the fused RK3 state updates — is
+reductions, 1D FFT stages, the two-node-deep stencil operators and the
+fused RK3 state updates — is
 expressed against this interface so engines can be swapped the way the
 paper swaps heFFTe communication flags: without touching the physics.
 Implementations are *pure compute*: they never record trace events
@@ -265,20 +265,6 @@ class ArrayBackend(abc.ABC):
 
     # -- spectral kernels --------------------------------------------------
 
-    @abc.abstractmethod
-    def riesz_w3hat(
-        self,
-        g1_hat: np.ndarray,
-        g2_hat: np.ndarray,
-        kx: np.ndarray,
-        ky: np.ndarray,
-    ) -> np.ndarray:
-        """Spectral BR normal velocity ``Ŵ₃ = i (k₁ γ̂₂ − k₂ γ̂₁) / (2|k|)``.
-
-        The ``|k| = 0`` mode maps to zero (the Riesz multiplier has no
-        mean-flow component).
-        """
-
     def fft1d(self, data: np.ndarray, axis: int) -> np.ndarray:
         """Complex forward FFT along one axis (norm='backward')."""
         return np.fft.fft(data, axis=axis)
@@ -367,26 +353,6 @@ class ArrayBackend(abc.ABC):
                 float(eps2[b]), float(prefactor[b]), out[b],
                 symmetric=symmetric, batch_pairs=batch_pairs,
             )
-
-    def riesz_w3hat_batched(
-        self,
-        g1_hat: np.ndarray,
-        g2_hat: np.ndarray,
-        kx: np.ndarray,
-        ky: np.ndarray,
-    ) -> np.ndarray:
-        """Batched Riesz multiplier: :meth:`riesz_w3hat` per scenario.
-
-        ``g1_hat``/``g2_hat`` are stacked ``(B, n1, n2)`` complex128
-        spectra sharing one wavenumber grid (``kx``/``ky`` shaped
-        ``(n1, n2)`` — a fleet shares its mesh); returns the stacked
-        ``(B, n1, n2)`` normal-velocity spectrum.  The default loops the
-        scalar kernel per scenario.
-        """
-        out = np.empty(g1_hat.shape, dtype=np.complex128)
-        for b in range(g1_hat.shape[0]):
-            out[b] = self.riesz_w3hat(g1_hat[b], g2_hat[b], kx, ky)
-        return out
 
     def fft1d_batched(self, data: np.ndarray, axis: int) -> np.ndarray:
         """Batched forward FFT along one *grid* axis of a scenario stack.

@@ -306,27 +306,6 @@ class BlockedBackend(ArrayBackend):
             worst = max(worst, float(r2.max()))
         return float(np.sqrt(worst))
 
-    # -- spectral ---------------------------------------------------------
-
-    def riesz_w3hat(
-        self,
-        g1_hat: np.ndarray,
-        g2_hat: np.ndarray,
-        kx: np.ndarray,
-        ky: np.ndarray,
-    ) -> np.ndarray:
-        k2 = kx * kx + ky * ky
-        mult = np.sqrt(k2)
-        zero = k2 == 0.0
-        with np.errstate(divide="ignore"):
-            np.divide(0.5, mult, out=mult)
-        mult[zero] = 0.0
-        out = kx * g2_hat
-        out -= ky * g1_hat
-        out *= mult
-        out *= 1j
-        return out
-
     # -- stencils ---------------------------------------------------------
 
     def stencil_dx(self, full: np.ndarray, spacing: float) -> np.ndarray:
@@ -414,31 +393,6 @@ class BlockedBackend(ArrayBackend):
                 "batched stencils need stacked ghosted arrays shaped "
                 f"(B, >=5, >=5, ...), got {full.shape}"
             )
-
-    def riesz_w3hat_batched(
-        self,
-        g1_hat: np.ndarray,
-        g2_hat: np.ndarray,
-        kx: np.ndarray,
-        ky: np.ndarray,
-    ) -> np.ndarray:
-        """Fused batched Riesz multiplier: one broadcast over the stack.
-
-        The shared ``(n1, n2)`` multiplier is formed once and broadcast
-        against the ``(B, n1, n2)`` spectra with the scalar kernel's
-        exact in-place operation order.
-        """
-        k2 = kx * kx + ky * ky
-        mult = np.sqrt(k2)
-        zero = k2 == 0.0
-        with np.errstate(divide="ignore"):
-            np.divide(0.5, mult, out=mult)
-        mult[zero] = 0.0
-        out = kx * g2_hat
-        out -= ky * g1_hat
-        out *= mult
-        out *= 1j
-        return out
 
     def fft1d_batched(self, data: np.ndarray, axis: int) -> np.ndarray:
         """Fused batched forward FFT: one call over the whole stack.

@@ -7,8 +7,8 @@ degrade to a no-op import exactly like :mod:`repro.backend.numba_backend`
 shows it).
 
 The engine mirrors the numpy reference formulations with ``cupy``'s
-drop-in API: the dense/CSR Birkhoff-Rott accumulations, the Riesz
-multiplier, the FFT stages and the fused RK3 update run on device, with
+drop-in API: the dense/CSR Birkhoff-Rott accumulations, the FFT
+stages and the fused RK3 update run on device, with
 host arrays staged in through :meth:`CupyBackend.asarray` and results
 staged back into the caller's host accumulators (the PCIe crossings the
 machine model charges through ``MachineSpec.pcie_bw``).  The tree
@@ -42,7 +42,7 @@ CUPY_AVAILABLE = cupy is not None
 
 
 class CupyBackend(NumpyBackend):  # pragma: no cover - requires cupy
-    """Device BR/spectral kernels over the numpy reference elsewhere."""
+    """Device BR/FFT kernels over the numpy reference elsewhere."""
 
     name = "cupy"
     device = "cuda:0"
@@ -139,18 +139,6 @@ class CupyBackend(NumpyBackend):  # pragma: no cover - requires cupy
         return float(cupy.sqrt((diff * diff).sum(axis=-1).max()))
 
     # -- spectral ---------------------------------------------------------
-
-    def riesz_w3hat(self, g1_hat, g2_hat, kx, ky):
-        g1 = cupy.asarray(g1_hat)
-        g2 = cupy.asarray(g2_hat)
-        kxd = cupy.asarray(kx)
-        kyd = cupy.asarray(ky)
-        kmag = cupy.sqrt(kxd * kxd + kyd * kyd)
-        mult = cupy.where(
-            kmag > 0.0, 0.5 / cupy.where(kmag > 0.0, kmag, 1.0), 0.0
-        )
-        result = 1j * (kxd * g2 - kyd * g1) * mult
-        return result if isinstance(g1_hat, cupy.ndarray) else cupy.asnumpy(result)
 
     def fft1d(self, data, axis):
         if isinstance(data, cupy.ndarray):

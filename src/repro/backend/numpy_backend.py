@@ -1,8 +1,8 @@
 """The numpy reference backend: the library's original hot-path math.
 
 Every kernel keeps the formulation the solver shipped with — dense
-broadcast BR blocks, gathered CSR pair batches, the Riesz multiplier
-and the 4th-order stencils of :mod:`repro.backend.stencils`.  It is
+broadcast BR blocks, gathered CSR pair batches and the 4th-order
+stencils of :mod:`repro.backend.stencils`.  It is
 the parity baseline for every other engine and the default when no
 backend is selected.  (The surrounding call sites did move — e.g. the
 TimeIntegrator now applies fused stage updates — so whole-solver
@@ -150,20 +150,6 @@ class NumpyBackend(ArrayBackend):
         diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
         dist2 = np.einsum("ij,ij->i", diff, diff)
         return float(np.sqrt(dist2.max()))
-
-    # -- spectral ---------------------------------------------------------
-
-    def riesz_w3hat(
-        self,
-        g1_hat: np.ndarray,
-        g2_hat: np.ndarray,
-        kx: np.ndarray,
-        ky: np.ndarray,
-    ) -> np.ndarray:
-        kmag = np.sqrt(kx * kx + ky * ky)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mult = np.where(kmag > 0.0, 0.5 / np.where(kmag > 0, kmag, 1.0), 0.0)
-        return 1j * (kx * g2_hat - ky * g1_hat) * mult
 
     # -- stencils ---------------------------------------------------------
 

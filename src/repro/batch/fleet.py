@@ -46,6 +46,7 @@ from repro.core.kernels import PAIR_FLOPS
 from repro.core.solver import SolverConfig
 from repro.core.zmodel import Order
 from repro.core import operators as ops
+from repro.fft.dfft import riesz_multiplier
 from repro.grid.global_mesh import GlobalMesh2D
 from repro.mpi.trace import CommTrace, NullTrace
 from repro.util.errors import ConfigurationError
@@ -159,8 +160,7 @@ class ScenarioFleet:
         self._need_fft = self.order in (Order.LOW, Order.MEDIUM)
         self._need_br = self.order in (Order.MEDIUM, Order.HIGH)
         if self._need_fft:
-            kx1d, ky1d = self.mesh.wavenumbers()
-            self._kx, self._ky = np.meshgrid(kx1d, ky1d, indexing="ij")
+            self._riesz = riesz_multiplier(self.shape, self.mesh.extent)
         if self._need_br:
             ext = self.mesh.extent
             if template.br_images:
@@ -412,16 +412,13 @@ class ScenarioFleet:
     # -- physics -----------------------------------------------------------
 
     def _spectral_velocity(self, w_own: np.ndarray) -> np.ndarray:
+        """Stacked twin of ``ZModel._spectral_velocity`` (same arithmetic)."""
         bk = self.backend
         with self.trace.phase("batch_fft"):
-            data1 = np.ascontiguousarray(w_own[..., 0], dtype=np.complex128)
-            data2 = np.ascontiguousarray(w_own[..., 1], dtype=np.complex128)
-            g1_hat = bk.fft1d_batched(bk.fft1d_batched(data1, 1), 0)
-            g2_hat = bk.fft1d_batched(bk.fft1d_batched(data2, 1), 0)
-            w3_hat = bk.riesz_w3hat_batched(g1_hat, g2_hat, self._kx, self._ky)
-            w3 = np.real(
-                bk.ifft1d_batched(bk.ifft1d_batched(w3_hat, 0), 1)
-            )
+            packed = np.ascontiguousarray(w_own).view(np.complex128)[..., 0]
+            spectrum = bk.fft1d_batched(bk.fft1d_batched(packed, 1), 0)
+            spectrum *= self._riesz
+            w3 = bk.ifft1d_batched(bk.ifft1d_batched(spectrum, 0), 1).real
         out = np.zeros(w3.shape + (3,))
         out[..., 2] = w3
         return out
@@ -464,7 +461,8 @@ class ScenarioFleet:
             t2 = bk.stencil_dy_batched(z_full, self._dy)
             normal = ops.cross(t1, t2)
             deth = ops.area_element(normal)
-            omega = w_own[..., 0:1] * t1 + w_own[..., 1:2] * t2
+            if self._need_br:
+                omega = w_own[..., 0:1] * t1 + w_own[..., 1:2] * t2
 
         w_fft = self._spectral_velocity(w_own) if self._need_fft else None
         w_br = self._br_velocity(z_own, omega) if self._need_br else None

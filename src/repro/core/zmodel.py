@@ -19,10 +19,12 @@ solver, "using FFTs for calculating changes in vorticity"; the
 high-order solver evaluates the BR integral directly and is the only
 order that works with non-periodic boundaries.)
 
-Model equations (DESIGN.md §4)
-------------------------------
+Model equations
+---------------
 Surface vorticity vector      ``ω = γ1 ∂₁z + γ2 ∂₂z``
-Spectral (flat-linearized) BR ``Ŵ₃ = i (k₁ γ̂2 − k₂ γ̂1) / (2|k|)``
+Spectral (flat-linearized) BR ``Ŵ₃ = i (k₁ γ̂2 − k₂ γ̂1) / (2|k|)``,
+                              evaluated packed:
+                              ``W₃ = Re F⁻¹[ (k₁′ − i k₂′)/(2|k|) · F[γ1 + iγ2] ]``
 Direct BR quadrature          see :mod:`repro.core.kernels`
 Potential                     ``Φ = g z₃ − β |W|²/2``
 Evolution                     ``ż = W``,
@@ -33,6 +35,21 @@ Linearized about a flat interface this reproduces the Rayleigh-Taylor
 dispersion relation σ = sqrt(A g |k|) (pinned by tests), and the ⊥
 gradient structure of the baroclinic source is what makes the spectral
 and direct BR velocities consistent with each other.
+
+The packed form costs one forward and one backward complex transform
+where the textbook form costs two forwards and one backward.  With
+``ĉ = γ̂1 + iγ̂2`` the product ``(k₁ − i k₂) ĉ / (2|k|)`` is
+``[(k₁γ̂1 + k₂γ̂2) + i (k₁γ̂2 − k₂γ̂1)] / (2|k|)``: γ̂ is Hermitian (γ is
+real) and ``k`` is odd, so the first bracket is anti-Hermitian — its
+inverse transform is purely imaginary — and the second is exactly
+``Ŵ₃``, Hermitian, with a real inverse.  The one place ``k`` is not odd
+is the Nyquist row/column of an even-length axis (``−k`` aliases onto
+``k``); there the textbook ``Ŵ₃`` term is itself anti-Hermitian and
+``Re F⁻¹`` silently drops it, so ``k′`` zeroes that entry of the odd
+factor (``|k|`` keeps it) and the two forms agree to round-off on any
+real input, not only smooth ones.  The multiplier is built once per
+model by :func:`repro.fft.dfft.riesz_multiplier` in the layout the
+forward transform leaves the spectrum in.
 
 The ZModel performs *no direct communication* — it calls the halo
 gather (via :class:`~repro.core.problem_manager.ProblemManager`), the
@@ -51,8 +68,9 @@ import numpy as np
 from repro.backend import ArrayBackend, get_backend
 from repro.core import operators as ops
 from repro.core.problem_manager import ProblemManager
-from repro.fft.dfft import DistributedFFT2D
+from repro.fft.dfft import DistributedFFT2D, riesz_multiplier
 from repro.util.errors import ConfigurationError
+from repro.util.roofline import RIESZ_BYTES, RIESZ_FLOPS
 
 __all__ = ["Order", "ZModelParameters", "ZModel", "BRSolverProtocol"]
 
@@ -146,6 +164,9 @@ class ZModel:
                 raise ConfigurationError(
                     f"FFT shape {fft.global_shape} != mesh {mesh.global_mesh.num_nodes}"
                 )
+            self._riesz = riesz_multiplier(
+                fft.global_shape, mesh.global_mesh.extent, fft.spectrum_box
+            )
         if self.order in (Order.MEDIUM, Order.HIGH) and br_solver is None:
             raise ConfigurationError(f"{self.order} order requires a BR solver")
         # Evaluation statistics (examples/benchmarks read these).
@@ -154,23 +175,23 @@ class ZModel:
     # -- pieces ------------------------------------------------------------
 
     def _spectral_velocity(self, w_own: np.ndarray) -> np.ndarray:
-        """Low-order BR approximation via the Riesz multiplier (FFT)."""
+        """Low-order BR approximation: one packed transform pair (FFT)."""
         assert self.fft is not None
         mesh = self.pm.mesh
-        trace = self.pm.mesh.cart.trace
+        trace = mesh.cart.trace
         with trace.phase("fft"):
-            g1_hat = self.fft.forward(w_own[..., 0])
-            g2_hat = self.fft.forward(w_own[..., 1])
-            kx, ky = self.fft.brick_wavenumbers(mesh.global_mesh.extent)
+            # (γ1, γ2) pairs are the memory layout of γ1 + iγ2.
+            packed = np.ascontiguousarray(w_own).view(np.complex128)[..., 0]
+            spectrum = self.fft.forward_transposed(packed)
             t0 = trace.clock()
-            w3_hat = self.backend.riesz_w3hat(g1_hat, g2_hat, kx, ky)
+            spectrum *= self._riesz
             trace.record_compute(
                 "riesz", mesh.rank,
-                flops=12.0 * w3_hat.size,
-                bytes_moved=3.0 * 16 * w3_hat.size,
-                items=w3_hat.size, t_wall=trace.clock_since(t0),
+                flops=RIESZ_FLOPS * spectrum.size,
+                bytes_moved=RIESZ_BYTES * spectrum.size,
+                items=spectrum.size, t_wall=trace.clock_since(t0),
             )
-            w3 = self.fft.backward_real(w3_hat)
+            w3 = self.fft.backward_transposed(spectrum).real
         out = np.zeros(w3.shape + (3,))
         out[..., 2] = w3
         return out
@@ -205,6 +226,8 @@ class ZModel:
         z_full = pm.z.full
         w_full = pm.w.full
         w_own = pm.w.own
+        need_fft = self.order in (Order.LOW, Order.MEDIUM)
+        need_br = self.order in (Order.MEDIUM, Order.HIGH)
 
         with trace.phase("stencil"):
             t0 = trace.clock()
@@ -212,18 +235,15 @@ class ZModel:
             t2 = self.backend.stencil_dy(z_full, dy_)
             normal = ops.cross(t1, t2)
             deth = ops.area_element(normal)
-            omega = (
-                w_own[..., 0:1] * t1 + w_own[..., 1:2] * t2
-            )  # ω = γ1 t1 + γ2 t2
+            if need_br:  # ω = γ1 t1 + γ2 t2, consumed by the BR solver only
+                omega = w_own[..., 0:1] * t1 + w_own[..., 1:2] * t2
             trace.record_compute(
                 "geometry", mesh.rank,
-                flops=40.0 * omega[..., 0].size,
-                bytes_moved=11.0 * 8 * omega[..., 0].size,
-                items=omega[..., 0].size, t_wall=trace.clock_since(t0),
+                flops=40.0 * deth.size,
+                bytes_moved=11.0 * 8 * deth.size,
+                items=deth.size, t_wall=trace.clock_since(t0),
             )
 
-        need_fft = self.order in (Order.LOW, Order.MEDIUM)
-        need_br = self.order in (Order.MEDIUM, Order.HIGH)
         w_fft = self._spectral_velocity(w_own) if need_fft else None
         w_br = self._br_velocity(pm.z.own, omega) if need_br else None
 

@@ -8,7 +8,7 @@ and the Fig. 9 benchmark sweeps all eight flag combinations.
 """
 
 from repro.fft.config import ALL_CONFIGS, FftConfig
-from repro.fft.dfft import DistributedFFT2D
+from repro.fft.dfft import DistributedFFT2D, riesz_multiplier
 from repro.fft.layouts import (
     brick_layout,
     cols_pencil_layout,
@@ -24,6 +24,7 @@ __all__ = [
     "ALL_CONFIGS",
     "FftConfig",
     "DistributedFFT2D",
+    "riesz_multiplier",
     "Remap",
     "brick_layout",
     "rows_slab_layout",

@@ -1,22 +1,40 @@
 """Distributed 2D FFT over the brick decomposition (heFFTe analogue).
 
-The transform pipeline is::
+The transform pipeline is two *transposed halves* (FFTW's
+``TRANSPOSED_OUT`` / ``TRANSPOSED_IN``) plus the hop that closes each
+one back to bricks::
 
-    brick --remap--> rows layout --FFT axis 1--> rows layout
-          --remap--> cols layout --FFT axis 0--> cols layout
-          --remap--> brick
+    forward_transposed                              cols_to_brick
+    brick --remap--> rows --FFT axis 1--> rows      cols --remap--> brick
+          --remap--> cols --FFT axis 0--> cols
 
-Forward and backward share the remap plans (backward runs them in
-reverse with inverse kernels).  The intermediate layouts and the
-communication backend are chosen by :class:`~repro.fft.config.FftConfig`
-— the eight combinations of the paper's Table 1.
+    brick_to_cols        backward_transposed
+    brick --remap--> cols --iFFT axis 0--> cols --remap--> rows
+                          --iFFT axis 1--> rows --remap--> brick
 
-Data enters and leaves in the rank's *brick* box (owned nodes of the
-2D block decomposition, no ghosts), which is how Beatnik's low-order
-ZModel solver consumes it.
+``forward`` is ``cols_to_brick ∘ forward_transposed`` and ``backward``
+is ``backward_transposed ∘ brick_to_cols``: the heFFTe-shaped
+brick-in/brick-out transforms, sharing every stage with the halves.  A
+caller that only multiplies the spectrum pointwise (the low-order
+ZModel solver) uses the halves directly and applies its multiplier in
+the cols layout (:attr:`DistributedFFT2D.spectrum_box`), where the
+spectrum already lives — two redistributions per round trip that the
+mathematics does not need.
+
+Elision rule: a hop whose source and destination layouts coincide on
+every rank (brick ≡ rows pencil on a ``(P, 1)`` process grid; every hop
+on one rank) hands its input through untouched — see
+:class:`~repro.fft.remap.Remap`.  No stage writes into its input, so
+the aliasing is safe.
+
+The intermediate layouts and the communication backend are chosen by
+:class:`~repro.fft.config.FftConfig` — the eight combinations of the
+paper's Table 1.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -29,9 +47,52 @@ from repro.grid.indexspace import IndexSpace
 from repro.mpi.cart import CartComm
 from repro.util.errors import ConfigurationError
 
-__all__ = ["DistributedFFT2D"]
+__all__ = ["DistributedFFT2D", "riesz_multiplier"]
 
 _FFT_TAGS = 7500
+
+
+def _wavenumbers(
+    shape: tuple[int, int], extent: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Angular wavenumbers of both global axes (``np.fft.fftfreq`` order)."""
+    n1, n2 = shape
+    return (
+        2.0 * np.pi * np.fft.fftfreq(n1, d=extent[0] / n1),
+        2.0 * np.pi * np.fft.fftfreq(n2, d=extent[1] / n2),
+    )
+
+
+def riesz_multiplier(
+    shape: tuple[int, int],
+    extent: tuple[float, float],
+    box: Optional[IndexSpace] = None,
+) -> np.ndarray:
+    """The packed low-order symbol ``(k₁′ − i k₂′) / (2|k|)`` on ``box``.
+
+    For real γ1, γ2 the flat-linearized Birkhoff-Rott velocity is
+    ``W₃ = Re F⁻¹[ m · F[γ1 + iγ2] ]`` with this ``m`` (derivation in
+    :mod:`repro.core.zmodel`).  ``k′`` is ``k`` with the Nyquist entry of
+    an even-length axis zeroed: there ``−k`` aliases onto ``k``, so the
+    factor is not odd and its contribution is the anti-Hermitian part
+    that taking the real part of the two-transform formula discards.
+    ``|k|`` keeps the full wavenumbers; the ``k = 0`` mode maps to zero.
+
+    ``box`` selects a sub-box of the global spectrum (a plan's
+    :attr:`DistributedFFT2D.spectrum_box`); ``None`` is the whole of it.
+    """
+    ks = _wavenumbers(shape, extent)
+    odd = [k.copy() for k in ks]
+    for k in odd:
+        if k.size % 2 == 0:
+            k[k.size // 2] = 0.0
+    sx, sy = box.slices() if box is not None else (slice(None), slice(None))
+    two_k = 2.0 * np.hypot(ks[0][sx, None], ks[1][None, sy])
+    two_k[two_k == 0.0] = np.inf
+    mult = np.empty(two_k.shape, dtype=np.complex128)
+    mult.real = odd[0][sx, None] / two_k
+    mult.imag = -odd[1][None, sy] / two_k
+    return mult
 
 
 class DistributedFFT2D:
@@ -57,8 +118,8 @@ class DistributedFFT2D:
         rows = layout_for_stage("rows", shape, dims, config.pencils)
         cols = layout_for_stage("cols", shape, dims, config.pencils)
         self.brick_box: IndexSpace = bricks[cart.rank]
-        self._rows_box: IndexSpace = rows[cart.rank]
-        self._cols_box: IndexSpace = cols[cart.rank]
+        #: This rank's box of the transposed spectrum (complete columns).
+        self.spectrum_box: IndexSpace = cols[cart.rank]
 
         base = _FFT_TAGS + 64 * config.index
         self._to_rows = Remap(cart, bricks, rows, config, base + 0, "brick→rows")
@@ -71,67 +132,62 @@ class DistributedFFT2D:
 
     # -- transforms ------------------------------------------------------------
 
-    def forward(self, local: np.ndarray) -> np.ndarray:
-        """Forward complex 2D FFT of the global array; brick in, brick out.
+    def forward_transposed(self, local: np.ndarray) -> np.ndarray:
+        """Forward complex 2D FFT; brick in, :attr:`spectrum_box` out.
 
         ``local`` is this rank's brick of real or complex data; the
-        return value is this rank's brick of the (unnormalized,
-        ``norm='backward'``) global spectrum.
+        return value is this rank's cols-layout box of the
+        (unnormalized, ``norm='backward'``) global spectrum.
         """
         data = np.ascontiguousarray(local, dtype=np.complex128)
-        if tuple(data.shape) != self.brick_box.shape:
-            raise ConfigurationError(
-                f"forward input shape {data.shape} != brick {self.brick_box.shape}"
-            )
         trace, rank = self.cart.trace, self.cart.rank
         work = self._to_rows.apply(data)
         work = fft_along(work, axis=1, trace=trace, rank=rank,
                          backend=self.backend)
         work = self._rows_to_cols.apply(work)
-        work = fft_along(work, axis=0, trace=trace, rank=rank,
+        return fft_along(work, axis=0, trace=trace, rank=rank,
                          backend=self.backend)
-        return self._cols_to_brick.apply(work)
 
-    def backward(self, local: np.ndarray) -> np.ndarray:
-        """Inverse complex 2D FFT (scales by 1/(N1·N2)); brick in/out."""
-        data = np.ascontiguousarray(local, dtype=np.complex128)
-        if tuple(data.shape) != self.brick_box.shape:
+    def backward_transposed(self, spectrum: np.ndarray) -> np.ndarray:
+        """Inverse complex 2D FFT (scales by 1/(N1·N2));
+        :attr:`spectrum_box` in, brick out."""
+        data = np.ascontiguousarray(spectrum, dtype=np.complex128)
+        if tuple(data.shape) != self.spectrum_box.shape:
             raise ConfigurationError(
-                f"backward input shape {data.shape} != brick {self.brick_box.shape}"
+                f"backward_transposed input shape {data.shape} != spectrum "
+                f"box {self.spectrum_box.shape}"
             )
         trace, rank = self.cart.trace, self.cart.rank
-        work = self._brick_to_cols.apply(data)
-        work = ifft_along(work, axis=0, trace=trace, rank=rank,
+        work = ifft_along(data, axis=0, trace=trace, rank=rank,
                           backend=self.backend)
         work = self._cols_to_rows.apply(work)
         work = ifft_along(work, axis=1, trace=trace, rank=rank,
                           backend=self.backend)
         return self._rows_to_brick.apply(work)
 
-    def backward_real(self, local: np.ndarray) -> np.ndarray:
-        """Inverse transform returning the real part (solver convenience)."""
-        return np.real(self.backward(local))
+    def forward(self, local: np.ndarray) -> np.ndarray:
+        """Forward complex 2D FFT of the global array; brick in, brick out."""
+        return self._cols_to_brick.apply(self.forward_transposed(local))
+
+    def backward(self, local: np.ndarray) -> np.ndarray:
+        """Inverse complex 2D FFT (scales by 1/(N1·N2)); brick in/out."""
+        data = np.ascontiguousarray(local, dtype=np.complex128)
+        return self.backward_transposed(self._brick_to_cols.apply(data))
 
     # -- spectral coordinates ------------------------------------------------------
 
-    def brick_wavenumbers(
+    def spectrum_wavenumbers(
         self, extent: tuple[float, float]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Angular wavenumbers (kx, ky meshgrid) for this rank's brick.
+        """1-D angular wavenumbers ``(kx, ky)`` of :attr:`spectrum_box`.
 
         ``extent`` is the physical domain size ``(Lx, Ly)``; wavenumbers
         follow the ``np.fft.fftfreq`` ordering of the global spectrum,
-        sliced to the brick.
+        sliced to the box.
         """
-        n1, n2 = self.global_shape
-        kx = 2.0 * np.pi * np.fft.fftfreq(n1, d=extent[0] / n1)
-        ky = 2.0 * np.pi * np.fft.fftfreq(n2, d=extent[1] / n2)
-        box = self.brick_box
-        return np.meshgrid(
-            kx[box.mins[0]: box.maxs[0]],
-            ky[box.mins[1]: box.maxs[1]],
-            indexing="ij",
-        )
+        kx, ky = _wavenumbers(self.global_shape, extent)
+        sx, sy = self.spectrum_box.slices()
+        return kx[sx], ky[sy]
 
     def remap_partner_counts(self) -> dict[str, int]:
         """Peers touched by each forward hop (tests assert pencil locality)."""

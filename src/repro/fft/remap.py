@@ -22,6 +22,11 @@ travel is governed by :class:`~repro.fft.config.FftConfig`:
 The functional result is identical for all configurations (tested);
 only the communication/computation *structure* differs — which is
 precisely what the paper's Figure 9 experiment measures.
+
+A remap whose two layouts coincide on *every* rank moves nothing: its
+``apply`` returns the input array itself — no copy, no rendezvous, no
+trace event.  Every rank sees all boxes, so all ranks agree on the
+elision without communicating.
 """
 
 from __future__ import annotations
@@ -60,6 +65,8 @@ class Remap:
         self.label = label
         self.src_box = src_boxes[comm.rank]
         self.dst_box = dst_boxes[comm.rank]
+        #: Source and destination layouts coincide on every rank.
+        self.identity = list(src_boxes) == list(dst_boxes)
         # What I send to each destination rank (global-index boxes).
         self.send_parts: list[Optional[IndexSpace]] = [
             self.src_box.intersect(dst_boxes[d]) for d in range(comm.size)
@@ -89,12 +96,18 @@ class Remap:
     # -- application --------------------------------------------------------------
 
     def apply(self, local: np.ndarray) -> np.ndarray:
-        """Redistribute ``local`` (my source box) into my destination box."""
+        """Redistribute ``local`` (my source box) into my destination box.
+
+        An identity remap returns ``local`` itself; callers must not
+        write into the result while they still need the input.
+        """
         if tuple(local.shape) != self.src_box.shape:
             raise ConfigurationError(
                 f"{self.label}: input shape {local.shape} != source box "
                 f"{self.src_box.shape}"
             )
+        if self.identity:
+            return local
         out = np.empty(self.dst_box.shape, dtype=local.dtype)
         if self.config.alltoall:
             self._apply_collective(local, out)

@@ -25,6 +25,7 @@ from repro.machine.patterns import (
     PhaseCost,
     cutoff_evaluation,
     exact_evaluation,
+    fft_hop_counts,
     fft_phase,
     halo_phase,
     low_order_evaluation,
@@ -55,6 +56,7 @@ __all__ = [
     "PhaseCost",
     "cutoff_evaluation",
     "exact_evaluation",
+    "fft_hop_counts",
     "fft_phase",
     "halo_phase",
     "low_order_evaluation",

@@ -42,6 +42,8 @@ from repro.util.roofline import (
     FILTER_FLOPS,
     MOMENT_BYTES,
     MOMENT_FLOPS,
+    RIESZ_BYTES,
+    RIESZ_FLOPS,
     SEARCH_BYTES,
     SEARCH_CANDIDATE_FACTOR,
     SEARCH_FLOPS,
@@ -53,6 +55,7 @@ __all__ = [
     "PhaseCost",
     "EvaluationModel",
     "halo_phase",
+    "fft_hop_counts",
     "fft_phase",
     "stencil_phase",
     "low_order_evaluation",
@@ -157,44 +160,73 @@ def halo_phase(
     return PhaseCost(comm=comm)
 
 
+#: Hops of one evaluation's transform pair, ``forward_transposed`` then
+#: ``backward_transposed`` (:mod:`repro.fft.dfft`): the spectrum stays
+#: in the cols layout, so neither half visits ``cols ↔ brick``.
+_FFT_HOPS = (("brick", "rows"), ("rows", "cols"), ("cols", "rows"), ("rows", "brick"))
+
+
+def _fft_layouts(
+    nranks: int, global_shape: tuple[int, int], config: FftConfig
+) -> dict[str, list]:
+    dims = dims_create(nranks, 2)
+    shape = (int(global_shape[0]), int(global_shape[1]))
+    return {
+        stage: layout_for_stage(stage, shape, dims, config.pencils)
+        for stage in ("brick", "rows", "cols")
+    }
+
+
+def _hop_counts(boxes: dict[str, list], rank: int) -> list[list[int]]:
+    hops = []
+    for src_stage, dst_stage in _FFT_HOPS:
+        if boxes[src_stage] == boxes[dst_stage]:
+            continue
+        src_box = boxes[src_stage][rank]
+        counts = []
+        for dst_box in boxes[dst_stage]:
+            inter = src_box.intersect(dst_box)
+            counts.append(0 if inter is None else inter.size * _COMPLEX)
+        hops.append(counts)
+    return hops
+
+
+def fft_hop_counts(
+    nranks: int,
+    global_shape: tuple[int, int],
+    config: FftConfig,
+    rank: int = 0,
+) -> list[list[int]]:
+    """Bytes ``rank`` ships to every peer (itself included) on each hop
+    of one low-order evaluation's transform pair.
+
+    Counts come from the *actual* layout code (:mod:`repro.fft.layouts`),
+    so modeled message sizes equal functional ones by construction.  A
+    hop whose two layouts coincide on every rank is elided, exactly as
+    :class:`repro.fft.remap.Remap` elides it: it is absent from the list
+    and costs neither wire nor pack time.
+    """
+    return _hop_counts(_fft_layouts(nranks, global_shape, config), rank)
+
+
 def fft_phase(
     nranks: int,
     global_shape: tuple[int, int],
     config: FftConfig,
     spec: MachineSpec,
-    transforms: int = 3,
 ) -> PhaseCost:
-    """``transforms`` distributed 2D FFTs (2 forward + 1 backward for
-    the low-order Riesz velocity).
+    """The spectral half of one low-order evaluation: one forward and
+    one backward transposed transform around the Riesz multiply.
 
-    Redistribution counts come from the *actual* layout code
-    (:mod:`repro.fft.layouts`) evaluated for rank 0, so modeled message
-    sizes equal functional ones by construction.  ``reorder=False``
-    splits each peer's payload into per-row messages in the
-    point-to-point backend and costs local copies at strided bandwidth.
+    Redistributions are priced from :func:`fft_hop_counts` for rank 0.
+    ``reorder=False`` splits each peer's payload into per-row messages
+    in the point-to-point backend and costs local copies at strided
+    bandwidth.
     """
-    dims = dims_create(nranks, 2)
-    shape = (int(global_shape[0]), int(global_shape[1]))
-    stages = [("brick", "rows", 1), ("rows", "cols", 1), ("cols", "brick", 0)]
+    boxes = _fft_layouts(nranks, global_shape, config)
     comm = 0.0
     compute = 0.0
-    boxes = {
-        stage: layout_for_stage(stage, shape, dims, config.pencils)
-        for stage in ("brick", "rows", "cols")
-    }
-    me = 0
-    for src_stage, dst_stage, _ in stages:
-        src_box = boxes[src_stage][me]
-        counts = []
-        rows_per_peer = []
-        for dst in range(nranks):
-            inter = src_box.intersect(boxes[dst_stage][dst])
-            if inter is None or inter.empty:
-                counts.append(0)
-                rows_per_peer.append(0)
-            else:
-                counts.append(inter.size * _COMPLEX)
-                rows_per_peer.append(inter.shape[0])
+    for counts in _hop_counts(boxes, 0):
         volume = sum(counts)
         # Without reorder the payloads stream through strided derived
         # datatypes in either backend: an effective-bandwidth penalty,
@@ -215,16 +247,20 @@ def fft_phase(
         compute += spec.compute_time(
             0.0, 4.0 * volume, strided=not config.reorder
         )
-    # Serial kernel work: two 1D passes over the local data per transform.
-    rows_box = boxes["rows"][me]
-    cols_box = boxes["cols"][me]
-    n1, n2 = shape
+    # Serial kernel work: two 1D passes over the local data per
+    # transform, and one complex multiply of the transposed spectrum.
+    rows_box, cols_box = boxes["rows"][0], boxes["cols"][0]
+    n1, n2 = global_shape
     flops_rows = 5.0 * n2 * math.log2(max(n2, 2)) * max(rows_box.shape[0], 1)
     flops_cols = 5.0 * n1 * math.log2(max(n1, 2)) * max(cols_box.shape[1], 1)
+    compute += 2.0 * (
+        spec.compute_time(flops_rows, 2.0 * rows_box.size * _COMPLEX)
+        + spec.compute_time(flops_cols, 2.0 * cols_box.size * _COMPLEX)
+    )
     compute += spec.compute_time(
-        flops_rows, 2.0 * rows_box.size * _COMPLEX
-    ) + spec.compute_time(flops_cols, 2.0 * cols_box.size * _COMPLEX)
-    return PhaseCost(comm=comm * transforms, compute=compute * transforms)
+        RIESZ_FLOPS * cols_box.size, RIESZ_BYTES * cols_box.size
+    )
+    return PhaseCost(comm=comm, compute=compute)
 
 
 def stencil_phase(

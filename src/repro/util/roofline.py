@@ -1,9 +1,10 @@
 """Shared roofline conventions of the approximate-BR pipelines.
 
 One home for the per-item flop/byte constants of the neighbor-search,
-Verlet-cache, filter and Barnes-Hut tree kernels, imported by both the
-accounting layers (:mod:`repro.core.br_cutoff` and
-:mod:`repro.core.br_tree`, which record the ComputeEvents) and the
+Verlet-cache, filter and Barnes-Hut tree kernels (and the low-order
+Riesz multiply), imported by both the accounting layers
+(:mod:`repro.core.br_cutoff`, :mod:`repro.core.br_tree` and
+:mod:`repro.core.zmodel`, which record the ComputeEvents) and the
 analytic machine model (:mod:`repro.machine.patterns`, which prices the
 same work at paper scale).  Keeping them in a leaf module preserves the
 layering: the machine model never imports the functional solver.
@@ -32,6 +33,8 @@ __all__ = [
     "WALK_BYTES",
     "FARFIELD_FLOPS",
     "FARFIELD_BYTES",
+    "RIESZ_FLOPS",
+    "RIESZ_BYTES",
 ]
 
 SEARCH_CANDIDATE_FACTOR = 27.0 / (4.0 * math.pi / 3.0)
@@ -52,3 +55,8 @@ WALK_BYTES = 6 * 8.0       # per examined pair: center(3) + size + ids
 FARFIELD_FLOPS = 70.0      # per far pair: r(3) + u(5) + g,h(~12) + M x r(9)
                            # + Qr(15) + (Qr) x r(9) + combine/axpy(~17)
 FARFIELD_BYTES = 20 * 8.0  # per far pair: center+M+S(9) + Q(9) + out update
+
+# Low-order spectral velocity (repro.core.zmodel): one in-place complex
+# multiply of the spectrum by the cached Riesz multiplier.
+RIESZ_FLOPS = 6.0          # per mode: 4 multiplies + 2 adds
+RIESZ_BYTES = 3 * 16.0     # per mode: read spectrum + multiplier, write

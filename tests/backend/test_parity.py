@@ -169,24 +169,6 @@ class TestKernelParity:
             f"{backend}: laplacian",
         )
 
-    def test_riesz_parity(self, backend, rng):
-        nb = get_backend(backend)
-        ref = get_backend("numpy")
-        n = 16
-        g1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        g2 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        kx, ky = np.meshgrid(
-            2 * np.pi * np.fft.fftfreq(n, d=0.3),
-            2 * np.pi * np.fft.fftfreq(n, d=0.5),
-            indexing="ij",
-        )
-        got = nb.riesz_w3hat(g1, g2, kx, ky)
-        want = ref.riesz_w3hat(g1, g2, kx, ky)
-        assert_matches(got.real, want.real, f"{backend}: riesz re")
-        assert_matches(got.imag, want.imag, f"{backend}: riesz im")
-        # The k=0 mode must map to exactly zero.
-        assert got[0, 0] == 0.0
-
     def test_fft1d_parity(self, backend, rng):
         nb = get_backend(backend)
         data = rng.normal(size=(12, 9)) + 1j * rng.normal(size=(12, 9))

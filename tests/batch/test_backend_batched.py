@@ -79,19 +79,6 @@ class TestBatchedMatchesScalar:
             )
         assert np.max(np.abs(out - expected)) <= TOL
 
-    def test_riesz_w3hat_batched(self, name, rng):
-        bk = get_backend(name)
-        n1, n2 = 12, 16
-        g1 = rng.normal(size=(B, n1, n2)) + 1j * rng.normal(size=(B, n1, n2))
-        g2 = rng.normal(size=(B, n1, n2)) + 1j * rng.normal(size=(B, n1, n2))
-        kx1d = 2 * np.pi * np.fft.fftfreq(n1, d=1.0 / n1)
-        ky1d = 2 * np.pi * np.fft.fftfreq(n2, d=1.0 / n2)
-        kx, ky = np.meshgrid(kx1d, ky1d, indexing="ij")
-        out = bk.riesz_w3hat_batched(g1, g2, kx, ky)
-        for b in range(B):
-            expected = bk.riesz_w3hat(g1[b], g2[b], kx, ky)
-            assert np.max(np.abs(out[b] - expected)) <= TOL
-
     @pytest.mark.parametrize("axis", [0, 1])
     def test_fft_roundtrip_and_scalar_match(self, name, axis, rng):
         bk = get_backend(name)
@@ -161,17 +148,12 @@ class TestCrossBackendAgreement:
         for out in outs[1:]:
             assert np.max(np.abs(out - outs[0])) <= TOL
 
-    def test_riesz_and_stencils_cross_backend(self, rng):
+    def test_stencils_cross_backend(self, rng):
         full = rng.normal(size=(B, 10, 10, 2))
-        g1 = rng.normal(size=(B, 8, 8)) + 1j * rng.normal(size=(B, 8, 8))
-        g2 = rng.normal(size=(B, 8, 8)) + 1j * rng.normal(size=(B, 8, 8))
-        k1d = 2 * np.pi * np.fft.fftfreq(8, d=1.0 / 8)
-        kx, ky = np.meshgrid(k1d, k1d, indexing="ij")
         results = [
             (
                 bk.stencil_dx_batched(full, 0.1),
                 bk.stencil_laplacian_batched(full, 0.1, 0.1),
-                bk.riesz_w3hat_batched(g1, g2, kx, ky),
             )
             for bk in backends()
         ]

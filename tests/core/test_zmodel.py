@@ -13,7 +13,7 @@ from repro.core import (
     apply_initial_condition,
 )
 from repro.core.zmodel import Order, ZModel, ZModelParameters
-from repro.fft import DistributedFFT2D
+from repro.fft import DistributedFFT2D, riesz_multiplier
 from repro.util.errors import ConfigurationError
 from tests.conftest import spmd
 
@@ -146,3 +146,69 @@ class TestParameterEffects:
         phases = set(trace.phases())
         assert {"halo", "fft", "stencil"} <= phases
         assert "br_ring" not in phases
+
+
+def _textbook_w3(gamma, extent):
+    """Two forwards, one backward: ``Re F⁻¹[i (k₁γ̂2 − k₂γ̂1) / (2|k|)]``,
+    the formulation the packed transform pair replaced."""
+    n1, n2 = gamma.shape[:2]
+    kx, ky = np.meshgrid(
+        2 * np.pi * np.fft.fftfreq(n1, d=extent[0] / n1),
+        2 * np.pi * np.fft.fftfreq(n2, d=extent[1] / n2),
+        indexing="ij",
+    )
+    kmag = np.hypot(kx, ky)
+    kmag[0, 0] = np.inf
+    g1_hat = np.fft.fft2(gamma[..., 0])
+    g2_hat = np.fft.fft2(gamma[..., 1])
+    return np.fft.ifft2(1j * (kx * g2_hat - ky * g1_hat) / (2 * kmag)).real
+
+
+class TestPackedSpectralVelocity:
+    @pytest.mark.parametrize("nranks", [1, 2, 4])
+    @pytest.mark.parametrize("shape", [(16, 12), (15, 9), (16, 9), (15, 12)])
+    def test_matches_textbook_formula_on_rough_input(self, shape, nranks, rng):
+        """Random (non-smooth) γ pins the Nyquist zeroing of k′: even
+        axes carry a Nyquist mode, odd ones do not."""
+        gamma = rng.normal(size=shape + (2,))
+        extent = (2 * np.pi, 3.0)
+        want = _textbook_w3(gamma, extent)
+        assert riesz_multiplier(shape, extent)[0, 0] == 0.0  # no mean flow
+
+        def program(comm):
+            mesh = SurfaceMesh(comm, (0.0, 0.0), extent, shape, (True, True))
+            pm = ProblemManager(mesh)
+            fft = DistributedFFT2D(mesh.cart, shape)
+            model = ZModel(pm, "low", ZModelParameters(), fft=fft)
+            box = fft.brick_box.slices()
+            pm.set_state(np.zeros(fft.brick_box.shape + (3,)), gamma[box])
+            before = pm.w.own.copy()
+            got = model._spectral_velocity(pm.w.own)
+            assert np.array_equal(pm.w.own, before)  # input never written
+            assert not got[..., :2].any()
+            np.testing.assert_allclose(
+                got[..., 2], want[box], rtol=0, atol=1e-13 * np.abs(want).max()
+            )
+            return True
+
+        assert all(spmd(nranks, program))
+
+    @pytest.mark.parametrize("nranks, alltoallv_per_rank", [(1, 0), (2, 2), (4, 4)])
+    def test_one_evaluation_hop_counts(self, nranks, alltoallv_per_rank):
+        """One LOW evaluation = one transposed pair: a (2, 1) grid pays
+        one real hop per transform, (2, 2) pencils two, one rank none."""
+        trace = mpi.CommTrace()
+        cfg = SolverConfig(num_nodes=(16, 16), order="low", dt=0.01)
+        ic = InitialCondition(kind="multi_mode", magnitude=0.05, period=3)
+
+        def program(comm):
+            solver = Solver(comm, cfg, ic)
+            before = solver.pm.w.own.copy()
+            solver.zmodel.compute_derivatives()
+            return np.array_equal(solver.pm.w.own, before)
+
+        assert all(spmd(nranks, program, trace=trace))
+        for rank in range(nranks):
+            kinds = [ev.kind for ev in trace.events
+                     if ev.rank == rank and ev.phase == "fft"]
+            assert kinds == ["alltoallv"] * alltoallv_per_rank

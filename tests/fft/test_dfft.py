@@ -14,6 +14,7 @@ from repro.fft.layouts import (
     rows_pencil_layout,
     rows_slab_layout,
 )
+from repro.util.errors import ConfigurationError
 from tests.conftest import spmd
 
 
@@ -56,6 +57,68 @@ class TestAllConfigs:
     def test_odd_shapes(self, shape, rng):
         field = rng.normal(size=shape)
         assert _distributed_fft(4, shape, FftConfig(), field)
+
+
+class TestTransposedHalves:
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"cfg{c.index}")
+    @pytest.mark.parametrize("nranks", [1, 2, 4, 6])
+    def test_spectrum_stays_in_cols_layout(self, cfg, nranks, rng):
+        """forward_transposed == fft2 sliced by spectrum_box; the pair inverts."""
+        shape = (16, 12)
+        field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        ref = np.fft.fft2(field)
+
+        def program(comm):
+            cart = mpi.create_cart(comm, ndims=2)
+            fft = DistributedFFT2D(cart, shape, cfg)
+            local = field[fft.brick_box.slices()]
+            spec = fft.forward_transposed(local)
+            assert spec.shape == fft.spectrum_box.shape
+            assert fft.spectrum_box.shape[0] == shape[0]  # complete columns
+            np.testing.assert_allclose(
+                spec, ref[fft.spectrum_box.slices()],
+                rtol=0, atol=1e-12 * np.abs(ref).max(),
+            )
+            np.testing.assert_allclose(
+                fft.backward_transposed(spec), local, rtol=0, atol=1e-13
+            )
+            return True
+
+        assert all(spmd(nranks, program))
+
+    def test_backward_transposed_rejects_brick_shaped_input(self):
+        def program(comm):
+            cart = mpi.create_cart(comm, ndims=2)
+            fft = DistributedFFT2D(cart, (8, 8))
+            with pytest.raises(ConfigurationError):
+                fft.backward_transposed(np.zeros(fft.brick_box.shape))
+            return True
+
+        assert all(spmd(4, program))
+
+    def test_elided_hop_returns_its_input(self):
+        """Coinciding layouts move nothing: same object, no trace event."""
+        trace = mpi.CommTrace()
+
+        def program(comm):
+            cart = mpi.create_cart(comm, ndims=2)
+            fft = DistributedFFT2D(cart, (8, 8))
+            hops = (fft._to_rows, fft._rows_to_cols, fft._cols_to_brick,
+                    fft._brick_to_cols, fft._cols_to_rows, fft._rows_to_brick)
+            elided = []
+            for hop in hops:
+                data = np.zeros(hop.src_box.shape, dtype=np.complex128)
+                elided.append(hop.apply(data) is data)
+            assert elided == [hop.identity for hop in hops]
+            return elided
+
+        # One rank: every layout is the whole array.
+        assert spmd(1, program, trace=trace) == [[True] * 6]
+        assert trace.message_count() == 0
+        # (2, 1) grid: a brick is already a rows pencil, nothing else is.
+        assert spmd(2, program) == [[True, False, False, False, False, True]] * 2
+        # (2, 2) grid: every hop moves data.
+        assert spmd(4, program) == [[False] * 6] * 4
 
 
 class TestFftProperties:
@@ -209,9 +272,13 @@ class TestConfig:
         def program(comm):
             cart = mpi.create_cart(comm, ndims=2)
             fft = DistributedFFT2D(cart, (8, 8))
-            kx, ky = fft.brick_wavenumbers((2 * np.pi, 2 * np.pi))
-            assert kx.shape == fft.brick_box.shape
+            kx, ky = fft.spectrum_wavenumbers((2 * np.pi, 2 * np.pi))
+            assert (kx.size, ky.size) == fft.spectrum_box.shape
+            sx, sy = fft.spectrum_box.slices()
+            full = 2 * np.pi * np.fft.fftfreq(8, d=2 * np.pi / 8)
+            np.testing.assert_array_equal(kx, full[sx])
+            np.testing.assert_array_equal(ky, full[sy])
             return float(kx.max())
 
         results = spmd(4, program)
-        assert max(results) == pytest.approx(3.0)
+        assert results == [pytest.approx(3.0)] * 4  # complete columns

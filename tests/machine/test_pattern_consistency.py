@@ -4,15 +4,22 @@ The benchmark harness extrapolates to 1024 ranks with analytic pattern
 generators.  These tests pin the property that makes that honest: at
 small scale, the analytic generators and the functional implementation
 produce the *same message sizes*, because they share the layout /
-partitioning code (DESIGN.md §1).
+partitioning code.
 """
 
 import numpy as np
+import pytest
 
 from repro import mpi
-from repro.fft import DistributedFFT2D, FftConfig
+from repro.core import InitialCondition, Solver, SolverConfig
+from repro.fft import ALL_CONFIGS, DistributedFFT2D, FftConfig
 from repro.fft.layouts import brick_layout, layout_for_stage
-from repro.machine import LASSEN, cutoff_evaluation, low_order_evaluation
+from repro.machine import (
+    LASSEN,
+    cutoff_evaluation,
+    fft_hop_counts,
+    low_order_evaluation,
+)
 from repro.util.misc import dims_create
 from tests.conftest import spmd
 
@@ -75,6 +82,28 @@ class TestFftSizingConsistency:
                     if inter is not None:
                         modeled_bytes += inter.size * 16
         assert functional_bytes == modeled_bytes
+
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS[4:], ids=lambda c: f"cfg{c.index}")
+    @pytest.mark.parametrize("nranks", [1, 2, 4])
+    def test_low_evaluation_bytes_match_model(self, nranks, cfg):
+        """Traced ``alltoallv`` counts of one LOW ``compute_derivatives``
+        == the model's, hop for hop; elided hops appear in neither
+        (one rank: all four; a (2, 1) grid: brick ≡ rows, slab or pencil)."""
+        shape = (16, 12)
+        trace = mpi.CommTrace()
+        config = SolverConfig(num_nodes=shape, order="low", dt=0.01, fft_config=cfg)
+        ic = InitialCondition(kind="multi_mode", magnitude=0.05, period=3)
+
+        def program(comm):
+            Solver(comm, config, ic).zmodel.compute_derivatives()
+
+        spmd(nranks, program, trace=trace)
+        for rank in range(nranks):
+            traced = [
+                list(ev.counts)
+                for ev in trace.filter(kind="alltoallv", rank=rank, phase="fft")
+            ]
+            assert traced == fft_hop_counts(nranks, shape, cfg, rank=rank)
 
 
 class TestEvaluationModelStructure:
