@@ -1,31 +1,36 @@
-"""Campaign execution with pluggable worker backends, dedup and resume.
+"""Campaign execution: dedup, scheduling, leased worker processes, resume.
 
-The executor runs each :class:`~repro.campaign.deck.RunSpec` of a batch
-through one of three worker backends (``worker_type``):
+:meth:`CampaignExecutor.submit` takes a batch of
+:class:`~repro.campaign.deck.RunSpec`\\ s through four stages:
 
-``"thread"`` (default)
-    A thread pool.  The simulated-MPI ranks inside each run are
-    themselves threads and numpy releases the GIL in its kernels, so
-    runs overlap where the work is dense math — but all pure-Python
-    work (tree/walk setup, comm planning, scheduling, store I/O)
-    serializes on the GIL.
-``"process"``
-    A ``ProcessPoolExecutor`` (spawn context).  Each run is dispatched
-    to a worker process as its payload dict and rebuilt there
-    (:func:`_process_worker`), so runs execute with true CPU
-    parallelism and full crash isolation: a worker that dies hard
-    (e.g. a native-kernel fault) breaks the pool, which the executor
-    treats as one failed run plus a pool respawn — never a campaign
-    abort.  Workers record to the store themselves; the store's
-    advisory file locking and single-``write`` appends make that safe
-    across processes.
+1. **Dedup** — duplicate specs run once, and hashes already completed
+   in the store are skipped ("store hit").
+2. **Order** — the rest is sorted longest-job-first by the machine-model
+   cost estimate (:mod:`repro.campaign.scheduler`), evaluated once per
+   run and reused for every later ETA.
+3. **Fleet pre-pass** — groups of same-shape serial functional runs are
+   advanced by one in-process :class:`repro.batch.ScenarioFleet`.
+4. **Dispatch** of what is left, by ``worker_type``:
+
+``"process"`` (default)
+    The campaign service, locally: a
+    :class:`~repro.campaign.service.Coordinator` leases the functional
+    runs to ``min(max_workers, runs)`` ``rocketrig campaign --worker``
+    child processes over a loopback socket — the protocol, claim
+    markers and lease rule of ``rocketrig campaign --serve``, with
+    workers this executor starts (before the fleet pre-pass, so
+    interpreter start-up overlaps it), watches and reaps.  A worker
+    that dies hard has its lease expired the moment the child is
+    reaped and the run requeued on a replacement; a run that kills
+    ``max_requeues + 1`` workers is recorded ``failed`` while its
+    siblings complete.  Nothing is spawned when nothing needs a second
+    process: one run, ``max_workers=1`` and model-mode runs
+    (microseconds of arithmetic) execute inline.
 ``"serial"``
-    Inline in the calling thread (debugging, and the in-worker mode).
+    Inline in the calling thread (debugging, and what a worker process
+    itself uses for the run it was leased).
 
-Before dispatch the batch is ordered longest-job-first by the
-machine-model cost estimate (:mod:`repro.campaign.scheduler`);
-completed hashes found in the store are skipped ("store hit"), one
-run's failure is captured in its index record without aborting its
+One run's failure is captured in its index record without aborting its
 siblings, and interrupted functional runs resume from the checkpoint
 the previous attempt left in the run directory.
 
@@ -51,32 +56,22 @@ scaling points.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
-import signal
 import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro import mpi
 from repro.campaign.deck import RunSpec
+from repro.campaign.protocol import SocketEndpoint
 from repro.campaign.scheduler import (
-    estimate_cost,
     evaluation_model,
-    longest_job_first,
-    makespan_estimate,
+    lpt_makespan,
+    modeled_costs,
 )
-from repro.campaign.store import (
-    COMPLETED,
-    FAILED,
-    RUNNING,
-    CampaignStore,
-    RunRecord,
-)
+from repro.campaign.store import COMPLETED, FAILED, CampaignStore, RunRecord
 from repro.core.solver import Solver
 from repro.io.checkpoint import load_checkpoint
 from repro.machine.model import LASSEN, MachineSpec
@@ -139,12 +134,7 @@ def configure_logging(verbosity: int = 0) -> int:
     logger.setLevel(level)
     return level
 
-WORKER_TYPES = ("thread", "process", "serial")
-
-#: Environment default for :class:`CampaignExecutor`'s ``worker_type``
-#: (mirrors ``$REPRO_BACKEND`` for compute backends): CI runs the whole
-#: campaign suite under each backend by flipping this one variable.
-WORKER_TYPE_ENV = "REPRO_CAMPAIGN_WORKER_TYPE"
+WORKER_TYPES = ("process", "serial")
 
 #: Run-level wall-clock budget, aligned with the single-run CLI path
 #: (which has always used 3600 s) — the executor used to pass its 120 s
@@ -152,17 +142,18 @@ WORKER_TYPE_ENV = "REPRO_CAMPAIGN_WORKER_TYPE"
 DEFAULT_RUN_TIMEOUT = 3600.0
 
 #: Test-only fault injection: the named file holds ``<run_hash> [N]``;
-#: a worker process that picks that run up decrements the trip count
+#: a worker process that is leased that run decrements the trip count
 #: (removing the file at zero) and SIGKILLs itself.  ``N`` defaults to
-#: 1; a deterministic crasher — one that also dies when re-run in solo
-#: isolation and is therefore *recorded failed* — needs ``N >= 2``.
-#: This is how the crash-isolation tests produce a real dead worker
-#: mid-run.
+#: 1; a deterministic crasher — one that outlives every requeue and is
+#: therefore *recorded failed* — needs ``N > max_requeues``.  This is
+#: how the crash-isolation tests produce a real dead worker mid-run.
 KILL_FUSE_ENV = "REPRO_CAMPAIGN_KILL_FUSE"
 
-#: Consecutive pool respawns with zero progress (no run completed, no
-#: crash attributed) before the executor gives up on the remainder.
-_MAX_POOL_STALLS = 3
+#: Least seconds between two ``status.json`` writes triggered by run
+#: transitions.  A transition itself only updates the in-memory board;
+#: the file is also written at start, at the end and on the
+#: ``status_interval`` heartbeat.
+STATUS_WRITE_INTERVAL = 1.0
 
 
 @dataclass
@@ -189,11 +180,10 @@ class RunOutcome:
 def resolve_worker_type(worker_type: Optional[str]) -> str:
     """``worker_type`` argument → concrete backend name.
 
-    ``None`` (or ``"auto"``) defers to ``$REPRO_CAMPAIGN_WORKER_TYPE``,
-    then ``"thread"``.
+    ``None`` (or ``"auto"``) is ``"process"``.
     """
     if worker_type in (None, "auto"):
-        worker_type = os.environ.get(WORKER_TYPE_ENV) or "thread"
+        worker_type = "process"
     if worker_type not in WORKER_TYPES:
         raise ConfigurationError(
             f"worker_type must be one of {WORKER_TYPES}, got {worker_type!r}"
@@ -250,8 +240,8 @@ class CampaignExecutor:
         #: keep the per-run path.
         self.batch_fast_path = bool(batch_fast_path)
         self.batch_min = max(2, int(batch_min))
-        #: Campaign-level metrics (store hits, pool respawns, retries,
-        #: run-elapsed histogram); worker-process snapshots merge in.
+        #: Campaign-level metrics (store hits, runs completed/failed,
+        #: requeues, run-elapsed histogram, ``campaign.service.*``).
         self.metrics = MetricsRegistry()
         self._status: Optional[_StatusBoard] = None
 
@@ -278,7 +268,7 @@ class CampaignExecutor:
         completed = self.store.completed_hashes()
 
         outcomes: dict[str, RunOutcome] = {}
-        to_run: list[RunSpec] = []
+        to_run: dict[str, RunSpec] = {}
         for run_hash, spec in unique.items():
             result = (
                 self.store.load_result(run_hash) if run_hash in completed else None
@@ -290,45 +280,87 @@ class CampaignExecutor:
                 self.metrics.counter("campaign.store_hits").inc()
                 self.log(f"{run_hash} store hit — skipped ({spec.describe()})")
             else:
-                to_run.append(spec)
+                to_run[run_hash] = spec
 
-        ordered = longest_job_first(to_run, self.machine)
+        # One model evaluation per run: the same map orders the queue
+        # (longest job first) and feeds every ETA the board renders.
+        costs = modeled_costs(to_run, self.machine)
+        ordered = [to_run[run_hash] for run_hash in costs]
         fleet_groups: list[list[RunSpec]] = []
         if self.batch_fast_path and ordered:
             fleet_groups, ordered = self._partition_fleet(ordered)
-        board = _StatusBoard(self, unique)
-        for run_hash, outcome in outcomes.items():
+        # Functional runs are leased to worker processes — unless
+        # nothing needs a second process; model runs are microseconds
+        # of arithmetic and always stay here.
+        leased: list[RunSpec] = []
+        if self.worker_type == "process":
+            functional = [s for s in ordered if s.mode == "functional"]
+            if min(self.max_workers, len(functional)) > 1:
+                leased = functional
+                ordered = [s for s in ordered if s.mode != "functional"]
+        board = _StatusBoard(self, unique, costs)
+        for run_hash in outcomes:
             board.mark(run_hash, "skipped")
         self._status = board
         board.publish()
         heartbeat = board.start_heartbeat(self.status_interval)
+        workers = None
         clean_exit = False
         try:
+            if leased:
+                # Started first: the interpreters import while the
+                # fleets below still hold this process.
+                workers = self._start_workers(leased, board)
+                self.log(
+                    f"dispatching {len(leased)} runs on {workers.size} "
+                    f"process workers (longest-job-first, modeled head "
+                    f"cost {costs[leased[0].run_hash()]:.3g}s)"
+                )
             for group in fleet_groups:
                 self._submit_fleet(group, outcomes)
-            if ordered:
-                self.log(
-                    f"dispatching {len(ordered)} runs on {self.max_workers} "
-                    f"{self.worker_type} workers (longest-job-first, modeled "
-                    f"head cost {estimate_cost(ordered[0], self.machine):.3g}s)"
-                )
-                if self.worker_type == "process":
-                    self._submit_process(ordered, outcomes)
-                elif self.worker_type == "thread":
-                    self._submit_threads(ordered, outcomes)
-                else:
-                    for spec in ordered:
-                        outcome = self._run_tracked(spec)
-                        outcomes[outcome.run_hash] = outcome
+            for spec in ordered:
+                outcome = self._run_tracked(spec)
+                outcomes[outcome.run_hash] = outcome
+            if workers is not None:
+                workers.serve()
+                latest = self.store.latest_records()
+                for spec in leased:
+                    run_hash = spec.run_hash()
+                    outcomes[run_hash] = _outcome_of(spec, latest.get(run_hash))
             clean_exit = True
         finally:
+            if workers is not None:
+                workers.close(clean=clean_exit)
             board.stop_heartbeat(heartbeat)
             board.finalize(interrupted=not clean_exit)
             self._status = None
         return [outcomes[spec.run_hash()] for spec in specs]
 
+    def _start_workers(self, specs: Sequence[RunSpec], board: "_StatusBoard"):
+        """The process backend of one ``submit()``: the campaign service
+        with workers this executor owns — a coordinator for ``specs``
+        driving ``board``, and the child processes it will lease to."""
+        # Imported here: the service module builds on this one.
+        from repro.campaign.service import Coordinator, LocalWorkers
+
+        coordinator = Coordinator(
+            self.store,
+            specs,
+            SocketEndpoint(),
+            run_timeout=self.timeout,
+            collective_timeout=self.collective_timeout,
+            machine=self.machine,
+            checkpoint_freq=self.checkpoint_freq,
+            telemetry=self.telemetry,
+            log=self._log,
+        )
+        # One status document and one metrics registry per submit().
+        coordinator.board = board
+        coordinator.metrics = self.metrics
+        return LocalWorkers(coordinator, min(self.max_workers, len(specs)))
+
     def _run_tracked(self, spec: RunSpec) -> RunOutcome:
-        """``run_one`` plus status-board transitions (thread/serial path)."""
+        """``run_one`` plus status-board transitions."""
         self._mark(spec.run_hash(), "running")
         outcome = self.run_one(spec)
         self._mark(outcome.run_hash, outcome.status)
@@ -338,20 +370,6 @@ class CampaignExecutor:
         board = self._status
         if board is not None:
             board.mark(run_hash, state)
-
-    def _submit_threads(
-        self, ordered: Sequence[RunSpec], outcomes: dict[str, RunOutcome]
-    ) -> None:
-        pool = ThreadPoolExecutor(max_workers=self.max_workers)
-        try:
-            for outcome in pool.map(self._run_tracked, ordered):
-                outcomes[outcome.run_hash] = outcome
-        except BaseException:
-            # Ctrl-C (or a submit-side error) must not let the queued
-            # remainder of the campaign run to completion behind us.
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        pool.shutdown(wait=True)
 
     def _hit_is_valid(self, spec: RunSpec, result: dict[str, Any]) -> bool:
         """Model-mode hits only count for the same machine they were
@@ -496,261 +514,6 @@ class CampaignExecutor:
             f"batch fast path: {n} runs completed in "
             f"{time.perf_counter() - start:.2f}s"
         )
-
-    # -- process backend -------------------------------------------------------
-
-    def _worker_settings(self) -> dict[str, Any]:
-        """Everything a worker process needs to rebuild this executor."""
-        return {
-            "timeout": self.timeout,
-            "collective_timeout": self.collective_timeout,
-            "checkpoint_freq": self.checkpoint_freq,
-            "machine": self.machine,
-            "telemetry": self.telemetry,
-        }
-
-    def _submit_process(
-        self, ordered: Sequence[RunSpec], outcomes: dict[str, RunOutcome]
-    ) -> None:
-        """Dispatch runs to spawned worker processes, surviving crashes.
-
-        A hard worker death breaks the whole ``ProcessPoolExecutor``
-        (every unresolved future raises ``BrokenProcessPool``), which
-        leaves the *culprit* ambiguous in a parallel wave.  The store's
-        ``running`` claim markers disambiguate: broken specs whose
-        latest record is a terminal one already finished (their worker
-        recorded before the pool died), specs never claimed retry in
-        the next parallel wave, and claimed-but-unfinished *suspects*
-        re-run one at a time — a pool that breaks with a single run in
-        flight convicts it with certainty, so exactly the crashing run
-        is recorded ``failed`` while its siblings complete.
-        """
-        settings = self._worker_settings()
-        queue: list[RunSpec] = list(ordered)
-        suspects: list[RunSpec] = []
-        stalls = 0
-        while queue or suspects:
-            if suspects:
-                batch, workers, solo = [suspects.pop(0)], 1, True
-            else:
-                batch, workers, solo = queue, self.max_workers, False
-                queue = []
-            broken, resolved = self._process_wave(
-                batch, workers, settings, outcomes
-            )
-            if not broken:
-                stalls = 0
-                continue
-            if solo:
-                # The pool broke with exactly one run in flight — but
-                # the worker may still have finished and recorded
-                # before dying in the result hand-off, so consult the
-                # store before convicting.
-                spec = broken[0]
-                if not self._harvest_terminal(
-                    spec, self.store.latest_records(), outcomes
-                ):
-                    self._record_worker_death(spec, outcomes)
-                stalls = 0
-                continue
-            self.log(
-                f"worker pool died with {len(broken)} runs unresolved — "
-                f"respawning"
-            )
-            self.metrics.counter("campaign.pool_respawns").inc()
-            progressed = resolved > 0
-            latest = self.store.latest_records()
-            for spec in broken:
-                run_hash = spec.run_hash()
-                record = latest.get(run_hash)
-                if self._harvest_terminal(spec, latest, outcomes):
-                    progressed = True
-                elif record is not None and record.status == RUNNING:
-                    suspects.append(spec)
-                    self._mark(run_hash, "queued")
-                    self.metrics.counter("campaign.retries").inc()
-                    progressed = True
-                else:
-                    queue.append(spec)
-                    self._mark(run_hash, "queued")
-                    self.metrics.counter("campaign.retries").inc()
-            stalls = 0 if progressed else stalls + 1
-            if stalls >= _MAX_POOL_STALLS and queue:
-                # The pool keeps dying before any run can even claim
-                # itself — something environmental (OOM killer, broken
-                # interpreter).  Record the remainder instead of
-                # spinning forever.
-                error = (
-                    f"worker pool died {stalls} consecutive times before "
-                    f"any queued run could start"
-                )
-                for spec in queue:
-                    self.store.record_failed(spec, error)
-                    outcomes[spec.run_hash()] = RunOutcome(
-                        spec=spec, run_hash=spec.run_hash(), status="failed",
-                        error=error,
-                    )
-                    self._mark(spec.run_hash(), "failed")
-                    self.log(f"{spec.run_hash()} FAILED: {error}")
-                return
-
-    def _harvest_terminal(
-        self,
-        spec: RunSpec,
-        latest: dict[str, RunRecord],
-        outcomes: dict[str, RunOutcome],
-    ) -> bool:
-        """Adopt a terminal store record a worker wrote before the pool
-        died on it; returns False when the run has no terminal record."""
-        run_hash = spec.run_hash()
-        record = latest.get(run_hash)
-        if record is None:
-            return False
-        if record.status == COMPLETED:
-            # The worker finished and recorded; only the result
-            # hand-off was lost.
-            outcomes[run_hash] = RunOutcome(
-                spec=spec, run_hash=run_hash, status="completed",
-                result=self.store.load_result(run_hash) or {},
-                elapsed=record.elapsed,
-                resumed_from_step=record.resumed_from_step,
-            )
-            self._mark(run_hash, "completed")
-            return True
-        if record.status == FAILED:
-            outcomes[run_hash] = RunOutcome(
-                spec=spec, run_hash=run_hash, status="failed",
-                error=record.error, elapsed=record.elapsed,
-            )
-            self._mark(run_hash, "failed")
-            return True
-        return False
-
-    def _process_wave(
-        self,
-        specs: Sequence[RunSpec],
-        workers: int,
-        settings: dict[str, Any],
-        outcomes: dict[str, RunOutcome],
-    ) -> tuple[list[RunSpec], int]:
-        """One pool generation: returns (broken specs, resolved count)."""
-        pool = ProcessPoolExecutor(
-            max_workers=min(workers, len(specs)),
-            mp_context=multiprocessing.get_context("spawn"),
-        )
-        broken: list[RunSpec] = []
-        resolved = 0
-        try:
-            futures = []
-            for i, spec in enumerate(specs):
-                try:
-                    future = pool.submit(
-                        _process_worker,
-                        spec.payload(),
-                        self.store.campaign,
-                        self.store.base_root,
-                        settings,
-                    )
-                except BrokenProcessPool:
-                    # The pool died while dispatch was still under way:
-                    # everything not yet submitted is broken too — let
-                    # the caller classify and respawn rather than abort
-                    # the campaign.
-                    broken.extend(specs[i:])
-                    break
-                futures.append((future, spec))
-                self._mark(spec.run_hash(), "running")
-            for future, spec in futures:
-                run_hash = spec.run_hash()
-                try:
-                    payload = future.result()
-                except BrokenProcessPool:
-                    broken.append(spec)
-                except Exception:
-                    # Dispatch-side failure (e.g. the payload could not
-                    # be shipped): the worker never saw the run, so the
-                    # record must be written here.
-                    error = traceback.format_exc(limit=20)
-                    self.store.record_failed(spec, error)
-                    outcomes[run_hash] = RunOutcome(
-                        spec=spec, run_hash=run_hash, status="failed",
-                        error=error,
-                    )
-                    self._mark(run_hash, "failed")
-                    self.log(f"{run_hash} FAILED at dispatch "
-                             f"({spec.describe()})")
-                    resolved += 1
-                else:
-                    self._replay_worker_logs(payload.get("log", []))
-                    self.metrics.merge(payload.get("metrics") or {})
-                    outcomes[run_hash] = RunOutcome(
-                        spec=spec,
-                        run_hash=payload["run_hash"],
-                        status=payload["status"],
-                        result=payload["result"],
-                        error=payload["error"],
-                        elapsed=payload["elapsed"],
-                        resumed_from_step=payload["resumed_from_step"],
-                    )
-                    self._mark(run_hash, payload["status"])
-                    resolved += 1
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        pool.shutdown(wait=True)
-        return broken, resolved
-
-    def _replay_worker_logs(self, entries: Sequence[Any]) -> None:
-        """Re-emit a worker process's buffered log lines.
-
-        Workers buffer their progress lines with per-line wall-clock
-        timestamps; replaying through ``logger.makeRecord`` with the
-        original ``created`` time keeps interleaved campaign logs honest
-        — a line reads as of when the worker wrote it, not when the
-        parent drained the payload.  Bare-string entries (old-format
-        payloads) replay without a timestamp.
-        """
-        for entry in entries:
-            if (
-                isinstance(entry, (list, tuple))
-                and len(entry) == 2
-                and isinstance(entry[1], str)
-            ):
-                stamp, line = float(entry[0]), entry[1]
-            else:
-                stamp, line = None, str(entry)
-            if self._log is not None:
-                self._log(line)
-                continue
-            if not logger.isEnabledFor(logging.INFO):
-                continue
-            record = logger.makeRecord(
-                logger.name, logging.INFO, "worker", 0, line, (), None
-            )
-            if stamp is not None:
-                record.created = stamp
-                record.msecs = (stamp - int(stamp)) * 1000.0
-                record.relativeCreated = (
-                    stamp - logging._startTime  # noqa: SLF001 - stdlib epoch
-                ) * 1000.0
-            logger.handle(record)
-
-    def _record_worker_death(
-        self, spec: RunSpec, outcomes: dict[str, RunOutcome]
-    ) -> None:
-        run_hash = spec.run_hash()
-        error = (
-            "worker process died (BrokenProcessPool) while executing this "
-            "run — killed by a signal, a native-kernel fault, or the OOM "
-            "killer; resubmit the deck to retry it"
-        )
-        self.store.record_failed(spec, error)
-        outcomes[run_hash] = RunOutcome(
-            spec=spec, run_hash=run_hash, status="failed", error=error,
-        )
-        self._mark(run_hash, "failed")
-        self.log(f"{run_hash} FAILED: worker process died "
-                 f"({spec.describe()})")
 
     # -- single runs -----------------------------------------------------------
 
@@ -901,7 +664,12 @@ class _StatusBoard:
     unwinds on an interrupt), renders the snapshot external tools poll
     as ``status.json`` (written atomically in the campaign root), and —
     on a heartbeat interval — logs a one-line progress summary with a
-    longest-job-first modeled ETA for the remainder.
+    longest-job-first modeled ETA for the remainder.  A transition is
+    O(1): it updates the in-memory board and rewrites the file only
+    when the last write is :data:`STATUS_WRITE_INTERVAL` old.  ``costs``
+    (run hash → modeled seconds of every run still to execute, see
+    :func:`~repro.campaign.scheduler.modeled_costs`) feeds the ETA: the
+    dispatchers pass the map they ordered the queue with.
 
     The ``executor`` host is duck-typed, not nominally typed: the board
     only touches ``store``, ``machine``, ``max_workers``,
@@ -914,14 +682,20 @@ class _StatusBoard:
     _TERMINAL = frozenset(("completed", "failed", "skipped", "interrupted"))
 
     def __init__(
-        self, executor: "CampaignExecutor", specs: dict[str, RunSpec]
+        self,
+        executor: "CampaignExecutor",
+        specs: dict[str, RunSpec],
+        costs: dict[str, float],
     ) -> None:
         self._executor = executor
-        self._specs = dict(specs)
+        self._costs = costs
         self._lock = threading.Lock()
         self._state: dict[str, str] = {h: "queued" for h in specs}
         self._started: dict[str, float] = {}
         self._elapsed: dict[str, float] = {}
+        #: perf_counter of the last write (the throttle window opens at
+        #: construction: the dispatcher publishes the first snapshot).
+        self._written = time.perf_counter()
 
     def mark(self, run_hash: str, state: str) -> None:
         """Transition one run; unknown hashes are ignored (a retried
@@ -935,6 +709,8 @@ class _StatusBoard:
             elif run_hash in self._started:
                 self._elapsed[run_hash] = now - self._started.pop(run_hash)
             self._state[run_hash] = state
+        if now - self._written >= STATUS_WRITE_INTERVAL:
+            self.publish()
 
     def snapshot(self) -> dict[str, Any]:
         """The JSON-able status document (the ``status.json`` schema)."""
@@ -953,15 +729,13 @@ class _StatusBoard:
         }
         for state in states.values():
             counts[state] = counts.get(state, 0) + 1
-        remaining = [
-            self._specs[h]
-            for h, state in states.items()
-            if state in ("queued", "running")
-        ]
-        eta = (
-            makespan_estimate(remaining, executor.max_workers, executor.machine)
-            if remaining
-            else 0.0
+        eta = lpt_makespan(
+            [
+                self._costs.get(h, 0.0)
+                for h, state in states.items()
+                if state in ("queued", "running")
+            ],
+            executor.max_workers,
         )
         runs: dict[str, Any] = {}
         for run_hash, state in states.items():
@@ -989,6 +763,7 @@ class _StatusBoard:
         """Snapshot + atomic ``status.json`` write (I/O errors are
         swallowed: status is advisory, never worth failing a run)."""
         snap = self.snapshot()
+        self._written = time.perf_counter()
         try:
             self._executor.store.write_status(snap)
         except OSError:  # pragma: no cover - disk-full style failures
@@ -1048,73 +823,16 @@ class _StatusBoard:
         return self.publish()
 
 
-def _maybe_trip_kill_fuse(run_hash: str) -> None:
-    """Fault injection for the crash-isolation tests (see KILL_FUSE_ENV)."""
-    fuse = os.environ.get(KILL_FUSE_ENV)
-    if not fuse or not os.path.exists(fuse):
-        return
-    try:
-        with open(fuse, "r", encoding="utf-8") as fh:
-            fields = fh.read().split()
-    except OSError:
-        return
-    if not fields or fields[0] != run_hash:
-        return
-    remaining = int(fields[1]) if len(fields) > 1 else 1
-    try:
-        if remaining <= 1:
-            os.remove(fuse)  # burnt out: the next attempt completes
-        else:
-            with open(fuse, "w", encoding="utf-8") as fh:
-                fh.write(f"{run_hash} {remaining - 1}")
-    except OSError:
-        pass
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _process_worker(
-    payload: dict[str, Any],
-    campaign: str,
-    store_root: str,
-    settings: dict[str, Any],
-) -> dict[str, Any]:
-    """Process-pool entry point: rebuild state, claim, run, report.
-
-    Everything crosses the process boundary as plain data: the spec as
-    its payload dict (:meth:`RunSpec.from_payload` reverses it), the
-    store as ``(campaign, root)``, the executor knobs as a settings
-    dict.  The worker writes its own store records — the claim marker
-    first, so a hard death leaves a trailing ``running`` record the
-    parent uses for crash attribution — and returns a JSON-able outcome
-    dict plus its log lines for the parent to replay.
-    """
-    spec = RunSpec.from_payload(payload, campaign=campaign)
-    store = CampaignStore(campaign, root=store_root)
-    # Each buffered line carries the wall-clock time it was produced, so
-    # the parent can replay it with its original timestamp instead of
-    # the (much later) drain time.
-    logs: list[tuple[float, str]] = []
-    executor = CampaignExecutor(
-        store,
-        max_workers=1,
-        worker_type="serial",
-        timeout=settings["timeout"],
-        collective_timeout=settings["collective_timeout"],
-        machine=settings["machine"],
-        checkpoint_freq=settings["checkpoint_freq"],
-        telemetry=settings.get("telemetry", True),
-        log=lambda line: logs.append((time.time(), line)),
+def _outcome_of(spec: RunSpec, record: Optional[RunRecord]) -> RunOutcome:
+    """The outcome of a leased run, from the terminal record its worker
+    (or the coordinator, for a run that exhausted its requeues) wrote."""
+    if record is None or record.status not in (COMPLETED, FAILED):
+        return RunOutcome(
+            spec=spec, run_hash=spec.run_hash(), status="failed",
+            error="no terminal record in the store",
+        )
+    return RunOutcome(
+        spec=spec, run_hash=record.run_hash, status=record.status,
+        result=record.result, error=record.error, elapsed=record.elapsed,
+        resumed_from_step=record.resumed_from_step,
     )
-    store.record_running(spec)
-    _maybe_trip_kill_fuse(spec.run_hash())
-    outcome = executor.run_one(spec)
-    return {
-        "run_hash": outcome.run_hash,
-        "status": outcome.status,
-        "result": outcome.result,
-        "error": outcome.error,
-        "elapsed": outcome.elapsed,
-        "resumed_from_step": outcome.resumed_from_step,
-        "log": logs,
-        "metrics": executor.metrics.snapshot(),
-    }

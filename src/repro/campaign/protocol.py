@@ -135,6 +135,9 @@ class NewJob:
     and store root to open the :class:`~repro.campaign.store.CampaignStore`,
     and the lease the coordinator granted — the worker must heartbeat
     faster than ``lease_timeout`` or the run is reclaimed and requeued.
+    ``timeout`` / ``collective_timeout`` / ``checkpoint_freq`` /
+    ``telemetry`` are the submitting side's executor settings, so a
+    leased run behaves as it would have where it was submitted.
     """
 
     run_hash: str
@@ -144,6 +147,8 @@ class NewJob:
     lease_timeout: float
     timeout: float = 0.0
     collective_timeout: float = 0.0
+    checkpoint_freq: int = 0
+    telemetry: bool = True
 
     TYPE = "new-job"
 
@@ -212,6 +217,7 @@ _FIELD_TYPES: dict[str, Any] = {
     "dict": dict,
     "float": (int, float),
     "int": int,
+    "bool": bool,
 }
 
 

@@ -12,7 +12,7 @@ approximation to minimum makespan.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.campaign.deck import RunSpec
 from repro.machine.model import LASSEN, MachineSpec
@@ -30,6 +30,8 @@ __all__ = [
     "evaluation_model",
     "estimate_cost",
     "longest_job_first",
+    "modeled_costs",
+    "lpt_makespan",
     "makespan_estimate",
 ]
 
@@ -78,15 +80,38 @@ def longest_job_first(
     return [spec for _, spec in indexed]
 
 
+def modeled_costs(
+    specs: Mapping[str, RunSpec], machine: MachineSpec = LASSEN
+) -> dict[str, float]:
+    """Run hash → modeled seconds for a batch keyed by run hash, in
+    longest-job-first order (ties keep batch order).
+
+    One model evaluation per run: the dispatchers call this once per
+    batch, iterate it for the queue order and keep it for every later
+    ETA, so a campaign costs O(n) evaluations however often its status
+    is rendered.
+    """
+    costs = {h: estimate_cost(spec, machine) for h, spec in specs.items()}
+    return {h: costs[h] for h in sorted(costs, key=costs.get, reverse=True)}
+
+
+def lpt_makespan(costs: Iterable[float], workers: int) -> float:
+    """Greedy-LPT makespan of jobs with the given costs: longest first,
+    each to the least-loaded worker."""
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    loads = [0.0] * workers
+    for cost in sorted(costs, reverse=True):
+        loads[loads.index(min(loads))] += cost
+    return max(loads)
+
+
 def makespan_estimate(
     specs: Sequence[RunSpec],
     workers: int,
     machine: MachineSpec = LASSEN,
 ) -> float:
-    """Greedy-LPT makespan: each job goes to the least-loaded worker."""
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    loads = [0.0] * workers
-    for spec in longest_job_first(specs, machine):
-        loads[loads.index(min(loads))] += estimate_cost(spec, machine)
-    return max(loads) if loads else 0.0
+    """Greedy-LPT makespan of ``specs`` on the machine model."""
+    return lpt_makespan(
+        [estimate_cost(spec, machine) for spec in specs], workers
+    )

@@ -10,7 +10,11 @@ path (so store records, telemetry artifacts and retry semantics are
 identical to every other execution backend), and report ``job-done`` /
 ``job-failed``.  Because the store deduplicates by content hash, any
 number of submitters can point decks at one coordinator and share
-results.
+results.  A local campaign is the same service with workers the
+submitting process owns: ``CampaignExecutor.submit`` builds a
+coordinator on a loopback endpoint and serves it to
+:class:`LocalWorkers` — ``rocketrig campaign --worker`` child processes
+it starts, watches and reaps.
 
 Lease state machine (per run)::
 
@@ -24,8 +28,7 @@ Lease state machine (per run)::
           exhausted ▶ failed)
 
 A lease is granted by appending a ``running`` claim marker to the store
-with ``owner`` (the worker's identity) and ``lease_expires`` stamped —
-the same marker the process-pool executor uses for crash attribution,
+with ``owner`` (the worker's identity) and ``lease_expires`` stamped,
 so a coordinator restart can tell a live claimant (future deadline,
 heartbeats will renew it) from a dead one (lapsed deadline → requeue).
 Workers renew their lease with ``heartbeat`` messages; a worker that
@@ -33,13 +36,19 @@ vanishes (SIGKILL, kernel fault, unplugged machine) simply stops
 heartbeating and its run is reclaimed and requeued when the lease
 lapses.  Worker disconnection is deliberately *not* a requeue signal:
 the lease clock is the only authority, so the socket transport and the
-in-process simulated-MPI transport recover identically.
+in-process simulated-MPI transport recover identically.  A host that
+reaps its own workers may move that clock forward
+(:meth:`Coordinator.expire_worker`) — it may not bypass it.
 
 The coordinator streams live progress the same way the executor does —
 ``status.json`` in the campaign root via (a subclass of) the executor's
 status board, extended with a ``service`` section (workers, leases,
-bound address) — and exposes ``campaign.service.*`` metrics: jobs
-leased, leases expired, workers seen, reconnects.  A ``service.json``
+bound address).  A completion costs O(1): it updates the in-memory
+board, and the file is rewritten at start, at the end, on the
+``status_interval`` heartbeat and otherwise at most once per
+``STATUS_WRITE_INTERVAL``.  The coordinator also exposes
+``campaign.service.*`` metrics (jobs leased, leases expired, workers
+seen, reconnects) and ``campaign.requeues``.  A ``service.json``
 discovery file in the campaign root carries the bound address and PID
 for workers and dashboards.
 """
@@ -49,7 +58,10 @@ from __future__ import annotations
 import collections
 import logging
 import os
+import signal
 import socket as _socket
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -58,9 +70,9 @@ from typing import Any, Callable, Optional, Sequence
 from repro.campaign.deck import RunSpec
 from repro.campaign.executor import (
     DEFAULT_RUN_TIMEOUT,
+    KILL_FUSE_ENV,
     CampaignExecutor,
     RunOutcome,
-    _maybe_trip_kill_fuse,
     _StatusBoard,
 )
 from repro.campaign.protocol import (
@@ -76,7 +88,7 @@ from repro.campaign.protocol import (
     ProtocolError,
     WorkerChannel,
 )
-from repro.campaign.scheduler import longest_job_first
+from repro.campaign.scheduler import modeled_costs
 from repro.campaign.store import CampaignStore
 from repro.machine.model import LASSEN, MachineSpec
 from repro.telemetry.artifacts import TELEMETRY_SCHEMA, atomic_write_json
@@ -84,6 +96,7 @@ from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
     "Coordinator",
+    "LocalWorkers",
     "Worker",
     "WorkerVanished",
     "Lease",
@@ -155,7 +168,13 @@ class Coordinator:
     ``metrics`` / ``log``), so the live ``status.json`` document has
     the exact shape external tools already poll — with ``worker_type``
     reading ``"service"`` and ``max_workers`` tracking the number of
-    distinct workers seen.
+    distinct workers seen.  :attr:`board` and :attr:`metrics` may be
+    replaced before serving by a host that already tracks a larger
+    batch (``CampaignExecutor.submit`` does, so one document covers
+    its fleet, inline and leased runs).
+
+    ``checkpoint_freq`` and ``telemetry`` are the executor settings
+    every leased run is executed with; they travel in each ``new-job``.
 
     ``journal=True`` appends every non-heartbeat message the
     coordinator receives or sends to :attr:`journal` as
@@ -176,6 +195,8 @@ class Coordinator:
         run_timeout: float = DEFAULT_RUN_TIMEOUT,
         collective_timeout: Optional[float] = None,
         machine: MachineSpec = LASSEN,
+        checkpoint_freq: int = 0,
+        telemetry: bool = True,
         status_interval: float = 0.0,
         poll_interval: float = 0.05,
         drain_grace: float = 5.0,
@@ -192,6 +213,10 @@ class Coordinator:
             else (run_timeout if run_timeout > 0 else DEFAULT_RUN_TIMEOUT)
         )
         self.machine = machine
+        #: Executor settings every leased run is executed with (they
+        #: travel in each ``new-job``).
+        self.checkpoint_freq = int(checkpoint_freq)
+        self.telemetry = bool(telemetry)
         self.status_interval = float(status_interval)
         self.poll_interval = float(poll_interval)
         self.drain_grace = float(drain_grace)
@@ -214,9 +239,8 @@ class Coordinator:
         unique: dict[str, RunSpec] = {}
         for spec in specs:
             unique.setdefault(spec.run_hash(), spec)
-        self._specs = unique
         completed = store.completed_hashes()
-        to_run: list[RunSpec] = []
+        to_run: dict[str, RunSpec] = {}
         self._skipped: list[str] = []
         for run_hash, spec in unique.items():
             result = (
@@ -226,23 +250,26 @@ class Coordinator:
                 self._skipped.append(run_hash)
                 self.metrics.counter("campaign.store_hits").inc()
             else:
-                to_run.append(spec)
+                to_run[run_hash] = spec
         # A previous coordinator's lapsed claims requeue transparently:
         # they are simply still in to_run (no terminal record), and the
         # fresh claim written at grant time supersedes the stale one.
-        stale = set(store.expired_claims()) & {s.run_hash() for s in to_run}
+        stale = set(store.expired_claims()) & set(to_run)
         if stale:
             self.log(
                 f"reclaiming {len(stale)} runs with lapsed leases from a "
                 f"previous coordinator"
             )
+        # One model evaluation per run: the same map orders the queue
+        # (longest job first) and feeds every later ETA.
+        costs = modeled_costs(to_run, self.machine)
         self._queue: collections.deque[RunSpec] = collections.deque(
-            longest_job_first(to_run, self.machine)
+            to_run[run_hash] for run_hash in costs
         )
-        self._pending: set[str] = {spec.run_hash() for spec in to_run}
-        self._board = _ServiceStatusBoard(self, unique)
+        self._pending: set[str] = set(to_run)
+        self.board = _ServiceStatusBoard(self, unique, costs)
         for run_hash in self._skipped:
-            self._board.mark(run_hash, "skipped")
+            self.board.mark(run_hash, "skipped")
         self._counts = {"completed": 0, "failed": 0, "requeued": 0}
 
     # -- executor duck-typing (status board host) ---------------------------
@@ -332,8 +359,8 @@ class Coordinator:
         both transports shut down cleanly.
         """
         self._write_service_info()
-        self._board.publish()
-        heartbeat = self._board.start_heartbeat(self.status_interval)
+        self.board.publish()
+        heartbeat = self.board.start_heartbeat(self.status_interval)
         address = getattr(self.endpoint, "address", None)
         self.log(
             f"service: coordinating {len(self._pending)} runs "
@@ -343,18 +370,15 @@ class Coordinator:
         clean_exit = False
         try:
             while self._pending:
-                self._sweep_leases()
-                for conn_id, msg in self.endpoint.poll(self.poll_interval):
-                    self._handle(conn_id, msg)
+                self.step()
             clean_exit = True
         finally:
             try:
-                self._drain()
+                self.shutdown()
             finally:
-                self._board.stop_heartbeat(heartbeat)
-                self._board.finalize(interrupted=not clean_exit)
+                self.board.stop_heartbeat(heartbeat)
+                self.board.finalize(interrupted=not clean_exit)
                 self._write_service_info(done=True)
-                self.endpoint.close()
         summary = {
             "campaign": self.store.campaign,
             "completed": self._counts["completed"],
@@ -370,6 +394,27 @@ class Coordinator:
             f"{len(summary['workers'])} workers"
         )
         return summary
+
+    @property
+    def pending(self) -> int:
+        """Runs not yet terminal (queued or leased)."""
+        return len(self._pending)
+
+    def step(self) -> None:
+        """One turn of the serving loop: requeue lapsed leases, then
+        handle what arrived within ``poll_interval``.  :meth:`serve` is
+        this until nothing is pending; a host that also has children to
+        watch (``CampaignExecutor``) calls it between its own checks."""
+        self._sweep_leases()
+        for conn_id, msg in self.endpoint.poll(self.poll_interval):
+            self._handle(conn_id, msg)
+
+    def shutdown(self) -> None:
+        """Send every worker home (:meth:`_drain`), then close the wire."""
+        try:
+            self._drain()
+        finally:
+            self.endpoint.close()
 
     def _drain(self) -> None:
         """Tell every waiting/lingering worker there is no work left.
@@ -473,6 +518,8 @@ class Coordinator:
             lease_timeout=self.lease_timeout,
             timeout=self.run_timeout,
             collective_timeout=self.collective_timeout,
+            checkpoint_freq=self.checkpoint_freq,
+            telemetry=self.telemetry,
         )
         if not self._send(conn_id, job):
             # The connection died between request and grant; put the
@@ -489,7 +536,7 @@ class Coordinator:
                 requeues=self._requeue_counts[run_hash],
             )
         self.metrics.counter("campaign.service.jobs_leased").inc()
-        self._board.mark(run_hash, "running")
+        self.board.mark(run_hash, "running")
         self.log(
             f"service: leased {run_hash} to {worker} "
             f"(deadline +{self.lease_timeout:g}s, {spec.describe()})"
@@ -530,11 +577,12 @@ class Coordinator:
             info = self._workers.get(msg.worker)
             if info is not None:
                 info.jobs_done += 1
-        self._board.mark(msg.run_hash, "completed")
-        self._board.publish()
+        self.board.mark(msg.run_hash, "completed")
+        resumed = msg.resumed_from_step
         self.log(
             f"service: {msg.run_hash} completed by {msg.worker} "
             f"in {msg.elapsed:.2f}s"
+            + (f" (resumed from step {resumed})" if resumed else "")
         )
 
     def _handle_failed(self, msg: JobFailed) -> None:
@@ -548,8 +596,7 @@ class Coordinator:
             info = self._workers.get(msg.worker)
             if info is not None:
                 info.jobs_failed += 1
-        self._board.mark(msg.run_hash, "failed")
-        self._board.publish()
+        self.board.mark(msg.run_hash, "failed")
         self.log(
             f"service: {msg.run_hash} FAILED on {msg.worker}: "
             f"{msg.error.splitlines()[-1] if msg.error else 'unknown'}"
@@ -577,27 +624,174 @@ class Coordinator:
                     f"lease expired {count} times (workers keep vanishing "
                     f"mid-run) — giving up on this run"
                 )
-                self.store.record_failed(lease.spec, error)
-                self._pending.discard(run_hash)
-                self._counts["failed"] += 1
-                self.metrics.counter("campaign.runs_failed").inc()
-                self._board.mark(run_hash, "failed")
-                self.log(f"service: {run_hash} FAILED: {error}")
+                self._fail(lease.spec, error)
                 continue
             self._counts["requeued"] += 1
+            self.metrics.counter("campaign.requeues").inc()
             self._queue.appendleft(lease.spec)
-            self._board.mark(run_hash, "queued")
+            self.board.mark(run_hash, "queued")
             self.log(
                 f"service: lease on {run_hash} (worker {lease.worker}) "
-                f"expired after {self.lease_timeout:g}s — requeued "
-                f"(attempt {count + 1})"
+                f"expired — requeued (attempt {count + 1})"
             )
-        if expired:
-            self._board.publish()
-            # Regrant immediately to parked workers.
+        # Regrant immediately to parked workers.
         while self._queue and self._parked:
             conn_id, worker = self._parked.popleft()
             self._grant(conn_id, worker)
+
+    def expire_worker(self, worker: str) -> int:
+        """Lapse every lease ``worker`` holds, now; returns how many.
+
+        For a host that *sees* its workers die (a reaped child): the
+        next :meth:`step` requeues the runs under the ordinary expiry
+        rule — ``max_requeues`` included — instead of waiting out
+        ``lease_timeout`` for heartbeats that cannot come.
+        """
+        with self._state_lock:
+            held = [
+                lease for lease in self._leases.values()
+                if lease.worker == worker
+            ]
+            for lease in held:
+                lease.deadline = 0.0
+        return len(held)
+
+    def fail_pending(self, error: str) -> None:
+        """Record every run not yet terminal as failed with ``error``
+        (the host has no worker left to run them)."""
+        with self._state_lock:
+            specs = [lease.spec for lease in self._leases.values()]
+            self._leases.clear()
+        for spec in specs + list(self._queue):
+            self._fail(spec, error)
+        self._queue.clear()
+
+    def _fail(self, spec: RunSpec, error: str) -> None:
+        run_hash = spec.run_hash()
+        self.store.record_failed(spec, error)
+        self._pending.discard(run_hash)
+        self._counts["failed"] += 1
+        self.metrics.counter("campaign.runs_failed").inc()
+        self.board.mark(run_hash, "failed")
+        self.log(f"service: {run_hash} FAILED: {error}")
+
+
+class LocalWorkers:
+    """``rocketrig campaign --worker`` child processes serving one
+    :class:`Coordinator` over its loopback :class:`SocketEndpoint`.
+
+    Owning the workers adds one ability to the service: a child's exit
+    is *seen*, so its lease is expired at once
+    (:meth:`Coordinator.expire_worker`) and a replacement is started
+    while runs remain.  Recovery stays the coordinator's one rule —
+    lease expiry → requeue, bounded by ``max_requeues``.
+    """
+
+    #: How long :meth:`close` waits for a child it has sent home (or
+    #: terminated) before killing it.
+    EXIT_GRACE = 5.0
+
+    def __init__(self, coordinator: Coordinator, size: int) -> None:
+        self.coordinator = coordinator
+        self.size = size
+        self._procs: dict[str, subprocess.Popen] = {}
+        self._spawned = 0
+        #: Children that exited non-zero holding no lease — they never
+        #: got as far as a run.  More than ``max_requeues`` of them and
+        #: no replacement is started.
+        self._barren = 0
+        try:
+            for _ in range(size):
+                self._spawn()
+        except BaseException:
+            self.close(clean=False)
+            raise
+
+    def _spawn(self) -> None:
+        worker_id = f"local-{os.getpid()}-{self._spawned}"
+        self._spawned += 1
+        host, port = self.coordinator.endpoint.address
+        self._procs[worker_id] = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli.rocketrig", "campaign",
+                "--worker", "--connect", f"{host}:{port}",
+                "--worker-id", worker_id,
+            ],
+            stdout=subprocess.DEVNULL,  # the coordinator logs progress
+        )
+
+    def serve(self) -> None:
+        """Lease until every run has a terminal record."""
+        coordinator = self.coordinator
+        while coordinator.pending:
+            coordinator.step()
+            self._tend()
+
+    def _tend(self) -> None:
+        """Reap exited children, expire their leases and keep the pool
+        at strength; with no child left and none startable, fail the
+        remainder instead of waiting forever."""
+        coordinator = self.coordinator
+        for worker_id, proc in list(self._procs.items()):
+            code = proc.poll()
+            if code is None:
+                continue
+            del self._procs[worker_id]
+            if not coordinator.expire_worker(worker_id) and code != 0:
+                self._barren += 1
+        while (
+            len(self._procs) < min(self.size, coordinator.pending)
+            and self._barren <= coordinator.max_requeues
+        ):
+            self._spawn()
+        if not self._procs and coordinator.pending:
+            coordinator.fail_pending(repr(ChannelClosedError(
+                f"{self._barren} local worker processes exited before "
+                f"taking a run — none is left to lease to"
+            )))
+
+    def close(self, *, clean: bool) -> None:
+        """Leave no child behind: send the workers home after a clean
+        pass, terminate them when the host is unwinding on an error."""
+        try:
+            if clean:
+                self.coordinator.shutdown()
+            else:
+                for proc in self._procs.values():
+                    proc.terminate()
+                self.coordinator.endpoint.close()
+        finally:
+            for proc in self._procs.values():
+                try:
+                    proc.wait(timeout=self.EXIT_GRACE)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.wait()
+            self._procs.clear()
+
+
+def _maybe_trip_kill_fuse(run_hash: str) -> None:
+    """Fault injection for the crash-isolation tests (see KILL_FUSE_ENV)."""
+    fuse = os.environ.get(KILL_FUSE_ENV)
+    if not fuse or not os.path.exists(fuse):
+        return
+    try:
+        with open(fuse, "r", encoding="utf-8") as fh:
+            fields = fh.read().split()
+    except OSError:
+        return
+    if not fields or fields[0] != run_hash:
+        return
+    remaining = int(fields[1]) if len(fields) > 1 else 1
+    try:
+        if remaining <= 1:
+            os.remove(fuse)  # burnt out: the next attempt completes
+        else:
+            with open(fuse, "w", encoding="utf-8") as fh:
+                fh.write(f"{run_hash} {remaining - 1}")
+    except OSError:
+        pass
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class Worker:
@@ -667,7 +861,8 @@ class Worker:
             worker_type="serial",
             timeout=job.timeout or DEFAULT_RUN_TIMEOUT,
             collective_timeout=job.collective_timeout or None,
-            telemetry=self.telemetry,
+            checkpoint_freq=job.checkpoint_freq,
+            telemetry=self.telemetry and job.telemetry,
             log=lambda line: self.log(line),
         )
 

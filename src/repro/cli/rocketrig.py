@@ -28,24 +28,26 @@ registry with provenance::
     rocketrig --list-scenarios
 
 Batch campaigns (``rocketrig campaign``) run a whole sweep deck through
-the :mod:`repro.campaign` subsystem: runs execute concurrently in
-longest-job-first order on the selected worker backend (``--worker-type
-thread|process|serial``; process mode adds true CPU parallelism and
-worker-crash isolation), results land in the persistent store under
+the :mod:`repro.campaign` subsystem: runs are leased in
+longest-job-first order to ``--workers`` local worker processes (true
+CPU parallelism; a worker that dies has its run requeued on a
+replacement — ``--worker-type serial`` runs everything inline instead),
+results land in the persistent store under
 ``results/campaigns/<name>/`` (``REPRO_RESULTS_DIR`` overrides the
 root), re-invocations skip every already-completed run ("store hit"
 lines), and interrupted runs resume from their checkpoint::
 
     rocketrig campaign decks/fig9.json --workers 4 --checkpoint-freq 5
-    rocketrig campaign decks/fig9.json --worker-type process
+    rocketrig campaign decks/fig9.json --worker-type serial
     rocketrig campaign decks/fig9.json --report config.fft_config ranks \\
               result.step_time
 
 Service mode detaches the campaign from a single process tree: a
 coordinator (``--serve``) owns the queue and leases runs to pull-based
-workers (``--worker``) over local TCP, reclaiming and requeueing the
-runs of any worker that vanishes mid-job (see :mod:`repro.campaign.service`
-and ``docs/service.md``)::
+workers (``--worker``) that others start, over the same protocol a
+local campaign speaks to its own workers, reclaiming and requeueing
+the runs of any worker that vanishes mid-job (see
+:mod:`repro.campaign.service` and ``docs/service.md``)::
 
     rocketrig campaign decks/fig9.json --serve --port 7777
     rocketrig campaign --worker --connect 127.0.0.1:7777
@@ -167,7 +169,7 @@ examples:
   rocketrig --scenario singlemode-rollup --outdir results/rig
   rocketrig --scenario multimode-periodic --backend blocked --steps 5
   rocketrig campaign examples/decks/smoke.json --workers 4
-  rocketrig campaign examples/decks/smoke.json --worker-type process \\
+  rocketrig campaign examples/decks/smoke.json --worker-type serial \\
             --timeout 3600 --collective-timeout 600
   rocketrig campaign examples/decks/scenario_sweep.json --workers 2
   rocketrig campaign examples/decks/service_smoke.json --serve --port 7777 \\
@@ -186,6 +188,16 @@ comm transports (--comm):  {", ".join(mpi.available_transports())} \
 Run --list-solvers / --list-backends / --list-scenarios to print the
 registries and exit.
 """
+
+
+def _worker_type(value: str) -> str:
+    """``--worker-type`` values, with a pointer for the removed one."""
+    if value == "thread":
+        raise argparse.ArgumentTypeError(
+            "the 'thread' worker type was removed (its runs convoyed on "
+            "the GIL); use 'process', the default, or 'serial'"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,15 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
                            "in --worker mode)")
     camp.add_argument("--workers", "-w", type=int, default=4,
                       help="concurrent runs (default 4)")
-    camp.add_argument("--worker-type", choices=("thread", "process", "serial"),
-                      default=None,
-                      help="worker backend: 'thread' shares one interpreter "
-                           "(numpy releases the GIL, pure-Python work "
-                           "serializes), 'process' dispatches each run to a "
-                           "spawned worker process (true CPU parallelism; a "
-                           "crashed worker fails only its own run), 'serial' "
-                           "runs inline (default: "
-                           "$REPRO_CAMPAIGN_WORKER_TYPE or thread)")
+    camp.add_argument("--worker-type", type=_worker_type,
+                      choices=("process", "serial"), default="process",
+                      help="worker backend: 'process' leases runs to "
+                           "--workers local worker processes (true CPU "
+                           "parallelism; a worker that dies has its run "
+                           "requeued on a replacement), 'serial' runs "
+                           "everything inline (default: process)")
     camp.add_argument("--results-dir", default=None,
                       help="results tree root (default: $REPRO_RESULTS_DIR "
                            "or ./results)")
@@ -679,6 +689,7 @@ def run_service_from_args(args: argparse.Namespace) -> dict:
         ),
         run_timeout=args.timeout,
         collective_timeout=args.collective_timeout,
+        checkpoint_freq=args.checkpoint_freq,
         status_interval=getattr(args, "status_interval", 0.0),
         log=print,
     )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import mpi
-from repro.campaign import CampaignExecutor, CampaignStore, RunSpec
+from repro.campaign import CampaignDeck, CampaignExecutor, CampaignStore, RunSpec
 from repro.core import InitialCondition, Solver, SolverConfig
 from repro.io import load_checkpoint
 from repro.util.errors import ConfigurationError
@@ -124,11 +124,11 @@ class TestExecutorResume:
                 seen.append(path)
                 return path
 
-        # The spy only observes in-process calls: pin the thread backend
+        # The spy only observes in-process calls: pin the serial backend
         # (worker processes rebuild a plain CampaignStore).
         spy = SpyStore("freq", root=str(tmp_path))
         (outcome,) = CampaignExecutor(
-            spy, max_workers=1, checkpoint_freq=2, worker_type="thread"
+            spy, max_workers=1, checkpoint_freq=2, worker_type="serial"
         ).submit([spec])
         assert outcome.status == "completed"
         assert seen  # checkpoint path was exercised
@@ -229,9 +229,9 @@ class TestInterruptHardening:
         spec = self._spec(steps=6, ranks=1)
         store = CampaignStore("crash", root=str(tmp_path))
         # The save_checkpoint monkeypatch below lives in this process:
-        # pin the thread backend so the run actually sees it.
+        # pin the serial backend so the run actually sees it.
         executor = CampaignExecutor(
-            store, max_workers=1, checkpoint_freq=2, worker_type="thread"
+            store, max_workers=1, checkpoint_freq=2, worker_type="serial"
         )
 
         real_save = Solver.save_checkpoint
@@ -261,3 +261,63 @@ class TestInterruptHardening:
             ), key
         record = store.latest_records()[spec.run_hash()]
         assert record.status == "completed"
+
+    def test_interrupt_while_leasing_leaves_no_child_and_no_failure(
+        self, tmp_path, monkeypatch
+    ):
+        """Ctrl-C while worker processes hold leases: every child is
+        gone when submit() has unwound, the unfinished runs read
+        ``interrupted`` in status.json, nothing is recorded failed, and
+        a resubmission completes the remainder."""
+        import json
+        import subprocess
+
+        import repro.campaign.service as service
+
+        deck = CampaignDeck.from_dict({
+            "name": "ctrlc", "mode": "functional", "steps": 4,
+            "base": {"order": "low", "num_nodes": [16, 16], "dt": 0.002},
+            "ic": {"kind": "multi_mode", "magnitude": 0.02, "period": 3},
+            "grid": {"atwood": [0.2, 0.3, 0.4, 0.5, 0.6, 0.7]},
+        })
+        specs = deck.expand()
+        store = CampaignStore("ctrlc", root=str(tmp_path))
+        children = []
+        real_popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            children.append(real_popen(*args, **kwargs))
+            return children[-1]
+
+        real_done = service.Coordinator._handle_done
+
+        def done_then_ctrl_c(coordinator, msg):
+            real_done(coordinator, msg)
+            raise KeyboardInterrupt  # operator hits Ctrl-C mid-campaign
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(service.subprocess, "Popen", recording_popen)
+            mp.setattr(service.Coordinator, "_handle_done", done_then_ctrl_c)
+            with pytest.raises(KeyboardInterrupt):
+                CampaignExecutor(
+                    store, max_workers=2, batch_fast_path=False
+                ).submit(specs)
+
+        assert len(children) == 2
+        for proc in children:
+            assert proc.poll() is not None, "a worker outlived submit()"
+        with open(store.status_path, encoding="utf-8") as fh:
+            status = json.load(fh)
+        assert status["done"] is True
+        assert status["counts"]["completed"] == 1
+        assert status["counts"]["interrupted"] == len(specs) - 1
+        assert status["counts"]["failed"] == 0
+        assert all(r.status != "failed" for r in store.iter_records())
+
+        again = CampaignExecutor(
+            store, max_workers=2, batch_fast_path=False
+        ).submit(specs)
+        # The run whose job-done raised is a store hit — and so is the
+        # other worker's, if it had recorded before being terminated.
+        assert {o.status for o in again} == {"completed", "skipped"}
+        assert sum(o.skipped for o in again) in (1, 2)

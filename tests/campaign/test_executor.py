@@ -208,18 +208,18 @@ class TestTimeouts:
 
 
 class TestSerialWorker:
-    def test_serial_matches_thread_outcomes(self, store, tmp_path):
+    def test_serial_matches_process_outcomes(self, store, tmp_path):
         specs = functional_deck(grid={"fft_config": [0, 7]}).expand()
         serial_store = CampaignStore("serial", root=str(tmp_path / "s"))
-        thread = CampaignExecutor(store, max_workers=2, worker_type="thread")
+        leased = CampaignExecutor(store, max_workers=2, worker_type="process")
         serial = CampaignExecutor(
             serial_store, max_workers=2, worker_type="serial"
         )
-        t_outcomes = thread.submit(specs)
+        p_outcomes = leased.submit(specs)
         s_outcomes = serial.submit(specs)
-        assert [o.status for o in t_outcomes] == [o.status for o in s_outcomes]
-        for t, s in zip(t_outcomes, s_outcomes):
-            assert t.result == s.result
+        assert [o.status for o in p_outcomes] == [o.status for o in s_outcomes]
+        for p, s in zip(p_outcomes, s_outcomes):
+            assert p.result == s.result
 
 
 class TestScheduler:

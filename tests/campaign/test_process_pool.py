@@ -1,21 +1,34 @@
-"""Process worker backend: round-trip, parity, crash isolation, store stress."""
+"""Process worker backend: leased local workers, parity, crash recovery,
+exact per-completion costs, store stress."""
 
 import json
+import math
 import multiprocessing
 import os
+import subprocess
+import threading
+import time
+import types
 
 import numpy as np
 import pytest
 
+import repro.campaign.scheduler as scheduler
+import repro.campaign.service as service
 from repro.campaign import (
     CampaignDeck,
     CampaignExecutor,
     CampaignStore,
+    Coordinator,
     RunSpec,
+    SocketEndpoint,
+    SocketWorkerChannel,
+    Worker,
     campaign_summary,
     resolve_worker_type,
 )
-from repro.campaign.executor import KILL_FUSE_ENV, WORKER_TYPE_ENV
+from repro.campaign.executor import KILL_FUSE_ENV, STATUS_WRITE_INTERVAL
+from repro.campaign.service import DEFAULT_MAX_REQUEUES
 from repro.campaign.store import COMPLETED, FAILED, RUNNING
 from repro.core import InitialCondition, SolverConfig
 from repro.fft import FftConfig
@@ -33,6 +46,46 @@ DECK = {
 
 def specs():
     return CampaignDeck.from_dict(DECK).expand()
+
+
+def many_specs(n=32):
+    """``n`` distinct 16x16 functional runs (one Atwood number each)."""
+    deck = dict(DECK, name="many", grid={
+        "atwood": [round(0.2 + 0.01 * i, 2) for i in range(n)],
+    })
+    return CampaignDeck.from_dict(deck).expand()
+
+
+def record_children(mp):
+    """Every worker process the code under test starts, in order."""
+    started = []
+    real_popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        started.append(real_popen(*args, **kwargs))
+        return started[-1]
+
+    mp.setattr(service.subprocess, "Popen", recording_popen)
+    return started
+
+
+@pytest.fixture
+def children(monkeypatch):
+    return record_children(monkeypatch)
+
+
+def assert_all_gone(children):
+    for proc in children:
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+        assert proc.poll() is not None, f"worker {proc.pid} outlived submit()"
+
+
+def history(store, run_hash):
+    """Statuses of every index record for one hash, in append order."""
+    return [r.status for r in store.iter_records() if r.run_hash == run_hash]
 
 
 class TestPayloadRoundTrip:
@@ -73,20 +126,15 @@ class TestPayloadRoundTrip:
 
 
 class TestWorkerTypeSelection:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(WORKER_TYPE_ENV, "process")
+    def test_process_is_the_default(self):
+        assert resolve_worker_type(None) == "process"
         assert resolve_worker_type("serial") == "serial"
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv(WORKER_TYPE_ENV, "serial")
-        assert resolve_worker_type(None) == "serial"
-        monkeypatch.delenv(WORKER_TYPE_ENV)
-        assert resolve_worker_type(None) == "thread"
-
-    def test_invalid_rejected(self, tmp_path):
+    @pytest.mark.parametrize("worker_type", ["fork", "thread"])
+    def test_invalid_rejected(self, tmp_path, worker_type):
         with pytest.raises(ConfigurationError, match="worker_type"):
             CampaignExecutor(
-                CampaignStore("x", root=str(tmp_path)), worker_type="fork"
+                CampaignStore("x", root=str(tmp_path)), worker_type=worker_type
             )
 
 
@@ -106,15 +154,6 @@ class TestProcessCampaign:
         assert all(r.status == COMPLETED for r in latest.values())
         again = executor.submit(specs())
         assert all(o.skipped for o in again)
-
-    def test_worker_logs_replayed_in_parent(self, tmp_path):
-        store = CampaignStore("procpool", root=str(tmp_path))
-        logs = []
-        executor = CampaignExecutor(
-            store, max_workers=2, worker_type="process", log=logs.append
-        )
-        executor.submit(specs()[:2])
-        assert sum("completed in" in line for line in logs) == 2
 
     def test_exception_in_worker_recorded_failed(self, tmp_path):
         """An ordinary raise inside a worker process is a recorded
@@ -138,12 +177,33 @@ class TestProcessCampaign:
         assert store.latest_records()[bad.run_hash()].status == FAILED
 
 
-class TestThreadProcessParity:
+class TestNothingToSpawn:
+    """No second process is started when nothing needs one."""
+
+    @pytest.mark.parametrize("kwargs,batch", [
+        ({"max_workers": 1}, specs),
+        ({"max_workers": 4, "worker_type": "serial"}, specs),
+        ({"max_workers": 4}, lambda: specs()[:1]),
+        ({"max_workers": 4}, lambda: CampaignDeck.from_dict(
+            dict(DECK, mode="model")).expand()),
+    ], ids=["one-worker", "serial", "single-run", "model-mode"])
+    def test_runs_inline(self, tmp_path, children, kwargs, batch):
+        store = CampaignStore("inline", root=str(tmp_path))
+        executor = CampaignExecutor(store, batch_fast_path=False, **kwargs)
+        outcomes = executor.submit(batch())
+        assert all(o.status == "completed" for o in outcomes)
+        # ... nor when everything is a store hit.
+        assert all(o.skipped for o in executor.submit(batch()))
+        assert children == []
+
+
+class TestSerialProcessParity:
     def test_same_deck_same_outcomes_and_records(self, tmp_path):
-        """Thread and process backends produce identical diagnostics and
-        store records for the same deck (elapsed/timestamps aside)."""
+        """Serial and leased-process execution produce identical
+        diagnostics and store records for the same deck
+        (elapsed/timestamps aside)."""
         results = {}
-        for worker_type in ("thread", "process"):
+        for worker_type in ("serial", "process"):
             store = CampaignStore(worker_type, root=str(tmp_path))
             outcomes = CampaignExecutor(
                 store, max_workers=2, worker_type=worker_type,
@@ -151,23 +211,30 @@ class TestThreadProcessParity:
             ).submit(specs())
             results[worker_type] = (store, outcomes)
 
-        t_store, t_outcomes = results["thread"]
+        s_store, s_outcomes = results["serial"]
         p_store, p_outcomes = results["process"]
-        assert [o.status for o in t_outcomes] == [o.status for o in p_outcomes]
-        assert [o.run_hash for o in t_outcomes] == [o.run_hash for o in p_outcomes]
-        t_latest, p_latest = t_store.latest_records(), p_store.latest_records()
-        assert set(t_latest) == set(p_latest)
-        for run_hash, t_record in t_latest.items():
+        assert [o.status for o in s_outcomes] == [o.status for o in p_outcomes]
+        assert [o.run_hash for o in s_outcomes] == [o.run_hash for o in p_outcomes]
+        assert [o.result for o in s_outcomes] == [o.result for o in p_outcomes]
+        s_latest, p_latest = s_store.latest_records(), p_store.latest_records()
+        assert set(s_latest) == set(p_latest)
+        for run_hash, s_record in s_latest.items():
             p_record = p_latest[run_hash]
-            assert t_record.status == p_record.status == COMPLETED
-            assert t_record.spec == p_record.spec
+            assert s_record.status == p_record.status == COMPLETED
+            assert s_record.spec == p_record.spec
             # Bitwise-identical diagnostics: same solver, same inputs.
-            assert t_record.result == p_record.result
-            assert (t_store.load_result(run_hash)
+            assert s_record.result == p_record.result
+            assert (s_store.load_result(run_hash)
                     == p_store.load_result(run_hash))
+            # Leased runs are claimed by a named worker first.
+            assert history(p_store, run_hash) == [RUNNING, COMPLETED]
 
 
 class TestCrashIsolation:
+    """The one crash rule — lease expiry → requeue, bounded by
+    ``max_requeues`` — against leased local workers.  The executor sees
+    its children exit, so recovery takes seconds, not lease timeouts."""
+
     def _arm_fuse(self, monkeypatch, tmp_path, run_hash, trips):
         fuse = str(tmp_path / "fuse")
         with open(fuse, "w", encoding="utf-8") as fh:
@@ -175,32 +242,58 @@ class TestCrashIsolation:
         monkeypatch.setenv(KILL_FUSE_ENV, fuse)
         return fuse
 
-    def test_killed_worker_fails_one_run_siblings_complete(
-        self, tmp_path, monkeypatch
+    def test_transient_kill_recovers_within_one_submission(
+        self, tmp_path, monkeypatch, children
     ):
-        """SIGKILLed worker mid-run: exactly that hash is recorded
-        failed, siblings complete, and a resubmission retries it."""
+        """A one-shot kill (transient fault): the run is requeued and
+        completes inside the same submit() — no failed record survives."""
+        batch = specs()
+        victim = batch[0]
+        fuse = self._arm_fuse(monkeypatch, tmp_path, victim.run_hash(), trips=1)
+        store = CampaignStore("transient", root=str(tmp_path))
+        executor = CampaignExecutor(
+            store, max_workers=2, batch_fast_path=False,
+        )
+        t0 = time.monotonic()
+        outcomes = executor.submit(batch)
+        assert time.monotonic() - t0 < service.DEFAULT_LEASE_TIMEOUT / 2
+        assert all(o.status == "completed" for o in outcomes)
+        assert not os.path.exists(fuse)
+        assert history(store, victim.run_hash()) == [RUNNING, RUNNING, COMPLETED]
+        assert FAILED not in [r.status for r in store.iter_records()]
+        assert executor.metrics.snapshot()["campaign.requeues"] == 1
+        # The dead worker was replaced, and nobody outlived submit().
+        assert len(children) == 3
+        assert_all_gone(children)
+
+    def test_poison_run_fails_alone_siblings_complete(
+        self, tmp_path, monkeypatch, children
+    ):
+        """A run that kills ``max_requeues + 1`` workers: exactly that
+        hash is recorded failed, siblings complete, and a resubmission
+        retries it."""
         batch = specs()
         victim = batch[1]
         fuse = self._arm_fuse(
-            monkeypatch, tmp_path, victim.run_hash(), trips=2
+            monkeypatch, tmp_path, victim.run_hash(),
+            trips=DEFAULT_MAX_REQUEUES + 1,
         )
         store = CampaignStore("kill", root=str(tmp_path))
-        logs = []
         executor = CampaignExecutor(
-            store, max_workers=2, worker_type="process", log=logs.append,
-            batch_fast_path=False,
+            store, max_workers=2, batch_fast_path=False,
         )
+        t0 = time.monotonic()
         outcomes = executor.submit(batch)
+        assert time.monotonic() - t0 < service.DEFAULT_LEASE_TIMEOUT / 2
 
         by_hash = {o.run_hash: o for o in outcomes}
         assert by_hash[victim.run_hash()].status == "failed"
-        assert "worker process died" in by_hash[victim.run_hash()].error
+        assert "lease expired" in by_hash[victim.run_hash()].error
         siblings = [o for o in outcomes if o.run_hash != victim.run_hash()]
         assert all(o.status == "completed" for o in siblings)
         assert store.latest_records()[victim.run_hash()].status == FAILED
-        assert any("worker pool died" in line for line in logs)
         assert not os.path.exists(fuse)
+        assert_all_gone(children)
 
         # Failed-by-crash is not a store hit: the resubmission retries
         # the victim (the fuse is burnt out) and hits on the siblings.
@@ -214,23 +307,180 @@ class TestCrashIsolation:
         assert summary["completed"] == 4 and summary["failed"] == 0
         assert summary["interrupted"] == 0
 
-    def test_transient_kill_recovers_within_one_submission(
+    def test_unstartable_workers_fail_the_remainder(
+        self, tmp_path, monkeypatch, children
+    ):
+        """Children that die before taking a run are replaced a bounded
+        number of times; then the remainder is failed with a typed
+        error — submit() never waits in the serving loop forever."""
+        monkeypatch.setattr(service.sys, "executable", "false")
+        store = CampaignStore("barren", root=str(tmp_path))
+        executor = CampaignExecutor(
+            store, max_workers=2, batch_fast_path=False,
+        )
+        t0 = time.monotonic()
+        outcomes = executor.submit(specs())
+        assert time.monotonic() - t0 < service.DEFAULT_LEASE_TIMEOUT / 2
+        assert [o.status for o in outcomes] == ["failed"] * 4
+        assert all("ChannelClosedError" in o.error for o in outcomes)
+        assert 2 <= len(children) <= 2 + DEFAULT_MAX_REQUEUES + 1
+        assert_all_gone(children)
+
+    def test_killed_after_checkpoint_resumes_on_requeue(
+        self, tmp_path, children
+    ):
+        """The executor's ``checkpoint_freq`` travels in the lease: a
+        worker SIGKILLed after its first checkpoint leaves the file
+        behind, and the requeued run resumes from it."""
+        deck = dict(DECK, name="ckpt", steps=200, grid={"atwood": [0.3, 0.4]})
+        batch = CampaignDeck.from_dict(deck).expand()
+        victim = batch[0].run_hash()
+        store = CampaignStore("ckpt", root=str(tmp_path))
+        killed = []
+
+        def kill_after_first_checkpoint():
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline and not killed:
+                if os.path.exists(store.checkpoint_path(victim)):
+                    owner = store.claimed_runs()[victim].owner
+                    children[int(owner.rsplit("-", 1)[1])].kill()
+                    killed.append(owner)
+                time.sleep(0.005)
+
+        killer = threading.Thread(target=kill_after_first_checkpoint)
+        killer.start()
+        outcomes = CampaignExecutor(
+            store, max_workers=2, checkpoint_freq=2,
+        ).submit(batch)
+        killer.join(timeout=60.0)
+        assert not killer.is_alive() and killed
+        assert all(o.status == "completed" for o in outcomes)
+        assert outcomes[0].resumed_from_step > 0
+        assert store.latest_records()[victim].resumed_from_step > 0
+        assert not os.path.exists(store.checkpoint_path(victim))
+        assert_all_gone(children)
+
+
+class TestLeasedCampaign:
+    """Four workers on a 32-run deck (more workers than this box has
+    cores): exact counts for the O(1)-per-completion contract, and the
+    shared-store invariants a lost update would break."""
+
+    N = 32
+
+    @pytest.fixture(scope="class")
+    def campaign(self, tmp_path_factory):
+        store = CampaignStore(
+            "many", root=str(tmp_path_factory.mktemp("leased"))
+        )
+        executor = CampaignExecutor(
+            store, max_workers=4, batch_fast_path=False,
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            spies = install_spies(mp)
+            t0 = time.monotonic()
+            outcomes = executor.submit(many_specs(self.N))
+            wall = time.monotonic() - t0
+        return types.SimpleNamespace(
+            store=store, executor=executor, outcomes=outcomes, wall=wall,
+            **spies,
+        )
+
+    def test_model_evaluated_at_most_twice_per_run(self, campaign):
+        # Once where the executor orders the batch, once where the
+        # coordinator orders its queue; never per completion.
+        assert 0 < len(campaign.costed) <= 2 * self.N
+
+    def test_status_written_on_a_clock_not_per_completion(self, campaign):
+        bound = 2 + math.ceil(campaign.wall / STATUS_WRITE_INTERVAL)
+        assert 2 <= len(campaign.snapshots) <= bound
+        check_final_snapshot(campaign.snapshots[-1], self.N)
+        assert campaign.snapshots[-1]["worker_type"] == "process"
+
+    def test_every_run_completed_exactly_once(self, campaign):
+        assert [o.status for o in campaign.outcomes] == ["completed"] * self.N
+        with open(campaign.store.index_path, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]  # no torn line
+        assert len(records) == 2 * self.N
+        for outcome in campaign.outcomes:
+            assert history(campaign.store, outcome.run_hash) == [
+                RUNNING, COMPLETED,
+            ]
+        metrics = campaign.executor.metrics.snapshot()
+        assert metrics.get("campaign.requeues", 0) == 0
+        assert metrics["campaign.service.workers_seen"] == 4
+
+    def test_no_worker_outlives_submit(self, campaign):
+        assert len(campaign.children) == 4
+        assert_all_gone(campaign.children)
+
+
+def install_spies(mp):
+    """Count model evaluations, ``status.json`` writes and worker starts."""
+    costed, snapshots = [], []
+    real_cost = scheduler.estimate_cost
+    real_write = CampaignStore.write_status
+
+    def cost(spec, machine=scheduler.LASSEN):
+        costed.append(spec.run_hash())
+        return real_cost(spec, machine)
+
+    def write(self, status):
+        snapshots.append(status)
+        return real_write(self, status)
+
+    mp.setattr(scheduler, "estimate_cost", cost)
+    mp.setattr(CampaignStore, "write_status", write)
+    return {
+        "costed": costed, "snapshots": snapshots,
+        "children": record_children(mp),
+    }
+
+
+def check_final_snapshot(snap, n):
+    assert snap["done"] is True and snap["total"] == n
+    assert snap["counts"] == {
+        "queued": 0, "running": 0, "completed": n, "failed": 0,
+        "skipped": 0, "interrupted": 0,
+    }
+    assert {run["state"] for run in snap["runs"].values()} == {"completed"}
+
+
+class TestBareCoordinatorCounts:
+    def test_serve_is_linear_in_model_evaluations_and_writes(
         self, tmp_path, monkeypatch
     ):
-        """A one-shot kill (transient fault) is retried in isolation and
-        completes — no record of the crash survives the batch."""
-        batch = specs()
-        victim = batch[0]
-        self._arm_fuse(monkeypatch, tmp_path, victim.run_hash(), trips=1)
-        store = CampaignStore("transient", root=str(tmp_path))
-        outcomes = CampaignExecutor(
-            store, max_workers=2, worker_type="process",
-            batch_fast_path=False,
-        ).submit(batch)
-        assert all(o.status == "completed" for o in outcomes)
-        assert all(
-            r.status == COMPLETED for r in store.latest_records().values()
+        """The same two exact counts through ``Coordinator.serve()``
+        itself (it used to re-evaluate the model for every remaining
+        run and rewrite ``status.json`` on every ``job-done``)."""
+        n = 32
+        store = CampaignStore("many", root=str(tmp_path))
+        spies = install_spies(monkeypatch)
+        endpoint = SocketEndpoint()
+        coordinator = Coordinator(
+            store, many_specs(n), endpoint, drain_grace=3.0,
         )
+        threads = [
+            threading.Thread(target=Worker(
+                SocketWorkerChannel(*endpoint.address), worker_id=f"w{i}",
+                idle_timeout=30.0, telemetry=False,
+            ).run)
+            for i in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        t0 = time.monotonic()
+        summary = coordinator.serve()
+        wall = time.monotonic() - t0
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        assert summary["completed"] == n and summary["requeued"] == 0
+        assert 0 < len(spies["costed"]) <= 2 * n
+        bound = 2 + math.ceil(wall / STATUS_WRITE_INTERVAL)
+        assert 2 <= len(spies["snapshots"]) <= bound
+        check_final_snapshot(spies["snapshots"][-1], n)
+        assert spies["snapshots"][-1]["worker_type"] == "service"
 
 
 # -- cross-process store stress -----------------------------------------------

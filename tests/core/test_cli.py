@@ -205,6 +205,16 @@ class TestCampaignSubcommand:
         assert args.command == "campaign"
         assert args.workers == 2
         assert args.checkpoint_freq == 5
+        assert args.worker_type == "process"
+
+    def test_worker_type_choices(self, capsys):
+        parser = build_parser()
+        args = parser.parse_args(["campaign", "d.json", "--worker-type", "serial"])
+        assert args.worker_type == "serial"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["campaign", "d.json", "--worker-type", "thread"])
+        # The removed type is rejected with a pointer to its replacement.
+        assert "use 'process'" in capsys.readouterr().err
 
     def test_plain_invocations_unaffected(self):
         args = build_parser().parse_args(["--nodes", "32"])
@@ -256,6 +266,31 @@ class TestCampaignSubcommand:
         deck_good.write_text(json.dumps(good))
         assert main(["campaign", str(deck_good), "--results-dir", results]) == 0
         capsys.readouterr()
+
+    def test_serve_passes_run_settings_to_the_coordinator(
+        self, tmp_path, monkeypatch
+    ):
+        """--serve used to parse --checkpoint-freq and drop it, so
+        service runs never checkpointed."""
+        import repro.campaign
+
+        seen = {}
+
+        class FakeCoordinator:
+            def __init__(self, store, specs, endpoint, **kwargs):
+                seen.update(kwargs)
+                endpoint.close()
+
+            def serve(self):
+                return {"completed": 0, "skipped": 0, "failed": 0,
+                        "requeued": 0, "workers": []}
+
+        monkeypatch.setattr(repro.campaign, "Coordinator", FakeCoordinator)
+        assert main(["campaign", self._deck_path(tmp_path), "--serve",
+                     "--results-dir", str(tmp_path / "results"),
+                     "--checkpoint-freq", "5", "--timeout", "90"]) == 0
+        assert seen["checkpoint_freq"] == 5
+        assert seen["run_timeout"] == 90.0
 
 
 class TestScenarioFlags:

@@ -5,6 +5,7 @@ import os
 
 from repro.campaign import CampaignDeck, CampaignExecutor, CampaignStore
 from repro.campaign.executor import _StatusBoard
+from repro.campaign.scheduler import modeled_costs
 from repro.core import InitialCondition, SolverConfig
 from repro.campaign.deck import RunSpec
 from repro.telemetry import TELEMETRY_SCHEMA
@@ -69,8 +70,8 @@ class TestStatusUnderProcessBackend:
         assert snap["done"] is True
 
 
-class TestStatusThreadAndSerial:
-    def test_thread_backend_writes_status(self, tmp_path):
+class TestStatusDefaultAndSerial:
+    def test_default_backend_writes_status(self, tmp_path):
         store = CampaignStore("status", root=str(tmp_path))
         CampaignExecutor(store, max_workers=2).submit(specs())
         snap = read_status(store)
@@ -111,7 +112,7 @@ class TestSummaryLine:
         store = CampaignStore("s", root=str(tmp_path))
         executor = CampaignExecutor(store, max_workers=2)
         batch = {s.run_hash(): s for s in specs()}
-        board = _StatusBoard(executor, batch)
+        board = _StatusBoard(executor, batch, modeled_costs(batch))
         first = next(iter(batch))
         board.mark(first, "running")
         snap = board.snapshot()
@@ -127,7 +128,7 @@ class TestSummaryLine:
         store = CampaignStore("s", root=str(tmp_path))
         executor = CampaignExecutor(store, max_workers=1)
         batch = {s.run_hash(): s for s in specs()}
-        board = _StatusBoard(executor, batch)
+        board = _StatusBoard(executor, batch, modeled_costs(batch))
         board.mark(next(iter(batch)), "running")
         snap = board.finalize(interrupted=True)
         assert snap["done"] is True
