@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the reproduction's own design choices.
 
 Not paper figures — these quantify the cost of specific design
 decisions in the reproduction:

@@ -9,7 +9,7 @@ paper attributes the growth to the surface↔spatial migration overheads.
 Workload note: the paper states "the amount of computation per GPU
 remains constant" under weak scaling, which with a fixed cutoff implies
 constant surface-point *density*; we therefore grow the spatial domain
-with sqrt(P) (see DESIGN.md §1 and EXPERIMENTS.md).
+with sqrt(P).
 
 Reproduction band: modeled runtime growth 4→1024 within [2 %, 35 %],
 dominated by the O(P) migration size-exchange — the same cause the

@@ -8,6 +8,14 @@ wall-clock of every registered :mod:`repro.backend` engine on
 * the cutoff-BR CSR neighbor kernel, and
 * the distributed-FFT forward transform,
 
+and — report-only, absolute seconds gate nothing — the step time of a
+16×16 one-rank exact and cutoff run (``small_run``: the size of the
+campaign workloads' runs, where per-evaluation bookkeeping rather than
+a kernel sets the time), with two counts that do gate: an evaluation
+makes no decomposition lookup and a one-block cutoff evaluation records
+no comm event (the plans of ``docs/architecture.md``, "Built once,
+executed per evaluation"),
+
 together with the roofline ComputeEvent totals each run recorded —
 which must be *identical* across backends, pair for pair, because the
 accounting layer (not the engine) owns the events — and of the
@@ -27,9 +35,12 @@ import numpy as np
 
 from repro import mpi
 from repro.backend import available_backends
+from repro.core import InitialCondition, Solver, SolverConfig
 from repro.core.kernels import br_velocity_allpairs, br_velocity_neighbors
 from repro.fft import DistributedFFT2D, FftConfig
+from repro.grid import HaloExchange
 from repro.machine import LASSEN, kernel_breakdown
+from repro.mpi.cart import CartComm
 from repro.spatial.neighbors import neighbor_lists
 
 from common import print_series, save_results
@@ -44,6 +55,15 @@ FFT_NODES = 256
 
 #: Required blocked-vs-numpy speedup on the all-pairs kernel.
 REQUIRED_SPEEDUP = 2.0
+
+#: Small-run working size: the campaign workloads' 16×16 one-rank runs.
+SMALL_NODES = 16
+SMALL_STEPS = 40
+#: Decomposition lookups an evaluation may not make once a solver exists.
+LOOKUPS = ((CartComm, "coords_of"), (CartComm, "rank_of"), (HaloExchange, "_slabs"))
+
+#: Sections written by the tests above the main one (same payload file).
+_EXTRA_PAYLOAD = {}
 
 
 def _surface(n):
@@ -139,6 +159,78 @@ def _strip_times(breakdown):
     }
 
 
+def _small_run(backend, br_solver, monkeypatch):
+    """(ms per step, lookups per evaluation, comm events per evaluation,
+    spatial phases seen) of a 16×16 one-rank high-order run."""
+    config = SolverConfig(
+        num_nodes=(SMALL_NODES, SMALL_NODES), periodic=(False, False),
+        order="high", br_solver=br_solver, cutoff=0.5, backend=backend,
+    )
+    ic = InitialCondition(kind="multi_mode", magnitude=0.05, period=4)
+    trace = mpi.CommTrace(timed=True)
+    lookups = []
+
+    def counting(name, original):
+        def counted(self, *args, **kwargs):
+            lookups.append(name)
+            return original(self, *args, **kwargs)
+        return counted
+
+    def program(comm):
+        solver = Solver(comm, config, ic)
+        solver.step()  # warm the engine
+        ms = 1e3 * _best_of(lambda: solver.run(SMALL_STEPS), 3) / SMALL_STEPS
+        trace.clear()
+        with monkeypatch.context() as patch:
+            for cls, name in LOOKUPS:
+                patch.setattr(cls, name, counting(name, getattr(cls, name)))
+            solver.zmodel.compute_derivatives()
+        return ms
+
+    ms = mpi.run_spmd(1, program, trace=trace)[0]
+    spatial = sorted({"migrate", "spatial_halo"} & set(trace.phase_walls()))
+    return ms, len(lookups), len(trace.events), spatial
+
+
+def test_small_run_step_time(monkeypatch):
+    rows, small = [], {}
+    for br_solver in ("exact", "cutoff"):
+        for backend in available_backends():
+            ms, lookups, events, spatial = _small_run(backend, br_solver, monkeypatch)
+            small.setdefault(br_solver, {})[backend] = {
+                "ms_per_step": ms, "lookups_per_eval": lookups,
+                "comm_events_per_eval": events, "spatial_phases": spatial,
+            }
+            rows.append([br_solver, backend, ms, lookups, events])
+    _EXTRA_PAYLOAD["small_run"] = {
+        "nodes": SMALL_NODES, "steps": SMALL_STEPS, "runs": small,
+    }
+    path = save_results("BENCH_kernels", dict(_EXTRA_PAYLOAD))
+    print_series(
+        f"Small run: {SMALL_NODES}x{SMALL_NODES}, 1 rank, best of 3 x "
+        f"{SMALL_STEPS} steps (report-only)",
+        ["br_solver", "backend", "ms per step", "lookups/eval", "comm events/eval"],
+        rows,
+    )
+    print(f"payload: {path}")
+
+    # Counts, not seconds: these fail on a re-introduced per-call
+    # derivation or rendezvous, never on a slow runner.
+    for br_solver, per_backend in small.items():
+        for backend, run in per_backend.items():
+            where = f"{br_solver}/{backend}"
+            assert run["lookups_per_eval"] == 0, (
+                f"{where}: an evaluation re-derived the decomposition"
+            )
+            # Free boundaries on one rank: no neighbour, no message.
+            assert run["comm_events_per_eval"] == 0, (
+                f"{where}: a one-rank evaluation communicated"
+            )
+            assert run["spatial_phases"] == [], (
+                f"{where}: a one-block spatial hop was not an identity"
+            )
+
+
 def test_backend_kernel_microbenchmarks():
     backends = available_backends()
     assert "numpy" in backends and "blocked" in backends
@@ -153,6 +245,7 @@ def test_backend_kernel_microbenchmarks():
                   "fft_forward": FFT_NODES},
         "backends": backends,
         "kernels": {},
+        **_EXTRA_PAYLOAD,
     }
     rows = []
     for name, timer in sections.items():

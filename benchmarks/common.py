@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper (see
-DESIGN.md §3): it prints the same rows/series the paper reports, saves
+Every benchmark regenerates one table or figure of the paper: it
+prints the same rows/series the paper reports, saves
 them as JSON under ``results/``, and attaches them to pytest-benchmark's
 ``extra_info`` so ``--benchmark-json`` output carries them too.
 """

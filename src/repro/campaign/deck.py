@@ -41,6 +41,7 @@ store dedup, LJF scheduling and the batch fast path are unchanged.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -163,7 +164,17 @@ class RunSpec:
         )
 
     def run_hash(self) -> str:
-        """Deterministic content hash identifying this run."""
+        """Deterministic content hash identifying this run.
+
+        Computed once per spec object: the spec and everything it holds
+        are frozen, so the hash is kept on the instance — outside the
+        dataclass fields, hence not part of ``payload()``, equality or
+        ``repr``, and a ``dataclasses.replace`` copy hashes afresh.
+        """
+        return self._run_hash
+
+    @functools.cached_property
+    def _run_hash(self) -> str:
         blob = json.dumps(self.payload(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
 

@@ -859,7 +859,7 @@ class Worker:
             store,
             max_workers=1,
             worker_type="serial",
-            timeout=job.timeout or DEFAULT_RUN_TIMEOUT,
+            timeout=job.timeout,  # 0 = no budget, as in-process
             collective_timeout=job.collective_timeout or None,
             checkpoint_freq=job.checkpoint_freq,
             telemetry=self.telemetry and job.telemetry,

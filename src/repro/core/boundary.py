@@ -35,8 +35,21 @@ class BoundaryType(Enum):
     FREE = "free"
 
 
+def _take(axis: int, index: "slice | int") -> tuple:
+    """Selector of ``index`` along ``axis`` of a local (ghosted) array."""
+    sel: list = [slice(None), slice(None)]
+    sel[axis] = index
+    return tuple(sel)
+
+
 class BoundaryCondition:
-    """Applies ghost corrections after each halo gather."""
+    """Applies ghost corrections after each halo gather.
+
+    Which faces of this block lie on the global boundary, and the
+    ghost strips / edge rows they touch, are fixed by the decomposition:
+    they are resolved here, once, and :meth:`apply_position` /
+    :meth:`apply_field` only execute them.
+    """
 
     def __init__(self, mesh: SurfaceMesh) -> None:
         self.mesh = mesh
@@ -44,69 +57,60 @@ class BoundaryCondition:
             BoundaryType.PERIODIC if p else BoundaryType.FREE
             for p in mesh.periodic
         )
-
-    # -- periodic position correction -----------------------------------------
-
-    def _periodic_shift(self, z_full: np.ndarray, axis: int) -> None:
-        """Shift wrapped ghost positions by ± the physical period.
-
-        The physical period equals the parameter-domain extent because
-        the rocket-rig initialization maps parameters to horizontal
-        position one-to-one (z₁ = α₁, z₂ = α₂ at t = 0) and the Z-Model
-        preserves the periodicity relation z(α + L e) = z(α) + L e.
-        """
-        grid = self.mesh.local_grid
+        grid = mesh.local_grid
         h = grid.halo_width
-        period = self.mesh.global_mesh.extent[axis]
-        cart = self.mesh.cart
-        coords = cart.coords
-        dims = cart.dims
-        # Low-side ghosts wrapped iff I am the first block along `axis`.
-        if coords[axis] == 0:
-            sel: list[slice] = [slice(None), slice(None)]
-            sel[axis] = slice(0, h)
-            z_full[tuple(sel) + (axis,)] -= period
-        # High-side ghosts wrapped iff I am the last block.
-        if coords[axis] == dims[axis] - 1:
+        # Per axis: ``(ghost strip, ± period)`` position shifts of a
+        # periodic axis, ``(edge, inner, ghost rows)`` faces of a free one.
+        self._shifts: list[list[tuple]] = [[], []]
+        self._faces: list[list[tuple]] = [[], []]
+        for axis, btype in enumerate(self.types):
             n_owned = grid.owned_shape[axis]
-            sel = [slice(None), slice(None)]
-            sel[axis] = slice(n_owned + h, n_owned + 2 * h)
-            z_full[tuple(sel) + (axis,)] += period
-        # Single-block axes are both first and last: both branches fire,
-        # which is exactly right for a self-wrapped halo.
+            low, high = grid.global_boundary[axis]
+            if btype is BoundaryType.PERIODIC:
+                # The physical period equals the parameter-domain extent
+                # because the rocket-rig initialization maps parameters
+                # to horizontal position one-to-one (z₁ = α₁, z₂ = α₂ at
+                # t = 0) and the Z-Model preserves the periodicity
+                # relation z(α + L e) = z(α) + L e.  Low-side ghosts
+                # wrapped iff I am the first block along `axis`, high-side
+                # iff the last; a single-block axis is both, which is
+                # exactly right for a self-wrapped halo.
+                period = mesh.global_mesh.extent[axis]
+                if low:
+                    strip = _take(axis, slice(0, h))
+                    self._shifts[axis].append((strip + (axis,), -period))
+                if high:
+                    strip = _take(axis, slice(n_owned + h, n_owned + 2 * h))
+                    self._shifts[axis].append((strip + (axis,), period))
+                continue
+            for on_edge, edge, inner, ghosts in (
+                (low, h, h + 1, range(h - 1, -1, -1)),
+                (high, n_owned + h - 1, n_owned + h - 2,
+                 range(n_owned + h, n_owned + 2 * h)),
+            ):
+                if on_edge:
+                    self._faces[axis].append((
+                        _take(axis, edge), _take(axis, inner),
+                        [_take(axis, g) for g in ghosts],
+                    ))
 
-    # -- free-boundary extrapolation ---------------------------------------------
-
-    def _extrapolate(self, full: np.ndarray, axis: int, side: int) -> None:
-        """Linear extrapolation into the ghost frame on one face."""
-        grid = self.mesh.local_grid
-        h = grid.halo_width
-        n_owned = grid.owned_shape[axis]
-
-        def take(index: int) -> tuple[slice | int, ...]:
-            sel: list[slice | int] = [slice(None), slice(None)]
-            sel[axis] = index
-            return tuple(sel)
-
-        if side == -1:
-            edge, inner = h, h + 1
-            targets = range(h - 1, -1, -1)
-        else:
-            edge, inner = n_owned + h - 1, n_owned + h - 2
-            targets = range(n_owned + h, n_owned + 2 * h)
-        slope = full[take(edge)] - full[take(inner)]
-        for g, target in enumerate(targets, start=1):
-            full[take(target)] = full[take(edge)] + g * slope
+    @staticmethod
+    def _extrapolate(full: np.ndarray, faces: list[tuple]) -> None:
+        """Linear extrapolation into the ghost frame of each face."""
+        for edge, inner, targets in faces:
+            slope = full[edge] - full[inner]
+            for g, target in enumerate(targets, start=1):
+                full[target] = full[edge] + g * slope
 
     # -- public API ------------------------------------------------------------
 
     def apply_position(self, z_full: np.ndarray) -> None:
-        """Correct ghost positions after a halo gather of ``z``."""
-        for axis, btype in enumerate(self.types):
-            if btype is BoundaryType.PERIODIC:
-                self._periodic_shift(z_full, axis)
-            else:
-                self._apply_free(z_full, axis)
+        """Correct ghost positions after a halo gather of ``z``: shift
+        wrapped ghosts by ± the physical period, extrapolate free faces."""
+        for shifts, faces in zip(self._shifts, self._faces):
+            for strip, period in shifts:
+                z_full[strip] += period
+            self._extrapolate(z_full, faces)
 
     def apply_field(self, full: np.ndarray) -> None:
         """Fill ghost values of a periodic-agnostic field (vorticity, Φ).
@@ -114,13 +118,5 @@ class BoundaryCondition:
         Periodic axes need nothing (the halo gather already wrapped the
         values); free axes are extrapolated.
         """
-        for axis, btype in enumerate(self.types):
-            if btype is BoundaryType.FREE:
-                self._apply_free(full, axis)
-
-    def _apply_free(self, full: np.ndarray, axis: int) -> None:
-        grid = self.mesh.local_grid
-        if grid.on_global_boundary(axis, -1):
-            self._extrapolate(full, axis, -1)
-        if grid.on_global_boundary(axis, +1):
-            self._extrapolate(full, axis, +1)
+        for faces in self._faces:
+            self._extrapolate(full, faces)

@@ -18,6 +18,14 @@ paper exactly:
 The cutoff sets the accuracy/performance tradeoff; the solver has no
 direct tolerance knob (unlike FMM), exactly as the paper discusses.
 
+Steps 1, 2 and 5 belong to :mod:`repro.spatial`, which labels them with
+the ``migrate`` / ``spatial_halo`` trace phases itself — when they move
+something.  The spatial mesh mirrors the surface decomposition, so on
+one rank it has one block and those hops are identities there (no
+packing, no sort, no ``exchange_arrays``, no phase, no comm event; the
+row-count checks and fresh-copy contract are kept): this class runs the
+same five calls on any rank count and never asks how many there are.
+
 Verlet-skin structure cache
 ---------------------------
 With ``skin > 0`` the expensive spatial structures are built once at
@@ -182,24 +190,18 @@ class CutoffBRSolver:
             reuse = False
 
         cache = self._cache
-        with trace.phase("migrate"):
-            mig_plan = (
-                cache.migration_plan if reuse else self.migrator.plan(positions)
-            )
-            mig = self.migrator.migrate(positions, payload, plan=mig_plan)
-        with trace.phase("spatial_halo"):
-            halo_plan = (
-                cache.halo_plan
-                if reuse
-                else plan_halo(
-                    comm.size, self.spatial_mesh, mig.positions,
-                    self.cutoff + self.skin,
-                )
-            )
-            ghosts = halo_exchange(
-                comm, self.spatial_mesh, mig.positions, mig.payload,
-                self.cutoff + self.skin, plan=halo_plan,
-            )
+        radius = self.cutoff + self.skin
+        mig_plan = cache.migration_plan if reuse else self.migrator.plan(positions)
+        mig = self.migrator.migrate(positions, payload, plan=mig_plan)
+        halo_plan = (
+            cache.halo_plan
+            if reuse
+            else plan_halo(comm, self.spatial_mesh, mig.positions, radius)
+        )
+        ghosts = halo_exchange(
+            comm, self.spatial_mesh, mig.positions, mig.payload, radius,
+            plan=halo_plan,
+        )
         sources = (
             np.concatenate([mig.positions, ghosts.positions])
             if ghosts.count
@@ -280,8 +282,7 @@ class CutoffBRSolver:
                 rank=comm.rank,
                 backend=self.backend,
             )
-        with trace.phase("migrate"):
-            back = self.migrator.migrate_back(mig, velocity)
+        back = self.migrator.migrate_back(mig, velocity)
 
         self.last_owned_count = mig.count
         self.last_ghost_count = ghosts.count

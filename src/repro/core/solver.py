@@ -50,8 +50,8 @@ __all__ = ["SolverConfig", "Solver", "available_br_solvers"]
 class SolverConfig:
     """A rocket-rig input deck.
 
-    Attributes mirror Beatnik's driver options; see DESIGN.md §3 for the
-    decks used by each paper experiment.
+    Attributes mirror Beatnik's driver options; the decks used by each
+    paper experiment are in ``benchmarks/bench_fig*.py``.
 
     Notes
     -----

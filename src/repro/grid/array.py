@@ -45,7 +45,7 @@ class NodeArray:
     @property
     def own(self) -> np.ndarray:
         """View of owned nodes only (writable; shares memory with full)."""
-        si, sj = self.local_grid.own_slices()
+        si, sj = self.local_grid.own_slices
         return self._data[si, sj]
 
     @property

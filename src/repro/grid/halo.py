@@ -39,11 +39,34 @@ _TAG_BASE = 7100
 
 
 class HaloExchange:
-    """Reusable halo-exchange plan for one local grid."""
+    """Reusable halo-exchange plan for one local grid.
+
+    The decomposition fixes who talks to whom and which slabs travel,
+    so the four ``(tag, source, destination, send slab, receive slab)``
+    entries are resolved here, once; :meth:`gather` only executes them.
+    A periodic one-block axis keeps its two self-sends: they are what
+    wraps the ghosts (and what the message counts of a run report).
+    """
 
     def __init__(self, local_grid: LocalGrid2D) -> None:
         self.grid = local_grid
         self.h = local_grid.halo_width
+        cart = local_grid.cart
+        self._plan = []
+        for phase, axis in enumerate((0, 1)):
+            for dir_index, sign in enumerate((-1, 1)):
+                # My face-`sign` ghosts come from my `sign` neighbour;
+                # symmetrically my face-`(-sign)`-adjacent interior goes
+                # to my `-sign` neighbour.
+                offset = [0, 0]
+                offset[axis] = sign
+                src = cart.neighbor(offset)
+                offset[axis] = -sign
+                dest = cart.neighbor(offset)
+                self._plan.append((
+                    _TAG_BASE + 2 * phase + dir_index, src, dest,
+                    self._slabs(axis, -sign)[0], self._slabs(axis, sign)[1],
+                ))
 
     # -- slab geometry -----------------------------------------------------
 
@@ -89,8 +112,8 @@ class HaloExchange:
         if self.h == 0:
             return
         cart = self.grid.cart
+        expected = self.grid.local_shape
         for a in arrays:
-            expected = self.grid.local_shape
             if a.shape[:2] != expected:
                 raise ConfigurationError(
                     f"array shape {a.shape} does not match local grid {expected}"
@@ -100,42 +123,19 @@ class HaloExchange:
             raise ConfigurationError(
                 f"all arrays in one gather must share a dtype, got {dtypes}"
             )
-        for phase, axis in enumerate((0, 1)):
-            for dir_index, sign in enumerate((-1, 1)):
-                tag = _TAG_BASE + 2 * phase + dir_index
-                send_slab, recv_slab = self._slabs(axis, sign)
-                # My face-`sign` ghosts come from my `sign` neighbour;
-                # symmetrically my face-`(-sign)`-adjacent interior goes
-                # to my `-sign` neighbour.
-                offset = [0, 0]
-                offset[axis] = sign
-                src = cart.neighbor(tuple(offset))
-                offset[axis] = -sign
-                dest = cart.neighbor(tuple(offset))
-
-                send_slab_opp, _ = self._slabs(axis, -sign)
-                if dest != PROC_NULL:
-                    packed = np.concatenate(
-                        [np.ascontiguousarray(a[send_slab_opp]).ravel() for a in arrays]
+        for tag, src, dest, send_slab, recv_slab in self._plan:
+            if dest != PROC_NULL:
+                packed = np.concatenate(
+                    [np.ascontiguousarray(a[send_slab]).ravel() for a in arrays]
+                )
+                cart.Send(packed, dest, tag)
+            if src != PROC_NULL:
+                incoming = cart.Recv(None, src, tag)
+                offset_elems = 0
+                for a in arrays:
+                    region = a[recv_slab]
+                    n = region.size
+                    region[...] = incoming[offset_elems: offset_elems + n].reshape(
+                        region.shape
                     )
-                    cart.Send(packed, dest, tag)
-                if src != PROC_NULL:
-                    incoming = cart.Recv(None, src, tag)
-                    offset_elems = 0
-                    for a in arrays:
-                        region = a[recv_slab]
-                        n = region.size
-                        region[...] = incoming[offset_elems: offset_elems + n].reshape(
-                            region.shape
-                        )
-                        offset_elems += n
-
-    def neighbor_ranks(self) -> dict[tuple[int, int], int]:
-        """Map of the 4 face-neighbour offsets to ranks (incl. PROC_NULL)."""
-        out = {}
-        for axis in (0, 1):
-            for sign in (-1, 1):
-                offset = [0, 0]
-                offset[axis] = sign
-                out[tuple(offset)] = self.grid.cart.neighbor(tuple(offset))
-        return out
+                    offset_elems += n

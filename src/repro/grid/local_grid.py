@@ -50,32 +50,27 @@ class LocalGrid2D:
                     f"bigger mesh"
                 )
 
-    # -- shapes and index bookkeeping ------------------------------------
-
-    @property
-    def owned_shape(self) -> tuple[int, int]:
-        return self.owned_space.shape  # type: ignore[return-value]
-
-    @property
-    def local_shape(self) -> tuple[int, int]:
-        """Shape of local storage including the ghost frame."""
-        ni, nj = self.owned_shape
-        h = self.halo_width
-        return (ni + 2 * h, nj + 2 * h)
-
-    @property
-    def local_origin(self) -> tuple[int, int]:
-        """Global index corresponding to local array element (0, 0)."""
-        return (
-            self.owned_space.mins[0] - self.halo_width,
-            self.owned_space.mins[1] - self.halo_width,
+        # Fixed by the decomposition, read on every evaluation: plain
+        # attributes, resolved once.
+        ni, nj = self.owned_space.shape
+        h = halo_width
+        self.owned_shape: tuple[int, int] = (ni, nj)
+        #: Shape of local storage including the ghost frame.
+        self.local_shape: tuple[int, int] = (ni + 2 * h, nj + 2 * h)
+        #: Global index corresponding to local array element (0, 0).
+        self.local_origin: tuple[int, int] = (
+            self.owned_space.mins[0] - h, self.owned_space.mins[1] - h
+        )
+        #: Slices selecting owned nodes from a local (ghosted) array.
+        self.own_slices: tuple[slice, slice] = (
+            slice(h, h + ni), slice(h, h + nj)
+        )
+        #: Per axis, whether the (low, high) face lies on the global edge.
+        self.global_boundary: tuple[tuple[bool, bool], ...] = tuple(
+            (c == 0, c == d - 1) for c, d in zip(cart.coords, cart.dims)
         )
 
-    def own_slices(self) -> tuple[slice, slice]:
-        """Slices selecting owned nodes from a local (ghosted) array."""
-        ni, nj = self.owned_shape
-        h = self.halo_width
-        return (slice(h, h + ni), slice(h, h + nj))
+    # -- index bookkeeping ------------------------------------------------
 
     def local_space(self) -> IndexSpace:
         """Local-array index space (rooted at 0, ghosts included)."""
@@ -121,12 +116,9 @@ class LocalGrid2D:
         condition code to decide where to extrapolate instead of
         exchanging halos.
         """
-        coords = self.cart.coords
-        if side == -1:
-            return coords[axis] == 0
-        if side == 1:
-            return coords[axis] == self.cart.dims[axis] - 1
-        raise ConfigurationError(f"side must be ±1, got {side}")
+        if side not in (-1, 1):
+            raise ConfigurationError(f"side must be ±1, got {side}")
+        return self.global_boundary[axis][side == 1]
 
     def __repr__(self) -> str:
         return (

@@ -5,7 +5,7 @@ collective-algorithm cost models (:mod:`repro.machine.collectives`),
 trace replay (:mod:`repro.machine.replay`) and analytic paper-scale
 pattern generators (:mod:`repro.machine.patterns`).  The benchmark
 harness uses these to regenerate the paper's 4→1024-GPU scaling
-figures; see DESIGN.md §1 for the substitution argument.
+figures.
 """
 
 from repro.machine.collectives import (

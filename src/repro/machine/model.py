@@ -9,8 +9,8 @@ Lassen-like system (IBM Power9, 4×V100 16 GB per node, EDR InfiniBand,
 Spectrum MPI), the testbed of the paper's evaluation (§5.1).
 
 The model's purpose is *shape fidelity*: scaling slopes, turnover
-points and algorithm crossovers, not absolute microsecond accuracy —
-see DESIGN.md §1.  All cost functions are pure and deterministic.
+points and algorithm crossovers, not absolute microsecond accuracy.
+All cost functions are pure and deterministic.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 This package simulates an MPI library inside one Python process: SPMD
 rank threads, mpi4py-style communicators (buffer and object APIs),
 Cartesian topologies, deterministic collectives, and full communication
-tracing.  See DESIGN.md §2.1 — it substitutes for Spectrum MPI in the
-paper's software stack while preserving the communication *patterns*
-the mini-application is designed to exercise.
+tracing.  It substitutes for Spectrum MPI in the paper's software
+stack while preserving the communication *patterns* the
+mini-application is designed to exercise.
 
 Quick example::
 

@@ -41,6 +41,8 @@ class CartComm(Comm):
             raise ConfigurationError("dims and periods must have equal length")
         self._dims = tuple(int(d) for d in dims)
         self._periods = tuple(bool(p) for p in periods)
+        #: This rank's process-grid coordinates (fixed for the comm's life).
+        self.coords = self.coords_of(rank)
 
     # -- topology ---------------------------------------------------------
 
@@ -89,10 +91,6 @@ class CartComm(Comm):
         for c, extent in zip(normalized, self._dims):
             rank = rank * extent + c
         return rank
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return self.coords_of(self.rank)
 
     def Get_coords(self, rank: int) -> tuple[int, ...]:
         return self.coords_of(rank)

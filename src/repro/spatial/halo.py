@@ -17,6 +17,13 @@ which blocks) is separable from the exchange as a :class:`HaloPlan`;
 the cutoff solver's Verlet-skin cache builds the plan once at radius
 ``cutoff + skin`` and re-executes it with fresh particle data until the
 accumulated displacement invalidates it.
+
+A one-block mesh has no neighbouring block, so the hop is an identity
+decided by structure alone: :func:`plan_halo` is empty without looking
+at a position and :func:`halo_exchange` yields no ghosts without a
+rendezvous, after the same row-count checks; nothing is recorded — no
+``spatial_halo`` phase, no comm event.  Hops on two or more blocks
+label themselves with the ``spatial_halo`` trace phase.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 
 from repro.mpi.comm import Comm
 from repro.spatial.spatial_mesh import SpatialMesh
-from repro.util.errors import CommunicationError
+from repro.util.errors import CommunicationError, ConfigurationError
 
 __all__ = ["halo_exchange", "plan_halo", "HaloResult", "HaloPlan"]
 
@@ -57,7 +64,7 @@ class HaloPlan:
 
 
 def plan_halo(
-    comm_size: int, mesh: SpatialMesh, positions: np.ndarray, cutoff: float
+    comm: Comm, mesh: SpatialMesh, positions: np.ndarray, cutoff: float
 ) -> HaloPlan:
     """Compute the ghost routing for these positions without communicating.
 
@@ -71,9 +78,18 @@ def plan_halo(
     displacement bound enforces a stronger version of this.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    point_idx, dest_rank = mesh.halo_targets(pos, cutoff)
-    order = np.argsort(dest_rank, kind="stable")
-    bounds = np.searchsorted(dest_rank[order], np.arange(comm_size + 1))
+    if cutoff <= 0:
+        raise ConfigurationError(f"cutoff must be positive, got {cutoff}")
+    if mesh.nblocks == 1:
+        return HaloPlan(
+            point_order=np.empty(0, dtype=np.int64),
+            bounds=np.zeros(2, dtype=np.int64),
+            npoints=pos.shape[0],
+        )
+    with comm.trace.phase("spatial_halo"):
+        point_idx, dest_rank = mesh.halo_targets(pos, cutoff)
+        order = np.argsort(dest_rank, kind="stable")
+        bounds = np.searchsorted(dest_rank[order], np.arange(comm.size + 1))
     return HaloPlan(
         point_order=point_idx[order], bounds=bounds, npoints=pos.shape[0]
     )
@@ -127,29 +143,36 @@ def halo_exchange(
     k = pay.shape[1]
 
     if plan is None:
-        plan = plan_halo(comm.size, mesh, pos, cutoff)
+        plan = plan_halo(comm, mesh, pos, cutoff)
     elif plan.npoints != pos.shape[0]:
         raise CommunicationError(
             f"halo plan covers {plan.npoints} particles, got {pos.shape[0]}"
         )
-    sorted_rec = np.concatenate(
-        [pos[plan.point_order], pay[plan.point_order]], axis=1
-    )
+    if mesh.nblocks == 1:
+        return HaloResult(
+            positions=np.empty((0, 3)), payload=np.empty((0, k)), sent_copies=0
+        )
+    with comm.trace.phase("spatial_halo"):
+        sorted_rec = np.concatenate(
+            [pos[plan.point_order], pay[plan.point_order]], axis=1
+        )
 
-    per_dest: list[np.ndarray | None] = []
-    bounds = plan.bounds
-    for dest in range(comm.size):
-        chunk = sorted_rec[bounds[dest]: bounds[dest + 1]]
-        per_dest.append(chunk if chunk.size else None)
-    received = comm.exchange_arrays(per_dest)
+        per_dest: list[np.ndarray | None] = []
+        bounds = plan.bounds
+        for dest in range(comm.size):
+            chunk = sorted_rec[bounds[dest]: bounds[dest + 1]]
+            per_dest.append(chunk if chunk.size else None)
+        received = comm.exchange_arrays(per_dest)
 
-    width = 3 + k
-    arrived = [r.reshape(-1, width) for r in received if r.size]
-    merged = (
-        np.concatenate(arrived) if arrived else np.empty((0, width), dtype=np.float64)
-    )
-    return HaloResult(
-        positions=merged[:, 0:3].copy(),
-        payload=merged[:, 3:].copy(),
-        sent_copies=int(plan.sent_copies),
-    )
+        width = 3 + k
+        arrived = [r.reshape(-1, width) for r in received if r.size]
+        merged = (
+            np.concatenate(arrived)
+            if arrived
+            else np.empty((0, width), dtype=np.float64)
+        )
+        return HaloResult(
+            positions=merged[:, 0:3].copy(),
+            payload=merged[:, 3:].copy(),
+            sent_copies=int(plan.sent_copies),
+        )

@@ -17,6 +17,18 @@ that know the ownership has not meaningfully changed (the cutoff
 solver's Verlet-skin cache) can re-execute the same exchange with
 updated particle data and receive particles in the *identical* merged
 order — the property that keeps cached neighbor lists valid.
+
+One-block meshes
+----------------
+On a mesh with one block every particle already sits on its spatial
+owner, so each hop is an identity decided by structure alone (every
+rank sees the same mesh, so nothing need be agreed): :meth:`plan`
+skips the owner lookup, :meth:`migrate` / :meth:`migrate_back` hand
+back fresh arrays in the caller's order without packing, sorting or
+exchanging, and nothing is recorded — no ``migrate`` phase, no comm
+event.  The row-count checks and the provenance fields are the same on
+both sides of the rule.  Hops that do move data label themselves with
+the ``migrate`` trace phase.
 """
 
 from __future__ import annotations
@@ -113,9 +125,18 @@ class ParticleMigrator:
         """
         pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
         n = pos.shape[0]
-        owners = self.mesh.owner_of(pos) if n else np.empty(0, dtype=np.int64)
-        order = np.argsort(owners, kind="stable") if n else np.empty(0, dtype=np.int64)
-        bounds = np.searchsorted(owners[order], np.arange(self.comm.size + 1))
+        if self.mesh.nblocks == 1:
+            return MigrationPlan(
+                owners=np.zeros(n, dtype=np.int64),
+                order=np.arange(n, dtype=np.int64),
+                bounds=np.array([0, n], dtype=np.int64),
+            )
+        with self.comm.trace.phase("migrate"):
+            owners = self.mesh.owner_of(pos) if n else np.empty(0, dtype=np.int64)
+            order = (
+                np.argsort(owners, kind="stable") if n else np.empty(0, dtype=np.int64)
+            )
+            bounds = np.searchsorted(owners[order], np.arange(self.comm.size + 1))
         return MigrationPlan(owners=owners, order=order, bounds=bounds)
 
     def migrate(
@@ -151,36 +172,45 @@ class ParticleMigrator:
             raise CommunicationError(
                 f"migration plan covers {plan.count} particles, got {n}"
             )
-        # Record: [x y z | payload... | src_rank src_index]
-        record = np.empty((n, 3 + pay.shape[1] + 2), dtype=np.float64)
-        record[:, 0:3] = pos
-        record[:, 3: 3 + pay.shape[1]] = pay
-        record[:, -2] = comm.rank
-        record[:, -1] = np.arange(n, dtype=np.float64)
+        if self.mesh.nblocks == 1:
+            return Migration(
+                positions=pos.copy(),
+                payload=pay.copy(),
+                src_rank=np.zeros(n, dtype=np.int64),
+                src_index=np.arange(n, dtype=np.int64),
+                sent_count=n,
+            )
+        with comm.trace.phase("migrate"):
+            # Record: [x y z | payload... | src_rank src_index]
+            record = np.empty((n, 3 + pay.shape[1] + 2), dtype=np.float64)
+            record[:, 0:3] = pos
+            record[:, 3: 3 + pay.shape[1]] = pay
+            record[:, -2] = comm.rank
+            record[:, -1] = np.arange(n, dtype=np.float64)
 
-        per_dest: list[np.ndarray | None] = []
-        sorted_rec = record[plan.order]
-        bounds = plan.bounds
-        for dest in range(comm.size):
-            chunk = sorted_rec[bounds[dest]: bounds[dest + 1]]
-            per_dest.append(chunk if chunk.size else None)
-        received = comm.exchange_arrays(per_dest)
+            per_dest: list[np.ndarray | None] = []
+            sorted_rec = record[plan.order]
+            bounds = plan.bounds
+            for dest in range(comm.size):
+                chunk = sorted_rec[bounds[dest]: bounds[dest + 1]]
+                per_dest.append(chunk if chunk.size else None)
+            received = comm.exchange_arrays(per_dest)
 
-        width = record.shape[1]
-        arrived = [r.reshape(-1, width) for r in received if r.size]
-        merged = (
-            np.concatenate(arrived)
-            if arrived
-            else np.empty((0, width), dtype=np.float64)
-        )
-        k = pay.shape[1]
-        return Migration(
-            positions=merged[:, 0:3].copy(),
-            payload=merged[:, 3: 3 + k].copy(),
-            src_rank=merged[:, -2].astype(np.int64),
-            src_index=merged[:, -1].astype(np.int64),
-            sent_count=n,
-        )
+            width = record.shape[1]
+            arrived = [r.reshape(-1, width) for r in received if r.size]
+            merged = (
+                np.concatenate(arrived)
+                if arrived
+                else np.empty((0, width), dtype=np.float64)
+            )
+            k = pay.shape[1]
+            return Migration(
+                positions=merged[:, 0:3].copy(),
+                payload=merged[:, 3: 3 + k].copy(),
+                src_rank=merged[:, -2].astype(np.int64),
+                src_index=merged[:, -1].astype(np.int64),
+                sent_count=n,
+            )
 
     def migrate_back(self, migration: Migration, results: np.ndarray) -> np.ndarray:
         """Return per-particle ``results`` to the original owners.
@@ -203,29 +233,33 @@ class ParticleMigrator:
                 f"results rows {res.shape[0]} != migrated particles {migration.count}"
             )
         j = res.shape[1]
-        record = np.empty((migration.count, j + 1), dtype=np.float64)
-        record[:, 0] = migration.src_index
-        record[:, 1:] = res
+        if self.mesh.nblocks == 1:
+            returned = [(migration.src_index, res)]
+        else:
+            with comm.trace.phase("migrate"):
+                record = np.empty((migration.count, j + 1), dtype=np.float64)
+                record[:, 0] = migration.src_index
+                record[:, 1:] = res
 
-        per_dest: list[np.ndarray | None] = []
-        order = np.argsort(migration.src_rank, kind="stable")
-        sorted_rec = record[order]
-        sorted_dst = migration.src_rank[order]
-        bounds = np.searchsorted(sorted_dst, np.arange(comm.size + 1))
-        for dest in range(comm.size):
-            chunk = sorted_rec[bounds[dest]: bounds[dest + 1]]
-            per_dest.append(chunk if chunk.size else None)
-        received = comm.exchange_arrays(per_dest)
+                per_dest: list[np.ndarray | None] = []
+                order = np.argsort(migration.src_rank, kind="stable")
+                sorted_rec = record[order]
+                sorted_dst = migration.src_rank[order]
+                bounds = np.searchsorted(sorted_dst, np.arange(comm.size + 1))
+                for dest in range(comm.size):
+                    chunk = sorted_rec[bounds[dest]: bounds[dest + 1]]
+                    per_dest.append(chunk if chunk.size else None)
+                chunks = [
+                    r.reshape(-1, j + 1)
+                    for r in comm.exchange_arrays(per_dest) if r.size
+                ]
+                returned = [(c[:, 0].astype(np.int64), c[:, 1:]) for c in chunks]
 
         out = np.empty((migration.sent_count, j), dtype=np.float64)
         filled = 0
-        for r in received:
-            if not r.size:
-                continue
-            chunk = r.reshape(-1, j + 1)
-            idx = chunk[:, 0].astype(np.int64)
-            out[idx] = chunk[:, 1:]
-            filled += chunk.shape[0]
+        for idx, rows in returned:
+            out[idx] = rows
+            filled += rows.shape[0]
         if filled != migration.sent_count:
             raise CommunicationError(
                 f"migrate_back returned {filled} of {migration.sent_count} particles"

@@ -50,6 +50,13 @@ class SpatialMesh:
                 raise ConfigurationError(f"degenerate spatial domain [{lo}, {hi}]")
         if any(d < 1 for d in self.dims):
             raise ConfigurationError(f"dims must be >= 1, got {self.dims}")
+        # Block bounds are fixed by (low, high, dims): resolved once,
+        # outside the dataclass fields (frozen, so set through object).
+        object.__setattr__(self, "nblocks", self.dims[0] * self.dims[1])
+        object.__setattr__(self, "_widths", (
+            (self.high[0] - self.low[0]) / self.dims[0],
+            (self.high[1] - self.low[1]) / self.dims[1],
+        ))
 
     @classmethod
     def for_comm_size(
@@ -60,15 +67,8 @@ class SpatialMesh:
     ) -> "SpatialMesh":
         return cls(tuple(map(float, low)), tuple(map(float, high)), dims_create(nranks, 2))
 
-    @property
-    def nblocks(self) -> int:
-        return self.dims[0] * self.dims[1]
-
     def block_widths(self) -> tuple[float, float]:
-        return (
-            (self.high[0] - self.low[0]) / self.dims[0],
-            (self.high[1] - self.low[1]) / self.dims[1],
-        )
+        return self._widths
 
     # -- ownership ------------------------------------------------------------
 
