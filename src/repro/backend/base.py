@@ -22,9 +22,9 @@ the cross-backend aliasing regression suite).
 
 Numerical contract
 ------------------
-Backends may reorder floating-point reductions (tiling, BLAS, JIT
-loops) but must agree with the ``numpy`` reference to ~1e-12 relative
-accuracy on well-conditioned inputs; ``tests/backend/test_parity.py``
+Backends may reorder floating-point reductions (tiling, BLAS) but must
+agree with the ``numpy`` reference to ~1e-12 relative accuracy on
+well-conditioned inputs; ``tests/backend/test_parity.py``
 pins this for every registered backend.  Exactly coincident
 target/source points contribute exactly zero to BR sums (the
 numerator ``ω × (t − s)`` vanishes), and every backend must preserve
@@ -40,6 +40,36 @@ import numpy as np
 __all__ = ["ArrayBackend"]
 
 
+def _looped(kernel: str, doc: str):
+    """A ``*_batched`` default: scalar ``kernel`` once per scenario.
+
+    Array arguments are sliced along their leading batch axis; anything
+    else (grid spacings, stage constants, ``axis``) goes to every call
+    unchanged.  Kernels that return an array have the per-scenario
+    results stacked in scenario order; in-place kernels return ``None``.
+    """
+
+    def batched(self, *args, **kwargs):
+        fn = getattr(self, kernel)
+        nb = next(a.shape[0] for a in args if isinstance(a, np.ndarray))
+        stacked = None
+        for b in range(nb):
+            result = fn(
+                *(a[b] if isinstance(a, np.ndarray) else a for a in args),
+                **kwargs,
+            )
+            if result is not None:
+                if stacked is None:
+                    stacked = np.empty((nb,) + result.shape, result.dtype)
+                stacked[b] = result
+        return stacked
+
+    batched.__name__ = f"{kernel}_batched"
+    batched.__qualname__ = f"ArrayBackend.{batched.__name__}"
+    batched.__doc__ = doc
+    return batched
+
+
 class ArrayBackend(abc.ABC):
     """Abstract compute engine for the dense hot paths.
 
@@ -52,58 +82,6 @@ class ArrayBackend(abc.ABC):
 
     #: Registry key; subclasses override.
     name: str = "abstract"
-
-    #: Where this engine's working arrays live: ``"cpu"`` for host
-    #: engines, ``"cuda:<n>"`` for device engines.  Communication layers
-    #: consult it (together with per-array
-    #: :func:`repro.mpi.descriptor.array_device` detection) to pick a
-    #: transport that matches the payload's residency.
-    device: str = "cpu"
-
-    # -- device surface ----------------------------------------------------
-
-    def capabilities(self) -> frozenset[str]:
-        """Capability tags surfaced by ``rocketrig --list-backends``.
-
-        The base set describes residency (``host``/``device``); engines
-        add their own tags (``jit``, ``tiled``, ``fft``...).
-        """
-        return frozenset({"host" if self.device == "cpu" else "device"})
-
-    def asarray(self, arr: np.ndarray) -> np.ndarray:
-        """Move/convert an array to this engine's device (no-op on host).
-
-        Host engines return a host ``ndarray`` view or copy; device
-        engines return a device-resident array exposing
-        ``__cuda_array_interface__``.  Solvers stage inputs through this
-        before a kernel burst and back with :meth:`to_host`.
-        """
-        return np.asarray(arr)
-
-    def to_host(self, arr: np.ndarray) -> np.ndarray:
-        """Bring an array of this engine back to host memory.
-
-        The inverse of :meth:`asarray`; host engines pass through,
-        device engines download (the PCIe staging the machine model
-        charges via ``MachineSpec.pcie_bw``).
-        """
-        getter = getattr(arr, "get", None)
-        if getter is not None and not isinstance(arr, np.ndarray):
-            return np.asarray(getter())
-        return np.asarray(arr)
-
-    def empty_like_pool(self, prototype: np.ndarray, pool) -> np.ndarray:
-        """Uninitialized scratch shaped/typed like ``prototype``, backed
-        by a :class:`repro.util.bufferpool.BufferPool` lease.
-
-        The returned array is a typed view of a pooled ``uint8`` buffer;
-        hand it back with ``pool.release(arr)`` (release walks the view
-        chain to the owning buffer).  Device engines override to lease
-        device memory instead.
-        """
-        proto = np.asarray(prototype)
-        lease = pool.acquire(proto.nbytes)
-        return lease[: proto.nbytes].view(proto.dtype).reshape(proto.shape)
 
     # -- Birkhoff-Rott pair accumulation ----------------------------------
 
@@ -184,7 +162,7 @@ class ArrayBackend(abc.ABC):
         Like :meth:`fft1d`, this has a concrete reference
         implementation: an O(n) bincount reduction that already runs at
         the memory-bandwidth roof, so engines only override it when
-        they can beat that (the JIT backend fuses the arithmetic).
+        they can beat that.
         Inputs are never written; the returned arrays are fresh.
         """
         d = positions - centers[cell_ids]
@@ -315,142 +293,53 @@ class ArrayBackend(abc.ABC):
     # -- batched fleet kernels ---------------------------------------------
     #
     # The ``*_batched`` entry points advance a whole ScenarioFleet
-    # (:mod:`repro.batch`) in one call: every argument grows a leading
-    # batch axis of length B (independent same-shape scenarios), and
-    # per-scenario scalars (eps², prefactor, RK3 step coefficients)
-    # arrive as ``(B,)`` float64 vectors.  The concrete defaults below
-    # loop per scenario over the scalar kernels, so every registered
-    # engine supports fleets day one with bitwise-identical numerics;
-    # engines override them with fused implementations where a single
-    # stacked invocation wins (the blocked backend's perf target).
+    # (:mod:`repro.batch`) in one call: every array argument grows a
+    # leading batch axis of length B (independent same-shape scenarios),
+    # and per-scenario scalars (eps², prefactor, the RK3 ``adu`` step
+    # coefficient) arrive as ``(B,)`` float64 vectors; ``axis`` of the
+    # FFTs still names a per-scenario grid axis.  Scenario ``b`` computes
+    # exactly the scalar kernel on its own slices — scenarios never
+    # interact, and ``rk3_axpy_batched`` keeps the aliasing tolerance of
+    # :meth:`rk3_axpy`.  The defaults run the scalar kernel once per
+    # scenario (:func:`_looped`); engines override them with fused
+    # implementations where one stacked invocation wins (the blocked
+    # backend's perf target).
 
-    def br_allpairs_batched(
-        self,
-        targets: np.ndarray,
-        sources: np.ndarray,
-        omega: np.ndarray,
-        eps2: np.ndarray,
-        prefactor: np.ndarray,
-        out: np.ndarray,
-        *,
-        symmetric: bool = False,
-        batch_pairs: int = 2_000_000,
-    ) -> None:
-        """Batched dense BR accumulation: B independent all-pairs sums.
-
-        ``targets``/``sources``/``omega``/``out`` are stacked ``(B, n, 3)``
-        / ``(B, m, 3)`` float64 arrays; ``eps2`` and ``prefactor`` are
-        ``(B,)`` per-scenario desingularization/quadrature scalars.
-        Scenario ``b`` accumulates exactly :meth:`br_allpairs` of its own
-        slices — scenarios never interact.  ``symmetric`` asserts the
-        target and source stacks are the same point sets per scenario;
-        ``batch_pairs`` bounds panel temporaries as in the scalar kernel.
-        The default loops the scalar kernel per scenario.
-        """
-        for b in range(targets.shape[0]):
-            self.br_allpairs(
-                targets[b], sources[b], omega[b],
-                float(eps2[b]), float(prefactor[b]), out[b],
-                symmetric=symmetric, batch_pairs=batch_pairs,
-            )
-
-    def fft1d_batched(self, data: np.ndarray, axis: int) -> np.ndarray:
-        """Batched forward FFT along one *grid* axis of a scenario stack.
-
-        ``data`` is ``(B, n1, n2)``; ``axis`` indexes the per-scenario
-        grid axes (0 or 1), i.e. the transform runs along stacked axis
-        ``axis + 1``.  Semantics per scenario match :meth:`fft1d`.  The
-        default loops the scalar kernel per scenario.
-        """
-        out = np.empty(data.shape, dtype=np.complex128)
-        for b in range(data.shape[0]):
-            out[b] = self.fft1d(data[b], axis)
-        return out
-
-    def ifft1d_batched(self, data: np.ndarray, axis: int) -> np.ndarray:
-        """Batched inverse FFT along one *grid* axis of a scenario stack.
-
-        Mirror of :meth:`fft1d_batched` with :meth:`ifft1d` semantics
-        per scenario (norm='backward', scales by 1/N along the axis).
-        """
-        out = np.empty(data.shape, dtype=np.complex128)
-        for b in range(data.shape[0]):
-            out[b] = self.ifft1d(data[b], axis)
-        return out
-
-    @staticmethod
-    def _batched_owned_shape(full: np.ndarray) -> tuple[int, ...]:
-        """Owned-region shape of a stacked ghosted array (halo depth 2)."""
-        return (
-            (full.shape[0], full.shape[1] - 4, full.shape[2] - 4)
-            + full.shape[3:]
-        )
-
-    def stencil_dx_batched(
-        self, full: np.ndarray, spacing: float
-    ) -> np.ndarray:
-        """Batched 4th-order ∂/∂α₁ of stacked ghosted scenario arrays.
-
-        ``full`` is ``(B, n1 + 4, n2 + 4, ...)``; returns the stacked
-        owned-node derivative ``(B, n1, n2, ...)``.  Per scenario the
-        result equals :meth:`stencil_dx` of the slice.  The default
-        loops the scalar kernel per scenario.
-        """
-        out = np.empty(self._batched_owned_shape(full))
-        for b in range(full.shape[0]):
-            out[b] = self.stencil_dx(full[b], spacing)
-        return out
-
-    def stencil_dy_batched(
-        self, full: np.ndarray, spacing: float
-    ) -> np.ndarray:
-        """Batched 4th-order ∂/∂α₂ of stacked ghosted scenario arrays.
-
-        Mirror of :meth:`stencil_dx_batched` along grid axis 1 (per
-        scenario it equals :meth:`stencil_dy` of the slice).
-        """
-        out = np.empty(self._batched_owned_shape(full))
-        for b in range(full.shape[0]):
-            out[b] = self.stencil_dy(full[b], spacing)
-        return out
-
-    def stencil_laplacian_batched(
-        self, full: np.ndarray, dx_: float, dy_: float
-    ) -> np.ndarray:
-        """Batched surface Laplacian of stacked ghosted scenario arrays.
-
-        Per scenario the result equals :meth:`stencil_laplacian` of the
-        slice; the default loops the scalar kernel per scenario.
-        """
-        out = np.empty(self._batched_owned_shape(full))
-        for b in range(full.shape[0]):
-            out[b] = self.stencil_laplacian(full[b], dx_, dy_)
-        return out
-
-    def rk3_axpy_batched(
-        self,
-        out: np.ndarray,
-        u: np.ndarray,
-        au: float,
-        u0: np.ndarray,
-        a0: float,
-        du: np.ndarray,
-        adu: np.ndarray,
-    ) -> None:
-        """Fleet RK3 stage update with per-scenario step coefficients.
-
-        All arrays are scenario stacks ``(B, ...)``; ``au``/``a0`` are
-        the shared Shu-Osher stage constants and ``adu`` is the ``(B,)``
-        per-scenario ``coeff · dt_b`` vector (fleets advance in lockstep
-        stages but each scenario keeps its own timestep).  Scenario
-        ``b`` computes exactly ``out_b ← au·u_b + a0·u0_b + adu_b·du_b``
-        with the same aliasing tolerance as :meth:`rk3_axpy` — ``out``
-        may alias any operand.  The default loops the scalar kernel.
-        """
-        for b in range(out.shape[0]):
-            self.rk3_axpy(
-                out[b], u[b], au, u0[b], a0, du[b], float(adu[b])
-            )
+    br_allpairs_batched = _looped(
+        "br_allpairs",
+        "Batched :meth:`br_allpairs`: ``(B, n, 3)`` / ``(B, m, 3)`` stacks "
+        "and ``(B,)`` eps2 / prefactor, accumulated into ``out``.",
+    )
+    fft1d_batched = _looped(
+        "fft1d",
+        "Batched :meth:`fft1d` of a ``(B, n1, n2)`` stack along grid "
+        "axis ``axis``; returns the complex stack.",
+    )
+    ifft1d_batched = _looped(
+        "ifft1d",
+        "Batched :meth:`ifft1d` of a ``(B, n1, n2)`` stack along grid "
+        "axis ``axis`` (1/N scaling); returns the complex stack.",
+    )
+    stencil_dx_batched = _looped(
+        "stencil_dx",
+        "Batched :meth:`stencil_dx`: ``(B, n1 + 4, n2 + 4, ...)`` ghosted "
+        "stack in, ``(B, n1, n2, ...)`` owned-node derivative out.",
+    )
+    stencil_dy_batched = _looped(
+        "stencil_dy",
+        "Batched :meth:`stencil_dy`: ``(B, n1 + 4, n2 + 4, ...)`` ghosted "
+        "stack in, ``(B, n1, n2, ...)`` owned-node derivative out.",
+    )
+    stencil_laplacian_batched = _looped(
+        "stencil_laplacian",
+        "Batched :meth:`stencil_laplacian`: ghosted stack in, owned-node "
+        "``(B, n1, n2, ...)`` Laplacian out.",
+    )
+    rk3_axpy_batched = _looped(
+        "rk3_axpy",
+        "Batched :meth:`rk3_axpy` with a ``(B,)`` per-scenario ``adu`` "
+        "(``coeff · dt_b``); ``out`` may alias any operand.",
+    )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -80,9 +80,6 @@ class BlockedBackend(ArrayBackend):
 
     name = "blocked"
 
-    def capabilities(self) -> frozenset[str]:
-        return frozenset({"host", "tiled", "blas-fused"})
-
     def __init__(self, tile: int = 256) -> None:
         self.tile = max(16, int(tile))
 

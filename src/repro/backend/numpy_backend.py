@@ -25,9 +25,6 @@ class NumpyBackend(ArrayBackend):
 
     name = "numpy"
 
-    def capabilities(self) -> frozenset[str]:
-        return frozenset({"host", "reference", "vectorized"})
-
     # -- Birkhoff-Rott ----------------------------------------------------
 
     @staticmethod

@@ -1,4 +1,4 @@
-"""Backend registry: named engines, env-var default, graceful fallback.
+"""Backend registry: named engines and the env-var default.
 
 ``get_backend`` is the single resolution point used by every layer
 (kernels, ZModel, TimeIntegrator, DistributedFFT2D, Solver, CLI).  It
@@ -20,20 +20,14 @@ from repro.util.errors import ConfigurationError
 __all__ = [
     "available_backends",
     "default_backend_name",
-    "describe_backends",
     "get_backend",
     "register_backend",
-    "unavailable_backends",
 ]
 
 #: Name of the always-available reference backend.
 REFERENCE = "numpy"
 
 _REGISTRY: dict[str, ArrayBackend] = {}
-
-#: name → reason string, for engines that could not be registered
-#: (e.g. numba not importable); used to produce actionable errors.
-_UNAVAILABLE: dict[str, str] = {}
 
 
 def register_backend(backend: ArrayBackend, *, replace: bool = False) -> ArrayBackend:
@@ -58,14 +52,7 @@ def register_backend(backend: ArrayBackend, *, replace: bool = False) -> ArrayBa
             f"backend {name!r} is already registered (pass replace=True)"
         )
     _REGISTRY[name] = backend
-    _UNAVAILABLE.pop(name, None)
     return backend
-
-
-def mark_unavailable(name: str, reason: str) -> None:
-    """Record why an optional engine is absent (better error messages)."""
-    if name not in _REGISTRY:
-        _UNAVAILABLE[name] = reason
 
 
 def available_backends() -> list[str]:
@@ -75,41 +62,6 @@ def available_backends() -> list[str]:
         names.remove(REFERENCE)
         names.insert(0, REFERENCE)
     return names
-
-
-def unavailable_backends() -> dict[str, str]:
-    """Optional engines that could not register: ``{name: reason}``.
-
-    Non-empty entries are the *visible* skip path for import-gated
-    accelerator engines — CI asserts on this so a missing cupy shows up
-    as an exercised fallback, not a silently green matrix cell.
-    """
-    return dict(sorted(_UNAVAILABLE.items()))
-
-
-def describe_backends() -> list[dict[str, str]]:
-    """One row per known engine for ``rocketrig --list-backends``.
-
-    Registered engines report their device and capability tags;
-    unavailable ones report the reason they are absent.
-    """
-    rows = []
-    for name in available_backends():
-        backend = _REGISTRY[name]
-        rows.append({
-            "name": name,
-            "status": "available",
-            "device": backend.device,
-            "capabilities": ",".join(sorted(backend.capabilities())),
-        })
-    for name, reason in unavailable_backends().items():
-        rows.append({
-            "name": name,
-            "status": "unavailable",
-            "device": "-",
-            "capabilities": reason,
-        })
-    return rows
 
 
 def default_backend_name() -> str:
@@ -134,10 +86,7 @@ def get_backend(
     try:
         return _REGISTRY[name]
     except KeyError:
-        pass
-    hint = _UNAVAILABLE.get(name)
-    detail = f" ({hint})" if hint else ""
-    raise ConfigurationError(
-        f"unknown compute backend {name!r}{detail}; "
-        f"available: {available_backends()}"
-    )
+        raise ConfigurationError(
+            f"unknown compute backend {name!r}; "
+            f"available: {available_backends()}"
+        ) from None

@@ -3,8 +3,8 @@
 Exports :class:`ScenarioFleet` — the struct-of-arrays engine that
 advances N independent same-grid scenarios per backend kernel
 invocation — and :func:`fleet_key`, the eligibility/grouping predicate
-the campaign fast path and ``rocketrig batch`` use to decide which run
-specs can share a fleet.  See :mod:`repro.batch.fleet` for the model
+the campaign fast path (``rocketrig campaign``) uses to decide which
+run specs can share a fleet.  See :mod:`repro.batch.fleet` for the model
 and parity contract.
 """
 

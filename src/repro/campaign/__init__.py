@@ -18,7 +18,7 @@ without every benchmark hand-rolling its own loop:
 * :mod:`repro.campaign.report` — aggregation into the figure/table
   payloads the benchmark harness emits.
 * :mod:`repro.campaign.protocol` — the typed coordinator/worker message
-  codec and its transports (length-prefixed TCP frames, simulated MPI).
+  codec and its one wire (length-prefixed frames over local TCP).
 * :mod:`repro.campaign.service` — the coordinator that leases queued
   runs to pull-based workers and reclaims the runs of workers that
   vanish: the executor's process backend, and on its own
@@ -56,8 +56,6 @@ from repro.campaign.scheduler import (
 )
 from repro.campaign.protocol import (
     ChannelClosedError,
-    MpiEndpoint,
-    MpiWorkerChannel,
     ProtocolError,
     SocketEndpoint,
     SocketWorkerChannel,
@@ -68,8 +66,6 @@ from repro.campaign.store import CampaignStore, RunRecord, results_root
 __all__ = [
     "ChannelClosedError",
     "Coordinator",
-    "MpiEndpoint",
-    "MpiWorkerChannel",
     "ProtocolError",
     "SocketEndpoint",
     "SocketWorkerChannel",

@@ -41,6 +41,7 @@ store dedup, LJF scheduling and the batch fast path are unchanged.
 from __future__ import annotations
 
 import dataclasses
+import difflib
 import functools
 import hashlib
 import itertools
@@ -49,6 +50,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.backend import available_backends
 from repro.core.initial_conditions import InitialCondition
 from repro.core.solver import SolverConfig
 from repro.fft.config import FftConfig
@@ -89,6 +91,25 @@ def build_config(params: dict[str, Any]) -> SolverConfig:
 
 # Backwards-compatible alias (pre-scenario-registry name).
 _build_config = build_config
+
+
+def _check_backend(name: str) -> None:
+    """Reject a ``backend`` no registered engine answers to.
+
+    ``SolverConfig`` only resolves its engine when a solver is built, so
+    without this a typo would surface as one memoized ``failed`` record
+    per run instead of a bad deck.
+    """
+    engines = available_backends() + ["auto"]
+    key = name.strip().lower()
+    if key in engines:
+        return
+    suggestions = difflib.get_close_matches(key, engines, n=3)
+    hint = f" (did you mean {', '.join(suggestions)}?)" if suggestions else ""
+    raise ConfigurationError(
+        f"unknown compute backend {name!r} in deck field 'backend'{hint}; "
+        f"engines: {engines}"
+    )
 
 
 def _canonical(value: Any) -> Any:
@@ -315,7 +336,9 @@ class CampaignDeck:
         pack config/ic < deck ``base``/``ic`` < axis point values.  The
         emitted spec carries only resolved parameters — no scenario
         field — so it content-hashes identically to the equivalent
-        explicit deck.
+        explicit deck.  A ``backend`` that names no registered engine
+        raises :class:`ConfigurationError` here, before any run is
+        stored or dispatched.
         """
         specs = []
         for point in self._points():
@@ -340,9 +363,11 @@ class CampaignDeck:
                     ic_params[key[3:]] = value
                 else:
                     config_params[key] = value
+            config = _build_config(config_params)
+            _check_backend(config.backend)
             specs.append(
                 RunSpec(
-                    config=_build_config(config_params),
+                    config=config,
                     ic=InitialCondition(**ic_params),
                     ranks=ranks,
                     steps=steps,

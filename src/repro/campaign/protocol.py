@@ -1,11 +1,12 @@
-"""Coordinator/worker job protocol: typed messages, one codec, two wires.
+"""Coordinator/worker job protocol: typed messages, one codec, one wire.
 
 The campaign service (:mod:`repro.campaign.service`) detaches run
 execution from a single process tree: a long-running coordinator owns
 the run queue and pull-based workers fetch work over the small message
 protocol defined here.  Following the yoda/droid messenger shape — a
-tiny typed-message layer that "could easily be replaced with another
-transport" — the protocol is three layers, each independently testable:
+tiny typed-message layer whose wire "could easily be replaced" — the
+protocol is three layers, each independently testable, and the wire
+is the only layer that knows about sockets:
 
 **Messages** — one frozen dataclass per message type:
 
@@ -27,21 +28,16 @@ execution.  Anything malformed — truncated JSON, an unknown type, a
 missing field, a non-JSON blob — raises the typed
 :class:`ProtocolError` instead of leaking decoder internals.
 
-**Framing / channels** — a transport-agnostic pair of interfaces:
+**Framing / channels** — a wire-agnostic pair of interfaces:
 :class:`WorkerChannel` (worker side: ``send``/``recv``) and
 :class:`CoordinatorEndpoint` (coordinator side: ``poll``/``send`` keyed
-by connection id).  Two implementations ship day one:
-
-* **Sockets** (:class:`SocketEndpoint` / :class:`SocketWorkerChannel`) —
-  local TCP with length-prefixed frames (4-byte big-endian length +
-  codec bytes).  :class:`FrameDecoder` reassembles frames from an
-  arbitrarily chunked byte stream, so message boundaries are invariant
-  under any TCP segmentation.
-* **Simulated MPI** (:class:`MpiEndpoint` / :class:`MpiWorkerChannel`) —
-  the in-repo :mod:`repro.mpi` object transport (rank 0 = coordinator),
-  used for deterministic in-process protocol tests.  The same codec
-  bytes travel as the message payload, so both wires exercise one
-  serialization path.
+by connection id), implemented over local TCP
+(:class:`SocketEndpoint` / :class:`SocketWorkerChannel`) with
+length-prefixed frames (4-byte big-endian length + codec bytes).
+:class:`FrameDecoder` reassembles frames from an arbitrarily chunked
+byte stream, so message boundaries are invariant under any TCP
+segmentation.  Swapping the wire means writing another pair of these
+two classes; the messages and the codec stay.
 """
 
 from __future__ import annotations
@@ -80,8 +76,6 @@ __all__ = [
     "CoordinatorEndpoint",
     "SocketWorkerChannel",
     "SocketEndpoint",
-    "MpiWorkerChannel",
-    "MpiEndpoint",
     "stream_frames",
 ]
 
@@ -95,11 +89,6 @@ PROTOCOL_VERSION = 1
 #: Upper bound on one frame's payload.  A length prefix beyond this is
 #: a corrupt or hostile stream, rejected before any allocation.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
-
-#: Simulated-MPI message tags (one per direction, mirroring the
-#: FROM_DROID / FROM_YODA split of the exemplar messenger).
-TAG_TO_COORDINATOR = 71
-TAG_FROM_COORDINATOR = 72
 
 
 class ProtocolError(ReproError):
@@ -512,7 +501,7 @@ class SocketEndpoint(CoordinatorEndpoint):
     the connection — one hostile or corrupt peer cannot take the
     coordinator down — and a disconnect is *not* a requeue signal: the
     lease clock is the only authority on reclaiming a silent worker's
-    work, so both wires share one recovery semantics.
+    work.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
@@ -618,127 +607,6 @@ class SocketEndpoint(CoordinatorEndpoint):
             conns = list(self._conns.values())
         for conn in conns:
             self._drop(conn)
-
-
-# -- simulated-MPI transport --------------------------------------------------
-
-
-def _mpi_poll(comm, source, tag, deadline) -> Optional[tuple[int, bytes]]:
-    """Poll the simulated-MPI mailbox for one codec frame.
-
-    Returns ``(source_rank, payload)`` or ``None`` at the deadline.
-    Non-blocking probe + sleep, so a missing peer is a timeout the
-    caller classifies — never a :class:`DeadlockError` from the
-    simulator's collective watchdog.
-    """
-    from repro import mpi as _mpi
-
-    while True:
-        if comm.Iprobe(source, tag):
-            status = _mpi.Status()
-            payload = comm.recv(source=source, tag=tag, status=status)
-            return status.Get_source(), payload
-        if deadline is not None and time.monotonic() >= deadline:
-            return None
-        time.sleep(0.001)
-
-
-class MpiWorkerChannel(WorkerChannel):
-    """Worker side of the simulated-MPI transport (coordinator = rank 0).
-
-    Messages travel as codec bytes on the object path, so the very same
-    ``encode_message``/``decode_message`` pair is exercised as on the
-    socket wire — only the framing differs (the simulator preserves
-    message boundaries, so no length prefix is needed).
-    """
-
-    def __init__(self, comm, coordinator_rank: int = 0) -> None:
-        self._comm = comm
-        self._root = coordinator_rank
-        self._closed = False
-
-    def send(self, msg: Message) -> None:
-        if self._closed:
-            raise ChannelClosedError("channel is closed")
-        self._comm.send(encode_message(msg), self._root, TAG_TO_COORDINATOR)
-
-    def recv(self, timeout: Optional[float] = None) -> Optional[Message]:
-        if self._closed:
-            raise ChannelClosedError("channel is closed")
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        got = _mpi_poll(self._comm, self._root, TAG_FROM_COORDINATOR, deadline)
-        if got is None:
-            return None
-        _, payload = got
-        if not isinstance(payload, (bytes, bytearray)):
-            raise ProtocolError(
-                f"expected codec bytes on the wire, got "
-                f"{type(payload).__name__}"
-            )
-        return decode_message(bytes(payload))
-
-    def close(self) -> None:
-        self._closed = True
-
-
-class MpiEndpoint(CoordinatorEndpoint):
-    """Coordinator side of the simulated-MPI transport.
-
-    ``conn_id`` is ``"rank<N>"`` — the sender's rank is the reply
-    address, exactly as in the yoda/droid messenger.
-    """
-
-    def __init__(self, comm) -> None:
-        from repro import mpi as _mpi
-
-        self._comm = comm
-        self._any_source = _mpi.ANY_SOURCE
-        self._closed = False
-
-    def poll(self, timeout: float) -> list[tuple[str, Message]]:
-        if self._closed:
-            return []
-        deadline = time.monotonic() + max(0.0, timeout)
-        messages: list[tuple[str, Message]] = []
-        got = _mpi_poll(
-            self._comm, self._any_source, TAG_TO_COORDINATOR, deadline
-        )
-        while got is not None:
-            src, payload = got
-            if not isinstance(payload, (bytes, bytearray)):
-                raise ProtocolError(
-                    f"expected codec bytes on the wire, got "
-                    f"{type(payload).__name__}"
-                )
-            messages.append((f"rank{src}", decode_message(bytes(payload))))
-            # Drain whatever else is already queued without waiting.
-            got = _mpi_poll(
-                self._comm, self._any_source, TAG_TO_COORDINATOR,
-                time.monotonic(),
-            )
-        return messages
-
-    def send(self, conn_id: str, msg: Message) -> bool:
-        if self._closed:
-            return False
-        if not conn_id.startswith("rank"):
-            raise ProtocolError(f"bad MPI conn_id {conn_id!r}")
-        self._comm.send(
-            encode_message(msg), int(conn_id[4:]), TAG_FROM_COORDINATOR
-        )
-        return True
-
-    def connections(self) -> list[str]:
-        """Every non-coordinator rank of the communicator."""
-        return [
-            f"rank{r}" for r in range(self._comm.size)
-            if r != 0
-        ]
-
-    def close(self) -> None:
-        self._closed = True
 
 
 def stream_frames(messages: "Iterator[Message]") -> bytes:

@@ -35,8 +35,8 @@ Workers renew their lease with ``heartbeat`` messages; a worker that
 vanishes (SIGKILL, kernel fault, unplugged machine) simply stops
 heartbeating and its run is reclaimed and requeued when the lease
 lapses.  Worker disconnection is deliberately *not* a requeue signal:
-the lease clock is the only authority, so the socket transport and the
-in-process simulated-MPI transport recover identically.  A host that
+the lease clock is the only authority, so a worker that hangs up and
+one that goes silent recover identically.  A host that
 reaps its own workers may move that clock forward
 (:meth:`Coordinator.expire_worker`) — it may not bypass it.
 
@@ -179,7 +179,7 @@ class Coordinator:
     ``journal=True`` appends every non-heartbeat message the
     coordinator receives or sends to :attr:`journal` as
     ``(direction, conn_id, message)`` tuples — the protocol-conformance
-    tests compare these across transports.
+    tests count the conversation's messages from it.
     """
 
     worker_type = "service"
@@ -356,7 +356,7 @@ class Coordinator:
         requeued counts plus the workers seen).  The campaign-level
         ``status.json`` is streamed throughout, and a final drain
         window hands ``no-work-left`` to every straggling worker so
-        both transports shut down cleanly.
+        every worker shuts down cleanly.
         """
         self._write_service_info()
         self.board.publish()

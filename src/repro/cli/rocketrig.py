@@ -62,7 +62,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import mpi
-from repro.backend import available_backends, describe_backends, get_backend
+from repro.backend import available_backends, get_backend
 from repro.core import (
     InitialCondition,
     SiloWriter,
@@ -175,14 +175,11 @@ examples:
   rocketrig campaign examples/decks/service_smoke.json --serve --port 7777 \\
             --lease-timeout 120
   rocketrig campaign --worker --connect 127.0.0.1:7777 --worker-id drone-1
-  rocketrig batch examples/decks/batch_sweep.json
 
 initial conditions (--ic): {", ".join(IC_CHOICES)} (default multi_mode)
 BR solvers (--br-solver):  {", ".join(available_br_solvers())} (default exact)
 compute backends (--backend): {", ".join(available_backends())} \
 (default: $REPRO_BACKEND or numpy)
-comm transports (--comm):  {", ".join(mpi.available_transports())} \
-(default: $REPRO_COMM or naive)
 {scenario_line}
 
 Run --list-solvers / --list-backends / --list-scenarios to print the
@@ -295,12 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(registered engines: "
                           f"{', '.join(available_backends())}; "
                           "default: $REPRO_BACKEND or numpy)")
-    run.add_argument("--comm", default=None,
-                     choices=tuple(mpi.available_transports()),
-                     help="communicator transport for vector collectives "
-                          "(naive object passing, packed pooled buffers, "
-                          "device-direct, or per-payload auto dispatch; "
-                          "default: $REPRO_COMM or naive)")
     run.add_argument("--steps", "-t", type=int,
                      default=_FLAG_DEFAULTS["steps"])
     run.add_argument("--ranks", "-r", type=int,
@@ -414,24 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="--worker: exit after waiting this long for a "
                               "coordinator reply (default 120)")
 
-    batch = sub.add_parser(
-        "batch",
-        help="advance a deck of same-shape serial runs as one in-process "
-             "fleet (store-free; one kernel invocation per RK3 stage for "
-             "the whole batch)",
-        description="Expand a JSON sweep deck of same-shape serial "
-                    "functional runs and advance all of them in lockstep "
-                    "through repro.batch.ScenarioFleet — one backend "
-                    "kernel invocation per RK3 stage for the entire "
-                    "fleet.  No store records are written; use the "
-                    "campaign subcommand (whose executor batches "
-                    "eligible decks automatically) for persistent, "
-                    "deduplicated sweeps.",
-    )
-    batch.add_argument("deck", help="path to the JSON campaign deck")
-    batch.add_argument("--show", type=int, default=8, metavar="N",
-                       help="print per-scenario diagnostics for the first "
-                            "N scenarios (default 8; 0 silences them)")
     return parser
 
 
@@ -547,10 +520,7 @@ def run_from_args(args: argparse.Namespace) -> dict:
             tree_stats,
         )
 
-    results = mpi.run_spmd(
-        ranks, program, trace=trace, timeout=3600.0,
-        transport=args.comm,
-    )
+    results = mpi.run_spmd(ranks, program, trace=trace, timeout=3600.0)
     diag, counts, cache_stats, tree_stats = results[0]
 
     scenario_tag = (
@@ -775,84 +745,6 @@ def run_campaign_from_args(args: argparse.Namespace) -> dict:
     return summary
 
 
-def run_batch_from_args(args: argparse.Namespace) -> dict:
-    """Execute ``rocketrig batch <deck.json>``: fleet-step a whole deck.
-
-    Every run spec in the deck must be fleet-eligible (serial,
-    functional, and batchable per :func:`repro.batch.fleet_key`);
-    specs are grouped by key — one :class:`ScenarioFleet` per group —
-    and advanced in lockstep.  Prints fleet throughput and per-scenario
-    diagnostics; nothing is persisted (use ``rocketrig campaign`` for
-    the deduplicating store).
-    """
-    import time as _time
-
-    from repro.batch import ScenarioFleet, fleet_key
-    from repro.campaign import CampaignDeck
-    from repro.mpi.trace import CommTrace
-
-    try:
-        deck = CampaignDeck.from_file(args.deck)
-        specs = deck.expand()
-    except (OSError, TypeError, ValueError, ReproError) as exc:
-        raise SystemExit(f"rocketrig batch: bad deck {args.deck!r}: {exc}")
-    if not specs:
-        raise SystemExit(f"rocketrig batch: deck {args.deck!r} expands to "
-                         "no runs")
-    groups: dict[tuple, list] = {}
-    for spec in specs:
-        if spec.mode != "functional" or spec.ranks != 1:
-            raise SystemExit(
-                f"rocketrig batch: run {spec.run_hash()} is not a serial "
-                f"functional run ({spec.describe()}); only mode="
-                "'functional', ranks=1 decks can be fleet-stepped"
-            )
-        key = fleet_key(spec.config)
-        if key is None:
-            raise SystemExit(
-                f"rocketrig batch: run {spec.run_hash()} cannot be "
-                f"fleet-stepped ({spec.describe()}): fleets need the "
-                "exact BR solver and solver-legal order/boundary "
-                "combinations"
-            )
-        groups.setdefault(key, []).append(spec)
-    total = len(specs)
-    scenario_steps = sum(spec.steps for spec in specs)
-    print(f"batch {deck.name!r}: {total} scenarios in {len(groups)} "
-          f"fleet(s), {scenario_steps} scenario-steps")
-    t0 = _time.perf_counter()
-    diagnostics: list[tuple[str, dict]] = []
-    fleet_steps = 0
-    for group in groups.values():
-        trace = CommTrace()
-        fleet = ScenarioFleet(group[0].config, trace=trace)
-        ids = fleet.add_many(
-            [(spec.config, spec.ic, spec.steps) for spec in group]
-        )
-        results = fleet.run()
-        fleet_steps += fleet.fleet_steps
-        for sid, spec in zip(ids, group):
-            diagnostics.append((spec.run_hash(), results[sid]["diagnostics"]))
-    wall = _time.perf_counter() - t0
-    rate = scenario_steps / wall if wall > 0 else float("inf")
-    print(f"batch {deck.name!r}: {total} scenarios finished in {wall:.2f}s "
-          f"({fleet_steps} lockstep fleet steps, {rate:.1f} "
-          "scenario-steps/s)")
-    show = max(0, int(getattr(args, "show", 8)))
-    for run_hash, diag in diagnostics[:show]:
-        print(f"  {run_hash}  t={diag['time']:.4g}  "
-              f"amplitude={diag['amplitude']:.6g}  "
-              f"vorticity_norm={diag['vorticity_norm']:.6g}")
-    if show and len(diagnostics) > show:
-        print(f"  ... {len(diagnostics) - show} more")
-    return {
-        "scenarios": total,
-        "fleets": len(groups),
-        "wall": wall,
-        "diagnostics": dict(diagnostics),
-    }
-
-
 def _print_scenarios() -> None:
     """The ``--list-scenarios`` table: registry with provenance."""
     from repro.scenarios import iter_scenarios
@@ -899,32 +791,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.list_solvers:
             print("registered BR solvers:", ", ".join(available_br_solvers()))
         if args.list_backends:
-            rows = describe_backends()
-            widths = {
-                key: max(len(key), *(len(row[key]) for row in rows))
-                for key in ("name", "status", "device", "capabilities")
-            }
-            header = "  ".join(
-                key.ljust(widths[key])
-                for key in ("name", "status", "device", "capabilities")
-            )
-            print("compute backends:")
-            print(f"  {header.rstrip()}")
-            for row in rows:
-                line = "  ".join(
-                    row[key].ljust(widths[key])
-                    for key in ("name", "status", "device", "capabilities")
-                )
-                print(f"  {line.rstrip()}")
-            print("comm transports:", ", ".join(mpi.available_transports()),
-                  "(select with --comm or $REPRO_COMM)")
+            print("registered compute backends:", ", ".join(available_backends()))
         return 0
     if getattr(args, "command", None) == "campaign":
         summary = run_campaign_from_args(args)
         return 0 if summary["batch_failed"] == 0 else 1
-    if getattr(args, "command", None) == "batch":
-        run_batch_from_args(args)
-        return 0
     run_from_args(args)
     return 0
 

@@ -119,16 +119,3 @@ class GlobalMesh2D:
     @property
     def total_nodes(self) -> int:
         return self.num_nodes[0] * self.num_nodes[1]
-
-    def wavenumbers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Angular wavenumber grids (kx[i], ky[j]) for the periodic FFT.
-
-        Only meaningful for fully periodic meshes; raises otherwise.
-        """
-        if not (self.periodic[0] and self.periodic[1]):
-            raise ConfigurationError("wavenumbers require a fully periodic mesh")
-        n1, n2 = self.num_nodes
-        lx, ly = self.extent
-        kx = 2.0 * np.pi * np.fft.fftfreq(n1, d=lx / n1)
-        ky = 2.0 * np.pi * np.fft.fftfreq(n2, d=ly / n2)
-        return kx, ky

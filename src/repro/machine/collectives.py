@@ -46,7 +46,6 @@ __all__ = [
     "collective_time",
     "mixed_alpha",
     "mixed_bw",
-    "transport_penalty",
 ]
 
 
@@ -121,42 +120,6 @@ def alltoallv_time(
     else:
         best = pairwise
     return spec.alltoall_setup + best
-
-
-def transport_penalty(
-    nsegments: int,
-    total_bytes: int,
-    spec: MachineSpec,
-    transport: Optional[str],
-) -> float:
-    """Per-rank *endpoint* cost of moving a segmented payload with one
-    of the :mod:`repro.mpi.communicators` transports.
-
-    The wire time of a collective (``alltoallv_time``,
-    ``allgather_time``...) is transport-invariant — the same bytes reach
-    the same peers — so the transports differ only in what each endpoint
-    pays before/after the wire:
-
-    * ``None`` — no endpoint accounting (the legacy model; every
-      pre-hierarchy pattern number is this).
-    * ``"naive"`` — one software handling cost per segment (each peer's
-      array is touched, copied and dispatched individually).
-    * ``"packed"`` — one handling cost total, plus a contiguous
-      pack+unpack pass over the payload at memory bandwidth.
-    * ``"device"`` — the packed cost, plus two host↔device crossings
-      (sender D2H, receiver H2D) via :meth:`MachineSpec.staging_time` —
-      zero when the spec says ``gpu_direct``.
-    """
-    if transport is None:
-        return 0.0
-    packed = spec.overhead + 2.0 * total_bytes / spec.mem_bw
-    if transport == "naive":
-        return max(nsegments, 1) * spec.overhead
-    if transport == "packed":
-        return packed
-    if transport == "device":
-        return packed + 2.0 * spec.staging_time(total_bytes)
-    raise ValueError(f"unknown transport {transport!r}")
 
 
 def allreduce_time(nranks: int, nbytes: int, spec: MachineSpec) -> float:

@@ -66,18 +66,6 @@ class MachineSpec:
     bruck_threshold:
         Per-peer message size below which the builtin alltoall switches
         to a Bruck-style log-round algorithm.
-    pcie_bw / pcie_latency:
-        Host↔device staging link per GPU (PCIe gen3/gen4 or the
-        CPU-side NVLink on Power9): bandwidth and per-transfer setup.
-        Charged by :meth:`staging_time` whenever a device-resident
-        payload must cross to the host — non-GPUDirect communication
-        stages every buffer twice (D2H at the sender, H2D at the
-        receiver).
-    gpu_direct:
-        When True the interconnect is GPU-aware (GPUDirect RDMA /
-        CUDA-aware MPI): device payloads go straight to the wire and
-        :meth:`staging_time` is zero.  Lassen's Spectrum MPI staged
-        through the host for the paper's runs, so the default is False.
     """
 
     name: str = "lassen-like"
@@ -102,11 +90,6 @@ class MachineSpec:
     gpu_saturation: float = 1.0e4
     alltoall_setup: float = 30.0e-6
     bruck_threshold: int = 4096
-    # Host<->device staging: a V100 on Power9 talks to the host over
-    # NVLink2 (~32 GB/s effective per direction under MPI staging).
-    pcie_bw: float = 32.0e9
-    pcie_latency: float = 8.0e-6
-    gpu_direct: bool = False
 
     def __post_init__(self) -> None:
         if self.gpus_per_node < 1:
@@ -114,7 +97,6 @@ class MachineSpec:
         for field_name in (
             "latency_intra", "latency_inter", "overhead",
             "bandwidth_intra", "bandwidth_inter", "flops", "mem_bw",
-            "pcie_bw",
         ):
             if getattr(self, field_name) <= 0:
                 raise ConfigurationError(f"{field_name} must be positive")
@@ -172,18 +154,6 @@ class MachineSpec:
         else:
             bw = self.effective_inter_bw(nranks, dense=dense)
         return t + nbytes / bw
-
-    def staging_time(self, nbytes: int) -> float:
-        """Host↔device crossing time for one staged buffer.
-
-        Zero on a GPU-aware interconnect (:attr:`gpu_direct`); otherwise
-        the PCIe/NVLink setup plus the byte transfer.  Transport-aware
-        pattern models charge it twice per device payload (sender D2H,
-        receiver H2D).
-        """
-        if self.gpu_direct or nbytes <= 0:
-            return 0.0
-        return self.pcie_latency + nbytes / self.pcie_bw
 
     # -- compute roofline -----------------------------------------------------------
 

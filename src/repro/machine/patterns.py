@@ -29,7 +29,6 @@ from repro.machine.collectives import (
     alltoallv_time,
     mixed_alpha,
     mixed_bw,
-    transport_penalty,
 )
 from repro.machine.model import MachineSpec
 from repro.util.misc import dims_create, split_extent
@@ -320,7 +319,6 @@ def cutoff_evaluation(
     imbalance: float = 1.0,
     skin: float = 0.0,
     reuse_interval: float = DEFAULT_REUSE_INTERVAL,
-    transport: str | None = None,
 ) -> EvaluationModel:
     """One HIGH-order cutoff-solver evaluation (paper Figs. 5/8 workload).
 
@@ -344,11 +342,6 @@ def cutoff_evaluation(
         ``neighbor_cache`` phase (displacement check + 8-byte MAX
         allreduce + the restriction of the inflated lists back to the
         physical cutoff), mirroring the functional solver's accounting.
-    transport:
-        Communicator transport charged on the irregular exchanges
-        (``None`` keeps the legacy wire-only accounting; ``"naive"`` /
-        ``"packed"`` / ``"device"`` add the per-endpoint terms of
-        :func:`repro.machine.collectives.transport_penalty`).
     """
     model = EvaluationModel(nranks)
     local = _local_shape(global_shape, nranks)
@@ -383,9 +376,6 @@ def cutoff_evaluation(
             for p in range(1, partners + 1):
                 counts[p % nranks] = share
             data = alltoallv_time(nranks, counts, spec, builtin=True)
-            data += transport_penalty(
-                partners, int(moved * bytes_per), spec, transport
-            )
         return counts_exchange + data
 
     model.add("migrate", comm=_migrate(_MIGRATE_RECORD) + _migrate(_RETURN_RECORD))
@@ -408,10 +398,7 @@ def cutoff_evaluation(
         model.add(
             "spatial_halo",
             comm=counts_exchange
-            + alltoallv_time(nranks, counts, spec, builtin=True)
-            + transport_penalty(
-                partners, int(ghosts * _HALO_RECORD), spec, transport
-            ),
+            + alltoallv_time(nranks, counts, spec, builtin=True),
         )
 
     # Neighbor search + force pairs: a surface point sees the sheet as
@@ -508,7 +495,6 @@ def tree_evaluation(
     *,
     theta: float = 0.5,
     leaf_size: int = 32,
-    transport: str | None = None,
 ) -> EvaluationModel:
     """One HIGH-order Barnes-Hut tree-solver evaluation.
 
@@ -529,10 +515,6 @@ def tree_evaluation(
     Unlike :func:`cutoff_evaluation` there is no ``imbalance`` knob:
     targets never leave their surface owner, so the tree solver is
     immune to the spatial ownership imbalance of Figures 6/7.
-
-    ``transport`` charges the communicator endpoint terms on the
-    ``tree_gather`` allgatherv (``None`` = legacy wire-only numbers),
-    like :func:`cutoff_evaluation`.
     """
     model = EvaluationModel(nranks)
     local = _local_shape(global_shape, nranks)
@@ -543,14 +525,9 @@ def tree_evaluation(
     phi = halo_phase(nranks, local, 1, spec)
     model.add("halo", comm=state.comm + phi.comm)
 
-    # One ring allgather of the (n_local, 6) float64 block; the
-    # endpoint handles one block per rank (P segments, P·n bytes).
+    # One ring allgather of the (n_local, 6) float64 block.
     block_bytes = int(n_local * 6 * _FLOAT)
-    model.add(
-        "tree_gather",
-        comm=allgather_time(nranks, block_bytes, spec)
-        + transport_penalty(nranks, nranks * block_bytes, spec, transport),
-    )
+    model.add("tree_gather", comm=allgather_time(nranks, block_bytes, spec))
 
     # Every rank builds the full global tree (replicated, like the
     # functional solver); the upward pass is amortized into the

@@ -5,7 +5,10 @@ rank threads, mpi4py-style communicators (buffer and object APIs),
 Cartesian topologies, deterministic collectives, and full communication
 tracing.  It substitutes for Spectrum MPI in the paper's software
 stack while preserving the communication *patterns* the
-mini-application is designed to exercise.
+mini-application is designed to exercise.  There is one way to move a
+vector collective's bytes: packed into one pooled contiguous buffer
+per rank per round (:mod:`repro.mpi.collectives`), with the trace
+recording the logical payloads.
 
 Quick example::
 
@@ -22,14 +25,6 @@ Quick example::
 
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG, PROC_NULL, Comm, Request, Status
 from repro.mpi.cart import CartComm, create_cart
-from repro.mpi.communicators import (
-    CommunicatorBase,
-    DeviceDirectCommunicator,
-    NaiveCommunicator,
-    PackedBufferCommunicator,
-    available_transports,
-    resolve_transport,
-)
 from repro.mpi.descriptor import MessageDescriptor, describe, payload_nbytes
 from repro.mpi.ops import LAND, LOR, MAX, MAXLOC, MIN, MINLOC, PROD, SUM, Op
 from repro.mpi.simulator import run_spmd, single_rank_comm
@@ -54,12 +49,6 @@ __all__ = [
     "LOR",
     "MAXLOC",
     "MINLOC",
-    "CommunicatorBase",
-    "NaiveCommunicator",
-    "PackedBufferCommunicator",
-    "DeviceDirectCommunicator",
-    "available_transports",
-    "resolve_transport",
     "MessageDescriptor",
     "describe",
     "payload_nbytes",

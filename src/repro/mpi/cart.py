@@ -30,9 +30,8 @@ class CartComm(Comm):
         size: int,
         dims: Sequence[int],
         periods: Sequence[bool],
-        transport: Optional[str] = None,
     ) -> None:
-        super().__init__(world, comm_id, rank, size, transport=transport)
+        super().__init__(world, comm_id, rank, size)
         if prod(dims) != size:
             raise ConfigurationError(
                 f"dims {tuple(dims)} do not multiply to comm size {size}"
@@ -157,7 +156,4 @@ def create_cart(
         )
     # All members agree on a fresh context id through a Dup-style collective.
     dup = comm.Dup()
-    return CartComm(
-        comm._world, dup.id, comm.rank, comm.size, dims, periods,
-        transport=comm.transport,
-    )
+    return CartComm(comm._world, dup.id, comm.rank, comm.size, dims, periods)

@@ -17,26 +17,36 @@ Uppercase methods move numpy buffers; lowercase methods move Python
 objects.  Vector collectives take element counts (not bytes), like MPI.
 
 The vector collectives (``Allgatherv``, ``Alltoallv``,
-``exchange_arrays``) separate semantics from transport: this mixin
-validates, records trace events and shapes results, while the byte
-movement is delegated to the communicator hierarchy in
-:mod:`repro.mpi.communicators` (selected per payload from
-:class:`~repro.mpi.descriptor.MessageDescriptor` capabilities and the
-``REPRO_COMM`` override).  Because recording stays here and is computed
-from the logical descriptors, trace event kinds, counts and byte totals
-are invariant under transport choice; only the ``transport`` tag on the
-event distinguishes the chosen path.
+``exchange_arrays``) move their payloads packed: every segment of a
+round is copied once into a single contiguous ``uint8`` send buffer
+leased from the communicator's :class:`~repro.util.bufferpool.BufferPool`
+and shipped with a :class:`~repro.mpi.descriptor.MessageDescriptor`
+offset table; each receiver copies exactly its spans into one private
+assembly buffer and gets typed views back.  Trace events are recorded
+from the logical payload descriptors, never from the packed buffers, so
+event kinds, counts and byte totals are what the application asked to
+move.  The byte movement is visible through the ``comm.packed_bytes``
+and ``bufferpool.hits|misses`` metrics.
 """
 
 from __future__ import annotations
 
 import pickle
+from collections import deque
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.mpi.descriptor import describe, payload_nbytes, split_by_counts
+from repro.mpi.descriptor import (
+    MessageDescriptor,
+    describe,
+    pack_segments,
+    payload_nbytes,
+    split_by_counts,
+    unpack_segments,
+)
 from repro.mpi.ops import SUM, Op
+from repro.util.bufferpool import BufferPool
 from repro.util.errors import CommunicationError
 
 __all__ = ["CollectiveMixin"]
@@ -50,10 +60,9 @@ class CollectiveMixin:
     """Collective methods shared by :class:`repro.mpi.Comm`.
 
     Requires the host class to provide ``_world``, ``_id``, ``_rank``,
-    ``_size`` and ``_coll_seq`` attributes plus a ``_transport_for``
-    method resolving payload descriptors to a
-    :class:`~repro.mpi.communicators.CommunicatorBase` (see
-    :meth:`repro.mpi.comm.Comm._transport_for`).
+    ``_size`` and ``_coll_seq`` attributes and to call
+    :meth:`_init_packing` once (one buffer pool per communicator per
+    rank, so pooled leases are rank-private and never contend).
     """
 
     # These attributes are provided by Comm.
@@ -73,13 +82,107 @@ class CollectiveMixin:
         )
 
     def _record(self, kind: str, peer: Optional[int], nbytes: int,
-                counts: Optional[Sequence[int]] = None,
-                transport: Optional[str] = None) -> None:
+                counts: Optional[Sequence[int]] = None) -> None:
         self._world.trace.record_comm(
             kind, self._rank, peer, nbytes,
             counts=counts, comm_size=self._size, comm_id=self._id,
-            transport=transport,
         )
+
+    # -- packed byte movement (the vector collectives) ---------------------
+    #
+    # Lease lifetime: a peer may still be reading this rank's packed send
+    # buffer after this rank's collective call returns, but it must finish
+    # before it enters the *next* collective on the same communicator, and
+    # the rendezvous protocol forbids any rank entering round N+1 before
+    # every rank completed round N.  Releasing a lease two packed rounds
+    # after it was acquired is therefore provably safe; ``_reclaim`` does
+    # exactly that, which is what turns the pool's misses into
+    # steady-state hits.
+
+    def _init_packing(self) -> None:
+        self._pool = BufferPool()
+        self._pending: deque[tuple[int, np.ndarray]] = deque()
+        self._packed_rounds = 0
+
+    def _reclaim(self) -> None:
+        """Release leases whose round is two packed rounds behind."""
+        while self._pending and self._pending[0][0] <= self._packed_rounds - 2:
+            self._pool.release(self._pending.popleft()[1])
+
+    def _lease(self, nbytes: int) -> np.ndarray:
+        self._reclaim()
+        pool = self._pool
+        hits, misses = pool.hits, pool.misses
+        buf = pool.acquire(nbytes)
+        metrics = self._world.trace.metrics
+        metrics.counter("bufferpool.hits").inc(pool.hits - hits)
+        metrics.counter("bufferpool.misses").inc(pool.misses - misses)
+        return buf
+
+    def _finish_round(self, lease: np.ndarray, nbytes: int) -> None:
+        self._pending.append((self._packed_rounds, lease))
+        self._packed_rounds += 1
+        self._world.trace.metrics.counter("comm.packed_bytes").inc(nbytes)
+
+    def _packed_allgatherv(
+        self, sendbuf: np.ndarray, desc: MessageDescriptor
+    ) -> list[np.ndarray]:
+        """Every rank's array, in rank order, as caller-owned views."""
+        lease = self._lease(desc.nbytes)
+        buf = lease[: desc.nbytes]
+        if desc.nbytes:
+            # Gather straight into the pooled send buffer — one pass even
+            # when the payload is strided.
+            np.copyto(buf.view(desc.dtype).reshape(desc.shape), sendbuf)
+        size = self._size
+        table = self._collective(
+            "allgatherv", (buf, desc), lambda c: [c[r] for r in range(size)]
+        )
+        # Assemble every rank's span into one private buffer: a single
+        # allocation whose disjoint views are caller-owned.
+        descs = [d for _, d in table]
+        offsets, total = [], 0
+        for d in descs:
+            offsets.append(total)
+            total += d.nbytes
+        private = np.empty(total, dtype=np.uint8)
+        for (src, d), off in zip(table, offsets):
+            private[off: off + d.nbytes] = src
+        self._finish_round(lease, desc.nbytes)
+        return unpack_segments(private, descs, offsets)
+
+    def _packed_exchange(
+        self, opname: str, per_dest: Sequence[Optional[np.ndarray]]
+    ) -> list[Optional[np.ndarray]]:
+        """One array (or ``None``) to each rank; caller-owned receipts in
+        source order."""
+        total = sum(0 if a is None else int(a.nbytes) for a in per_dest)
+        lease = self._lease(total)
+        buf, descs, offsets = pack_segments(per_dest, out=lease)
+        rank, size = self._rank, self._size
+        table = self._collective(opname, (buf, descs, offsets), dict)
+
+        # Assemble this rank's column into one private buffer.
+        my_descs: list[Optional[MessageDescriptor]] = []
+        my_offsets: list[int] = []
+        my_total = 0
+        for src in range(size):
+            d = table[src][1][rank]
+            my_descs.append(d)
+            my_offsets.append(my_total)
+            my_total += 0 if d is None else d.nbytes
+        private = np.empty(my_total, dtype=np.uint8)
+        for src in range(size):
+            sbuf, sdescs, soffs = table[src]
+            d = sdescs[rank]
+            if d is None or d.nbytes == 0:
+                continue
+            off = soffs[rank]
+            private[my_offsets[src]: my_offsets[src] + d.nbytes] = (
+                sbuf[off: off + d.nbytes]
+            )
+        self._finish_round(lease, total)
+        return unpack_segments(private, my_descs, my_offsets)
 
     # -- barrier -----------------------------------------------------------
 
@@ -237,9 +340,8 @@ class CollectiveMixin:
     def Allgatherv(self, sendbuf: np.ndarray) -> list[np.ndarray]:
         """Variable-size allgather; returns the per-rank arrays in order."""
         desc = describe(sendbuf)
-        transport = self._transport_for([desc])
-        result = transport.allgatherv(self, sendbuf)
-        self._record("allgather", None, desc.nbytes, transport=transport.name)
+        result = self._packed_allgatherv(sendbuf, desc)
+        self._record("allgather", None, desc.nbytes)
         return result
 
     def gather(self, obj: Any, root: int = 0) -> Optional[list[Any]]:
@@ -347,10 +449,8 @@ class CollectiveMixin:
             raise CommunicationError(
                 f"sendcounts sum {sum(counts)} != sendbuf size {arr.size}"
             )
-        segments = split_by_counts(arr, counts)
-        transport = self._transport_for([describe(seg) for seg in segments])
-        received = transport.exchange(
-            self, "alltoallv", segments, own_result=False
+        received = self._packed_exchange(
+            "alltoallv", split_by_counts(arr, counts)
         )
         if recvcounts is not None:
             actual = [seg.size for seg in received]
@@ -368,7 +468,6 @@ class CollectiveMixin:
         self._record(
             "alltoallv", None, int(arr.nbytes),
             counts=[c * itemsize for c in counts],
-            transport=transport.name,
         )
         if recvbuf is None:
             return result
@@ -403,16 +502,9 @@ class CollectiveMixin:
             raise CommunicationError(
                 f"exchange_arrays needs {self._size} entries, got {len(per_dest)}"
             )
-        descs = [None if a is None else describe(a) for a in per_dest]
-        transport = self._transport_for(descs)
-        received = transport.exchange(
-            self, "exchange_arrays", per_dest, own_result=True
-        )
-        counts = [0 if d is None else d.nbytes for d in descs]
-        self._record(
-            "alltoallv", None, sum(counts), counts=counts,
-            transport=transport.name,
-        )
+        received = self._packed_exchange("exchange_arrays", per_dest)
+        counts = [0 if a is None else int(a.nbytes) for a in per_dest]
+        self._record("alltoallv", None, sum(counts), counts=counts)
         return [
             np.empty(0, dtype=np.float64) if arr is None else arr
             for arr in received

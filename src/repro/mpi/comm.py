@@ -19,13 +19,6 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.mpi.collectives import CollectiveMixin
-from repro.mpi.communicators import (
-    AUTO_ORDER,
-    CommunicatorBase,
-    make_transport,
-    resolve_transport,
-)
-from repro.mpi.descriptor import MessageDescriptor
 from repro.mpi.world import ANY_SOURCE, ANY_TAG, PROC_NULL, Message, World
 from repro.util.errors import CommunicationError
 
@@ -126,16 +119,7 @@ def _payload_nbytes(arr: np.ndarray) -> int:
 
 
 class Comm(CollectiveMixin):
-    """A communicator over a contiguous group of simulated ranks.
-
-    ``transport`` selects how the vector collectives move payload bytes
-    (``naive`` | ``packed`` | ``device`` | ``auto``); ``None`` defers to
-    the ``REPRO_COMM`` environment variable and then to ``naive``.  The
-    choice must be collectively consistent — every rank of a
-    communicator resolves the same spec (SPMD code gets this for free;
-    a divergent selection raises ``CommunicationError`` at the
-    rendezvous instead of deadlocking).
-    """
+    """A communicator over a contiguous group of simulated ranks."""
 
     def __init__(
         self,
@@ -143,7 +127,6 @@ class Comm(CollectiveMixin):
         comm_id: int,
         rank: int,
         size: int,
-        transport: Optional[str] = None,
     ) -> None:
         self._world = world
         self._id = comm_id
@@ -151,45 +134,7 @@ class Comm(CollectiveMixin):
         self._size = size
         self._coll_seq = 0
         self._split_seq = 0
-        self._transport_spec = resolve_transport(transport)
-        self._transports: dict[str, CommunicatorBase] = {}
-
-    # -- transport dispatch ------------------------------------------------
-
-    @property
-    def transport(self) -> str:
-        """The resolved transport spec this communicator dispatches with."""
-        return self._transport_spec
-
-    def _get_transport(self, name: str) -> CommunicatorBase:
-        # One instance per communicator per rank, created lazily, so
-        # stateful transports (buffer pools, in-flight leases) are
-        # rank-private and never contend.
-        transport = self._transports.get(name)
-        if transport is None:
-            transport = self._transports[name] = make_transport(name)
-        return transport
-
-    def _transport_for(
-        self, descs: Sequence[Optional[MessageDescriptor]]
-    ) -> CommunicatorBase:
-        """Resolve the transport for one payload (capability dispatch)."""
-        if self._transport_spec == "auto":
-            for name in AUTO_ORDER:
-                transport = self._get_transport(name)
-                if transport.can_handle(descs):
-                    return transport
-            raise CommunicationError(
-                f"no registered transport can move this payload: {descs}"
-            )
-        transport = self._get_transport(self._transport_spec)
-        if not transport.can_handle(descs):
-            raise CommunicationError(
-                f"transport {transport.name!r} cannot move this payload "
-                f"(capabilities {sorted(transport.capabilities())}); "
-                "set REPRO_COMM=auto to dispatch per payload"
-            )
-        return transport
+        self._init_packing()
 
     # -- identity ---------------------------------------------------------
 
@@ -390,10 +335,7 @@ class Comm(CollectiveMixin):
             None,
             lambda contrib: self._world.split_comm_id(self._id, -self._coll_seq, "dup"),
         )
-        return Comm(
-            self._world, new_id, self._rank, self._size,
-            transport=self._transport_spec,
-        )
+        return Comm(self._world, new_id, self._rank, self._size)
 
     def Split(self, color: Any, key: int = 0) -> Optional["Comm"]:
         """Partition the communicator by ``color``; order ranks by ``key``.
@@ -414,10 +356,7 @@ class Comm(CollectiveMixin):
         new_size = len(members)
         new_rank = [r for (_, r) in members].index(self._rank)
         new_id = self._world.split_comm_id(self._id, split_seq, color)
-        return Comm(
-            self._world, new_id, new_rank, new_size,
-            transport=self._transport_spec,
-        )
+        return Comm(self._world, new_id, new_rank, new_size)
 
     def Free(self) -> None:
         """No-op provided for API symmetry with real MPI."""

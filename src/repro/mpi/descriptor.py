@@ -1,22 +1,19 @@
 """Typed message descriptors: what a payload *is*, separated from moving it.
 
 Every array payload handed to a vector collective is summarized by a
-:class:`MessageDescriptor` — shape, dtype, device residency and
-contiguity — so a communicator can *choose* how to move it (pure-object
-rendezvous, packed contiguous buffer, device-direct) instead of treating
-everything as an opaque pickled blob.  The descriptor also makes payload
+:class:`MessageDescriptor` — shape and dtype — which is all the packed
+collectives need to lay segments out in one contiguous byte buffer and
+rebuild them on the receiving side.  The descriptor also makes payload
 sizing exact: ``desc.nbytes`` replaces the pickle-the-object-to-measure-it
 path that used to show up in traces on large halos.
 
 The module also owns the one descriptor-driven segmenting helper shared
 by ``Alltoallv``, ``Allgatherv`` and ``exchange_arrays``: splitting a
 flat buffer by per-peer counts and packing/unpacking segment lists into
-single contiguous byte buffers with an offset table.  Keeping the
-size-header/offset arithmetic in one place is what lets the naive and
-packed transports agree bit-for-bit.
+single contiguous byte buffers with an offset table.
 
 Everything here is pure and numpy-only; it imports nothing from the
-rest of :mod:`repro.mpi` so both the communicators and the trace layer
+rest of :mod:`repro.mpi` so both the collectives and the trace layer
 can depend on it without cycles.
 """
 
@@ -31,29 +28,11 @@ import numpy as np
 __all__ = [
     "MessageDescriptor",
     "describe",
-    "array_device",
     "payload_nbytes",
     "split_by_counts",
     "pack_segments",
     "unpack_segments",
 ]
-
-#: Device tag for host-resident (numpy) arrays.
-HOST = "cpu"
-
-
-def array_device(arr: Any) -> str:
-    """Device residency of an array: ``"cpu"`` or ``"cuda:<n>"``.
-
-    Detection goes through ``__cuda_array_interface__`` (cupy, numba
-    device arrays) so no accelerator import is needed; anything else is
-    host memory.
-    """
-    iface = getattr(arr, "__cuda_array_interface__", None)
-    if iface is not None:
-        dev = getattr(getattr(arr, "device", None), "id", 0)
-        return f"cuda:{dev}"
-    return HOST
 
 
 @dataclass(frozen=True)
@@ -65,17 +44,10 @@ class MessageDescriptor:
     shape / dtype:
         Logical geometry; ``dtype`` is the numpy dtype *string* (e.g.
         ``"<f8"``) so descriptors hash, compare and pickle cheaply.
-    device:
-        Residency tag from :func:`array_device` (``"cpu"``/``"cuda:n"``).
-    contiguous:
-        Whether the described array was C-contiguous — a transport that
-        wants zero-copy packing must copy first when this is False.
     """
 
     shape: tuple[int, ...]
     dtype: str
-    device: str = HOST
-    contiguous: bool = True
 
     @property
     def size(self) -> int:
@@ -93,46 +65,25 @@ class MessageDescriptor:
         """Exact payload bytes — no serialization needed to size it."""
         return self.size * self.itemsize
 
-    @property
-    def on_host(self) -> bool:
-        return self.device == HOST
-
 
 def describe(arr: Any) -> MessageDescriptor:
-    """The :class:`MessageDescriptor` of an array-like payload.
-
-    Device arrays are described through ``__cuda_array_interface__``
-    alone — no host transfer, no accelerator import, and duck-typed
-    device arrays (test fakes) work the same as real cupy ones.
-    """
-    iface = getattr(arr, "__cuda_array_interface__", None)
-    if iface is not None:
-        return MessageDescriptor(
-            shape=tuple(int(s) for s in iface["shape"]),
-            dtype=np.dtype(iface["typestr"]).str,
-            device=array_device(arr),
-            # Per the CAI spec, strides=None means C-contiguous.
-            contiguous=iface.get("strides") is None,
-        )
+    """The :class:`MessageDescriptor` of an array-like payload."""
     a = arr if isinstance(arr, np.ndarray) else np.asarray(arr)
     return MessageDescriptor(
-        shape=tuple(int(s) for s in a.shape),
-        dtype=a.dtype.str,
-        device=HOST,
-        contiguous=bool(a.flags["C_CONTIGUOUS"]),
+        shape=tuple(int(s) for s in a.shape), dtype=a.dtype.str
     )
 
 
 def payload_nbytes(obj: Any) -> int:
     """Exact byte size of an array payload, pickled size otherwise.
 
-    Arrays are sized through their descriptor (``arr.nbytes`` — O(1));
+    Arrays are sized by ``arr.nbytes`` (O(1));
     only genuinely opaque Python objects fall back to measuring the
     pickle, and a final except guard returns 0 for unpicklables (sizing
     is for tracing, never for correctness).
     """
-    if isinstance(obj, np.ndarray) or hasattr(obj, "__cuda_array_interface__"):
-        return describe(obj).nbytes
+    if isinstance(obj, np.ndarray):
+        return int(obj.nbytes)
     try:
         return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:
@@ -141,7 +92,7 @@ def payload_nbytes(obj: Any) -> int:
 
 # --------------------------------------------------------------------------
 # descriptor-driven segmenting (shared by Alltoallv / Allgatherv /
-# exchange_arrays and both transports)
+# exchange_arrays)
 # --------------------------------------------------------------------------
 
 def split_by_counts(
@@ -199,8 +150,7 @@ def pack_segments(
             continue
         if off % desc.itemsize == 0:
             # Gather straight into the pack buffer — one pass even for
-            # strided segments (column halos), where the object path
-            # pays ascontiguousarray + copy.
+            # strided segments (column halos).
             dst = buf[off: off + desc.nbytes].view(desc.dtype)
             np.copyto(dst.reshape(desc.shape), seg)
         else:  # unaligned span: stage through a contiguous temporary

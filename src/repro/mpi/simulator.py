@@ -34,7 +34,6 @@ def run_spmd(
     *args: Any,
     trace: Optional[CommTrace] = None,
     timeout: float = 120.0,
-    transport: Optional[str] = None,
     **kwargs: Any,
 ) -> list[Any]:
     """Run ``fn(comm, *args, **kwargs)`` on ``nranks`` simulated ranks.
@@ -56,11 +55,6 @@ def run_spmd(
         Size it to the longest a rank may legitimately compute between
         two collectives (its peers sit in the collective for exactly
         that long), not to the expected wall time of the whole program.
-    transport:
-        Transport spec for the vector collectives (``naive`` |
-        ``packed`` | ``device`` | ``auto``); ``None`` defers to
-        ``$REPRO_COMM`` and then to ``naive``.  Applied uniformly to
-        every rank's communicator, as the transports require.
 
     Returns
     -------
@@ -71,7 +65,7 @@ def run_spmd(
     comm_id = world.alloc_comm_id()
 
     if nranks == 1:
-        comm = Comm(world, comm_id, 0, 1, transport=transport)
+        comm = Comm(world, comm_id, 0, 1)
         world.trace.bind_rank(0)
         return [fn(comm, *args, **kwargs)]
 
@@ -80,7 +74,7 @@ def run_spmd(
     failure_lock = threading.Lock()
 
     def runner(rank: int) -> None:
-        comm = Comm(world, comm_id, rank, nranks, transport=transport)
+        comm = Comm(world, comm_id, rank, nranks)
         world.trace.bind_rank(rank)
         try:
             results[rank] = fn(comm, *args, **kwargs)
@@ -113,7 +107,6 @@ def run_spmd(
 def single_rank_comm(
     trace: Optional[CommTrace] = None,
     timeout: float = 120.0,
-    transport: Optional[str] = None,
 ) -> Comm:
     """A standalone size-1 communicator (the analogue of ``MPI_COMM_SELF``).
 
@@ -122,4 +115,4 @@ def single_rank_comm(
     """
     world = World(1, trace=trace, timeout=timeout)
     world.trace.bind_rank(0)
-    return Comm(world, world.alloc_comm_id(), 0, 1, transport=transport)
+    return Comm(world, world.alloc_comm_id(), 0, 1)

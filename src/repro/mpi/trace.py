@@ -88,11 +88,6 @@ class CommEvent:
     comm_size: int = 1
     comm_id: int = 0
     group: Optional[tuple[int, ...]] = None
-    #: Transport that moved the payload (``naive``/``packed``/``device``)
-    #: for the vector collectives; ``None`` for operations that have a
-    #: single implementation.  Event kinds, counts and nbytes are
-    #: transport-invariant — only this tag distinguishes the path.
-    transport: Optional[str] = None
     #: Monotonic stamp (``time.perf_counter``) taken when the event was
     #: recorded; ``None`` on an untimed trace.
     t_stamp: Optional[float] = None
@@ -278,7 +273,6 @@ class CommTrace:
         comm_id: int = 0,
         group: Optional[Sequence[int]] = None,
         t_wall: Optional[float] = None,
-        transport: Optional[str] = None,
     ) -> None:
         event = CommEvent(
             kind=kind,
@@ -294,7 +288,6 @@ class CommTrace:
             group=None if group is None else tuple(group),
             t_stamp=time.perf_counter() if self.timed else None,
             t_wall=t_wall,
-            transport=transport,
         )
         with self._lock:
             self._events.append(event)

@@ -14,7 +14,7 @@ Every surface that names a workload resolves it here:
 * the campaign deck's ``scenario`` axis (packs sweep like backends;
   expansion resolves them into ordinary content-hashed RunSpecs, so
   store dedup and LJF scheduling are untouched),
-* ``rocketrig batch`` fleets (eligibility is
+* the campaign fast path's fleets (eligibility is
   :func:`repro.batch.fleet_key` of the resolved pack),
 * the ``examples/`` scripts and the generated docs gallery.
 

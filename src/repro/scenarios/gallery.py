@@ -34,8 +34,8 @@ _HEADER = """\
 Every scenario below is a validated pack in the
 [scenario registry](scenarios.md): run one with
 `rocketrig --scenario <name>`, sweep them with a `scenario` deck axis
-(see [campaign orchestration](campaign.md)), or batch the
-fleet-eligible ones through `rocketrig batch`
+(see [campaign orchestration](campaign.md)); `rocketrig campaign`
+advances the fleet-eligible ones together
 (see [batched fleets](batch.md)).
 """
 

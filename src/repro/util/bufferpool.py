@@ -1,11 +1,9 @@
-"""Reusable byte-buffer pool for transport staging and pooled kernels.
+"""Reusable byte-buffer pool for the packed vector collectives.
 
-The packed-buffer communicator (:mod:`repro.mpi.communicators`) and the
-backend device surface (:meth:`repro.backend.base.ArrayBackend.empty_like_pool`)
-both need scratch arrays whose sizes repeat call after call — pack
-buffers for halo exchanges, staging areas for gathered blocks.
-Allocating them fresh every time puts ``malloc`` and page-faulting on
-the communication critical path; a :class:`BufferPool` keeps released
+The packed collectives (:mod:`repro.mpi.collectives`) need send buffers
+whose sizes repeat call after call — one per halo exchange, migration
+or gather round.  Allocating them fresh every time puts ``malloc`` and
+page-faulting on the communication critical path; a :class:`BufferPool` keeps released
 buffers in size-bucketed free lists and hands them back on the next
 :meth:`~BufferPool.acquire` of a fitting size.
 
@@ -16,11 +14,12 @@ are *not* zeroed — a pooled buffer is uninitialized memory, like
 ``np.empty``.
 
 Reuse statistics (hits, misses, bytes served, high-water resident
-bytes) are first-class: the packed communicator mirrors them into the
-run's ``telemetry.metrics`` registry as ``bufferpool.hits|misses``
-counters, and ``rocketrig --trace`` surfaces them next to the
-communication summary.  All methods are thread-safe; per-rank owners
-(one pool per communicator instance) never contend in practice.
+bytes) are first-class: the collectives mirror hits and misses into
+the run's metrics registry (``trace.metrics``) as
+``bufferpool.hits|misses`` counters, which land wherever that registry
+is exported (a campaign run's ``telemetry.json``); no CLI command
+prints them.  All methods are thread-safe; per-rank owners (one pool
+per communicator instance) never contend in practice.
 """
 
 from __future__ import annotations

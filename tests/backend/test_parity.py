@@ -4,8 +4,7 @@ The contract (see :mod:`repro.backend.base`): backends may reorder
 floating-point reductions but must agree with the reference to ~1e-12
 relative accuracy, preserve the exact-zero self-interaction of the BR
 quadrature, and record identical roofline ComputeEvent totals.  Every
-registered backend is tested — installing numba automatically enrolls
-the JIT engine here.
+registered backend is tested — registering an engine enrolls it here.
 """
 
 import numpy as np
@@ -20,7 +19,7 @@ from tests.conftest import spmd
 
 RTOL = 1e-12
 
-#: Every non-reference engine (numba joins when importable).
+#: Every non-reference engine.
 OTHERS = [b for b in available_backends() if b != "numpy"]
 
 

@@ -1,4 +1,4 @@
-"""Backend registry: resolution, defaults, fallback and validation."""
+"""Backend registry: resolution, defaults and validation."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.backend import (
     get_backend,
     register_backend,
 )
-from repro.backend.registry import _REGISTRY, mark_unavailable
 from repro.util.errors import ConfigurationError
 
 
@@ -98,18 +97,6 @@ class TestRegistration:
     def test_abstract_interface_cannot_instantiate(self):
         with pytest.raises(TypeError):
             ArrayBackend()  # type: ignore[abstract]
-
-
-class TestUnavailableEngines:
-    def test_missing_optional_engine_explains_itself(self):
-        if "numba" in _REGISTRY:  # pragma: no cover - numba installed
-            pytest.skip("numba is importable in this environment")
-        with pytest.raises(ConfigurationError, match="install numba"):
-            get_backend("numba")
-
-    def test_mark_unavailable_never_shadows_registered(self):
-        mark_unavailable("numpy", "should be ignored")
-        assert get_backend("numpy").name == "numpy"
 
 
 class TestSolverConfigBackendField:

@@ -1,14 +1,13 @@
-"""Campaign service conformance: both transports vs the serial executor.
+"""Campaign service conformance: the socket service vs the serial executor.
 
-One deck, three execution paths — the plain serial executor, a
-socket-transport coordinator with two worker threads, and a
-simulated-MPI coordinator with two worker ranks — must agree on
-everything durable: the set of store records and their statuses, the
-result payloads (modulo timing fields), and the terminal states in
-``status.json``.  The two transports must additionally exchange the
-same multiset of protocol messages (heartbeats excluded — they are
-timing-dependent by design), which is what "transport-agnostic"
-actually means.
+One deck, two execution paths — the plain serial executor and a
+socket coordinator with two worker threads — must agree on everything
+durable: the set of store records and their statuses, the result
+payloads (modulo timing fields), and the terminal states in
+``status.json``.  The service conversation must also have a fixed
+shape: every run granted and reported exactly once, every worker sent
+home exactly once (heartbeats excluded — they are timing-dependent by
+design).
 """
 
 import json
@@ -22,14 +21,11 @@ from repro.campaign import (
     CampaignExecutor,
     CampaignStore,
     Coordinator,
-    MpiEndpoint,
-    MpiWorkerChannel,
     SocketEndpoint,
     SocketWorkerChannel,
     Worker,
     campaign_summary,
 )
-from repro.mpi import run_spmd
 
 #: The acceptance deck: 8 runs (4 heFFTe configs x 2 rank counts),
 #: small enough for CI, rank-varied enough to exercise distinct code
@@ -91,33 +87,6 @@ def run_socket_service(root, n_workers=2):
     return store, summary, coordinator.journal, stats
 
 
-def run_mpi_service(root, n_workers=2):
-    """Coordinator on rank 0, workers on ranks 1..N, simulated MPI."""
-    store_root = str(root)
-    out = {}
-
-    def node(comm):
-        if comm.Get_rank() == 0:
-            store = CampaignStore("svc", root=store_root)
-            coordinator = Coordinator(
-                store, specs(), MpiEndpoint(comm), lease_timeout=60.0,
-                drain_grace=3.0, journal=True,
-            )
-            out["summary"] = coordinator.serve()
-            out["journal"] = coordinator.journal
-        else:
-            worker = Worker(
-                MpiWorkerChannel(comm),
-                worker_id=f"rank{comm.Get_rank()}",
-                idle_timeout=30.0,
-                telemetry=False,
-            )
-            out[comm.Get_rank()] = worker.run()
-
-    run_spmd(n_workers + 1, node, timeout=300.0)
-    return CampaignStore("svc", root=store_root), out["summary"], out["journal"]
-
-
 def comparable_records(store):
     """hash → (status, result-minus-timing) for cross-path comparison."""
     records = {}
@@ -139,9 +108,9 @@ def terminal_states(store):
 
 
 def message_multiset(journal):
-    """(direction, wire type) counts — the transport-invariant shape of
-    the conversation (conn ids and interleaving are transport-specific,
-    heartbeats are excluded at the journal layer)."""
+    """(direction, wire type) counts — the shape of the conversation
+    (conn ids and interleaving vary run to run, heartbeats are excluded
+    at the journal layer)."""
     counts = {}
     for direction, _conn, msg in journal:
         key = (direction, msg.TYPE)
@@ -167,30 +136,15 @@ class TestConformance:
         assert comparable_records(store) == comparable_records(serial)
         assert campaign_summary(store)["completed"] == len(specs())
         assert set(terminal_states(store).values()) == {"completed"}
-
-    def test_mpi_service_matches_serial(self, tmp_path, serial):
-        store, summary, journal = run_mpi_service(tmp_path)
-        assert summary["completed"] == len(specs())
-        assert summary["failed"] == 0
-        assert comparable_records(store) == comparable_records(serial)
-        assert set(terminal_states(store).values()) == {"completed"}
-
-    def test_transports_exchange_the_same_messages(self, tmp_path):
-        """Same deck, same worker count → the same message multiset on
-        both wires (up to reordering and connection identity)."""
-        _, _, socket_journal, _ = run_socket_service(tmp_path / "sock")
-        _, _, mpi_journal = run_mpi_service(tmp_path / "mpi")
-        socket_counts = message_multiset(socket_journal)
-        mpi_counts = message_multiset(mpi_journal)
-        assert socket_counts == mpi_counts
+        # The conversation's shape is predictable in absolute terms:
+        # every run is granted and reported exactly once, every worker
+        # gets exactly one no-work-left.
+        counts = message_multiset(journal)
         n = len(specs())
-        # The shape is also predictable in absolute terms: every run is
-        # granted and reported exactly once, every worker gets exactly
-        # one no-work-left.
-        assert socket_counts[("send", "new-job")] == n
-        assert socket_counts[("recv", "job-done")] == n
-        assert socket_counts[("recv", "job-request")] == n + 2
-        assert socket_counts[("send", "no-work-left")] == 2
+        assert counts[("send", "new-job")] == n
+        assert counts[("recv", "job-done")] == n
+        assert counts[("recv", "job-request")] == n + 2
+        assert counts[("send", "no-work-left")] == 2
 
     def test_second_service_run_is_all_store_hits(self, tmp_path):
         store, summary, _, stats = run_socket_service(tmp_path)

@@ -1,16 +1,17 @@
 """Fault-injection conformance for the campaign service.
 
-The protocol's crash semantics, pinned adversarially on both wires:
+The protocol's crash semantics, pinned adversarially on the socket wire:
 
 * **Worker SIGKILL (socket)** — a real subprocess worker kills itself
   mid-claim via the ``REPRO_CAMPAIGN_KILL_FUSE`` pattern from the
   process-pool crash tests.  Its lease must expire, the run must be
   requeued *exactly once* (two ``running`` claim markers, then a
   terminal record), and the final summary must match a serial run.
-* **Worker vanish (simulated MPI)** — threads cannot be SIGKILLed, so
+* **Worker vanish (in-process)** — threads cannot be SIGKILLed, so
   the :class:`WorkerVanished` hook reproduces the observable behaviour
   of a hard death (heartbeats stop, nothing is sent, nothing terminal
-  is recorded) and the same lease-expiry recovery must fire.
+  is recorded) and the same lease-expiry recovery must fire,
+  deterministically.
 * **Coordinator SIGKILL** — workers must notice the dead coordinator
   and exit cleanly, and the store must stay fully parseable: workers
   record terminally *before* reporting, so a coordinator crash can
@@ -35,8 +36,6 @@ from repro.campaign import (
     CampaignExecutor,
     CampaignStore,
     Coordinator,
-    MpiEndpoint,
-    MpiWorkerChannel,
     RunRecord,
     SocketEndpoint,
     SocketWorkerChannel,
@@ -46,7 +45,6 @@ from repro.campaign import (
 )
 from repro.campaign.executor import KILL_FUSE_ENV
 from repro.campaign.store import COMPLETED, FAILED, RUNNING
-from repro.mpi import run_spmd
 
 DECK = {
     "name": "faults",
@@ -164,50 +162,54 @@ class TestWorkerSigkillSocket:
             assert service_summary[key] == reference[key], key
 
 
-class TestWorkerVanishMpi:
-    """The same recovery on the simulated-MPI wire, deterministically:
-    a run_one hook that raises WorkerVanished is observationally a
-    SIGKILL (heartbeats stop, nothing sent, nothing recorded)."""
+class TestWorkerVanishSocket:
+    """The same recovery with in-process workers over the socket wire: a
+    run_one hook that raises WorkerVanished is observationally a SIGKILL
+    (heartbeats stop, nothing sent, nothing recorded)."""
 
     def test_lease_expires_and_requeues_exactly_once(self, tmp_path):
-        store_root = str(tmp_path)
+        store = CampaignStore("faults", root=str(tmp_path))
+        endpoint = SocketEndpoint()
+        coordinator = Coordinator(
+            store, specs(), endpoint, lease_timeout=1.0, drain_grace=0.5,
+        )
+        host, port = endpoint.address
         out = {}
 
-        def node(comm):
-            if comm.Get_rank() == 0:
-                store = CampaignStore("faults", root=store_root)
-                coordinator = Coordinator(
-                    store, specs(), MpiEndpoint(comm), lease_timeout=1.0,
-                    drain_grace=0.5,
-                )
-                out["summary"] = coordinator.serve()
-                out["metrics"] = coordinator.metrics.snapshot()
-            elif comm.Get_rank() == 1:
-                # Dies silently on its first (and only) job.
-                def vanish(spec):
-                    raise WorkerVanished
-                worker = Worker(
-                    MpiWorkerChannel(comm), worker_id="doomed",
-                    idle_timeout=30.0, run_one=vanish,
-                )
-                out["doomed"] = worker.run()
-            else:
-                worker = Worker(
-                    MpiWorkerChannel(comm), worker_id="survivor",
-                    idle_timeout=30.0, telemetry=False,
-                )
-                out["survivor"] = worker.run()
+        def doomed():
+            # Dies silently on its first (and only) job.
+            def vanish(spec):
+                raise WorkerVanished
+            out["doomed"] = Worker(
+                SocketWorkerChannel(host, port), worker_id="doomed",
+                idle_timeout=30.0, run_one=vanish,
+            ).run()
 
-        run_spmd(3, node, timeout=300.0)
+        def survivor():
+            # Starts only once the doomed worker holds (and dropped) a
+            # lease, so exactly one run is ever claimed twice.
+            doomed_thread.join()
+            out["survivor"] = Worker(
+                SocketWorkerChannel(host, port), worker_id="survivor",
+                idle_timeout=30.0, telemetry=False,
+            ).run()
+
+        doomed_thread = threading.Thread(target=doomed)
+        survivor_thread = threading.Thread(target=survivor)
+        doomed_thread.start()
+        survivor_thread.start()
+        summary = coordinator.serve()
+        survivor_thread.join(timeout=60.0)
+        assert not survivor_thread.is_alive()
 
         assert out["doomed"]["reason"] == "vanished"
         assert out["doomed"]["completed"] == 0
         assert out["survivor"]["completed"] == len(specs())
-        assert out["summary"]["completed"] == len(specs())
-        assert out["summary"]["requeued"] == 1
-        assert out["metrics"]["campaign.service.leases_expired"] == 1
+        assert summary["completed"] == len(specs())
+        assert summary["requeued"] == 1
+        metrics = coordinator.metrics.snapshot()
+        assert metrics["campaign.service.leases_expired"] == 1
 
-        store = CampaignStore("faults", root=store_root)
         histories = [
             running_history(store, spec.run_hash()) for spec in specs()
         ]

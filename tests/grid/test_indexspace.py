@@ -126,19 +126,6 @@ class TestGlobalMesh:
         assert X[2, 0] == pytest.approx(2.0)
         assert Y[0, 3] == pytest.approx(3.0)
 
-    def test_wavenumbers_periodic_only(self):
-        mesh = GlobalMesh2D.create((0, 0), (1, 1), (8, 8), (True, False))
-        with pytest.raises(ConfigurationError):
-            mesh.wavenumbers()
-
-    def test_wavenumbers_values(self):
-        L = 2 * np.pi
-        mesh = GlobalMesh2D.create((0, 0), (L, L), (8, 8), (True, True))
-        kx, ky = mesh.wavenumbers()
-        assert kx[0] == pytest.approx(0.0)
-        assert kx[1] == pytest.approx(1.0)
-        assert kx[4] == pytest.approx(-4.0)
-
     def test_degenerate_domain_raises(self):
         with pytest.raises(ConfigurationError):
             GlobalMesh2D.create((0, 0), (0, 1), (4, 4), (True, True))

@@ -1,16 +1,18 @@
-"""Communicator × backend parity matrix over the solver's comm paths.
+"""Comm-heavy solver paths × compute backends, through the packed pool.
 
-ISSUE 8 acceptance: selecting ``REPRO_COMM=packed`` must change no
-numerical result anywhere — not within 1e-12, but *bitwise* — because
-the packed transport moves the same bytes the naive object path moves,
-just packed.  This matrix drives the three communication-heavy solver
-paths (the cutoff solver's Verlet-skin cache, its migrate/halo
-exchanges, and the tree solver's surface allgather) on every registered
-compute backend under both transports and asserts:
+The three paths that lean hardest on the pooled vector collectives —
+the cutoff solver's migrate/halo exchanges (fresh every evaluation, or
+reused under a Verlet skin) and the tree solver's surface allgather —
+run on every registered compute backend on several ranks, twice.  Each
+run must:
 
-* bitwise-identical gathered surface state and diagnostics, and
-* identical ``CommTrace`` event counts and byte totals per collective
-  kind — transports may tag events but never change what is recorded.
+* match a one-rank run of the same configuration (partitioning moves
+  bytes, it does not change the physics),
+* repeat itself bit for bit, with the same trace signature (pooled send
+  buffers are reused across rounds; a lease released early would show
+  up as a corrupted or run-dependent result), and
+* really go through the pool: packed bytes are counted and, once the
+  first rounds have filled it, leases come back as hits.
 """
 
 from collections import Counter
@@ -27,7 +29,7 @@ BACKENDS = available_backends()
 
 IC = InitialCondition(kind="single_mode", magnitude=0.08, period=0.5)
 
-#: The three comm-heavy solver paths of the parity matrix.
+#: The three comm-heavy solver paths of the matrix.
 PATHS = {
     # cutoff solver with a Verlet skin: neighbor_cache allreduces +
     # migrate/halo exchange_arrays rounds (the skin path reuses them).
@@ -64,7 +66,7 @@ PATHS = {
 }
 
 
-def _run(path, backend, transport, trace=None):
+def _run(path, backend, nranks, trace=None):
     spec = PATHS[path]
     cfg = SolverConfig(backend=backend, **spec["config"])
 
@@ -75,10 +77,7 @@ def _run(path, backend, transport, trace=None):
         diag = solver.diagnostics()
         return (z, w, diag) if comm.rank == 0 else None
 
-    return spmd(
-        spec["nranks"], program, trace=trace, timeout=120.0,
-        transport=transport,
-    )[0]
+    return spmd(nranks, program, trace=trace, timeout=120.0)[0]
 
 
 def _event_signature(trace):
@@ -91,26 +90,24 @@ def _event_signature(trace):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("path", sorted(PATHS))
-class TestTransportBackendMatrix:
-    def test_packed_bitwise_identical_and_trace_invariant(self, path, backend):
-        ref_trace, packed_trace = mpi.CommTrace(), mpi.CommTrace()
-        z_ref, w_ref, diag_ref = _run(path, backend, "naive", ref_trace)
-        z_pkd, w_pkd, diag_pkd = _run(path, backend, "packed", packed_trace)
+class TestCommBackendMatrix:
+    def test_partitioned_runs_repeat_and_match_one_rank(self, path, backend):
+        nranks = PATHS[path]["nranks"]
+        first_trace, second_trace = mpi.CommTrace(), mpi.CommTrace()
+        z1, w1, diag1 = _run(path, backend, nranks, first_trace)
+        z2, w2, diag2 = _run(path, backend, nranks, second_trace)
 
         ctx = f"{path}/{backend}"
-        assert np.array_equal(z_ref, z_pkd), f"{ctx}: surface z diverged"
-        assert np.array_equal(w_ref, w_pkd), f"{ctx}: vorticity diverged"
+        assert np.array_equal(z1, z2), f"{ctx}: surface z not reproducible"
+        assert np.array_equal(w1, w2), f"{ctx}: vorticity not reproducible"
         for key in ("amplitude", "vorticity_norm", "time", "steps"):
-            assert diag_ref[key] == diag_pkd[key], f"{ctx}: diag {key!r}"
+            assert diag1[key] == diag2[key], f"{ctx}: diag {key!r}"
+        assert _event_signature(first_trace) == _event_signature(second_trace)
 
-        ref_kinds, ref_nbytes = _event_signature(ref_trace)
-        packed_kinds, packed_nbytes = _event_signature(packed_trace)
-        assert packed_kinds == ref_kinds, f"{ctx}: event counts diverged"
-        assert packed_nbytes == ref_nbytes, f"{ctx}: event bytes diverged"
+        z_serial, w_serial, _ = _run(path, backend, 1)
+        np.testing.assert_allclose(z1, z_serial, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(w1, w_serial, rtol=1e-9, atol=1e-12)
 
-        # The runs really took different transports.
-        ref_tags = {e.transport for e in ref_trace.events if e.transport}
-        packed_tags = {e.transport for e in packed_trace.events if e.transport}
-        assert ref_tags <= {"naive"}, ref_tags
-        assert packed_tags <= {"packed"}, packed_tags
-        assert "packed" in packed_tags, f"{ctx}: packed path never engaged"
+        snap = first_trace.metrics.snapshot()
+        assert snap["comm.packed_bytes"] > 0, f"{ctx}: nothing was packed"
+        assert snap["bufferpool.hits"] > 0, f"{ctx}: no lease was reused"

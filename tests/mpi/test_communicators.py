@@ -1,30 +1,19 @@
-"""Transport hierarchy: descriptors, buffer pool, parity, dispatch.
+"""Packed vector collectives: descriptors, buffer pool, semantics.
 
-The contract under test (see :mod:`repro.mpi.communicators`): every
-transport must return bitwise-identical collective results, the mixin
-must record identical trace events regardless of the transport (only
-the ``transport`` tag differs), selection must resolve constructor >
-``$REPRO_COMM`` > naive and fail loudly on payloads a forced transport
-cannot move, and the packed transport's pooled leases must actually be
-reused (steady-state hits) without ever being released early.
+The contract under test (see :mod:`repro.mpi.collectives`): the packed
+``Allgatherv`` / ``Alltoallv`` / ``exchange_arrays`` return exactly
+what a per-segment object exchange would — each rank's arrays, with
+their dtypes and shapes, in rank order, as caller-owned copies — the
+trace records the logical payloads, and the pooled send buffers are
+reused in steady state without ever being released early.
 """
 
-import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro import mpi
-from repro.mpi.communicators import (
-    AUTO_ORDER,
-    DeviceDirectCommunicator,
-    NaiveCommunicator,
-    PackedBufferCommunicator,
-    available_transports,
-    make_transport,
-    resolve_transport,
-)
 from repro.mpi.descriptor import (
     MessageDescriptor,
     describe,
@@ -34,33 +23,8 @@ from repro.mpi.descriptor import (
     unpack_segments,
 )
 from repro.util.bufferpool import BufferPool
-from repro.util.errors import CommunicationError, ConfigurationError
+from repro.util.errors import CommunicationError
 from tests.conftest import spmd
-
-
-class FakeDeviceArray:
-    """Duck-typed device array: CUDA array interface + ``.get()``.
-
-    Enough surface for the descriptor layer and the device-direct
-    transport to treat it exactly like a cupy array, with the payload
-    actually living in a private host buffer.
-    """
-
-    def __init__(self, host):
-        self._host = np.ascontiguousarray(host)
-
-    @property
-    def __cuda_array_interface__(self):
-        return {
-            "shape": self._host.shape,
-            "typestr": self._host.dtype.str,
-            "data": (self._host.ctypes.data, False),
-            "strides": None,
-            "version": 2,
-        }
-
-    def get(self):
-        return self._host.copy()
 
 
 # -- descriptors -----------------------------------------------------------
@@ -71,25 +35,18 @@ class TestMessageDescriptor:
         d = describe(np.zeros((3, 4), dtype=np.float32))
         assert d.shape == (3, 4)
         assert np.dtype(d.dtype) == np.float32
-        assert d.on_host and d.contiguous
         assert d.size == 12 and d.nbytes == 48 and d.itemsize == 4
+        assert d == MessageDescriptor(shape=(3, 4), dtype=np.dtype(np.float32).str)
 
     def test_describe_strided_view(self):
         base = np.zeros((8, 8))
         d = describe(base[:, :3])
-        assert not d.contiguous
         assert d.shape == (8, 3)
-
-    def test_describe_device_array(self):
-        d = describe(FakeDeviceArray(np.zeros((5, 2))))
-        assert d.device.startswith("cuda")
-        assert not d.on_host
-        assert d.shape == (5, 2) and d.contiguous
+        assert d.nbytes == 8 * 3 * 8
 
     def test_payload_nbytes_array_vs_object(self):
         arr = np.zeros(100)
         assert payload_nbytes(arr) == arr.nbytes
-        assert payload_nbytes(FakeDeviceArray(arr)) == arr.nbytes
         # Opaque objects fall back to pickled size; unpicklables to 0.
         assert payload_nbytes({"a": 1}) > 0
         assert payload_nbytes(lambda: None) == 0
@@ -117,6 +74,25 @@ class TestMessageDescriptor:
         assert out[2].dtype == np.int32 and out[2].shape == (2, 3)
         assert out[3].size == 0 and out[3].dtype == np.float64
         np.testing.assert_array_equal(out[4], segs[4])
+
+    def test_pack_unaligned_and_fortran_segments(self):
+        """A 3-byte segment leaves the next float64 span unaligned: it is
+        staged through a contiguous temporary and still round-trips, as
+        does a Fortran-ordered 2-D segment."""
+        fortran = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        segs = [
+            np.array([1, 2, 3], dtype=np.uint8),
+            np.linspace(0, 1, 9)[::4],  # strided, at byte offset 3
+            fortran,
+            np.array([7], dtype=np.int16),
+        ]
+        buf, descs, offsets = pack_segments(segs)
+        assert offsets == [0, 3, 27, 123]
+        assert buf.size == 125
+        out = unpack_segments(buf, descs, offsets)
+        for got, want in zip(out, segs):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
 
     def test_pack_into_lease_too_small(self):
         with pytest.raises(ValueError, match="too small"):
@@ -162,151 +138,167 @@ class TestBufferPool:
         assert pool.misses == 2
 
 
-# -- selection -------------------------------------------------------------
+# -- semantics ---------------------------------------------------------------
 
 
-class TestTransportSelection:
-    def test_registry_and_factories(self):
-        assert available_transports() == ["naive", "packed", "device", "auto"]
-        assert isinstance(make_transport("naive"), NaiveCommunicator)
-        assert isinstance(make_transport("packed"), PackedBufferCommunicator)
-        assert isinstance(make_transport("device"), DeviceDirectCommunicator)
-        with pytest.raises(ConfigurationError):
-            make_transport("rdma")
-
-    def test_resolution_order(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMM", raising=False)
-        assert resolve_transport(None) == "naive"
-        monkeypatch.setenv("REPRO_COMM", "packed")
-        assert resolve_transport(None) == "packed"
-        assert resolve_transport("auto") == "auto"  # arg beats env
-        with pytest.raises(ConfigurationError, match="REPRO_COMM"):
-            resolve_transport("bogus")
-
-    def test_capabilities_and_can_handle(self):
-        host = [describe(np.zeros(4)), None]
-        dev = [describe(FakeDeviceArray(np.zeros(4)))]
-        naive, packed, device = (
-            make_transport(n) for n in ("naive", "packed", "device")
-        )
-        assert "object" in naive.capabilities()
-        assert "packed" in packed.capabilities()
-        assert "device" in device.capabilities()
-        assert naive.can_handle(host) and packed.can_handle(host)
-        assert not naive.can_handle(dev) and not packed.can_handle(dev)
-        assert device.can_handle(dev)
-        assert not device.can_handle(host)
-        assert not device.can_handle([None])  # nothing to place
-
-    def test_auto_order_prefers_specialized(self):
-        assert AUTO_ORDER == ("device", "packed", "naive")
-
-    def test_comm_transport_spec_and_dup_split(self):
-        def program(comm):
-            dup = comm.Dup()
-            split = comm.Split(color=comm.rank % 2, key=comm.rank)
-            return comm.transport, dup.transport, split.transport
-
-        for specs in spmd(2, program, transport="packed"):
-            assert specs == ("packed", "packed", "packed")
-
-    def test_env_var_selects_transport(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMM", "packed")
-
-        def program(comm):
-            trace = comm.trace
-            comm.Allgatherv(np.arange(3.0) + comm.rank)
-            return comm.transport
-
-        trace = mpi.CommTrace()
-        assert spmd(2, program, trace=trace) == ["packed", "packed"]
-        assert {e.transport for e in trace.events} == {"packed"}
-
-    def test_forced_transport_rejects_unmovable_payload(self):
-        def program(comm):
-            with pytest.raises(CommunicationError, match="REPRO_COMM=auto"):
-                comm.Allgatherv(np.arange(4.0))
-            return True
-
-        assert all(spmd(2, program, transport="device"))
-
-
-# -- parity ----------------------------------------------------------------
+def _inputs(rank, size):
+    """What ``rank`` contributes to the workload: strided, 2-D, ragged,
+    empty, ``None`` and mixed-dtype payloads."""
+    rng = np.random.default_rng(100 + rank)
+    ag_flat = rng.standard_normal(3 + rank)
+    ag_strided = rng.standard_normal(12)[::3]
+    ag_2d = np.arange(6, dtype=np.float32).reshape(2, 3) + rank
+    counts = [(rank + dst) % 3 for dst in range(size)]
+    a2av = rng.standard_normal(sum(counts))
+    xchg = []
+    for d in range(size):
+        if d == rank:
+            xchg.append(None)
+        elif (d + rank) % 3 == 0:
+            xchg.append(np.empty(0))
+        else:
+            # Sizes follow the destination, so what a rank sends and
+            # what it receives differ.
+            xchg.append(np.arange(2 + d, dtype=np.int64) * (d + 1) + rank)
+    return {"ag_flat": ag_flat, "ag_strided": ag_strided, "ag_2d": ag_2d,
+            "counts": counts, "a2av": a2av, "xchg": xchg}
 
 
 def _collective_workload(comm):
     """A mixed-shape, mixed-dtype tour of the three vector collectives."""
-    rng = np.random.default_rng(100 + comm.rank)
-    out = {}
-    # Allgatherv: different length per rank, strided input, 2-D input.
-    out["ag_flat"] = comm.Allgatherv(rng.standard_normal(3 + comm.rank))
-    out["ag_strided"] = comm.Allgatherv(rng.standard_normal(12)[::3])
-    out["ag_2d"] = comm.Allgatherv(
-        np.arange(6, dtype=np.float32).reshape(2, 3) + comm.rank
-    )
-    # Alltoallv: ragged counts, including zeros.
-    counts = [(comm.rank + dst) % 3 for dst in range(comm.size)]
-    send = rng.standard_normal(sum(counts))
-    out["a2av"] = comm.Alltoallv(send, counts)
-    # exchange_arrays: Nones, empties, int payloads.
-    per_dest = []
-    for d in range(comm.size):
-        if d == comm.rank:
-            per_dest.append(None)
-        elif (d + comm.rank) % 3 == 0:
-            per_dest.append(np.empty(0))
+    mine = _inputs(comm.rank, comm.size)
+    return {
+        "ag_flat": comm.Allgatherv(mine["ag_flat"]),
+        "ag_strided": comm.Allgatherv(mine["ag_strided"]),
+        "ag_2d": comm.Allgatherv(mine["ag_2d"]),
+        "a2av": comm.Alltoallv(mine["a2av"], mine["counts"]),
+        "xchg": comm.exchange_arrays(mine["xchg"]),
+    }
+
+
+def _object_semantics(rank, size):
+    """What a per-segment object exchange delivers to ``rank``: every
+    source's own array (copied), in source order."""
+    sent = [_inputs(src, size) for src in range(size)]
+    a2av = []
+    for src in sent:
+        edges = np.concatenate(([0], np.cumsum(src["counts"])))
+        a2av.append(src["a2av"][edges[rank]:edges[rank + 1]])
+    return {
+        "ag_flat": [np.ascontiguousarray(s["ag_flat"]) for s in sent],
+        "ag_strided": [np.ascontiguousarray(s["ag_strided"]) for s in sent],
+        "ag_2d": [s["ag_2d"].copy() for s in sent],
+        "a2av": np.concatenate(a2av),
+        "xchg": [
+            np.empty(0, dtype=np.float64) if s["xchg"][rank] is None
+            else s["xchg"][rank].copy()
+            for s in sent
+        ],
+    }
+
+
+def _assert_object_semantics(got, rank, size):
+    """``got`` is exactly what :func:`_object_semantics` delivers."""
+    expected = _object_semantics(rank, size)
+    assert got.keys() == expected.keys()
+    for key, want in expected.items():
+        have = got[key]
+        if isinstance(want, list):
+            assert len(have) == len(want), (rank, key)
+            pairs = zip(have, want)
         else:
-            per_dest.append(np.arange(4, dtype=np.int64) * (d + 1) + comm.rank)
-    out["xchg"] = comm.exchange_arrays(per_dest)
-    return out
+            pairs = [(have, want)]
+        for a, b in pairs:
+            assert a.dtype == b.dtype, (rank, key)
+            assert a.shape == b.shape, (rank, key)
+            assert np.array_equal(a, b), (rank, key)
 
 
-def _flatten(results):
-    flat = {}
-    for rank, out in enumerate(results):
-        for key, value in out.items():
-            arrs = value if isinstance(value, list) else [value]
-            for i, a in enumerate(arrs):
-                flat[(rank, key, i)] = a
-    return flat
+@pytest.mark.parametrize("nranks", [1, 2, 3, 4])
+class TestCollectiveSemantics:
+    def test_matches_per_segment_object_exchange(self, nranks):
+        results = spmd(nranks, _collective_workload)
+        for rank, got in enumerate(results):
+            _assert_object_semantics(got, rank, nranks)
 
+    def test_every_round_stays_intact_under_lease_reuse(self, nranks):
+        """Results of earlier rounds are never overwritten once the pool
+        starts handing their send buffers out again."""
+        rounds = 5
 
-@pytest.mark.parametrize("nranks", [2, 4])
-@pytest.mark.parametrize("transport", ["packed", "auto"])
-class TestTransportParity:
-    def test_bitwise_identical_to_naive(self, nranks, transport):
-        ref = _flatten(spmd(nranks, _collective_workload, transport="naive"))
-        got = _flatten(spmd(nranks, _collective_workload, transport=transport))
-        assert ref.keys() == got.keys()
-        for key, expected in ref.items():
-            actual = got[key]
-            if expected is None:
-                assert actual is None, key
-                continue
-            assert actual.dtype == expected.dtype, key
-            assert actual.shape == expected.shape, key
-            assert np.array_equal(actual, expected), key
+        def program(comm):
+            history = [_collective_workload(comm) for _ in range(rounds)]
+            return history, comm._pool.hits
 
-    def test_trace_events_invariant(self, nranks, transport):
-        def signature(spec):
-            trace = mpi.CommTrace()
-            spmd(nranks, _collective_workload, trace=trace, transport=spec)
-            events = trace.events
-            kinds = Counter(e.kind for e in events)
-            nbytes = Counter()
-            for e in events:
-                nbytes[e.kind] += e.nbytes
-            return kinds, nbytes, {e.transport for e in events}
+        for rank, (history, hits) in enumerate(spmd(nranks, program)):
+            assert hits > 0  # the leases really were reused
+            for got in history:
+                _assert_object_semantics(got, rank, nranks)
 
-        ref_kinds, ref_nbytes, ref_tags = signature("naive")
-        got_kinds, got_nbytes, got_tags = signature(transport)
-        assert got_kinds == ref_kinds
-        assert got_nbytes == ref_nbytes
-        # Only the transport tag may differ.
-        assert ref_tags == {"naive"}
-        assert got_tags == {"packed"}
+    def test_split_subcommunicators_match_object_exchange(self, nranks):
+        """Rounds on a parity split interleave with rounds on the parent;
+        each communicator delivers its own group's payloads."""
 
-    def test_results_are_caller_owned(self, nranks, transport):
+        def program(comm):
+            half = comm.Split(comm.rank % 2, key=comm.rank)
+            rounds = []
+            for _ in range(3):
+                rounds.append((comm.rank, comm.size, _collective_workload(comm)))
+                rounds.append((half.rank, half.size, _collective_workload(half)))
+            return rounds, half._pool is not comm._pool
+
+        for rounds, private in spmd(nranks, program):
+            assert private
+            for rank, size, got in rounds:
+                _assert_object_semantics(got, rank, size)
+
+    def test_dup_and_cart_communicators_keep_private_pools(self, nranks):
+        """Every communicator leases from its own pool, and the trace's
+        pool counters are the sum over all of them."""
+        trace = mpi.CommTrace()
+
+        def program(comm):
+            comms = [comm, comm.Dup(), mpi.create_cart(comm, ndims=1)]
+            for _ in range(3):
+                for c in comms:
+                    _assert_object_semantics(
+                        _collective_workload(c), c.rank, c.size
+                    )
+            pools = [c._pool for c in comms]
+            assert len({id(p) for p in pools}) == len(comms)
+            return sum(p.hits for p in pools), sum(p.misses for p in pools)
+
+        stats = spmd(nranks, program, trace=trace)
+        snap = trace.metrics.snapshot()
+        assert snap["bufferpool.hits"] == sum(h for h, _ in stats)
+        assert snap["bufferpool.misses"] == sum(m for _, m in stats)
+
+    def test_trace_records_logical_payloads(self, nranks):
+        trace = mpi.CommTrace()
+        spmd(nranks, _collective_workload, trace=trace)
+        expected_kinds, expected_bytes, expected_counts = Counter(), Counter(), []
+        for rank in range(nranks):
+            mine = _inputs(rank, nranks)
+            for key in ("ag_flat", "ag_strided", "ag_2d"):
+                expected_kinds["allgather"] += 1
+                expected_bytes["allgather"] += mine[key].nbytes
+            xchg = [0 if a is None else a.nbytes for a in mine["xchg"]]
+            expected_kinds["alltoallv"] += 2
+            expected_bytes["alltoallv"] += mine["a2av"].nbytes + sum(xchg)
+            expected_counts.append(
+                (rank, tuple(8 * c for c in mine["counts"]))
+            )
+            expected_counts.append((rank, tuple(xchg)))
+        events = trace.events
+        assert Counter(e.kind for e in events) == expected_kinds
+        got_bytes = Counter()
+        for e in events:
+            got_bytes[e.kind] += e.nbytes
+        assert got_bytes == expected_bytes
+        got_counts = [(e.rank, e.counts) for e in events if e.kind == "alltoallv"]
+        assert sorted(got_counts) == sorted(expected_counts)
+
+    def test_results_are_caller_owned(self, nranks):
         def program(comm):
             first = comm.Allgatherv(np.full(4, float(comm.rank)))
             for arr in first:
@@ -314,7 +306,7 @@ class TestTransportParity:
             second = comm.Allgatherv(np.full(4, float(comm.rank)))
             return [a.copy() for a in second]
 
-        for results in spmd(nranks, program, transport=transport):
+        for results in spmd(nranks, program):
             for rank, arr in enumerate(results):
                 np.testing.assert_array_equal(arr, np.full(4, float(rank)))
 
@@ -324,16 +316,15 @@ class TestPackedPool:
         rounds = 6
 
         def program(comm):
-            transport = comm._get_transport("packed")
             local = np.arange(64.0) + comm.rank
             for _ in range(rounds):
                 comm.Allgatherv(local)
             # In-flight leases are bounded by the two-round release lag.
-            assert len(transport._pending) <= 2
-            return transport.pool.stats()
+            assert len(comm._pending) <= 2
+            return comm._pool.stats()
 
         trace = mpi.CommTrace()
-        stats = spmd(2, program, trace=trace, transport="packed")
+        stats = spmd(2, program, trace=trace)
         for s in stats:
             # First two rounds miss; everything after reuses the lease.
             assert s["misses"] <= 2
@@ -352,64 +343,72 @@ class TestPackedPool:
             )
             return True
 
-        spmd(2, program, trace=trace, transport="packed")
+        spmd(2, program, trace=trace)
         assert trace.metrics.snapshot()["comm.packed_bytes"] == 2 * 8 * 8
 
 
-# -- device-direct stub ----------------------------------------------------
+# -- safety checks -----------------------------------------------------------
 
 
-class TestDeviceDirect:
-    def test_allgatherv_stages_device_payloads(self):
+#: Calls every rank of a 2-rank communicator rejects — before the
+#: rendezvous, or (``recvcounts``) once the exchange is done — with the
+#: message that names the fault.
+REJECTED = {
+    "alltoallv-counts-length": (
+        lambda c: c.Alltoallv(np.arange(3.0), [1, 1, 1]), "3 entries"),
+    "alltoallv-recvcounts": (
+        lambda c: c.Alltoallv(np.arange(2.0), [1, 1], recvcounts=[2, 0]),
+        "recvcounts mismatch"),
+    "exchange-arrays-length": (
+        lambda c: c.exchange_arrays([np.arange(2.0)]), "needs 2 entries"),
+    "alltoall-first-dim": (
+        lambda c: c.Alltoall(np.zeros(3)), "first dim 3"),
+    "alltoall-objects-length": (
+        lambda c: c.alltoall(["only one"]), "needs 2 objects"),
+    "root-out-of-range": (
+        lambda c: c.bcast("x", root=2), "root 2 out of range"),
+}
+
+
+class TestCollectiveChecks:
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_bad_call_is_rejected_and_comm_stays_usable(self, case):
+        call, message = REJECTED[case]
+
         def program(comm):
-            payload = FakeDeviceArray(np.arange(5.0) + 10 * comm.rank)
-            return comm.Allgatherv(payload)
+            with pytest.raises(CommunicationError, match=message):
+                call(comm)
+            # The rejected call leaves the communicator in step: the
+            # next packed round delivers exactly what it should.
+            got = _collective_workload(comm)
+            _assert_object_semantics(got, comm.rank, comm.size)
+            return True
 
-        trace = mpi.CommTrace()
-        results = spmd(2, program, trace=trace, transport="device")
-        for out in results:
-            np.testing.assert_array_equal(out[0], np.arange(5.0))
-            np.testing.assert_array_equal(out[1], np.arange(5.0) + 10)
-        snap = trace.metrics.snapshot()
-        assert snap["comm.device_staged_bytes"] == 2 * 5 * 8
-        assert {e.transport for e in trace.events} == {"device"}
+        assert spmd(2, program) == [True, True]
 
-    def test_exchange_stages_device_payloads(self):
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("Allgatherv", "exchange_arrays"),
+            ("Alltoallv", "exchange_arrays"),
+            ("Allgatherv", "Allgather"),
+        ],
+    )
+    def test_divergent_collectives_fail_loudly(self, first, second):
+        """Ranks entering different collectives on the same call — even
+        two that ship the same packed table — raise instead of mixing
+        payloads."""
+        calls = {
+            "Allgatherv": lambda c: c.Allgatherv(np.arange(4.0)),
+            "Allgather": lambda c: c.Allgather(np.arange(4.0)),
+            "Alltoallv": lambda c: c.Alltoallv(np.arange(2.0), [1, 1]),
+            "exchange_arrays": lambda c: c.exchange_arrays(
+                [np.arange(1.0), np.arange(1.0)]
+            ),
+        }
+
         def program(comm):
-            per_dest = [
-                None if d == comm.rank
-                else FakeDeviceArray(np.full(3, float(comm.rank)))
-                for d in range(comm.size)
-            ]
-            return comm.exchange_arrays(per_dest)
+            calls[first if comm.rank == 0 else second](comm)
 
-        for rank, out in enumerate(spmd(2, program, transport="device")):
-            peer = 1 - rank
-            np.testing.assert_array_equal(out[peer], np.full(3, float(peer)))
-
-    def test_rejects_host_arrays(self):
-        transport = DeviceDirectCommunicator()
-        with pytest.raises(CommunicationError, match="device-resident"):
-            transport._assert_device([np.arange(3.0)])
-
-    def test_rejects_device_array_without_get(self):
-        class NoGet:
-            __cuda_array_interface__ = {
-                "shape": (1,), "typestr": "<f8", "data": (0, False),
-                "strides": None, "version": 2,
-            }
-
-        transport = DeviceDirectCommunicator()
-        with pytest.raises(CommunicationError, match="get"):
-            transport._stage_host(NoGet(), mpi.CommTrace().metrics)
-
-    def test_auto_dispatches_device_payloads_to_device(self):
-        def program(comm):
-            host = comm.Allgatherv(np.arange(2.0))
-            dev = comm.Allgatherv(FakeDeviceArray(np.arange(2.0)))
-            return host, dev
-
-        trace = mpi.CommTrace()
-        spmd(2, program, trace=trace, transport="auto")
-        tags = [e.transport for e in trace.events if e.kind == "allgather"]
-        assert sorted(set(tags)) == ["device", "packed"]
+        with pytest.raises(CommunicationError, match="collective mismatch"):
+            spmd(2, program, timeout=10.0)
