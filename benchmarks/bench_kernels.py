@@ -14,7 +14,9 @@ campaign workloads' runs, where per-evaluation bookkeeping rather than
 a kernel sets the time), with two counts that do gate: an evaluation
 makes no decomposition lookup and a one-block cutoff evaluation records
 no comm event (the plans of ``docs/architecture.md``, "Built once,
-executed per evaluation"),
+executed per evaluation"), and — also report-only — the blocked
+all-pairs kernel with one worker thread vs every CPU the process may
+use (``allpairs_threads``, gated only on identical bits),
 
 together with the roofline ComputeEvent totals each run recorded —
 which must be *identical* across backends, pair for pair, because the
@@ -34,7 +36,7 @@ import time
 import numpy as np
 
 from repro import mpi
-from repro.backend import available_backends
+from repro.backend import available_backends, blocked
 from repro.core import InitialCondition, Solver, SolverConfig
 from repro.core.kernels import br_velocity_allpairs, br_velocity_neighbors
 from repro.fft import DistributedFFT2D, FftConfig
@@ -229,6 +231,43 @@ def test_small_run_step_time(monkeypatch):
             assert run["spatial_phases"] == [], (
                 f"{where}: a one-block spatial hop was not an identity"
             )
+
+
+def test_allpairs_one_worker_vs_all(monkeypatch):
+    """Report-only: the blocked all-pairs kernel with its panels on one
+    thread vs on every CPU of this process's affinity mask.  Gates only
+    the bits: both runs must agree exactly (serial reduction order)."""
+    pts, om = _surface(BR_NODES)
+    threads = blocked._helper_threads() + 1
+    runs = {}
+    for label, helpers in (("one_worker", 0), ("all_workers", threads - 1)):
+        with monkeypatch.context() as patch:
+            patch.setattr(blocked, "_helper_threads", lambda: helpers)
+            out = {}
+
+            def run():
+                out["result"] = br_velocity_allpairs(
+                    pts, pts, om, eps=0.05, dA=1e-3, backend="blocked",
+                    symmetric=True,
+                )
+
+            runs[label] = (_best_of(run, 2), out["result"])
+    one, many = runs["one_worker"][0], runs["all_workers"][0]
+    _EXTRA_PAYLOAD["allpairs_threads"] = {
+        "nodes": BR_NODES, "cpus": threads,
+        "seconds": {"one_worker": one, "all_workers": many},
+        "speedup": one / many,
+    }
+    path = save_results("BENCH_kernels", dict(_EXTRA_PAYLOAD))
+    print_series(
+        f"Blocked all-pairs, {BR_NODES}x{BR_NODES}, {threads} CPUs (report-only)",
+        ["threads", "seconds", "speedup"],
+        [[1, one, 1.0], [threads, many, one / many]],
+    )
+    print(f"payload: {path}")
+    assert np.array_equal(runs["one_worker"][1], runs["all_workers"][1]), (
+        "panel pool changed the all-pairs bits"
+    )
 
 
 def test_backend_kernel_microbenchmarks():

@@ -5,9 +5,9 @@ kernels do, and why:
 
 1. **All-pairs in L2-resident panels.**  The weight matrix
    ``w = 1/(r²+ε²)^{3/2}`` is formed one ``tile × tile`` panel at a
-   time in two scratch panels allocated once per call and rewritten in
-   place (``out=``), so a panel is produced and consumed without leaving
-   the cache.  The default edge is 256: two float64 panels are 1 MiB,
+   time in two scratch panels, kept per thread and rewritten in place
+   (``out=``), so a panel is produced and consumed without leaving the
+   cache.  The default edge is 256: two float64 panels are 1 MiB,
    half of one core's 2 MiB L2 on the reference box, where the previous
    512 (4 MiB of panels) streamed every pass through L3 — this kernel
    measures 5.7 ns per pair at 512 and 3.4 at 256 (symmetric 4096²
@@ -36,6 +36,17 @@ kernels do, and why:
    ``br_allpairs_batched`` with a stack of one, so a fleet-stepped
    scenario replays exactly the operations of its solo run.
 
+5. **Every core, serial reduction order.**  A call with two or more
+   panels computes them on the calling thread plus a process-wide pool
+   of one thread per other CPU in this process's affinity mask
+   (numpy/BLAS release the GIL inside a panel); the calling thread then
+   adds the products into the accumulator in the serial loop's order.
+   A panel's product does not depend on which thread formed it, so
+   every ``+=`` is the same IEEE operation on the same operands as a
+   one-thread run: the result is bit-identical for any thread count.
+   Panels go out in waves of ``_WAVE`` per thread, so at most one
+   wave's products are alive; a one-panel call never touches the pool.
+
 The CSR neighbor kernel works in row-aligned chunks of ~32k pairs on
 contiguous per-component columns (no ``(pairs, 3)`` fancy-indexing
 temporaries) and reduces each target's segment with
@@ -47,11 +58,16 @@ in-place accumulations instead of full-expression temporaries.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
+from typing import Optional
+
 import numpy as np
 
 from repro.backend.base import ArrayBackend
-from repro.backend.stencils import check as _check
-from repro.backend.stencils import interior as _interior
+from repro.util.errors import ConfigurationError
 from repro.util.misc import chunk_rows
 
 __all__ = ["BlockedBackend"]
@@ -60,6 +76,77 @@ __all__ = ["BlockedBackend"]
 #: Ten columns of this length are live at once; ns/pair is flat from 16k
 #: to 32k and rises on either side (call overhead below, L2 misses above).
 _CSR_CHUNK = 32_768
+
+#: All-pairs panels per thread in one wave: the products of one wave are
+#: held until the in-order reduction has added them, then freed.
+_WAVE = 8
+
+_scratch = threading.local()       # per-thread r² / w / hit panels
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _helper_threads() -> int:
+    """Pool threads beside the caller: one per other CPU this process may
+    run on (its affinity mask, so ``taskset -c 0`` means none)."""
+    try:
+        return len(os.sched_getaffinity(0)) - 1
+    except AttributeError:                  # no affinity API on this OS
+        return (os.cpu_count() or 1) - 1
+
+
+def _panel_pool(threads: int) -> ThreadPoolExecutor:
+    """The process-wide panel pool, created by the first call needing it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(threads, thread_name_prefix="br-panel")
+        return _pool
+
+
+def _panel_products(panels, t1, s1, rhs, eps2, mirror, size) -> list:
+    """``w @ rhs[J]`` per ``(fleet, i0, i1, j0, j1)`` panel, plus
+    ``w.T @ rhs[I]`` for an off-diagonal mirrored one (else ``None``).
+
+    Runs on any thread: the ``size``-element scratch panels are the
+    calling thread's own and every input is only read.
+    """
+    bufs = getattr(_scratch, "bufs", None)
+    if bufs is None or bufs[0].size < size:
+        bufs = _scratch.bufs = (
+            np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+        )
+    r2_buf, w_buf, hit_buf = bufs
+    products = []
+    for fleet, i0, i1, j0, j1 in panels:
+        e = eps2[fleet]
+        shape = (e.shape[0], i1 - i0, j1 - j0)
+        n = shape[0] * shape[1] * shape[2]
+        r2 = r2_buf[:n].reshape(shape)
+        w = w_buf[:n].reshape(shape)
+        hit = hit_buf[:n].reshape(shape)
+        tp, sp = t1[fleet, :, i0:i1], s1[fleet, :, :, j0:j1]
+        np.matmul(tp[:, 0], sp[:, 0], out=w)
+        np.multiply(w, w, out=r2)
+        for axis in (1, 2):
+            np.matmul(tp[:, axis], sp[:, axis], out=w)
+            np.multiply(w, w, out=w)
+            r2 += w
+        r2 += e
+        # r² + ε² == ε² marks a coincident pair, whose numerator
+        # ω × (t − s) vanishes: the fused reduction never forms it, so
+        # the weight is dropped instead.
+        np.equal(r2, e, out=hit)
+        np.sqrt(r2, out=w)
+        w *= r2
+        with np.errstate(divide="ignore"):            # ε = 0 self-pairs
+            np.divide(1.0, w, out=w)
+        np.copyto(w, 0.0, where=hit)
+        mirrored = None
+        if mirror and j0 > i0:
+            mirrored = w.transpose(0, 2, 1) @ rhs[fleet, i0:i1]
+        products.append((w @ rhs[fleet, j0:j1], mirrored))
+    return products
 
 
 def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -119,16 +206,17 @@ class BlockedBackend(ArrayBackend):
         """Panelled BR accumulation over a stack of scenarios.
 
         Scenarios advance in chunks whose combined ``tile x tile`` panel
-        holds at most ``tile**2`` pairs, so the two scratch panels
-        allocated here stay in L2 whatever the stack looks like (one
+        holds at most ``tile**2`` pairs, so each thread's two scratch
+        panels stay in its L2 whatever the stack looks like (one
         scenario per chunk once a scenario fills a panel).  Each panel
         costs three K=2 GEMMs for the coordinate differences, a handful
         of in-place passes for ``1/(r²+ε²)^{3/2}`` and one
         ``(b, b) @ (b, 6)`` GEMM against ``[ω | ω × s]``; with
         ``symmetric`` only the upper triangle of panels is formed and
-        each off-diagonal one is also applied transposed.  ``batch_pairs``
-        has nothing left to bound: no pair-sized temporary outgrows a
-        panel.
+        each off-diagonal one is also applied transposed.  Panels are
+        formed on every core and reduced in serial order (point 5 of the
+        module docstring).  ``batch_pairs`` has nothing left to bound: no
+        pair-sized temporary outgrows a panel.
         """
         nb, nt, ns = targets.shape[0], targets.shape[1], sources.shape[1]
         if nb == 0 or nt == 0 or ns == 0:
@@ -155,43 +243,35 @@ class BlockedBackend(ArrayBackend):
         b = self.tile
         edge_t, edge_s = min(b, nt), min(b, ns)
         chunk = min(nb, max(1, (b * b) // (edge_t * edge_s)))
-        r2_buf = np.empty(chunk * edge_t * edge_s)
-        w_buf = np.empty_like(r2_buf)
-        hit_buf = np.empty(r2_buf.shape, dtype=bool)
-        for b0 in range(0, nb, chunk):
-            fleet = slice(b0, min(b0 + chunk, nb))
-            e = eps2[fleet]
-            for i0 in range(0, nt, b):
-                i1 = min(i0 + b, nt)
-                for j0 in range(i0 if mirror else 0, ns, b):
-                    j1 = min(j0 + b, ns)
-                    shape = (e.shape[0], i1 - i0, j1 - j0)
-                    size = shape[0] * shape[1] * shape[2]
-                    r2 = r2_buf[:size].reshape(shape)
-                    w = w_buf[:size].reshape(shape)
-                    hit = hit_buf[:size].reshape(shape)
-                    tp, sp = t1[fleet, :, i0:i1], s1[fleet, :, :, j0:j1]
-                    np.matmul(tp[:, 0], sp[:, 0], out=w)
-                    np.multiply(w, w, out=r2)
-                    for axis in (1, 2):
-                        np.matmul(tp[:, axis], sp[:, axis], out=w)
-                        np.multiply(w, w, out=w)
-                        r2 += w
-                    r2 += e
-                    # r² + ε² == ε² marks a coincident pair, whose
-                    # numerator ω × (t − s) vanishes: the fused reduction
-                    # never forms it, so the weight is dropped instead.
-                    np.equal(r2, e, out=hit)
-                    np.sqrt(r2, out=w)
-                    w *= r2
-                    with np.errstate(divide="ignore"):    # ε = 0 self-pairs
-                        np.divide(1.0, w, out=w)
-                    np.copyto(w, 0.0, where=hit)
-                    acc[fleet, i0:i1] += w @ rhs[fleet, j0:j1]
-                    if mirror and j0 > i0:
-                        acc[fleet, j0:j1] += (
-                            w.transpose(0, 2, 1) @ rhs[fleet, i0:i1]
-                        )
+        panels = [
+            (slice(b0, b0 + chunk), i0, min(i0 + b, nt), j0, min(j0 + b, ns))
+            for b0 in range(0, nb, chunk)
+            for i0 in range(0, nt, b)
+            for j0 in range(i0 if mirror else 0, ns, b)
+        ]
+        task = partial(
+            _panel_products, t1=t1, s1=s1, rhs=rhs, eps2=eps2,
+            mirror=mirror, size=chunk * edge_t * edge_s,
+        )
+        helpers = _helper_threads() if len(panels) > 1 else 0
+        stride = helpers + 1
+        for w0 in range(0, len(panels), _WAVE * stride):
+            wave = panels[w0:w0 + _WAVE * stride]
+            # Static stride: thread k forms panels k, k + stride, ...
+            pending = [
+                _panel_pool(helpers).submit(task, wave[k::stride])
+                for k in range(1, min(stride, len(wave)))
+            ]
+            try:
+                mine = task(wave[0::stride])
+            finally:            # no task outlives the call, even on error
+                wait(pending)
+            shares = [mine] + [f.result() for f in pending]
+            for k, (fleet, i0, i1, j0, j1) in enumerate(wave):
+                direct, mirrored = shares[k % stride][k // stride]
+                acc[fleet, i0:i1] += direct
+                if mirrored is not None:
+                    acc[fleet, j0:j1] += mirrored
         contrib = _cross(acc[..., :3], tgt, np.empty_like(tgt))
         contrib -= acc[..., 3:]
         contrib *= pref
@@ -316,43 +396,24 @@ class BlockedBackend(ArrayBackend):
             worst = max(worst, float(r2.max()))
         return float(np.sqrt(worst))
 
-    # -- stencils ---------------------------------------------------------
+    # -- stencils and fused state updates --------------------------------
+    #
+    # One implementation per kernel, written for a stack of scenarios:
+    # the fleet calls it with a leading batch axis, a solo run with a
+    # stack of one (``full[None]``), so a fleet-stepped scenario replays
+    # the elementwise operation sequence of its solo run exactly (and
+    # stays within 1e-12 of every other backend).
 
     def stencil_dx(self, full: np.ndarray, spacing: float) -> np.ndarray:
-        _check(full)
-        out = _interior(full, -2, 0) - _interior(full, 2, 0)
-        out -= 8.0 * _interior(full, -1, 0)
-        out += 8.0 * _interior(full, 1, 0)
-        out *= 1.0 / (12.0 * spacing)
-        return out
+        return self.stencil_dx_batched(full[None], spacing)[0]
 
     def stencil_dy(self, full: np.ndarray, spacing: float) -> np.ndarray:
-        _check(full)
-        out = _interior(full, 0, -2) - _interior(full, 0, 2)
-        out -= 8.0 * _interior(full, 0, -1)
-        out += 8.0 * _interior(full, 0, 1)
-        out *= 1.0 / (12.0 * spacing)
-        return out
+        return self.stencil_dy_batched(full[None], spacing)[0]
 
     def stencil_laplacian(
         self, full: np.ndarray, dx_: float, dy_: float
     ) -> np.ndarray:
-        _check(full)
-        mid = _interior(full, 0, 0)
-        d2x = 16.0 * (_interior(full, -1, 0) + _interior(full, 1, 0))
-        d2x -= _interior(full, -2, 0)
-        d2x -= _interior(full, 2, 0)
-        d2x -= 30.0 * mid
-        d2x *= 1.0 / (12.0 * dx_ * dx_)
-        d2y = 16.0 * (_interior(full, 0, -1) + _interior(full, 0, 1))
-        d2y -= _interior(full, 0, -2)
-        d2y -= _interior(full, 0, 2)
-        d2y -= 30.0 * mid
-        d2y *= 1.0 / (12.0 * dy_ * dy_)
-        d2x += d2y
-        return d2x
-
-    # -- fused state updates ----------------------------------------------
+        return self.stencil_laplacian_batched(full[None], dx_, dy_)[0]
 
     def rk3_axpy(
         self,
@@ -362,29 +423,27 @@ class BlockedBackend(ArrayBackend):
         u0: np.ndarray,
         a0: float,
         du: np.ndarray,
-        adu: float,
+        adu: "float | np.ndarray",
     ) -> None:
+        """In-place RK3 stage; ``adu`` is a float or the fleet's ``(B,)``
+        vector, reshaped to broadcast down the stacked trailing axes."""
+        coef = np.asarray(adu, dtype=np.float64).reshape(
+            (-1,) + (1,) * (u.ndim - 1)
+        )
         # The in-place accumulation scales ``out`` first, which corrupts
         # a ``u0``/``du`` operand sharing its memory — fall back to the
         # materialized right-hand side for those aliasing patterns.
         if np.may_share_memory(out, u0) or np.may_share_memory(out, du):
-            out[...] = au * u + a0 * u0 + adu * du
+            out[...] = au * u + a0 * u0 + coef * du
             return
         if out is u or np.may_share_memory(out, u):
             out *= au
         else:
             np.multiply(u, au, out=out)
         out += a0 * u0
-        out += adu * du
+        out += coef * du
 
-    # -- batched fleet kernels --------------------------------------------
-    #
-    # Fused overrides of the per-scenario-loop defaults: one stacked
-    # numpy/BLAS invocation advances the whole fleet.  Each override
-    # replays the *same elementwise operation sequence* as the scalar
-    # blocked kernel above with a leading batch axis, so a fleet-stepped
-    # scenario stays elementwise-identical to the same scenario run
-    # solo on this backend (and within 1e-12 of every other backend).
+    rk3_axpy_batched = rk3_axpy
 
     @staticmethod
     def _binterior(full: np.ndarray, oi: int, oj: int) -> np.ndarray:
@@ -397,12 +456,12 @@ class BlockedBackend(ArrayBackend):
     @staticmethod
     def _bcheck(full: np.ndarray) -> None:
         if full.ndim < 3 or full.shape[1] < 5 or full.shape[2] < 5:
-            from repro.util.errors import ConfigurationError
-
             raise ConfigurationError(
-                "batched stencils need stacked ghosted arrays shaped "
-                f"(B, >=5, >=5, ...), got {full.shape}"
+                "depth-2 stencils need ghosted arrays of at least 5 x 5 "
+                f"nodes (stacked: (B, >=5, >=5, ...)), got {full.shape}"
             )
+
+    # -- batched FFTs: one call over the whole stack ---------------------
 
     def fft1d_batched(self, data: np.ndarray, axis: int) -> np.ndarray:
         """Fused batched forward FFT: one call over the whole stack.
@@ -428,11 +487,7 @@ class BlockedBackend(ArrayBackend):
     def stencil_dx_batched(
         self, full: np.ndarray, spacing: float
     ) -> np.ndarray:
-        """Fused batched ∂/∂α₁: the scalar in-place stencil on the stack.
-
-        Identical accumulation order to :meth:`stencil_dx` with every
-        interior view carrying the leading batch axis.
-        """
+        """4th-order ∂/∂α₁ of every scenario in one in-place sweep."""
         self._bcheck(full)
         out = self._binterior(full, -2, 0) - self._binterior(full, 2, 0)
         out -= 8.0 * self._binterior(full, -1, 0)
@@ -443,11 +498,7 @@ class BlockedBackend(ArrayBackend):
     def stencil_dy_batched(
         self, full: np.ndarray, spacing: float
     ) -> np.ndarray:
-        """Fused batched ∂/∂α₂: the scalar in-place stencil on the stack.
-
-        Identical accumulation order to :meth:`stencil_dy` with every
-        interior view carrying the leading batch axis.
-        """
+        """4th-order ∂/∂α₂ of every scenario in one in-place sweep."""
         self._bcheck(full)
         out = self._binterior(full, 0, -2) - self._binterior(full, 0, 2)
         out -= 8.0 * self._binterior(full, 0, -1)
@@ -458,11 +509,7 @@ class BlockedBackend(ArrayBackend):
     def stencil_laplacian_batched(
         self, full: np.ndarray, dx_: float, dy_: float
     ) -> np.ndarray:
-        """Fused batched surface Laplacian over the scenario stack.
-
-        Identical accumulation order to :meth:`stencil_laplacian` with
-        every interior view carrying the leading batch axis.
-        """
+        """4th-order surface Laplacian of every scenario in one sweep."""
         self._bcheck(full)
         mid = self._binterior(full, 0, 0)
         d2x = 16.0 * (self._binterior(full, -1, 0) + self._binterior(full, 1, 0))
@@ -477,32 +524,3 @@ class BlockedBackend(ArrayBackend):
         d2y *= 1.0 / (12.0 * dy_ * dy_)
         d2x += d2y
         return d2x
-
-    def rk3_axpy_batched(
-        self,
-        out: np.ndarray,
-        u: np.ndarray,
-        au: float,
-        u0: np.ndarray,
-        a0: float,
-        du: np.ndarray,
-        adu: np.ndarray,
-    ) -> None:
-        """Fused fleet RK3 stage: one in-place sweep with broadcast dt.
-
-        The per-scenario ``adu`` vector is reshaped to broadcast down
-        the stacked trailing axes; the accumulation order and aliasing
-        fallbacks match :meth:`rk3_axpy` exactly.
-        """
-        coef = np.asarray(adu, dtype=np.float64).reshape(
-            (-1,) + (1,) * (u.ndim - 1)
-        )
-        if np.may_share_memory(out, u0) or np.may_share_memory(out, du):
-            out[...] = au * u + a0 * u0 + coef * du
-            return
-        if out is u or np.may_share_memory(out, u):
-            out *= au
-        else:
-            np.multiply(u, au, out=out)
-        out += a0 * u0
-        out += coef * du

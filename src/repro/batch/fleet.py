@@ -43,13 +43,13 @@ import numpy as np
 from repro.backend import get_backend
 from repro.core.initial_conditions import InitialCondition, initial_state
 from repro.core.kernels import PAIR_FLOPS
-from repro.core.solver import SolverConfig
+from repro.core.solver import SolverConfig, check_health
 from repro.core.zmodel import Order
 from repro.core import operators as ops
 from repro.fft.dfft import riesz_multiplier
 from repro.grid.global_mesh import GlobalMesh2D
 from repro.mpi.trace import CommTrace, NullTrace
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, RunDivergedError
 
 __all__ = ["ScenarioFleet", "fleet_key"]
 
@@ -156,6 +156,7 @@ class ScenarioFleet:
         self._X, self._Y = X, Y
         self._dx, self._dy = self.mesh.spacings
         self._prefactor = self.mesh.cell_area / (4.0 * np.pi)
+        self._bound = template.amplitude_bound()
 
         self._need_fft = self.order in (Order.LOW, Order.MEDIUM)
         self._need_br = self.order in (Order.MEDIUM, Order.HIGH)
@@ -519,8 +520,19 @@ class ScenarioFleet:
     def _finish_ready(
         self, on_finish: Optional[Callable[[int, dict], None]] = None
     ) -> list[int]:
-        """Record results for scenarios at target and compact them out."""
-        done = np.nonzero(self._steps_done >= self._steps_target)[0]
+        """Record results for scenarios at target and compact them out.
+
+        A member whose state fails :func:`check_health` finishes early
+        with ``{"error": RunDivergedError}`` as its result; its siblings
+        keep stepping.
+        """
+        z_own, w_own = self._owned(self._z), self._owned(self._w)
+        sound = (
+            np.isfinite(z_own).all(axis=(1, 2, 3))
+            & np.isfinite(w_own).all(axis=(1, 2, 3))
+            & (np.abs(z_own[..., 2]).max(axis=(1, 2), initial=0.0) < self._bound)
+        )
+        done = np.nonzero((self._steps_done >= self._steps_target) | ~sound)[0]
         if done.size == 0:
             return []
         h = _HALO
@@ -528,6 +540,14 @@ class ScenarioFleet:
         finished: list[int] = []
         for b in done:
             sid = self._ids[int(b)]
+            if not sound[b]:
+                try:
+                    check_health(z_own[b], w_own[b], self._bound,
+                                 int(self._steps_done[b]))
+                except RunDivergedError as exc:
+                    self.results[sid] = {"error": exc}
+                    finished.append(sid)
+                    continue
             result: dict = {"diagnostics": self._diag_at(int(b))}
             if self.retain_state:
                 result["z"] = self._z[b, h : h + n0, h : h + n1, :].copy()

@@ -301,18 +301,6 @@ class CampaignDeck:
             deck.name = stem
         return deck
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "mode": self.mode,
-            "steps": self.steps,
-            "ranks": self.ranks,
-            "base": _canonical(self.base),
-            "ic": _canonical(self.ic),
-            "grid": _canonical(self.grid),
-            "zip": _canonical(self.zip_axes),
-        }
-
     # -- expansion ------------------------------------------------------------
 
     def _points(self) -> Iterator[dict[str, Any]]:

@@ -446,21 +446,21 @@ class CampaignExecutor:
         start = time.perf_counter()
         pending: dict[int, RunSpec] = {}
 
-        def fail_remaining(error: str) -> None:
+        def fail(spec: RunSpec, error: str) -> None:
+            run_hash = spec.run_hash()
             elapsed = time.perf_counter() - start
-            remaining = [s for s in group if s.run_hash() not in outcomes]
-            for spec in remaining:
-                run_hash = spec.run_hash()
-                self.store.record_failed(spec, error, elapsed=elapsed)
-                self.metrics.counter("campaign.runs_failed").inc()
-                outcomes[run_hash] = RunOutcome(
-                    spec=spec, run_hash=run_hash, status="failed",
-                    error=error, elapsed=elapsed,
-                )
-                self._mark(run_hash, "failed")
-                self.log(
-                    f"{run_hash} FAILED in batch fleet ({spec.describe()})"
-                )
+            self.store.record_failed(spec, error, elapsed=elapsed)
+            self.metrics.counter("campaign.runs_failed").inc()
+            outcomes[run_hash] = RunOutcome(
+                spec=spec, run_hash=run_hash, status="failed",
+                error=error, elapsed=elapsed,
+            )
+            self._mark(run_hash, "failed")
+            self.log(f"{run_hash} FAILED in batch fleet ({spec.describe()})")
+
+        def fail_remaining(error: str) -> None:
+            for spec in [s for s in group if s.run_hash() not in outcomes]:
+                fail(spec, error)
 
         try:
             fleet = ScenarioFleet(group[0].config, trace=trace)
@@ -474,6 +474,9 @@ class CampaignExecutor:
 
         def on_finish(sid: int, result: dict[str, Any]) -> None:
             spec = pending.pop(sid)
+            if "error" in result:          # this member diverged
+                fail(spec, f"{type(result['error']).__name__}: {result['error']}")
+                return
             run_hash = spec.run_hash()
             elapsed = time.perf_counter() - start
             payload = {

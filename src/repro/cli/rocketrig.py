@@ -74,7 +74,7 @@ from repro.core import (
 )
 from repro.fft import FftConfig
 from repro.machine import LASSEN, replay_trace
-from repro.util.errors import ReproError
+from repro.util.errors import ReproError, RunDivergedError
 
 __all__ = [
     "main",
@@ -520,7 +520,10 @@ def run_from_args(args: argparse.Namespace) -> dict:
             tree_stats,
         )
 
-    results = mpi.run_spmd(ranks, program, trace=trace, timeout=3600.0)
+    try:
+        results = mpi.run_spmd(ranks, program, trace=trace, timeout=3600.0)
+    except RunDivergedError as exc:
+        raise SystemExit(f"rocketrig: {exc}")
     diag, counts, cache_stats, tree_stats = results[0]
 
     scenario_tag = (

@@ -41,9 +41,9 @@ from repro.core.zmodel import Order, ZModel, ZModelParameters
 from repro.fft.config import FftConfig
 from repro.fft.dfft import DistributedFFT2D
 from repro.mpi.comm import Comm
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, RunDivergedError
 
-__all__ = ["SolverConfig", "Solver", "available_br_solvers"]
+__all__ = ["SolverConfig", "Solver", "available_br_solvers", "check_health"]
 
 
 @dataclass(frozen=True)
@@ -193,6 +193,11 @@ class SolverConfig:
             return self.dt
         return self.stable_dt()
 
+    def amplitude_bound(self) -> float:
+        """Largest sound interface amplitude ``max|z₃|``: 10× the longest
+        lateral extent.  A run past it has diverged (see :func:`check_health`)."""
+        return 10.0 * max(self.high[0] - self.low[0], self.high[1] - self.low[1])
+
     def spatial_bounds(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
         if self.spatial_low is not None and self.spatial_high is not None:
             return tuple(self.spatial_low), tuple(self.spatial_high)  # type: ignore[return-value]
@@ -206,6 +211,21 @@ class SolverConfig:
     def with_updates(self, **kwargs: Any) -> "SolverConfig":
         """Functional update (input decks are immutable)."""
         return replace(self, **kwargs)
+
+
+def check_health(
+    z: np.ndarray, w: np.ndarray, bound: float, step: int, rank: int = 0
+) -> None:
+    """Raise :class:`RunDivergedError` unless the owned ``z`` and ``w``
+    are finite and ``max|z₃| < bound`` (:meth:`SolverConfig.amplitude_bound`)."""
+    for name, field in (("z", z), ("w", w)):
+        if not np.isfinite(field).all():
+            raise RunDivergedError(step, name, rank, "is not finite")
+    amplitude = float(np.abs(z[..., 2]).max(initial=0.0))
+    if amplitude >= bound:
+        raise RunDivergedError(
+            step, "z", rank, f"amplitude {amplitude:.4g} >= bound {bound:.4g}"
+        )
 
 
 def _build_exact(comm: Comm, mesh: SurfaceMesh, config: SolverConfig,
@@ -302,11 +322,18 @@ class Solver:
     # -- stepping ------------------------------------------------------------
 
     def step(self) -> None:
-        """Advance one timestep (three ZModel evaluations)."""
+        """Advance one timestep (three ZModel evaluations), then check
+        this rank's owned state with :func:`check_health`.  A diverged
+        rank raises; its peers are torn down by the SPMD abort path, so
+        the check adds no collective."""
         self.integrator.step(self.dt)
         self.time += self.dt
         self.step_count += 1
         self.comm.trace.metrics.counter("solver.steps").inc()
+        check_health(
+            self.pm.z.own, self.pm.w.own, self.config.amplitude_bound(),
+            self.step_count, self.comm.rank,
+        )
 
     def run(
         self,

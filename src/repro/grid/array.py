@@ -61,14 +61,6 @@ class NodeArray:
     def fill(self, value: float) -> None:
         self._data.fill(value)
 
-    def copy_from(self, other: "NodeArray") -> None:
-        """Copy all data (ghosts included) from a congruent array."""
-        if other.shape != self.shape:
-            raise ConfigurationError(
-                f"shape mismatch: {other.shape} vs {self.shape}"
-            )
-        np.copyto(self._data, other._data)
-
     def clone(self, name: str | None = None) -> "NodeArray":
         """Deep copy with the same grid/ncomp."""
         out = NodeArray(

@@ -95,11 +95,6 @@ class HaloExchange:
             return (rows, slice(nj, nj + h)), (rows, slice(nj + h, nj + 2 * h))
         raise ConfigurationError(f"axis must be 0 or 1, got {axis}")
 
-    def message_bytes(self, arrays: Sequence[np.ndarray], axis: int) -> int:
-        """Bytes in one direction's packed message (model-facing helper)."""
-        send, _ = self._slabs(axis, -1)
-        return sum(int(a[send].nbytes) for a in arrays)
-
     # -- exchange --------------------------------------------------------------
 
     def gather(self, arrays: Sequence[np.ndarray]) -> None:

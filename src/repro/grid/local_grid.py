@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.grid.global_mesh import GlobalMesh2D
-from repro.grid.indexspace import IndexSpace
 from repro.grid.partition import BlockPartitioner2D
 from repro.mpi.cart import CartComm
 from repro.util.errors import ConfigurationError
@@ -69,16 +68,6 @@ class LocalGrid2D:
         self.global_boundary: tuple[tuple[bool, bool], ...] = tuple(
             (c == 0, c == d - 1) for c, d in zip(cart.coords, cart.dims)
         )
-
-    # -- index bookkeeping ------------------------------------------------
-
-    def local_space(self) -> IndexSpace:
-        """Local-array index space (rooted at 0, ghosts included)."""
-        return IndexSpace.from_shape(self.local_shape)
-
-    def global_to_local(self, space: IndexSpace) -> IndexSpace:
-        """Re-express a global index box in local-array indices."""
-        return space.relative_to(self.local_origin)
 
     # -- coordinates ---------------------------------------------------------
 

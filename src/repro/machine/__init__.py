@@ -25,6 +25,7 @@ from repro.machine.patterns import (
     PhaseCost,
     cutoff_evaluation,
     exact_evaluation,
+    exact_hop_counts,
     fft_hop_counts,
     fft_phase,
     halo_phase,
@@ -56,6 +57,7 @@ __all__ = [
     "PhaseCost",
     "cutoff_evaluation",
     "exact_evaluation",
+    "exact_hop_counts",
     "fft_hop_counts",
     "fft_phase",
     "halo_phase",

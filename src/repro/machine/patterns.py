@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.fft.config import FftConfig
-from repro.fft.layouts import layout_for_stage
+from repro.fft.layouts import brick_layout, layout_for_stage
 from repro.machine.collectives import (
     allgather_time,
     allreduce_time,
@@ -55,6 +55,7 @@ __all__ = [
     "EvaluationModel",
     "halo_phase",
     "fft_hop_counts",
+    "exact_hop_counts",
     "fft_phase",
     "stencil_phase",
     "low_order_evaluation",
@@ -206,6 +207,22 @@ def fft_hop_counts(
     and costs neither wire nor pack time.
     """
     return _hop_counts(_fft_layouts(nranks, global_shape, config), rank)
+
+
+def exact_hop_counts(
+    nranks: int, global_shape: tuple[int, int], rank: int = 0
+) -> list[int]:
+    """Bytes ``rank`` sends on each of the exact solver's P−1 ring hops.
+
+    Hop ``k`` forwards the visiting ``(n, 6)`` float64 block (positions
+    and ω) of rank ``(rank − k) mod P``, whose point count comes from
+    the brick layout the surface mesh is partitioned with.
+    """
+    boxes = brick_layout(global_shape, dims_create(nranks, 2))
+    return [
+        boxes[(rank - hop) % nranks].size * 6 * _FLOAT
+        for hop in range(nranks - 1)
+    ]
 
 
 def fft_phase(
@@ -471,9 +488,10 @@ def exact_evaluation(
     phi = halo_phase(nranks, local, 1, spec)
     model.add("halo", comm=state.comm + phi.comm)
 
-    hop_bytes = int(n_local * 6 * _FLOAT)
-    ring_comm = (nranks - 1) * spec.p2p_time(
-        hop_bytes, same_node=False, nranks=nranks
+    # Every hop is paced by the largest visiting block: rank 0's own.
+    hops = exact_hop_counts(nranks, global_shape)
+    ring_comm = len(hops) * spec.p2p_time(
+        max(hops, default=0), same_node=False, nranks=nranks
     )
     pairs = n_local * total
     model.add(

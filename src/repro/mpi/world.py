@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.mpi.trace import CommTrace, NullTrace
@@ -137,10 +137,6 @@ class World:
             raise RankAbortedError(
                 f"SPMD run aborted by another rank: {self._abort_exc!r}"
             )
-
-    def _register_cond(self, cond: threading.Condition) -> None:
-        with self._global_lock:
-            self._all_conds.append(cond)
 
     # -- mailboxes --------------------------------------------------------
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.util.errors import ConfigurationError
-from repro.util.misc import dims_create
 
 __all__ = ["SpatialMesh"]
 
@@ -57,15 +56,6 @@ class SpatialMesh:
             (self.high[0] - self.low[0]) / self.dims[0],
             (self.high[1] - self.low[1]) / self.dims[1],
         ))
-
-    @classmethod
-    def for_comm_size(
-        cls,
-        low: tuple[float, float, float],
-        high: tuple[float, float, float],
-        nranks: int,
-    ) -> "SpatialMesh":
-        return cls(tuple(map(float, low)), tuple(map(float, high)), dims_create(nranks, 2))
 
     def block_widths(self) -> tuple[float, float]:
         return self._widths

@@ -31,6 +31,26 @@ class RankAbortedError(CommunicationError):
     """Another rank in the SPMD program raised; this rank was torn down."""
 
 
+class RunDivergedError(ReproError):
+    """A run's state stopped being physically sound: a non-finite ``z``
+    or ``w``, or an interface amplitude past the config's bound.
+
+    Raised right after the step that produced it — by the rank that
+    sees it, or by a fleet for that one member — so a campaign records
+    the run *failed* instead of memoizing it.
+    """
+
+    def __init__(self, step: int, field: str, rank: int, detail: str) -> None:
+        super().__init__(step, field, rank, detail)
+        self.step, self.field, self.rank, self.detail = step, field, rank, detail
+
+    def __str__(self) -> str:
+        return (
+            f"run diverged at step {self.step}: {self.field} {self.detail} "
+            f"(rank {self.rank})"
+        )
+
+
 class RunBudgetExceededError(ReproError):
     """A campaign run overran its wall-clock budget.
 

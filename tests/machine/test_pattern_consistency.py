@@ -17,6 +17,8 @@ from repro.fft.layouts import brick_layout, layout_for_stage
 from repro.machine import (
     LASSEN,
     cutoff_evaluation,
+    exact_evaluation,
+    exact_hop_counts,
     fft_hop_counts,
     low_order_evaluation,
 )
@@ -104,6 +106,45 @@ class TestFftSizingConsistency:
                 for ev in trace.filter(kind="alltoallv", rank=rank, phase="fft")
             ]
             assert traced == fft_hop_counts(nranks, shape, cfg, rank=rank)
+
+
+class TestExactRingConsistency:
+    @pytest.mark.parametrize("shape", [(16, 12), (15, 13)])
+    @pytest.mark.parametrize("nranks", [1, 2, 4])
+    def test_traced_ring_sends_match_model(self, nranks, shape):
+        """The ``br_ring`` phase's traced sends of one HIGH exact
+        evaluation == :func:`exact_hop_counts`, hop for hop and rank for
+        rank (ragged splits included; one rank sends nothing)."""
+        trace = mpi.CommTrace()
+        config = SolverConfig(num_nodes=shape, order="high", dt=0.01, eps=0.1)
+        ic = InitialCondition(kind="multi_mode", magnitude=0.05, period=3)
+
+        def program(comm):
+            Solver(comm, config, ic).zmodel.compute_derivatives()
+
+        spmd(nranks, program, trace=trace)
+        for rank in range(nranks):
+            traced = [
+                ev.nbytes
+                for ev in trace.filter(kind="send", rank=rank, phase="br_ring")
+            ]
+            assert traced == exact_hop_counts(nranks, shape, rank)
+
+    @pytest.mark.parametrize("nranks", [1, 2, 3, 4, 16, 1024])
+    def test_ring_comm_is_the_pacing_hop_times_p_minus_one(self, nranks):
+        """``exact_evaluation`` prices P−1 hops of rank 0's own block (the
+        largest one), exactly as before the count function existed."""
+        shape = (1023, 1021)
+        dims = dims_create(nranks, 2)
+        block = brick_layout(shape, dims)[0].size
+        expected = (nranks - 1) * LASSEN.p2p_time(
+            int(block * 6 * 8), same_node=False, nranks=nranks
+        )
+        model = exact_evaluation(nranks, shape, LASSEN)
+        assert model.phases["br_ring"].comm == expected
+        assert max(exact_hop_counts(nranks, shape), default=0) == (
+            block * 48 if nranks > 1 else 0
+        )
 
 
 class TestEvaluationModelStructure:
