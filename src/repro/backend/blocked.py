@@ -45,7 +45,8 @@ kernels do, and why:
    every ``+=`` is the same IEEE operation on the same operands as a
    one-thread run: the result is bit-identical for any thread count.
    Panels go out in waves of ``_WAVE`` per thread, so at most one
-   wave's products are alive; a one-panel call never touches the pool.
+   wave's products are alive, and a fleet's stack is staged about one
+   wave at a time; a one-panel call never touches the pool.
 
 The CSR neighbor kernel works in row-aligned chunks of ~32k pairs on
 contiguous per-component columns (no ``(pairs, 3)`` fancy-indexing
@@ -215,14 +216,39 @@ class BlockedBackend(ArrayBackend):
         ``symmetric`` only the upper triangle of panels is formed and
         each off-diagonal one is also applied transposed.  Panels are
         formed on every core and reduced in serial order (point 5 of the
-        module docstring).  ``batch_pairs`` has nothing left to bound: no
-        pair-sized temporary outgrows a panel.
+        module docstring), staging about one wave of whole chunks at a
+        time, so memory is flat in the stack size.  ``batch_pairs`` has
+        nothing left to bound: no pair-sized temporary outgrows a panel.
         """
         nb, nt, ns = targets.shape[0], targets.shape[1], sources.shape[1]
         if nb == 0 or nt == 0 or ns == 0:
             return
         eps2 = np.asarray(eps2, dtype=np.float64).reshape(nb, 1, 1)
         pref = np.asarray(prefactor, dtype=np.float64).reshape(nb, 1, 1)
+        mirror = symmetric and nt == ns
+        b = self.tile
+        edge_t, edge_s = min(b, nt), min(b, ns)
+        chunk = min(nb, max(1, (b * b) // (edge_t * edge_s)))
+        blocks = [
+            (i0, min(i0 + b, nt), j0, min(j0 + b, ns))
+            for i0 in range(0, nt, b)
+            for j0 in range(i0 if mirror else 0, ns, b)
+        ]
+        panels = [
+            (slice(b0, b0 + chunk),) + block
+            for b0 in range(0, nb, chunk)
+            for block in blocks
+        ]
+        helpers = _helper_threads() if len(panels) > 1 else 0
+        stride = helpers + 1
+        span = chunk * max(1, _WAVE * stride // len(blocks))
+        if span < nb:       # a scenario's panels do not depend on the cut
+            for s in (slice(s0, s0 + span) for s0 in range(0, nb, span)):
+                self.br_allpairs_batched(
+                    targets[s], sources[s], omega[s], eps2[s], pref[s], out[s],
+                    symmetric=symmetric,
+                )
+            return
         center = sources.mean(axis=1, keepdims=True)          # (nb, 1, 3)
         tgt = targets - center
         src = sources - center
@@ -238,23 +264,10 @@ class BlockedBackend(ArrayBackend):
         rhs[..., :3] = omega
         _cross(omega, src, rhs[..., 3:])                      # ω_j × s'_j
         acc = np.zeros((nb, nt, 6))        # Σ w ω_j | Σ w (ω_j × s'_j)
-
-        mirror = symmetric and nt == ns
-        b = self.tile
-        edge_t, edge_s = min(b, nt), min(b, ns)
-        chunk = min(nb, max(1, (b * b) // (edge_t * edge_s)))
-        panels = [
-            (slice(b0, b0 + chunk), i0, min(i0 + b, nt), j0, min(j0 + b, ns))
-            for b0 in range(0, nb, chunk)
-            for i0 in range(0, nt, b)
-            for j0 in range(i0 if mirror else 0, ns, b)
-        ]
         task = partial(
             _panel_products, t1=t1, s1=s1, rhs=rhs, eps2=eps2,
             mirror=mirror, size=chunk * edge_t * edge_s,
         )
-        helpers = _helper_threads() if len(panels) > 1 else 0
-        stride = helpers + 1
         for w0 in range(0, len(panels), _WAVE * stride):
             wave = panels[w0:w0 + _WAVE * stride]
             # Static stride: thread k forms panels k, k + stride, ...

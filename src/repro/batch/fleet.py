@@ -6,8 +6,9 @@ overhead dwarfs the math.  This module batches them: a struct-of-arrays
 container (bluesky's ``Traffic`` shape) holds N independent same-grid
 scenarios in stacked arrays ``(N, ny + 2h, nx + 2h, 3)`` and advances
 the whole fleet in lockstep — one ``*_batched`` backend invocation per
-RK3 stage for the entire batch, with vectorized create/finish/remove so
-completed scenarios compact out without stalling the rest.
+RK3 stage for each stack of up to 32 scenarios, with vectorized
+create/finish/remove so completed scenarios compact out without
+stalling the rest.
 
 Scenarios share the grid geometry (shape, extent, periodicity, order,
 BR solver) — that is what :func:`fleet_key` hashes — but keep their own
@@ -56,6 +57,11 @@ __all__ = ["ScenarioFleet", "fleet_key"]
 _HALO = 2
 _PAIR_BYTES = 9 * 8.0
 
+#: Scenarios stepped together: temporaries stay flat in the fleet size
+#: and cache-sized (``bench_batch``'s 64-scenario fleet: 2.1–2.5× over
+#: solo runs as one stack, 2.7–2.9× as two); no result depends on it.
+_STACK = 32
+
 # Shu-Osher TVD-RK3 stage coefficients (au, a0, adu) — identical to
 # repro.core.time_integrator.TimeIntegrator.
 _STAGE_COEFFS = (
@@ -71,14 +77,16 @@ def fleet_key(config: SolverConfig) -> Optional[tuple]:
     Two configs with equal keys can share one :class:`ScenarioFleet`:
     they agree on everything the stacked arrays and shared kernels need
     (grid shape/extent/periodicity, solve order, BR solver choice,
-    compute backend) while Atwood/gravity/mu/bernoulli/eps/dt/IC vary
+    compute engine, as resolved: ``"auto"`` shares the fleet of the
+    engine it selects) while Atwood/gravity/mu/bernoulli/eps/dt/IC vary
     per scenario.  Ineligible configs — approximate BR solvers (the
-    cutoff/tree neighbor machinery is not batched yet), or order/
-    boundary combinations the solver itself rejects — return ``None``
-    so callers fall back to solo execution.
+    cutoff/tree neighbor machinery is not batched yet), order/boundary
+    combinations the solver itself rejects, an unknown engine — return
+    ``None`` so callers fall back to solo execution.
     """
     try:
         order = Order.parse(config.order)
+        engine = get_backend(config.backend).name
     except (ConfigurationError, ValueError):
         return None
     periodic = (bool(config.periodic[0]), bool(config.periodic[1]))
@@ -98,7 +106,7 @@ def fleet_key(config: SolverConfig) -> Optional[tuple]:
         periodic,
         order.value,
         br,
-        config.backend,
+        engine,
     )
 
 
@@ -398,12 +406,12 @@ class ScenarioFleet:
                 self._extrapolate(a, axis, -1)
                 self._extrapolate(a, axis, +1)
 
-    def _gather_state(self) -> None:
+    def _gather_state(self, z: np.ndarray, w: np.ndarray) -> None:
         with self.trace.phase("batch_halo"):
-            self._wrap_halo(self._z)
-            self._wrap_halo(self._w)
-            self._apply_position(self._z)
-            self._apply_field(self._w)
+            self._wrap_halo(z)
+            self._wrap_halo(w)
+            self._apply_position(z)
+            self._apply_field(w)
 
     def _gather_field(self, full: np.ndarray) -> None:
         with self.trace.phase("batch_halo"):
@@ -424,7 +432,9 @@ class ScenarioFleet:
         out[..., 2] = w3
         return out
 
-    def _br_velocity(self, z_own: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    def _br_velocity(
+        self, z_own: np.ndarray, omega: np.ndarray, eps2: np.ndarray
+    ) -> np.ndarray:
         nb = z_own.shape[0]
         targets = np.ascontiguousarray(z_own.reshape(nb, -1, 3))
         om = np.ascontiguousarray(omega.reshape(nb, -1, 3))
@@ -437,7 +447,7 @@ class ScenarioFleet:
                 if sx or sy:
                     sources = targets + np.array([sx, sy, 0.0])
                 self.backend.br_allpairs_batched(
-                    targets, sources, om, self._eps2, pref, out,
+                    targets, sources, om, eps2, pref, out,
                     symmetric=(not sx and not sy),
                 )
             pairs = float(nb) * float(targets.shape[1]) ** 2 * len(self._shifts)
@@ -448,13 +458,14 @@ class ScenarioFleet:
             )
         return out.reshape(z_own.shape)
 
-    def _derivatives(self) -> tuple[np.ndarray, np.ndarray]:
-        """Batched replay of ``ZModel.compute_derivatives`` for the fleet."""
+    def _derivatives(self, s: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Batched replay of ``ZModel.compute_derivatives`` for the
+        scenarios ``s`` of the fleet."""
         bk = self.backend
         h = _HALO
         n0, n1 = self.shape
-        self._gather_state()
-        z_full, w_full = self._z, self._w
+        z_full, w_full = self._z[s], self._w[s]
+        self._gather_state(z_full, w_full)
         z_own = self._owned(z_full)
         w_own = self._owned(w_full)
         with self.trace.phase("batch_stencil"):
@@ -464,14 +475,18 @@ class ScenarioFleet:
             deth = ops.area_element(normal)
             if self._need_br:
                 omega = w_own[..., 0:1] * t1 + w_own[..., 1:2] * t2
+            del t1, t2, normal      # a fleet's peak memory is temporaries
 
         w_fft = self._spectral_velocity(w_own) if self._need_fft else None
-        w_br = self._br_velocity(z_own, omega) if self._need_br else None
+        w_br = (
+            self._br_velocity(z_own, omega, self._eps2[s])
+            if self._need_br else None
+        )
         w_total = w_br if self._need_br else w_fft
         w_phi = w_fft if self._need_fft else w_br
 
-        g = self._gravity.reshape(-1, 1, 1)
-        half_bern = (0.5 * self._bernoulli).reshape(-1, 1, 1)
+        g = self._gravity[s].reshape(-1, 1, 1)
+        half_bern = (0.5 * self._bernoulli[s]).reshape(-1, 1, 1)
         phi_own = g * z_own[..., 2] - half_bern * ops.dot(w_phi, w_phi)
         phi_full = np.zeros((z_full.shape[0],) + self._full_shape + (1,))
         phi_full[:, h : h + n0, h : h + n1, 0] = phi_own
@@ -480,12 +495,12 @@ class ScenarioFleet:
         with self.trace.phase("batch_stencil"):
             dphi1 = bk.stencil_dx_batched(phi_full, self._dx)[..., 0]
             dphi2 = bk.stencil_dy_batched(phi_full, self._dy)[..., 0]
-            at = (2.0 * self._atwood).reshape(-1, 1, 1)
+            at = (2.0 * self._atwood[s]).reshape(-1, 1, 1)
             wdot = np.empty_like(w_own)
             wdot[..., 0] = at * dphi2 / deth
             wdot[..., 1] = -at * dphi1 / deth
             if np.any(self._mu != 0.0):
-                mu = self._mu.reshape(-1, 1, 1)
+                mu = self._mu[s].reshape(-1, 1, 1)
                 wdot[..., 0] += mu * bk.stencil_laplacian_batched(
                     w_full[..., 0], self._dx, self._dy
                 )
@@ -501,16 +516,18 @@ class ScenarioFleet:
         if self.size == 0:
             raise ConfigurationError("cannot step an empty fleet")
         bk = self.backend
-        z_own = self._owned(self._z)
-        w_own = self._owned(self._w)
-        z0 = z_own.copy()
-        w0 = w_own.copy()
-        for au, a0, adu in _STAGE_COEFFS:
-            zdot, wdot = self._derivatives()
-            with self.trace.phase("batch_integrate"):
-                coeff = adu * self._dt
-                bk.rk3_axpy_batched(z_own, z_own, au, z0, a0, zdot, coeff)
-                bk.rk3_axpy_batched(w_own, w_own, au, w0, a0, wdot, coeff)
+        for s in (slice(b, b + _STACK) for b in range(0, self.size, _STACK)):
+            z_own = self._owned(self._z[s])
+            w_own = self._owned(self._w[s])
+            z0 = z_own.copy()
+            w0 = w_own.copy()
+            for au, a0, adu in _STAGE_COEFFS:
+                zdot, wdot = self._derivatives(s)
+                with self.trace.phase("batch_integrate"):
+                    coeff = adu * self._dt[s]
+                    bk.rk3_axpy_batched(z_own, z_own, au, z0, a0, zdot, coeff)
+                    bk.rk3_axpy_batched(w_own, w_own, au, w0, a0, wdot, coeff)
+                del zdot, wdot
         self._steps_done += 1
         self._time += self._dt
         self.fleet_steps += 1

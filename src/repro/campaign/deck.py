@@ -148,8 +148,13 @@ class RunSpec:
         """Canonical JSON-able form — the input to :meth:`run_hash`.
 
         ``fft_config`` is stored as its Table-1 index (not a nested
-        dict), so reports can group by it directly.
+        dict), so reports can group by it directly.  Converted once per
+        spec, like the hash, and shared: copy it before changing it.
         """
+        return self._payload
+
+    @functools.cached_property
+    def _payload(self) -> dict[str, Any]:
         config = {
             f.name: _canonical(getattr(self.config, f.name))
             for f in dataclasses.fields(self.config)

@@ -1,34 +1,33 @@
 """Campaign execution: dedup, scheduling, leased worker processes, resume.
 
 :meth:`CampaignExecutor.submit` takes a batch of
-:class:`~repro.campaign.deck.RunSpec`\\ s through four stages:
-
-1. **Dedup** — duplicate specs run once, and hashes already completed
-   in the store are skipped ("store hit").
-2. **Order** — the rest is sorted longest-job-first by the machine-model
-   cost estimate (:mod:`repro.campaign.scheduler`), evaluated once per
-   run and reused for every later ETA.
-3. **Fleet pre-pass** — groups of same-shape serial functional runs are
-   advanced by one in-process :class:`repro.batch.ScenarioFleet`.
-4. **Dispatch** of what is left, by ``worker_type``:
+:class:`~repro.campaign.deck.RunSpec`\\ s through one plan
+(:func:`~repro.campaign.scheduler.plan_runs`): duplicate specs run
+once, hashes already completed in the store are skipped ("store hit"),
+the rest is ordered longest-job-first by the machine-model cost
+estimate (evaluated once per run and reused for every later ETA), and
+groups of same-shape serial functional runs become one *fleet* item,
+advanced by one :class:`repro.batch.ScenarioFleet`
+(:meth:`CampaignExecutor.run_fleet`).  The items are dispatched by
+``worker_type``:
 
 ``"process"`` (default)
     The campaign service, locally: a
-    :class:`~repro.campaign.service.Coordinator` leases the functional
-    runs to ``min(max_workers, runs)`` ``rocketrig campaign --worker``
-    child processes over a loopback socket — the protocol, claim
-    markers and lease rule of ``rocketrig campaign --serve``, with
-    workers this executor starts (before the fleet pre-pass, so
-    interpreter start-up overlaps it), watches and reaps.  A worker
-    that dies hard has its lease expired the moment the child is
-    reaped and the run requeued on a replacement; a run that kills
-    ``max_requeues + 1`` workers is recorded ``failed`` while its
-    siblings complete.  Nothing is spawned when nothing needs a second
-    process: one run, ``max_workers=1`` and model-mode runs
-    (microseconds of arithmetic) execute inline.
+    :class:`~repro.campaign.service.Coordinator` plans the functional
+    runs and leases its items — a fleet is one lease — to
+    ``min(max_workers, items)`` ``rocketrig campaign --worker`` child
+    processes over a loopback socket: the protocol, claim markers and
+    lease rule of ``rocketrig campaign --serve``, with workers this
+    executor starts, watches and reaps.  A worker that dies hard has
+    its lease expired the moment the child is reaped and its runs
+    requeued on a replacement; a run that kills ``max_requeues + 1``
+    workers is recorded ``failed`` while its siblings complete.
+    Nothing is spawned when nothing needs a second process: a plan of
+    one item (one run, or one fleet), ``max_workers=1`` and model-mode
+    runs (microseconds of arithmetic) execute inline.
 ``"serial"``
     Inline in the calling thread (debugging, and what a worker process
-    itself uses for the run it was leased).
+    itself uses for the job it was leased).
 
 One run's failure is captured in its index record without aborting its
 siblings, and interrupted functional runs resume from the checkpoint
@@ -66,11 +65,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro import mpi
 from repro.campaign.deck import RunSpec
 from repro.campaign.protocol import SocketEndpoint
-from repro.campaign.scheduler import (
-    evaluation_model,
-    lpt_makespan,
-    modeled_costs,
-)
+from repro.campaign.scheduler import evaluation_model, lpt_makespan, plan_runs
 from repro.campaign.store import COMPLETED, FAILED, CampaignStore, RunRecord
 from repro.core.solver import Solver
 from repro.io.checkpoint import load_checkpoint
@@ -232,14 +227,11 @@ class CampaignExecutor:
         #: and one-line progress summaries during ``submit``; 0 disables
         #: the heartbeat thread (initial/final snapshots still land).
         self.status_interval = float(status_interval)
-        #: Batch fast path: groups of >= ``batch_min`` same-shape serial
-        #: functional runs are advanced by one in-process
-        #: :class:`repro.batch.ScenarioFleet` instead of N worker
-        #: dispatches (grouping key: :func:`repro.batch.fleet_key`).
-        #: Checkpointing campaigns and runs resuming from a checkpoint
-        #: keep the per-run path.
+        #: Fleet forming, passed to :func:`plan_runs` (inline) or the
+        #: coordinator (leased): groups of >= ``batch_min`` same-shape
+        #: serial functional runs become one fleet item.
         self.batch_fast_path = bool(batch_fast_path)
-        self.batch_min = max(2, int(batch_min))
+        self.batch_min = int(batch_min)
         #: Campaign-level metrics (store hits, runs completed/failed,
         #: requeues, run-elapsed histogram, ``campaign.service.*``).
         self.metrics = MetricsRegistry()
@@ -262,102 +254,92 @@ class CampaignExecutor:
         Duplicate specs within the batch run once; hashes already
         completed in the store are skipped outright.
         """
-        unique: dict[str, RunSpec] = {}
-        for spec in specs:
-            unique.setdefault(spec.run_hash(), spec)
-        completed = self.store.completed_hashes()
-
+        # Functional runs go to a coordinator, which plans what it
+        # leases; what stays in this process is planned here.
+        coordinator, here = None, specs
+        if self.worker_type == "process" and self.max_workers > 1:
+            functional = [s for s in specs if s.mode == "functional"]
+            if functional:
+                coordinator = self._coordinator(functional)
+                here = [s for s in specs if s.mode != "functional"]
+        plans = [plan_runs(
+            here, self.store, self.machine, batch_fast_path=self.batch_fast_path,
+            batch_min=self.batch_min, checkpoint_freq=self.checkpoint_freq,
+        )]
+        items = list(plans[0].items)
+        if coordinator is not None:
+            plans.append(coordinator.plan)
+            if min(self.max_workers, len(coordinator.plan.items)) < 2:
+                # One item (a run or a fleet) needs no second process.
+                items += coordinator.plan.items
+                coordinator.endpoint.close()
+                coordinator = None
+        board = _StatusBoard(
+            self,
+            {h: s for plan in plans for h, s in plan.unique.items()},
+            {h: c for plan in plans for h, c in plan.costs.items()},
+        )
         outcomes: dict[str, RunOutcome] = {}
-        to_run: dict[str, RunSpec] = {}
-        for run_hash, spec in unique.items():
-            result = (
-                self.store.load_result(run_hash) if run_hash in completed else None
-            )
-            if result is not None and self._hit_is_valid(spec, result):
+        for plan in plans:
+            for run_hash, result in plan.hits.items():
+                spec = plan.unique[run_hash]
                 outcomes[run_hash] = RunOutcome(
                     spec=spec, run_hash=run_hash, status="skipped", result=result
                 )
                 self.metrics.counter("campaign.store_hits").inc()
                 self.log(f"{run_hash} store hit — skipped ({spec.describe()})")
-            else:
-                to_run[run_hash] = spec
-
-        # One model evaluation per run: the same map orders the queue
-        # (longest job first) and feeds every ETA the board renders.
-        costs = modeled_costs(to_run, self.machine)
-        ordered = [to_run[run_hash] for run_hash in costs]
-        fleet_groups: list[list[RunSpec]] = []
-        if self.batch_fast_path and ordered:
-            fleet_groups, ordered = self._partition_fleet(ordered)
-        # Functional runs are leased to worker processes — unless
-        # nothing needs a second process; model runs are microseconds
-        # of arithmetic and always stay here.
-        leased: list[RunSpec] = []
-        if self.worker_type == "process":
-            functional = [s for s in ordered if s.mode == "functional"]
-            if min(self.max_workers, len(functional)) > 1:
-                leased = functional
-                ordered = [s for s in ordered if s.mode != "functional"]
-        board = _StatusBoard(self, unique, costs)
-        for run_hash in outcomes:
-            board.mark(run_hash, "skipped")
+                board.mark(run_hash, "skipped")
         self._status = board
         board.publish()
         heartbeat = board.start_heartbeat(self.status_interval)
-        workers = None
         clean_exit = False
         try:
-            if leased:
-                # Started first: the interpreters import while the
-                # fleets below still hold this process.
-                workers = self._start_workers(leased, board)
-                self.log(
-                    f"dispatching {len(leased)} runs on {workers.size} "
-                    f"process workers (longest-job-first, modeled head "
-                    f"cost {costs[leased[0].run_hash()]:.3g}s)"
-                )
-            for group in fleet_groups:
-                self._submit_fleet(group, outcomes)
-            for spec in ordered:
-                outcome = self._run_tracked(spec)
-                outcomes[outcome.run_hash] = outcome
-            if workers is not None:
-                workers.serve()
+            if coordinator is not None:
+                self._lease(coordinator, board)
                 latest = self.store.latest_records()
-                for spec in leased:
-                    run_hash = spec.run_hash()
+                for run_hash in coordinator.plan.costs:
+                    spec = coordinator.plan.unique[run_hash]
                     outcomes[run_hash] = _outcome_of(spec, latest.get(run_hash))
+            for item in items:
+                done = self.run_fleet(item) if len(item) > 1 else [
+                    self._run_tracked(item[0])
+                ]
+                outcomes.update((o.run_hash, o) for o in done)
             clean_exit = True
         finally:
-            if workers is not None:
-                workers.close(clean=clean_exit)
             board.stop_heartbeat(heartbeat)
             board.finalize(interrupted=not clean_exit)
             self._status = None
         return [outcomes[spec.run_hash()] for spec in specs]
 
-    def _start_workers(self, specs: Sequence[RunSpec], board: "_StatusBoard"):
-        """The process backend of one ``submit()``: the campaign service
-        with workers this executor owns — a coordinator for ``specs``
-        driving ``board``, and the child processes it will lease to."""
+    def _coordinator(self, specs: Sequence[RunSpec]):
+        """The campaign service on a loopback endpoint, planning
+        ``specs`` with this executor's settings."""
         # Imported here: the service module builds on this one.
-        from repro.campaign.service import Coordinator, LocalWorkers
+        from repro.campaign.service import Coordinator
 
-        coordinator = Coordinator(
-            self.store,
-            specs,
-            SocketEndpoint(),
-            run_timeout=self.timeout,
-            collective_timeout=self.collective_timeout,
-            machine=self.machine,
-            checkpoint_freq=self.checkpoint_freq,
-            telemetry=self.telemetry,
+        return Coordinator(
+            self.store, specs, SocketEndpoint(), run_timeout=self.timeout,
+            collective_timeout=self.collective_timeout, machine=self.machine,
+            checkpoint_freq=self.checkpoint_freq, telemetry=self.telemetry,
+            batch_fast_path=self.batch_fast_path, batch_min=self.batch_min,
             log=self._log,
         )
+
+    def _lease(self, coordinator, board: "_StatusBoard") -> None:
+        """Lease the coordinator's items to ``min(max_workers, items)``
+        local worker processes until every run is terminal."""
+        from repro.campaign.service import LocalWorkers
+
         # One status document and one metrics registry per submit().
-        coordinator.board = board
-        coordinator.metrics = self.metrics
-        return LocalWorkers(coordinator, min(self.max_workers, len(specs)))
+        coordinator.board, coordinator.metrics = board, self.metrics
+        items = coordinator.plan.items
+        workers = LocalWorkers(coordinator, min(self.max_workers, len(items)))
+        self.log(
+            f"dispatching {coordinator.pending} runs as {len(items)} leases "
+            f"on {workers.size} process workers (longest-job-first)"
+        )
+        workers.serve()
 
     def _run_tracked(self, spec: RunSpec) -> RunOutcome:
         """``run_one`` plus status-board transitions."""
@@ -371,80 +353,33 @@ class CampaignExecutor:
         if board is not None:
             board.mark(run_hash, state)
 
-    def _hit_is_valid(self, spec: RunSpec, result: dict[str, Any]) -> bool:
-        """Model-mode hits only count for the same machine they were
-        costed on; functional results are machine independent."""
-        if spec.mode != "model":
-            return True
-        return result.get("machine") in (None, self.machine.name)
+    # -- fleets ----------------------------------------------------------------
 
-    # -- batch fast path -------------------------------------------------------
+    def run_fleet(self, group: Sequence[RunSpec]) -> list[RunOutcome]:
+        """Advance same-shape serial runs as one
+        :class:`repro.batch.ScenarioFleet`, recording each of them.
 
-    def _partition_fleet(
-        self, ordered: Sequence[RunSpec]
-    ) -> tuple[list[list[RunSpec]], list[RunSpec]]:
-        """Split the scheduled batch into fleet groups and the remainder.
-
-        Eligible specs — serial (``ranks == 1``) functional runs whose
-        configs share a :func:`repro.batch.fleet_key` and that are not
-        resuming from a checkpoint in a checkpointing campaign — are
-        grouped; groups reaching ``batch_min`` go to
-        :meth:`_submit_fleet`, everything else keeps its
-        longest-job-first slot in the per-run dispatch.
-        """
-        from repro.batch import fleet_key
-
-        groups: dict[tuple, list[RunSpec]] = {}
-        rest: list[RunSpec] = []
-        for spec in ordered:
-            key = None
-            if (
-                spec.mode == "functional"
-                and spec.ranks == 1
-                and self.checkpoint_freq == 0
-                and not os.path.exists(
-                    self.store.checkpoint_path(spec.run_hash())
-                )
-            ):
-                key = fleet_key(spec.config)
-            if key is None:
-                rest.append(spec)
-            else:
-                groups.setdefault(key, []).append(spec)
-        fleets: list[list[RunSpec]] = []
-        for group in groups.values():
-            if len(group) >= self.batch_min:
-                fleets.append(group)
-            else:
-                rest.extend(group)
-        if fleets and rest:
-            slot = {spec.run_hash(): i for i, spec in enumerate(ordered)}
-            rest.sort(key=lambda spec: slot[spec.run_hash()])
-        return fleets, rest
-
-    def _submit_fleet(
-        self, group: Sequence[RunSpec], outcomes: dict[str, RunOutcome]
-    ) -> None:
-        """Advance one fleet group in-process, recording per-run results.
-
-        Store records match the serial worker path exactly — one
-        terminal ``completed``/``failed`` record per run with the same
-        result payload shape, no ``running`` claim markers — so
-        ``campaign_summary`` counts fleet-absorbed runs identically to
-        pool runs.  Each completed run still gets its own
+        The one routine a fleet item runs through — inline, or in the
+        worker its lease went to.  Store records match a solo run's:
+        one terminal ``completed``/``failed`` record per member with the
+        same result payload shape, so ``campaign_summary`` counts
+        fleet-absorbed runs like any other.  A member that diverges
+        fails alone.  Each completed run still gets its own
         ``telemetry.json`` (the fleet trace is shared; ``fleet_size``
-        marks it as amortized).
+        marks it as amortized).  Returns one outcome per member, in
+        ``group`` order.
         """
         from repro.batch import ScenarioFleet
 
         n = len(group)
         self.log(
             f"batch fast path: advancing {n} same-shape serial runs in one "
-            f"in-process fleet ({group[0].describe()})"
+            f"fleet ({group[0].describe()})"
         )
         trace = CommTrace() if self.telemetry else None
         start = time.perf_counter()
         pending: dict[int, RunSpec] = {}
+        outcomes: dict[str, RunOutcome] = {}
 
         def fail(spec: RunSpec, error: str) -> None:
             run_hash = spec.run_hash()
@@ -457,20 +392,6 @@ class CampaignExecutor:
             )
             self._mark(run_hash, "failed")
             self.log(f"{run_hash} FAILED in batch fleet ({spec.describe()})")
-
-        def fail_remaining(error: str) -> None:
-            for spec in [s for s in group if s.run_hash() not in outcomes]:
-                fail(spec, error)
-
-        try:
-            fleet = ScenarioFleet(group[0].config, trace=trace)
-            for spec in group:
-                sid = fleet.add(spec.config, spec.ic, spec.steps)
-                pending[sid] = spec
-                self._mark(spec.run_hash(), "running")
-        except Exception:
-            fail_remaining(traceback.format_exc(limit=20))
-            return
 
         def on_finish(sid: int, result: dict[str, Any]) -> None:
             spec = pending.pop(sid)
@@ -507,16 +428,24 @@ class CampaignExecutor:
                 )
 
         try:
+            fleet = ScenarioFleet(group[0].config, trace=trace)
+            ids = fleet.add_many([(s.config, s.ic, s.steps) for s in group])
+            pending.update(zip(ids, group))
+            for spec in group:
+                self._mark(spec.run_hash(), "running")
             fleet.run(on_finish=on_finish)
         except Exception:
-            fail_remaining(traceback.format_exc(limit=20))
-            return
-        if trace is not None:
-            self.metrics.merge(trace.metrics.snapshot())
-        self.log(
-            f"batch fast path: {n} runs completed in "
-            f"{time.perf_counter() - start:.2f}s"
-        )
+            error = traceback.format_exc(limit=20)
+            for spec in [s for s in group if s.run_hash() not in outcomes]:
+                fail(spec, error)
+        else:
+            if trace is not None:
+                self.metrics.merge(trace.metrics.snapshot())
+            self.log(
+                f"batch fast path: {n} runs completed in "
+                f"{time.perf_counter() - start:.2f}s"
+            )
+        return [outcomes[spec.run_hash()] for spec in group]
 
     # -- single runs -----------------------------------------------------------
 

@@ -14,7 +14,7 @@ is the only layer that knows about sockets:
 wire type          dataclass      meaning
 =================  =============  ==========================================
 ``job-request``    `JobRequest`   worker → coordinator: ready for work
-``new-job``        `NewJob`       coordinator → worker: a leased run spec
+``new-job``        `NewJob`       coordinator → worker: a leased run or fleet
 ``no-work-left``   `NoWorkLeft`   coordinator → worker: drain and exit
 ``heartbeat``      `Heartbeat`    worker → coordinator: lease renewal
 ``job-done``       `JobDone`      worker → coordinator: run completed
@@ -50,7 +50,7 @@ import struct
 import threading
 import time
 from dataclasses import MISSING as _MISSING
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterator, Optional, Union
 
 from repro.util.errors import ReproError
@@ -83,8 +83,9 @@ logger = logging.getLogger("repro.campaign")
 
 #: Bumped on any incompatible message-schema change; both ends refuse
 #: frames from a different major version with a typed error instead of
-#: mis-parsing them.
-PROTOCOL_VERSION = 1
+#: mis-parsing them.  2: ``new-job`` carries fleet ``members`` (a v1
+#: worker would ignore them and run one spec).
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame's payload.  A length prefix beyond this is
 #: a corrupt or hostile stream, rejected before any allocation.
@@ -116,7 +117,7 @@ class JobRequest:
 
 @dataclass(frozen=True)
 class NewJob:
-    """Coordinator → worker: a leased run.
+    """Coordinator → worker: a leased run, or a leased fleet.
 
     Carries everything a worker needs to rebuild and execute the run
     with no shared state beyond the filesystem: the spec payload dict
@@ -127,6 +128,10 @@ class NewJob:
     ``timeout`` / ``collective_timeout`` / ``checkpoint_freq`` /
     ``telemetry`` are the submitting side's executor settings, so a
     leased run behaves as it would have where it was submitted.
+
+    A fleet lease carries its members' payload dicts in ``members``
+    (``payload`` is then empty) under a group ``run_hash``; the worker
+    reports each member under its own hash.
     """
 
     run_hash: str
@@ -138,6 +143,7 @@ class NewJob:
     collective_timeout: float = 0.0
     checkpoint_freq: int = 0
     telemetry: bool = True
+    members: list = field(default_factory=list)
 
     TYPE = "new-job"
 
@@ -207,16 +213,19 @@ _FIELD_TYPES: dict[str, Any] = {
     "float": (int, float),
     "int": int,
     "bool": bool,
+    "list": list,
 }
 
 
 def encode_message(msg: Message) -> bytes:
-    """Canonical JSON bytes for one message (sorted keys, UTF-8)."""
+    """Canonical JSON bytes for one message (sorted keys, UTF-8); fields
+    are read where they stand, not deep-copied as ``asdict`` would."""
     cls = type(msg)
     wire_type = getattr(cls, "TYPE", None)
     if wire_type not in MESSAGE_TYPES:
         raise ProtocolError(f"not a protocol message: {msg!r}")
-    doc = {"v": PROTOCOL_VERSION, "type": wire_type, **asdict(msg)}
+    doc = {"v": PROTOCOL_VERSION, "type": wire_type}
+    doc.update((f.name, getattr(msg, f.name)) for f in fields(msg))
     return json.dumps(doc, sort_keys=True).encode("utf-8")
 
 

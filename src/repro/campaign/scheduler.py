@@ -7,13 +7,18 @@ count.  For functional runs at laptop scale the absolute number is not
 the wall clock, but the *relative* ordering it induces (exact ≫ cutoff ≫
 low; big meshes ≫ small) is what longest-job-first needs to keep the
 worker pool from ending on one long straggler — the classic LPT
-approximation to minimum makespan.
+approximation to minimum makespan.  :func:`plan_runs` turns a batch
+into the items a dispatcher runs in that order: one run, or one fleet.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+import hashlib
+import os
+from dataclasses import dataclass
+from typing import Any, Iterable, Mapping, Sequence
 
+from repro.batch import fleet_key
 from repro.campaign.deck import RunSpec
 from repro.machine.model import LASSEN, MachineSpec
 from repro.machine.patterns import (
@@ -27,12 +32,15 @@ from repro.machine.patterns import (
 from repro.util.errors import ConfigurationError
 
 __all__ = [
+    "RunPlan",
     "evaluation_model",
     "estimate_cost",
+    "lease_id",
     "longest_job_first",
     "modeled_costs",
     "lpt_makespan",
     "makespan_estimate",
+    "plan_runs",
 ]
 
 
@@ -115,3 +123,76 @@ def makespan_estimate(
     return lpt_makespan(
         [estimate_cost(spec, machine) for spec in specs], workers
     )
+
+
+@dataclass
+class RunPlan:
+    """A batch resolved against its store by :func:`plan_runs`."""
+
+    unique: dict[str, RunSpec]          # every distinct spec, by hash
+    hits: dict[str, dict[str, Any]]     # store hits: hash → stored result
+    costs: dict[str, float]             # runs to execute, longest first
+    items: list[tuple[RunSpec, ...]]    # one run or one fleet, LJF order
+
+
+def plan_runs(
+    specs: Sequence[RunSpec],
+    store,
+    machine: MachineSpec = LASSEN,
+    *,
+    batch_fast_path: bool = True,
+    batch_min: int = 4,
+    checkpoint_freq: int = 0,
+) -> RunPlan:
+    """Dedup, store hits, longest-job-first order and fleets of a batch.
+
+    A completed hash with a loadable result is a hit (a model result
+    only for the machine it was costed on).  Serial functional runs
+    sharing a :func:`repro.batch.fleet_key` — with no checkpointing and
+    no checkpoint on disk — become one item once ``batch_min`` of them
+    group, ordered by their summed cost.  One model evaluation per run.
+    """
+    unique: dict[str, RunSpec] = {}
+    for spec in specs:
+        unique.setdefault(spec.run_hash(), spec)
+    completed = store.completed_hashes() if unique else set()
+    hits: dict[str, dict[str, Any]] = {}
+    to_run: dict[str, RunSpec] = {}
+    for run_hash, spec in unique.items():
+        result = store.load_result(run_hash) if run_hash in completed else None
+        if result is not None and (
+            spec.mode != "model" or result.get("machine") in (None, machine.name)
+        ):
+            hits[run_hash] = result
+        else:
+            to_run[run_hash] = spec
+    costs = modeled_costs(to_run, machine)
+    groups: dict[Any, list[RunSpec]] = {}
+    for run_hash, spec in ((h, to_run[h]) for h in costs):
+        key = (
+            batch_fast_path and spec.mode == "functional" and spec.ranks == 1
+            and checkpoint_freq == 0
+            and not os.path.exists(store.checkpoint_path(run_hash))
+            and fleet_key(spec.config)
+        )
+        groups.setdefault(key or run_hash, []).append(spec)
+    items: list[tuple[RunSpec, ...]] = []
+    for group in groups.values():
+        if len(group) >= max(2, batch_min):
+            items.append(tuple(group))
+        else:
+            items.extend((spec,) for spec in group)
+    slot = {run_hash: i for i, run_hash in enumerate(costs)}
+    items.sort(key=lambda item: (
+        -sum(costs[spec.run_hash()] for spec in item), slot[item[0].run_hash()]
+    ))
+    return RunPlan(unique, hits, costs, items)
+
+
+def lease_id(item: Sequence[RunSpec]) -> str:
+    """The ``run_hash`` a lease item travels under: the run's own hash,
+    or for a fleet a digest of its members' hashes."""
+    if len(item) == 1:
+        return item[0].run_hash()
+    joined = ",".join(spec.run_hash() for spec in item)
+    return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]

@@ -1,20 +1,20 @@
 """Campaign service: a job-queue coordinator and pull-based workers.
 
 :class:`Coordinator` detaches campaign execution from a single process
-tree.  It owns the run queue (deduplicated against the store, ordered
-longest-job-first) and hands work to :class:`Worker`\\ s over the typed
-message protocol of :mod:`repro.campaign.protocol` — workers *pull*
-jobs (``job-request`` → ``new-job`` | ``no-work-left``), execute them
-through the ordinary serial :class:`~repro.campaign.executor.CampaignExecutor`
-path (so store records, telemetry artifacts and retry semantics are
-identical to every other execution backend), and report ``job-done`` /
-``job-failed``.  Because the store deduplicates by content hash, any
-number of submitters can point decks at one coordinator and share
-results.  A local campaign is the same service with workers the
-submitting process owns: ``CampaignExecutor.submit`` builds a
-coordinator on a loopback endpoint and serves it to
-:class:`LocalWorkers` — ``rocketrig campaign --worker`` child processes
-it starts, watches and reaps.
+tree.  It owns the run queue (:func:`~repro.campaign.scheduler.plan_runs`)
+and hands work to :class:`Worker`\\ s over the typed message protocol
+of :mod:`repro.campaign.protocol` — workers *pull* jobs (``job-request``
+→ ``new-job`` | ``no-work-left``), execute them through the ordinary
+serial :class:`~repro.campaign.executor.CampaignExecutor` path (so store
+records, telemetry artifacts and retry semantics are identical to every
+other execution backend), and report ``job-done`` / ``job-failed`` per
+run; a fleet of same-shape runs is one job.  Because the store
+deduplicates by content hash, any number of submitters can point decks
+at one coordinator and share results.  A local campaign is the same
+service with workers the submitting process owns:
+``CampaignExecutor.submit`` builds a coordinator on a loopback endpoint
+and serves it to :class:`LocalWorkers` — ``rocketrig campaign
+--worker`` child processes it starts, watches and reaps.
 
 Lease state machine (per run)::
 
@@ -27,10 +27,14 @@ Lease state machine (per run)::
          (requeued; max_requeues      lease_timeout)
           exhausted ▶ failed)
 
-A lease is granted by appending a ``running`` claim marker to the store
-with ``owner`` (the worker's identity) and ``lease_expires`` stamped,
-so a coordinator restart can tell a live claimant (future deadline,
-heartbeats will renew it) from a dead one (lapsed deadline → requeue).
+A lease is granted by appending a ``running`` claim marker per run to
+the store with ``owner`` (the worker's identity) and ``lease_expires``
+stamped, so a coordinator restart can tell a live claimant (future
+deadline, heartbeats will renew it) from a dead one (lapsed deadline →
+requeue).  A fleet lease is released once every member has reported;
+one that lapses is *dissolved*: each unreported member is requeued as
+a solo run under the same rule, so a poison member is isolated by the
+ordinary ``max_requeues`` bound.
 Workers renew their lease with ``heartbeat`` messages; a worker that
 vanishes (SIGKILL, kernel fault, unplugged machine) simply stops
 heartbeating and its run is reclaimed and requeued when the lease
@@ -64,7 +68,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro.campaign.deck import RunSpec
@@ -88,7 +92,7 @@ from repro.campaign.protocol import (
     ProtocolError,
     WorkerChannel,
 )
-from repro.campaign.scheduler import modeled_costs
+from repro.campaign.scheduler import lease_id, plan_runs
 from repro.campaign.store import CampaignStore
 from repro.machine.model import LASSEN, MachineSpec
 from repro.telemetry.artifacts import TELEMETRY_SCHEMA, atomic_write_json
@@ -129,14 +133,17 @@ def service_info_path(store: CampaignStore) -> str:
 
 @dataclass
 class Lease:
-    """One granted job: who holds it and when it lapses."""
+    """One granted job — a run or a fleet — who holds it and when it
+    lapses; ``open`` holds the runs not yet reported, by hash."""
 
-    spec: RunSpec
+    id: str
+    specs: tuple[RunSpec, ...]
     worker: str
     conn_id: str
     granted: float
     deadline: float
     requeues: int = 0
+    open: dict[str, RunSpec] = field(default_factory=dict)
 
 
 class _ServiceStatusBoard(_StatusBoard):
@@ -171,10 +178,11 @@ class Coordinator:
     distinct workers seen.  :attr:`board` and :attr:`metrics` may be
     replaced before serving by a host that already tracks a larger
     batch (``CampaignExecutor.submit`` does, so one document covers
-    its fleet, inline and leased runs).
+    its inline and leased runs).
 
     ``checkpoint_freq`` and ``telemetry`` are the executor settings
     every leased run is executed with; they travel in each ``new-job``.
+    ``batch_fast_path`` / ``batch_min`` shape the fleets of the plan.
 
     ``journal=True`` appends every non-heartbeat message the
     coordinator receives or sends to :attr:`journal` as
@@ -197,6 +205,8 @@ class Coordinator:
         machine: MachineSpec = LASSEN,
         checkpoint_freq: int = 0,
         telemetry: bool = True,
+        batch_fast_path: bool = True,
+        batch_min: int = 4,
         status_interval: float = 0.0,
         poll_interval: float = 0.05,
         drain_grace: float = 5.0,
@@ -228,47 +238,35 @@ class Coordinator:
 
         self._state_lock = threading.Lock()
         self._workers: dict[str, _WorkerInfo] = {}
-        self._leases: dict[str, Lease] = {}
+        self._leases: dict[str, Lease] = {}    # lease id → lease
+        self._held: dict[str, Lease] = {}      # run hash → its open lease
         self._requeue_counts: collections.Counter[str] = collections.Counter()
         self._parked: collections.deque[tuple[str, str]] = collections.deque()
         self._notified: set[str] = set()
 
-        # Dedup within the batch and against the store, mirroring
-        # CampaignExecutor.submit: completed hashes with a loadable
-        # result are store hits and never hit the queue.
-        unique: dict[str, RunSpec] = {}
-        for spec in specs:
-            unique.setdefault(spec.run_hash(), spec)
-        completed = store.completed_hashes()
-        to_run: dict[str, RunSpec] = {}
-        self._skipped: list[str] = []
-        for run_hash, spec in unique.items():
-            result = (
-                store.load_result(run_hash) if run_hash in completed else None
-            )
-            if result is not None and self._hit_is_valid(spec, result):
-                self._skipped.append(run_hash)
-                self.metrics.counter("campaign.store_hits").inc()
-            else:
-                to_run[run_hash] = spec
+        # Store hits never reach the queue; the plan's costs feed the ETA.
+        self.plan = plan_runs(
+            specs, store, machine, batch_fast_path=batch_fast_path,
+            batch_min=batch_min, checkpoint_freq=self.checkpoint_freq,
+        )
+        if self.plan.hits:
+            self.metrics.counter("campaign.store_hits").inc(len(self.plan.hits))
         # A previous coordinator's lapsed claims requeue transparently:
-        # they are simply still in to_run (no terminal record), and the
+        # they are simply still queued (no terminal record), and the
         # fresh claim written at grant time supersedes the stale one.
-        stale = set(store.expired_claims()) & set(to_run)
+        stale = set(store.expired_claims()) if self.plan.costs else set()
+        stale &= set(self.plan.costs)
         if stale:
             self.log(
                 f"reclaiming {len(stale)} runs with lapsed leases from a "
                 f"previous coordinator"
             )
-        # One model evaluation per run: the same map orders the queue
-        # (longest job first) and feeds every later ETA.
-        costs = modeled_costs(to_run, self.machine)
-        self._queue: collections.deque[RunSpec] = collections.deque(
-            to_run[run_hash] for run_hash in costs
+        self._queue: collections.deque[tuple[RunSpec, ...]] = (
+            collections.deque(self.plan.items)
         )
-        self._pending: set[str] = set(to_run)
-        self.board = _ServiceStatusBoard(self, unique, costs)
-        for run_hash in self._skipped:
+        self._pending: set[str] = set(self.plan.costs)
+        self.board = _ServiceStatusBoard(self, self.plan.unique, self.plan.costs)
+        for run_hash in self.plan.hits:
             self.board.mark(run_hash, "skipped")
         self._counts = {"completed": 0, "failed": 0, "requeued": 0}
 
@@ -285,11 +283,6 @@ class Coordinator:
             self._log(line)
         else:
             logger.info(line)
-
-    def _hit_is_valid(self, spec: RunSpec, result: dict[str, Any]) -> bool:
-        if spec.mode != "model":
-            return True
-        return result.get("machine") in (None, self.machine.name)
 
     # -- observability -------------------------------------------------------
 
@@ -308,12 +301,13 @@ class Coordinator:
                 for name, info in self._workers.items()
             }
             leases = {
-                run_hash: {
+                lease.id: {
                     "owner": lease.worker,
                     "expires_in": lease.deadline - now,
                     "requeues": lease.requeues,
+                    "open": len(lease.open),
                 }
-                for run_hash, lease in self._leases.items()
+                for lease in self._leases.values()
             }
         address = getattr(self.endpoint, "address", None)
         return {
@@ -364,7 +358,7 @@ class Coordinator:
         address = getattr(self.endpoint, "address", None)
         self.log(
             f"service: coordinating {len(self._pending)} runs "
-            f"({len(self._skipped)} store hits)"
+            f"({len(self.plan.hits)} store hits)"
             + (f" on {address[0]}:{address[1]}" if address else "")
         )
         clean_exit = False
@@ -383,7 +377,7 @@ class Coordinator:
             "campaign": self.store.campaign,
             "completed": self._counts["completed"],
             "failed": self._counts["failed"],
-            "skipped": len(self._skipped),
+            "skipped": len(self.plan.hits),
             "requeued": self._counts["requeued"],
             "workers": sorted(self._workers),
         }
@@ -502,17 +496,19 @@ class Coordinator:
             self._notified.add(conn_id)
 
     def _grant(self, conn_id: str, worker: str) -> None:
-        spec = self._queue.popleft()
-        run_hash = spec.run_hash()
+        item = self._queue.popleft()
+        job_id = lease_id(item)
         now = time.time()
         deadline = now + self.lease_timeout
-        # The claim marker makes the lease durable: a coordinator that
+        # The claim markers make the lease durable: a coordinator that
         # restarts sees owner + lease_expires on the trailing running
-        # record and can classify the claimant without guessing.
-        self.store.record_running(spec, owner=worker, lease_expires=deadline)
+        # records and can classify the claimant without guessing.
+        self.store.record_running(*item, owner=worker, lease_expires=deadline)
+        payloads = [spec.payload() for spec in item]
         job = NewJob(
-            run_hash=run_hash,
-            payload=spec.payload(),
+            run_hash=job_id,
+            payload=payloads[0] if len(item) == 1 else {},
+            members=payloads if len(item) > 1 else [],
             campaign=self.store.campaign,
             store_root=self.store.base_root,
             lease_timeout=self.lease_timeout,
@@ -523,23 +519,24 @@ class Coordinator:
         )
         if not self._send(conn_id, job):
             # The connection died between request and grant; put the
-            # run back — its stale claim is superseded at the regrant.
-            self._queue.appendleft(spec)
+            # item back — its stale claims are superseded at the regrant.
+            self._queue.appendleft(item)
             return
+        lease = Lease(
+            id=job_id, specs=item, worker=worker, conn_id=conn_id,
+            granted=now, deadline=deadline,
+            requeues=self._requeue_counts[job_id],
+            open={spec.run_hash(): spec for spec in item},
+        )
         with self._state_lock:
-            self._leases[run_hash] = Lease(
-                spec=spec,
-                worker=worker,
-                conn_id=conn_id,
-                granted=now,
-                deadline=deadline,
-                requeues=self._requeue_counts[run_hash],
-            )
+            self._leases[job_id] = lease
+            self._held.update((run_hash, lease) for run_hash in lease.open)
         self.metrics.counter("campaign.service.jobs_leased").inc()
-        self.board.mark(run_hash, "running")
+        for run_hash in lease.open:
+            self.board.mark(run_hash, "running")
         self.log(
-            f"service: leased {run_hash} to {worker} "
-            f"(deadline +{self.lease_timeout:g}s, {spec.describe()})"
+            f"service: leased {job_id} to {worker} (deadline "
+            f"+{self.lease_timeout:g}s, {len(item)}× {item[0].describe()})"
         )
 
     def _handle_heartbeat(self, msg: Heartbeat) -> None:
@@ -555,13 +552,18 @@ class Coordinator:
             self.metrics.counter("campaign.service.stale_messages").inc()
 
     def _release(self, msg: Any) -> Optional[Lease]:
-        """Drop the lease a terminal report resolves (stale reports —
+        """Resolve the lease member a terminal report names; the lease
+        itself goes once every member has reported.  Stale reports —
         e.g. from a worker whose lease already expired — return None
-        and are counted, not trusted)."""
+        and are counted, not trusted."""
         with self._state_lock:
-            lease = self._leases.get(msg.run_hash)
+            lease = self._held.get(msg.run_hash)
             if lease is not None and lease.worker == msg.worker:
-                return self._leases.pop(msg.run_hash)
+                del self._held[msg.run_hash]
+                del lease.open[msg.run_hash]
+                if not lease.open:
+                    del self._leases[lease.id]
+                return lease
         self.metrics.counter("campaign.service.stale_messages").inc()
         return None
 
@@ -572,6 +574,8 @@ class Coordinator:
         self._pending.discard(msg.run_hash)
         self._counts["completed"] += 1
         self.metrics.counter("campaign.runs_completed").inc()
+        if lease is not None and len(lease.specs) > 1:
+            self.metrics.counter("campaign.batch_absorbed").inc()
         self.metrics.histogram("campaign.run_elapsed").observe(msg.elapsed)
         with self._state_lock:
             info = self._workers.get(msg.worker)
@@ -605,7 +609,9 @@ class Coordinator:
     # -- lease expiry ---------------------------------------------------------
 
     def _sweep_leases(self) -> None:
-        """Reclaim and requeue every lease whose deadline lapsed."""
+        """Reclaim every lease whose deadline lapsed: each member not
+        yet reported is requeued as a solo run (a lapsed fleet
+        dissolves), or failed once it has used up ``max_requeues``."""
         now = time.time()
         with self._state_lock:
             expired = [
@@ -613,27 +619,30 @@ class Coordinator:
                 if lease.deadline <= now
             ]
             for lease in expired:
-                del self._leases[lease.spec.run_hash()]
+                del self._leases[lease.id]
+                for run_hash in lease.open:
+                    del self._held[run_hash]
         for lease in expired:
-            run_hash = lease.spec.run_hash()
             self.metrics.counter("campaign.service.leases_expired").inc()
-            self._requeue_counts[run_hash] += 1
-            count = self._requeue_counts[run_hash]
-            if count > self.max_requeues:
-                error = (
-                    f"lease expired {count} times (workers keep vanishing "
-                    f"mid-run) — giving up on this run"
+            for spec in reversed(lease.open.values()):  # to the head, in order
+                run_hash = spec.run_hash()
+                self._requeue_counts[run_hash] += 1
+                count = self._requeue_counts[run_hash]
+                if count > self.max_requeues:
+                    error = (
+                        f"lease expired {count} times (workers keep "
+                        f"vanishing mid-run) — giving up on this run"
+                    )
+                    self._fail(spec, error)
+                    continue
+                self._counts["requeued"] += 1
+                self.metrics.counter("campaign.requeues").inc()
+                self._queue.appendleft((spec,))
+                self.board.mark(run_hash, "queued")
+                self.log(
+                    f"service: lease {lease.id} on {run_hash} (worker "
+                    f"{lease.worker}) expired — requeued (attempt {count + 1})"
                 )
-                self._fail(lease.spec, error)
-                continue
-            self._counts["requeued"] += 1
-            self.metrics.counter("campaign.requeues").inc()
-            self._queue.appendleft(lease.spec)
-            self.board.mark(run_hash, "queued")
-            self.log(
-                f"service: lease on {run_hash} (worker {lease.worker}) "
-                f"expired — requeued (attempt {count + 1})"
-            )
         # Regrant immediately to parked workers.
         while self._queue and self._parked:
             conn_id, worker = self._parked.popleft()
@@ -660,9 +669,13 @@ class Coordinator:
         """Record every run not yet terminal as failed with ``error``
         (the host has no worker left to run them)."""
         with self._state_lock:
-            specs = [lease.spec for lease in self._leases.values()]
+            specs = [
+                spec for lease in self._leases.values()
+                for spec in lease.open.values()
+            ]
             self._leases.clear()
-        for spec in specs + list(self._queue):
+            self._held.clear()
+        for spec in specs + [spec for item in self._queue for spec in item]:
             self._fail(spec, error)
         self._queue.clear()
 
@@ -721,11 +734,16 @@ class LocalWorkers:
         )
 
     def serve(self) -> None:
-        """Lease until every run has a terminal record."""
-        coordinator = self.coordinator
-        while coordinator.pending:
-            coordinator.step()
-            self._tend()
+        """Lease until every run has a terminal record, then
+        :meth:`close` (cleanly unless unwinding on an error)."""
+        clean = False
+        try:
+            while self.coordinator.pending:
+                self.coordinator.step()
+                self._tend()
+            clean = True
+        finally:
+            self.close(clean=clean)
 
     def _tend(self) -> None:
         """Reap exited children, expire their leases and keep the pool
@@ -799,12 +817,15 @@ class Worker:
 
     Runs each :class:`NewJob` through a serial
     :class:`~repro.campaign.executor.CampaignExecutor` against the
-    store named in the message, so terminal records, checkpoints and
+    store named in the message — ``run_one`` for a run,
+    :meth:`~repro.campaign.executor.CampaignExecutor.run_fleet` for a
+    fleet's ``members`` — so terminal records, checkpoints and
     ``telemetry.json`` artifacts are byte-identical to every other
     execution path.  The worker records terminally *before* reporting
-    ``job-done``/``job-failed`` — a lost report can cost a duplicate
-    execution (the lease expires, the run requeues, the store's
-    last-record-wins semantics absorb it) but never a lost result.
+    one ``job-done``/``job-failed`` per run — a lost report can cost a
+    duplicate execution (the lease expires, the run requeues, the
+    store's last-record-wins semantics absorb it) but never a lost
+    result.
 
     A background thread heartbeats every ``lease_timeout / 3`` while a
     job is executing.  A coordinator that disappears mid-conversation
@@ -813,8 +834,9 @@ class Worker:
     ever corrupted by a coordinator crash.
 
     ``run_one`` is a test hook replacing the executor call
-    (``spec -> RunOutcome``); raising :class:`WorkerVanished` from it
-    simulates a silent worker death (stop heartbeating, send nothing).
+    (``spec -> RunOutcome``, once per member of a fleet); raising
+    :class:`WorkerVanished` from it simulates a silent worker death
+    (stop heartbeating, send nothing).
     """
 
     def __init__(
@@ -883,48 +905,50 @@ class Worker:
         ).start()
         return stop
 
-    def _execute(self, job: NewJob) -> Optional[Message]:
-        """Run one job; returns the report message (None = vanished)."""
-        spec = RunSpec.from_payload(job.payload, campaign=job.campaign)
-        run_hash = spec.run_hash()
-        if run_hash != job.run_hash:
-            # A coordinator whose hash does not match the payload it
+    def _execute(self, job: NewJob) -> list[Message]:
+        """Run one job; returns its reports, one per run."""
+        specs = [
+            RunSpec.from_payload(payload, campaign=job.campaign)
+            for payload in job.members or [job.payload]
+        ]
+        if lease_id(specs) != job.run_hash:
+            # A coordinator whose hash does not match the payloads it
             # shipped is confused; refuse rather than record under the
             # wrong content address.
-            return JobFailed(
-                worker=self.worker_id,
-                run_hash=job.run_hash,
-                error=(
-                    f"payload hash mismatch: coordinator said "
-                    f"{job.run_hash}, payload hashes to {run_hash}"
-                ),
-            )
+            return [JobFailed(
+                worker=self.worker_id, run_hash=job.run_hash,
+                error=f"payload hash mismatch: coordinator said "
+                      f"{job.run_hash}, payload hashes to {lease_id(specs)}",
+            )]
         # Fault injection (tests): SIGKILL ourselves mid-claim, exactly
         # like the process-pool crash tests.
-        _maybe_trip_kill_fuse(run_hash)
+        for spec in specs:
+            _maybe_trip_kill_fuse(spec.run_hash())
         interval = max(0.05, job.lease_timeout / 3.0)
-        stop = self._start_heartbeat(run_hash, interval)
+        stop = self._start_heartbeat(job.run_hash, interval)
         try:
-            if self._run_one is not None:
-                outcome = self._run_one(spec)
+            if job.members and self._run_one is None:
+                outcomes = self._executor_for(job).run_fleet(specs)
             else:
-                outcome = self._executor_for(job).run_one(spec)
+                run = self._run_one or self._executor_for(job).run_one
+                outcomes = [run(spec) for spec in specs]
         finally:
             stop.set()
+        return [self._report(outcome) for outcome in outcomes]
+
+    def _report(self, outcome: RunOutcome) -> Message:
         if outcome.status == "completed":
             self.jobs_completed += 1
             return JobDone(
-                worker=self.worker_id,
-                run_hash=run_hash,
+                worker=self.worker_id, run_hash=outcome.run_hash,
                 elapsed=outcome.elapsed,
                 resumed_from_step=outcome.resumed_from_step,
             )
         self.jobs_failed += 1
-        error = outcome.error or ""
+        error = (outcome.error or "").strip()
         return JobFailed(
-            worker=self.worker_id,
-            run_hash=run_hash,
-            error=error.strip().splitlines()[-1] if error.strip() else "",
+            worker=self.worker_id, run_hash=outcome.run_hash,
+            error=error.splitlines()[-1] if error else "",
             elapsed=outcome.elapsed,
         )
 
@@ -950,7 +974,7 @@ class Worker:
                     self.log(f"ignoring unexpected {msg.TYPE} message")
                     continue
                 try:
-                    report = self._execute(msg)
+                    reports = self._execute(msg)
                 except WorkerVanished:
                     # Simulated hard death: stop silently, exactly as a
                     # SIGKILLed process would — no report, no record.
@@ -960,7 +984,7 @@ class Worker:
                         "failed": self.jobs_failed,
                         "reason": "vanished",
                     }
-                if report is not None:
+                for report in reports:
                     self.channel.send(report)
         except (ChannelClosedError, ProtocolError) as exc:
             # The coordinator hung up.  Any in-flight job was already

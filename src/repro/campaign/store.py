@@ -275,16 +275,17 @@ class CampaignStore:
         record = self.latest_records().get(run_hash)
         return record is not None and record.status == COMPLETED
 
-    def _append_locked(self, record: RunRecord) -> None:
-        """Append one record; the caller holds both store locks.
+    def _append_locked(self, *records: RunRecord) -> None:
+        """Append records; the caller holds both store locks.
 
-        The encoded record goes out in a single ``write`` on an
+        The encoded records go out in a single ``write`` on an
         ``O_APPEND`` descriptor, so records from concurrent writer
         processes interleave whole, never mid-line.
         """
-        if not record.timestamp:
-            record.timestamp = time.time()
-        line = (record.to_json() + "\n").encode("utf-8")
+        now = time.time()
+        for record in records:
+            record.timestamp = record.timestamp or now
+        line = "".join(r.to_json() + "\n" for r in records).encode("utf-8")
         fd = os.open(
             self.index_path, os.O_CREAT | os.O_RDWR | os.O_APPEND, 0o666
         )
@@ -304,10 +305,10 @@ class CampaignStore:
         finally:
             os.close(fd)
 
-    def append(self, record: RunRecord) -> None:
-        """Thread- and process-safe append of one record to the index."""
+    def append(self, *records: RunRecord) -> None:
+        """Thread- and process-safe append of records to the index."""
         with self._lock, self._write_lock():
-            self._append_locked(record)
+            self._append_locked(*records)
 
     # -- results --------------------------------------------------------------
 
@@ -355,30 +356,29 @@ class CampaignStore:
 
     def record_running(
         self,
-        spec: RunSpec,
-        *,
+        *specs: RunSpec,
         owner: Optional[str] = None,
         lease_expires: float = 0.0,
-    ) -> RunRecord:
-        """Claim marker: a worker is about to execute this run.
+    ) -> list[RunRecord]:
+        """Claim markers: a worker is about to execute these runs.
 
         A trailing ``running`` record (no terminal record after it)
         identifies the runs that were in flight when a worker process
-        died — the executor uses it to attribute pool crashes, and the
-        campaign service stamps ``owner`` (the claiming worker's
-        identity) and ``lease_expires`` (wall-clock lease deadline) so
-        a restarted coordinator can distinguish a live claimant from a
-        dead one (:meth:`claimed_runs` / :meth:`expired_claims`).
+        died.  The campaign service stamps ``owner`` (the claiming
+        worker's identity) and ``lease_expires`` (wall-clock lease
+        deadline) so a restarted coordinator can distinguish a live
+        claimant from a dead one (:meth:`claimed_runs` /
+        :meth:`expired_claims`); a fleet lease's markers share both and
+        land in one locked append.
         """
-        record = RunRecord(
-            run_hash=spec.run_hash(),
-            status=RUNNING,
-            spec=spec.payload(),
-            owner=owner,
-            lease_expires=lease_expires,
-        )
-        self.append(record)
-        return record
+        records = [
+            RunRecord(run_hash=spec.run_hash(), status=RUNNING,
+                      spec=spec.payload(), owner=owner,
+                      lease_expires=lease_expires)
+            for spec in specs
+        ]
+        self.append(*records)
+        return records
 
     def claimed_runs(self) -> dict[str, RunRecord]:
         """Run hashes whose *latest* record is a ``running`` claim.

@@ -12,6 +12,7 @@ one CPU as on many.
 import hashlib
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ import pytest
 from repro import mpi
 from repro.backend import blocked
 from repro.backend.blocked import BlockedBackend
+from repro.batch import ScenarioFleet
 from repro.core import InitialCondition, Solver, SolverConfig
 from repro.core.diagnostics import gather_global_state
 
@@ -197,6 +199,36 @@ class TestNoPoolForOnePanel:
         assert threading.active_count() == fresh
 
 
+class TestFleetStaging:
+    """A fleet's stack is staged a slice of whole chunks at a time."""
+
+    def test_stack_equals_each_scenario_alone(self, helpers, rng):
+        helpers(1)
+        t, om = cloud(rng, 40, 256)
+        stacked = allpairs(t, t, om, 1e-2, symmetric=True)
+        for k in range(40):
+            one = slice(k, k + 1)
+            alone = allpairs(t[one], t[one], om[one], 1e-2, symmetric=True)
+            assert np.array_equal(stacked[one], alone), k
+
+    def test_staging_memory_is_flat_in_the_stack(self, helpers, rng):
+        helpers(1)
+
+        def peak(nb):
+            t, om = cloud(rng, nb, 256)
+            out, eps2, pref = np.zeros_like(t), np.full(nb, 1e-2), np.ones(nb)
+            kernel = BlockedBackend().br_allpairs_batched
+            kernel(t, t, om, eps2, pref, out, symmetric=True)  # warm scratch
+            tracemalloc.start()
+            try:
+                kernel(t, t, om, eps2, pref, out, symmetric=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(128) < 1.2 * peak(16)
+
+
 class TestPoolErrors:
     def test_task_error_reaches_caller_and_next_call_works(
         self, helpers, fresh_pool, monkeypatch, rng
@@ -245,6 +277,11 @@ PARENT_STATES = {
     ("low", True, "blocked", 4): "3b25b9634ad9a4aa",
 }
 
+#: The same digest over the final ``z`` and ``w`` of all 40 members of a
+#: 16×16 high-order blocked fleet after two steps, recorded before the
+#: kernel staged its stack in slices.
+PARENT_FLEET_STATE = "52570549139d1a66"
+
 #: Digest of the recording host's arithmetic for the operations those
 #: runs use (BLAS GEMMs, einsum reductions, FFTs, powers).  A host whose
 #: SIMD/BLAS kernels round differently reproduces neither this nor the
@@ -289,3 +326,19 @@ class TestParentPin:
 
         z, w = mpi.run_spmd(ranks, program)[0]
         assert _digest(z, w) == PARENT_STATES[key]
+
+    def test_fleet_states_equal_parent_snapshot(self):
+        if _arithmetic_canary() != ARITHMETIC_CANARY:
+            pytest.skip("snapshot recorded on a host with other BLAS/SIMD rounding")
+        config = SolverConfig(num_nodes=(16, 16), order="high", dt=0.002,
+                              eps=0.1, backend="blocked")
+        fleet = ScenarioFleet(config, retain_state=True)
+        ids = fleet.add_many([
+            (config.with_updates(atwood=0.1 + 0.02 * k),
+             InitialCondition(kind="multi_mode", magnitude=0.05, period=3,
+                              seed=k), 2)
+            for k in range(40)
+        ])
+        results = fleet.run()
+        states = [a for sid in ids for a in (results[sid]["z"], results[sid]["w"])]
+        assert _digest(*states) == PARENT_FLEET_STATE

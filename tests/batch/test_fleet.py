@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backend import available_backends
+from repro.backend import available_backends, default_backend_name
 from repro.batch import ScenarioFleet, fleet_key
 from repro.core import InitialCondition, Solver, SolverConfig
 from repro.mpi.trace import CommTrace
@@ -157,6 +157,15 @@ class TestFleetKey:
             dict(high=(12.0, 12.0)), dict(backend="blocked"),
         ):
             assert fleet_key(config(**overrides)) != fleet_key(base)
+
+    def test_keys_on_the_engine_not_its_spelling(self):
+        assert fleet_key(config(backend="BLOCKED")) == fleet_key(
+            config(backend="blocked")
+        )
+        assert fleet_key(config(backend="auto")) == fleet_key(
+            config(backend=default_backend_name())
+        )
+        assert fleet_key(config(backend="no-such-engine")) is None
 
     def test_ineligible_configs_return_none(self):
         # Approximate BR solvers are not batched.

@@ -60,6 +60,7 @@ messages = st.one_of(
         lease_timeout=finite,
         timeout=finite,
         collective_timeout=finite,
+        members=st.lists(payloads, max_size=3),
     ),
     st.builds(NoWorkLeft, reason=short_text),
     st.builds(Heartbeat, worker=short_text, run_hash=short_text),
@@ -110,6 +111,17 @@ class TestCodec:
     def test_version_mismatch_rejected(self):
         doc = json.loads(encode_message(JobRequest(worker="w")))
         doc["v"] = PROTOCOL_VERSION + 1
+        with pytest.raises(ProtocolError, match="version"):
+            decode_message(json.dumps(doc).encode())
+
+    def test_v1_frame_rejected(self):
+        """A v1 peer would ignore a fleet's ``members`` and run one spec:
+        its frames are refused, not mis-parsed."""
+        assert PROTOCOL_VERSION == 2
+        job = NewJob(run_hash="h", payload={}, campaign="c", store_root="r",
+                     lease_timeout=1.0, members=[{"a": 1}, {"a": 2}])
+        doc = json.loads(encode_message(job))
+        doc["v"] = 1
         with pytest.raises(ProtocolError, match="version"):
             decode_message(json.dumps(doc).encode())
 

@@ -39,6 +39,10 @@ DECK = {
     "grid": {"fft_config": [0, 3, 5, 7], "ranks": [1, 2]},
 }
 
+#: Jobs the deck is granted as: the four one-rank runs share a fleet
+#: key, so they are one fleet lease beside the four two-rank runs.
+LEASES = 5
+
 #: Fields that legitimately differ between executions of the same spec.
 TIMING_FIELDS = ("elapsed", "timestamp", "run_dir")
 
@@ -137,13 +141,13 @@ class TestConformance:
         assert campaign_summary(store)["completed"] == len(specs())
         assert set(terminal_states(store).values()) == {"completed"}
         # The conversation's shape is predictable in absolute terms:
-        # every run is granted and reported exactly once, every worker
-        # gets exactly one no-work-left.
+        # every lease is granted once, every run reported exactly once,
+        # every worker gets exactly one no-work-left.
         counts = message_multiset(journal)
         n = len(specs())
-        assert counts[("send", "new-job")] == n
+        assert counts[("send", "new-job")] == LEASES
         assert counts[("recv", "job-done")] == n
-        assert counts[("recv", "job-request")] == n + 2
+        assert counts[("recv", "job-request")] == LEASES + 2
         assert counts[("send", "no-work-left")] == 2
 
     def test_second_service_run_is_all_store_hits(self, tmp_path):
@@ -187,6 +191,7 @@ class TestStatusDocument:
         store, _, _, _ = run_socket_service(tmp_path)
         with open(os.path.join(store.root, "status.json")) as fh:
             metrics = json.load(fh)["metrics"]
-        assert metrics["campaign.service.jobs_leased"] == len(specs())
+        assert metrics["campaign.service.jobs_leased"] == LEASES
+        assert metrics["campaign.batch_absorbed"] == 4
         assert metrics["campaign.service.workers_seen"] == 2
         assert metrics.get("campaign.service.leases_expired", 0) == 0

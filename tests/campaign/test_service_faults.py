@@ -99,8 +99,11 @@ class TestWorkerSigkillSocket:
     def test_lease_expires_and_requeues_exactly_once(self, tmp_path):
         store = CampaignStore("faults", root=str(tmp_path / "svc"))
         endpoint = SocketEndpoint()
+        # Solo leases: this pins the one-run requeue (the fleet lease
+        # these four one-rank runs would form has its own tests).
         coordinator = Coordinator(
             store, specs(), endpoint, lease_timeout=3.0, drain_grace=3.0,
+            batch_fast_path=False,
         )
         port = endpoint.address[1]
 
@@ -172,6 +175,7 @@ class TestWorkerVanishSocket:
         endpoint = SocketEndpoint()
         coordinator = Coordinator(
             store, specs(), endpoint, lease_timeout=1.0, drain_grace=0.5,
+            batch_fast_path=False,
         )
         host, port = endpoint.address
         out = {}
