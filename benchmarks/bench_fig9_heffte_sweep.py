@@ -134,7 +134,7 @@ def test_fig9_functional_all_configs_agree(benchmark):
     def run_config(cfg):
         def program(comm):
             cart = mpi.create_cart(comm, ndims=2)
-            fft = DistributedFFT2D(cart, (n, n), cfg, backend=BACKEND)
+            fft = DistributedFFT2D(cart, (n, n), cfg)
             box = fft.brick_box
             spec = fft.forward(field[box.slices()])
             return bool(np.allclose(spec, ref[box.slices()], atol=1e-8))

@@ -5,10 +5,11 @@ wall-clock of every registered :mod:`repro.backend` engine on
 
 * the exact-BR all-pairs kernel at the paper's 128×128 working size
   (the acceptance gate: ``blocked`` must be ≥ 2× the numpy reference),
-* the cutoff-BR CSR neighbor kernel, and
-* the distributed-FFT forward transform,
+  and
+* the cutoff-BR CSR neighbor kernel
 
-and — report-only, absolute seconds gate nothing — the step time of a
+(the 1-D FFT stages are no backend kernel — every engine would time the
+same ``numpy.fft`` call — so they have no row here), and — report-only, absolute seconds gate nothing — the step time of a
 16×16 one-rank exact and cutoff run (``small_run``: the size of the
 campaign workloads' runs, where per-evaluation bookkeeping rather than
 a kernel sets the time), with two counts that do gate: an evaluation
@@ -39,7 +40,6 @@ from repro import mpi
 from repro.backend import available_backends, blocked
 from repro.core import InitialCondition, Solver, SolverConfig
 from repro.core.kernels import br_velocity_allpairs, br_velocity_neighbors
-from repro.fft import DistributedFFT2D, FftConfig
 from repro.grid import HaloExchange
 from repro.machine import LASSEN, kernel_breakdown
 from repro.mpi.cart import CartComm
@@ -52,8 +52,6 @@ BR_NODES = 128
 #: Neighbor-kernel working size (cutoff pipeline scale).
 NB_NODES = 64
 NB_CUTOFF = 0.6
-#: FFT stage working size.
-FFT_NODES = 256
 
 #: Required blocked-vs-numpy speedup on the all-pairs kernel.
 REQUIRED_SPEEDUP = 2.0
@@ -129,28 +127,6 @@ def _time_search():
         out["lists"] = neighbor_lists(pts, pts, NB_CUTOFF)
 
     return _best_of(run, 3), out["lists"].total_neighbors
-
-
-def _time_fft(backend):
-    rng = np.random.default_rng(7)
-    field = rng.normal(size=(FFT_NODES, FFT_NODES))
-    trace = mpi.CommTrace()
-    out = {}
-
-    def program(comm):
-        cart = mpi.create_cart(comm, ndims=2)
-        fft = DistributedFFT2D(
-            cart, (FFT_NODES, FFT_NODES), FftConfig.from_index(7),
-            backend=backend,
-        )
-        return fft.forward(field[fft.brick_box.slices()])
-
-    def run():
-        trace.clear()
-        out["result"] = mpi.run_spmd(1, program, trace=trace)[0]
-
-    elapsed = _best_of(run, 3)
-    return elapsed, out["result"], kernel_breakdown(trace, LASSEN)
 
 
 def _strip_times(breakdown):
@@ -277,11 +253,9 @@ def test_backend_kernel_microbenchmarks():
     sections = {
         "br_allpairs": _time_allpairs,
         "br_neighbors": _time_neighbors,
-        "fft_forward": _time_fft,
     }
     payload = {
-        "nodes": {"br_allpairs": BR_NODES, "br_neighbors": NB_NODES,
-                  "fft_forward": FFT_NODES},
+        "nodes": {"br_allpairs": BR_NODES, "br_neighbors": NB_NODES},
         "backends": backends,
         "kernels": {},
         **_EXTRA_PAYLOAD,
@@ -312,12 +286,10 @@ def test_backend_kernel_microbenchmarks():
             "speedup_vs_numpy": speedups,
             "events": events["numpy"],
         }
-        # The BR events count one item per pair; FFT rows have no pairs.
-        ns_per_pair = {b: "-" for b in backends}
-        if name.startswith("br_"):
-            pairs = events["numpy"][name]["items"]
-            ns_per_pair = {b: 1e9 * times[b] / pairs for b in backends}
-            payload["kernels"][name]["ns_per_pair"] = ns_per_pair
+        # The BR events count one item per pair.
+        pairs = events["numpy"][name]["items"]
+        ns_per_pair = {b: 1e9 * times[b] / pairs for b in backends}
+        payload["kernels"][name]["ns_per_pair"] = ns_per_pair
         for backend in backends:
             rows.append([
                 name, backend, times[backend], speedups[backend],

@@ -101,7 +101,7 @@ def test_table1_enumeration_and_equivalence(benchmark, tmp_path):
 def _forward_all_ranks(cfg, field):
     def program(comm):
         cart = mpi.create_cart(comm, ndims=2)
-        fft = DistributedFFT2D(cart, N, cfg, backend=BACKEND)
+        fft = DistributedFFT2D(cart, N, cfg)
         return fft.forward(field[fft.brick_box.slices()])
 
     return mpi.run_spmd(RANKS, program)

@@ -1,10 +1,11 @@
 """repro.backend — pluggable compute engines for the dense hot paths.
 
-The solver's hot-path math (BR pair accumulation, FFT stages, stencil
-operators, fused RK3 updates) is
-expressed against the :class:`ArrayBackend` interface and selected by
-name through a registry — `SolverConfig.backend`, `rocketrig
---backend`, a campaign deck's ``backend`` axis, or the
+The solver's hot-path math (BR pair accumulation, stencil operators,
+fused RK3 updates) is expressed against the :class:`ArrayBackend`
+interface, one entry point per kernel (the all-pairs, stencil and RK3
+kernels take a stack of scenarios; a solo run is a stack of one), and
+selected by name through a registry: `SolverConfig.backend`,
+`rocketrig --backend`, a campaign deck's ``backend`` axis, or the
 ``$REPRO_BACKEND`` environment variable all resolve through
 :func:`get_backend`.
 

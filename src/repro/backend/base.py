@@ -2,10 +2,11 @@
 
 The solver's compute substrate — Birkhoff-Rott pair accumulation
 (dense, CSR-neighbor and Barnes-Hut far-field), tree moment
-reductions, 1D FFT stages, the two-node-deep stencil operators and the
-fused RK3 state updates — is
-expressed against this interface so engines can be swapped the way the
-paper swaps heFFTe communication flags: without touching the physics.
+reductions, the two-node-deep stencil operators and the fused RK3
+state updates — is expressed against this interface so engines can be
+swapped the way the paper swaps heFFTe communication flags: without
+touching the physics.  The 1-D FFT stages are not on it: every engine
+would call ``numpy.fft``, so :mod:`repro.fft.serial` does that itself.
 Implementations are *pure compute*: they never record trace events
 (the calling layer records identical
 :class:`~repro.mpi.trace.ComputeEvent` roofline totals regardless of
@@ -19,6 +20,16 @@ float64 arrays, inputs are read-only, and an ``out`` accumulator must
 not alias any input (:meth:`ArrayBackend.rk3_axpy` is the deliberate
 exception — its contract *requires* aliasing tolerance, the lesson of
 the cross-backend aliasing regression suite).
+
+Stacks
+------
+The all-pairs, stencil and RK3 kernels have one entry point each, and
+it takes a *stack*: a leading axis of B independent same-shape
+scenarios (a :class:`~repro.batch.ScenarioFleet` stack, or a solo
+run's arrays as a stack of one via ``a[None]``), with per-scenario
+scalars as ``(B,)`` float64 vectors.  Scenario ``b`` computes exactly
+what a stack of one holding it computes — scenarios never interact —
+so a fleet-stepped scenario replays its solo run's operations.
 
 Numerical contract
 ------------------
@@ -40,44 +51,15 @@ import numpy as np
 __all__ = ["ArrayBackend"]
 
 
-def _looped(kernel: str, doc: str):
-    """A ``*_batched`` default: scalar ``kernel`` once per scenario.
-
-    Array arguments are sliced along their leading batch axis; anything
-    else (grid spacings, stage constants, ``axis``) goes to every call
-    unchanged.  Kernels that return an array have the per-scenario
-    results stacked in scenario order; in-place kernels return ``None``.
-    """
-
-    def batched(self, *args, **kwargs):
-        fn = getattr(self, kernel)
-        nb = next(a.shape[0] for a in args if isinstance(a, np.ndarray))
-        stacked = None
-        for b in range(nb):
-            result = fn(
-                *(a[b] if isinstance(a, np.ndarray) else a for a in args),
-                **kwargs,
-            )
-            if result is not None:
-                if stacked is None:
-                    stacked = np.empty((nb,) + result.shape, result.dtype)
-                stacked[b] = result
-        return stacked
-
-    batched.__name__ = f"{kernel}_batched"
-    batched.__qualname__ = f"ArrayBackend.{batched.__name__}"
-    batched.__doc__ = doc
-    return batched
-
-
 class ArrayBackend(abc.ABC):
     """Abstract compute engine for the dense hot paths.
 
     Array arguments follow the conventions of the calling modules:
-    BR kernels take flattened ``(n, 3)`` float64 point/vector arrays,
-    stencil operators take full ghosted ``(ni + 4, nj + 4, ...)``
-    arrays and return owned-region results, and the RK3 update works
-    on owned-region views of any shape.
+    BR kernels take flattened ``(n, 3)`` float64 point/vector arrays
+    (``(B, n, 3)`` stacks for :meth:`br_allpairs`), stencil operators
+    take ghosted ``(B, ni + 4, nj + 4, ...)`` stacks and return
+    owned-region stacks, and the RK3 update works on ``(B, ...)``
+    owned-region stacks.
     """
 
     #: Registry key; subclasses override.
@@ -91,21 +73,24 @@ class ArrayBackend(abc.ABC):
         targets: np.ndarray,
         sources: np.ndarray,
         omega: np.ndarray,
-        eps2: float,
-        prefactor: float,
+        eps2: np.ndarray,
+        prefactor: np.ndarray,
         out: np.ndarray,
         *,
         symmetric: bool = False,
         batch_pairs: int = 2_000_000,
     ) -> None:
-        """Accumulate dense BR velocities into ``out`` (shape ``(nt, 3)``).
+        """Accumulate dense BR velocities into ``out`` (``(B, nt, 3)``).
 
-        ``out[i] += prefactor · Σ_j ω_j × (t_i − s_j) / (r² + ε²)^{3/2}``
+        ``out[b, i] += prefactor[b] · Σ_j ω_j × (t_i − s_j) / (r² + ε²)^{3/2}``
+        over scenario ``b``'s points, with its own ``ε² = eps2[b]``.
 
-        ``symmetric=True`` asserts that ``targets`` and ``sources`` are
-        the *same point set* in the same order; backends may exploit the
-        shared pair geometry (``r_ij = r_ji``) to halve the distance
-        work.  It is a hint: ignoring it is always correct.
+        ``targets`` is a ``(B, nt, 3)`` stack, ``sources`` / ``omega``
+        ``(B, ns, 3)`` and ``eps2`` / ``prefactor`` ``(B,)`` vectors.
+        ``symmetric=True`` asserts that each scenario's ``targets`` and
+        ``sources`` are the *same point set* in the same order; backends
+        may exploit the shared pair geometry (``r_ij = r_ji``) to halve
+        the distance work.  It is a hint: ignoring it is always correct.
         ``batch_pairs`` bounds temporary working-set sizes for backends
         that evaluate in dense panels.
         """
@@ -159,7 +144,7 @@ class ArrayBackend(abc.ABC):
         * ``Q[c] = sum omega_j (x) (s_j - centers[c])`` (outer product,
           ``Q[c, a, b] = sum omega_j[a] * (s_j - centers[c])[b]``).
 
-        Like :meth:`fft1d`, this has a concrete reference
+        This has a concrete reference
         implementation: an O(n) bincount reduction that already runs at
         the memory-bandwidth roof, so engines only override it when
         they can beat that.
@@ -241,31 +226,24 @@ class ArrayBackend(abc.ABC):
         invariant compares the result against ``skin / 2``.
         """
 
-    # -- spectral kernels --------------------------------------------------
-
-    def fft1d(self, data: np.ndarray, axis: int) -> np.ndarray:
-        """Complex forward FFT along one axis (norm='backward')."""
-        return np.fft.fft(data, axis=axis)
-
-    def ifft1d(self, data: np.ndarray, axis: int) -> np.ndarray:
-        """Complex inverse FFT along one axis (norm='backward', 1/N)."""
-        return np.fft.ifft(data, axis=axis)
-
     # -- stencil operators -------------------------------------------------
 
     @abc.abstractmethod
     def stencil_dx(self, full: np.ndarray, spacing: float) -> np.ndarray:
-        """4th-order ∂/∂α₁ (axis 0) of a ghosted array, on owned nodes."""
+        """4th-order ∂/∂α₁ (grid axis 0) of a ghosted stack, on owned
+        nodes: ``(B, n1 + 4, n2 + 4, ...)`` in, ``(B, n1, n2, ...)`` out."""
 
     @abc.abstractmethod
     def stencil_dy(self, full: np.ndarray, spacing: float) -> np.ndarray:
-        """4th-order ∂/∂α₂ (axis 1) of a ghosted array, on owned nodes."""
+        """4th-order ∂/∂α₂ (grid axis 1) of a ghosted stack, on owned
+        nodes: ``(B, n1 + 4, n2 + 4, ...)`` in, ``(B, n1, n2, ...)`` out."""
 
     @abc.abstractmethod
     def stencil_laplacian(
         self, full: np.ndarray, dx_: float, dy_: float
     ) -> np.ndarray:
-        """4th-order ∂²/∂α₁² + ∂²/∂α₂² of a ghosted array, on owned nodes."""
+        """4th-order ∂²/∂α₁² + ∂²/∂α₂² of a ghosted stack, on owned
+        nodes: ``(B, n1 + 4, n2 + 4, ...)`` in, ``(B, n1, n2, ...)`` out."""
 
     # -- fused state updates -----------------------------------------------
 
@@ -278,9 +256,13 @@ class ArrayBackend(abc.ABC):
         u0: np.ndarray,
         a0: float,
         du: np.ndarray,
-        adu: float,
+        adu: "np.ndarray | float",
     ) -> None:
         """Fused RK3 stage update ``out ← au·u + a0·u0 + adu·du``.
+
+        Operands are congruent ``(B, ...)`` stacks; ``adu`` is the
+        ``(B,)`` per-scenario ``coeff · dt`` (a float serves every
+        scenario).
 
         ``out`` may alias *any* operand — ``u`` (the TimeIntegrator
         always updates the state in place), ``u0`` or ``du`` — and the
@@ -289,57 +271,6 @@ class ArrayBackend(abc.ABC):
         aliasing combination (pinned by the cross-backend aliasing
         regression tests).
         """
-
-    # -- batched fleet kernels ---------------------------------------------
-    #
-    # The ``*_batched`` entry points advance a whole ScenarioFleet
-    # (:mod:`repro.batch`) in one call: every array argument grows a
-    # leading batch axis of length B (independent same-shape scenarios),
-    # and per-scenario scalars (eps², prefactor, the RK3 ``adu`` step
-    # coefficient) arrive as ``(B,)`` float64 vectors; ``axis`` of the
-    # FFTs still names a per-scenario grid axis.  Scenario ``b`` computes
-    # exactly the scalar kernel on its own slices — scenarios never
-    # interact, and ``rk3_axpy_batched`` keeps the aliasing tolerance of
-    # :meth:`rk3_axpy`.  The defaults run the scalar kernel once per
-    # scenario (:func:`_looped`); engines override them with fused
-    # implementations where one stacked invocation wins (the blocked
-    # backend's perf target).
-
-    br_allpairs_batched = _looped(
-        "br_allpairs",
-        "Batched :meth:`br_allpairs`: ``(B, n, 3)`` / ``(B, m, 3)`` stacks "
-        "and ``(B,)`` eps2 / prefactor, accumulated into ``out``.",
-    )
-    fft1d_batched = _looped(
-        "fft1d",
-        "Batched :meth:`fft1d` of a ``(B, n1, n2)`` stack along grid "
-        "axis ``axis``; returns the complex stack.",
-    )
-    ifft1d_batched = _looped(
-        "ifft1d",
-        "Batched :meth:`ifft1d` of a ``(B, n1, n2)`` stack along grid "
-        "axis ``axis`` (1/N scaling); returns the complex stack.",
-    )
-    stencil_dx_batched = _looped(
-        "stencil_dx",
-        "Batched :meth:`stencil_dx`: ``(B, n1 + 4, n2 + 4, ...)`` ghosted "
-        "stack in, ``(B, n1, n2, ...)`` owned-node derivative out.",
-    )
-    stencil_dy_batched = _looped(
-        "stencil_dy",
-        "Batched :meth:`stencil_dy`: ``(B, n1 + 4, n2 + 4, ...)`` ghosted "
-        "stack in, ``(B, n1, n2, ...)`` owned-node derivative out.",
-    )
-    stencil_laplacian_batched = _looped(
-        "stencil_laplacian",
-        "Batched :meth:`stencil_laplacian`: ghosted stack in, owned-node "
-        "``(B, n1, n2, ...)`` Laplacian out.",
-    )
-    rk3_axpy_batched = _looped(
-        "rk3_axpy",
-        "Batched :meth:`rk3_axpy` with a ``(B,)`` per-scenario ``adu`` "
-        "(``coeff · dt_b``); ``out`` may alias any operand.",
-    )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"

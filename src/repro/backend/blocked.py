@@ -32,9 +32,10 @@ kernels do, and why:
    transpose of ``(J, I)``: only the upper triangle is formed and each
    off-diagonal panel is applied a second time as ``w.T @``.
 
-4. **One code path for solo and fleet.**  ``br_allpairs`` is
-   ``br_allpairs_batched`` with a stack of one, so a fleet-stepped
-   scenario replays exactly the operations of its solo run.
+4. **One code path for solo and fleet.**  Every kernel takes a stack
+   of scenarios and a solo run passes a stack of one, so a
+   fleet-stepped scenario replays exactly the operations of its solo
+   run.
 
 5. **Every core, serial reduction order.**  A call with two or more
    panels computes them on the calling thread plus a process-wide pool
@@ -178,25 +179,6 @@ class BlockedBackend(ArrayBackend):
         targets: np.ndarray,
         sources: np.ndarray,
         omega: np.ndarray,
-        eps2: float,
-        prefactor: float,
-        out: np.ndarray,
-        *,
-        symmetric: bool = False,
-        batch_pairs: int = 2_000_000,
-    ) -> None:
-        # A fleet of one: solo and fleet runs share every operation.
-        self.br_allpairs_batched(
-            targets[None], sources[None], omega[None],
-            np.array([eps2]), np.array([prefactor]), out[None],
-            symmetric=symmetric,
-        )
-
-    def br_allpairs_batched(
-        self,
-        targets: np.ndarray,
-        sources: np.ndarray,
-        omega: np.ndarray,
         eps2: np.ndarray,
         prefactor: np.ndarray,
         out: np.ndarray,
@@ -244,7 +226,7 @@ class BlockedBackend(ArrayBackend):
         span = chunk * max(1, _WAVE * stride // len(blocks))
         if span < nb:       # a scenario's panels do not depend on the cut
             for s in (slice(s0, s0 + span) for s0 in range(0, nb, span)):
-                self.br_allpairs_batched(
+                self.br_allpairs(
                     targets[s], sources[s], omega[s], eps2[s], pref[s], out[s],
                     symmetric=symmetric,
                 )
@@ -409,24 +391,11 @@ class BlockedBackend(ArrayBackend):
             worst = max(worst, float(r2.max()))
         return float(np.sqrt(worst))
 
-    # -- stencils and fused state updates --------------------------------
+    # -- fused state updates and stencils --------------------------------
     #
-    # One implementation per kernel, written for a stack of scenarios:
-    # the fleet calls it with a leading batch axis, a solo run with a
-    # stack of one (``full[None]``), so a fleet-stepped scenario replays
-    # the elementwise operation sequence of its solo run exactly (and
-    # stays within 1e-12 of every other backend).
-
-    def stencil_dx(self, full: np.ndarray, spacing: float) -> np.ndarray:
-        return self.stencil_dx_batched(full[None], spacing)[0]
-
-    def stencil_dy(self, full: np.ndarray, spacing: float) -> np.ndarray:
-        return self.stencil_dy_batched(full[None], spacing)[0]
-
-    def stencil_laplacian(
-        self, full: np.ndarray, dx_: float, dy_: float
-    ) -> np.ndarray:
-        return self.stencil_laplacian_batched(full[None], dx_, dy_)[0]
+    # Whole-stack in-place arithmetic: per scenario, the elementwise
+    # operation sequence is the same for any stack size (and stays within
+    # 1e-12 of every other backend).
 
     def rk3_axpy(
         self,
@@ -438,8 +407,8 @@ class BlockedBackend(ArrayBackend):
         du: np.ndarray,
         adu: "float | np.ndarray",
     ) -> None:
-        """In-place RK3 stage; ``adu`` is a float or the fleet's ``(B,)``
-        vector, reshaped to broadcast down the stacked trailing axes."""
+        """In-place RK3 stage; ``adu`` is reshaped to broadcast down the
+        stacked trailing axes."""
         coef = np.asarray(adu, dtype=np.float64).reshape(
             (-1,) + (1,) * (u.ndim - 1)
         )
@@ -455,8 +424,6 @@ class BlockedBackend(ArrayBackend):
             np.multiply(u, au, out=out)
         out += a0 * u0
         out += coef * du
-
-    rk3_axpy_batched = rk3_axpy
 
     @staticmethod
     def _binterior(full: np.ndarray, oi: int, oj: int) -> np.ndarray:
@@ -474,32 +441,7 @@ class BlockedBackend(ArrayBackend):
                 f"nodes (stacked: (B, >=5, >=5, ...)), got {full.shape}"
             )
 
-    # -- batched FFTs: one call over the whole stack ---------------------
-
-    def fft1d_batched(self, data: np.ndarray, axis: int) -> np.ndarray:
-        """Fused batched forward FFT: one call over the whole stack.
-
-        numpy's pocketfft vectorizes over the non-transformed axes, so a
-        single call along stacked axis ``axis + 1`` transforms all B
-        scenarios at once.
-        """
-        return np.fft.fft(
-            np.ascontiguousarray(data, dtype=np.complex128), axis=axis + 1
-        )
-
-    def ifft1d_batched(self, data: np.ndarray, axis: int) -> np.ndarray:
-        """Fused batched inverse FFT: one call over the whole stack.
-
-        Mirror of :meth:`fft1d_batched` with backward 1/N scaling along
-        the transformed grid axis.
-        """
-        return np.fft.ifft(
-            np.ascontiguousarray(data, dtype=np.complex128), axis=axis + 1
-        )
-
-    def stencil_dx_batched(
-        self, full: np.ndarray, spacing: float
-    ) -> np.ndarray:
+    def stencil_dx(self, full: np.ndarray, spacing: float) -> np.ndarray:
         """4th-order ∂/∂α₁ of every scenario in one in-place sweep."""
         self._bcheck(full)
         out = self._binterior(full, -2, 0) - self._binterior(full, 2, 0)
@@ -508,9 +450,7 @@ class BlockedBackend(ArrayBackend):
         out *= 1.0 / (12.0 * spacing)
         return out
 
-    def stencil_dy_batched(
-        self, full: np.ndarray, spacing: float
-    ) -> np.ndarray:
+    def stencil_dy(self, full: np.ndarray, spacing: float) -> np.ndarray:
         """4th-order ∂/∂α₂ of every scenario in one in-place sweep."""
         self._bcheck(full)
         out = self._binterior(full, 0, -2) - self._binterior(full, 0, 2)
@@ -519,7 +459,7 @@ class BlockedBackend(ArrayBackend):
         out *= 1.0 / (12.0 * spacing)
         return out
 
-    def stencil_laplacian_batched(
+    def stencil_laplacian(
         self, full: np.ndarray, dx_: float, dy_: float
     ) -> np.ndarray:
         """4th-order surface Laplacian of every scenario in one sweep."""

@@ -2,12 +2,12 @@
 
 Every kernel keeps the formulation the solver shipped with — dense
 broadcast BR blocks, gathered CSR pair batches and the 4th-order
-stencils of :mod:`repro.backend.stencils`.  It is
-the parity baseline for every other engine and the default when no
-backend is selected.  (The surrounding call sites did move — e.g. the
-TimeIntegrator now applies fused stage updates — so whole-solver
-trajectories may differ from the pre-backend code at the 1e-15 level
-even under this backend.)
+stencils of :mod:`repro.backend.stencils`, applied to a stack one
+scenario at a time.  It is the parity baseline for every other engine
+and the default when no backend is selected.  (The surrounding call
+sites did move — e.g. the TimeIntegrator now applies fused stage
+updates — so whole-solver trajectories may differ from the pre-backend
+code at the 1e-15 level even under this backend.)
 """
 
 from __future__ import annotations
@@ -56,22 +56,23 @@ class NumpyBackend(ArrayBackend):
         targets: np.ndarray,
         sources: np.ndarray,
         omega: np.ndarray,
-        eps2: float,
-        prefactor: float,
+        eps2: np.ndarray,
+        prefactor: np.ndarray,
         out: np.ndarray,
         *,
         symmetric: bool = False,
         batch_pairs: int = 2_000_000,
     ) -> None:
-        nt, ns = targets.shape[0], sources.shape[0]
+        nt, ns = targets.shape[1], sources.shape[1]
         # Batch over targets so the (bt, ns) temporaries stay bounded.
         bt = max(1, min(nt, batch_pairs // max(ns, 1)))
-        for start in range(0, nt, bt):
-            stop = min(start + bt, nt)
-            self._accumulate(
-                out[start:stop], targets[start:stop], sources, omega,
-                eps2, prefactor,
-            )
+        for b in range(targets.shape[0]):
+            for start in range(0, nt, bt):
+                stop = min(start + bt, nt)
+                self._accumulate(
+                    out[b, start:stop], targets[b, start:stop], sources[b],
+                    omega[b], eps2[b], prefactor[b],
+                )
 
     def br_neighbors(
         self,
@@ -151,15 +152,15 @@ class NumpyBackend(ArrayBackend):
     # -- stencils ---------------------------------------------------------
 
     def stencil_dx(self, full: np.ndarray, spacing: float) -> np.ndarray:
-        return stencils.dx(full, spacing)
+        return np.stack([stencils.dx(f, spacing) for f in full])
 
     def stencil_dy(self, full: np.ndarray, spacing: float) -> np.ndarray:
-        return stencils.dy(full, spacing)
+        return np.stack([stencils.dy(f, spacing) for f in full])
 
     def stencil_laplacian(
         self, full: np.ndarray, dx_: float, dy_: float
     ) -> np.ndarray:
-        return stencils.laplacian(full, dx_, dy_)
+        return np.stack([stencils.laplacian(f, dx_, dy_) for f in full])
 
     # -- fused state updates ----------------------------------------------
 
@@ -171,9 +172,12 @@ class NumpyBackend(ArrayBackend):
         u0: np.ndarray,
         a0: float,
         du: np.ndarray,
-        adu: float,
+        adu: "np.ndarray | float",
     ) -> None:
+        coef = np.asarray(adu, dtype=np.float64).reshape(
+            (-1,) + (1,) * (u.ndim - 1)
+        )
         # The right-hand side materializes before the assignment, so any
         # aliasing of ``out`` with ``u``/``u0``/``du`` is safe by
         # construction.
-        out[...] = au * u + a0 * u0 + adu * du
+        out[...] = au * u + a0 * u0 + coef * du

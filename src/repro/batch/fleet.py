@@ -5,10 +5,10 @@ One solver run = one interface; heavy traffic means thousands of
 overhead dwarfs the math.  This module batches them: a struct-of-arrays
 container (bluesky's ``Traffic`` shape) holds N independent same-grid
 scenarios in stacked arrays ``(N, ny + 2h, nx + 2h, 3)`` and advances
-the whole fleet in lockstep — one ``*_batched`` backend invocation per
-RK3 stage for each stack of up to 32 scenarios, with vectorized
-create/finish/remove so completed scenarios compact out without
-stalling the rest.
+the whole fleet in lockstep — one call of each backend kernel per RK3
+stage for each stack of up to 32 scenarios (every kernel takes a stack;
+see :mod:`repro.backend.base`), with vectorized create/finish/remove so
+completed scenarios compact out without stalling the rest.
 
 Scenarios share the grid geometry (shape, extent, periodicity, order,
 BR solver) — that is what :func:`fleet_key` hashes — but keep their own
@@ -20,10 +20,16 @@ Parity contract
 ---------------
 A fleet-stepped scenario reproduces the same scenario run solo through
 :class:`repro.core.solver.Solver` to 1e-12 on every registered backend
-(bitwise on the numpy reference): initial state evaluation is shared
-(:func:`repro.core.initial_conditions.initial_state`), the single-rank
-halo/boundary sequence is replayed exactly, and the batched kernels
-replicate their scalar counterparts' accumulation order per scenario.
+(bitwise on the numpy reference): the fleet runs the solver's own
+pieces on its stacks — initial state evaluation
+(:func:`repro.core.initial_conditions.initial_state`), the boundary
+plan of a one-rank :class:`~repro.core.boundary.BoundaryCondition`
+built once per fleet, the RK3 stage coefficients
+(:data:`repro.core.time_integrator.STAGE_COEFFS`) and the Z-Model source
+terms (:func:`repro.core.zmodel.potential`,
+:func:`repro.core.zmodel.vorticity_rate`) — and every backend kernel
+computes a scenario of a stack exactly as a stack of one.  Only the
+one-block periodic halo self-copy is the fleet's own.
 The benchmark gate in ``benchmarks/bench_batch.py`` and the suite in
 ``tests/batch/`` enforce this.
 
@@ -41,14 +47,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro import mpi
 from repro.backend import get_backend
+from repro.core.boundary import BoundaryCondition
+from repro.core.br_exact import image_shifts
 from repro.core.initial_conditions import InitialCondition, initial_state
 from repro.core.kernels import PAIR_FLOPS
 from repro.core.solver import SolverConfig, check_health
-from repro.core.zmodel import Order
+from repro.core.surface_mesh import SurfaceMesh
+from repro.core.time_integrator import STAGE_COEFFS
+from repro.core.zmodel import Order, potential, vorticity_rate
 from repro.core import operators as ops
 from repro.fft.dfft import riesz_multiplier
-from repro.grid.global_mesh import GlobalMesh2D
 from repro.mpi.trace import CommTrace, NullTrace
 from repro.util.errors import ConfigurationError, RunDivergedError
 
@@ -61,14 +71,6 @@ _PAIR_BYTES = 9 * 8.0
 #: and cache-sized (``bench_batch``'s 64-scenario fleet: 2.1–2.5× over
 #: solo runs as one stack, 2.7–2.9× as two); no result depends on it.
 _STACK = 32
-
-# Shu-Osher TVD-RK3 stage coefficients (au, a0, adu) — identical to
-# repro.core.time_integrator.TimeIntegrator.
-_STAGE_COEFFS = (
-    (0.0, 1.0, 1.0),
-    (0.25, 0.75, 0.25),
-    (2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0),
-)
 
 
 def fleet_key(config: SolverConfig) -> Optional[tuple]:
@@ -153,9 +155,14 @@ class ScenarioFleet:
         self.metrics = self.trace.metrics
         self.retain_state = bool(retain_state)
 
-        self.mesh = GlobalMesh2D.create(
-            template.low, template.high, template.num_nodes, template.periodic
+        # The boundary plan of the same grid on one rank: its selectors
+        # index the grid axes, so it applies to whole stacks.
+        surface = SurfaceMesh(
+            mpi.single_rank_comm(), template.low, template.high,
+            template.num_nodes, template.periodic,
         )
+        self._bc = BoundaryCondition(surface)
+        self.mesh = surface.global_mesh
         self.shape = self.mesh.num_nodes
         n0, n1 = self.shape
         h = _HALO
@@ -170,16 +177,10 @@ class ScenarioFleet:
         self._need_br = self.order in (Order.MEDIUM, Order.HIGH)
         if self._need_fft:
             self._riesz = riesz_multiplier(self.shape, self.mesh.extent)
-        if self._need_br:
-            ext = self.mesh.extent
-            if template.br_images:
-                self._shifts = [
-                    (sx * ext[0], sy * ext[1])
-                    for sx in (-1, 0, 1)
-                    for sy in (-1, 0, 1)
-                ]
-            else:
-                self._shifts = [(0.0, 0.0)]
+        self._shifts = (
+            image_shifts(self.mesh.extent) if template.br_images
+            else [(0.0, 0.0)]
+        )
 
         # Struct-of-arrays state: stacked ghosted fields plus (N,)
         # per-scenario parameter/progress vectors, compacted together.
@@ -350,10 +351,10 @@ class ScenarioFleet:
 
     # -- halo / boundary sequence -----------------------------------------
     #
-    # Vectorized replay of the single-rank gather: periodic self-wrap
-    # (axis 0 over owned columns, then axis 1 over the full extent —
-    # exactly HaloExchange._slabs), followed by the BoundaryCondition
-    # corrections in the same per-axis order.
+    # The single-rank gather on every scenario at once: periodic
+    # self-wrap (axis 0 over owned columns, then axis 1 over the full
+    # extent — exactly HaloExchange._slabs), then the solver's boundary
+    # plan.
 
     def _wrap_halo(self, a: np.ndarray) -> None:
         h = _HALO
@@ -365,69 +366,27 @@ class ScenarioFleet:
             a[:, :, 0:h] = a[:, :, n1 : n1 + h]
             a[:, :, n1 + h : n1 + 2 * h] = a[:, :, h : 2 * h]
 
-    def _extrapolate(self, a: np.ndarray, axis: int, side: int) -> None:
-        h = _HALO
-        n = self.shape[axis]
-        ax = axis + 1  # stacked arrays carry the batch axis first
-
-        def take(index: int) -> tuple:
-            sel: list = [slice(None)] * a.ndim
-            sel[ax] = index
-            return tuple(sel)
-
-        if side == -1:
-            edge, inner = h, h + 1
-            targets = range(h - 1, -1, -1)
-        else:
-            edge, inner = n + h - 1, n + h - 2
-            targets = range(n + h, n + 2 * h)
-        slope = a[take(edge)] - a[take(inner)]
-        for g, target in enumerate(targets, start=1):
-            a[take(target)] = a[take(edge)] + g * slope
-
-    def _apply_position(self, z: np.ndarray) -> None:
-        h = _HALO
-        for axis in (0, 1):
-            if self.mesh.periodic[axis]:
-                n = self.shape[axis]
-                period = self.mesh.extent[axis]
-                sel: list = [slice(None), slice(None), slice(None)]
-                sel[axis + 1] = slice(0, h)
-                z[tuple(sel) + (axis,)] -= period
-                sel[axis + 1] = slice(n + h, n + 2 * h)
-                z[tuple(sel) + (axis,)] += period
-            else:
-                self._extrapolate(z, axis, -1)
-                self._extrapolate(z, axis, +1)
-
-    def _apply_field(self, a: np.ndarray) -> None:
-        for axis in (0, 1):
-            if not self.mesh.periodic[axis]:
-                self._extrapolate(a, axis, -1)
-                self._extrapolate(a, axis, +1)
-
     def _gather_state(self, z: np.ndarray, w: np.ndarray) -> None:
         with self.trace.phase("batch_halo"):
             self._wrap_halo(z)
             self._wrap_halo(w)
-            self._apply_position(z)
-            self._apply_field(w)
+            self._bc.apply_position(z)
+            self._bc.apply_field(w)
 
     def _gather_field(self, full: np.ndarray) -> None:
         with self.trace.phase("batch_halo"):
             self._wrap_halo(full)
-            self._apply_field(full)
+            self._bc.apply_field(full)
 
     # -- physics -----------------------------------------------------------
 
     def _spectral_velocity(self, w_own: np.ndarray) -> np.ndarray:
         """Stacked twin of ``ZModel._spectral_velocity`` (same arithmetic)."""
-        bk = self.backend
         with self.trace.phase("batch_fft"):
             packed = np.ascontiguousarray(w_own).view(np.complex128)[..., 0]
-            spectrum = bk.fft1d_batched(bk.fft1d_batched(packed, 1), 0)
+            spectrum = np.fft.fft(np.fft.fft(packed, axis=2), axis=1)
             spectrum *= self._riesz
-            w3 = bk.ifft1d_batched(bk.ifft1d_batched(spectrum, 0), 1).real
+            w3 = np.fft.ifft(np.fft.ifft(spectrum, axis=1), axis=2).real
         out = np.zeros(w3.shape + (3,))
         out[..., 2] = w3
         return out
@@ -446,7 +405,7 @@ class ScenarioFleet:
                 sources = targets
                 if sx or sy:
                     sources = targets + np.array([sx, sy, 0.0])
-                self.backend.br_allpairs_batched(
+                self.backend.br_allpairs(
                     targets, sources, om, eps2, pref, out,
                     symmetric=(not sx and not sy),
                 )
@@ -469,8 +428,8 @@ class ScenarioFleet:
         z_own = self._owned(z_full)
         w_own = self._owned(w_full)
         with self.trace.phase("batch_stencil"):
-            t1 = bk.stencil_dx_batched(z_full, self._dx)
-            t2 = bk.stencil_dy_batched(z_full, self._dy)
+            t1 = bk.stencil_dx(z_full, self._dx)
+            t2 = bk.stencil_dy(z_full, self._dy)
             normal = ops.cross(t1, t2)
             deth = ops.area_element(normal)
             if self._need_br:
@@ -485,28 +444,20 @@ class ScenarioFleet:
         w_total = w_br if self._need_br else w_fft
         w_phi = w_fft if self._need_fft else w_br
 
-        g = self._gravity[s].reshape(-1, 1, 1)
-        half_bern = (0.5 * self._bernoulli[s]).reshape(-1, 1, 1)
-        phi_own = g * z_own[..., 2] - half_bern * ops.dot(w_phi, w_phi)
+        gravity, bernoulli, atwood, mu = (
+            v[s].reshape(-1, 1, 1)
+            for v in (self._gravity, self._bernoulli, self._atwood, self._mu)
+        )
         phi_full = np.zeros((z_full.shape[0],) + self._full_shape + (1,))
-        phi_full[:, h : h + n0, h : h + n1, 0] = phi_own
+        phi_full[:, h : h + n0, h : h + n1, 0] = potential(
+            z_own, w_phi, gravity, bernoulli
+        )
         self._gather_field(phi_full)
 
         with self.trace.phase("batch_stencil"):
-            dphi1 = bk.stencil_dx_batched(phi_full, self._dx)[..., 0]
-            dphi2 = bk.stencil_dy_batched(phi_full, self._dy)[..., 0]
-            at = (2.0 * self._atwood[s]).reshape(-1, 1, 1)
-            wdot = np.empty_like(w_own)
-            wdot[..., 0] = at * dphi2 / deth
-            wdot[..., 1] = -at * dphi1 / deth
-            if np.any(self._mu != 0.0):
-                mu = self._mu[s].reshape(-1, 1, 1)
-                wdot[..., 0] += mu * bk.stencil_laplacian_batched(
-                    w_full[..., 0], self._dx, self._dy
-                )
-                wdot[..., 1] += mu * bk.stencil_laplacian_batched(
-                    w_full[..., 1], self._dx, self._dy
-                )
+            wdot = vorticity_rate(
+                bk, phi_full, w_full, deth, (self._dx, self._dy), atwood, mu
+            )
         return np.ascontiguousarray(w_total), wdot
 
     # -- time stepping -----------------------------------------------------
@@ -521,12 +472,12 @@ class ScenarioFleet:
             w_own = self._owned(self._w[s])
             z0 = z_own.copy()
             w0 = w_own.copy()
-            for au, a0, adu in _STAGE_COEFFS:
+            for au, a0, adu in STAGE_COEFFS:
                 zdot, wdot = self._derivatives(s)
                 with self.trace.phase("batch_integrate"):
                     coeff = adu * self._dt[s]
-                    bk.rk3_axpy_batched(z_own, z_own, au, z0, a0, zdot, coeff)
-                    bk.rk3_axpy_batched(w_own, w_own, au, w0, a0, wdot, coeff)
+                    bk.rk3_axpy(z_own, z_own, au, z0, a0, zdot, coeff)
+                    bk.rk3_axpy(w_own, w_own, au, w0, a0, wdot, coeff)
                 del zdot, wdot
         self._steps_done += 1
         self._time += self._dt

@@ -14,7 +14,10 @@ the two corrections Beatnik's ``BoundaryCondition`` class performs:
   sensible to read.
 
 Neither correction communicates — both are pure local kernels, exactly
-as in Beatnik.
+as in Beatnik.  The planned selectors index the two grid axes in front
+of the trailing component axis, so one plan serves a block's
+``(n1 + 4, n2 + 4, c)`` arrays and a fleet's ``(B, n1 + 4, n2 + 4, c)``
+stacks (:mod:`repro.batch`) alike.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ class BoundaryType(Enum):
     FREE = "free"
 
 
-def _take(axis: int, index: "slice | int") -> tuple:
-    """Selector of ``index`` along ``axis`` of a local (ghosted) array."""
+def _take(axis: int, index: "slice | int", comp=slice(None)) -> tuple:
+    """Selector of ``index`` along grid ``axis`` (and component ``comp``)
+    of a ghosted ``(..., n1 + 4, n2 + 4, c)`` array or stack."""
     sel: list = [slice(None), slice(None)]
     sel[axis] = index
-    return tuple(sel)
+    return (Ellipsis, *sel, comp)
 
 
 class BoundaryCondition:
@@ -77,11 +81,12 @@ class BoundaryCondition:
                 # exactly right for a self-wrapped halo.
                 period = mesh.global_mesh.extent[axis]
                 if low:
-                    strip = _take(axis, slice(0, h))
-                    self._shifts[axis].append((strip + (axis,), -period))
+                    strip = _take(axis, slice(0, h), axis)
+                    self._shifts[axis].append((strip, -period))
                 if high:
-                    strip = _take(axis, slice(n_owned + h, n_owned + 2 * h))
-                    self._shifts[axis].append((strip + (axis,), period))
+                    strip = _take(axis, slice(n_owned + h, n_owned + 2 * h),
+                                  axis)
+                    self._shifts[axis].append((strip, period))
                 continue
             for on_edge, edge, inner, ghosts in (
                 (low, h, h + 1, range(h - 1, -1, -1)),

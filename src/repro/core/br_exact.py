@@ -32,9 +32,19 @@ from repro.core.kernels import br_velocity_allpairs
 from repro.core.surface_mesh import SurfaceMesh
 from repro.mpi.comm import Comm
 
-__all__ = ["ExactBRSolver"]
+__all__ = ["ExactBRSolver", "image_shifts"]
 
 _RING_TAG = 7300
+
+
+def image_shifts(extent: tuple[float, float]) -> list[tuple[float, float]]:
+    """Lateral ``(x, y)`` shifts of the 3×3 ring of periodic copies of a
+    domain of this extent, the unshifted copy included."""
+    return [
+        (sx * extent[0], sy * extent[1])
+        for sx in (-1, 0, 1)
+        for sy in (-1, 0, 1)
+    ]
 
 
 class ExactBRSolver:
@@ -61,15 +71,10 @@ class ExactBRSolver:
             raise ConfigurationError(
                 "periodic_images requires a fully periodic surface mesh"
             )
-        ext = mesh.global_mesh.extent
-        if self.periodic_images:
-            self._shifts = [
-                (sx * ext[0], sy * ext[1])
-                for sx in (-1, 0, 1)
-                for sy in (-1, 0, 1)
-            ]
-        else:
-            self._shifts = [(0.0, 0.0)]
+        self._shifts = (
+            image_shifts(mesh.global_mesh.extent)
+            if self.periodic_images else [(0.0, 0.0)]
+        )
 
     def compute_velocities(
         self, z_own: np.ndarray, omega_own: np.ndarray

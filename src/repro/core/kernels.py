@@ -77,8 +77,9 @@ def br_velocity_allpairs(
     prefactor = dA / (4.0 * np.pi)
     eps2 = float(eps) ** 2
     t0 = trace.clock() if trace is not None else None
-    bk.br_allpairs(
-        tgt, src, om, eps2, prefactor, out,
+    bk.br_allpairs(  # a stack of one
+        tgt[None], src[None], om[None], np.array([eps2]),
+        np.array([prefactor]), out[None],
         symmetric=symmetric, batch_pairs=batch_pairs,
     )
     if trace is not None:

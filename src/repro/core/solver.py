@@ -289,8 +289,7 @@ class Solver:
         fft = None
         if order in (Order.LOW, Order.MEDIUM):
             fft = DistributedFFT2D(
-                self.mesh.cart, config.num_nodes, config.fft_config,
-                backend=self.backend,
+                self.mesh.cart, config.num_nodes, config.fft_config
             )
         br = None
         if order in (Order.MEDIUM, Order.HIGH):

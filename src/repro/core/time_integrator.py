@@ -33,25 +33,26 @@ from repro.core.problem_manager import ProblemManager
 from repro.core.zmodel import ZModel
 from repro.util.errors import ConfigurationError
 
-__all__ = ["TimeIntegrator"]
+__all__ = ["TimeIntegrator", "STAGE_COEFFS"]
 
 #: Per-element cost of one fused stage update (3 mul + 2 add) and its
 #: memory traffic (read u, u0, du; write u).
 AXPY_FLOPS = 5.0
 _AXPY_BYTES = 4 * 8.0
 
+#: (a_u, a_0, a_Δ) per stage: u ← a_u·u + a_0·u⁰ + a_Δ·dt·L(u).  The
+#: fleet (:mod:`repro.batch`) steps its stacks with the same constants.
+STAGE_COEFFS = (
+    (0.0, 1.0, 1.0),
+    (0.25, 0.75, 0.25),
+    (2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0),
+)
+
 
 class TimeIntegrator:
     """Shu-Osher TVD-RK3 over the (z, γ) surface state."""
 
-    STAGES = 3
-
-    #: (a_u, a_0, a_Δ) per stage: u ← a_u·u + a_0·u⁰ + a_Δ·dt·L(u).
-    _STAGE_COEFFS = (
-        (0.0, 1.0, 1.0),
-        (0.25, 0.75, 0.25),
-        (2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0),
-    )
+    STAGES = len(STAGE_COEFFS)
 
     def __init__(
         self,
@@ -73,17 +74,17 @@ class TimeIntegrator:
         bk = self.backend
         trace = pm.mesh.cart.trace
         rank = pm.mesh.rank
-        z, w = pm.z.own, pm.w.own
+        z, w = pm.z.own[None], pm.w.own[None]  # stacks of one
         z0 = z.copy()
         w0 = w.copy()
         elements = z.size + w.size
 
-        for au, a0, adu in self._STAGE_COEFFS:
+        for au, a0, adu in STAGE_COEFFS:
             zdot, wdot = self.zmodel.compute_derivatives()
             with trace.phase("integrate"):
                 t0 = trace.clock()
-                bk.rk3_axpy(z, z, au, z0, a0, zdot, adu * dt)
-                bk.rk3_axpy(w, w, au, w0, a0, wdot, adu * dt)
+                bk.rk3_axpy(z, z, au, z0, a0, zdot[None], adu * dt)
+                bk.rk3_axpy(w, w, au, w0, a0, wdot[None], adu * dt)
                 trace.record_compute(
                     "rk3_axpy", rank,
                     flops=AXPY_FLOPS * elements,

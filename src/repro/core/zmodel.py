@@ -72,7 +72,10 @@ from repro.fft.dfft import DistributedFFT2D, riesz_multiplier
 from repro.util.errors import ConfigurationError
 from repro.util.roofline import RIESZ_BYTES, RIESZ_FLOPS
 
-__all__ = ["Order", "ZModelParameters", "ZModel", "BRSolverProtocol"]
+__all__ = [
+    "Order", "ZModelParameters", "ZModel", "BRSolverProtocol", "potential",
+    "vorticity_rate",
+]
 
 
 class Order(Enum):
@@ -121,16 +124,44 @@ class ZModelParameters:
     bernoulli:
         β factor on the |W|²/2 term of the potential; 0 reduces γ̇ to
         the purely baroclinic linear source.
-    geometric:
-        Divide the baroclinic source by the area element |t1 × t2|
-        (exact 1 on a flat surface).
     """
 
     atwood: float = 0.5
     gravity: float = 10.0
     mu: float = 0.0
     bernoulli: float = 1.0
-    geometric: bool = True
+
+
+def potential(z_own, w_phi, gravity, bernoulli) -> np.ndarray:
+    """Φ = g z₃ − β |W|²/2 on owned nodes.
+
+    ``gravity`` / ``bernoulli`` are floats for one block or ``(B, 1, 1)``
+    arrays for a stack of scenarios (:mod:`repro.batch`), broadcasting
+    over the node axes of ``z_own`` and ``w_phi``.
+    """
+    return gravity * z_own[..., 2] - 0.5 * bernoulli * ops.dot(w_phi, w_phi)
+
+
+def vorticity_rate(
+    bk: ArrayBackend, phi_full, w_full, deth, spacings, atwood, mu
+) -> np.ndarray:
+    """γ̇ = (2A ∂₂Φ, −2A ∂₁Φ) / |n| + μ Δ_s γ on the owned nodes of a stack.
+
+    ``phi_full`` / ``w_full`` are ghosted ``(B, n1 + 4, n2 + 4, 1)`` /
+    ``(…, 2)`` stacks and ``deth`` the ``(B, n1, n2)`` area element;
+    ``atwood`` / ``mu`` are floats or ``(B, 1, 1)`` arrays.  The viscous
+    term is skipped when every μ is zero.
+    """
+    dx_, dy_ = spacings
+    dphi1 = bk.stencil_dx(phi_full, dx_)[..., 0]
+    dphi2 = bk.stencil_dy(phi_full, dy_)[..., 0]
+    wdot = np.empty(deth.shape + (2,))
+    wdot[..., 0] = 2.0 * atwood * dphi2 / deth
+    wdot[..., 1] = -2.0 * atwood * dphi1 / deth
+    if np.count_nonzero(mu):
+        wdot[..., 0] += mu * bk.stencil_laplacian(w_full[..., 0], dx_, dy_)
+        wdot[..., 1] += mu * bk.stencil_laplacian(w_full[..., 1], dx_, dy_)
+    return wdot
 
 
 class ZModel:
@@ -231,8 +262,8 @@ class ZModel:
 
         with trace.phase("stencil"):
             t0 = trace.clock()
-            t1 = self.backend.stencil_dx(z_full, dx_)
-            t2 = self.backend.stencil_dy(z_full, dy_)
+            t1 = self.backend.stencil_dx(z_full[None], dx_)[0]
+            t2 = self.backend.stencil_dy(z_full[None], dy_)[0]
             normal = ops.cross(t1, t2)
             deth = ops.area_element(normal)
             if need_br:  # ω = γ1 t1 + γ2 t2, consumed by the BR solver only
@@ -251,28 +282,17 @@ class ZModel:
         w_phi = w_fft if need_fft else w_br
         assert w_total is not None and w_phi is not None
 
-        # Potential Φ = g z₃ − β |W|²/2, haloed for its gradient.
-        phi_own = p.gravity * pm.z.own[..., 2] - 0.5 * p.bernoulli * ops.dot(
-            w_phi, w_phi
-        )
+        # The potential, haloed for its gradient.
+        phi_own = potential(pm.z.own, w_phi, p.gravity, p.bernoulli)
         phi_full = pm.full_from_own(phi_own, 1)
         pm.gather_field(phi_full)
 
         with trace.phase("stencil"):
             t0 = trace.clock()
-            dphi1 = self.backend.stencil_dx(phi_full, dx_)[..., 0]
-            dphi2 = self.backend.stencil_dy(phi_full, dy_)[..., 0]
-            geom = deth if p.geometric else 1.0
-            wdot = np.empty_like(w_own)
-            wdot[..., 0] = 2.0 * p.atwood * dphi2 / geom
-            wdot[..., 1] = -2.0 * p.atwood * dphi1 / geom
-            if p.mu != 0.0:
-                wdot[..., 0] += p.mu * self.backend.stencil_laplacian(
-                    w_full[..., 0], dx_, dy_
-                )
-                wdot[..., 1] += p.mu * self.backend.stencil_laplacian(
-                    w_full[..., 1], dx_, dy_
-                )
+            wdot = vorticity_rate(
+                self.backend, phi_full[None], w_full[None], deth[None],
+                mesh.spacings, p.atwood, p.mu,
+            )[0]
             trace.record_compute(
                 "vorticity_update", mesh.rank,
                 flops=30.0 * wdot[..., 0].size,

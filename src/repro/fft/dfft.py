@@ -38,7 +38,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend
 from repro.fft.config import FftConfig
 from repro.fft.layouts import layout_for_stage
 from repro.fft.remap import Remap
@@ -103,14 +102,12 @@ class DistributedFFT2D:
         cart: CartComm,
         global_shape: tuple[int, int],
         config: FftConfig = FftConfig(),
-        backend: "ArrayBackend | str | None" = None,
     ) -> None:
         if cart.ndims != 2:
             raise ConfigurationError("DistributedFFT2D requires a 2D CartComm")
         self.cart = cart
         self.global_shape = (int(global_shape[0]), int(global_shape[1]))
         self.config = config
-        self.backend = get_backend(backend)
 
         dims = cart.dims
         shape = self.global_shape
@@ -142,11 +139,9 @@ class DistributedFFT2D:
         data = np.ascontiguousarray(local, dtype=np.complex128)
         trace, rank = self.cart.trace, self.cart.rank
         work = self._to_rows.apply(data)
-        work = fft_along(work, axis=1, trace=trace, rank=rank,
-                         backend=self.backend)
+        work = fft_along(work, axis=1, trace=trace, rank=rank)
         work = self._rows_to_cols.apply(work)
-        return fft_along(work, axis=0, trace=trace, rank=rank,
-                         backend=self.backend)
+        return fft_along(work, axis=0, trace=trace, rank=rank)
 
     def backward_transposed(self, spectrum: np.ndarray) -> np.ndarray:
         """Inverse complex 2D FFT (scales by 1/(N1·N2));
@@ -158,11 +153,9 @@ class DistributedFFT2D:
                 f"box {self.spectrum_box.shape}"
             )
         trace, rank = self.cart.trace, self.cart.rank
-        work = ifft_along(data, axis=0, trace=trace, rank=rank,
-                          backend=self.backend)
+        work = ifft_along(data, axis=0, trace=trace, rank=rank)
         work = self._cols_to_rows.apply(work)
-        work = ifft_along(work, axis=1, trace=trace, rank=rank,
-                          backend=self.backend)
+        work = ifft_along(work, axis=1, trace=trace, rank=rank)
         return self._rows_to_brick.apply(work)
 
     def forward(self, local: np.ndarray) -> np.ndarray:

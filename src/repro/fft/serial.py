@@ -1,21 +1,19 @@
 """Serial FFT stage kernels and cost accounting.
 
-The accounting layer over the 1D transform stages of the distributed
-FFT: the actual transform is delegated to the selected compute backend
-(:mod:`repro.backend`; the reference calls ``numpy.fft``), while this
-module pins the transform conventions and records the roofline compute
-events so the machine model can cost the local work of each stage
-identically no matter which backend ran.  A radix-2 style operation
-count of ``5 N log2 N`` flops per length-``N`` 1D complex transform is
-the standard estimate (Cooley-Tukey), which is all the scaling model
-needs.
+The 1D transform stages of the distributed FFT: each is one
+``numpy.fft`` call, and this module pins the transform conventions and
+records the roofline compute events the machine model costs the local
+work of each stage with.  The stages are not an
+:class:`~repro.backend.ArrayBackend` kernel: every engine would make the
+same ``numpy.fft`` call, so there is nothing for an engine to choose.
+A radix-2 style operation count of ``5 N log2 N`` flops per
+length-``N`` 1D complex transform is the standard estimate
+(Cooley-Tukey), which is all the scaling model needs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.backend import ArrayBackend, get_backend
 
 __all__ = ["fft_along", "ifft_along", "fft2_serial", "ifft2_serial", "fft_flops"]
 
@@ -28,15 +26,11 @@ def fft_flops(n: int, batch: int) -> float:
 
 
 def fft_along(
-    data: np.ndarray,
-    axis: int,
-    trace=None,
-    rank: int = 0,
-    backend: "ArrayBackend | str | None" = None,
+    data: np.ndarray, axis: int, trace=None, rank: int = 0
 ) -> np.ndarray:
     """Complex forward FFT along one axis (norm='backward')."""
     t0 = trace.clock() if trace is not None else None
-    out = get_backend(backend).fft1d(data, axis)
+    out = np.fft.fft(data, axis=axis)
     if trace is not None:
         n = data.shape[axis]
         batch = data.size // max(n, 1)
@@ -50,15 +44,11 @@ def fft_along(
 
 
 def ifft_along(
-    data: np.ndarray,
-    axis: int,
-    trace=None,
-    rank: int = 0,
-    backend: "ArrayBackend | str | None" = None,
+    data: np.ndarray, axis: int, trace=None, rank: int = 0
 ) -> np.ndarray:
     """Complex inverse FFT along one axis (norm='backward': scales 1/N)."""
     t0 = trace.clock() if trace is not None else None
-    out = get_backend(backend).ifft1d(data, axis)
+    out = np.fft.ifft(data, axis=axis)
     if trace is not None:
         n = data.shape[axis]
         batch = data.size // max(n, 1)

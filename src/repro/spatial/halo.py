@@ -21,7 +21,8 @@ accumulated displacement invalidates it.
 A one-block mesh has no neighbouring block, so the hop is an identity
 decided by structure alone: :func:`plan_halo` is empty without looking
 at a position and :func:`halo_exchange` yields no ghosts without a
-rendezvous, after the same row-count checks; nothing is recorded — no
+rendezvous (or a plan, when given none), after the same row-count and
+cutoff checks; nothing is recorded — no
 ``spatial_halo`` phase, no comm event.  Hops on two or more blocks
 label themselves with the ``spatial_halo`` trace phase.
 """
@@ -143,7 +144,10 @@ def halo_exchange(
     k = pay.shape[1]
 
     if plan is None:
-        plan = plan_halo(comm, mesh, pos, cutoff)
+        if mesh.nblocks > 1:
+            plan = plan_halo(comm, mesh, pos, cutoff)
+        elif cutoff <= 0:
+            raise ConfigurationError(f"cutoff must be positive, got {cutoff}")
     elif plan.npoints != pos.shape[0]:
         raise CommunicationError(
             f"halo plan covers {plan.npoints} particles, got {pos.shape[0]}"

@@ -23,9 +23,10 @@ One-block meshes
 On a mesh with one block every particle already sits on its spatial
 owner, so each hop is an identity decided by structure alone (every
 rank sees the same mesh, so nothing need be agreed): :meth:`plan`
-skips the owner lookup, :meth:`migrate` / :meth:`migrate_back` hand
-back fresh arrays in the caller's order without packing, sorting or
-exchanging, and nothing is recorded — no ``migrate`` phase, no comm
+skips the owner lookup, :meth:`migrate` (which builds no plan when
+given none) / :meth:`migrate_back` hand back fresh arrays in the
+caller's order without packing, sorting or exchanging, and nothing is
+recorded — no ``migrate`` phase, no comm
 event.  The row-count checks and the provenance fields are the same on
 both sides of the rule.  Hops that do move data label themselves with
 the ``migrate`` trace phase.
@@ -166,9 +167,7 @@ class ParticleMigrator:
             raise CommunicationError(
                 f"payload rows {pay.shape[0]} != positions rows {n}"
             )
-        if plan is None:
-            plan = self.plan(pos)
-        elif plan.count != n:
+        if plan is not None and plan.count != n:
             raise CommunicationError(
                 f"migration plan covers {plan.count} particles, got {n}"
             )
@@ -180,6 +179,8 @@ class ParticleMigrator:
                 src_index=np.arange(n, dtype=np.int64),
                 sent_count=n,
             )
+        if plan is None:
+            plan = self.plan(pos)
         with comm.trace.phase("migrate"):
             # Record: [x y z | payload... | src_rank src_index]
             record = np.empty((n, 3 + pay.shape[1] + 2), dtype=np.float64)

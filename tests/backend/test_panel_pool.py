@@ -1,6 +1,6 @@
 """The blocked all-pairs kernel on every core, reduced in serial order.
 
-``BlockedBackend.br_allpairs_batched`` forms its panels on the calling
+``BlockedBackend.br_allpairs`` forms its panels on the calling
 thread plus a process-wide pool and adds the products in the serial
 loop's order, so the result must be *bitwise* the one-thread result for
 any thread count.  Every comparison here is ``np.array_equal`` — no
@@ -49,7 +49,7 @@ def fresh_pool(monkeypatch):
 def allpairs(t, s, om, eps2, *, symmetric=False, tile=256):
     out = np.zeros(t.shape)
     nb = t.shape[0]
-    BlockedBackend(tile).br_allpairs_batched(
+    BlockedBackend(tile).br_allpairs(
         t, s, om, np.full(nb, eps2), np.full(nb, 0.3), out,
         symmetric=symmetric,
     )
@@ -217,7 +217,7 @@ class TestFleetStaging:
         def peak(nb):
             t, om = cloud(rng, nb, 256)
             out, eps2, pref = np.zeros_like(t), np.full(nb, 1e-2), np.ones(nb)
-            kernel = BlockedBackend().br_allpairs_batched
+            kernel = BlockedBackend().br_allpairs
             kernel(t, t, om, eps2, pref, out, symmetric=True)  # warm scratch
             tracemalloc.start()
             try:
@@ -278,9 +278,19 @@ PARENT_STATES = {
 }
 
 #: The same digest over the final ``z`` and ``w`` of all 40 members of a
-#: 16×16 high-order blocked fleet after two steps, recorded before the
-#: kernel staged its stack in slices.
-PARENT_FLEET_STATE = "52570549139d1a66"
+#: 16×16 fleet after two steps, keyed ``(order, periodic, backend, mu)``.
+#: The periodic high-order blocked entry was recorded before the kernel
+#: staged its stack in slices; the rest before the fleet shared the
+#: solver's boundary plan, stage coefficients and Z-Model sources.
+PARENT_FLEET_STATES = {
+    ("high", (True, True), "blocked", 0.0): "52570549139d1a66",
+    ("high", (False, False), "blocked", 0.0): "7a349fc0da7c20ed",
+    ("high", (True, False), "numpy", 0.0): "6570be9651ee7349",
+    ("low", (True, True), "blocked", 0.0): "843f0da18d7d5389",
+    ("low", (True, True), "blocked", 0.02): "0007519df867b099",
+    ("medium", (True, True), "numpy", 0.0): "d211c66d755089bb",
+    ("high", (False, False), "numpy", 0.01): "3cbaa833364b08ca",
+}
 
 #: Digest of the recording host's arithmetic for the operations those
 #: runs use (BLAS GEMMs, einsum reductions, FFTs, powers).  A host whose
@@ -327,11 +337,13 @@ class TestParentPin:
         z, w = mpi.run_spmd(ranks, program)[0]
         assert _digest(z, w) == PARENT_STATES[key]
 
-    def test_fleet_states_equal_parent_snapshot(self):
+    @pytest.mark.parametrize("key", list(PARENT_FLEET_STATES), ids=str)
+    def test_fleet_states_equal_parent_snapshot(self, key):
         if _arithmetic_canary() != ARITHMETIC_CANARY:
             pytest.skip("snapshot recorded on a host with other BLAS/SIMD rounding")
-        config = SolverConfig(num_nodes=(16, 16), order="high", dt=0.002,
-                              eps=0.1, backend="blocked")
+        order, periodic, backend, mu = key
+        config = SolverConfig(num_nodes=(16, 16), order=order, periodic=periodic,
+                              mu=mu, dt=0.002, eps=0.1, backend=backend)
         fleet = ScenarioFleet(config, retain_state=True)
         ids = fleet.add_many([
             (config.with_updates(atwood=0.1 + 0.02 * k),
@@ -341,4 +353,4 @@ class TestParentPin:
         ])
         results = fleet.run()
         states = [a for sid in ids for a in (results[sid]["z"], results[sid]["w"])]
-        assert _digest(*states) == PARENT_FLEET_STATE
+        assert _digest(*states) == PARENT_FLEET_STATES[key]

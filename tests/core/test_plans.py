@@ -7,7 +7,8 @@ kept in this file as the reference:
 
 * ``_ref_gather`` / ``_ref_apply_*`` re-derive neighbours, slabs and
   boundary faces on every call — ghost frames must be ``array_equal``
-  and the recorded comm events identical;
+  and the recorded comm events identical, and a boundary plan applied
+  to a fleet's ``(B, …)`` stack must match it member by member;
 * spies count the decomposition lookups an evaluation may no longer do;
 * ``_ExchangingMigrator`` / ``_ref_halo_exchange`` push every spatial
   hop through ``exchange_arrays`` whatever the mesh — a one-block
@@ -174,6 +175,33 @@ def test_planned_ghost_frames_match_per_call_derivation(dims, periodic):
             assert np.array_equal(g, w), f"rank {rank}"
     assert _events(got_trace) == _events(want_trace)
     assert len(got_trace.events) > 0 or not any(periodic)
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 2)])
+@pytest.mark.parametrize(
+    "periodic", [(True, True), (False, False), (True, False), (False, True)]
+)
+def test_boundary_plan_applies_to_a_stack_member_by_member(dims, periodic):
+    """The fleet's case: one block's plan applied to a ``(B, …)`` stack
+    leaves each member as the per-call derivation leaves it alone."""
+
+    def program(comm):
+        cart = mpi.create_cart(comm, dims=dims, periods=periodic)
+        mesh = SurfaceMesh(cart, (0.0, -1.0), (2.0, 2.0), (12, 10), periodic)
+        bc = ProblemManager(mesh).bc
+        rng = np.random.default_rng(17 + comm.rank)
+        z = rng.normal(size=(5,) + mesh.local_shape + (3,))
+        w = rng.normal(size=(5,) + mesh.local_shape + (2,))
+        want_z, want_w = z.copy(), w.copy()
+        for member in want_z:
+            _ref_apply(mesh, member, position=True)
+        for member in want_w:
+            _ref_apply(mesh, member, position=False)
+        bc.apply_position(z)
+        bc.apply_field(w)
+        return np.array_equal(z, want_z) and np.array_equal(w, want_w)
+
+    assert all(spmd(dims[0] * dims[1], program))
 
 
 # -- (b) no decomposition lookup left on the evaluation path ---------------------

@@ -14,6 +14,7 @@ from repro.fft.layouts import (
     rows_pencil_layout,
     rows_slab_layout,
 )
+from repro.fft.serial import fft_along, ifft_along
 from repro.util.errors import ConfigurationError
 from tests.conftest import spmd
 
@@ -250,6 +251,29 @@ class TestTraceStructure:
         msgs_rows, bytes_rows = run(False)
         assert msgs_rows > msgs_packed
         assert bytes_rows == bytes_packed  # same wire volume
+
+    def test_stage_compute_events_pinned(self):
+        """The 1-D stages call ``numpy.fft`` themselves and record the
+        ``fft1d`` / ``ifft1d`` events the e2e ledger reads, with the
+        flops, bytes and items they recorded as backend kernels."""
+        trace = mpi.CommTrace()
+        data = np.random.default_rng(0).normal(size=(8, 12)) + 0j
+        for axis in (0, 1):
+            out = fft_along(data, axis, trace=trace, rank=1)
+            assert np.array_equal(out, np.fft.fft(data, axis=axis))
+            out = ifft_along(data, axis, trace=trace, rank=1)
+            assert np.array_equal(out, np.fft.ifft(data, axis=axis))
+        fft_along(np.ones((16, 4)), 0, trace=trace)
+        assert [
+            (e.kernel, e.rank, e.flops, e.bytes_moved, e.items)
+            for e in trace.compute_events
+        ] == [
+            ("fft1d", 1, 1440.0, 3072.0, 96),
+            ("ifft1d", 1, 1440.0, 3072.0, 96),
+            ("fft1d", 1, 1720.782000346155, 3072.0, 96),
+            ("ifft1d", 1, 1720.782000346155, 3072.0, 96),
+            ("fft1d", 0, 1280.0, 2048.0, 64),
+        ]
 
 
 class TestConfig:

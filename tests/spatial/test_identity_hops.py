@@ -16,6 +16,7 @@ from repro.spatial import (
     halo_exchange,
     plan_halo,
 )
+from repro.spatial import halo as spatial_halo
 from repro.util.errors import CommunicationError, ConfigurationError
 from tests.conftest import spmd
 
@@ -52,6 +53,29 @@ def test_plan_is_the_identity_without_an_owner_lookup(monkeypatch):
     assert plan.bounds.tolist() == [0, 25]
     assert ghosts.sent_copies == 0 and ghosts.npoints == 25
     assert ghosts.bounds.tolist() == [0, 0]
+
+
+def test_planless_hops_build_no_plan(monkeypatch):
+    """Without a plan, one-block ``migrate`` / ``halo_exchange`` return
+    their identity before building the plan they would not use."""
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        raise AssertionError("one block: no plan to build")
+
+    monkeypatch.setattr(ParticleMigrator, "plan", spy)
+    monkeypatch.setattr(spatial_halo, "plan_halo", spy)
+    pos, pay = _particles()
+
+    def body(comm):
+        m = ParticleMigrator(comm, ONE_BLOCK).migrate(pos, pay)
+        ghosts = halo_exchange(comm, ONE_BLOCK, m.positions, m.payload, 0.4)
+        return m, ghosts
+
+    m, ghosts = _on_one_rank(body)
+    assert built == []
+    assert np.array_equal(m.positions, pos) and ghosts.count == 0
 
 
 def test_round_trip_is_fresh_ordered_and_silent():
