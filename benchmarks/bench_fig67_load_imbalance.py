@@ -49,7 +49,7 @@ def _run_physics():
         early = solver.pm.z.own.reshape(-1, 3).copy()
         solver.run(LATE_STEPS - EARLY_STEPS)
         late = solver.pm.z.own.reshape(-1, 3).copy()
-        return early, late, solver.interface_amplitude()
+        return early, late, solver.diagnostics()["amplitude"]
 
     return mpi.run_spmd(1, program, timeout=600.0)[0]
 

@@ -78,7 +78,6 @@ class ArrayBackend(abc.ABC):
         out: np.ndarray,
         *,
         symmetric: bool = False,
-        batch_pairs: int = 2_000_000,
     ) -> None:
         """Accumulate dense BR velocities into ``out`` (``(B, nt, 3)``).
 
@@ -91,8 +90,6 @@ class ArrayBackend(abc.ABC):
         ``sources`` are the *same point set* in the same order; backends
         may exploit the shared pair geometry (``r_ij = r_ji``) to halve
         the distance work.  It is a hint: ignoring it is always correct.
-        ``batch_pairs`` bounds temporary working-set sizes for backends
-        that evaluate in dense panels.
         """
 
     @abc.abstractmethod
@@ -106,8 +103,6 @@ class ArrayBackend(abc.ABC):
         eps2: float,
         prefactor: float,
         out: np.ndarray,
-        *,
-        batch_pairs: int = 4_000_000,
     ) -> None:
         """Accumulate BR velocities over CSR neighbor lists into ``out``.
 
@@ -182,8 +177,6 @@ class ArrayBackend(abc.ABC):
         eps2: float,
         prefactor: float,
         out: np.ndarray,
-        *,
-        batch_pairs: int = 4_000_000,
     ) -> None:
         """Accumulate far-field (multipole) BR velocities into ``out``.
 
@@ -208,8 +201,7 @@ class ArrayBackend(abc.ABC):
         Aliasing rules: ``out`` must not alias any input array (the
         caller always passes a dedicated accumulator); the node-table
         inputs are read-only and a node id may appear in any number of
-        pairs.  ``batch_pairs`` bounds the gathered temporaries for
-        engines that evaluate in flat batches.
+        pairs.
         """
 
     # -- reductions --------------------------------------------------------

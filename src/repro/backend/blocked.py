@@ -83,6 +83,9 @@ _CSR_CHUNK = 32_768
 #: held until the in-order reduction has added them, then freed.
 _WAVE = 8
 
+#: Gathered (target, node) pairs per batch of the far-field kernel.
+_FARFIELD_BATCH = 4_000_000
+
 _scratch = threading.local()       # per-thread r² / w / hit panels
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_lock = threading.Lock()
@@ -184,7 +187,6 @@ class BlockedBackend(ArrayBackend):
         out: np.ndarray,
         *,
         symmetric: bool = False,
-        batch_pairs: int = 2_000_000,
     ) -> None:
         """Panelled BR accumulation over a stack of scenarios.
 
@@ -199,8 +201,8 @@ class BlockedBackend(ArrayBackend):
         each off-diagonal one is also applied transposed.  Panels are
         formed on every core and reduced in serial order (point 5 of the
         module docstring), staging about one wave of whole chunks at a
-        time, so memory is flat in the stack size.  ``batch_pairs`` has
-        nothing left to bound: no pair-sized temporary outgrows a panel.
+        time, so memory is flat in the stack size: no pair-sized
+        temporary outgrows a panel.
         """
         nb, nt, ns = targets.shape[0], targets.shape[1], sources.shape[1]
         if nb == 0 or nt == 0 or ns == 0:
@@ -282,8 +284,6 @@ class BlockedBackend(ArrayBackend):
         eps2: float,
         prefactor: float,
         out: np.ndarray,
-        *,
-        batch_pairs: int = 4_000_000,
     ) -> None:
         total_pairs = int(offsets[-1])
         if total_pairs == 0:
@@ -337,15 +337,13 @@ class BlockedBackend(ArrayBackend):
         eps2: float,
         prefactor: float,
         out: np.ndarray,
-        *,
-        batch_pairs: int = 4_000_000,
     ) -> None:
         # Same bincount-scatter strategy as the CSR neighbor kernel:
         # np.add.at is the reference semantics but notoriously slow.
         nt = targets.shape[0]
         total = int(pair_targets.shape[0])
-        for start in range(0, total, batch_pairs):
-            stop = min(start + batch_pairs, total)
+        for start in range(0, total, _FARFIELD_BATCH):
+            stop = min(start + _FARFIELD_BATCH, total)
             ti = pair_targets[start:stop]
             ni = pair_nodes[start:stop]
             r = targets[ti] - centers[ni]                     # (b, 3)

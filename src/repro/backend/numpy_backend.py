@@ -19,6 +19,13 @@ from repro.backend.base import ArrayBackend
 
 __all__ = ["NumpyBackend"]
 
+#: Target × source pairs per dense all-pairs block: bounds the ``(bt, ns)``
+#: temporaries.
+_ALLPAIRS_BATCH = 2_000_000
+
+#: Gathered pairs per batch of the CSR and far-field kernels.
+_PAIR_BATCH = 4_000_000
+
 
 class NumpyBackend(ArrayBackend):
     """Reference implementation: straightforward vectorized numpy."""
@@ -61,11 +68,10 @@ class NumpyBackend(ArrayBackend):
         out: np.ndarray,
         *,
         symmetric: bool = False,
-        batch_pairs: int = 2_000_000,
     ) -> None:
         nt, ns = targets.shape[1], sources.shape[1]
         # Batch over targets so the (bt, ns) temporaries stay bounded.
-        bt = max(1, min(nt, batch_pairs // max(ns, 1)))
+        bt = max(1, min(nt, _ALLPAIRS_BATCH // max(ns, 1)))
         for b in range(targets.shape[0]):
             for start in range(0, nt, bt):
                 stop = min(start + bt, nt)
@@ -84,16 +90,14 @@ class NumpyBackend(ArrayBackend):
         eps2: float,
         prefactor: float,
         out: np.ndarray,
-        *,
-        batch_pairs: int = 4_000_000,
     ) -> None:
         total_pairs = int(offsets[-1])
         counts = np.diff(offsets)
         pair_target = np.repeat(
             np.arange(targets.shape[0], dtype=np.int64), counts
         )
-        for start in range(0, total_pairs, batch_pairs):
-            stop = min(start + batch_pairs, total_pairs)
+        for start in range(0, total_pairs, _PAIR_BATCH):
+            stop = min(start + _PAIR_BATCH, total_pairs)
             ti = pair_target[start:stop]
             sj = indices[start:stop]
             diff = targets[ti] - sources[sj]                  # (b, 3)
@@ -120,12 +124,10 @@ class NumpyBackend(ArrayBackend):
         eps2: float,
         prefactor: float,
         out: np.ndarray,
-        *,
-        batch_pairs: int = 4_000_000,
     ) -> None:
         total = int(pair_targets.shape[0])
-        for start in range(0, total, batch_pairs):
-            stop = min(start + batch_pairs, total)
+        for start in range(0, total, _PAIR_BATCH):
+            stop = min(start + _PAIR_BATCH, total)
             ti = pair_targets[start:stop]
             ni = pair_nodes[start:stop]
             r = targets[ti] - centers[ni]                     # (b, 3)

@@ -202,8 +202,6 @@ class CampaignExecutor:
         log: Optional[Callable[[str], None]] = None,
         telemetry: bool = True,
         status_interval: float = 0.0,
-        batch_fast_path: bool = True,
-        batch_min: int = 4,
     ) -> None:
         self.store = store
         self.max_workers = max(1, int(max_workers))
@@ -227,11 +225,6 @@ class CampaignExecutor:
         #: and one-line progress summaries during ``submit``; 0 disables
         #: the heartbeat thread (initial/final snapshots still land).
         self.status_interval = float(status_interval)
-        #: Fleet forming, passed to :func:`plan_runs` (inline) or the
-        #: coordinator (leased): groups of >= ``batch_min`` same-shape
-        #: serial functional runs become one fleet item.
-        self.batch_fast_path = bool(batch_fast_path)
-        self.batch_min = int(batch_min)
         #: Campaign-level metrics (store hits, runs completed/failed,
         #: requeues, run-elapsed histogram, ``campaign.service.*``).
         self.metrics = MetricsRegistry()
@@ -263,8 +256,7 @@ class CampaignExecutor:
                 coordinator = self._coordinator(functional)
                 here = [s for s in specs if s.mode != "functional"]
         plans = [plan_runs(
-            here, self.store, self.machine, batch_fast_path=self.batch_fast_path,
-            batch_min=self.batch_min, checkpoint_freq=self.checkpoint_freq,
+            here, self.store, self.machine, checkpoint_freq=self.checkpoint_freq,
         )]
         items = list(plans[0].items)
         if coordinator is not None:
@@ -322,7 +314,6 @@ class CampaignExecutor:
             self.store, specs, SocketEndpoint(), run_timeout=self.timeout,
             collective_timeout=self.collective_timeout, machine=self.machine,
             checkpoint_freq=self.checkpoint_freq, telemetry=self.telemetry,
-            batch_fast_path=self.batch_fast_path, batch_min=self.batch_min,
             log=self._log,
         )
 

@@ -135,13 +135,15 @@ class RunPlan:
     items: list[tuple[RunSpec, ...]]    # one run or one fleet, LJF order
 
 
+#: Same-shape serial functional runs that make a fleet item.
+FLEET_MIN = 4
+
+
 def plan_runs(
     specs: Sequence[RunSpec],
     store,
     machine: MachineSpec = LASSEN,
     *,
-    batch_fast_path: bool = True,
-    batch_min: int = 4,
     checkpoint_freq: int = 0,
 ) -> RunPlan:
     """Dedup, store hits, longest-job-first order and fleets of a batch.
@@ -149,8 +151,9 @@ def plan_runs(
     A completed hash with a loadable result is a hit (a model result
     only for the machine it was costed on).  Serial functional runs
     sharing a :func:`repro.batch.fleet_key` — with no checkpointing and
-    no checkpoint on disk — become one item once ``batch_min`` of them
-    group, ordered by their summed cost.  One model evaluation per run.
+    no checkpoint on disk — become one item once :data:`FLEET_MIN` of
+    them group, ordered by their summed cost.  One model evaluation per
+    run.
     """
     unique: dict[str, RunSpec] = {}
     for spec in specs:
@@ -170,7 +173,7 @@ def plan_runs(
     groups: dict[Any, list[RunSpec]] = {}
     for run_hash, spec in ((h, to_run[h]) for h in costs):
         key = (
-            batch_fast_path and spec.mode == "functional" and spec.ranks == 1
+            spec.mode == "functional" and spec.ranks == 1
             and checkpoint_freq == 0
             and not os.path.exists(store.checkpoint_path(run_hash))
             and fleet_key(spec.config)
@@ -178,7 +181,7 @@ def plan_runs(
         groups.setdefault(key or run_hash, []).append(spec)
     items: list[tuple[RunSpec, ...]] = []
     for group in groups.values():
-        if len(group) >= max(2, batch_min):
+        if len(group) >= FLEET_MIN:
             items.append(tuple(group))
         else:
             items.extend((spec,) for spec in group)

@@ -182,7 +182,6 @@ class Coordinator:
 
     ``checkpoint_freq`` and ``telemetry`` are the executor settings
     every leased run is executed with; they travel in each ``new-job``.
-    ``batch_fast_path`` / ``batch_min`` shape the fleets of the plan.
 
     ``journal=True`` appends every non-heartbeat message the
     coordinator receives or sends to :attr:`journal` as
@@ -205,8 +204,6 @@ class Coordinator:
         machine: MachineSpec = LASSEN,
         checkpoint_freq: int = 0,
         telemetry: bool = True,
-        batch_fast_path: bool = True,
-        batch_min: int = 4,
         status_interval: float = 0.0,
         poll_interval: float = 0.05,
         drain_grace: float = 5.0,
@@ -246,8 +243,7 @@ class Coordinator:
 
         # Store hits never reach the queue; the plan's costs feed the ETA.
         self.plan = plan_runs(
-            specs, store, machine, batch_fast_path=batch_fast_path,
-            batch_min=batch_min, checkpoint_freq=self.checkpoint_freq,
+            specs, store, machine, checkpoint_freq=self.checkpoint_freq
         )
         if self.plan.hits:
             self.metrics.counter("campaign.store_hits").inc(len(self.plan.hits))

@@ -14,6 +14,13 @@ Module map (paper §2/§3 names → here):
 * ``TimeIntegrator`` — TVD-RK3.
 * ``SiloWriter`` — visualization dumps.
 * ``InitialCondition`` — rocket-rig problem setups.
+
+Every piece indexes the grid axes from the right: a rank's block is one
+``(ni, nj, c)`` array, and on one rank the same objects step a
+``(B, ni, nj, c)`` stack of same-grid scenarios (per-scenario Z-Model
+parameters, ε and dt as arrays) — which is all
+:class:`repro.batch.ScenarioFleet` does, through
+:func:`repro.core.solver.build_integrator`.
 """
 
 from repro.core.boundary import BoundaryCondition, BoundaryType
@@ -34,7 +41,6 @@ from repro.core.initial_conditions import (
     available_ic_kinds,
 )
 from repro.core.problem_manager import ProblemManager
-from repro.core.remesh import maybe_remesh, parameter_distortion, remesh_uniform
 from repro.core.silo_writer import SiloWriter
 from repro.core.solver import Solver, SolverConfig, available_br_solvers
 from repro.core.surface_mesh import SurfaceMesh
@@ -58,9 +64,6 @@ __all__ = [
     "apply_initial_condition",
     "available_ic_kinds",
     "ProblemManager",
-    "maybe_remesh",
-    "parameter_distortion",
-    "remesh_uniform",
     "SiloWriter",
     "Solver",
     "SolverConfig",

@@ -174,9 +174,14 @@ class CutoffBRSolver:
     def compute_velocities(
         self, z_own: np.ndarray, omega_own: np.ndarray
     ) -> np.ndarray:
-        """BR velocity on owned nodes; shapes ``(ni, nj, 3)`` in and out."""
+        """BR velocity on owned nodes; shapes ``(ni, nj, 3)`` (or a stack
+        of one) in and out."""
+        if np.prod(z_own.shape[:-3]) > 1:
+            raise ConfigurationError(
+                f"the {self.name} BR solver steps one scenario, not a stack "
+                f"of {z_own.shape[0]}"
+            )
         comm = self.comm
-        shape = z_own.shape[:2]
         positions = np.ascontiguousarray(z_own.reshape(-1, 3))
         payload = np.ascontiguousarray(omega_own.reshape(-1, 3))
         dA = self.mesh.cell_area
@@ -287,7 +292,7 @@ class CutoffBRSolver:
         self.last_owned_count = mig.count
         self.last_ghost_count = ghosts.count
         self.last_pair_count = lists.total_neighbors
-        return back.reshape(shape + (3,))
+        return back.reshape(z_own.shape)
 
     def ownership_counts(self) -> np.ndarray:
         """Spatially owned point count per rank after the last evaluation.

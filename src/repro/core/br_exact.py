@@ -21,6 +21,13 @@ contributions (~20 % for low modes — measured during development).
 visiting block is accumulated 9 times, shifted over the 3×3 ring of
 periodic copies, which tests show captures the image correction to
 first order in the grid spacing with no additional communication.
+
+Stacks
+------
+The solver also steps a ``(B, ni, nj, 3)`` stack of B same-grid
+scenarios (a :class:`~repro.batch.ScenarioFleet` slice on one rank),
+each with its own ε: ``eps`` is then a ``(B,)`` array, and every
+scenario gets exactly the velocity it would get alone.
 """
 
 from __future__ import annotations
@@ -56,13 +63,13 @@ class ExactBRSolver:
         self,
         comm: Comm,
         mesh: SurfaceMesh,
-        eps: float,
+        eps: "float | np.ndarray",
         periodic_images: bool = False,
         backend: "ArrayBackend | str | None" = None,
     ) -> None:
         self.comm = comm
         self.mesh = mesh
-        self.eps = float(eps)
+        self.eps = eps
         self.backend = get_backend(backend)
         self.periodic_images = bool(periodic_images)
         if self.periodic_images and not all(mesh.periodic):
@@ -79,24 +86,26 @@ class ExactBRSolver:
     def compute_velocities(
         self, z_own: np.ndarray, omega_own: np.ndarray
     ) -> np.ndarray:
-        """BR velocity on owned nodes; shapes ``(ni, nj, 3)`` in and out."""
+        """BR velocity on owned nodes; shapes ``(..., ni, nj, 3)`` in and
+        out (one block, or a stack of them)."""
         comm = self.comm
-        shape = z_own.shape[:2]
-        targets = np.ascontiguousarray(z_own.reshape(-1, 3))
+        nb = int(np.prod(z_own.shape[:-3]))
+        targets = np.ascontiguousarray(z_own.reshape(nb, -1, 3))
         dA = self.mesh.cell_area
         out = np.zeros_like(targets)
 
         visiting = np.concatenate(
-            [targets, np.ascontiguousarray(omega_own.reshape(-1, 3))], axis=1
+            [targets, np.ascontiguousarray(omega_own.reshape(nb, -1, 3))],
+            axis=2,
         )
         dest = (comm.rank + 1) % comm.size
         src = (comm.rank - 1) % comm.size
 
         with comm.trace.phase("br_ring"):
             for hop in range(comm.size):
-                block = visiting.reshape(-1, 6)
+                block = visiting.reshape(nb, -1, 6)
                 for sx, sy in self._shifts:
-                    sources = block[:, 0:3]
+                    sources = block[..., 0:3]
                     if sx or sy:
                         sources = sources + np.array([sx, sy, 0.0])
                     # Hop 0's unshifted block is this rank's own point
@@ -105,7 +114,7 @@ class ExactBRSolver:
                     out += br_velocity_allpairs(
                         targets,
                         sources,
-                        block[:, 3:6],
+                        block[..., 3:6],
                         self.eps,
                         dA,
                         trace=comm.trace,
@@ -117,4 +126,4 @@ class ExactBRSolver:
                     visiting = comm.Sendrecv(
                         visiting, dest, _RING_TAG, None, src, _RING_TAG
                     )
-        return out.reshape(shape + (3,))
+        return out.reshape(z_own.shape)

@@ -130,10 +130,15 @@ class TreeBRSolver:
     def compute_velocities(
         self, z_own: np.ndarray, omega_own: np.ndarray
     ) -> np.ndarray:
-        """BR velocity on owned nodes; shapes ``(ni, nj, 3)`` in and out."""
+        """BR velocity on owned nodes; shapes ``(ni, nj, 3)`` (or a stack
+        of one) in and out."""
+        if np.prod(z_own.shape[:-3]) > 1:
+            raise ConfigurationError(
+                f"the {self.name} BR solver steps one scenario, not a stack "
+                f"of {z_own.shape[0]}"
+            )
         comm = self.comm
         trace = comm.trace
-        shape = z_own.shape[:2]
         targets = np.ascontiguousarray(z_own.reshape(-1, 3))
         dA = self.mesh.cell_area
         nt = targets.shape[0]
@@ -215,4 +220,4 @@ class TreeBRSolver:
         self.last_near_pair_count = pairs.near_count
         self.last_node_count = tree.num_nodes
         self.last_depth = tree.depth
-        return out.reshape(shape + (3,))
+        return out.reshape(z_own.shape)

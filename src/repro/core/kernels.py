@@ -38,29 +38,35 @@ PAIR_FLOPS = 30.0  # diff(3) + r² (5) + rsqrt³ (~6) + cross (9) + axpy (7)
 _PAIR_BYTES = 9 * 8.0
 
 
+def _stack(points: np.ndarray) -> np.ndarray:
+    """``(n, 3)`` points as a stack of one; ``(B, n, 3)`` stacks as given."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    return pts if pts.ndim == 3 else pts[None]
+
+
 def br_velocity_allpairs(
     targets: np.ndarray,
     sources: np.ndarray,
     omega: np.ndarray,
-    eps: float,
+    eps: "float | np.ndarray",
     dA: float,
     *,
     trace=None,
     rank: int = 0,
-    batch_pairs: int = 2_000_000,
     backend: "ArrayBackend | str | None" = None,
     symmetric: bool = False,
 ) -> np.ndarray:
     """Dense BR velocity of every target due to every source.
 
-    ``symmetric=True`` tells the backend that ``targets`` and
-    ``sources`` are the same point set in the same order (the exact
-    solver's own-block hop), enabling pair-geometry reuse.
+    Points are ``(n, 3)`` arrays, or ``(B, n, 3)`` stacks of B
+    independent scenarios with ``eps`` a float or one ε per scenario;
+    the result has the shape of ``targets``.  ``symmetric=True`` tells
+    the backend that ``targets`` and ``sources`` are the same point set
+    in the same order (the exact solver's own-block hop), enabling
+    pair-geometry reuse.
     """
     bk = get_backend(backend)
-    tgt = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    src = np.atleast_2d(np.asarray(sources, dtype=np.float64))
-    om = np.atleast_2d(np.asarray(omega, dtype=np.float64))
+    tgt, src, om = _stack(targets), _stack(sources), _stack(omega)
     if src.shape != om.shape:
         raise ConfigurationError(
             f"sources {src.shape} and omega {om.shape} must match"
@@ -70,26 +76,22 @@ def br_velocity_allpairs(
             f"symmetric=True requires matching point sets, got targets "
             f"{tgt.shape} vs sources {src.shape}"
         )
-    nt, ns = tgt.shape[0], src.shape[0]
-    out = np.zeros((nt, 3))
+    nb, nt, ns = tgt.shape[0], tgt.shape[1], src.shape[1]
+    out = np.zeros(tgt.shape)
     if nt == 0 or ns == 0:
-        return out
-    prefactor = dA / (4.0 * np.pi)
-    eps2 = float(eps) ** 2
+        return out if np.ndim(targets) == 3 else out[0]
+    prefactor = np.full(nb, dA / (4.0 * np.pi))
+    eps2 = np.broadcast_to([float(e) ** 2 for e in np.ravel(eps)], (nb,))
     t0 = trace.clock() if trace is not None else None
-    bk.br_allpairs(  # a stack of one
-        tgt[None], src[None], om[None], np.array([eps2]),
-        np.array([prefactor]), out[None],
-        symmetric=symmetric, batch_pairs=batch_pairs,
-    )
+    bk.br_allpairs(tgt, src, om, eps2, prefactor, out, symmetric=symmetric)
     if trace is not None:
-        pairs = float(nt) * float(ns)
+        pairs = float(nb) * float(nt) * float(ns)
         trace.record_compute(
             "br_allpairs", rank,
             flops=PAIR_FLOPS * pairs, bytes_moved=_PAIR_BYTES * pairs,
             items=int(pairs), t_wall=trace.clock_since(t0),
         )
-    return out
+    return out if np.ndim(targets) == 3 else out[0]
 
 
 def br_velocity_neighbors(
@@ -103,7 +105,6 @@ def br_velocity_neighbors(
     *,
     trace=None,
     rank: int = 0,
-    batch_pairs: int = 4_000_000,
     backend: "ArrayBackend | str | None" = None,
 ) -> np.ndarray:
     """BR velocity summed over CSR neighbor lists (cutoff solver).
@@ -123,10 +124,7 @@ def br_velocity_neighbors(
     prefactor = dA / (4.0 * np.pi)
     eps2 = float(eps) ** 2
     t0 = trace.clock() if trace is not None else None
-    bk.br_neighbors(
-        tgt, src, om, offsets, indices, eps2, prefactor, out,
-        batch_pairs=batch_pairs,
-    )
+    bk.br_neighbors(tgt, src, om, offsets, indices, eps2, prefactor, out)
     if trace is not None:
         trace.record_compute(
             "br_neighbors", rank,

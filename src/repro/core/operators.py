@@ -25,6 +25,7 @@ import numpy as np
 from repro.backend.stencils import dx, dy, laplacian
 
 __all__ = [
+    "as_stack",
     "dx",
     "dy",
     "laplacian",
@@ -38,6 +39,12 @@ __all__ = [
 # dx / dy / laplacian are re-exported from repro.backend.stencils — the
 # single home of the reference stencil formulas, shared with the compute
 # backends (which must not import the core layer).
+
+
+def as_stack(a: np.ndarray) -> np.ndarray:
+    """One block's ``(ni, nj, c)`` array as a stack of one, a ``(B, ni, nj,
+    c)`` stack as given — the view the backend kernels take."""
+    return a.reshape((-1,) + a.shape[-3:])
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,6 +6,12 @@ halo-gather + boundary-condition sequence every derivative evaluation
 starts with.  Solvers that need ghost values for *derived* fields
 (e.g. the potential Φ) go through :meth:`gather_field` so all ghost
 fills share one code path.
+
+The state may also be a ``(B, …)`` stack of B same-grid scenarios on
+one rank (a :class:`~repro.batch.ScenarioFleet` slice, bound by
+assigning the stacks to ``z.full`` / ``w.full``): the gather, the
+boundary plan and :meth:`full_from_own` index the grid axes from the
+right.
 """
 
 from __future__ import annotations
@@ -65,11 +71,10 @@ class ProblemManager:
         """Allocate a ghosted work field congruent with the state."""
         return NodeArray(self.mesh.local_grid, ncomp, name=name)
 
-    def full_from_own(self, own: np.ndarray, ncomp: int) -> np.ndarray:
-        """Embed an owned-region array into a fresh ghosted full array."""
-        field = NodeArray(self.mesh.local_grid, ncomp)
-        if own.ndim == 2:
-            field.own[..., 0] = own
-        else:
-            field.own[...] = own
+    def full_from_own(self, own: np.ndarray) -> np.ndarray:
+        """Embed an owned-region ``(..., ni, nj, c)`` array or stack into
+        a fresh ghosted full one."""
+        field = NodeArray(self.mesh.local_grid, own.shape[-1])
+        field.full = np.zeros(own.shape[:-3] + field.shape)
+        field.own[...] = own
         return field.full

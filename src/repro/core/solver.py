@@ -34,6 +34,7 @@ from repro.core.br_cutoff import CutoffBRSolver
 from repro.core.br_exact import ExactBRSolver
 from repro.core.br_tree import TreeBRSolver
 from repro.core.initial_conditions import InitialCondition, apply_initial_condition
+from repro.core.operators import as_stack
 from repro.core.problem_manager import ProblemManager
 from repro.core.surface_mesh import SurfaceMesh
 from repro.core.time_integrator import TimeIntegrator
@@ -43,7 +44,10 @@ from repro.fft.dfft import DistributedFFT2D
 from repro.mpi.comm import Comm
 from repro.util.errors import ConfigurationError, RunDivergedError
 
-__all__ = ["SolverConfig", "Solver", "available_br_solvers", "check_health"]
+__all__ = [
+    "SolverConfig", "Solver", "available_br_solvers", "build_integrator",
+    "check_health", "state_diagnostics",
+]
 
 
 @dataclass(frozen=True)
@@ -214,18 +218,50 @@ class SolverConfig:
 
 
 def check_health(
-    z: np.ndarray, w: np.ndarray, bound: float, step: int, rank: int = 0
-) -> None:
-    """Raise :class:`RunDivergedError` unless the owned ``z`` and ``w``
-    are finite and ``max|z₃| < bound`` (:meth:`SolverConfig.amplitude_bound`)."""
-    for name, field in (("z", z), ("w", w)):
-        if not np.isfinite(field).all():
-            raise RunDivergedError(step, name, rank, "is not finite")
-    amplitude = float(np.abs(z[..., 2]).max(initial=0.0))
-    if amplitude >= bound:
-        raise RunDivergedError(
-            step, "z", rank, f"amplitude {amplitude:.4g} >= bound {bound:.4g}"
-        )
+    z: np.ndarray, w: np.ndarray, bound: float, step, rank: int = 0
+) -> "list[Optional[RunDivergedError]]":
+    """Per member of the owned ``z`` / ``w`` (one block, or a ``(B, …)``
+    stack with ``step`` a ``(B,)`` array): ``None`` when it is finite
+    with ``max|z₃| < bound`` (:meth:`SolverConfig.amplitude_bound`), else
+    the :class:`RunDivergedError` naming the first failing field."""
+    z, w = as_stack(z), as_stack(w)
+    finite_z = np.isfinite(z).all(axis=(1, 2, 3))
+    finite_w = np.isfinite(w).all(axis=(1, 2, 3))
+    amplitude = np.abs(z[..., 2]).max(axis=(1, 2), initial=0.0)
+    steps = np.broadcast_to(step, amplitude.shape)
+    errors: list[Optional[RunDivergedError]] = [None] * len(amplitude)
+    for b in np.flatnonzero(~(finite_z & finite_w & (amplitude < bound))):
+        if not finite_z[b] or not finite_w[b]:
+            field = "z" if not finite_z[b] else "w"
+            errors[b] = RunDivergedError(int(steps[b]), field, rank, "is not finite")
+        else:
+            errors[b] = RunDivergedError(
+                int(steps[b]), "z", rank,
+                f"amplitude {amplitude[b]:.4g} >= bound {bound:.4g}",
+            )
+    return errors
+
+
+def state_diagnostics(
+    comm: Comm, z: np.ndarray, w: np.ndarray, time, steps, dt
+) -> list[dict[str, float]]:
+    """:meth:`Solver.diagnostics` of each member of the owned ``z`` /
+    ``w`` (one block, or a ``(B, …)`` stack with ``time`` / ``steps`` /
+    ``dt`` as ``(B,)`` arrays), reduced over ``comm``."""
+    from repro.mpi.ops import MAX
+
+    z, w = as_stack(z), as_stack(w)
+    time, steps, dt = (np.broadcast_to(v, z.shape[:1]) for v in (time, steps, dt))
+    return [
+        {
+            "time": float(time[b]),
+            "steps": float(steps[b]),
+            "amplitude": comm.allreduce(float(np.max(np.abs(z[b, ..., 2]))), op=MAX),
+            "vorticity_norm": math.sqrt(comm.allreduce(float(np.sum(w[b] ** 2)))),
+            "dt": float(dt[b]),
+        }
+        for b in range(z.shape[0])
+    ]
 
 
 def _build_exact(comm: Comm, mesh: SurfaceMesh, config: SolverConfig,
@@ -267,6 +303,32 @@ def available_br_solvers() -> list[str]:
     return list(_BR_SOLVER_BUILDERS)
 
 
+def build_integrator(
+    pm: ProblemManager, config: SolverConfig, backend
+) -> TimeIntegrator:
+    """The FFT, BR solver, Z-Model and RK3 integrator over ``pm`` that
+    ``config`` selects — the one wiring of :class:`Solver` and of
+    :class:`~repro.batch.ScenarioFleet` (which then sets per-scenario
+    ``ZModel.params``, BR ``eps`` and ``dt`` for each stack it steps)."""
+    order = Order.parse(config.order)
+    mesh = pm.mesh
+    fft = None
+    if order in (Order.LOW, Order.MEDIUM):
+        fft = DistributedFFT2D(mesh.cart, config.num_nodes, config.fft_config)
+    br = None
+    if order in (Order.MEDIUM, Order.HIGH):
+        build = _BR_SOLVER_BUILDERS[config.br_solver]
+        br = build(mesh.cart, mesh, config, config.effective_eps(), backend)
+    params = ZModelParameters(
+        atwood=config.atwood,
+        gravity=config.gravity,
+        mu=config.mu,
+        bernoulli=config.bernoulli,
+    )
+    zmodel = ZModel(pm, order, params, fft=fft, br_solver=br, backend=backend)
+    return TimeIntegrator(pm, zmodel, backend=backend)
+
+
 class Solver:
     """Builds the module stack from a config and runs timesteps."""
 
@@ -275,8 +337,7 @@ class Solver:
     ) -> None:
         self.comm = comm
         self.config = config
-        order = Order.parse(config.order)
-        self.order = order
+        self.order = Order.parse(config.order)
         # One engine instance drives every hot path of this solver.
         self.backend = get_backend(config.backend)
 
@@ -286,34 +347,9 @@ class Solver:
         self.pm = ProblemManager(self.mesh)
         apply_initial_condition(self.pm, ic)
 
-        fft = None
-        if order in (Order.LOW, Order.MEDIUM):
-            fft = DistributedFFT2D(
-                self.mesh.cart, config.num_nodes, config.fft_config
-            )
-        br = None
-        if order in (Order.MEDIUM, Order.HIGH):
-            eps = config.effective_eps()
-            try:
-                build = _BR_SOLVER_BUILDERS[config.br_solver]
-            except KeyError:
-                raise ConfigurationError(
-                    f"unknown br_solver {config.br_solver!r}; "
-                    f"available: {available_br_solvers()}"
-                ) from None
-            br = build(self.mesh.cart, self.mesh, config, eps, self.backend)
-        self.br_solver = br
-
-        params = ZModelParameters(
-            atwood=config.atwood,
-            gravity=config.gravity,
-            mu=config.mu,
-            bernoulli=config.bernoulli,
-        )
-        self.zmodel = ZModel(
-            self.pm, order, params, fft=fft, br_solver=br, backend=self.backend
-        )
-        self.integrator = TimeIntegrator(self.pm, self.zmodel, backend=self.backend)
+        self.integrator = build_integrator(self.pm, config, self.backend)
+        self.zmodel = self.integrator.zmodel
+        self.br_solver = self.zmodel.br_solver
         self.dt = config.effective_dt()
         self.time = 0.0
         self.step_count = 0
@@ -329,10 +365,12 @@ class Solver:
         self.time += self.dt
         self.step_count += 1
         self.comm.trace.metrics.counter("solver.steps").inc()
-        check_health(
+        error, = check_health(
             self.pm.z.own, self.pm.w.own, self.config.amplitude_bound(),
             self.step_count, self.comm.rank,
         )
+        if error is not None:
+            raise error
 
     def run(
         self,
@@ -425,28 +463,13 @@ class Solver:
 
     # -- diagnostics -------------------------------------------------------------
 
-    def interface_amplitude(self) -> float:
-        """Global max |z₃| (the RT growth diagnostic)."""
-        from repro.mpi.ops import MAX
-
-        local = float(np.max(np.abs(self.pm.z.own[..., 2])))
-        return self.comm.allreduce(local, op=MAX)
-
-    def vorticity_norm(self) -> float:
-        """Global L2 norm of the vorticity over owned nodes."""
-        local = float(np.sum(self.pm.w.own ** 2))
-        return math.sqrt(self.comm.allreduce(local))
-
     def neighbor_cache_stats(self) -> Optional[dict[str, int]]:
         """Verlet-skin cache rebuild/reuse counts (None without a BR
         solver that caches — i.e. anything but the cutoff solver)."""
         return self.zmodel.br_cache_stats()
 
     def diagnostics(self) -> dict[str, float]:
-        return {
-            "time": self.time,
-            "steps": float(self.step_count),
-            "amplitude": self.interface_amplitude(),
-            "vorticity_norm": self.vorticity_norm(),
-            "dt": self.dt,
-        }
+        return state_diagnostics(
+            self.comm, self.pm.z.own, self.pm.w.own,
+            self.time, self.step_count, self.dt,
+        )[0]

@@ -21,7 +21,9 @@ Each stage is one fused backend axpy per field,
 applied in place on the owned state (no per-stage full-state
 temporaries beyond the single u⁰ snapshot per step), and recorded as a
 ``rk3_axpy`` roofline compute event in the ``integrate`` phase — the
-same totals for every backend.
+same totals for every backend.  A ``(B, …)`` stack of scenarios (a
+:class:`~repro.batch.ScenarioFleet` slice) steps the same way, with one
+``dt`` per scenario.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import ArrayBackend, get_backend
+from repro.core.operators import as_stack
 from repro.core.problem_manager import ProblemManager
 from repro.core.zmodel import ZModel
 from repro.util.errors import ConfigurationError
@@ -40,8 +43,7 @@ __all__ = ["TimeIntegrator", "STAGE_COEFFS"]
 AXPY_FLOPS = 5.0
 _AXPY_BYTES = 4 * 8.0
 
-#: (a_u, a_0, a_Δ) per stage: u ← a_u·u + a_0·u⁰ + a_Δ·dt·L(u).  The
-#: fleet (:mod:`repro.batch`) steps its stacks with the same constants.
+#: (a_u, a_0, a_Δ) per stage: u ← a_u·u + a_0·u⁰ + a_Δ·dt·L(u).
 STAGE_COEFFS = (
     (0.0, 1.0, 1.0),
     (0.25, 0.75, 0.25),
@@ -66,15 +68,16 @@ class TimeIntegrator:
         self.zmodel = zmodel
         self.backend = get_backend(backend)
 
-    def step(self, dt: float) -> None:
-        """Advance the ProblemManager state by one timestep of size dt."""
-        if dt <= 0:
+    def step(self, dt: "float | np.ndarray") -> None:
+        """Advance the ProblemManager state by one timestep of size dt
+        (a float, or a ``(B,)`` array for a stack of B scenarios)."""
+        if np.any(np.asarray(dt) <= 0):
             raise ConfigurationError(f"dt must be positive, got {dt}")
         pm = self.pm
         bk = self.backend
         trace = pm.mesh.cart.trace
         rank = pm.mesh.rank
-        z, w = pm.z.own[None], pm.w.own[None]  # stacks of one
+        z, w = as_stack(pm.z.own), as_stack(pm.w.own)
         z0 = z.copy()
         w0 = w.copy()
         elements = z.size + w.size
@@ -83,14 +86,15 @@ class TimeIntegrator:
             zdot, wdot = self.zmodel.compute_derivatives()
             with trace.phase("integrate"):
                 t0 = trace.clock()
-                bk.rk3_axpy(z, z, au, z0, a0, zdot[None], adu * dt)
-                bk.rk3_axpy(w, w, au, w0, a0, wdot[None], adu * dt)
+                bk.rk3_axpy(z, z, au, z0, a0, zdot.reshape(z.shape), adu * dt)
+                bk.rk3_axpy(w, w, au, w0, a0, wdot.reshape(w.shape), adu * dt)
                 trace.record_compute(
                     "rk3_axpy", rank,
                     flops=AXPY_FLOPS * elements,
                     bytes_moved=_AXPY_BYTES * elements,
                     items=elements, t_wall=trace.clock_since(t0),
                 )
+            del zdot, wdot          # freed before the next evaluation
 
 
 def rk3_scalar_reference(lam: complex, u0: complex, dt: float, nsteps: int) -> complex:

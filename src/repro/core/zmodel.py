@@ -55,6 +55,14 @@ The ZModel performs *no direct communication* — it calls the halo
 gather (via :class:`~repro.core.problem_manager.ProblemManager`), the
 distributed FFT, and the BR solver, each of which communicates in its
 own phase, mirroring Beatnik's class structure.
+
+Stacks
+------
+It evaluates a ``(B, …)`` stack of B same-grid scenarios on one rank (a
+:class:`~repro.batch.ScenarioFleet` slice) with the same code: each
+stage runs on the stack the backend kernels take (a solo block is a
+stack of one), and the :class:`ZModelParameters` fields may be
+``(B, 1, 1)`` arrays, one value per scenario.
 """
 
 from __future__ import annotations
@@ -111,6 +119,9 @@ class BRSolverProtocol(Protocol):
 class ZModelParameters:
     """Physical and regularization parameters of the Z-Model.
 
+    Each field is a float, or a ``(B, 1, 1)`` array of per-scenario
+    values when the model evaluates a stack.
+
     Attributes
     ----------
     atwood:
@@ -135,9 +146,8 @@ class ZModelParameters:
 def potential(z_own, w_phi, gravity, bernoulli) -> np.ndarray:
     """Φ = g z₃ − β |W|²/2 on owned nodes.
 
-    ``gravity`` / ``bernoulli`` are floats for one block or ``(B, 1, 1)``
-    arrays for a stack of scenarios (:mod:`repro.batch`), broadcasting
-    over the node axes of ``z_own`` and ``w_phi``.
+    ``gravity`` / ``bernoulli`` are floats or ``(B, 1, 1)`` arrays,
+    broadcasting over the node axes of the ``(B, n1, n2, ·)`` stacks.
     """
     return gravity * z_own[..., 2] - 0.5 * bernoulli * ops.dot(w_phi, w_phi)
 
@@ -211,7 +221,8 @@ class ZModel:
         mesh = self.pm.mesh
         trace = mesh.cart.trace
         with trace.phase("fft"):
-            # (γ1, γ2) pairs are the memory layout of γ1 + iγ2.
+            # (γ1, γ2) pairs are the memory layout of γ1 + iγ2; the
+            # transform runs on the trailing (grid) axes of the stack.
             packed = np.ascontiguousarray(w_own).view(np.complex128)[..., 0]
             spectrum = self.fft.forward_transposed(packed)
             t0 = trace.clock()
@@ -245,7 +256,8 @@ class ZModel:
         Gathers halos, applies boundary conditions, computes geometry,
         evaluates the order-appropriate velocities, and assembles the
         evolution equations.  Purely local except for the gather, FFT
-        and BR-solver calls.
+        and BR-solver calls.  Both results have the shape of the owned
+        state: one block's, or a stack's.
         """
         pm = self.pm
         mesh = pm.mesh
@@ -254,20 +266,22 @@ class ZModel:
         pm.gather_state()
 
         dx_, dy_ = mesh.spacings
-        z_full = pm.z.full
-        w_full = pm.w.full
-        w_own = pm.w.own
+        lead = pm.z.full.shape[:-3]
+        z_full, w_full, z_own, w_own = (
+            ops.as_stack(a) for a in (pm.z.full, pm.w.full, pm.z.own, pm.w.own)
+        )
         need_fft = self.order in (Order.LOW, Order.MEDIUM)
         need_br = self.order in (Order.MEDIUM, Order.HIGH)
 
         with trace.phase("stencil"):
             t0 = trace.clock()
-            t1 = self.backend.stencil_dx(z_full[None], dx_)[0]
-            t2 = self.backend.stencil_dy(z_full[None], dy_)[0]
+            t1 = self.backend.stencil_dx(z_full, dx_)
+            t2 = self.backend.stencil_dy(z_full, dy_)
             normal = ops.cross(t1, t2)
             deth = ops.area_element(normal)
             if need_br:  # ω = γ1 t1 + γ2 t2, consumed by the BR solver only
                 omega = w_own[..., 0:1] * t1 + w_own[..., 1:2] * t2
+            del t1, t2, normal      # a step's peak memory is temporaries
             trace.record_compute(
                 "geometry", mesh.rank,
                 flops=40.0 * deth.size,
@@ -276,23 +290,23 @@ class ZModel:
             )
 
         w_fft = self._spectral_velocity(w_own) if need_fft else None
-        w_br = self._br_velocity(pm.z.own, omega) if need_br else None
+        w_br = self._br_velocity(z_own, omega) if need_br else None
 
         w_total = w_br if need_br else w_fft
         w_phi = w_fft if need_fft else w_br
         assert w_total is not None and w_phi is not None
 
         # The potential, haloed for its gradient.
-        phi_own = potential(pm.z.own, w_phi, p.gravity, p.bernoulli)
-        phi_full = pm.full_from_own(phi_own, 1)
+        phi_own = potential(z_own, w_phi, p.gravity, p.bernoulli)
+        phi_full = pm.full_from_own(phi_own[..., None])
         pm.gather_field(phi_full)
 
         with trace.phase("stencil"):
             t0 = trace.clock()
             wdot = vorticity_rate(
-                self.backend, phi_full[None], w_full[None], deth[None],
-                mesh.spacings, p.atwood, p.mu,
-            )[0]
+                self.backend, phi_full, w_full, deth, mesh.spacings,
+                p.atwood, p.mu,
+            )
             trace.record_compute(
                 "vorticity_update", mesh.rank,
                 flops=30.0 * wdot[..., 0].size,
@@ -301,4 +315,7 @@ class ZModel:
             )
 
         self.evaluations += 1
-        return np.ascontiguousarray(w_total), wdot
+        return (
+            np.ascontiguousarray(w_total).reshape(lead + w_total.shape[1:]),
+            wdot.reshape(lead + wdot.shape[1:]),
+        )

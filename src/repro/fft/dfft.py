@@ -21,6 +21,10 @@ the cols layout (:attr:`DistributedFFT2D.spectrum_box`), where the
 spectrum already lives — two redistributions per round trip that the
 mathematics does not need.
 
+Every stage works on the two trailing axes, so a plan transforms a
+``(B, ni, nj)`` stack of same-grid fields (:mod:`repro.batch`) in the
+messages of one field.
+
 Elision rule: a hop whose source and destination layouts coincide on
 every rank (brick ≡ rows pencil on a ``(P, 1)`` process grid; every hop
 on one rank) hands its input through untouched — see
@@ -132,30 +136,31 @@ class DistributedFFT2D:
     def forward_transposed(self, local: np.ndarray) -> np.ndarray:
         """Forward complex 2D FFT; brick in, :attr:`spectrum_box` out.
 
-        ``local`` is this rank's brick of real or complex data; the
-        return value is this rank's cols-layout box of the
-        (unnormalized, ``norm='backward'``) global spectrum.
+        ``local`` is this rank's brick of real or complex data (or a
+        ``(B, …)`` stack of bricks); the return value is this rank's
+        cols-layout box of the (unnormalized, ``norm='backward'``)
+        global spectrum.
         """
         data = np.ascontiguousarray(local, dtype=np.complex128)
         trace, rank = self.cart.trace, self.cart.rank
         work = self._to_rows.apply(data)
-        work = fft_along(work, axis=1, trace=trace, rank=rank)
+        work = fft_along(work, axis=-1, trace=trace, rank=rank)
         work = self._rows_to_cols.apply(work)
-        return fft_along(work, axis=0, trace=trace, rank=rank)
+        return fft_along(work, axis=-2, trace=trace, rank=rank)
 
     def backward_transposed(self, spectrum: np.ndarray) -> np.ndarray:
         """Inverse complex 2D FFT (scales by 1/(N1·N2));
         :attr:`spectrum_box` in, brick out."""
         data = np.ascontiguousarray(spectrum, dtype=np.complex128)
-        if tuple(data.shape) != self.spectrum_box.shape:
+        if tuple(data.shape[-2:]) != self.spectrum_box.shape:
             raise ConfigurationError(
                 f"backward_transposed input shape {data.shape} != spectrum "
                 f"box {self.spectrum_box.shape}"
             )
         trace, rank = self.cart.trace, self.cart.rank
-        work = ifft_along(data, axis=0, trace=trace, rank=rank)
+        work = ifft_along(data, axis=-2, trace=trace, rank=rank)
         work = self._cols_to_rows.apply(work)
-        work = ifft_along(work, axis=1, trace=trace, rank=rank)
+        work = ifft_along(work, axis=-1, trace=trace, rank=rank)
         return self._rows_to_brick.apply(work)
 
     def forward(self, local: np.ndarray) -> np.ndarray:

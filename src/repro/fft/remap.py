@@ -27,6 +27,10 @@ A remap whose two layouts coincide on *every* rank moves nothing: its
 ``apply`` returns the input array itself — no copy, no rendezvous, no
 trace event.  Every rank sees all boxes, so all ranks agree on the
 elision without communicating.
+
+Boxes index the two trailing axes of the local array, so one plan moves
+a ``(B, ni, nj)`` stack of same-layout arrays in the messages that move
+one ``(ni, nj)`` array.
 """
 
 from __future__ import annotations
@@ -81,11 +85,11 @@ class Remap:
     def _extract(self, local: np.ndarray, part: IndexSpace) -> np.ndarray:
         """Copy the piece ``part`` (global box) out of my source array."""
         rel = part.relative_to(self.src_box.mins)
-        return np.ascontiguousarray(local[rel.slices()])
+        return np.ascontiguousarray(local[(Ellipsis, *rel.slices())])
 
     def _place(self, out: np.ndarray, part: IndexSpace, data: np.ndarray) -> None:
         rel = part.relative_to(self.dst_box.mins)
-        out[rel.slices()] = data.reshape(part.shape)
+        out[(Ellipsis, *rel.slices())] = data.reshape(out.shape[:-2] + part.shape)
 
     def _record_copy(self, nbytes: int, packed: bool) -> None:
         kernel = "fft_pack" if packed else "fft_strided"
@@ -96,19 +100,20 @@ class Remap:
     # -- application --------------------------------------------------------------
 
     def apply(self, local: np.ndarray) -> np.ndarray:
-        """Redistribute ``local`` (my source box) into my destination box.
+        """Redistribute ``local`` (my source box, or a ``(B, …)`` stack
+        of them) into my destination box.
 
         An identity remap returns ``local`` itself; callers must not
         write into the result while they still need the input.
         """
-        if tuple(local.shape) != self.src_box.shape:
+        if tuple(local.shape[-2:]) != self.src_box.shape:
             raise ConfigurationError(
                 f"{self.label}: input shape {local.shape} != source box "
                 f"{self.src_box.shape}"
             )
         if self.identity:
             return local
-        out = np.empty(self.dst_box.shape, dtype=local.dtype)
+        out = np.empty(local.shape[:-2] + self.dst_box.shape, dtype=local.dtype)
         if self.config.alltoall:
             self._apply_collective(local, out)
         else:
@@ -153,8 +158,8 @@ class Remap:
                 comm.Isend(piece.ravel(), dest, self.tag_base)
             else:
                 # One message per contiguous row-run of the intersection.
-                for row in piece:
-                    comm.Isend(np.ascontiguousarray(row), dest, self.tag_base)
+                for row in piece.reshape(-1, piece.shape[-1]):
+                    comm.Isend(row, dest, self.tag_base)
         # Receive from every peer that owes me a piece.
         for shift in range(1, comm.size):
             src = (rank - shift) % comm.size
@@ -167,7 +172,7 @@ class Remap:
                 self._place(out, part, data.astype(local.dtype, copy=False))
             else:
                 rows = []
-                for _ in range(part.shape[0]):
+                for _ in range(int(np.prod(out.shape[:-2])) * part.shape[0]):
                     rows.append(comm.Recv(None, src, self.tag_base))
                 data = np.stack(rows)
                 self._record_copy(data.nbytes, packed=False)

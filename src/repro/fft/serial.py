@@ -28,7 +28,11 @@ def fft_flops(n: int, batch: int) -> float:
 def fft_along(
     data: np.ndarray, axis: int, trace=None, rank: int = 0
 ) -> np.ndarray:
-    """Complex forward FFT along one axis (norm='backward')."""
+    """Complex forward FFT along one axis (norm='backward').
+
+    The distributed transform passes ``axis`` counted from the right, so
+    each member of a ``(B, …)`` stack transforms exactly as it would alone.
+    """
     t0 = trace.clock() if trace is not None else None
     out = np.fft.fft(data, axis=axis)
     if trace is not None:

@@ -5,6 +5,11 @@ A :class:`NodeArray` is a numpy array of shape
 views that make solver code read naturally: ``arr.own`` is the owned
 interior, ``arr.full`` everything.  Solver kernels operate on ``full``
 (so stencils can read ghosts) and write ``own``.
+
+The grid axes are indexed from the right, so a node array may also hold
+a ``(B, ni + 2h, nj + 2h, ncomp)`` stack of B same-grid scenarios
+(:mod:`repro.batch`): assigning such a stack to ``full`` rebinds the
+array to it without a copy, and ``own`` is then the stack's owned view.
 """
 
 from __future__ import annotations
@@ -42,19 +47,29 @@ class NodeArray:
         """The whole local array, ghosts included (shape ni+2h, nj+2h, c)."""
         return self._data
 
+    @full.setter
+    def full(self, data: np.ndarray) -> None:
+        """Rebind to ``data``, one such array or a ``(B, …)`` stack of them."""
+        if data.shape[-3:] != self._data.shape[-3:]:
+            raise ConfigurationError(
+                f"{self.name}: array {data.shape} does not end in the "
+                f"node-array shape {self._data.shape[-3:]}"
+            )
+        self._data = data
+
     @property
     def own(self) -> np.ndarray:
         """View of owned nodes only (writable; shares memory with full)."""
         si, sj = self.local_grid.own_slices
-        return self._data[si, sj]
+        return self._data[..., si, sj, :]
 
     @property
     def dtype(self) -> np.dtype:
         return self._data.dtype
 
     @property
-    def shape(self) -> tuple[int, int, int]:
-        return self._data.shape  # type: ignore[return-value]
+    def shape(self) -> tuple[int, ...]:
+        return self._data.shape
 
     # -- operations ----------------------------------------------------------
 
@@ -66,7 +81,7 @@ class NodeArray:
         out = NodeArray(
             self.local_grid, self.ncomp, self.dtype, name or f"{self.name}_copy"
         )
-        np.copyto(out._data, self._data)
+        out.full = self._data.copy()
         return out
 
     def axpy(self, alpha: float, x: "NodeArray") -> None:

@@ -21,6 +21,11 @@ number of fields — matching how Beatnik amortizes halo latency.
 Periodicity is inherited from the Cartesian communicator: open edges
 have :data:`~repro.mpi.world.PROC_NULL` neighbours and their ghosts are
 left untouched (the boundary-condition code extrapolates into them).
+
+Slabs index the two grid axes in front of the trailing component axis,
+so one plan gathers a block's ``(ni + 2h, nj + 2h, c)`` arrays and a
+fleet's ``(B, ni + 2h, nj + 2h, c)`` stacks (:mod:`repro.batch`) alike:
+a stack still travels in the same 4 messages.
 """
 
 from __future__ import annotations
@@ -63,9 +68,12 @@ class HaloExchange:
                 src = cart.neighbor(offset)
                 offset[axis] = -sign
                 dest = cart.neighbor(offset)
+                send = self._slabs(axis, -sign)[0]
+                recv = self._slabs(axis, sign)[1]
                 self._plan.append((
                     _TAG_BASE + 2 * phase + dir_index, src, dest,
-                    self._slabs(axis, -sign)[0], self._slabs(axis, sign)[1],
+                    (Ellipsis, *send, slice(None)),
+                    (Ellipsis, *recv, slice(None)),
                 ))
 
     # -- slab geometry -----------------------------------------------------
@@ -100,16 +108,16 @@ class HaloExchange:
     def gather(self, arrays: Sequence[np.ndarray]) -> None:
         """Fill ghost frames of ``arrays`` from neighbouring ranks.
 
-        ``arrays`` are full local arrays (shape ``local_shape + (c,)``
-        or 2D); they are modified in place.  All arrays are exchanged in
-        the same 4 messages.
+        ``arrays`` are full local arrays (shape ``local_shape + (c,)``)
+        or ``(B, …)`` stacks of them; they are modified in place.  All
+        arrays are exchanged in the same 4 messages.
         """
         if self.h == 0:
             return
         cart = self.grid.cart
         expected = self.grid.local_shape
         for a in arrays:
-            if a.shape[:2] != expected:
+            if a.shape[-3:-1] != expected:
                 raise ConfigurationError(
                     f"array shape {a.shape} does not match local grid {expected}"
                 )

@@ -66,6 +66,9 @@ _COLUMNS = np.array(
     [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=np.int64
 )
 
+#: Targets per vectorized batch of the search (bounds peak memory).
+_TARGET_BATCH = 4096
+
 #: Candidate pairs distance-tested per pass of the search: a pass's
 #: half-dozen columns of this length stay in L2 however many candidates
 #: a target batch has (ns/pair is flat from 16k to 32k and rises on
@@ -77,25 +80,12 @@ def neighbor_lists(
     targets: np.ndarray,
     sources: np.ndarray,
     cutoff: float,
-    *,
-    batch_size: int = 4096,
-    exclude_self_matches: bool = False,
 ) -> NeighborLists:
     """All sources within ``cutoff`` of each target (inclusive boundary).
 
-    Each target's neighbors come out ordered by cell, then by source
-    index within a cell.
-
-    Parameters
-    ----------
-    targets, sources:
-        ``(nt, 3)`` and ``(ns, 3)`` float arrays.
-    batch_size:
-        Targets processed per vectorized batch (bounds peak memory).
-    exclude_self_matches:
-        When targets and sources are the same array, drop pairs with
-        identical coordinates *and* identical index (used for all-pairs
-        force sums that handle the self term separately).
+    ``targets`` and ``sources`` are ``(nt, 3)`` and ``(ns, 3)`` float
+    arrays.  Each target's neighbors come out ordered by cell, then by
+    source index within a cell.
     """
     if cutoff <= 0:
         raise ConfigurationError(f"cutoff must be positive, got {cutoff}")
@@ -117,8 +107,8 @@ def neighbor_lists(
 
     found: list[np.ndarray] = []
     counts = np.zeros(nt, dtype=np.int64)
-    for start in range(0, nt, batch_size):
-        stop = min(start + batch_size, nt)
+    for start in range(0, nt, _TARGET_BATCH):
+        stop = min(start + _TARGET_BATCH, nt)
         batch = tgt[start:stop]
         coords = grid.cell_coords(batch)
         cx = coords[:, 0, None] + _COLUMNS[:, 0]                # (m, 9)
@@ -142,9 +132,6 @@ def neighbor_lists(
             owner = np.repeat(np.arange(k0, k1), per_target[k0:k1])
             keep = _pair_dist2(tcol, owner, binned, cand) <= cutoff2
             owner, hits = owner[keep], order[cand[keep]]
-            if exclude_self_matches:
-                distinct = hits != owner + start
-                owner, hits = owner[distinct], hits[distinct]
             counts[start + k0:start + k1] = np.bincount(
                 owner - k0, minlength=k1 - k0
             )
@@ -205,8 +192,6 @@ def brute_force_lists(
     targets: np.ndarray,
     sources: np.ndarray,
     cutoff: float,
-    *,
-    exclude_self_matches: bool = False,
 ) -> NeighborLists:
     """O(nt·ns) reference implementation used to validate the cell list."""
     tgt = np.atleast_2d(np.asarray(targets, dtype=np.float64))
@@ -219,8 +204,6 @@ def brute_force_lists(
         diff = src - tgt[t]
         dist2 = np.einsum("ij,ij->i", diff, diff)
         hits = np.nonzero(dist2 <= cutoff2)[0]
-        if exclude_self_matches:
-            hits = hits[hits != t]
         chunks.append(np.sort(hits))
         offsets[t + 1] = offsets[t] + len(hits)
     indices = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)

@@ -46,16 +46,19 @@ class TestStackEqualsStacksOfOne:
             bk.br_allpairs(t, s, om, eps2[b:b + 1], pref[b:b + 1], alone)
             assert np.array_equal(out[b:b + 1], alone), b
 
-    def test_br_allpairs_tiny_batch_pairs(self, name, rng):
-        """A ``batch_pairs`` budget under one scenario's pairs still works."""
+    def test_br_allpairs_tiny_batch_pairs(self, name, rng, monkeypatch):
+        """A pair budget under one scenario's pairs still works."""
+        from repro.backend import numpy_backend
+
         bk = get_backend(name)
         n = 16
         targets = rng.normal(size=(B, n, 3))
         omega = rng.normal(size=(B, n, 3))
         eps2, pref = np.full(B, 0.05), np.full(B, 1.3)
         out = np.zeros((B, n, 3))
+        monkeypatch.setattr(numpy_backend, "_ALLPAIRS_BATCH", n * n // 2)
         bk.br_allpairs(targets, targets, omega, eps2, pref, out,
-                       symmetric=True, batch_pairs=n * n // 2)
+                       symmetric=True)
         for b, (t, om) in enumerate(zip(_each(targets), _each(omega))):
             alone = np.zeros((1, n, 3))
             bk.br_allpairs(t, t, om, eps2[:1], pref[:1], alone, symmetric=True)

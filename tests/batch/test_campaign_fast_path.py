@@ -36,6 +36,19 @@ def run(tmp_path, name, specs_, **executor_kwargs):
     return store, executor, outcomes
 
 
+def run_solo(tmp_path, name, specs_, **executor_kwargs):
+    """``run`` in submissions of three: under the fleet minimum, so every
+    run is its own lease."""
+    store = CampaignStore(name, root=str(tmp_path))
+    executor = CampaignExecutor(store, max_workers=2, **executor_kwargs)
+    outcomes = [
+        outcome
+        for start in range(0, len(specs_), 3)
+        for outcome in executor.submit(specs_[start:start + 3])
+    ]
+    return store, executor, outcomes
+
+
 class TestRouting:
     def test_eligible_deck_absorbed_into_fleet(self, tmp_path):
         store, executor, outcomes = run(tmp_path, "fleet", specs())
@@ -46,18 +59,16 @@ class TestRouting:
         # The fleet's own metrics merged into the campaign registry.
         assert snap["batch.scenario_steps"] == 18.0
 
-    def test_fast_path_off_runs_serial(self, tmp_path):
-        store, executor, outcomes = run(
-            tmp_path, "serial", specs(), batch_fast_path=False
-        )
+    def test_groups_split_by_engine_run_solo(self, tmp_path):
+        split = specs(grid={"atwood": [0.1, 0.3, 0.5],
+                            "backend": ["numpy", "blocked"]})
+        store, executor, outcomes = run(tmp_path, "serial", split)
         assert [o.status for o in outcomes] == ["completed"] * 6
         assert "campaign.batch_absorbed" not in executor.metrics.snapshot()
 
-    def test_small_groups_respect_batch_min(self, tmp_path):
+    def test_small_groups_run_solo(self, tmp_path):
         three = specs()[:3]
-        store, executor, outcomes = run(
-            tmp_path, "small", three, batch_min=4
-        )
+        store, executor, outcomes = run(tmp_path, "small", three)
         assert [o.status for o in outcomes] == ["completed"] * 3
         assert "campaign.batch_absorbed" not in executor.metrics.snapshot()
 
@@ -83,9 +94,7 @@ class TestStoreParity:
     """Satellite: fleet-absorbed runs count identically to pool runs."""
 
     def test_summary_and_records_match_serial_path(self, tmp_path):
-        s_store, _, s_out = run(
-            tmp_path, "par_serial", specs(), batch_fast_path=False
-        )
+        s_store, _, s_out = run_solo(tmp_path, "par_serial", specs())
         f_store, _, f_out = run(tmp_path, "par_fleet", specs())
 
         s_sum = campaign_summary(s_store)
@@ -106,9 +115,8 @@ class TestStoreParity:
 
     def test_worker_type_parity_with_process_pool(self, tmp_path):
         f_store, _, _ = run(tmp_path, "wt_fleet", specs())
-        p_store, _, _ = run(
-            tmp_path, "wt_pool", specs(),
-            batch_fast_path=False, worker_type="process",
+        p_store, _, _ = run_solo(
+            tmp_path, "wt_pool", specs(), worker_type="process"
         )
         f_rec = f_store.latest_records()
         p_rec = p_store.latest_records()

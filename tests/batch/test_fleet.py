@@ -198,9 +198,9 @@ class TestTelemetry:
         assert snap["batch.scenario_steps"] == 12.0
         assert snap["batch.scenarios_completed"] == 4.0
         assert snap["batch.scenarios_active"] == 0.0
-        # Per-stage spans: every lockstep phase left timed spans behind
-        # (medium order exercises halo, stencil, FFT, BR and integrate).
+        # The solver's own phase spans: every lockstep phase left timed
+        # spans behind (medium order exercises halo, stencil, FFT, BR and
+        # integrate).
         span_phases = {span.phase for span in fleet.trace.spans}
-        for expected in ("batch_halo", "batch_stencil", "batch_fft",
-                         "batch_br", "batch_integrate"):
+        for expected in ("halo", "stencil", "fft", "br_ring", "integrate"):
             assert expected in span_phases, (expected, sorted(span_phases))

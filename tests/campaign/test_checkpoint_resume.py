@@ -278,7 +278,9 @@ class TestInterruptHardening:
             "name": "ctrlc", "mode": "functional", "steps": 4,
             "base": {"order": "low", "num_nodes": [16, 16], "dt": 0.002},
             "ic": {"kind": "multi_mode", "magnitude": 0.02, "period": 3},
-            "grid": {"atwood": [0.2, 0.3, 0.4, 0.5, 0.6, 0.7]},
+            # Two engines x three runs: each group under the fleet
+            # minimum, so every run is its own lease.
+            "grid": {"atwood": [0.2, 0.3, 0.4], "backend": ["numpy", "blocked"]},
         })
         specs = deck.expand()
         store = CampaignStore("ctrlc", root=str(tmp_path))
@@ -299,9 +301,7 @@ class TestInterruptHardening:
             mp.setattr(service.subprocess, "Popen", recording_popen)
             mp.setattr(service.Coordinator, "_handle_done", done_then_ctrl_c)
             with pytest.raises(KeyboardInterrupt):
-                CampaignExecutor(
-                    store, max_workers=2, batch_fast_path=False
-                ).submit(specs)
+                CampaignExecutor(store, max_workers=2).submit(specs)
 
         assert len(children) == 2
         for proc in children:
@@ -314,9 +314,7 @@ class TestInterruptHardening:
         assert status["counts"]["failed"] == 0
         assert all(r.status != "failed" for r in store.iter_records())
 
-        again = CampaignExecutor(
-            store, max_workers=2, batch_fast_path=False
-        ).submit(specs)
+        again = CampaignExecutor(store, max_workers=2).submit(specs)
         # The run whose job-done raised is a store hit — and so is the
         # other worker's, if it had recorded before being terminated.
         assert {o.status for o in again} == {"completed", "skipped"}

@@ -98,10 +98,11 @@ class TestFleetLease:
 
         # Six terminal records equal to the same runs executed solo.
         solo = CampaignStore("fl", root=str(tmp_path / "solo"))
-        CampaignExecutor(
+        executor = CampaignExecutor(
             solo, max_workers=1, worker_type="serial", telemetry=False,
-            batch_fast_path=False,
-        ).submit(specs)
+        )
+        for spec in specs:
+            executor.submit([spec])
         leased, alone = store.latest_records(), solo.latest_records()
         for run_hash in members:
             assert leased[run_hash].status == COMPLETED
@@ -112,14 +113,13 @@ class TestFleetLease:
         assert metrics["campaign.batch_absorbed"] == 6
         assert metrics["campaign.service.jobs_leased"] == 4
 
-    def test_fast_path_off_leases_every_run(self, tmp_path):
+    def test_groups_under_the_fleet_minimum_lease_every_run(self, tmp_path):
         store = CampaignStore("fl", root=str(tmp_path))
-        coordinator, summary = serve(
-            store, fleet_and_solos(), batch_fast_path=False,
-        )
-        assert summary["completed"] == 9
+        specs = fleet_and_solos()[3:]       # three one-rank, three two-rank
+        coordinator, summary = serve(store, specs)
+        assert summary["completed"] == 6
         metrics = coordinator.metrics.snapshot()
-        assert metrics["campaign.service.jobs_leased"] == 9
+        assert metrics["campaign.service.jobs_leased"] == 6
         assert "campaign.batch_absorbed" not in metrics
 
     def test_diverging_member_fails_alone(self, tmp_path):

@@ -40,7 +40,9 @@ DECK = {
     "steps": 2,
     "base": {"order": "low", "num_nodes": [16, 16], "dt": 0.002},
     "ic": {"kind": "multi_mode", "magnitude": 0.02, "period": 3},
-    "grid": {"fft_config": [0, 3, 5, 7]},
+    # Two engines: two runs per fleet key, under the fleet minimum, so
+    # every run is its own lease.
+    "grid": {"fft_config": [0, 3], "backend": ["numpy", "blocked"]},
 }
 
 
@@ -49,9 +51,10 @@ def specs():
 
 
 def many_specs(n=32):
-    """``n`` distinct 16x16 functional runs (one Atwood number each)."""
+    """``n`` distinct 16x16 functional runs, one domain extent each (so
+    no two share a fleet)."""
     deck = dict(DECK, name="many", grid={
-        "atwood": [round(0.2 + 0.01 * i, 2) for i in range(n)],
+        "high": [[round(1.0 + 0.01 * i, 2), 1.0] for i in range(n)],
     })
     return CampaignDeck.from_dict(deck).expand()
 
@@ -143,7 +146,6 @@ class TestProcessCampaign:
         store = CampaignStore("procpool", root=str(tmp_path))
         executor = CampaignExecutor(
             store, max_workers=2, worker_type="process",
-            batch_fast_path=False,
         )
         outcomes = executor.submit(specs())
         assert [o.status for o in outcomes] == ["completed"] * 4
@@ -189,7 +191,7 @@ class TestNothingToSpawn:
     ], ids=["one-worker", "serial", "single-run", "model-mode"])
     def test_runs_inline(self, tmp_path, children, kwargs, batch):
         store = CampaignStore("inline", root=str(tmp_path))
-        executor = CampaignExecutor(store, batch_fast_path=False, **kwargs)
+        executor = CampaignExecutor(store, **kwargs)
         outcomes = executor.submit(batch())
         assert all(o.status == "completed" for o in outcomes)
         # ... nor when everything is a store hit.
@@ -207,7 +209,6 @@ class TestSerialProcessParity:
             store = CampaignStore(worker_type, root=str(tmp_path))
             outcomes = CampaignExecutor(
                 store, max_workers=2, worker_type=worker_type,
-                batch_fast_path=False,
             ).submit(specs())
             results[worker_type] = (store, outcomes)
 
@@ -252,7 +253,7 @@ class TestCrashIsolation:
         fuse = self._arm_fuse(monkeypatch, tmp_path, victim.run_hash(), trips=1)
         store = CampaignStore("transient", root=str(tmp_path))
         executor = CampaignExecutor(
-            store, max_workers=2, batch_fast_path=False,
+            store, max_workers=2,
         )
         t0 = time.monotonic()
         outcomes = executor.submit(batch)
@@ -280,7 +281,7 @@ class TestCrashIsolation:
         )
         store = CampaignStore("kill", root=str(tmp_path))
         executor = CampaignExecutor(
-            store, max_workers=2, batch_fast_path=False,
+            store, max_workers=2,
         )
         t0 = time.monotonic()
         outcomes = executor.submit(batch)
@@ -316,7 +317,7 @@ class TestCrashIsolation:
         monkeypatch.setattr(service.sys, "executable", "false")
         store = CampaignStore("barren", root=str(tmp_path))
         executor = CampaignExecutor(
-            store, max_workers=2, batch_fast_path=False,
+            store, max_workers=2,
         )
         t0 = time.monotonic()
         outcomes = executor.submit(specs())
@@ -374,7 +375,7 @@ class TestLeasedCampaign:
             "many", root=str(tmp_path_factory.mktemp("leased"))
         )
         executor = CampaignExecutor(
-            store, max_workers=4, batch_fast_path=False,
+            store, max_workers=4,
         )
         with pytest.MonkeyPatch.context() as mp:
             spies = install_spies(mp)

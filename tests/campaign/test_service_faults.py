@@ -64,6 +64,12 @@ def specs():
     return CampaignDeck.from_dict(DECK).expand()
 
 
+def solo_specs():
+    """Three of the four same-shape runs: under the fleet minimum, so
+    each is leased on its own."""
+    return specs()[:3]
+
+
 def running_history(store, run_hash):
     """Statuses of every index record for one hash, in append order."""
     return [
@@ -99,11 +105,10 @@ class TestWorkerSigkillSocket:
     def test_lease_expires_and_requeues_exactly_once(self, tmp_path):
         store = CampaignStore("faults", root=str(tmp_path / "svc"))
         endpoint = SocketEndpoint()
-        # Solo leases: this pins the one-run requeue (the fleet lease
-        # these four one-rank runs would form has its own tests).
+        # Solo leases: this pins the one-run requeue (a fleet lease has
+        # its own tests).
         coordinator = Coordinator(
-            store, specs(), endpoint, lease_timeout=3.0, drain_grace=3.0,
-            batch_fast_path=False,
+            store, solo_specs(), endpoint, lease_timeout=3.0, drain_grace=3.0
         )
         port = endpoint.address[1]
 
@@ -112,7 +117,7 @@ class TestWorkerSigkillSocket:
         # first), but the shared fuse file burns out on the first trip,
         # so exactly one worker SIGKILLs itself mid-claim and the retry
         # on the other completes.
-        victim_hash = specs()[0].run_hash()
+        victim_hash = solo_specs()[0].run_hash()
         fuse = str(tmp_path / "fuse")
         with open(fuse, "w", encoding="utf-8") as fh:
             fh.write(f"{victim_hash} 1")
@@ -130,7 +135,7 @@ class TestWorkerSigkillSocket:
                 except subprocess.TimeoutExpired:
                     proc.kill()
 
-        assert summary["completed"] == len(specs())
+        assert summary["completed"] == len(solo_specs())
         assert summary["failed"] == 0
         assert summary["requeued"] == 1
         metrics = coordinator.metrics.snapshot()
@@ -143,7 +148,7 @@ class TestWorkerSigkillSocket:
         assert running_history(store, victim_hash) == [
             RUNNING, RUNNING, COMPLETED,
         ]
-        for spec in specs()[1:]:
+        for spec in solo_specs()[1:]:
             assert running_history(store, spec.run_hash()) == [
                 RUNNING, COMPLETED,
             ]
@@ -158,7 +163,7 @@ class TestWorkerSigkillSocket:
         CampaignExecutor(
             serial_store, max_workers=1, worker_type="serial",
             telemetry=False,
-        ).submit(specs())
+        ).submit(solo_specs())
         service_summary = campaign_summary(store)
         reference = campaign_summary(serial_store)
         for key in ("runs", "completed", "failed", "interrupted"):
@@ -174,8 +179,7 @@ class TestWorkerVanishSocket:
         store = CampaignStore("faults", root=str(tmp_path))
         endpoint = SocketEndpoint()
         coordinator = Coordinator(
-            store, specs(), endpoint, lease_timeout=1.0, drain_grace=0.5,
-            batch_fast_path=False,
+            store, solo_specs(), endpoint, lease_timeout=1.0, drain_grace=0.5
         )
         host, port = endpoint.address
         out = {}
@@ -208,18 +212,18 @@ class TestWorkerVanishSocket:
 
         assert out["doomed"]["reason"] == "vanished"
         assert out["doomed"]["completed"] == 0
-        assert out["survivor"]["completed"] == len(specs())
-        assert summary["completed"] == len(specs())
+        assert out["survivor"]["completed"] == len(solo_specs())
+        assert summary["completed"] == len(solo_specs())
         assert summary["requeued"] == 1
         metrics = coordinator.metrics.snapshot()
         assert metrics["campaign.service.leases_expired"] == 1
 
         histories = [
-            running_history(store, spec.run_hash()) for spec in specs()
+            running_history(store, spec.run_hash()) for spec in solo_specs()
         ]
         # Exactly one run carries the double claim marker of a requeue.
         assert sorted(histories).count([RUNNING, RUNNING, COMPLETED]) == 1
-        assert histories.count([RUNNING, COMPLETED]) == len(specs()) - 1
+        assert histories.count([RUNNING, COMPLETED]) == len(solo_specs()) - 1
 
 
 class TestCoordinatorKilled:

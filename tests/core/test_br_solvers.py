@@ -105,6 +105,44 @@ class TestExactRingPass:
 
         assert spmd(1, program)[0]
 
+    @pytest.mark.parametrize("backend", ["numpy", "blocked"])
+    @pytest.mark.parametrize("images", [False, True])
+    def test_stack_with_per_member_eps_equals_each_alone(self, backend, images):
+        """A (B, …) stack with one ε per member: each member's velocity
+        is bitwise the one a solver with that ε computes for it alone."""
+        eps = np.array([0.05, 0.1, 0.3])
+        rng = np.random.default_rng(5)
+
+        def program(comm):
+            mesh, pm, _ = _setup(comm, n=8)
+            z = pm.z.own + 0.01 * rng.normal(size=(3,) + pm.z.own.shape)
+            omega = rng.normal(size=z.shape)
+            stacked = ExactBRSolver(
+                mesh.cart, mesh, eps, periodic_images=images, backend=backend
+            ).compute_velocities(z, omega)
+            alone = [
+                ExactBRSolver(
+                    mesh.cart, mesh, e, periodic_images=images, backend=backend
+                ).compute_velocities(z[b], omega[b])
+                for b, e in enumerate(eps)
+            ]
+            return np.array_equal(stacked, np.stack(alone))
+
+        assert spmd(1, program)[0]
+
+    def test_approximate_solvers_refuse_a_stack(self):
+        def program(comm):
+            mesh, pm, omega = _setup(comm, n=8)
+            solver = CutoffBRSolver(
+                mesh.cart, mesh, 0.1, 0.5, (-4.0, -4.0, -2.0), (4.0, 4.0, 2.0)
+            )
+            z = np.stack([pm.z.own, pm.z.own])
+            with pytest.raises(ConfigurationError, match="one scenario"):
+                solver.compute_velocities(z, np.stack([omega, omega]))
+            return True
+
+        assert spmd(1, program)[0]
+
 
 class TestCutoffPipeline:
     def test_phase_sequence_recorded(self):

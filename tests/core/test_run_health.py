@@ -51,19 +51,27 @@ class TestCheckHealth:
     def test_non_finite_field_named(self, field, bad):
         z, w = np.zeros((4, 4, 3)), np.zeros((4, 4, 2))
         (z if field == "z" else w)[1, 2, 0] = bad
-        with pytest.raises(RunDivergedError) as info:
-            check_health(z, w, 1.0, step=7, rank=3)
-        err = info.value
+        err, = check_health(z, w, 1.0, step=7, rank=3)
+        assert isinstance(err, RunDivergedError)
         assert (err.step, err.field, err.rank) == (7, field, 3)
         assert "step 7" in str(err) and "not finite" in str(err)
 
     def test_amplitude_bound(self):
         z, w = np.zeros((4, 4, 3)), np.zeros((4, 4, 2))
         z[..., 2] = 0.99
-        check_health(z, w, 1.0, step=1)
+        assert check_health(z, w, 1.0, step=1) == [None]
         z[0, 0, 2] = -1.0
-        with pytest.raises(RunDivergedError, match="amplitude 1 >= bound 1"):
-            check_health(z, w, 1.0, step=1)
+        err, = check_health(z, w, 1.0, step=1)
+        assert "amplitude 1 >= bound 1" in str(err)
+
+    def test_stack_reports_each_member(self):
+        z, w = np.zeros((3, 4, 4, 3)), np.zeros((3, 4, 4, 2))
+        w[1, 0, 0, 1] = np.nan
+        z[2, ..., 2] = 2.0
+        ok, bad_w, high = check_health(z, w, 1.0, step=np.array([4, 5, 6]))
+        assert ok is None
+        assert (bad_w.step, bad_w.field) == (5, "w")
+        assert (high.step, high.field) == (6, "z") and "amplitude 2" in str(high)
 
 
 class TestSolver:
@@ -96,7 +104,7 @@ class TestSolver:
                          trace=trace)
             return sorted((e.rank, e.kind, e.nbytes) for e in trace.events)
 
-        assert events(check_health) == events(lambda *a, **k: None)
+        assert events(check_health) == events(lambda *a, **k: [None])
 
 
 class TestFleet:
@@ -125,15 +133,19 @@ def deck(**base):
 
 
 class TestCampaign:
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_diverged_run_recorded_failed_and_retried(self, tmp_path, fast_path):
-        specs = deck()[:3] + deck(dt=5.0)[:1]
+    @pytest.mark.parametrize(
+        "engines", [("numpy", "numpy"), ("blocked", "numpy")],
+        ids=["fleet", "solo"],     # four runs share a fleet, or 3 + 1
+    )
+    def test_diverged_run_recorded_failed_and_retried(self, tmp_path, engines):
+        healthy, diverging = engines
+        specs = deck(backend=healthy)[:3] + deck(dt=5.0, backend=diverging)[:1]
         store = CampaignStore("health", root=str(tmp_path))
 
         def submit():
             return CampaignExecutor(
                 store, max_workers=1, worker_type="serial", telemetry=False,
-                batch_fast_path=fast_path, status_interval=0.0,
+                status_interval=0.0,
             ).submit(specs)
 
         outcomes = {o.run_hash: o for o in submit()}

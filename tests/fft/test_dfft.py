@@ -122,6 +122,31 @@ class TestTransposedHalves:
         assert spmd(4, program) == [[False] * 6] * 4
 
 
+class TestStacks:
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"cfg{c.index}")
+    @pytest.mark.parametrize("nranks", [1, 4])
+    def test_stack_transforms_like_each_member_alone(self, cfg, nranks, rng):
+        """A (B, …) stack of bricks: the transposed halves give each
+        member bitwise what it gets alone, in the same messages."""
+        fields = rng.normal(size=(3, 16, 12)) + 1j * rng.normal(size=(3, 16, 12))
+
+        def program(comm):
+            cart = mpi.create_cart(comm, ndims=2)
+            fft = DistributedFFT2D(cart, (16, 12), cfg)
+            bricks = fields[(Ellipsis, *fft.brick_box.slices())]
+            spectrum = fft.forward_transposed(bricks)
+            back = fft.backward_transposed(spectrum)
+            alone = [fft.forward_transposed(b) for b in bricks]
+            return (
+                np.array_equal(spectrum, np.stack(alone))
+                and np.array_equal(
+                    back, np.stack([fft.backward_transposed(a) for a in alone])
+                )
+            )
+
+        assert all(spmd(nranks, program))
+
+
 class TestFftProperties:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**31), cfg_idx=st.integers(0, 7))

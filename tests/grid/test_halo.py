@@ -119,6 +119,66 @@ class TestOpenBoundaryHalo:
         assert all(spmd(6, program))
 
 
+class TestStacks:
+    @pytest.mark.parametrize(
+        "periodic", [(True, True), (False, False), (True, False)], ids=str
+    )
+    def test_stack_gathers_like_each_member_alone(self, periodic, rng):
+        """A (B, …) stack on one rank: 4 messages, and every member's
+        ghosts bitwise those of a gather of that member alone."""
+        mesh = GlobalMesh2D.create((0, 0), (1, 1), (N, N), periodic)
+        trace = mpi.CommTrace()
+
+        def program(comm):
+            cart = mpi.create_cart(comm, ndims=2, periods=periodic)
+            lg = LocalGrid2D(mesh, cart, halo_width=2)
+            halo = HaloExchange(lg)
+            stack = NodeArray(lg, 2)
+            stack.full = rng.normal(size=(3,) + stack.shape)
+            alone = stack.full.copy()
+            halo.gather([stack.full])
+            sends = trace.message_count(kind="send")
+            for member in alone:
+                halo.gather([member])
+            return sends, np.array_equal(stack.full, alone)
+
+        sends, equal = spmd(1, program, trace=trace)[0]
+        assert equal
+        assert sends == 2 * sum(periodic)      # self-sends of periodic axes
+
+    @pytest.mark.parametrize("nranks,nbytes", [(1, 5760), (2, 8960), (4, 12800)])
+    def test_one_block_message_counts_and_bytes(self, nranks, nbytes):
+        """The state gather of one block (z and w in one exchange) on a
+        16² periodic mesh: 4 sends per rank, bytes as before stacks."""
+        from repro.core import ProblemManager, SurfaceMesh
+
+        trace = mpi.CommTrace()
+
+        def program(comm):
+            pm = ProblemManager(
+                SurfaceMesh(comm, (0, 0), (1, 1), (16, 16), (True, True))
+            )
+            pm.gather_state()
+
+        spmd(nranks, program, trace=trace)
+        assert trace.message_count(kind="send") == 4 * nranks
+        assert trace.total_bytes(kind="send") == nbytes
+
+    def test_node_array_rebinds_to_a_stack(self):
+        mesh = GlobalMesh2D.create((0, 0), (1, 1), (N, N), (True, True))
+
+        def program(comm):
+            lg = LocalGrid2D(mesh, mpi.create_cart(comm, ndims=2), halo_width=2)
+            arr = NodeArray(lg, 3)
+            arr.full = np.zeros((5,) + arr.shape)
+            own_shape = arr.own.shape
+            with pytest.raises(ConfigurationError, match="node-array shape"):
+                arr.full = np.zeros((5, N, N, 3))
+            return own_shape
+
+        assert spmd(1, program)[0] == (5, N, N, 3)
+
+
 class TestHaloValidation:
     def test_wrong_shape_raises(self):
         mesh = GlobalMesh2D.create((0, 0), (1, 1), (N, N), (True, True))

@@ -1,10 +1,13 @@
 """Neighbor search (ArborX substitute): cell list vs brute force."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.spatial import neighbors
 from repro.spatial.binning import CellGrid, bin_points
 from repro.spatial.neighbors import brute_force_lists, neighbor_lists
 from repro.util.errors import ConfigurationError
@@ -79,11 +82,9 @@ class TestNeighborLists:
             tgt = tgt if same_set else tgt * 0.1 * cutoff
         elif layout == "targets_outside" and not same_set:
             tgt = tgt + np.array([3.0, -3.5, 0.0])
-        fast = neighbor_lists(
-            tgt, src, cutoff, batch_size=batch_size,
-            exclude_self_matches=same_set,
-        )
-        slow = brute_force_lists(tgt, src, cutoff, exclude_self_matches=same_set)
+        with mock.patch.object(neighbors, "_TARGET_BATCH", batch_size):
+            fast = neighbor_lists(tgt, src, cutoff)
+        slow = brute_force_lists(tgt, src, cutoff)
         assert np.array_equal(fast.offsets, slow.offsets)
         for t in range(tgt.shape[0]):
             assert np.array_equal(
@@ -99,11 +100,10 @@ class TestNeighborLists:
         out = neighbor_lists(np.empty((0, 3)), np.zeros((5, 3)), 1.0)
         assert out.num_targets == 0
 
-    def test_self_exclusion(self, rng):
+    def test_same_set_lists_every_point_itself(self, rng):
         pts = rng.uniform(-1, 1, size=(40, 3))
-        incl = neighbor_lists(pts, pts, 0.8)
-        excl = neighbor_lists(pts, pts, 0.8, exclude_self_matches=True)
-        assert incl.total_neighbors == excl.total_neighbors + 40
+        lists = neighbor_lists(pts, pts, 0.8)
+        assert all(t in lists.neighbors_of(t) for t in range(40))
 
     def test_boundary_inclusive(self):
         tgt = np.array([[0.0, 0.0, 0.0]])
