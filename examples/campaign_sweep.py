@@ -21,6 +21,7 @@ from repro.campaign import (
     CampaignStore,
     campaign_summary,
     campaign_table,
+    configure_logging,
     estimate_cost,
     format_table,
     makespan_estimate,
@@ -61,8 +62,9 @@ def main() -> None:
           f"{makespan_estimate(specs, WORKERS):.3g}s "
           f"(vs serial {sum(estimate_cost(s) for s in specs):.3g}s)")
 
+    configure_logging()  # campaign progress lines on stderr
     store = CampaignStore(deck.name)
-    executor = CampaignExecutor(store, max_workers=WORKERS, log=print)
+    executor = CampaignExecutor(store, max_workers=WORKERS)
 
     print("\n--- first submission: everything runs ---")
     executor.submit(specs)

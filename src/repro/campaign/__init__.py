@@ -10,19 +10,19 @@ without every benchmark hand-rolling its own loop:
   content-addressed dedup under ``results/campaigns/``.
 * :mod:`repro.campaign.scheduler` — machine-model cost estimates and
   longest-job-first dispatch order.
-* :mod:`repro.campaign.executor` — dedup, ordering, the in-process
-  fleet pre-pass and dispatch: runs are leased to local worker
-  processes (``process``, the default) or executed inline (``serial``),
-  with failure isolation — including hard worker-process crashes — and
-  checkpoint/resume of interrupted runs.
+* :mod:`repro.campaign.executor` — ``submit`` and the execution of one
+  run or one fleet, with failure isolation and checkpoint/resume of
+  interrupted runs.
 * :mod:`repro.campaign.report` — aggregation into the figure/table
   payloads the benchmark harness emits.
 * :mod:`repro.campaign.protocol` — the typed coordinator/worker message
   codec and its one wire (length-prefixed frames over local TCP).
-* :mod:`repro.campaign.service` — the coordinator that leases queued
-  runs to pull-based workers and reclaims the runs of workers that
-  vanish: the executor's process backend, and on its own
-  ``rocketrig campaign --serve`` / ``--worker``.
+* :mod:`repro.campaign.service` — the coordinator, a campaign's one
+  ledger: it plans, counts, marks and logs every run, leases items to
+  pull-based workers (local worker processes, the default, or
+  ``rocketrig campaign --serve`` / ``--worker``) or drains them
+  in-process (``serial``), and reclaims the runs of workers that
+  vanish.
 
 Typical use::
 

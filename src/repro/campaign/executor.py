@@ -1,37 +1,42 @@
-"""Campaign execution: dedup, scheduling, leased worker processes, resume.
+"""Campaign execution: one run or one fleet, recorded in the store.
 
-:meth:`CampaignExecutor.submit` takes a batch of
-:class:`~repro.campaign.deck.RunSpec`\\ s through one plan
-(:func:`~repro.campaign.scheduler.plan_runs`): duplicate specs run
-once, hashes already completed in the store are skipped ("store hit"),
-the rest is ordered longest-job-first by the machine-model cost
-estimate (evaluated once per run and reused for every later ETA), and
-groups of same-shape serial functional runs become one *fleet* item,
-advanced by one :class:`repro.batch.ScenarioFleet`
-(:meth:`CampaignExecutor.run_fleet`).  The items are dispatched by
-``worker_type``:
+:meth:`CampaignExecutor.submit` hands a batch to one
+:class:`~repro.campaign.service.Coordinator`, the campaign's ledger: it
+plans the batch once (:func:`~repro.campaign.scheduler.plan_runs` —
+duplicate specs run once, hashes already completed in the store are
+skipped as "store hits", the rest is ordered longest-job-first by the
+machine-model cost estimate, and groups of same-shape serial
+functional runs become one *fleet* item), and it alone counts, marks
+and logs every run.  ``worker_type`` picks who executes the items:
 
 ``"process"`` (default)
-    The campaign service, locally: a
-    :class:`~repro.campaign.service.Coordinator` plans the functional
-    runs and leases its items — a fleet is one lease — to
-    ``min(max_workers, items)`` ``rocketrig campaign --worker`` child
-    processes over a loopback socket: the protocol, claim markers and
-    lease rule of ``rocketrig campaign --serve``, with workers this
-    executor starts, watches and reaps.  A worker that dies hard has
-    its lease expired the moment the child is reaped and its runs
-    requeued on a replacement; a run that kills ``max_requeues + 1``
-    workers is recorded ``failed`` while its siblings complete.
-    Nothing is spawned when nothing needs a second process: a plan of
-    one item (one run, or one fleet), ``max_workers=1`` and model-mode
-    runs (microseconds of arithmetic) execute inline.
+    The campaign service, locally: the coordinator leases its items —
+    a fleet is one lease — to ``min(max_workers, items)`` ``rocketrig
+    campaign --worker`` child processes over a loopback socket
+    (:class:`~repro.campaign.service.LocalWorkers`): the protocol,
+    claim markers and lease rule of ``rocketrig campaign --serve``,
+    with workers this process starts, watches and reaps.  A worker
+    that dies hard has its lease expired the moment the child is
+    reaped and its runs requeued on a replacement; a run that kills
+    ``max_requeues + 1`` workers is recorded ``failed`` while its
+    siblings complete.  Nothing is spawned when nothing needs a second
+    process: with ``max_workers=1`` or at most one leasable item the
+    coordinator drains its queue in this process.
 ``"serial"``
-    Inline in the calling thread (debugging, and what a worker process
-    itself uses for the job it was leased).
+    The coordinator drains its queue in the calling thread (debugging,
+    probes).
 
-One run's failure is captured in its index record without aborting its
-siblings, and interrupted functional runs resume from the checkpoint
-the previous attempt left in the run directory.
+Model-mode runs (microseconds of arithmetic on the coordinator's
+machine model) never leave the coordinator's process.  Every path
+reads the outcomes back from the store's latest records.
+
+:meth:`CampaignExecutor.run_one` and :meth:`CampaignExecutor.run_fleet`
+are pure execution — the routines a worker and the coordinator's
+in-process drain both run items through: execute, write the store
+records and ``telemetry.json``, return outcomes.  One run's failure is
+captured in its index record without aborting its siblings, and
+interrupted functional runs resume from the checkpoint the previous
+attempt left in the run directory.
 
 Two distinct timeouts govern a run (they used to be conflated, which
 made a slow-but-progressing rank die as a spurious ``DeadlockError``):
@@ -56,23 +61,22 @@ from __future__ import annotations
 
 import logging
 import os
-import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro import mpi
 from repro.campaign.deck import RunSpec
 from repro.campaign.protocol import SocketEndpoint
-from repro.campaign.scheduler import evaluation_model, lpt_makespan, plan_runs
+from repro.campaign.scheduler import evaluation_model
 from repro.campaign.store import COMPLETED, FAILED, CampaignStore, RunRecord
 from repro.core.solver import Solver
 from repro.io.checkpoint import load_checkpoint
 from repro.machine.model import LASSEN, MachineSpec
 from repro.machine.patterns import step_time
 from repro.mpi.trace import CommTrace
-from repro.telemetry.artifacts import TELEMETRY_SCHEMA, build_run_telemetry
+from repro.telemetry.artifacts import build_run_telemetry
 from repro.telemetry.metrics import MetricsRegistry
 from repro.util.errors import ConfigurationError, RunBudgetExceededError
 
@@ -83,15 +87,21 @@ __all__ = [
     "configure_logging",
 ]
 
-#: The campaign subsystem's logger.  Executor progress lines go through
-#: here (stdlib ``logging``) unless a legacy ``log=`` callback is
-#: installed; :func:`configure_logging` wires it to stderr for the CLI.
+#: The campaign subsystem's logger: every progress line goes through
+#: here (stdlib ``logging``, via :func:`log`); :func:`configure_logging`
+#: wires it to stderr for the CLI.
 logger = logging.getLogger("repro.campaign")
 
 #: Environment override for the campaign log level (name or number),
 #: e.g. ``REPRO_LOG=DEBUG rocketrig campaign ...``.  CLI ``-v``/
 #: ``--quiet`` flags win over the environment.
 LOG_LEVEL_ENV = "REPRO_LOG"
+
+
+def log(who: str, message: str, level: int = logging.INFO) -> None:
+    """One progress line on the ``repro.campaign`` logger, prefixed
+    with who says it (``campaign <name>`` or ``worker <id>``)."""
+    logger.log(level, "[%s] %s", who, message)
 
 
 def configure_logging(verbosity: int = 0) -> int:
@@ -199,7 +209,6 @@ class CampaignExecutor:
         machine: MachineSpec = LASSEN,
         checkpoint_freq: int = 0,
         worker_type: Optional[str] = None,
-        log: Optional[Callable[[str], None]] = None,
         telemetry: bool = True,
         status_interval: float = 0.0,
     ) -> None:
@@ -217,7 +226,6 @@ class CampaignExecutor:
         self.machine = machine
         self.checkpoint_freq = int(checkpoint_freq)
         self.worker_type = resolve_worker_type(worker_type)
-        self._log = log
         #: Collect a timed per-run CommTrace and publish a
         #: ``telemetry.json`` artifact per completed functional run.
         self.telemetry = bool(telemetry)
@@ -225,19 +233,10 @@ class CampaignExecutor:
         #: and one-line progress summaries during ``submit``; 0 disables
         #: the heartbeat thread (initial/final snapshots still land).
         self.status_interval = float(status_interval)
-        #: Campaign-level metrics (store hits, runs completed/failed,
-        #: requeues, run-elapsed histogram, ``campaign.service.*``).
+        #: Campaign-level metrics of every ``submit`` (store hits, runs
+        #: completed/failed, requeues, run-elapsed histogram,
+        #: ``campaign.service.*``), booked by the coordinator.
         self.metrics = MetricsRegistry()
-        self._status: Optional[_StatusBoard] = None
-
-    def log(self, message: str) -> None:
-        """Progress line: legacy callback when installed, else the
-        ``repro.campaign`` stdlib logger."""
-        line = f"[campaign {self.store.campaign}] {message}"
-        if self._log is not None:
-            self._log(line)
-        else:
-            logger.info(line)
 
     # -- batch submission ------------------------------------------------------
 
@@ -247,102 +246,30 @@ class CampaignExecutor:
         Duplicate specs within the batch run once; hashes already
         completed in the store are skipped outright.
         """
-        # Functional runs go to a coordinator, which plans what it
-        # leases; what stays in this process is planned here.
-        coordinator, here = None, specs
-        if self.worker_type == "process" and self.max_workers > 1:
-            functional = [s for s in specs if s.mode == "functional"]
-            if functional:
-                coordinator = self._coordinator(functional)
-                here = [s for s in specs if s.mode != "functional"]
-        plans = [plan_runs(
-            here, self.store, self.machine, checkpoint_freq=self.checkpoint_freq,
-        )]
-        items = list(plans[0].items)
-        if coordinator is not None:
-            plans.append(coordinator.plan)
-            if min(self.max_workers, len(coordinator.plan.items)) < 2:
-                # One item (a run or a fleet) needs no second process.
-                items += coordinator.plan.items
-                coordinator.endpoint.close()
-                coordinator = None
-        board = _StatusBoard(
-            self,
-            {h: s for plan in plans for h, s in plan.unique.items()},
-            {h: c for plan in plans for h, c in plan.costs.items()},
-        )
-        outcomes: dict[str, RunOutcome] = {}
-        for plan in plans:
-            for run_hash, result in plan.hits.items():
-                spec = plan.unique[run_hash]
-                outcomes[run_hash] = RunOutcome(
-                    spec=spec, run_hash=run_hash, status="skipped", result=result
-                )
-                self.metrics.counter("campaign.store_hits").inc()
-                self.log(f"{run_hash} store hit — skipped ({spec.describe()})")
-                board.mark(run_hash, "skipped")
-        self._status = board
-        board.publish()
-        heartbeat = board.start_heartbeat(self.status_interval)
-        clean_exit = False
-        try:
-            if coordinator is not None:
-                self._lease(coordinator, board)
-                latest = self.store.latest_records()
-                for run_hash in coordinator.plan.costs:
-                    spec = coordinator.plan.unique[run_hash]
-                    outcomes[run_hash] = _outcome_of(spec, latest.get(run_hash))
-            for item in items:
-                done = self.run_fleet(item) if len(item) > 1 else [
-                    self._run_tracked(item[0])
-                ]
-                outcomes.update((o.run_hash, o) for o in done)
-            clean_exit = True
-        finally:
-            board.stop_heartbeat(heartbeat)
-            board.finalize(interrupted=not clean_exit)
-            self._status = None
-        return [outcomes[spec.run_hash()] for spec in specs]
-
-    def _coordinator(self, specs: Sequence[RunSpec]):
-        """The campaign service on a loopback endpoint, planning
-        ``specs`` with this executor's settings."""
         # Imported here: the service module builds on this one.
-        from repro.campaign.service import Coordinator
+        from repro.campaign.service import Coordinator, LocalWorkers
 
-        return Coordinator(
-            self.store, specs, SocketEndpoint(), run_timeout=self.timeout,
+        coordinator = Coordinator(
+            self.store, specs, None, run_timeout=self.timeout,
             collective_timeout=self.collective_timeout, machine=self.machine,
             checkpoint_freq=self.checkpoint_freq, telemetry=self.telemetry,
-            log=self._log,
+            status_interval=self.status_interval,
         )
-
-    def _lease(self, coordinator, board: "_StatusBoard") -> None:
-        """Lease the coordinator's items to ``min(max_workers, items)``
-        local worker processes until every run is terminal."""
-        from repro.campaign.service import LocalWorkers
-
-        # One status document and one metrics registry per submit().
-        coordinator.board, coordinator.metrics = board, self.metrics
-        items = coordinator.plan.items
-        workers = LocalWorkers(coordinator, min(self.max_workers, len(items)))
-        self.log(
-            f"dispatching {coordinator.pending} runs as {len(items)} leases "
-            f"on {workers.size} process workers (longest-job-first)"
-        )
-        workers.serve()
-
-    def _run_tracked(self, spec: RunSpec) -> RunOutcome:
-        """``run_one`` plus status-board transitions."""
-        self._mark(spec.run_hash(), "running")
-        outcome = self.run_one(spec)
-        self._mark(outcome.run_hash, outcome.status)
-        return outcome
-
-    def _mark(self, run_hash: str, state: str) -> None:
-        board = self._status
-        if board is not None:
-            board.mark(run_hash, state)
+        # One registry per executor; the document names this backend.
+        coordinator.metrics = self.metrics
+        coordinator.worker_type = self.worker_type
+        workers = min(self.max_workers, coordinator.leasable)
+        if self.worker_type == "serial" or workers < 2:
+            coordinator.run_here()
+        else:
+            coordinator.endpoint = SocketEndpoint()
+            LocalWorkers(coordinator, workers).serve()
+        hits, latest = coordinator.plan.hits, self.store.latest_records()
+        return [
+            RunOutcome(spec, run_hash, "skipped", hits[run_hash])
+            if run_hash in hits else _outcome_of(spec, latest.get(run_hash))
+            for spec, run_hash in ((spec, spec.run_hash()) for spec in specs)
+        ]
 
     # -- fleets ----------------------------------------------------------------
 
@@ -350,23 +277,18 @@ class CampaignExecutor:
         """Advance same-shape serial runs as one
         :class:`repro.batch.ScenarioFleet`, recording each of them.
 
-        The one routine a fleet item runs through — inline, or in the
-        worker its lease went to.  Store records match a solo run's:
-        one terminal ``completed``/``failed`` record per member with the
-        same result payload shape, so ``campaign_summary`` counts
-        fleet-absorbed runs like any other.  A member that diverges
-        fails alone.  Each completed run still gets its own
-        ``telemetry.json`` (the fleet trace is shared; ``fleet_size``
-        marks it as amortized).  Returns one outcome per member, in
-        ``group`` order.
+        The one routine a fleet item runs through, wherever it runs.
+        Store records match a solo run's: one terminal
+        ``completed``/``failed`` record per member with the same result
+        payload shape, so ``campaign_summary`` counts fleet-absorbed
+        runs like any other.  A member that diverges fails alone.  Each
+        completed run gets its own ``telemetry.json`` (the fleet trace,
+        ``batch.*`` metrics included, is shared; ``fleet_size`` marks
+        it as amortized).  Returns one outcome per member, in ``group``
+        order.
         """
         from repro.batch import ScenarioFleet
 
-        n = len(group)
-        self.log(
-            f"batch fast path: advancing {n} same-shape serial runs in one "
-            f"fleet ({group[0].describe()})"
-        )
         trace = CommTrace() if self.telemetry else None
         start = time.perf_counter()
         pending: dict[int, RunSpec] = {}
@@ -376,13 +298,10 @@ class CampaignExecutor:
             run_hash = spec.run_hash()
             elapsed = time.perf_counter() - start
             self.store.record_failed(spec, error, elapsed=elapsed)
-            self.metrics.counter("campaign.runs_failed").inc()
             outcomes[run_hash] = RunOutcome(
                 spec=spec, run_hash=run_hash, status="failed",
                 error=error, elapsed=elapsed,
             )
-            self._mark(run_hash, "failed")
-            self.log(f"{run_hash} FAILED in batch fleet ({spec.describe()})")
 
         def on_finish(sid: int, result: dict[str, Any]) -> None:
             spec = pending.pop(sid)
@@ -396,14 +315,10 @@ class CampaignExecutor:
                 "diagnostics": result["diagnostics"],
             }
             self.store.record_completed(spec, payload, elapsed=elapsed)
-            self.metrics.counter("campaign.runs_completed").inc()
-            self.metrics.counter("campaign.batch_absorbed").inc()
-            self.metrics.histogram("campaign.run_elapsed").observe(elapsed)
             outcomes[run_hash] = RunOutcome(
                 spec=spec, run_hash=run_hash, status="completed",
                 result=payload, elapsed=elapsed,
             )
-            self._mark(run_hash, "completed")
             if trace is not None:
                 self.store.write_telemetry(
                     run_hash,
@@ -413,7 +328,7 @@ class CampaignExecutor:
                         extra={
                             "run_hash": run_hash,
                             "ranks": spec.ranks,
-                            "fleet_size": n,
+                            "fleet_size": len(group),
                         },
                     ),
                 )
@@ -422,20 +337,11 @@ class CampaignExecutor:
             fleet = ScenarioFleet(group[0].config, trace=trace)
             ids = fleet.add_many([(s.config, s.ic, s.steps) for s in group])
             pending.update(zip(ids, group))
-            for spec in group:
-                self._mark(spec.run_hash(), "running")
             fleet.run(on_finish=on_finish)
         except Exception:
             error = traceback.format_exc(limit=20)
             for spec in [s for s in group if s.run_hash() not in outcomes]:
                 fail(spec, error)
-        else:
-            if trace is not None:
-                self.metrics.merge(trace.metrics.snapshot())
-            self.log(
-                f"batch fast path: {n} runs completed in "
-                f"{time.perf_counter() - start:.2f}s"
-            )
         return [outcomes[spec.run_hash()] for spec in group]
 
     # -- single runs -----------------------------------------------------------
@@ -459,8 +365,6 @@ class CampaignExecutor:
             elapsed = time.perf_counter() - start
             error = traceback.format_exc(limit=20)
             self.store.record_failed(spec, error, elapsed=elapsed)
-            self.metrics.counter("campaign.runs_failed").inc()
-            self.log(f"{run_hash} FAILED after {elapsed:.2f}s ({spec.describe()})")
             return RunOutcome(
                 spec=spec, run_hash=run_hash, status="failed",
                 error=error, elapsed=elapsed,
@@ -469,10 +373,6 @@ class CampaignExecutor:
         self.store.record_completed(
             spec, result, elapsed=elapsed, resumed_from_step=resumed
         )
-        self.metrics.counter("campaign.runs_completed").inc()
-        self.metrics.histogram("campaign.run_elapsed").observe(elapsed)
-        note = f" (resumed from step {resumed})" if resumed else ""
-        self.log(f"{run_hash} completed in {elapsed:.2f}s{note} ({spec.describe()})")
         return RunOutcome(
             spec=spec, run_hash=run_hash, status="completed",
             result=result, elapsed=elapsed, resumed_from_step=resumed,
@@ -490,9 +390,11 @@ class CampaignExecutor:
             except Exception as exc:
                 # A checkpoint a crashed attempt left unreadable must not
                 # wedge the run hash forever: start fresh.
-                self.log(
+                log(
+                    f"campaign {self.store.campaign}",
                     f"{run_hash} checkpoint unreadable ({exc!r}) — "
-                    f"discarding it and starting fresh"
+                    f"discarding it and starting fresh",
+                    logging.WARNING,
                 )
                 self._remove_checkpoint(ckpt_path)
             else:
@@ -579,176 +481,9 @@ class CampaignExecutor:
         }
 
 
-class _StatusBoard:
-    """Live status of one submitted batch.
-
-    Tracks every unique run hash through ``queued → running →
-    completed/failed/skipped`` (plus ``interrupted`` when ``submit``
-    unwinds on an interrupt), renders the snapshot external tools poll
-    as ``status.json`` (written atomically in the campaign root), and —
-    on a heartbeat interval — logs a one-line progress summary with a
-    longest-job-first modeled ETA for the remainder.  A transition is
-    O(1): it updates the in-memory board and rewrites the file only
-    when the last write is :data:`STATUS_WRITE_INTERVAL` old.  ``costs``
-    (run hash → modeled seconds of every run still to execute, see
-    :func:`~repro.campaign.scheduler.modeled_costs`) feeds the ETA: the
-    dispatchers pass the map they ordered the queue with.
-
-    The ``executor`` host is duck-typed, not nominally typed: the board
-    only touches ``store``, ``machine``, ``max_workers``,
-    ``worker_type``, ``metrics`` and ``log()``.  Anything providing
-    those can drive a board — the campaign service's
-    :class:`~repro.campaign.service.Coordinator` does exactly that (and
-    subclasses the board to add a ``service`` section to the snapshot).
-    """
-
-    _TERMINAL = frozenset(("completed", "failed", "skipped", "interrupted"))
-
-    def __init__(
-        self,
-        executor: "CampaignExecutor",
-        specs: dict[str, RunSpec],
-        costs: dict[str, float],
-    ) -> None:
-        self._executor = executor
-        self._costs = costs
-        self._lock = threading.Lock()
-        self._state: dict[str, str] = {h: "queued" for h in specs}
-        self._started: dict[str, float] = {}
-        self._elapsed: dict[str, float] = {}
-        #: perf_counter of the last write (the throttle window opens at
-        #: construction: the dispatcher publishes the first snapshot).
-        self._written = time.perf_counter()
-
-    def mark(self, run_hash: str, state: str) -> None:
-        """Transition one run; unknown hashes are ignored (a retried
-        run may resolve under a worker-reported hash)."""
-        now = time.perf_counter()
-        with self._lock:
-            if run_hash not in self._state:
-                return
-            if state == "running":
-                self._started[run_hash] = now
-            elif run_hash in self._started:
-                self._elapsed[run_hash] = now - self._started.pop(run_hash)
-            self._state[run_hash] = state
-        if now - self._written >= STATUS_WRITE_INTERVAL:
-            self.publish()
-
-    def snapshot(self) -> dict[str, Any]:
-        """The JSON-able status document (the ``status.json`` schema)."""
-        executor = self._executor
-        now = time.perf_counter()
-        with self._lock:
-            states = dict(self._state)
-            started = dict(self._started)
-            elapsed = dict(self._elapsed)
-        counts = {
-            key: 0
-            for key in (
-                "queued", "running", "completed", "failed", "skipped",
-                "interrupted",
-            )
-        }
-        for state in states.values():
-            counts[state] = counts.get(state, 0) + 1
-        eta = lpt_makespan(
-            [
-                self._costs.get(h, 0.0)
-                for h, state in states.items()
-                if state in ("queued", "running")
-            ],
-            executor.max_workers,
-        )
-        runs: dict[str, Any] = {}
-        for run_hash, state in states.items():
-            entry: dict[str, Any] = {"state": state}
-            if run_hash in started:
-                entry["elapsed"] = now - started[run_hash]
-            elif run_hash in elapsed:
-                entry["elapsed"] = elapsed[run_hash]
-            runs[run_hash] = entry
-        return {
-            "schema": TELEMETRY_SCHEMA,
-            "campaign": executor.store.campaign,
-            "timestamp": time.time(),
-            "worker_type": executor.worker_type,
-            "max_workers": executor.max_workers,
-            "total": len(states),
-            "counts": counts,
-            "eta_modeled_seconds": eta,
-            "done": all(s in self._TERMINAL for s in states.values()),
-            "runs": runs,
-            "metrics": executor.metrics.snapshot(),
-        }
-
-    def publish(self) -> dict[str, Any]:
-        """Snapshot + atomic ``status.json`` write (I/O errors are
-        swallowed: status is advisory, never worth failing a run)."""
-        snap = self.snapshot()
-        self._written = time.perf_counter()
-        try:
-            self._executor.store.write_status(snap)
-        except OSError:  # pragma: no cover - disk-full style failures
-            pass
-        return snap
-
-    @staticmethod
-    def summary_line(snap: dict[str, Any]) -> str:
-        counts = snap["counts"]
-        line = (
-            f"status: {counts['completed']}/{snap['total']} completed, "
-            f"{counts['running']} running, {counts['queued']} queued, "
-            f"{counts['failed']} failed, {counts['skipped']} skipped"
-        )
-        if not snap["done"]:
-            line += f" — modeled ETA {snap['eta_modeled_seconds']:.3g}s"
-        return line
-
-    def start_heartbeat(
-        self, interval: float
-    ) -> Optional[tuple[threading.Event, threading.Thread]]:
-        if interval <= 0:
-            return None
-
-        stop = threading.Event()
-
-        def beat() -> None:
-            while not stop.wait(interval):
-                snap = self.publish()
-                self._executor.log(self.summary_line(snap))
-                if snap["done"]:
-                    return
-
-        thread = threading.Thread(
-            target=beat, name="campaign-status", daemon=True
-        )
-        thread.start()
-        return (stop, thread)
-
-    def stop_heartbeat(
-        self, handle: Optional[tuple[threading.Event, threading.Thread]]
-    ) -> None:
-        if handle is None:
-            return
-        stop, thread = handle
-        stop.set()
-        thread.join(timeout=5.0)
-
-    def finalize(self, *, interrupted: bool) -> dict[str, Any]:
-        """Terminal snapshot: non-terminal runs become ``interrupted``
-        when the batch unwound on an interrupt/error."""
-        if interrupted:
-            with self._lock:
-                for run_hash, state in self._state.items():
-                    if state not in self._TERMINAL:
-                        self._state[run_hash] = "interrupted"
-        return self.publish()
-
-
 def _outcome_of(spec: RunSpec, record: Optional[RunRecord]) -> RunOutcome:
-    """The outcome of a leased run, from the terminal record its worker
-    (or the coordinator, for a run that exhausted its requeues) wrote."""
+    """The outcome of a run, from the terminal record whoever ran it
+    (or the coordinator, for a run it gave up on) wrote."""
     if record is None or record.status not in (COMPLETED, FAILED):
         return RunOutcome(
             spec=spec, run_hash=spec.run_hash(), status="failed",

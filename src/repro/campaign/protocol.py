@@ -3,10 +3,9 @@
 The campaign service (:mod:`repro.campaign.service`) detaches run
 execution from a single process tree: a long-running coordinator owns
 the run queue and pull-based workers fetch work over the small message
-protocol defined here.  Following the yoda/droid messenger shape — a
-tiny typed-message layer whose wire "could easily be replaced" — the
-protocol is three layers, each independently testable, and the wire
-is the only layer that knows about sockets:
+protocol defined here.  The protocol is three layers, each
+independently testable, and the wire is the only layer that knows
+about sockets:
 
 **Messages** — one frozen dataclass per message type:
 
@@ -28,16 +27,13 @@ execution.  Anything malformed — truncated JSON, an unknown type, a
 missing field, a non-JSON blob — raises the typed
 :class:`ProtocolError` instead of leaking decoder internals.
 
-**Framing / channels** — a wire-agnostic pair of interfaces:
-:class:`WorkerChannel` (worker side: ``send``/``recv``) and
-:class:`CoordinatorEndpoint` (coordinator side: ``poll``/``send`` keyed
-by connection id), implemented over local TCP
-(:class:`SocketEndpoint` / :class:`SocketWorkerChannel`) with
-length-prefixed frames (4-byte big-endian length + codec bytes).
+**Framing / wire** — local TCP with length-prefixed frames (4-byte
+big-endian length + codec bytes): :class:`SocketWorkerChannel` is the
+worker side (``send``/``recv``), :class:`SocketEndpoint` the
+coordinator side (``poll``/``send`` keyed by connection id).
 :class:`FrameDecoder` reassembles frames from an arbitrarily chunked
 byte stream, so message boundaries are invariant under any TCP
-segmentation.  Swapping the wire means writing another pair of these
-two classes; the messages and the codec stay.
+segmentation.
 """
 
 from __future__ import annotations
@@ -72,8 +68,6 @@ __all__ = [
     "decode_message",
     "frame",
     "FrameDecoder",
-    "WorkerChannel",
-    "CoordinatorEndpoint",
     "SocketWorkerChannel",
     "SocketEndpoint",
     "stream_frames",
@@ -348,61 +342,16 @@ class FrameDecoder:
             )
 
 
-# -- channel interfaces -------------------------------------------------------
-
-
-class WorkerChannel:
-    """Worker side of the wire: one pipe to the coordinator."""
-
-    def send(self, msg: Message) -> None:
-        """Deliver one message to the coordinator.
-
-        Raises :class:`ChannelClosedError` when the coordinator is gone.
-        """
-        raise NotImplementedError
-
-    def recv(self, timeout: Optional[float] = None) -> Optional[Message]:
-        """Next message from the coordinator, or ``None`` on timeout.
-
-        Raises :class:`ChannelClosedError` when the coordinator hung up.
-        """
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-class CoordinatorEndpoint:
-    """Coordinator side of the wire: many workers, one mailbox.
-
-    Connections are keyed by an opaque ``conn_id`` (the reply address);
-    worker *identity* travels in the messages themselves, so one worker
-    that reconnects shows up as a new ``conn_id`` with the same
-    ``worker`` field.
-    """
-
-    def poll(self, timeout: float) -> list[tuple[str, Message]]:
-        """Drain available ``(conn_id, message)`` pairs, waiting up to
-        ``timeout`` seconds for the first one."""
-        raise NotImplementedError
-
-    def send(self, conn_id: str, msg: Message) -> bool:
-        """Deliver to one connection; False if the peer is gone (a dead
-        worker's lease expiry is the recovery path, not this send)."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
 # -- socket transport ---------------------------------------------------------
 
 
-class SocketWorkerChannel(WorkerChannel):
-    """Worker side of the TCP transport (length-prefixed codec frames).
+class SocketWorkerChannel:
+    """Worker side of the wire: one TCP pipe to the coordinator.
 
     ``connect_timeout`` bounds the initial connection (with retries, so
     a worker may be launched slightly before its coordinator binds).
+    ``send`` and ``recv`` raise :class:`ChannelClosedError` once the
+    coordinator is gone; ``recv`` returns None on timeout.
     """
 
     def __init__(
@@ -499,18 +448,23 @@ class _SocketConnection:
         self.alive = True
 
 
-class SocketEndpoint(CoordinatorEndpoint):
-    """Coordinator side of the TCP transport.
+class SocketEndpoint:
+    """Coordinator side of the wire: many workers, one mailbox.
+
+    Connections are keyed by an opaque ``conn_id`` (the reply address);
+    worker *identity* travels in the messages themselves, so one worker
+    that reconnects shows up as a new ``conn_id`` with the same
+    ``worker`` field.
 
     Binds a listening socket (``port=0`` picks an ephemeral port — read
     it back from :attr:`address`), accepts connections on a background
     thread, and runs one reader thread per connection that reassembles
     frames and pushes decoded ``(conn_id, message)`` pairs onto a
-    single mailbox queue.  A reader that hits garbage logs and drops
-    the connection — one hostile or corrupt peer cannot take the
-    coordinator down — and a disconnect is *not* a requeue signal: the
-    lease clock is the only authority on reclaiming a silent worker's
-    work.
+    single mailbox queue (:meth:`poll` drains it).  A reader that hits
+    garbage logs and drops the connection — one hostile or corrupt peer
+    cannot take the coordinator down — and neither a disconnect nor a
+    failed :meth:`send` is a requeue signal: the lease clock is the
+    only authority on reclaiming a silent worker's work.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:

@@ -1,20 +1,24 @@
-"""Campaign service: a job-queue coordinator and pull-based workers.
+"""Campaign service: the campaign's ledger and pull-based workers.
 
-:class:`Coordinator` detaches campaign execution from a single process
-tree.  It owns the run queue (:func:`~repro.campaign.scheduler.plan_runs`)
-and hands work to :class:`Worker`\\ s over the typed message protocol
-of :mod:`repro.campaign.protocol` — workers *pull* jobs (``job-request``
-→ ``new-job`` | ``no-work-left``), execute them through the ordinary
-serial :class:`~repro.campaign.executor.CampaignExecutor` path (so store
-records, telemetry artifacts and retry semantics are identical to every
-other execution backend), and report ``job-done`` / ``job-failed`` per
-run; a fleet of same-shape runs is one job.  Because the store
+:class:`Coordinator` is a campaign's one ledger.  It plans the batch
+(:func:`~repro.campaign.scheduler.plan_runs`), owns the run queue, and
+alone counts, marks and logs every run's terminal state, whoever
+executed the run.  It hands work to :class:`Worker`\\ s over the typed
+message protocol of :mod:`repro.campaign.protocol` — workers *pull*
+jobs (``job-request`` → ``new-job`` | ``no-work-left``), execute them
+through :meth:`~repro.campaign.executor.CampaignExecutor.run_one` /
+:meth:`~repro.campaign.executor.CampaignExecutor.run_fleet` (so store
+records and telemetry artifacts are identical wherever a run executes)
+and report ``job-done`` / ``job-failed`` per run; a fleet of same-shape
+runs is one job.  Model-mode runs (microseconds of arithmetic on the
+coordinator's machine model) never leave the coordinator's process, and
+:meth:`Coordinator.run_here` drains the whole queue in-process through
+the same executor routines and the same accounting.  Because the store
 deduplicates by content hash, any number of submitters can point decks
-at one coordinator and share results.  A local campaign is the same
-service with workers the submitting process owns:
-``CampaignExecutor.submit`` builds a coordinator on a loopback endpoint
-and serves it to :class:`LocalWorkers` — ``rocketrig campaign
---worker`` child processes it starts, watches and reaps.
+at one coordinator and share results.  A local campaign
+(``CampaignExecutor.submit``) is this service with :class:`LocalWorkers`
+— ``rocketrig campaign --worker`` child processes it starts, watches
+and reaps — or with no worker at all.
 
 Lease state machine (per run)::
 
@@ -44,23 +48,20 @@ one that goes silent recover identically.  A host that
 reaps its own workers may move that clock forward
 (:meth:`Coordinator.expire_worker`) — it may not bypass it.
 
-The coordinator streams live progress the same way the executor does —
-``status.json`` in the campaign root via (a subclass of) the executor's
-status board, extended with a ``service`` section (workers, leases,
-bound address).  A completion costs O(1): it updates the in-memory
-board, and the file is rewritten at start, at the end, on the
-``status_interval`` heartbeat and otherwise at most once per
+The coordinator streams live progress as ``status.json`` in the
+campaign root, with a ``service`` section (PID, bound address — null
+when no socket is bound — workers, leases); workers and dashboards
+discover a coordinator from it.  A completion costs O(1): it updates
+the in-memory board, and the file is rewritten at start, at the end,
+on the ``status_interval`` heartbeat and otherwise at most once per
 ``STATUS_WRITE_INTERVAL``.  The coordinator also exposes
 ``campaign.service.*`` metrics (jobs leased, leases expired, workers
-seen, reconnects) and ``campaign.requeues``.  A ``service.json``
-discovery file in the campaign root carries the bound address and PID
-for workers and dashboards.
+seen, reconnects) and ``campaign.requeues``.
 """
 
 from __future__ import annotations
 
 import collections
-import logging
 import os
 import signal
 import socket as _socket
@@ -68,20 +69,20 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Sequence
 
 from repro.campaign.deck import RunSpec
 from repro.campaign.executor import (
     DEFAULT_RUN_TIMEOUT,
     KILL_FUSE_ENV,
+    STATUS_WRITE_INTERVAL,
     CampaignExecutor,
     RunOutcome,
-    _StatusBoard,
+    log,
 )
 from repro.campaign.protocol import (
     ChannelClosedError,
-    CoordinatorEndpoint,
     Heartbeat,
     JobDone,
     JobFailed,
@@ -90,12 +91,13 @@ from repro.campaign.protocol import (
     NewJob,
     NoWorkLeft,
     ProtocolError,
-    WorkerChannel,
+    SocketEndpoint,
+    SocketWorkerChannel,
 )
-from repro.campaign.scheduler import lease_id, plan_runs
-from repro.campaign.store import CampaignStore
+from repro.campaign.scheduler import lease_id, lpt_makespan, plan_runs
+from repro.campaign.store import COMPLETED, FAILED, CampaignStore
 from repro.machine.model import LASSEN, MachineSpec
-from repro.telemetry.artifacts import TELEMETRY_SCHEMA, atomic_write_json
+from repro.telemetry.artifacts import TELEMETRY_SCHEMA
 from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
@@ -105,10 +107,7 @@ __all__ = [
     "WorkerVanished",
     "Lease",
     "DEFAULT_LEASE_TIMEOUT",
-    "service_info_path",
 ]
-
-logger = logging.getLogger("repro.campaign")
 
 #: Default wall-clock lease on a granted job: a worker silent for this
 #: long is presumed dead and its run is reclaimed.  Heartbeats go out
@@ -119,6 +118,9 @@ DEFAULT_LEASE_TIMEOUT = 60.0
 #: failed instead of requeued forever (poison-job backstop).
 DEFAULT_MAX_REQUEUES = 3
 
+#: Seconds one turn of the serving loop waits for worker messages.
+POLL_INTERVAL = 0.05
+
 
 class WorkerVanished(Exception):
     """Test hook: raised inside a worker's run callable to simulate the
@@ -126,9 +128,39 @@ class WorkerVanished(Exception):
     heartbeats stop, nothing terminal is recorded, nothing is sent)."""
 
 
-def service_info_path(store: CampaignStore) -> str:
-    """Path of the coordinator's ``service.json`` discovery file."""
-    return os.path.join(store.root, "service.json")
+def _serial_executor(
+    store: CampaignStore,
+    job: NewJob,
+    *,
+    machine: MachineSpec = LASSEN,
+    telemetry: bool = True,
+) -> CampaignExecutor:
+    """The serial executor an item runs through wherever it runs — in a
+    worker, or in the coordinator's own process: the executor settings
+    travel in ``job``."""
+    return CampaignExecutor(
+        store,
+        max_workers=1,
+        worker_type="serial",
+        timeout=job.timeout,  # 0 = no budget, as in-process
+        collective_timeout=job.collective_timeout or None,
+        machine=machine,
+        checkpoint_freq=job.checkpoint_freq,
+        telemetry=telemetry and job.telemetry,
+    )
+
+
+def status_line(snap: dict[str, Any]) -> str:
+    """The one-line progress summary of a ``status.json`` document."""
+    counts = snap["counts"]
+    line = (
+        f"status: {counts['completed']}/{snap['total']} completed, "
+        f"{counts['running']} running, {counts['queued']} queued, "
+        f"{counts['failed']} failed, {counts['skipped']} skipped"
+    )
+    if not snap["done"]:
+        line += f" — modeled ETA {snap['eta_modeled_seconds']:.3g}s"
+    return line
 
 
 @dataclass
@@ -146,15 +178,6 @@ class Lease:
     open: dict[str, RunSpec] = field(default_factory=dict)
 
 
-class _ServiceStatusBoard(_StatusBoard):
-    """The executor status board plus a live ``service`` section."""
-
-    def snapshot(self) -> dict[str, Any]:
-        snap = super().snapshot()
-        snap["service"] = self._executor.service_snapshot()
-        return snap
-
-
 @dataclass
 class _WorkerInfo:
     """Coordinator-side view of one worker identity."""
@@ -168,20 +191,23 @@ class _WorkerInfo:
 
 
 class Coordinator:
-    """Owns a campaign's run queue and serves it to pull-based workers.
+    """A campaign's ledger: owns a batch's run queue, serves it to
+    pull-based workers or drains it in-process, and books every run.
 
-    Duck-types the executor interface the status board expects
-    (``store`` / ``machine`` / ``max_workers`` / ``worker_type`` /
-    ``metrics`` / ``log``), so the live ``status.json`` document has
-    the exact shape external tools already poll — with ``worker_type``
-    reading ``"service"`` and ``max_workers`` tracking the number of
-    distinct workers seen.  :attr:`board` and :attr:`metrics` may be
-    replaced before serving by a host that already tracks a larger
-    batch (``CampaignExecutor.submit`` does, so one document covers
-    its inline and leased runs).
+    ``endpoint`` is the bound :class:`SocketEndpoint` workers connect
+    to, or None for a coordinator that only drains in-process
+    (:meth:`run_here`; a host may bind one later, before serving).
+    ``worker_type`` names the execution backend in ``status.json`` —
+    ``"service"`` here, the executor's own when
+    ``CampaignExecutor.submit`` hosts the coordinator — and the
+    document's ``max_workers`` tracks the number of distinct workers
+    seen.  :attr:`metrics` may be replaced before serving by a host
+    that keeps one registry across batches.
 
-    ``checkpoint_freq`` and ``telemetry`` are the executor settings
-    every leased run is executed with; they travel in each ``new-job``.
+    ``run_timeout``, ``collective_timeout``, ``checkpoint_freq`` and
+    ``telemetry`` are the executor settings every item is executed
+    with, wherever it runs; they travel in each ``new-job``.  Model-mode
+    runs are evaluated on ``machine``, in this process.
 
     ``journal=True`` appends every non-heartbeat message the
     coordinator receives or sends to :attr:`journal` as
@@ -195,7 +221,7 @@ class Coordinator:
         self,
         store: CampaignStore,
         specs: Sequence[RunSpec],
-        endpoint: CoordinatorEndpoint,
+        endpoint: Optional[SocketEndpoint],
         *,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         max_requeues: int = DEFAULT_MAX_REQUEUES,
@@ -205,33 +231,34 @@ class Coordinator:
         checkpoint_freq: int = 0,
         telemetry: bool = True,
         status_interval: float = 0.0,
-        poll_interval: float = 0.05,
         drain_grace: float = 5.0,
         journal: bool = False,
-        log: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.store = store
         self.endpoint = endpoint
         self.lease_timeout = float(lease_timeout)
         self.max_requeues = int(max_requeues)
-        self.run_timeout = float(run_timeout)
-        self.collective_timeout = (
-            collective_timeout if collective_timeout is not None
-            else (run_timeout if run_timeout > 0 else DEFAULT_RUN_TIMEOUT)
-        )
         self.machine = machine
-        #: Executor settings every leased run is executed with (they
-        #: travel in each ``new-job``).
-        self.checkpoint_freq = int(checkpoint_freq)
-        self.telemetry = bool(telemetry)
         self.status_interval = float(status_interval)
-        self.poll_interval = float(poll_interval)
         self.drain_grace = float(drain_grace)
         self.metrics = MetricsRegistry()
         self.journal: Optional[list[tuple[str, str, Message]]] = (
             [] if journal else None
         )
-        self._log = log
+        #: Prefix of every line this coordinator logs.
+        self.who = f"campaign {store.campaign}"
+        #: The executor settings every item runs with: the template
+        #: each ``new-job`` is stamped from.
+        self._settings = NewJob(
+            run_hash="", payload={}, campaign=store.campaign,
+            store_root=store.base_root, lease_timeout=self.lease_timeout,
+            timeout=float(run_timeout),
+            collective_timeout=(
+                collective_timeout if collective_timeout is not None
+                else (run_timeout if run_timeout > 0 else DEFAULT_RUN_TIMEOUT)
+            ),
+            checkpoint_freq=int(checkpoint_freq), telemetry=bool(telemetry),
+        )
 
         self._state_lock = threading.Lock()
         self._workers: dict[str, _WorkerInfo] = {}
@@ -243,49 +270,77 @@ class Coordinator:
 
         # Store hits never reach the queue; the plan's costs feed the ETA.
         self.plan = plan_runs(
-            specs, store, machine, checkpoint_freq=self.checkpoint_freq
+            specs, store, machine, checkpoint_freq=self._settings.checkpoint_freq
         )
-        if self.plan.hits:
-            self.metrics.counter("campaign.store_hits").inc(len(self.plan.hits))
         # A previous coordinator's lapsed claims requeue transparently:
         # they are simply still queued (no terminal record), and the
         # fresh claim written at grant time supersedes the stale one.
         stale = set(store.expired_claims()) if self.plan.costs else set()
         stale &= set(self.plan.costs)
         if stale:
-            self.log(
-                f"reclaiming {len(stale)} runs with lapsed leases from a "
-                f"previous coordinator"
-            )
-        self._queue: collections.deque[tuple[RunSpec, ...]] = (
-            collections.deque(self.plan.items)
+            log(self.who, f"reclaiming {len(stale)} runs with lapsed leases "
+                          f"from a previous coordinator")
+        # Model-mode runs are costed on this machine model: they stay here.
+        self._queue: collections.deque[tuple[RunSpec, ...]] = collections.deque(
+            item for item in self.plan.items if item[0].mode != "model"
+        )
+        self._here: collections.deque[tuple[RunSpec, ...]] = collections.deque(
+            item for item in self.plan.items if item[0].mode == "model"
         )
         self._pending: set[str] = set(self.plan.costs)
-        self.board = _ServiceStatusBoard(self, self.plan.unique, self.plan.costs)
-        for run_hash in self.plan.hits:
-            self.board.mark(run_hash, "skipped")
-        self._counts = {"completed": 0, "failed": 0, "requeued": 0}
-
-    # -- executor duck-typing (status board host) ---------------------------
+        self._counts = {COMPLETED: 0, FAILED: 0, "requeued": 0}
+        # The status board: every unique run's state, and when the
+        # running ones started / how long the finished ones took.
+        self._state: dict[str, str] = {
+            h: "skipped" if h in self.plan.hits else "queued"
+            for h in self.plan.unique
+        }
+        self._started: dict[str, float] = {}
+        self._elapsed: dict[str, float] = {}
+        self._written = time.perf_counter()  # last status.json write
 
     @property
-    def max_workers(self) -> int:
+    def pending(self) -> int:
+        """Runs not yet terminal (queued, leased or running here)."""
+        return len(self._pending)
+
+    @property
+    def leasable(self) -> int:
+        """Queued items a worker may be granted (model-mode runs never
+        leave this process)."""
+        return len(self._queue)
+
+    # -- status document -----------------------------------------------------
+
+    def _mark(self, run_hash: str, state: str) -> None:
+        """Move one run on the status board: O(1), and ``status.json``
+        is rewritten only when the last write is
+        :data:`STATUS_WRITE_INTERVAL` old."""
+        now = time.perf_counter()
         with self._state_lock:
-            return max(1, len(self._workers))
+            if state == "running":
+                self._started[run_hash] = now
+            elif run_hash in self._started:
+                self._elapsed[run_hash] = now - self._started.pop(run_hash)
+            self._state[run_hash] = state
+        if now - self._written >= STATUS_WRITE_INTERVAL:
+            self.publish()
 
-    def log(self, message: str) -> None:
-        line = f"[campaign {self.store.campaign}] {message}"
-        if self._log is not None:
-            self._log(line)
-        else:
-            logger.info(line)
-
-    # -- observability -------------------------------------------------------
-
-    def service_snapshot(self) -> dict[str, Any]:
-        """The ``service`` section of the status document."""
-        now = time.time()
+    def snapshot(self) -> dict[str, Any]:
+        """The ``status.json`` document: each run's state and elapsed
+        time, the counts, a longest-job-first modeled ETA of the
+        remainder (from the plan's costs — no model evaluation), the
+        metrics, and the ``service`` section."""
+        now, clock = time.time(), time.perf_counter()
         with self._state_lock:
+            states = dict(self._state)
+            runs = {}
+            for run_hash, state in states.items():
+                runs[run_hash] = {"state": state}
+                if run_hash in self._started:
+                    runs[run_hash]["elapsed"] = clock - self._started[run_hash]
+                elif run_hash in self._elapsed:
+                    runs[run_hash]["elapsed"] = self._elapsed[run_hash]
             workers = {
                 name: {
                     "conn": info.conn_id,
@@ -305,98 +360,171 @@ class Coordinator:
                 }
                 for lease in self._leases.values()
             }
-        address = getattr(self.endpoint, "address", None)
+        counts = dict.fromkeys(
+            ("queued", "running", "completed", "failed", "skipped",
+             "interrupted"), 0,
+        )
+        for state in states.values():
+            counts[state] += 1
+        max_workers = max(1, len(workers))
+        address = self.endpoint.address if self.endpoint is not None else None
         return {
-            "address": f"{address[0]}:{address[1]}" if address else None,
-            "lease_timeout": self.lease_timeout,
-            "workers": workers,
-            "leases": leases,
-            "queued": len(self._queue),
-        }
-
-    def _write_service_info(self, *, done: bool = False) -> None:
-        """Publish (atomically) the discovery file workers/tools poll."""
-        address = getattr(self.endpoint, "address", None)
-        info = {
             "schema": TELEMETRY_SCHEMA,
             "campaign": self.store.campaign,
-            "pid": os.getpid(),
-            "host": address[0] if address else None,
-            "port": address[1] if address else None,
-            "lease_timeout": self.lease_timeout,
-            "done": done,
-            "timestamp": time.time(),
+            "timestamp": now,
+            "worker_type": self.worker_type,
+            "max_workers": max_workers,
+            "total": len(states),
+            "counts": counts,
+            "eta_modeled_seconds": lpt_makespan(
+                [self.plan.costs.get(h, 0.0) for h, state in states.items()
+                 if state in ("queued", "running")],
+                max_workers,
+            ),
+            "done": counts["queued"] == counts["running"] == 0,
+            "runs": runs,
+            "metrics": self.metrics.snapshot(),
+            "service": {
+                "pid": os.getpid(),
+                "address": f"{address[0]}:{address[1]}" if address else None,
+                "lease_timeout": self.lease_timeout,
+                "workers": workers,
+                "leases": leases,
+                "queued": len(self._queue) + len(self._here),
+            },
         }
+
+    def publish(self) -> dict[str, Any]:
+        """Snapshot + atomic ``status.json`` write (I/O errors are
+        swallowed: status is advisory, never worth failing a run)."""
+        snap = self.snapshot()
+        self._written = time.perf_counter()
         try:
-            os.makedirs(self.store.root, exist_ok=True)
-            atomic_write_json(service_info_path(self.store), info)
-        except OSError:  # pragma: no cover - advisory, like status.json
+            self.store.write_status(snap)
+        except OSError:  # pragma: no cover - disk-full style failures
             pass
+        return snap
+
+    def _heartbeat(self, stop: threading.Event) -> None:
+        """Every ``status_interval``: rewrite ``status.json`` and log a
+        one-line progress summary."""
+        while not stop.wait(self.status_interval):
+            log(self.who, status_line(self.publish()))
 
     def _journal_add(self, direction: str, conn_id: str, msg: Message) -> None:
         if self.journal is not None and not isinstance(msg, Heartbeat):
             self.journal.append((direction, conn_id, msg))
 
-    # -- main loop -----------------------------------------------------------
+    # -- one pass over the batch -----------------------------------------------
 
     def serve(self) -> dict[str, Any]:
         """Serve the batch to workers until every run is terminal.
 
         Returns a summary dict (completed / failed / skipped /
-        requeued counts plus the workers seen).  The campaign-level
-        ``status.json`` is streamed throughout, and a final drain
-        window hands ``no-work-left`` to every straggling worker so
-        every worker shuts down cleanly.
+        requeued counts plus the workers seen).  A final drain window
+        hands ``no-work-left`` to every straggling worker so every
+        worker shuts down cleanly.
         """
-        self._write_service_info()
-        self.board.publish()
-        heartbeat = self.board.start_heartbeat(self.status_interval)
-        address = getattr(self.endpoint, "address", None)
-        self.log(
-            f"service: coordinating {len(self._pending)} runs "
-            f"({len(self.plan.hits)} store hits)"
-            + (f" on {address[0]}:{address[1]}" if address else "")
+
+        def drain() -> None:
+            try:
+                while self._pending:
+                    self.step()
+            finally:
+                self.shutdown()
+
+        return self.drive(drain)
+
+    def run_here(self) -> dict[str, Any]:
+        """Drain the whole queue in this process — no socket, no
+        worker — through the serial executor a worker would use;
+        returns the :meth:`serve` summary."""
+        return self.drive(lambda: self._run_here(self._queue))
+
+    def drive(self, drain: Callable[[], None]) -> dict[str, Any]:
+        """One pass over the batch, ``drain`` executing the queue.
+
+        Publishes ``status.json`` (and keeps it fresh on the
+        ``status_interval`` heartbeat), books the store hits, runs the
+        model-mode items here, then ``drain``\\ s; the terminal document
+        marks runs still in flight ``interrupted`` when unwinding.
+        Returns the summary :meth:`serve` documents.
+        """
+        self.publish()
+        stop = threading.Event()
+        heartbeat = threading.Thread(
+            target=self._heartbeat, args=(stop,), name="campaign-status",
+            daemon=True,
         )
+        if self.status_interval > 0:
+            heartbeat.start()
+        address = self.endpoint.address if self.endpoint is not None else None
+        log(self.who, f"coordinating {len(self._pending)} runs "
+                      f"({len(self.plan.hits)} store hits)"
+                      + (f" on {address[0]}:{address[1]}" if address else ""))
+        for run_hash in self.plan.hits:
+            self.metrics.counter("campaign.store_hits").inc()
+            log(self.who, f"{run_hash} store hit — skipped "
+                          f"({self.plan.unique[run_hash].describe()})")
         clean_exit = False
         try:
-            while self._pending:
-                self.step()
+            self._run_here(self._here)
+            drain()
             clean_exit = True
         finally:
-            try:
-                self.shutdown()
-            finally:
-                self.board.stop_heartbeat(heartbeat)
-                self.board.finalize(interrupted=not clean_exit)
-                self._write_service_info(done=True)
+            stop.set()
+            if heartbeat.is_alive():
+                heartbeat.join(timeout=5.0)
+            if not clean_exit:
+                with self._state_lock:
+                    for run_hash, state in self._state.items():
+                        if state in ("queued", "running"):
+                            self._state[run_hash] = "interrupted"
+            self.publish()
         summary = {
             "campaign": self.store.campaign,
-            "completed": self._counts["completed"],
-            "failed": self._counts["failed"],
+            "completed": self._counts[COMPLETED],
+            "failed": self._counts[FAILED],
             "skipped": len(self.plan.hits),
             "requeued": self._counts["requeued"],
             "workers": sorted(self._workers),
         }
-        self.log(
-            f"service: done — {summary['completed']} completed, "
-            f"{summary['failed']} failed, {summary['skipped']} store hits, "
-            f"{summary['requeued']} requeued, "
-            f"{len(summary['workers'])} workers"
-        )
+        log(self.who, f"done — {summary['completed']} completed, "
+                      f"{summary['failed']} failed, {summary['skipped']} "
+                      f"store hits, {summary['requeued']} requeued, "
+                      f"{len(summary['workers'])} workers")
         return summary
 
-    @property
-    def pending(self) -> int:
-        """Runs not yet terminal (queued or leased)."""
-        return len(self._pending)
+    def _run_here(self, items: collections.deque) -> None:
+        """Execute ``items`` in this process, booking each outcome."""
+        if not items:
+            return
+        executor = _serial_executor(
+            self.store, self._settings, machine=self.machine
+        )
+        while items:
+            item = items.popleft()
+            for spec in item:
+                self._mark(spec.run_hash(), "running")
+            if len(item) > 1:
+                outcomes = executor.run_fleet(item)
+            else:
+                outcomes = [executor.run_one(item[0])]
+            for outcome in outcomes:
+                self._settle(
+                    outcome.run_hash, outcome.status, elapsed=outcome.elapsed,
+                    resumed=outcome.resumed_from_step, error=outcome.error,
+                    fleet=len(item) > 1,
+                )
 
     def step(self) -> None:
         """One turn of the serving loop: requeue lapsed leases, then
-        handle what arrived within ``poll_interval``.  :meth:`serve` is
-        this until nothing is pending; a host that also has children to
-        watch (``CampaignExecutor``) calls it between its own checks."""
+        handle what arrived within :data:`POLL_INTERVAL`.  :meth:`serve`
+        is this until nothing is pending; a host that also has children
+        to watch (:class:`LocalWorkers`) calls it between its own
+        checks."""
         self._sweep_leases()
-        for conn_id, msg in self.endpoint.poll(self.poll_interval):
+        for conn_id, msg in self.endpoint.poll(POLL_INTERVAL):
             self._handle(conn_id, msg)
 
     def shutdown(self) -> None:
@@ -420,12 +548,10 @@ class Coordinator:
             self._send(conn_id, NoWorkLeft())
             self._notified.add(conn_id)
         deadline = time.monotonic() + self.drain_grace
-        connections = getattr(self.endpoint, "connections", lambda: [])
         while time.monotonic() < deadline:
-            waiting = set(connections()) - self._notified
-            if not waiting:
+            if not set(self.endpoint.connections()) - self._notified:
                 break
-            for conn_id, msg in self.endpoint.poll(self.poll_interval):
+            for conn_id, msg in self.endpoint.poll(POLL_INTERVAL):
                 self._journal_add("recv", conn_id, msg)
                 if isinstance(msg, JobRequest):
                     self._touch_worker(msg.worker, conn_id)
@@ -437,6 +563,51 @@ class Coordinator:
         if delivered:
             self._journal_add("send", conn_id, msg)
         return delivered
+
+    # -- accounting ----------------------------------------------------------
+
+    def _settle(
+        self,
+        run_hash: str,
+        status: str,
+        *,
+        elapsed: float = 0.0,
+        resumed: int = 0,
+        error: Optional[str] = None,
+        fleet: bool = False,
+        worker: Optional[str] = None,
+    ) -> None:
+        """Book one run's terminal state: the one place a run is
+        counted, marked and logged, whoever executed it (``worker`` is
+        None for a run executed or given up on here)."""
+        self._pending.discard(run_hash)
+        self._counts[status] += 1
+        by = f" by {worker}" if worker else ""
+        if status == COMPLETED:
+            self.metrics.counter("campaign.runs_completed").inc()
+            if fleet:
+                self.metrics.counter("campaign.batch_absorbed").inc()
+            self.metrics.histogram("campaign.run_elapsed").observe(elapsed)
+            note = f" (resumed from step {resumed})" if resumed else ""
+            line = f"{run_hash} completed{by} in {elapsed:.2f}s{note}"
+        else:
+            self.metrics.counter("campaign.runs_failed").inc()
+            lines = (error or "").strip().splitlines()
+            line = f"{run_hash} FAILED{by}: {lines[-1] if lines else 'unknown'}"
+        info = self._workers.get(worker) if worker else None
+        if info is not None:
+            with self._state_lock:
+                if status == COMPLETED:
+                    info.jobs_done += 1
+                else:
+                    info.jobs_failed += 1
+        self._mark(run_hash, status)
+        log(self.who, f"{line} ({self.plan.unique[run_hash].describe()})")
+
+    def _fail(self, spec: RunSpec, error: str) -> None:
+        """Record and book a run the coordinator gives up on."""
+        self.store.record_failed(spec, error)
+        self._settle(spec.run_hash(), FAILED, error=error)
 
     # -- message handling ----------------------------------------------------
 
@@ -456,7 +627,7 @@ class Coordinator:
             self._handle_failed(msg)
         else:
             self.metrics.counter("campaign.service.unexpected_messages").inc()
-            self.log(f"service: ignoring unexpected {msg.TYPE} from {conn_id}")
+            log(self.who, f"ignoring unexpected {msg.TYPE} from {conn_id}")
 
     def _touch_worker(self, worker: str, conn_id: str) -> None:
         now = time.time()
@@ -467,15 +638,13 @@ class Coordinator:
                     conn_id=conn_id, first_seen=now, last_seen=now
                 )
                 self.metrics.counter("campaign.service.workers_seen").inc()
-                self.log(f"service: worker {worker} connected ({conn_id})")
+                log(self.who, f"worker {worker} connected ({conn_id})")
             else:
                 if info.conn_id != conn_id:
                     info.conn_id = conn_id
                     info.connections += 1
                     self.metrics.counter("campaign.service.reconnects").inc()
-                    self.log(
-                        f"service: worker {worker} reconnected ({conn_id})"
-                    )
+                    log(self.who, f"worker {worker} reconnected ({conn_id})")
                 info.last_seen = now
 
     def _handle_job_request(self, conn_id: str, worker: str) -> None:
@@ -501,17 +670,11 @@ class Coordinator:
         # records and can classify the claimant without guessing.
         self.store.record_running(*item, owner=worker, lease_expires=deadline)
         payloads = [spec.payload() for spec in item]
-        job = NewJob(
+        job = replace(
+            self._settings,
             run_hash=job_id,
             payload=payloads[0] if len(item) == 1 else {},
             members=payloads if len(item) > 1 else [],
-            campaign=self.store.campaign,
-            store_root=self.store.base_root,
-            lease_timeout=self.lease_timeout,
-            timeout=self.run_timeout,
-            collective_timeout=self.collective_timeout,
-            checkpoint_freq=self.checkpoint_freq,
-            telemetry=self.telemetry,
         )
         if not self._send(conn_id, job):
             # The connection died between request and grant; put the
@@ -529,11 +692,10 @@ class Coordinator:
             self._held.update((run_hash, lease) for run_hash in lease.open)
         self.metrics.counter("campaign.service.jobs_leased").inc()
         for run_hash in lease.open:
-            self.board.mark(run_hash, "running")
-        self.log(
-            f"service: leased {job_id} to {worker} (deadline "
-            f"+{self.lease_timeout:g}s, {len(item)}× {item[0].describe()})"
-        )
+            self._mark(run_hash, "running")
+        log(self.who, f"leased {job_id} to {worker} (deadline "
+                      f"+{self.lease_timeout:g}s, {len(item)}× "
+                      f"{item[0].describe()})")
 
     def _handle_heartbeat(self, msg: Heartbeat) -> None:
         with self._state_lock:
@@ -565,42 +727,20 @@ class Coordinator:
 
     def _handle_done(self, msg: JobDone) -> None:
         lease = self._release(msg)
-        if lease is None and msg.run_hash not in self._pending:
-            return
-        self._pending.discard(msg.run_hash)
-        self._counts["completed"] += 1
-        self.metrics.counter("campaign.runs_completed").inc()
-        if lease is not None and len(lease.specs) > 1:
-            self.metrics.counter("campaign.batch_absorbed").inc()
-        self.metrics.histogram("campaign.run_elapsed").observe(msg.elapsed)
-        with self._state_lock:
-            info = self._workers.get(msg.worker)
-            if info is not None:
-                info.jobs_done += 1
-        self.board.mark(msg.run_hash, "completed")
-        resumed = msg.resumed_from_step
-        self.log(
-            f"service: {msg.run_hash} completed by {msg.worker} "
-            f"in {msg.elapsed:.2f}s"
-            + (f" (resumed from step {resumed})" if resumed else "")
-        )
+        if lease is not None or msg.run_hash in self._pending:
+            self._settle(
+                msg.run_hash, COMPLETED, elapsed=msg.elapsed,
+                resumed=msg.resumed_from_step, worker=msg.worker,
+                fleet=lease is not None and len(lease.specs) > 1,
+            )
 
     def _handle_failed(self, msg: JobFailed) -> None:
         lease = self._release(msg)
-        if lease is None and msg.run_hash not in self._pending:
-            return
-        self._pending.discard(msg.run_hash)
-        self._counts["failed"] += 1
-        self.metrics.counter("campaign.runs_failed").inc()
-        with self._state_lock:
-            info = self._workers.get(msg.worker)
-            if info is not None:
-                info.jobs_failed += 1
-        self.board.mark(msg.run_hash, "failed")
-        self.log(
-            f"service: {msg.run_hash} FAILED on {msg.worker}: "
-            f"{msg.error.splitlines()[-1] if msg.error else 'unknown'}"
-        )
+        if lease is not None or msg.run_hash in self._pending:
+            self._settle(
+                msg.run_hash, FAILED, elapsed=msg.elapsed, error=msg.error,
+                worker=msg.worker,
+            )
 
     # -- lease expiry ---------------------------------------------------------
 
@@ -634,11 +774,10 @@ class Coordinator:
                 self._counts["requeued"] += 1
                 self.metrics.counter("campaign.requeues").inc()
                 self._queue.appendleft((spec,))
-                self.board.mark(run_hash, "queued")
-                self.log(
-                    f"service: lease {lease.id} on {run_hash} (worker "
-                    f"{lease.worker}) expired — requeued (attempt {count + 1})"
-                )
+                self._mark(run_hash, "queued")
+                log(self.who, f"lease {lease.id} on {run_hash} (worker "
+                              f"{lease.worker}) expired — requeued "
+                              f"(attempt {count + 1})")
         # Regrant immediately to parked workers.
         while self._queue and self._parked:
             conn_id, worker = self._parked.popleft()
@@ -675,15 +814,6 @@ class Coordinator:
             self._fail(spec, error)
         self._queue.clear()
 
-    def _fail(self, spec: RunSpec, error: str) -> None:
-        run_hash = spec.run_hash()
-        self.store.record_failed(spec, error)
-        self._pending.discard(run_hash)
-        self._counts["failed"] += 1
-        self.metrics.counter("campaign.runs_failed").inc()
-        self.board.mark(run_hash, "failed")
-        self.log(f"service: {run_hash} FAILED: {error}")
-
 
 class LocalWorkers:
     """``rocketrig campaign --worker`` child processes serving one
@@ -709,12 +839,6 @@ class LocalWorkers:
         #: got as far as a run.  More than ``max_requeues`` of them and
         #: no replacement is started.
         self._barren = 0
-        try:
-            for _ in range(size):
-                self._spawn()
-        except BaseException:
-            self.close(clean=False)
-            raise
 
     def _spawn(self) -> None:
         worker_id = f"local-{os.getpid()}-{self._spawned}"
@@ -722,20 +846,29 @@ class LocalWorkers:
         host, port = self.coordinator.endpoint.address
         self._procs[worker_id] = subprocess.Popen(
             [
-                sys.executable, "-m", "repro.cli.rocketrig", "campaign",
-                "--worker", "--connect", f"{host}:{port}",
+                sys.executable, "-m", "repro.cli.rocketrig", "--quiet",
+                "campaign", "--worker", "--connect", f"{host}:{port}",
                 "--worker-id", worker_id,
             ],
             stdout=subprocess.DEVNULL,  # the coordinator logs progress
         )
 
-    def serve(self) -> None:
+    def serve(self) -> dict[str, Any]:
         """Lease until every run has a terminal record, then
-        :meth:`close` (cleanly unless unwinding on an error)."""
+        :meth:`close` (cleanly unless unwinding on an error); returns
+        the coordinator's summary."""
+        return self.coordinator.drive(self._lease)
+
+    def _lease(self) -> None:
+        coordinator = self.coordinator
+        log(coordinator.who, f"leasing {coordinator.leasable} items to "
+                             f"{self.size} local worker processes")
         clean = False
         try:
-            while self.coordinator.pending:
-                self.coordinator.step()
+            for _ in range(self.size):
+                self._spawn()
+            while coordinator.pending:
+                coordinator.step()
                 self._tend()
             clean = True
         finally:
@@ -815,10 +948,11 @@ class Worker:
     :class:`~repro.campaign.executor.CampaignExecutor` against the
     store named in the message — ``run_one`` for a run,
     :meth:`~repro.campaign.executor.CampaignExecutor.run_fleet` for a
-    fleet's ``members`` — so terminal records, checkpoints and
-    ``telemetry.json`` artifacts are byte-identical to every other
-    execution path.  The worker records terminally *before* reporting
-    one ``job-done``/``job-failed`` per run — a lost report can cost a
+    fleet's ``members`` — the executor the coordinator's own
+    in-process drain uses, so terminal records, checkpoints and
+    ``telemetry.json`` artifacts are byte-identical on every path.  The
+    worker records terminally *before* reporting one
+    ``job-done``/``job-failed`` per run — a lost report can cost a
     duplicate execution (the lease expires, the run requeues, the
     store's last-record-wins semantics absorb it) but never a lost
     result.
@@ -837,14 +971,13 @@ class Worker:
 
     def __init__(
         self,
-        channel: WorkerChannel,
+        channel: SocketWorkerChannel,
         *,
         worker_id: Optional[str] = None,
         results_dir: Optional[str] = None,
         idle_timeout: float = 120.0,
         telemetry: bool = True,
         run_one: Optional[Callable[[RunSpec], RunOutcome]] = None,
-        log: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.channel = channel
         self.worker_id = worker_id or (
@@ -856,16 +989,8 @@ class Worker:
         self.idle_timeout = float(idle_timeout)
         self.telemetry = bool(telemetry)
         self._run_one = run_one
-        self._log = log
         self.jobs_completed = 0
         self.jobs_failed = 0
-
-    def log(self, message: str) -> None:
-        line = f"[worker {self.worker_id}] {message}"
-        if self._log is not None:
-            self._log(line)
-        else:
-            logger.info(line)
 
     # -- job execution -------------------------------------------------------
 
@@ -873,16 +998,7 @@ class Worker:
         store = CampaignStore(
             job.campaign, root=self.results_dir or job.store_root
         )
-        return CampaignExecutor(
-            store,
-            max_workers=1,
-            worker_type="serial",
-            timeout=job.timeout,  # 0 = no budget, as in-process
-            collective_timeout=job.collective_timeout or None,
-            checkpoint_freq=job.checkpoint_freq,
-            telemetry=self.telemetry and job.telemetry,
-            log=lambda line: self.log(line),
-        )
+        return _serial_executor(store, job, telemetry=self.telemetry)
 
     def _start_heartbeat(self, run_hash: str, interval: float) -> threading.Event:
         stop = threading.Event()
@@ -953,6 +1069,7 @@ class Worker:
     def run(self) -> dict[str, Any]:
         """Pull and execute jobs until ``no-work-left`` (or the
         coordinator disappears); returns a summary dict."""
+        who = f"worker {self.worker_id}"
         reason = "no-work-left"
         try:
             while True:
@@ -967,7 +1084,7 @@ class Worker:
                 if isinstance(msg, NoWorkLeft):
                     break
                 if not isinstance(msg, NewJob):
-                    self.log(f"ignoring unexpected {msg.TYPE} message")
+                    log(who, f"ignoring unexpected {msg.TYPE} message")
                     continue
                 try:
                     reports = self._execute(msg)
@@ -989,10 +1106,8 @@ class Worker:
             reason = f"coordinator connection lost ({exc})"
         finally:
             self.channel.close()
-        self.log(
-            f"exiting: {reason} ({self.jobs_completed} completed, "
-            f"{self.jobs_failed} failed)"
-        )
+        log(who, f"exiting: {reason} ({self.jobs_completed} completed, "
+                 f"{self.jobs_failed} failed)")
         return {
             "worker": self.worker_id,
             "completed": self.jobs_completed,

@@ -386,11 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     service.add_argument("--port", type=int, default=0,
                          help="--serve: TCP port to bind (default 0 = "
                               "ephemeral; the bound address is printed and "
-                              "written to the campaign's service.json)")
+                              "published as service.address in the "
+                              "campaign's status.json)")
     service.add_argument("--connect", default=None, metavar="HOST:PORT",
                          help="--worker: coordinator address, e.g. "
                               "127.0.0.1:7777 (see the coordinator's "
-                              "startup line or service.json)")
+                              "startup line or service.address in its "
+                              "status.json)")
     service.add_argument("--lease-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="--serve: wall-clock lease on each granted "
@@ -580,7 +582,7 @@ def run_service_from_args(args: argparse.Namespace) -> dict:
     """Execute ``rocketrig campaign --serve`` / ``--worker``.
 
     ``--serve`` expands the deck, binds a local TCP endpoint, prints
-    (and publishes in ``service.json``) the address, and coordinates
+    (and publishes in ``status.json``) the address, and coordinates
     until every run is terminal.  ``--worker`` connects to a
     coordinator and pulls jobs until ``no-work-left``.  Both return a
     summary dict carrying ``batch_failed`` for the exit code.
@@ -615,7 +617,7 @@ def run_service_from_args(args: argparse.Namespace) -> dict:
         if not args.connect:
             raise SystemExit(
                 "rocketrig campaign: --worker needs --connect HOST:PORT "
-                "(see the coordinator's startup line or its service.json)"
+                "(see the coordinator's startup line or its status.json)"
             )
         host, sep, port = args.connect.rpartition(":")
         if not sep or not port.isdigit():
@@ -632,7 +634,6 @@ def run_service_from_args(args: argparse.Namespace) -> dict:
             worker_id=args.worker_id,
             results_dir=args.results_dir,
             idle_timeout=args.idle_timeout,
-            log=print,
         )
         stats = worker.run()
         print(f"worker {stats['worker']!r}: {stats['completed']} completed, "
@@ -664,7 +665,6 @@ def run_service_from_args(args: argparse.Namespace) -> dict:
         collective_timeout=args.collective_timeout,
         checkpoint_freq=args.checkpoint_freq,
         status_interval=getattr(args, "status_interval", 0.0),
-        log=print,
     )
     host, port = endpoint.address
     print(f"campaign {deck.name!r}: serving {len(specs)} runs on "

@@ -56,8 +56,9 @@ class TestRouting:
         snap = executor.metrics.snapshot()
         assert snap["campaign.batch_absorbed"] == 6.0
         assert snap["campaign.runs_completed"] == 6.0
-        # The fleet's own metrics merged into the campaign registry.
-        assert snap["batch.scenario_steps"] == 18.0
+        # The fleet's own metrics live in each member's telemetry.json.
+        with open(store.telemetry_path(outcomes[0].run_hash)) as fh:
+            assert json.load(fh)["metrics"]["batch.scenario_steps"] == 18.0
 
     def test_groups_split_by_engine_run_solo(self, tmp_path):
         split = specs(grid={"atwood": [0.1, 0.3, 0.5],

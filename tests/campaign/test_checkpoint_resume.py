@@ -158,7 +158,7 @@ class TestInterruptHardening:
     def _spec(self, steps=6, ranks=1):
         return RunSpec(config=CONFIG, ic=IC, ranks=ranks, steps=steps)
 
-    def test_truncated_checkpoint_starts_fresh(self, tmp_path):
+    def test_truncated_checkpoint_starts_fresh(self, tmp_path, campaign_log):
         """An unreadable checkpoint is discarded with a warning and the
         run restarts from scratch — it used to crash the run forever."""
         reference = run_straight(1, 4)
@@ -166,12 +166,11 @@ class TestInterruptHardening:
         store = CampaignStore("torn", root=str(tmp_path))
         ck = write_checkpoint(store.checkpoint_path(spec.run_hash()), 1, 2)
         _truncate(ck)
-        logs = []
-        executor = CampaignExecutor(store, max_workers=1, log=logs.append)
+        executor = CampaignExecutor(store, max_workers=1)
         (outcome,) = executor.submit([spec])
         assert outcome.status == "completed"
         assert outcome.resumed_from_step == 0
-        assert any("unreadable" in line for line in logs)
+        assert any("unreadable" in msg for msg in campaign_log.messages)
         assert not os.path.exists(store.checkpoint_path(spec.run_hash()))
         for key in reference:
             assert np.isclose(

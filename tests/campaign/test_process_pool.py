@@ -387,10 +387,9 @@ class TestLeasedCampaign:
             **spies,
         )
 
-    def test_model_evaluated_at_most_twice_per_run(self, campaign):
-        # Once where the executor orders the batch, once where the
-        # coordinator orders its queue; never per completion.
-        assert 0 < len(campaign.costed) <= 2 * self.N
+    def test_model_evaluated_once_per_run(self, campaign):
+        # Where the coordinator plans the batch; never per completion.
+        assert 0 < len(campaign.costed) <= self.N
 
     def test_status_written_on_a_clock_not_per_completion(self, campaign):
         bound = 2 + math.ceil(campaign.wall / STATUS_WRITE_INTERVAL)

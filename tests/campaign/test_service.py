@@ -180,12 +180,13 @@ class TestStatusDocument:
 
     def test_service_json_discovery_file(self, tmp_path):
         store, _, _, _ = run_socket_service(tmp_path)
-        with open(os.path.join(store.root, "service.json")) as fh:
-            info = json.load(fh)
-        assert info["campaign"] == "svc"
-        assert info["done"] is True
-        assert info["host"] == "127.0.0.1"
-        assert isinstance(info["port"], int)
+        with open(os.path.join(store.root, "status.json")) as fh:
+            status = json.load(fh)
+        assert status["campaign"] == "svc"
+        assert status["done"] is True
+        host, port = status["service"]["address"].rsplit(":", 1)
+        assert host == "127.0.0.1" and port.isdigit()
+        assert status["service"]["pid"] == os.getpid()
 
     def test_metrics_in_status(self, tmp_path):
         store, _, _, _ = run_socket_service(tmp_path)

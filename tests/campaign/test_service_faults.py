@@ -249,14 +249,13 @@ class TestCoordinatorKilled:
             text=True,
         )
         store = CampaignStore("faults", root=results_dir)
-        service_json = os.path.join(store.root, "service.json")
         deadline = time.monotonic() + 30.0
-        while not os.path.exists(service_json):
+        while not os.path.exists(store.status_path):
             assert time.monotonic() < deadline, "coordinator never bound"
             assert coordinator.poll() is None, coordinator.communicate()[0]
             time.sleep(0.05)
-        with open(service_json, encoding="utf-8") as fh:
-            port = json.load(fh)["port"]
+        with open(store.status_path, encoding="utf-8") as fh:
+            port = int(json.load(fh)["service"]["address"].rsplit(":", 1)[1])
 
         stats = {}
 

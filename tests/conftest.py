@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,12 @@ def spmd(nranks, fn, *args, trace=None, timeout=60.0, **kwargs):
 @pytest.fixture
 def run_spmd():
     return spmd
+
+
+@pytest.fixture
+def campaign_log(caplog, monkeypatch):
+    """``caplog`` holding the ``repro.campaign`` logger's INFO records,
+    also after a CLI test's ``configure_logging`` stopped it propagating."""
+    monkeypatch.setattr(logging.getLogger("repro.campaign"), "propagate", True)
+    caplog.set_level(logging.INFO, logger="repro.campaign")
+    return caplog

@@ -3,9 +3,15 @@
 import json
 import os
 
-from repro.campaign import CampaignDeck, CampaignExecutor, CampaignStore
-from repro.campaign.executor import _StatusBoard
-from repro.campaign.scheduler import modeled_costs
+import pytest
+
+from repro.campaign import (
+    CampaignDeck,
+    CampaignExecutor,
+    CampaignStore,
+    Coordinator,
+)
+from repro.campaign.service import status_line
 from repro.core import InitialCondition, SolverConfig
 from repro.campaign.deck import RunSpec
 from repro.telemetry import TELEMETRY_SCHEMA
@@ -77,14 +83,24 @@ class TestStatusDefaultAndSerial:
         snap = read_status(store)
         assert snap["done"] and snap["counts"]["completed"] == 3
 
-    def test_heartbeat_logs_summaries(self, tmp_path):
+    def test_serial_document_has_an_unbound_service_section(self, tmp_path):
         store = CampaignStore("status", root=str(tmp_path))
-        logs = []
+        CampaignExecutor(store, worker_type="serial").submit(specs())
+        snap = read_status(store)
+        assert snap["worker_type"] == "serial"
+        assert snap["service"]["address"] is None
+        assert snap["service"]["pid"] == os.getpid()
+
+    def test_heartbeat_logs_summaries(self, tmp_path, campaign_log):
+        store = CampaignStore("status", root=str(tmp_path))
         executor = CampaignExecutor(
-            store, max_workers=1, log=logs.append, status_interval=0.01
+            store, max_workers=1, status_interval=0.01
         )
         executor.submit(specs())
-        assert any("status:" in line and "completed" in line for line in logs)
+        assert any(
+            "status:" in line and "completed" in line
+            for line in campaign_log.messages
+        )
 
     def test_failed_run_counted(self, tmp_path):
         bad = RunSpec(
@@ -110,27 +126,27 @@ class TestStatusDefaultAndSerial:
 class TestSummaryLine:
     def test_in_flight_line_has_eta(self, tmp_path):
         store = CampaignStore("s", root=str(tmp_path))
-        executor = CampaignExecutor(store, max_workers=2)
-        batch = {s.run_hash(): s for s in specs()}
-        board = _StatusBoard(executor, batch, modeled_costs(batch))
-        first = next(iter(batch))
-        board.mark(first, "running")
-        snap = board.snapshot()
+        coordinator = Coordinator(store, specs(), None)
+        coordinator._mark(specs()[0].run_hash(), "running")
+        snap = coordinator.snapshot()
         assert snap["counts"] == {
             "queued": 2, "running": 1, "completed": 0, "failed": 0,
             "skipped": 0, "interrupted": 0,
         }
         assert snap["eta_modeled_seconds"] > 0.0
-        line = _StatusBoard.summary_line(snap)
+        line = status_line(snap)
         assert "0/3 completed" in line and "modeled ETA" in line
 
-    def test_finalize_marks_interrupted(self, tmp_path):
+    def test_interrupted_pass_marks_the_rest_interrupted(self, tmp_path):
         store = CampaignStore("s", root=str(tmp_path))
-        executor = CampaignExecutor(store, max_workers=1)
-        batch = {s.run_hash(): s for s in specs()}
-        board = _StatusBoard(executor, batch, modeled_costs(batch))
-        board.mark(next(iter(batch)), "running")
-        snap = board.finalize(interrupted=True)
+        coordinator = Coordinator(store, specs(), None)
+
+        def interrupt():
+            coordinator._mark(specs()[0].run_hash(), "running")
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            coordinator.drive(interrupt)
+        snap = read_status(store)
         assert snap["done"] is True
         assert snap["counts"]["interrupted"] == 3
-        assert os.path.exists(store.status_path)
