@@ -21,7 +21,7 @@ Configuration  AllToAll  Pencils  Reorder
 Meaning in this implementation (see :mod:`repro.fft.remap`):
 
 * ``alltoall`` — redistributions use the ``Alltoallv``-style collective
-  (True) or a mesh of point-to-point ``Isend``/``Recv`` (False).
+  (True) or a mesh of point-to-point ``Send``/``Recv`` (False).
 * ``pencils`` — intermediate layouts are pencils within row/column
   sub-communicators (True: the brick↔pencil hops stay inside a
   sub-communicator of ~√P ranks) or global slabs (False: every hop is a

@@ -9,8 +9,8 @@ travel is governed by :class:`~repro.fft.config.FftConfig`:
 * ``alltoall=True`` — one ``exchange_arrays`` collective (recorded as an
   ``alltoallv`` with per-peer byte counts, exactly how heFFTe invokes
   ``MPI_Alltoallv``);
-* ``alltoall=False`` — a mesh of ``Isend``/``Recv`` pairs, heFFTe's
-  "custom communication" path;
+* ``alltoall=False`` — a mesh of buffered ``Send``/``Recv`` pairs,
+  heFFTe's "custom communication" path;
 * ``reorder=True`` — each peer's pieces are packed into one contiguous
   buffer (one message per peer, plus a local pack/unpack pass);
 * ``reorder=False`` — in point-to-point mode, each naturally contiguous
@@ -155,11 +155,11 @@ class Remap:
             piece = self._extract(local, part)
             if self.config.reorder:
                 self._record_copy(piece.nbytes, packed=True)
-                comm.Isend(piece.ravel(), dest, self.tag_base)
+                comm.Send(piece.ravel(), dest, self.tag_base)
             else:
                 # One message per contiguous row-run of the intersection.
                 for row in piece.reshape(-1, piece.shape[-1]):
-                    comm.Isend(row, dest, self.tag_base)
+                    comm.Send(row, dest, self.tag_base)
         # Receive from every peer that owes me a piece.
         for shift in range(1, comm.size):
             src = (rank - shift) % comm.size

@@ -75,8 +75,12 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | os.PathLike) -> dict[str, Any]:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
-    with np.load(os.fspath(path)) as data:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    The file is opened here, not by ``np.load``, so a torn archive that
+    ``np.load`` rejects still has its handle closed.
+    """
+    with open(path, "rb") as fh, np.load(fh) as data:
         required = {"positions", "vorticity", "time", "step", "metadata"}
         missing = required - set(data.files)
         if missing:

@@ -13,11 +13,8 @@ from repro.machine.collectives import (
     allreduce_time,
     alltoallv_time,
     barrier_time,
-    bcast_time,
     collective_time,
     gather_time,
-    reduce_time,
-    scatter_time,
 )
 from repro.machine.model import LASSEN, MachineSpec
 from repro.machine.patterns import (
@@ -48,11 +45,8 @@ __all__ = [
     "allreduce_time",
     "alltoallv_time",
     "barrier_time",
-    "bcast_time",
     "collective_time",
     "gather_time",
-    "reduce_time",
-    "scatter_time",
     "EvaluationModel",
     "PhaseCost",
     "cutoff_evaluation",

@@ -4,9 +4,9 @@ Real MPI libraries choose among several algorithms per collective based
 on message size and communicator size; which algorithm wins is exactly
 what the paper's heFFTe experiment (Fig. 9) probes through the
 ``AllToAll`` flag.  This module models the per-rank completion time of
-the standard algorithms:
+the standard algorithms for the event kinds the simulated MPI records:
 
-* **alltoall(v)** — *builtin*: min(pairwise-exchange, Bruck) + a fixed
+* **alltoallv** — *builtin*: min(pairwise-exchange, Bruck) + a fixed
   collective setup cost.  Pairwise costs ``(P−1)·α + V/bw``; Bruck
   costs ``⌈log2 P⌉·(α + (V/2)/bw)`` (each round ships half the total
   volume, aggregated into one message).  Small messages → Bruck wins
@@ -18,7 +18,7 @@ the standard algorithms:
   precisely the crossover the paper reports.
 * **allreduce** — Rabenseifner (reduce-scatter + allgather) for large
   payloads, recursive doubling for small.
-* **bcast / reduce / gather / scatter** — binomial trees.
+* **gather** — binomial tree.
 * **allgather** — ring.
 * **barrier** — dissemination.
 
@@ -37,10 +37,7 @@ from repro.machine.model import MachineSpec
 __all__ = [
     "alltoallv_time",
     "allreduce_time",
-    "bcast_time",
-    "reduce_time",
     "gather_time",
-    "scatter_time",
     "allgather_time",
     "barrier_time",
     "collective_time",
@@ -134,17 +131,6 @@ def allreduce_time(nranks: int, nbytes: int, spec: MachineSpec) -> float:
     return min(recursive_doubling, rabenseifner)
 
 
-def bcast_time(nranks: int, nbytes: int, spec: MachineSpec) -> float:
-    """Binomial-tree broadcast."""
-    if nranks <= 1:
-        return 0.0
-    return _log2_ceil(nranks) * (_mixed_alpha(nranks, spec) + nbytes / _mixed_bw(nranks, spec))
-
-
-def reduce_time(nranks: int, nbytes: int, spec: MachineSpec) -> float:
-    return bcast_time(nranks, nbytes, spec)
-
-
 def gather_time(nranks: int, nbytes: int, spec: MachineSpec) -> float:
     """Binomial gather of ``nbytes`` per rank: the root absorbs ~P·n."""
     if nranks <= 1:
@@ -152,10 +138,6 @@ def gather_time(nranks: int, nbytes: int, spec: MachineSpec) -> float:
     alpha = _mixed_alpha(nranks, spec)
     bw = _mixed_bw(nranks, spec)
     return _log2_ceil(nranks) * alpha + (nranks - 1) * nbytes / bw
-
-
-def scatter_time(nranks: int, nbytes: int, spec: MachineSpec) -> float:
-    return gather_time(nranks, nbytes, spec)
 
 
 def allgather_time(nranks: int, nbytes: int, spec: MachineSpec) -> float:
@@ -183,22 +165,17 @@ def collective_time(
     *,
     builtin_alltoall: bool = True,
 ) -> float:
-    """Dispatch on a trace event kind (see :class:`repro.mpi.CommEvent`)."""
-    if kind in ("alltoall", "alltoallv"):
+    """Dispatch on a collective trace event kind (see
+    :class:`repro.mpi.CommEvent`); any other kind raises ``ValueError``."""
+    if kind == "alltoallv":
         if counts is None:
             share = nbytes // max(nranks, 1)
             counts = [share] * nranks
         return alltoallv_time(nranks, counts, spec, builtin=builtin_alltoall)
     if kind == "allreduce":
         return allreduce_time(nranks, nbytes, spec)
-    if kind == "bcast":
-        return bcast_time(nranks, nbytes, spec)
-    if kind == "reduce":
-        return reduce_time(nranks, nbytes, spec)
     if kind == "gather":
         return gather_time(nranks, nbytes, spec)
-    if kind == "scatter":
-        return scatter_time(nranks, nbytes, spec)
     if kind == "allgather":
         return allgather_time(nranks, nbytes, spec)
     if kind == "barrier":

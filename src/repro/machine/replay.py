@@ -101,7 +101,7 @@ def replay_trace(
         bucket = result._bucket(ev.phase, ev.rank)
         if ev.kind == "recv":
             continue
-        if ev.kind in ("send", "sendrecv"):
+        if ev.kind == "send":
             same = ev.peer is not None and (
                 spec.node_of(ev.rank) == spec.node_of(ev.peer)
             )

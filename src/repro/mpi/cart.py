@@ -3,8 +3,9 @@
 Beatnik decomposes its 2D surface mesh and 3D spatial mesh over
 Cartesian process grids; the grid and spatial layers build on this
 module.  Ranks are ordered row-major over ``dims`` exactly as in MPI's
-default Cartesian ordering, and shifts honour per-dimension periodicity
-by returning :data:`~repro.mpi.world.PROC_NULL` at open boundaries.
+default Cartesian ordering, and neighbour lookups honour per-dimension
+periodicity by returning :data:`~repro.mpi.world.PROC_NULL` at open
+boundaries.
 """
 
 from __future__ import annotations
@@ -91,48 +92,12 @@ class CartComm(Comm):
             rank = rank * extent + c
         return rank
 
-    def Get_coords(self, rank: int) -> tuple[int, ...]:
-        return self.coords_of(rank)
-
-    def Shift(self, direction: int, disp: int = 1) -> tuple[int, int]:
-        """(source, destination) ranks for a shift along ``direction``.
-
-        Matches ``MPI_Cart_shift``: ``source`` is the rank that would
-        send to me, ``destination`` the rank I would send to.
-        """
-        if not 0 <= direction < self.ndims:
-            raise ConfigurationError(f"direction {direction} out of range")
-        me = list(self.coords)
-        up = list(me)
-        up[direction] += disp
-        down = list(me)
-        down[direction] -= disp
-        return self.rank_of(down), self.rank_of(up)
-
     def neighbor(self, offset: Sequence[int]) -> int:
         """Rank at ``coords + offset`` (PROC_NULL past open boundaries)."""
         if len(offset) != self.ndims:
             raise ConfigurationError("offset dimensionality mismatch")
         target = [c + o for c, o in zip(self.coords, offset)]
         return self.rank_of(target)
-
-    def sub(self, keep_dim: int) -> Comm:
-        """Sub-communicator of ranks sharing all coords except ``keep_dim``.
-
-        The analogue of ``MPI_Cart_sub`` keeping one dimension: e.g. for
-        a 2D grid, ``sub(0)`` returns this rank's process *column*
-        communicator (ranks varying along dim 0), ``sub(1)`` its process
-        *row*.  Used by the pencil FFT redistribution.
-        """
-        if not 0 <= keep_dim < self.ndims:
-            raise ConfigurationError(f"keep_dim {keep_dim} out of range")
-        color = tuple(
-            c for axis, c in enumerate(self.coords) if axis != keep_dim
-        )
-        key = self.coords[keep_dim]
-        sub = self.Split(color, key)
-        assert sub is not None
-        return sub
 
 
 def create_cart(

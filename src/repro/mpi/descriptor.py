@@ -7,10 +7,9 @@ rebuild them on the receiving side.  The descriptor also makes payload
 sizing exact: ``desc.nbytes`` replaces the pickle-the-object-to-measure-it
 path that used to show up in traces on large halos.
 
-The module also owns the one descriptor-driven segmenting helper shared
-by ``Alltoallv``, ``Allgatherv`` and ``exchange_arrays``: splitting a
-flat buffer by per-peer counts and packing/unpacking segment lists into
-single contiguous byte buffers with an offset table.
+The module also owns the segmenting helpers the vector collectives
+share: packing a segment list into one contiguous byte buffer with an
+offset table, and unpacking it again.
 
 Everything here is pure and numpy-only; it imports nothing from the
 rest of :mod:`repro.mpi` so both the collectives and the trace layer
@@ -29,7 +28,6 @@ __all__ = [
     "MessageDescriptor",
     "describe",
     "payload_nbytes",
-    "split_by_counts",
     "pack_segments",
     "unpack_segments",
 ]
@@ -88,26 +86,6 @@ def payload_nbytes(obj: Any) -> int:
         return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:
         return 0
-
-
-# --------------------------------------------------------------------------
-# descriptor-driven segmenting (shared by Alltoallv / Allgatherv /
-# exchange_arrays)
-# --------------------------------------------------------------------------
-
-def split_by_counts(
-    arr: np.ndarray, counts: Sequence[int]
-) -> list[np.ndarray]:
-    """Split a flat buffer into per-peer segments by element counts.
-
-    ``arr`` is 1-D; ``counts`` partitions it contiguously (this is the
-    size-header arithmetic ``Alltoallv`` performs).  Returned segments
-    are *views* — callers that need send-time copies copy explicitly.
-    """
-    offsets = np.concatenate(([0], np.cumsum([int(c) for c in counts])))
-    return [
-        arr[offsets[i]: offsets[i + 1]] for i in range(len(counts))
-    ]
 
 
 def pack_segments(

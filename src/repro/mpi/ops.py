@@ -12,7 +12,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-__all__ = ["Op", "SUM", "PROD", "MAX", "MIN", "LAND", "LOR", "MAXLOC", "MINLOC"]
+__all__ = ["Op", "SUM", "MAX"]
 
 
 @dataclass(frozen=True)
@@ -37,21 +37,4 @@ class Op:
 
 
 SUM = Op("sum", lambda a, b: np.add(a, b))
-PROD = Op("prod", lambda a, b: np.multiply(a, b))
 MAX = Op("max", lambda a, b: np.maximum(a, b))
-MIN = Op("min", lambda a, b: np.minimum(a, b))
-LAND = Op("land", lambda a, b: np.logical_and(a, b))
-LOR = Op("lor", lambda a, b: np.logical_or(a, b))
-
-
-def _maxloc(a: Any, b: Any) -> Any:
-    """(value, index) pairs: keep the pair with the larger value."""
-    return a if a[0] >= b[0] else b
-
-
-def _minloc(a: Any, b: Any) -> Any:
-    return a if a[0] <= b[0] else b
-
-
-MAXLOC = Op("maxloc", _maxloc)
-MINLOC = Op("minloc", _minloc)

@@ -99,8 +99,6 @@ def run_spmd(
     if failures:
         rank, exc = min(failures, key=lambda item: item[0])
         raise exc
-    if world.aborted:  # abort without a recorded failure (Comm.Abort)
-        raise RankAbortedError(f"run aborted: {world.abort_exception!r}")
     return results
 
 

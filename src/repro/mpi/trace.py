@@ -52,22 +52,23 @@ class CommEvent:
     Attributes
     ----------
     kind:
-        Operation name: ``send``, ``recv``, ``sendrecv``, ``barrier``,
-        ``bcast``, ``reduce``, ``allreduce``, ``gather``, ``allgather``,
-        ``scatter``, ``alltoall``, ``alltoallv``.
+        Operation name — exactly what the simulator records: ``send``,
+        ``recv`` (``Sendrecv`` records one of each), ``barrier``,
+        ``allreduce``, ``gather``, ``allgather`` (object ``allgather``
+        and ``Allgatherv``) or ``alltoallv`` (``exchange_arrays``).
     rank:
         The rank that recorded the event.
     peer:
-        Peer rank for point-to-point operations, root for rooted
-        collectives, ``None`` for symmetric collectives.
+        Peer rank for point-to-point operations, root for ``gather``,
+        ``None`` for symmetric collectives.
     nbytes:
-        Payload bytes sent (for ``send``/rooted ops) or received (for
+        Payload bytes sent (for ``send``/``gather``) or received (for
         ``recv``).  For vector collectives this is the total bytes this
         rank contributes.
     counts:
-        For ``alltoall``/``alltoallv``/``allgather``: per-peer byte counts
-        sent by this rank, used by the machine model to cost irregular
-        exchanges. ``None`` otherwise.
+        For ``alltoallv``: per-peer byte counts sent by this rank, used
+        by the machine model to cost irregular exchanges. ``None``
+        otherwise.
     comm_size / comm_id:
         Size and identity of the communicator the operation ran on, so
         the model can cost sub-communicator collectives correctly.
@@ -87,13 +88,9 @@ class CommEvent:
     counts: Optional[tuple[int, ...]] = None
     comm_size: int = 1
     comm_id: int = 0
-    group: Optional[tuple[int, ...]] = None
     #: Monotonic stamp (``time.perf_counter``) taken when the event was
     #: recorded; ``None`` on an untimed trace.
     t_stamp: Optional[float] = None
-    #: Measured wall-clock duration of the operation, when the caller
-    #: timed it; ``None`` otherwise.
-    t_wall: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -271,8 +268,6 @@ class CommTrace:
         counts: Optional[Sequence[int]] = None,
         comm_size: int = 1,
         comm_id: int = 0,
-        group: Optional[Sequence[int]] = None,
-        t_wall: Optional[float] = None,
     ) -> None:
         event = CommEvent(
             kind=kind,
@@ -285,9 +280,7 @@ class CommTrace:
             counts=None if counts is None else tuple(int(c) for c in counts),
             comm_size=comm_size,
             comm_id=comm_id,
-            group=None if group is None else tuple(group),
             t_stamp=time.perf_counter() if self.timed else None,
-            t_wall=t_wall,
         )
         with self._lock:
             self._events.append(event)
@@ -463,7 +456,7 @@ class CommTrace:
         """Set of peer ranks this rank exchanged point-to-point data with."""
         out = set()
         for ev in self.events:
-            if ev.rank == rank and ev.peer is not None and ev.kind in ("send", "recv", "sendrecv"):
+            if ev.rank == rank and ev.peer is not None and ev.kind in ("send", "recv"):
                 out.add(ev.peer)
         return out
 

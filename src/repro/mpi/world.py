@@ -4,8 +4,11 @@ A :class:`World` is created once per :func:`repro.mpi.run_spmd` invocation
 and shared by all rank threads.  It provides:
 
 * per-(communicator, destination) mailboxes with MPI matching semantics
-  (FIFO per source/tag pair, wildcard source and tag), and
-* rendezvous "slots" used to implement collectives deterministically, and
+  (FIFO per source/tag pair, wildcard source and tag) holding the numpy
+  payloads of ``Send`` — the only point-to-point path,
+* rendezvous "slots" through which every collective passes its
+  contributions (numpy buffers or plain Python objects) and agrees on
+  new communicator ids, and
 * a cooperative abort mechanism so one failing rank tears the whole run
   down with the original exception instead of deadlocking the others.
 
@@ -40,9 +43,7 @@ class Message:
     src: int
     tag: int
     payload: Any
-    is_object: bool
     nbytes: int
-    seq: int = 0
 
     def matches(self, source: int, tag: int) -> bool:
         src_ok = source == ANY_SOURCE or source == self.src
@@ -81,13 +82,12 @@ class World:
         self._abort_event = threading.Event()
         self._abort_exc: Optional[BaseException] = None
         self._global_lock = threading.Lock()
-        self._mailboxes: dict[tuple[int, int], list[Message]] = {}
-        self._mail_conds: dict[tuple[int, int], threading.Condition] = {}
+        self._channels: dict[
+            tuple[int, int], tuple[list[Message], threading.Condition]
+        ] = {}
         self._all_conds: list[threading.Condition] = []
         self._slots: dict[tuple[int, int], _CollSlot] = {}
         self._next_comm_id = 0
-        self._split_ids: dict[tuple[int, int, Any], int] = {}
-        self._send_seq = 0
 
     # -- communicator identity ------------------------------------------
 
@@ -96,20 +96,6 @@ class World:
             cid = self._next_comm_id
             self._next_comm_id += 1
             return cid
-
-    def split_comm_id(self, parent_id: int, split_seq: int, color: Any) -> int:
-        """Deterministically agree on a new comm id for a Split subgroup.
-
-        Every member of the same (parent, split call, color) subgroup gets
-        the same id; the first caller allocates it.
-        """
-        key = (parent_id, split_seq, color)
-        with self._global_lock:
-            if key not in self._split_ids:
-                cid = self._next_comm_id
-                self._next_comm_id += 1
-                self._split_ids[key] = cid
-            return self._split_ids[key]
 
     # -- abort handling ---------------------------------------------------
 
@@ -124,14 +110,6 @@ class World:
             with cond:
                 cond.notify_all()
 
-    @property
-    def aborted(self) -> bool:
-        return self._abort_event.is_set()
-
-    @property
-    def abort_exception(self) -> Optional[BaseException]:
-        return self._abort_exc
-
     def check_abort(self) -> None:
         if self._abort_event.is_set():
             raise RankAbortedError(
@@ -141,71 +119,23 @@ class World:
     # -- mailboxes --------------------------------------------------------
 
     def _channel(self, comm_id: int, dest: int) -> tuple[list[Message], threading.Condition]:
+        """The (mailbox, condition) pair of one destination; only its
+        first use takes the global lock."""
         key = (comm_id, dest)
-        with self._global_lock:
-            if key not in self._mailboxes:
-                self._mailboxes[key] = []
-                cond = threading.Condition()
-                self._mail_conds[key] = cond
-                self._all_conds.append(cond)
-            return self._mailboxes[key], self._mail_conds[key]
+        channel = self._channels.get(key)
+        if channel is None:
+            with self._global_lock:
+                channel = self._channels.get(key)
+                if channel is None:
+                    channel = self._channels[key] = ([], threading.Condition())
+                    self._all_conds.append(channel[1])
+        return channel
 
     def deliver(self, comm_id: int, dest: int, message: Message) -> None:
         box, cond = self._channel(comm_id, dest)
         with cond:
-            with self._global_lock:
-                message.seq = self._send_seq
-                self._send_seq += 1
             box.append(message)
             cond.notify_all()
-
-    def try_match(
-        self, comm_id: int, dest: int, source: int, tag: int
-    ) -> Optional[Message]:
-        """Non-blocking probe-and-remove of the first matching message."""
-        box, cond = self._channel(comm_id, dest)
-        with cond:
-            for i, msg in enumerate(box):
-                if msg.matches(source, tag):
-                    return box.pop(i)
-        return None
-
-    def try_peek(
-        self, comm_id: int, dest: int, source: int, tag: int
-    ) -> Optional[Message]:
-        """Non-blocking probe: first matching message, left in place."""
-        box, cond = self._channel(comm_id, dest)
-        with cond:
-            for msg in box:
-                if msg.matches(source, tag):
-                    return msg
-        return None
-
-    def peek(
-        self,
-        comm_id: int,
-        dest: int,
-        source: int,
-        tag: int,
-        timeout: Optional[float] = None,
-    ) -> Message:
-        """Blocking probe: return the first matching message *without*
-        removing it from the mailbox (preserves FIFO matching order)."""
-        box, cond = self._channel(comm_id, dest)
-        deadline = time.monotonic() + (timeout if timeout is not None else self.timeout)
-        with cond:
-            while True:
-                self.check_abort()
-                for msg in box:
-                    if msg.matches(source, tag):
-                        return msg
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise DeadlockError(
-                        f"rank {dest} (comm {comm_id}) timed out probing "
-                        f"source={source} tag={tag}"
-                    )
-                cond.wait(min(_POLL_INTERVAL, remaining))
 
     def match(
         self,
@@ -250,7 +180,7 @@ class World:
         The last rank to arrive runs ``combine`` over the rank-indexed
         contribution dict; every rank then receives the same result
         object.  Mismatched operation names across ranks (e.g. one rank
-        calling Bcast while another calls Barrier) raise
+        calling allreduce while another calls Barrier) raise
         :class:`~repro.util.errors.CommunicationError` deterministically.
         """
         key = (comm_id, seq)

@@ -146,7 +146,8 @@ class TestExecutorResume:
 
 
 def _truncate(path, keep=0.5):
-    blob = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     with open(path, "wb") as fh:
         fh.write(blob[: int(len(blob) * keep)])
 

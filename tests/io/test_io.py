@@ -1,6 +1,8 @@
 """VTK writer/reader round-trips and checkpointing."""
 
+import gc
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -189,10 +191,17 @@ class TestAtomicCheckpoint:
         np.testing.assert_array_equal(data["positions"], pos * 2.0)
 
     def test_truncated_file_fails_to_load(self, tmp_path, surface):
+        """A torn archive fails to load and leaves no file handle open."""
         pos, _, _ = surface
         path = self._save(tmp_path / "ck.npz", pos)
-        blob = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            blob = fh.read()
         with open(path, "wb") as fh:
             fh.write(blob[: len(blob) // 2])
-        with pytest.raises(Exception):
-            load_checkpoint(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(Exception):
+                load_checkpoint(path)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == [], [str(w.message) for w in leaks]

@@ -15,7 +15,6 @@ from repro.machine import (
     allreduce_time,
     alltoallv_time,
     barrier_time,
-    bcast_time,
     collective_time,
     cutoff_evaluation,
     exact_evaluation,
@@ -89,11 +88,11 @@ class TestCollectiveModels:
         nbytes=st.integers(8, 10**7),
     )
     def test_all_costs_positive(self, p, nbytes):
-        for kind in ("allreduce", "bcast", "gather", "allgather", "barrier"):
+        for kind in ("allreduce", "gather", "allgather", "barrier"):
             assert collective_time(kind, p, nbytes, LASSEN) > 0.0
 
     def test_single_rank_free(self):
-        for kind in ("allreduce", "bcast", "barrier", "alltoallv"):
+        for kind in ("allreduce", "gather", "barrier", "alltoallv"):
             assert collective_time(kind, 1, 1000, LASSEN) == 0.0
 
     def test_allreduce_scales_log(self):
@@ -118,14 +117,12 @@ class TestCollectiveModels:
         times = [barrier_time(p, LASSEN) for p in (2, 8, 64, 512)]
         assert times == sorted(times)
 
-    def test_bcast_volume_term(self):
-        small = bcast_time(16, 100, LASSEN)
-        large = bcast_time(16, 10**7, LASSEN)
-        assert large > 10 * small
-
-    def test_unknown_kind_raises(self):
+    @pytest.mark.parametrize(
+        "kind", ["scan", "bcast", "reduce", "scatter", "alltoall", "sendrecv"]
+    )
+    def test_unknown_kind_raises(self, kind):
         with pytest.raises(ValueError):
-            collective_time("scan", 4, 8, LASSEN)
+            collective_time(kind, 4, 8, LASSEN)
 
 
 class TestPatterns:
@@ -253,17 +250,50 @@ class TestReplay:
         t_coll, t_p2p = run(True), run(False)
         assert 0.05 < t_coll / t_p2p < 20.0
 
-    def test_replay_deterministic(self):
+    @pytest.mark.parametrize("nranks", [1, 2, 4])
+    def test_replay_deterministic(self, nranks):
+        """A program calling every Comm method records exactly the
+        simulator's kind vocabulary, and replay prices every event the
+        same way twice."""
         trace = mpi.CommTrace()
 
         def program(comm):
-            comm.allreduce(1.0)
-            comm.Barrier()
+            cart = mpi.create_cart(comm, ndims=1)
+            left, right = cart.neighbor((-1,)), cart.neighbor((1,))
+            assert cart.rank_of(cart.coords_of(cart.rank)) == cart.rank
+            dup = comm.Dup()
+            with trace.phase("send"):
+                cart.Send(np.arange(4.0), right, tag=1)
+                cart.Recv(np.empty(4), left, 1)
+            with trace.phase("sendrecv"):
+                dup.Sendrecv(np.arange(2.0), right, 2, None, left, 2)
+            with trace.phase("barrier"):
+                comm.Barrier()
+                comm.barrier()
+            with trace.phase("allreduce"):
+                comm.allreduce(1.0)
+                comm.allreduce(np.ones(2), op=mpi.MAX)
+            with trace.phase("gather"):
+                comm.gather(comm.rank, root=0)
+            with trace.phase("allgather"):
+                comm.allgather(comm.rank)
+                comm.Allgatherv(np.arange(comm.rank + 1.0))
+            with trace.phase("alltoallv"):
+                comm.exchange_arrays([np.ones(3)] * comm.size)
 
-        spmd(4, program, trace=trace)
-        a = replay_trace(trace, LASSEN).total
-        b = replay_trace(trace, LASSEN).total
-        assert a == b
+        spmd(nranks, program, trace=trace)
+        assert {ev.kind for ev in trace.events} == {
+            "send", "recv", "barrier", "allreduce", "gather", "allgather",
+            "alltoallv",
+        }
+        a = replay_trace(trace, LASSEN, nranks=nranks)
+        b = replay_trace(trace, LASSEN, nranks=nranks)
+        assert a.total == b.total
+        for phase in ("send", "sendrecv", "barrier", "allreduce", "gather",
+                      "allgather", "alltoallv"):
+            comm_time, _ = a.phase_breakdown(phase)
+            # One rank pays only for its self-sends; collectives are free.
+            assert (comm_time > 0.0) == (nranks > 1 or phase.startswith("send"))
 
     def test_phase_breakdown(self):
         trace = mpi.CommTrace()

@@ -1,5 +1,6 @@
-"""Cartesian communicators: coords, shifts, sub-communicators."""
+"""Cartesian communicators: coords, neighbours, open boundaries."""
 
+import numpy as np
 import pytest
 
 from repro import mpi
@@ -29,36 +30,51 @@ class TestDimsCreate:
 
 
 class TestCartTopology:
-    def test_coords_roundtrip(self):
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 3), (3, 2), (2, 4)])
+    def test_coords_roundtrip(self, dims):
         def program(comm):
-            cart = mpi.create_cart(comm, dims=(3, 2), periods=(True, False))
+            cart = mpi.create_cart(comm, dims=dims, periods=(True, False))
             coords = cart.coords
             assert cart.rank_of(coords) == cart.rank
+            assert cart.coords_of(cart.rank) == coords
             return coords
 
-        results = spmd(6, program)
-        assert sorted(results) == [(i, j) for i in range(3) for j in range(2)]
+        results = spmd(dims[0] * dims[1], program)
+        assert sorted(results) == [
+            (i, j) for i in range(dims[0]) for j in range(dims[1])
+        ]
 
-    def test_shift_periodic_wraps(self):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_neighbor_periodic_wraps(self, n):
         def program(comm):
-            cart = mpi.create_cart(comm, dims=(4, 1), periods=(True, True))
-            src, dst = cart.Shift(0, 1)
-            return src, dst
+            cart = mpi.create_cart(comm, dims=(n, 1), periods=(True, True))
+            return cart.neighbor((-1, 0)), cart.neighbor((1, 0))
 
-        results = spmd(4, program)
+        results = spmd(n, program)
         for r, (src, dst) in enumerate(results):
-            assert src == (r - 1) % 4
-            assert dst == (r + 1) % 4
+            assert src == (r - 1) % n
+            assert dst == (r + 1) % n
 
-    def test_shift_open_boundary_proc_null(self):
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_neighbor_open_boundary_proc_null(self, n):
+        """Past an open boundary ``neighbor`` is PROC_NULL, and a halo
+        Sendrecv with it sends nothing and leaves the ghost untouched."""
+
         def program(comm):
-            cart = mpi.create_cart(comm, dims=(4, 1), periods=(False, False))
-            return cart.Shift(0, 1)
+            cart = mpi.create_cart(comm, dims=(n, 1), periods=(False, False))
+            lo, hi = cart.neighbor((-1, 0)), cart.neighbor((1, 0))
+            ghost = np.full(1, -1.0)
+            cart.Sendrecv(np.array([float(cart.rank)]), hi, 3, ghost, lo, 3)
+            return lo, hi, float(ghost[0])
 
-        results = spmd(4, program)
-        assert results[0][0] == PROC_NULL
-        assert results[3][1] == PROC_NULL
-        assert results[1] == (0, 2)
+        results = spmd(n, program)
+        assert results[0] == (PROC_NULL, 1, -1.0)
+        assert results[n - 1][1] == PROC_NULL
+        for r in range(1, n):
+            lo, hi, ghost = results[r]
+            assert lo == r - 1 and ghost == float(r - 1)
+            if r < n - 1:
+                assert hi == r + 1
 
     def test_neighbor_diagonal(self):
         def program(comm):
@@ -70,19 +86,6 @@ class TestCartTopology:
         assert results[0] == 3
         assert results[3] == 0
 
-    def test_sub_communicators(self):
-        def program(comm):
-            cart = mpi.create_cart(comm, dims=(2, 3), periods=(True, True))
-            row = cart.sub(1)   # vary along dim 1: my process row
-            col = cart.sub(0)
-            return row.size, col.size, row.allgather(cart.coords)
-
-        results = spmd(6, program)
-        for row_size, col_size, members in results:
-            assert row_size == 3
-            assert col_size == 2
-            assert len({m[0] for m in members}) == 1  # same row
-
     def test_dims_mismatch_raises(self):
         def program(comm):
             with pytest.raises(ConfigurationError):
@@ -92,15 +95,15 @@ class TestCartTopology:
 
         assert all(spmd(4, program))
 
-    def test_communication_through_cart(self):
-        """Shift-based ring over the Cartesian communicator."""
-        import numpy as np
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_communication_through_cart(self, n):
+        """Neighbour ring over the Cartesian communicator."""
 
         def program(comm):
             cart = mpi.create_cart(comm, dims=(comm.size, 1), periods=(True, True))
-            src, dst = cart.Shift(0, 1)
+            src, dst = cart.neighbor((-1, 0)), cart.neighbor((1, 0))
             got = cart.Sendrecv(np.array([float(cart.rank)]), dst, 1, None, src, 1)
             return float(got[0])
 
-        results = spmd(5, program)
-        assert results == [4.0, 0.0, 1.0, 2.0, 3.0]
+        results = spmd(n, program)
+        assert results == [float((r - 1) % n) for r in range(n)]

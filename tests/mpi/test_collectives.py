@@ -1,12 +1,13 @@
 """Collective operations: correctness, determinism, properties."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import mpi
-from repro.mpi.ops import MAX, MAXLOC, MIN, MINLOC, PROD, SUM
+from repro.mpi.ops import MAX, SUM
 from tests.conftest import spmd
 
 SIZES = [1, 2, 3, 4, 7]
@@ -22,28 +23,19 @@ class TestBasicCollectives:
 
         assert all(spmd(nranks, program))
 
-    def test_bcast_buffer(self, nranks):
-        def program(comm):
-            buf = (
-                np.arange(6, dtype=np.float64)
-                if comm.rank == 0
-                else np.zeros(6)
-            )
-            comm.Bcast(buf, root=0)
-            return buf
-
-        for out in spmd(nranks, program):
-            assert np.array_equal(out, np.arange(6.0))
-
-    def test_bcast_object_nonzero_root(self, nranks):
-        root = nranks - 1
+    def test_barrier_waits_for_every_rank(self, nranks):
+        """No rank leaves a barrier before every rank has entered it."""
+        arrived = []
+        lock = threading.Lock()
 
         def program(comm):
-            obj = {"v": comm.rank} if comm.rank == root else None
-            return comm.bcast(obj, root=root)
+            with lock:
+                arrived.append(comm.rank)
+            comm.barrier()
+            with lock:
+                return len(arrived)
 
-        for out in spmd(nranks, program):
-            assert out == {"v": root}
+        assert spmd(nranks, program) == [nranks] * nranks
 
     def test_allreduce_sum(self, nranks):
         def program(comm):
@@ -52,27 +44,15 @@ class TestBasicCollectives:
         expected = sum(range(1, nranks + 1))
         assert spmd(nranks, program) == [expected] * nranks
 
-    def test_allreduce_buffer_ops(self, nranks):
+    def test_allreduce_array_ops(self, nranks):
         def program(comm):
             local = np.array([float(comm.rank), float(-comm.rank)])
-            s = comm.Allreduce(local, op=SUM)
-            mx = comm.Allreduce(local, op=MAX)
-            mn = comm.Allreduce(local, op=MIN)
-            return s, mx, mn
+            return comm.allreduce(local, op=SUM), comm.allreduce(local, op=MAX)
 
         total = sum(range(nranks))
-        for s, mx, mn in spmd(nranks, program):
+        for s, mx in spmd(nranks, program):
             assert np.array_equal(s, [total, -total])
             assert np.array_equal(mx, [nranks - 1, 0])
-            assert np.array_equal(mn, [0, -(nranks - 1)])
-
-    def test_reduce_to_root(self, nranks):
-        def program(comm):
-            return comm.reduce(2 ** comm.rank, op=SUM, root=0)
-
-        results = spmd(nranks, program)
-        assert results[0] == 2 ** nranks - 1
-        assert all(r is None for r in results[1:])
 
     def test_gather_and_allgather(self, nranks):
         def program(comm):
@@ -82,47 +62,37 @@ class TestBasicCollectives:
 
         results = spmd(nranks, program)
         assert results[0][0] == [r * 10 for r in range(nranks)]
+        assert all(g is None for g, _ in results[1:])
         for _, ag in results:
             assert ag == list(range(nranks))
 
-    def test_gather_buffer(self, nranks):
+    def test_gather_nonzero_root(self, nranks):
+        root = nranks - 1
+
         def program(comm):
-            out = comm.Gather(np.full(3, float(comm.rank)), root=0)
-            return out
+            return comm.gather({"v": comm.rank}, root=root)
 
         results = spmd(nranks, program)
-        assert results[0].shape == (nranks, 3)
-        for r in range(nranks):
-            assert np.all(results[0][r] == r)
+        assert results[root] == [{"v": r} for r in range(nranks)]
+        assert all(out is None for r, out in enumerate(results) if r != root)
 
-    def test_scatter(self, nranks):
+    def test_object_collectives_return_private_lists(self, nranks):
+        """Every rank gets its own list: appending to one rank's result
+        is invisible to the others."""
+
         def program(comm):
-            objs = [f"item{r}" for r in range(comm.size)] if comm.rank == 0 else None
-            return comm.scatter(objs, root=0)
+            everyone = comm.allgather(comm.rank)
+            gathered = comm.gather(comm.rank, root=0)
+            everyone.append(-comm.rank)
+            if gathered is not None:
+                gathered.append(-1)
+            comm.Barrier()
+            return everyone, gathered
 
-        assert spmd(nranks, program) == [f"item{r}" for r in range(nranks)]
-
-    def test_scatter_buffer(self, nranks):
-        def program(comm):
-            send = None
-            if comm.rank == 0:
-                send = np.arange(comm.size * 2, dtype=np.float64).reshape(comm.size, 2)
-            return comm.Scatter(send, root=0)
-
-        results = spmd(nranks, program)
-        for r, out in enumerate(results):
-            assert np.array_equal(out, [2 * r, 2 * r + 1])
-
-    def test_alltoall(self, nranks):
-        def program(comm):
-            send = np.array(
-                [100 * comm.rank + d for d in range(comm.size)], dtype=np.int64
-            )
-            return comm.Alltoall(send)
-
-        results = spmd(nranks, program)
-        for r, out in enumerate(results):
-            assert list(out) == [100 * s + r for s in range(nranks)]
+        for rank, (everyone, gathered) in enumerate(spmd(nranks, program)):
+            assert everyone == list(range(nranks)) + [-rank]
+            if rank == 0:
+                assert gathered == list(range(nranks)) + [-1]
 
     def test_allgatherv_variable_sizes(self, nranks):
         def program(comm):
@@ -135,37 +105,6 @@ class TestBasicCollectives:
 
 
 class TestAlltoallv:
-    @pytest.mark.parametrize("nranks", [2, 3, 5])
-    def test_roundtrip_identity(self, nranks):
-        """alltoallv twice with mirrored counts returns each segment home."""
-
-        def program(comm):
-            counts = [comm.rank + d + 1 for d in range(comm.size)]
-            send = np.concatenate(
-                [np.full(c, 10 * comm.rank + d) for d, c in enumerate(counts)]
-            )
-            recv_counts = [s + comm.rank + 1 for s in range(comm.size)]
-            out = comm.Alltoallv(send, counts, recvcounts=recv_counts)
-            # Segment from src s has value 10*s + my rank
-            offset = 0
-            for s, c in enumerate(recv_counts):
-                assert np.all(out[offset: offset + c] == 10 * s + comm.rank)
-                offset += c
-            return True
-
-        assert all(spmd(nranks, program))
-
-    def test_bad_counts_raise(self):
-        from repro.util.errors import CommunicationError
-
-        def program(comm):
-            with pytest.raises(CommunicationError):
-                comm.Alltoallv(np.arange(4.0), [1, 1])  # sums to 2, not 4
-            comm.Barrier()
-            return True
-
-        assert all(spmd(2, program))
-
     def test_exchange_arrays_shapes(self):
         def program(comm):
             per_dest = [
@@ -183,6 +122,23 @@ class TestAlltoallv:
 
         assert all(spmd(4, program))
 
+    @pytest.mark.parametrize("nranks", [2, 3, 5])
+    def test_roundtrip_identity(self, nranks):
+        """Sending every receipt back to its source returns each rank's
+        original arrays, with their shapes and dtypes."""
+
+        def program(comm):
+            rng = np.random.default_rng(comm.rank)
+            send = [rng.standard_normal((d + 1, 2)) for d in range(comm.size)]
+            send[-1] = send[-1].astype(np.float32)
+            back = comm.exchange_arrays(comm.exchange_arrays(send))
+            return all(
+                a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+                for a, b in zip(send, back)
+            )
+
+        assert all(spmd(nranks, program))
+
 
 class TestDeterminism:
     def test_reduction_deterministic_across_runs(self):
@@ -196,20 +152,23 @@ class TestDeterminism:
         b = spmd(5, program)
         assert a == b
 
-    def test_maxloc_minloc(self):
-        def program(comm):
-            value = float((comm.rank * 7) % 5)
-            mx = comm.allreduce((value, comm.rank), op=MAXLOC)
-            mn = comm.allreduce((value, comm.rank), op=MINLOC)
-            return mx, mn
+    def test_reduction_folds_in_rank_order(self):
+        """SUM and MAX fold contributions left to right in rank order:
+        a non-associative float sum comes out as (r0 + r1) + r2 on every
+        rank, and MAX keeps the elementwise largest of any shape."""
 
-        results = spmd(5, program)
-        values = [float((r * 7) % 5) for r in range(5)]
-        best = max(range(5), key=lambda r: (values[r], -r))
-        worst = min(range(5), key=lambda r: (values[r], r))
-        for mx, mn in results:
-            assert mx[1] == best
-            assert mn[1] == worst
+        values = [1e16, 1.0, -1e16]
+
+        def program(comm):
+            total = comm.allreduce(values[comm.rank], op=SUM)
+            peak = comm.allreduce(
+                np.array([values[comm.rank], -comm.rank]), op=MAX
+            )
+            return total, peak
+
+        for total, peak in spmd(3, program):
+            assert total == (values[0] + values[1]) + values[2] == 0.0
+            assert np.array_equal(peak, [1e16, 0.0])
 
 
 class TestCollectiveProperties:
@@ -222,7 +181,7 @@ class TestCollectiveProperties:
         def program(comm):
             rng = np.random.default_rng(seed + comm.rank)
             local = rng.normal(size=8)
-            return comm.Allreduce(local, op=SUM), local
+            return comm.allreduce(local, op=SUM), local
 
         results = spmd(nranks, program)
         expected = np.sum([loc for _, loc in results], axis=0)
@@ -238,7 +197,7 @@ class TestCollectiveProperties:
         nranks=st.integers(min_value=2, max_value=5),
         data=st.data(),
     )
-    def test_alltoall_is_transpose(self, nranks, data):
+    def test_exchange_arrays_is_transpose(self, nranks, data):
         matrix = data.draw(
             st.lists(
                 st.lists(
@@ -252,63 +211,41 @@ class TestCollectiveProperties:
         )
 
         def program(comm):
-            send = np.array(matrix[comm.rank], dtype=np.int64)
-            return list(comm.Alltoall(send))
+            send = [np.array([v], dtype=np.int64) for v in matrix[comm.rank]]
+            return [int(a[0]) for a in comm.exchange_arrays(send)]
 
         results = spmd(nranks, program)
         for r in range(nranks):
             assert results[r] == [matrix[s][r] for s in range(nranks)]
 
 
-class TestSplitDup:
-    def test_split_even_odd(self):
-        def program(comm):
-            sub = comm.Split(comm.rank % 2, key=comm.rank)
-            return sub.size, sub.rank, sub.allgather(comm.rank)
+class TestDup:
+    @pytest.mark.parametrize("nranks", [2, 3, 4, 7])
+    def test_dup_isolated_context(self, nranks):
+        """The same (source, tag) on the parent and on a Dup are two
+        channels: each receive gets its own communicator's message."""
 
-        results = spmd(6, program)
-        for r, (size, rank, members) in enumerate(results):
-            assert size == 3
-            assert members == [x for x in range(6) if x % 2 == r % 2]
-
-    def test_split_none_color(self):
-        def program(comm):
-            sub = comm.Split(None if comm.rank == 0 else 1, key=comm.rank)
-            if comm.rank == 0:
-                assert sub is None
-                return -1
-            return sub.allreduce(1)
-
-        results = spmd(4, program)
-        assert results == [-1, 3, 3, 3]
-
-    def test_split_key_reorders(self):
-        def program(comm):
-            sub = comm.Split(0, key=-comm.rank)
-            return sub.rank
-
-        results = spmd(4, program)
-        assert results == [3, 2, 1, 0]
-
-    def test_dup_isolated_context(self):
         def program(comm):
             dup = comm.Dup()
-            # Message sent on dup is invisible to the parent context.
             if comm.rank == 0:
-                dup.Send(np.array([1.0]), 1, tag=2)
-            if comm.rank == 1:
-                assert not comm.Iprobe(0, 2)
-                dup.Recv(None, 0, 2)
-            comm.Barrier()
-            return True
+                for dest in range(1, comm.size):
+                    dup.Send(np.array([1.0, dest]), dest, tag=2)
+                    comm.Send(np.array([2.0, dest]), dest, tag=2)
+                return None
+            parent = comm.Recv(None, 0, 2)
+            duplicate = dup.Recv(None, 0, 2)
+            return parent.tolist(), duplicate.tolist()
 
-        assert all(spmd(2, program))
+        results = spmd(nranks, program)
+        for rank in range(1, nranks):
+            assert results[rank] == ([2.0, rank], [1.0, rank])
 
-    def test_nested_split(self):
+    @pytest.mark.parametrize("nranks", SIZES)
+    def test_dup_ids_agree_and_are_fresh(self, nranks):
         def program(comm):
-            half = comm.Split(comm.rank // 2, key=comm.rank)
-            pair_sum = half.allreduce(comm.rank)
-            return pair_sum
+            first, second = comm.Dup(), comm.Dup()
+            return comm.id, first.id, second.id, first.allgather(first.id)
 
-        results = spmd(4, program)
-        assert results == [1, 1, 5, 5]
+        results = spmd(nranks, program)
+        assert {r[:3] for r in results} == {(0, 1, 2)}
+        assert all(ids == [1] * nranks for *_, ids in results)

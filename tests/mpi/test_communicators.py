@@ -1,7 +1,7 @@
 """Packed vector collectives: descriptors, buffer pool, semantics.
 
 The contract under test (see :mod:`repro.mpi.collectives`): the packed
-``Allgatherv`` / ``Alltoallv`` / ``exchange_arrays`` return exactly
+``Allgatherv`` / ``exchange_arrays`` return exactly
 what a per-segment object exchange would — each rank's arrays, with
 their dtypes and shapes, in rank order, as caller-owned copies — the
 trace records the logical payloads, and the pooled send buffers are
@@ -19,7 +19,6 @@ from repro.mpi.descriptor import (
     describe,
     pack_segments,
     payload_nbytes,
-    split_by_counts,
     unpack_segments,
 )
 from repro.util.bufferpool import BufferPool
@@ -50,13 +49,6 @@ class TestMessageDescriptor:
         # Opaque objects fall back to pickled size; unpicklables to 0.
         assert payload_nbytes({"a": 1}) > 0
         assert payload_nbytes(lambda: None) == 0
-
-    def test_split_by_counts_views(self):
-        arr = np.arange(10.0)
-        parts = split_by_counts(arr, [3, 0, 7])
-        assert [p.size for p in parts] == [3, 0, 7]
-        np.testing.assert_array_equal(parts[2], arr[3:])
-        assert parts[0].base is arr
 
     def test_pack_unpack_round_trip(self):
         segs = [
@@ -149,7 +141,7 @@ def _inputs(rank, size):
     ag_strided = rng.standard_normal(12)[::3]
     ag_2d = np.arange(6, dtype=np.float32).reshape(2, 3) + rank
     counts = [(rank + dst) % 3 for dst in range(size)]
-    a2av = rng.standard_normal(sum(counts))
+    flat = rng.standard_normal(sum(counts))
     xchg = []
     for d in range(size):
         if d == rank:
@@ -161,17 +153,18 @@ def _inputs(rank, size):
             # what it receives differ.
             xchg.append(np.arange(2 + d, dtype=np.int64) * (d + 1) + rank)
     return {"ag_flat": ag_flat, "ag_strided": ag_strided, "ag_2d": ag_2d,
-            "counts": counts, "a2av": a2av, "xchg": xchg}
+            "counts": counts, "flat": flat, "xchg": xchg}
 
 
 def _collective_workload(comm):
-    """A mixed-shape, mixed-dtype tour of the three vector collectives."""
+    """A mixed-shape, mixed-dtype tour of the two vector collectives."""
     mine = _inputs(comm.rank, comm.size)
+    edges = np.cumsum(mine["counts"])[:-1]
     return {
         "ag_flat": comm.Allgatherv(mine["ag_flat"]),
         "ag_strided": comm.Allgatherv(mine["ag_strided"]),
         "ag_2d": comm.Allgatherv(mine["ag_2d"]),
-        "a2av": comm.Alltoallv(mine["a2av"], mine["counts"]),
+        "xchg_flat": comm.exchange_arrays(np.split(mine["flat"], edges)),
         "xchg": comm.exchange_arrays(mine["xchg"]),
     }
 
@@ -180,15 +173,15 @@ def _object_semantics(rank, size):
     """What a per-segment object exchange delivers to ``rank``: every
     source's own array (copied), in source order."""
     sent = [_inputs(src, size) for src in range(size)]
-    a2av = []
+    xchg_flat = []
     for src in sent:
         edges = np.concatenate(([0], np.cumsum(src["counts"])))
-        a2av.append(src["a2av"][edges[rank]:edges[rank + 1]])
+        xchg_flat.append(src["flat"][edges[rank]:edges[rank + 1]].copy())
     return {
         "ag_flat": [np.ascontiguousarray(s["ag_flat"]) for s in sent],
         "ag_strided": [np.ascontiguousarray(s["ag_strided"]) for s in sent],
         "ag_2d": [s["ag_2d"].copy() for s in sent],
-        "a2av": np.concatenate(a2av),
+        "xchg_flat": xchg_flat,
         "xchg": [
             np.empty(0, dtype=np.float64) if s["xchg"][rank] is None
             else s["xchg"][rank].copy()
@@ -203,12 +196,8 @@ def _assert_object_semantics(got, rank, size):
     assert got.keys() == expected.keys()
     for key, want in expected.items():
         have = got[key]
-        if isinstance(want, list):
-            assert len(have) == len(want), (rank, key)
-            pairs = zip(have, want)
-        else:
-            pairs = [(have, want)]
-        for a, b in pairs:
+        assert len(have) == len(want), (rank, key)
+        for a, b in zip(have, want):
             assert a.dtype == b.dtype, (rank, key)
             assert a.shape == b.shape, (rank, key)
             assert np.array_equal(a, b), (rank, key)
@@ -234,23 +223,6 @@ class TestCollectiveSemantics:
             assert hits > 0  # the leases really were reused
             for got in history:
                 _assert_object_semantics(got, rank, nranks)
-
-    def test_split_subcommunicators_match_object_exchange(self, nranks):
-        """Rounds on a parity split interleave with rounds on the parent;
-        each communicator delivers its own group's payloads."""
-
-        def program(comm):
-            half = comm.Split(comm.rank % 2, key=comm.rank)
-            rounds = []
-            for _ in range(3):
-                rounds.append((comm.rank, comm.size, _collective_workload(comm)))
-                rounds.append((half.rank, half.size, _collective_workload(half)))
-            return rounds, half._pool is not comm._pool
-
-        for rounds, private in spmd(nranks, program):
-            assert private
-            for rank, size, got in rounds:
-                _assert_object_semantics(got, rank, size)
 
     def test_dup_and_cart_communicators_keep_private_pools(self, nranks):
         """Every communicator leases from its own pool, and the trace's
@@ -284,7 +256,7 @@ class TestCollectiveSemantics:
                 expected_bytes["allgather"] += mine[key].nbytes
             xchg = [0 if a is None else a.nbytes for a in mine["xchg"]]
             expected_kinds["alltoallv"] += 2
-            expected_bytes["alltoallv"] += mine["a2av"].nbytes + sum(xchg)
+            expected_bytes["alltoallv"] += mine["flat"].nbytes + sum(xchg)
             expected_counts.append(
                 (rank, tuple(8 * c for c in mine["counts"]))
             )
@@ -350,23 +322,17 @@ class TestPackedPool:
 # -- safety checks -----------------------------------------------------------
 
 
-#: Calls every rank of a 2-rank communicator rejects — before the
-#: rendezvous, or (``recvcounts``) once the exchange is done — with the
-#: message that names the fault.
+#: Calls every rank of a 2-rank communicator rejects before the
+#: rendezvous, with the message that names the fault.
 REJECTED = {
-    "alltoallv-counts-length": (
-        lambda c: c.Alltoallv(np.arange(3.0), [1, 1, 1]), "3 entries"),
-    "alltoallv-recvcounts": (
-        lambda c: c.Alltoallv(np.arange(2.0), [1, 1], recvcounts=[2, 0]),
-        "recvcounts mismatch"),
     "exchange-arrays-length": (
         lambda c: c.exchange_arrays([np.arange(2.0)]), "needs 2 entries"),
-    "alltoall-first-dim": (
-        lambda c: c.Alltoall(np.zeros(3)), "first dim 3"),
-    "alltoall-objects-length": (
-        lambda c: c.alltoall(["only one"]), "needs 2 objects"),
+    "exchange-arrays-too-many": (
+        lambda c: c.exchange_arrays([np.arange(2.0)] * 3), "needs 2 entries"),
     "root-out-of-range": (
-        lambda c: c.bcast("x", root=2), "root 2 out of range"),
+        lambda c: c.gather("x", root=2), "root 2 out of range"),
+    "root-negative": (
+        lambda c: c.gather("x", root=-1), "root -1 out of range"),
 }
 
 
@@ -390,18 +356,24 @@ class TestCollectiveChecks:
         "first, second",
         [
             ("Allgatherv", "exchange_arrays"),
-            ("Alltoallv", "exchange_arrays"),
-            ("Allgatherv", "Allgather"),
+            ("Allgatherv", "allgather"),
+            ("exchange_arrays", "Barrier"),
+            ("allreduce", "gather"),
+            ("allreduce", "allgather"),
+            ("Dup", "Barrier"),
         ],
     )
     def test_divergent_collectives_fail_loudly(self, first, second):
         """Ranks entering different collectives on the same call — even
-        two that ship the same packed table — raise instead of mixing
-        payloads."""
+        the vector and object gathers, which record the same trace kind
+        — raise instead of mixing payloads."""
         calls = {
             "Allgatherv": lambda c: c.Allgatherv(np.arange(4.0)),
-            "Allgather": lambda c: c.Allgather(np.arange(4.0)),
-            "Alltoallv": lambda c: c.Alltoallv(np.arange(2.0), [1, 1]),
+            "allgather": lambda c: c.allgather(np.arange(4.0)),
+            "Barrier": lambda c: c.Barrier(),
+            "Dup": lambda c: c.Dup(),
+            "allreduce": lambda c: c.allreduce(1),
+            "gather": lambda c: c.gather(1),
             "exchange_arrays": lambda c: c.exchange_arrays(
                 [np.arange(1.0), np.arange(1.0)]
             ),

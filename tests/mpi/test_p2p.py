@@ -8,6 +8,8 @@ from repro.mpi.world import ANY_SOURCE, ANY_TAG, PROC_NULL
 from repro.util.errors import CommunicationError, DeadlockError
 from tests.conftest import spmd
 
+SIZES = [1, 2, 3, 4, 7]
+
 
 class TestSendRecv:
     def test_basic_two_ranks(self):
@@ -78,20 +80,36 @@ class TestSendRecv:
 
         assert spmd(2, program)[1] == (1.0, 2.0)
 
-    def test_any_source_any_tag(self):
+    @pytest.mark.parametrize("nranks", [2, 3, 4, 7])
+    def test_any_source_any_tag(self, nranks):
         def program(comm):
             if comm.rank != 0:
                 comm.Send(np.array([float(comm.rank)]), 0, tag=comm.rank)
                 return None
-            got = set()
-            status = mpi.Status()
-            for _ in range(comm.size - 1):
-                data = comm.Recv(None, ANY_SOURCE, ANY_TAG, status)
-                assert status.Get_source() == int(data[0])
-                got.add(int(data[0]))
-            return got
+            return {int(comm.Recv(None, ANY_SOURCE, ANY_TAG)[0])
+                    for _ in range(comm.size - 1)}
 
-        assert spmd(4, program)[0] == {1, 2, 3}
+        assert spmd(nranks, program)[0] == set(range(1, nranks))
+
+    @pytest.mark.parametrize("nranks", [2, 3, 4, 7])
+    def test_any_source_keeps_per_source_order(self, nranks):
+        """Wildcard receives interleave sources freely but never reorder
+        the messages of one source, whatever their tags."""
+        per_source = 3
+
+        def program(comm):
+            if comm.rank != 0:
+                for i in range(per_source):
+                    comm.Send(np.array([comm.rank, i]), 0, tag=i)
+                return None
+            seen = {}
+            for _ in range(per_source * (comm.size - 1)):
+                src, i = comm.Recv(None, ANY_SOURCE, ANY_TAG).tolist()
+                seen.setdefault(src, []).append(i)
+            return seen
+
+        seen = spmd(nranks, program)[0]
+        assert seen == {r: list(range(per_source)) for r in range(1, nranks)}
 
     def test_send_to_proc_null_is_noop(self):
         def program(comm):
@@ -99,6 +117,39 @@ class TestSendRecv:
             return True
 
         assert spmd(1, program)[0]
+
+    def test_recv_from_proc_null_returns_buf_untouched(self):
+        trace = mpi.CommTrace()
+
+        def program(comm):
+            buf = np.full(3, -1.0)
+            out = comm.Recv(buf, PROC_NULL, 4)
+            return out is buf, buf.tolist()
+
+        assert spmd(1, program, trace=trace)[0] == (True, [-1.0] * 3)
+        assert trace.events == []
+
+    def test_recv_into_larger_buffer_fills_prefix(self):
+        def program(comm):
+            if comm.rank == 0:
+                comm.Send(np.array([1.0, 2.0, 3.0]), 1)
+                return None
+            return comm.Recv(np.zeros(5), 0).tolist()
+
+        assert spmd(2, program)[1] == [1.0, 2.0, 3.0, 0.0, 0.0]
+
+    def test_send_strided_view(self):
+        """A non-contiguous view arrives with its shape and values."""
+
+        def program(comm):
+            base = np.arange(24.0).reshape(4, 6)
+            if comm.rank == 0:
+                comm.Send(base[::2, 1::2], 1)
+                return None
+            got = comm.Recv(None, 0)
+            return got.shape, np.array_equal(got, base[::2, 1::2])
+
+        assert spmd(2, program)[1] == ((2, 3), True)
 
     def test_send_out_of_range_raises(self):
         def program(comm):
@@ -108,116 +159,37 @@ class TestSendRecv:
 
         assert spmd(2, program)[0]
 
-    def test_self_send(self):
+    @pytest.mark.parametrize("nranks", SIZES)
+    def test_self_send(self, nranks):
         def program(comm):
             comm.Send(np.array([42.0]), comm.rank, tag=5)
             return float(comm.Recv(None, comm.rank, 5)[0])
 
-        assert spmd(3, program) == [42.0] * 3
+        assert spmd(nranks, program) == [42.0] * nranks
 
+    def test_send_copies_payload(self):
+        """Mutating a buffer after Send must not affect the receiver."""
 
-class TestSendrecvAndNonblocking:
-    def test_sendrecv_ring(self):
+        def program(comm):
+            if comm.rank == 0:
+                payload = np.arange(3.0)
+                comm.Send(payload, 1)
+                payload[:] = -1.0
+                return None
+            return comm.Recv(None, 0).tolist()
+
+        assert spmd(2, program)[1] == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("nranks", SIZES)
+    def test_sendrecv_ring(self, nranks):
         def program(comm):
             dest = (comm.rank + 1) % comm.size
             src = (comm.rank - 1) % comm.size
             out = comm.Sendrecv(np.array([float(comm.rank)]), dest, 11, None, src, 11)
             return float(out[0])
 
-        results = spmd(5, program)
-        assert results == [4.0, 0.0, 1.0, 2.0, 3.0]
-
-    def test_isend_irecv(self):
-        def program(comm):
-            reqs = []
-            if comm.rank == 0:
-                for dst in range(1, comm.size):
-                    reqs.append(comm.Isend(np.array([float(dst)]), dst))
-                mpi.Request.waitall(reqs)
-                return None
-            req = comm.Irecv(None, 0)
-            data = req.wait()
-            return float(data[0])
-
-        results = spmd(4, program)
-        assert results[1:] == [1.0, 2.0, 3.0]
-
-    def test_irecv_test_polls(self):
-        def program(comm):
-            if comm.rank == 0:
-                comm.Barrier()
-                comm.Send(np.array([5.0]), 1)
-                return None
-            req = comm.Irecv(None, 0)
-            assert not req.test()  # nothing sent yet
-            comm.Barrier()
-            req.wait()
-            return True
-
-        assert spmd(2, program)[1]
-
-    def test_probe_preserves_order(self):
-        def program(comm):
-            if comm.rank == 0:
-                comm.Send(np.array([1.0]), 1, tag=4)
-                comm.Send(np.array([2.0]), 1, tag=4)
-                return None
-            status = comm.Probe(0, 4)
-            assert status.Get_count(8) == 1
-            first = comm.Recv(None, 0, 4)
-            second = comm.Recv(None, 0, 4)
-            return (float(first[0]), float(second[0]))
-
-        assert spmd(2, program)[1] == (1.0, 2.0)
-
-    def test_iprobe(self):
-        def program(comm):
-            if comm.rank == 0:
-                assert not comm.Iprobe(1, 7)
-                comm.Barrier()
-                comm.Barrier()
-                return None
-            comm.Barrier()
-            comm.send({"x": 1}, 0, tag=7)
-            comm.Barrier()
-            return True
-
-        spmd(2, program)
-
-
-class TestObjectMessaging:
-    def test_object_roundtrip(self):
-        def program(comm):
-            if comm.rank == 0:
-                comm.send({"a": [1, 2, 3], "b": "text"}, 1)
-                return None
-            return comm.recv(0)
-
-        assert spmd(2, program)[1] == {"a": [1, 2, 3], "b": "text"}
-
-    def test_object_and_buffer_mismatch(self):
-        def program(comm):
-            if comm.rank == 0:
-                comm.send([1, 2], 1, tag=8)
-                return None
-            with pytest.raises(CommunicationError):
-                comm.Recv(None, 0, 8)
-            return True
-
-        assert spmd(2, program)[1]
-
-    def test_value_semantics(self):
-        """Mutating a sent object after send must not affect the receiver."""
-
-        def program(comm):
-            if comm.rank == 0:
-                payload = {"k": [1]}
-                comm.send(payload, 1)
-                payload["k"].append(2)
-                return None
-            return comm.recv(0)
-
-        assert spmd(2, program)[1] == {"k": [1]}
+        results = spmd(nranks, program)
+        assert results == [float((r - 1) % nranks) for r in range(nranks)]
 
 
 class TestFailureHandling:
