@@ -14,9 +14,15 @@ import numpy as np
 import pytest
 
 from repro import mpi
-from repro.core import InitialCondition, Solver, SolverConfig, gather_global_state
+from repro.core import (
+    InitialCondition,
+    Solver,
+    SolverConfig,
+    SurfaceMesh,
+    gather_global_state,
+)
 from repro.fft import DistributedFFT2D, FftConfig
-from repro.grid import GlobalMesh2D, HaloExchange, LocalGrid2D, NodeArray
+from repro.grid import NodeArray
 from repro.machine import LASSEN, alltoallv_time, halo_phase
 
 from common import print_series, save_results
@@ -25,16 +31,17 @@ from common import print_series, save_results
 class TestHaloDepthAblation:
     def test_depth2_costs_twice_the_volume(self, benchmark):
         """Depth-2 halos (4th-order stencils) ship 2× the depth-1 bytes."""
-        mesh = GlobalMesh2D.create((0, 0), (1, 1), (64, 64), (True, True))
 
         def run(depth):
+            class Mesh(SurfaceMesh):
+                HALO_WIDTH = depth
+
             trace = mpi.CommTrace()
 
             def program(comm):
                 cart = mpi.create_cart(comm, ndims=2, periods=(True, True))
-                lg = LocalGrid2D(mesh, cart, halo_width=depth)
-                f = NodeArray(lg, 5)
-                HaloExchange(lg).gather([f.full])
+                mesh = Mesh(cart, (0, 0), (1, 1), (64, 64), (True, True))
+                mesh.halo.gather([NodeArray(mesh, 5).full])
 
             mpi.run_spmd(4, program, trace=trace)
             return trace.total_bytes(kind="send")

@@ -160,14 +160,14 @@ class ScenarioFleet:
             ProblemManager(surface), template, get_backend(template.backend)
         )
         self.mesh = surface.global_mesh
-        self._grid = surface.local_grid
-        self._own = (Ellipsis, *self._grid.own_slices, slice(None))
+        self._surface = surface
+        self._own = (Ellipsis, *surface.own_slices, slice(None))
         self._bound = template.amplitude_bound()
 
         # Struct-of-arrays state: stacked ghosted fields plus (N,)
         # per-scenario vectors, compacted together.
-        self._z = np.zeros((0,) + self._grid.local_shape + (3,))
-        self._w = np.zeros((0,) + self._grid.local_shape + (2,))
+        self._z = np.zeros((0,) + surface.local_shape + (3,))
+        self._w = np.zeros((0,) + surface.local_shape + (2,))
         self._vec = {name: np.zeros(0) for name in _VECTORS}
         self._ids: list[int] = []
         self._next_id = 0
@@ -180,11 +180,6 @@ class ScenarioFleet:
     def size(self) -> int:
         """Number of scenarios currently active in the batch."""
         return len(self._ids)
-
-    @property
-    def active_ids(self) -> tuple[int, ...]:
-        """Scenario ids still being advanced, in batch order."""
-        return tuple(self._ids)
 
     def add(self, config: SolverConfig, ic: InitialCondition, steps: int) -> int:
         """Add one scenario; returns its fleet-unique scenario id."""
@@ -217,7 +212,7 @@ class ScenarioFleet:
         nb = len(items)
         z_new = np.zeros((nb,) + self._z.shape[1:])
         w_new = np.zeros((nb,) + self._w.shape[1:])
-        X, Y = self._grid.owned_coordinates()
+        X, Y = self._surface.owned_coordinates()
         low = np.asarray(self.mesh.low, dtype=np.float64)
         extent = np.asarray(self.mesh.extent, dtype=np.float64)
         for i, (_config, ic, _steps) in enumerate(items):
@@ -258,18 +253,6 @@ class ScenarioFleet:
         self._w = self._w[keep]
         self._vec = {name: v[keep] for name, v in self._vec.items()}
         self._ids = [sid for sid, k in zip(self._ids, keep) if k]
-
-    # -- state access ------------------------------------------------------
-
-    def state(self, scenario_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of an active scenario's owned ``(z, w)`` arrays."""
-        try:
-            b = self._ids.index(scenario_id)
-        except ValueError:
-            raise ConfigurationError(
-                f"scenario {scenario_id} is not active in this fleet"
-            ) from None
-        return self._z[b][self._own].copy(), self._w[b][self._own].copy()
 
     # -- time stepping -----------------------------------------------------
 

@@ -35,11 +35,9 @@ Typical use::
 
 from repro.campaign.deck import CampaignDeck, RunSpec
 from repro.campaign.executor import (
-    WORKER_TYPES,
     CampaignExecutor,
     RunOutcome,
     configure_logging,
-    resolve_worker_type,
 )
 from repro.campaign.report import (
     campaign_summary,
@@ -75,9 +73,7 @@ __all__ = [
     "RunSpec",
     "CampaignExecutor",
     "RunOutcome",
-    "WORKER_TYPES",
     "configure_logging",
-    "resolve_worker_type",
     "CampaignStore",
     "RunRecord",
     "results_root",

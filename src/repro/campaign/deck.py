@@ -89,10 +89,6 @@ def build_config(params: dict[str, Any]) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
-# Backwards-compatible alias (pre-scenario-registry name).
-_build_config = build_config
-
-
 def _check_backend(name: str) -> None:
     """Reject a ``backend`` no registered engine answers to.
 
@@ -181,7 +177,7 @@ class RunSpec:
         results under the same content address the parent dispatched.
         """
         return cls(
-            config=_build_config(payload["config"]),
+            config=build_config(payload["config"]),
             ic=InitialCondition(**payload["ic"]),
             ranks=int(payload["ranks"]),
             steps=int(payload["steps"]),
@@ -356,7 +352,7 @@ class CampaignDeck:
                     ic_params[key[3:]] = value
                 else:
                     config_params[key] = value
-            config = _build_config(config_params)
+            config = build_config(config_params)
             _check_backend(config.backend)
             specs.append(
                 RunSpec(
@@ -370,9 +366,3 @@ class CampaignDeck:
             )
         return specs
 
-    def size(self) -> int:
-        zip_len = len(next(iter(self.zip_axes.values()))) if self.zip_axes else 1
-        grid_len = 1
-        for values in self.grid.values():
-            grid_len *= len(values)
-        return grid_len * zip_len

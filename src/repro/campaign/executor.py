@@ -7,24 +7,19 @@ duplicate specs run once, hashes already completed in the store are
 skipped as "store hits", the rest is ordered longest-job-first by the
 machine-model cost estimate, and groups of same-shape serial
 functional runs become one *fleet* item), and it alone counts, marks
-and logs every run.  ``worker_type`` picks who executes the items:
+and logs every run.  ``max_workers`` picks who executes the items:
 
-``"process"`` (default)
-    The campaign service, locally: the coordinator leases its items —
-    a fleet is one lease — to ``min(max_workers, items)`` ``rocketrig
-    campaign --worker`` child processes over a loopback socket
-    (:class:`~repro.campaign.service.LocalWorkers`): the protocol,
-    claim markers and lease rule of ``rocketrig campaign --serve``,
-    with workers this process starts, watches and reaps.  A worker
-    that dies hard has its lease expired the moment the child is
-    reaped and its runs requeued on a replacement; a run that kills
-    ``max_requeues + 1`` workers is recorded ``failed`` while its
-    siblings complete.  Nothing is spawned when nothing needs a second
-    process: with ``max_workers=1`` or at most one leasable item the
-    coordinator drains its queue in this process.
-``"serial"``
-    The coordinator drains its queue in the calling thread (debugging,
-    probes).
+* the campaign service, locally: the coordinator leases its items — a
+  fleet is one lease — to ``min(max_workers, items)`` ``rocketrig
+  campaign --worker`` child processes over a loopback socket
+  (:class:`~repro.campaign.service.LocalWorkers`): the protocol, claim
+  markers and lease rule of ``rocketrig campaign --serve``, with
+  workers this process starts, watches and reaps.  A worker that dies
+  hard has its lease expired the moment the child is reaped and its
+  runs requeued on a replacement; a run that kills ``max_requeues + 1``
+  workers is recorded ``failed`` while its siblings complete;
+* the coordinator itself, in the calling thread, when nothing needs a
+  second process: with ``max_workers=1`` or at most one leasable item.
 
 Model-mode runs (microseconds of arithmetic on the coordinator's
 machine model) never leave the coordinator's process.  Every path
@@ -83,7 +78,6 @@ from repro.util.errors import ConfigurationError, RunBudgetExceededError
 __all__ = [
     "RunOutcome",
     "CampaignExecutor",
-    "WORKER_TYPES",
     "configure_logging",
 ]
 
@@ -139,8 +133,6 @@ def configure_logging(verbosity: int = 0) -> int:
     logger.setLevel(level)
     return level
 
-WORKER_TYPES = ("process", "serial")
-
 #: Run-level wall-clock budget, aligned with the single-run CLI path
 #: (which has always used 3600 s) — the executor used to pass its 120 s
 #: default straight into the per-collective deadline.
@@ -182,20 +174,6 @@ class RunOutcome:
         return self.status in ("completed", "skipped")
 
 
-def resolve_worker_type(worker_type: Optional[str]) -> str:
-    """``worker_type`` argument → concrete backend name.
-
-    ``None`` (or ``"auto"``) is ``"process"``.
-    """
-    if worker_type in (None, "auto"):
-        worker_type = "process"
-    if worker_type not in WORKER_TYPES:
-        raise ConfigurationError(
-            f"worker_type must be one of {WORKER_TYPES}, got {worker_type!r}"
-        )
-    return worker_type
-
-
 class CampaignExecutor:
     """Runs batches of specs against one :class:`CampaignStore`."""
 
@@ -213,7 +191,14 @@ class CampaignExecutor:
         status_interval: float = 0.0,
     ) -> None:
         self.store = store
-        self.max_workers = max(1, int(max_workers))
+        #: ``worker_type="serial"`` is the older spelling of
+        #: ``max_workers=1``, kept because ``benchmarks/e2e`` passes it.
+        if worker_type not in (None, "serial"):
+            raise ConfigurationError(
+                f"worker_type must be 'serial' or omitted (--workers 1 is "
+                f"the in-process drain), got {worker_type!r}"
+            )
+        self.max_workers = 1 if worker_type else max(1, int(max_workers))
         self.timeout = timeout
         #: Per-blocking-collective deadline inside a run (deadlock
         #: detection); defaults to the whole run budget (or the stock
@@ -225,7 +210,6 @@ class CampaignExecutor:
         self.collective_timeout = collective_timeout
         self.machine = machine
         self.checkpoint_freq = int(checkpoint_freq)
-        self.worker_type = resolve_worker_type(worker_type)
         #: Collect a timed per-run CommTrace and publish a
         #: ``telemetry.json`` artifact per completed functional run.
         self.telemetry = bool(telemetry)
@@ -255,11 +239,10 @@ class CampaignExecutor:
             checkpoint_freq=self.checkpoint_freq, telemetry=self.telemetry,
             status_interval=self.status_interval,
         )
-        # One registry per executor; the document names this backend.
+        # One registry per executor.
         coordinator.metrics = self.metrics
-        coordinator.worker_type = self.worker_type
         workers = min(self.max_workers, coordinator.leasable)
-        if self.worker_type == "serial" or workers < 2:
+        if workers < 2:
             coordinator.run_here()
         else:
             coordinator.endpoint = SocketEndpoint()

@@ -47,7 +47,7 @@ import threading
 import time
 from dataclasses import MISSING as _MISSING
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.util.errors import ReproError
 
@@ -70,7 +70,6 @@ __all__ = [
     "FrameDecoder",
     "SocketWorkerChannel",
     "SocketEndpoint",
-    "stream_frames",
 ]
 
 logger = logging.getLogger("repro.campaign")
@@ -572,8 +571,3 @@ class SocketEndpoint:
             self._drop(conn)
 
 
-def stream_frames(messages: "Iterator[Message]") -> bytes:
-    """Concatenate the framed encodings of ``messages`` into one byte
-    stream (test helper: the chunking-invariance property feeds this
-    through :class:`FrameDecoder` under arbitrary splits)."""
-    return b"".join(frame(encode_message(m)) for m in messages)

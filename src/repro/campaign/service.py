@@ -141,7 +141,6 @@ def _serial_executor(
     return CampaignExecutor(
         store,
         max_workers=1,
-        worker_type="serial",
         timeout=job.timeout,  # 0 = no budget, as in-process
         collective_timeout=job.collective_timeout or None,
         machine=machine,
@@ -197,9 +196,9 @@ class Coordinator:
     ``endpoint`` is the bound :class:`SocketEndpoint` workers connect
     to, or None for a coordinator that only drains in-process
     (:meth:`run_here`; a host may bind one later, before serving).
-    ``worker_type`` names the execution backend in ``status.json`` —
-    ``"service"`` here, the executor's own when
-    ``CampaignExecutor.submit`` hosts the coordinator — and the
+    ``worker_type`` in ``status.json`` names the path that drains the
+    queue — ``"service"`` for :meth:`serve`, ``"serial"`` for
+    :meth:`run_here`, ``"process"`` for :class:`LocalWorkers` — and the
     document's ``max_workers`` tracks the number of distinct workers
     seen.  :attr:`metrics` may be replaced before serving by a host
     that keeps one registry across batches.
@@ -433,12 +432,14 @@ class Coordinator:
             finally:
                 self.shutdown()
 
+        self.worker_type = "service"
         return self.drive(drain)
 
     def run_here(self) -> dict[str, Any]:
         """Drain the whole queue in this process — no socket, no
         worker — through the serial executor a worker would use;
         returns the :meth:`serve` summary."""
+        self.worker_type = "serial"
         return self.drive(lambda: self._run_here(self._queue))
 
     def drive(self, drain: Callable[[], None]) -> dict[str, Any]:
@@ -857,6 +858,7 @@ class LocalWorkers:
         """Lease until every run has a terminal record, then
         :meth:`close` (cleanly unless unwinding on an error); returns
         the coordinator's summary."""
+        self.coordinator.worker_type = "process"
         return self.coordinator.drive(self._lease)
 
     def _lease(self) -> None:

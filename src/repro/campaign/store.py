@@ -271,10 +271,6 @@ class CampaignStore:
             if rec.status == COMPLETED
         }
 
-    def is_completed(self, run_hash: str) -> bool:
-        record = self.latest_records().get(run_hash)
-        return record is not None and record.status == COMPLETED
-
     def _append_locked(self, *records: RunRecord) -> None:
         """Append records; the caller holds both store locks.
 

@@ -19,8 +19,9 @@ Examples::
 Named workloads come from the scenario registry (:mod:`repro.scenarios`):
 ``--scenario <name>`` loads a validated pack — paper-sourced geometry,
 solver parameters and initial condition — and any explicitly-passed
-flag still overrides the pack field it names (``--backend`` is always a
-machine choice, never part of a pack).  ``--list-scenarios`` prints the
+flag still overrides the pack field it names, also when it repeats the
+flag's default (``--backend`` is always a machine choice, never part of
+a pack).  ``--list-scenarios`` prints the
 registry with provenance::
 
     rocketrig --scenario singlemode-rollup --outdir results/rig
@@ -31,14 +32,14 @@ Batch campaigns (``rocketrig campaign``) run a whole sweep deck through
 the :mod:`repro.campaign` subsystem: runs are leased in
 longest-job-first order to ``--workers`` local worker processes (true
 CPU parallelism; a worker that dies has its run requeued on a
-replacement — ``--worker-type serial`` runs everything inline instead),
+replacement — ``--workers 1`` runs everything in this process instead),
 results land in the persistent store under
 ``results/campaigns/<name>/`` (``REPRO_RESULTS_DIR`` overrides the
 root), re-invocations skip every already-completed run ("store hit"
 lines), and interrupted runs resume from their checkpoint::
 
     rocketrig campaign decks/fig9.json --workers 4 --checkpoint-freq 5
-    rocketrig campaign decks/fig9.json --worker-type serial
+    rocketrig campaign decks/fig9.json --workers 1
     rocketrig campaign decks/fig9.json --report config.fft_config ranks \\
               result.step_time
 
@@ -72,7 +73,6 @@ from repro.core import (
     available_ic_kinds,
     ownership_stats,
 )
-from repro.fft import FftConfig
 from repro.machine import LASSEN, replay_trace
 from repro.util.errors import ReproError, RunDivergedError
 
@@ -88,11 +88,11 @@ __all__ = [
 #: epilog so the two cannot drift apart.
 IC_CHOICES = tuple(available_ic_kinds())
 
-#: Parser defaults for every flag a scenario pack can also set.  The
-#: ``add_argument`` calls below read from this dict, and the
-#: ``--scenario`` override logic compares against it — an explicitly
-#: passed flag (value != default) overrides the pack field it names,
-#: and the two can't drift apart.
+#: Every flag a scenario pack can also set, with the value a run without
+#: ``--scenario`` takes when the flag is not passed.  These flags parse
+#: to None when absent, so a passed flag is one that is not None — also
+#: when it repeats the value here — and it overrides the pack field it
+#: names.
 _FLAG_DEFAULTS = {
     "nodes": 64,
     "extent": 2 * np.pi,
@@ -137,6 +137,14 @@ _CONFIG_FLAG_FIELDS = {
     "fft_config": "fft_config",
 }
 
+#: Flag dest → InitialCondition field.
+_IC_FLAG_FIELDS = {
+    "ic": "kind",
+    "magnitude": "magnitude",
+    "period": "period",
+    "seed": "seed",
+}
+
 
 def _epilog() -> str:
     """Worked examples for ``--help``, generated from the registries.
@@ -169,7 +177,7 @@ examples:
   rocketrig --scenario singlemode-rollup --outdir results/rig
   rocketrig --scenario multimode-periodic --backend blocked --steps 5
   rocketrig campaign examples/decks/smoke.json --workers 4
-  rocketrig campaign examples/decks/smoke.json --worker-type serial \\
+  rocketrig campaign examples/decks/smoke.json --workers 1 \\
             --timeout 3600 --collective-timeout 600
   rocketrig campaign examples/decks/scenario_sweep.json --workers 2
   rocketrig campaign examples/decks/service_smoke.json --serve --port 7777 \\
@@ -185,16 +193,6 @@ compute backends (--backend): {", ".join(available_backends())} \
 Run --list-solvers / --list-backends / --list-scenarios to print the
 registries and exit.
 """
-
-
-def _worker_type(value: str) -> str:
-    """``--worker-type`` values, with a pointer for the removed one."""
-    if value == "thread":
-        raise argparse.ArgumentTypeError(
-            "the 'thread' worker type was removed (its runs convoyed on "
-            "the GIL); use 'process', the default, or 'serial'"
-        )
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,72 +216,56 @@ def build_parser() -> argparse.ArgumentParser:
                              "override the pack fields they name")
     mesh = parser.add_argument_group("mesh")
     mesh.add_argument("--nodes", "-n", type=int,
-                      default=_FLAG_DEFAULTS["nodes"],
                       help="surface mesh nodes per dimension (default 64)")
     mesh.add_argument("--extent", type=float,
-                      default=_FLAG_DEFAULTS["extent"],
                       help="domain edge length (default 2π)")
-    mesh.add_argument("--free-boundaries", action="store_true",
+    mesh.add_argument("--free-boundaries", action="store_true", default=None,
                       help="non-periodic boundaries (requires --order high)")
 
     model = parser.add_argument_group("model")
     model.add_argument("--order", "-o", choices=("low", "medium", "high"),
-                       default=_FLAG_DEFAULTS["order"],
                        help="Z-Model order (default low)")
     model.add_argument("--br-solver", choices=tuple(available_br_solvers()),
-                       default=_FLAG_DEFAULTS["br_solver"],
                        help="Birkhoff-Rott solver")
     model.add_argument("--cutoff", "-c", type=float,
-                       default=_FLAG_DEFAULTS["cutoff"],
                        help="cutoff distance for the cutoff solver")
     model.add_argument("--skin", type=float,
-                       default=_FLAG_DEFAULTS["skin"],
                        help="Verlet skin of the cutoff solver's spatial-"
                             "structure cache: neighbor lists and comm "
                             "plans are built at cutoff+skin and reused "
                             "until points move more than skin/2 "
                             "(0 = rebuild every evaluation)")
     model.add_argument("--rebuild-freq", type=int,
-                       default=_FLAG_DEFAULTS["rebuild_freq"],
                        help="force a neighbor-structure rebuild after "
                             "this many consecutive reuses (0 = "
                             "displacement-triggered only)")
     model.add_argument("--theta", type=float,
-                       default=_FLAG_DEFAULTS["theta"],
                        help="tree solver multipole-acceptance criterion "
                             "in [0, 1): a node is evaluated through its "
                             "moments when size <= theta * distance "
                             "(0 = exact pair sums; default 0.5)")
     model.add_argument("--leaf-size", type=int,
-                       default=_FLAG_DEFAULTS["leaf_size"],
                        help="tree solver points per quadtree leaf "
                             "(near-field granularity, default 32)")
-    model.add_argument("--atwood", "-a", type=float,
-                       default=_FLAG_DEFAULTS["atwood"])
-    model.add_argument("--gravity", "-g", type=float,
-                       default=_FLAG_DEFAULTS["gravity"])
-    model.add_argument("--mu", type=float, default=_FLAG_DEFAULTS["mu"],
+    model.add_argument("--atwood", "-a", type=float)
+    model.add_argument("--gravity", "-g", type=float)
+    model.add_argument("--mu", type=float,
                        help="artificial viscosity coefficient")
     model.add_argument("--epsilon", type=float,
-                       default=_FLAG_DEFAULTS["epsilon"],
                        help="Krasny desingularization length")
-    model.add_argument("--dt", type=float, default=_FLAG_DEFAULTS["dt"],
+    model.add_argument("--dt", type=float,
                        help="timestep (default: CFL-stable)")
-    model.add_argument("--br-images", action="store_true",
+    model.add_argument("--br-images", action="store_true", default=None,
                        help="include 3x3 periodic images in the exact solver")
 
     ic = parser.add_argument_group("initial condition")
-    ic.add_argument("--ic", "-I", default=_FLAG_DEFAULTS["ic"],
-                    choices=IC_CHOICES)
-    ic.add_argument("--magnitude", "-m", type=float,
-                    default=_FLAG_DEFAULTS["magnitude"])
-    ic.add_argument("--period", "-p", type=float,
-                    default=_FLAG_DEFAULTS["period"])
-    ic.add_argument("--seed", type=int, default=_FLAG_DEFAULTS["seed"])
+    ic.add_argument("--ic", "-I", choices=IC_CHOICES)
+    ic.add_argument("--magnitude", "-m", type=float)
+    ic.add_argument("--period", "-p", type=float)
+    ic.add_argument("--seed", type=int)
 
     fft = parser.add_argument_group("FFT communication (heFFTe flags)")
-    fft.add_argument("--fft-config", type=int,
-                     default=_FLAG_DEFAULTS["fft_config"], choices=range(8),
+    fft.add_argument("--fft-config", type=int, choices=range(8),
                      help="Table-1 configuration index (default 7)")
 
     run = parser.add_argument_group("run")
@@ -292,10 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(registered engines: "
                           f"{', '.join(available_backends())}; "
                           "default: $REPRO_BACKEND or numpy)")
-    run.add_argument("--steps", "-t", type=int,
-                     default=_FLAG_DEFAULTS["steps"])
+    run.add_argument("--steps", "-t", type=int)
     run.add_argument("--ranks", "-r", type=int,
-                     default=_FLAG_DEFAULTS["ranks"],
                      help="simulated MPI ranks (default 1)")
     run.add_argument("--outdir", default=None,
                      help="write VTK dumps into this directory")
@@ -329,14 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="path to the JSON campaign deck (required except "
                            "in --worker mode)")
     camp.add_argument("--workers", "-w", type=int, default=4,
-                      help="concurrent runs (default 4)")
-    camp.add_argument("--worker-type", type=_worker_type,
-                      choices=("process", "serial"), default="process",
-                      help="worker backend: 'process' leases runs to "
-                           "--workers local worker processes (true CPU "
-                           "parallelism; a worker that dies has its run "
-                           "requeued on a replacement), 'serial' runs "
-                           "everything inline (default: process)")
+                      help="concurrent runs: runs are leased to this many "
+                           "local worker processes (a worker that dies "
+                           "has its run requeued on a replacement); 1 "
+                           "runs everything in this process (default 4)")
     camp.add_argument("--results-dir", default=None,
                       help="results tree root (default: $REPRO_RESULTS_DIR "
                            "or ./results)")
@@ -410,87 +386,65 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario_run_params(
+def _overlay(flags: dict, config: dict, ic: dict, run: dict) -> None:
+    """Write the config / IC / run fields the given flag values name."""
+    for dest, value in flags.items():
+        if dest == "nodes":
+            config["num_nodes"] = (value, value)
+        elif dest == "extent":
+            half = value / 2.0
+            config["low"] = (-half, -half)
+            config["high"] = (half, half)
+        elif dest == "free_boundaries":
+            config["periodic"] = (not value, not value)
+        elif dest in _CONFIG_FLAG_FIELDS:
+            config[_CONFIG_FLAG_FIELDS[dest]] = value
+        elif dest in _IC_FLAG_FIELDS:
+            ic[_IC_FLAG_FIELDS[dest]] = value
+        else:
+            run[dest] = value
+
+
+def _run_params(
     args: argparse.Namespace,
 ) -> tuple[SolverConfig, InitialCondition, int, int]:
-    """Resolve ``--scenario`` plus explicit flag overrides.
+    """``(config, ic, steps, ranks)`` of a single run.
 
-    The pack supplies every field it names; a CLI flag overrides the
-    pack field only when its parsed value differs from the parser
-    default in :data:`_FLAG_DEFAULTS` (i.e. the user actually passed
-    it).  ``--backend`` is always applied — packs forbid it, since the
-    compute engine is a machine choice, not part of scenario identity.
-    ``--steps``/``--ranks`` left at their defaults fall back to the
-    pack's ``run`` block.
+    The base is the ``--scenario`` pack's fields, or without one the
+    values in :data:`_FLAG_DEFAULTS`; every flag the user passed
+    overrides the field it names, and ``--backend`` is always applied —
+    packs forbid it, since the compute engine is a machine choice, not
+    part of scenario identity.  The config is built by
+    :func:`~repro.campaign.deck.build_config`, as a deck's is.
     """
     from repro.campaign.deck import build_config
-    from repro.scenarios import get_scenario
 
-    pack = get_scenario(args.scenario)
-    config_params = dict(pack.config)
-    ic_params = dict(pack.ic)
+    config: dict = {}
+    ic: dict = {}
+    run: dict = {}
+    if args.scenario:
+        from repro.scenarios import get_scenario
 
-    def overridden(dest: str) -> bool:
-        return getattr(args, dest) != _FLAG_DEFAULTS[dest]
-
-    if overridden("nodes"):
-        config_params["num_nodes"] = (args.nodes, args.nodes)
-    if overridden("extent"):
-        half = args.extent / 2.0
-        config_params["low"] = (-half, -half)
-        config_params["high"] = (half, half)
-    if args.free_boundaries:
-        config_params["periodic"] = (False, False)
-    for dest, field in _CONFIG_FLAG_FIELDS.items():
-        if overridden(dest):
-            config_params[field] = getattr(args, dest)
-    config_params["backend"] = args.backend
-    for dest, field in (("ic", "kind"), ("magnitude", "magnitude"),
-                        ("period", "period"), ("seed", "seed")):
-        if overridden(dest):
-            ic_params[field] = getattr(args, dest)
-    config = build_config(config_params)
-    ic = InitialCondition(**ic_params)
-    steps = args.steps if overridden("steps") else pack.steps
-    ranks = args.ranks if overridden("ranks") else pack.ranks
-    return config, ic, steps, ranks
+        pack = get_scenario(args.scenario)
+        config, ic = dict(pack.config), dict(pack.ic)
+        run = {"steps": pack.steps, "ranks": pack.ranks}
+    else:
+        _overlay(_FLAG_DEFAULTS, config, ic, run)
+    _overlay(
+        {dest: getattr(args, dest) for dest in _FLAG_DEFAULTS
+         if getattr(args, dest) is not None},
+        config, ic, run,
+    )
+    config["backend"] = args.backend
+    return (build_config(config), InitialCondition(**ic), run["steps"],
+            run["ranks"])
 
 
 def run_from_args(args: argparse.Namespace) -> dict:
-    if getattr(args, "scenario", None):
-        try:
-            config, ic, steps, ranks = _scenario_run_params(args)
-        except ReproError as exc:
-            raise SystemExit(f"rocketrig: {exc}")
-    else:
-        half = args.extent / 2.0
-        periodic = not args.free_boundaries
-        config = SolverConfig(
-            num_nodes=(args.nodes, args.nodes),
-            low=(-half, -half),
-            high=(half, half),
-            periodic=(periodic, periodic),
-            order=args.order,
-            br_solver=args.br_solver,
-            cutoff=args.cutoff,
-            skin=args.skin,
-            rebuild_freq=args.rebuild_freq,
-            theta=args.theta,
-            leaf_size=args.leaf_size,
-            atwood=args.atwood,
-            gravity=args.gravity,
-            mu=args.mu,
-            eps=args.epsilon,
-            dt=args.dt,
-            br_images=args.br_images,
-            fft_config=FftConfig.from_index(args.fft_config),
-            backend=args.backend,
-        )
-        ic = InitialCondition(
-            kind=args.ic, magnitude=args.magnitude, period=args.period,
-            seed=args.seed,
-        )
-        steps, ranks = args.steps, args.ranks
+    try:
+        config, ic, steps, ranks = _run_params(args)
+    except ReproError as exc:
+        raise SystemExit(f"rocketrig: {exc}")
     # Resolve eagerly so an unknown engine fails before ranks spin up.
     try:
         backend_name = get_backend(config.backend).name
@@ -528,10 +482,7 @@ def run_from_args(args: argparse.Namespace) -> dict:
         raise SystemExit(f"rocketrig: {exc}")
     diag, counts, cache_stats, tree_stats = results[0]
 
-    scenario_tag = (
-        f"scenario {args.scenario!r}, "
-        if getattr(args, "scenario", None) else ""
-    )
+    scenario_tag = f"scenario {args.scenario!r}, " if args.scenario else ""
     print(f"rocketrig: {scenario_tag}{config.order}-order, {ranks} ranks, "
           f"{config.num_nodes[0]}x{config.num_nodes[1]} mesh, {steps} steps, "
           f"{backend_name} backend")
@@ -716,14 +667,12 @@ def run_campaign_from_args(args: argparse.Namespace) -> dict:
             timeout=args.timeout,
             collective_timeout=args.collective_timeout,
             checkpoint_freq=args.checkpoint_freq,
-            worker_type=args.worker_type,
             status_interval=getattr(args, "status_interval", 0.0),
         )
     except ReproError as exc:
         raise SystemExit(f"rocketrig campaign: {exc}")
     print(f"campaign {deck.name!r}: {len(specs)} runs "
-          f"({deck.mode} mode), {args.workers} {executor.worker_type} "
-          f"workers, modeled makespan "
+          f"({deck.mode} mode), {args.workers} workers, modeled makespan "
           f"{makespan_estimate(specs, args.workers):.3g}s")
     outcomes = executor.submit(specs)
 

@@ -59,17 +59,16 @@ class BoundaryCondition:
         self.mesh = mesh
         self.types = tuple(
             BoundaryType.PERIODIC if p else BoundaryType.FREE
-            for p in mesh.periodic
+            for p in mesh.global_mesh.periodic
         )
-        grid = mesh.local_grid
-        h = grid.halo_width
+        h = mesh.halo_width
         # Per axis: ``(ghost strip, ± period)`` position shifts of a
         # periodic axis, ``(edge, inner, ghost rows)`` faces of a free one.
         self._shifts: list[list[tuple]] = [[], []]
         self._faces: list[list[tuple]] = [[], []]
         for axis, btype in enumerate(self.types):
-            n_owned = grid.owned_shape[axis]
-            low, high = grid.global_boundary[axis]
+            n_owned = mesh.owned_shape[axis]
+            low, high = mesh.global_boundary[axis]
             if btype is BoundaryType.PERIODIC:
                 # The physical period equals the parameter-domain extent
                 # because the rocket-rig initialization maps parameters

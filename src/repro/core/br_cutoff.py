@@ -50,7 +50,7 @@ machine model both see the amortization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -72,7 +72,7 @@ class ExactBRSolver:
         self.eps = eps
         self.backend = get_backend(backend)
         self.periodic_images = bool(periodic_images)
-        if self.periodic_images and not all(mesh.periodic):
+        if self.periodic_images and not all(mesh.global_mesh.periodic):
             from repro.util.errors import ConfigurationError
 
             raise ConfigurationError(

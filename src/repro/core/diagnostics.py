@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.problem_manager import ProblemManager
-from repro.mpi.comm import Comm
 
 __all__ = [
     "gather_global_state",
@@ -37,7 +36,7 @@ def gather_global_state(
     """
     comm = pm.mesh.cart
     payload = (
-        pm.mesh.local_grid.owned_space.mins,
+        pm.mesh.owned_space.mins,
         pm.z.own.copy(),
         pm.w.own.copy(),
     )

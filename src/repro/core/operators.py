@@ -32,7 +32,6 @@ __all__ = [
     "cross",
     "dot",
     "norm",
-    "surface_normal",
     "area_element",
 ]
 
@@ -64,18 +63,6 @@ def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def norm(a: np.ndarray) -> np.ndarray:
     """Pointwise Euclidean norm over the trailing component axis."""
     return np.sqrt(dot(a, a))
-
-
-def surface_normal(
-    z_full: np.ndarray, dx_: float, dy_: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tangents and (unnormalized) normal of the interface surface.
-
-    Returns ``(t1, t2, n)`` on owned nodes with ``n = t1 × t2``.
-    """
-    t1 = dx(z_full, dx_)
-    t2 = dy(z_full, dy_)
-    return t1, t2, cross(t1, t2)
 
 
 def area_element(n_unnormalized: np.ndarray, floor: float = 1e-300) -> np.ndarray:

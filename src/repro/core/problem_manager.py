@@ -31,8 +31,8 @@ class ProblemManager:
     def __init__(self, mesh: SurfaceMesh) -> None:
         self.mesh = mesh
         self.bc = BoundaryCondition(mesh)
-        self.z = NodeArray(mesh.local_grid, 3, name="position")
-        self.w = NodeArray(mesh.local_grid, 2, name="vorticity")
+        self.z = NodeArray(mesh, 3, name="position")
+        self.w = NodeArray(mesh, 2, name="vorticity")
 
     # -- state access ----------------------------------------------------------
 
@@ -67,14 +67,10 @@ class ProblemManager:
         self.mesh.gather([full])
         self.bc.apply_field(full)
 
-    def make_field(self, ncomp: int, name: str = "field") -> NodeArray:
-        """Allocate a ghosted work field congruent with the state."""
-        return NodeArray(self.mesh.local_grid, ncomp, name=name)
-
     def full_from_own(self, own: np.ndarray) -> np.ndarray:
         """Embed an owned-region ``(..., ni, nj, c)`` array or stack into
         a fresh ghosted full one."""
-        field = NodeArray(self.mesh.local_grid, own.shape[-1])
+        field = NodeArray(self.mesh, own.shape[-1])
         field.full = np.zeros(own.shape[:-3] + field.shape)
         field.own[...] = own
         return field.full

@@ -24,7 +24,7 @@ Typical use::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -41,6 +41,7 @@ from repro.core.time_integrator import TimeIntegrator
 from repro.core.zmodel import Order, ZModel, ZModelParameters
 from repro.fft.config import FftConfig
 from repro.fft.dfft import DistributedFFT2D
+from repro.grid.global_mesh import GlobalMesh2D
 from repro.mpi.comm import Comm
 from repro.util.errors import ConfigurationError, RunDivergedError
 
@@ -166,13 +167,10 @@ class SolverConfig:
     # -- derived values -------------------------------------------------------
 
     def spacing(self) -> tuple[float, float]:
-        dx = (self.high[0] - self.low[0]) / (
-            self.num_nodes[0] if self.periodic[0] else self.num_nodes[0] - 1
-        )
-        dy = (self.high[1] - self.low[1]) / (
-            self.num_nodes[1] if self.periodic[1] else self.num_nodes[1] - 1
-        )
-        return dx, dy
+        """Node spacing per axis, by the mesh's convention."""
+        return GlobalMesh2D.create(
+            self.low, self.high, self.num_nodes, self.periodic
+        ).spacings
 
     def effective_eps(self) -> float:
         if self.eps is not None:
@@ -211,11 +209,6 @@ class SolverConfig:
             (self.low[0], self.low[1], -zpad),
             (self.high[0], self.high[1], zpad),
         )
-
-    def with_updates(self, **kwargs: Any) -> "SolverConfig":
-        """Functional update (input decks are immutable)."""
-        return replace(self, **kwargs)
-
 
 def check_health(
     z: np.ndarray, w: np.ndarray, bound: float, step, rank: int = 0
@@ -450,7 +443,7 @@ class Solver:
                 f"config num_nodes {tuple(config.num_nodes)}"
             )
         solver = cls(comm, config, ic or InitialCondition(kind="flat"))
-        space = solver.mesh.local_grid.owned_space
+        space = solver.mesh.owned_space
         (i0, j0), (ni, nj) = space.mins, space.shape
         solver.pm.set_state(
             z_global[i0: i0 + ni, j0: j0 + nj],

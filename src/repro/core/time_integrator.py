@@ -76,7 +76,7 @@ class TimeIntegrator:
         pm = self.pm
         bk = self.backend
         trace = pm.mesh.cart.trace
-        rank = pm.mesh.rank
+        rank = pm.mesh.cart.rank
         z, w = as_stack(pm.z.own), as_stack(pm.w.own)
         z0 = z.copy()
         w0 = w.copy()

@@ -196,7 +196,7 @@ class ZModel:
         if self.order in (Order.LOW, Order.MEDIUM):
             if fft is None:
                 raise ConfigurationError(f"{self.order} order requires an FFT solver")
-            if not (mesh.periodic[0] and mesh.periodic[1]):
+            if not (all(mesh.global_mesh.periodic)):
                 raise ConfigurationError(
                     "low- and medium-order solves require periodic boundaries "
                     "(the paper notes Beatnik's reliance on periodic FFT solvers)"
@@ -228,7 +228,7 @@ class ZModel:
             t0 = trace.clock()
             spectrum *= self._riesz
             trace.record_compute(
-                "riesz", mesh.rank,
+                "riesz", mesh.cart.rank,
                 flops=RIESZ_FLOPS * spectrum.size,
                 bytes_moved=RIESZ_BYTES * spectrum.size,
                 items=spectrum.size, t_wall=trace.clock_since(t0),
@@ -265,7 +265,7 @@ class ZModel:
         trace = mesh.cart.trace
         pm.gather_state()
 
-        dx_, dy_ = mesh.spacings
+        dx_, dy_ = mesh.global_mesh.spacings
         lead = pm.z.full.shape[:-3]
         z_full, w_full, z_own, w_own = (
             ops.as_stack(a) for a in (pm.z.full, pm.w.full, pm.z.own, pm.w.own)
@@ -283,7 +283,7 @@ class ZModel:
                 omega = w_own[..., 0:1] * t1 + w_own[..., 1:2] * t2
             del t1, t2, normal      # a step's peak memory is temporaries
             trace.record_compute(
-                "geometry", mesh.rank,
+                "geometry", mesh.cart.rank,
                 flops=40.0 * deth.size,
                 bytes_moved=11.0 * 8 * deth.size,
                 items=deth.size, t_wall=trace.clock_since(t0),
@@ -304,11 +304,11 @@ class ZModel:
         with trace.phase("stencil"):
             t0 = trace.clock()
             wdot = vorticity_rate(
-                self.backend, phi_full, w_full, deth, mesh.spacings,
+                self.backend, phi_full, w_full, deth, mesh.global_mesh.spacings,
                 p.atwood, p.mu,
             )
             trace.record_compute(
-                "vorticity_update", mesh.rank,
+                "vorticity_update", mesh.cart.rank,
                 flops=30.0 * wdot[..., 0].size,
                 bytes_moved=8.0 * 8 * wdot[..., 0].size,
                 items=wdot[..., 0].size, t_wall=trace.clock_since(t0),

@@ -18,7 +18,7 @@ from repro.fft.layouts import (
     rows_slab_layout,
 )
 from repro.fft.remap import Remap
-from repro.fft.serial import fft2_serial, fft_flops, ifft2_serial
+from repro.fft.serial import fft_flops
 
 __all__ = [
     "ALL_CONFIGS",
@@ -32,7 +32,5 @@ __all__ = [
     "rows_pencil_layout",
     "cols_pencil_layout",
     "layout_for_stage",
-    "fft2_serial",
-    "ifft2_serial",
     "fft_flops",
 ]

@@ -174,23 +174,3 @@ class DistributedFFT2D:
 
     # -- spectral coordinates ------------------------------------------------------
 
-    def spectrum_wavenumbers(
-        self, extent: tuple[float, float]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """1-D angular wavenumbers ``(kx, ky)`` of :attr:`spectrum_box`.
-
-        ``extent`` is the physical domain size ``(Lx, Ly)``; wavenumbers
-        follow the ``np.fft.fftfreq`` ordering of the global spectrum,
-        sliced to the box.
-        """
-        kx, ky = _wavenumbers(self.global_shape, extent)
-        sx, sy = self.spectrum_box.slices()
-        return kx[sx], ky[sy]
-
-    def remap_partner_counts(self) -> dict[str, int]:
-        """Peers touched by each forward hop (tests assert pencil locality)."""
-        return {
-            "to_rows": self._to_rows.partner_count(),
-            "rows_to_cols": self._rows_to_cols.partner_count(),
-            "cols_to_brick": self._cols_to_brick.partner_count(),
-        }

@@ -178,22 +178,3 @@ class Remap:
                 self._record_copy(data.nbytes, packed=False)
                 self._place(out, part, data.astype(local.dtype, copy=False))
 
-    # -- introspection (used by tests and the machine patterns) ----------------
-
-    def send_counts_bytes(self, itemsize: int) -> list[int]:
-        """Bytes this rank ships to each destination (itemsize given)."""
-        return [
-            0 if part is None else part.size * itemsize
-            for part in self.send_parts
-        ]
-
-    def partner_count(self) -> int:
-        """Number of distinct remote peers this rank exchanges data with."""
-        partners = set()
-        for d, part in enumerate(self.send_parts):
-            if d != self.comm.rank and part is not None and not part.empty:
-                partners.add(d)
-        for s, part in enumerate(self.recv_parts):
-            if s != self.comm.rank and part is not None and not part.empty:
-                partners.add(s)
-        return len(partners)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fft_along", "ifft_along", "fft2_serial", "ifft2_serial", "fft_flops"]
+__all__ = ["fft_along", "ifft_along", "fft_flops"]
 
 
 def fft_flops(n: int, batch: int) -> float:
@@ -65,10 +65,3 @@ def ifft_along(
     return out
 
 
-def fft2_serial(data: np.ndarray) -> np.ndarray:
-    """Reference serial 2D transform (tests compare against this)."""
-    return np.fft.fft2(data)
-
-
-def ifft2_serial(data: np.ndarray) -> np.ndarray:
-    return np.fft.ifft2(data)

@@ -1,23 +1,19 @@
 """Structured-grid substrate (the Cabana/Cajita analogue).
 
-Provides the distributed 2D mesh Beatnik's ``SurfaceMesh`` is built on:
-global mesh description, uniform 2D block partitioning over a Cartesian
-communicator, per-rank local grids with a depth-2 ghost frame, ghosted
-node arrays, and the two-phase halo exchange.
+The pieces :class:`repro.core.SurfaceMesh` is built from: the global
+mesh description, index boxes, ghosted node arrays, and the two-phase
+halo exchange.  The per-rank block itself — owned box, ghost frame,
+boundary faces — is the surface mesh.
 """
 
 from repro.grid.array import NodeArray
 from repro.grid.global_mesh import GlobalMesh2D
 from repro.grid.halo import HaloExchange
 from repro.grid.indexspace import IndexSpace
-from repro.grid.local_grid import LocalGrid2D
-from repro.grid.partition import BlockPartitioner2D
 
 __all__ = [
     "NodeArray",
     "GlobalMesh2D",
     "HaloExchange",
     "IndexSpace",
-    "LocalGrid2D",
-    "BlockPartitioner2D",
 ]

@@ -4,8 +4,8 @@ Beatnik's ``SurfaceMesh`` is an open, regular, rectangular 2D grid over
 the Z-Model's parameter space ``(α1, α2)``; each node carries the 3D
 position and two vorticity components of a point on the fluid
 interface.  This module holds the *global* (undecomposed) description;
-:mod:`repro.grid.partition` and :mod:`repro.grid.local_grid` handle the
-per-rank view.
+:class:`~repro.core.surface_mesh.SurfaceMesh` is one rank's block of
+it.
 
 Node-spacing convention
 -----------------------
@@ -15,7 +15,8 @@ Node-spacing convention
   spacing ``(hi-lo)/(N-1)``.
 
 The distributed FFT relies on the periodic convention for its
-wavenumber grid; tests pin both.
+wavenumber grid, and :meth:`repro.core.SolverConfig.spacing` reads it
+from here; tests pin both.
 """
 
 from __future__ import annotations
@@ -111,11 +112,3 @@ class GlobalMesh2D:
         ys = self.node_coordinate(1, np.arange(space.mins[1], space.maxs[1]))
         return np.meshgrid(xs, ys, indexing="ij")
 
-    @property
-    def node_space(self) -> IndexSpace:
-        """Index space of all global nodes."""
-        return IndexSpace.from_shape(self.num_nodes)
-
-    @property
-    def total_nodes(self) -> int:
-        return self.num_nodes[0] * self.num_nodes[1]

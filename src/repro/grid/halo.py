@@ -30,13 +30,15 @@ a stack still travels in the same 4 messages.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.grid.local_grid import LocalGrid2D
 from repro.mpi.world import PROC_NULL
 from repro.util.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.core.surface_mesh import SurfaceMesh
 
 __all__ = ["HaloExchange"]
 
@@ -44,7 +46,7 @@ _TAG_BASE = 7100
 
 
 class HaloExchange:
-    """Reusable halo-exchange plan for one local grid.
+    """Reusable halo-exchange plan for one rank's mesh block.
 
     The decomposition fixes who talks to whom and which slabs travel,
     so the four ``(tag, source, destination, send slab, receive slab)``
@@ -53,10 +55,10 @@ class HaloExchange:
     wraps the ghosts (and what the message counts of a run report).
     """
 
-    def __init__(self, local_grid: LocalGrid2D) -> None:
-        self.grid = local_grid
-        self.h = local_grid.halo_width
-        cart = local_grid.cart
+    def __init__(self, mesh: SurfaceMesh) -> None:
+        self.mesh = mesh
+        self.h = mesh.halo_width
+        cart = mesh.cart
         self._plan = []
         for phase, axis in enumerate((0, 1)):
             for dir_index, sign in enumerate((-1, 1)):
@@ -90,7 +92,7 @@ class HaloExchange:
         full axis-0 extent (ghosts included) to complete corners.
         """
         h = self.h
-        ni, nj = self.grid.owned_shape
+        ni, nj = self.mesh.owned_shape
         if axis == 0:
             cols = slice(h, h + nj)  # owned columns only
             if sign == -1:
@@ -114,12 +116,12 @@ class HaloExchange:
         """
         if self.h == 0:
             return
-        cart = self.grid.cart
-        expected = self.grid.local_shape
+        cart = self.mesh.cart
+        expected = self.mesh.local_shape
         for a in arrays:
             if a.shape[-3:-1] != expected:
                 raise ConfigurationError(
-                    f"array shape {a.shape} does not match local grid {expected}"
+                    f"array shape {a.shape} does not match mesh block {expected}"
                 )
         dtypes = {a.dtype for a in arrays}
         if len(dtypes) > 1:

@@ -10,7 +10,7 @@ with these, which keeps slicing logic out of the communication code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.util.errors import ConfigurationError
 from repro.util.misc import prod
@@ -59,9 +59,6 @@ class IndexSpace:
     def empty(self) -> bool:
         return self.size == 0
 
-    def range(self, dim: int) -> tuple[int, int]:
-        return self.mins[dim], self.maxs[dim]
-
     def slices(self) -> tuple[slice, ...]:
         """Numpy slices selecting this box from an array rooted at 0."""
         return tuple(slice(lo, hi) for lo, hi in zip(self.mins, self.maxs))
@@ -75,13 +72,6 @@ class IndexSpace:
             tuple(hi + o for hi, o in zip(self.maxs, offset)),
         )
 
-    def grow(self, width: int) -> "IndexSpace":
-        """Expand the box by ``width`` on every face."""
-        return IndexSpace(
-            tuple(lo - width for lo in self.mins),
-            tuple(hi + width for hi in self.maxs),
-        )
-
     def intersect(self, other: "IndexSpace") -> Optional["IndexSpace"]:
         """The overlapping box, or None when disjoint (or ndim mismatch)."""
         if other.ndim != self.ndim:
@@ -92,38 +82,12 @@ class IndexSpace:
             return None
         return IndexSpace(mins, maxs)
 
-    def contains(self, point: Sequence[int]) -> bool:
-        if len(point) != self.ndim:
-            return False
-        return all(lo <= p < hi for p, lo, hi in zip(point, self.mins, self.maxs))
-
-    def contains_space(self, other: "IndexSpace") -> bool:
-        return all(
-            slo <= olo and ohi <= shi
-            for slo, shi, olo, ohi in zip(self.mins, self.maxs, other.mins, other.maxs)
-        )
-
     def relative_to(self, origin: Sequence[int]) -> "IndexSpace":
         """Re-express the box with ``origin`` mapped to index 0.
 
         Used to convert global-index boxes into local-array slices.
         """
         return self.shift(tuple(-o for o in origin))
-
-    def points(self) -> Iterator[tuple[int, ...]]:
-        """Iterate all integer points (row-major).  Small boxes only."""
-        if self.ndim == 0:
-            yield ()
-            return
-
-        def rec(dim: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            if dim == self.ndim:
-                yield prefix
-                return
-            for v in range(self.mins[dim], self.maxs[dim]):
-                yield from rec(dim + 1, prefix + (v,))
-
-        yield from rec(0, ())
 
     def __repr__(self) -> str:
         ranges = "×".join(f"[{lo},{hi})" for lo, hi in zip(self.mins, self.maxs))

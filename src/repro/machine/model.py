@@ -16,8 +16,7 @@ All cost functions are pure and deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import dataclass
 
 from repro.util.errors import ConfigurationError
 
@@ -176,10 +175,6 @@ class MachineSpec:
         if parallelism is not None and parallelism > 0:
             ideal /= parallelism / (parallelism + self.gpu_saturation)
         return self.kernel_launch + ideal
-
-    def with_updates(self, **kwargs: Any) -> "MachineSpec":
-        return replace(self, **kwargs)
-
 
 #: Default machine used by the benchmark harness (paper §5.1 testbed).
 LASSEN = MachineSpec()

@@ -18,7 +18,7 @@ exception is re-raised to the caller.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from repro.mpi.comm import Comm
 from repro.mpi.trace import CommTrace

@@ -37,8 +37,8 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 from repro.telemetry.metrics import MetricsRegistry, NullMetrics
 
@@ -384,12 +384,6 @@ class CommTrace:
             per_rank[span.rank] = per_rank.get(span.rank, 0.0) + span.self_time
         return walls
 
-    def phase_wall_max(self, phase: str) -> float:
-        """Slowest rank's measured wall seconds in one phase (the
-        BSP-consistent counterpart of ``ReplayResult.phase_time``)."""
-        per_rank = self.phase_walls().get(phase, {})
-        return max(per_rank.values()) if per_rank else 0.0
-
     def compute_totals(
         self, *, phase: Optional[str] = None
     ) -> dict[str, dict[str, float]]:
@@ -451,14 +445,6 @@ class CommTrace:
                 and (phase is None or ev.phase == phase)
             ]
         )
-
-    def partners(self, rank: int) -> set[int]:
-        """Set of peer ranks this rank exchanged point-to-point data with."""
-        out = set()
-        for ev in self.events:
-            if ev.rank == rank and ev.peer is not None and ev.kind in ("send", "recv"):
-                out.add(ev.peer)
-        return out
 
     def clear(self) -> None:
         with self._lock:

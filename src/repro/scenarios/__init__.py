@@ -20,9 +20,9 @@ Every surface that names a workload resolves it here:
 
 Typical use::
 
-    from repro.scenarios import available_scenarios, get_scenario
+    from repro.scenarios import get_scenario, iter_scenarios
 
-    print(available_scenarios(family="multi_mode"))
+    print([s.name for s in iter_scenarios(family="multi_mode")])
     scenario = get_scenario("singlemode-rollup")
     config, ic = scenario.solver_config(), scenario.initial_condition()
 
@@ -38,7 +38,6 @@ from repro.scenarios.loader import (
     load_pack,
 )
 from repro.scenarios.registry import (
-    available_scenarios,
     get_scenario,
     iter_scenarios,
     load_registry,
@@ -50,7 +49,6 @@ __all__ = [
     "PACK_SUFFIXES",
     "Scenario",
     "ScenarioPackError",
-    "available_scenarios",
     "get_scenario",
     "iter_scenarios",
     "load_pack",

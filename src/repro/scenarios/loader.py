@@ -136,30 +136,6 @@ class Scenario:
         )
         return InitialCondition(**params)
 
-    def run_spec(
-        self,
-        steps: Optional[int] = None,
-        ranks: Optional[int] = None,
-        mode: str = "functional",
-        campaign: Optional[str] = None,
-    ):
-        """Freeze this scenario into a content-hashed RunSpec.
-
-        The spec carries only the *resolved* config/IC — a scenario-pack
-        run hashes (and therefore dedups in the campaign store)
-        identically to the same parameters written out explicitly.
-        """
-        from repro.campaign.deck import RunSpec
-
-        return RunSpec(
-            config=self.solver_config(),
-            ic=self.initial_condition(),
-            steps=self.steps if steps is None else steps,
-            ranks=self.ranks if ranks is None else ranks,
-            mode=mode,
-            campaign=campaign if campaign is not None else self.name,
-        )
-
     def fleet_key(self, backend: Optional[str] = None):
         """Batch-fleet eligibility of the resolved pack.
 

@@ -29,7 +29,6 @@ from repro.scenarios.loader import PACK_SUFFIXES, Scenario, ScenarioPackError, l
 from repro.util.errors import ConfigurationError
 
 __all__ = [
-    "available_scenarios",
     "get_scenario",
     "iter_scenarios",
     "load_registry",
@@ -135,15 +134,6 @@ def iter_scenarios(
         ),
         key=lambda s: (s.family, s.name),
     )
-
-
-def available_scenarios(
-    family: Optional[str] = None,
-    tag: Optional[str] = None,
-    roots: Optional[Iterable["str | os.PathLike"]] = None,
-) -> list[str]:
-    """Registered scenario names, optionally filtered by family/tag."""
-    return [s.name for s in iter_scenarios(family=family, tag=tag, roots=roots)]
 
 
 def scenario_families(

@@ -76,13 +76,6 @@ class Binning:
     sorted_cells: np.ndarray   # cell id per sorted point
     cell_start: np.ndarray     # (ncells + 1,) prefix offsets into `order`
 
-    def points_in_cell(self, cell_id: int) -> np.ndarray:
-        """Original indices of the points in one cell."""
-        lo = self.cell_start[cell_id]
-        hi = self.cell_start[cell_id + 1]
-        return self.order[lo:hi]
-
-
 def bin_points(points: np.ndarray, grid: CellGrid) -> Binning:
     """Sort ``points`` into ``grid`` cells; O(n log n), fully vectorized."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))

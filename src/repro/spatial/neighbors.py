@@ -45,9 +45,6 @@ class NeighborLists:
     def total_neighbors(self) -> int:
         return int(self.offsets[-1])
 
-    def neighbors_of(self, target: int) -> np.ndarray:
-        return self.indices[self.offsets[target]: self.offsets[target + 1]]
-
     def counts(self) -> np.ndarray:
         return np.diff(self.offsets)
 

@@ -82,19 +82,6 @@ class SpatialMesh:
         coords = self.block_coords_of(positions)
         return coords[:, 0] * self.dims[1] + coords[:, 1]
 
-    def block_rect(self, rank: int) -> tuple[float, float, float, float]:
-        """(x_lo, x_hi, y_lo, y_hi) of a rank's owned rectangle."""
-        if not 0 <= rank < self.nblocks:
-            raise ConfigurationError(f"rank {rank} out of range")
-        bx, by = divmod(rank, self.dims[1])
-        wx, wy = self.block_widths()
-        return (
-            self.low[0] + bx * wx,
-            self.low[0] + (bx + 1) * wx,
-            self.low[1] + by * wy,
-            self.low[1] + (by + 1) * wy,
-        )
-
     # -- halo targets ------------------------------------------------------------
 
     def halo_targets(

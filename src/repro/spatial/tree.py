@@ -169,12 +169,6 @@ class QuadTree:
         """Leaf level index (root = 0)."""
         return self.nlevels - 1
 
-    def level_slice(self, level: int) -> slice:
-        """Flat node-table slice of one level."""
-        return slice(
-            int(self.level_offsets[level]), int(self.level_offsets[level + 1])
-        )
-
     # -- multipole-acceptance walk ----------------------------------------
 
     def mac_pairs(self, targets: np.ndarray, theta: float) -> TreePairs:

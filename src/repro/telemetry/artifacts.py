@@ -94,7 +94,7 @@ def build_run_telemetry(
         }
 
     ``phase.<name>.wall`` is the slowest rank's measured self-time
-    (:meth:`~repro.mpi.trace.CommTrace.phase_wall_max`), the
+    (the maximum over :meth:`~repro.mpi.trace.CommTrace.phase_walls`), the
     BSP-consistent counterpart of the machine model's phase time —
     which is what makes ``telemetry.phase.X.wall`` directly comparable
     with modeled drift reports.  An untimed/Null trace produces an

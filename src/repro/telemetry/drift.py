@@ -7,7 +7,7 @@ measures it.  The *drift report* puts the two side by side, per phase:
 * **modeled** — BSP phase time from ``replay_trace`` (slowest rank's
   accumulated α-β comm + roofline compute);
 * **measured** — the slowest rank's summed span self-time
-  (:meth:`~repro.mpi.trace.CommTrace.phase_wall_max`), the directly
+  (the maximum over :meth:`~repro.mpi.trace.CommTrace.phase_walls`), the directly
   comparable BSP quantity;
 * **drift** — measured − modeled, and the measured/modeled ratio.
 

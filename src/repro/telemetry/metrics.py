@@ -12,9 +12,7 @@ instrument kinds:
 Instruments are created on first use (``registry.counter("x").inc()``),
 so publishing code never has to pre-declare anything.  ``snapshot()``
 flattens the registry into the JSON-able dict that lands in per-run
-``telemetry.json`` artifacts and campaign ``status.json`` heartbeats;
-``merge()`` folds one snapshot into another registry, which is how
-worker-process metrics travel back to the campaign parent.
+``telemetry.json`` artifacts and campaign ``status.json`` heartbeats.
 
 Instrumented code holds a registry reference it got from its context —
 solver-side code uses the one attached to its run's
@@ -79,10 +77,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self._value = float(value)
-
-    def adjust(self, delta: float) -> None:
-        with self._lock:
-            self._value += delta
 
     @property
     def value(self) -> float:
@@ -170,27 +164,6 @@ class MetricsRegistry:
             items = sorted(self._instruments.items())
         return {name: inst.to_json() for name, inst in items}
 
-    def merge(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a :meth:`snapshot` from elsewhere (e.g. a worker
-        process) into this registry: counters add, gauges take the
-        incoming value, histogram summaries combine."""
-        for name, value in (snapshot or {}).items():
-            if isinstance(value, dict):
-                hist = self.histogram(name)
-                with hist._lock:
-                    incoming = int(value.get("count", 0))
-                    if incoming > 0:
-                        hist.count += incoming
-                        hist.sum += float(value.get("sum", 0.0))
-                        vmin = float(value.get("min", 0.0))
-                        vmax = float(value.get("max", 0.0))
-                        hist.min = vmin if hist.min is None else min(hist.min, vmin)
-                        hist.max = vmax if hist.max is None else max(hist.max, vmax)
-            else:
-                counter = self.counter(name)
-                with counter._lock:
-                    counter._value += float(value)
-
     def clear(self) -> None:
         with self._lock:
             self._instruments.clear()
@@ -247,5 +220,3 @@ class NullMetrics(MetricsRegistry):
     def snapshot(self) -> Dict[str, Any]:
         return {}
 
-    def merge(self, snapshot: Dict[str, Any]) -> None:
-        return

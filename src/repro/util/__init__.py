@@ -10,8 +10,6 @@ from repro.util.errors import (
 from repro.util.misc import (
     dims_create,
     split_extent,
-    block_bounds,
-    human_bytes,
     prod,
 )
 
@@ -23,7 +21,5 @@ __all__ = [
     "ConfigurationError",
     "dims_create",
     "split_extent",
-    "block_bounds",
-    "human_bytes",
     "prod",
 ]

@@ -58,8 +58,6 @@ class BufferPool:
         self._resident = 0
         self.hits = 0
         self.misses = 0
-        self.bytes_served = 0
-        self.high_water = 0
 
     def acquire(self, nbytes: int) -> np.ndarray:
         """A ``uint8`` array of capacity >= ``nbytes`` (uninitialized).
@@ -79,10 +77,8 @@ class BufferPool:
                 buf = bucket.pop()
                 self._resident -= cap
                 self.hits += 1
-                self.bytes_served += nbytes
                 return buf
             self.misses += 1
-            self.bytes_served += nbytes
         return np.empty(cap, dtype=np.uint8)
 
     def release(self, buf: Optional[np.ndarray]) -> None:
@@ -105,23 +101,6 @@ class BufferPool:
                 return
             self._free.setdefault(cap, []).append(base)
             self._resident += cap
-            self.high_water = max(self.high_water, self._resident)
-
-    def stats(self) -> dict[str, int]:
-        """Reuse statistics snapshot (JSON-able)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "bytes_served": self.bytes_served,
-                "resident_bytes": self._resident,
-                "high_water_bytes": self.high_water,
-            }
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def clear(self) -> None:
         """Drop every cached buffer (stats are kept)."""

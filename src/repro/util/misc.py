@@ -1,8 +1,8 @@
-"""Generic helpers: decomposition arithmetic and formatting.
+"""Generic helpers: decomposition arithmetic and row chunking.
 
 The block-decomposition helpers here are the single source of truth for
 "which index range does rank r own" throughout the library.  Both the
-functional distributed code (grid, FFT, spatial mesh) and the analytic
+functional distributed code (surface mesh, FFT, spatial mesh) and the analytic
 communication-pattern generators in :mod:`repro.machine.patterns` call
 these, which is what keeps modeled message sizes consistent with the
 messages the functional code actually sends.
@@ -10,7 +10,6 @@ messages the functional code actually sends.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from functools import reduce
 from typing import Sequence
@@ -73,75 +72,6 @@ def split_extent(n: int, parts: int, index: int) -> tuple[int, int]:
     lo = index * base + min(index, extra)
     hi = lo + base + (1 if index < extra else 0)
     return lo, hi
-
-
-def block_bounds(
-    shape: Sequence[int], dims: Sequence[int], coords: Sequence[int]
-) -> tuple[tuple[int, int], ...]:
-    """N-dimensional block ownership: one ``split_extent`` per axis."""
-    if len(shape) != len(dims) or len(dims) != len(coords):
-        raise ConfigurationError("shape, dims and coords must have equal length")
-    return tuple(
-        split_extent(n, parts, index)
-        for n, parts, index in zip(shape, dims, coords)
-    )
-
-
-def human_bytes(nbytes: float) -> str:
-    """Format a byte count for log/benchmark output (e.g. ``1.5 MiB``)."""
-    if nbytes < 0:
-        return f"-{human_bytes(-nbytes)}"
-    units = ["B", "KiB", "MiB", "GiB", "TiB", "PiB"]
-    value = float(nbytes)
-    for unit in units:
-        if value < 1024.0 or unit == units[-1]:
-            if unit == "B":
-                return f"{int(value)} {unit}"
-            return f"{value:.2f} {unit}"
-        value /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def round_up_pow2(n: int) -> int:
-    """Smallest power of two >= n (n must be positive)."""
-    if n < 1:
-        raise ConfigurationError(f"n must be positive, got {n}")
-    return 1 << (n - 1).bit_length()
-
-
-def is_pow2(n: int) -> bool:
-    """True when ``n`` is a positive power of two."""
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def ilog2(n: int) -> int:
-    """Floor of log2 for positive integers."""
-    if n < 1:
-        raise ConfigurationError(f"n must be positive, got {n}")
-    return n.bit_length() - 1
-
-
-def ceil_div(a: int, b: int) -> int:
-    """Ceiling integer division."""
-    return -(-a // b)
-
-
-def geometric_levels(lo: int, hi: int, factor: int = 2) -> list[int]:
-    """Geometric sweep points ``lo, lo*factor, ... <= hi`` (inclusive of hi).
-
-    Used by benchmark harnesses to generate GPU-count sweeps such as
-    4, 8, ..., 1024.
-    """
-    if lo < 1 or hi < lo or factor < 2:
-        raise ConfigurationError("invalid geometric range")
-    points = []
-    value = lo
-    while value <= hi:
-        points.append(value)
-        value *= factor
-    if points[-1] != hi and hi > points[-1]:
-        points.append(hi)
-    return points
 
 
 def chunk_rows(first: Sequence[int], total: int, budget: int) -> list[int]:

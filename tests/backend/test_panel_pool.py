@@ -13,6 +13,7 @@ import hashlib
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,8 +192,8 @@ class TestNoPoolForOnePanel:
             "ic": {"kind": "multi_mode", "magnitude": 0.05, "period": 3},
         }).expand()[0]
         store = CampaignStore("spy", root=str(tmp_path))
-        executor = CampaignExecutor(store, max_workers=1, worker_type="serial",
-                                    telemetry=False, status_interval=0.0)
+        executor = CampaignExecutor(store, max_workers=1, telemetry=False,
+                                    status_interval=0.0)
         # What a campaign Worker executes for each leased run.
         assert executor.run_one(spec).status == "completed"
         assert blocked._pool is None
@@ -346,7 +347,7 @@ class TestParentPin:
                               mu=mu, dt=0.002, eps=0.1, backend=backend)
         fleet = ScenarioFleet(config, retain_state=True)
         ids = fleet.add_many([
-            (config.with_updates(atwood=0.1 + 0.02 * k),
+            (replace(config, atwood=0.1 + 0.02 * k),
              InitialCondition(kind="multi_mode", magnitude=0.05, period=3,
                               seed=k), 2)
             for k in range(40)

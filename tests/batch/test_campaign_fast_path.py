@@ -116,9 +116,7 @@ class TestStoreParity:
 
     def test_worker_type_parity_with_process_pool(self, tmp_path):
         f_store, _, _ = run(tmp_path, "wt_fleet", specs())
-        p_store, _, _ = run_solo(
-            tmp_path, "wt_pool", specs(), worker_type="process"
-        )
+        p_store, _, _ = run_solo(tmp_path, "wt_pool", specs())
         f_rec = f_store.latest_records()
         p_rec = p_store.latest_records()
         assert set(f_rec) == set(p_rec)

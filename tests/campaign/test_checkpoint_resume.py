@@ -1,6 +1,7 @@
 """Checkpoint/resume: Solver state equivalence and executor resume."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ class TestSolverCheckpoint:
     def test_mesh_mismatch_rejected(self, tmp_path):
         ck = str(tmp_path / "ck.npz")
         write_checkpoint(ck, 1, 1)
-        wrong = CONFIG.with_updates(num_nodes=(32, 32))
+        wrong = replace(CONFIG, num_nodes=(32, 32))
 
         def resume(comm):
             return Solver.from_checkpoint(comm, wrong, ck, IC)
@@ -128,7 +129,7 @@ class TestExecutorResume:
         # (worker processes rebuild a plain CampaignStore).
         spy = SpyStore("freq", root=str(tmp_path))
         (outcome,) = CampaignExecutor(
-            spy, max_workers=1, checkpoint_freq=2, worker_type="serial"
+            spy, max_workers=1, checkpoint_freq=2
         ).submit([spec])
         assert outcome.status == "completed"
         assert seen  # checkpoint path was exercised
@@ -231,7 +232,7 @@ class TestInterruptHardening:
         # The save_checkpoint monkeypatch below lives in this process:
         # pin the serial backend so the run actually sees it.
         executor = CampaignExecutor(
-            store, max_workers=1, checkpoint_freq=2, worker_type="serial"
+            store, max_workers=1, checkpoint_freq=2
         )
 
         real_save = Solver.save_checkpoint

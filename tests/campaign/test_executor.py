@@ -1,5 +1,7 @@
 """Executor: concurrent runs, dedup, failure isolation, model mode."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -140,7 +142,7 @@ class TestModelCampaign:
         # Same machine: store hit.
         assert CampaignExecutor(store, max_workers=1).submit(specs)[0].skipped
         # Different machine: must recompute, not serve LASSEN numbers.
-        slow = LASSEN.with_updates(name="slow-net", bandwidth_inter=1.0e9)
+        slow = replace(LASSEN, name="slow-net", bandwidth_inter=1.0e9)
         outcome = CampaignExecutor(store, machine=slow, max_workers=1).submit(specs)[0]
         assert outcome.status == "completed"
         assert outcome.result["machine"] == "slow-net"
@@ -178,8 +180,7 @@ class TestTimeouts:
 
         monkeypatch.setattr(executor_module.mpi, "run_spmd", spy)
         executor = CampaignExecutor(
-            store, max_workers=1, worker_type="serial",
-            timeout=900.0, collective_timeout=77.0,
+            store, max_workers=1, timeout=900.0, collective_timeout=77.0,
         )
         assert executor.submit([self._spec()])[0].status == "completed"
         assert seen["timeout"] == 77.0
@@ -188,8 +189,7 @@ class TestTimeouts:
         """Blowing the run budget is a recorded failure naming the
         budget — not a DeadlockError out of a collective."""
         executor = CampaignExecutor(
-            store, max_workers=1, worker_type="serial",
-            timeout=1e-9, collective_timeout=3600.0,
+            store, max_workers=1, timeout=1e-9, collective_timeout=3600.0,
         )
         (outcome,) = executor.submit([self._spec(steps=3)])
         assert outcome.status == "failed"
@@ -200,8 +200,7 @@ class TestTimeouts:
 
     def test_zero_timeout_disables_the_budget(self, store):
         executor = CampaignExecutor(
-            store, max_workers=1, worker_type="serial",
-            timeout=0.0, collective_timeout=120.0,
+            store, max_workers=1, timeout=0.0, collective_timeout=120.0,
         )
         (outcome,) = executor.submit([self._spec()])
         assert outcome.status == "completed"
@@ -211,10 +210,8 @@ class TestSerialWorker:
     def test_serial_matches_process_outcomes(self, store, tmp_path):
         specs = functional_deck(grid={"fft_config": [0, 7]}).expand()
         serial_store = CampaignStore("serial", root=str(tmp_path / "s"))
-        leased = CampaignExecutor(store, max_workers=2, worker_type="process")
-        serial = CampaignExecutor(
-            serial_store, max_workers=2, worker_type="serial"
-        )
+        leased = CampaignExecutor(store, max_workers=2)
+        serial = CampaignExecutor(serial_store, max_workers=1)
         p_outcomes = leased.submit(specs)
         s_outcomes = serial.submit(specs)
         assert [o.status for o in p_outcomes] == [o.status for o in s_outcomes]

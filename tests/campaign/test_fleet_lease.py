@@ -99,7 +99,7 @@ class TestFleetLease:
         # Six terminal records equal to the same runs executed solo.
         solo = CampaignStore("fl", root=str(tmp_path / "solo"))
         executor = CampaignExecutor(
-            solo, max_workers=1, worker_type="serial", telemetry=False,
+            solo, max_workers=1, telemetry=False,
         )
         for spec in specs:
             executor.submit([spec])

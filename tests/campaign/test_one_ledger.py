@@ -116,7 +116,7 @@ def ledgers(tmp_path_factory):
     logger = logging.getLogger("repro.campaign")
     for name, run in PATHS.items():
         store = CampaignStore("ledger", root=str(tmp_path_factory.mktemp(name)))
-        CampaignExecutor(store, worker_type="serial").submit([HIT])
+        CampaignExecutor(store, max_workers=1).submit([HIT])
         lines, level = _Lines(), logger.level
         logger.addHandler(lines)
         logger.setLevel(logging.INFO)

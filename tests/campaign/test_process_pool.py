@@ -25,7 +25,6 @@ from repro.campaign import (
     SocketWorkerChannel,
     Worker,
     campaign_summary,
-    resolve_worker_type,
 )
 from repro.campaign.executor import KILL_FUSE_ENV, STATUS_WRITE_INTERVAL
 from repro.campaign.service import DEFAULT_MAX_REQUEUES
@@ -128,14 +127,17 @@ class TestPayloadRoundTrip:
         assert RunSpec.from_payload(json.loads(blob)).run_hash() == spec.run_hash()
 
 
-class TestWorkerTypeSelection:
-    def test_process_is_the_default(self):
-        assert resolve_worker_type(None) == "process"
-        assert resolve_worker_type("serial") == "serial"
+class TestWorkerTypeSpelling:
+    def test_serial_is_one_worker(self, tmp_path):
+        executor = CampaignExecutor(
+            CampaignStore("x", root=str(tmp_path)), max_workers=4,
+            worker_type="serial",
+        )
+        assert executor.max_workers == 1
 
-    @pytest.mark.parametrize("worker_type", ["fork", "thread"])
-    def test_invalid_rejected(self, tmp_path, worker_type):
-        with pytest.raises(ConfigurationError, match="worker_type"):
+    @pytest.mark.parametrize("worker_type", ["process", "thread"])
+    def test_other_values_rejected(self, tmp_path, worker_type):
+        with pytest.raises(ConfigurationError, match="--workers 1"):
             CampaignExecutor(
                 CampaignStore("x", root=str(tmp_path)), worker_type=worker_type
             )
@@ -145,7 +147,7 @@ class TestProcessCampaign:
     def test_runs_complete_and_dedup(self, tmp_path):
         store = CampaignStore("procpool", root=str(tmp_path))
         executor = CampaignExecutor(
-            store, max_workers=2, worker_type="process",
+            store, max_workers=2,
         )
         outcomes = executor.submit(specs())
         assert [o.status for o in outcomes] == ["completed"] * 4
@@ -171,7 +173,7 @@ class TestProcessCampaign:
         good = specs()[0]
         store = CampaignStore("procfail", root=str(tmp_path))
         executor = CampaignExecutor(
-            store, max_workers=2, worker_type="process"
+            store, max_workers=2
         )
         outcomes = executor.submit([good, bad])
         assert [o.status for o in outcomes] == ["completed", "failed"]
@@ -205,12 +207,12 @@ class TestSerialProcessParity:
         diagnostics and store records for the same deck
         (elapsed/timestamps aside)."""
         results = {}
-        for worker_type in ("serial", "process"):
-            store = CampaignStore(worker_type, root=str(tmp_path))
+        for name, workers in (("serial", 1), ("process", 2)):
+            store = CampaignStore(name, root=str(tmp_path))
             outcomes = CampaignExecutor(
-                store, max_workers=2, worker_type=worker_type,
+                store, max_workers=workers,
             ).submit(specs())
-            results[worker_type] = (store, outcomes)
+            results[name] = (store, outcomes)
 
         s_store, s_outcomes = results["serial"]
         p_store, p_outcomes = results["process"]

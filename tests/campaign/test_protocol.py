@@ -32,7 +32,6 @@ from repro.campaign.protocol import (
     decode_message,
     encode_message,
     frame,
-    stream_frames,
 )
 
 # -- strategies ---------------------------------------------------------------
@@ -178,7 +177,7 @@ class TestFraming:
     )
     def test_chunking_invariance(self, msgs, data):
         """Any split of the same byte stream yields the same frames."""
-        stream = stream_frames(msgs)
+        stream = b"".join(frame(encode_message(m)) for m in msgs)
         cuts = sorted(
             data.draw(
                 st.lists(
@@ -199,7 +198,7 @@ class TestFraming:
     @settings(max_examples=100)
     @given(msgs=st.lists(messages, min_size=1, max_size=4))
     def test_truncated_stream_is_an_error_not_a_silent_drop(self, msgs):
-        stream = stream_frames(msgs)
+        stream = b"".join(frame(encode_message(m)) for m in msgs)
         decoder = FrameDecoder()
         decoder.feed(stream[:-1])
         assert decoder.pending > 0
@@ -218,7 +217,10 @@ class TestFraming:
 
     def test_clean_stream_finishes(self):
         decoder = FrameDecoder()
-        frames = decoder.feed(stream_frames([NoWorkLeft(), JobRequest("w")]))
+        frames = decoder.feed(
+            frame(encode_message(NoWorkLeft()))
+            + frame(encode_message(JobRequest("w")))
+        )
         decoder.finish()
         assert [decode_message(f) for f in frames] == [
             NoWorkLeft(), JobRequest("w"),

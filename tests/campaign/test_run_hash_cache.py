@@ -80,7 +80,7 @@ def test_submit_hashes_each_spec_object_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(RunSpec, "payload", counted)
     store = CampaignStore("hash32", root=str(tmp_path))
-    executor = CampaignExecutor(store, max_workers=1, worker_type="serial")
+    executor = CampaignExecutor(store, max_workers=1)
     outcomes = executor.submit(specs)
     assert [o.status for o in outcomes] == ["completed"] * 32
     # Dedup, fleet partitioning, board marks and store records all ask

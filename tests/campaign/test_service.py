@@ -54,7 +54,7 @@ def specs():
 def run_serial(root):
     store = CampaignStore("svc", root=str(root))
     CampaignExecutor(
-        store, max_workers=1, worker_type="serial", telemetry=False,
+        store, max_workers=1, telemetry=False,
         status_interval=0.0,
     ).submit(specs())
     return store

@@ -129,11 +129,12 @@ class TestWorkerSigkillSocket:
         try:
             summary = coordinator.serve()
         finally:
-            for proc in workers:
+            for proc in workers:  # reap, and drain and close the pipe
                 try:
-                    proc.wait(timeout=60)
+                    proc.communicate(timeout=60)
                 except subprocess.TimeoutExpired:
                     proc.kill()
+                    proc.communicate()
 
         assert summary["completed"] == len(solo_specs())
         assert summary["failed"] == 0
@@ -161,8 +162,7 @@ class TestWorkerSigkillSocket:
         # The final durable state matches a plain serial run.
         serial_store = CampaignStore("faults", root=str(tmp_path / "serial"))
         CampaignExecutor(
-            serial_store, max_workers=1, worker_type="serial",
-            telemetry=False,
+            serial_store, max_workers=1, telemetry=False,
         ).submit(solo_specs())
         service_summary = campaign_summary(store)
         reference = campaign_summary(serial_store)
@@ -266,7 +266,7 @@ class TestCoordinatorKilled:
                 time.sleep(0.25)
                 executor = CampaignExecutor(
                     CampaignStore("faults", root=results_dir),
-                    max_workers=1, worker_type="serial", telemetry=False,
+                    max_workers=1, telemetry=False,
                 )
                 return executor.run_one(spec)
 
@@ -289,7 +289,7 @@ class TestCoordinatorKilled:
             assert time.monotonic() < deadline, "no run ever started"
             time.sleep(0.05)
         coordinator.send_signal(signal.SIGKILL)
-        coordinator.wait(timeout=30)
+        coordinator.communicate(timeout=30)  # reaps and closes the pipe
 
         for t in threads:
             t.join(timeout=60.0)

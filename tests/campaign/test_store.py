@@ -27,20 +27,20 @@ class TestIndex:
     def test_empty_store(self, store):
         assert list(store.iter_records()) == []
         assert store.completed_hashes() == set()
-        assert not store.is_completed("deadbeef")
+        assert "deadbeef" not in store.completed_hashes()
 
     def test_record_completed_roundtrip(self, store, spec):
         record = store.record_completed(spec, {"step_time": 1.5}, elapsed=0.1)
-        assert store.is_completed(spec.run_hash())
+        assert spec.run_hash() in store.completed_hashes()
         assert store.load_result(spec.run_hash()) == {"step_time": 1.5}
         assert os.path.exists(store.result_path(spec.run_hash()))
         assert record.spec == spec.payload()
 
     def test_last_record_wins(self, store, spec):
         store.record_failed(spec, "boom")
-        assert not store.is_completed(spec.run_hash())
+        assert spec.run_hash() not in store.completed_hashes()
         store.record_completed(spec, {"ok": True})
-        assert store.is_completed(spec.run_hash())
+        assert spec.run_hash() in store.completed_hashes()
         records = list(store.iter_records())
         assert [r.status for r in records] == [FAILED, COMPLETED]
 
@@ -71,10 +71,10 @@ class TestCrashTolerance:
             records = list(store.iter_records())
         assert [r.status for r in records] == [FAILED, COMPLETED]
         assert any("unparseable" in rec.message for rec in caplog.records)
-        assert store.is_completed(spec.run_hash())
+        assert spec.run_hash() in store.completed_hashes()
         # The store stays writable: a later append supersedes cleanly.
         store.record_failed(spec, "later")
-        assert not store.is_completed(spec.run_hash())
+        assert spec.run_hash() not in store.completed_hashes()
 
     def test_corrupt_result_json_falls_back_to_index(
         self, store, spec, caplog

@@ -62,7 +62,7 @@ class TestExactRingPass:
             # Reuse the gather helper by writing into pm (hack-free way:
             # gather velocity blocks directly).
             blocks = comm.gather(
-                (mesh.local_grid.owned_space.mins, out), root=0
+                (mesh.owned_space.mins, out), root=0
             )
             if comm.rank != 0:
                 return None

@@ -5,15 +5,57 @@ import json
 import numpy as np
 import pytest
 
+from repro.cli import rocketrig
 from repro.cli.rocketrig import build_parser, main, run_from_args
+from repro.core import InitialCondition, SolverConfig
+from repro.fft import FftConfig
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Run ``run_from_args`` against a stand-in solver that records the
+    config, IC, steps and rank count it is given, and steps nothing."""
+    seen = {}
+
+    class Recorder:
+        br_solver = None
+
+        def __init__(self, comm, config, ic):
+            seen.update(config=config, ic=ic, ranks=comm.size)
+
+        def run(self, steps, **kwargs):
+            seen["steps"] = steps
+
+        def diagnostics(self):
+            return {}
+
+        def neighbor_cache_stats(self):
+            return None
+
+    monkeypatch.setattr(rocketrig, "Solver", Recorder)
+    return seen
 
 
 class TestParser:
-    def test_defaults(self):
+    def test_pack_settable_flags_parse_to_none_when_absent(self):
         args = build_parser().parse_args([])
-        assert args.nodes == 64
-        assert args.order == "low"
-        assert args.ranks == 1
+        assert args.nodes is None and args.order is None
+        assert args.ranks is None and args.free_boundaries is None
+
+    def test_flagless_run_builds_the_stock_config(self, built):
+        run_from_args(build_parser().parse_args([]))
+        assert built["config"] == SolverConfig(
+            num_nodes=(64, 64), low=(-np.pi, -np.pi), high=(np.pi, np.pi),
+            periodic=(True, True), order="low", br_solver="exact",
+            cutoff=0.5, skin=0.0, rebuild_freq=0, theta=0.5, leaf_size=32,
+            atwood=0.5, gravity=10.0, mu=0.0, eps=None, dt=None,
+            br_images=False, fft_config=FftConfig.from_index(7),
+            backend="auto",
+        )
+        assert built["ic"] == InitialCondition(
+            kind="multi_mode", magnitude=0.05, period=4.0, seed=12345,
+        )
+        assert (built["steps"], built["ranks"]) == (10, 1)
 
     def test_paper_style_invocation(self):
         args = build_parser().parse_args(
@@ -183,16 +225,13 @@ class TestCampaignSubcommand:
         assert args.command == "campaign"
         assert args.workers == 2
         assert args.checkpoint_freq == 5
-        assert args.worker_type == "process"
 
-    def test_worker_type_choices(self, capsys):
-        parser = build_parser()
-        args = parser.parse_args(["campaign", "d.json", "--worker-type", "serial"])
-        assert args.worker_type == "serial"
+    def test_worker_type_flag_is_gone(self, capsys):
+        # --workers 1 is the in-process drain.
         with pytest.raises(SystemExit):
-            parser.parse_args(["campaign", "d.json", "--worker-type", "thread"])
-        # The removed type is rejected with a pointer to its replacement.
-        assert "use 'process'" in capsys.readouterr().err
+            build_parser().parse_args(
+                ["campaign", "d.json", "--worker-type", "serial"])
+        assert "--worker-type" in capsys.readouterr().err
 
     def test_plain_invocations_unaffected(self):
         args = build_parser().parse_args(["--nodes", "32"])
@@ -289,12 +328,12 @@ class TestScenarioFlags:
         assert build_parser().parse_args([]).scenario is None
 
     def test_list_scenarios(self, capsys):
-        from repro.scenarios import available_scenarios
+        from repro.scenarios import iter_scenarios
 
         assert main(["--list-scenarios"]) == 0
         out = capsys.readouterr().out
-        for name in available_scenarios():
-            assert name in out
+        for scenario in iter_scenarios():
+            assert scenario.name in out
         assert "conf_sc_StewartB24" in out
 
     def test_epilog_advertises_scenarios(self):
@@ -311,6 +350,62 @@ class TestScenarioFlags:
         out = capsys.readouterr().out
         assert "scenario 'atwood-low'" in out
         assert "32x32 mesh, 2 steps" in out
+
+    def test_passed_flags_override_the_pack_even_at_their_default(
+        self, built,
+    ):
+        """Every flag here equals its parser default, and every one
+        differs from the pack: each must win."""
+        run_from_args(build_parser().parse_args(
+            ["--scenario", "singlemode-rollup", "--nodes", "64", "--ranks",
+             "1", "--order", "low", "--steps", "10"]
+        ))
+        config = built["config"]
+        assert config.num_nodes == (64, 64) and config.order == "low"
+        assert (built["steps"], built["ranks"]) == (10, 1)
+        # Fields no flag names stay the pack's.
+        assert config.br_solver == "cutoff"
+        assert config.periodic == (False, False)
+
+    @pytest.mark.parametrize("argv,field,expected", [
+        (["--nodes", "64"], "config.num_nodes", (64, 64)),
+        (["--extent", repr(2 * np.pi)], "config.low", (-np.pi, -np.pi)),
+        (["--free-boundaries"], "config.periodic", (False, False)),
+        (["--order", "low"], "config.order", "low"),
+        (["--br-solver", "exact"], "config.br_solver", "exact"),
+        (["--cutoff", "0.5"], "config.cutoff", 0.5),
+        (["--skin", "0"], "config.skin", 0.0),
+        (["--rebuild-freq", "0"], "config.rebuild_freq", 0),
+        (["--theta", "0.5"], "config.theta", 0.5),
+        (["--leaf-size", "32"], "config.leaf_size", 32),
+        (["--atwood", "0.5"], "config.atwood", 0.5),
+        (["--gravity", "10"], "config.gravity", 10.0),
+        (["--mu", "0"], "config.mu", 0.0),
+        (["--epsilon", "0.05"], "config.eps", 0.05),
+        (["--dt", "0.002"], "config.dt", 0.002),
+        (["--br-images"], "config.br_images", True),
+        (["--fft-config", "7"], "config.fft_config.index", 7),
+        (["--ic", "multi_mode"], "ic.kind", "multi_mode"),
+        (["--magnitude", "0.05"], "ic.magnitude", 0.05),
+        (["--period", "4"], "ic.period", 4.0),
+        (["--seed", "12345"], "ic.seed", 12345),
+        (["--steps", "10"], "steps", 10),
+        (["--ranks", "1"], "ranks", 1),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_each_flag_at_its_default_overrides_the_pack(
+        self, argv, field, expected,
+    ):
+        from repro.cli.rocketrig import _run_params
+
+        config, ic, steps, ranks = _run_params(build_parser().parse_args(
+            ["--scenario", "singlemode-rollup", *argv]
+        ))
+        value = {"config": config, "ic": ic, "steps": steps, "ranks": ranks}
+        head, *rest = field.split(".")
+        value = value[head]
+        for name in rest:
+            value = getattr(value, name)
+        assert value == expected
 
     def test_unknown_scenario_exits_with_suggestions(self):
         args = build_parser().parse_args(["--scenario", "atwood-lo"])

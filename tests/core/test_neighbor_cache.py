@@ -13,6 +13,8 @@ Pins the two properties the cache lives or dies by:
   ``neighbor_cache`` trace phase.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,7 @@ class TestRestrictLists:
 
     def _sets(self, lists):
         return [
-            set(lists.neighbors_of(t).tolist())
+            set(lists.indices[lists.offsets[t]: lists.offsets[t + 1]].tolist())
             for t in range(lists.num_targets)
         ]
 
@@ -110,7 +112,7 @@ class TestCacheParity:
         ic = InitialCondition(kind="single_mode", magnitude=0.2)
         cfg = _config(dt=0.02, cutoff=1.2)
         base, _ = _run(cfg, steps=8, ic=ic)
-        cached, stats = _run(cfg.with_updates(skin=0.005), steps=8, ic=ic)
+        cached, stats = _run(replace(cfg, skin=0.005), steps=8, ic=ic)
         assert stats["rebuilds"] > 1, "displacement never forced a rebuild"
         assert stats["reuses"] > 0
         assert_diag_match(cached, base, "rollup")

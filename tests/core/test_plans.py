@@ -28,6 +28,7 @@ from repro.core import (
     SurfaceMesh,
 )
 from repro.core import br_cutoff
+from repro.grid import NodeArray
 from repro.grid.halo import _TAG_BASE, HaloExchange
 from repro.mpi.cart import CartComm
 from repro.mpi.world import PROC_NULL
@@ -103,17 +104,17 @@ def _ref_extrapolate(grid, full, axis, side):
 
 
 def _ref_apply(mesh, full, position):
-    grid, cart = mesh.local_grid, mesh.cart
+    cart = mesh.cart
     coords = cart.coords_of(cart.rank)
-    h = grid.halo_width
-    for axis, periodic in enumerate(mesh.periodic):
+    h = mesh.halo_width
+    for axis, periodic in enumerate(mesh.global_mesh.periodic):
         first = coords[axis] == 0
         last = coords[axis] == cart.dims[axis] - 1
         if periodic:
             if not position:
                 continue
             period = mesh.global_mesh.extent[axis]
-            n_owned = grid.owned_space.shape[axis]
+            n_owned = mesh.owned_space.shape[axis]
             sel = [slice(None), slice(None)]
             if first:
                 sel[axis] = slice(0, h)
@@ -123,9 +124,9 @@ def _ref_apply(mesh, full, position):
                 full[tuple(sel) + (axis,)] += period
         else:
             if first:
-                _ref_extrapolate(grid, full, axis, -1)
+                _ref_extrapolate(mesh, full, axis, -1)
             if last:
-                _ref_extrapolate(grid, full, axis, +1)
+                _ref_extrapolate(mesh, full, axis, +1)
 
 
 def _events(trace):
@@ -147,10 +148,10 @@ def test_planned_ghost_frames_match_per_call_derivation(dims, periodic):
         cart = mpi.create_cart(comm, dims=dims, periods=periodic)
         mesh = SurfaceMesh(cart, (0.0, -1.0), (2.0, 2.0), (12, 10), periodic)
         pm = ProblemManager(mesh)
-        phi = pm.make_field(1)
+        phi = NodeArray(mesh, 1)
         rng = np.random.default_rng(31 + comm.rank)
         for field in (pm.z, pm.w, phi):
-            field.fill(-7.0)  # ghosts nobody fills must stay put on both sides
+            field.full[...] = -7.0  # ghosts nobody fills must stay put on both sides
             field.own[...] = rng.normal(size=field.own.shape)
         for _ in range(2):  # a plan is re-executed, not consumed
             if planned:
@@ -158,11 +159,11 @@ def test_planned_ghost_frames_match_per_call_derivation(dims, periodic):
                 pm.gather_field(phi.full)
             else:
                 with cart.trace.phase("halo"):
-                    _ref_gather(mesh.local_grid, [pm.z.full, pm.w.full])
+                    _ref_gather(mesh, [pm.z.full, pm.w.full])
                 _ref_apply(mesh, pm.z.full, position=True)
                 _ref_apply(mesh, pm.w.full, position=False)
                 with cart.trace.phase("halo"):
-                    _ref_gather(mesh.local_grid, [phi.full])
+                    _ref_gather(mesh, [phi.full])
                 _ref_apply(mesh, phi.full, position=False)
         return pm.z.full, pm.w.full, phi.full
 

@@ -7,6 +7,8 @@ fleet checks each member and fails only that member; the campaign
 records the run ``failed`` and a resubmission runs it again.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -109,9 +111,9 @@ class TestSolver:
 
 class TestFleet:
     def test_only_the_diverged_member_fails(self):
-        healthy = DIVERGING.with_updates(dt=0.002)
+        healthy = replace(DIVERGING, dt=0.002)
         fleet = ScenarioFleet(healthy)
-        ok = fleet.add_many([(healthy, IC, 3), (healthy.with_updates(atwood=0.3), IC, 3)])
+        ok = fleet.add_many([(healthy, IC, 3), (replace(healthy, atwood=0.3), IC, 3)])
         bad = fleet.add(DIVERGING, IC, 3)
         results = fleet.run()
         err = results[bad]["error"]
@@ -144,7 +146,7 @@ class TestCampaign:
 
         def submit():
             return CampaignExecutor(
-                store, max_workers=1, worker_type="serial", telemetry=False,
+                store, max_workers=1, telemetry=False,
                 status_interval=0.0,
             ).submit(specs)
 

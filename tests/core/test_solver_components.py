@@ -31,8 +31,8 @@ class TestBoundaryCondition:
             # After gather_state, ghosts should continue the coordinate
             # line linearly: z1(ghost) = z1(own edge) - dx on the low side.
             z = pm.z.full
-            dx = mesh.spacings[0]
-            if mesh.local_grid.on_global_boundary(0, -1):
+            dx = mesh.global_mesh.spacings[0]
+            if mesh.global_boundary[0][0]:
                 diff = z[2, 2:-2, 0] - z[1, 2:-2, 0]
                 return np.allclose(diff, dx)
             return True
@@ -48,11 +48,10 @@ class TestBoundaryCondition:
             )
             # A linear field must extrapolate exactly into the ghosts.
             z = pm.z.full
-            grid = mesh.local_grid
-            if grid.on_global_boundary(0, -1):
+            if mesh.global_boundary[0][0]:
                 # Ghost rows continue z1 = X linearly.
                 step = z[1, 3, 0] - z[0, 3, 0]
-                return np.isclose(step, mesh.spacings[0])
+                return np.isclose(step, mesh.global_mesh.spacings[0])
             return True
 
         assert all(spmd(4, program))
@@ -167,10 +166,6 @@ class TestSolverConfig:
         low, high = SolverConfig(low=(-2, -2), high=(2, 2)).spatial_bounds()
         assert low[0] == -2 and high[0] == 2
         assert low[2] < 0 < high[2]
-
-    def test_with_updates(self):
-        cfg = SolverConfig().with_updates(order="high", cutoff=0.7)
-        assert cfg.order == "high" and cfg.cutoff == 0.7
 
     def test_construction_rejects_bad_values_early(self):
         with pytest.raises(ConfigurationError, match="num_nodes"):

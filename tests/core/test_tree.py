@@ -97,7 +97,7 @@ class TestTreeSolver:
                                   leaf_size=8)
             out = solver.compute_velocities(pm.z.own, omega)
             blocks = comm.gather(
-                (mesh.local_grid.owned_space.mins, out), root=0
+                (mesh.owned_space.mins, out), root=0
             )
             if comm.rank != 0:
                 return None

@@ -218,15 +218,16 @@ class TestLayouts:
     def test_pencil_locality(self):
         """Pencil brick→rows hops stay within the row sub-communicator."""
 
-        def program(comm):
-            cart = mpi.create_cart(comm, dims=(3, 3), periods=(True, True))
-            pencil = DistributedFFT2D(cart, (18, 18), FftConfig(pencils=True))
-            counts = pencil.remap_partner_counts()
+        bricks = brick_layout((18, 18), (3, 3))
+        rows = rows_pencil_layout((18, 18), (3, 3))
+        for r in range(9):
+            peers = {
+                d for d in range(9) if d != r and (
+                    bricks[r].intersect(rows[d]) or rows[r].intersect(bricks[d])
+                )
+            }
             # brick→rows touches only the 2 peers sharing my block-row.
-            return counts["to_rows"]
-
-        results = spmd(9, program)
-        assert all(c <= 2 for c in results)
+            assert len(peers) <= 2
 
 
 class TestTraceStructure:
@@ -316,18 +317,3 @@ class TestConfig:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             FftConfig.from_index(8)
-
-    def test_wavenumbers_slicing(self):
-        def program(comm):
-            cart = mpi.create_cart(comm, ndims=2)
-            fft = DistributedFFT2D(cart, (8, 8))
-            kx, ky = fft.spectrum_wavenumbers((2 * np.pi, 2 * np.pi))
-            assert (kx.size, ky.size) == fft.spectrum_box.shape
-            sx, sy = fft.spectrum_box.slices()
-            full = 2 * np.pi * np.fft.fftfreq(8, d=2 * np.pi / 8)
-            np.testing.assert_array_equal(kx, full[sx])
-            np.testing.assert_array_equal(ky, full[sy])
-            return float(kx.max())
-
-        results = spmd(4, program)
-        assert results == [pytest.approx(3.0)] * 4  # complete columns

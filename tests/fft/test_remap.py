@@ -72,24 +72,3 @@ class TestRemapValidation:
             return True
 
         assert spmd(4, program)[0]
-
-
-class TestRemapIntrospection:
-    def test_send_counts_sum_to_box(self):
-        def program(comm):
-            src = brick_layout(SHAPE, DIMS)
-            dst = rows_slab_layout(SHAPE, DIMS)
-            remap = Remap(comm, src, dst, FftConfig(), tag_base=9300)
-            counts = remap.send_counts_bytes(16)
-            return sum(counts), src[comm.rank].size * 16
-
-        for total, expected in spmd(4, program):
-            assert total == expected
-
-    def test_partner_count_excludes_self(self):
-        def program(comm):
-            src = brick_layout(SHAPE, DIMS)
-            remap = Remap(comm, src, src, FftConfig(), tag_base=9400)
-            return remap.partner_count()
-
-        assert spmd(4, program) == [0, 0, 0, 0]

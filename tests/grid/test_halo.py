@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import mpi
-from repro.grid import GlobalMesh2D, HaloExchange, LocalGrid2D, NodeArray
+from repro.core import SurfaceMesh
+from repro.grid import NodeArray
 from repro.util.errors import ConfigurationError
 from tests.conftest import spmd
 
@@ -15,9 +16,19 @@ def _encode(gi, gj):
     return gi * 1000.0 + gj
 
 
-def _fill_owned(lg, arr):
-    gi0, gj0 = lg.owned_space.mins
-    ni, nj = lg.owned_shape
+def _mesh(cart, n=N):
+    return SurfaceMesh(cart, (0, 0), (1, 1), (n, n), cart.periods)
+
+
+def _local_origin(mesh):
+    """Global index of local array element (0, 0)."""
+    h = mesh.halo_width
+    return mesh.owned_space.mins[0] - h, mesh.owned_space.mins[1] - h
+
+
+def _fill_owned(mesh, arr):
+    gi0, gj0 = mesh.owned_space.mins
+    ni, nj = mesh.owned_shape
     I, J = np.meshgrid(
         np.arange(gi0, gi0 + ni), np.arange(gj0, gj0 + nj), indexing="ij"
     )
@@ -27,15 +38,13 @@ def _fill_owned(lg, arr):
 class TestPeriodicHalo:
     @pytest.mark.parametrize("nranks", [1, 2, 4, 6, 9])
     def test_all_ghosts_correct(self, nranks):
-        mesh = GlobalMesh2D.create((0, 0), (1, 1), (N, N), (True, True))
-
         def program(comm):
             cart = mpi.create_cart(comm, ndims=2, periods=(True, True))
-            lg = LocalGrid2D(mesh, cart, halo_width=2)
-            f = NodeArray(lg, 1)
-            _fill_owned(lg, f)
-            HaloExchange(lg).gather([f.full])
-            li0, lj0 = lg.local_origin
+            mesh = _mesh(cart)
+            f = NodeArray(mesh, 1)
+            _fill_owned(mesh, f)
+            mesh.halo.gather([f.full])
+            li0, lj0 = _local_origin(mesh)
             full = f.full[..., 0]
             for li in range(full.shape[0]):
                 for lj in range(full.shape[1]):
@@ -48,17 +57,16 @@ class TestPeriodicHalo:
         assert all(spmd(nranks, program))
 
     def test_multiple_arrays_one_exchange(self):
-        mesh = GlobalMesh2D.create((0, 0), (1, 1), (N, N), (True, True))
         trace = mpi.CommTrace()
 
         def program(comm):
             cart = mpi.create_cart(comm, ndims=2, periods=(True, True))
-            lg = LocalGrid2D(mesh, cart, halo_width=2)
-            a = NodeArray(lg, 3)
-            b = NodeArray(lg, 2)
-            _fill_owned(lg, a)
+            mesh = _mesh(cart)
+            a = NodeArray(mesh, 3)
+            b = NodeArray(mesh, 2)
+            _fill_owned(mesh, a)
             b.own[..., 0] = 5.0
-            HaloExchange(lg).gather([a.full, b.full])
+            mesh.halo.gather([a.full, b.full])
             return np.all(b.full[..., 0] == 5.0)
 
         results = spmd(4, program, trace=trace)
@@ -69,17 +77,15 @@ class TestPeriodicHalo:
 
 class TestOpenBoundaryHalo:
     def test_edge_ghosts_untouched(self):
-        mesh = GlobalMesh2D.create((0, 0), (1, 1), (N, N), (False, False))
-
         def program(comm):
             cart = mpi.create_cart(comm, ndims=2, periods=(False, False))
-            lg = LocalGrid2D(mesh, cart, halo_width=2)
-            f = NodeArray(lg, 1)
+            mesh = _mesh(cart)
+            f = NodeArray(mesh, 1)
             f.full.fill(-99.0)
-            _fill_owned(lg, f)
-            HaloExchange(lg).gather([f.full])
+            _fill_owned(mesh, f)
+            mesh.halo.gather([f.full])
             full = f.full[..., 0]
-            li0, lj0 = lg.local_origin
+            li0, lj0 = _local_origin(mesh)
             ok = True
             for li in range(full.shape[0]):
                 for lj in range(full.shape[1]):
@@ -94,17 +100,15 @@ class TestOpenBoundaryHalo:
         assert all(spmd(4, program))
 
     def test_mixed_periodicity(self):
-        mesh = GlobalMesh2D.create((0, 0), (1, 1), (N, N), (True, False))
-
         def program(comm):
             cart = mpi.create_cart(comm, ndims=2, periods=(True, False))
-            lg = LocalGrid2D(mesh, cart, halo_width=2)
-            f = NodeArray(lg, 1)
+            mesh = _mesh(cart)
+            f = NodeArray(mesh, 1)
             f.full.fill(-99.0)
-            _fill_owned(lg, f)
-            HaloExchange(lg).gather([f.full])
+            _fill_owned(mesh, f)
+            mesh.halo.gather([f.full])
             full = f.full[..., 0]
-            li0, lj0 = lg.local_origin
+            li0, lj0 = _local_origin(mesh)
             for li in range(full.shape[0]):
                 for lj in range(full.shape[1]):
                     gi = (li0 + li) % N
@@ -126,14 +130,13 @@ class TestStacks:
     def test_stack_gathers_like_each_member_alone(self, periodic, rng):
         """A (B, …) stack on one rank: 4 messages, and every member's
         ghosts bitwise those of a gather of that member alone."""
-        mesh = GlobalMesh2D.create((0, 0), (1, 1), (N, N), periodic)
         trace = mpi.CommTrace()
 
         def program(comm):
             cart = mpi.create_cart(comm, ndims=2, periods=periodic)
-            lg = LocalGrid2D(mesh, cart, halo_width=2)
-            halo = HaloExchange(lg)
-            stack = NodeArray(lg, 2)
+            mesh = _mesh(cart)
+            halo = mesh.halo
+            stack = NodeArray(mesh, 2)
             stack.full = rng.normal(size=(3,) + stack.shape)
             alone = stack.full.copy()
             halo.gather([stack.full])
@@ -165,11 +168,9 @@ class TestStacks:
         assert trace.total_bytes(kind="send") == nbytes
 
     def test_node_array_rebinds_to_a_stack(self):
-        mesh = GlobalMesh2D.create((0, 0), (1, 1), (N, N), (True, True))
-
         def program(comm):
-            lg = LocalGrid2D(mesh, mpi.create_cart(comm, ndims=2), halo_width=2)
-            arr = NodeArray(lg, 3)
+            mesh = _mesh(mpi.create_cart(comm, ndims=2))
+            arr = NodeArray(mesh, 3)
             arr.full = np.zeros((5,) + arr.shape)
             own_shape = arr.own.shape
             with pytest.raises(ConfigurationError, match="node-array shape"):
@@ -181,40 +182,34 @@ class TestStacks:
 
 class TestHaloValidation:
     def test_wrong_shape_raises(self):
-        mesh = GlobalMesh2D.create((0, 0), (1, 1), (N, N), (True, True))
-
         def program(comm):
             cart = mpi.create_cart(comm, ndims=2, periods=(True, True))
-            lg = LocalGrid2D(mesh, cart, halo_width=2)
+            mesh = _mesh(cart)
             with pytest.raises(ConfigurationError):
-                HaloExchange(lg).gather([np.zeros((3, 3))])
+                mesh.halo.gather([np.zeros((3, 3))])
             comm.Barrier()
             return True
 
         assert all(spmd(2, program))
 
     def test_mixed_dtypes_raise(self):
-        mesh = GlobalMesh2D.create((0, 0), (1, 1), (N, N), (True, True))
-
         def program(comm):
             cart = mpi.create_cart(comm, ndims=2, periods=(True, True))
-            lg = LocalGrid2D(mesh, cart, halo_width=2)
-            a = np.zeros(lg.local_shape)
-            b = np.zeros(lg.local_shape, dtype=np.float32)
+            mesh = _mesh(cart)
+            a = np.zeros(mesh.local_shape)
+            b = np.zeros(mesh.local_shape, dtype=np.float32)
             with pytest.raises(ConfigurationError):
-                HaloExchange(lg).gather([a, b])
+                mesh.halo.gather([a, b])
             comm.Barrier()
             return True
 
         assert all(spmd(2, program))
 
     def test_block_thinner_than_halo_raises(self):
-        mesh = GlobalMesh2D.create((0, 0), (1, 1), (4, 4), (True, True))
-
         def program(comm):
             cart = mpi.create_cart(comm, dims=(4, 1), periods=(True, True))
-            with pytest.raises(ConfigurationError):
-                LocalGrid2D(mesh, cart, halo_width=2)
+            with pytest.raises(ConfigurationError, match="thinner than halo"):
+                _mesh(cart, n=4)
             comm.Barrier()
             return True
 
@@ -223,57 +218,12 @@ class TestHaloValidation:
 
 class TestNodeArray:
     def test_views_share_memory(self):
-        mesh = GlobalMesh2D.create((0, 0), (1, 1), (N, N), (True, True))
-
         def program(comm):
             cart = mpi.create_cart(comm, ndims=2)
-            lg = LocalGrid2D(mesh, cart, halo_width=2)
-            arr = NodeArray(lg, 2)
+            mesh = _mesh(cart)
+            arr = NodeArray(mesh, 2)
             arr.own[...] = 3.0
-            h = lg.halo_width
+            h = mesh.halo_width
             return float(arr.full[h, h, 0])
 
         assert spmd(1, program)[0] == 3.0
-
-    def test_clone_and_axpy(self):
-        mesh = GlobalMesh2D.create((0, 0), (1, 1), (N, N), (True, True))
-
-        def program(comm):
-            cart = mpi.create_cart(comm, ndims=2)
-            lg = LocalGrid2D(mesh, cart, halo_width=2)
-            a = NodeArray(lg, 1)
-            a.fill(2.0)
-            b = a.clone()
-            b.axpy(3.0, a)   # b = 2 + 3*2 = 8
-            a.scale(0.5)
-            return float(b.full[0, 0, 0]), float(a.full[0, 0, 0])
-
-        b0, a0 = spmd(1, program)[0]
-        assert b0 == 8.0 and a0 == 1.0
-
-    def test_norms_with_comm(self):
-        mesh = GlobalMesh2D.create((0, 0), (1, 1), (N, N), (True, True))
-
-        def program(comm):
-            cart = mpi.create_cart(comm, ndims=2)
-            lg = LocalGrid2D(mesh, cart, halo_width=2)
-            a = NodeArray(lg, 1)
-            a.own[...] = 1.0
-            return a.norm2_own(cart), a.max_abs_own(cart)
-
-        for norm, mx in spmd(4, program):
-            assert norm == pytest.approx(np.sqrt(N * N))
-            assert mx == 1.0
-
-    def test_local_coordinates_extend_past_domain(self):
-        mesh = GlobalMesh2D.create((0, 0), (1, 1), (N, N), (True, True))
-
-        def program(comm):
-            cart = mpi.create_cart(comm, ndims=2)
-            lg = LocalGrid2D(mesh, cart, halo_width=2)
-            X, Y = lg.local_coordinates()
-            dx = mesh.spacing(0)
-            assert X[0, 0] == pytest.approx(-2 * dx)
-            return True
-
-        assert spmd(1, program)[0]

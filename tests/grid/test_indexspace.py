@@ -1,4 +1,4 @@
-"""IndexSpace geometry, partitioning arithmetic and mesh description."""
+"""IndexSpace geometry, block-split arithmetic and mesh description."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.grid.global_mesh import GlobalMesh2D
 from repro.grid.indexspace import IndexSpace
-from repro.grid.partition import BlockPartitioner2D
 from repro.util.errors import ConfigurationError
 from repro.util.misc import split_extent
 
@@ -31,10 +30,9 @@ class TestIndexSpace:
         space = IndexSpace((1, 2), (3, 5))
         assert np.array_equal(arr[space.slices()], arr[1:3, 2:5])
 
-    def test_shift_grow(self):
+    def test_shift(self):
         space = IndexSpace((2, 2), (4, 4))
         assert space.shift((1, -1)) == IndexSpace((3, 1), (5, 3))
-        assert space.grow(2) == IndexSpace((0, 0), (6, 6))
 
     def test_intersect(self):
         a = IndexSpace((0, 0), (4, 4))
@@ -42,20 +40,10 @@ class TestIndexSpace:
         assert a.intersect(b) == IndexSpace((2, 3), (4, 4))
         assert a.intersect(IndexSpace((4, 0), (5, 4))) is None
 
-    def test_contains(self):
-        space = IndexSpace((0, 0), (3, 3))
-        assert space.contains((2, 2))
-        assert not space.contains((3, 0))
-        assert space.contains_space(IndexSpace((1, 1), (2, 2)))
-
     def test_relative_to(self):
         space = IndexSpace((10, 20), (12, 25))
         rel = space.relative_to((10, 20))
         assert rel == IndexSpace((0, 0), (2, 5))
-
-    def test_points(self):
-        space = IndexSpace((0, 0), (2, 2))
-        assert list(space.points()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -83,29 +71,6 @@ class TestSplitExtent:
         assert max(sizes) - min(sizes) <= 1
 
 
-class TestPartitioner:
-    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (3, 2), (4, 3)])
-    def test_cover_exact(self, dims):
-        part = BlockPartitioner2D((13, 17), dims)
-        part.validate_cover()
-
-    def test_owner_of_consistent(self):
-        part = BlockPartitioner2D((10, 12), (3, 4))
-        for cx in range(3):
-            for cy in range(4):
-                space = part.owned_space((cx, cy))
-                for point in space.points():
-                    assert part.owner_of(point) == (cx, cy)
-
-    def test_too_many_ranks_raises(self):
-        with pytest.raises(ConfigurationError):
-            BlockPartitioner2D((2, 2), (3, 1))
-
-    def test_for_size(self):
-        part = BlockPartitioner2D.for_size((64, 64), 6)
-        assert part.nblocks == 6
-
-
 class TestGlobalMesh:
     def test_periodic_spacing(self):
         mesh = GlobalMesh2D.create((0, 0), (1, 2), (10, 20), (True, True))
@@ -121,7 +86,7 @@ class TestGlobalMesh:
 
     def test_coordinates_meshgrid(self):
         mesh = GlobalMesh2D.create((0, 0), (4, 4), (4, 4), (True, True))
-        X, Y = mesh.node_coordinates(mesh.node_space)
+        X, Y = mesh.node_coordinates(IndexSpace.from_shape((4, 4)))
         assert X.shape == (4, 4)
         assert X[2, 0] == pytest.approx(2.0)
         assert Y[0, 3] == pytest.approx(3.0)

@@ -169,12 +169,17 @@ class TestEvaluationModelStructure:
             __import__("pytest").approx(model.comm_total() + model.compute_total())
         )
 
-    def test_brick_layout_matches_partitioner(self):
-        """The FFT brick layout equals the grid partitioner's blocks."""
-        from repro.grid.partition import BlockPartitioner2D
+    @pytest.mark.parametrize("nranks", [1, 2, 4, 6])
+    def test_brick_layout_matches_partitioner(self, nranks):
+        """The FFT brick layout is the surface mesh's owned blocks."""
+        from repro.core import SurfaceMesh
 
         shape = (40, 28)
-        dims = (3, 2)
-        bricks = brick_layout(shape, dims)
-        part = BlockPartitioner2D(shape, dims)
-        assert bricks == part.all_spaces()
+
+        def program(comm):
+            mesh = SurfaceMesh(comm, (0, 0), (1, 1), shape, (True, True))
+            return mesh.cart.dims, mesh.owned_space
+
+        results = spmd(nranks, program)
+        dims = results[0][0]
+        assert [space for _, space in results] == brick_layout(shape, dims)

@@ -104,7 +104,6 @@ class TestBufferPool:
         b = pool.acquire(900)  # same bucket
         assert b is a
         assert (pool.hits, pool.misses) == (1, 1)
-        assert pool.hit_rate == 0.5
 
     def test_release_accepts_typed_views(self):
         pool = BufferPool()
@@ -118,14 +117,14 @@ class TestBufferPool:
         a, b = pool.acquire(1024), pool.acquire(1024)
         pool.release(a)
         pool.release(b)  # over the soft cap: dropped, not cached
-        assert pool.stats()["resident_bytes"] == 1024
         assert pool.acquire(1024) is a
+        assert pool.acquire(1024) is not b
+        assert (pool.hits, pool.misses) == (1, 3)
 
-    def test_clear_and_stats(self):
+    def test_clear(self):
         pool = BufferPool()
         pool.release(pool.acquire(256))
         pool.clear()
-        assert pool.stats()["resident_bytes"] == 0
         assert pool.acquire(256).size == 256  # miss again
         assert pool.misses == 2
 
@@ -293,7 +292,7 @@ class TestPackedPool:
                 comm.Allgatherv(local)
             # In-flight leases are bounded by the two-round release lag.
             assert len(comm._pending) <= 2
-            return comm._pool.stats()
+            return {"hits": comm._pool.hits, "misses": comm._pool.misses}
 
         trace = mpi.CommTrace()
         stats = spmd(2, program, trace=trace)

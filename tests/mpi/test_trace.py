@@ -75,7 +75,7 @@ class TestTraceRecording:
             comm.Sendrecv(np.zeros(2), dest, 0, None, src, 0)
 
         spmd(4, program, trace=trace)
-        assert trace.partners(0) == {1, 3}
+        assert {e.peer for e in trace.events if e.rank == 0} == {1, 3}
 
     def test_compute_events(self):
         trace = CommTrace()

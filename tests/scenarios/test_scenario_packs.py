@@ -3,8 +3,8 @@
 from pathlib import Path
 
 from repro.batch import fleet_key
+from repro.campaign import RunSpec
 from repro.scenarios import (
-    available_scenarios,
     get_scenario,
     iter_scenarios,
     load_registry,
@@ -54,7 +54,8 @@ class TestShippedPacks:
             ic = scenario.initial_condition()
             assert config.num_nodes[0] > 0
             assert ic.magnitude > 0
-            spec = scenario.run_spec()
+            spec = RunSpec(config=config, ic=ic, ranks=scenario.ranks,
+                           steps=scenario.steps)
             assert len(spec.run_hash()) == 16
 
     def test_packs_never_pin_a_backend(self):
@@ -64,9 +65,9 @@ class TestShippedPacks:
 
 class TestFamilies:
     def test_filtering_by_family_and_tag(self):
-        atwood = available_scenarios(family="atwood")
+        atwood = [s.name for s in iter_scenarios(family="atwood")]
         assert atwood == ["atwood-high", "atwood-low", "atwood-mid"]
-        fleet = available_scenarios(tag="fleet")
+        fleet = [s.name for s in iter_scenarios(tag="fleet")]
         assert set(atwood) <= set(fleet)
 
     def test_sweep_families_share_one_fleet_key(self):
@@ -95,6 +96,6 @@ class TestGallery:
 
     def test_gallery_names_every_pack(self):
         gallery = build_gallery()
-        for name in available_scenarios():
+        for name in [s.name for s in iter_scenarios()]:
             assert f"`{name}`" in gallery
         assert "conf_sc_StewartB24" in gallery

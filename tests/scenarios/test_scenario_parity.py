@@ -22,6 +22,15 @@ from repro.core import InitialCondition, SolverConfig
 from repro.scenarios import get_scenario
 
 
+def _deck_spec(name, ranks, steps):
+    """The one RunSpec a deck naming only the pack ``name`` expands to."""
+    (spec,) = CampaignDeck.from_dict({
+        "name": "parity", "mode": "functional", "ranks": ranks,
+        "steps": steps, "base": {"scenario": name},
+    }).expand()
+    return spec
+
+
 class TestPaperScenarioParity:
     """Hand-coded configs copied verbatim from the pre-registry examples."""
 
@@ -49,7 +58,7 @@ class TestPaperScenarioParity:
         assert pack.ranks == 4 and pack.steps == 60
         hand_spec = RunSpec(config=hand_config, ic=hand_ic, ranks=4,
                             steps=60, mode="functional")
-        assert pack.run_spec().run_hash() == hand_spec.run_hash()
+        assert _deck_spec("singlemode-rollup", 4, 60).run_hash() == hand_spec.run_hash()
 
     def test_multimode_periodic_matches_figure1_driver(self):
         hand_config = SolverConfig(
@@ -69,7 +78,7 @@ class TestPaperScenarioParity:
         assert pack.initial_condition() == hand_ic
         hand_spec = RunSpec(config=hand_config, ic=hand_ic, ranks=4,
                             steps=20, mode="functional")
-        assert pack.run_spec().run_hash() == hand_spec.run_hash()
+        assert _deck_spec("multimode-periodic", 4, 20).run_hash() == hand_spec.run_hash()
 
     def test_backend_override_does_not_change_scenario_identity(self):
         # The engine is a machine choice: it IS part of the run hash
@@ -139,25 +148,24 @@ class TestDeckParity:
                 == by_hash[outcome.run_hash].result["diagnostics"]
             )
 
-    def test_single_run_cli_equals_pack_run_spec(self):
-        """The CLI's --scenario resolution and Scenario.run_spec agree."""
-        from repro.cli.rocketrig import _scenario_run_params, build_parser
+    def test_single_run_cli_equals_pack(self):
+        """The CLI's --scenario resolution is the pack, verbatim."""
+        from repro.cli.rocketrig import _run_params, build_parser
 
         args = build_parser().parse_args(["--scenario", "atwood-low"])
-        config, ic, steps, ranks = _scenario_run_params(args)
+        config, ic, steps, ranks = _run_params(args)
         pack = get_scenario("atwood-low")
-        spec = pack.run_spec()
         assert config == pack.solver_config(backend="auto")
-        assert ic == spec.ic
-        assert (steps, ranks) == (spec.steps, spec.ranks)
+        assert ic == pack.initial_condition()
+        assert (steps, ranks) == (pack.steps, pack.ranks)
 
     def test_cli_flag_overrides_pack_field(self):
-        from repro.cli.rocketrig import _scenario_run_params, build_parser
+        from repro.cli.rocketrig import _run_params, build_parser
 
         args = build_parser().parse_args(
             ["--scenario", "atwood-low", "--atwood", "0.7", "--steps", "3"]
         )
-        config, ic, steps, ranks = _scenario_run_params(args)
+        config, ic, steps, ranks = _run_params(args)
         assert config.atwood == 0.7
         assert steps == 3
         assert ranks == get_scenario("atwood-low").ranks

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.scenarios import (
-    available_scenarios,
     get_scenario,
+    iter_scenarios,
     load_registry,
     scenario_families,
 )
@@ -38,7 +38,7 @@ class TestRoots:
     def test_env_roots_extend_builtin(self, tmp_path, monkeypatch):
         write_pack(tmp_path, name="local-extra")
         monkeypatch.setenv("REPRO_SCENARIO_PATH", str(tmp_path))
-        names = available_scenarios()
+        names = [s.name for s in iter_scenarios()]
         assert "local-extra" in names
         assert "singlemode-rollup" in names  # builtin packs still there
 
@@ -77,12 +77,12 @@ class TestLookup:
         write_pack(tmp_path, name="tagged-two", family="other",
                    tags=["alpha", "beta"])
         roots = [tmp_path]
-        assert available_scenarios(tag="alpha", roots=roots) == [
+        assert [s.name for s in iter_scenarios(tag="alpha", roots=roots)] == [
             "tagged-two", "tagged-one"
-        ] or available_scenarios(tag="alpha", roots=roots) == [
+        ] or [s.name for s in iter_scenarios(tag="alpha", roots=roots)] == [
             "tagged-one", "tagged-two"
         ]
-        assert available_scenarios(family="other", roots=roots) == [
+        assert [s.name for s in iter_scenarios(family="other", roots=roots)] == [
             "tagged-two"
         ]
         assert scenario_families(roots=roots) == ["other", "test"]

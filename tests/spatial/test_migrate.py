@@ -29,14 +29,6 @@ class TestSpatialMesh:
         owners = MESH.owner_of(np.array([[-100, -100, 0], [100, 100, 0]]))
         assert list(owners) == [0, 3]
 
-    def test_block_rect_tiles_domain(self):
-        mesh = SpatialMesh((0, 0, 0), (6, 4, 1), (3, 2))
-        area = 0.0
-        for r in range(mesh.nblocks):
-            x0, x1, y0, y1 = mesh.block_rect(r)
-            area += (x1 - x0) * (y1 - y0)
-        assert area == pytest.approx(24.0)
-
     def test_halo_targets_boundary_point(self):
         mesh = SpatialMesh((0, 0, 0), (4, 4, 1), (2, 2))
         # Point near the center corner is within cutoff of all 4 blocks.
@@ -177,8 +169,10 @@ class TestCutoffHalo:
         def program(comm):
             mig = ParticleMigrator(comm, MESH)
             # Center of my own block: far from every boundary.
-            x0, x1, y0, y1 = MESH.block_rect(comm.rank)
-            pos = np.array([[(x0 + x1) / 2, (y0 + y1) / 2, 0.0]])
+            bx, by = divmod(comm.rank, MESH.dims[1])
+            wx, wy = MESH.block_widths()
+            pos = np.array([[MESH.low[0] + (bx + 0.5) * wx,
+                             MESH.low[1] + (by + 0.5) * wy, 0.0]])
             m = mig.migrate(pos, np.empty((1, 0)))
             ghosts = halo_exchange(comm, MESH, m.positions, m.payload, 0.05)
             return ghosts.count == 0 and ghosts.sent_copies == 0

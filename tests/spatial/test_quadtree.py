@@ -8,6 +8,12 @@ from repro.spatial.tree import build_quadtree
 from repro.util.errors import ConfigurationError
 
 
+def _level(tree, level):
+    """Flat node-table slice of one tree level."""
+    return slice(int(tree.level_offsets[level]),
+                 int(tree.level_offsets[level + 1]))
+
+
 @pytest.fixture
 def cloud(rng):
     n = 500
@@ -35,7 +41,7 @@ class TestBuild:
         pos, omega = cloud
         tree = build_quadtree(pos, omega, leaf_size=16)
         for level in range(tree.nlevels):
-            counts = tree.node_count[tree.level_slice(level)]
+            counts = tree.node_count[_level(tree, level)]
             assert counts.sum() == pos.shape[0]
 
     def test_depth_tracks_leaf_size(self, cloud):
@@ -64,7 +70,7 @@ class TestBuild:
         for level in range(tree.nlevels):
             shift = tree.depth - level
             node_of_point = (cx >> shift) * (1 << level) + (cy >> shift)
-            sl = tree.level_slice(level)
+            sl = _level(tree, level)
             counts = tree.node_count[sl]
             for node in np.nonzero(counts > 0)[0]:
                 mask = node_of_point == node
@@ -98,8 +104,8 @@ class TestBuild:
         pos = np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 0.0]])
         omega = np.ones((2, 3))
         tree = build_quadtree(pos, omega, leaf_size=1)
-        leaf = tree.node_count[tree.level_slice(tree.depth)]
-        sizes = tree.node_size[tree.level_slice(tree.depth)]
+        leaf = tree.node_count[_level(tree, tree.depth)]
+        sizes = tree.node_size[_level(tree, tree.depth)]
         assert np.all(sizes[leaf == 1] == 0.0)
 
     def test_validation(self, cloud):

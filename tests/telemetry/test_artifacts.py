@@ -89,7 +89,8 @@ class TestBuildRunTelemetry:
         doc = build_run_telemetry(traced_run, elapsed=1.25)
         assert doc["schema"] == TELEMETRY_SCHEMA
         assert doc["elapsed"] == 1.25
-        assert doc["phase"]["halo"]["wall"] == traced_run.phase_wall_max("halo")
+        assert doc["phase"]["halo"]["wall"] == max(
+            traced_run.phase_walls()["halo"].values())
         assert set(doc["phase"]["compute"]["wall_by_rank"]) == {"0", "1"}
         assert doc["phase"]["compute"]["compute_events"] == 2
         assert doc["kernel"]["axpy"]["count"] == 2

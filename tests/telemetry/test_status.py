@@ -41,7 +41,7 @@ class TestStatusUnderProcessBackend:
         backend — every run terminal, counts adding up, done=True."""
         store = CampaignStore("status", root=str(tmp_path))
         executor = CampaignExecutor(
-            store, max_workers=2, worker_type="process"
+            store, max_workers=2
         )
         outcomes = executor.submit(specs())
         assert all(o.status == "completed" for o in outcomes)
@@ -65,7 +65,7 @@ class TestStatusUnderProcessBackend:
     def test_resubmission_counts_skips(self, tmp_path):
         store = CampaignStore("status", root=str(tmp_path))
         executor = CampaignExecutor(
-            store, max_workers=2, worker_type="process"
+            store, max_workers=2
         )
         executor.submit(specs())
         again = executor.submit(specs())
@@ -83,9 +83,14 @@ class TestStatusDefaultAndSerial:
         snap = read_status(store)
         assert snap["done"] and snap["counts"]["completed"] == 3
 
-    def test_serial_document_has_an_unbound_service_section(self, tmp_path):
+    @pytest.mark.parametrize("workers,batch", [
+        (1, specs), (4, lambda: specs()[:1]),
+    ], ids=["one-worker", "single-run"])
+    def test_in_process_drain_reports_serial(self, tmp_path, workers, batch):
+        """Whatever ``max_workers`` says, a drain that spawns nothing is
+        ``serial`` and its service section is unbound."""
         store = CampaignStore("status", root=str(tmp_path))
-        CampaignExecutor(store, worker_type="serial").submit(specs())
+        CampaignExecutor(store, max_workers=workers).submit(batch())
         snap = read_status(store)
         assert snap["worker_type"] == "serial"
         assert snap["service"]["address"] is None

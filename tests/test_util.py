@@ -1,4 +1,4 @@
-"""Utility helpers: decomposition arithmetic, formatting, errors."""
+"""Utility helpers: decomposition arithmetic, row chunking, errors."""
 
 import numpy as np
 import pytest
@@ -11,20 +11,10 @@ from repro.util import (
     DeadlockError,
     RankAbortedError,
     ReproError,
-    block_bounds,
     dims_create,
-    human_bytes,
     prod,
-    split_extent,
 )
-from repro.util.misc import (
-    ceil_div,
-    chunk_rows,
-    geometric_levels,
-    ilog2,
-    is_pow2,
-    round_up_pow2,
-)
+from repro.util.misc import chunk_rows
 
 
 class TestErrorsHierarchy:
@@ -43,57 +33,6 @@ class TestProd:
 
     def test_product(self):
         assert prod([2, 3, 4]) == 24
-
-
-class TestBlockBounds:
-    def test_matches_split_extent(self):
-        bounds = block_bounds((10, 12), (2, 3), (1, 2))
-        assert bounds == (split_extent(10, 2, 1), split_extent(12, 3, 2))
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ConfigurationError):
-            block_bounds((10,), (2, 2), (0, 0))
-
-
-class TestHumanBytes:
-    @pytest.mark.parametrize(
-        "n,expected",
-        [(0, "0 B"), (512, "512 B"), (2048, "2.00 KiB"),
-         (1536 * 1024, "1.50 MiB"), (3 * 1024**3, "3.00 GiB")],
-    )
-    def test_values(self, n, expected):
-        assert human_bytes(n) == expected
-
-    def test_negative(self):
-        assert human_bytes(-2048) == "-2.00 KiB"
-
-
-class TestPow2Helpers:
-    def test_round_up(self):
-        assert round_up_pow2(1) == 1
-        assert round_up_pow2(5) == 8
-        assert round_up_pow2(64) == 64
-
-    def test_is_pow2(self):
-        assert is_pow2(64) and not is_pow2(48) and not is_pow2(0)
-
-    def test_ilog2(self):
-        assert ilog2(1) == 0 and ilog2(1024) == 10 and ilog2(1023) == 9
-
-    def test_invalid_raise(self):
-        with pytest.raises(ConfigurationError):
-            round_up_pow2(0)
-        with pytest.raises(ConfigurationError):
-            ilog2(0)
-
-
-class TestCeilDiv:
-    @settings(max_examples=30, deadline=None)
-    @given(a=st.integers(0, 10**6), b=st.integers(1, 10**4))
-    def test_matches_math(self, a, b):
-        import math
-
-        assert ceil_div(a, b) == math.ceil(a / b)
 
 
 class TestChunkRows:
@@ -119,18 +58,6 @@ class TestChunkRows:
     def test_multiple_inside_the_last_row(self):
         assert chunk_rows(np.array([0, 100]), 130, 32) == [0, 1, 2]
         assert chunk_rows(np.array([0]), 40_000, 32_768) == [0, 1]
-
-
-class TestGeometricLevels:
-    def test_paper_sweep(self):
-        assert geometric_levels(4, 1024, 4) == [4, 16, 64, 256, 1024]
-
-    def test_includes_endpoint(self):
-        assert geometric_levels(4, 100, 4)[-1] == 100
-
-    def test_invalid(self):
-        with pytest.raises(ConfigurationError):
-            geometric_levels(0, 10)
 
 
 class TestDimsCreateProperties:
