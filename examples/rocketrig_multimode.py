@@ -46,10 +46,9 @@ def main(outdir: str = "results/multimode") -> None:
 
     # What would this cost on the Lassen-like machine model?
     replay = replay_trace(trace, LASSEN)
-    for phase in replay.phases:
-        comm_t, comp_t = replay.phase_breakdown(phase)
-        print(f"  modeled {phase:>10}: comm {comm_t*1e3:8.3f} ms  "
-              f"compute {comp_t*1e3:8.3f} ms")
+    for phase, cost in replay.phases.items():
+        print(f"  modeled {phase:>10}: comm {cost.comm*1e3:8.3f} ms  "
+              f"compute {cost.compute*1e3:8.3f} ms")
     print(f"  modeled total: {replay.total*1e3:.2f} ms for {steps} steps")
 
 

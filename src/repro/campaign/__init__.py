@@ -34,11 +34,7 @@ Typical use::
 """
 
 from repro.campaign.deck import CampaignDeck, RunSpec
-from repro.campaign.executor import (
-    CampaignExecutor,
-    RunOutcome,
-    configure_logging,
-)
+from repro.campaign.executor import CampaignExecutor, configure_logging
 from repro.campaign.report import (
     campaign_summary,
     campaign_table,
@@ -72,7 +68,6 @@ __all__ = [
     "CampaignDeck",
     "RunSpec",
     "CampaignExecutor",
-    "RunOutcome",
     "configure_logging",
     "CampaignStore",
     "RunRecord",

@@ -23,15 +23,15 @@ and logs every run.  ``max_workers`` picks who executes the items:
 
 Model-mode runs (microseconds of arithmetic on the coordinator's
 machine model) never leave the coordinator's process.  Every path
-reads the outcomes back from the store's latest records.
+returns the store's latest record of each spec.
 
 :meth:`CampaignExecutor.run_one` and :meth:`CampaignExecutor.run_fleet`
 are pure execution — the routines a worker and the coordinator's
 in-process drain both run items through: execute, write the store
-records and ``telemetry.json``, return outcomes.  One run's failure is
-captured in its index record without aborting its siblings, and
-interrupted functional runs resume from the checkpoint the previous
-attempt left in the run directory.
+records and ``telemetry.json``, return the records written.  One run's
+failure is captured in its index record without aborting its siblings,
+and interrupted functional runs resume from the checkpoint the
+previous attempt left in the run directory.
 
 Two distinct timeouts govern a run (they used to be conflated, which
 made a slow-but-progressing rank die as a spurious ``DeadlockError``):
@@ -58,14 +58,20 @@ import logging
 import os
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Any, Optional, Sequence
 
 from repro import mpi
 from repro.campaign.deck import RunSpec
 from repro.campaign.protocol import SocketEndpoint
 from repro.campaign.scheduler import evaluation_model
-from repro.campaign.store import COMPLETED, FAILED, CampaignStore, RunRecord
+from repro.campaign.store import (
+    COMPLETED,
+    FAILED,
+    SKIPPED,
+    CampaignStore,
+    RunRecord,
+)
 from repro.core.solver import Solver
 from repro.io.checkpoint import load_checkpoint
 from repro.machine.model import LASSEN, MachineSpec
@@ -76,7 +82,6 @@ from repro.telemetry.metrics import MetricsRegistry
 from repro.util.errors import ConfigurationError, RunBudgetExceededError
 
 __all__ = [
-    "RunOutcome",
     "CampaignExecutor",
     "configure_logging",
 ]
@@ -153,27 +158,6 @@ KILL_FUSE_ENV = "REPRO_CAMPAIGN_KILL_FUSE"
 STATUS_WRITE_INTERVAL = 1.0
 
 
-@dataclass
-class RunOutcome:
-    """What happened to one spec of a submitted batch."""
-
-    spec: RunSpec
-    run_hash: str
-    status: str                    # "completed" | "failed" | "skipped"
-    result: dict[str, Any] = field(default_factory=dict)
-    error: Optional[str] = None
-    elapsed: float = 0.0
-    resumed_from_step: int = 0
-
-    @property
-    def skipped(self) -> bool:
-        return self.status == "skipped"
-
-    @property
-    def completed(self) -> bool:
-        return self.status in ("completed", "skipped")
-
-
 class CampaignExecutor:
     """Runs batches of specs against one :class:`CampaignStore`."""
 
@@ -224,11 +208,14 @@ class CampaignExecutor:
 
     # -- batch submission ------------------------------------------------------
 
-    def submit(self, specs: Sequence[RunSpec]) -> list[RunOutcome]:
-        """Run a batch; returns outcomes in the original submission order.
+    def submit(self, specs: Sequence[RunSpec]) -> list[RunRecord]:
+        """Run a batch; returns the latest record of each spec, in
+        submission order.
 
         Duplicate specs within the batch run once; hashes already
-        completed in the store are skipped outright.
+        completed in the store are skipped outright and come back as
+        their completed record with ``status="skipped"``.  A spec left
+        with no terminal record comes back as a failed one.
         """
         # Imported here: the service module builds on this one.
         from repro.campaign.service import Coordinator, LocalWorkers
@@ -248,15 +235,23 @@ class CampaignExecutor:
             coordinator.endpoint = SocketEndpoint()
             LocalWorkers(coordinator, workers).serve()
         hits, latest = coordinator.plan.hits, self.store.latest_records()
-        return [
-            RunOutcome(spec, run_hash, "skipped", hits[run_hash])
-            if run_hash in hits else _outcome_of(spec, latest.get(run_hash))
-            for spec, run_hash in ((spec, spec.run_hash()) for spec in specs)
-        ]
+        records = []
+        for spec in specs:
+            run_hash = spec.run_hash()
+            record = latest.get(run_hash)
+            if run_hash in hits:
+                record = replace(hits[run_hash], status=SKIPPED)
+            elif record is None or record.status not in (COMPLETED, FAILED):
+                record = RunRecord(
+                    run_hash, FAILED, spec.payload(),
+                    error="no terminal record in the store",
+                )
+            records.append(record)
+        return records
 
     # -- fleets ----------------------------------------------------------------
 
-    def run_fleet(self, group: Sequence[RunSpec]) -> list[RunOutcome]:
+    def run_fleet(self, group: Sequence[RunSpec]) -> list[RunRecord]:
         """Advance same-shape serial runs as one
         :class:`repro.batch.ScenarioFleet`, recording each of them.
 
@@ -267,23 +262,19 @@ class CampaignExecutor:
         runs like any other.  A member that diverges fails alone.  Each
         completed run gets its own ``telemetry.json`` (the fleet trace,
         ``batch.*`` metrics included, is shared; ``fleet_size`` marks
-        it as amortized).  Returns one outcome per member, in ``group``
-        order.
+        it as amortized).  Returns each member's terminal record, in
+        ``group`` order.
         """
         from repro.batch import ScenarioFleet
 
         trace = CommTrace() if self.telemetry else None
         start = time.perf_counter()
         pending: dict[int, RunSpec] = {}
-        outcomes: dict[str, RunOutcome] = {}
+        records: dict[str, RunRecord] = {}
 
         def fail(spec: RunSpec, error: str) -> None:
-            run_hash = spec.run_hash()
-            elapsed = time.perf_counter() - start
-            self.store.record_failed(spec, error, elapsed=elapsed)
-            outcomes[run_hash] = RunOutcome(
-                spec=spec, run_hash=run_hash, status="failed",
-                error=error, elapsed=elapsed,
+            records[spec.run_hash()] = self.store.record_failed(
+                spec, error, elapsed=time.perf_counter() - start
             )
 
         def on_finish(sid: int, result: dict[str, Any]) -> None:
@@ -297,10 +288,8 @@ class CampaignExecutor:
                 "kind": "functional",
                 "diagnostics": result["diagnostics"],
             }
-            self.store.record_completed(spec, payload, elapsed=elapsed)
-            outcomes[run_hash] = RunOutcome(
-                spec=spec, run_hash=run_hash, status="completed",
-                result=payload, elapsed=elapsed,
+            records[run_hash] = self.store.record_completed(
+                spec, payload, elapsed=elapsed
             )
             if trace is not None:
                 self.store.write_telemetry(
@@ -323,14 +312,15 @@ class CampaignExecutor:
             fleet.run(on_finish=on_finish)
         except Exception:
             error = traceback.format_exc(limit=20)
-            for spec in [s for s in group if s.run_hash() not in outcomes]:
+            for spec in [s for s in group if s.run_hash() not in records]:
                 fail(spec, error)
-        return [outcomes[spec.run_hash()] for spec in group]
+        return [records[spec.run_hash()] for spec in group]
 
     # -- single runs -----------------------------------------------------------
 
-    def run_one(self, spec: RunSpec) -> RunOutcome:
-        """Execute one spec, recording success or failure in the store.
+    def run_one(self, spec: RunSpec) -> RunRecord:
+        """Execute one spec; returns the completed or failed record it
+        wrote to the store.
 
         Only ``Exception`` counts as a run failure: an interrupt
         (``KeyboardInterrupt``/``SystemExit``) propagates to the caller
@@ -345,20 +335,13 @@ class CampaignExecutor:
             else:
                 result, resumed = self._run_functional(spec, run_hash)
         except Exception:
-            elapsed = time.perf_counter() - start
-            error = traceback.format_exc(limit=20)
-            self.store.record_failed(spec, error, elapsed=elapsed)
-            return RunOutcome(
-                spec=spec, run_hash=run_hash, status="failed",
-                error=error, elapsed=elapsed,
+            return self.store.record_failed(
+                spec, traceback.format_exc(limit=20),
+                elapsed=time.perf_counter() - start,
             )
-        elapsed = time.perf_counter() - start
-        self.store.record_completed(
-            spec, result, elapsed=elapsed, resumed_from_step=resumed
-        )
-        return RunOutcome(
-            spec=spec, run_hash=run_hash, status="completed",
-            result=result, elapsed=elapsed, resumed_from_step=resumed,
+        return self.store.record_completed(
+            spec, result, elapsed=time.perf_counter() - start,
+            resumed_from_step=resumed,
         )
 
     def _run_functional(
@@ -463,17 +446,3 @@ class CampaignExecutor:
             },
         }
 
-
-def _outcome_of(spec: RunSpec, record: Optional[RunRecord]) -> RunOutcome:
-    """The outcome of a run, from the terminal record whoever ran it
-    (or the coordinator, for a run it gave up on) wrote."""
-    if record is None or record.status not in (COMPLETED, FAILED):
-        return RunOutcome(
-            spec=spec, run_hash=spec.run_hash(), status="failed",
-            error="no terminal record in the store",
-        )
-    return RunOutcome(
-        spec=spec, run_hash=record.run_hash, status=record.status,
-        result=record.result, error=record.error, elapsed=record.elapsed,
-        resumed_from_step=record.resumed_from_step,
-    )

@@ -20,6 +20,8 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.batch import fleet_key
 from repro.campaign.deck import RunSpec
+from repro.campaign.store import COMPLETED, RunRecord
+from repro.core.solver import NUMERICS_VERSION
 from repro.machine.model import LASSEN, MachineSpec
 from repro.machine.patterns import (
     DEFAULT_REUSE_INTERVAL,
@@ -130,7 +132,8 @@ class RunPlan:
     """A batch resolved against its store by :func:`plan_runs`."""
 
     unique: dict[str, RunSpec]          # every distinct spec, by hash
-    hits: dict[str, dict[str, Any]]     # store hits: hash → stored result
+    hits: dict[str, RunRecord]          # store hits: hash → completed record
+    stale: dict[str, int]               # re-runs: hash → old numerics stamp
     costs: dict[str, float]             # runs to execute, longest first
     items: list[tuple[RunSpec, ...]]    # one run or one fleet, LJF order
 
@@ -148,8 +151,10 @@ def plan_runs(
 ) -> RunPlan:
     """Dedup, store hits, longest-job-first order and fleets of a batch.
 
-    A completed hash with a loadable result is a hit (a model result
-    only for the machine it was costed on).  Serial functional runs
+    A hash whose latest record is completed is a hit (a model result
+    only for the machine it was costed on); one stamped with another
+    :data:`~repro.core.solver.NUMERICS_VERSION` is *stale* and runs
+    again.  Serial functional runs
     sharing a :func:`repro.batch.fleet_key` — with no checkpointing and
     no checkpoint on disk — become one item once :data:`FLEET_MIN` of
     them group, ordered by their summed cost.  One model evaluation per
@@ -158,17 +163,21 @@ def plan_runs(
     unique: dict[str, RunSpec] = {}
     for spec in specs:
         unique.setdefault(spec.run_hash(), spec)
-    completed = store.completed_hashes() if unique else set()
-    hits: dict[str, dict[str, Any]] = {}
+    latest = store.latest_records() if unique else {}
+    hits: dict[str, RunRecord] = {}
+    stale: dict[str, int] = {}
     to_run: dict[str, RunSpec] = {}
     for run_hash, spec in unique.items():
-        result = store.load_result(run_hash) if run_hash in completed else None
-        if result is not None and (
-            spec.mode != "model" or result.get("machine") in (None, machine.name)
-        ):
-            hits[run_hash] = result
-        else:
-            to_run[run_hash] = spec
+        record = latest.get(run_hash)
+        if record is not None and record.status == COMPLETED:
+            if record.numerics != NUMERICS_VERSION:
+                stale[run_hash] = record.numerics
+            elif spec.mode != "model" or record.result.get("machine") in (
+                None, machine.name
+            ):
+                hits[run_hash] = record
+                continue
+        to_run[run_hash] = spec
     costs = modeled_costs(to_run, machine)
     groups: dict[Any, list[RunSpec]] = {}
     for run_hash, spec in ((h, to_run[h]) for h in costs):
@@ -189,7 +198,7 @@ def plan_runs(
     items.sort(key=lambda item: (
         -sum(costs[spec.run_hash()] for spec in item), slot[item[0].run_hash()]
     ))
-    return RunPlan(unique, hits, costs, items)
+    return RunPlan(unique, hits, stale, costs, items)
 
 
 def lease_id(item: Sequence[RunSpec]) -> str:

@@ -33,12 +33,14 @@ Lease state machine (per run)::
 
 A lease is granted by appending a ``running`` claim marker per run to
 the store with ``owner`` (the worker's identity) and ``lease_expires``
-stamped, so a coordinator restart can tell a live claimant (future
-deadline, heartbeats will renew it) from a dead one (lapsed deadline →
-requeue).  A fleet lease is released once every member has reported;
-one that lapses is *dissolved*: each unreported member is requeued as
-a solo run under the same rule, so a poison member is isolated by the
-ordinary ``max_requeues`` bound.
+stamped.  A restarted coordinator requeues every run that has no
+terminal record, live claim or not: the last record wins, so a
+claimant that is still alive costs a duplicate execution, never a
+result.  The lapsed claims only feed its log line.  A fleet lease is
+released once every member has reported; one that lapses is
+*dissolved*: each unreported member is requeued as a solo run under
+the same rule, so a poison member is isolated by the ordinary
+``max_requeues`` bound.
 Workers renew their lease with ``heartbeat`` messages; a worker that
 vanishes (SIGKILL, kernel fault, unplugged machine) simply stops
 heartbeating and its run is reclaimed and requeued when the lease
@@ -78,7 +80,6 @@ from repro.campaign.executor import (
     KILL_FUSE_ENV,
     STATUS_WRITE_INTERVAL,
     CampaignExecutor,
-    RunOutcome,
     log,
 )
 from repro.campaign.protocol import (
@@ -95,7 +96,8 @@ from repro.campaign.protocol import (
     SocketWorkerChannel,
 )
 from repro.campaign.scheduler import lease_id, lpt_makespan, plan_runs
-from repro.campaign.store import COMPLETED, FAILED, CampaignStore
+from repro.campaign.store import COMPLETED, FAILED, CampaignStore, RunRecord
+from repro.core.solver import NUMERICS_VERSION
 from repro.machine.model import LASSEN, MachineSpec
 from repro.telemetry.artifacts import TELEMETRY_SCHEMA
 from repro.telemetry.metrics import MetricsRegistry
@@ -271,14 +273,18 @@ class Coordinator:
         self.plan = plan_runs(
             specs, store, machine, checkpoint_freq=self._settings.checkpoint_freq
         )
-        # A previous coordinator's lapsed claims requeue transparently:
-        # they are simply still queued (no terminal record), and the
-        # fresh claim written at grant time supersedes the stale one.
-        stale = set(store.expired_claims()) if self.plan.costs else set()
-        stale &= set(self.plan.costs)
-        if stale:
-            log(self.who, f"reclaiming {len(stale)} runs with lapsed leases "
+        # A previous coordinator's claims requeue transparently: they
+        # are simply still queued (no terminal record), and the fresh
+        # claim written at grant time supersedes the old one.
+        lapsed = set(store.expired_claims()) if self.plan.costs else set()
+        lapsed &= set(self.plan.costs)
+        if lapsed:
+            log(self.who, f"reclaiming {len(lapsed)} runs with lapsed leases "
                           f"from a previous coordinator")
+        if self.plan.stale:
+            stamps = ", ".join(map(str, sorted(set(self.plan.stale.values()))))
+            log(self.who, f"{len(self.plan.stale)} stale (numerics {stamps} "
+                          f"≠ {NUMERICS_VERSION})")
         # Model-mode runs are costed on this machine model: they stay here.
         self._queue: collections.deque[tuple[RunSpec, ...]] = collections.deque(
             item for item in self.plan.items if item[0].mode != "model"
@@ -508,13 +514,13 @@ class Coordinator:
             for spec in item:
                 self._mark(spec.run_hash(), "running")
             if len(item) > 1:
-                outcomes = executor.run_fleet(item)
+                records = executor.run_fleet(item)
             else:
-                outcomes = [executor.run_one(item[0])]
-            for outcome in outcomes:
+                records = [executor.run_one(item[0])]
+            for record in records:
                 self._settle(
-                    outcome.run_hash, outcome.status, elapsed=outcome.elapsed,
-                    resumed=outcome.resumed_from_step, error=outcome.error,
+                    record.run_hash, record.status, elapsed=record.elapsed,
+                    resumed=record.resumed_from_step, error=record.error,
                     fleet=len(item) > 1,
                 )
 
@@ -666,9 +672,8 @@ class Coordinator:
         job_id = lease_id(item)
         now = time.time()
         deadline = now + self.lease_timeout
-        # The claim markers make the lease durable: a coordinator that
-        # restarts sees owner + lease_expires on the trailing running
-        # records and can classify the claimant without guessing.
+        # The claim markers make the lease durable: the store shows who
+        # holds each run and until when.
         self.store.record_running(*item, owner=worker, lease_expires=deadline)
         payloads = [spec.payload() for spec in item]
         job = replace(
@@ -966,7 +971,7 @@ class Worker:
     ever corrupted by a coordinator crash.
 
     ``run_one`` is a test hook replacing the executor call
-    (``spec -> RunOutcome``, once per member of a fleet); raising
+    (``spec -> RunRecord``, once per member of a fleet); raising
     :class:`WorkerVanished` from it simulates a silent worker death
     (stop heartbeating, send nothing).
     """
@@ -979,7 +984,7 @@ class Worker:
         results_dir: Optional[str] = None,
         idle_timeout: float = 120.0,
         telemetry: bool = True,
-        run_one: Optional[Callable[[RunSpec], RunOutcome]] = None,
+        run_one: Optional[Callable[[RunSpec], RunRecord]] = None,
     ) -> None:
         self.channel = channel
         self.worker_id = worker_id or (
@@ -1042,28 +1047,28 @@ class Worker:
         stop = self._start_heartbeat(job.run_hash, interval)
         try:
             if job.members and self._run_one is None:
-                outcomes = self._executor_for(job).run_fleet(specs)
+                records = self._executor_for(job).run_fleet(specs)
             else:
                 run = self._run_one or self._executor_for(job).run_one
-                outcomes = [run(spec) for spec in specs]
+                records = [run(spec) for spec in specs]
         finally:
             stop.set()
-        return [self._report(outcome) for outcome in outcomes]
+        return [self._report(record) for record in records]
 
-    def _report(self, outcome: RunOutcome) -> Message:
-        if outcome.status == "completed":
+    def _report(self, record: RunRecord) -> Message:
+        if record.status == COMPLETED:
             self.jobs_completed += 1
             return JobDone(
-                worker=self.worker_id, run_hash=outcome.run_hash,
-                elapsed=outcome.elapsed,
-                resumed_from_step=outcome.resumed_from_step,
+                worker=self.worker_id, run_hash=record.run_hash,
+                elapsed=record.elapsed,
+                resumed_from_step=record.resumed_from_step,
             )
         self.jobs_failed += 1
-        error = (outcome.error or "").strip()
+        error = (record.error or "").strip()
         return JobFailed(
-            worker=self.worker_id, run_hash=outcome.run_hash,
+            worker=self.worker_id, run_hash=record.run_hash,
             error=error.splitlines()[-1] if error else "",
-            elapsed=outcome.elapsed,
+            elapsed=record.elapsed,
         )
 
     # -- main loop -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Persistent campaign run store (JSON-lines index + per-run artifacts).
+"""Persistent campaign run store (one JSON-lines index + per-run artifacts).
 
 Layout, rooted at ``$REPRO_RESULTS_DIR`` (default ``results/``)::
 
@@ -6,56 +6,49 @@ Layout, rooted at ``$REPRO_RESULTS_DIR`` (default ``results/``)::
     results/campaigns/<campaign>/.store.lock      advisory inter-process lock
     results/campaigns/<campaign>/status.json      live executor heartbeat
     results/campaigns/<campaign>/runs/<hash>/     per-run artifact dir
-        result.json                               diagnostics / model payload
         telemetry.json                            measured wall-clock artifact
         checkpoint.npz                            in-progress solver state
 
 The index is append-only and the *last* record per run hash wins, so a
 failed run can be retried and a re-submitted deck skips every hash whose
 latest record is ``completed`` — content-addressed dedup without any
-read-side coordination.
+read-side coordination.  A ``completed`` record carries the run's
+result payload and the :data:`~repro.core.solver.NUMERICS_VERSION` that
+produced it: completing a run is one atomic append, and the index is the
+one home of a result.
 
 Concurrency control
 -------------------
-The store is safe for concurrent *processes*, not just threads (the
-process-pool executor backend runs one writer per worker process):
+The store is safe for concurrent *processes*, not just threads (every
+worker process is a writer):
 
 * every index record is appended with a **single ``write`` on an
   ``O_APPEND`` descriptor**, so concurrent appends interleave at record
   granularity, never mid-line;
-* writers additionally hold an advisory file lock
-  (``fcntl.flock`` on ``.store.lock``; an ``O_EXCL`` lock-file spin on
-  platforms without ``fcntl``) spanning the append and any artifact
-  write, so a record and its ``result.json`` land as a unit;
-* ``result.json`` is written atomically (temp file + ``os.replace``,
-  the same hardening the checkpoint path has) — readers can never
-  observe a half-written result;
+* writers additionally hold an advisory ``fcntl.flock`` on
+  ``.store.lock`` across the append, so healing a torn trailing line
+  never races another writer;
 * readers tolerate what crashes leave behind: a torn trailing
   ``index.jsonl`` line is skipped with a warning instead of poisoning
-  ``latest_records()``, and an unreadable ``result.json`` degrades to
-  the result embedded in the index record instead of crashing
-  ``load_result``.
+  ``latest_records()``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import json
 import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterator, Optional
 
 from repro.campaign.deck import RunSpec
+from repro.core.solver import NUMERICS_VERSION
 from repro.telemetry.artifacts import atomic_write_json
 from repro.util.errors import ConfigurationError
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platform
-    fcntl = None  # type: ignore[assignment]
 
 __all__ = ["RunRecord", "CampaignStore", "results_root"]
 
@@ -67,9 +60,8 @@ FAILED = "failed"
 #: a terminal record on exit; a *trailing* ``running`` record therefore
 #: marks a run whose worker died (or was interrupted) mid-flight.
 RUNNING = "running"
-
-#: How long the no-fcntl lock-file fallback spins before giving up.
-_LOCK_TIMEOUT = 30.0
+#: What ``CampaignExecutor.submit`` reports for a store hit; never written.
+SKIPPED = "skipped"
 
 
 def results_root() -> str:
@@ -79,16 +71,16 @@ def results_root() -> str:
 
 @dataclass
 class RunRecord:
-    """One line of the campaign index.
+    """One line of the campaign index; this dataclass is its schema.
 
-    ``owner`` and ``lease_expires`` only carry meaning on ``running``
-    claim markers: who claimed the run (a worker/service identity) and
-    the wall-clock time its lease lapses.  Records written before these
-    fields existed parse with the defaults (``None`` / ``0.0``), which
-    reads as "claimant unknown, lease already lapsed" — exactly the
-    conservative interpretation lease reclaim wants.  Readers from
-    before the fields existed ignore the extra keys, so old and new
-    writers can share one index file.
+    ``run_hash`` and ``status`` are required: a line missing either is
+    skipped as unparseable.  Every other field defaults, so a line
+    written before the field existed still parses: a pre-lease claim
+    marker reads ``owner=None`` / ``lease_expires=0.0`` ("claimant
+    unknown, lease already lapsed" — the conservative reading lease
+    reclaim wants), and a completed record from before numerics stamps
+    reads ``numerics=0``, which the scheduler treats as stale.  Unknown
+    keys are ignored, so old and new writers can share one index file.
     """
 
     run_hash: str
@@ -101,21 +93,16 @@ class RunRecord:
     resumed_from_step: int = 0
     owner: Optional[str] = None
     lease_expires: float = 0.0
+    #: The :data:`NUMERICS_VERSION` that computed a completed result.
+    numerics: int = 0
+
+    @property
+    def skipped(self) -> bool:
+        return self.status == SKIPPED
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "run_hash": self.run_hash,
-                "status": self.status,
-                "spec": self.spec,
-                "result": self.result,
-                "error": self.error,
-                "elapsed": self.elapsed,
-                "timestamp": self.timestamp,
-                "resumed_from_step": self.resumed_from_step,
-                "owner": self.owner,
-                "lease_expires": self.lease_expires,
-            },
+            {f.name: getattr(self, f.name) for f in fields(self)},
             sort_keys=True,
             default=str,
         )
@@ -123,21 +110,7 @@ class RunRecord:
     @classmethod
     def from_json(cls, line: str) -> "RunRecord":
         data = json.loads(line)
-        return cls(**{k: data.get(k, v) for k, v in _RECORD_DEFAULTS.items()})
-
-
-_RECORD_DEFAULTS = {
-    "run_hash": "",
-    "status": FAILED,
-    "spec": {},
-    "result": {},
-    "error": None,
-    "elapsed": 0.0,
-    "timestamp": 0.0,
-    "resumed_from_step": 0,
-    "owner": None,
-    "lease_expires": 0.0,
-}
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 class CampaignStore:
@@ -153,6 +126,8 @@ class CampaignStore:
         self.base_root = os.path.normpath(root) if root else results_root()
         self.root = os.path.join(self.base_root, "campaigns", campaign)
         self._lock = threading.Lock()
+        #: ``((st_size, st_mtime_ns), latest records)`` of the index.
+        self._latest: Optional[tuple[tuple[int, int], dict[str, RunRecord]]] = None
 
     # -- paths ----------------------------------------------------------------
 
@@ -173,9 +148,6 @@ class CampaignStore:
     def checkpoint_path(self, run_hash: str) -> str:
         return os.path.join(self.run_dir(run_hash), "checkpoint.npz")
 
-    def result_path(self, run_hash: str) -> str:
-        return os.path.join(self.run_dir(run_hash), "result.json")
-
     def telemetry_path(self, run_hash: str) -> str:
         return os.path.join(self.run_dir(run_hash), "telemetry.json")
 
@@ -187,51 +159,16 @@ class CampaignStore:
 
     @contextlib.contextmanager
     def _write_lock(self) -> Iterator[None]:
-        """Advisory cross-process write lock on this campaign's store.
-
-        ``fcntl.flock`` on a dedicated lock file where available (the
-        lock dies with the holder, so a killed worker can never wedge
-        the store); elsewhere an ``O_CREAT|O_EXCL`` lock-file spin with
-        a deadline, treating a stale file older than the deadline as
-        abandoned.
-        """
+        """Advisory cross-process write lock on this campaign's store:
+        ``fcntl.flock`` on a dedicated lock file, which dies with its
+        holder, so a killed worker can never wedge the store."""
         os.makedirs(self.root, exist_ok=True)
-        if fcntl is not None:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_RDWR, 0o666)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-                yield
-            finally:
-                os.close(fd)  # closing the fd releases the flock
-            return
-        # Fallback: exclusive-create spin lock (pragma: platform-specific).
-        excl = self.lock_path + ".excl"
-        deadline = time.monotonic() + _LOCK_TIMEOUT
-        while True:
-            try:
-                fd = os.open(excl, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-                break
-            except FileExistsError:
-                try:
-                    if os.path.getmtime(excl) < time.time() - _LOCK_TIMEOUT:
-                        os.remove(excl)  # abandoned by a dead holder
-                        continue
-                except OSError:
-                    continue
-                if time.monotonic() > deadline:
-                    raise ConfigurationError(
-                        f"could not acquire store lock {excl} within "
-                        f"{_LOCK_TIMEOUT:g}s"
-                    )
-                time.sleep(0.01)
+        fd = os.open(self.lock_path, os.O_CREAT | os.O_RDWR, 0o666)
         try:
-            os.close(fd)
+            fcntl.flock(fd, fcntl.LOCK_EX)
             yield
         finally:
-            try:
-                os.remove(excl)
-            except OSError:
-                pass
+            os.close(fd)  # closing the fd releases the flock
 
     # -- index ----------------------------------------------------------------
 
@@ -259,11 +196,23 @@ class CampaignStore:
                     )
 
     def latest_records(self) -> dict[str, RunRecord]:
-        """Last record per run hash (retries overwrite earlier failures)."""
-        latest: dict[str, RunRecord] = {}
-        for record in self.iter_records():
-            latest[record.run_hash] = record
-        return latest
+        """Last record per run hash (retries overwrite earlier failures).
+
+        The index only grows, so it is parsed again only when its
+        ``(st_size, st_mtime_ns)`` changed since the previous call.
+        """
+        try:
+            stat = os.stat(self.index_path)
+        except FileNotFoundError:
+            return {}
+        key = (stat.st_size, stat.st_mtime_ns)
+        cached = self._latest
+        if cached is None or cached[0] != key:
+            latest: dict[str, RunRecord] = {}
+            for record in self.iter_records():
+                latest[record.run_hash] = record
+            cached = self._latest = (key, latest)
+        return dict(cached[1])
 
     def completed_hashes(self) -> set[str]:
         return {
@@ -271,54 +220,43 @@ class CampaignStore:
             if rec.status == COMPLETED
         }
 
-    def _append_locked(self, *records: RunRecord) -> None:
-        """Append records; the caller holds both store locks.
+    def append(self, *records: RunRecord) -> None:
+        """Thread- and process-safe append of records to the index.
 
         The encoded records go out in a single ``write`` on an
         ``O_APPEND`` descriptor, so records from concurrent writer
         processes interleave whole, never mid-line.
         """
-        now = time.time()
-        for record in records:
-            record.timestamp = record.timestamp or now
-        line = "".join(r.to_json() + "\n" for r in records).encode("utf-8")
-        fd = os.open(
-            self.index_path, os.O_CREAT | os.O_RDWR | os.O_APPEND, 0o666
-        )
-        try:
-            # Heal a torn trailing append a killed writer left
-            # behind: start this record on a fresh line, so the
-            # fragment stays an isolated (skippable) line instead
-            # of swallowing the new record.  Safe under the write
-            # lock; O_APPEND still lands the write at EOF.
-            try:
-                end = os.lseek(fd, 0, os.SEEK_END)
-                if end > 0 and os.pread(fd, 1, end - 1) != b"\n":
-                    line = b"\n" + line
-            except (OSError, AttributeError):  # pragma: no cover
-                pass
-            os.write(fd, line)
-        finally:
-            os.close(fd)
-
-    def append(self, *records: RunRecord) -> None:
-        """Thread- and process-safe append of records to the index."""
         with self._lock, self._write_lock():
-            self._append_locked(*records)
+            now = time.time()
+            for record in records:
+                record.timestamp = record.timestamp or now
+            line = "".join(r.to_json() + "\n" for r in records).encode("utf-8")
+            fd = os.open(
+                self.index_path, os.O_CREAT | os.O_RDWR | os.O_APPEND, 0o666
+            )
+            try:
+                # Heal a torn trailing append a killed writer left
+                # behind: start this record on a fresh line, so the
+                # fragment stays an isolated (skippable) line instead
+                # of swallowing the new record.  Safe under the write
+                # lock; O_APPEND still lands the write at EOF.
+                try:
+                    end = os.lseek(fd, 0, os.SEEK_END)
+                    if end > 0 and os.pread(fd, 1, end - 1) != b"\n":
+                        line = b"\n" + line
+                except (OSError, AttributeError):  # pragma: no cover
+                    pass
+                os.write(fd, line)
+            finally:
+                os.close(fd)
 
     # -- results --------------------------------------------------------------
-
-    def _write_result(self, run_hash: str, result: dict[str, Any]) -> None:
-        """Atomically publish ``result.json`` (mkstemp + ``os.replace``,
-        via the shared :func:`~repro.telemetry.artifacts.atomic_write_json`
-        primitive)."""
-        self.run_dir(run_hash, create=True)
-        atomic_write_json(self.result_path(run_hash), result)
 
     def write_telemetry(self, run_hash: str, telemetry: dict[str, Any]) -> str:
         """Atomically publish a run's measured ``telemetry.json``.
 
-        Same durability discipline as ``result.json``; returns the
+        Written atomically (temp file + ``os.replace``); returns the
         artifact path.  ``campaign.report`` addresses the document with
         ``telemetry.``-prefixed dotted keys.
         """
@@ -330,8 +268,8 @@ class CampaignStore:
     def load_telemetry(self, run_hash: str) -> Optional[dict[str, Any]]:
         """A run's telemetry artifact, or ``None`` when there is none.
 
-        Like :meth:`load_result`, an unreadable document is a miss, not
-        an error — telemetry is advisory and must never wedge a report.
+        An unreadable document is a miss, not an error — telemetry is
+        advisory and must never wedge a report.
         """
         path = self.telemetry_path(run_hash)
         if not os.path.exists(path):
@@ -362,10 +300,10 @@ class CampaignStore:
         identifies the runs that were in flight when a worker process
         died.  The campaign service stamps ``owner`` (the claiming
         worker's identity) and ``lease_expires`` (wall-clock lease
-        deadline) so a restarted coordinator can distinguish a live
-        claimant from a dead one (:meth:`claimed_runs` /
-        :meth:`expired_claims`); a fleet lease's markers share both and
-        land in one locked append.
+        deadline); a fleet lease's markers share both and land in one
+        locked append.  A restarted coordinator requeues every run with
+        no terminal record, live claim or not — the last record wins —
+        and reads :meth:`expired_claims` only for its log line.
         """
         records = [
             RunRecord(run_hash=spec.run_hash(), status=RUNNING,
@@ -411,21 +349,18 @@ class CampaignStore:
         elapsed: float = 0.0,
         resumed_from_step: int = 0,
     ) -> RunRecord:
-        run_hash = spec.run_hash()
+        """Append the run's completed record, which carries its result
+        and the current :data:`NUMERICS_VERSION`."""
         record = RunRecord(
-            run_hash=run_hash,
+            run_hash=spec.run_hash(),
             status=COMPLETED,
             spec=spec.payload(),
             result=result,
             elapsed=elapsed,
             resumed_from_step=resumed_from_step,
+            numerics=NUMERICS_VERSION,
         )
-        # One lock hold spans artifact + index, so a record and its
-        # result.json land as a unit even when two processes race to
-        # complete the same hash.
-        with self._lock, self._write_lock():
-            self._write_result(run_hash, result)
-            self._append_locked(record)
+        self.append(record)
         return record
 
     def record_failed(
@@ -442,23 +377,7 @@ class CampaignStore:
         return record
 
     def load_result(self, run_hash: str) -> Optional[dict[str, Any]]:
-        """The stored result payload, or ``None`` when there is none.
-
-        An unreadable or corrupt ``result.json`` (torn by a crash) is a
-        *miss*, not an error: the reader logs the discard and falls back
-        to the result embedded in the latest completed index record.
-        """
-        path = self.result_path(run_hash)
-        if os.path.exists(path):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    return json.load(fh)
-            except (OSError, ValueError, UnicodeDecodeError) as exc:
-                logger.warning(
-                    "%s: discarding unreadable result (%s) — falling back "
-                    "to the index record", path, exc,
-                )
+        """The result of the run's latest record when that record is
+        ``completed``, else ``None``."""
         record = self.latest_records().get(run_hash)
-        if record is not None and record.status == COMPLETED and record.result:
-            return record.result
-        return None
+        return record.result if record and record.status == COMPLETED else None

@@ -505,10 +505,9 @@ def run_from_args(args: argparse.Namespace) -> dict:
         replay = replay_trace(trace, LASSEN)
         print(f"  trace: {len(trace.events)} comm events, "
               f"{trace.total_bytes()} bytes shipped")
-        for phase in replay.phases:
-            comm_t, comp_t = replay.phase_breakdown(phase)
-            print(f"    modeled {phase:>12}: comm {comm_t*1e3:9.3f} ms  "
-                  f"compute {comp_t*1e3:9.3f} ms")
+        for phase, cost in replay.phases.items():
+            print(f"    modeled {phase:>12}: comm {cost.comm*1e3:9.3f} ms  "
+                  f"compute {cost.compute*1e3:9.3f} ms")
         print(f"    modeled total: {replay.total*1e3:.2f} ms")
     if trace is not None and profile_path:
         from repro.telemetry import write_chrome_trace

@@ -46,9 +46,17 @@ from repro.mpi.comm import Comm
 from repro.util.errors import ConfigurationError, RunDivergedError
 
 __all__ = [
-    "SolverConfig", "Solver", "available_br_solvers", "build_integrator",
-    "check_health", "state_diagnostics",
+    "NUMERICS_VERSION", "SolverConfig", "Solver", "available_br_solvers",
+    "build_integrator", "check_health", "state_diagnostics",
 ]
+
+#: Version of the numerics behind a stored result: the campaign store
+#: stamps it on every completed record and re-runs a record carrying any
+#: other stamp.  Bump it on any change to the state digests pinned by
+#: ``tests/core/test_plans.py``, ``tests/batch/test_fleet_is_solo.py`` or
+#: ``TestParentPin`` (``tests/backend/test_panel_pool.py``), or to
+#: ``tests/golden/figures``.
+NUMERICS_VERSION = 1
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,7 @@ from repro.machine.patterns import (
     step_time,
     tree_evaluation,
 )
-from repro.machine.replay import (
-    PhaseTime,
-    ReplayResult,
-    kernel_breakdown,
-    replay_trace,
-)
+from repro.machine.replay import kernel_breakdown, replay_trace
 
 __all__ = [
     "LASSEN",
@@ -59,8 +54,6 @@ __all__ = [
     "stencil_phase",
     "step_time",
     "tree_evaluation",
-    "PhaseTime",
-    "ReplayResult",
     "kernel_breakdown",
     "replay_trace",
 ]

@@ -97,7 +97,9 @@ class PhaseCost:
 
 @dataclass
 class EvaluationModel:
-    """Phase costs of one ZModel evaluation at scale P.
+    """Phase costs of one ZModel evaluation at scale P (the pattern
+    generators below) or of a whole replayed trace
+    (:func:`~repro.machine.replay.replay_trace`).
 
     Phase names match the functional solver's trace phases (``halo``,
     ``fft``, ``migrate``, ``spatial_halo``, ``neighbor``,

@@ -11,68 +11,14 @@ the exact same cost functions as the analytic pattern generators in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.machine.collectives import collective_time
 from repro.machine.model import MachineSpec
+from repro.machine.patterns import EvaluationModel, PhaseCost
 from repro.mpi.trace import CommTrace
 
-__all__ = ["PhaseTime", "ReplayResult", "replay_trace", "kernel_breakdown"]
-
-
-@dataclass
-class PhaseTime:
-    """Accumulated modeled time of one phase at one rank."""
-
-    comm: float = 0.0
-    compute: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.comm + self.compute
-
-
-@dataclass
-class ReplayResult:
-    """Modeled execution of a trace on a machine."""
-
-    nranks: int
-    spec: MachineSpec
-    per_phase_rank: dict[str, dict[int, PhaseTime]] = field(default_factory=dict)
-
-    def phase_time(self, phase: str) -> float:
-        """BSP time of one phase: the slowest rank's accumulated time."""
-        ranks = self.per_phase_rank.get(phase, {})
-        if not ranks:
-            return 0.0
-        return max(pt.total for pt in ranks.values())
-
-    def phase_breakdown(self, phase: str) -> tuple[float, float]:
-        """(comm, compute) of the slowest rank in the phase."""
-        ranks = self.per_phase_rank.get(phase, {})
-        if not ranks:
-            return (0.0, 0.0)
-        worst = max(ranks.values(), key=lambda pt: pt.total)
-        return (worst.comm, worst.compute)
-
-    @property
-    def phases(self) -> list[str]:
-        return list(self.per_phase_rank)
-
-    @property
-    def total(self) -> float:
-        """Total modeled runtime: sum of per-phase BSP times."""
-        return sum(self.phase_time(p) for p in self.per_phase_rank)
-
-    def comm_total(self) -> float:
-        return sum(self.phase_breakdown(p)[0] for p in self.per_phase_rank)
-
-    def compute_total(self) -> float:
-        return sum(self.phase_breakdown(p)[1] for p in self.per_phase_rank)
-
-    def _bucket(self, phase: str, rank: int) -> PhaseTime:
-        return self.per_phase_rank.setdefault(phase, {}).setdefault(rank, PhaseTime())
+__all__ = ["replay_trace", "kernel_breakdown"]
 
 
 def replay_trace(
@@ -81,24 +27,29 @@ def replay_trace(
     *,
     nranks: Optional[int] = None,
     builtin_alltoall: bool = True,
-) -> ReplayResult:
+) -> EvaluationModel:
     """Cost every event of ``trace`` on ``spec``.
 
     Point-to-point sends are charged to the sender (α + rendezvous +
     bytes/bandwidth); receives are free (their cost is the matching
     send).  Collectives are charged per participating rank with the
     algorithm models of :mod:`repro.machine.collectives`.  Compute
-    events go through the roofline.
+    events go through the roofline.  Each phase is the
+    :class:`PhaseCost` of its slowest rank (the first one on ties), in
+    order of first appearance — the shape the analytic patterns return.
     """
     events = trace.events
     computes = trace.compute_events
     if nranks is None:
         ranks_seen = {ev.rank for ev in events} | {ev.rank for ev in computes}
         nranks = (max(ranks_seen) + 1) if ranks_seen else 1
-    result = ReplayResult(nranks=nranks, spec=spec)
+    costs: dict[str, dict[int, PhaseCost]] = {}
+
+    def bucket_of(phase: str, rank: int) -> PhaseCost:
+        return costs.setdefault(phase, {}).setdefault(rank, PhaseCost())
 
     for ev in events:
-        bucket = result._bucket(ev.phase, ev.rank)
+        bucket = bucket_of(ev.phase, ev.rank)
         if ev.kind == "recv":
             continue
         if ev.kind == "send":
@@ -121,10 +72,12 @@ def replay_trace(
         )
 
     for cev in computes:
-        bucket = result._bucket(cev.phase, cev.rank)
-        bucket.compute += _event_time(cev, spec)
+        bucket_of(cev.phase, cev.rank).compute += _event_time(cev, spec)
 
-    return result
+    return EvaluationModel(nranks, {
+        phase: max(ranks.values(), key=lambda cost: cost.total)
+        for phase, ranks in costs.items()
+    })
 
 
 def _event_time(cev, spec: MachineSpec) -> float:

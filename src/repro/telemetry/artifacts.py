@@ -1,7 +1,7 @@
 """Per-run telemetry artifacts and the atomic-JSON write primitive.
 
 A *telemetry artifact* is the flat ``telemetry.json`` document written
-next to ``result.json`` for every completed campaign run (and by
+into the run directory of every completed campaign run (and by
 ``rocketrig --profile`` for ad-hoc runs).  It flattens a run's timed
 :class:`~repro.mpi.trace.CommTrace` — per-phase wall clocks, kernel
 wall totals, comm/compute event counts — together with the run's
@@ -11,10 +11,8 @@ metrics-registry snapshot into one JSON object that
 
 :func:`atomic_write_json` is the single durable-write primitive the
 whole telemetry layer uses (mkstemp in the destination directory,
-fsync, ``os.replace``) — the same crash-safety discipline
-:class:`~repro.campaign.store.CampaignStore` established for
-``result.json``, now shared so store, exporters and status heartbeats
-cannot drift apart.
+fsync, ``os.replace``), shared so the store's artifacts, exporters and
+status heartbeats cannot drift apart.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ def drift_report(trace, spec: MachineSpec) -> Dict[str, Any]:
     total_modeled = 0.0
     total_measured = 0.0
     for name in names:
-        modeled = result.phase_time(name)
+        modeled = result.phases[name].total if name in result.phases else 0.0
         per_rank = walls.get(name, {})
         measured = max(per_rank.values()) if per_rank else 0.0
         total_modeled += modeled

@@ -1,6 +1,8 @@
 """Run store: append-only index, last-record-wins, dedup, env root,
-crash tolerance (torn index lines, corrupt results)."""
+crash tolerance (torn index lines), the record schema and its cached
+reads."""
 
+import dataclasses
 import json
 import os
 
@@ -8,6 +10,7 @@ import pytest
 
 from repro.campaign import CampaignDeck, CampaignStore, RunRecord, results_root
 from repro.campaign.store import COMPLETED, FAILED
+from repro.core.solver import NUMERICS_VERSION
 from repro.util.errors import ConfigurationError
 
 
@@ -33,8 +36,10 @@ class TestIndex:
         record = store.record_completed(spec, {"step_time": 1.5}, elapsed=0.1)
         assert spec.run_hash() in store.completed_hashes()
         assert store.load_result(spec.run_hash()) == {"step_time": 1.5}
-        assert os.path.exists(store.result_path(spec.run_hash()))
+        # The index record is the result's one home: no run directory.
+        assert not os.path.exists(store.run_dir(spec.run_hash()))
         assert record.spec == spec.payload()
+        assert record.numerics == NUMERICS_VERSION
 
     def test_last_record_wins(self, store, spec):
         store.record_failed(spec, "boom")
@@ -76,55 +81,54 @@ class TestCrashTolerance:
         store.record_failed(spec, "later")
         assert spec.run_hash() not in store.completed_hashes()
 
-    def test_corrupt_result_json_falls_back_to_index(
-        self, store, spec, caplog
-    ):
-        """An unreadable result.json is a miss with an index fallback,
-        not a crash (this used to raise out of load_result and take the
-        whole executor submit() down)."""
-        store.record_completed(spec, {"step_time": 1.5})
-        with open(store.result_path(spec.run_hash()), "w") as fh:
-            fh.write('{"step_time": 1.')  # torn by a crash
-        with caplog.at_level("WARNING", logger="repro.campaign.store"):
-            result = store.load_result(spec.run_hash())
-        assert result == {"step_time": 1.5}  # from the index record
-        assert any("unreadable result" in rec.message for rec in caplog.records)
 
-    def test_corrupt_result_without_index_record_is_a_miss(self, store):
-        path = store.result_path("cafebabe")
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write("not json")
-        assert store.load_result("cafebabe") is None
+class TestSchema:
+    """The dataclass is the record schema: the same keys both ways."""
 
-    def test_corrupt_result_does_not_crash_submit(self, tmp_path):
-        """Resubmitting a deck over a store whose result.json was torn
-        must run (or skip via the index fallback), never raise."""
-        from repro.campaign import CampaignExecutor
-
-        deck = CampaignDeck.from_dict(
-            {"name": "torn", "mode": "model", "base": {"order": "low"},
-             "grid": {"ranks": [4, 16]}}
+    def test_to_json_writes_every_field_sorted(self, store, spec):
+        record = store.record_completed(spec, {"ok": 1})
+        data = json.loads(record.to_json())
+        assert list(data) == sorted(
+            field.name for field in dataclasses.fields(RunRecord)
         )
-        store = CampaignStore("torn", root=str(tmp_path))
-        executor = CampaignExecutor(store, max_workers=1)
-        first = executor.submit(deck.expand())
-        assert all(o.status == "completed" for o in first)
-        for outcome in first:
-            with open(store.result_path(outcome.run_hash), "w") as fh:
-                fh.write("{torn")
-        again = executor.submit(deck.expand())
-        # The index record still carries the full result payload.
-        assert all(o.skipped for o in again)
-        assert all(o.result["step_time"] > 0 for o in again)
+        assert RunRecord.from_json(record.to_json()) == record
 
-    def test_result_write_is_atomic(self, store, spec):
-        """No temp droppings, and the payload arrives whole."""
-        store.record_completed(spec, {"big": "x" * 4096})
-        run_dir = store.run_dir(spec.run_hash())
-        assert [f for f in os.listdir(run_dir) if f.endswith(".tmp")] == []
-        with open(store.result_path(spec.run_hash())) as fh:
-            assert json.load(fh)["big"] == "x" * 4096
+    @pytest.mark.parametrize("missing", ["run_hash", "status"])
+    def test_line_without_hash_or_status_is_unparseable(
+        self, store, spec, missing, caplog
+    ):
+        data = json.loads(store.record_completed(spec, {"ok": 1}).to_json())
+        del data[missing]
+        with open(store.index_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(data) + "\n")
+        with caplog.at_level("WARNING", logger="repro.campaign.store"):
+            records = list(store.iter_records())
+        assert [r.status for r in records] == [COMPLETED]
+        assert any("unparseable" in rec.message for rec in caplog.records)
+
+
+class TestCachedReads:
+    def test_append_by_another_store_is_seen(self, tmp_path, spec):
+        """Two stores on one root: the first one's cached view picks up
+        the second one's append on its next read."""
+        first = CampaignStore("t", root=str(tmp_path))
+        second = CampaignStore("t", root=str(tmp_path))
+        first.record_failed(spec, "boom")
+        assert first.latest_records()[spec.run_hash()].status == FAILED
+        assert first.load_result(spec.run_hash()) is None
+        second.record_completed(spec, {"step_time": 2.5})
+        assert first.latest_records()[spec.run_hash()].status == COMPLETED
+        assert first.load_result(spec.run_hash()) == {"step_time": 2.5}
+
+    def test_unchanged_index_is_not_parsed_again(self, store, spec, monkeypatch):
+        store.record_completed(spec, {"ok": 1})
+        assert spec.run_hash() in store.latest_records()
+        monkeypatch.setattr(
+            store, "iter_records",
+            lambda: pytest.fail("index parsed again although unchanged"),
+        )
+        for _ in range(3):
+            assert store.load_result(spec.run_hash()) == {"ok": 1}
 
 
 class TestLayout:

@@ -224,8 +224,8 @@ class TestReplay:
 
         spmd(4, program, trace=trace)
         result = replay_trace(trace, LASSEN)
-        assert result.phase_time("fft") > 0.0
-        assert result.total >= result.phase_time("fft")
+        assert result.phases["fft"].total > 0.0
+        assert result.total >= result.phases["fft"].total
 
     def test_replay_p2p_vs_collective_consistency(self):
         """Same remap in both comm modes: replay costs within one order."""
@@ -245,7 +245,7 @@ class TestReplay:
                     fft.forward(field[fft.brick_box.slices()])
 
             spmd(4, program, trace=trace)
-            return replay_trace(trace, LASSEN).phase_time("fft")
+            return replay_trace(trace, LASSEN).phases["fft"].total
 
         t_coll, t_p2p = run(True), run(False)
         assert 0.05 < t_coll / t_p2p < 20.0
@@ -291,7 +291,7 @@ class TestReplay:
         assert a.total == b.total
         for phase in ("send", "sendrecv", "barrier", "allreduce", "gather",
                       "allgather", "alltoallv"):
-            comm_time, _ = a.phase_breakdown(phase)
+            comm_time = a.phases[phase].comm
             # One rank pays only for its self-sends; collectives are free.
             assert (comm_time > 0.0) == (nranks > 1 or phase.startswith("send"))
 
@@ -300,5 +300,46 @@ class TestReplay:
         trace.record_comm("barrier", 0, None, 0, comm_size=4)
         trace.record_compute("k", 0, flops=1e9, bytes_moved=1e6, items=10**6)
         result = replay_trace(trace, LASSEN, nranks=4)
-        comm, compute = result.phase_breakdown("unphased")
+        cost = result.phases["unphased"]
+        comm, compute = cost.comm, cost.compute
         assert comm > 0 and compute > 0
+
+    @staticmethod
+    def _halo_fft_trace(*ranks):
+        """Per rank and phase: a send of ``nbytes`` and a kernel of
+        ``flops`` (``None`` records nothing).  Rank 0 pays most in
+        halo, rank 1 in fft, and each also pays a little in the other
+        column of the phase it does not pace."""
+        costs = {
+            "halo": {0: (1 << 20, None), 1: (8, 1e3)},
+            "fft": {0: (8, None), 1: (None, 1e9)},
+        }
+        trace = mpi.CommTrace()
+        for rank in ranks:
+            for phase, by_rank in costs.items():
+                nbytes, flops = by_rank[rank]
+                with trace.phase(phase):
+                    if nbytes is not None:
+                        trace.record_comm("send", rank, 1 - rank, nbytes,
+                                          comm_size=2)
+                    if flops is not None:
+                        trace.record_compute("k", rank, flops=flops,
+                                             bytes_moved=flops / 10)
+        return trace
+
+    def test_each_phase_is_its_slowest_rank(self):
+        """Halo peaks on rank 0 and fft on rank 1: each phase carries
+        its worst rank's (comm, compute) pair — not a per-column max —
+        and the total is their sum."""
+        result = replay_trace(self._halo_fft_trace(0, 1), LASSEN)
+        rank0 = replay_trace(self._halo_fft_trace(0), LASSEN, nranks=2).phases
+        rank1 = replay_trace(self._halo_fft_trace(1), LASSEN, nranks=2).phases
+        assert rank0["halo"].total > rank1["halo"].total
+        assert rank1["fft"].total > rank0["fft"].total
+        assert rank1["halo"].compute > 0.0 and rank0["fft"].comm > 0.0
+        assert result.nranks == 2
+        assert list(result.phases) == ["halo", "fft"]
+        halo, fft = result.phases["halo"], result.phases["fft"]
+        assert (halo.comm, halo.compute) == (rank0["halo"].comm, 0.0)
+        assert (fft.comm, fft.compute) == (0.0, rank1["fft"].compute)
+        assert result.total == halo.total + fft.total

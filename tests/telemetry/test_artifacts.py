@@ -142,7 +142,7 @@ class TestExecutorWritesTelemetry:
             assert doc["schema"] == TELEMETRY_SCHEMA
             # Every rank thread counts its own step() calls.
             assert (doc["metrics"]["solver.steps"]
-                    == DECK["steps"] * outcome.spec.ranks)
+                    == DECK["steps"] * outcome.spec["ranks"])
             assert doc["phase"], doc
             assert doc["run_hash"] == outcome.run_hash
 
