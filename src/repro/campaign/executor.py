@@ -28,10 +28,11 @@ returns the store's latest record of each spec.
 :meth:`CampaignExecutor.run_one` and :meth:`CampaignExecutor.run_fleet`
 are pure execution — the routines a worker and the coordinator's
 in-process drain both run items through: execute, write the store
-records and ``telemetry.json``, return the records written.  One run's
-failure is captured in its index record without aborting its siblings,
-and interrupted functional runs resume from the checkpoint the
-previous attempt left in the run directory.
+records (a completed one carries the run's telemetry document), return
+the records written.  One run's failure is captured in its index
+record without aborting its siblings, and interrupted functional runs
+resume from the checkpoint the previous attempt left in the run
+directory.
 
 Two distinct timeouts govern a run (they used to be conflated, which
 made a slow-but-progressing rank die as a spurious ``DeadlockError``):
@@ -194,8 +195,8 @@ class CampaignExecutor:
         self.collective_timeout = collective_timeout
         self.machine = machine
         self.checkpoint_freq = int(checkpoint_freq)
-        #: Collect a timed per-run CommTrace and publish a
-        #: ``telemetry.json`` artifact per completed functional run.
+        #: Collect a timed per-run CommTrace and keep its telemetry
+        #: document in each completed functional run's record.
         self.telemetry = bool(telemetry)
         #: Heartbeat period (seconds) for live ``status.json`` snapshots
         #: and one-line progress summaries during ``submit``; 0 disables
@@ -260,10 +261,10 @@ class CampaignExecutor:
         ``completed``/``failed`` record per member with the same result
         payload shape, so ``campaign_summary`` counts fleet-absorbed
         runs like any other.  A member that diverges fails alone.  Each
-        completed run gets its own ``telemetry.json`` (the fleet trace,
-        ``batch.*`` metrics included, is shared; ``fleet_size`` marks
-        it as amortized).  Returns each member's terminal record, in
-        ``group`` order.
+        completed record carries its own telemetry document (the fleet
+        trace, ``batch.*`` metrics included, is shared; ``fleet_size``
+        marks it as amortized).  Returns each member's terminal record,
+        in ``group`` order.
         """
         from repro.batch import ScenarioFleet
 
@@ -282,28 +283,16 @@ class CampaignExecutor:
             if "error" in result:          # this member diverged
                 fail(spec, f"{type(result['error']).__name__}: {result['error']}")
                 return
-            run_hash = spec.run_hash()
             elapsed = time.perf_counter() - start
-            payload = {
-                "kind": "functional",
-                "diagnostics": result["diagnostics"],
-            }
-            records[run_hash] = self.store.record_completed(
-                spec, payload, elapsed=elapsed
+            telemetry = None if trace is None else build_run_telemetry(
+                trace, elapsed=elapsed, extra={"fleet_size": len(group)}
             )
-            if trace is not None:
-                self.store.write_telemetry(
-                    run_hash,
-                    build_run_telemetry(
-                        trace,
-                        elapsed=elapsed,
-                        extra={
-                            "run_hash": run_hash,
-                            "ranks": spec.ranks,
-                            "fleet_size": len(group),
-                        },
-                    ),
-                )
+            records[spec.run_hash()] = self.store.record_completed(
+                spec,
+                {"kind": "functional", "diagnostics": result["diagnostics"]},
+                elapsed=elapsed,
+                telemetry=telemetry,
+            )
 
         try:
             fleet = ScenarioFleet(group[0].config, trace=trace)
@@ -331,9 +320,9 @@ class CampaignExecutor:
         start = time.perf_counter()
         try:
             if spec.mode == "model":
-                result, resumed = self._run_model(spec), 0
+                result, resumed, telemetry = self._run_model(spec), 0, None
             else:
-                result, resumed = self._run_functional(spec, run_hash)
+                result, resumed, telemetry = self._run_functional(spec, run_hash)
         except Exception:
             return self.store.record_failed(
                 spec, traceback.format_exc(limit=20),
@@ -341,13 +330,15 @@ class CampaignExecutor:
             )
         return self.store.record_completed(
             spec, result, elapsed=time.perf_counter() - start,
-            resumed_from_step=resumed,
+            resumed_from_step=resumed, telemetry=telemetry,
         )
 
     def _run_functional(
         self, spec: RunSpec, run_hash: str
-    ) -> tuple[dict[str, Any], int]:
-        """Real solver run on simulated ranks, with checkpoint/resume."""
+    ) -> tuple[dict[str, Any], int, Optional[dict[str, Any]]]:
+        """Real solver run on simulated ranks, with checkpoint/resume;
+        returns the result, the step it resumed from and its telemetry
+        document (``None`` with telemetry off)."""
         ckpt_path = self.store.checkpoint_path(run_hash)
         resume_state = None
         if os.path.exists(ckpt_path):
@@ -409,18 +400,12 @@ class CampaignExecutor:
             spec.ranks, program, trace=trace, timeout=self.collective_timeout
         )
         run_wall = time.perf_counter() - t_run
-        diagnostics = results[0]
         self._remove_checkpoint(ckpt_path)
-        if trace is not None:
-            self.store.write_telemetry(
-                run_hash,
-                build_run_telemetry(
-                    trace,
-                    elapsed=run_wall,
-                    extra={"run_hash": run_hash, "ranks": spec.ranks},
-                ),
-            )
-        return {"kind": "functional", "diagnostics": diagnostics}, resumed_from
+        telemetry = (
+            None if trace is None else build_run_telemetry(trace, elapsed=run_wall)
+        )
+        result = {"kind": "functional", "diagnostics": results[0]}
+        return result, resumed_from, telemetry
 
     @staticmethod
     def _remove_checkpoint(path: str) -> None:

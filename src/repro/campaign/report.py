@@ -6,8 +6,8 @@ benchmark harness emits (``benchmarks/common.py``): ``{"header": ...,
 or result field.  Fields are addressed with dotted keys into the run
 record — e.g. ``"config.fft_config"``, ``"ranks"``,
 ``"result.step_time"``, ``"result.diagnostics.amplitude"`` — and
-``telemetry.``-prefixed keys reach into the run's measured
-``telemetry.json`` artifact (``"telemetry.phase.fft.wall"``,
+``telemetry.``-prefixed keys reach into the measured telemetry document
+the completed record carries (``"telemetry.phase.fft.wall"``,
 ``"telemetry.metrics.solver.steps"``).
 """
 
@@ -30,28 +30,20 @@ __all__ = [
 _MISSING = object()
 
 
-def record_field(
-    record: RunRecord, key: str, *, store: Optional[CampaignStore] = None
-) -> Any:
+def record_field(record: RunRecord, key: str) -> Any:
     """Resolve a dotted key against a run record.
 
     The first segment selects ``spec`` fields by default; ``result.``
-    addresses the stored result payload, ``run_hash`` / ``status`` /
-    ``elapsed`` the record itself, and — when a ``store`` is supplied —
-    ``telemetry.`` the run's measured ``telemetry.json`` artifact
-    (e.g. ``telemetry.phase.fft.wall``,
-    ``telemetry.metrics.solver.steps``).
+    addresses the stored result payload, ``telemetry.`` the run's
+    measured telemetry document (e.g. ``telemetry.phase.fft.wall``,
+    ``telemetry.metrics.solver.steps``), and ``run_hash`` / ``status``
+    / ``elapsed`` the record itself.
     """
     if key in ("run_hash", "status", "elapsed", "error", "resumed_from_step"):
         return getattr(record, key)
     parts = key.split(".")
-    if parts[0] == "telemetry":
-        if store is None:
-            return None
-        node = store.load_telemetry(record.run_hash)
-        parts = parts[1:]
-    elif parts[0] == "result":
-        node = record.result
+    if parts[0] in ("result", "telemetry"):
+        node = getattr(record, parts[0])
         parts = parts[1:]
     else:
         node = record.spec
@@ -90,12 +82,8 @@ def campaign_table(
         raise ConfigurationError("campaign_table needs at least one column")
     records = completed_records(store)
     if sort_by is not None:
-        records.sort(
-            key=lambda r: _sort_key(record_field(r, sort_by, store=store))
-        )
-    rows = [
-        [record_field(r, c, store=store) for c in columns] for r in records
-    ]
+        records.sort(key=lambda r: _sort_key(record_field(r, sort_by)))
+    rows = [[record_field(r, c) for c in columns] for r in records]
     return {"header": list(columns), "rows": rows}
 
 
@@ -115,9 +103,9 @@ def series_grid(
     records = completed_records(store)
     cells: dict[tuple[Any, Any], Any] = {}
     for record in records:
-        r = record_field(record, row, store=store)
-        c = record_field(record, col, store=store)
-        cells[(_freeze(r), _freeze(c))] = record_field(record, value, store=store)
+        r = record_field(record, row)
+        c = record_field(record, col)
+        cells[(_freeze(r), _freeze(c))] = record_field(record, value)
     rows = sorted({r for r, _ in cells}, key=_sort_key)
     cols = sorted({c for _, c in cells}, key=_sort_key)
     grid = {

@@ -956,13 +956,12 @@ class Worker:
     store named in the message — ``run_one`` for a run,
     :meth:`~repro.campaign.executor.CampaignExecutor.run_fleet` for a
     fleet's ``members`` — the executor the coordinator's own
-    in-process drain uses, so terminal records, checkpoints and
-    ``telemetry.json`` artifacts are byte-identical on every path.  The
-    worker records terminally *before* reporting one
-    ``job-done``/``job-failed`` per run — a lost report can cost a
-    duplicate execution (the lease expires, the run requeues, the
-    store's last-record-wins semantics absorb it) but never a lost
-    result.
+    in-process drain uses, so terminal records and checkpoints are
+    byte-identical on every path.  The worker records terminally
+    *before* reporting one ``job-done``/``job-failed`` per run — a lost
+    report can cost a duplicate execution (the lease expires, the run
+    requeues, the store's last-record-wins semantics absorb it) but
+    never a lost result.
 
     A background thread heartbeats every ``lease_timeout / 3`` while a
     job is executing.  A coordinator that disappears mid-conversation

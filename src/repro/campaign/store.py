@@ -1,21 +1,21 @@
-"""Persistent campaign run store (one JSON-lines index + per-run artifacts).
+"""Persistent campaign run store (one JSON-lines index).
 
 Layout, rooted at ``$REPRO_RESULTS_DIR`` (default ``results/``)::
 
     results/campaigns/<campaign>/index.jsonl      append-only run records
     results/campaigns/<campaign>/.store.lock      advisory inter-process lock
     results/campaigns/<campaign>/status.json      live executor heartbeat
-    results/campaigns/<campaign>/runs/<hash>/     per-run artifact dir
-        telemetry.json                            measured wall-clock artifact
+    results/campaigns/<campaign>/runs/<hash>/     only with checkpointing:
         checkpoint.npz                            in-progress solver state
 
 The index is append-only and the *last* record per run hash wins, so a
 failed run can be retried and a re-submitted deck skips every hash whose
 latest record is ``completed`` — content-addressed dedup without any
 read-side coordination.  A ``completed`` record carries the run's
-result payload and the :data:`~repro.core.solver.NUMERICS_VERSION` that
-produced it: completing a run is one atomic append, and the index is the
-one home of a result.
+result payload, its measured telemetry document and the
+:data:`~repro.core.solver.NUMERICS_VERSION` that produced it: completing
+a run is one atomic append, and the index is the one home of a run's
+outcome.
 
 Concurrency control
 -------------------
@@ -81,6 +81,8 @@ class RunRecord:
     reclaim wants), and a completed record from before numerics stamps
     reads ``numerics=0``, which the scheduler treats as stale.  Unknown
     keys are ignored, so old and new writers can share one index file.
+    A completed record written before telemetry moved into the index
+    reads ``telemetry=None``.
     """
 
     run_hash: str
@@ -95,6 +97,9 @@ class RunRecord:
     lease_expires: float = 0.0
     #: The :data:`NUMERICS_VERSION` that computed a completed result.
     numerics: int = 0
+    #: A completed run's measured telemetry document
+    #: (:func:`~repro.telemetry.artifacts.build_run_telemetry`).
+    telemetry: Optional[dict[str, Any]] = None
 
     @property
     def skipped(self) -> bool:
@@ -147,9 +152,6 @@ class CampaignStore:
 
     def checkpoint_path(self, run_hash: str) -> str:
         return os.path.join(self.run_dir(run_hash), "checkpoint.npz")
-
-    def telemetry_path(self, run_hash: str) -> str:
-        return os.path.join(self.run_dir(run_hash), "telemetry.json")
 
     @property
     def status_path(self) -> str:
@@ -253,34 +255,6 @@ class CampaignStore:
 
     # -- results --------------------------------------------------------------
 
-    def write_telemetry(self, run_hash: str, telemetry: dict[str, Any]) -> str:
-        """Atomically publish a run's measured ``telemetry.json``.
-
-        Written atomically (temp file + ``os.replace``); returns the
-        artifact path.  ``campaign.report`` addresses the document with
-        ``telemetry.``-prefixed dotted keys.
-        """
-        self.run_dir(run_hash, create=True)
-        path = self.telemetry_path(run_hash)
-        atomic_write_json(path, telemetry)
-        return path
-
-    def load_telemetry(self, run_hash: str) -> Optional[dict[str, Any]]:
-        """A run's telemetry artifact, or ``None`` when there is none.
-
-        An unreadable document is a miss, not an error — telemetry is
-        advisory and must never wedge a report.
-        """
-        path = self.telemetry_path(run_hash)
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError, UnicodeDecodeError) as exc:
-            logger.warning("%s: discarding unreadable telemetry (%s)", path, exc)
-            return None
-
     def write_status(self, status: dict[str, Any]) -> str:
         """Atomically publish the campaign-level ``status.json`` heartbeat
         (external tools poll this file; a torn read is impossible)."""
@@ -348,9 +322,10 @@ class CampaignStore:
         *,
         elapsed: float = 0.0,
         resumed_from_step: int = 0,
+        telemetry: Optional[dict[str, Any]] = None,
     ) -> RunRecord:
-        """Append the run's completed record, which carries its result
-        and the current :data:`NUMERICS_VERSION`."""
+        """Append the run's completed record, which carries its result,
+        its telemetry document and the current :data:`NUMERICS_VERSION`."""
         record = RunRecord(
             run_hash=spec.run_hash(),
             status=COMPLETED,
@@ -359,6 +334,7 @@ class CampaignStore:
             elapsed=elapsed,
             resumed_from_step=resumed_from_step,
             numerics=NUMERICS_VERSION,
+            telemetry=telemetry,
         )
         self.append(record)
         return record
@@ -381,3 +357,10 @@ class CampaignStore:
         ``completed``, else ``None``."""
         record = self.latest_records().get(run_hash)
         return record.result if record and record.status == COMPLETED else None
+
+    def load_telemetry(self, run_hash: str) -> Optional[dict[str, Any]]:
+        """The telemetry document of the run's latest record when that
+        record is ``completed``, else ``None`` (also for a run recorded
+        with telemetry off, or before telemetry moved into the index)."""
+        record = self.latest_records().get(run_hash)
+        return record.telemetry if record and record.status == COMPLETED else None

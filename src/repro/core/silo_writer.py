@@ -2,9 +2,9 @@
 
 Beatnik's ``SiloWriter`` "uses the Silo library to write surface mesh
 data for visualization" (paper §3.1).  Here the surface is gathered to
-rank 0 and written as legacy VTK (plus an optional NPZ checkpoint),
-producing the same artifact as the paper's Figures 1/2: the interface
-surface colored by vorticity magnitude.
+rank 0 and written as legacy VTK, producing the same artifact as the
+paper's Figures 1/2: the interface surface colored by vorticity
+magnitude.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.core.diagnostics import gather_global_state, vorticity_magnitude
 from repro.core.solver import Solver
-from repro.io.checkpoint import save_checkpoint
 from repro.io.vtk import write_vtk_surface
 
 __all__ = ["SiloWriter"]
@@ -26,14 +25,10 @@ class SiloWriter:
     """Writes ``<basename>_NNNNN.vtk`` snapshots from a running solver."""
 
     def __init__(
-        self,
-        directory: str | os.PathLike,
-        basename: str = "surface",
-        checkpoints: bool = False,
+        self, directory: str | os.PathLike, basename: str = "surface"
     ) -> None:
         self.directory = os.fspath(directory)
         self.basename = basename
-        self.checkpoints = checkpoints
         self.written: list[str] = []
 
     def __call__(self, solver: Solver) -> Optional[str]:
@@ -41,8 +36,9 @@ class SiloWriter:
         z_global, w_global = gather_global_state(solver.pm)
         if z_global is None:
             return None
-        stem = f"{self.basename}_{solver.step_count:05d}"
-        path = os.path.join(self.directory, stem + ".vtk")
+        path = os.path.join(
+            self.directory, f"{self.basename}_{solver.step_count:05d}.vtk"
+        )
         write_vtk_surface(
             path,
             z_global,
@@ -54,14 +50,5 @@ class SiloWriter:
             },
             title=f"beatnik t={solver.time:.6f} step={solver.step_count}",
         )
-        if self.checkpoints:
-            save_checkpoint(
-                os.path.join(self.directory, stem + ".npz"),
-                positions=z_global,
-                vorticity=w_global,
-                time=solver.time,
-                step=solver.step_count,
-                metadata={"order": solver.order.value},
-            )
         self.written.append(path)
         return path

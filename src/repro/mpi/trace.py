@@ -10,7 +10,7 @@ into a :class:`CommTrace`.  Traces serve three purposes:
   on a described machine, which is how the benchmark harness reproduces
   the paper's Lassen scaling studies without Lassen, and
 * :mod:`repro.telemetry` exports them as measured wall-clock artifacts
-  (Perfetto traces, per-run ``telemetry.json``, drift reports).
+  (Perfetto traces, per-run telemetry documents, drift reports).
 
 Phases
 ------

@@ -10,9 +10,10 @@ performance stack (:mod:`repro.machine`).  It provides:
   timed :class:`~repro.mpi.trace.CommTrace` (one track per rank, phase
   spans, comm instants with send→recv flow arrows), the format behind
   ``rocketrig --profile``;
-* :mod:`repro.telemetry.artifacts` — the flat per-run
-  ``telemetry.json`` document and the mkstemp+fsync+``os.replace``
-  atomic JSON writer shared by store, exporters and status heartbeats;
+* :mod:`repro.telemetry.artifacts` — the flat per-run telemetry
+  document a completed campaign record carries, and the
+  mkstemp+fsync+``os.replace`` atomic JSON writer shared by exporters
+  and status heartbeats;
 * :mod:`repro.telemetry.drift` — per-phase model-vs-measured drift
   reports (imported lazily: drift depends on :mod:`repro.machine`,
   which depends on :mod:`repro.mpi.trace`, which depends on this

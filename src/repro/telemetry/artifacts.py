@@ -1,18 +1,17 @@
-"""Per-run telemetry artifacts and the atomic-JSON write primitive.
+"""Per-run telemetry documents and the atomic-JSON write primitive.
 
-A *telemetry artifact* is the flat ``telemetry.json`` document written
-into the run directory of every completed campaign run (and by
-``rocketrig --profile`` for ad-hoc runs).  It flattens a run's timed
-:class:`~repro.mpi.trace.CommTrace` — per-phase wall clocks, kernel
-wall totals, comm/compute event counts — together with the run's
-metrics-registry snapshot into one JSON object that
+A *telemetry document* is the flat JSON object a completed campaign
+run's index record carries as its ``telemetry`` field.  It flattens a
+run's timed :class:`~repro.mpi.trace.CommTrace` — per-phase wall
+clocks, kernel wall totals, comm/compute event counts — together with
+the run's metrics-registry snapshot into one object that
 ``campaign.report`` can address with dotted keys
 (``telemetry.phase.fft.wall``, ``telemetry.metrics.solver.steps``).
 
 :func:`atomic_write_json` is the single durable-write primitive the
 whole telemetry layer uses (mkstemp in the destination directory,
-fsync, ``os.replace``), shared so the store's artifacts, exporters and
-status heartbeats cannot drift apart.
+fsync, ``os.replace``), shared so exporters and status heartbeats
+cannot drift apart.
 """
 
 from __future__ import annotations
@@ -76,8 +75,8 @@ def build_run_telemetry(
     elapsed: Optional[float] = None,
     extra: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Flatten a timed trace (+ its metrics registry) into the
-    ``telemetry.json`` document.
+    """Flatten a timed trace (+ its metrics registry) into a run's
+    telemetry document.
 
     Layout::
 

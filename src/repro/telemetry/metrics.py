@@ -12,7 +12,7 @@ instrument kinds:
 Instruments are created on first use (``registry.counter("x").inc()``),
 so publishing code never has to pre-declare anything.  ``snapshot()``
 flattens the registry into the JSON-able dict that lands in per-run
-``telemetry.json`` artifacts and campaign ``status.json`` heartbeats.
+telemetry documents and campaign ``status.json`` heartbeats.
 
 Instrumented code holds a registry reference it got from its context —
 solver-side code uses the one attached to its run's

@@ -17,7 +17,7 @@ Reuse statistics (hits, misses, bytes served, high-water resident
 bytes) are first-class: the collectives mirror hits and misses into
 the run's metrics registry (``trace.metrics``) as
 ``bufferpool.hits|misses`` counters, which land wherever that registry
-is exported (a campaign run's ``telemetry.json``); no CLI command
+is exported (a campaign run's telemetry document); no CLI command
 prints them.  All methods are thread-safe; per-rank owners (one pool
 per communicator instance) never contend in practice.
 """

@@ -1,8 +1,5 @@
 """Campaign executor batch fast path: routing, store parity, telemetry."""
 
-import json
-import os
-
 import numpy as np
 import pytest
 
@@ -56,9 +53,9 @@ class TestRouting:
         snap = executor.metrics.snapshot()
         assert snap["campaign.batch_absorbed"] == 6.0
         assert snap["campaign.runs_completed"] == 6.0
-        # The fleet's own metrics live in each member's telemetry.json.
-        with open(store.telemetry_path(outcomes[0].run_hash)) as fh:
-            assert json.load(fh)["metrics"]["batch.scenario_steps"] == 18.0
+        # The fleet's own metrics live in each member's telemetry.
+        telemetry = store.load_telemetry(outcomes[0].run_hash)
+        assert telemetry["metrics"]["batch.scenario_steps"] == 18.0
 
     def test_groups_split_by_engine_run_solo(self, tmp_path):
         split = specs(grid={"atwood": [0.1, 0.3, 0.5],
@@ -131,14 +128,15 @@ class TestStoreParity:
 class TestTelemetry:
     def test_each_absorbed_run_gets_telemetry_artifact(self, tmp_path):
         store, executor, outcomes = run(tmp_path, "telem", specs())
+        latest = store.latest_records()
         for outcome in outcomes:
-            path = store.telemetry_path(outcome.run_hash)
-            assert os.path.exists(path)
-            with open(path) as fh:
-                payload = json.load(fh)
+            payload = store.load_telemetry(outcome.run_hash)
+            assert payload is not None
             assert payload["fleet_size"] == 6
-            assert payload["ranks"] == 1
-            assert payload["run_hash"] == outcome.run_hash
+            record = latest[outcome.run_hash]
+            assert record.telemetry is payload
+            assert record.spec["ranks"] == 1
+            assert record.run_hash == outcome.run_hash
 
     def test_failure_isolation_from_bad_group_member(self, tmp_path,
                                                      monkeypatch):

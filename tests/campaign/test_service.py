@@ -13,6 +13,7 @@ design).
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.campaign import (
     Worker,
     campaign_summary,
 )
+from repro.campaign.protocol import Heartbeat
 
 #: The acceptance deck: 8 runs (4 heFFTe configs x 2 rank counts),
 #: small enough for CI, rank-varied enough to exercise distinct code
@@ -196,3 +198,62 @@ class TestStatusDocument:
         assert metrics["campaign.batch_absorbed"] == 4
         assert metrics["campaign.service.workers_seen"] == 2
         assert metrics.get("campaign.service.leases_expired", 0) == 0
+
+
+class TestLeaseRenewal:
+    def test_heartbeats_keep_a_long_run_on_its_first_lease(self, tmp_path):
+        """A run outlasting three lease periods completes on its first
+        lease: its worker's heartbeats renew the deadline.  A heartbeat
+        naming a lease another worker holds is stale and renews
+        nothing."""
+        spec = specs()[0]
+        store = CampaignStore("svc", root=str(tmp_path))
+        endpoint = SocketEndpoint()
+        coordinator = Coordinator(
+            store, [spec], endpoint, lease_timeout=1.0, drain_grace=3.0,
+        )
+        host, port = endpoint.address
+        intruder = {}
+
+        def slow_run(run_spec):
+            # The grant is sent before the coordinator files the lease.
+            deadline = time.monotonic() + 10.0
+            while run_spec.run_hash() not in coordinator._leases:
+                assert time.monotonic() < deadline, "lease never filed"
+                time.sleep(0.01)
+            lease = coordinator._leases[run_spec.run_hash()]
+            before = lease.deadline
+            coordinator._handle_heartbeat(
+                Heartbeat(worker="intruder", run_hash=lease.id)
+            )
+            intruder["deadline_kept"] = lease.deadline == before
+            time.sleep(3.0)
+            return CampaignExecutor(
+                store, max_workers=1, telemetry=False
+            ).run_one(run_spec)
+
+        stats = {}
+
+        def pull():
+            channel = SocketWorkerChannel(host, port)
+            stats["w0"] = Worker(
+                channel, worker_id="w0", idle_timeout=30.0, run_one=slow_run,
+            ).run()
+
+        thread = threading.Thread(target=pull)
+        thread.start()
+        summary = coordinator.serve()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+
+        assert summary["completed"] == 1 and summary["requeued"] == 0
+        assert stats["w0"]["completed"] == 1
+        # One claim marker, one terminal record: the run ran once.
+        assert [r.status for r in store.iter_records()] == [
+            "running", "completed",
+        ]
+        metrics = coordinator.metrics.snapshot()
+        assert "campaign.service.leases_expired" not in metrics
+        assert intruder["deadline_kept"]
+        assert metrics["campaign.service.stale_messages"] == 1
+        assert metrics["campaign.service.heartbeats"] > 1

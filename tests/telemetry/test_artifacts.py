@@ -1,4 +1,4 @@
-"""telemetry.json artifacts: build, store round-trip, report keys, drift."""
+"""Telemetry documents: build, store round-trip, report keys, drift."""
 
 import json
 import os
@@ -10,6 +10,7 @@ from repro.campaign import (
     CampaignDeck,
     CampaignExecutor,
     CampaignStore,
+    RunRecord,
     record_field,
 )
 from repro.machine import LASSEN
@@ -113,22 +114,21 @@ class TestBuildRunTelemetry:
 class TestStoreRoundTrip:
     def test_write_load(self, tmp_path, traced_run):
         store = CampaignStore("t", root=str(tmp_path))
+        spec = specs()[0]
         doc = build_run_telemetry(traced_run)
-        path = store.write_telemetry("cafe01", doc)
-        assert os.path.basename(path) == "telemetry.json"
-        assert os.path.dirname(path) == store.run_dir("cafe01")
-        assert store.load_telemetry("cafe01") == json.loads(json.dumps(doc))
+        store.record_completed(spec, {"kind": "functional"}, telemetry=doc)
+        # The document rides in the one completed index line.
+        assert sorted(os.listdir(store.root)) == [".store.lock", "index.jsonl"]
+        with open(store.index_path, encoding="utf-8") as fh:
+            (line,) = fh.read().splitlines()
+        assert json.loads(line)["telemetry"] == json.loads(json.dumps(doc))
+        assert store.load_telemetry(spec.run_hash()) == json.loads(
+            json.dumps(doc)
+        )
 
     def test_load_missing_is_none(self, tmp_path):
         store = CampaignStore("t", root=str(tmp_path))
         assert store.load_telemetry("deadbeef") is None
-
-    def test_load_corrupt_is_none(self, tmp_path):
-        store = CampaignStore("t", root=str(tmp_path))
-        store.write_telemetry("cafe02", {"ok": True})
-        with open(store.telemetry_path("cafe02"), "w") as fh:
-            fh.write("{torn")
-        assert store.load_telemetry("cafe02") is None
 
 
 class TestExecutorWritesTelemetry:
@@ -144,7 +144,13 @@ class TestExecutorWritesTelemetry:
             assert (doc["metrics"]["solver.steps"]
                     == DECK["steps"] * outcome.spec["ranks"])
             assert doc["phase"], doc
-            assert doc["run_hash"] == outcome.run_hash
+            record = store.latest_records()[outcome.run_hash]
+            assert record.telemetry is doc
+            assert record.run_hash == outcome.run_hash
+        # No per-run directory: the index carries every run's document.
+        assert sorted(os.listdir(store.root)) == [
+            ".store.lock", "index.jsonl", "status.json",
+        ]
 
     def test_telemetry_disabled_writes_nothing(self, tmp_path):
         store = CampaignStore("off", root=str(tmp_path))
@@ -158,14 +164,40 @@ class TestExecutorWritesTelemetry:
         store = CampaignStore("telem", root=str(tmp_path))
         CampaignExecutor(store, max_workers=1).submit(specs()[:1])
         record = next(iter(store.latest_records().values()))
-        steps = record_field(
-            record, "telemetry.metrics.solver.steps", store=store
-        )
+        steps = record_field(record, "telemetry.metrics.solver.steps")
         assert steps == DECK["steps"]
-        wall = record_field(record, "telemetry.phase.halo.wall", store=store)
+        wall = record_field(record, "telemetry.phase.halo.wall")
         assert wall is not None and wall >= 0.0
-        # Without a store the telemetry namespace resolves to None.
-        assert record_field(record, "telemetry.phase.halo.wall") is None
+
+    def test_parent_format_record_is_a_hit_without_telemetry(self, tmp_path):
+        """A completed line written before telemetry moved into the
+        index stays a store hit, and a stray ``runs/<h>/telemetry.json``
+        beside it is not read: its telemetry cells are blank."""
+        store = CampaignStore("telem", root=str(tmp_path))
+        spec = specs()[0]
+        run_hash = spec.run_hash()
+        CampaignExecutor(
+            store, max_workers=1, telemetry=False
+        ).submit([spec])
+        (done,) = [r for r in store.iter_records() if r.status == "completed"]
+        line = json.loads(done.to_json())
+        line.pop("telemetry", None)
+        assert line["numerics"] == 1
+        with open(store.index_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(line, sort_keys=True) + "\n")
+        stray = os.path.join(store.root, "runs", run_hash)
+        os.makedirs(stray)
+        atomic_write_json(
+            os.path.join(stray, "telemetry.json"),
+            {"schema": TELEMETRY_SCHEMA, "phase": {"fft": {"wall": 1.0}}},
+        )
+
+        (again,) = CampaignExecutor(store, max_workers=1).submit([spec])
+        assert again.skipped
+        assert store.load_telemetry(run_hash) is None
+        (record,) = store.latest_records().values()
+        assert isinstance(record, RunRecord) and record.telemetry is None
+        assert record_field(record, "telemetry.phase.fft.wall") is None
 
 
 class TestDriftReport:
