@@ -47,7 +47,8 @@ kernels do, and why:
    one-thread run: the result is bit-identical for any thread count.
    Panels go out in waves of ``_WAVE`` per thread, so at most one
    wave's products are alive, and a fleet's stack is staged about one
-   wave at a time; a one-panel call never touches the pool.
+   wave at a time; a one-panel call never touches the pool, and a
+   forked child (a local campaign worker) builds a pool of its own.
 
 The CSR neighbor kernel works in row-aligned chunks of ~32k pairs on
 contiguous per-component columns (no ``(pairs, 3)`` fancy-indexing
@@ -107,6 +108,18 @@ def _panel_pool(threads: int) -> ThreadPoolExecutor:
         if _pool is None:
             _pool = ThreadPoolExecutor(threads, thread_name_prefix="br-panel")
         return _pool
+
+
+def _drop_pool_in_child() -> None:
+    """A forked child has none of its parent's pool threads — panels
+    queued on that pool would wait forever — and may inherit its lock
+    held: forget both, so the child's first multi-panel call builds a
+    pool of its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_pool_in_child)
 
 
 def _panel_products(panels, t1, s1, rhs, eps2, mirror, size) -> list:

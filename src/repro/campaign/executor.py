@@ -10,11 +10,12 @@ functional runs become one *fleet* item), and it alone counts, marks
 and logs every run.  ``max_workers`` picks who executes the items:
 
 * the campaign service, locally: the coordinator leases its items — a
-  fleet is one lease — to ``min(max_workers, items)`` ``rocketrig
-  campaign --worker`` child processes over a loopback socket
+  fleet is one lease — to ``min(max_workers, items)`` worker processes
+  forked from this one, each running the ``rocketrig campaign
+  --worker`` loop over a loopback socket
   (:class:`~repro.campaign.service.LocalWorkers`): the protocol, claim
   markers and lease rule of ``rocketrig campaign --serve``, with
-  workers this process starts, watches and reaps.  A worker that dies
+  workers this process forks, watches and reaps.  A worker that dies
   hard has its lease expired the moment the child is reaped and its
   runs requeued on a replacement; a run that kills ``max_requeues + 1``
   workers is recorded ``failed`` while its siblings complete;

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import queue
 import socket
 import struct
@@ -569,5 +570,37 @@ class SocketEndpoint:
             conns = list(self._conns.values())
         for conn in conns:
             self._drop(conn)
+
+    def close_in_child(self) -> None:
+        """Close, in a child forked from the coordinator, every socket
+        of this endpoint the child inherited: the listener and each
+        accepted connection.  The parent's copies stay open.
+
+        Takes no lock: the accept or a reader thread may have held one
+        at the fork, and none of those threads exists in the child.
+        The scan of the child's descriptors is what guarantees the
+        result: every socket of this endpoint, the listener and each
+        accepted connection, has the endpoint's address as its local
+        address — also one the accept thread had taken from the kernel
+        but not yet registered at the fork.
+        """
+        # Closed through their own objects first, so that no finalizer
+        # of theirs later closes a descriptor number the child reused.
+        self._listener.close()
+        for conn in list(self._conns.values()):
+            conn.sock.close()
+        for fd in map(int, os.listdir("/dev/fd")):
+            try:
+                sock = socket.socket(fileno=fd)
+            except OSError:
+                continue  # not a socket, or the listing's own descriptor
+            try:
+                ours = sock.getsockname()[:2] == self.address
+            except OSError:
+                ours = False
+            if ours:
+                sock.close()
+            else:
+                sock.detach()
 
 

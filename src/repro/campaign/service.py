@@ -17,8 +17,8 @@ the same executor routines and the same accounting.  Because the store
 deduplicates by content hash, any number of submitters can point decks
 at one coordinator and share results.  A local campaign
 (``CampaignExecutor.submit``) is this service with :class:`LocalWorkers`
-— ``rocketrig campaign --worker`` child processes it starts, watches
-and reaps — or with no worker at all.
+— worker processes it forks from itself, watches and reaps — or with
+no worker at all.
 
 Lease state machine (per run)::
 
@@ -64,14 +64,14 @@ seen, reconnects) and ``campaign.requeues``.
 from __future__ import annotations
 
 import collections
+import multiprocessing
 import os
 import signal
 import socket as _socket
-import subprocess
-import sys
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from multiprocessing.process import BaseProcess
 from typing import Any, Callable, Optional, Sequence
 
 from repro.campaign.deck import RunSpec
@@ -80,6 +80,7 @@ from repro.campaign.executor import (
     KILL_FUSE_ENV,
     STATUS_WRITE_INTERVAL,
     CampaignExecutor,
+    configure_logging,
     log,
 )
 from repro.campaign.protocol import (
@@ -822,12 +823,14 @@ class Coordinator:
 
 
 class LocalWorkers:
-    """``rocketrig campaign --worker`` child processes serving one
-    :class:`Coordinator` over its loopback :class:`SocketEndpoint`.
+    """Local worker processes serving one :class:`Coordinator` over its
+    loopback :class:`SocketEndpoint`, each forked from this process
+    (:func:`_fork_worker`) and running the ``rocketrig campaign
+    --worker`` loop.
 
     Owning the workers adds one ability to the service: a child's exit
     is *seen*, so its lease is expired at once
-    (:meth:`Coordinator.expire_worker`) and a replacement is started
+    (:meth:`Coordinator.expire_worker`) and a replacement is forked
     while runs remain.  Recovery stays the coordinator's one rule —
     lease expiry → requeue, bounded by ``max_requeues``.
     """
@@ -839,7 +842,7 @@ class LocalWorkers:
     def __init__(self, coordinator: Coordinator, size: int) -> None:
         self.coordinator = coordinator
         self.size = size
-        self._procs: dict[str, subprocess.Popen] = {}
+        self._procs: dict[str, BaseProcess] = {}
         self._spawned = 0
         #: Children that exited non-zero holding no lease — they never
         #: got as far as a run.  More than ``max_requeues`` of them and
@@ -849,14 +852,8 @@ class LocalWorkers:
     def _spawn(self) -> None:
         worker_id = f"local-{os.getpid()}-{self._spawned}"
         self._spawned += 1
-        host, port = self.coordinator.endpoint.address
-        self._procs[worker_id] = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli.rocketrig", "--quiet",
-                "campaign", "--worker", "--connect", f"{host}:{port}",
-                "--worker-id", worker_id,
-            ],
-            stdout=subprocess.DEVNULL,  # the coordinator logs progress
+        self._procs[worker_id] = _fork_worker(
+            self.coordinator.endpoint, worker_id
         )
 
     def serve(self) -> dict[str, Any]:
@@ -887,7 +884,7 @@ class LocalWorkers:
         remainder instead of waiting forever."""
         coordinator = self.coordinator
         for worker_id, proc in list(self._procs.items()):
-            code = proc.poll()
+            code = proc.exitcode
             if code is None:
                 continue
             del self._procs[worker_id]
@@ -916,12 +913,44 @@ class LocalWorkers:
                 self.coordinator.endpoint.close()
         finally:
             for proc in self._procs.values():
-                try:
-                    proc.wait(timeout=self.EXIT_GRACE)
-                except subprocess.TimeoutExpired:
+                proc.join(self.EXIT_GRACE)
+                if proc.exitcode is None:
                     proc.kill()
-                    proc.wait()
+                    proc.join()
             self._procs.clear()
+
+
+#: Local workers are forks of the coordinator, which has already
+#: imported everything a worker runs (POSIX only, like the store's
+#: ``fcntl`` lock).
+_FORK = multiprocessing.get_context("fork")
+
+
+def _fork_worker(endpoint: SocketEndpoint, worker_id: str) -> BaseProcess:
+    """Fork one local worker serving ``endpoint`` as ``worker_id``:
+    every child of :class:`LocalWorkers`, the first ones and each
+    replacement, starts here.
+
+    The child logs as ``rocketrig --quiet`` does (warnings only),
+    closes the coordinator's sockets, then runs the ``--worker`` loop
+    over a channel of its own.  Of the coordinator's threads (the
+    endpoint's accept and readers, the status heartbeat) none exists
+    in the child and nothing they own is touched; the blocked backend's
+    panel pool resets itself at the fork.  The ``Process`` leaves the
+    child through ``os._exit`` — code 0 after a clean run, 1 on an
+    exception — so it never unwinds into the coordinator's frames,
+    ``finally`` blocks or exit handlers.
+    """
+
+    def child() -> None:
+        configure_logging(-1)
+        endpoint.close_in_child()
+        host, port = endpoint.address
+        Worker(SocketWorkerChannel(host, port), worker_id=worker_id).run()
+
+    proc = _FORK.Process(target=child, name=worker_id)
+    proc.start()
+    return proc
 
 
 def _maybe_trip_kill_fuse(run_hash: str) -> None:

@@ -109,7 +109,7 @@ def _eta_multi_mode(ic, X, Y, low, extent):
     rng = np.random.default_rng(ic.seed)
     xn = 2.0 * np.pi * (X - low[0]) / extent[0]
     yn = 2.0 * np.pi * (Y - low[1]) / extent[1]
-    eta = np.zeros_like(X)
+    eta = np.zeros(np.broadcast_shapes(X.shape, Y.shape))
     for kx in range(0, kmax + 1):
         for ky in range(0, kmax + 1):
             amp = rng.normal()
@@ -118,13 +118,8 @@ def _eta_multi_mode(ic, X, Y, low, extent):
             if kx == 0 and ky == 0:
                 continue
             eta += amp * np.cos(kx * xn + phx) * np.cos(ky * yn + phy)
-    peak = np.abs(eta).max()
-    # Normalize with a *global* constant: recompute the peak over the
-    # full analytic field is impossible locally, so normalize by the
-    # RMS-based bound which is decomposition independent.
     norm = np.sqrt(sum(1 for kx in range(kmax + 1) for ky in range(kmax + 1)
                        if (kx, ky) != (0, 0)))
-    del peak
     return ic.magnitude * eta / max(norm, 1.0)
 
 
@@ -146,7 +141,7 @@ def _eta_gaussian(ic, X, Y, low, extent):
 
 
 def _eta_flat(ic, X, Y, low, extent):
-    return np.zeros_like(X)
+    return np.zeros(np.broadcast_shapes(X.shape, Y.shape))
 
 
 _KINDS: dict[str, Callable] = {
@@ -178,10 +173,14 @@ def initial_state(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the rocket-rig initial state at the given coordinates.
 
-    Returns the interface position ``z = (X, Y, η)`` and the zero
-    initial vorticity ``w``, both shaped off the coordinate grids.
-    This is the single evaluation path shared by the per-rank solver
-    setup (:func:`apply_initial_condition`) and the batched
+    ``X`` and ``Y`` are any coordinate arrays that broadcast to the
+    block: full meshgrids, or the axes shaped ``(n1, 1)`` and
+    ``(1, n2)`` — cheaper, since a separable term is then evaluated per
+    axis, and bitwise the same state.  Returns the interface position
+    ``z = (X, Y, η)`` and the zero initial vorticity ``w``, both shaped
+    off the broadcast block.  This is the single evaluation path
+    shared by the per-rank solver setup
+    (:func:`apply_initial_condition`) and the batched
     :class:`repro.batch.ScenarioFleet`, so a fleet-stepped scenario
     starts from bitwise the same state as its solo counterpart.
     """
@@ -196,11 +195,12 @@ def initial_state(
     if ic.tilt:
         eta = eta + ic.tilt * (X - low[0]) / extent[0]
 
-    z = np.empty(X.shape + (3,))
+    shape = np.broadcast_shapes(X.shape, Y.shape)
+    z = np.empty(shape + (3,))
     z[..., 0] = X
     z[..., 1] = Y
     z[..., 2] = eta
-    w = np.zeros(X.shape + (2,))
+    w = np.zeros(shape + (2,))
     return z, w
 
 

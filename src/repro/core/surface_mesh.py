@@ -94,7 +94,8 @@ class SurfaceMesh:
         self.halo = HaloExchange(self)
 
     def owned_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X, Y) parameter-space coordinates of owned nodes (ij indexing)."""
+        """(X, Y) parameter-space axes of owned nodes, shaped ``(n1, 1)``
+        and ``(1, n2)`` so they broadcast to the owned block."""
         return self.global_mesh.node_coordinates(self.owned_space)
 
     def gather(self, arrays: Sequence[np.ndarray]) -> None:

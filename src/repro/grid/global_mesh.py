@@ -107,8 +107,10 @@ class GlobalMesh2D:
         return self.low[axis] + np.asarray(index) * self.spacing(axis)
 
     def node_coordinates(self, space: IndexSpace) -> tuple[np.ndarray, np.ndarray]:
-        """Meshgrid (indexing='ij') coordinate arrays for an index box."""
+        """Coordinate axes of an index box, shaped ``(n1, 1)`` and
+        ``(1, n2)`` so they broadcast to the box (ij indexing);
+        ``np.broadcast_arrays`` gives the full meshgrid."""
         xs = self.node_coordinate(0, np.arange(space.mins[0], space.maxs[0]))
         ys = self.node_coordinate(1, np.arange(space.mins[1], space.maxs[1]))
-        return np.meshgrid(xs, ys, indexing="ij")
+        return np.meshgrid(xs, ys, indexing="ij", sparse=True)
 

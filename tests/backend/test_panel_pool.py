@@ -10,6 +10,8 @@ one CPU as on many.
 """
 
 import hashlib
+import os
+import signal
 import sys
 import threading
 import tracemalloc
@@ -251,6 +253,28 @@ class TestPoolErrors:
             allpairs(t, t, om, 1e-3, symmetric=True)
         monkeypatch.setattr(blocked, "_panel_products", real)
         assert np.array_equal(allpairs(t, t, om, 1e-3, symmetric=True), expected)
+
+
+class TestFork:
+    def test_forked_child_gets_a_pool_of_its_own(self, helpers, fresh_pool, rng):
+        """A child forked after the parent's pool ran panels has none of
+        its threads: reusing that pool would queue panels no thread ever
+        takes, so the child must build its own and get the same bits."""
+        helpers(2)
+        t, om = cloud(rng, 1, 1024)
+        parent = allpairs(t, t, om, 1e-3, symmetric=True)
+        assert blocked._pool is not None
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(10)  # a hang ends the child with SIGALRM
+                child = allpairs(t, t, om, 1e-3, symmetric=True)
+                code = 0 if np.array_equal(child, parent) else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 #: sha256 prefixes of the final global ``z`` and ``w`` bytes after two

@@ -271,7 +271,6 @@ class TestInterruptHardening:
         ``interrupted`` in status.json, nothing is recorded failed, and
         a resubmission completes the remainder."""
         import json
-        import subprocess
 
         import repro.campaign.service as service
 
@@ -286,10 +285,10 @@ class TestInterruptHardening:
         specs = deck.expand()
         store = CampaignStore("ctrlc", root=str(tmp_path))
         children = []
-        real_popen = subprocess.Popen
+        real_fork = service._fork_worker
 
-        def recording_popen(*args, **kwargs):
-            children.append(real_popen(*args, **kwargs))
+        def recording_fork(*args, **kwargs):
+            children.append(real_fork(*args, **kwargs))
             return children[-1]
 
         real_done = service.Coordinator._handle_done
@@ -299,14 +298,14 @@ class TestInterruptHardening:
             raise KeyboardInterrupt  # operator hits Ctrl-C mid-campaign
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(service.subprocess, "Popen", recording_popen)
+            mp.setattr(service, "_fork_worker", recording_fork)
             mp.setattr(service.Coordinator, "_handle_done", done_then_ctrl_c)
             with pytest.raises(KeyboardInterrupt):
                 CampaignExecutor(store, max_workers=2).submit(specs)
 
         assert len(children) == 2
         for proc in children:
-            assert proc.poll() is not None, "a worker outlived submit()"
+            assert proc.exitcode is not None, "a worker outlived submit()"
         with open(store.status_path, encoding="utf-8") as fh:
             status = json.load(fh)
         assert status["done"] is True

@@ -9,7 +9,6 @@ starts, and one payload conversion per spec per coordinator.
 """
 
 import collections
-import subprocess
 import threading
 
 import pytest
@@ -138,19 +137,24 @@ class TestFleetLease:
 
 def record_children(monkeypatch):
     started = []
-    real_popen = subprocess.Popen
+    real_fork = service._fork_worker
 
-    def recording_popen(*args, **kwargs):
-        started.append(real_popen(*args, **kwargs))
+    def recording_fork(*args, **kwargs):
+        started.append(real_fork(*args, **kwargs))
         return started[-1]
 
-    monkeypatch.setattr(service.subprocess, "Popen", recording_popen)
+    monkeypatch.setattr(service, "_fork_worker", recording_fork)
     return started
 
 
 def reap(children):
     for proc in children:
-        proc.wait(timeout=30)
+        proc.join(timeout=30)
+        outlived = proc.exitcode is None
+        if outlived:
+            proc.kill()
+            proc.join()
+        assert not outlived, f"worker {proc.pid} outlived submit()"
 
 
 class TestLocalWorkers:

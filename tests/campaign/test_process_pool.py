@@ -5,7 +5,6 @@ import json
 import math
 import multiprocessing
 import os
-import subprocess
 import threading
 import time
 import types
@@ -27,6 +26,7 @@ from repro.campaign import (
     campaign_summary,
 )
 from repro.campaign.executor import KILL_FUSE_ENV, STATUS_WRITE_INTERVAL
+from repro.campaign.protocol import JobRequest
 from repro.campaign.service import DEFAULT_MAX_REQUEUES
 from repro.campaign.store import COMPLETED, FAILED, RUNNING
 from repro.core import InitialCondition, SolverConfig
@@ -59,15 +59,15 @@ def many_specs(n=32):
 
 
 def record_children(mp):
-    """Every worker process the code under test starts, in order."""
+    """Every worker process the code under test forks, in order."""
     started = []
-    real_popen = subprocess.Popen
+    real_fork = service._fork_worker
 
-    def recording_popen(*args, **kwargs):
-        started.append(real_popen(*args, **kwargs))
+    def recording_fork(*args, **kwargs):
+        started.append(real_fork(*args, **kwargs))
         return started[-1]
 
-    mp.setattr(service.subprocess, "Popen", recording_popen)
+    mp.setattr(service, "_fork_worker", recording_fork)
     return started
 
 
@@ -78,11 +78,35 @@ def children(monkeypatch):
 
 def assert_all_gone(children):
     for proc in children:
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
+        proc.join(timeout=10)
+        if proc.exitcode is None:
             proc.kill()
-        assert proc.poll() is not None, f"worker {proc.pid} outlived submit()"
+        assert proc.exitcode is not None, f"worker {proc.pid} outlived submit()"
+
+
+def socket_inodes(pid):
+    """Inodes of the sockets process ``pid`` holds open (None once it
+    has gone)."""
+    inodes = set()
+    try:
+        names = os.listdir(f"/proc/{pid}/fd")
+    except FileNotFoundError:
+        return None
+    for name in names:
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{name}")
+        except FileNotFoundError:
+            continue  # closed while we looked
+        if target.startswith("socket:["):
+            inodes.add(int(target[len("socket:["):-1]))
+    return inodes
+
+
+def endpoint_inodes(endpoint):
+    """Inodes of the endpoint's listener and accepted connections."""
+    with endpoint._conns_lock:
+        socks = [endpoint._listener] + [c.sock for c in endpoint._conns.values()]
+    return {os.fstat(sock.fileno()).st_ino for sock in socks if sock.fileno() >= 0}
 
 
 def history(store, run_hash):
@@ -316,7 +340,12 @@ class TestCrashIsolation:
         """Children that die before taking a run are replaced a bounded
         number of times; then the remainder is failed with a typed
         error — submit() never waits in the serving loop forever."""
-        monkeypatch.setattr(service.sys, "executable", "false")
+
+        def unreachable(host, port):
+            raise service.ChannelClosedError(f"no coordinator at {host}:{port}")
+
+        # Set in this process, seen by every child forked from it.
+        monkeypatch.setattr(service, "SocketWorkerChannel", unreachable)
         store = CampaignStore("barren", root=str(tmp_path))
         executor = CampaignExecutor(
             store, max_workers=2,
@@ -328,6 +357,43 @@ class TestCrashIsolation:
         assert all("ChannelClosedError" in o.error for o in outcomes)
         assert 2 <= len(children) <= 2 + DEFAULT_MAX_REQUEUES + 1
         assert_all_gone(children)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="reads /proc/<pid>/fd"
+    )
+    def test_no_forked_worker_holds_a_coordinator_socket(
+        self, tmp_path, monkeypatch, children
+    ):
+        """A child closes the listener and every accepted connection it
+        inherits: else the port would outlive the coordinator, and a
+        worker would see no EOF while a sibling forked after it holds
+        its coordinator-side socket.  Checked when a replacement —
+        forked with earlier workers connected — asks for its first job."""
+        batch = many_specs(8)
+        self._arm_fuse(monkeypatch, tmp_path, batch[0].run_hash(), trips=1)
+        checks = []
+        real_handle = service.Coordinator._handle
+
+        def handle(coordinator, conn_id, msg):
+            if (isinstance(msg, JobRequest) and len(children) > 2
+                    and msg.worker == children[2].name and not checks):
+                ours = endpoint_inodes(coordinator.endpoint)
+                for proc in children:
+                    held = socket_inodes(proc.pid) if proc.exitcode is None else None
+                    if held is not None:
+                        checks.append((proc.name, held, held & ours))
+            real_handle(coordinator, conn_id, msg)
+
+        monkeypatch.setattr(service.Coordinator, "_handle", handle)
+        store = CampaignStore("fds", root=str(tmp_path))
+        outcomes = CampaignExecutor(store, max_workers=2).submit(batch)
+        assert all(o.status == "completed" for o in outcomes)
+        assert len(children) == 3
+        assert_all_gone(children)
+        # The replacement was inspected, holding its own channel only.
+        assert children[2].name in [name for name, _, _ in checks]
+        assert all(held for _, held, _ in checks)
+        assert [leaked for _, _, leaked in checks] == [set()] * len(checks)
 
     def test_killed_after_checkpoint_resumes_on_requeue(
         self, tmp_path, children

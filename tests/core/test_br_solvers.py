@@ -50,9 +50,9 @@ class TestExactRingPass:
     def test_result_independent_of_decomposition(self):
         def program(comm):
             mesh, pm, _ = _setup(comm)
+            X, Y = np.broadcast_arrays(*mesh.owned_coordinates())
             omega = np.stack(
-                [np.sin(mesh.owned_coordinates()[0]),
-                 np.cos(mesh.owned_coordinates()[1]),
+                [np.sin(X), np.cos(Y),
                  np.zeros_like(pm.z.own[..., 0])], axis=-1,
             )
             solver = ExactBRSolver(mesh.cart, mesh, eps=0.1)
@@ -82,7 +82,7 @@ class TestExactRingPass:
 
         def program(comm, images):
             mesh, pm, _ = _setup(comm)
-            X, Y = mesh.owned_coordinates()
+            X, Y = np.broadcast_arrays(*mesh.owned_coordinates())
             omega = np.stack(
                 [np.cos(X) * np.sin(Y), -np.sin(X) * np.cos(Y),
                  np.zeros_like(X)], axis=-1,

@@ -1,8 +1,11 @@
-"""InitialCondition construction-time validation (one test per rejection)."""
+"""InitialCondition construction-time validation (one test per
+rejection), and the state it evaluates on any broadcasting coordinates."""
 
+import numpy as np
 import pytest
 
 from repro.core import InitialCondition, available_ic_kinds
+from repro.core.initial_conditions import initial_state
 from repro.util.errors import ConfigurationError
 
 
@@ -63,3 +66,25 @@ class TestValidConstruction:
         for expected in ("single_mode", "multi_mode", "sech2", "gaussian",
                          "flat"):
             assert expected in kinds
+
+
+class TestAxesInput:
+    """The owned axes, shaped ``(n1, 1)`` and ``(1, n2)``, give bitwise
+    the state the full meshgrids give."""
+
+    @pytest.mark.parametrize("shape", [(16, 16), (64, 64), (512, 256), (37, 23)])
+    @pytest.mark.parametrize("tilt", [0.0, 0.3])
+    @pytest.mark.parametrize("kind", available_ic_kinds())
+    def test_axes_equal_meshgrid(self, rng, kind, tilt, shape):
+        ic = InitialCondition(kind=kind, magnitude=0.07, period=3, tilt=tilt)
+        low = rng.uniform(-2.0, 0.0, size=2)
+        extent = rng.uniform(0.5, 3.0, size=2)
+        xs = low[0] + extent[0] * np.arange(shape[0]) / shape[0]
+        ys = low[1] + extent[1] * np.arange(shape[1]) / shape[1]
+        full = initial_state(ic, *np.meshgrid(xs, ys, indexing="ij"), low, extent)
+        axes = initial_state(
+            ic, *np.meshgrid(xs, ys, indexing="ij", sparse=True), low, extent
+        )
+        for got, expected in zip(axes, full):
+            assert got.shape == expected.shape == shape + got.shape[2:]
+            assert np.array_equal(got, expected)

@@ -52,7 +52,7 @@ def _eigenmode_ratios(comm, cfg):
     """Install the linear growing eigenmode and measure ż₃/(σh), γ̇/(σγ)."""
     eps_amp = 1e-6
     solver = Solver(comm, cfg, InitialCondition(kind="flat"))
-    X, Y = solver.mesh.owned_coordinates()
+    X, Y = np.broadcast_arrays(*solver.mesh.owned_coordinates())
     h = eps_amp * np.cos(X) * np.cos(Y)
     g1 = (2 * ATWOOD * GRAVITY / SIGMA) * eps_amp * np.cos(X) * (-np.sin(Y))
     g2 = -(2 * ATWOOD * GRAVITY / SIGMA) * eps_amp * (-np.sin(X)) * np.cos(Y)
@@ -255,7 +255,7 @@ class TestRK3:
 
         def program(comm):
             s = Solver(comm, cfg, InitialCondition(kind="flat"))
-            X, Y = s.mesh.owned_coordinates()
+            X, Y = np.broadcast_arrays(*s.mesh.owned_coordinates())
             w = np.stack([np.sin(X), np.zeros_like(X)], axis=-1)
             s.pm.set_state(s.pm.z.own.copy(), w)
             s.run(10)

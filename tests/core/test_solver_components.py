@@ -100,7 +100,7 @@ class TestInitialConditions:
             mesh = SurfaceMesh(comm, (-1, -1), (1, 1), (8, 8), (True, True))
             pm = ProblemManager(mesh)
             apply_initial_condition(pm, InitialCondition(kind="gaussian"))
-            X, Y = mesh.owned_coordinates()
+            X, Y = np.broadcast_arrays(*mesh.owned_coordinates())
             return (
                 np.array_equal(pm.z.own[..., 0], X)
                 and np.array_equal(pm.z.own[..., 1], Y)

@@ -26,8 +26,10 @@ def test_block_fields_agree_with_the_owned_box(nranks, periodic):
             (box.mins[axis] == 0, box.maxs[axis] == SHAPE[axis])
             for axis in range(2)
         )
-        X, Y = mesh.owned_coordinates()
-        gx, gy = mesh.global_mesh.node_coordinates(IndexSpace.from_shape(SHAPE))
+        X, Y = np.broadcast_arrays(*mesh.owned_coordinates())
+        gx, gy = np.broadcast_arrays(
+            *mesh.global_mesh.node_coordinates(IndexSpace.from_shape(SHAPE))
+        )
         assert np.array_equal(X, gx[box.slices()])
         assert np.array_equal(Y, gy[box.slices()])
         assert mesh.cell_area == mesh.global_mesh.cell_area

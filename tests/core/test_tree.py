@@ -33,7 +33,7 @@ def _setup(comm, periodic=True, n=N):
     apply_initial_condition(
         pm, InitialCondition(kind="multi_mode", magnitude=0.05, period=4)
     )
-    X, Y = mesh.owned_coordinates()
+    X, Y = np.broadcast_arrays(*mesh.owned_coordinates())
     omega = np.stack(
         [np.cos(X) * np.sin(Y), -np.sin(X) * np.cos(Y), 0.1 * np.cos(X)],
         axis=-1,

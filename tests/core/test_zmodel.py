@@ -88,7 +88,7 @@ class TestParameterEffects:
             comm, cfg, InitialCondition(kind="single_mode", magnitude=0.05)
         )
         # Seed some vorticity so μ and A pathways are active.
-        X, Y = solver.mesh.owned_coordinates()
+        X, Y = np.broadcast_arrays(*solver.mesh.owned_coordinates())
         w = np.stack([np.sin(X), np.cos(Y)], axis=-1)
         solver.pm.set_state(solver.pm.z.own.copy(), w)
         return solver.zmodel.compute_derivatives()

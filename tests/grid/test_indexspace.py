@@ -87,7 +87,7 @@ class TestGlobalMesh:
     def test_coordinates_meshgrid(self):
         mesh = GlobalMesh2D.create((0, 0), (4, 4), (4, 4), (True, True))
         X, Y = mesh.node_coordinates(IndexSpace.from_shape((4, 4)))
-        assert X.shape == (4, 4)
+        assert X.shape == (4, 1) and Y.shape == (1, 4)
         assert X[2, 0] == pytest.approx(2.0)
         assert Y[0, 3] == pytest.approx(3.0)
 
