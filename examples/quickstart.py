@@ -21,14 +21,16 @@ from repro.scenarios import get_scenario
 
 def main() -> None:
     pack = get_scenario("multimode-quickstart")
-    config = pack.solver_config()
-    print(f"scenario: {pack.describe()}")
+    spec = pack.expand()[0]
+    config = spec.config
+    print(f"scenario: {pack.name} [{pack.family}] {spec.describe()} "
+          f"({pack.citation()})")
 
     comm = mpi.single_rank_comm()          # serial: no rank threads
-    solver = Solver(comm, config, pack.initial_condition())
+    solver = Solver(comm, config, spec.ic)
     print(f"mesh: {config.num_nodes}, dt = {solver.dt:.5f}")
     print(f"{'step':>6} {'time':>9} {'amplitude':>12} {'|vorticity|':>12}")
-    for _ in range(pack.steps // 5):
+    for _ in range(spec.steps // 5):
         solver.run(5)
         d = solver.diagnostics()
         print(

@@ -24,14 +24,16 @@ from repro.scenarios import get_scenario
 
 def main(outdir: str = "results/multimode") -> None:
     pack = get_scenario("multimode-periodic")
-    config = pack.solver_config()
-    ranks, steps = pack.ranks, pack.steps
-    print(f"scenario: {pack.describe()}")
+    spec = pack.expand()[0]
+    config = spec.config
+    ranks, steps = spec.ranks, spec.steps
+    print(f"scenario: {pack.name} [{pack.family}] {spec.describe()} "
+          f"({pack.citation()})")
     trace = mpi.CommTrace()
     writer = SiloWriter(outdir, "multimode")
 
     def program(comm):
-        solver = Solver(comm, config, pack.initial_condition())
+        solver = Solver(comm, config, spec.ic)
         solver.run(steps, writer=writer, write_freq=10)
         return solver.diagnostics()
 

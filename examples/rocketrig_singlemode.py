@@ -25,9 +25,11 @@ from repro.spatial import SpatialMesh
 
 def main(outdir: str = "results/singlemode") -> None:
     pack = get_scenario("singlemode-rollup")
-    config = pack.solver_config()
-    ranks, steps = pack.ranks, pack.steps
-    print(f"scenario: {pack.describe()}")
+    spec = pack.expand()[0]
+    config = spec.config
+    ranks, steps = spec.ranks, spec.steps
+    print(f"scenario: {pack.name} [{pack.family}] {spec.describe()} "
+          f"({pack.citation()})")
     writer = SiloWriter(outdir, "singlemode")
 
     # Fine-grained virtual decomposition (256 blocks), the granularity
@@ -39,7 +41,7 @@ def main(outdir: str = "results/singlemode") -> None:
         return np.bincount(fine_mesh.owner_of(positions), minlength=256)
 
     def program(comm):
-        solver = Solver(comm, config, pack.initial_condition())
+        solver = Solver(comm, config, spec.ic)
         solver.step()
         early_pos = np.concatenate(
             comm.allgather(solver.pm.z.own.reshape(-1, 3))

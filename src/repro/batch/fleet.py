@@ -52,6 +52,7 @@ from repro.core.initial_conditions import InitialCondition, initial_state
 from repro.core.problem_manager import ProblemManager
 from repro.core.solver import (
     SolverConfig, build_integrator, check_health, state_diagnostics,
+    state_digest,
 )
 from repro.core.surface_mesh import SurfaceMesh
 from repro.core.zmodel import Order, ZModelParameters
@@ -284,9 +285,11 @@ class ScenarioFleet:
     ) -> list[int]:
         """Record results for scenarios at target and compact them out.
 
-        A member whose state fails :func:`check_health` finishes early
-        with ``{"error": RunDivergedError}`` as its result; its siblings
-        keep stepping.
+        A member's result is its diagnostics and the
+        :func:`state_digest` of its final owned ``z`` / ``w``, which is
+        its one-rank solo run's digest.  A member whose state fails
+        :func:`check_health` finishes early with ``{"error":
+        RunDivergedError}`` as its result; its siblings keep stepping.
         """
         vec = self._vec
         z_own, w_own = self._z[self._own], self._w[self._own]
@@ -306,7 +309,10 @@ class ScenarioFleet:
             if diverged[b]:
                 result: dict = {"error": errors[b]}
             else:
-                result = {"diagnostics": diags[b]}
+                result = {
+                    "diagnostics": diags[b],
+                    "digest": state_digest(z_own[b], w_own[b]),
+                }
                 if self.retain_state:
                     result["z"] = z_own[b].copy()
                     result["w"] = w_own[b].copy()

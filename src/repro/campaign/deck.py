@@ -9,7 +9,7 @@ list of :class:`RunSpec` — each a frozen (SolverConfig, InitialCondition,
 ranks, steps, mode) tuple with a deterministic content hash that the
 run store uses for content-addressed dedup.
 
-Deck JSON example (see README "Campaign orchestration")::
+Deck file example, JSON or TOML (see ``docs/campaign.md``)::
 
     {
       "name": "fig9_small",
@@ -26,12 +26,20 @@ accepts a Table-1 index), ``ic.<field>`` for initial-condition fields,
 the run-level keys ``ranks`` / ``steps``, or ``scenario`` — a named
 pack from the scenario registry (:mod:`repro.scenarios`).  A
 ``scenario`` value (in ``base`` or as an axis) resolves the pack's
-``config``/``ic`` dicts *underneath* the deck's own ``base``/``ic`` and
+``base``/``ic`` dicts *underneath* the deck's own ``base``/``ic`` and
 axis overrides, so campaigns sweep scenario packs exactly the way they
 sweep backends::
 
     {"grid": {"scenario": ["multimode-periodic", "singlemode-rollup"],
               "backend": ["numpy", "blocked"]}}
+
+A scenario pack *is* a deck: one with no axes, plus metadata
+(``family``, ``title``, ``description``, ``tags``, ``provenance``) that
+never enters a :class:`RunSpec`.  Packs spell ``base`` as ``config``
+and ``steps`` / ``ranks`` as ``run.steps`` / ``run.ranks``;
+:meth:`CampaignDeck.from_dict` reads either layout and rejects a file
+that mixes them.  Every schema violation raises :class:`DeckError`
+naming the field as the file spells it.
 
 Expansion always emits fully-resolved specs — a pack-derived RunSpec
 hashes identically to the same parameters written out explicitly, so
@@ -47,8 +55,9 @@ import hashlib
 import itertools
 import json
 import os
+import tomllib
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, Optional
 
 from repro.backend import available_backends
 from repro.core.initial_conditions import InitialCondition
@@ -56,7 +65,7 @@ from repro.core.solver import SolverConfig
 from repro.fft.config import FftConfig
 from repro.util.errors import ConfigurationError
 
-__all__ = ["RunSpec", "CampaignDeck", "build_config"]
+__all__ = ["RunSpec", "CampaignDeck", "DeckError", "build_config"]
 
 _MODES = ("functional", "model")
 
@@ -68,6 +77,44 @@ _TUPLE_FIELDS = ("num_nodes", "low", "high", "periodic", "spatial_low", "spatial
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
 _IC_FIELDS = {f.name for f in dataclasses.fields(InitialCondition)}
+
+#: Run-level keys: a pack nests them under ``run``, a deck also sweeps them.
+_RUN_KEYS = ("steps", "ranks")
+
+#: Second spellings of deck keys: a pack's ``config``, the short ``zip``.
+_ALIASES = {"config": "base", "zip": "zip_axes"}
+
+#: Provenance keys that count as a citation into the source document.
+_CITATION_KEYS = ("figure", "table", "section", "equation")
+
+
+class DeckError(ConfigurationError):
+    """A deck or pack failed its schema check.
+
+    ``field`` names the offending key as the file spells it
+    (``run.steps``, ``config.atwod``, ``grid.ranks``) and ``path`` the
+    file once it is known, so a caller can say exactly what to fix
+    without parsing the message.
+    """
+
+    def __init__(self, message: str, field: Optional[str] = None,
+                 path: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.message, self.field, self.path = message, field, path
+
+    def __str__(self) -> str:
+        where = [self.path, self.field and f"field {self.field!r}"]
+        where = ", ".join(w for w in where if w)
+        return f"{where}: {self.message}" if where else self.message
+
+
+def _check_count(value: Any, where: str) -> None:
+    """``steps`` / ``ranks`` are positive integers: a bool, float or
+    string would otherwise hash as a run distinct from its integer."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise DeckError(
+            f"{where} must be a positive integer, got {value!r}", where
+        )
 
 
 def build_config(params: dict[str, Any]) -> SolverConfig:
@@ -211,7 +258,12 @@ class RunSpec:
 
 @dataclass
 class CampaignDeck:
-    """A named sweep over solver / IC / run parameters."""
+    """A named sweep over solver / IC / run parameters.
+
+    Built by :meth:`from_dict` / :meth:`from_file`, the one way in and
+    the one schema check.  ``family`` … ``provenance`` are a scenario
+    pack's metadata; ``path`` is the file the deck was read from.
+    """
 
     name: str = "default"
     mode: str = "functional"
@@ -221,86 +273,168 @@ class CampaignDeck:
     ic: dict[str, Any] = field(default_factory=dict)
     grid: dict[str, list[Any]] = field(default_factory=dict)
     zip_axes: dict[str, list[Any]] = field(default_factory=dict)
+    family: str = ""
+    title: str = ""
+    description: str = ""
+    tags: list[str] = field(default_factory=list)
+    provenance: dict[str, str] = field(default_factory=dict)
+    path: str = field(default="", init=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def _check(self, spelled: dict[str, str]) -> None:
+        """The deck schema; ``spelled`` maps a deck key to the file's
+        spelling of it, so errors name the field the author wrote."""
+        def where(key: str) -> str:
+            return spelled.get(key, key)
+
         if self.mode not in _MODES:
-            raise ConfigurationError(
-                f"deck mode must be one of {_MODES}, got {self.mode!r}"
+            raise DeckError(
+                f"deck mode must be one of {_MODES}, got {self.mode!r}", "mode"
             )
-        for key in list(self.grid) + list(self.zip_axes):
-            self._validate_key(key)
-        unknown_base = set(self.base) - _CONFIG_FIELDS - {_SCENARIO_KEY}
-        if unknown_base:
-            raise ConfigurationError(
-                f"unknown base config fields {sorted(unknown_base)}; "
-                f"SolverConfig fields: {sorted(_CONFIG_FIELDS)} "
-                f"or 'scenario'"
-            )
-        unknown_ic = set(self.ic) - _IC_FIELDS
-        if unknown_ic:
-            raise ConfigurationError(
-                f"unknown ic fields {sorted(unknown_ic)}; "
-                f"InitialCondition fields: {sorted(_IC_FIELDS)}"
-            )
-        for key, values in {**self.grid, **self.zip_axes}.items():
-            if not isinstance(values, (list, tuple)) or not values:
-                raise ConfigurationError(
-                    f"axis {key!r} must be a non-empty list, got {values!r}"
+        for key in _RUN_KEYS:
+            _check_count(getattr(self, key), where(key))
+        for key in ("base", "ic", "grid", "zip_axes", "provenance"):
+            if not isinstance(getattr(self, key), dict):
+                raise DeckError(
+                    f"{where(key)} must be a table, got "
+                    f"{type(getattr(self, key)).__name__}", where(key),
                 )
+        unknown_base = sorted(set(self.base) - _CONFIG_FIELDS - {_SCENARIO_KEY})
+        if unknown_base:
+            raise DeckError(
+                f"unknown base config fields {unknown_base}; "
+                f"SolverConfig fields: {sorted(_CONFIG_FIELDS)} "
+                f"or 'scenario'", f"{where('base')}.{unknown_base[0]}",
+            )
+        unknown_ic = sorted(set(self.ic) - _IC_FIELDS)
+        if unknown_ic:
+            raise DeckError(
+                f"unknown ic fields {unknown_ic}; "
+                f"InitialCondition fields: {sorted(_IC_FIELDS)}",
+                f"ic.{unknown_ic[0]}",
+            )
+        for section in ("grid", "zip_axes"):
+            for key, values in getattr(self, section).items():
+                axis = f"{where(section)}.{key}"
+                self._check_axis(key, axis)
+                if not isinstance(values, (list, tuple)) or not values:
+                    raise DeckError(
+                        f"axis {key!r} must be a non-empty list, got {values!r}",
+                        axis,
+                    )
+                if key in _RUN_KEYS:
+                    for value in values:
+                        _check_count(value, axis)
         lengths = {len(v) for v in self.zip_axes.values()}
         if len(lengths) > 1:
-            raise ConfigurationError(
+            raise DeckError(
                 f"zip axes must have equal lengths, got "
-                f"{ {k: len(v) for k, v in self.zip_axes.items()} }"
+                f"{ {k: len(v) for k, v in self.zip_axes.items()} }",
+                where("zip_axes"),
             )
-        overlap = set(self.grid) & set(self.zip_axes)
+        overlap = sorted(set(self.grid) & set(self.zip_axes))
         if overlap:
-            raise ConfigurationError(
-                f"axes cannot be both grid and zip: {sorted(overlap)}"
+            raise DeckError(
+                f"axes cannot be both grid and zip: {overlap}", overlap[0]
             )
 
     @staticmethod
-    def _validate_key(key: str) -> None:
-        if key in ("ranks", "steps", _SCENARIO_KEY):
+    def _check_axis(key: str, axis: str) -> None:
+        if key in _RUN_KEYS or key == _SCENARIO_KEY:
             return
         if key.startswith("ic."):
             if key[3:] not in _IC_FIELDS:
-                raise ConfigurationError(
+                raise DeckError(
                     f"unknown initial-condition axis {key!r}; "
-                    f"fields: {sorted(_IC_FIELDS)}"
+                    f"fields: {sorted(_IC_FIELDS)}", axis,
                 )
             return
         if key not in _CONFIG_FIELDS:
-            raise ConfigurationError(
+            raise DeckError(
                 f"unknown deck axis {key!r}; SolverConfig fields: "
                 f"{sorted(_CONFIG_FIELDS)}, 'ic.<field>', 'ranks', "
-                f"'steps', 'scenario'"
+                f"'steps', 'scenario'", axis,
             )
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CampaignDeck":
+        """Build and schema-check a deck from its file's dict.
+
+        Reads a pack's layout too: ``config`` is ``base`` and
+        ``run.steps`` / ``run.ranks`` are ``steps`` / ``ranks``.  A
+        dict that sets one key in both layouts is rejected.
+        """
         data = dict(data)
-        if "zip" in data:
-            data["zip_axes"] = data.pop("zip")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown deck keys {sorted(unknown)}; allowed: {sorted(known | {'zip'})}"
+        spelled: dict[str, str] = {}
+        for alias, key in _ALIASES.items():
+            if alias in data:
+                if key in data:
+                    raise DeckError(
+                        f"{alias!r} and {key!r} are one section in two "
+                        "layouts; use one", alias,
+                    )
+                data[key], spelled[key] = data.pop(alias), alias
+        run = data.pop("run", {})
+        if not isinstance(run, dict):
+            raise DeckError(
+                f"run must be a table, got {type(run).__name__}", "run"
             )
-        return cls(**data)
+        for key, value in run.items():
+            if key not in _RUN_KEYS or key in data:
+                raise DeckError(
+                    f"unknown run key {key!r}; allowed: {list(_RUN_KEYS)}, "
+                    "each set once, in 'run' or at the top level",
+                    f"run.{key}",
+                )
+            data[key], spelled[key] = value, f"run.{key}"
+        known = {f.name for f in dataclasses.fields(cls) if f.init}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise DeckError(
+                f"unknown deck keys {unknown} (unknown keys are errors, "
+                f"not extensions); allowed: "
+                f"{sorted(known | set(_ALIASES) | {'run'})}", unknown[0],
+            )
+        deck = cls(**data)
+        deck._check(spelled)
+        return deck
 
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "CampaignDeck":
-        with open(os.fspath(path), "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        deck = cls.from_dict(data)
-        if "name" not in data:
-            stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-            deck.name = stem
+        """Read a ``.json`` or ``.toml`` deck or pack; ``name`` defaults
+        to the file stem.  A :class:`DeckError` names the file."""
+        path = os.fspath(path)
+        stem, suffix = os.path.splitext(os.path.basename(path))
+        try:
+            if suffix.lower() == ".toml":
+                with open(path, "rb") as fh:
+                    data = tomllib.load(fh)
+            elif suffix.lower() == ".json":
+                with open(path, "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
+            else:
+                raise DeckError(
+                    f"unsupported pack type {suffix!r}; deck and pack files "
+                    "are .json or .toml"
+                )
+            if not isinstance(data, dict):
+                raise DeckError(
+                    f"a deck is a table/object, got {type(data).__name__}"
+                )
+            deck = cls.from_dict({"name": stem, **data})
+        except (json.JSONDecodeError, tomllib.TOMLDecodeError) as exc:
+            raise DeckError(f"parse error: {exc}", path=path) from exc
+        except DeckError as exc:
+            exc.path = path
+            raise
+        deck.path = path
         return deck
+
+    def citation(self) -> str:
+        """The provenance as one line, e.g. ``paper, Figure 2, §4``."""
+        keys = ("source",) + _CITATION_KEYS
+        return ", ".join(self.provenance[k] for k in keys if self.provenance.get(k))
 
     # -- expansion ------------------------------------------------------------
 
@@ -322,7 +456,8 @@ class CampaignDeck:
 
         When a point (or ``base``) names a ``scenario``, the pack is
         resolved first and layered *under* the deck's own parameters:
-        pack config/ic < deck ``base``/``ic`` < axis point values.  The
+        pack base/ic < deck ``base``/``ic`` < axis point values.  The
+        deck's own ``steps`` / ``ranks`` apply, not the pack's.  The
         emitted spec carries only resolved parameters — no scenario
         field — so it content-hashes identically to the equivalent
         explicit deck.  A ``backend`` that names no registered engine
@@ -336,18 +471,16 @@ class CampaignDeck:
                 k: v for k, v in self.base.items() if k != _SCENARIO_KEY
             }
             ic_params = dict(self.ic)
-            ranks, steps = self.ranks, self.steps
+            run = {"steps": self.steps, "ranks": self.ranks}
             if scenario_name is not None:
                 from repro.scenarios import get_scenario
 
                 pack = get_scenario(scenario_name)
-                config_params = {**pack.config, **config_params}
+                config_params = {**pack.base, **config_params}
                 ic_params = {**pack.ic, **ic_params}
             for key, value in point.items():
-                if key == "ranks":
-                    ranks = int(value)
-                elif key == "steps":
-                    steps = int(value)
+                if key in run:
+                    run[key] = value
                 elif key.startswith("ic."):
                     ic_params[key[3:]] = value
                 else:
@@ -358,11 +491,9 @@ class CampaignDeck:
                 RunSpec(
                     config=config,
                     ic=InitialCondition(**ic_params),
-                    ranks=ranks,
-                    steps=steps,
                     mode=self.mode,
                     campaign=self.name,
+                    **run,
                 )
             )
         return specs
-

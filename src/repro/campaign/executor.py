@@ -74,7 +74,7 @@ from repro.campaign.store import (
     CampaignStore,
     RunRecord,
 )
-from repro.core.solver import Solver
+from repro.core.solver import Solver, state_digest
 from repro.io.checkpoint import load_checkpoint
 from repro.machine.model import LASSEN, MachineSpec
 from repro.machine.patterns import step_time
@@ -293,6 +293,7 @@ class CampaignExecutor:
                 {"kind": "functional", "diagnostics": result["diagnostics"]},
                 elapsed=elapsed,
                 telemetry=telemetry,
+                digest=result["digest"],
             )
 
         try:
@@ -321,9 +322,13 @@ class CampaignExecutor:
         start = time.perf_counter()
         try:
             if spec.mode == "model":
-                result, resumed, telemetry = self._run_model(spec), 0, None
+                result, resumed, telemetry, digest = (
+                    self._run_model(spec), 0, None, None
+                )
             else:
-                result, resumed, telemetry = self._run_functional(spec, run_hash)
+                result, resumed, telemetry, digest = self._run_functional(
+                    spec, run_hash
+                )
         except Exception:
             return self.store.record_failed(
                 spec, traceback.format_exc(limit=20),
@@ -331,15 +336,15 @@ class CampaignExecutor:
             )
         return self.store.record_completed(
             spec, result, elapsed=time.perf_counter() - start,
-            resumed_from_step=resumed, telemetry=telemetry,
+            resumed_from_step=resumed, telemetry=telemetry, digest=digest,
         )
 
     def _run_functional(
         self, spec: RunSpec, run_hash: str
-    ) -> tuple[dict[str, Any], int, Optional[dict[str, Any]]]:
+    ) -> tuple[dict[str, Any], int, Optional[dict[str, Any]], str]:
         """Real solver run on simulated ranks, with checkpoint/resume;
-        returns the result, the step it resumed from and its telemetry
-        document (``None`` with telemetry off)."""
+        returns the result, the step it resumed from, its telemetry
+        document (``None`` with telemetry off) and its state digest."""
         ckpt_path = self.store.checkpoint_path(run_hash)
         resume_state = None
         if os.path.exists(ckpt_path):
@@ -393,7 +398,7 @@ class CampaignExecutor:
                     s.save_checkpoint(ckpt_path)
 
             solver.run(spec.steps - solver.step_count, on_step=on_step)
-            return solver.diagnostics()
+            return solver.diagnostics(), solver.pm.z.own, solver.pm.w.own
 
         trace = CommTrace() if self.telemetry else None
         t_run = time.perf_counter()
@@ -405,8 +410,9 @@ class CampaignExecutor:
         telemetry = (
             None if trace is None else build_run_telemetry(trace, elapsed=run_wall)
         )
-        result = {"kind": "functional", "diagnostics": results[0]}
-        return result, resumed_from, telemetry
+        result = {"kind": "functional", "diagnostics": results[0][0]}
+        digest = state_digest(*(a for r in results for a in r[1:]))
+        return result, resumed_from, telemetry, digest
 
     @staticmethod
     def _remove_checkpoint(path: str) -> None:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Iterator, Optional
 
 from repro.campaign.deck import RunSpec
-from repro.core.solver import NUMERICS_VERSION
+from repro.core.solver import NUMERICS_VERSION, arithmetic_canary
 from repro.telemetry.artifacts import atomic_write_json
 from repro.util.errors import ConfigurationError
 
@@ -82,7 +82,8 @@ class RunRecord:
     reads ``numerics=0``, which the scheduler treats as stale.  Unknown
     keys are ignored, so old and new writers can share one index file.
     A completed record written before telemetry moved into the index
-    reads ``telemetry=None``.
+    reads ``telemetry=None``, and one written before state digests
+    ``digest=None`` / ``host=None``.
     """
 
     run_hash: str
@@ -100,6 +101,11 @@ class RunRecord:
     #: A completed run's measured telemetry document
     #: (:func:`~repro.telemetry.artifacts.build_run_telemetry`).
     telemetry: Optional[dict[str, Any]] = None
+    #: A completed functional run's :func:`~repro.core.solver.state_digest`
+    #: and the :func:`~repro.core.solver.arithmetic_canary` of the host
+    #: that computed it; ``None`` for a model-mode run.
+    digest: Optional[str] = None
+    host: Optional[str] = None
 
     @property
     def skipped(self) -> bool:
@@ -323,9 +329,12 @@ class CampaignStore:
         elapsed: float = 0.0,
         resumed_from_step: int = 0,
         telemetry: Optional[dict[str, Any]] = None,
+        digest: Optional[str] = None,
     ) -> RunRecord:
         """Append the run's completed record, which carries its result,
-        its telemetry document and the current :data:`NUMERICS_VERSION`."""
+        its telemetry document, the current :data:`NUMERICS_VERSION` and,
+        for a functional run, its state ``digest`` beside this host's
+        arithmetic canary."""
         record = RunRecord(
             run_hash=spec.run_hash(),
             status=COMPLETED,
@@ -335,6 +344,8 @@ class CampaignStore:
             resumed_from_step=resumed_from_step,
             numerics=NUMERICS_VERSION,
             telemetry=telemetry,
+            digest=digest,
+            host=None if digest is None else arithmetic_canary(),
         )
         self.append(record)
         return record

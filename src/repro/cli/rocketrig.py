@@ -153,18 +153,6 @@ def _epilog() -> str:
     these exact lines through ``parse_args``), and the solver/backend
     lists come from the same registries that drive dispatch.
     """
-    from repro.scenarios import scenario_families
-
-    try:
-        families = scenario_families()
-    except ReproError:
-        # A malformed pack shouldn't take --help down with it; the
-        # run/validate paths still report the real error.
-        families = []
-    scenario_line = (
-        f"scenario packs (--scenario): families {', '.join(families)}"
-        if families else "scenario packs (--scenario): none found"
-    )
     return f"""\
 examples:
   rocketrig --nodes 64 --order low --ic multi_mode --steps 20
@@ -188,7 +176,6 @@ initial conditions (--ic): {", ".join(IC_CHOICES)} (default multi_mode)
 BR solvers (--br-solver):  {", ".join(available_br_solvers())} (default exact)
 compute backends (--backend): {", ".join(available_backends())} \
 (default: $REPRO_BACKEND or numpy)
-{scenario_line}
 
 Run --list-solvers / --list-backends / --list-scenarios to print the
 registries and exit.
@@ -426,7 +413,7 @@ def _run_params(
         from repro.scenarios import get_scenario
 
         pack = get_scenario(args.scenario)
-        config, ic = dict(pack.config), dict(pack.ic)
+        config, ic = dict(pack.base), dict(pack.ic)
         run = {"steps": pack.steps, "ranks": pack.ranks}
     else:
         _overlay(_FLAG_DEFAULTS, config, ic, run)
@@ -698,10 +685,12 @@ def run_campaign_from_args(args: argparse.Namespace) -> dict:
 
 def _print_scenarios() -> None:
     """The ``--list-scenarios`` table: registry with provenance."""
-    from repro.scenarios import iter_scenarios
+    from repro.scenarios import load_registry
 
     try:
-        scenarios = iter_scenarios()
+        scenarios = sorted(
+            load_registry().values(), key=lambda s: (s.family, s.name)
+        )
     except ReproError as exc:
         raise SystemExit(f"rocketrig: scenario registry error: {exc}")
     if not scenarios:

@@ -23,6 +23,8 @@ Typical use::
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -46,8 +48,9 @@ from repro.mpi.comm import Comm
 from repro.util.errors import ConfigurationError, RunDivergedError
 
 __all__ = [
-    "NUMERICS_VERSION", "SolverConfig", "Solver", "available_br_solvers",
-    "build_integrator", "check_health", "state_diagnostics",
+    "NUMERICS_VERSION", "SolverConfig", "Solver", "arithmetic_canary",
+    "available_br_solvers", "build_integrator", "check_health",
+    "state_diagnostics", "state_digest",
 ]
 
 #: Version of the numerics behind a stored result: the campaign store
@@ -57,6 +60,46 @@ __all__ = [
 #: ``TestParentPin`` (``tests/backend/test_panel_pool.py``), or to
 #: ``tests/golden/figures``.
 NUMERICS_VERSION = 1
+
+
+def state_digest(*arrays: np.ndarray) -> str:
+    """sha256 prefix of the arrays' bytes, in order: a run's final owned
+    ``z_0, w_0, z_1, w_1, …`` in rank order.  Equal digests mean
+    ``np.array_equal`` states."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a))
+    return h.hexdigest()[:16]
+
+
+@functools.cache
+def arithmetic_canary() -> str:
+    """Digest of this host's arithmetic for the operations a run uses
+    (BLAS GEMMs, einsum reductions, FFTs, powers), once per process.
+
+    A host whose SIMD/BLAS kernels round differently gets another
+    canary, so two runs' :func:`state_digest` values are comparable only
+    when their canaries agree.  The seven results are hashed one at a
+    time and the square root is taken in place: the same bytes as
+    hashing them together, at half the peak memory.
+    """
+    rng = np.random.default_rng(7)
+    a, b = rng.normal(size=(256, 256)), rng.normal(size=(256, 6))
+    d = rng.normal(size=(40, 1600, 3))
+
+    def root_of_square():
+        t = d * d
+        return np.sqrt(t, out=t)
+
+    h = hashlib.sha256()
+    for result in (
+        lambda: a @ b, lambda: a @ a, lambda: np.einsum("ijk,ijk->ij", d, d),
+        lambda: np.einsum("ij,ij->i", d[0], d[0]),
+        lambda: (d * d + 0.1) ** -1.5, lambda: np.fft.fft(d[..., 0], axis=1),
+        root_of_square,
+    ):
+        h.update(np.ascontiguousarray(result()))
+    return h.hexdigest()[:16]
 
 
 @dataclass(frozen=True)

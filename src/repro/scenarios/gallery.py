@@ -19,8 +19,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.scenarios.loader import Scenario
-from repro.scenarios.registry import _builtin_root, iter_scenarios
+from repro.batch import fleet_key
+from repro.campaign import CampaignDeck
+from repro.scenarios import BUILTIN_ROOT, load_registry
 
 __all__ = ["build_gallery", "default_gallery_path", "main"]
 
@@ -40,7 +41,7 @@ advances the fleet-eligible ones together
 """
 
 
-def _ic_summary(scenario: Scenario) -> str:
+def _ic_summary(scenario: CampaignDeck) -> str:
     ic = scenario.ic
     parts = [str(ic.get("kind", "single_mode"))]
     if "magnitude" in ic:
@@ -52,15 +53,15 @@ def _ic_summary(scenario: Scenario) -> str:
     return " ".join(parts)
 
 
-def _row(scenario: Scenario) -> str:
-    cfg = scenario.config
+def _row(scenario: CampaignDeck) -> str:
+    cfg = scenario.base
     nodes = cfg.get("num_nodes", (64, 64))
     periodic = cfg.get("periodic", (True, True))
     bc = "periodic" if all(periodic) else "free"
     solver = cfg.get("order", "low")
     if solver in ("medium", "high"):
         solver += f"/{cfg.get('br_solver', 'exact')}"
-    fleet = "yes" if scenario.fleet_key() else "no"
+    fleet = "yes" if fleet_key(scenario.expand()[0].config) else "no"
     return (
         f"| `{scenario.name}` | {nodes[0]}×{nodes[1]} {bc} | {solver} "
         f"| {_ic_summary(scenario)} | {scenario.steps}×{scenario.ranks} "
@@ -68,13 +69,11 @@ def _row(scenario: Scenario) -> str:
     )
 
 
-def build_gallery(scenarios: Optional[Sequence[Scenario]] = None) -> str:
-    """Render the gallery markdown for the given (default: all) packs."""
-    if scenarios is None:
-        scenarios = iter_scenarios()
+def build_gallery() -> str:
+    """Render the gallery markdown for every registered pack."""
     lines = [_HEADER]
-    families: dict[str, list[Scenario]] = {}
-    for scenario in scenarios:
+    families: dict[str, list[CampaignDeck]] = {}
+    for scenario in load_registry().values():
         families.setdefault(scenario.family, []).append(scenario)
     for family in sorted(families):
         members = sorted(families[family], key=lambda s: s.name)
@@ -103,13 +102,7 @@ def build_gallery(scenarios: Optional[Sequence[Scenario]] = None) -> str:
 
 def default_gallery_path() -> Path:
     """``docs/scenario_gallery.md`` next to the builtin pack root."""
-    root = _builtin_root()
-    if root is None:
-        raise SystemExit(
-            "scenario-gallery: no builtin scenarios/ root found; pass "
-            "--out explicitly"
-        )
-    return root.parent / "docs" / "scenario_gallery.md"
+    return BUILTIN_ROOT.parent / "docs" / "scenario_gallery.md"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -9,7 +9,6 @@ module's ``_helper_threads`` hook, so the tests mean the same thing on
 one CPU as on many.
 """
 
-import hashlib
 import os
 import signal
 import sys
@@ -26,6 +25,8 @@ from repro.backend.blocked import BlockedBackend
 from repro.batch import ScenarioFleet
 from repro.core import InitialCondition, Solver, SolverConfig
 from repro.core.diagnostics import gather_global_state
+from repro.core.solver import arithmetic_canary as _arithmetic_canary
+from repro.core.solver import state_digest as _digest
 
 IC = InitialCondition(kind="multi_mode", magnitude=0.05, period=3)
 
@@ -322,24 +323,6 @@ PARENT_FLEET_STATES = {
 #: SIMD/BLAS kernels round differently reproduces neither this nor the
 #: states above, so the pin is skipped there instead of failing.
 ARITHMETIC_CANARY = "9ead8a9764082226"
-
-
-def _digest(*arrays):
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()[:16]
-
-
-def _arithmetic_canary():
-    rng = np.random.default_rng(7)
-    a, b = rng.normal(size=(256, 256)), rng.normal(size=(256, 6))
-    d = rng.normal(size=(40, 1600, 3))
-    return _digest(
-        a @ b, a @ a, np.einsum("ijk,ijk->ij", d, d),
-        np.einsum("ij,ij->i", d[0], d[0]), (d * d + 0.1) ** -1.5,
-        np.fft.fft(d[..., 0], axis=1), np.sqrt(d * d),
-    )
 
 
 class TestParentPin:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.backend import available_backends
 from repro.campaign import CampaignDeck, RunSpec
+from repro.campaign.deck import DeckError
 from repro.core import InitialCondition, SolverConfig
 from repro.util.errors import ConfigurationError
 
@@ -122,6 +123,88 @@ class TestValidation:
             RunSpec(SolverConfig(), InitialCondition(), mode="dream")
 
 
+class TestRunCounts:
+    """``steps`` / ``ranks`` are positive integers wherever they are set:
+    ``True`` or ``2.0`` would otherwise hash as a run distinct from
+    ``1`` or ``2``, and ``"3"`` failed as a bare ``TypeError``."""
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"steps": True}, "steps"),
+        ({"steps": 2.0}, "steps"),
+        ({"steps": "3"}, "steps"),
+        ({"steps": 0}, "steps"),
+        ({"ranks": True}, "ranks"),
+        ({"ranks": 2.0}, "ranks"),
+        ({"grid": {"ranks": [2.5, "3"]}}, "grid.ranks"),
+        ({"grid": {"steps": [1, False]}}, "grid.steps"),
+        ({"grid": {}, "zip": {"ranks": [1, -2]}}, "zip.ranks"),
+    ])
+    def test_non_integers_rejected(self, overrides, field):
+        with pytest.raises(DeckError, match="positive integer") as err:
+            make_deck(**overrides)
+        assert err.value.field == field
+
+    def test_pack_run_steps_rejected(self):
+        with pytest.raises(DeckError) as err:
+            CampaignDeck.from_dict({"run": {"steps": True}})
+        assert err.value.field == "run.steps"
+
+
+class TestPackLayout:
+    """A scenario pack is a deck: ``config`` is ``base`` and ``run``
+    holds ``steps`` / ``ranks``; mixing the layouts is an error."""
+
+    PACK = {
+        "name": "p", "family": "f", "tags": ["t"],
+        "provenance": {"source": "s", "section": "1"},
+        "config": {"order": "low", "num_nodes": [16, 16]},
+        "ic": {"kind": "flat"},
+        "run": {"steps": 3, "ranks": 2},
+    }
+
+    def test_pack_reads_as_deck(self):
+        pack = CampaignDeck.from_dict(self.PACK)
+        assert pack.base == self.PACK["config"]
+        assert (pack.steps, pack.ranks) == (3, 2)
+        assert pack.citation() == "s, 1"
+        (spec,) = pack.expand()
+        explicit = make_deck(
+            mode="functional", steps=3, ranks=2, base=self.PACK["config"],
+            ic={"kind": "flat"}, grid={},
+        ).expand()[0]
+        assert spec.run_hash() == explicit.run_hash()
+
+    @pytest.mark.parametrize("extra,field", [
+        ({"base": {"order": "low"}}, "config"),
+        ({"steps": 3}, "run.steps"),
+        ({"run": {"steps": 3, "budget": 1}}, "run.budget"),
+    ])
+    def test_mixed_layouts_rejected(self, extra, field):
+        with pytest.raises(DeckError) as err:
+            CampaignDeck.from_dict({**self.PACK, **extra})
+        assert err.value.field == field
+
+    def test_toml_file_reads_like_json(self, tmp_path):
+        toml = tmp_path / "sweep.toml"
+        toml.write_text(
+            'mode = "model"\nsteps = 2\n[base]\norder = "low"\n'
+            'num_nodes = [32, 32]\n[grid]\nranks = [4, 16]\n'
+        )
+        as_json = make_deck(ic={}, grid={"ranks": [4, 16]})
+        assert [s.run_hash() for s in CampaignDeck.from_file(toml).expand()] == [
+            s.run_hash() for s in as_json.expand()
+        ]
+        assert CampaignDeck.from_file(toml).name == "sweep"
+
+    def test_file_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"steps": 2.5}')
+        with pytest.raises(DeckError) as err:
+            CampaignDeck.from_file(path)
+        assert (err.value.path, err.value.field) == (str(path), "steps")
+        assert str(err.value).startswith(f"{path}, field 'steps': ")
+
+
 class TestBackendField:
     """An engine name no registry answers to is a bad deck, rejected
     before anything is stored — not one memoized failed run per point."""
@@ -208,7 +291,7 @@ class TestScenarioAxis:
         spec = deck.expand()[0]
         pack = get_scenario("cfl-tight")
         explicit = RunSpec(
-            config=build_config(pack.config),
+            config=build_config(pack.base),
             ic=InitialCondition(**pack.ic),
             ranks=1, steps=2, mode="functional",
         )

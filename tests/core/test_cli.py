@@ -1,6 +1,7 @@
 """The rocketrig command-line driver."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,13 +329,21 @@ class TestScenarioFlags:
         assert build_parser().parse_args([]).scenario is None
 
     def test_list_scenarios(self, capsys):
-        from repro.scenarios import iter_scenarios
+        from repro.scenarios import load_registry
 
         assert main(["--list-scenarios"]) == 0
         out = capsys.readouterr().out
-        for scenario in iter_scenarios():
+        for scenario in load_registry().values():
             assert scenario.name in out
         assert "conf_sc_StewartB24" in out
+
+    def test_list_scenarios_matches_golden(self, capsys, monkeypatch):
+        """The table matches ``tests/golden/list_scenarios.txt`` byte
+        for byte."""
+        monkeypatch.delenv("REPRO_SCENARIO_PATH", raising=False)
+        golden = Path(__file__).parents[1] / "golden" / "list_scenarios.txt"
+        assert main(["--list-scenarios"]) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_epilog_advertises_scenarios(self):
         epilog = build_parser().epilog

@@ -1,25 +1,25 @@
 """Every shipped scenario pack: loads, validates, cites the paper."""
 
+from dataclasses import replace
 from pathlib import Path
 
 from repro.batch import fleet_key
 from repro.campaign import RunSpec
-from repro.scenarios import (
-    get_scenario,
-    iter_scenarios,
-    load_registry,
-    pack_roots,
-    scenario_families,
-)
+from repro.scenarios import BUILTIN_ROOT, get_scenario, load_registry
 from repro.scenarios.gallery import build_gallery, default_gallery_path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 PACK_DIR = REPO_ROOT / "scenarios"
 
 
+def numpy_fleet_key(pack):
+    """Fleet eligibility of the pack's one run on the numpy engine."""
+    return fleet_key(replace(pack.expand()[0].config, backend="numpy"))
+
+
 class TestShippedPacks:
     def test_builtin_root_is_repo_scenarios_dir(self):
-        assert PACK_DIR.resolve() in {p.resolve() for p in pack_roots()}
+        assert PACK_DIR.resolve() == BUILTIN_ROOT.resolve()
 
     def test_registry_loads_every_shipped_pack(self):
         registry = load_registry()
@@ -44,14 +44,13 @@ class TestShippedPacks:
             assert scenario.citation().startswith("conf_sc_StewartB24, ")
 
     def test_required_families_ship(self):
-        families = set(scenario_families())
+        families = {s.family for s in load_registry().values()}
         assert {"single_mode", "multi_mode", "convergence",
                 "atwood", "cfl"} <= families
 
     def test_every_pack_materializes(self):
         for scenario in load_registry().values():
-            config = scenario.solver_config()
-            ic = scenario.initial_condition()
+            config, ic = scenario.expand()[0].config, scenario.expand()[0].ic
             assert config.num_nodes[0] > 0
             assert ic.magnitude > 0
             spec = RunSpec(config=config, ic=ic, ranks=scenario.ranks,
@@ -60,14 +59,15 @@ class TestShippedPacks:
 
     def test_packs_never_pin_a_backend(self):
         for scenario in load_registry().values():
-            assert "backend" not in scenario.config
+            assert "backend" not in scenario.base
 
 
 class TestFamilies:
     def test_filtering_by_family_and_tag(self):
-        atwood = [s.name for s in iter_scenarios(family="atwood")]
+        packs = load_registry().values()
+        atwood = [s.name for s in packs if s.family == "atwood"]
         assert atwood == ["atwood-high", "atwood-low", "atwood-mid"]
-        fleet = [s.name for s in iter_scenarios(tag="fleet")]
+        fleet = [s.name for s in packs if "fleet" in s.tags]
         assert set(atwood) <= set(fleet)
 
     def test_sweep_families_share_one_fleet_key(self):
@@ -75,8 +75,8 @@ class TestFamilies:
         every member of a family must ride one ScenarioFleet."""
         for family in ("atwood", "cfl"):
             keys = {
-                s.fleet_key(backend="numpy")
-                for s in iter_scenarios(family=family)
+                numpy_fleet_key(s)
+                for s in load_registry().values() if s.family == family
             }
             assert len(keys) == 1
             assert None not in keys
@@ -85,8 +85,8 @@ class TestFamilies:
         # The cutoff solver is approximate: fleet batching would change
         # results, so fleet_key refuses it.
         pack = get_scenario("singlemode-rollup")
-        assert pack.config["br_solver"] == "cutoff"
-        assert pack.fleet_key(backend="numpy") is None
+        assert pack.base["br_solver"] == "cutoff"
+        assert numpy_fleet_key(pack) is None
 
 
 class TestGallery:
@@ -96,6 +96,6 @@ class TestGallery:
 
     def test_gallery_names_every_pack(self):
         gallery = build_gallery()
-        for name in [s.name for s in iter_scenarios()]:
+        for name in [s.name for s in load_registry().values()]:
             assert f"`{name}`" in gallery
         assert "conf_sc_StewartB24" in gallery

@@ -18,8 +18,9 @@ from repro.campaign import (
     CampaignStore,
     RunSpec,
 )
+from repro.campaign.deck import build_config
 from repro.core import InitialCondition, SolverConfig
-from repro.scenarios import get_scenario
+from repro.scenarios import get_scenario, load_registry
 
 
 def _deck_spec(name, ranks, steps):
@@ -29,6 +30,34 @@ def _deck_spec(name, ranks, steps):
         "steps": steps, "base": {"scenario": name},
     }).expand()
     return spec
+
+
+#: Run hash of each pack's one run (its own steps / ranks).  A change in
+#: how packs are read must move none: each is a store entry's address.
+PACK_HASHES = {
+    "atwood-high": "eb26c3246e7f3aeb",
+    "atwood-low": "85ddbadea94cb9b4",
+    "atwood-mid": "c94a6666f5a525c1",
+    "cfl-loose": "05bc6a5f0cd1825b",
+    "cfl-tight": "6c62144544342f62",
+    "gaussian-convergence": "ff90f024af14a4b6",
+    "sech2-convergence": "6baa015ee7cafeac",
+    "multimode-free": "ab98b8b311fe62c8",
+    "multimode-periodic": "a9a4ae9c3806f7bf",
+    "multimode-quickstart": "27a9cf237ca8d3cc",
+    "singlemode-periodic": "6a2aaf0fad4f54d2",
+    "singlemode-rollup": "35a05def4be6808a",
+}
+
+
+def test_every_shipped_pack_is_pinned():
+    assert sorted(load_registry()) == sorted(PACK_HASHES)
+
+
+@pytest.mark.parametrize("name", sorted(PACK_HASHES))
+def test_pack_run_hash_is_pinned(name):
+    (spec,) = get_scenario(name).expand()
+    assert spec.run_hash() == PACK_HASHES[name]
 
 
 class TestPaperScenarioParity:
@@ -53,8 +82,8 @@ class TestPaperScenarioParity:
         hand_ic = InitialCondition(kind="single_mode", magnitude=0.12,
                                    period=0.5)
         pack = get_scenario("singlemode-rollup")
-        assert pack.solver_config() == hand_config
-        assert pack.initial_condition() == hand_ic
+        assert pack.expand()[0].config == hand_config
+        assert pack.expand()[0].ic == hand_ic
         assert pack.ranks == 4 and pack.steps == 60
         hand_spec = RunSpec(config=hand_config, ic=hand_ic, ranks=4,
                             steps=60, mode="functional")
@@ -74,8 +103,8 @@ class TestPaperScenarioParity:
         hand_ic = InitialCondition(kind="multi_mode", magnitude=0.02,
                                    period=4, seed=11)
         pack = get_scenario("multimode-periodic")
-        assert pack.solver_config() == hand_config
-        assert pack.initial_condition() == hand_ic
+        assert pack.expand()[0].config == hand_config
+        assert pack.expand()[0].ic == hand_ic
         hand_spec = RunSpec(config=hand_config, ic=hand_ic, ranks=4,
                             steps=20, mode="functional")
         assert _deck_spec("multimode-periodic", 4, 20).run_hash() == hand_spec.run_hash()
@@ -85,8 +114,8 @@ class TestPaperScenarioParity:
         # (runs on different engines are distinct records), but the
         # pack itself never pins one.
         pack = get_scenario("multimode-periodic")
-        default = pack.solver_config()
-        named = pack.solver_config(backend="numpy")
+        default = pack.expand()[0].config
+        named = build_config({**pack.base, "backend": "numpy"})
         assert default.backend == "auto"
         assert named.backend == "numpy"
 
@@ -155,8 +184,8 @@ class TestDeckParity:
         args = build_parser().parse_args(["--scenario", "atwood-low"])
         config, ic, steps, ranks = _run_params(args)
         pack = get_scenario("atwood-low")
-        assert config == pack.solver_config(backend="auto")
-        assert ic == pack.initial_condition()
+        assert config == pack.expand()[0].config
+        assert ic == pack.expand()[0].ic
         assert (steps, ranks) == (pack.steps, pack.ranks)
 
     def test_cli_flag_overrides_pack_field(self):

@@ -1,16 +1,13 @@
-"""Registry roots/lookup and the loader's malformed-pack error paths."""
+"""Registry roots/lookup and the malformed-pack error paths."""
 
 import json
+import os
 
 import pytest
 
-from repro.scenarios import (
-    get_scenario,
-    iter_scenarios,
-    load_registry,
-    scenario_families,
-)
-from repro.scenarios.loader import ScenarioPackError, load_pack
+from repro.campaign import CampaignDeck
+from repro.campaign.deck import DeckError
+from repro.scenarios import get_scenario, load_registry
 from repro.util.errors import ConfigurationError
 
 VALID = {
@@ -30,40 +27,40 @@ def write_pack(directory, name="tiny-pack", **overrides):
 
 
 class TestRoots:
-    def test_explicit_roots(self, tmp_path):
-        write_pack(tmp_path)
-        registry = load_registry(roots=[tmp_path])
-        assert list(registry) == ["tiny-pack"]
-
     def test_env_roots_extend_builtin(self, tmp_path, monkeypatch):
         write_pack(tmp_path, name="local-extra")
         monkeypatch.setenv("REPRO_SCENARIO_PATH", str(tmp_path))
-        names = [s.name for s in iter_scenarios()]
+        names = [s.name for s in load_registry().values()]
         assert "local-extra" in names
         assert "singlemode-rollup" in names  # builtin packs still there
 
-    def test_duplicate_name_across_roots_is_an_error(self, tmp_path):
+    def test_duplicate_name_across_roots_is_an_error(self, tmp_path, monkeypatch):
         root_a = tmp_path / "a"
         root_b = tmp_path / "b"
         root_a.mkdir()
         root_b.mkdir()
         path_a = write_pack(root_a)
         path_b = write_pack(root_b)
-        with pytest.raises(ScenarioPackError) as err:
-            load_registry(roots=[root_a, root_b])
+        monkeypatch.setenv("REPRO_SCENARIO_PATH",
+                           f"{root_a}{os.pathsep}{root_b}")
+        with pytest.raises(DeckError) as err:
+            load_registry()
         assert str(path_a) in str(err.value)
         assert str(path_b) in str(err.value)
 
-    def test_missing_root_is_empty_not_fatal(self, tmp_path):
-        assert load_registry(roots=[tmp_path / "absent"]) == {}
+    def test_missing_root_is_empty_not_fatal(self, tmp_path, monkeypatch):
+        builtin = load_registry()
+        monkeypatch.setenv("REPRO_SCENARIO_PATH", str(tmp_path / "absent"))
+        assert load_registry() == builtin
 
 
 class TestLookup:
-    def test_get_scenario(self, tmp_path):
+    def test_get_scenario(self, tmp_path, monkeypatch):
         write_pack(tmp_path)
-        pack = get_scenario("tiny-pack", roots=[tmp_path])
+        monkeypatch.setenv("REPRO_SCENARIO_PATH", str(tmp_path))
+        pack = get_scenario("tiny-pack")
         assert pack.family == "test"
-        assert pack.solver_config().dt == 0.002
+        assert pack.expand()[0].config.dt == 0.002
 
     def test_unknown_name_suggests_close_matches(self):
         with pytest.raises(ConfigurationError) as err:
@@ -72,41 +69,30 @@ class TestLookup:
         assert "did you mean" in message
         assert "atwood-low" in message
 
-    def test_filters(self, tmp_path):
-        write_pack(tmp_path, name="tagged-one", tags=["alpha"])
-        write_pack(tmp_path, name="tagged-two", family="other",
-                   tags=["alpha", "beta"])
-        roots = [tmp_path]
-        assert [s.name for s in iter_scenarios(tag="alpha", roots=roots)] == [
-            "tagged-two", "tagged-one"
-        ] or [s.name for s in iter_scenarios(tag="alpha", roots=roots)] == [
-            "tagged-one", "tagged-two"
-        ]
-        assert [s.name for s in iter_scenarios(family="other", roots=roots)] == [
-            "tagged-two"
-        ]
-        assert scenario_families(roots=roots) == ["other", "test"]
-
 
 class TestMalformedPacks:
+    @pytest.fixture(autouse=True)
+    def pack_root(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SCENARIO_PATH", str(tmp_path))
+
     def test_unknown_config_field(self, tmp_path):
         path = write_pack(tmp_path, config={"num_nodes": [8, 8],
                                             "atwod": 0.5})
-        with pytest.raises(ScenarioPackError) as err:
-            load_pack(path)
+        with pytest.raises(DeckError) as err:
+            load_registry()
         assert err.value.field == "config.atwod"
-        assert err.value.pack == str(path)
+        assert err.value.path == str(path)
 
     def test_machine_field_backend_forbidden(self, tmp_path):
         path = write_pack(tmp_path, config={"num_nodes": [8, 8],
                                             "backend": "numpy"})
-        with pytest.raises(ScenarioPackError, match="machine-specific"):
-            load_pack(path)
+        with pytest.raises(DeckError, match="machine-specific"):
+            load_registry()
 
     def test_unknown_ic_field(self, tmp_path):
         path = write_pack(tmp_path, ic={"kind": "flat", "wavelength": 2})
-        with pytest.raises(ScenarioPackError) as err:
-            load_pack(path)
+        with pytest.raises(DeckError) as err:
+            load_registry()
         assert err.value.field == "ic.wavelength"
 
     def test_constructor_rejections_surface_as_pack_errors(self, tmp_path):
@@ -115,83 +101,83 @@ class TestMalformedPacks:
         path = write_pack(
             tmp_path, ic={"kind": "single_mode", "magnitude": -1.0}
         )
-        with pytest.raises(ScenarioPackError, match="magnitude"):
-            load_pack(path)
+        with pytest.raises(DeckError, match="magnitude"):
+            load_registry()
 
     def test_missing_provenance(self, tmp_path):
         data = {k: v for k, v in VALID.items() if k != "provenance"}
         path = tmp_path / "tiny-pack.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ScenarioPackError) as err:
-            load_pack(path)
+        with pytest.raises(DeckError) as err:
+            load_registry()
         assert err.value.field == "provenance"
 
     def test_provenance_without_citation(self, tmp_path):
         path = write_pack(
             tmp_path, provenance={"source": "conf_sc_StewartB24"}
         )
-        with pytest.raises(ScenarioPackError, match="cite where"):
-            load_pack(path)
+        with pytest.raises(DeckError, match="cite where"):
+            load_registry()
 
     def test_provenance_without_source(self, tmp_path):
         path = write_pack(tmp_path, provenance={"section": "§1"})
-        with pytest.raises(ScenarioPackError) as err:
-            load_pack(path)
+        with pytest.raises(DeckError) as err:
+            load_registry()
         assert err.value.field == "provenance.source"
 
     def test_unknown_top_level_key(self, tmp_path):
         path = write_pack(tmp_path, color="blue")
-        with pytest.raises(ScenarioPackError, match="unknown keys"):
-            load_pack(path)
+        with pytest.raises(DeckError, match="unknown keys"):
+            load_registry()
 
     def test_name_must_match_file_stem(self, tmp_path):
         path = tmp_path / "other-name.json"
         path.write_text(json.dumps(VALID))
-        with pytest.raises(ScenarioPackError, match="file stem"):
-            load_pack(path)
+        with pytest.raises(DeckError, match="file stem"):
+            load_registry()
 
     def test_bad_name_characters(self, tmp_path):
         data = {**VALID, "name": "Bad Name"}
         path = tmp_path / "Bad Name.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ScenarioPackError) as err:
-            load_pack(path)
+        with pytest.raises(DeckError) as err:
+            load_registry()
         assert err.value.field == "name"
 
     def test_json_parse_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        with pytest.raises(ScenarioPackError, match="parse error"):
-            load_pack(path)
+        with pytest.raises(DeckError, match="parse error"):
+            load_registry()
 
     def test_toml_parse_error(self, tmp_path):
         path = tmp_path / "broken.toml"
         path.write_text("name = [unclosed")
-        with pytest.raises(ScenarioPackError, match="parse error"):
-            load_pack(path)
+        with pytest.raises(DeckError, match="parse error"):
+            load_registry()
 
     def test_unsupported_suffix(self, tmp_path):
         path = tmp_path / "pack.yaml"
         path.write_text("name: nope")
-        with pytest.raises(ScenarioPackError, match="unsupported pack type"):
-            load_pack(path)
+        with pytest.raises(DeckError, match="unsupported pack type"):
+            CampaignDeck.from_file(path)
 
     def test_non_positive_run_steps(self, tmp_path):
         path = write_pack(tmp_path, run={"steps": 0})
-        with pytest.raises(ScenarioPackError) as err:
-            load_pack(path)
+        with pytest.raises(DeckError) as err:
+            load_registry()
         assert err.value.field == "run.steps"
 
     def test_unknown_run_key(self, tmp_path):
         path = write_pack(tmp_path, run={"steps": 2, "budget": 100})
-        with pytest.raises(ScenarioPackError) as err:
-            load_pack(path)
+        with pytest.raises(DeckError) as err:
+            load_registry()
         assert err.value.field == "run.budget"
 
     def test_bad_tags(self, tmp_path):
         path = write_pack(tmp_path, tags=["ok", 3])
-        with pytest.raises(ScenarioPackError) as err:
-            load_pack(path)
+        with pytest.raises(DeckError) as err:
+            load_registry()
         assert err.value.field == "tags"
 
     def test_duplicate_name_in_one_root(self, tmp_path):
@@ -203,5 +189,39 @@ class TestMalformedPacks:
             '[config]\nnum_nodes = [8, 8]\n'
             '[ic]\nkind = "flat"\n'
         )
-        with pytest.raises(ScenarioPackError, match="duplicate scenario"):
-            load_registry(roots=[tmp_path])
+        with pytest.raises(DeckError, match="duplicate scenario"):
+            load_registry()
+
+    def test_pack_sweeps_no_axes(self, tmp_path):
+        path = write_pack(tmp_path, grid={"atwood": [0.1, 0.2]})
+        with pytest.raises(DeckError, match="sweeps no axes") as err:
+            load_registry()
+        assert err.value.path == str(path)
+
+    def test_pack_names_no_other_pack(self, tmp_path):
+        write_pack(tmp_path, config={"num_nodes": [8, 8],
+                                     "scenario": "atwood-low"})
+        with pytest.raises(DeckError) as err:
+            load_registry()
+        assert err.value.field == "config.scenario"
+
+    def test_every_malformed_pack_is_reported_at_once(self, tmp_path):
+        bad_steps = write_pack(tmp_path, name="bad-steps", run={"steps": 0})
+        bad_tags = write_pack(tmp_path, name="bad-tags", tags=[3])
+        write_pack(tmp_path, name="fine")
+        with pytest.raises(ConfigurationError) as err:
+            load_registry()
+        message = str(err.value)
+        assert "2 malformed scenario packs" in message
+        assert f"{bad_steps}, field 'run.steps'" in message
+        assert f"{bad_tags}, field 'tags'" in message
+
+    def test_list_scenarios_exits_nonzero_naming_the_file(self, tmp_path):
+        from repro.cli.rocketrig import main
+
+        path = write_pack(tmp_path, provenance={"source": "x"})
+        with pytest.raises(SystemExit) as exit_:
+            main(["--list-scenarios"])
+        # A string code is printed to stderr and exits with status 1.
+        assert isinstance(exit_.value.code, str)
+        assert str(path) in exit_.value.code
