@@ -78,7 +78,8 @@ class ArrayBackend(abc.ABC):
         out: np.ndarray,
         *,
         symmetric: bool = False,
-    ) -> None:
+        cutoff2: "np.ndarray | None" = None,
+    ) -> "np.ndarray | None":
         """Accumulate dense BR velocities into ``out`` (``(B, nt, 3)``).
 
         ``out[b, i] += prefactor[b] · Σ_j ω_j × (t_i − s_j) / (r² + ε²)^{3/2}``
@@ -90,6 +91,18 @@ class ArrayBackend(abc.ABC):
         ``sources`` are the *same point set* in the same order; backends
         may exploit the shared pair geometry (``r_ij = r_ji``) to halve
         the distance work.  It is a hint: ignoring it is always correct.
+
+        ``cutoff2`` (a ``(B,)`` vector like ``eps2``) turns the sum into
+        the cutoff solver's: a pair whose ``r² > cutoff2[b]`` gets weight
+        zero, where ``r²`` is the one the weight uses, before ε² is added
+        (so the boundary is inclusive).  The call then returns the
+        ``(B,)`` int64 count of pairs kept, counted as the cell list's
+        CSR lists count them: ordered pairs, a point with itself
+        included.  Without it every pair is summed, the operations are
+        those of the unmasked kernel, and the call returns ``None``.  An
+        engine may measure ``r²`` on shifted coordinates (the blocked one
+        centres them), so a pair within round-off of the cutoff may be
+        classified differently from the cell-list search.
         """
 
     @abc.abstractmethod

@@ -25,7 +25,9 @@ kernels do, and why:
    source centroid first so the decomposition stays well-conditioned,
    and exactly-coincident pairs (``r² == 0``) get weight zero —
    preserving the exact-zero self-interaction of the direct
-   formulation, whose numerator the fused form never computes.
+   formulation, whose numerator the fused form never computes.  The
+   cutoff solver's mask (``cutoff2``) zeroes the weight of every pair
+   beyond the cutoff: one compare and one product more per panel.
 
 3. **Pair symmetry.**  When targets and sources are the same point set
    (the exact solver's own-block hop), panel ``(I, J)`` is the
@@ -122,9 +124,11 @@ def _drop_pool_in_child() -> None:
 os.register_at_fork(after_in_child=_drop_pool_in_child)
 
 
-def _panel_products(panels, t1, s1, rhs, eps2, mirror, size) -> list:
+def _panel_products(panels, t1, s1, rhs, eps2, cut2, mirror, size) -> list:
     """``w @ rhs[J]`` per ``(fleet, i0, i1, j0, j1)`` panel, plus
-    ``w.T @ rhs[I]`` for an off-diagonal mirrored one (else ``None``).
+    ``w.T @ rhs[I]`` for an off-diagonal mirrored one (else ``None``),
+    plus, with a ``cut2`` mask, each scenario's count of pairs within it
+    (else ``None``).
 
     Runs on any thread: the ``size``-element scratch panels are the
     calling thread's own and every input is only read.
@@ -132,9 +136,10 @@ def _panel_products(panels, t1, s1, rhs, eps2, mirror, size) -> list:
     bufs = getattr(_scratch, "bufs", None)
     if bufs is None or bufs[0].size < size:
         bufs = _scratch.bufs = (
-            np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+            np.empty(size), np.empty(size), np.empty(size, dtype=bool),
+            np.empty(size, dtype=bool),
         )
-    r2_buf, w_buf, hit_buf = bufs
+    r2_buf, w_buf, hit_buf, keep_buf = bufs
     products = []
     for fleet, i0, i1, j0, j1 in panels:
         e = eps2[fleet]
@@ -150,6 +155,15 @@ def _panel_products(panels, t1, s1, rhs, eps2, mirror, size) -> list:
             np.matmul(tp[:, axis], sp[:, axis], out=w)
             np.multiply(w, w, out=w)
             r2 += w
+        kept = None
+        if cut2 is not None:
+            keep = keep_buf[:n].reshape(shape)
+            np.less_equal(r2, cut2[fleet], out=keep)
+            # A plain count is 4x faster than the per-axis one.
+            kept = (
+                np.array([np.count_nonzero(keep)]) if shape[0] == 1
+                else np.count_nonzero(keep, axis=(1, 2))
+            )
         r2 += e
         # r² + ε² == ε² marks a coincident pair, whose numerator
         # ω × (t − s) vanishes: the fused reduction never forms it, so
@@ -160,10 +174,16 @@ def _panel_products(panels, t1, s1, rhs, eps2, mirror, size) -> list:
         with np.errstate(divide="ignore"):            # ε = 0 self-pairs
             np.divide(1.0, w, out=w)
         np.copyto(w, 0.0, where=hit)
+        if cut2 is not None:
+            # A product, not a masked copy: ``copyto(where=)`` branches
+            # per element, and on the cutoff mask, dense and irregular
+            # where ``hit`` is sparse, that is 6x slower.  Beyond the
+            # cutoff w is finite, so the product is exactly 0.
+            np.multiply(w, keep, out=w)
         mirrored = None
         if mirror and j0 > i0:
             mirrored = w.transpose(0, 2, 1) @ rhs[fleet, i0:i1]
-        products.append((w @ rhs[fleet, j0:j1], mirrored))
+        products.append((w @ rhs[fleet, j0:j1], mirrored, kept))
     return products
 
 
@@ -200,7 +220,8 @@ class BlockedBackend(ArrayBackend):
         out: np.ndarray,
         *,
         symmetric: bool = False,
-    ) -> None:
+        cutoff2: "np.ndarray | None" = None,
+    ) -> "np.ndarray | None":
         """Panelled BR accumulation over a stack of scenarios.
 
         Scenarios advance in chunks whose combined ``tile x tile`` panel
@@ -215,13 +236,20 @@ class BlockedBackend(ArrayBackend):
         formed on every core and reduced in serial order (point 5 of the
         module docstring), staging about one wave of whole chunks at a
         time, so memory is flat in the stack size: no pair-sized
-        temporary outgrows a panel.
+        temporary outgrows a panel.  A ``cutoff2`` mask is one compare
+        and one product more per panel, and the pair counts ride back
+        with the products.
         """
         nb, nt, ns = targets.shape[0], targets.shape[1], sources.shape[1]
+        kept = None if cutoff2 is None else np.zeros(nb, dtype=np.int64)
         if nb == 0 or nt == 0 or ns == 0:
-            return
+            return kept
         eps2 = np.asarray(eps2, dtype=np.float64).reshape(nb, 1, 1)
         pref = np.asarray(prefactor, dtype=np.float64).reshape(nb, 1, 1)
+        cut2 = (
+            None if cutoff2 is None
+            else np.asarray(cutoff2, dtype=np.float64).reshape(nb, 1, 1)
+        )
         mirror = symmetric and nt == ns
         b = self.tile
         edge_t, edge_s = min(b, nt), min(b, ns)
@@ -241,11 +269,13 @@ class BlockedBackend(ArrayBackend):
         span = chunk * max(1, _WAVE * stride // len(blocks))
         if span < nb:       # a scenario's panels do not depend on the cut
             for s in (slice(s0, s0 + span) for s0 in range(0, nb, span)):
-                self.br_allpairs(
+                part = self.br_allpairs(
                     targets[s], sources[s], omega[s], eps2[s], pref[s], out[s],
-                    symmetric=symmetric,
+                    symmetric=symmetric, cutoff2=None if cut2 is None else cut2[s],
                 )
-            return
+                if kept is not None:
+                    kept[s] = part
+            return kept
         center = sources.mean(axis=1, keepdims=True)          # (nb, 1, 3)
         tgt = targets - center
         src = sources - center
@@ -262,7 +292,7 @@ class BlockedBackend(ArrayBackend):
         _cross(omega, src, rhs[..., 3:])                      # ω_j × s'_j
         acc = np.zeros((nb, nt, 6))        # Σ w ω_j | Σ w (ω_j × s'_j)
         task = partial(
-            _panel_products, t1=t1, s1=s1, rhs=rhs, eps2=eps2,
+            _panel_products, t1=t1, s1=s1, rhs=rhs, eps2=eps2, cut2=cut2,
             mirror=mirror, size=chunk * edge_t * edge_s,
         )
         for w0 in range(0, len(panels), _WAVE * stride):
@@ -278,14 +308,17 @@ class BlockedBackend(ArrayBackend):
                 wait(pending)
             shares = [mine] + [f.result() for f in pending]
             for k, (fleet, i0, i1, j0, j1) in enumerate(wave):
-                direct, mirrored = shares[k % stride][k // stride]
+                direct, mirrored, pairs = shares[k % stride][k // stride]
                 acc[fleet, i0:i1] += direct
                 if mirrored is not None:
                     acc[fleet, j0:j1] += mirrored
+                if pairs is not None:
+                    kept[fleet] += pairs if mirrored is None else 2 * pairs
         contrib = _cross(acc[..., :3], tgt, np.empty_like(tgt))
         contrib -= acc[..., 3:]
         contrib *= pref
         out += contrib
+        return kept
 
     def br_neighbors(
         self,

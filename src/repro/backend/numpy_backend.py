@@ -42,14 +42,22 @@ class NumpyBackend(ArrayBackend):
         omega: np.ndarray,
         eps2: float,
         prefactor: float,
-    ) -> None:
-        """out[i] += prefactor * Σ_j ω_j × (t_i − s_j) / (r² + ε²)^{3/2}.
+        cutoff2: "float | None" = None,
+    ) -> int:
+        """out[i] += prefactor * Σ_j ω_j × (t_i − s_j) / (r² + ε²)^{3/2}
+        over the pairs with ``r² <= cutoff2`` (all of them without one);
+        returns how many pairs were summed.
 
         Dense block evaluation; caller controls block sizes.
         """
         diff = targets[:, None, :] - sources[None, :, :]          # (nt, ns, 3)
-        r2 = np.einsum("ijk,ijk->ij", diff, diff) + eps2          # (nt, ns)
-        inv = r2 ** -1.5
+        r2 = np.einsum("ijk,ijk->ij", diff, diff)                 # (nt, ns)
+        inv = (r2 + eps2) ** -1.5
+        kept = r2.size
+        if cutoff2 is not None:
+            keep = r2 <= cutoff2
+            inv *= keep
+            kept = int(np.count_nonzero(keep))
         # cross(ω_j, diff_ij) with ω broadcast over targets
         cx = omega[None, :, 1] * diff[..., 2] - omega[None, :, 2] * diff[..., 1]
         cy = omega[None, :, 2] * diff[..., 0] - omega[None, :, 0] * diff[..., 2]
@@ -57,6 +65,7 @@ class NumpyBackend(ArrayBackend):
         out[:, 0] += prefactor * np.einsum("ij,ij->i", cx, inv)
         out[:, 1] += prefactor * np.einsum("ij,ij->i", cy, inv)
         out[:, 2] += prefactor * np.einsum("ij,ij->i", cz, inv)
+        return kept
 
     def br_allpairs(
         self,
@@ -68,17 +77,21 @@ class NumpyBackend(ArrayBackend):
         out: np.ndarray,
         *,
         symmetric: bool = False,
-    ) -> None:
-        nt, ns = targets.shape[1], sources.shape[1]
+        cutoff2: "np.ndarray | None" = None,
+    ) -> "np.ndarray | None":
+        nb, nt, ns = targets.shape[0], targets.shape[1], sources.shape[1]
+        kept = np.zeros(nb, dtype=np.int64)
         # Batch over targets so the (bt, ns) temporaries stay bounded.
         bt = max(1, min(nt, _ALLPAIRS_BATCH // max(ns, 1)))
-        for b in range(targets.shape[0]):
+        for b in range(nb):
             for start in range(0, nt, bt):
                 stop = min(start + bt, nt)
-                self._accumulate(
+                kept[b] += self._accumulate(
                     out[b, start:stop], targets[b, start:stop], sources[b],
                     omega[b], eps2[b], prefactor[b],
+                    None if cutoff2 is None else cutoff2[b],
                 )
+        return None if cutoff2 is None else kept
 
     def br_neighbors(
         self,

@@ -24,7 +24,8 @@ something.  The spatial mesh mirrors the surface decomposition, so on
 one rank it has one block and those hops are identities there (no
 packing, no sort, no ``exchange_arrays``, no phase, no comm event; the
 row-count checks and fresh-copy contract are kept): this class runs the
-same five calls on any rank count and never asks how many there are.
+same hops on any rank count.  Only the choice of how to sum the pairs
+(see "Dense evaluation" below) looks at the block count.
 
 Verlet-skin structure cache
 ---------------------------
@@ -46,6 +47,22 @@ The check, the restriction and the rebuild/reuse decision are recorded
 under a dedicated ``neighbor_cache`` trace phase (compute events
 ``max_displacement`` / ``neighbor_filter``), so trace replay and the
 machine model both see the amortization.
+
+Dense evaluation
+----------------
+Where a cell list prunes little, the search costs more than it saves.
+A solver on one block with ``skin = 0`` whose spatial domain area is at
+most ``_DENSE_AREA_FACTOR · cutoff²`` therefore replaces steps 3 and 4
+with one call of the dense symmetric all-pairs kernel under a cutoff
+mask (:func:`~repro.core.kernels.br_velocity_within`): the same pair
+set and sum, no search.  The choice is made once, at construction, so
+a run takes one path for its whole life.  Everything a caller reads
+keeps its meaning — ``last_pair_count`` is the in-cutoff pair count,
+every evaluation counts as a rebuild, and ``br_compute`` holds one
+``br_neighbors`` event over those pairs — but no ``neighbor`` span is
+recorded, because no search ran.  Multi-block solvers keep the
+pipeline above at every size (``docs/architecture.md``, "Dense cutoff
+evaluation", has the sweep behind the factor).
 """
 
 from __future__ import annotations
@@ -55,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backend import ArrayBackend, get_backend
-from repro.core.kernels import br_velocity_neighbors
+from repro.core.kernels import br_velocity_neighbors, br_velocity_within
 from repro.core.surface_mesh import SurfaceMesh
 from repro.mpi.comm import Comm
 from repro.mpi.ops import MAX
@@ -75,6 +92,12 @@ from repro.util.roofline import (
 )
 
 __all__ = ["CutoffBRSolver"]
+
+#: Largest spatial-domain area, in units of cutoff², at which a one-block
+#: ``skin = 0`` solver evaluates densely instead of searching: the
+#: largest ratio at which the masked dense kernel beat the search plus
+#: the CSR kernel at every n of the sweep in ``docs/architecture.md``.
+_DENSE_AREA_FACTOR = 31.5
 
 
 @dataclass
@@ -132,6 +155,15 @@ class CutoffBRSolver:
         )
         self.migrator = ParticleMigrator(comm, self.spatial_mesh)
         self._cache: _SpatialCache | None = None
+        low, high = self.spatial_mesh.low, self.spatial_mesh.high
+        area = (high[0] - low[0]) * (high[1] - low[1])
+        #: One block (so no ghosts: the sources are the targets), no skin
+        #: cache and a cutoff spanning the domain: sum densely.
+        self.dense = (
+            self.spatial_mesh.nblocks == 1
+            and self.skin == 0.0
+            and area <= _DENSE_AREA_FACTOR * self.cutoff ** 2
+        )
         # Diagnostics updated every evaluation (Figures 6/7 read these).
         self.last_owned_count = 0
         self.last_ghost_count = 0
@@ -207,6 +239,16 @@ class CutoffBRSolver:
             comm, self.spatial_mesh, mig.positions, mig.payload, radius,
             plan=halo_plan,
         )
+        if self.dense:
+            with trace.phase("br_compute"):
+                velocity, pairs = br_velocity_within(
+                    mig.positions, mig.payload, self.cutoff, self.eps, dA,
+                    trace=trace, rank=comm.rank, backend=self.backend,
+                )
+            self.rebuild_count += 1
+            trace.metrics.counter("neighbor_cache.rebuilds").inc()
+            return self._finish(z_own, mig, ghosts, velocity, pairs)
+
         sources = (
             np.concatenate([mig.positions, ghosts.positions])
             if ghosts.count
@@ -287,11 +329,14 @@ class CutoffBRSolver:
                 rank=comm.rank,
                 backend=self.backend,
             )
-        back = self.migrator.migrate_back(mig, velocity)
+        return self._finish(z_own, mig, ghosts, velocity, lists.total_neighbors)
 
+    def _finish(self, z_own, mig, ghosts, velocity, pairs) -> np.ndarray:
+        """Step 5 and the per-evaluation diagnostics."""
+        back = self.migrator.migrate_back(mig, velocity)
         self.last_owned_count = mig.count
         self.last_ghost_count = ghosts.count
-        self.last_pair_count = lists.total_neighbors
+        self.last_pair_count = pairs
         return back.reshape(z_own.shape)
 
     def ownership_counts(self) -> np.ndarray:

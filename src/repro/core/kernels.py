@@ -10,12 +10,15 @@ vectors, ΔA the parameter-space cell area and ε the desingularization
 length.  The ``j`` term with ``s_j = t`` contributes exactly zero
 (the numerator vanishes), so self-interaction needs no special casing.
 
-Two evaluation strategies share this module:
+Three evaluation strategies share this module:
 
 * :func:`br_velocity_allpairs` — dense target×source blocks, used by
   the exact (ring-pass) solver;
 * :func:`br_velocity_neighbors` — CSR neighbor-list pairs, used by the
-  cutoff solver.
+  cutoff solver;
+* :func:`br_velocity_within` — the cutoff sum by the dense kernel with
+  a cutoff mask, used by the cutoff solver where the cutoff spans most
+  of a one-block domain (no neighbor search).
 
 This module is the *accounting* layer: it validates shapes, resolves
 the compute backend (:mod:`repro.backend`) that does the actual pair
@@ -32,7 +35,10 @@ import numpy as np
 from repro.backend import ArrayBackend, get_backend
 from repro.util.errors import ConfigurationError
 
-__all__ = ["br_velocity_allpairs", "br_velocity_neighbors", "PAIR_FLOPS"]
+__all__ = [
+    "br_velocity_allpairs", "br_velocity_neighbors", "br_velocity_within",
+    "PAIR_FLOPS",
+]
 
 PAIR_FLOPS = 30.0  # diff(3) + r² (5) + rsqrt³ (~6) + cross (9) + axpy (7)
 _PAIR_BYTES = 9 * 8.0
@@ -133,3 +139,42 @@ def br_velocity_neighbors(
             items=total_pairs, t_wall=trace.clock_since(t0),
         )
     return out
+
+
+def br_velocity_within(
+    points: np.ndarray,
+    omega: np.ndarray,
+    cutoff: float,
+    eps: float,
+    dA: float,
+    *,
+    trace=None,
+    rank: int = 0,
+    backend: "ArrayBackend | str | None" = None,
+) -> tuple[np.ndarray, int]:
+    """BR velocity of an ``(n, 3)`` point set on itself over the pairs
+    within ``cutoff`` (inclusive), by the dense symmetric kernel.
+
+    It is :func:`br_velocity_neighbors` over the lists a fixed-radius
+    search would build, without the search: returns the velocity and
+    the pair count (ordered pairs, self pairs included, as the CSR lists
+    count them), and records the same ``br_neighbors`` event over those
+    pairs, so the roofline totals match the CSR path's.
+    """
+    bk = get_backend(backend)
+    pts, om = _stack(points), _stack(omega)
+    out = np.zeros(pts.shape)
+    t0 = trace.clock() if trace is not None else None
+    kept = bk.br_allpairs(
+        pts, pts, om, np.array([float(eps) ** 2]),
+        np.array([dA / (4.0 * np.pi)]), out,
+        symmetric=True, cutoff2=np.array([float(cutoff) ** 2]),
+    )
+    pairs = int(kept[0])
+    if trace is not None:
+        trace.record_compute(
+            "br_neighbors", rank,
+            flops=PAIR_FLOPS * pairs, bytes_moved=_PAIR_BYTES * pairs,
+            items=pairs, t_wall=trace.clock_since(t0),
+        )
+    return out[0], pairs

@@ -56,10 +56,13 @@ __all__ = [
 #: Version of the numerics behind a stored result: the campaign store
 #: stamps it on every completed record and re-runs a record carrying any
 #: other stamp.  Bump it on any change to the state digests pinned by
-#: ``tests/core/test_plans.py``, ``tests/batch/test_fleet_is_solo.py`` or
-#: ``TestParentPin`` (``tests/backend/test_panel_pool.py``), or to
-#: ``tests/golden/figures``.
-NUMERICS_VERSION = 1
+#: ``TestParentPin`` (``tests/backend/test_panel_pool.py``) or
+#: ``tests/core/test_cutoff_dense.py``, or to ``tests/golden/figures``,
+#: and record the new hash of those pins in
+#: ``tests/campaign/test_numerics_stamp.py``, whose guard fails until
+#: both are done.  2: one-rank cutoff runs whose cutoff spans the domain
+#: sum their pairs densely (``core.br_cutoff``).
+NUMERICS_VERSION = 2
 
 
 def state_digest(*arrays: np.ndarray) -> str:

@@ -113,6 +113,73 @@ class TestKernelParity:
         bk.br_allpairs(empty, tgt, np.ones_like(tgt), eps2, pref, out0)
         assert out0.shape == (1, 0, 3)
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_allpairs_cutoff_mask(self, backend, rng, symmetric):
+        """A stack of three, one cutoff each (the second spans two
+        blocked panels, the last every pair): the engines agree on the
+        sum and on each scenario's kept-pair count, the brute-force
+        count of ordered pairs with r² <= cutoff², self pairs included."""
+        pts = np.stack([_cloud(rng, 300)[0] for _ in range(3)])
+        om = rng.normal(size=pts.shape)
+        cut2 = np.array([0.3, 1.1, 6.0]) ** 2
+        eps2, pref = np.full(3, 0.05 ** 2), np.full(3, 0.2)
+        ref, got = np.zeros(pts.shape), np.zeros(pts.shape)
+        ref_kept = get_backend("numpy").br_allpairs(
+            pts, pts, om, eps2, pref, ref, cutoff2=cut2
+        )
+        kept = get_backend(backend).br_allpairs(
+            pts, pts, om, eps2, pref, got, symmetric=symmetric, cutoff2=cut2
+        )
+        diff = pts[:, :, None] - pts[:, None]
+        r2 = np.einsum("bijk,bijk->bij", diff, diff)
+        brute = [np.count_nonzero(r2[b] <= cut2[b]) for b in range(3)]
+        assert list(kept) == list(ref_kept) == brute
+        assert brute[2] == 300 * 300
+        assert_matches(got, ref, f"{backend}: masked all-pairs")
+
+    def test_allpairs_cutoff_mask_disjoint_sets(self, backend, rng):
+        tgt, _ = _cloud(rng, 83)
+        src, om = _cloud(rng, 131)
+        args = (tgt[None], src[None], om[None], np.array([0.0025]),
+                np.array([0.2]))
+        ref, got = np.zeros((1, 83, 3)), np.zeros((1, 83, 3))
+        ref_kept = get_backend("numpy").br_allpairs(
+            *args, ref, cutoff2=np.array([1.0])
+        )
+        kept = get_backend(backend).br_allpairs(
+            *args, got, cutoff2=np.array([1.0])
+        )
+        assert list(kept) == list(ref_kept)
+        assert 0 < kept[0] < 83 * 131
+        assert_matches(got, ref, f"{backend}: masked disjoint all-pairs")
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_allpairs_cutoff_keeps_coincident_points_zero(
+        self, backend, rng, symmetric
+    ):
+        """Under a mask, coincident points still weigh exactly zero: a
+        lone point gets no velocity, and duplicates across panels match
+        the reference."""
+        bk = get_backend(backend)
+        one = np.zeros((1, 1, 3))
+        kept = bk.br_allpairs(
+            np.array([[[0.2, -0.4, 1.0]]]), np.array([[[0.2, -0.4, 1.0]]]),
+            np.array([[[1.0, 2.0, -3.0]]]), np.array([0.01]), np.array([1.0]),
+            one, symmetric=symmetric, cutoff2=np.array([0.25]),
+        )
+        assert list(kept) == [1] and np.all(one == 0.0)
+        pts, om = _cloud(rng, 513)
+        pts[8] = pts[7]
+        pts[400] = pts[7]
+        pts[512] = pts[300]
+        args = (pts[None], pts[None], om[None], np.array([0.0025]),
+                np.array([0.2]))
+        ref, got = np.zeros((1, 513, 3)), np.zeros((1, 513, 3))
+        get_backend("numpy").br_allpairs(*args, ref, cutoff2=np.array([0.64]))
+        bk.br_allpairs(*args, got, symmetric=symmetric,
+                       cutoff2=np.array([0.64]))
+        assert_matches(got, ref, f"{backend}: masked coincident pairs")
+
     def test_neighbors_parity(self, backend, rng):
         pts, om = _cloud(rng, 150)
         lists = neighbor_lists(pts, pts, cutoff=1.2)
@@ -198,6 +265,22 @@ class TestKernelParity:
         assert nb.max_displacement(a, a.copy()) == 0.0
         empty = np.zeros((0, 3))
         assert nb.max_displacement(empty, empty) == 0.0
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_allpairs_cutoff_past_every_pair_changes_no_bit(backend, rng):
+    """``cutoff2`` beyond every pair is the unmasked kernel, bit for bit,
+    on every engine (the reference included)."""
+    pts, om = _cloud(rng, 600)
+    args = (pts[None], pts[None], om[None], np.array([0.0025]),
+            np.array([0.2]))
+    plain, masked = np.zeros((1, 600, 3)), np.zeros((1, 600, 3))
+    bk = get_backend(backend)
+    assert bk.br_allpairs(*args, plain, symmetric=True) is None
+    kept = bk.br_allpairs(*args, masked, symmetric=True,
+                          cutoff2=np.array([100.0]))
+    assert list(kept) == [600 * 600]
+    assert np.array_equal(masked, plain)
 
 
 #: Regression for the aliasing bug: every engine (the reference too)

@@ -1,12 +1,16 @@
 """Completed records carry the numerics stamp, and a completed record
 with another stamp is a store miss that runs again."""
 
+import hashlib
 import json
 import os
+from pathlib import Path
 
 from repro.campaign import CampaignDeck, CampaignExecutor, CampaignStore
 from repro.core.solver import NUMERICS_VERSION
 from repro.machine import LASSEN
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "figures"
 
 
 def specs():
@@ -53,3 +57,35 @@ class TestNumericsStamp:
         assert all(o.skipped for o in again)
         assert [o.result for o in again] == [o.result for o in first]
         assert "stale" not in campaign_log.text
+
+
+#: sha256 prefix of every pinned state digest and golden figure, per
+#: ``NUMERICS_VERSION`` — see :func:`pinned_numerics`.
+NUMERICS_PINS = {
+    2: "6e9ac969ae0d11bf",
+}
+
+
+def pinned_numerics() -> str:
+    """sha256 prefix of the pinned digest tables and the golden figures:
+    what a ``NUMERICS_VERSION`` promises stays put."""
+    from tests.backend.test_panel_pool import PARENT_FLEET_STATES, PARENT_STATES
+    from tests.core.test_cutoff_dense import DENSE_CUTOFF_STATES
+
+    h = hashlib.sha256()
+    for table in (PARENT_STATES, PARENT_FLEET_STATES, DENSE_CUTOFF_STATES):
+        h.update(repr(sorted(table.items())).encode())
+    for path in sorted(GOLDEN.glob("*.json")):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()[:16]
+
+
+def test_pinned_numerics_change_only_with_a_version_bump():
+    """A pinned digest or golden figure that changes fails here until
+    ``NUMERICS_VERSION`` is bumped and the new hash recorded."""
+    assert NUMERICS_PINS.get(NUMERICS_VERSION) == pinned_numerics(), (
+        "pinned state digests or golden figures changed: bump "
+        "repro.core.solver.NUMERICS_VERSION and record the new hash in "
+        "NUMERICS_PINS"
+    )

@@ -13,6 +13,7 @@ from repro.campaign import (
     RunRecord,
     record_field,
 )
+from repro.core.solver import NUMERICS_VERSION
 from repro.machine import LASSEN
 from repro.mpi.trace import CommTrace, NullTrace
 from repro.telemetry import (
@@ -182,7 +183,7 @@ class TestExecutorWritesTelemetry:
         (done,) = [r for r in store.iter_records() if r.status == "completed"]
         line = json.loads(done.to_json())
         line.pop("telemetry", None)
-        assert line["numerics"] == 1
+        assert line["numerics"] == NUMERICS_VERSION
         with open(store.index_path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(line, sort_keys=True) + "\n")
         stray = os.path.join(store.root, "runs", run_hash)
