@@ -145,7 +145,7 @@ def _small_run(backend, br_solver, monkeypatch):
         order="high", br_solver=br_solver, cutoff=0.5, backend=backend,
     )
     ic = InitialCondition(kind="multi_mode", magnitude=0.05, period=4)
-    trace = mpi.CommTrace(timed=True)
+    trace = mpi.CommTrace()
     lookups = []
 
     def counting(name, original):

@@ -238,16 +238,6 @@ class ScenarioFleet:
         self.metrics.gauge("batch.scenarios_active").set(float(self.size))
         return ids
 
-    def remove(self, scenario_id: int) -> bool:
-        """Drop an active scenario without recording a result."""
-        if scenario_id not in self._ids:
-            return False
-        keep = np.ones(self.size, dtype=bool)
-        keep[self._ids.index(scenario_id)] = False
-        self._compact(keep)
-        self.metrics.gauge("batch.scenarios_active").set(float(self.size))
-        return True
-
     def _compact(self, keep: np.ndarray) -> None:
         """Boolean-mask compaction of every stacked/per-scenario array."""
         self._z = self._z[keep]

@@ -16,8 +16,8 @@ wire type          dataclass      meaning
 ``new-job``        `NewJob`       coordinator → worker: a leased run or fleet
 ``no-work-left``   `NoWorkLeft`   coordinator → worker: drain and exit
 ``heartbeat``      `Heartbeat`    worker → coordinator: lease renewal
-``job-done``       `JobDone`      worker → coordinator: run completed
-``job-failed``     `JobFailed`    worker → coordinator: run raised, recorded
+``job-report``     `JobReport`    worker → coordinator: run completed or
+                                  failed, its store record already written
 =================  =============  ==========================================
 
 **Codec** — :func:`encode_message` / :func:`decode_message` map messages
@@ -30,9 +30,10 @@ missing field, a non-JSON blob — raises the typed
 **Framing / wire** — local TCP with length-prefixed frames (4-byte
 big-endian length + codec bytes): :class:`SocketWorkerChannel` is the
 worker side (``send``/``recv``), :class:`SocketEndpoint` the
-coordinator side (``poll``/``send`` keyed by connection id).
-:class:`FrameDecoder` reassembles frames from an arbitrarily chunked
-byte stream, so message boundaries are invariant under any TCP
+coordinator side (``poll``/``send`` keyed by connection id): one
+``selectors`` loop on the thread that calls ``poll``, with no thread of
+its own.  :class:`FrameDecoder` reassembles frames from an arbitrarily
+chunked byte stream, so message boundaries are invariant under any TCP
 segmentation.
 """
 
@@ -40,8 +41,7 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import queue
+import selectors
 import socket
 import struct
 import threading
@@ -61,8 +61,7 @@ __all__ = [
     "NewJob",
     "NoWorkLeft",
     "Heartbeat",
-    "JobDone",
-    "JobFailed",
+    "JobReport",
     "MESSAGE_TYPES",
     "Message",
     "encode_message",
@@ -78,8 +77,9 @@ logger = logging.getLogger("repro.campaign")
 #: Bumped on any incompatible message-schema change; both ends refuse
 #: frames from a different major version with a typed error instead of
 #: mis-parsing them.  2: ``new-job`` carries fleet ``members`` (a v1
-#: worker would ignore them and run one spec).
-PROTOCOL_VERSION = 2
+#: worker would ignore them and run one spec).  3: ``job-done`` and
+#: ``job-failed`` are one ``job-report``.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame's payload.  A length prefix beyond this is
 #: a corrupt or hostile stream, rejected before any allocation.
@@ -162,38 +162,35 @@ class Heartbeat:
 
 
 @dataclass(frozen=True)
-class JobDone:
-    """Worker → coordinator: the run completed and its store record is
-    already written (the worker records terminally before reporting, so
-    a lost ``job-done`` can never lose a result)."""
+class JobReport:
+    """Worker → coordinator: the run ended ``completed`` or ``failed``,
+    and its store record is already written (the worker records
+    terminally before reporting, so a lost report can never lose a
+    result).  A failure's ``error`` carries the final traceback line."""
 
     worker: str
     run_hash: str
+    status: str
     elapsed: float = 0.0
     resumed_from_step: int = 0
-
-    TYPE = "job-done"
-
-
-@dataclass(frozen=True)
-class JobFailed:
-    """Worker → coordinator: the run raised; the failure is recorded in
-    the store and ``error`` carries the final traceback line."""
-
-    worker: str
-    run_hash: str
     error: str = ""
-    elapsed: float = 0.0
 
-    TYPE = "job-failed"
+    TYPE = "job-report"
+
+    def __post_init__(self) -> None:
+        if self.status not in ("completed", "failed"):
+            raise ProtocolError(
+                f"job-report status must be 'completed' or 'failed', "
+                f"got {self.status!r}"
+            )
 
 
-Message = Union[JobRequest, NewJob, NoWorkLeft, Heartbeat, JobDone, JobFailed]
+Message = Union[JobRequest, NewJob, NoWorkLeft, Heartbeat, JobReport]
 
 #: Wire-type string → dataclass, the codec's single dispatch table.
 MESSAGE_TYPES: dict[str, type] = {
     cls.TYPE: cls
-    for cls in (JobRequest, NewJob, NoWorkLeft, Heartbeat, JobDone, JobFailed)
+    for cls in (JobRequest, NewJob, NoWorkLeft, Heartbeat, JobReport)
 }
 
 
@@ -328,11 +325,6 @@ class FrameDecoder:
             frames.append(bytes(self._buf[_LEN.size:_LEN.size + length]))
             del self._buf[:_LEN.size + length]
 
-    @property
-    def pending(self) -> int:
-        """Bytes buffered toward an incomplete frame."""
-        return len(self._buf)
-
     def finish(self) -> None:
         """Assert the stream ended on a frame boundary."""
         if self._buf:
@@ -438,169 +430,112 @@ class SocketWorkerChannel:
                 pass
 
 
-class _SocketConnection:
-    """One accepted worker connection inside :class:`SocketEndpoint`."""
-
-    def __init__(self, conn_id: str, sock: socket.socket) -> None:
-        self.conn_id = conn_id
-        self.sock = sock
-        self.send_lock = threading.Lock()
-        self.alive = True
-
-
 class SocketEndpoint:
-    """Coordinator side of the wire: many workers, one mailbox.
+    """Coordinator side of the wire: many workers, one selector.
 
     Connections are keyed by an opaque ``conn_id`` (the reply address);
     worker *identity* travels in the messages themselves, so one worker
     that reconnects shows up as a new ``conn_id`` with the same
     ``worker`` field.
 
-    Binds a listening socket (``port=0`` picks an ephemeral port — read
-    it back from :attr:`address`), accepts connections on a background
-    thread, and runs one reader thread per connection that reassembles
-    frames and pushes decoded ``(conn_id, message)`` pairs onto a
-    single mailbox queue (:meth:`poll` drains it).  A reader that hits
-    garbage logs and drops the connection — one hostile or corrupt peer
-    cannot take the coordinator down — and neither a disconnect nor a
-    failed :meth:`send` is a requeue signal: the lease clock is the
-    only authority on reclaiming a silent worker's work.
+    Binds a non-blocking listening socket (``port=0`` picks an
+    ephemeral port — read it back from :attr:`address`) and starts no
+    thread: :meth:`poll` waits on one selector, accepts every pending
+    connection and feeds each readable connection's bytes to its own
+    :class:`FrameDecoder`, so a peer that stalls mid-frame holds back
+    only its own messages.  A connection that sends garbage is logged
+    and dropped — one hostile or corrupt peer cannot take the
+    coordinator down — and neither a disconnect nor a failed
+    :meth:`send` is a requeue signal: the lease clock is the only
+    authority on reclaiming a silent worker's work.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(64)
+        self._listener = socket.create_server((host, port), backlog=64)
+        self._listener.setblocking(False)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
-        self._mailbox: "queue.Queue[tuple[str, Message]]" = queue.Queue()
-        self._conns: dict[str, _SocketConnection] = {}
-        self._conns_lock = threading.Lock()
-        self._closed = threading.Event()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="service-accept", daemon=True
-        )
-        self._accept_thread.start()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._conns: dict[str, socket.socket] = {}
 
-    def _accept_loop(self) -> None:
-        while not self._closed.is_set():
+    def poll(self, timeout: float) -> list[tuple[str, Message]]:
+        """Wait up to ``timeout`` seconds for traffic; return every
+        ``(conn_id, message)`` that arrived."""
+        messages: list[tuple[str, Message]] = []
+        for key, _ in self._selector.select(max(0.0, timeout)):
+            if key.data is None:
+                self._accept()
+            else:
+                self._read(key, messages)
+        return messages
+
+    def _accept(self) -> None:
+        while True:
             try:
                 sock, peer = self._listener.accept()
             except OSError:
-                return  # listener closed
+                return  # none left, or the peer gave up before the accept
+            sock.setblocking(True)  # BSDs hand on the listener's O_NONBLOCK
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn_id = f"{peer[0]}:{peer[1]}"
-            conn = _SocketConnection(conn_id, sock)
-            with self._conns_lock:
-                self._conns[conn_id] = conn
-            threading.Thread(
-                target=self._read_loop,
-                args=(conn,),
-                name=f"service-read-{conn_id}",
-                daemon=True,
-            ).start()
+            self._conns[conn_id] = sock
+            self._selector.register(
+                sock, selectors.EVENT_READ, (conn_id, FrameDecoder())
+            )
 
-    def _read_loop(self, conn: _SocketConnection) -> None:
-        decoder = FrameDecoder()
+    def _read(self, key: selectors.SelectorKey, messages: list) -> None:
+        conn_id, decoder = key.data
         try:
-            while not self._closed.is_set():
-                chunk = conn.sock.recv(65536)
-                if not chunk:
-                    decoder.finish()
-                    return
+            chunk = key.fileobj.recv(65536)
+            if chunk:
                 for data in decoder.feed(chunk):
-                    self._mailbox.put((conn.conn_id, decode_message(data)))
+                    messages.append((conn_id, decode_message(data)))
+                return
+            decoder.finish()  # a mid-frame EOF is a ProtocolError
         except ProtocolError as exc:
             logger.warning(
                 "service: dropping connection %s on protocol violation: %s",
-                conn.conn_id, exc,
+                conn_id, exc,
             )
         except OSError:
             pass  # peer vanished; the lease clock owns recovery
-        finally:
-            self._drop(conn)
+        self._drop(conn_id)
 
-    def _drop(self, conn: _SocketConnection) -> None:
-        conn.alive = False
-        with self._conns_lock:
-            self._conns.pop(conn.conn_id, None)
-        try:
-            conn.sock.close()
-        except OSError:  # pragma: no cover - close best-effort
-            pass
-
-    def poll(self, timeout: float) -> list[tuple[str, Message]]:
-        messages: list[tuple[str, Message]] = []
-        try:
-            messages.append(self._mailbox.get(timeout=max(0.0, timeout)))
-        except queue.Empty:
-            return messages
-        while True:
-            try:
-                messages.append(self._mailbox.get_nowait())
-            except queue.Empty:
-                return messages
+    def _drop(self, conn_id: str) -> None:
+        sock = self._conns.pop(conn_id)
+        self._selector.unregister(sock)
+        sock.close()
 
     def send(self, conn_id: str, msg: Message) -> bool:
-        with self._conns_lock:
-            conn = self._conns.get(conn_id)
-        if conn is None or not conn.alive:
+        sock = self._conns.get(conn_id)
+        if sock is None:
             return False
-        data = frame(encode_message(msg))
-        with conn.send_lock:
-            try:
-                conn.sock.sendall(data)
-            except OSError:
-                self._drop(conn)
-                return False
+        try:
+            sock.sendall(frame(encode_message(msg)))
+        except OSError:
+            self._drop(conn_id)
+            return False
         return True
 
     def connections(self) -> list[str]:
         """Currently-connected ``conn_id``\\ s (for status reporting)."""
-        with self._conns_lock:
-            return sorted(self._conns)
+        return sorted(self._conns)
 
     def close(self) -> None:
-        self._closed.set()
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - close best-effort
-            pass
-        with self._conns_lock:
-            conns = list(self._conns.values())
-        for conn in conns:
-            self._drop(conn)
+        for conn_id in list(self._conns):
+            self._drop(conn_id)
+        self._selector.close()
+        self._listener.close()
 
     def close_in_child(self) -> None:
         """Close, in a child forked from the coordinator, every socket
         of this endpoint the child inherited: the listener and each
         accepted connection.  The parent's copies stay open.
 
-        Takes no lock: the accept or a reader thread may have held one
-        at the fork, and none of those threads exists in the child.
-        The scan of the child's descriptors is what guarantees the
-        result: every socket of this endpoint, the listener and each
-        accepted connection, has the endpoint's address as its local
-        address — also one the accept thread had taken from the kernel
-        but not yet registered at the fork.
+        Every accepted socket was registered by the thread that forked,
+        so :attr:`_conns` names them all.  Nothing is unregistered: the
+        selector's kernel object is shared with the parent.
         """
-        # Closed through their own objects first, so that no finalizer
-        # of theirs later closes a descriptor number the child reused.
         self._listener.close()
-        for conn in list(self._conns.values()):
-            conn.sock.close()
-        for fd in map(int, os.listdir("/dev/fd")):
-            try:
-                sock = socket.socket(fileno=fd)
-            except OSError:
-                continue  # not a socket, or the listing's own descriptor
-            try:
-                ours = sock.getsockname()[:2] == self.address
-            except OSError:
-                ours = False
-            if ours:
-                sock.close()
-            else:
-                sock.detach()
-
-
+        for sock in self._conns.values():
+            sock.close()

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 from repro.campaign.store import COMPLETED, FAILED, RUNNING, CampaignStore, RunRecord
+from repro.core.solver import NUMERICS_VERSION
 from repro.util.errors import ConfigurationError
 
 __all__ = [
@@ -119,12 +120,17 @@ def series_grid(
 
 
 def campaign_summary(store: CampaignStore) -> dict[str, Any]:
-    """Counts and aggregate elapsed time of the campaign so far.
+    """Counts and aggregate elapsed time of the campaign so far, and
+    the store audit from the same index scan.
 
     A trailing ``running`` record (a worker claimed the run but never
     wrote a terminal record — killed or interrupted mid-flight) is
     counted as ``interrupted``, not ``failed``: resubmitting the deck
-    retries those hashes.
+    retries those hashes.  ``torn`` counts the index lines that did not
+    parse, ``no_result`` the completed records with an empty result and
+    ``stale`` the completed records stamped with another
+    :data:`~repro.core.solver.NUMERICS_VERSION` (a deck naming them
+    runs them again).
     """
     latest = store.latest_records()
     completed = [r for r in latest.values() if r.status == COMPLETED]
@@ -136,6 +142,9 @@ def campaign_summary(store: CampaignStore) -> dict[str, Any]:
         "completed": len(completed),
         "failed": len(failed),
         "interrupted": len(running),
+        "torn": len(store.torn_lines()),
+        "no_result": sum(1 for r in completed if not r.result),
+        "stale": sum(1 for r in completed if r.numerics != NUMERICS_VERSION),
         "resumed": sum(1 for r in completed if r.resumed_from_step > 0),
         "elapsed_total": sum(r.elapsed for r in latest.values()),
     }

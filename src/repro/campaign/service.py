@@ -9,7 +9,7 @@ jobs (``job-request`` → ``new-job`` | ``no-work-left``), execute them
 through :meth:`~repro.campaign.executor.CampaignExecutor.run_one` /
 :meth:`~repro.campaign.executor.CampaignExecutor.run_fleet` (so store
 records and telemetry artifacts are identical wherever a run executes)
-and report ``job-done`` / ``job-failed`` per run; a fleet of same-shape
+and send one ``job-report`` per run; a fleet of same-shape
 runs is one job.  Model-mode runs (microseconds of arithmetic on the
 coordinator's machine model) never leave the coordinator's process, and
 :meth:`Coordinator.run_here` drains the whole queue in-process through
@@ -22,10 +22,10 @@ no worker at all.
 
 Lease state machine (per run)::
 
-                 job-request
-    queued ───────────────────▶ leased ──── job-done ───▶ completed
-      ▲    (claim marker with      │
-      │     owner + deadline)      ├────── job-failed ──▶ failed
+                 job-request                  job-report
+    queued ───────────────────▶ leased ──── completed ──▶ completed
+      ▲    (claim marker with      │        job-report
+      │     owner + deadline)      ├─────── failed ─────▶ failed
       │                            │
       └──────── lease expiry ◀─────┘ (no heartbeat within
          (requeued; max_requeues      lease_timeout)
@@ -86,8 +86,7 @@ from repro.campaign.executor import (
 from repro.campaign.protocol import (
     ChannelClosedError,
     Heartbeat,
-    JobDone,
-    JobFailed,
+    JobReport,
     JobRequest,
     Message,
     NewJob,
@@ -210,11 +209,6 @@ class Coordinator:
     ``telemetry`` are the executor settings every item is executed
     with, wherever it runs; they travel in each ``new-job``.  Model-mode
     runs are evaluated on ``machine``, in this process.
-
-    ``journal=True`` appends every non-heartbeat message the
-    coordinator receives or sends to :attr:`journal` as
-    ``(direction, conn_id, message)`` tuples — the protocol-conformance
-    tests count the conversation's messages from it.
     """
 
     worker_type = "service"
@@ -234,7 +228,6 @@ class Coordinator:
         telemetry: bool = True,
         status_interval: float = 0.0,
         drain_grace: float = 5.0,
-        journal: bool = False,
     ) -> None:
         self.store = store
         self.endpoint = endpoint
@@ -244,9 +237,6 @@ class Coordinator:
         self.status_interval = float(status_interval)
         self.drain_grace = float(drain_grace)
         self.metrics = MetricsRegistry()
-        self.journal: Optional[list[tuple[str, str, Message]]] = (
-            [] if journal else None
-        )
         #: Prefix of every line this coordinator logs.
         self.who = f"campaign {store.campaign}"
         #: The executor settings every item runs with: the template
@@ -417,10 +407,6 @@ class Coordinator:
         while not stop.wait(self.status_interval):
             log(self.who, status_line(self.publish()))
 
-    def _journal_add(self, direction: str, conn_id: str, msg: Message) -> None:
-        if self.journal is not None and not isinstance(msg, Heartbeat):
-            self.journal.append((direction, conn_id, msg))
-
     # -- one pass over the batch -----------------------------------------------
 
     def serve(self) -> dict[str, Any]:
@@ -547,30 +533,23 @@ class Coordinator:
 
         Parked requests are answered immediately; then the coordinator
         lingers up to ``drain_grace`` answering late ``job-request``\\ s
-        (e.g. a worker that reported ``job-done`` and re-requested in
+        (e.g. a worker that sent its ``job-report`` and re-requested in
         the same instant the queue drained) until every known
         connection has been notified or dropped.
         """
         while self._parked:
             conn_id, worker = self._parked.popleft()
-            self._send(conn_id, NoWorkLeft())
+            self.endpoint.send(conn_id, NoWorkLeft())
             self._notified.add(conn_id)
         deadline = time.monotonic() + self.drain_grace
         while time.monotonic() < deadline:
             if not set(self.endpoint.connections()) - self._notified:
                 break
             for conn_id, msg in self.endpoint.poll(POLL_INTERVAL):
-                self._journal_add("recv", conn_id, msg)
                 if isinstance(msg, JobRequest):
                     self._touch_worker(msg.worker, conn_id)
-                    self._send(conn_id, NoWorkLeft())
+                    self.endpoint.send(conn_id, NoWorkLeft())
                     self._notified.add(conn_id)
-
-    def _send(self, conn_id: str, msg: Message) -> bool:
-        delivered = self.endpoint.send(conn_id, msg)
-        if delivered:
-            self._journal_add("send", conn_id, msg)
-        return delivered
 
     # -- accounting ----------------------------------------------------------
 
@@ -620,19 +599,15 @@ class Coordinator:
     # -- message handling ----------------------------------------------------
 
     def _handle(self, conn_id: str, msg: Message) -> None:
-        self._journal_add("recv", conn_id, msg)
         if isinstance(msg, JobRequest):
             self._touch_worker(msg.worker, conn_id)
             self._handle_job_request(conn_id, msg.worker)
         elif isinstance(msg, Heartbeat):
             self._touch_worker(msg.worker, conn_id)
             self._handle_heartbeat(msg)
-        elif isinstance(msg, JobDone):
+        elif isinstance(msg, JobReport):
             self._touch_worker(msg.worker, conn_id)
-            self._handle_done(msg)
-        elif isinstance(msg, JobFailed):
-            self._touch_worker(msg.worker, conn_id)
-            self._handle_failed(msg)
+            self._handle_report(msg)
         else:
             self.metrics.counter("campaign.service.unexpected_messages").inc()
             log(self.who, f"ignoring unexpected {msg.TYPE} from {conn_id}")
@@ -665,7 +640,7 @@ class Coordinator:
             # reclaimed run with no workers to run it).
             self._parked.append((conn_id, worker))
         else:
-            self._send(conn_id, NoWorkLeft())
+            self.endpoint.send(conn_id, NoWorkLeft())
             self._notified.add(conn_id)
 
     def _grant(self, conn_id: str, worker: str) -> None:
@@ -683,7 +658,7 @@ class Coordinator:
             payload=payloads[0] if len(item) == 1 else {},
             members=payloads if len(item) > 1 else [],
         )
-        if not self._send(conn_id, job):
+        if not self.endpoint.send(conn_id, job):
             # The connection died between request and grant; put the
             # item back — its stale claims are superseded at the regrant.
             self._queue.appendleft(item)
@@ -716,7 +691,7 @@ class Coordinator:
         if not renewed:
             self.metrics.counter("campaign.service.stale_messages").inc()
 
-    def _release(self, msg: Any) -> Optional[Lease]:
+    def _release(self, msg: JobReport) -> Optional[Lease]:
         """Resolve the lease member a terminal report names; the lease
         itself goes once every member has reported.  Stale reports —
         e.g. from a worker whose lease already expired — return None
@@ -732,21 +707,14 @@ class Coordinator:
         self.metrics.counter("campaign.service.stale_messages").inc()
         return None
 
-    def _handle_done(self, msg: JobDone) -> None:
+    def _handle_report(self, msg: JobReport) -> None:
         lease = self._release(msg)
         if lease is not None or msg.run_hash in self._pending:
             self._settle(
-                msg.run_hash, COMPLETED, elapsed=msg.elapsed,
-                resumed=msg.resumed_from_step, worker=msg.worker,
-                fleet=lease is not None and len(lease.specs) > 1,
-            )
-
-    def _handle_failed(self, msg: JobFailed) -> None:
-        lease = self._release(msg)
-        if lease is not None or msg.run_hash in self._pending:
-            self._settle(
-                msg.run_hash, FAILED, elapsed=msg.elapsed, error=msg.error,
+                msg.run_hash, msg.status, elapsed=msg.elapsed,
+                resumed=msg.resumed_from_step, error=msg.error,
                 worker=msg.worker,
+                fleet=lease is not None and len(lease.specs) > 1,
             )
 
     # -- lease expiry ---------------------------------------------------------
@@ -933,10 +901,10 @@ def _fork_worker(endpoint: SocketEndpoint, worker_id: str) -> BaseProcess:
 
     The child logs as ``rocketrig --quiet`` does (warnings only),
     closes the coordinator's sockets, then runs the ``--worker`` loop
-    over a channel of its own.  Of the coordinator's threads (the
-    endpoint's accept and readers, the status heartbeat) none exists
-    in the child and nothing they own is touched; the blocked backend's
-    panel pool resets itself at the fork.  The ``Process`` leaves the
+    over a channel of its own.  The endpoint runs no thread; the status
+    heartbeat thread, if any, does not exist in the child and nothing
+    it owns is touched, and the blocked backend's panel pool resets
+    itself at the fork.  The ``Process`` leaves the
     child through ``os._exit`` — code 0 after a clean run, 1 on an
     exception — so it never unwinds into the coordinator's frames,
     ``finally`` blocks or exit handlers.
@@ -987,7 +955,7 @@ class Worker:
     fleet's ``members`` — the executor the coordinator's own
     in-process drain uses, so terminal records and checkpoints are
     byte-identical on every path.  The worker records terminally
-    *before* reporting one ``job-done``/``job-failed`` per run — a lost
+    *before* sending one ``job-report`` per run — a lost
     report can cost a duplicate execution (the lease expires, the run
     requeues, the store's last-record-wins semantics absorb it) but
     never a lost result.
@@ -1052,7 +1020,7 @@ class Worker:
         ).start()
         return stop
 
-    def _execute(self, job: NewJob) -> list[Message]:
+    def _execute(self, job: NewJob) -> list[JobReport]:
         """Run one job; returns its reports, one per run."""
         specs = [
             RunSpec.from_payload(payload, campaign=job.campaign)
@@ -1062,8 +1030,8 @@ class Worker:
             # A coordinator whose hash does not match the payloads it
             # shipped is confused; refuse rather than record under the
             # wrong content address.
-            return [JobFailed(
-                worker=self.worker_id, run_hash=job.run_hash,
+            return [JobReport(
+                worker=self.worker_id, run_hash=job.run_hash, status=FAILED,
                 error=f"payload hash mismatch: coordinator said "
                       f"{job.run_hash}, payload hashes to {lease_id(specs)}",
             )]
@@ -1083,20 +1051,17 @@ class Worker:
             stop.set()
         return [self._report(record) for record in records]
 
-    def _report(self, record: RunRecord) -> Message:
+    def _report(self, record: RunRecord) -> JobReport:
         if record.status == COMPLETED:
             self.jobs_completed += 1
-            return JobDone(
-                worker=self.worker_id, run_hash=record.run_hash,
-                elapsed=record.elapsed,
-                resumed_from_step=record.resumed_from_step,
-            )
-        self.jobs_failed += 1
-        error = (record.error or "").strip()
-        return JobFailed(
+        else:
+            self.jobs_failed += 1
+        lines = (record.error or "").strip().splitlines()
+        return JobReport(
             worker=self.worker_id, run_hash=record.run_hash,
-            error=error.splitlines()[-1] if error else "",
-            elapsed=record.elapsed,
+            status=record.status, elapsed=record.elapsed,
+            resumed_from_step=record.resumed_from_step,
+            error=lines[-1] if lines else "",
         )
 
     # -- main loop -----------------------------------------------------------

@@ -137,8 +137,11 @@ class CampaignStore:
         self.base_root = os.path.normpath(root) if root else results_root()
         self.root = os.path.join(self.base_root, "campaigns", campaign)
         self._lock = threading.Lock()
-        #: ``((st_size, st_mtime_ns), latest records)`` of the index.
-        self._latest: Optional[tuple[tuple[int, int], dict[str, RunRecord]]] = None
+        #: ``((st_size, st_mtime_ns), latest records, torn line numbers)``
+        #: of the index.
+        self._latest: Optional[
+            tuple[tuple[int, int], dict[str, RunRecord], list[int]]
+        ] = None
 
     # -- paths ----------------------------------------------------------------
 
@@ -180,12 +183,13 @@ class CampaignStore:
 
     # -- index ----------------------------------------------------------------
 
-    def iter_records(self) -> Iterator[RunRecord]:
+    def iter_records(self, torn: Optional[list[int]] = None) -> Iterator[RunRecord]:
         """All parseable index records in append order.
 
         A line that does not parse — in practice the torn trailing line
         a crashed writer leaves behind — is skipped with a warning
-        instead of wedging every subsequent store open.
+        (and its line number appended to ``torn``) instead of wedging
+        every subsequent store open.
         """
         if not os.path.exists(self.index_path):
             return
@@ -197,6 +201,8 @@ class CampaignStore:
                 try:
                     yield RunRecord.from_json(line)
                 except (ValueError, TypeError, AttributeError) as exc:
+                    if torn is not None:
+                        torn.append(lineno)
                     logger.warning(
                         "%s:%d: skipping unparseable index record (%s) — "
                         "torn append from an interrupted writer?",
@@ -212,15 +218,23 @@ class CampaignStore:
         try:
             stat = os.stat(self.index_path)
         except FileNotFoundError:
+            self._latest = None
             return {}
         key = (stat.st_size, stat.st_mtime_ns)
         cached = self._latest
         if cached is None or cached[0] != key:
             latest: dict[str, RunRecord] = {}
-            for record in self.iter_records():
+            torn: list[int] = []
+            for record in self.iter_records(torn):
                 latest[record.run_hash] = record
-            cached = self._latest = (key, latest)
+            cached = self._latest = (key, latest, torn)
         return dict(cached[1])
+
+    def torn_lines(self) -> list[int]:
+        """Line numbers of the index lines :meth:`latest_records`'s scan
+        skipped as unparseable."""
+        self.latest_records()
+        return list(self._latest[2]) if self._latest else []
 
     def completed_hashes(self) -> set[str]:
         return {

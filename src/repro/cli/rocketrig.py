@@ -677,6 +677,11 @@ def run_campaign_from_args(args: argparse.Namespace) -> dict:
                 last_line = outcome.error.strip().splitlines()[-1]
                 print(f"  failed {outcome.run_hash}: {last_line}")
     summary = campaign_summary(store)
+    audit = [f"{summary[key]} {key.replace('_', ' ')}"
+             for key in ("interrupted", "torn", "no_result", "stale")
+             if summary[key]]
+    if audit:
+        print("store audit: " + ", ".join(audit))
     # Exit status reflects THIS batch: stale failed records from earlier
     # invocations (e.g. a deck point since removed) don't poison it.
     summary["batch_failed"] = failed

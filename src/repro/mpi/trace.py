@@ -20,15 +20,14 @@ per-thread so SPMD ranks running in different threads do not interfere.
 
 Wall-clock spans
 ----------------
-A timed trace (the default) additionally records a :class:`PhaseSpan`
+A trace additionally records a :class:`PhaseSpan`
 per ``phase()`` enter/exit — monotonic (``time.perf_counter``) start and
 end stamps, the recording rank (installed per rank thread by
 :func:`repro.mpi.run_spmd` via :meth:`CommTrace.bind_rank`), the nesting
 depth, and the *self time* (duration minus directly nested child
 spans).  Events carry an optional ``t_stamp`` (when they were recorded)
 and accounting layers may attach a measured ``t_wall`` duration to
-compute events; both stay ``None`` on an untimed trace.
-:class:`NullTrace` skips all of it, so the disabled path stays within
+compute events.  :class:`NullTrace` skips all of it, so the disabled path stays within
 the telemetry overhead budget (see ``benchmarks/bench_telemetry.py``).
 """
 
@@ -161,16 +160,13 @@ class CommTrace:
     carry their originating rank.
     """
 
-    def __init__(self, timed: bool = True) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._events: list[CommEvent] = []
         self._compute: list[ComputeEvent] = []
         self._spans: list[PhaseSpan] = []
         self._tls = threading.local()
         self._seq: dict[int, int] = {}
-        #: Whether this trace stamps wall-clock times (spans, t_stamp)
-        #: and asks accounting layers for ``t_wall`` durations.
-        self.timed = bool(timed)
         #: Run-scoped metrics registry; solver-side code publishes via
         #: ``comm.trace.metrics`` so per-run isolation is automatic.
         self.metrics: MetricsRegistry = MetricsRegistry()
@@ -196,19 +192,12 @@ class CommTrace:
     def phase(self, label: str) -> Iterator[None]:
         """Label all events recorded by this thread with ``label``.
 
-        On a timed trace each enter/exit additionally records a
-        :class:`PhaseSpan`; the span is closed in a ``finally`` block so
-        an exception escaping the phase body still leaves a complete,
-        honest span behind.
+        Each enter/exit additionally records a :class:`PhaseSpan`; the
+        span is closed in a ``finally`` block so an exception escaping
+        the phase body still leaves a complete, honest span behind.
         """
         previous = self.current_phase()
         self._tls.phase = label
-        if not self.timed:
-            try:
-                yield
-            finally:
-                self._tls.phase = previous
-            return
         stack: list[_OpenSpan] = getattr(self._tls, "stack", None) or []
         self._tls.stack = stack
         open_span = _OpenSpan(label, time.perf_counter(), len(stack))
@@ -236,19 +225,17 @@ class CommTrace:
     # -- wall-clock helpers ------------------------------------------------
 
     def clock(self) -> Optional[float]:
-        """``time.perf_counter()`` when timed, else ``None``.
+        """``time.perf_counter()`` (``None`` on a :class:`NullTrace`).
 
         Accounting layers bracket a backend invocation with ``t0 =
-        trace.clock()`` / ``t_wall=trace.clock_since(t0)``; on an
-        untimed (or Null) trace both sides collapse to no-ops, keeping
-        the disabled path inside the telemetry overhead budget.
+        trace.clock()`` / ``t_wall=trace.clock_since(t0)``; on a Null
+        trace both sides collapse to no-ops, keeping the disabled path
+        inside the telemetry overhead budget.
         """
-        return time.perf_counter() if self.timed else None
+        return time.perf_counter()
 
     def clock_since(self, t0: Optional[float]) -> Optional[float]:
-        """Elapsed seconds since a :meth:`clock` stamp (None-safe)."""
-        if t0 is None or not self.timed:
-            return None
+        """Elapsed seconds since a :meth:`clock` stamp."""
         return time.perf_counter() - t0
 
     def _next_seq(self, rank: int) -> int:
@@ -280,7 +267,7 @@ class CommTrace:
             counts=None if counts is None else tuple(int(c) for c in counts),
             comm_size=comm_size,
             comm_id=comm_id,
-            t_stamp=time.perf_counter() if self.timed else None,
+            t_stamp=time.perf_counter(),
         )
         with self._lock:
             self._events.append(event)
@@ -303,7 +290,7 @@ class CommTrace:
             items=int(items),
             phase=self.current_phase(),
             seq=self._next_seq(rank),
-            t_stamp=time.perf_counter() if self.timed else None,
+            t_stamp=time.perf_counter(),
             t_wall=t_wall,
         )
         with self._lock:
@@ -469,7 +456,7 @@ class NullTrace(CommTrace):
     """
 
     def __init__(self) -> None:
-        super().__init__(timed=False)
+        super().__init__()
         self.metrics = NullMetrics()
 
     @contextmanager
@@ -483,3 +470,9 @@ class NullTrace(CommTrace):
 
     def record_compute(self, *args, **kwargs) -> None:  # noqa: D102
         return
+
+    def clock(self) -> None:  # noqa: D102
+        return None
+
+    def clock_since(self, t0: Optional[float]) -> None:  # noqa: D102
+        return None

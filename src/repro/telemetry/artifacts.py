@@ -8,18 +8,18 @@ the run's metrics-registry snapshot into one object that
 ``campaign.report`` can address with dotted keys
 (``telemetry.phase.fft.wall``, ``telemetry.metrics.solver.steps``).
 
-:func:`atomic_write_json` is the single durable-write primitive the
-whole telemetry layer uses (mkstemp in the destination directory,
-fsync, ``os.replace``), shared so exporters and status heartbeats
+:func:`atomic_write_json` is how the telemetry layer writes JSON
+(through :func:`repro.util.misc.atomic_write`, the one durable-write
+primitive checkpoints use too), so exporters and status heartbeats
 cannot drift apart.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from typing import Any, Dict, Optional
+
+from repro.util.misc import atomic_write
 
 __all__ = [
     "TELEMETRY_SCHEMA",
@@ -33,40 +33,13 @@ TELEMETRY_SCHEMA = "repro.telemetry/1"
 
 
 def atomic_write_json(path: str, payload: Any, *, indent: int = 2) -> None:
-    """Write ``payload`` as JSON to ``path`` atomically.
-
-    The document is serialized to a ``mkstemp`` sibling in the
-    destination directory, fsync'd, then ``os.replace``'d into place —
-    readers (status pollers, report generators, other processes) never
-    observe a torn file, and a crash mid-write leaves the previous
-    version intact.
+    """Write ``payload`` as JSON to ``path`` atomically
+    (:func:`~repro.util.misc.atomic_write`): readers (status pollers,
+    report generators, other processes) never observe a torn file, and
+    a crash mid-write leaves the previous version intact.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
-    try:
-        # mkstemp creates 0600; restore the umask-default mode a plain
-        # open() would have produced, so shared results trees stay
-        # readable by their other consumers.
-        try:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
-        except (AttributeError, OSError):  # pragma: no cover - non-POSIX
-            pass
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=indent, sort_keys=True, default=str)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+    text = json.dumps(payload, indent=indent, sort_keys=True, default=str)
+    atomic_write(path, lambda fh: fh.write((text + "\n").encode("utf-8")))
 
 
 def build_run_telemetry(

@@ -1,4 +1,5 @@
-"""Generic helpers: decomposition arithmetic and row chunking.
+"""Generic helpers: decomposition arithmetic, row chunking and the one
+durable-write primitive.
 
 The block-decomposition helpers here are the single source of truth for
 "which index range does rank r own" throughout the library.  Both the
@@ -10,9 +11,11 @@ messages the functional code actually sends.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from bisect import bisect_left
 from functools import reduce
-from typing import Sequence
+from typing import BinaryIO, Callable, Sequence
 
 from repro.util.errors import ConfigurationError
 
@@ -91,3 +94,39 @@ def chunk_rows(first: Sequence[int], total: int, budget: int) -> list[int]:
     cuts = {bisect_left(first, mark) for mark in range(0, total, budget)}
     # A multiple inside the last row lands past every row start.
     return sorted(cut for cut in cuts if cut < rows) + [rows]
+
+
+def atomic_write(path: str, write: Callable[[BinaryIO], object]) -> None:
+    """Durably replace ``path`` with what ``write(fh)`` writes to ``fh``.
+
+    The bytes go to a ``mkstemp`` sibling in the destination directory,
+    are fsync'd, then ``os.replace``'d into place: a reader never sees a
+    torn file, a crash mid-write leaves the previous version intact, and
+    an exception leaves no temporary behind.
+    """
+    fd, tmp_path = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)),
+        prefix=os.path.basename(path) + ".", suffix=".tmp",
+    )
+    try:
+        # mkstemp creates 0600; restore the umask-default mode a plain
+        # open() would have produced, so shared results trees stay
+        # readable by their other consumers (where the filesystem has
+        # modes at all).
+        umask = os.umask(0)
+        os.umask(umask)
+        try:
+            os.fchmod(fd, 0o666 & ~umask)
+        except OSError:
+            pass
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.remove(tmp_path)
+        except OSError:
+            pass
+        raise

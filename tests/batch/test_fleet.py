@@ -110,16 +110,6 @@ class TestLifecycle:
             assert np.max(np.abs(fleet.results[sid]["z"] - z_solo)) <= TOL
             assert np.max(np.abs(fleet.results[sid]["w"] - w_solo)) <= TOL
 
-    def test_remove(self):
-        fleet = ScenarioFleet(config())
-        sids = fleet.add_many([(config(), ic(seed=i), 4) for i in range(3)])
-        assert fleet.size == 3
-        assert fleet.remove(sids[1])
-        assert not fleet.remove(sids[1])  # already gone
-        assert fleet.size == 2
-        fleet.run()
-        assert sorted(fleet.results) == [sids[0], sids[2]]
-
     def test_empty_fleet_cannot_step(self):
         fleet = ScenarioFleet(config())
         with pytest.raises(ConfigurationError, match="empty"):

@@ -291,15 +291,15 @@ class TestInterruptHardening:
             children.append(real_fork(*args, **kwargs))
             return children[-1]
 
-        real_done = service.Coordinator._handle_done
+        real_report = service.Coordinator._handle_report
 
         def done_then_ctrl_c(coordinator, msg):
-            real_done(coordinator, msg)
+            real_report(coordinator, msg)
             raise KeyboardInterrupt  # operator hits Ctrl-C mid-campaign
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(service, "_fork_worker", recording_fork)
-            mp.setattr(service.Coordinator, "_handle_done", done_then_ctrl_c)
+            mp.setattr(service.Coordinator, "_handle_report", done_then_ctrl_c)
             with pytest.raises(KeyboardInterrupt):
                 CampaignExecutor(store, max_workers=2).submit(specs)
 
@@ -315,7 +315,7 @@ class TestInterruptHardening:
         assert all(r.status != "failed" for r in store.iter_records())
 
         again = CampaignExecutor(store, max_workers=2).submit(specs)
-        # The run whose job-done raised is a store hit — and so is the
+        # The run whose job-report raised is a store hit — and so is the
         # other worker's, if it had recorded before being terminated.
         assert {o.status for o in again} == {"completed", "skipped"}
         assert sum(o.skipped for o in again) in (1, 2)

@@ -20,12 +20,12 @@ from repro.campaign import (
     CampaignStore,
     Coordinator,
     RunSpec,
-    SocketEndpoint,
     SocketWorkerChannel,
     Worker,
 )
 from repro.campaign.executor import KILL_FUSE_ENV
 from repro.campaign.store import COMPLETED, FAILED, RUNNING
+from tests.conftest import RecordingEndpoint
 
 BASE = {"order": "low", "num_nodes": [16, 16], "dt": 0.002}
 
@@ -49,10 +49,10 @@ def fleet_and_solos():
 
 def serve(store, specs, n_workers=2, **kwargs):
     """Coordinator + ``n_workers`` in-process workers over local TCP."""
-    endpoint = SocketEndpoint()
+    endpoint = RecordingEndpoint()
     coordinator = Coordinator(
         store, specs, endpoint, lease_timeout=60.0, drain_grace=3.0,
-        journal=True, telemetry=False, **kwargs,
+        telemetry=False, **kwargs,
     )
     threads = [
         threading.Thread(target=Worker(
@@ -82,7 +82,7 @@ class TestFleetLease:
         coordinator, summary = serve(store, specs)
         assert summary["completed"] == 9 and summary["failed"] == 0
 
-        jobs = [m for d, _, m in coordinator.journal
+        jobs = [m for d, _, m in coordinator.endpoint.journal
                 if d == "send" and m.TYPE == "new-job"]
         assert sorted(len(job.members) for job in jobs) == [0, 0, 0, 6]
         (fleet_job,) = [job for job in jobs if job.members]

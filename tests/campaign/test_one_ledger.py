@@ -28,6 +28,7 @@ from repro.campaign import (
 )
 from repro.core import InitialCondition, SolverConfig
 from repro.machine.model import MachineSpec
+from tests.conftest import RecordingEndpoint
 
 LOW = {"order": "low", "num_nodes": [16, 16], "dt": 0.002}
 IC = {"kind": "multi_mode", "magnitude": 0.02, "period": 3}
@@ -193,10 +194,9 @@ def test_model_runs_stay_on_the_coordinators_machine(tmp_path):
     store = CampaignStore("ledger", root=str(tmp_path))
 
     def serve():
-        endpoint = SocketEndpoint()
+        endpoint = RecordingEndpoint()
         coordinator = Coordinator(
-            store, specs, endpoint, machine=slow, journal=True,
-            drain_grace=3.0,
+            store, specs, endpoint, machine=slow, drain_grace=3.0,
         )
         thread = threading.Thread(target=Worker(
             SocketWorkerChannel(*endpoint.address), worker_id="w0",
@@ -210,7 +210,7 @@ def test_model_runs_stay_on_the_coordinators_machine(tmp_path):
 
     coordinator, summary = serve()
     assert summary["completed"] == 3
-    jobs = [m for d, _, m in coordinator.journal
+    jobs = [m for d, _, m in coordinator.endpoint.journal
             if d == "send" and m.TYPE == "new-job"]
     assert [job.payload["mode"] for job in jobs] == ["functional"]
     latest = store.latest_records()

@@ -104,8 +104,7 @@ def socket_inodes(pid):
 
 def endpoint_inodes(endpoint):
     """Inodes of the endpoint's listener and accepted connections."""
-    with endpoint._conns_lock:
-        socks = [endpoint._listener] + [c.sock for c in endpoint._conns.values()]
+    socks = [endpoint._listener, *endpoint._conns.values()]
     return {os.fstat(sock.fileno()).st_ino for sock in socks if sock.fileno() >= 0}
 
 

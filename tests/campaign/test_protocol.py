@@ -6,11 +6,16 @@ input must fail with the typed :class:`ProtocolError` (never a raw
 ``KeyError``/``UnicodeDecodeError`` leaking decoder internals, and
 never a ``pickle.loads`` of untrusted bytes), and frame reassembly must
 be invariant under arbitrary TCP chunking — the property that makes
-socket segmentation invisible to the protocol layer.
+socket segmentation invisible to the protocol layer.  The coordinator's
+endpoint serves every connection from the thread that polls it, so one
+stalled or hostile peer must hold back only itself.
 """
 
 import inspect
 import json
+import socket
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -23,12 +28,13 @@ from repro.campaign.protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
     Heartbeat,
-    JobDone,
-    JobFailed,
+    JobReport,
     JobRequest,
     NewJob,
     NoWorkLeft,
     ProtocolError,
+    SocketEndpoint,
+    SocketWorkerChannel,
     decode_message,
     encode_message,
     frame,
@@ -64,18 +70,13 @@ messages = st.one_of(
     st.builds(NoWorkLeft, reason=short_text),
     st.builds(Heartbeat, worker=short_text, run_hash=short_text),
     st.builds(
-        JobDone,
+        JobReport,
         worker=short_text,
         run_hash=short_text,
+        status=st.sampled_from(["completed", "failed"]),
         elapsed=finite,
         resumed_from_step=st.integers(min_value=0, max_value=10**6),
-    ),
-    st.builds(
-        JobFailed,
-        worker=short_text,
-        run_hash=short_text,
         error=short_text,
-        elapsed=finite,
     ),
 )
 
@@ -116,13 +117,35 @@ class TestCodec:
     def test_v1_frame_rejected(self):
         """A v1 peer would ignore a fleet's ``members`` and run one spec:
         its frames are refused, not mis-parsed."""
-        assert PROTOCOL_VERSION == 2
+        assert PROTOCOL_VERSION == 3
         job = NewJob(run_hash="h", payload={}, campaign="c", store_root="r",
                      lease_timeout=1.0, members=[{"a": 1}, {"a": 2}])
         doc = json.loads(encode_message(job))
         doc["v"] = 1
         with pytest.raises(ProtocolError, match="version"):
             decode_message(json.dumps(doc).encode())
+
+    def test_v2_frame_rejected(self):
+        """A v2 peer reports ``job-done`` / ``job-failed``, which v3 folded
+        into ``job-report``: its frames are refused, not mis-parsed."""
+        for doc in (
+            {"v": 2, "type": "job-done", "worker": "w", "run_hash": "h"},
+            {"v": 2, "type": "job-request", "worker": "w"},
+        ):
+            with pytest.raises(ProtocolError, match="version"):
+                decode_message(json.dumps(doc).encode())
+
+    def test_report_status_is_terminal(self):
+        """A report names a terminal state: anything else is a protocol
+        violation, also when it arrives as a frame."""
+        doc = json.loads(encode_message(
+            JobReport(worker="w", run_hash="h", status="completed")
+        ))
+        doc["status"] = "running"
+        with pytest.raises(ProtocolError, match="status"):
+            decode_message(json.dumps(doc).encode())
+        with pytest.raises(ProtocolError, match="status"):
+            JobReport(worker="w", run_hash="h", status="running")
 
     def test_unknown_type_rejected(self):
         doc = {"v": PROTOCOL_VERSION, "type": "launch-missiles"}
@@ -139,9 +162,9 @@ class TestCodec:
         ("elapsed", "fast"), ("elapsed", True), ("resumed_from_step", 0.5),
     ])
     def test_wrong_field_shape_rejected(self, field, value):
-        doc = json.loads(
-            encode_message(JobDone(worker="w", run_hash="h", elapsed=1.0))
-        )
+        doc = json.loads(encode_message(
+            JobReport(worker="w", run_hash="h", status="failed", elapsed=1.0)
+        ))
         doc[field] = value
         with pytest.raises(ProtocolError, match=field):
             decode_message(json.dumps(doc).encode())
@@ -201,7 +224,6 @@ class TestFraming:
         stream = b"".join(frame(encode_message(m)) for m in msgs)
         decoder = FrameDecoder()
         decoder.feed(stream[:-1])
-        assert decoder.pending > 0
         with pytest.raises(ProtocolError, match="truncated"):
             decoder.finish()
 
@@ -225,3 +247,86 @@ class TestFraming:
         assert [decode_message(f) for f in frames] == [
             NoWorkLeft(), JobRequest("w"),
         ]
+
+
+# -- coordinator endpoint -----------------------------------------------------
+
+
+def poll_until(endpoint, done, timeout=10.0):
+    """Poll ``endpoint`` until ``done(messages so far)``; returns them."""
+    got = []
+    deadline = time.monotonic() + timeout
+    while not done(got):
+        assert time.monotonic() < deadline, f"endpoint stuck after {got}"
+        got.extend(endpoint.poll(0.05))
+    return got
+
+
+def answer_one_request(endpoint, channel, worker):
+    """``channel`` asks for work and is answered: the endpoint is
+    serving it."""
+    channel.send(JobRequest(worker))
+    ((conn_id, msg),) = poll_until(endpoint, bool)
+    assert msg == JobRequest(worker)
+    assert endpoint.send(conn_id, NoWorkLeft())
+    assert channel.recv(5.0) == NoWorkLeft()
+    return conn_id
+
+
+class TestEndpoint:
+    def test_stalled_peer_does_not_block_another(self):
+        """Half a frame is buffered, not waited for: a second connection
+        is served meanwhile, and the stalled frame completes later."""
+        endpoint = SocketEndpoint()
+        stalled = socket.create_connection(endpoint.address)
+        channel = SocketWorkerChannel(*endpoint.address)
+        try:
+            data = frame(encode_message(JobRequest("stalled")))
+            stalled.sendall(data[: len(data) // 2])
+            # The endpoint accepts the stalled peer and reads its half.
+            poll_until(endpoint, lambda _: len(endpoint.connections()) == 2)
+            assert endpoint.poll(0.1) == []
+            answer_one_request(endpoint, channel, "w")
+            stalled.sendall(data[len(data) // 2:])
+            ((_, msg),) = poll_until(endpoint, bool)
+            assert msg == JobRequest("stalled")
+        finally:
+            stalled.close()
+            channel.close()
+            endpoint.close()
+
+    @pytest.mark.parametrize("garbage,hang_up", [
+        (frame(b"not json at all"), False),
+        ((MAX_FRAME_BYTES + 1).to_bytes(4, "big"), False),
+        (frame(encode_message(JobRequest("x")))[:-1], True),  # mid-frame EOF
+    ])
+    def test_garbage_drops_only_its_connection(
+        self, garbage, hang_up, campaign_log
+    ):
+        endpoint = SocketEndpoint()
+        hostile = socket.create_connection(endpoint.address)
+        channel = SocketWorkerChannel(*endpoint.address)
+        try:
+            hostile.sendall(garbage)
+            if hang_up:
+                hostile.shutdown(socket.SHUT_WR)
+            conn_id = answer_one_request(endpoint, channel, "w")
+            poll_until(endpoint, lambda _: endpoint.connections() == [conn_id])
+            assert "dropping connection" in campaign_log.text
+            answer_one_request(endpoint, channel, "w")  # still served
+        finally:
+            hostile.close()
+            channel.close()
+            endpoint.close()
+
+    def test_starts_no_thread(self):
+        """Building, accepting on, polling and closing an endpoint runs
+        on the caller's thread alone."""
+        before = set(threading.enumerate())
+        endpoint = SocketEndpoint()
+        channel = SocketWorkerChannel(*endpoint.address)
+        answer_one_request(endpoint, channel, "w")
+        assert not set(threading.enumerate()) - before
+        channel.close()
+        endpoint.close()
+        assert not set(threading.enumerate()) - before

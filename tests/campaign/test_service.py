@@ -28,6 +28,7 @@ from repro.campaign import (
     campaign_summary,
 )
 from repro.campaign.protocol import Heartbeat
+from tests.conftest import RecordingEndpoint
 
 #: The acceptance deck: 8 runs (4 heFFTe configs x 2 rank counts),
 #: small enough for CI, rank-varied enough to exercise distinct code
@@ -65,10 +66,9 @@ def run_serial(root):
 def run_socket_service(root, n_workers=2):
     """Coordinator + N worker threads over local TCP."""
     store = CampaignStore("svc", root=str(root))
-    endpoint = SocketEndpoint()
+    endpoint = RecordingEndpoint()
     coordinator = Coordinator(
         store, specs(), endpoint, lease_timeout=60.0, drain_grace=3.0,
-        journal=True,
     )
     host, port = endpoint.address
     stats = {}
@@ -90,7 +90,7 @@ def run_socket_service(root, n_workers=2):
     for t in threads:
         t.join(timeout=60.0)
     assert not any(t.is_alive() for t in threads)
-    return store, summary, coordinator.journal, stats
+    return store, summary, endpoint.journal, stats
 
 
 def comparable_records(store):
@@ -148,7 +148,7 @@ class TestConformance:
         counts = message_multiset(journal)
         n = len(specs())
         assert counts[("send", "new-job")] == LEASES
-        assert counts[("recv", "job-done")] == n
+        assert counts[("recv", "job-report")] == n
         assert counts[("recv", "job-request")] == LEASES + 2
         assert counts[("send", "no-work-left")] == 2
 

@@ -8,7 +8,14 @@ import os
 
 import pytest
 
-from repro.campaign import CampaignDeck, CampaignStore, RunRecord, results_root
+from repro.campaign import (
+    CampaignDeck,
+    CampaignExecutor,
+    CampaignStore,
+    RunRecord,
+    campaign_summary,
+    results_root,
+)
 from repro.campaign.store import COMPLETED, FAILED
 from repro.core.solver import NUMERICS_VERSION
 from repro.util.errors import ConfigurationError
@@ -80,6 +87,47 @@ class TestCrashTolerance:
         # The store stays writable: a later append supersedes cleanly.
         store.record_failed(spec, "later")
         assert spec.run_hash() not in store.completed_hashes()
+
+
+class TestAudit:
+    """``campaign_summary`` reports what a sound store never holds, from
+    the one scan ``latest_records`` makes."""
+
+    def test_one_case_of_each(self, store):
+        specs = CampaignDeck.from_dict(
+            {"mode": "model", "base": {"order": "low"},
+             "grid": {"ranks": [1, 2, 4, 8, 16]}}
+        ).expand()
+        clean, orphan, empty, stale, _ = specs
+        store.record_completed(clean, {"step_time": 1.0})
+        store.record_running(orphan, owner="w0", lease_expires=1.0)
+        store.record_completed(empty, {})
+        store.append(RunRecord(
+            run_hash=stale.run_hash(), status=COMPLETED, spec=stale.payload(),
+            result={"step_time": 2.0}, numerics=NUMERICS_VERSION - 1,
+        ))
+        with open(store.index_path, "a", encoding="utf-8") as fh:
+            fh.write('{"run_hash": "dead", "status": "comp\n')
+        assert store.torn_lines() == [5]
+        summary = campaign_summary(store)
+        assert {key: summary[key] for key in
+                ("interrupted", "torn", "no_result", "stale")} == {
+            "interrupted": 1, "torn": 1, "no_result": 1, "stale": 1,
+        }
+        assert summary["completed"] == 3
+
+        # A deck naming the stale hash runs it again, as plan_runs does.
+        (outcome,) = CampaignExecutor(store, max_workers=1).submit([stale])
+        assert outcome.status == COMPLETED and not outcome.skipped
+        assert outcome.numerics == NUMERICS_VERSION
+        assert campaign_summary(store)["stale"] == 0
+
+    def test_clean_store_audits_clean(self, store, spec):
+        store.record_completed(spec, {"ok": 1})
+        summary = campaign_summary(store)
+        assert [summary[key] for key in
+                ("interrupted", "torn", "no_result", "stale")] == [0] * 4
+        assert store.torn_lines() == []
 
 
 class TestSchema:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import mpi
+from repro.campaign.protocol import Heartbeat, SocketEndpoint
 
 
 @pytest.fixture
@@ -32,3 +33,27 @@ def campaign_log(caplog, monkeypatch):
     monkeypatch.setattr(logging.getLogger("repro.campaign"), "propagate", True)
     caplog.set_level(logging.INFO, logger="repro.campaign")
     return caplog
+
+
+class RecordingEndpoint(SocketEndpoint):
+    """A :class:`SocketEndpoint` that keeps the conversation: every
+    non-heartbeat message received, and every one delivered, as
+    ``(direction, conn_id, message)`` in :attr:`journal`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.journal = []
+
+    def poll(self, timeout):
+        messages = super().poll(timeout)
+        self.journal.extend(
+            ("recv", conn_id, msg) for conn_id, msg in messages
+            if not isinstance(msg, Heartbeat)
+        )
+        return messages
+
+    def send(self, conn_id, msg):
+        delivered = super().send(conn_id, msg)
+        if delivered:
+            self.journal.append(("send", conn_id, msg))
+        return delivered

@@ -257,6 +257,21 @@ class TestCampaignSubcommand:
         assert captured.err.count("store hit — skipped") == 4
         assert "0 ran, 4 store hits, 0 failed" in captured.out
 
+    def test_store_audit_line(self, tmp_path, capsys):
+        """One ``store audit:`` line names each non-zero count; a clean
+        store prints none."""
+        path = tmp_path / "deck.json"
+        path.write_text(json.dumps(dict(self.DECK, mode="model")))
+        results = tmp_path / "results"
+        argv = ["campaign", str(path), "--results-dir", str(results)]
+        assert main(argv) == 0
+        assert "store audit" not in capsys.readouterr().out
+        index = results / "campaigns" / "cli_deck" / "index.jsonl"
+        with open(index, "a", encoding="utf-8") as fh:
+            fh.write('{"torn\n')
+        assert main(argv) == 0
+        assert "store audit: 1 torn\n" in capsys.readouterr().out
+
     def test_bad_deck_exits_cleanly(self, tmp_path, capsys):
         with pytest.raises(SystemExit, match="bad deck"):
             main(["campaign", str(tmp_path / "missing.json")])

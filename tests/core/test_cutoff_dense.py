@@ -143,7 +143,7 @@ def test_dense_solver_matches_the_pipeline(monkeypatch, backend):
 def test_dense_path_reads_like_the_pipeline():
     """Pair count, cache counters and trace of a dense evaluation are
     what a caller and the ledger read on the CSR path."""
-    trace = mpi.CommTrace(timed=True)
+    trace = mpi.CommTrace()
     evaluations = 4
 
     def program(comm):

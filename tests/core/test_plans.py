@@ -379,7 +379,7 @@ def _assert_same_evaluations(got, want):
 @pytest.mark.parametrize("skin", [0.0, 0.3])
 def test_one_block_hops_are_identities(monkeypatch, skin):
     config = _cutoff_config(skin=skin)
-    trace, ref_trace = mpi.CommTrace(timed=True), mpi.CommTrace(timed=True)
+    trace, ref_trace = mpi.CommTrace(), mpi.CommTrace()
     got = _evaluations(1, config, False, monkeypatch, trace)
     want = _evaluations(1, config, True, monkeypatch, ref_trace)
     _assert_same_evaluations(got, want)

@@ -81,7 +81,7 @@ def test_planless_hops_build_no_plan(monkeypatch):
 def test_round_trip_is_fresh_ordered_and_silent():
     pos, pay = _particles()
     pos_before, pay_before = pos.copy(), pay.copy()
-    trace = mpi.CommTrace(timed=True)
+    trace = mpi.CommTrace()
 
     def body(comm):
         migrator = ParticleMigrator(comm, ONE_BLOCK)

@@ -136,15 +136,6 @@ class TestNullTelemetry:
         trace = NullTrace()
         assert trace.clock() is None
         assert trace.clock_since(None) is None
-        assert not trace.timed
-
-    def test_untimed_trace_has_no_stamps(self):
-        trace = CommTrace(timed=False)
-        with trace.phase("p"):
-            trace.record_comm("send", 0, 1, 8)
-        assert trace.spans == []
-        assert trace.events[0].t_stamp is None
-        assert trace.events[0].phase == "p"
 
     def test_null_metrics_absorb_everything(self):
         metrics = NullMetrics()
