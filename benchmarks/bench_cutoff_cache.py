@@ -49,8 +49,9 @@ DIAG_RTOL = 1e-12
 #: (skin_0 4.86-5.63 s, cached 2.62-3.58 s, 1.57-1.85x apart).  Six
 #: such rounds after the change measured skin_0 2.34-2.74 s and cached
 #: 2.24-2.61 s, 0.98-1.22x apart: 15 searches fell from ~2.5 s to 0.6 s,
-#: next to 0.5 s for 15 ``restrict_lists`` passes and 2.4 s in the numpy
-#: CSR kernel both runs share.  On one rank the cache is now break-even,
+#: next to 0.5 s for 15 passes restricting the cached CSR lists (since
+#: replaced by narrowing cached chunk lists) and 2.4 s in the numpy CSR
+#: kernel both runs shared.  On one rank the cache is now break-even,
 #: so the gate only keeps it from becoming a loss; single runs spread
 #: 0.88-1.47x on this host, hence the repeats.  Recorded in the payload
 #: and printed next to the new seconds, not asserted — seconds from one

@@ -5,8 +5,9 @@ wall-clock of every registered :mod:`repro.backend` engine on
 
 * the exact-BR all-pairs kernel at the paper's 128×128 working size
   (the acceptance gate: ``blocked`` must be ≥ 2× the numpy reference),
-  and
-* the cutoff-BR CSR neighbor kernel
+* the CSR neighbor kernel (the tree solver's near field), and
+* the cutoff solver's masked sum over the chunk pairs its search lists
+  (``br_chunks``)
 
 (the 1-D FFT stages are no backend kernel — every engine would time the
 same ``numpy.fft`` call — so they have no row here), and — report-only, absolute seconds gate nothing — the step time of a
@@ -22,10 +23,11 @@ use (``allpairs_threads``, gated only on identical bits),
 together with the roofline ComputeEvent totals each run recorded —
 which must be *identical* across backends, pair for pair, because the
 accounting layer (not the engine) owns the events — and of the
-backend-independent cell-list neighbor search that feeds the CSR
-kernel.  The three BR rows also print nanoseconds per pair, the unit of
-the e2e ledger's ``backend.*_ns_per_pair`` and
-``spatial.neighbor_ns_per_pair`` lines.  The payload lands
+backend-independent chunk-box neighbor search that feeds the masked
+sum.  The BR rows print nanoseconds per kept pair, the unit of the
+e2e ledger's ``backend.*_ns_per_pair`` lines, and the search row per
+candidate pair it lists (the ledger's ``spatial.neighbor_ns_per_pair``
+divides the search time by the kept pairs instead).  The payload lands
 in ``results/BENCH_kernels.json`` (``$REPRO_RESULTS_DIR`` relocates
 it) and CI uploads it as a workflow artifact.
 
@@ -39,17 +41,21 @@ import numpy as np
 from repro import mpi
 from repro.backend import available_backends, blocked
 from repro.core import InitialCondition, Solver, SolverConfig
-from repro.core.kernels import br_velocity_allpairs, br_velocity_neighbors
+from repro.core.kernels import (
+    br_velocity_allpairs,
+    br_velocity_neighbors,
+    br_velocity_within,
+)
 from repro.grid import HaloExchange
 from repro.machine import LASSEN, kernel_breakdown
 from repro.mpi.cart import CartComm
-from repro.spatial.neighbors import neighbor_lists
+from repro.spatial.neighbors import brute_force_lists, chunk_pairs
 
 from common import print_series, save_results
 
 #: Acceptance-criterion working size: 128×128 surface nodes.
 BR_NODES = 128
-#: Neighbor-kernel working size (cutoff pipeline scale).
+#: Neighbor-kernel and chunk-sum working size (cutoff pipeline scale).
 NB_NODES = 64
 NB_CUTOFF = 0.6
 
@@ -104,15 +110,33 @@ def _time_allpairs(backend):
 
 def _time_neighbors(backend):
     pts, om = _surface(NB_NODES)
-    lists = neighbor_lists(pts, pts, NB_CUTOFF)
+    offsets, indices = brute_force_lists(pts, pts, NB_CUTOFF)
     trace = mpi.CommTrace()
     out = {}
 
     def run():
         trace.clear()
         out["result"] = br_velocity_neighbors(
-            pts, pts, om, lists.offsets, lists.indices, eps=0.05, dA=1e-3,
+            pts, pts, om, offsets, indices, eps=0.05, dA=1e-3,
             trace=trace, backend=backend,
+        )
+
+    elapsed = _best_of(run, 2)
+    return elapsed, out["result"], kernel_breakdown(trace, LASSEN)
+
+
+def _time_chunk_sum(backend):
+    pts, om = _surface(NB_NODES)
+    blocks = chunk_pairs(pts, pts, NB_CUTOFF, symmetric=True)
+    empty = chunk_pairs(pts, pts[:0], NB_CUTOFF)
+    trace = mpi.CommTrace()
+    out = {}
+
+    def run():
+        trace.clear()
+        out["result"], _ = br_velocity_within(
+            pts, om, pts[:0], om[:0], NB_CUTOFF, eps=0.05, dA=1e-3,
+            blocks=blocks, ghost_blocks=empty, trace=trace, backend=backend,
         )
 
     elapsed = _best_of(run, 2)
@@ -124,9 +148,9 @@ def _time_search():
     out = {}
 
     def run():
-        out["lists"] = neighbor_lists(pts, pts, NB_CUTOFF)
+        out["lists"] = chunk_pairs(pts, pts, NB_CUTOFF, symmetric=True)
 
-    return _best_of(run, 3), out["lists"].total_neighbors
+    return _best_of(run, 3), out["lists"].candidates()
 
 
 def _strip_times(breakdown):
@@ -250,18 +274,21 @@ def test_backend_kernel_microbenchmarks():
     backends = available_backends()
     assert "numpy" in backends and "blocked" in backends
 
+    # row -> (timer, the ComputeEvent kernel it records)
     sections = {
-        "br_allpairs": _time_allpairs,
-        "br_neighbors": _time_neighbors,
+        "br_allpairs": (_time_allpairs, "br_allpairs"),
+        "br_neighbors": (_time_neighbors, "br_neighbors"),
+        "br_chunks": (_time_chunk_sum, "br_neighbors"),
     }
     payload = {
-        "nodes": {"br_allpairs": BR_NODES, "br_neighbors": NB_NODES},
+        "nodes": {"br_allpairs": BR_NODES, "br_neighbors": NB_NODES,
+                  "br_chunks": NB_NODES},
         "backends": backends,
         "kernels": {},
         **_EXTRA_PAYLOAD,
     }
     rows = []
-    for name, timer in sections.items():
+    for name, (timer, kernel) in sections.items():
         times, results, events = {}, {}, {}
         for backend in backends:
             elapsed, result, breakdown = timer(backend)
@@ -286,8 +313,8 @@ def test_backend_kernel_microbenchmarks():
             "speedup_vs_numpy": speedups,
             "events": events["numpy"],
         }
-        # The BR events count one item per pair.
-        pairs = events["numpy"][name]["items"]
+        # The BR events count one item per kept pair.
+        pairs = events["numpy"][kernel]["items"]
         ns_per_pair = {b: 1e9 * times[b] / pairs for b in backends}
         payload["kernels"][name]["ns_per_pair"] = ns_per_pair
         for backend in backends:
@@ -296,11 +323,12 @@ def test_backend_kernel_microbenchmarks():
                 ns_per_pair[backend],
             ])
 
-    search_s, search_pairs = _time_search()
-    search_ns = 1e9 * search_s / search_pairs
+    search_s, candidates = _time_search()
+    search_ns = 1e9 * search_s / candidates
     payload["nodes"]["neighbor_search"] = NB_NODES
     payload["kernels"]["neighbor_search"] = {
-        "seconds": search_s, "pairs": search_pairs, "ns_per_pair": search_ns,
+        "seconds": search_s, "candidates": candidates,
+        "ns_per_pair": search_ns,
     }
     rows.append(["neighbor_search", "-", search_s, "-", search_ns])
 

@@ -48,7 +48,19 @@ import abc
 
 import numpy as np
 
+from repro.util.misc import chunk_rows
+
 __all__ = ["ArrayBackend"]
+
+#: Pairs per run of the CSR kernel (whole rows, so a long row may exceed
+#: it).  Ten columns of this length are live at once; ns/pair is flat
+#: from 16k to 32k and rises on either side (call overhead below, L2
+#: misses above).
+_CSR_CHUNK = 32_768
+
+#: (target, node) interactions per batch of the far-field kernel: each
+#: per-axis ``(pairs, c)`` temporary stays at 0.5 MB.
+_FARFIELD_BATCH = 65_536
 
 
 class ArrayBackend(abc.ABC):
@@ -79,6 +91,7 @@ class ArrayBackend(abc.ABC):
         *,
         symmetric: bool = False,
         cutoff2: "np.ndarray | None" = None,
+        blocks=None,
     ) -> "np.ndarray | None":
         """Accumulate dense BR velocities into ``out`` (``(B, nt, 3)``).
 
@@ -102,10 +115,70 @@ class ArrayBackend(abc.ABC):
         those of the unmasked kernel, and the call returns ``None``.  An
         engine may measure ``r²`` on shifted coordinates (the blocked one
         centres them), so a pair within round-off of the cutoff may be
-        classified differently from the cell-list search.
+        classified differently from a direct ``|t − s|²`` test.
+
+        ``blocks`` (only with ``cutoff2``) is a chunk list
+        (:class:`~repro.spatial.neighbors.ChunkPairs`): ``blocks.pairs``
+        is an ``(m, 2)`` int64 array of (target chunk, source chunk)
+        pairs, chunk ``k`` being points ``[k·c, (k+1)·c)`` for
+        ``c = blocks.chunk``; with ``symmetric`` it lists only ``I <= J``
+        and each pair stands for itself and its transpose.  It is a hint
+        like ``symmetric``: the caller asserts that no pair of any
+        scenario in an unlisted block is within the cutoff, so an engine
+        may skip those blocks.  A list covering every block changes
+        nothing, bit for bit (:meth:`_listed_blocks`).
         """
 
-    @abc.abstractmethod
+    @staticmethod
+    def _listed_blocks(blocks, nt: int, ns: int, symmetric: bool):
+        """``blocks.pairs`` when the list leaves a block out, else ``None``
+        (no list, or one covering every block: the engine's dense path,
+        whose bits the list must not change)."""
+        if blocks is None:
+            return None
+        ni, nj = -(-nt // blocks.chunk), -(-ns // blocks.chunk)
+        every = ni * (ni + 1) // 2 if symmetric and nt == ns else ni * nj
+        return None if len(blocks.pairs) == every else blocks.pairs
+
+    @staticmethod
+    def _listed_layout(targets, sources, omega, cutoff2, pairs, chunk, mirror):
+        """One scenario's operands of a listed masked sum, shared by the
+        engines so they agree on the padding and the pair order.
+
+        Returns ``(tgt, src, om, pairs, plain)``: the ``(chunks, chunk,
+        3)`` targets, sources and ``ω``, whose ragged last chunks are
+        padded with targets at ``+far`` and ``ω = 0`` sources at
+        ``-far`` — beyond the cutoff of each other and of every real
+        point, so the mask zeroes every padded pair — and the pair list,
+        for a ``mirror`` list with its ``plain`` diagonal pairs first
+        (``plain`` is every pair of a list without a mirror).
+        """
+        far = 2.0 * (max(np.abs(targets).max(), np.abs(sources).max())
+                     + np.sqrt(cutoff2)) + 1.0
+
+        def chunked(rows, fill):
+            padded = np.full((-(-rows.shape[0] // chunk) * chunk, 3), fill)
+            padded[:rows.shape[0]] = rows
+            return padded.reshape(-1, chunk, 3)
+
+        plain = len(pairs)
+        if mirror:
+            diagonal = pairs[:, 0] == pairs[:, 1]
+            pairs = np.concatenate([pairs[diagonal], pairs[~diagonal]])
+            plain = int(np.count_nonzero(diagonal))
+        return (chunked(targets, far), chunked(sources, -far),
+                chunked(omega, 0.0), pairs, plain)
+
+    @staticmethod
+    def _add_rows(acc: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+        """``acc[rows[k]] += values[k]`` for every ``k``, in a fixed order:
+        each row's values are summed in ``k`` order, then added once
+        (``np.add.at`` does the same sequence far slower on sub-arrays)."""
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+        acc[rows[starts]] += np.add.reduceat(values[order], starts, axis=0)
+
     def br_neighbors(
         self,
         targets: np.ndarray,
@@ -120,8 +193,51 @@ class ArrayBackend(abc.ABC):
         """Accumulate BR velocities over CSR neighbor lists into ``out``.
 
         ``indices[offsets[t]:offsets[t+1]]`` are the source indices
-        within range of target ``t`` (the cutoff solver's pair lists).
+        within range of target ``t`` (the tree solver's near field).
+
+        One implementation serves every engine: it works in row-aligned
+        runs of ~32k pairs on contiguous per-component columns (no
+        ``(pairs, 3)`` fancy-indexing temporaries) and reduces each
+        target's segment with ``np.add.reduceat`` over the CSR offsets
+        instead of scatter-adding.
         """
+        total_pairs = int(offsets[-1])
+        if total_pairs == 0:
+            return
+        # reduceat hands back an *element*, not 0, for an empty segment:
+        # only rows that own at least one pair enter the reduction.
+        counts = np.diff(offsets)
+        rows = np.flatnonzero(counts)
+        counts = counts[rows]
+        starts = np.append(offsets[rows], total_pairs)
+        tcol = np.ascontiguousarray(targets.T)
+        scol = np.ascontiguousarray(sources.T)
+        ocol = np.ascontiguousarray(omega.T)
+        cuts = chunk_rows(starts[:-1], total_pairs, _CSR_CHUNK)
+        for k0, k1 in zip(cuts[:-1], cuts[1:]):
+            p0, p1 = starts[k0], starts[k1]
+            sj = indices[p0:p1]
+            r = rows[k0:k1]
+            cnt = counts[k0:k1]
+            d = []
+            for axis in range(3):
+                da = np.repeat(tcol[axis][r], cnt)
+                da -= scol[axis][sj]
+                d.append(da)
+            inv = d[0] * d[0]
+            inv += d[1] * d[1]
+            inv += d[2] * d[2]
+            inv += eps2
+            comp = np.sqrt(inv)
+            inv *= comp
+            np.divide(prefactor, inv, out=inv)
+            o = [ocol[axis][sj] for axis in range(3)]
+            segments = starts[k0:k1] - p0
+            for axis, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
+                np.multiply(o[p], d[q], out=comp)
+                comp -= o[q] * d[p]
+                comp *= inv
+                out[r, axis] += np.add.reduceat(comp, segments)
 
     # -- Barnes-Hut tree kernels ------------------------------------------
 
@@ -177,7 +293,6 @@ class ArrayBackend(abc.ABC):
                 )
         return m, s, q
 
-    @abc.abstractmethod
     def farfield_eval(
         self,
         targets: np.ndarray,
@@ -185,19 +300,22 @@ class ArrayBackend(abc.ABC):
         moment_m: np.ndarray,
         moment_s: np.ndarray,
         moment_q: np.ndarray,
-        pair_targets: np.ndarray,
+        groups: np.ndarray,
+        pair_groups: np.ndarray,
         pair_nodes: np.ndarray,
+        pair_mask: np.ndarray,
         eps2: float,
         prefactor: float,
         out: np.ndarray,
     ) -> None:
         """Accumulate far-field (multipole) BR velocities into ``out``.
 
-        For every accepted (target, node) pair ``p``, with
-        ``r = targets[pair_targets[p]] - centers[pair_nodes[p]]`` and
+        For every accepted (group, node) pair ``p`` and every target
+        ``t = groups[pair_groups[p], k]`` with ``pair_mask[p, k]``, with
+        ``r = targets[t] - centers[pair_nodes[p]]`` and
         ``u = |r|^2 + eps2``::
 
-            out[pair_targets[p]] += prefactor * (
+            out[t] += prefactor * (
                 u**-1.5 * (M x r - S) + 3 * u**-2.5 * (Q r) x r
             )
 
@@ -207,15 +325,92 @@ class ArrayBackend(abc.ABC):
 
         Shapes and dtypes: ``targets`` ``(nt, 3)`` float64; ``centers``
         / ``moment_m`` / ``moment_s`` ``(nn, 3)`` float64; ``moment_q``
-        ``(nn, 3, 3)`` float64; ``pair_targets`` / ``pair_nodes``
-        ``(p,)`` int64 with entries in ``[0, nt)`` / ``[0, nn)``;
-        ``out`` ``(nt, 3)`` float64, accumulated in place.
+        ``(nn, 3, 3)`` float64; ``groups`` ``(G, c)`` int64 target rows,
+        ``-1`` padding, every row listed at most once and every group
+        non-empty; ``pair_groups`` / ``pair_nodes`` ``(p,)`` int64 with
+        entries in ``[0, G)`` / ``[0, nn)``; ``pair_mask`` ``(p, c)``
+        bool, false on padding; ``out`` ``(nt, 3)`` float64,
+        accumulated in place.
 
         Aliasing rules: ``out`` must not alias any input array (the
         caller always passes a dedicated accumulator); the node-table
         inputs are read-only and a node id may appear in any number of
         pairs.
+
+        One implementation serves every engine, GEMM-shaped.  Writing
+        ``r = t - c`` (coordinates shifted to the targets' mean), the
+        sum over a group's nodes is
+
+            sum w (M x t - (M x c + S))
+              + sum h ((Q t) x t - (Q t) x c - (Q c) x t + (Q c) x c)
+
+        with ``w = u**-1.5`` and ``h = 3 u**-2.5``: six per-node
+        features weighted by ``w`` and 24 by ``h``, each summed by one
+        ``(c, nodes) @ (nodes, features)`` product per group, then
+        applied to ``t``.  The pairs must be sorted by group (the walk
+        hands them on so).
         """
+        if not len(pair_groups):
+            return
+        ng, c = groups.shape
+        filled = groups >= 0
+        origin = targets[groups[filled]].mean(axis=0)
+        # (G, c, 3); a padded slot repeats its group's first target and
+        # is masked out.
+        tgt = targets[np.where(filled, groups, groups[:, :1])] - origin
+        cen = centers - origin
+        qc = np.einsum("nab,nb->na", moment_q, cen)
+        # Column d of the (Q t) x c matrix is Q[:, d] x c.
+        qxc = np.cross(moment_q.transpose(0, 2, 1), cen[:, None, :])
+        feat_w = np.concatenate(
+            [moment_m, np.cross(moment_m, cen) + moment_s], axis=1
+        )
+        feat_h = np.concatenate(
+            [moment_q.reshape(-1, 9), qxc.transpose(0, 2, 1).reshape(-1, 9),
+             qc, np.cross(qc, cen)], axis=1,
+        )
+        counts = np.bincount(pair_groups, minlength=ng)
+        first = np.cumsum(counts) - counts
+        sum_w = np.zeros((ng, c, 6))
+        sum_h = np.zeros((ng, c, 24))
+        step = max(1, _FARFIELD_BATCH // (c * int(counts.max())))
+        for g0 in range(0, ng, step):
+            g1 = min(g0 + step, ng)
+            # (groups, slots) entry indices; a short group's extra slots
+            # repeat its first entry under an all-false mask.
+            width = int(counts[g0:g1].max())
+            if width == 0:
+                continue
+            slot = np.arange(width)
+            used = slot < counts[g0:g1, None]
+            entry = first[g0:g1, None] + np.where(used, slot, 0)
+            node = pair_nodes[entry]
+            mask = pair_mask[entry].transpose(0, 2, 1) & used[:, None, :]
+            t = tgt[g0:g1]
+            u = None
+            for a in range(3):
+                d = t[:, :, a, None] - cen[node, a][:, None, :]
+                d *= d
+                u = d if u is None else u + d
+            u += eps2
+            w = np.sqrt(u)
+            w *= u
+            np.divide(1.0, w, out=w)                          # u^{-3/2}
+            h = 3.0 * w
+            h /= u                                            # 3 u^{-5/2}
+            w *= mask
+            h *= mask
+            sum_w[g0:g1] = w @ feat_w[node]
+            sum_h[g0:g1] = h @ feat_h[node]
+        moment_sum = sum_h[..., 0:9].reshape(ng, c, 3, 3)
+        qxc_sum = sum_h[..., 9:18].reshape(ng, c, 3, 3)
+        vel = np.cross(sum_w[..., 0:3] - sum_h[..., 18:21], tgt)
+        vel -= sum_w[..., 3:6]
+        vel += np.cross(np.einsum("gkab,gkb->gka", moment_sum, tgt), tgt)
+        vel -= np.einsum("gkab,gkb->gka", qxc_sum, tgt)
+        vel += sum_h[..., 21:24]
+        vel *= prefactor
+        out[groups[filled]] += vel[filled]
 
     # -- reductions --------------------------------------------------------
 

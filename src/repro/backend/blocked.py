@@ -52,13 +52,19 @@ kernels do, and why:
    wave at a time; a one-panel call never touches the pool, and a
    forked child (a local campaign worker) builds a pool of its own.
 
-The CSR neighbor kernel works in row-aligned chunks of ~32k pairs on
-contiguous per-component columns (no ``(pairs, 3)`` fancy-indexing
-temporaries) and reduces each target's segment with
-``np.add.reduceat`` over the CSR offsets instead of scatter-adding;
-the far-field kernel still scatters with ``np.bincount`` (its pair
-list is not sorted by target).  The stencil / RK3 kernels run on
-in-place accumulations instead of full-expression temporaries.
+6. **Listed sub-panels under a cutoff.**  Given a chunk list
+   (``blocks=``), a masked call forms only the listed ``chunk × chunk``
+   sub-panels, with point 1's operations, stacked into tasks of at
+   most ``tile²`` pairs and added row by row in list order, so the
+   bits depend on the list alone.  These tasks stay on the calling
+   thread: the cutoff solver makes one such call per rank thread at
+   once, and on the pool each rank then waits on sub-panels queued
+   behind another rank's (two ranks on two cores: 17–19 ms per
+   evaluation against 13–14 ms each on its own thread).
+
+The tree solver's CSR neighbor and far-field kernels are the base
+class's, shared with the numpy engine.  The stencil / RK3 kernels run
+on in-place accumulations instead of full-expression temporaries.
 """
 
 from __future__ import annotations
@@ -73,21 +79,12 @@ import numpy as np
 
 from repro.backend.base import ArrayBackend
 from repro.util.errors import ConfigurationError
-from repro.util.misc import chunk_rows
 
 __all__ = ["BlockedBackend"]
-
-#: Pairs per CSR-kernel chunk (whole rows, so a long row may exceed it).
-#: Ten columns of this length are live at once; ns/pair is flat from 16k
-#: to 32k and rises on either side (call overhead below, L2 misses above).
-_CSR_CHUNK = 32_768
 
 #: All-pairs panels per thread in one wave: the products of one wave are
 #: held until the in-order reduction has added them, then freed.
 _WAVE = 8
-
-#: Gathered (target, node) pairs per batch of the far-field kernel.
-_FARFIELD_BATCH = 4_000_000
 
 _scratch = threading.local()       # per-thread r² / w / hit panels
 _pool: Optional[ThreadPoolExecutor] = None
@@ -124,6 +121,61 @@ def _drop_pool_in_child() -> None:
 os.register_at_fork(after_in_child=_drop_pool_in_child)
 
 
+def _buffers(size: int) -> tuple:
+    """This thread's ``size``-element scratch panels: r², w, hit, keep."""
+    bufs = getattr(_scratch, "bufs", None)
+    if bufs is None or bufs[0].size < size:
+        bufs = _scratch.bufs = (
+            np.empty(size), np.empty(size), np.empty(size, dtype=bool),
+            np.empty(size, dtype=bool),
+        )
+    return bufs
+
+
+def _weights(tp, sp, e, cut2, bufs):
+    """The weight panels ``w = 1/(r²+ε²)^{3/2}`` of a stack of panels, in
+    this thread's scratch, and their cutoff mask (``None`` without
+    ``cut2``, else already applied to ``w``).
+
+    ``tp`` is ``(k, 3, a, 2)`` (``[t 1]`` rows per axis), ``sp``
+    ``(k, 3, 2, b)`` (``[1 −s]`` columns); ``e`` and ``cut2`` broadcast
+    against the ``(k, a, b)`` panels.
+    """
+    r2_buf, w_buf, hit_buf, keep_buf = bufs
+    shape = (tp.shape[0], tp.shape[2], sp.shape[3])
+    n = shape[0] * shape[1] * shape[2]
+    r2 = r2_buf[:n].reshape(shape)
+    w = w_buf[:n].reshape(shape)
+    hit = hit_buf[:n].reshape(shape)
+    np.matmul(tp[:, 0], sp[:, 0], out=w)
+    np.multiply(w, w, out=r2)
+    for axis in (1, 2):
+        np.matmul(tp[:, axis], sp[:, axis], out=w)
+        np.multiply(w, w, out=w)
+        r2 += w
+    keep = None
+    if cut2 is not None:
+        keep = keep_buf[:n].reshape(shape)
+        np.less_equal(r2, cut2, out=keep)
+    r2 += e
+    # r² + ε² == ε² marks a coincident pair, whose numerator
+    # ω × (t − s) vanishes: the fused reduction never forms it, so
+    # the weight is dropped instead.
+    np.equal(r2, e, out=hit)
+    np.sqrt(r2, out=w)
+    w *= r2
+    with np.errstate(divide="ignore"):            # ε = 0 self-pairs
+        np.divide(1.0, w, out=w)
+    np.copyto(w, 0.0, where=hit)
+    if keep is not None:
+        # A product, not a masked copy: ``copyto(where=)`` branches
+        # per element, and on the cutoff mask, dense and irregular
+        # where ``hit`` is sparse, that is 6x slower.  Beyond the
+        # cutoff w is finite, so the product is exactly 0.
+        np.multiply(w, keep, out=w)
+    return w, keep
+
+
 def _panel_products(panels, t1, s1, rhs, eps2, cut2, mirror, size) -> list:
     """``w @ rhs[J]`` per ``(fleet, i0, i1, j0, j1)`` panel, plus
     ``w.T @ rhs[I]`` for an off-diagonal mirrored one (else ``None``),
@@ -133,58 +185,44 @@ def _panel_products(panels, t1, s1, rhs, eps2, cut2, mirror, size) -> list:
     Runs on any thread: the ``size``-element scratch panels are the
     calling thread's own and every input is only read.
     """
-    bufs = getattr(_scratch, "bufs", None)
-    if bufs is None or bufs[0].size < size:
-        bufs = _scratch.bufs = (
-            np.empty(size), np.empty(size), np.empty(size, dtype=bool),
-            np.empty(size, dtype=bool),
-        )
-    r2_buf, w_buf, hit_buf, keep_buf = bufs
+    bufs = _buffers(size)
     products = []
     for fleet, i0, i1, j0, j1 in panels:
-        e = eps2[fleet]
-        shape = (e.shape[0], i1 - i0, j1 - j0)
-        n = shape[0] * shape[1] * shape[2]
-        r2 = r2_buf[:n].reshape(shape)
-        w = w_buf[:n].reshape(shape)
-        hit = hit_buf[:n].reshape(shape)
-        tp, sp = t1[fleet, :, i0:i1], s1[fleet, :, :, j0:j1]
-        np.matmul(tp[:, 0], sp[:, 0], out=w)
-        np.multiply(w, w, out=r2)
-        for axis in (1, 2):
-            np.matmul(tp[:, axis], sp[:, axis], out=w)
-            np.multiply(w, w, out=w)
-            r2 += w
+        w, keep = _weights(
+            t1[fleet, :, i0:i1], s1[fleet, :, :, j0:j1], eps2[fleet],
+            None if cut2 is None else cut2[fleet], bufs,
+        )
         kept = None
-        if cut2 is not None:
-            keep = keep_buf[:n].reshape(shape)
-            np.less_equal(r2, cut2[fleet], out=keep)
+        if keep is not None:
             # A plain count is 4x faster than the per-axis one.
             kept = (
-                np.array([np.count_nonzero(keep)]) if shape[0] == 1
+                np.array([np.count_nonzero(keep)]) if keep.shape[0] == 1
                 else np.count_nonzero(keep, axis=(1, 2))
             )
-        r2 += e
-        # r² + ε² == ε² marks a coincident pair, whose numerator
-        # ω × (t − s) vanishes: the fused reduction never forms it, so
-        # the weight is dropped instead.
-        np.equal(r2, e, out=hit)
-        np.sqrt(r2, out=w)
-        w *= r2
-        with np.errstate(divide="ignore"):            # ε = 0 self-pairs
-            np.divide(1.0, w, out=w)
-        np.copyto(w, 0.0, where=hit)
-        if cut2 is not None:
-            # A product, not a masked copy: ``copyto(where=)`` branches
-            # per element, and on the cutoff mask, dense and irregular
-            # where ``hit`` is sparse, that is 6x slower.  Beyond the
-            # cutoff w is finite, so the product is exactly 0.
-            np.multiply(w, keep, out=w)
         mirrored = None
         if mirror and j0 > i0:
             mirrored = w.transpose(0, 2, 1) @ rhs[fleet, i0:i1]
         products.append((w @ rhs[fleet, j0:j1], mirrored, kept))
     return products
+
+
+def _subpanel_products(i, j, plain, t1, s1, rhs, eps2, cut2, bufs) -> tuple:
+    """The listed chunk pairs ``(i[k], j[k])`` as a stack of masked
+    sub-panels: ``w @ rhs[J]`` per sub-panel, ``w.T @ rhs[I]`` per
+    sub-panel after the first ``plain`` ones (the mirrored ones, else
+    ``None``), and the count of ordered pairs within the cutoff (a
+    mirrored sub-panel's twice).
+
+    ``t1`` is ``(chunks, 3, c, 2)``, ``s1`` ``(chunks, 3, 2, c)`` and
+    ``rhs`` ``(chunks, c, 6)``.
+    """
+    w, keep = _weights(t1[i], s1[j], eps2, cut2, bufs)
+    kept = np.count_nonzero(keep[:plain])
+    mirrored = None
+    if plain < len(i):
+        kept += 2 * np.count_nonzero(keep[plain:])
+        mirrored = w[plain:].transpose(0, 2, 1) @ rhs[i[plain:]]
+    return w @ rhs[j], mirrored, kept
 
 
 def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -221,6 +259,7 @@ class BlockedBackend(ArrayBackend):
         *,
         symmetric: bool = False,
         cutoff2: "np.ndarray | None" = None,
+        blocks=None,
     ) -> "np.ndarray | None":
         """Panelled BR accumulation over a stack of scenarios.
 
@@ -238,11 +277,21 @@ class BlockedBackend(ArrayBackend):
         time, so memory is flat in the stack size: no pair-sized
         temporary outgrows a panel.  A ``cutoff2`` mask is one compare
         and one product more per panel, and the pair counts ride back
-        with the products.
+        with the products.  A chunk list that leaves blocks out sends
+        each scenario through :meth:`_listed_allpairs` instead.
         """
         nb, nt, ns = targets.shape[0], targets.shape[1], sources.shape[1]
         kept = None if cutoff2 is None else np.zeros(nb, dtype=np.int64)
         if nb == 0 or nt == 0 or ns == 0:
+            return kept
+        listed = self._listed_blocks(blocks, nt, ns, symmetric)
+        if listed is not None:
+            for k in range(nb):
+                kept[k] = self._listed_allpairs(
+                    targets[k], sources[k], omega[k], float(eps2[k]),
+                    float(prefactor[k]), float(cutoff2[k]), out[k], listed,
+                    blocks.chunk, symmetric and nt == ns,
+                )
             return kept
         eps2 = np.asarray(eps2, dtype=np.float64).reshape(nb, 1, 1)
         pref = np.asarray(prefactor, dtype=np.float64).reshape(nb, 1, 1)
@@ -320,101 +369,53 @@ class BlockedBackend(ArrayBackend):
         out += contrib
         return kept
 
-    def br_neighbors(
-        self,
-        targets: np.ndarray,
-        sources: np.ndarray,
-        omega: np.ndarray,
-        offsets: np.ndarray,
-        indices: np.ndarray,
-        eps2: float,
-        prefactor: float,
-        out: np.ndarray,
-    ) -> None:
-        total_pairs = int(offsets[-1])
-        if total_pairs == 0:
-            return
-        # reduceat hands back an *element*, not 0, for an empty segment:
-        # only rows that own at least one pair enter the reduction.
-        counts = np.diff(offsets)
-        rows = np.flatnonzero(counts)
-        counts = counts[rows]
-        starts = np.append(offsets[rows], total_pairs)
-        tcol = np.ascontiguousarray(targets.T)
-        scol = np.ascontiguousarray(sources.T)
-        ocol = np.ascontiguousarray(omega.T)
-        cuts = chunk_rows(starts[:-1], total_pairs, _CSR_CHUNK)
-        for k0, k1 in zip(cuts[:-1], cuts[1:]):
-            p0, p1 = starts[k0], starts[k1]
-            sj = indices[p0:p1]
-            r = rows[k0:k1]
-            cnt = counts[k0:k1]
-            d = []
-            for axis in range(3):
-                da = np.repeat(tcol[axis][r], cnt)
-                da -= scol[axis][sj]
-                d.append(da)
-            inv = d[0] * d[0]
-            inv += d[1] * d[1]
-            inv += d[2] * d[2]
-            inv += eps2
-            comp = np.sqrt(inv)
-            inv *= comp
-            np.divide(prefactor, inv, out=inv)
-            o = [ocol[axis][sj] for axis in range(3)]
-            segments = starts[k0:k1] - p0
-            for axis, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
-                np.multiply(o[p], d[q], out=comp)
-                comp -= o[q] * d[p]
-                comp *= inv
-                out[r, axis] += np.add.reduceat(comp, segments)
+    def _listed_allpairs(
+        self, targets, sources, omega, eps2, pref, cut2, out, pairs, chunk,
+        mirror,
+    ) -> int:
+        """One scenario's masked sum over the listed chunk pairs only;
+        returns its count of ordered pairs within the cutoff.
 
-    # -- Barnes-Hut tree kernels ------------------------------------------
-
-    def farfield_eval(
-        self,
-        targets: np.ndarray,
-        centers: np.ndarray,
-        moment_m: np.ndarray,
-        moment_s: np.ndarray,
-        moment_q: np.ndarray,
-        pair_targets: np.ndarray,
-        pair_nodes: np.ndarray,
-        eps2: float,
-        prefactor: float,
-        out: np.ndarray,
-    ) -> None:
-        # Same bincount-scatter strategy as the CSR neighbor kernel:
-        # np.add.at is the reference semantics but notoriously slow.
+        Each listed pair is a ``chunk × chunk`` sub-panel formed with the
+        panel path's operations (:func:`_weights`).  Sub-panels are
+        stacked into tasks of at most ``tile²`` pairs — the diagonal
+        ones of a ``mirror`` list first, then the rest, each of which is
+        also applied transposed — whose products are added to their
+        chunk rows in list order (point 6 of the module docstring).
+        Operands and pair order are :meth:`_listed_layout`'s.
+        """
         nt = targets.shape[0]
-        total = int(pair_targets.shape[0])
-        for start in range(0, total, _FARFIELD_BATCH):
-            stop = min(start + _FARFIELD_BATCH, total)
-            ti = pair_targets[start:stop]
-            ni = pair_nodes[start:stop]
-            r = targets[ti] - centers[ni]                     # (b, 3)
-            u = r[:, 0] * r[:, 0]
-            u += r[:, 1] * r[:, 1]
-            u += r[:, 2] * r[:, 2]
-            u += eps2
-            root = np.sqrt(u)
-            g = root * u                                      # u^{3/2}
-            np.divide(prefactor, g, out=g)
-            h = u * u * root                                  # u^{5/2}
-            np.divide(3.0 * prefactor, h, out=h)
-            m = moment_m[ni]
-            s = moment_s[ni]
-            qr = np.einsum("bij,bj->bi", moment_q[ni], r)
-            contrib = np.cross(m, r)
-            contrib -= s
-            contrib *= g[:, None]
-            qxr = np.cross(qr, r)
-            qxr *= h[:, None]
-            contrib += qxr
-            for axis in range(3):
-                out[:, axis] += np.bincount(
-                    ti, weights=contrib[:, axis], minlength=nt
-                )
+        center = sources.mean(axis=0)
+        tgt_c, src_c, om_c, pairs, plain = self._listed_layout(
+            targets - center, sources - center, omega, cut2, pairs, chunk,
+            mirror,
+        )
+        t1 = np.ones(tgt_c.shape[:1] + (3, chunk, 2))
+        t1[..., 0] = tgt_c.transpose(0, 2, 1)
+        s1 = np.ones(src_c.shape[:1] + (3, 2, chunk))
+        np.negative(src_c.transpose(0, 2, 1), out=s1[:, :, 1])
+        rhs = np.empty(src_c.shape[:2] + (6,))
+        rhs[..., :3] = om_c
+        _cross(om_c, src_c, rhs[..., 3:])
+        per = max(1, (self.tile * self.tile) // (chunk * chunk))
+        bufs = _buffers(per * chunk * chunk)
+        acc = np.zeros(tgt_c.shape[:2] + (6,))
+        kept = 0
+        for p0 in range(0, len(pairs), per):
+            i, j = pairs[p0:p0 + per, 0], pairs[p0:p0 + per, 1]
+            unmirrored = min(max(plain - p0, 0), len(i))
+            direct, mirrored, count = _subpanel_products(
+                i, j, unmirrored, t1, s1, rhs, eps2, cut2, bufs
+            )
+            self._add_rows(acc, i, direct)
+            if mirrored is not None:
+                self._add_rows(acc, j[unmirrored:], mirrored)
+            kept += count
+        contrib = _cross(acc[..., :3], tgt_c, np.empty_like(tgt_c))
+        contrib -= acc[..., 3:]
+        contrib *= pref
+        out += contrib.reshape(-1, 3)[:nt]
+        return kept
 
     # -- reductions -------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """The numpy reference backend: the library's original hot-path math.
 
 Every kernel keeps the formulation the solver shipped with — dense
-broadcast BR blocks, gathered CSR pair batches and the 4th-order
-stencils of :mod:`repro.backend.stencils`, applied to a stack one
-scenario at a time.  It is the parity baseline for every other engine
+broadcast BR blocks and the 4th-order stencils of
+:mod:`repro.backend.stencils`, applied to a stack one scenario at a
+time; the tree solver's CSR neighbor and far-field kernels are the base
+class's, shared with the blocked engine.  It is the parity baseline for every other engine
 and the default when no backend is selected.  (The surrounding call
 sites did move — e.g. the TimeIntegrator now applies fused stage
 updates — so whole-solver trajectories may differ from the pre-backend
@@ -23,8 +24,10 @@ __all__ = ["NumpyBackend"]
 #: temporaries.
 _ALLPAIRS_BATCH = 2_000_000
 
-#: Gathered pairs per batch of the CSR and far-field kernels.
-_PAIR_BATCH = 4_000_000
+#: Pairs per batch of listed chunk blocks: holds each per-axis
+#: ``(blocks, chunk, chunk)`` temporary to 0.5 MB (batches up to 2M pairs
+#: measured no faster).
+_BLOCK_BATCH = 65_536
 
 
 class NumpyBackend(ArrayBackend):
@@ -78,9 +81,19 @@ class NumpyBackend(ArrayBackend):
         *,
         symmetric: bool = False,
         cutoff2: "np.ndarray | None" = None,
+        blocks=None,
     ) -> "np.ndarray | None":
         nb, nt, ns = targets.shape[0], targets.shape[1], sources.shape[1]
         kept = np.zeros(nb, dtype=np.int64)
+        listed = self._listed_blocks(blocks, nt, ns, symmetric)
+        if listed is not None:
+            for b in range(nb):
+                kept[b] = self._listed(
+                    out[b], targets[b], sources[b], omega[b], eps2[b],
+                    prefactor[b], cutoff2[b], listed, blocks.chunk,
+                    symmetric and nt == ns,
+                )
+            return kept
         # Batch over targets so the (bt, ns) temporaries stay bounded.
         bt = max(1, min(nt, _ALLPAIRS_BATCH // max(ns, 1)))
         for b in range(nb):
@@ -93,67 +106,39 @@ class NumpyBackend(ArrayBackend):
                 )
         return None if cutoff2 is None else kept
 
-    def br_neighbors(
-        self,
-        targets: np.ndarray,
-        sources: np.ndarray,
-        omega: np.ndarray,
-        offsets: np.ndarray,
-        indices: np.ndarray,
-        eps2: float,
-        prefactor: float,
-        out: np.ndarray,
-    ) -> None:
-        total_pairs = int(offsets[-1])
-        counts = np.diff(offsets)
-        pair_target = np.repeat(
-            np.arange(targets.shape[0], dtype=np.int64), counts
+    def _listed(self, out, targets, sources, omega, eps2, prefactor, cutoff2,
+                pairs, chunk, mirror) -> int:
+        """One scenario's masked sum over the listed chunk pairs (and,
+        for a ``mirror`` list, the transpose of each off-diagonal one),
+        a batch of ``chunk × chunk`` blocks at a time, on per-axis
+        ``(blocks, chunk, chunk)`` arrays.  Operands and pair order are
+        :meth:`_listed_layout`'s."""
+        tgt, src, om, pairs, plain = self._listed_layout(
+            targets, sources, omega, cutoff2, pairs, chunk, mirror
         )
-        for start in range(0, total_pairs, _PAIR_BATCH):
-            stop = min(start + _PAIR_BATCH, total_pairs)
-            ti = pair_target[start:stop]
-            sj = indices[start:stop]
-            diff = targets[ti] - sources[sj]                  # (b, 3)
-            r2 = np.einsum("ij,ij->i", diff, diff) + eps2
-            inv = prefactor * r2 ** -1.5
-            o = omega[sj]
-            contrib = np.empty_like(diff)
-            contrib[:, 0] = (o[:, 1] * diff[:, 2] - o[:, 2] * diff[:, 1]) * inv
-            contrib[:, 1] = (o[:, 2] * diff[:, 0] - o[:, 0] * diff[:, 2]) * inv
-            contrib[:, 2] = (o[:, 0] * diff[:, 1] - o[:, 1] * diff[:, 0]) * inv
-            np.add.at(out, ti, contrib)
-
-    # -- Barnes-Hut tree kernels ------------------------------------------
-
-    def farfield_eval(
-        self,
-        targets: np.ndarray,
-        centers: np.ndarray,
-        moment_m: np.ndarray,
-        moment_s: np.ndarray,
-        moment_q: np.ndarray,
-        pair_targets: np.ndarray,
-        pair_nodes: np.ndarray,
-        eps2: float,
-        prefactor: float,
-        out: np.ndarray,
-    ) -> None:
-        total = int(pair_targets.shape[0])
-        for start in range(0, total, _PAIR_BATCH):
-            stop = min(start + _PAIR_BATCH, total)
-            ti = pair_targets[start:stop]
-            ni = pair_nodes[start:stop]
-            r = targets[ti] - centers[ni]                     # (b, 3)
-            u = np.einsum("ij,ij->i", r, r) + eps2
-            g = u ** -1.5
-            h = 3.0 * u ** -2.5
-            qr = np.einsum("bij,bj->bi", moment_q[ni], r)
-            contrib = g[:, None] * (
-                np.cross(moment_m[ni], r) - moment_s[ni]
-            )
-            contrib += h[:, None] * np.cross(qr, r)
-            contrib *= prefactor
-            np.add.at(out, ti, contrib)
+        pairs = np.concatenate([pairs, pairs[plain:, ::-1]])
+        # (chunks, 3, chunk): one contiguous row per chunk and axis.
+        tgt, src, om = (a.transpose(0, 2, 1).copy() for a in (tgt, src, om))
+        acc = np.zeros(tgt.shape)
+        kept = 0
+        step = max(1, _BLOCK_BATCH // (chunk * chunk))
+        for p0 in range(0, len(pairs), step):
+            i, j = pairs[p0:p0 + step].T
+            t, s, o = tgt[i], src[j], om[j]
+            d = [t[:, a, :, None] - s[:, a, None, :] for a in range(3)]
+            r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+            keep = r2 <= cutoff2
+            kept += int(np.count_nonzero(keep))
+            inv = (r2 + eps2) ** -1.5
+            inv *= keep
+            part = np.empty(t.shape)
+            for a, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
+                # cross(ω_j, diff_ij), ω broadcast over targets
+                c = o[:, p, None, :] * d[q] - o[:, q, None, :] * d[p]
+                part[:, a] = np.einsum("kij,kij->ki", c, inv)
+            self._add_rows(acc, i, part)
+        out += prefactor * acc.transpose(0, 2, 1).reshape(-1, 3)[:out.shape[0]]
+        return kept
 
     # -- reductions -------------------------------------------------------
 

@@ -9,9 +9,12 @@ paper exactly:
    spatial owner (2D x/y block decomposition of space);
 2. **spatial halo** — ship copies of near-boundary points so every
    owner sees all sources within ``cutoff`` of its points;
-3. **neighbor lists** — cell-list fixed-radius search (ArborX
-   substitute);
-4. **compute** — accumulate BR forces over the neighbor pairs;
+3. **neighbor search** — the chunk pairs whose bounding boxes come
+   within the cutoff (:func:`~repro.spatial.neighbors.chunk_pairs`, the
+   ArborX substitute);
+4. **compute** — accumulate BR forces by the masked all-pairs kernel
+   over the listed sub-panels only: owned × owned (symmetric) plus
+   owned × ghost (:func:`~repro.core.kernels.br_velocity_within`);
 5. **migrate back** — return each point's velocity to its original
    surface-decomposition owner, in original order.
 
@@ -24,45 +27,35 @@ something.  The spatial mesh mirrors the surface decomposition, so on
 one rank it has one block and those hops are identities there (no
 packing, no sort, no ``exchange_arrays``, no phase, no comm event; the
 row-count checks and fresh-copy contract are kept): this class runs the
-same hops on any rank count.  Only the choice of how to sum the pairs
-(see "Dense evaluation" below) looks at the block count.
+same five steps on any rank count and any cutoff.
 
 Verlet-skin structure cache
 ---------------------------
-With ``skin > 0`` the expensive spatial structures are built once at
-radius ``cutoff + skin`` — the migration plan, the ghost (halo) plan
-and the CSR neighbor lists — and *reused* across evaluations: the
-exchanges still ship fresh positions/vorticity every evaluation, but
-along the frozen routing, so particles and ghosts arrive in the
-identical merged order and the cached lists stay valid.  Each reuse
-restricts the inflated lists back to ``cutoff`` against the current
-positions, which recovers exactly the pair set a fresh build would
-find as long as no point has moved more than ``skin / 2`` since the
-build.  That invariant is checked every evaluation with a backend
+With ``skin > 0`` the expensive spatial structures are built once —
+the migration plan and the ghost (halo) plan at radius
+``cutoff + skin``, and the chunk lists at box radius
+``cutoff + √3·skin`` — and *reused* across evaluations: the exchanges
+still ship fresh positions/vorticity every evaluation, but along the
+frozen routing, so particles and ghosts arrive in the identical merged
+order and chunk ``k`` holds the same points.  Each evaluation narrows
+the cached lists to the chunk pairs whose *current* boxes come within
+``cutoff`` (:func:`~repro.spatial.neighbors.narrow_pairs`).  While no
+point has moved more than ``skin / 2`` since the build, no box corner
+has moved more than that along any axis, so a box gap has shrunk by at
+most √3·skin: the narrowed lists are exactly the lists a fresh search
+over the same points would build.  On one block a cached evaluation is
+therefore bitwise an uncached one; on more, the cache's ghosts come
+from the wider ``cutoff + skin`` halo, so its ghost chunks, and the
+last bits of its sums, differ from a ``skin = 0`` run's.  That
+invariant is checked every evaluation with a backend
 ``max_displacement`` kernel whose result is MAX-allreduced, so every
 rank takes the rebuild branch collectively.  ``rebuild_freq > 0``
 additionally forces a rebuild after that many consecutive reuses.
 
-The check, the restriction and the rebuild/reuse decision are recorded
+The check, the narrowing and the rebuild/reuse decision are recorded
 under a dedicated ``neighbor_cache`` trace phase (compute events
 ``max_displacement`` / ``neighbor_filter``), so trace replay and the
 machine model both see the amortization.
-
-Dense evaluation
-----------------
-Where a cell list prunes little, the search costs more than it saves.
-A solver on one block with ``skin = 0`` whose spatial domain area is at
-most ``_DENSE_AREA_FACTOR · cutoff²`` therefore replaces steps 3 and 4
-with one call of the dense symmetric all-pairs kernel under a cutoff
-mask (:func:`~repro.core.kernels.br_velocity_within`): the same pair
-set and sum, no search.  The choice is made once, at construction, so
-a run takes one path for its whole life.  Everything a caller reads
-keeps its meaning — ``last_pair_count`` is the in-cutoff pair count,
-every evaluation counts as a rebuild, and ``br_compute`` holds one
-``br_neighbors`` event over those pairs — but no ``neighbor`` span is
-recorded, because no search ran.  Multi-block solvers keep the
-pipeline above at every size (``docs/architecture.md``, "Dense cutoff
-evaluation", has the sweep behind the factor).
 """
 
 from __future__ import annotations
@@ -72,13 +65,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backend import ArrayBackend, get_backend
-from repro.core.kernels import br_velocity_neighbors, br_velocity_within
+from repro.core.kernels import br_velocity_within
 from repro.core.surface_mesh import SurfaceMesh
 from repro.mpi.comm import Comm
 from repro.mpi.ops import MAX
 from repro.spatial.halo import HaloPlan, halo_exchange, plan_halo
 from repro.spatial.migrate import MigrationPlan, ParticleMigrator
-from repro.spatial.neighbors import NeighborLists, neighbor_lists, restrict_lists
+from repro.spatial.neighbors import ChunkPairs, chunk_pairs, narrow_pairs
 from repro.spatial.spatial_mesh import SpatialMesh
 from repro.util.errors import ConfigurationError
 from repro.util.roofline import (
@@ -93,11 +86,10 @@ from repro.util.roofline import (
 
 __all__ = ["CutoffBRSolver"]
 
-#: Largest spatial-domain area, in units of cutoff², at which a one-block
-#: ``skin = 0`` solver evaluates densely instead of searching: the
-#: largest ratio at which the masked dense kernel beat the search plus
-#: the CSR kernel at every n of the sweep in ``docs/architecture.md``.
-_DENSE_AREA_FACTOR = 31.5
+#: The chunk lists' build radius exceeds the cutoff by this many skins:
+#: a box corner moves at most ``skin / 2`` along each axis, so a box gap
+#: shrinks by at most √3·skin before the cache is rebuilt.
+_BOX_SKINS = 3.0 ** 0.5
 
 
 @dataclass
@@ -107,8 +99,8 @@ class _SpatialCache:
 
     migration_plan: MigrationPlan
     halo_plan: HaloPlan
-    lists: NeighborLists            # built at cutoff + skin
-    pair_targets: np.ndarray        # lists.pair_targets(), cached
+    own_pairs: ChunkPairs           # built at cutoff + √3·skin
+    ghost_pairs: ChunkPairs
     ref_positions: np.ndarray       # surface-order local snapshot
     reuses: int = 0                 # consecutive reuses since the build
 
@@ -155,15 +147,6 @@ class CutoffBRSolver:
         )
         self.migrator = ParticleMigrator(comm, self.spatial_mesh)
         self._cache: _SpatialCache | None = None
-        low, high = self.spatial_mesh.low, self.spatial_mesh.high
-        area = (high[0] - low[0]) * (high[1] - low[1])
-        #: One block (so no ghosts: the sources are the targets), no skin
-        #: cache and a cutoff spanning the domain: sum densely.
-        self.dense = (
-            self.spatial_mesh.nblocks == 1
-            and self.skin == 0.0
-            and area <= _DENSE_AREA_FACTOR * self.cutoff ** 2
-        )
         # Diagnostics updated every evaluation (Figures 6/7 read these).
         self.last_owned_count = 0
         self.last_ghost_count = 0
@@ -239,100 +222,69 @@ class CutoffBRSolver:
             comm, self.spatial_mesh, mig.positions, mig.payload, radius,
             plan=halo_plan,
         )
-        if self.dense:
-            with trace.phase("br_compute"):
-                velocity, pairs = br_velocity_within(
-                    mig.positions, mig.payload, self.cutoff, self.eps, dA,
-                    trace=trace, rank=comm.rank, backend=self.backend,
-                )
-            self.rebuild_count += 1
-            trace.metrics.counter("neighbor_cache.rebuilds").inc()
-            return self._finish(z_own, mig, ghosts, velocity, pairs)
-
-        sources = (
-            np.concatenate([mig.positions, ghosts.positions])
-            if ghosts.count
-            else mig.positions
-        )
-        source_omega = (
-            np.concatenate([mig.payload, ghosts.payload])
-            if ghosts.count
-            else mig.payload
-        )
+        owned = mig.positions
 
         if reuse:
             assert cache is not None
-            skin_lists, pair_targets = cache.lists, cache.pair_targets
+            own_pairs, ghost_pairs = cache.own_pairs, cache.ghost_pairs
             cache.reuses += 1
             self.reuse_count += 1
             trace.metrics.counter("neighbor_cache.reuses").inc()
         else:
+            reach = self.cutoff + _BOX_SKINS * self.skin
             with trace.phase("neighbor"):
                 t0 = trace.clock()
-                skin_lists = neighbor_lists(
-                    mig.positions, sources, self.cutoff + self.skin
-                )
-                candidates = SEARCH_CANDIDATE_FACTOR * max(
-                    skin_lists.total_neighbors, 1
-                )
-                trace.record_compute(
-                    "neighbor_search", comm.rank,
-                    flops=SEARCH_FLOPS * candidates,
-                    bytes_moved=24.0 * max(sources.shape[0], 1)
-                    + SEARCH_BYTES * candidates,
-                    items=skin_lists.total_neighbors,
-                    t_wall=trace.clock_since(t0),
-                )
+                own_pairs = chunk_pairs(owned, owned, reach, symmetric=True)
+                ghost_pairs = chunk_pairs(owned, ghosts.positions, reach)
+                search_s = trace.clock_since(t0)
             self.rebuild_count += 1
             trace.metrics.counter("neighbor_cache.rebuilds").inc()
             if caching:
-                pair_targets = skin_lists.pair_targets()
                 self._cache = _SpatialCache(
                     migration_plan=mig_plan,
                     halo_plan=halo_plan,
-                    lists=skin_lists,
-                    pair_targets=pair_targets,
+                    own_pairs=own_pairs,
+                    ghost_pairs=ghost_pairs,
                     ref_positions=positions.copy(),
                 )
 
         if caching:
-            # Restrict the inflated lists back to the physical cutoff
-            # against the *current* positions: exactly the pair set a
-            # fresh build at ``cutoff`` would find.
+            # Narrow the inflated lists to the physical cutoff against
+            # the *current* boxes: exactly the lists a fresh search at
+            # ``cutoff`` would build.
             with trace.phase("neighbor_cache"):
                 t0 = trace.clock()
-                lists = restrict_lists(
-                    skin_lists, mig.positions, sources, self.cutoff,
-                    pair_targets=pair_targets,
+                listed = len(own_pairs.pairs) + len(ghost_pairs.pairs)
+                own_pairs = narrow_pairs(own_pairs, owned, owned, self.cutoff)
+                ghost_pairs = narrow_pairs(
+                    ghost_pairs, owned, ghosts.positions, self.cutoff
                 )
-                skin_pairs = skin_lists.total_neighbors
                 trace.record_compute(
                     "neighbor_filter", comm.rank,
-                    flops=FILTER_FLOPS * max(skin_pairs, 1),
-                    bytes_moved=FILTER_BYTES * max(skin_pairs, 1)
-                    + 24.0 * max(sources.shape[0], 1),
-                    items=skin_pairs, t_wall=trace.clock_since(t0),
+                    flops=FILTER_FLOPS * max(listed, 1),
+                    bytes_moved=FILTER_BYTES * max(listed, 1)
+                    + 24.0 * max(mig.count + ghosts.count, 1),
+                    items=listed, t_wall=trace.clock_since(t0),
                 )
-        else:
-            lists = skin_lists
 
         with trace.phase("br_compute"):
-            velocity = br_velocity_neighbors(
-                mig.positions,
-                sources,
-                source_omega,
-                lists.offsets,
-                lists.indices,
-                self.eps,
-                dA,
-                trace=trace,
-                rank=comm.rank,
-                backend=self.backend,
+            velocity, pairs = br_velocity_within(
+                owned, mig.payload, ghosts.positions, ghosts.payload,
+                self.cutoff, self.eps, dA, own_pairs, ghost_pairs,
+                trace=trace, rank=comm.rank, backend=self.backend,
             )
-        return self._finish(z_own, mig, ghosts, velocity, lists.total_neighbors)
-
-    def _finish(self, z_own, mig, ghosts, velocity, pairs) -> np.ndarray:
-        """Step 5 and the per-evaluation diagnostics."""
+        if not reuse:
+            # The search is priced as the machine model prices it: a
+            # cell-list search yielding the in-cutoff pairs (its SEARCH_*
+            # constants), whose count is known once the sum has run.
+            searched = SEARCH_CANDIDATE_FACTOR * max(pairs, 1)
+            trace.record_compute(
+                "neighbor_search", comm.rank,
+                flops=SEARCH_FLOPS * searched,
+                bytes_moved=24.0 * max(mig.count + ghosts.count, 1)
+                + SEARCH_BYTES * searched,
+                items=pairs, t_wall=search_s, phase="neighbor",
+            )
         back = self.migrator.migrate_back(mig, velocity)
         self.last_owned_count = mig.count
         self.last_ghost_count = ghosts.count

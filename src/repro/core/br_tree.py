@@ -7,6 +7,9 @@ quadtree (:mod:`repro.spatial.tree`) summarizes each spatial cell by
 monopole/dipole vorticity moments, and a multipole-acceptance
 criterion ``theta`` decides, per (target, node) pair, whether the
 node's moment expansion is accurate enough or the walk must descend.
+The walk and the far-field sum step through groups of up to 16 targets
+of one leaf cell, on ``(pairs, group)`` panels with a mask of the
+targets each pair applies to, instead of through single pairs.
 Near-field pairs that survive to the leaves are evaluated exactly
 through the same CSR pair kernels the cutoff solver uses, so all three
 compute backends stay at parity on both halves of the sum.
@@ -190,8 +193,10 @@ class TreeBRSolver:
                     tree.node_m,
                     tree.node_s,
                     tree.node_q,
-                    pairs.far_targets,
+                    pairs.groups,
+                    pairs.far_groups,
                     pairs.far_nodes,
+                    pairs.far_mask,
                     eps2,
                     prefactor,
                     out,

@@ -14,18 +14,20 @@ Three evaluation strategies share this module:
 
 * :func:`br_velocity_allpairs` — dense target×source blocks, used by
   the exact (ring-pass) solver;
+* :func:`br_velocity_within` — the cutoff solver's sum: the all-pairs
+  kernel under a cutoff mask, over only the chunk pairs the bounding-box
+  search listed;
 * :func:`br_velocity_neighbors` — CSR neighbor-list pairs, used by the
-  cutoff solver;
-* :func:`br_velocity_within` — the cutoff sum by the dense kernel with
-  a cutoff mask, used by the cutoff solver where the cutoff spans most
-  of a one-block domain (no neighbor search).
+  tree solver's near field.
 
 This module is the *accounting* layer: it validates shapes, resolves
 the compute backend (:mod:`repro.backend`) that does the actual pair
 math, and records the roofline compute events (≈ 30 flops and 9 reads
 per pair).  The recorded totals are a function of the logical pair
-count only — swapping backends (or exploiting the symmetric-block
-shortcut) never changes what the machine model sees.
+count only — swapping backends, exploiting the symmetric-block
+shortcut or skipping the sub-panels a chunk list leaves out never
+changes what the machine model sees: the cutoff sum records the pairs
+within the cutoff, not the candidates it formed.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def br_velocity_neighbors(
     rank: int = 0,
     backend: "ArrayBackend | str | None" = None,
 ) -> np.ndarray:
-    """BR velocity summed over CSR neighbor lists (cutoff solver).
+    """BR velocity summed over CSR neighbor lists (tree near field).
 
     ``indices[offsets[t]:offsets[t+1]]`` are the source indices within
     the cutoff of target ``t``.
@@ -144,33 +146,40 @@ def br_velocity_neighbors(
 def br_velocity_within(
     points: np.ndarray,
     omega: np.ndarray,
+    ghosts: np.ndarray,
+    ghost_omega: np.ndarray,
     cutoff: float,
     eps: float,
     dA: float,
+    blocks,
+    ghost_blocks,
     *,
     trace=None,
     rank: int = 0,
     backend: "ArrayBackend | str | None" = None,
 ) -> tuple[np.ndarray, int]:
-    """BR velocity of an ``(n, 3)`` point set on itself over the pairs
-    within ``cutoff`` (inclusive), by the dense symmetric kernel.
+    """BR velocity of ``(n, 3)`` points over the pairs within ``cutoff``
+    (inclusive) among themselves and from ``ghosts`` (the cutoff solver).
 
-    It is :func:`br_velocity_neighbors` over the lists a fixed-radius
-    search would build, without the search: returns the velocity and
-    the pair count (ordered pairs, self pairs included, as the CSR lists
-    count them), and records the same ``br_neighbors`` event over those
-    pairs, so the roofline totals match the CSR path's.
+    ``blocks`` is the points' symmetric chunk list against themselves and
+    ``ghost_blocks`` theirs against the ghosts
+    (:func:`~repro.spatial.neighbors.chunk_pairs`): the masked all-pairs
+    kernel forms only the listed sub-panels, the first call symmetric.
+    Returns the velocity and the pair count (ordered pairs, self pairs
+    included) and records one ``br_neighbors`` event over those pairs.
     """
     bk = get_backend(backend)
     pts, om = _stack(points), _stack(omega)
     out = np.zeros(pts.shape)
+    eps2, pref = np.array([float(eps) ** 2]), np.array([dA / (4.0 * np.pi)])
+    cut2 = np.array([float(cutoff) ** 2])
     t0 = trace.clock() if trace is not None else None
-    kept = bk.br_allpairs(
-        pts, pts, om, np.array([float(eps) ** 2]),
-        np.array([dA / (4.0 * np.pi)]), out,
-        symmetric=True, cutoff2=np.array([float(cutoff) ** 2]),
-    )
-    pairs = int(kept[0])
+    pairs = int(bk.br_allpairs(pts, pts, om, eps2, pref, out, symmetric=True,
+                               cutoff2=cut2, blocks=blocks)[0])
+    if len(ghosts):
+        pairs += int(bk.br_allpairs(pts, _stack(ghosts), _stack(ghost_omega),
+                                    eps2, pref, out, cutoff2=cut2,
+                                    blocks=ghost_blocks)[0])
     if trace is not None:
         trace.record_compute(
             "br_neighbors", rank,

@@ -57,12 +57,13 @@ __all__ = [
 #: stamps it on every completed record and re-runs a record carrying any
 #: other stamp.  Bump it on any change to the state digests pinned by
 #: ``TestParentPin`` (``tests/backend/test_panel_pool.py``) or
-#: ``tests/core/test_cutoff_dense.py``, or to ``tests/golden/figures``,
+#: ``tests/core/test_cutoff_chunks.py``, or to ``tests/golden/figures``,
 #: and record the new hash of those pins in
 #: ``tests/campaign/test_numerics_stamp.py``, whose guard fails until
 #: both are done.  2: one-rank cutoff runs whose cutoff spans the domain
-#: sum their pairs densely (``core.br_cutoff``).
-NUMERICS_VERSION = 2
+#: sum their pairs densely.  3: every cutoff run sums the chunk pairs its
+#: bounding-box search lists (``core.br_cutoff``).
+NUMERICS_VERSION = 3
 
 
 def state_digest(*arrays: np.ndarray) -> str:

@@ -281,14 +281,18 @@ class CommTrace:
         bytes_moved: float,
         items: int = 0,
         t_wall: Optional[float] = None,
+        phase: Optional[str] = None,
     ) -> None:
+        """Record one compute event, labelled with this thread's phase
+        unless ``phase`` names the one whose work it was (an event
+        priced only after that phase closed)."""
         event = ComputeEvent(
             kernel=kernel,
             rank=rank,
             flops=float(flops),
             bytes_moved=float(bytes_moved),
             items=int(items),
-            phase=self.current_phase(),
+            phase=self.current_phase() if phase is None else phase,
             seq=self._next_seq(rank),
             t_stamp=time.perf_counter(),
             t_wall=t_wall,

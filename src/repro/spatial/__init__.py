@@ -3,22 +3,22 @@
 Implements the spatial machinery of Beatnik's approximate Birkhoff-
 Rott solvers: the 3D spatial mesh with its 2D x/y block decomposition,
 position-based particle migration with exact return routing, cutoff
-ghost (halo) exchange, cell-list fixed-radius neighbor search, and the
-moment quadtree of the Barnes-Hut tree solver.  Migration and halo
-routing are separable as reusable *plans*, and neighbor lists built at
-an inflated radius can be restricted back to the physical cutoff —
-together these implement the cutoff solver's Verlet-skin structure
-cache.
+ghost (halo) exchange, the fixed-radius neighbor search by chunk
+bounding boxes, and the moment quadtree of the Barnes-Hut tree solver
+(whose leaves come from the uniform-grid binning).  Migration and halo
+routing are separable as reusable *plans*, and chunk lists built at an
+inflated radius can be narrowed back to the physical cutoff — together
+these implement the cutoff solver's Verlet-skin structure cache.
 """
 
 from repro.spatial.binning import Binning, CellGrid, bin_points
 from repro.spatial.halo import HaloPlan, HaloResult, halo_exchange, plan_halo
 from repro.spatial.migrate import Migration, MigrationPlan, ParticleMigrator
 from repro.spatial.neighbors import (
-    NeighborLists,
+    ChunkPairs,
     brute_force_lists,
-    neighbor_lists,
-    restrict_lists,
+    chunk_pairs,
+    narrow_pairs,
 )
 from repro.spatial.spatial_mesh import SpatialMesh
 from repro.spatial.tree import QuadTree, TreePairs, build_quadtree
@@ -34,10 +34,10 @@ __all__ = [
     "Migration",
     "MigrationPlan",
     "ParticleMigrator",
-    "NeighborLists",
+    "ChunkPairs",
     "brute_force_lists",
-    "neighbor_lists",
-    "restrict_lists",
+    "chunk_pairs",
+    "narrow_pairs",
     "SpatialMesh",
     "QuadTree",
     "TreePairs",

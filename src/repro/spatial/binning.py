@@ -1,8 +1,7 @@
 """Uniform-grid binning of 3D points (cell lists).
 
-The neighbor search (ArborX substitute) and the spatial-mesh ownership
-computation both reduce to "which uniform cell does this point fall
-in"; this module centralizes that arithmetic, fully vectorized.
+The quadtree's leaf level reduces to "which uniform cell does this
+point fall in"; this module holds that arithmetic, fully vectorized.
 """
 
 from __future__ import annotations
@@ -29,22 +28,6 @@ class CellGrid:
             raise ConfigurationError(f"cell size must be positive, got {self.cell}")
         if any(d < 1 for d in self.dims):
             raise ConfigurationError(f"cell grid dims must be >= 1, got {self.dims}")
-
-    @classmethod
-    def covering(
-        cls,
-        low: np.ndarray,
-        high: np.ndarray,
-        cell: float,
-    ) -> "CellGrid":
-        """Smallest grid of ``cell``-sized cells covering ``[low, high]``."""
-        low = np.asarray(low, dtype=np.float64)
-        high = np.asarray(high, dtype=np.float64)
-        if np.any(high < low):
-            raise ConfigurationError("high must be >= low")
-        extents = np.maximum(high - low, 0.0)
-        dims = np.maximum(np.ceil(extents / cell).astype(np.int64), 1)
-        return cls(tuple(low), float(cell), (int(dims[0]), int(dims[1]), int(dims[2])))
 
     @property
     def ncells(self) -> int:

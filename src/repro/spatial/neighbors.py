@@ -1,198 +1,198 @@
-"""Fixed-radius neighbor search (the ArborX substitute).
+"""Fixed-radius neighbor search by chunk bounding boxes (the ArborX
+substitute).
 
-Given *target* points and *source* points, :func:`neighbor_lists`
-returns, for every target, the indices of all sources within the
-cutoff distance, in CSR form ``(offsets, indices)``.  The algorithm is
-the classic cell list: sources are binned into cells of edge =
-``cutoff``, so each target only inspects its own and the 26 adjacent
-cells.  Work and memory are bounded by processing targets in batches.
+Beatnik's ``CutoffBRSolver`` finds the pairs within the cutoff with
+ArborX, which queries a tree of bounding boxes.  This is a one-level
+version of that query: targets and sources are cut into runs of
+``_CHUNK`` consecutive points, each run gets its axis-aligned box, and
+:func:`chunk_pairs` lists every (target chunk, source chunk) pair whose
+boxes come within the radius.  The cutoff solver's points arrive in
+surface-mesh order, so a run is a short strip of the sheet and its box
+is tight.  The list is handed to the masked all-pairs kernel
+(``ArrayBackend.br_allpairs(blocks=...)``), which forms one sub-panel
+per listed pair and decides pair by pair there: no per-pair list is
+ever built.
 
-Beatnik's ``CutoffBRSolver`` builds these lists once per derivative
-evaluation (paper §3.2 step 3) and then accumulates Birkhoff-Rott
-forces over them.  Correctness is pinned against
-:func:`brute_force_lists` by property-based tests.
+The box test is conservative: a pair of points within the radius always
+has its chunk pair listed, with a relative slack of ``_SLACK`` that
+dwarfs any rounding in how an engine measures ``r²``.  A listed chunk
+pair may hold no pair within the radius.
+
+:func:`narrow_pairs` is the Verlet-skin reuse step: it keeps the pairs
+of a list built at a larger radius whose *current* boxes come within
+the cutoff.  :func:`brute_force_lists` is the O(nt·ns) oracle the
+tests check the search against.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.spatial.binning import Binning, CellGrid, bin_points
 from repro.util.errors import ConfigurationError
-from repro.util.misc import chunk_rows
 
-__all__ = [
-    "neighbor_lists",
-    "brute_force_lists",
-    "restrict_lists",
-    "NeighborLists",
-]
+__all__ = ["ChunkPairs", "chunk_pairs", "narrow_pairs", "brute_force_lists"]
 
+#: Points per chunk.  16 lists the fewest candidate pairs per kept pair
+#: on the cutoff workloads' sheets (``docs/architecture.md``, "Cutoff
+#: evaluation by chunk boxes"); a longer run's box grows faster than its
+#: per-sub-panel overhead shrinks.
+_CHUNK = 16
 
-class NeighborLists:
-    """CSR neighbor lists: sources for target ``t`` are
-    ``indices[offsets[t]:offsets[t+1]]``."""
+#: Relative slack of the box test, on the radius plus the coordinate
+#: scale: far above the ~1e-16 rounding of any engine's ``r²``.
+_SLACK = 1e-9
 
-    def __init__(self, offsets: np.ndarray, indices: np.ndarray) -> None:
-        self.offsets = offsets
-        self.indices = indices
-
-    @property
-    def num_targets(self) -> int:
-        return len(self.offsets) - 1
-
-    @property
-    def total_neighbors(self) -> int:
-        return int(self.offsets[-1])
-
-    def counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-    def pair_targets(self) -> np.ndarray:
-        """Target index of every CSR pair (``total_neighbors`` long)."""
-        return np.repeat(
-            np.arange(self.num_targets, dtype=np.int64), self.counts()
-        )
+#: Box pairs tested per vectorized batch of the search (bounds memory).
+_BOX_BATCH = 1 << 20
 
 
-#: The 9 ``(dx, dy)`` cell columns around a target, ascending in flat
-#: cell id.  A column's ``z-1 .. z+1`` cells are adjacent in the binned
-#: order (z is the fastest-varying cell axis), so each column is *one*
-#: contiguous range of binned sources.
-_COLUMNS = np.array(
-    [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=np.int64
-)
+@dataclass(frozen=True)
+class ChunkPairs:
+    """A chunk list: the (target chunk, source chunk) pairs to evaluate.
 
-#: Targets per vectorized batch of the search (bounds peak memory).
-_TARGET_BATCH = 4096
+    Chunk ``k`` of a point set is its points ``[k·chunk, (k+1)·chunk)``
+    (the last chunk may be short).  ``pairs`` is ``(m, 2)`` int64,
+    sorted by target chunk, then source chunk.  A list built with
+    ``symmetric=True`` holds only pairs with ``I <= J``, each standing
+    for itself and its transpose.
+    """
 
-#: Candidate pairs distance-tested per pass of the search: a pass's
-#: half-dozen columns of this length stay in L2 however many candidates
-#: a target batch has (ns/pair is flat from 16k to 32k and rises on
-#: either side).
-_SCAN_CHUNK = 32_768
+    chunk: int
+    pairs: np.ndarray
+    num_targets: int
+    num_sources: int
+    symmetric: bool
+
+    def candidates(self) -> int:
+        """Ordered point pairs the listed chunk pairs cover."""
+        if not len(self.pairs):
+            return 0
+        t = _chunk_sizes(self.num_targets, self.chunk)[self.pairs[:, 0]]
+        s = _chunk_sizes(self.num_sources, self.chunk)[self.pairs[:, 1]]
+        covered = t * s
+        if self.symmetric:
+            covered = covered * np.where(self.pairs[:, 0] < self.pairs[:, 1], 2, 1)
+        return int(covered.sum())
 
 
-def neighbor_lists(
+def _chunk_sizes(n: int, chunk: int) -> np.ndarray:
+    sizes = np.full(-(-n // chunk), chunk, dtype=np.int64)
+    if n % chunk:
+        sizes[-1] = n % chunk
+    return sizes
+
+
+def _boxes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-chunk lower and upper corners, ``(nchunks, 3)`` each."""
+    starts = np.arange(0, points.shape[0], _CHUNK)
+    return (np.minimum.reduceat(points, starts, axis=0),
+            np.maximum.reduceat(points, starts, axis=0))
+
+
+def _reach2(targets: np.ndarray, sources: np.ndarray, radius: float) -> float:
+    """The squared radius with the box test's slack."""
+    scale = max(float(np.abs(targets).max()), float(np.abs(sources).max()))
+    return (radius + _SLACK * (radius + scale)) ** 2
+
+
+def _gap2(tlo, thi, slo, shi) -> np.ndarray:
+    """Squared distance between boxes (0 where they overlap); any
+    congruent or broadcastable ``(..., 3)`` corner arrays.  One sequence
+    of operations, so a listed pair's test gives the same bit whether
+    it is broadcast (the search) or gathered (the narrowing)."""
+    total = None
+    for axis in range(3):
+        gap = np.maximum(slo[..., axis] - thi[..., axis],
+                         tlo[..., axis] - shi[..., axis])
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        total = gap if total is None else total + gap
+    return total
+
+
+def _points(a: np.ndarray) -> np.ndarray:
+    return np.atleast_2d(np.asarray(a, dtype=np.float64))
+
+
+def chunk_pairs(
     targets: np.ndarray,
     sources: np.ndarray,
-    cutoff: float,
-) -> NeighborLists:
-    """All sources within ``cutoff`` of each target (inclusive boundary).
+    radius: float,
+    *,
+    symmetric: bool = False,
+) -> ChunkPairs:
+    """Every (target chunk, source chunk) pair whose boxes come within
+    ``radius`` (inclusive, with the conservative slack).
 
     ``targets`` and ``sources`` are ``(nt, 3)`` and ``(ns, 3)`` float
-    arrays.  Each target's neighbors come out ordered by cell, then by
-    source index within a cell.
+    arrays; ``symmetric=True`` asserts they are the same point set and
+    lists only ``I <= J``.
     """
-    if cutoff <= 0:
-        raise ConfigurationError(f"cutoff must be positive, got {cutoff}")
-    tgt = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    src = np.atleast_2d(np.asarray(sources, dtype=np.float64))
-    nt = tgt.shape[0]
-    if src.shape[0] == 0 or nt == 0:
-        offsets = np.zeros(nt + 1, dtype=np.int64)
-        return NeighborLists(offsets, np.empty(0, dtype=np.int64))
-
-    low = np.minimum(src.min(axis=0), tgt.min(axis=0)) - cutoff
-    high = np.maximum(src.max(axis=0), tgt.max(axis=0)) + cutoff
-    grid = CellGrid.covering(low, high, cutoff)
-    binning: Binning = bin_points(src, grid)
-    order, cell_start = binning.order, binning.cell_start
-    binned = np.ascontiguousarray(src[order].T)       # (3, ns) columns
-    cutoff2 = cutoff * cutoff
-    nx, ny, nz = grid.dims
-
-    found: list[np.ndarray] = []
-    counts = np.zeros(nt, dtype=np.int64)
-    for start in range(0, nt, _TARGET_BATCH):
-        stop = min(start + _TARGET_BATCH, nt)
-        batch = tgt[start:stop]
-        coords = grid.cell_coords(batch)
-        cx = coords[:, 0, None] + _COLUMNS[:, 0]                # (m, 9)
-        cy = coords[:, 1, None] + _COLUMNS[:, 1]
-        inside = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny)
-        column = (np.clip(cx, 0, nx - 1) * ny + np.clip(cy, 0, ny - 1)) * nz
-        cz = coords[:, 2, None]
-        lo = cell_start[column + np.maximum(cz - 1, 0)]
-        hi = cell_start[column + np.minimum(cz + 1, nz - 1) + 1]
-        lengths = np.where(inside, hi - lo, 0)
-        per_target = lengths.sum(axis=1)
-        first = np.cumsum(per_target) - per_target
-        cuts = chunk_rows(first, int(per_target.sum()), _SCAN_CHUNK)
-        tcol = np.ascontiguousarray(batch.T)
-        for k0, k1 in zip(cuts[:-1], cuts[1:]):
-            # Expand the [lo, lo + length) ranges target by target: the
-            # candidates are then grouped by target, in CSR order already.
-            ranges, begin = lengths[k0:k1].ravel(), lo[k0:k1].ravel()
-            cand = np.repeat(begin - (np.cumsum(ranges) - ranges), ranges)
-            cand += np.arange(cand.shape[0], dtype=np.int64)
-            owner = np.repeat(np.arange(k0, k1), per_target[k0:k1])
-            keep = _pair_dist2(tcol, owner, binned, cand) <= cutoff2
-            owner, hits = owner[keep], order[cand[keep]]
-            counts[start + k0:start + k1] = np.bincount(
-                owner - k0, minlength=k1 - k0
-            )
-            found.append(hits)
-
-    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    indices = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
-    return NeighborLists(offsets, indices)
+    if radius <= 0:
+        raise ConfigurationError(f"cutoff must be positive, got {radius}")
+    tgt, src = _points(targets), _points(sources)
+    nt, ns = tgt.shape[0], src.shape[0]
+    if nt == 0 or ns == 0:
+        return ChunkPairs(_CHUNK, np.empty((0, 2), dtype=np.int64), nt, ns,
+                          symmetric)
+    tlo, thi = _boxes(tgt)
+    slo, shi = (tlo, thi) if symmetric else _boxes(src)
+    reach2 = _reach2(tgt, src, radius)
+    found = []
+    rows = max(1, _BOX_BATCH // slo.shape[0])
+    for i0 in range(0, tlo.shape[0], rows):
+        i1 = min(i0 + rows, tlo.shape[0])
+        near = _gap2(tlo[i0:i1, None], thi[i0:i1, None], slo, shi) <= reach2
+        if symmetric:
+            near &= np.arange(i0, i1)[:, None] <= np.arange(slo.shape[0])
+        hits = np.argwhere(near)
+        hits[:, 0] += i0
+        found.append(hits)
+    return ChunkPairs(_CHUNK, np.concatenate(found).astype(np.int64), nt, ns,
+                      symmetric)
 
 
-def _pair_dist2(
-    tcol: np.ndarray, ti: np.ndarray, scol: np.ndarray, sj: np.ndarray
-) -> np.ndarray:
-    """``|t_ti − s_sj|²`` per pair from ``(3, n)`` coordinate columns."""
-    dist2 = np.zeros(ti.shape[0])
-    for axis in range(3):
-        d = tcol[axis][ti]
-        d -= scol[axis][sj]
-        d *= d
-        dist2 += d
-    return dist2
-
-
-def restrict_lists(
-    lists: NeighborLists,
+def narrow_pairs(
+    lists: ChunkPairs,
     targets: np.ndarray,
     sources: np.ndarray,
-    cutoff: float,
-    *,
-    pair_targets: np.ndarray | None = None,
-) -> NeighborLists:
-    """Filter lists built at an inflated radius down to ``cutoff``.
+    radius: float,
+) -> ChunkPairs:
+    """The pairs of ``lists`` whose current boxes come within ``radius``.
 
-    The Verlet-skin reuse step: ``lists`` was built at ``cutoff + skin``
-    against earlier positions; re-evaluating the pair distances against
-    the *current* ``targets``/``sources`` and keeping ``r <= cutoff``
-    recovers exactly the pair set a fresh build at ``cutoff`` would find,
-    provided no point has moved more than ``skin / 2`` since the build.
-    ``pair_targets`` (``lists.pair_targets()``) can be cached by the
-    caller to skip the repeat expansion.
+    The Verlet-skin reuse step: ``lists`` was built at a larger radius
+    against earlier positions of the same points, in the same order.
+    Each kept pair is tested exactly as :func:`chunk_pairs` tests it, so
+    the result is the list a fresh search at ``radius`` would build
+    whenever that search's pairs are all in ``lists`` — which holds when
+    the build radius exceeded ``radius`` by √3 times the largest
+    displacement since (each box corner moves at most that far along
+    each axis).
     """
-    if cutoff <= 0:
-        raise ConfigurationError(f"cutoff must be positive, got {cutoff}")
-    if pair_targets is None:
-        pair_targets = lists.pair_targets()
-    idx = lists.indices
-    dist2 = _pair_dist2(
-        np.ascontiguousarray(targets.T), pair_targets,
-        np.ascontiguousarray(sources.T), idx,
-    )
-    keep = dist2 <= cutoff * cutoff
-    counts = np.bincount(pair_targets[keep], minlength=lists.num_targets)
-    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    return NeighborLists(offsets, idx[keep])
+    if radius <= 0:
+        raise ConfigurationError(f"cutoff must be positive, got {radius}")
+    if not len(lists.pairs):
+        return lists
+    tgt, src = _points(targets), _points(sources)
+    tlo, thi = _boxes(tgt)
+    slo, shi = (tlo, thi) if lists.symmetric else _boxes(src)
+    i, j = lists.pairs[:, 0], lists.pairs[:, 1]
+    near = _gap2(tlo[i], thi[i], slo[j], shi[j]) <= _reach2(tgt, src, radius)
+    return ChunkPairs(lists.chunk, lists.pairs[near], lists.num_targets,
+                      lists.num_sources, lists.symmetric)
 
 
 def brute_force_lists(
     targets: np.ndarray,
     sources: np.ndarray,
     cutoff: float,
-) -> NeighborLists:
-    """O(nt·ns) reference implementation used to validate the cell list."""
-    tgt = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    src = np.atleast_2d(np.asarray(sources, dtype=np.float64))
+) -> tuple[np.ndarray, np.ndarray]:
+    """O(nt·ns) CSR lists ``(offsets, indices)``: the sources within
+    ``cutoff`` of target ``t`` (inclusive) are
+    ``indices[offsets[t]:offsets[t+1]]``, ascending."""
+    tgt, src = _points(targets), _points(sources)
     nt = tgt.shape[0]
     offsets = np.zeros(nt + 1, dtype=np.int64)
     chunks: list[np.ndarray] = []
@@ -201,7 +201,7 @@ def brute_force_lists(
         diff = src - tgt[t]
         dist2 = np.einsum("ij,ij->i", diff, diff)
         hits = np.nonzero(dist2 <= cutoff2)[0]
-        chunks.append(np.sort(hits))
+        chunks.append(hits)
         offsets[t + 1] = offsets[t] + len(hits)
     indices = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return NeighborLists(offsets, indices)
+    return offsets, indices

@@ -41,6 +41,12 @@ The leaf-level moment reduction is a backend kernel
 registered engine computes bit-compatible moments; the far-field pair
 evaluation is its sibling kernel ``farfield_eval``.
 
+The multipole-acceptance walk (:meth:`QuadTree.mac_pairs`) decides
+per target but steps per *group* of up to ``_GROUP`` targets of one
+leaf cell, testing ``(entries, group)`` panels; the group's box settles
+most entries for all its targets at once.  Its far-field pairs are
+(group, node, mask) entries, which ``farfield_eval`` sums per group.
+
 A node whose points are exactly coincident (``size == 0``, including
 every single-point node) is represented *exactly* by its moments
 (``d_j = 0`` kills every truncated term), which is what makes the
@@ -65,17 +71,32 @@ __all__ = ["QuadTree", "TreePairs", "build_quadtree"]
 #: themselves at laptop scale.
 MAX_LEVELS = 8
 
+#: Targets per group of the multipole-acceptance walk.  A group lies in
+#: one leaf cell, so its box is no wider than the leaf; 16 is the leaf
+#: occupancy the benchmark sheets settle at with ``leaf_size = 32``.
+_GROUP = 16
+
 
 @dataclass
 class TreePairs:
     """Interaction sets produced by one multipole-acceptance walk.
 
+    The walk steps through *groups* of targets: the targets in one leaf
+    cell of the tree's grid, cut into runs of at most ``_GROUP``.
+
     Attributes
     ----------
-    far_targets / far_nodes:
-        ``(p,)`` int64 pair arrays: target ``far_targets[i]`` evaluates
-        node ``far_nodes[i]`` (a flat node id into the tree's node
-        table) through the far-field moment kernel.
+    groups:
+        ``(G, _GROUP)`` int64 target rows of each group, ``-1`` where a
+        group is shorter.
+    far_groups / far_nodes / far_mask:
+        ``(p,)`` int64 pair arrays, sorted by group, and their
+        ``(p, _GROUP)`` bool masks: target ``groups[far_groups[i], k]``
+        evaluates node ``far_nodes[i]`` (a flat node id into the tree's
+        node table) through the far-field moment kernel where
+        ``far_mask[i, k]``.
+    far_count:
+        The (target, node) pairs accepted, ``far_mask.sum()``.
     near_offsets / near_indices:
         CSR near-field lists over the tree's *sorted* source order:
         sources ``near_indices[near_offsets[t]:near_offsets[t+1]]`` of
@@ -85,15 +106,14 @@ class TreePairs:
         the roofline item count of the walk itself.
     """
 
-    far_targets: np.ndarray
+    groups: np.ndarray
+    far_groups: np.ndarray
     far_nodes: np.ndarray
+    far_mask: np.ndarray
+    far_count: int
     near_offsets: np.ndarray
     near_indices: np.ndarray
     examined: int
-
-    @property
-    def far_count(self) -> int:
-        return int(self.far_targets.shape[0])
 
     @property
     def near_count(self) -> int:
@@ -117,6 +137,9 @@ class QuadTree:
         Permutation mapping sorted rows back to the caller's rows.
     cell_start:
         ``(nleaves + 1,)`` CSR bounds of each leaf cell into ``points``.
+    grid:
+        The leaf cells' :class:`~repro.spatial.binning.CellGrid`; the
+        walk bins its targets into it.
     node_count / node_center / node_m / node_s / node_q / node_size:
         Flat node table: point count ``(nn,)``, centroid ``(nn, 3)``,
         moments ``(nn, 3)``/``(nn, 3)``/``(nn, 3, 3)`` and the 3D
@@ -138,6 +161,7 @@ class QuadTree:
         omega: np.ndarray,
         order: np.ndarray,
         cell_start: np.ndarray,
+        grid: CellGrid,
         leaf_size: int,
     ) -> None:
         self.nlevels = nlevels
@@ -152,6 +176,7 @@ class QuadTree:
         self.omega = omega
         self.order = order
         self.cell_start = cell_start
+        self.grid = grid
         self.leaf_size = leaf_size
 
     # -- introspection -----------------------------------------------------
@@ -185,6 +210,11 @@ class QuadTree:
         ``theta = 0`` therefore rejects every extended node and the
         walk degenerates to exact per-point sums (single-point far
         evaluations plus leaf pair lists).
+
+        The walk decides per target but steps per group
+        (:class:`TreePairs`): a frontier entry is a (group, node) pair
+        with the mask of the group's targets still undecided there, so
+        each level tests ``(entries, _GROUP)`` panels.
         """
         if not 0.0 <= theta < 1.0:
             raise ConfigurationError(
@@ -194,88 +224,108 @@ class QuadTree:
         tgt = np.atleast_2d(np.asarray(targets, dtype=np.float64))
         nt = tgt.shape[0]
         theta2 = float(theta) * float(theta)
-        far_t: list[np.ndarray] = []
+        far_g: list[np.ndarray] = []
         far_n: list[np.ndarray] = []
-        near_t: list[np.ndarray] = []
-        near_leaf: list[np.ndarray] = []
+        far_m: list[np.ndarray] = []
         examined = 0
 
         if nt == 0 or self.num_points == 0:
+            empty = np.empty(0, dtype=np.int64)
             return TreePairs(
-                far_targets=np.empty(0, dtype=np.int64),
-                far_nodes=np.empty(0, dtype=np.int64),
+                groups=np.empty((0, _GROUP), dtype=np.int64),
+                far_groups=empty, far_nodes=empty,
+                far_mask=np.empty((0, _GROUP), dtype=bool), far_count=0,
                 near_offsets=np.zeros(nt + 1, dtype=np.int64),
-                near_indices=np.empty(0, dtype=np.int64),
-                examined=0,
+                near_indices=empty, examined=0,
             )
 
-        # Frontier: (target, node-local-id) pairs still undecided at the
-        # current level; every target starts at the root.
-        t_idx = np.arange(nt, dtype=np.int64)
-        n_idx = np.zeros(nt, dtype=np.int64)
+        binning = bin_points(tgt, self.grid)
+        groups = _leaf_runs(binning.cell_start, binning.order)
+        filled = groups >= 0
+        # (G, _GROUP, 3); a padded slot repeats its group's first target
+        # and is never active.
+        members = tgt[np.where(filled, groups, groups[:, :1])]
+        lo, hi = members.min(axis=1), members.max(axis=1)
+
+        # Frontier: (group, node-local-id, undecided targets) at the
+        # current level; every group starts at the root.
+        g_idx = np.arange(groups.shape[0], dtype=np.int64)
+        n_idx = np.zeros(groups.shape[0], dtype=np.int64)
+        active = filled
+        near_g = near_leaf = np.empty(0, dtype=np.int64)
+        near_mask = np.empty((0, _GROUP), dtype=bool)
         leaf_level = self.nlevels - 1
         for level in range(self.nlevels):
-            if t_idx.size == 0:
-                break
-            offset = int(self.level_offsets[level])
-            flat = offset + n_idx
+            flat = int(self.level_offsets[level]) + n_idx
             nonempty = self.node_count[flat] > 0
-            t_idx, n_idx, flat = t_idx[nonempty], n_idx[nonempty], flat[nonempty]
-            if t_idx.size == 0:
+            g_idx, n_idx, flat = g_idx[nonempty], n_idx[nonempty], flat[nonempty]
+            active = active[nonempty]
+            if g_idx.size == 0:
                 break
-            examined += int(t_idx.size)
-            diff = tgt[t_idx] - self.node_center[flat]
-            dist2 = np.einsum("ij,ij->i", diff, diff)
-            size = self.node_size[flat]
-            accept = size * size <= theta2 * dist2
-            if np.any(accept):
-                far_t.append(t_idx[accept])
-                far_n.append(flat[accept])
-            rest = ~accept
-            if not np.any(rest):
-                continue
-            t_rest, n_rest = t_idx[rest], n_idx[rest]
+            examined += int(np.count_nonzero(active))
+            center = self.node_center[flat]
+            limit = self.node_size[flat] ** 2
+            # The group's box bounds every target's distance: only an
+            # entry the box leaves undecided is tested target by target.
+            to_lo, to_hi = lo[g_idx] - center, center - hi[g_idx]
+            near_corner = np.maximum(to_lo, to_hi)
+            np.maximum(near_corner, 0.0, out=near_corner)
+            far_corner = np.maximum(-to_lo, -to_hi)
+            all_in = limit <= theta2 * np.einsum(
+                "ij,ij->i", near_corner, near_corner)
+            mixed = ~all_in & (limit <= theta2 * np.einsum(
+                "ij,ij->i", far_corner, far_corner))
+            accept = active & all_in[:, None]
+            diff = members[g_idx[mixed]] - center[mixed][:, None, :]
+            accept[mixed] = active[mixed] & (
+                limit[mixed][:, None]
+                <= theta2 * np.einsum("ijk,ijk->ij", diff, diff)
+            )
+            hit = accept.any(axis=1)
+            far_g.append(g_idx[hit])
+            far_n.append(flat[hit])
+            far_m.append(accept[hit])
+            active = active & ~accept
+            open_ = active.any(axis=1)
+            g_rest, n_rest, active = g_idx[open_], n_idx[open_], active[open_]
             if level == leaf_level:
-                near_t.append(t_rest)
-                near_leaf.append(n_rest)
-                continue
+                near_g, near_leaf, near_mask = g_rest, n_rest, active
+                break
             # Descend: children of node (cx, cy) at a 2^l x 2^l level
             # are (2cx + dx, 2cy + dy) on the 2^(l+1) grid.
             ny = 1 << level
             cx, cy = n_rest // ny, n_rest % ny
             base = (cx * 2) * (ny * 2) + cy * 2
-            children = np.concatenate(
+            n_idx = np.concatenate(
                 [base, base + 1, base + ny * 2, base + ny * 2 + 1]
             )
-            t_idx = np.concatenate([t_rest] * 4)
-            n_idx = children
+            g_idx = np.concatenate([g_rest] * 4)
+            active = np.concatenate([active] * 4)
 
-        far_targets = (
-            np.concatenate(far_t) if far_t else np.empty(0, dtype=np.int64)
-        )
-        far_nodes = (
-            np.concatenate(far_n) if far_n else np.empty(0, dtype=np.int64)
-        )
+        far_groups = np.concatenate(far_g)
+        by_group = np.argsort(far_groups, kind="stable")
+        far_mask = np.concatenate(far_m)[by_group]
+        # Each undecided target of a near entry gets the leaf's sources.
+        near_t = groups[near_g][near_mask]
+        near_leaf = np.broadcast_to(near_leaf[:, None], near_mask.shape)[near_mask]
         offsets, indices = self._expand_near(near_t, near_leaf, nt)
         return TreePairs(
-            far_targets=far_targets,
-            far_nodes=far_nodes,
+            groups=groups,
+            far_groups=far_groups[by_group],
+            far_nodes=np.concatenate(far_n)[by_group],
+            far_mask=far_mask,
+            far_count=int(np.count_nonzero(far_mask)),
             near_offsets=offsets,
             near_indices=indices,
             examined=examined,
         )
 
     def _expand_near(
-        self,
-        near_t: list[np.ndarray],
-        near_leaf: list[np.ndarray],
-        nt: int,
+        self, t_all: np.ndarray, leaf_all: np.ndarray, nt: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """(target, leaf) pairs -> CSR source lists over sorted points."""
-        if not near_t:
+        if not t_all.size:
             return np.zeros(nt + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-        t_all = np.concatenate(near_t)
-        leaf_all = np.concatenate(near_leaf)
         order = np.argsort(t_all, kind="stable")
         t_sorted, leaf_sorted = t_all[order], leaf_all[order]
         starts = self.cell_start[leaf_sorted]
@@ -287,12 +337,9 @@ class QuadTree:
         total = int(lengths.sum())
         if total == 0:
             return offsets, np.empty(0, dtype=np.int64)
-        # Expand [start, start + len) ranges into flat indices (same
-        # trick as the cell-list search in spatial.neighbors).
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(lengths) - lengths, lengths
-        )
-        indices = np.repeat(starts, lengths) + within
+        # Expand [start, start + len) ranges into flat indices.
+        indices = np.arange(total, dtype=np.int64)
+        indices += np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
         return offsets, indices
 
 
@@ -458,8 +505,22 @@ def build_quadtree(
         omega=om_s,
         order=binning.order,
         cell_start=binning.cell_start.astype(np.int64),
+        grid=grid,
         leaf_size=int(leaf_size),
     )
+
+
+def _leaf_runs(cell_start: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Binned points as ``(G, _GROUP)`` row groups: each cell's run of
+    ``order`` cut into pieces of at most ``_GROUP``, ``-1`` padding."""
+    counts = np.diff(cell_start)
+    pieces = -(-counts // _GROUP)
+    cell = np.repeat(np.arange(counts.shape[0]), pieces)
+    k = np.arange(cell.shape[0]) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    start = cell_start[cell] + k * _GROUP
+    slot = start[:, None] + np.arange(_GROUP)
+    inside = slot < cell_start[cell + 1][:, None]
+    return np.where(inside, order[np.where(inside, slot, 0)], -1)
 
 
 def _parent_index(half: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from repro import mpi
 from repro.backend import available_backends, get_backend
 from repro.core import InitialCondition, Solver, SolverConfig
 from repro.core.kernels import br_velocity_allpairs, br_velocity_neighbors
-from repro.spatial.neighbors import neighbor_lists
+from repro.spatial.neighbors import brute_force_lists
 from tests.conftest import spmd
 
 RTOL = 1e-12
@@ -182,8 +182,8 @@ class TestKernelParity:
 
     def test_neighbors_parity(self, backend, rng):
         pts, om = _cloud(rng, 150)
-        lists = neighbor_lists(pts, pts, cutoff=1.2)
-        args = (pts, pts, om, lists.offsets, lists.indices, 0.05, 0.3)
+        offsets, indices = brute_force_lists(pts, pts, 1.2)
+        args = (pts, pts, om, offsets, indices, 0.05, 0.3)
         ref = br_velocity_neighbors(*args, backend="numpy")
         got = br_velocity_neighbors(*args, backend=backend)
         assert_matches(got, ref, f"{backend}: neighbors")

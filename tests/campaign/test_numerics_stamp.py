@@ -63,6 +63,7 @@ class TestNumericsStamp:
 #: ``NUMERICS_VERSION`` — see :func:`pinned_numerics`.
 NUMERICS_PINS = {
     2: "6e9ac969ae0d11bf",
+    3: "d7e53a3681693b0b",
 }
 
 
@@ -70,10 +71,11 @@ def pinned_numerics() -> str:
     """sha256 prefix of the pinned digest tables and the golden figures:
     what a ``NUMERICS_VERSION`` promises stays put."""
     from tests.backend.test_panel_pool import PARENT_FLEET_STATES, PARENT_STATES
-    from tests.core.test_cutoff_dense import DENSE_CUTOFF_STATES
+    from tests.core.test_cutoff_chunks import CUTOFF_STATES, DECK_CUTOFF_STATES
 
     h = hashlib.sha256()
-    for table in (PARENT_STATES, PARENT_FLEET_STATES, DENSE_CUTOFF_STATES):
+    for table in (PARENT_STATES, PARENT_FLEET_STATES, DECK_CUTOFF_STATES,
+                  CUTOFF_STATES):
         h.update(repr(sorted(table.items())).encode())
     for path in sorted(GOLDEN.glob("*.json")):
         h.update(path.name.encode())

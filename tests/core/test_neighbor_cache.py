@@ -3,10 +3,12 @@
 Pins the two properties the cache lives or dies by:
 
 * **parity** — a run with ``skin > 0`` produces the same trajectory as
-  the rebuild-every-evaluation baseline to 1e-12, on every registered
-  backend, because restricting the inflated lists against current
-  positions recovers exactly the fresh pair set while no point has
-  moved more than ``skin / 2``;
+  the rebuild-every-evaluation baseline, on every registered backend:
+  narrowing the inflated chunk lists against the current boxes
+  recovers exactly the lists a fresh search builds while no point has
+  moved more than ``skin / 2``, so on one rank the two runs are equal
+  bit for bit, and on more (where the cache ships ghosts at
+  ``cutoff + skin``, so the chunks differ) to 1e-12;
 * **amortization** — structures actually get reused (and collectively
   rebuilt when the displacement invariant breaks or ``rebuild_freq``
   forces it), visible both in the solver's counters and as the
@@ -21,7 +23,9 @@ import pytest
 from repro import mpi
 from repro.backend import available_backends
 from repro.core import InitialCondition, Solver, SolverConfig
-from repro.spatial.neighbors import neighbor_lists, restrict_lists
+from repro.core.br_cutoff import _BOX_SKINS
+from repro.core.diagnostics import gather_global_state
+from repro.spatial.neighbors import brute_force_lists, chunk_pairs, narrow_pairs
 from repro.util.errors import ConfigurationError
 from tests.conftest import spmd
 
@@ -58,45 +62,68 @@ def assert_diag_match(got, want, context=""):
         )
 
 
-class TestRestrictLists:
-    """restrict_lists recovers the fresh pair set after small motion."""
+class TestNarrowPairs:
+    """narrow_pairs recovers a fresh search's chunk list after small motion."""
 
-    def _sets(self, lists):
-        return [
-            set(lists.indices[lists.offsets[t]: lists.offsets[t + 1]].tolist())
-            for t in range(lists.num_targets)
-        ]
-
-    def test_matches_fresh_build_within_skin(self, rng):
-        pts = rng.uniform(-1.0, 1.0, size=(300, 3))
-        cutoff, skin = 0.4, 0.1
-        inflated = neighbor_lists(pts, pts, cutoff + skin)
+    def _moved(self, rng, pts, skin):
         # Every point moves strictly less than skin/2.
-        moved = pts + rng.uniform(-1, 1, size=pts.shape) * (0.45 * skin / 2) / np.sqrt(3)
-        fresh = neighbor_lists(moved, moved, cutoff)
-        restricted = restrict_lists(inflated, moved, moved, cutoff)
-        assert self._sets(restricted) == self._sets(fresh)
-        assert restricted.total_neighbors == fresh.total_neighbors
+        step = rng.uniform(-1, 1, size=pts.shape) * (0.45 * skin / 2) / np.sqrt(3)
+        return pts + step
 
-    def test_cached_pair_targets_equivalent(self, rng):
-        pts = rng.uniform(-1.0, 1.0, size=(120, 3))
-        inflated = neighbor_lists(pts, pts, 0.5)
-        a = restrict_lists(inflated, pts, pts, 0.35)
-        b = restrict_lists(
-            inflated, pts, pts, 0.35, pair_targets=inflated.pair_targets()
-        )
-        np.testing.assert_array_equal(a.offsets, b.offsets)
-        np.testing.assert_array_equal(a.indices, b.indices)
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_matches_fresh_search_within_skin(self, rng, symmetric):
+        pts = rng.uniform(-1.0, 1.0, size=(300, 3))
+        src = pts if symmetric else rng.uniform(-1.0, 1.0, size=(170, 3))
+        cutoff, skin = 0.4, 0.1
+        built = chunk_pairs(pts, src, cutoff + _BOX_SKINS * skin,
+                            symmetric=symmetric)
+        moved = self._moved(rng, pts, skin)
+        moved_src = moved if symmetric else self._moved(rng, src, skin)
+        fresh = chunk_pairs(moved, moved_src, cutoff, symmetric=symmetric)
+        narrowed = narrow_pairs(built, moved, moved_src, cutoff)
+        assert np.array_equal(narrowed.pairs, fresh.pairs)
+        assert narrowed.candidates() == fresh.candidates()
 
-    def test_restrict_at_build_radius_is_identity(self, rng):
+    def test_keeps_every_pair_within_the_cutoff(self, rng):
+        # A mesh-ordered sheet, so chunk boxes are strips and narrowing
+        # drops pairs (the boxes of a random cloud all overlap).
+        i, j = np.divmod(np.arange(200), 20)
+        pts = np.stack([0.1 * i, 0.1 * j, 0.02 * rng.normal(size=200)], axis=1)
+        built = chunk_pairs(pts, pts, 0.7, symmetric=True)
+        narrowed = narrow_pairs(built, pts, pts, 0.3)
+        offsets, indices = brute_force_lists(pts, pts, 0.3)
+        targets = np.repeat(np.arange(200), np.diff(offsets))
+        needed = np.sort(np.stack([targets, indices], axis=1) // 16, axis=1)
+        assert {tuple(p) for p in needed.tolist()} <= {
+            tuple(p) for p in narrowed.pairs.tolist()
+        }
+        assert len(narrowed.pairs) < len(built.pairs)
+
+    def test_narrow_at_build_radius_is_identity(self, rng):
         pts = rng.uniform(-1.0, 1.0, size=(80, 3))
-        lists = neighbor_lists(pts, pts, 0.6)
-        same = restrict_lists(lists, pts, pts, 0.6)
-        assert self._sets(same) == self._sets(lists)
+        lists = chunk_pairs(pts, pts, 0.6, symmetric=True)
+        assert np.array_equal(narrow_pairs(lists, pts, pts, 0.6).pairs,
+                              lists.pairs)
 
 
 class TestCacheParity:
-    """skin > 0 matches skin = 0 to 1e-12 across backends."""
+    """skin > 0 matches skin = 0 across backends: bitwise on one rank,
+    to 1e-12 on more."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_one_rank_cached_run_is_bitwise_uncached(self, backend):
+        def state(skin):
+            def program(comm):
+                solver = Solver(comm, _config(backend=backend, skin=skin), IC)
+                solver.run(4)
+                return gather_global_state(solver.pm), solver.neighbor_cache_stats()
+
+            return spmd(1, program)[0]
+
+        (z, w), _ = state(0.0)
+        (z_cached, w_cached), stats = state(0.4)
+        assert stats["reuses"] > 0
+        assert np.array_equal(z_cached, z) and np.array_equal(w_cached, w)
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_solver_trajectory_matches_uncached(self, backend):
@@ -164,7 +191,7 @@ class TestCacheTrace:
         _, stats = _run(_config(skin=0.4), steps=2, trace=trace)
         assert "neighbor_cache" in trace.phases()
         totals = trace.compute_totals(phase="neighbor_cache")
-        # Every evaluation checks displacement and restricts the lists.
+        # Every evaluation checks displacement and narrows the lists.
         assert "max_displacement" in totals
         assert "neighbor_filter" in totals
         # Search events only on rebuild evaluations.

@@ -19,7 +19,7 @@ from repro.core import (
 )
 from repro.core.kernels import br_velocity_allpairs, br_velocity_neighbors
 from repro.core.time_integrator import rk3_scalar_reference
-from repro.spatial.neighbors import neighbor_lists
+from repro.spatial.neighbors import brute_force_lists
 from tests.conftest import spmd
 
 ATWOOD, GRAVITY = 0.5, 4.0
@@ -200,9 +200,9 @@ class TestBRKernels:
         pts = rng.uniform(-1, 1, size=(60, 3))
         om = rng.normal(size=(60, 3))
         dense = br_velocity_allpairs(pts, pts, om, eps=0.05, dA=0.1)
-        lists = neighbor_lists(pts, pts, cutoff=10.0)  # everything in range
+        offsets, indices = brute_force_lists(pts, pts, 10.0)  # every pair
         sparse = br_velocity_neighbors(
-            pts, pts, om, lists.offsets, lists.indices, eps=0.05, dA=0.1
+            pts, pts, om, offsets, indices, eps=0.05, dA=0.1
         )
         np.testing.assert_allclose(sparse, dense, rtol=1e-10, atol=1e-14)
 

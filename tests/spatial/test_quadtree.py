@@ -154,7 +154,8 @@ class TestWalk:
             counts = tree.node_count[pairs.far_nodes]
             sizes = tree.node_size[pairs.far_nodes]
             assert np.all(sizes == 0.0)
-            far_points = int(counts.sum())
+            targets_per_pair = pairs.far_mask.sum(axis=1)
+            far_points = int((counts * targets_per_pair).sum())
         assert far_points + pairs.near_count == targets.shape[0] * pos.shape[0]
 
     def test_larger_theta_fewer_interactions(self, cloud):
@@ -174,9 +175,15 @@ class TestWalk:
         tree = build_quadtree(pos, omega, leaf_size=16)
         targets = pos[:50]
         pairs = tree.mac_pairs(targets, theta=theta)
-        r = targets[pairs.far_targets] - tree.node_center[pairs.far_nodes]
+        # Each accepted (target, node) pair of a (group, node) entry.
+        members = pairs.groups[pairs.far_groups][pairs.far_mask]
+        nodes = np.broadcast_to(
+            pairs.far_nodes[:, None], pairs.far_mask.shape
+        )[pairs.far_mask]
+        assert np.all(members >= 0) and pairs.far_count == members.size > 0
+        r = targets[members] - tree.node_center[nodes]
         dist = np.linalg.norm(r, axis=1)
-        assert np.all(tree.node_size[pairs.far_nodes] <= theta * dist + 1e-12)
+        assert np.all(tree.node_size[nodes] <= theta * dist + 1e-12)
 
     def test_empty_targets(self, cloud):
         pos, omega = cloud
@@ -202,3 +209,78 @@ class TestWalk:
         if pairs.near_count:
             assert pairs.near_indices.min() >= 0
             assert pairs.near_indices.max() < tree.num_points
+
+
+def _per_target_walk(tree, targets, theta):
+    """The multipole-acceptance walk one target at a time: its accepted
+    (target, node) pairs and its near (target, leaf) pairs."""
+    far, near = set(), set()
+    for t, point in enumerate(targets):
+        stack = [(0, 0)]
+        while stack:
+            level, local = stack.pop()
+            flat = int(tree.level_offsets[level]) + local
+            if tree.node_count[flat] == 0:
+                continue
+            dist2 = float(np.sum((point - tree.node_center[flat]) ** 2))
+            if tree.node_size[flat] ** 2 <= theta * theta * dist2:
+                far.add((t, flat))
+            elif level == tree.depth:
+                near.add((t, local))
+            else:
+                ny = 1 << level
+                cx, cy = divmod(local, ny)
+                base = (cx * 2) * (ny * 2) + cy * 2
+                stack += [(level + 1, base + k)
+                          for k in (0, 1, ny * 2, ny * 2 + 1)]
+    return far, near
+
+
+class TestGroupedWalk:
+    @pytest.mark.parametrize("theta", (0.0, 0.3, 0.7))
+    def test_decisions_are_the_per_target_walk(self, cloud, theta):
+        """Stepping per group changes no (target, node) decision."""
+        pos, omega = cloud
+        tree = build_quadtree(pos, omega, leaf_size=16)
+        targets = pos[::2]
+        pairs = tree.mac_pairs(targets, theta=theta)
+        members = pairs.groups[pairs.far_groups]
+        nodes = np.broadcast_to(pairs.far_nodes[:, None], members.shape)
+        far = set(zip(members[pairs.far_mask].tolist(),
+                      nodes[pairs.far_mask].tolist()))
+        rows = np.repeat(np.arange(targets.shape[0]),
+                         np.diff(pairs.near_offsets))
+        leaves = np.searchsorted(tree.cell_start, pairs.near_indices,
+                                 side="right") - 1
+        near = set(zip(rows.tolist(), leaves.tolist()))
+        want_far, want_near = _per_target_walk(tree, targets, theta)
+        assert far == want_far and pairs.far_count == len(want_far)
+        assert near == want_near
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_farfield_is_the_pairwise_expansion(self, cloud, backend):
+        """farfield_eval's per-group products equal the expansion summed
+        pair by pair, dipole terms included."""
+        pos, omega = cloud
+        tree = build_quadtree(pos, omega, leaf_size=16)
+        targets = pos[::3]
+        pairs = tree.mac_pairs(targets, theta=0.6)
+        eps2, prefactor = 0.01, 0.3
+        got = np.zeros(targets.shape)
+        get_backend(backend).farfield_eval(
+            targets, tree.node_center, tree.node_m, tree.node_s,
+            tree.node_q, pairs.groups, pairs.far_groups, pairs.far_nodes,
+            pairs.far_mask, eps2, prefactor, got,
+        )
+        want = np.zeros(targets.shape)
+        members = pairs.groups[pairs.far_groups]
+        nodes = np.broadcast_to(pairs.far_nodes[:, None], members.shape)
+        for t, n in zip(members[pairs.far_mask], nodes[pairs.far_mask]):
+            r = targets[t] - tree.node_center[n]
+            u = r @ r + eps2
+            want[t] += prefactor * (
+                u ** -1.5 * (np.cross(tree.node_m[n], r) - tree.node_s[n])
+                + 3.0 * u ** -2.5 * np.cross(tree.node_q[n] @ r, r)
+            )
+        assert np.abs(tree.node_q[pairs.far_nodes]).max() > 0
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
