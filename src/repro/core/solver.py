@@ -62,8 +62,9 @@ __all__ = [
 #: ``tests/campaign/test_numerics_stamp.py``, whose guard fails until
 #: both are done.  2: one-rank cutoff runs whose cutoff spans the domain
 #: sum their pairs densely.  3: every cutoff run sums the chunk pairs its
-#: bounding-box search lists (``core.br_cutoff``).
-NUMERICS_VERSION = 3
+#: bounding-box search lists (``core.br_cutoff``).  4: low order evolves
+#: a graph surface — z₃ and γ alone; z₁, z₂ stay the mesh coordinates.
+NUMERICS_VERSION = 4
 
 
 def state_digest(*arrays: np.ndarray) -> str:

@@ -30,6 +30,16 @@ Potential                     ``Φ = g z₃ − β |W|²/2``
 Evolution                     ``ż = W``,
                               ``γ̇1 = 2A ∂₂Φ / |n| + μ Δ_s γ1``,
                               ``γ̇2 = −2A ∂₁Φ / |n| + μ Δ_s γ2``
+Low order                     ``W = (0, 0, W₃)``, so ``z₁ = α₁`` and
+                              ``z₂ = α₂`` for all time: the surface is
+                              the graph of ``z₃``, with tangents
+                              ``t₁ = (1, 0, ∂₁z₃)``, ``t₂ = (0, 1, ∂₂z₃)``
+                              and ``|n| = sqrt(1 + (∂₁z₃)² + (∂₂z₃)²)``
+
+At low order the model therefore differentiates ``z₃`` alone, returns
+``ż`` as the one moving component ``W₃`` and the potential from
+``W₃²``; :attr:`ZModel.moving` tells the time integrator which
+components of ``z`` it steps.  The halo still carries all of ``z``.
 
 Linearized about a flat interface this reproduces the Rayleigh-Taylor
 dispersion relation σ = sqrt(A g |k|) (pinned by tests), and the ⊥
@@ -143,13 +153,13 @@ class ZModelParameters:
     bernoulli: float = 1.0
 
 
-def potential(z_own, w_phi, gravity, bernoulli) -> np.ndarray:
-    """Φ = g z₃ − β |W|²/2 on owned nodes.
+def potential(z_own, w_sq, gravity, bernoulli) -> np.ndarray:
+    """Φ = g z₃ − β |W|²/2 on owned nodes, from ``w_sq`` = |W|².
 
     ``gravity`` / ``bernoulli`` are floats or ``(B, 1, 1)`` arrays,
     broadcasting over the node axes of the ``(B, n1, n2, ·)`` stacks.
     """
-    return gravity * z_own[..., 2] - 0.5 * bernoulli * ops.dot(w_phi, w_phi)
+    return gravity * z_own[..., 2] - 0.5 * bernoulli * w_sq
 
 
 def vorticity_rate(
@@ -210,13 +220,16 @@ class ZModel:
             )
         if self.order in (Order.MEDIUM, Order.HIGH) and br_solver is None:
             raise ConfigurationError(f"{self.order} order requires a BR solver")
+        # The components of z that ż moves: z₃ alone at low order.
+        self.moving = slice(2, 3) if self.order is Order.LOW else slice(0, 3)
         # Evaluation statistics (examples/benchmarks read these).
         self.evaluations = 0
 
     # -- pieces ------------------------------------------------------------
 
     def _spectral_velocity(self, w_own: np.ndarray) -> np.ndarray:
-        """Low-order BR approximation: one packed transform pair (FFT)."""
+        """Low-order BR approximation W₃ on owned nodes: one packed
+        transform pair (FFT).  W₁ = W₂ = 0."""
         assert self.fft is not None
         mesh = self.pm.mesh
         trace = mesh.cart.trace
@@ -233,10 +246,34 @@ class ZModel:
                 bytes_moved=RIESZ_BYTES * spectrum.size,
                 items=spectrum.size, t_wall=trace.clock_since(t0),
             )
-            w3 = self.fft.backward_transposed(spectrum).real
-        out = np.zeros(w3.shape + (3,))
-        out[..., 2] = w3
-        return out
+            return self.fft.backward_transposed(spectrum).real
+
+    def _geometry(
+        self, z_full: np.ndarray, w_own: np.ndarray
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """(|n|, ω) on owned nodes of a stack: the area element
+        |t₁ × t₂| and the vorticity vector ω = γ1 t₁ + γ2 t₂ the BR
+        solver takes (``None`` at low order, which has no BR solver).
+
+        At low order the surface is the graph of z₃: t₁ = (1, 0, p) and
+        t₂ = (0, 1, q) with p = ∂₁z₃, q = ∂₂z₃, so only z₃ is
+        differentiated and |n| = sqrt(1 + p² + q²) ≥ 1.
+        """
+        dx_, dy_ = self.pm.mesh.global_mesh.spacings
+        bk = self.backend
+        if self.order is Order.LOW:
+            z3 = z_full[..., 2:3]
+            p = bk.stencil_dx(z3, dx_)[..., 0]
+            q = bk.stencil_dy(z3, dy_)[..., 0]
+            p *= p
+            q *= q
+            p += q
+            p += 1.0
+            return np.sqrt(p, out=p), None
+        t1 = bk.stencil_dx(z_full, dx_)
+        t2 = bk.stencil_dy(z_full, dy_)
+        deth = ops.area_element(ops.cross(t1, t2))
+        return deth, w_own[..., 0:1] * t1 + w_own[..., 1:2] * t2
 
     def _br_velocity(self, z_own: np.ndarray, omega_own: np.ndarray) -> np.ndarray:
         assert self.br_solver is not None
@@ -257,7 +294,8 @@ class ZModel:
         evaluates the order-appropriate velocities, and assembles the
         evolution equations.  Purely local except for the gather, FFT
         and BR-solver calls.  Both results have the shape of the owned
-        state: one block's, or a stack's.
+        state, one block's or a stack's, except that ż holds only the
+        :attr:`moving` components of z (W₃ alone at low order).
         """
         pm = self.pm
         mesh = pm.mesh
@@ -265,7 +303,6 @@ class ZModel:
         trace = mesh.cart.trace
         pm.gather_state()
 
-        dx_, dy_ = mesh.global_mesh.spacings
         lead = pm.z.full.shape[:-3]
         z_full, w_full, z_own, w_own = (
             ops.as_stack(a) for a in (pm.z.full, pm.w.full, pm.z.own, pm.w.own)
@@ -275,13 +312,7 @@ class ZModel:
 
         with trace.phase("stencil"):
             t0 = trace.clock()
-            t1 = self.backend.stencil_dx(z_full, dx_)
-            t2 = self.backend.stencil_dy(z_full, dy_)
-            normal = ops.cross(t1, t2)
-            deth = ops.area_element(normal)
-            if need_br:  # ω = γ1 t1 + γ2 t2, consumed by the BR solver only
-                omega = w_own[..., 0:1] * t1 + w_own[..., 1:2] * t2
-            del t1, t2, normal      # a step's peak memory is temporaries
+            deth, omega = self._geometry(z_full, w_own)
             trace.record_compute(
                 "geometry", mesh.cart.rank,
                 flops=40.0 * deth.size,
@@ -289,15 +320,14 @@ class ZModel:
                 items=deth.size, t_wall=trace.clock_since(t0),
             )
 
-        w_fft = self._spectral_velocity(w_own) if need_fft else None
+        w3 = self._spectral_velocity(w_own) if need_fft else None
         w_br = self._br_velocity(z_own, omega) if need_br else None
 
-        w_total = w_br if need_br else w_fft
-        w_phi = w_fft if need_fft else w_br
-        assert w_total is not None and w_phi is not None
+        w_total = w_br if need_br else w3[..., None]
+        w_sq = w3 * w3 if need_fft else ops.dot(w_br, w_br)
 
         # The potential, haloed for its gradient.
-        phi_own = potential(z_own, w_phi, p.gravity, p.bernoulli)
+        phi_own = potential(z_own, w_sq, p.gravity, p.bernoulli)
         phi_full = pm.full_from_own(phi_own[..., None])
         pm.gather_field(phi_full)
 

@@ -281,7 +281,9 @@ class TestFork:
 #: sha256 prefixes of the final global ``z`` and ``w`` bytes after two
 #: steps of a 40×40 run, recorded with the one-thread kernel this pool
 #: replaced.  Equal digests mean ``np.array_equal`` states, so store
-#: entries written before the pool stay valid.
+#: entries written before the pool stay valid.  The low-order entries
+#: were re-recorded when low order became a graph surface (its lateral
+#: positions never move; numerics 4).
 PARENT_STATES = {
     ("high", True, "numpy", 1): "2ff6370de9288fbe",
     ("high", True, "numpy", 2): "fcc6c9e0ae66e56f",
@@ -295,25 +297,26 @@ PARENT_STATES = {
     ("high", False, "blocked", 1): "a3098a6aa22d8a4e",
     ("high", False, "blocked", 2): "b788d982fd79cd92",
     ("high", False, "blocked", 4): "b5183d82904ecc17",
-    ("low", True, "numpy", 1): "4177e547a43c3aca",
-    ("low", True, "numpy", 2): "4177e547a43c3aca",
-    ("low", True, "numpy", 4): "4177e547a43c3aca",
-    ("low", True, "blocked", 1): "3b25b9634ad9a4aa",
-    ("low", True, "blocked", 2): "3b25b9634ad9a4aa",
-    ("low", True, "blocked", 4): "3b25b9634ad9a4aa",
+    ("low", True, "numpy", 1): "2da8fe6d289b87f2",
+    ("low", True, "numpy", 2): "2da8fe6d289b87f2",
+    ("low", True, "numpy", 4): "2da8fe6d289b87f2",
+    ("low", True, "blocked", 1): "eee55ba308af1779",
+    ("low", True, "blocked", 2): "eee55ba308af1779",
+    ("low", True, "blocked", 4): "eee55ba308af1779",
 }
 
 #: The same digest over the final ``z`` and ``w`` of all 40 members of a
 #: 16×16 fleet after two steps, keyed ``(order, periodic, backend, mu)``.
 #: The periodic high-order blocked entry was recorded before the kernel
 #: staged its stack in slices; the rest before the fleet shared the
-#: solver's boundary plan, stage coefficients and Z-Model sources.
+#: solver's boundary plan, stage coefficients and Z-Model sources; the
+#: low-order entries when low order became a graph surface.
 PARENT_FLEET_STATES = {
     ("high", (True, True), "blocked", 0.0): "52570549139d1a66",
     ("high", (False, False), "blocked", 0.0): "7a349fc0da7c20ed",
     ("high", (True, False), "numpy", 0.0): "6570be9651ee7349",
-    ("low", (True, True), "blocked", 0.0): "843f0da18d7d5389",
-    ("low", (True, True), "blocked", 0.02): "0007519df867b099",
+    ("low", (True, True), "blocked", 0.0): "c5c04c36a59b5707",
+    ("low", (True, True), "blocked", 0.02): "124019674bb03df0",
     ("medium", (True, True), "numpy", 0.0): "d211c66d755089bb",
     ("high", (False, False), "numpy", 0.01): "3cbaa833364b08ca",
 }

@@ -61,7 +61,7 @@ def _eigenmode_ratios(comm, cfg):
     solver.pm.set_state(z, np.stack([g1, g2], axis=-1))
     zdot, wdot = solver.zmodel.compute_derivatives()
     mask = np.abs(h) > 0.3 * eps_amp
-    z_ratio = zdot[..., 2][mask] / (SIGMA * h[mask])
+    z_ratio = zdot[..., -1][mask] / (SIGMA * h[mask])
     maskw = np.abs(g1) > 0.3 * np.abs(g1).max()
     w_ratio = wdot[..., 0][maskw] / (SIGMA * g1[maskw])
     return float(np.mean(z_ratio)), float(np.mean(w_ratio))

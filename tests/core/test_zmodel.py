@@ -1,9 +1,13 @@
 """ZModel wiring: order requirements, phases, parameter effects."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro import mpi
+from repro.backend import get_backend
+from repro.batch import ScenarioFleet
 from repro.core import (
     InitialCondition,
     ProblemManager,
@@ -12,6 +16,7 @@ from repro.core import (
     SurfaceMesh,
     apply_initial_condition,
 )
+from repro.core import operators as ops
 from repro.core.zmodel import Order, ZModel, ZModelParameters
 from repro.fft import DistributedFFT2D, riesz_multiplier
 from repro.util.errors import ConfigurationError
@@ -185,9 +190,8 @@ class TestPackedSpectralVelocity:
             before = pm.w.own.copy()
             got = model._spectral_velocity(pm.w.own)
             assert np.array_equal(pm.w.own, before)  # input never written
-            assert not got[..., :2].any()
             np.testing.assert_allclose(
-                got[..., 2], want[box], rtol=0, atol=1e-13 * np.abs(want).max()
+                got, want[box], rtol=0, atol=1e-13 * np.abs(want).max()
             )
             return True
 
@@ -212,3 +216,118 @@ class TestPackedSpectralVelocity:
             kinds = [ev.kind for ev in trace.events
                      if ev.rank == rank and ev.phase == "fft"]
             assert kinds == ["alltoallv"] * alltoallv_per_rank
+
+
+def _graph_config(order="low", backend="numpy", nodes=(24, 24)):
+    return SolverConfig(
+        num_nodes=nodes, low=(-np.pi, -np.pi), high=(np.pi, np.pi),
+        order=order, dt=0.01, backend=backend,
+    )
+
+
+GRAPH_IC = InitialCondition(kind="multi_mode", magnitude=0.05, period=3)
+
+
+class TestGraphSurface:
+    """At low order ż = (0, 0, W₃): the lateral positions are the mesh
+    coordinates the initial condition set, bit for bit, for all time."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "blocked"])
+    @pytest.mark.parametrize("nranks", [1, 2, 4])
+    def test_lateral_positions_never_move(self, nranks, backend):
+        def program(comm):
+            solver = Solver(comm, _graph_config(backend=backend), GRAPH_IC)
+            X, Y = np.broadcast_arrays(*solver.mesh.owned_coordinates())
+            solver.run(3)
+            z = solver.pm.z.own
+            return (np.array_equal(z[..., 0], X) and np.array_equal(z[..., 1], Y)
+                    and bool(np.abs(z[..., 2]).max() > 0))
+
+        assert all(spmd(nranks, program))
+
+    def test_fleet_lateral_positions_never_move(self):
+        config = _graph_config(backend="blocked", nodes=(16, 16))
+        fleet = ScenarioFleet(config, retain_state=True)
+        ids = fleet.add_many([
+            (config, InitialCondition(kind="multi_mode", magnitude=0.05,
+                                      period=3, seed=k), 3)
+            for k in range(4)
+        ])
+        results = fleet.run()
+        X, Y = np.broadcast_arrays(*spmd(
+            1, lambda comm: Solver(comm, config, GRAPH_IC).mesh.owned_coordinates()
+        )[0])
+        for sid in ids:
+            z = results[sid]["z"]
+            assert np.array_equal(z[..., 0], X)
+            assert np.array_equal(z[..., 1], Y)
+
+    def test_medium_lateral_positions_move(self):
+        def program(comm):
+            solver = Solver(comm, _graph_config("medium", nodes=(16, 16)), GRAPH_IC)
+            X, Y = np.broadcast_arrays(*solver.mesh.owned_coordinates())
+            solver.step()
+            z = solver.pm.z.own
+            return not (np.array_equal(z[..., 0], X) and np.array_equal(z[..., 1], Y))
+
+        assert spmd(1, program)[0]
+
+
+class TestGraphForm:
+    """sqrt(1 + p² + q²) of the graph of z₃ is the general |t₁ × t₂|."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "blocked"])
+    @pytest.mark.parametrize("kind", ["multi_mode", "single_mode"])
+    def test_graph_area_element_is_the_general_one(self, kind, backend):
+        ic = InitialCondition(kind=kind, magnitude=0.3)
+        config = _graph_config(backend=backend, nodes=(64, 48))
+
+        def program(comm):
+            solver = Solver(comm, config, ic)
+            solver.step()
+            pm, bk = solver.pm, get_backend(backend)
+            pm.gather_state()
+            z_full = ops.as_stack(pm.z.full)
+            deth, omega = solver.zmodel._geometry(z_full, ops.as_stack(pm.w.own))
+            dx_, dy_ = solver.mesh.global_mesh.spacings
+            general = ops.area_element(ops.cross(
+                bk.stencil_dx(z_full, dx_), bk.stencil_dy(z_full, dy_)
+            ))
+            assert omega is None and deth.min() >= 1.0
+            assert deth.max() > 1.01  # the surface is not flat
+            return float(np.abs(deth / general - 1.0).max())
+
+        assert max(spmd(2, program)) <= 1e-14
+
+
+#: One 2-rank 32² LOW step, recorded before low order became a graph
+#: surface: (phase, kind) → (messages, bytes) of the halo and FFT hops,
+#: and kernel → {(items, flops, bytes_moved): events} of the modeled
+#: geometry and RK3 costs, which price the general surface.
+LOW_STEP_COMM = {
+    ("fft", "alltoallv"): (12, 98304),
+    ("halo", "recv"): (56, 76544),
+    ("halo", "send"): (56, 76544),
+}
+LOW_STEP_COMPUTE = {
+    "geometry": {(512, 20480.0, 45056.0): 6},
+    "rk3_axpy": {(2560, 12800.0, 81920.0): 6},
+}
+
+
+class TestLowOrderTraceContract:
+    def test_messages_and_modeled_costs_do_not_move(self):
+        trace = mpi.CommTrace()
+        config = SolverConfig(num_nodes=(32, 32), order="low", dt=0.01)
+        spmd(2, lambda comm: Solver(comm, config, GRAPH_IC).step(), trace=trace)
+        messages, nbytes = Counter(), Counter()
+        for ev in trace.events:
+            if ev.phase in ("halo", "fft"):
+                messages[ev.phase, ev.kind] += 1
+                nbytes[ev.phase, ev.kind] += ev.nbytes
+        assert {k: (messages[k], nbytes[k]) for k in messages} == LOW_STEP_COMM
+        compute = {kernel: Counter() for kernel in LOW_STEP_COMPUTE}
+        for cev in trace.compute_events:
+            if cev.kernel in compute:
+                compute[cev.kernel][(cev.items, cev.flops, cev.bytes_moved)] += 1
+        assert {k: dict(v) for k, v in compute.items()} == LOW_STEP_COMPUTE
