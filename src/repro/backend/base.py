@@ -412,20 +412,6 @@ class ArrayBackend(abc.ABC):
         vel *= prefactor
         out[groups[filled]] += vel[filled]
 
-    # -- reductions --------------------------------------------------------
-
-    @abc.abstractmethod
-    def max_displacement(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Max Euclidean distance between corresponding rows of two
-        ``(n, 3)`` point arrays (0.0 when empty).
-
-        The cutoff solver's Verlet-skin cache calls this every
-        derivative evaluation to decide — after a MAX allreduce so all
-        ranks agree — whether the cached spatial structures are still
-        valid.  The reduction must be exact (no tolerance): the cache
-        invariant compares the result against ``skin / 2``.
-        """
-
     # -- stencil operators -------------------------------------------------
 
     @abc.abstractmethod

@@ -417,25 +417,6 @@ class BlockedBackend(ArrayBackend):
         out += contrib.reshape(-1, 3)[:nt]
         return kept
 
-    # -- reductions -------------------------------------------------------
-
-    def max_displacement(self, a: np.ndarray, b: np.ndarray) -> float:
-        n = a.shape[0]
-        if n == 0:
-            return 0.0
-        worst = 0.0
-        chunk = max(self.tile * self.tile, 1)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            d = a[start:stop, 0] - b[start:stop, 0]
-            r2 = d * d
-            d = a[start:stop, 1] - b[start:stop, 1]
-            r2 += d * d
-            d = a[start:stop, 2] - b[start:stop, 2]
-            r2 += d * d
-            worst = max(worst, float(r2.max()))
-        return float(np.sqrt(worst))
-
     # -- fused state updates and stencils --------------------------------
     #
     # Whole-stack in-place arithmetic: per scenario, the elementwise

@@ -140,15 +140,6 @@ class NumpyBackend(ArrayBackend):
         out += prefactor * acc.transpose(0, 2, 1).reshape(-1, 3)[:out.shape[0]]
         return kept
 
-    # -- reductions -------------------------------------------------------
-
-    def max_displacement(self, a: np.ndarray, b: np.ndarray) -> float:
-        if a.shape[0] == 0:
-            return 0.0
-        diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-        dist2 = np.einsum("ij,ij->i", diff, diff)
-        return float(np.sqrt(dist2.max()))
-
     # -- stencils ---------------------------------------------------------
 
     def stencil_dx(self, full: np.ndarray, spacing: float) -> np.ndarray:

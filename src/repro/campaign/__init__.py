@@ -41,6 +41,7 @@ from repro.campaign.report import (
     completed_records,
     format_table,
     record_field,
+    replay_records,
     series_grid,
 )
 from repro.campaign.scheduler import (
@@ -80,5 +81,6 @@ __all__ = [
     "completed_records",
     "format_table",
     "record_field",
+    "replay_records",
     "series_grid",
 ]

@@ -78,6 +78,13 @@ _TUPLE_FIELDS = ("num_nodes", "low", "high", "periodic", "spatial_low", "spatial
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
 _IC_FIELDS = {f.name for f in dataclasses.fields(InitialCondition)}
 
+#: SolverConfig fields that no longer exist, each at the one value every
+#: stored run carries.  They configured the cutoff solver's neighbor-
+#: structure cache, which was removed: a deck, pack or payload may still
+#: name one at exactly this value (it is dropped), and :class:`RunSpec`
+#: payloads keep carrying them, so no run hash moves.
+_RETIRED_FIELDS = {"skin": 0.0, "rebuild_freq": 0}
+
 #: Run-level keys: a pack nests them under ``run``, a deck also sweeps them.
 _RUN_KEYS = ("steps", "ranks")
 
@@ -122,9 +129,17 @@ def build_config(params: dict[str, Any]) -> SolverConfig:
 
     The one dict→config path shared by deck expansion, process-pool
     payload rebuilds and the scenario-pack loader, so every consumer
-    coerces tuple fields and ``fft_config`` indices identically.
+    coerces tuple fields and ``fft_config`` indices identically.  A
+    retired field loads only at its retired value.
     """
     kwargs = dict(params)
+    for key, retired in _RETIRED_FIELDS.items():
+        value = kwargs.pop(key, retired)
+        if value != retired:
+            raise DeckError(
+                f"{key} = {value!r}: the Verlet-skin neighbor cache was "
+                f"removed, so only {retired!r} still loads", key,
+            )
     for key in _TUPLE_FIELDS:
         if kwargs.get(key) is not None:
             kwargs[key] = tuple(kwargs[key])
@@ -203,7 +218,7 @@ class RunSpec:
             for f in dataclasses.fields(self.config)
         }
         return {
-            "config": config,
+            "config": {**_RETIRED_FIELDS, **config},
             "ic": _canonical(dataclasses.asdict(self.ic)),
             "ranks": self.ranks,
             "steps": self.steps,
@@ -298,7 +313,10 @@ class CampaignDeck:
                     f"{where(key)} must be a table, got "
                     f"{type(getattr(self, key)).__name__}", where(key),
                 )
-        unknown_base = sorted(set(self.base) - _CONFIG_FIELDS - {_SCENARIO_KEY})
+        unknown_base = sorted(
+            set(self.base) - _CONFIG_FIELDS - set(_RETIRED_FIELDS)
+            - {_SCENARIO_KEY}
+        )
         if unknown_base:
             raise DeckError(
                 f"unknown base config fields {unknown_base}; "
@@ -348,7 +366,7 @@ class CampaignDeck:
                     f"fields: {sorted(_IC_FIELDS)}", axis,
                 )
             return
-        if key not in _CONFIG_FIELDS:
+        if key not in _CONFIG_FIELDS and key not in _RETIRED_FIELDS:
             raise DeckError(
                 f"unknown deck axis {key!r}; SolverConfig fields: "
                 f"{sorted(_CONFIG_FIELDS)}, 'ic.<field>', 'ranks', "

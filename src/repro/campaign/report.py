@@ -13,10 +13,19 @@ the completed record carries (``"telemetry.phase.fft.wall"``,
 
 from __future__ import annotations
 
+import collections
+import random
 from typing import Any, Optional, Sequence
 
+from repro import mpi
+from repro.campaign.deck import RunSpec
 from repro.campaign.store import COMPLETED, FAILED, RUNNING, CampaignStore, RunRecord
-from repro.core.solver import NUMERICS_VERSION
+from repro.core.solver import (
+    NUMERICS_VERSION,
+    Solver,
+    arithmetic_canary,
+    state_digest,
+)
 from repro.util.errors import ConfigurationError
 
 __all__ = [
@@ -25,8 +34,13 @@ __all__ = [
     "campaign_table",
     "series_grid",
     "campaign_summary",
+    "replay_records",
     "format_table",
 ]
+
+#: Seed of the record draw :func:`replay_records` makes, so a replay
+#: report can be regenerated.
+REPLAY_SEED = 0
 
 _MISSING = object()
 
@@ -148,6 +162,62 @@ def campaign_summary(store: CampaignStore) -> dict[str, Any]:
         "resumed": sum(1 for r in completed if r.resumed_from_step > 0),
         "elapsed_total": sum(r.elapsed for r in latest.values()),
     }
+
+
+def replay_records(store: CampaignStore, k: int) -> dict[str, Any]:
+    """Re-run ``k`` completed functional runs in this process and
+    compare each :func:`~repro.core.solver.state_digest` with the one
+    its record holds.  Reads the store, never writes it.
+
+    Only records computed under this ``NUMERICS_VERSION`` on a host with
+    this :func:`~repro.core.solver.arithmetic_canary` are drawn (by
+    :data:`REPLAY_SEED`, from the eligible records in run-hash order);
+    the others are counted in ``skipped`` by reason.  On the same
+    version and host a replay is bitwise its record, so every entry of
+    ``mismatched`` (``(run_hash, stored, replayed)``) is a bug, not a
+    repair.
+    """
+    host = arithmetic_canary()
+    eligible: list[tuple[str, RunSpec, str]] = []
+    skipped: collections.Counter[str] = collections.Counter()
+    for run_hash, record in sorted(store.latest_records().items()):
+        if record.status != COMPLETED or record.spec.get("mode") == "model":
+            continue
+        if record.numerics != NUMERICS_VERSION:
+            skipped[f"numerics {record.numerics} ≠ {NUMERICS_VERSION}"] += 1
+        elif record.host != host:
+            skipped[f"host {record.host} ≠ {host}"] += 1
+        else:
+            try:
+                eligible.append(
+                    (run_hash, RunSpec.from_payload(record.spec), record.digest)
+                )
+            except ConfigurationError as exc:
+                skipped[f"spec no longer loads: {exc}"] += 1
+    drawn = random.Random(REPLAY_SEED).sample(eligible, min(k, len(eligible)))
+    mismatched = []
+    for run_hash, spec, stored in drawn:
+        try:
+            replayed = _final_digest(spec)
+        except Exception as exc:
+            replayed = f"{type(exc).__name__}: {exc}"
+        if replayed != stored:
+            mismatched.append((run_hash, stored, replayed))
+    return {"eligible": len(eligible), "replayed": len(drawn),
+            "mismatched": mismatched, "skipped": dict(skipped)}
+
+
+def _final_digest(spec: RunSpec) -> str:
+    """State digest of the final owned ``z`` / ``w`` of a fresh run, in
+    rank order — what a completed record's ``digest`` holds."""
+
+    def program(comm):
+        solver = Solver(comm, spec.config, spec.ic)
+        solver.run(spec.steps)
+        return solver.pm.z.own, solver.pm.w.own
+
+    ranks = mpi.run_spmd(spec.ranks, program)
+    return state_digest(*(a for rank in ranks for a in rank))
 
 
 def format_table(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:

@@ -24,7 +24,6 @@ from repro.campaign.store import COMPLETED, RunRecord
 from repro.core.solver import NUMERICS_VERSION
 from repro.machine.model import LASSEN, MachineSpec
 from repro.machine.patterns import (
-    DEFAULT_REUSE_INTERVAL,
     cutoff_evaluation,
     exact_evaluation,
     low_order_evaluation,
@@ -59,14 +58,8 @@ def evaluation_model(spec: RunSpec, machine: MachineSpec = LASSEN):
         return low_order_evaluation(spec.ranks, shape, machine, cfg.fft_config)
     if cfg.br_solver == "cutoff":
         extent = (cfg.high[0] - cfg.low[0], cfg.high[1] - cfg.low[1])
-        # A deck's rebuild_freq caps how long cached structures may be
-        # reused, so it also caps the modeled amortization.
-        interval = DEFAULT_REUSE_INTERVAL
-        if cfg.rebuild_freq > 0:
-            interval = min(interval, float(cfg.rebuild_freq + 1))
         return cutoff_evaluation(
             spec.ranks, shape, machine, cutoff=cfg.cutoff, domain_extent=extent,
-            skin=cfg.skin, reuse_interval=interval,
         )
     if cfg.br_solver == "tree":
         return tree_evaluation(

@@ -100,8 +100,6 @@ _FLAG_DEFAULTS = {
     "order": "low",
     "br_solver": "exact",
     "cutoff": 0.5,
-    "skin": 0.0,
-    "rebuild_freq": 0,
     "theta": 0.5,
     "leaf_size": 32,
     "atwood": 0.5,
@@ -124,8 +122,6 @@ _CONFIG_FLAG_FIELDS = {
     "order": "order",
     "br_solver": "br_solver",
     "cutoff": "cutoff",
-    "skin": "skin",
-    "rebuild_freq": "rebuild_freq",
     "theta": "theta",
     "leaf_size": "leaf_size",
     "atwood": "atwood",
@@ -216,16 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Birkhoff-Rott solver")
     model.add_argument("--cutoff", "-c", type=float,
                        help="cutoff distance for the cutoff solver")
-    model.add_argument("--skin", type=float,
-                       help="Verlet skin of the cutoff solver's spatial-"
-                            "structure cache: neighbor lists and comm "
-                            "plans are built at cutoff+skin and reused "
-                            "until points move more than skin/2 "
-                            "(0 = rebuild every evaluation)")
-    model.add_argument("--rebuild-freq", type=int,
-                       help="force a neighbor-structure rebuild after "
-                            "this many consecutive reuses (0 = "
-                            "displacement-triggered only)")
     model.add_argument("--theta", type=float,
                        help="tree solver multipole-acceptance criterion "
                             "in [0, 1): a node is evaluated through its "
@@ -322,6 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="dotted record fields to tabulate, e.g. "
                            "config.fft_config ranks result.step_time "
                            "telemetry.phase.fft.wall")
+    camp.add_argument("--fsck", type=int, nargs="?", const=0, default=None,
+                      metavar="K",
+                      help="audit the deck's store instead of running it: "
+                           "print its record counts, and with K > 0 re-run "
+                           "K completed runs (a fixed-seed draw) and "
+                           "compare their state digests; writes nothing "
+                           "and exits non-zero on a mismatch")
     camp.add_argument("--status-interval", type=float, default=5.0,
                       metavar="SECONDS",
                       help="heartbeat period for live status: a one-line "
@@ -458,16 +451,13 @@ def run_from_args(args: argparse.Namespace) -> dict:
             solver.br_solver, "interaction_stats"
         ):
             tree_stats = solver.br_solver.interaction_stats()
-        return (
-            solver.diagnostics(), counts, solver.neighbor_cache_stats(),
-            tree_stats,
-        )
+        return solver.diagnostics(), counts, tree_stats
 
     try:
         results = mpi.run_spmd(ranks, program, trace=trace, timeout=3600.0)
     except RunDivergedError as exc:
         raise SystemExit(f"rocketrig: {exc}")
-    diag, counts, cache_stats, tree_stats = results[0]
+    diag, counts, tree_stats = results[0]
 
     scenario_tag = f"scenario {args.scenario!r}, " if args.scenario else ""
     print(f"rocketrig: {scenario_tag}{config.order}-order, {ranks} ranks, "
@@ -478,9 +468,6 @@ def run_from_args(args: argparse.Namespace) -> dict:
     if counts is not None:
         stats = ownership_stats(np.asarray(counts))
         print(f"  spatial ownership: {stats.describe()}")
-    if cache_stats is not None and config.skin > 0:
-        print(f"  neighbor cache: {cache_stats['rebuilds']} rebuilds, "
-              f"{cache_stats['reuses']} reuses (skin {config.skin:g})")
     if tree_stats is not None:
         print(f"  tree (theta {config.theta:g}): "
               f"{tree_stats['far_pairs']} far + "
@@ -619,6 +606,11 @@ def run_service_from_args(args: argparse.Namespace) -> dict:
 def run_campaign_from_args(args: argparse.Namespace) -> dict:
     """Execute ``rocketrig campaign <deck.json>`` and print the outcome."""
     if getattr(args, "serve", False) or getattr(args, "worker", False):
+        if getattr(args, "fsck", None) is not None:
+            raise SystemExit(
+                "rocketrig campaign: --fsck audits a deck's store; it "
+                "takes no --serve or --worker"
+            )
         return run_service_from_args(args)
     from repro.campaign import (
         CampaignDeck,
@@ -646,6 +638,8 @@ def run_campaign_from_args(args: argparse.Namespace) -> dict:
     except (OSError, TypeError, ValueError, ReproError) as exc:
         raise SystemExit(f"rocketrig campaign: bad deck {args.deck!r}: {exc}")
     store = CampaignStore(deck.name, root=args.results_dir)
+    if args.fsck is not None:
+        return _fsck(store, args.fsck)
     try:
         executor = CampaignExecutor(
             store,
@@ -685,6 +679,40 @@ def run_campaign_from_args(args: argparse.Namespace) -> dict:
     # Exit status reflects THIS batch: stale failed records from earlier
     # invocations (e.g. a deck point since removed) don't poison it.
     summary["batch_failed"] = failed
+    return summary
+
+
+def _fsck(store, replay: int) -> dict:
+    """``rocketrig campaign <deck> --fsck [K]``: the store audit, and
+    with ``K > 0`` the replay of K completed runs.  Nothing is planned,
+    run for the store or written."""
+    from repro.campaign import campaign_summary, replay_records
+
+    if replay < 0:
+        raise SystemExit(
+            f"rocketrig campaign: --fsck K must be >= 0, got {replay}"
+        )
+    summary = campaign_summary(store)
+    counts = ", ".join(
+        f"{summary[key]} {key.replace('_', ' ')}"
+        for key in ("completed", "failed", "interrupted", "torn", "no_result",
+                    "stale")
+    )
+    print(f"store audit: {summary['runs']} runs in {store.root}: {counts}")
+    summary["batch_failed"] = 0
+    if replay:
+        report = replay_records(store, replay)
+        for reason, count in report["skipped"].items():
+            print(f"replay: skipped {count} ({reason})")
+        for run_hash, stored, replayed in report["mismatched"]:
+            print(f"replay: MISMATCH {run_hash}: stored digest {stored}, "
+                  f"replayed {replayed}")
+        drawn = report["replayed"]
+        short = (f" ({replay} asked, {report['eligible']} eligible)"
+                 if drawn < replay else "")
+        print(f"replay: {drawn - len(report['mismatched'])}/{drawn} "
+              f"identical{short}")
+        summary["batch_failed"] = len(report["mismatched"])
     return summary
 
 

@@ -129,13 +129,6 @@ class SolverConfig:
       (Barnes-Hut multipole approximation; ``theta`` bounds the
       geometric error of every accepted far-field interaction and
       ``leaf_size`` sets the near-field granularity).
-    * ``skin`` enables the cutoff solver's Verlet-skin structure cache:
-      neighbor lists and the migration/halo plans are built at
-      ``cutoff + skin`` and reused until the max point displacement
-      exceeds ``skin / 2`` (checked collectively every evaluation).
-      ``0`` disables caching (rebuild every evaluation, the paper's
-      behaviour).  ``rebuild_freq > 0`` additionally forces a rebuild
-      after that many consecutive reuses.
     * ``backend`` selects the compute engine for the dense hot paths
       (see :mod:`repro.backend`): a registered name such as ``numpy``
       or ``blocked``, or ``auto`` for ``$REPRO_BACKEND``-or-numpy.
@@ -158,8 +151,6 @@ class SolverConfig:
     dt: Optional[float] = None
     cfl: float = 0.25
     cutoff: float = 0.5
-    skin: float = 0.0
-    rebuild_freq: int = 0
     theta: float = 0.5
     leaf_size: int = 32
     br_images: bool = False
@@ -183,15 +174,6 @@ class SolverConfig:
             )
         if self.cutoff <= 0:
             raise ConfigurationError(f"cutoff must be positive, got {self.cutoff}")
-        if self.skin < 0:
-            raise ConfigurationError(
-                f"skin must be >= 0 (0 disables the cache), got {self.skin}"
-            )
-        if self.rebuild_freq < 0:
-            raise ConfigurationError(
-                f"rebuild_freq must be >= 0 (0 = displacement-only), "
-                f"got {self.rebuild_freq}"
-            )
         if not 0.0 <= self.theta < 1.0:
             raise ConfigurationError(
                 f"theta (tree multipole acceptance) must lie in [0, 1), "
@@ -325,7 +307,7 @@ def _build_cutoff(comm: Comm, mesh: SurfaceMesh, config: SolverConfig,
     s_low, s_high = config.spatial_bounds()
     return CutoffBRSolver(
         comm, mesh, eps, config.cutoff, s_low, s_high,
-        backend=backend, skin=config.skin, rebuild_freq=config.rebuild_freq,
+        backend=backend,
     )
 
 
@@ -511,11 +493,6 @@ class Solver:
         return solver
 
     # -- diagnostics -------------------------------------------------------------
-
-    def neighbor_cache_stats(self) -> Optional[dict[str, int]]:
-        """Verlet-skin cache rebuild/reuse counts (None without a BR
-        solver that caches — i.e. anything but the cutoff solver)."""
-        return self.zmodel.br_cache_stats()
 
     def diagnostics(self) -> dict[str, float]:
         return state_diagnostics(

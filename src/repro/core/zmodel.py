@@ -279,12 +279,6 @@ class ZModel:
         assert self.br_solver is not None
         return self.br_solver.compute_velocities(z_own, omega_own)
 
-    def br_cache_stats(self) -> Optional[dict[str, int]]:
-        """Spatial-cache statistics of the bound BR solver, if it keeps
-        any (the cutoff solver's Verlet-skin rebuild/reuse counts)."""
-        stats = getattr(self.br_solver, "cache_stats", None)
-        return stats() if callable(stats) else None
-
     # -- main entry ------------------------------------------------------------
 
     def compute_derivatives(self) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,6 @@ from repro.fft.config import FftConfig
 from repro.fft.layouts import brick_layout, layout_for_stage
 from repro.machine.collectives import (
     allgather_time,
-    allreduce_time,
     alltoallv_time,
     mixed_alpha,
     mixed_bw,
@@ -33,12 +32,8 @@ from repro.machine.collectives import (
 from repro.machine.model import MachineSpec
 from repro.util.misc import dims_create, split_extent
 from repro.util.roofline import (
-    DISPLACEMENT_BYTES,
-    DISPLACEMENT_FLOPS,
     FARFIELD_BYTES,
     FARFIELD_FLOPS,
-    FILTER_BYTES,
-    FILTER_FLOPS,
     MOMENT_BYTES,
     MOMENT_FLOPS,
     RIESZ_BYTES,
@@ -72,11 +67,6 @@ _MIGRATE_RECORD = (3 + 3 + 2) * _FLOAT   # pos + ω + provenance
 _RETURN_RECORD = (3 + 1) * _FLOAT        # velocity + index
 _HALO_RECORD = (3 + 3) * _FLOAT          # pos + ω
 
-#: Default evaluations served per neighbor-structure rebuild when the
-#: Verlet-skin cache is on (measured on the rocket-rig single/multi-mode
-#: runs at skin ≈ cutoff/4; ``rebuild_freq`` in a deck caps it).
-DEFAULT_REUSE_INTERVAL = 8.0
-
 
 @dataclass
 class PhaseCost:
@@ -103,8 +93,8 @@ class EvaluationModel:
 
     Phase names match the functional solver's trace phases (``halo``,
     ``fft``, ``migrate``, ``spatial_halo``, ``neighbor``,
-    ``neighbor_cache``, ``br_compute``, ``br_ring``, ``tree_gather``,
-    ``tree_build``, ``tree_walk``, ``stencil``), so modeled and
+    ``br_compute``, ``br_ring``, ``tree_gather``, ``tree_build``,
+    ``tree_walk``, ``stencil``), so modeled and
     replayed breakdowns line up column for column.
     """
 
@@ -336,8 +326,6 @@ def cutoff_evaluation(
     domain_extent: tuple[float, float],
     move_fraction: float = 0.25,
     imbalance: float = 1.0,
-    skin: float = 0.0,
-    reuse_interval: float = DEFAULT_REUSE_INTERVAL,
 ) -> EvaluationModel:
     """One HIGH-order cutoff-solver evaluation (paper Figs. 5/8 workload).
 
@@ -354,13 +342,6 @@ def cutoff_evaluation(
         Figures 6/7 measure ~1.0 at t=80 and ~1.6 at t=340).  Compute
         pairs on the hot rank scale as imbalance² (both targets and the
         local density of sources grow).
-    skin / reuse_interval:
-        Verlet-skin cache policy: with ``skin > 0`` the neighbor search
-        runs at ``cutoff + skin`` but only on 1 of every
-        ``reuse_interval`` evaluations; every evaluation instead pays a
-        ``neighbor_cache`` phase (displacement check + 8-byte MAX
-        allreduce + the restriction of the inflated lists back to the
-        physical cutoff), mirroring the functional solver's accounting.
     """
     model = EvaluationModel(nranks)
     local = _local_shape(global_shape, nranks)
@@ -370,8 +351,6 @@ def cutoff_evaluation(
     wx = domain_extent[0] / dims[0]
     wy = domain_extent[1] / dims[1]
     surface_density = total_points / (domain_extent[0] * domain_extent[1])
-    search_radius = cutoff + max(skin, 0.0)
-    rebuild_fraction = 1.0 / max(reuse_interval, 1.0) if skin > 0.0 else 1.0
 
     # Surface halo (z+w and Φ), like the low-order solver.
     state = halo_phase(nranks, local, _STATE_COMPONENTS, spec)
@@ -399,14 +378,9 @@ def cutoff_evaluation(
 
     model.add("migrate", comm=_migrate(_MIGRATE_RECORD) + _migrate(_RETURN_RECORD))
 
-    # Cutoff ghost exchange: the band of width `cutoff + skin` around
-    # the block perimeter (the cache builds — and keeps shipping —
-    # ghosts at the inflated radius), ghosted to each overlapped
-    # neighbour.
-    band_area = min(
-        2.0 * search_radius * (wx + wy) + 4.0 * search_radius * search_radius,
-        wx * wy,
-    )
+    # Cutoff ghost exchange: the band of width `cutoff` around the block
+    # perimeter, ghosted to each overlapped neighbour.
+    band_area = min(2.0 * cutoff * (wx + wy) + 4.0 * cutoff * cutoff, wx * wy)
     ghosts = surface_density * band_area * imbalance
     partners = min(8, max(nranks - 1, 0))
     if partners and ghosts > 0:
@@ -428,40 +402,18 @@ def cutoff_evaluation(
     neighbors_per_point = surface_density * math.pi * cutoff * cutoff
     targets_hot = n_local * imbalance
     pairs_hot = targets_hot * neighbors_per_point * imbalance
-    # The structure build runs at the inflated search radius, but with
-    # the Verlet-skin cache only a ``rebuild_fraction`` of evaluations
-    # pay for it.  Constants are shared with the ComputeEvents the
-    # functional solver records (repro.util.roofline): a cell-list
-    # search inspects ~6.45 candidates per kept pair; the reuse-path
-    # filter touches the (inflated) kept pairs only.
-    skin_per_point = surface_density * math.pi * search_radius * search_radius
-    pairs_skin_hot = targets_hot * skin_per_point * imbalance
-    candidates_hot = SEARCH_CANDIDATE_FACTOR * pairs_skin_hot
+    # Constants are shared with the ComputeEvents the functional solver
+    # records (repro.util.roofline): a cell-list search inspects ~6.45
+    # candidates per kept pair.
+    candidates_hot = SEARCH_CANDIDATE_FACTOR * pairs_hot
     model.add(
         "neighbor",
-        compute=rebuild_fraction * spec.compute_time(
+        compute=spec.compute_time(
             SEARCH_FLOPS * candidates_hot,
             24.0 * (n_local + ghosts) + SEARCH_BYTES * candidates_hot,
             parallelism=targets_hot,
         ),
     )
-    if skin > 0.0:
-        # Per-evaluation cache bookkeeping: the displacement kernel with
-        # its 8-byte MAX allreduce, plus restricting the inflated lists
-        # back to the physical cutoff.
-        model.add(
-            "neighbor_cache",
-            comm=allreduce_time(nranks, _FLOAT, spec),
-            compute=spec.compute_time(
-                DISPLACEMENT_FLOPS * n_local, DISPLACEMENT_BYTES * n_local,
-                parallelism=n_local,
-            )
-            + spec.compute_time(
-                FILTER_FLOPS * pairs_skin_hot,
-                FILTER_BYTES * pairs_skin_hot + 24.0 * (n_local + ghosts),
-                parallelism=targets_hot,
-            ),
-        )
     # ~24 bytes of effective traffic per pair: source coordinates and ω
     # stream in coalesced and mostly cache-resident within a cell.
     model.add(

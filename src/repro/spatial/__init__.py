@@ -5,21 +5,13 @@ Rott solvers: the 3D spatial mesh with its 2D x/y block decomposition,
 position-based particle migration with exact return routing, cutoff
 ghost (halo) exchange, the fixed-radius neighbor search by chunk
 bounding boxes, and the moment quadtree of the Barnes-Hut tree solver
-(whose leaves come from the uniform-grid binning).  Migration and halo
-routing are separable as reusable *plans*, and chunk lists built at an
-inflated radius can be narrowed back to the physical cutoff — together
-these implement the cutoff solver's Verlet-skin structure cache.
+(whose leaves come from the uniform-grid binning).
 """
 
 from repro.spatial.binning import Binning, CellGrid, bin_points
-from repro.spatial.halo import HaloPlan, HaloResult, halo_exchange, plan_halo
-from repro.spatial.migrate import Migration, MigrationPlan, ParticleMigrator
-from repro.spatial.neighbors import (
-    ChunkPairs,
-    brute_force_lists,
-    chunk_pairs,
-    narrow_pairs,
-)
+from repro.spatial.halo import HaloResult, halo_exchange
+from repro.spatial.migrate import Migration, ParticleMigrator
+from repro.spatial.neighbors import ChunkPairs, brute_force_lists, chunk_pairs
 from repro.spatial.spatial_mesh import SpatialMesh
 from repro.spatial.tree import QuadTree, TreePairs, build_quadtree
 
@@ -27,17 +19,13 @@ __all__ = [
     "Binning",
     "CellGrid",
     "bin_points",
-    "HaloPlan",
     "HaloResult",
     "halo_exchange",
-    "plan_halo",
     "Migration",
-    "MigrationPlan",
     "ParticleMigrator",
     "ChunkPairs",
     "brute_force_lists",
     "chunk_pairs",
-    "narrow_pairs",
     "SpatialMesh",
     "QuadTree",
     "TreePairs",

@@ -12,17 +12,10 @@ The exchange is dynamic and irregular: which particles go where depends
 on their evolving spatial positions, which is exactly the communication
 behaviour the single-mode benchmark is designed to stress.
 
-As with migration, the routing (which owned particles are ghosted to
-which blocks) is separable from the exchange as a :class:`HaloPlan`;
-the cutoff solver's Verlet-skin cache builds the plan once at radius
-``cutoff + skin`` and re-executes it with fresh particle data until the
-accumulated displacement invalidates it.
-
 A one-block mesh has no neighbouring block, so the hop is an identity
-decided by structure alone: :func:`plan_halo` is empty without looking
-at a position and :func:`halo_exchange` yields no ghosts without a
-rendezvous (or a plan, when given none), after the same row-count and
-cutoff checks; nothing is recorded — no
+decided by structure alone: :func:`halo_exchange` yields no ghosts
+without looking at a position or a rendezvous, after the same
+row-count and cutoff checks; nothing is recorded — no
 ``spatial_halo`` phase, no comm event.  Hops on two or more blocks
 label themselves with the ``spatial_halo`` trace phase.
 """
@@ -37,63 +30,7 @@ from repro.mpi.comm import Comm
 from repro.spatial.spatial_mesh import SpatialMesh
 from repro.util.errors import CommunicationError, ConfigurationError
 
-__all__ = ["halo_exchange", "plan_halo", "HaloResult", "HaloPlan"]
-
-
-@dataclass(frozen=True)
-class HaloPlan:
-    """Frozen routing of one ghost exchange.
-
-    Attributes
-    ----------
-    point_order:
-        Indices of the owned particles to ship, grouped by destination
-        (a particle near a corner appears once per destination block).
-    bounds:
-        ``(size + 1,)`` chunk bounds into ``point_order`` per destination.
-    npoints:
-        Owned-particle count the plan was built for (validation).
-    """
-
-    point_order: np.ndarray
-    bounds: np.ndarray
-    npoints: int
-
-    @property
-    def sent_copies(self) -> int:
-        return self.point_order.shape[0]
-
-
-def plan_halo(
-    comm: Comm, mesh: SpatialMesh, positions: np.ndarray, cutoff: float
-) -> HaloPlan:
-    """Compute the ghost routing for these positions without communicating.
-
-    ``positions`` is ``(n, 3)`` float64 — this rank's *owned* particles
-    after migration.  The plan records which of them must be copied to
-    which destination blocks so that every block sees all sources
-    within ``cutoff`` of its rectangle; a particle near a corner
-    appears once per destination.  Purely local (ownership geometry
-    only); the plan stays valid while every particle remains within
-    ``cutoff`` of where the plan saw it — the Verlet-skin cache's
-    displacement bound enforces a stronger version of this.
-    """
-    pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    if cutoff <= 0:
-        raise ConfigurationError(f"cutoff must be positive, got {cutoff}")
-    if mesh.nblocks == 1:
-        return HaloPlan(
-            point_order=np.empty(0, dtype=np.int64),
-            bounds=np.zeros(2, dtype=np.int64),
-            npoints=pos.shape[0],
-        )
-    with comm.trace.phase("spatial_halo"):
-        point_idx, dest_rank = mesh.halo_targets(pos, cutoff)
-        order = np.argsort(dest_rank, kind="stable")
-        bounds = np.searchsorted(dest_rank[order], np.arange(comm.size + 1))
-    return HaloPlan(
-        point_order=point_idx[order], bounds=bounds, npoints=pos.shape[0]
-    )
+__all__ = ["halo_exchange", "HaloResult"]
 
 
 @dataclass
@@ -115,7 +52,6 @@ def halo_exchange(
     positions: np.ndarray,
     payload: np.ndarray,
     cutoff: float,
-    plan: HaloPlan | None = None,
 ) -> HaloResult:
     """Ship copies of near-boundary owned particles to affected blocks.
 
@@ -125,9 +61,8 @@ def halo_exchange(
     modified and the returned ghost arrays are fresh copies.  Handles
     cutoffs larger than a block width (copies then travel more than
     one block).  Collective: every rank must call it, even with zero
-    particles to ship.  Passing a cached ``plan`` re-executes that
-    exchange's routing on the updated data, so ghosts arrive in the
-    identical merged order as when the plan was built.
+    particles to ship.  A particle near a corner is copied once per
+    destination block.
     """
     if mesh.nblocks != comm.size:
         raise CommunicationError(
@@ -141,28 +76,21 @@ def halo_exchange(
         raise CommunicationError(
             f"payload rows {pay.shape[0]} != positions rows {pos.shape[0]}"
         )
+    if cutoff <= 0:
+        raise ConfigurationError(f"cutoff must be positive, got {cutoff}")
     k = pay.shape[1]
-
-    if plan is None:
-        if mesh.nblocks > 1:
-            plan = plan_halo(comm, mesh, pos, cutoff)
-        elif cutoff <= 0:
-            raise ConfigurationError(f"cutoff must be positive, got {cutoff}")
-    elif plan.npoints != pos.shape[0]:
-        raise CommunicationError(
-            f"halo plan covers {plan.npoints} particles, got {pos.shape[0]}"
-        )
     if mesh.nblocks == 1:
         return HaloResult(
             positions=np.empty((0, 3)), payload=np.empty((0, k)), sent_copies=0
         )
     with comm.trace.phase("spatial_halo"):
-        sorted_rec = np.concatenate(
-            [pos[plan.point_order], pay[plan.point_order]], axis=1
-        )
+        point_idx, dest_rank = mesh.halo_targets(pos, cutoff)
+        order = np.argsort(dest_rank, kind="stable")
+        bounds = np.searchsorted(dest_rank[order], np.arange(comm.size + 1))
+        point_order = point_idx[order]
+        sorted_rec = np.concatenate([pos[point_order], pay[point_order]], axis=1)
 
         per_dest: list[np.ndarray | None] = []
-        bounds = plan.bounds
         for dest in range(comm.size):
             chunk = sorted_rec[bounds[dest]: bounds[dest + 1]]
             per_dest.append(chunk if chunk.size else None)
@@ -178,5 +106,5 @@ def halo_exchange(
         return HaloResult(
             positions=merged[:, 0:3].copy(),
             payload=merged[:, 3:].copy(),
-            sent_copies=int(plan.sent_copies),
+            sent_copies=int(point_order.shape[0]),
         )

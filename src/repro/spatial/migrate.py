@@ -11,25 +11,17 @@ how the exchange reordered particles.  The communication is a single
 ``exchange_arrays`` (alltoallv-equivalent) each way, which is also what
 the machine model costs for the ``migrate`` phase.
 
-The routing computation (owner lookup + stable grouping by destination)
-is separable from the exchange as a :class:`MigrationPlan`, so callers
-that know the ownership has not meaningfully changed (the cutoff
-solver's Verlet-skin cache) can re-execute the same exchange with
-updated particle data and receive particles in the *identical* merged
-order — the property that keeps cached neighbor lists valid.
-
 One-block meshes
 ----------------
 On a mesh with one block every particle already sits on its spatial
 owner, so each hop is an identity decided by structure alone (every
-rank sees the same mesh, so nothing need be agreed): :meth:`plan`
-skips the owner lookup, :meth:`migrate` (which builds no plan when
-given none) / :meth:`migrate_back` hand back fresh arrays in the
-caller's order without packing, sorting or exchanging, and nothing is
-recorded — no ``migrate`` phase, no comm
-event.  The row-count checks and the provenance fields are the same on
-both sides of the rule.  Hops that do move data label themselves with
-the ``migrate`` trace phase.
+rank sees the same mesh, so nothing need be agreed): :meth:`migrate`
+/ :meth:`migrate_back` hand back fresh arrays in the caller's order
+without an owner lookup, packing, sorting or exchanging, and nothing
+is recorded — no ``migrate`` phase, no comm event.  The row-count
+checks and the provenance fields are the same on both sides of the
+rule.  Hops that do move data label themselves with the ``migrate``
+trace phase.
 """
 
 from __future__ import annotations
@@ -42,30 +34,7 @@ from repro.mpi.comm import Comm
 from repro.spatial.spatial_mesh import SpatialMesh
 from repro.util.errors import CommunicationError
 
-__all__ = ["ParticleMigrator", "Migration", "MigrationPlan"]
-
-
-@dataclass(frozen=True)
-class MigrationPlan:
-    """Frozen routing of one migrate call: who goes where, in what order.
-
-    Attributes
-    ----------
-    owners:
-        ``(n,)`` destination rank per local particle (at plan time).
-    order:
-        Stable argsort of ``owners`` — the send order of particles.
-    bounds:
-        ``(size + 1,)`` chunk bounds into ``order`` per destination.
-    """
-
-    owners: np.ndarray
-    order: np.ndarray
-    bounds: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.owners.shape[0]
+__all__ = ["ParticleMigrator", "Migration"]
 
 
 @dataclass
@@ -113,49 +82,14 @@ class ParticleMigrator:
         self.comm = comm
         self.mesh = mesh
 
-    def plan(self, positions: np.ndarray) -> MigrationPlan:
-        """Compute the routing for these positions without communicating.
-
-        ``positions`` is ``(n, 3)`` float64 (any array-like coercible
-        to it); the result freezes which rank owns each particle *at
-        plan time*.  Re-executing a stale plan is well-defined — the
-        exchange routes by the frozen owners, not current positions —
-        which is exactly what the Verlet-skin cache exploits (and why
-        its validity is guarded by a displacement bound, not by the
-        plan itself).  Purely local: no communication happens here.
-        """
-        pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-        n = pos.shape[0]
-        if self.mesh.nblocks == 1:
-            return MigrationPlan(
-                owners=np.zeros(n, dtype=np.int64),
-                order=np.arange(n, dtype=np.int64),
-                bounds=np.array([0, n], dtype=np.int64),
-            )
-        with self.comm.trace.phase("migrate"):
-            owners = self.mesh.owner_of(pos) if n else np.empty(0, dtype=np.int64)
-            order = (
-                np.argsort(owners, kind="stable") if n else np.empty(0, dtype=np.int64)
-            )
-            bounds = np.searchsorted(owners[order], np.arange(self.comm.size + 1))
-        return MigrationPlan(owners=owners, order=order, bounds=bounds)
-
-    def migrate(
-        self,
-        positions: np.ndarray,
-        payload: np.ndarray,
-        plan: MigrationPlan | None = None,
-    ) -> Migration:
+    def migrate(self, positions: np.ndarray, payload: np.ndarray) -> Migration:
         """Send every particle to its spatial owner; receive mine.
 
         ``positions`` is ``(n, 3)`` float64; ``payload`` is ``(n, k)``
         float64 (``k`` may be 0; a 1-D payload is treated as one
         column).  Returns the particles this rank now owns spatially;
         inputs are never modified, and the returned arrays are fresh
-        copies safe to mutate.  Passing a cached ``plan`` re-executes
-        that exchange's routing on the updated data (positions are
-        *not* re-assigned to owners), so every rank receives the same
-        particles in the same order as when the plan was built.
+        copies safe to mutate.
         """
         comm = self.comm
         pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
@@ -167,10 +101,6 @@ class ParticleMigrator:
             raise CommunicationError(
                 f"payload rows {pay.shape[0]} != positions rows {n}"
             )
-        if plan is not None and plan.count != n:
-            raise CommunicationError(
-                f"migration plan covers {plan.count} particles, got {n}"
-            )
         if self.mesh.nblocks == 1:
             return Migration(
                 positions=pos.copy(),
@@ -179,9 +109,10 @@ class ParticleMigrator:
                 src_index=np.arange(n, dtype=np.int64),
                 sent_count=n,
             )
-        if plan is None:
-            plan = self.plan(pos)
         with comm.trace.phase("migrate"):
+            owners = self.mesh.owner_of(pos) if n else np.empty(0, dtype=np.int64)
+            order = np.argsort(owners, kind="stable")
+            bounds = np.searchsorted(owners[order], np.arange(comm.size + 1))
             # Record: [x y z | payload... | src_rank src_index]
             record = np.empty((n, 3 + pay.shape[1] + 2), dtype=np.float64)
             record[:, 0:3] = pos
@@ -190,8 +121,7 @@ class ParticleMigrator:
             record[:, -1] = np.arange(n, dtype=np.float64)
 
             per_dest: list[np.ndarray | None] = []
-            sorted_rec = record[plan.order]
-            bounds = plan.bounds
+            sorted_rec = record[order]
             for dest in range(comm.size):
                 chunk = sorted_rec[bounds[dest]: bounds[dest + 1]]
                 per_dest.append(chunk if chunk.size else None)

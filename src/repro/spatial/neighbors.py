@@ -18,10 +18,8 @@ has its chunk pair listed, with a relative slack of ``_SLACK`` that
 dwarfs any rounding in how an engine measures ``r²``.  A listed chunk
 pair may hold no pair within the radius.
 
-:func:`narrow_pairs` is the Verlet-skin reuse step: it keeps the pairs
-of a list built at a larger radius whose *current* boxes come within
-the cutoff.  :func:`brute_force_lists` is the O(nt·ns) oracle the
-tests check the search against.
+:func:`brute_force_lists` is the O(nt·ns) oracle the tests check the
+search against.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 
 from repro.util.errors import ConfigurationError
 
-__all__ = ["ChunkPairs", "chunk_pairs", "narrow_pairs", "brute_force_lists"]
+__all__ = ["ChunkPairs", "chunk_pairs", "brute_force_lists"]
 
 #: Points per chunk.  16 lists the fewest candidate pairs per kept pair
 #: on the cutoff workloads' sheets (``docs/architecture.md``, "Cutoff
@@ -99,9 +97,7 @@ def _reach2(targets: np.ndarray, sources: np.ndarray, radius: float) -> float:
 
 def _gap2(tlo, thi, slo, shi) -> np.ndarray:
     """Squared distance between boxes (0 where they overlap); any
-    congruent or broadcastable ``(..., 3)`` corner arrays.  One sequence
-    of operations, so a listed pair's test gives the same bit whether
-    it is broadcast (the search) or gathered (the narrowing)."""
+    congruent or broadcastable ``(..., 3)`` corner arrays."""
     total = None
     for axis in range(3):
         gap = np.maximum(slo[..., axis] - thi[..., axis],
@@ -152,36 +148,6 @@ def chunk_pairs(
         found.append(hits)
     return ChunkPairs(_CHUNK, np.concatenate(found).astype(np.int64), nt, ns,
                       symmetric)
-
-
-def narrow_pairs(
-    lists: ChunkPairs,
-    targets: np.ndarray,
-    sources: np.ndarray,
-    radius: float,
-) -> ChunkPairs:
-    """The pairs of ``lists`` whose current boxes come within ``radius``.
-
-    The Verlet-skin reuse step: ``lists`` was built at a larger radius
-    against earlier positions of the same points, in the same order.
-    Each kept pair is tested exactly as :func:`chunk_pairs` tests it, so
-    the result is the list a fresh search at ``radius`` would build
-    whenever that search's pairs are all in ``lists`` — which holds when
-    the build radius exceeded ``radius`` by √3 times the largest
-    displacement since (each box corner moves at most that far along
-    each axis).
-    """
-    if radius <= 0:
-        raise ConfigurationError(f"cutoff must be positive, got {radius}")
-    if not len(lists.pairs):
-        return lists
-    tgt, src = _points(targets), _points(sources)
-    tlo, thi = _boxes(tgt)
-    slo, shi = (tlo, thi) if lists.symmetric else _boxes(src)
-    i, j = lists.pairs[:, 0], lists.pairs[:, 1]
-    near = _gap2(tlo[i], thi[i], slo[j], shi[j]) <= _reach2(tgt, src, radius)
-    return ChunkPairs(lists.chunk, lists.pairs[near], lists.num_targets,
-                      lists.num_sources, lists.symmetric)
 
 
 def brute_force_lists(

@@ -3,8 +3,8 @@
 A :class:`MetricsRegistry` is a thread-safe, name-addressed bag of three
 instrument kinds:
 
-* :class:`Counter` — monotonically increasing count (``solver.steps``,
-  ``neighbor_cache.rebuilds``, ``campaign.store_hits``);
+* :class:`Counter` — monotonically increasing count (``batch.steps``,
+  ``bufferpool.hits``, ``campaign.store_hits``);
 * :class:`Gauge` — a settable last-value (``campaign.queued``);
 * :class:`Histogram` — summary statistics (count/sum/min/max) of an
   observed distribution (``campaign.run_elapsed``).

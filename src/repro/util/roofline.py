@@ -1,8 +1,7 @@
 """Shared roofline conventions of the approximate-BR pipelines.
 
-One home for the per-item flop/byte constants of the neighbor-search,
-Verlet-cache, filter and Barnes-Hut tree kernels (and the low-order
-Riesz multiply), imported by both the accounting layers
+One home for the per-item flop/byte constants of the neighbor-search
+and Barnes-Hut tree kernels (and the low-order Riesz multiply), imported by both the accounting layers
 (:mod:`repro.core.br_cutoff`, :mod:`repro.core.br_tree` and
 :mod:`repro.core.zmodel`, which record the ComputeEvents) and the
 analytic machine model (:mod:`repro.machine.patterns`, which prices the
@@ -11,8 +10,7 @@ layering: the machine model never imports the functional solver.
 
 The cell-list search inspects the whole 27-cell neighborhood to keep
 the inscribed sphere — ``27 / (4π/3) ≈ 6.45`` candidates per kept
-pair — which is precisely the work the Verlet-skin cache amortizes:
-the reuse-path filter touches only the (inflated) kept pairs.
+pair.
 """
 
 from __future__ import annotations
@@ -23,10 +21,6 @@ __all__ = [
     "SEARCH_CANDIDATE_FACTOR",
     "SEARCH_FLOPS",
     "SEARCH_BYTES",
-    "DISPLACEMENT_FLOPS",
-    "DISPLACEMENT_BYTES",
-    "FILTER_FLOPS",
-    "FILTER_BYTES",
     "MOMENT_FLOPS",
     "MOMENT_BYTES",
     "WALK_FLOPS",
@@ -40,10 +34,6 @@ __all__ = [
 SEARCH_CANDIDATE_FACTOR = 27.0 / (4.0 * math.pi / 3.0)
 SEARCH_FLOPS = 10.0        # per candidate pair
 SEARCH_BYTES = 8.0         # per candidate pair (index + coordinate traffic)
-DISPLACEMENT_FLOPS = 8.0   # per point
-DISPLACEMENT_BYTES = 6 * 8.0
-FILTER_FLOPS = 8.0         # per inflated pair
-FILTER_BYTES = 8.0
 
 # Barnes-Hut tree solver (repro.core.br_tree / repro.spatial.tree).
 MOMENT_FLOPS = 45.0        # per point: cross(9) + outer(9) + 15 moment adds

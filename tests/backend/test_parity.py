@@ -253,19 +253,6 @@ class TestKernelParity:
         nb.rk3_axpy(out, u, 0.25, u0, 0.75, du, 0.003)
         assert_matches(out, want, f"{backend}: rk3 non-aliased")
 
-    def test_max_displacement_parity(self, backend, rng):
-        nb = get_backend(backend)
-        ref = get_backend("numpy")
-        a = rng.normal(size=(733, 3))
-        b = a + 1e-3 * rng.normal(size=a.shape)
-        assert nb.max_displacement(a, b) == pytest.approx(
-            ref.max_displacement(a, b), rel=RTOL
-        )
-        # Identical inputs give exactly zero; empty inputs are a no-op.
-        assert nb.max_displacement(a, a.copy()) == 0.0
-        empty = np.zeros((0, 3))
-        assert nb.max_displacement(empty, empty) == 0.0
-
 
 @pytest.mark.parametrize("backend", available_backends())
 def test_allpairs_cutoff_past_every_pair_changes_no_bit(backend, rng):

@@ -64,7 +64,7 @@ class TestNumericsStamp:
 NUMERICS_PINS = {
     2: "6e9ac969ae0d11bf",
     3: "d7e53a3681693b0b",
-    4: "a330ff0763edbeb3",
+    4: "4ecf87793f013eab",
 }
 
 

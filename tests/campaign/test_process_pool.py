@@ -130,8 +130,8 @@ class TestPayloadRoundTrip:
         ),
         RunSpec(
             config=SolverConfig(
-                order="high", br_solver="cutoff", cutoff=0.8, skin=0.1,
-                rebuild_freq=3, spatial_low=(-1, -1, -1),
+                order="high", br_solver="cutoff", cutoff=0.8,
+                spatial_low=(-1, -1, -1),
                 spatial_high=(1, 1, 1), mu=0.5, br_images=True,
             ),
             ic=InitialCondition(kind="flat"),

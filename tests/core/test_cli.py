@@ -30,9 +30,6 @@ def built(monkeypatch):
         def diagnostics(self):
             return {}
 
-        def neighbor_cache_stats(self):
-            return None
-
     monkeypatch.setattr(rocketrig, "Solver", Recorder)
     return seen
 
@@ -48,7 +45,7 @@ class TestParser:
         assert built["config"] == SolverConfig(
             num_nodes=(64, 64), low=(-np.pi, -np.pi), high=(np.pi, np.pi),
             periodic=(True, True), order="low", br_solver="exact",
-            cutoff=0.5, skin=0.0, rebuild_freq=0, theta=0.5, leaf_size=32,
+            cutoff=0.5, theta=0.5, leaf_size=32,
             atwood=0.5, gravity=10.0, mu=0.0, eps=None, dt=None,
             br_images=False, fft_config=FftConfig.from_index(7),
             backend="auto",
@@ -398,8 +395,6 @@ class TestScenarioFlags:
         (["--order", "low"], "config.order", "low"),
         (["--br-solver", "exact"], "config.br_solver", "exact"),
         (["--cutoff", "0.5"], "config.cutoff", 0.5),
-        (["--skin", "0"], "config.skin", 0.0),
-        (["--rebuild-freq", "0"], "config.rebuild_freq", 0),
         (["--theta", "0.5"], "config.theta", 0.5),
         (["--leaf-size", "32"], "config.leaf_size", 32),
         (["--atwood", "0.5"], "config.atwood", 0.5),

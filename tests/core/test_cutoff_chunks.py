@@ -3,9 +3,9 @@
 A :class:`~repro.core.br_cutoff.CutoffBRSolver` finds its pairs by the
 bounding boxes of fixed-length point chunks and sums them with the
 all-pairs kernel under a cutoff mask, forming only the listed chunk
-sub-panels — on every rank count, cutoff and skin.  It must be the CSR
-sum over brute-force lists, read the same to every caller (pair count,
-cache counters, trace) and keep the pinned states at the bottom of this
+sub-panels — on every rank count and cutoff.  It must be the CSR sum
+over brute-force lists, read the same to every caller (pair count,
+trace) and keep the pinned states at the bottom of this
 file.
 """
 
@@ -168,7 +168,7 @@ def test_evaluation_is_the_csr_sum(backend, ranks):
 
 
 def test_evaluation_reads_like_the_pipeline():
-    """Pair count, cache counters and trace of a one-block evaluation:
+    """Pair count and trace of a one-block evaluation:
     one ``neighbor_search`` in a ``neighbor`` span per evaluation, then
     one ``br_neighbors`` event over the in-cutoff pairs."""
     trace = mpi.CommTrace()
@@ -182,21 +182,17 @@ def test_evaluation_reads_like_the_pipeline():
         z = solver.pm.z.own.copy()
         pairs = []
         trace.clear()
-        built = trace.metrics.counter("neighbor_cache.rebuilds").value
         for _ in range(evaluations):
             z = z + 0.02 * rng.uniform(-1, 1, size=z.shape)
             br.compute_velocities(z, omega)
             points = z.reshape(-1, 3)
             offsets, _ = brute_force_lists(points, points, br.cutoff)
             pairs.append((br.last_pair_count, int(offsets[-1])))
-        rebuilds = trace.metrics.counter("neighbor_cache.rebuilds").value
-        return br.cache_stats(), rebuilds - built, pairs
+        return pairs
 
-    stats, rebuilds, pairs = spmd(1, program, trace=trace)[0]
+    pairs = spmd(1, program, trace=trace)[0]
     for got, csr in pairs:
         assert got == csr > 0
-    assert stats == {"rebuilds": evaluations, "reuses": 0}
-    assert rebuilds == evaluations
     kernels = [e for e in trace.compute_events if e.kernel.startswith("br_")]
     assert [(e.kernel, e.phase, e.items) for e in kernels] == [
         ("br_neighbors", "br_compute", got) for got, _ in pairs
@@ -216,14 +212,13 @@ DECK_CUTOFF_STATES = {
     ("high", "blocked", 16): "334ec38dae93d258",
 }
 
-#: The same digest for the pipeline across ranks and the skin cache:
-#: ``(ranks, skin)`` of a 24² high-order run on [-π, π]², cutoff 1.2,
-#: blocked engine, 20 steps.
+#: The same digest for the pipeline across ranks: a 24² high-order run
+#: on [-π, π]², cutoff 1.2, blocked engine, 20 steps.  Keyed
+#: ``(ranks, skin)`` as recorded; the solver has one path, skin 0.
 CUTOFF_STATES = {
     (1, 0.0): "b7ae30e49f64b238",
     (2, 0.0): "07225a4d21cd5aa0",
     (4, 0.0): "f7af51c1f63af9cf",
-    (2, 0.3): "889eb70afb29da82",
 }
 
 #: The arithmetic canary of the host the digests were recorded on.
@@ -248,10 +243,10 @@ def test_deck_state_pinned(key):
     assert state_digest(z, w) == DECK_CUTOFF_STATES[key]
 
 
-def pipeline_config(skin):
+def pipeline_config():
     return SolverConfig(
         num_nodes=(24, 24), low=(-np.pi, -np.pi), high=(np.pi, np.pi),
-        order="high", br_solver="cutoff", cutoff=1.2, skin=skin,
+        order="high", br_solver="cutoff", cutoff=1.2,
         dt=0.004, eps=0.1, backend="blocked",
     )
 
@@ -259,6 +254,6 @@ def pipeline_config(skin):
 @pytest.mark.parametrize("key", list(CUTOFF_STATES), ids=str)
 def test_pipeline_state_pinned(key):
     _pinned_host()
-    ranks, skin = key
-    (z, w), _ = _solver_state(pipeline_config(skin), PIN_STEPS, ranks)
+    ranks, _ = key
+    (z, w), _ = _solver_state(pipeline_config(), PIN_STEPS, ranks)
     assert state_digest(z, w) == CUTOFF_STATES[key]

@@ -32,7 +32,7 @@ from repro.grid import NodeArray
 from repro.grid.halo import _TAG_BASE, HaloExchange
 from repro.mpi.cart import CartComm
 from repro.mpi.world import PROC_NULL
-from repro.spatial import HaloPlan, HaloResult, Migration, MigrationPlan
+from repro.spatial import HaloResult, Migration
 from repro.spatial.migrate import ParticleMigrator
 from tests.conftest import spmd
 
@@ -259,24 +259,19 @@ class _ExchangingMigrator(ParticleMigrator):
     """The five-step pipeline's migrate hops as they are on any mesh:
     owners looked up, records packed and sorted, ``exchange_arrays``."""
 
-    def plan(self, positions):
-        pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-        with self.comm.trace.phase("migrate"):
-            owners = self.mesh.owner_of(pos)
-            order = np.argsort(owners, kind="stable")
-            bounds = np.searchsorted(owners[order], np.arange(self.comm.size + 1))
-        return MigrationPlan(owners=owners, order=order, bounds=bounds)
-
-    def migrate(self, positions, payload, plan=None):
+    def migrate(self, positions, payload):
         comm = self.comm
         n, k = positions.shape[0], payload.shape[1]
         with comm.trace.phase("migrate"):
+            owners = self.mesh.owner_of(positions)
+            order = np.argsort(owners, kind="stable")
+            bounds = np.searchsorted(owners[order], np.arange(comm.size + 1))
             record = np.empty((n, 3 + k + 2))
             record[:, 0:3] = positions
             record[:, 3: 3 + k] = payload
             record[:, -2] = comm.rank
             record[:, -1] = np.arange(n, dtype=np.float64)
-            merged = _exchange(comm, record[plan.order], plan.bounds)
+            merged = _exchange(comm, record[order], bounds)
         return Migration(
             positions=merged[:, 0:3].copy(),
             payload=merged[:, 3: 3 + k].copy(),
@@ -314,25 +309,17 @@ def _exchange(comm, sorted_rec, bounds):
     return np.concatenate(arrived) if arrived else np.empty((0, width))
 
 
-def _ref_plan_halo(comm, mesh, positions, cutoff):
+def _ref_halo_exchange(comm, mesh, positions, payload, cutoff):
     with comm.trace.phase("spatial_halo"):
         point_idx, dest_rank = mesh.halo_targets(positions, cutoff)
         order = np.argsort(dest_rank, kind="stable")
         bounds = np.searchsorted(dest_rank[order], np.arange(comm.size + 1))
-    return HaloPlan(
-        point_order=point_idx[order], bounds=bounds, npoints=positions.shape[0]
-    )
-
-
-def _ref_halo_exchange(comm, mesh, positions, payload, cutoff, plan=None):
-    with comm.trace.phase("spatial_halo"):
-        sorted_rec = np.concatenate(
-            [positions[plan.point_order], payload[plan.point_order]], axis=1
-        )
-        merged = _exchange(comm, sorted_rec, plan.bounds)
+        sent = point_idx[order]
+        sorted_rec = np.concatenate([positions[sent], payload[sent]], axis=1)
+        merged = _exchange(comm, sorted_rec, bounds)
     return HaloResult(
         positions=merged[:, 0:3].copy(), payload=merged[:, 3:].copy(),
-        sent_copies=int(plan.sent_copies),
+        sent_copies=int(sent.shape[0]),
     )
 
 
@@ -342,7 +329,6 @@ def _evaluations(nranks, config, reference, monkeypatch, trace):
     with monkeypatch.context() as patch:
         if reference:
             patch.setattr(br_cutoff, "ParticleMigrator", _ExchangingMigrator)
-            patch.setattr(br_cutoff, "plan_halo", _ref_plan_halo)
             patch.setattr(br_cutoff, "halo_exchange", _ref_halo_exchange)
 
         def program(comm):
@@ -352,14 +338,13 @@ def _evaluations(nranks, config, reference, monkeypatch, trace):
             omega = rng.normal(size=solver.pm.z.own.shape)
             z = solver.pm.z.own.copy()
             out = []
-            # Small drifts reuse a skin cache; the big one invalidates it.
+            # Small drifts and one big one that moves points across blocks.
             for drift in (0.0, 0.01, 0.01, 0.5, 0.01, 0.0):
                 z = z + drift * rng.uniform(-1, 1, size=z.shape)
                 velocity = br.compute_velocities(z, omega)
                 out.append((
                     velocity, br.ownership_counts(), br.last_pair_count,
                     br.last_owned_count, br.last_ghost_count,
-                    dict(br.cache_stats()),
                 ))
             return out
 
@@ -376,25 +361,20 @@ def _assert_same_evaluations(got, want):
             assert counts == counts_ref
 
 
-@pytest.mark.parametrize("skin", [0.0, 0.3])
-def test_one_block_hops_are_identities(monkeypatch, skin):
-    config = _cutoff_config(skin=skin)
+def test_one_block_hops_are_identities(monkeypatch):
+    config = _cutoff_config()
     trace, ref_trace = mpi.CommTrace(), mpi.CommTrace()
     got = _evaluations(1, config, False, monkeypatch, trace)
     want = _evaluations(1, config, True, monkeypatch, ref_trace)
     _assert_same_evaluations(got, want)
-    if skin:
-        stats = got[0][-1][-1]
-        assert stats["reuses"] > 0 and stats["rebuilds"] > 1
     # The reference rendezvoused three times per evaluation ...
     assert {"migrate", "spatial_halo"} <= set(ref_trace.phase_walls())
     assert sum(e.kind == "alltoallv" for e in ref_trace.events) == 3 * 6
     # ... the identities moved nothing and recorded nothing: no phase
-    # span, no comm event (bar the diagnostics' allgather and, with a
-    # skin, the cache's own validity allreduce).
+    # span, no comm event (bar the diagnostics' allgather).
     assert not {"migrate", "spatial_halo"} & set(trace.phase_walls())
     kinds = {(e.kind, e.phase) for e in trace.events}
-    assert kinds <= {("allgather", "unphased"), ("allreduce", "neighbor_cache")}
+    assert kinds <= {("allgather", "unphased")}
     one_eval = mpi.CommTrace()
 
     def program(comm):
@@ -407,9 +387,8 @@ def test_one_block_hops_are_identities(monkeypatch, skin):
 
 
 @pytest.mark.parametrize("nranks", [2, 4])
-@pytest.mark.parametrize("skin", [0.0, 0.3])
-def test_multi_block_pipeline_unchanged(monkeypatch, nranks, skin):
-    config = _cutoff_config(skin=skin)
+def test_multi_block_pipeline_unchanged(monkeypatch, nranks):
+    config = _cutoff_config()
     trace, ref_trace = mpi.CommTrace(), mpi.CommTrace()
     got = _evaluations(nranks, config, False, monkeypatch, trace)
     want = _evaluations(nranks, config, True, monkeypatch, ref_trace)
@@ -423,7 +402,7 @@ def test_cutoff_r2_message_counts_pinned():
     config = SolverConfig(
         num_nodes=(64, 64), low=(-PI, -PI), high=(PI, PI),
         periodic=(False, False), order="high", br_solver="cutoff",
-        cutoff=0.5, skin=0.0, dt=0.002, eps=0.05, backend="blocked",
+        cutoff=0.5, dt=0.002, eps=0.05, backend="blocked",
     )
     ic = InitialCondition(kind="multi_mode", magnitude=0.05, period=4, seed=11)
     trace = mpi.CommTrace()

@@ -1,9 +1,8 @@
 """Comm-heavy solver paths × compute backends, through the packed pool.
 
-The three paths that lean hardest on the pooled vector collectives —
-the cutoff solver's migrate/halo exchanges (fresh every evaluation, or
-reused under a Verlet skin) and the tree solver's surface allgather —
-run on every registered compute backend on several ranks, twice.  Each
+The two paths that lean hardest on the pooled vector collectives —
+the cutoff solver's migrate/halo exchanges (fresh every evaluation)
+and the tree solver's surface allgather — run on every registered compute backend on several ranks, twice.  Each
 run must:
 
 * match a one-rank run of the same configuration (partitioning moves
@@ -29,22 +28,10 @@ BACKENDS = available_backends()
 
 IC = InitialCondition(kind="single_mode", magnitude=0.08, period=0.5)
 
-#: The three comm-heavy solver paths of the matrix.
+#: The comm-heavy solver paths of the matrix.
 PATHS = {
-    # cutoff solver with a Verlet skin: neighbor_cache allreduces +
-    # migrate/halo exchange_arrays rounds (the skin path reuses them).
-    "skin": dict(
-        nranks=4, nsteps=3,
-        config=dict(
-            num_nodes=(12, 12), low=(-1, -1), high=(1, 1),
-            periodic=(False, False), order="high",
-            br_solver="cutoff", cutoff=0.6, skin=0.2,
-            dt=0.004, eps=0.05,
-            spatial_low=(-2, -2, -1), spatial_high=(2, 2, 1),
-        ),
-    ),
-    # cutoff without a skin: fresh migrate + halo exchange every
-    # evaluation (the Alltoallv/exchange_arrays-heavy path).
+    # cutoff: fresh migrate + halo exchange every evaluation (the
+    # Alltoallv/exchange_arrays-heavy path).
     "halo": dict(
         nranks=4, nsteps=2,
         config=dict(

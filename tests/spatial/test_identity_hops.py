@@ -10,13 +10,7 @@ import numpy as np
 import pytest
 
 from repro import mpi
-from repro.spatial import (
-    ParticleMigrator,
-    SpatialMesh,
-    halo_exchange,
-    plan_halo,
-)
-from repro.spatial import halo as spatial_halo
+from repro.spatial import ParticleMigrator, SpatialMesh, halo_exchange
 from repro.util.errors import CommunicationError, ConfigurationError
 from tests.conftest import spmd
 
@@ -33,39 +27,17 @@ def _particles(n=25, k=2):
     return rng.uniform(-1.5, 1.5, size=(n, 3)), rng.normal(size=(n, k))
 
 
-def test_plan_is_the_identity_without_an_owner_lookup(monkeypatch):
-    def no_lookup(*args, **kwargs):
-        raise AssertionError("one block: nobody to look up")
-
-    monkeypatch.setattr(SpatialMesh, "owner_of", no_lookup)
-    monkeypatch.setattr(SpatialMesh, "halo_targets", no_lookup)
-    pos, _ = _particles()
-
-    def body(comm):
-        plan = ParticleMigrator(comm, ONE_BLOCK).plan(pos)
-        ghosts = plan_halo(comm, ONE_BLOCK, pos, 0.4)
-        return plan, ghosts
-
-    plan, ghosts = _on_one_rank(body)
-    assert plan.count == 25
-    assert np.array_equal(plan.owners, np.zeros(25, dtype=np.int64))
-    assert np.array_equal(plan.order, np.arange(25))
-    assert plan.bounds.tolist() == [0, 25]
-    assert ghosts.sent_copies == 0 and ghosts.npoints == 25
-    assert ghosts.bounds.tolist() == [0, 0]
-
-
-def test_planless_hops_build_no_plan(monkeypatch):
-    """Without a plan, one-block ``migrate`` / ``halo_exchange`` return
-    their identity before building the plan they would not use."""
+def test_hops_make_no_owner_lookup(monkeypatch):
+    """One-block ``migrate`` / ``halo_exchange`` return their identity
+    without asking the mesh who owns or neighbours a point."""
     built = []
 
     def spy(*args, **kwargs):
         built.append(args)
-        raise AssertionError("one block: no plan to build")
+        raise AssertionError("one block: nobody to look up")
 
-    monkeypatch.setattr(ParticleMigrator, "plan", spy)
-    monkeypatch.setattr(spatial_halo, "plan_halo", spy)
+    monkeypatch.setattr(SpatialMesh, "owner_of", spy)
+    monkeypatch.setattr(SpatialMesh, "halo_targets", spy)
     pos, pay = _particles()
 
     def body(comm):
@@ -149,8 +121,6 @@ def test_row_count_checks_still_raise():
         migrator = ParticleMigrator(comm, ONE_BLOCK)
         with pytest.raises(CommunicationError, match="payload rows"):
             migrator.migrate(pos, pay[:-1])
-        with pytest.raises(CommunicationError, match="plan covers"):
-            migrator.migrate(pos, pay, plan=migrator.plan(pos[:-1]))
         m = migrator.migrate(pos, pay)
         with pytest.raises(CommunicationError, match="results rows"):
             migrator.migrate_back(m, np.zeros((24, 3)))
@@ -161,11 +131,6 @@ def test_row_count_checks_still_raise():
             migrator.migrate_back(m, np.zeros((24, 3)))
         with pytest.raises(CommunicationError, match="payload rows"):
             halo_exchange(comm, ONE_BLOCK, pos, pay[:-1], 0.4)
-        with pytest.raises(CommunicationError, match="halo plan covers"):
-            halo_exchange(
-                comm, ONE_BLOCK, pos, pay, 0.4,
-                plan=plan_halo(comm, ONE_BLOCK, pos[:-1], 0.4),
-            )
         with pytest.raises(ConfigurationError, match="cutoff must be positive"):
             halo_exchange(comm, ONE_BLOCK, pos, pay, 0.0)
         return True
