@@ -5,7 +5,7 @@ wall-clock of every registered :mod:`repro.backend` engine on
 
 * the exact-BR all-pairs kernel at the paper's 128×128 working size
   (the acceptance gate: ``blocked`` must be ≥ 2× the numpy reference),
-* the CSR neighbor kernel (the tree solver's near field), and
+  and
 * the cutoff solver's masked sum over the chunk pairs its search lists
   (``br_chunks``)
 
@@ -41,21 +41,17 @@ import numpy as np
 from repro import mpi
 from repro.backend import available_backends, blocked
 from repro.core import InitialCondition, Solver, SolverConfig
-from repro.core.kernels import (
-    br_velocity_allpairs,
-    br_velocity_neighbors,
-    br_velocity_within,
-)
+from repro.core.kernels import br_velocity_allpairs, br_velocity_within
 from repro.grid import HaloExchange
 from repro.machine import LASSEN, kernel_breakdown
 from repro.mpi.cart import CartComm
-from repro.spatial.neighbors import brute_force_lists, chunk_pairs
+from repro.spatial.neighbors import chunk_pairs
 
 from common import print_series, save_results
 
 #: Acceptance-criterion working size: 128×128 surface nodes.
 BR_NODES = 128
-#: Neighbor-kernel and chunk-sum working size (cutoff pipeline scale).
+#: Chunk-sum and neighbor-search working size (cutoff pipeline scale).
 NB_NODES = 64
 NB_CUTOFF = 0.6
 
@@ -105,23 +101,6 @@ def _time_allpairs(backend):
     # The reference is slow enough that one repetition is a stable
     # measurement; faster engines get a best-of-2.
     elapsed = _best_of(run, 1 if backend == "numpy" else 2)
-    return elapsed, out["result"], kernel_breakdown(trace, LASSEN)
-
-
-def _time_neighbors(backend):
-    pts, om = _surface(NB_NODES)
-    offsets, indices = brute_force_lists(pts, pts, NB_CUTOFF)
-    trace = mpi.CommTrace()
-    out = {}
-
-    def run():
-        trace.clear()
-        out["result"] = br_velocity_neighbors(
-            pts, pts, om, offsets, indices, eps=0.05, dA=1e-3,
-            trace=trace, backend=backend,
-        )
-
-    elapsed = _best_of(run, 2)
     return elapsed, out["result"], kernel_breakdown(trace, LASSEN)
 
 
@@ -277,12 +256,10 @@ def test_backend_kernel_microbenchmarks():
     # row -> (timer, the ComputeEvent kernel it records)
     sections = {
         "br_allpairs": (_time_allpairs, "br_allpairs"),
-        "br_neighbors": (_time_neighbors, "br_neighbors"),
         "br_chunks": (_time_chunk_sum, "br_neighbors"),
     }
     payload = {
-        "nodes": {"br_allpairs": BR_NODES, "br_neighbors": NB_NODES,
-                  "br_chunks": NB_NODES},
+        "nodes": {"br_allpairs": BR_NODES, "br_chunks": NB_NODES},
         "backends": backends,
         "kernels": {},
         **_EXTRA_PAYLOAD,

@@ -1,7 +1,7 @@
 """The ArrayBackend interface: every dense hot-path kernel in one place.
 
 The solver's compute substrate — Birkhoff-Rott pair accumulation
-(dense, CSR-neighbor and Barnes-Hut far-field), tree moment
+(dense or over listed sub-panels, and Barnes-Hut far-field), tree moment
 reductions, the two-node-deep stencil operators and the fused RK3
 state updates — is expressed against this interface so engines can be
 swapped the way the paper swaps heFFTe communication flags: without
@@ -48,15 +48,7 @@ import abc
 
 import numpy as np
 
-from repro.util.misc import chunk_rows
-
 __all__ = ["ArrayBackend"]
-
-#: Pairs per run of the CSR kernel (whole rows, so a long row may exceed
-#: it).  Ten columns of this length are live at once; ns/pair is flat
-#: from 16k to 32k and rises on either side (call overhead below, L2
-#: misses above).
-_CSR_CHUNK = 32_768
 
 #: (target, node) interactions per batch of the far-field kernel: each
 #: per-axis ``(pairs, c)`` temporary stays at 0.5 MB.
@@ -117,16 +109,18 @@ class ArrayBackend(abc.ABC):
         centres them), so a pair within round-off of the cutoff may be
         classified differently from a direct ``|t − s|²`` test.
 
-        ``blocks`` (only with ``cutoff2``) is a chunk list
+        ``blocks`` is a chunk list
         (:class:`~repro.spatial.neighbors.ChunkPairs`): ``blocks.pairs``
         is an ``(m, 2)`` int64 array of (target chunk, source chunk)
         pairs, chunk ``k`` being points ``[k·c, (k+1)·c)`` for
         ``c = blocks.chunk``; with ``symmetric`` it lists only ``I <= J``
-        and each pair stands for itself and its transpose.  It is a hint
-        like ``symmetric``: the caller asserts that no pair of any
-        scenario in an unlisted block is within the cutoff, so an engine
-        may skip those blocks.  A list covering every block changes
-        nothing, bit for bit (:meth:`_listed_blocks`).
+        and each pair stands for itself and its transpose.  With
+        ``cutoff2`` it is a hint like ``symmetric``: the caller asserts
+        that no pair of any scenario in an unlisted block is within the
+        cutoff, so an engine may skip those blocks.  Without it the sum
+        runs over every pair of the listed blocks and no other (the tree
+        solver's near field).  Either way a list covering every block
+        changes nothing, bit for bit (:meth:`_listed_blocks`).
         """
 
     @staticmethod
@@ -148,13 +142,15 @@ class ArrayBackend(abc.ABC):
         Returns ``(tgt, src, om, pairs, plain)``: the ``(chunks, chunk,
         3)`` targets, sources and ``ω``, whose ragged last chunks are
         padded with targets at ``+far`` and ``ω = 0`` sources at
-        ``-far`` — beyond the cutoff of each other and of every real
-        point, so the mask zeroes every padded pair — and the pair list,
+        ``-far`` — beyond the cutoff (if any) of each other and of every
+        real point, so a padded pair is masked out or weighs nothing —
+        and the pair list,
         for a ``mirror`` list with its ``plain`` diagonal pairs first
         (``plain`` is every pair of a list without a mirror).
         """
+        reach = 0.0 if cutoff2 is None else np.sqrt(cutoff2)
         far = 2.0 * (max(np.abs(targets).max(), np.abs(sources).max())
-                     + np.sqrt(cutoff2)) + 1.0
+                     + reach) + 1.0
 
         def chunked(rows, fill):
             padded = np.full((-(-rows.shape[0] // chunk) * chunk, 3), fill)
@@ -178,66 +174,6 @@ class ArrayBackend(abc.ABC):
         rows = rows[order]
         starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
         acc[rows[starts]] += np.add.reduceat(values[order], starts, axis=0)
-
-    def br_neighbors(
-        self,
-        targets: np.ndarray,
-        sources: np.ndarray,
-        omega: np.ndarray,
-        offsets: np.ndarray,
-        indices: np.ndarray,
-        eps2: float,
-        prefactor: float,
-        out: np.ndarray,
-    ) -> None:
-        """Accumulate BR velocities over CSR neighbor lists into ``out``.
-
-        ``indices[offsets[t]:offsets[t+1]]`` are the source indices
-        within range of target ``t`` (the tree solver's near field).
-
-        One implementation serves every engine: it works in row-aligned
-        runs of ~32k pairs on contiguous per-component columns (no
-        ``(pairs, 3)`` fancy-indexing temporaries) and reduces each
-        target's segment with ``np.add.reduceat`` over the CSR offsets
-        instead of scatter-adding.
-        """
-        total_pairs = int(offsets[-1])
-        if total_pairs == 0:
-            return
-        # reduceat hands back an *element*, not 0, for an empty segment:
-        # only rows that own at least one pair enter the reduction.
-        counts = np.diff(offsets)
-        rows = np.flatnonzero(counts)
-        counts = counts[rows]
-        starts = np.append(offsets[rows], total_pairs)
-        tcol = np.ascontiguousarray(targets.T)
-        scol = np.ascontiguousarray(sources.T)
-        ocol = np.ascontiguousarray(omega.T)
-        cuts = chunk_rows(starts[:-1], total_pairs, _CSR_CHUNK)
-        for k0, k1 in zip(cuts[:-1], cuts[1:]):
-            p0, p1 = starts[k0], starts[k1]
-            sj = indices[p0:p1]
-            r = rows[k0:k1]
-            cnt = counts[k0:k1]
-            d = []
-            for axis in range(3):
-                da = np.repeat(tcol[axis][r], cnt)
-                da -= scol[axis][sj]
-                d.append(da)
-            inv = d[0] * d[0]
-            inv += d[1] * d[1]
-            inv += d[2] * d[2]
-            inv += eps2
-            comp = np.sqrt(inv)
-            inv *= comp
-            np.divide(prefactor, inv, out=inv)
-            o = [ocol[axis][sj] for axis in range(3)]
-            segments = starts[k0:k1] - p0
-            for axis, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
-                np.multiply(o[p], d[q], out=comp)
-                comp -= o[q] * d[p]
-                comp *= inv
-                out[r, axis] += np.add.reduceat(comp, segments)
 
     # -- Barnes-Hut tree kernels ------------------------------------------
 
@@ -303,7 +239,6 @@ class ArrayBackend(abc.ABC):
         groups: np.ndarray,
         pair_groups: np.ndarray,
         pair_nodes: np.ndarray,
-        pair_mask: np.ndarray,
         eps2: float,
         prefactor: float,
         out: np.ndarray,
@@ -311,7 +246,7 @@ class ArrayBackend(abc.ABC):
         """Accumulate far-field (multipole) BR velocities into ``out``.
 
         For every accepted (group, node) pair ``p`` and every target
-        ``t = groups[pair_groups[p], k]`` with ``pair_mask[p, k]``, with
+        ``t = groups[pair_groups[p], k] >= 0``, with
         ``r = targets[t] - centers[pair_nodes[p]]`` and
         ``u = |r|^2 + eps2``::
 
@@ -328,9 +263,8 @@ class ArrayBackend(abc.ABC):
         ``(nn, 3, 3)`` float64; ``groups`` ``(G, c)`` int64 target rows,
         ``-1`` padding, every row listed at most once and every group
         non-empty; ``pair_groups`` / ``pair_nodes`` ``(p,)`` int64 with
-        entries in ``[0, G)`` / ``[0, nn)``; ``pair_mask`` ``(p, c)``
-        bool, false on padding; ``out`` ``(nt, 3)`` float64,
-        accumulated in place.
+        entries in ``[0, G)`` / ``[0, nn)``; ``out`` ``(nt, 3)``
+        float64, accumulated in place.
 
         Aliasing rules: ``out`` must not alias any input array (the
         caller always passes a dedicated accumulator); the node-table
@@ -354,9 +288,11 @@ class ArrayBackend(abc.ABC):
             return
         ng, c = groups.shape
         filled = groups >= 0
-        origin = targets[groups[filled]].mean(axis=0)
+        # One origin for every call over the same targets, whichever
+        # groups it walks.
+        origin = targets.mean(axis=0)
         # (G, c, 3); a padded slot repeats its group's first target and
-        # is masked out.
+        # its velocity is dropped.
         tgt = targets[np.where(filled, groups, groups[:, :1])] - origin
         cen = centers - origin
         qc = np.einsum("nab,nb->na", moment_q, cen)
@@ -377,7 +313,7 @@ class ArrayBackend(abc.ABC):
         for g0 in range(0, ng, step):
             g1 = min(g0 + step, ng)
             # (groups, slots) entry indices; a short group's extra slots
-            # repeat its first entry under an all-false mask.
+            # repeat its first entry with weight zero.
             width = int(counts[g0:g1].max())
             if width == 0:
                 continue
@@ -385,7 +321,7 @@ class ArrayBackend(abc.ABC):
             used = slot < counts[g0:g1, None]
             entry = first[g0:g1, None] + np.where(used, slot, 0)
             node = pair_nodes[entry]
-            mask = pair_mask[entry].transpose(0, 2, 1) & used[:, None, :]
+            mask = used[:, None, :]
             t = tgt[g0:g1]
             u = None
             for a in range(3):

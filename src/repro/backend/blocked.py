@@ -1,4 +1,4 @@
-"""The blocked backend: L2-sized panels, fused BLAS reductions, CSR segments.
+"""The blocked backend: L2-sized panels, fused BLAS, listed sub-panels.
 
 Numerics-preserving to ~1e-12 against the numpy reference; what the BR
 kernels do, and why:
@@ -52,9 +52,9 @@ kernels do, and why:
    wave at a time; a one-panel call never touches the pool, and a
    forked child (a local campaign worker) builds a pool of its own.
 
-6. **Listed sub-panels under a cutoff.**  Given a chunk list
-   (``blocks=``), a masked call forms only the listed ``chunk × chunk``
-   sub-panels, with point 1's operations, stacked into tasks of at
+6. **Listed sub-panels.**  Given a chunk list (``blocks=``), a call
+   forms only the listed ``chunk × chunk`` sub-panels, masked under a
+   cutoff or not, with point 1's operations, stacked into tasks of at
    most ``tile²`` pairs and added row by row in list order, so the
    bits depend on the list alone.  These tasks stay on the calling
    thread: the cutoff solver makes one such call per rank thread at
@@ -62,9 +62,10 @@ kernels do, and why:
    behind another rank's (two ranks on two cores: 17–19 ms per
    evaluation against 13–14 ms each on its own thread).
 
-The tree solver's CSR neighbor and far-field kernels are the base
-class's, shared with the numpy engine.  The stencil / RK3 kernels run
-on in-place accumulations instead of full-expression temporaries.
+The tree solver's far-field kernel is the base class's, shared with
+the numpy engine; its near field is point 6's listed sub-panels.  The
+stencil / RK3 kernels run on in-place accumulations instead of
+full-expression temporaries.
 """
 
 from __future__ import annotations
@@ -207,20 +208,22 @@ def _panel_products(panels, t1, s1, rhs, eps2, cut2, mirror, size) -> list:
 
 
 def _subpanel_products(i, j, plain, t1, s1, rhs, eps2, cut2, bufs) -> tuple:
-    """The listed chunk pairs ``(i[k], j[k])`` as a stack of masked
-    sub-panels: ``w @ rhs[J]`` per sub-panel, ``w.T @ rhs[I]`` per
-    sub-panel after the first ``plain`` ones (the mirrored ones, else
-    ``None``), and the count of ordered pairs within the cutoff (a
-    mirrored sub-panel's twice).
+    """The listed chunk pairs ``(i[k], j[k])`` as a stack of sub-panels,
+    masked by ``cut2`` if given: ``w @ rhs[J]`` per sub-panel,
+    ``w.T @ rhs[I]`` per sub-panel after the first ``plain`` ones (the
+    mirrored ones, else ``None``), and the count of ordered pairs within
+    the cutoff (a mirrored sub-panel's twice; ``None`` without one).
 
     ``t1`` is ``(chunks, 3, c, 2)``, ``s1`` ``(chunks, 3, 2, c)`` and
     ``rhs`` ``(chunks, c, 6)``.
     """
     w, keep = _weights(t1[i], s1[j], eps2, cut2, bufs)
-    kept = np.count_nonzero(keep[:plain])
+    kept = None
+    if keep is not None:
+        kept = (np.count_nonzero(keep[:plain])
+                + 2 * np.count_nonzero(keep[plain:]))
     mirrored = None
     if plain < len(i):
-        kept += 2 * np.count_nonzero(keep[plain:])
         mirrored = w[plain:].transpose(0, 2, 1) @ rhs[i[plain:]]
     return w @ rhs[j], mirrored, kept
 
@@ -287,11 +290,14 @@ class BlockedBackend(ArrayBackend):
         listed = self._listed_blocks(blocks, nt, ns, symmetric)
         if listed is not None:
             for k in range(nb):
-                kept[k] = self._listed_allpairs(
+                count = self._listed_allpairs(
                     targets[k], sources[k], omega[k], float(eps2[k]),
-                    float(prefactor[k]), float(cutoff2[k]), out[k], listed,
-                    blocks.chunk, symmetric and nt == ns,
+                    float(prefactor[k]),
+                    None if cutoff2 is None else float(cutoff2[k]), out[k],
+                    listed, blocks.chunk, symmetric and nt == ns,
                 )
+                if kept is not None:
+                    kept[k] = count
             return kept
         eps2 = np.asarray(eps2, dtype=np.float64).reshape(nb, 1, 1)
         pref = np.asarray(prefactor, dtype=np.float64).reshape(nb, 1, 1)
@@ -372,9 +378,10 @@ class BlockedBackend(ArrayBackend):
     def _listed_allpairs(
         self, targets, sources, omega, eps2, pref, cut2, out, pairs, chunk,
         mirror,
-    ) -> int:
-        """One scenario's masked sum over the listed chunk pairs only;
-        returns its count of ordered pairs within the cutoff.
+    ) -> "int | None":
+        """One scenario's sum over the listed chunk pairs only, masked by
+        ``cut2`` if given; returns its count of ordered pairs within the
+        cutoff (``None`` without one).
 
         Each listed pair is a ``chunk × chunk`` sub-panel formed with the
         panel path's operations (:func:`_weights`).  Sub-panels are
@@ -400,7 +407,7 @@ class BlockedBackend(ArrayBackend):
         per = max(1, (self.tile * self.tile) // (chunk * chunk))
         bufs = _buffers(per * chunk * chunk)
         acc = np.zeros(tgt_c.shape[:2] + (6,))
-        kept = 0
+        kept = None if cut2 is None else 0
         for p0 in range(0, len(pairs), per):
             i, j = pairs[p0:p0 + per, 0], pairs[p0:p0 + per, 1]
             unmirrored = min(max(plain - p0, 0), len(i))
@@ -410,7 +417,8 @@ class BlockedBackend(ArrayBackend):
             self._add_rows(acc, i, direct)
             if mirrored is not None:
                 self._add_rows(acc, j[unmirrored:], mirrored)
-            kept += count
+            if kept is not None:
+                kept += count
         contrib = _cross(acc[..., :3], tgt_c, np.empty_like(tgt_c))
         contrib -= acc[..., 3:]
         contrib *= pref

@@ -3,8 +3,8 @@
 Every kernel keeps the formulation the solver shipped with — dense
 broadcast BR blocks and the 4th-order stencils of
 :mod:`repro.backend.stencils`, applied to a stack one scenario at a
-time; the tree solver's CSR neighbor and far-field kernels are the base
-class's, shared with the blocked engine.  It is the parity baseline for every other engine
+time; the tree solver's far-field kernel is the base class's, shared
+with the blocked engine.  It is the parity baseline for every other engine
 and the default when no backend is selected.  (The surrounding call
 sites did move — e.g. the TimeIntegrator now applies fused stage
 updates — so whole-solver trajectories may differ from the pre-backend
@@ -90,10 +90,10 @@ class NumpyBackend(ArrayBackend):
             for b in range(nb):
                 kept[b] = self._listed(
                     out[b], targets[b], sources[b], omega[b], eps2[b],
-                    prefactor[b], cutoff2[b], listed, blocks.chunk,
-                    symmetric and nt == ns,
+                    prefactor[b], None if cutoff2 is None else cutoff2[b],
+                    listed, blocks.chunk, symmetric and nt == ns,
                 )
-            return kept
+            return None if cutoff2 is None else kept
         # Batch over targets so the (bt, ns) temporaries stay bounded.
         bt = max(1, min(nt, _ALLPAIRS_BATCH // max(ns, 1)))
         for b in range(nb):
@@ -108,11 +108,12 @@ class NumpyBackend(ArrayBackend):
 
     def _listed(self, out, targets, sources, omega, eps2, prefactor, cutoff2,
                 pairs, chunk, mirror) -> int:
-        """One scenario's masked sum over the listed chunk pairs (and,
-        for a ``mirror`` list, the transpose of each off-diagonal one),
-        a batch of ``chunk × chunk`` blocks at a time, on per-axis
-        ``(blocks, chunk, chunk)`` arrays.  Operands and pair order are
-        :meth:`_listed_layout`'s."""
+        """One scenario's sum over the listed chunk pairs (and, for a
+        ``mirror`` list, the transpose of each off-diagonal one), masked
+        by ``cutoff2`` if given, a batch of ``chunk × chunk`` blocks at a
+        time, on per-axis ``(blocks, chunk, chunk)`` arrays; returns the
+        pairs within the cutoff (every pair without one).  Operands and
+        pair order are :meth:`_listed_layout`'s."""
         tgt, src, om, pairs, plain = self._listed_layout(
             targets, sources, omega, cutoff2, pairs, chunk, mirror
         )
@@ -127,10 +128,13 @@ class NumpyBackend(ArrayBackend):
             t, s, o = tgt[i], src[j], om[j]
             d = [t[:, a, :, None] - s[:, a, None, :] for a in range(3)]
             r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-            keep = r2 <= cutoff2
-            kept += int(np.count_nonzero(keep))
             inv = (r2 + eps2) ** -1.5
-            inv *= keep
+            if cutoff2 is None:
+                kept += r2.size
+            else:
+                keep = r2 <= cutoff2
+                kept += int(np.count_nonzero(keep))
+                inv *= keep
             part = np.empty(t.shape)
             for a, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
                 # cross(ω_j, diff_ij), ω broadcast over targets

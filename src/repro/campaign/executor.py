@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import logging
 import os
+import sys
 import time
 import traceback
 from dataclasses import replace
@@ -105,6 +106,13 @@ def log(who: str, message: str, level: int = logging.INFO) -> None:
     logger.log(level, "[%s] %s", who, message)
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to ``sys.stderr`` as it is when a record is emitted, not as
+    it was when logging was configured."""
+
+    stream = property(lambda self: sys.stderr, lambda self, _value: None)
+
+
 def configure_logging(verbosity: int = 0) -> int:
     """Configure the ``repro.campaign`` logger for console use.
 
@@ -129,7 +137,7 @@ def configure_logging(verbosity: int = 0) -> int:
             else:
                 level = getattr(logging, env.upper(), logging.INFO)
     if not logger.handlers:
-        handler = logging.StreamHandler()
+        handler = _StderrHandler()
         handler.setFormatter(
             logging.Formatter(
                 "%(asctime)s %(levelname)s %(message)s", "%H:%M:%S"

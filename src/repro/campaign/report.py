@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import collections
 import random
+import time
 from typing import Any, Optional, Sequence
 
 from repro import mpi
 from repro.campaign.deck import RunSpec
 from repro.campaign.store import COMPLETED, FAILED, RUNNING, CampaignStore, RunRecord
+from repro.core.initial_conditions import InitialCondition
 from repro.core.solver import (
     NUMERICS_VERSION,
     Solver,
+    SolverConfig,
     arithmetic_canary,
     state_digest,
 )
@@ -34,6 +37,8 @@ __all__ = [
     "campaign_table",
     "series_grid",
     "campaign_summary",
+    "audit_line",
+    "inspect_lines",
     "replay_records",
     "format_table",
 ]
@@ -41,6 +46,9 @@ __all__ = [
 #: Seed of the record draw :func:`replay_records` makes, so a replay
 #: report can be regenerated.
 REPLAY_SEED = 0
+
+#: Completed runs the campaign view of :func:`inspect_lines` lists.
+SLOWEST = 5
 
 _MISSING = object()
 
@@ -146,22 +154,123 @@ def campaign_summary(store: CampaignStore) -> dict[str, Any]:
     :data:`~repro.core.solver.NUMERICS_VERSION` (a deck naming them
     runs them again).
     """
-    latest = store.latest_records()
+    return _summary(store.campaign, store.latest_records(),
+                    len(store.torn_lines()))
+
+
+def _summary(campaign: str, latest: dict[str, RunRecord], torn: int) -> dict:
     completed = [r for r in latest.values() if r.status == COMPLETED]
     failed = [r for r in latest.values() if r.status == FAILED]
     running = [r for r in latest.values() if r.status == RUNNING]
     return {
-        "campaign": store.campaign,
+        "campaign": campaign,
         "runs": len(latest),
         "completed": len(completed),
         "failed": len(failed),
         "interrupted": len(running),
-        "torn": len(store.torn_lines()),
+        "torn": torn,
         "no_result": sum(1 for r in completed if not r.result),
         "stale": sum(1 for r in completed if r.numerics != NUMERICS_VERSION),
         "resumed": sum(1 for r in completed if r.resumed_from_step > 0),
         "elapsed_total": sum(r.elapsed for r in latest.values()),
     }
+
+
+def audit_line(summary: dict[str, Any], root: str) -> str:
+    """The ``store audit:`` line naming every count of a summary."""
+    counts = ", ".join(
+        f"{summary[key]} {key.replace('_', ' ')}"
+        for key in ("completed", "failed", "interrupted", "torn", "no_result",
+                    "stale")
+    )
+    return f"store audit: {summary['runs']} runs in {root}: {counts}"
+
+
+def inspect_lines(store: CampaignStore, prefix: Optional[str] = None) -> list[str]:
+    """What ``rocketrig inspect`` prints, from one scan of the index.
+
+    With ``prefix`` (a unique prefix of a run hash): the run's lineage —
+    its scenario and spec, each claim as an attempt, each terminal
+    record, and the phase walls, numerics, digest and host of the last
+    one.  Without: the store audit, the :data:`SLOWEST` slowest
+    completed runs, the runs claimed more than once and the phase
+    totals.  An unknown or ambiguous prefix raises ConfigurationError.
+    """
+    torn: list[int] = []
+    records = list(store.iter_records(torn))
+    if prefix is None:
+        return _campaign_view(store, records, len(torn))
+    hashes = sorted({r.run_hash for r in records if r.run_hash.startswith(prefix)})
+    if len(hashes) != 1:
+        what = f"ambiguous ({len(hashes)} runs)" if hashes else "unknown"
+        raise ConfigurationError(
+            f"{what} run {prefix!r} in campaign {store.campaign!r}")
+    return _lineage([r for r in records if r.run_hash == hashes[0]])
+
+
+def _lineage(records: list[RunRecord]) -> list[str]:
+    spec = records[0].spec
+    defaults = RunSpec(SolverConfig(), InitialCondition()).payload()["config"]
+    changed = {k: v for k, v in spec.get("config", {}).items()
+               if defaults.get(k) != v}
+    lines = [
+        f"run {records[0].run_hash}",
+        f"  scenario: {_fields(spec.get('ic', {}))}",
+        f"  spec: {spec.get('mode')}, {spec.get('ranks')} ranks, "
+        f"{spec.get('steps')} steps; {_fields(changed)}",
+    ]
+    attempts = 0
+    for r in records:
+        if r.status == RUNNING:
+            attempts += 1
+            deadline = time.strftime("%Y-%m-%d %H:%M:%S",
+                                     time.localtime(r.lease_expires))
+            lines.append(f"  attempt {attempts}: claimed by {r.owner}, "
+                         f"lease until {deadline}")
+        else:
+            error = f"; {r.error.strip().splitlines()[-1]}" if r.error else ""
+            lines.append(f"  {r.status} in {r.elapsed:.3g} s, resumed from "
+                         f"step {r.resumed_from_step}{error}")
+    last = records[-1]
+    if last.status == RUNNING:
+        lines.append("  no terminal record: interrupted, or still running")
+    walls = _phase_walls([last])
+    lines.append(f"  phases: {_fields(walls, ' s') or 'none recorded'}")
+    lines.append(f"  numerics {last.numerics}, digest {last.digest}, "
+                 f"host {last.host}")
+    return lines
+
+
+def _campaign_view(store: CampaignStore, records: list[RunRecord],
+                   torn: int) -> list[str]:
+    latest = {r.run_hash: r for r in records}
+    done = sorted((r for r in latest.values() if r.status == COMPLETED),
+                  key=lambda r: -r.elapsed)
+    claims = collections.Counter(r.run_hash for r in records
+                                 if r.status == RUNNING)
+    again = ", ".join(f"{h} ({n}x)" for h, n in claims.most_common() if n > 1)
+    return [
+        audit_line(_summary(store.campaign, latest, torn), store.root),
+        f"slowest {min(SLOWEST, len(done))} completed runs:",
+        *(f"  {r.run_hash}  {r.elapsed:.3g} s" for r in done[:SLOWEST]),
+        f"claimed more than once: {again or 'none'}",
+        f"phase totals: {_fields(_phase_walls(done), ' s') or 'none recorded'}",
+    ]
+
+
+def _phase_walls(records: list[RunRecord]) -> dict[str, float]:
+    """Each phase's wall summed over the records' telemetry, largest
+    first."""
+    walls: collections.Counter[str] = collections.Counter()
+    for r in records:
+        for name, doc in ((r.telemetry or {}).get("phase") or {}).items():
+            walls[name] += doc.get("wall", 0.0)
+    return dict(walls.most_common())
+
+
+def _fields(values: dict[str, Any], unit: str = "") -> str:
+    return ", ".join(f"{k} {_fmt(v)}{unit}" if unit else f"{k}={v}"
+                     for k, v in values.items())
 
 
 def replay_records(store: CampaignStore, k: int) -> dict[str, Any]:

@@ -57,6 +57,7 @@ the runs of any worker that vanishes mid-job (see
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -167,6 +168,8 @@ examples:
   rocketrig campaign examples/decks/service_smoke.json --serve --port 7777 \\
             --lease-timeout 120
   rocketrig campaign --worker --connect 127.0.0.1:7777 --worker-id drone-1
+  rocketrig inspect smoke
+  rocketrig inspect smoke 908701
 
 initial conditions (--ic): {", ".join(IC_CHOICES)} (default multi_mode)
 BR solvers (--br-solver):  {", ".join(available_br_solvers())} (default exact)
@@ -362,6 +365,20 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="--worker: exit after waiting this long for a "
                               "coordinator reply (default 120)")
+
+    insp = sub.add_parser(
+        "inspect",
+        help="explain a campaign, or one of its runs, from its index",
+        description="Print a campaign's store audit, slowest runs, repeated "
+                    "claims and phase totals, or with a run-hash prefix that "
+                    "run's lineage. Reads index.jsonl only.",
+    )
+    insp.add_argument("campaign", help="campaign (deck) name")
+    insp.add_argument("run", nargs="?", default=None, metavar="HASH-PREFIX",
+                      help="a unique prefix of one run's hash")
+    insp.add_argument("--results-dir", default=None,
+                      help="results tree root (default: $REPRO_RESULTS_DIR "
+                           "or ./results)")
 
     return parser
 
@@ -687,18 +704,14 @@ def _fsck(store, replay: int) -> dict:
     with ``K > 0`` the replay of K completed runs.  Nothing is planned,
     run for the store or written."""
     from repro.campaign import campaign_summary, replay_records
+    from repro.campaign.report import audit_line
 
     if replay < 0:
         raise SystemExit(
             f"rocketrig campaign: --fsck K must be >= 0, got {replay}"
         )
     summary = campaign_summary(store)
-    counts = ", ".join(
-        f"{summary[key]} {key.replace('_', ' ')}"
-        for key in ("completed", "failed", "interrupted", "torn", "no_result",
-                    "stale")
-    )
-    print(f"store audit: {summary['runs']} runs in {store.root}: {counts}")
+    print(audit_line(summary, store.root))
     summary["batch_failed"] = 0
     if replay:
         report = replay_records(store, replay)
@@ -714,6 +727,23 @@ def _fsck(store, replay: int) -> dict:
               f"identical{short}")
         summary["batch_failed"] = len(report["mismatched"])
     return summary
+
+
+def inspect_from_args(args: argparse.Namespace) -> int:
+    """``rocketrig inspect <campaign> [<hash-prefix>]``: explain a campaign
+    or one run from its index alone; writes, plans and runs nothing."""
+    from repro.campaign import CampaignStore
+    from repro.campaign.report import inspect_lines
+
+    try:
+        store = CampaignStore(args.campaign, root=args.results_dir)
+        if not os.path.exists(store.index_path):
+            raise FileNotFoundError(f"no campaign index at {store.index_path}")
+        print("\n".join(inspect_lines(store, args.run)))
+    except (OSError, ReproError) as exc:
+        print(f"rocketrig inspect: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _print_scenarios() -> None:
@@ -756,8 +786,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except BrokenPipeError:
             # `rocketrig --list-scenarios | head` closes the pipe early;
             # swallow stdout so the interpreter's exit flush stays quiet.
-            import os
-
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     if args.list_solvers or args.list_backends:
@@ -766,6 +794,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.list_backends:
             print("registered compute backends:", ", ".join(available_backends()))
         return 0
+    if getattr(args, "command", None) == "inspect":
+        return inspect_from_args(args)
     if getattr(args, "command", None) == "campaign":
         summary = run_campaign_from_args(args)
         return 0 if summary["batch_failed"] == 0 else 1

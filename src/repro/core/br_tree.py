@@ -5,14 +5,15 @@ solver's O(N^2) wall; its shipped cutoff solver simply *drops* the far
 field.  This solver keeps it, but evaluates it hierarchically: a
 quadtree (:mod:`repro.spatial.tree`) summarizes each spatial cell by
 monopole/dipole vorticity moments, and a multipole-acceptance
-criterion ``theta`` decides, per (target, node) pair, whether the
-node's moment expansion is accurate enough or the walk must descend.
-The walk and the far-field sum step through groups of up to 16 targets
-of one leaf cell, on ``(pairs, group)`` panels with a mask of the
-targets each pair applies to, instead of through single pairs.
-Near-field pairs that survive to the leaves are evaluated exactly
-through the same CSR pair kernels the cutoff solver uses, so all three
-compute backends stay at parity on both halves of the sum.
+criterion ``theta`` decides, per (piece, node) pair, whether the
+node's moment expansion is accurate enough for every point of the piece
+or the walk must descend.  Pieces are the tree's own runs of up to 16
+points of one leaf, global, so no decision depends on the
+decomposition.  The near field — the leaves a piece can take neither
+through their moments nor through their quarters' — is summed exactly
+as (piece, piece) sub-panels by the all-pairs kernel the exact and
+cutoff solvers use, so every compute backend stays at parity on both
+halves of the sum.
 
 Accuracy knob vs. the cutoff solver: ``theta`` bounds the *relative
 geometric error* of every accepted interaction (the classic Barnes-Hut
@@ -26,10 +27,10 @@ the cutoff pipeline's per-evaluation migrate/halo/search machinery.
 Communication is one ``Allgatherv`` per evaluation (each rank
 contributes its owned points + vorticity as a single ``(n, 6)`` block
 and receives everyone's): every rank then builds the same global tree
-and walks it for its own targets only.  That replicates O(N) state per
-rank — the right trade at laptop-to-midrange scale, where the exact
-solver already ships the same volume through P-1 ring hops; the
-machine model prices the pattern in
+and walks only the pieces holding its own targets.  That replicates
+O(N) state per rank — the right trade at laptop-to-midrange scale,
+where the exact solver already ships the same volume through P-1 ring
+hops; the machine model prices the pattern in
 :func:`repro.machine.patterns.tree_evaluation`.
 
 Trace phases: ``tree_gather`` (the allgather), ``tree_build`` (moment
@@ -45,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import ArrayBackend, get_backend
-from repro.core.kernels import br_velocity_neighbors
+from repro.core.kernels import br_velocity_listed
 from repro.core.surface_mesh import SurfaceMesh
 from repro.mpi.comm import Comm
 from repro.spatial.tree import build_quadtree
@@ -171,9 +172,15 @@ class TreeBRSolver:
             )
             trace.metrics.counter("tree.builds").inc()
 
+        # This rank's rows of the gathered points, in the tree's sorted
+        # order: it walks the pieces holding them.
+        first = sum(len(b) for b in blocks[:comm.rank])
+        mine = (tree.order >= first) & (tree.order < first + nt)
+        held = np.flatnonzero(
+            (mine[tree.pieces] & (tree.pieces >= 0)).any(axis=1))
         with trace.phase("tree_walk"):
             t0 = trace.clock()
-            pairs = tree.mac_pairs(targets, self.theta)
+            pairs = tree.mac_pairs(self.theta, held)
             trace.record_compute(
                 "mac_walk", comm.rank,
                 flops=WALK_FLOPS * max(pairs.examined, 1),
@@ -181,25 +188,23 @@ class TreeBRSolver:
                 items=pairs.examined, t_wall=trace.clock_since(t0),
             )
 
-        out = np.zeros((nt, 3))
-        prefactor = dA / (4.0 * np.pi)
-        eps2 = self.eps ** 2
+        # Velocities of the walked pieces' points, in sorted order.
+        velocity = np.zeros((n_global, 3))
         with trace.phase("br_compute"):
             if pairs.far_count:
                 t0 = trace.clock()
                 self.backend.farfield_eval(
-                    targets,
+                    tree.points,
                     tree.node_center,
                     tree.node_m,
                     tree.node_s,
                     tree.node_q,
-                    pairs.groups,
-                    pairs.far_groups,
+                    tree.pieces[pairs.pieces],
+                    pairs.far_pieces,
                     pairs.far_nodes,
-                    pairs.far_mask,
-                    eps2,
-                    prefactor,
-                    out,
+                    self.eps ** 2,
+                    dA / (4.0 * np.pi),
+                    velocity,
                 )
                 trace.record_compute(
                     "tree_farfield", comm.rank,
@@ -208,21 +213,18 @@ class TreeBRSolver:
                     items=pairs.far_count, t_wall=trace.clock_since(t0),
                 )
             if pairs.near_count:
-                out += br_velocity_neighbors(
-                    targets,
-                    tree.points,
-                    tree.omega,
-                    pairs.near_offsets,
-                    pairs.near_indices,
-                    self.eps,
-                    dA,
-                    trace=trace,
-                    rank=comm.rank,
-                    backend=self.backend,
+                near = br_velocity_listed(
+                    tree.piece_points, tree.piece_omega, pairs.near,
+                    pairs.near_count, self.eps, dA, trace=trace,
+                    rank=comm.rank, backend=self.backend,
                 )
+                filled = tree.pieces >= 0
+                velocity[tree.pieces[filled]] += near[filled.ravel()]
+        out = np.empty_like(velocity)
+        out[tree.order] = velocity
 
         self.last_far_pair_count = pairs.far_count
         self.last_near_pair_count = pairs.near_count
         self.last_node_count = tree.num_nodes
         self.last_depth = tree.depth
-        return out.reshape(z_own.shape)
+        return out[first:first + nt].reshape(z_own.shape)

@@ -10,15 +10,17 @@ vectors, ΔA the parameter-space cell area and ε the desingularization
 length.  The ``j`` term with ``s_j = t`` contributes exactly zero
 (the numerator vanishes), so self-interaction needs no special casing.
 
-Three evaluation strategies share this module:
+Three evaluation strategies share this module, and one kernel,
+``ArrayBackend.br_allpairs``:
 
 * :func:`br_velocity_allpairs` — dense target×source blocks, used by
   the exact (ring-pass) solver;
 * :func:`br_velocity_within` — the cutoff solver's sum: the all-pairs
   kernel under a cutoff mask, over only the chunk pairs the bounding-box
   search listed;
-* :func:`br_velocity_neighbors` — CSR neighbor-list pairs, used by the
-  tree solver's near field.
+* :func:`br_velocity_listed` — the tree solver's near field: the
+  all-pairs kernel over the (piece, piece) sub-panels its walk listed,
+  unmasked.
 
 This module is the *accounting* layer: it validates shapes, resolves
 the compute backend (:mod:`repro.backend`) that does the actual pair
@@ -38,7 +40,7 @@ from repro.backend import ArrayBackend, get_backend
 from repro.util.errors import ConfigurationError
 
 __all__ = [
-    "br_velocity_allpairs", "br_velocity_neighbors", "br_velocity_within",
+    "br_velocity_allpairs", "br_velocity_listed", "br_velocity_within",
     "PAIR_FLOPS",
 ]
 
@@ -102,12 +104,11 @@ def br_velocity_allpairs(
     return out if np.ndim(targets) == 3 else out[0]
 
 
-def br_velocity_neighbors(
-    targets: np.ndarray,
-    sources: np.ndarray,
+def br_velocity_listed(
+    points: np.ndarray,
     omega: np.ndarray,
-    offsets: np.ndarray,
-    indices: np.ndarray,
+    blocks,
+    pairs: int,
     eps: float,
     dA: float,
     *,
@@ -115,32 +116,26 @@ def br_velocity_neighbors(
     rank: int = 0,
     backend: "ArrayBackend | str | None" = None,
 ) -> np.ndarray:
-    """BR velocity summed over CSR neighbor lists (tree near field).
+    """BR velocity of ``(n, 3)`` points over every pair of the sub-panels
+    ``blocks`` lists of them against themselves (no mask; the tree
+    solver's near field).
 
-    ``indices[offsets[t]:offsets[t+1]]`` are the source indices within
-    the cutoff of target ``t``.
+    ``pairs`` is the caller's count of the real pairs those sub-panels
+    hold (padding left out), which one ``br_neighbors`` event records.
     """
     bk = get_backend(backend)
-    tgt = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    src = np.atleast_2d(np.asarray(sources, dtype=np.float64))
-    om = np.atleast_2d(np.asarray(omega, dtype=np.float64))
-    nt = tgt.shape[0]
-    out = np.zeros((nt, 3))
-    total_pairs = int(offsets[-1]) if len(offsets) else 0
-    if total_pairs == 0:
-        return out
-    prefactor = dA / (4.0 * np.pi)
-    eps2 = float(eps) ** 2
+    pts, om = _stack(points), _stack(omega)
+    out = np.zeros(pts.shape)
     t0 = trace.clock() if trace is not None else None
-    bk.br_neighbors(tgt, src, om, offsets, indices, eps2, prefactor, out)
+    bk.br_allpairs(pts, pts, om, np.array([float(eps) ** 2]),
+                   np.array([dA / (4.0 * np.pi)]), out, blocks=blocks)
     if trace is not None:
         trace.record_compute(
             "br_neighbors", rank,
-            flops=PAIR_FLOPS * total_pairs,
-            bytes_moved=_PAIR_BYTES * total_pairs,
-            items=total_pairs, t_wall=trace.clock_since(t0),
+            flops=PAIR_FLOPS * pairs, bytes_moved=_PAIR_BYTES * pairs,
+            items=pairs, t_wall=trace.clock_since(t0),
         )
-    return out
+    return out[0]
 
 
 def br_velocity_within(

@@ -56,15 +56,18 @@ __all__ = [
 #: Version of the numerics behind a stored result: the campaign store
 #: stamps it on every completed record and re-runs a record carrying any
 #: other stamp.  Bump it on any change to the state digests pinned by
-#: ``TestParentPin`` (``tests/backend/test_panel_pool.py``) or
-#: ``tests/core/test_cutoff_chunks.py``, or to ``tests/golden/figures``,
+#: ``TestParentPin`` (``tests/backend/test_panel_pool.py``),
+#: ``tests/core/test_cutoff_chunks.py`` or ``tests/core/test_tree.py``,
+#: or to ``tests/golden/figures``,
 #: and record the new hash of those pins in
 #: ``tests/campaign/test_numerics_stamp.py``, whose guard fails until
 #: both are done.  2: one-rank cutoff runs whose cutoff spans the domain
 #: sum their pairs densely.  3: every cutoff run sums the chunk pairs its
 #: bounding-box search lists (``core.br_cutoff``).  4: low order evolves
 #: a graph surface — z₃ and γ alone; z₁, z₂ stay the mesh coordinates.
-NUMERICS_VERSION = 4
+#: 5: the tree solver decides per piece and sums its near field as
+#: listed sub-panels (``core.br_tree``).
+NUMERICS_VERSION = 5
 
 
 def state_digest(*arrays: np.ndarray) -> str:

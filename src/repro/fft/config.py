@@ -26,10 +26,10 @@ Meaning in this implementation (see :mod:`repro.fft.remap`):
   sub-communicators (True: the brick↔pencil hops stay inside a
   sub-communicator of ~√P ranks) or global slabs (False: every hop is a
   global exchange over all P ranks).
-* ``reorder`` — pack each peer's data into one contiguous buffer before
-  sending (True: one message per peer plus local pack work) or send the
-  naturally contiguous row-runs as-is (False: more, smaller messages,
-  no pack pass).
+* ``reorder`` — how each peer's data is copied around its one message:
+  packed into a contiguous buffer (True) or through strided copies
+  (False).  The messages and bytes are the same either way: like
+  heFFTe's flag, it trades local transpose cost, not message counts.
 """
 
 from __future__ import annotations

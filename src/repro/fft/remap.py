@@ -11,13 +11,11 @@ travel is governed by :class:`~repro.fft.config.FftConfig`:
   ``MPI_Alltoallv``);
 * ``alltoall=False`` — a mesh of buffered ``Send``/``Recv`` pairs,
   heFFTe's "custom communication" path;
-* ``reorder=True`` — each peer's pieces are packed into one contiguous
-  buffer (one message per peer, plus a local pack/unpack pass);
-* ``reorder=False`` — in point-to-point mode, each naturally contiguous
-  row-run of the intersection is sent as its own (smaller) message; in
-  collective mode the wire volume is unchanged but the local copies are
-  strided (recorded as ``fft_strided`` compute events, which the
-  machine model costs at reduced bandwidth).
+* ``reorder`` — a copy flag, not a message count: either way each peer
+  gets one message.  ``True`` packs each peer's piece into a contiguous
+  buffer (``fft_pack`` compute events on both sides); ``False`` moves it
+  through strided copies (``fft_strided`` events, which the machine
+  model costs at reduced bandwidth), as heFFTe's flag does.
 
 The functional result is identical for all configurations (tested);
 only the communication/computation *structure* differs — which is
@@ -153,28 +151,14 @@ class Remap:
             if part is None or part.empty:
                 continue
             piece = self._extract(local, part)
-            if self.config.reorder:
-                self._record_copy(piece.nbytes, packed=True)
-                comm.Send(piece.ravel(), dest, self.tag_base)
-            else:
-                # One message per contiguous row-run of the intersection.
-                for row in piece.reshape(-1, piece.shape[-1]):
-                    comm.Send(row, dest, self.tag_base)
+            self._record_copy(piece.nbytes, packed=self.config.reorder)
+            comm.Send(piece.ravel(), dest, self.tag_base)
         # Receive from every peer that owes me a piece.
         for shift in range(1, comm.size):
             src = (rank - shift) % comm.size
             part = self.recv_parts[src]
             if part is None or part.empty:
                 continue
-            if self.config.reorder:
-                data = comm.Recv(None, src, self.tag_base)
-                self._record_copy(data.nbytes, packed=True)
-                self._place(out, part, data.astype(local.dtype, copy=False))
-            else:
-                rows = []
-                for _ in range(int(np.prod(out.shape[:-2])) * part.shape[0]):
-                    rows.append(comm.Recv(None, src, self.tag_base))
-                data = np.stack(rows)
-                self._record_copy(data.nbytes, packed=False)
-                self._place(out, part, data.astype(local.dtype, copy=False))
-
+            data = comm.Recv(None, src, self.tag_base)
+            self._record_copy(data.nbytes, packed=self.config.reorder)
+            self._place(out, part, data.astype(local.dtype, copy=False))

@@ -227,9 +227,8 @@ def fft_phase(
     one backward transposed transform around the Riesz multiply.
 
     Redistributions are priced from :func:`fft_hop_counts` for rank 0.
-    ``reorder=False`` splits each peer's payload into per-row messages
-    in the point-to-point backend and costs local copies at strided
-    bandwidth.
+    ``reorder=False`` keeps the messages and costs the payloads and the
+    local copies at strided bandwidth.
     """
     boxes = _fft_layouts(nranks, global_shape, config)
     comm = 0.0

@@ -13,7 +13,9 @@ Construction reuses :mod:`repro.spatial.binning` for the leaf level:
 points are bucketed into a ``2^L x 2^L`` cell grid (``L`` chosen so a
 leaf holds ~``leaf_size`` points), and the coarser levels aggregate
 their four children with vectorized reshape reductions — no per-node
-Python loops anywhere on the build path.
+Python loops anywhere on the build path.  Each leaf also keeps the
+moments of its four *quarters* (the half-width grid's cells), node ids
+past the last level; the walk may take a leaf through them.
 
 Per-node far-field moments
 --------------------------
@@ -41,11 +43,16 @@ The leaf-level moment reduction is a backend kernel
 registered engine computes bit-compatible moments; the far-field pair
 evaluation is its sibling kernel ``farfield_eval``.
 
-The multipole-acceptance walk (:meth:`QuadTree.mac_pairs`) decides
-per target but steps per *group* of up to ``_GROUP`` targets of one
-leaf cell, testing ``(entries, group)`` panels; the group's box settles
-most entries for all its targets at once.  Its far-field pairs are
-(group, node, mask) entries, which ``farfield_eval`` sums per group.
+The tree's points are also cut into *pieces*: each leaf's run of
+sorted points in runs of at most ``_GROUP``, built once with the tree.
+The multipole-acceptance walk (:meth:`QuadTree.mac_pairs`) steps per
+piece and makes one box test per (piece, node).  Its far-field pairs
+are (piece, node) entries, which ``farfield_eval`` sums per piece; its
+near field is a list of (piece, piece) sub-panels, which the all-pairs
+kernel sums (``br_allpairs(blocks=...)``) over the pieces laid out one
+padded chunk each (:attr:`QuadTree.piece_points`).  A piece takes a
+leaf through its moments, through its quarters' moments or pair by
+pair.
 
 A node whose points are exactly coincident (``size == 0``, including
 every single-point node) is represented *exactly* by its moments
@@ -62,6 +69,7 @@ import numpy as np
 
 from repro.backend import ArrayBackend, get_backend
 from repro.spatial.binning import CellGrid, bin_points
+from repro.spatial.neighbors import ChunkPairs
 from repro.util.errors import ConfigurationError
 
 __all__ = ["QuadTree", "TreePairs", "build_quadtree"]
@@ -71,9 +79,10 @@ __all__ = ["QuadTree", "TreePairs", "build_quadtree"]
 #: themselves at laptop scale.
 MAX_LEVELS = 8
 
-#: Targets per group of the multipole-acceptance walk.  A group lies in
-#: one leaf cell, so its box is no wider than the leaf; 16 is the leaf
-#: occupancy the benchmark sheets settle at with ``leaf_size = 32``.
+#: Points per piece.  A piece lies in one leaf, so its box is no wider
+#: than the leaf; 16 is the leaf occupancy the benchmark sheets settle
+#: at with ``leaf_size = 32``, and the chunk of the all-pairs kernel's
+#: listed sub-panels.
 _GROUP = 16
 
 
@@ -81,109 +90,100 @@ _GROUP = 16
 class TreePairs:
     """Interaction sets produced by one multipole-acceptance walk.
 
-    The walk steps through *groups* of targets: the targets in one leaf
-    cell of the tree's grid, cut into runs of at most ``_GROUP``.
-
     Attributes
     ----------
-    groups:
-        ``(G, _GROUP)`` int64 target rows of each group, ``-1`` where a
-        group is shorter.
-    far_groups / far_nodes / far_mask:
-        ``(p,)`` int64 pair arrays, sorted by group, and their
-        ``(p, _GROUP)`` bool masks: target ``groups[far_groups[i], k]``
-        evaluates node ``far_nodes[i]`` (a flat node id into the tree's
-        node table) through the far-field moment kernel where
-        ``far_mask[i, k]``.
+    pieces:
+        ``(W,)`` int64 ids of the walked pieces (rows of
+        :attr:`QuadTree.pieces`).
+    far_pieces / far_nodes:
+        ``(p,)`` int64 pair arrays, sorted by piece: every member of
+        walked piece ``pieces[far_pieces[i]]`` evaluates node
+        ``far_nodes[i]`` (a flat node id into the tree's node table)
+        through the far-field moment kernel.
     far_count:
-        The (target, node) pairs accepted, ``far_mask.sum()``.
-    near_offsets / near_indices:
-        CSR near-field lists over the tree's *sorted* source order:
-        sources ``near_indices[near_offsets[t]:near_offsets[t+1]]`` of
-        ``QuadTree.points`` interact with target ``t`` pairwise.
+        The (point, node) pairs accepted.
+    near:
+        The (piece, piece) sub-panels summed pair by pair, a
+        :class:`~repro.spatial.neighbors.ChunkPairs` over
+        :attr:`QuadTree.piece_points` (chunk ``_GROUP``), sorted.
+    near_count:
+        The (point, point) pairs those sub-panels hold, padding excluded.
     examined:
-        Total (target, node) pairs distance-tested during the walk —
-        the roofline item count of the walk itself.
+        The (piece, node) pairs box-tested during the walk — the
+        roofline item count of the walk itself.
     """
 
-    groups: np.ndarray
-    far_groups: np.ndarray
+    pieces: np.ndarray
+    far_pieces: np.ndarray
     far_nodes: np.ndarray
-    far_mask: np.ndarray
     far_count: int
-    near_offsets: np.ndarray
-    near_indices: np.ndarray
+    near: ChunkPairs
+    near_count: int
     examined: int
 
-    @property
-    def near_count(self) -> int:
-        return int(self.near_offsets[-1]) if len(self.near_offsets) else 0
 
-
+@dataclass(eq=False)
 class QuadTree:
     """Dense-level quadtree with per-node far-field moments.
 
-    Node storage is one flat table across all levels: level ``l``
-    occupies flat ids ``[level_offsets[l], level_offsets[l] + 4**l)``,
-    row-major over its ``2^l x 2^l`` grid.  Every array is float64
-    (int64 for counts/ids), matching the backend kernel contracts.
+    Node storage is one flat table: level ``l`` occupies flat ids
+    ``[level_offsets[l], level_offsets[l] + 4**l)``, row-major over its
+    ``2^l x 2^l`` grid, and the quarters of leaf ``k`` follow the last
+    level at ``level_offsets[-1] + 4 k + (0..3)`` (x half, then y half).
+    Every array is float64 (int64 for counts/ids), matching the backend
+    kernel contracts.
 
     Attributes
     ----------
     points / omega:
-        ``(n, 3)`` sources sorted by leaf cell (``points = raw[order]``).
-        Near-field CSR indices refer to *this* order.
+        ``(n, 3)`` sources sorted by leaf cell, each leaf's run by
+        quarter (``points = raw[order]``).
     order:
         Permutation mapping sorted rows back to the caller's rows.
     cell_start:
         ``(nleaves + 1,)`` CSR bounds of each leaf cell into ``points``.
-    grid:
-        The leaf cells' :class:`~repro.spatial.binning.CellGrid`; the
-        walk bins its targets into it.
+    pieces / leaf_pieces / piece_size:
+        ``(P, _GROUP)`` int64 rows of ``points`` per piece, ``-1`` where
+        a piece is shorter; the ``(nleaves + 1,)`` CSR bounds of each
+        leaf's pieces; each piece's point count.
+    piece_lo / piece_hi:
+        ``(P, 3)`` corners of each piece's bounding box.
+    piece_points / piece_omega:
+        ``(P * _GROUP, 3)``: the pieces laid out one chunk each, a
+        padded slot repeating its piece's first point with ``ω = 0``.
     node_count / node_center / node_m / node_s / node_q / node_size:
         Flat node table: point count ``(nn,)``, centroid ``(nn, 3)``,
         moments ``(nn, 3)``/``(nn, 3)``/``(nn, 3, 3)`` and the 3D
         bounding-box diagonal ``(nn,)`` per node.
     """
 
-    def __init__(
-        self,
-        *,
-        nlevels: int,
-        level_offsets: np.ndarray,
-        node_count: np.ndarray,
-        node_center: np.ndarray,
-        node_m: np.ndarray,
-        node_s: np.ndarray,
-        node_q: np.ndarray,
-        node_size: np.ndarray,
-        points: np.ndarray,
-        omega: np.ndarray,
-        order: np.ndarray,
-        cell_start: np.ndarray,
-        grid: CellGrid,
-        leaf_size: int,
-    ) -> None:
-        self.nlevels = nlevels
-        self.level_offsets = level_offsets
-        self.node_count = node_count
-        self.node_center = node_center
-        self.node_m = node_m
-        self.node_s = node_s
-        self.node_q = node_q
-        self.node_size = node_size
-        self.points = points
-        self.omega = omega
-        self.order = order
-        self.cell_start = cell_start
-        self.grid = grid
-        self.leaf_size = leaf_size
+    nlevels: int
+    level_offsets: np.ndarray
+    node_count: np.ndarray
+    node_center: np.ndarray
+    node_m: np.ndarray
+    node_s: np.ndarray
+    node_q: np.ndarray
+    node_size: np.ndarray
+    points: np.ndarray
+    omega: np.ndarray
+    order: np.ndarray
+    cell_start: np.ndarray
+
+    def __post_init__(self) -> None:
+        # The walk's pieces, their boxes and their padded layout.
+        self.pieces, self.leaf_pieces = _cut_pieces(self.cell_start)
+        filled = self.pieces >= 0
+        self.piece_size = np.count_nonzero(filled, axis=1)
+        slots = np.where(filled, self.pieces, self.pieces[:, :1])
+        members = self.points[slots]
+        self.piece_lo = members.min(axis=1)
+        self.piece_hi = members.max(axis=1)
+        self.piece_points = members.reshape(-1, 3)
+        self.piece_omega = np.where(
+            filled[..., None], self.omega[slots], 0.0).reshape(-1, 3)
 
     # -- introspection -----------------------------------------------------
-
-    @property
-    def num_points(self) -> int:
-        return int(self.points.shape[0])
 
     @property
     def num_nodes(self) -> int:
@@ -196,151 +196,122 @@ class QuadTree:
 
     # -- multipole-acceptance walk ----------------------------------------
 
-    def mac_pairs(self, targets: np.ndarray, theta: float) -> TreePairs:
-        """Partition target-source interactions by the MAC ``theta``.
+    def mac_pairs(self, theta: float, pieces: np.ndarray) -> TreePairs:
+        """Partition the interactions of ``pieces`` (ids of rows of
+        :attr:`pieces`) by the MAC ``theta``.
 
-        A (target, node) pair is **accepted** for far-field evaluation
+        A (piece, node) pair is **accepted** for far-field evaluation
         when ``size <= theta * dist`` with ``size`` the node's 3D
-        bounding diagonal and ``dist`` the 3D target-centroid distance
-        (so a target inside a node never accepts it for ``theta < 1``),
-        or when ``size == 0`` — coincident-point nodes, whose moments
-        are exact.  Rejected internal nodes descend to their four
-        children; rejected leaves become near-field CSR entries.
+        bounding diagonal and ``dist`` the distance from the node's
+        centroid to the piece's box: no member is nearer, so every
+        member meets the per-point rule (and a piece inside a node never
+        accepts it for ``theta < 1``).  ``size == 0`` — coincident-point
+        nodes, whose moments are exact — is always accepted.  Rejected
+        internal nodes descend to their four children.  A rejected leaf
+        that the per-point rule accepts at the centre of the piece's box
+        is taken through its four quarters when every quarter passes
+        the box test; any other rejected leaf makes one (piece, piece)
+        near sub-panel per piece of the leaf.
 
         ``theta = 0`` therefore rejects every extended node and the
-        walk degenerates to exact per-point sums (single-point far
-        evaluations plus leaf pair lists).
-
-        The walk decides per target but steps per group
-        (:class:`TreePairs`): a frontier entry is a (group, node) pair
-        with the mask of the group's targets still undecided there, so
-        each level tests ``(entries, _GROUP)`` panels.
+        walk degenerates to exact pair sums (single-point far
+        evaluations plus leaf sub-panels).  A piece's decisions depend
+        on the piece alone, never on which others are walked with it.
         """
         if not 0.0 <= theta < 1.0:
             raise ConfigurationError(
                 f"theta must lie in [0, 1) — a target inside a node must "
                 f"never accept it — got {theta}"
             )
-        tgt = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        nt = tgt.shape[0]
+        walked = np.asarray(pieces, dtype=np.int64)
         theta2 = float(theta) * float(theta)
-        far_g: list[np.ndarray] = []
-        far_n: list[np.ndarray] = []
-        far_m: list[np.ndarray] = []
+        lo, hi = self.piece_lo[walked], self.piece_hi[walked]
+        # Frontier: (walked piece, node-local id) at the current level;
+        # every piece starts at the root.
+        g_idx = np.arange(len(walked), dtype=np.int64)
+        n_idx = np.zeros(len(walked), dtype=np.int64)
+        far_g: list[np.ndarray] = [g_idx[:0]]
+        far_n: list[np.ndarray] = [n_idx[:0]]
         examined = 0
-
-        if nt == 0 or self.num_points == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return TreePairs(
-                groups=np.empty((0, _GROUP), dtype=np.int64),
-                far_groups=empty, far_nodes=empty,
-                far_mask=np.empty((0, _GROUP), dtype=bool), far_count=0,
-                near_offsets=np.zeros(nt + 1, dtype=np.int64),
-                near_indices=empty, examined=0,
-            )
-
-        binning = bin_points(tgt, self.grid)
-        groups = _leaf_runs(binning.cell_start, binning.order)
-        filled = groups >= 0
-        # (G, _GROUP, 3); a padded slot repeats its group's first target
-        # and is never active.
-        members = tgt[np.where(filled, groups, groups[:, :1])]
-        lo, hi = members.min(axis=1), members.max(axis=1)
-
-        # Frontier: (group, node-local-id, undecided targets) at the
-        # current level; every group starts at the root.
-        g_idx = np.arange(groups.shape[0], dtype=np.int64)
-        n_idx = np.zeros(groups.shape[0], dtype=np.int64)
-        active = filled
-        near_g = near_leaf = np.empty(0, dtype=np.int64)
-        near_mask = np.empty((0, _GROUP), dtype=bool)
-        leaf_level = self.nlevels - 1
         for level in range(self.nlevels):
             flat = int(self.level_offsets[level]) + n_idx
             nonempty = self.node_count[flat] > 0
             g_idx, n_idx, flat = g_idx[nonempty], n_idx[nonempty], flat[nonempty]
-            active = active[nonempty]
             if g_idx.size == 0:
                 break
-            examined += int(np.count_nonzero(active))
-            center = self.node_center[flat]
-            limit = self.node_size[flat] ** 2
-            # The group's box bounds every target's distance: only an
-            # entry the box leaves undecided is tested target by target.
-            to_lo, to_hi = lo[g_idx] - center, center - hi[g_idx]
-            near_corner = np.maximum(to_lo, to_hi)
-            np.maximum(near_corner, 0.0, out=near_corner)
-            far_corner = np.maximum(-to_lo, -to_hi)
-            all_in = limit <= theta2 * np.einsum(
-                "ij,ij->i", near_corner, near_corner)
-            mixed = ~all_in & (limit <= theta2 * np.einsum(
-                "ij,ij->i", far_corner, far_corner))
-            accept = active & all_in[:, None]
-            diff = members[g_idx[mixed]] - center[mixed][:, None, :]
-            accept[mixed] = active[mixed] & (
-                limit[mixed][:, None]
-                <= theta2 * np.einsum("ijk,ijk->ij", diff, diff)
-            )
-            hit = accept.any(axis=1)
-            far_g.append(g_idx[hit])
-            far_n.append(flat[hit])
-            far_m.append(accept[hit])
-            active = active & ~accept
-            open_ = active.any(axis=1)
-            g_rest, n_rest, active = g_idx[open_], n_idx[open_], active[open_]
-            if level == leaf_level:
-                near_g, near_leaf, near_mask = g_rest, n_rest, active
+            examined += g_idx.size
+            accept = self._passes(theta2, lo[g_idx], hi[g_idx], flat)
+            far_g.append(g_idx[accept])
+            far_n.append(flat[accept])
+            g_idx, n_idx = g_idx[~accept], n_idx[~accept]
+            if level == self.depth:
                 break
             # Descend: children of node (cx, cy) at a 2^l x 2^l level
             # are (2cx + dx, 2cy + dy) on the 2^(l+1) grid.
             ny = 1 << level
-            cx, cy = n_rest // ny, n_rest % ny
+            cx, cy = n_idx // ny, n_idx % ny
             base = (cx * 2) * (ny * 2) + cy * 2
             n_idx = np.concatenate(
                 [base, base + 1, base + ny * 2, base + ny * 2 + 1]
             )
-            g_idx = np.concatenate([g_rest] * 4)
-            active = np.concatenate([active] * 4)
+            g_idx = np.concatenate([g_idx] * 4)
 
-        far_groups = np.concatenate(far_g)
-        by_group = np.argsort(far_groups, kind="stable")
-        far_mask = np.concatenate(far_m)[by_group]
-        # Each undecided target of a near entry gets the leaf's sources.
-        near_t = groups[near_g][near_mask]
-        near_leaf = np.broadcast_to(near_leaf[:, None], near_mask.shape)[near_mask]
-        offsets, indices = self._expand_near(near_t, near_leaf, nt)
+        # The rejected leaves (none if the walk ended above them): those
+        # the per-point rule takes at the piece's centre try their
+        # quarters, empty quarters passing with nothing to sum.
+        leaf = int(self.level_offsets[self.depth]) + n_idx
+        mid = 0.5 * (lo[g_idx] + hi[g_idx]) - self.node_center[leaf]
+        split = np.flatnonzero(self.node_size[leaf] ** 2 <= theta2 * np.einsum(
+            "ij,ij->i", mid, mid))
+        quarter = (int(self.level_offsets[-1]) + 4 * n_idx[split])[:, None]
+        quarter = quarter + np.arange(4)
+        nonempty = self.node_count[quarter] > 0
+        examined += int(nonempty.sum())
+        taken = self._passes(
+            theta2, lo[g_idx[split]][:, None], hi[g_idx[split]][:, None],
+            quarter).all(axis=1)
+        owner = np.broadcast_to(g_idx[split, None], quarter.shape)
+        far_g.append(owner[taken][nonempty[taken]])
+        far_n.append(quarter[taken][nonempty[taken]])
+        near = np.ones(len(g_idx), dtype=bool)
+        near[split[taken]] = False
+
+        # Both lists in (piece, partner) order, whatever the frontier's.
+        nn = self.num_nodes
+        far = np.sort(np.concatenate(far_g) * nn + np.concatenate(far_n))
+        far_pieces, far_nodes = np.divmod(far, nn)
+        first = self.leaf_pieces[n_idx[near]]
+        count = self.leaf_pieces[n_idx[near] + 1] - first
+        source = np.arange(int(count.sum()), dtype=np.int64)
+        source += np.repeat(first - (np.cumsum(count) - count), count)
+        npieces = len(self.pieces)
+        pairs = np.sort(np.repeat(walked[g_idx[near]], count) * npieces + source)
+        pairs = np.stack(np.divmod(pairs, npieces), axis=1)
+        size = self.piece_size
         return TreePairs(
-            groups=groups,
-            far_groups=far_groups[by_group],
-            far_nodes=np.concatenate(far_n)[by_group],
-            far_mask=far_mask,
-            far_count=int(np.count_nonzero(far_mask)),
-            near_offsets=offsets,
-            near_indices=indices,
+            pieces=walked,
+            far_pieces=far_pieces,
+            far_nodes=far_nodes,
+            far_count=int(size[walked[far_pieces]].sum()),
+            near=ChunkPairs(
+                chunk=_GROUP, pairs=pairs, num_targets=npieces * _GROUP,
+                num_sources=npieces * _GROUP, symmetric=False,
+            ),
+            near_count=int((size[pairs[:, 0]] * size[pairs[:, 1]]).sum()),
             examined=examined,
         )
 
-    def _expand_near(
-        self, t_all: np.ndarray, leaf_all: np.ndarray, nt: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(target, leaf) pairs -> CSR source lists over sorted points."""
-        if not t_all.size:
-            return np.zeros(nt + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-        order = np.argsort(t_all, kind="stable")
-        t_sorted, leaf_sorted = t_all[order], leaf_all[order]
-        starts = self.cell_start[leaf_sorted]
-        lengths = self.cell_start[leaf_sorted + 1] - starts
-        counts = np.bincount(
-            t_sorted, weights=lengths.astype(np.float64), minlength=nt
-        ).astype(np.int64)
-        offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        total = int(lengths.sum())
-        if total == 0:
-            return offsets, np.empty(0, dtype=np.int64)
-        # Expand [start, start + len) ranges into flat indices.
-        indices = np.arange(total, dtype=np.int64)
-        indices += np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        return offsets, indices
+    def _passes(
+        self, theta2: float, lo: np.ndarray, hi: np.ndarray, flat: np.ndarray
+    ) -> np.ndarray:
+        """The box test of nodes ``flat`` against the piece boxes
+        ``lo`` / ``hi`` (broadcast to ``flat``'s shape plus a last axis
+        of 3)."""
+        center = self.node_center[flat]
+        gap = np.maximum(lo - center, center - hi)
+        np.maximum(gap, 0.0, out=gap)
+        return self.node_size[flat] ** 2 <= theta2 * np.einsum(
+            "...i,...i->...", gap, gap)
 
 
 def build_quadtree(
@@ -395,102 +366,37 @@ def build_quadtree(
         dims=(nx, nx, 1),
     )
     binning = bin_points(pos, grid)
-    pos_s = pos[binning.order]
-    om_s = om[binning.order]
+    # Each leaf's run ordered by quarter: the cells of the half-width
+    # grid, which nest in the leaves exactly (halving is exact).
+    halves = CellGrid(origin=grid.origin, cell=cell / 2, dims=(2 * nx, 2 * nx, 1))
+    hxy = halves.cell_coords(pos[binning.order])
+    quarter_of = binning.sorted_cells * 4 + (hxy[:, 0] % 2) * 2 + hxy[:, 1] % 2
+    by_quarter = np.argsort(quarter_of, kind="stable")
+    order = binning.order[by_quarter]
+    quarter_of = quarter_of[by_quarter]
+    pos_s = pos[order]
+    om_s = om[order]
     nleaves = nx * nx
-    counts_leaf = np.diff(binning.cell_start).astype(np.int64)
 
-    # Per-level dense tables, leaf upward.
-    level_offsets = np.zeros(nlevels + 1, dtype=np.int64)
-    for level in range(nlevels):
-        level_offsets[level + 1] = level_offsets[level] + 4 ** level
-    nn = int(level_offsets[-1])
-    node_count = np.zeros(nn, dtype=np.int64)
-    node_center = np.zeros((nn, 3))
-    node_m = np.zeros((nn, 3))
-    node_s = np.zeros((nn, 3))
-    node_q = np.zeros((nn, 3, 3))
-    node_size = np.zeros(nn)
-
-    # Leaf level: centroids from bincount sums, then the backend moment
-    # kernel; bounding boxes from clipped segmented reductions.
-    ids = binning.sorted_cells
-    sums = np.stack(
-        [
-            np.bincount(ids, weights=pos_s[:, k], minlength=nleaves)
-            for k in range(3)
-        ],
-        axis=1,
-    )
-    center_leaf = np.zeros((nleaves, 3))
-    np.divide(
-        sums,
-        counts_leaf[:, None],
-        out=center_leaf,
-        where=counts_leaf[:, None] > 0,
-    )
-    m_leaf, s_leaf, q_leaf = bk.moment_accumulate(
-        pos_s, om_s, ids, center_leaf, nleaves
-    )
-    pmin, pmax = _segment_bounds(pos_s, binning.cell_start, counts_leaf)
-
-    lf = slice(int(level_offsets[leaf_level]), nn)
-    node_count[lf] = counts_leaf
-    node_center[lf] = center_leaf
-    node_m[lf] = m_leaf
-    node_s[lf] = s_leaf
-    node_q[lf] = q_leaf
-    node_size[lf] = np.where(
-        counts_leaf > 0, np.linalg.norm(pmax - pmin, axis=1), 0.0
-    )
-
-    # Upward pass: aggregate 2x2 child blocks with reshape reductions
-    # and shift S/Q to the parent centroid (parallel-axis rules).
-    counts, centers, sums_l = counts_leaf, center_leaf, sums
-    m_l, s_l, q_l = m_leaf, s_leaf, q_leaf
+    # Quarters: centroids from bincount sums, then the backend moment
+    # kernel; bounding boxes from clipped segmented reductions.  Every
+    # coarser table merges blocks of four children: a leaf its quarters
+    # (consecutive), a node its 2x2 block of the level below.
+    quarters = _reduce(bk, pos_s, om_s, quarter_of, 4 * nleaves)
+    tables = _merge(*(t.reshape((nleaves, 4) + t.shape[1:]) for t in quarters))
+    levels = [tables]
     for level in range(leaf_level - 1, -1, -1):
         half = 1 << level
-
-        def fold(arr: np.ndarray) -> np.ndarray:
-            """Sum 2x2 child blocks of a row-major dense level array."""
-            return (
-                arr.reshape((half, 2, half, 2) + arr.shape[1:])
-                .sum(axis=(1, 3))
-                .reshape((half * half,) + arr.shape[1:])
-            )
-
-        counts_p = fold(counts)
-        sums_p = fold(sums_l)
-        centers_p = np.zeros((half * half, 3))
-        np.divide(
-            sums_p, counts_p[:, None], out=centers_p,
-            where=counts_p[:, None] > 0,
-        )
-        # Child -> parent shift d = c_child - c_parent.
-        parent_of = _parent_index(half)
-        d = centers - centers_p[parent_of]
-        s_shift = s_l + np.cross(m_l, d)
-        q_shift = q_l + m_l[:, :, None] * d[:, None, :]
-        m_p = fold(m_l)
-        s_p = fold(s_shift)
-        q_p = fold(q_shift)
-        pmin = (
-            pmin.reshape(half, 2, half, 2, 3).min(axis=(1, 3)).reshape(-1, 3)
-        )
-        pmax = (
-            pmax.reshape(half, 2, half, 2, 3).max(axis=(1, 3)).reshape(-1, 3)
-        )
-        sl = slice(int(level_offsets[level]), int(level_offsets[level + 1]))
-        node_count[sl] = counts_p
-        node_center[sl] = centers_p
-        node_m[sl] = m_p
-        node_s[sl] = s_p
-        node_q[sl] = q_p
-        node_size[sl] = np.where(
-            counts_p > 0, np.linalg.norm(pmax - pmin, axis=1), 0.0
-        )
-        counts, centers, sums_l = counts_p, centers_p, sums_p
-        m_l, s_l, q_l = m_p, s_p, q_p
+        tables = _merge(*(
+            t.reshape((half, 2, half, 2) + t.shape[1:]).swapaxes(1, 2)
+            .reshape((half * half, 4) + t.shape[1:]) for t in tables
+        ))
+        levels.append(tables)
+    # One flat node table: the levels root first, then the quarters.
+    node_count, node_center, node_m, node_s, node_q, pmin, pmax = (
+        np.concatenate(column) for column in zip(*levels[::-1], quarters))
+    level_offsets = np.concatenate(
+        ([0], np.cumsum([4 ** level for level in range(nlevels)])))
 
     return QuadTree(
         nlevels=nlevels,
@@ -500,33 +406,68 @@ def build_quadtree(
         node_m=node_m,
         node_s=node_s,
         node_q=node_q,
-        node_size=node_size,
+        node_size=np.where(
+            node_count > 0, np.linalg.norm(pmax - pmin, axis=1), 0.0),
         points=pos_s,
         omega=om_s,
-        order=binning.order,
+        order=order,
         cell_start=binning.cell_start.astype(np.int64),
-        grid=grid,
-        leaf_size=int(leaf_size),
     )
 
 
-def _leaf_runs(cell_start: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Binned points as ``(G, _GROUP)`` row groups: each cell's run of
-    ``order`` cut into pieces of at most ``_GROUP``, ``-1`` padding."""
+def _reduce(bk: ArrayBackend, pos_s: np.ndarray, om_s: np.ndarray,
+            ids: np.ndarray, ncells: int) -> list[np.ndarray]:
+    """Count, centroid, moments and bounding box of each of ``ncells``
+    cells whose points are the runs of ``ids`` (sorted); empty cells get
+    (+inf, -inf) box sentinels so min/max merges ignore them."""
+    counts = np.bincount(ids, minlength=ncells)
+    sums = np.stack(
+        [np.bincount(ids, weights=pos_s[:, k], minlength=ncells)
+         for k in range(3)],
+        axis=1,
+    )
+    center = np.zeros((ncells, 3))
+    np.divide(sums, counts[:, None], out=center, where=counts[:, None] > 0)
+    m, s, q = bk.moment_accumulate(pos_s, om_s, ids, center, ncells)
+    pmin, pmax = _segment_bounds(
+        pos_s, np.concatenate(([0], np.cumsum(counts))), counts)
+    return [counts, center, m, s, q, pmin, pmax]
+
+
+def _merge(counts, center, m, s, q, pmin, pmax) -> list[np.ndarray]:
+    """:func:`_reduce`'s tables of parents from ``(parents, 4, ...)``
+    blocks of their children's: S/Q shift to the parent centroid by the
+    parallel-axis rules, without revisiting points."""
+    counts_p = counts.sum(axis=1)
+    center_p = np.zeros((counts.shape[0], 3))
+    np.divide(
+        (center * counts[..., None]).sum(axis=1), counts_p[:, None],
+        out=center_p, where=counts_p[:, None] > 0,
+    )
+    # Child -> parent shift d = c_child - c_parent.
+    d = center - center_p[:, None]
+    return [
+        counts_p,
+        center_p,
+        m.sum(axis=1),
+        (s + np.cross(m, d)).sum(axis=1),
+        (q + m[..., None] * d[..., None, :]).sum(axis=1),
+        pmin.min(axis=1),
+        pmax.max(axis=1),
+    ]
+
+
+def _cut_pieces(cell_start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each leaf's run of sorted rows cut into pieces of at most
+    ``_GROUP``: ``(P, _GROUP)`` rows with ``-1`` padding, and the
+    ``(nleaves + 1,)`` CSR bounds of each leaf's pieces."""
     counts = np.diff(cell_start)
-    pieces = -(-counts // _GROUP)
-    cell = np.repeat(np.arange(counts.shape[0]), pieces)
-    k = np.arange(cell.shape[0]) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    start = cell_start[cell] + k * _GROUP
+    per_leaf = -(-counts // _GROUP)
+    bounds = np.concatenate(([0], np.cumsum(per_leaf))).astype(np.int64)
+    leaf = np.repeat(np.arange(counts.shape[0]), per_leaf)
+    start = cell_start[leaf] + (np.arange(leaf.shape[0]) - bounds[leaf]) * _GROUP
     slot = start[:, None] + np.arange(_GROUP)
-    inside = slot < cell_start[cell + 1][:, None]
-    return np.where(inside, order[np.where(inside, slot, 0)], -1)
-
-
-def _parent_index(half: int) -> np.ndarray:
-    """Child-local -> parent-local id map for a 2*half x 2*half level."""
-    cx, cy = np.divmod(np.arange(4 * half * half, dtype=np.int64), 2 * half)
-    return (cx // 2) * half + cy // 2
+    return np.where(slot < cell_start[leaf + 1][:, None], slot, -1), bounds
 
 
 def _segment_bounds(
@@ -538,8 +479,6 @@ def _segment_bounds(
     pmin = np.full((ncells, 3), np.inf)
     pmax = np.full((ncells, 3), -np.inf)
     occupied = np.nonzero(counts > 0)[0]
-    if pos_sorted.shape[0] == 0 or occupied.size == 0:
-        return pmin, pmax
     # Occupied cells tile the sorted array contiguously (empty cells
     # have zero width), so reducing at their start offsets segments the
     # whole array exactly; reduceat's final segment runs to the end.

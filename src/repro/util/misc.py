@@ -1,5 +1,5 @@
-"""Generic helpers: decomposition arithmetic, row chunking and the one
-durable-write primitive.
+"""Generic helpers: decomposition arithmetic and the one durable-write
+primitive.
 
 The block-decomposition helpers here are the single source of truth for
 "which index range does rank r own" throughout the library.  Both the
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-from bisect import bisect_left
 from functools import reduce
 from typing import BinaryIO, Callable, Sequence
 
@@ -75,25 +74,6 @@ def split_extent(n: int, parts: int, index: int) -> tuple[int, int]:
     lo = index * base + min(index, extra)
     hi = lo + base + (1 if index < extra else 0)
     return lo, hi
-
-
-def chunk_rows(first: Sequence[int], total: int, budget: int) -> list[int]:
-    """Cut CSR-style rows into consecutive runs of about ``budget`` items.
-
-    ``first[k]`` is the number of items before row ``k`` (non-decreasing)
-    and ``total`` the number of items in all rows.  Returns the run
-    boundaries ``[0, k1, ..., len(first)]`` (just ``[len(first)]`` when
-    there are no items): a run ends at the first row starting at or past
-    each multiple of ``budget``, so runs hold whole rows and only a row
-    longer than ``budget`` makes its run exceed it.
-
-    >>> chunk_rows([0, 3, 3, 8, 9], 12, 4)
-    [0, 3, 5]
-    """
-    rows = len(first)
-    cuts = {bisect_left(first, mark) for mark in range(0, total, budget)}
-    # A multiple inside the last row lands past every row start.
-    return sorted(cut for cut in cuts if cut < rows) + [rows]
 
 
 def atomic_write(path: str, write: Callable[[BinaryIO], object]) -> None:

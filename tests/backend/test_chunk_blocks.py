@@ -1,11 +1,13 @@
-"""``br_allpairs(blocks=...)``: the masked sum over listed chunk pairs.
+"""``br_allpairs(blocks=...)``: the sum over listed chunk pairs.
 
 The cutoff solver hands the all-pairs kernel the chunk pairs its
-bounding-box search listed; the blocked engine forms one masked
-sub-panel per listed pair (the mirrored ones also applied transposed),
-the numpy engine evaluates them vectorised.  Both must be the unlisted
-masked sum, count the same pairs as brute force, and the blocked one
-must give the same bits for any thread count.
+bounding-box search listed, under its cutoff; the tree solver its near
+sub-panels, with no cutoff.  The blocked engine forms one sub-panel per
+listed pair (the mirrored ones also applied transposed), the numpy
+engine evaluates them vectorised.  Under a cutoff both must be the
+unlisted masked sum and count the same pairs as brute force; without
+one, the sum of every pair of the listed sub-panels; and the blocked
+one must give the same bits for any thread count.
 """
 
 import numpy as np
@@ -28,12 +30,34 @@ def sheet(n, rng, noise=0.05):
 
 
 def masked(backend, t, s, om, cutoff, *, symmetric=False, blocks=None):
+    """The sum under ``cutoff`` (every pair of the listed sub-panels when
+    it is ``None``) and the pairs it kept (``None`` without a cutoff)."""
     out = np.zeros((1,) + t.shape)
     kept = get_backend(backend).br_allpairs(
         t[None], s[None], om[None], np.array([EPS2]), np.array([PREF]), out,
-        symmetric=symmetric, cutoff2=np.array([cutoff ** 2]), blocks=blocks,
+        symmetric=symmetric, blocks=blocks,
+        cutoff2=None if cutoff is None else np.array([cutoff ** 2]),
     )
-    return out[0], int(kept[0])
+    return out[0], None if kept is None else int(kept[0])
+
+
+def listed_sum(t, s, om, blocks):
+    """Every pair of the listed sub-panels (both ways for a symmetric
+    list), one dense unlisted numpy call per sub-panel."""
+    out = np.zeros(t.shape)
+    c = blocks.chunk
+    pairs = blocks.pairs
+    if blocks.symmetric:
+        pairs = np.concatenate([pairs, pairs[pairs[:, 0] < pairs[:, 1], ::-1]])
+    for i, j in pairs:
+        rows, cols = slice(i * c, (i + 1) * c), slice(j * c, (j + 1) * c)
+        part = np.zeros((1,) + t[rows].shape)
+        get_backend("numpy").br_allpairs(
+            t[None, rows], s[None, cols], om[None, cols], np.array([EPS2]),
+            np.array([PREF]), part,
+        )
+        out[rows] += part[0]
+    return out
 
 
 def brute_count(t, s, cutoff):
@@ -49,7 +73,10 @@ def assert_matches(got, want):
 
 @pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("n", [1024, 1000, 37])      # n % _CHUNK != 0 too
-def test_sheet_matches_the_unlisted_sum(backend, n, rng):
+@pytest.mark.parametrize("mask", [True, False])
+def test_sheet_matches_the_unlisted_sum(backend, n, mask, rng):
+    """Under the cutoff, the listed sum is the unlisted masked one; with
+    no cutoff, it is every pair of the listed sub-panels."""
     pts, om = sheet(n, rng)
     ghosts, gom = sheet(n // 3 + 1, rng)
     ghosts[:, 0] += 1.0
@@ -58,6 +85,15 @@ def test_sheet_matches_the_unlisted_sum(backend, n, rng):
     far = chunk_pairs(pts, ghosts, cutoff)
     if n > 100:
         assert 0 < len(own.pairs) < (n // _CHUNK) ** 2 / 2
+    if not mask:
+        got, kept = masked(backend, pts, pts, om, None, symmetric=True,
+                           blocks=own)
+        assert kept is None
+        assert_matches(got, listed_sum(pts, pts, om, own))
+        got, kept = masked(backend, pts, ghosts, gom, None, blocks=far)
+        assert kept is None
+        assert_matches(got, listed_sum(pts, ghosts, gom, far))
+        return
     want, want_kept = masked("numpy", pts, pts, om, cutoff)
     got, kept = masked(backend, pts, pts, om, cutoff, symmetric=True,
                        blocks=own)

@@ -13,8 +13,7 @@ import pytest
 from repro import mpi
 from repro.backend import available_backends, get_backend
 from repro.core import InitialCondition, Solver, SolverConfig
-from repro.core.kernels import br_velocity_allpairs, br_velocity_neighbors
-from repro.spatial.neighbors import brute_force_lists
+from repro.core.kernels import br_velocity_allpairs
 from tests.conftest import spmd
 
 RTOL = 1e-12
@@ -179,44 +178,6 @@ class TestKernelParity:
         bk.br_allpairs(*args, got, symmetric=symmetric,
                        cutoff2=np.array([0.64]))
         assert_matches(got, ref, f"{backend}: masked coincident pairs")
-
-    def test_neighbors_parity(self, backend, rng):
-        pts, om = _cloud(rng, 150)
-        offsets, indices = brute_force_lists(pts, pts, 1.2)
-        args = (pts, pts, om, offsets, indices, 0.05, 0.3)
-        ref = br_velocity_neighbors(*args, backend="numpy")
-        got = br_velocity_neighbors(*args, backend=backend)
-        assert_matches(got, ref, f"{backend}: neighbors")
-
-    def test_neighbors_empty_rows_across_chunks(self, backend, rng):
-        """Empty CSR rows at the start, middle and end stay exactly zero
-        while the pair list spans several of the blocked kernel's
-        reduction chunks (reduceat returns an element for an empty
-        segment, and rejects one that starts at the end)."""
-        tgt, _ = _cloud(rng, 300)
-        src, om = _cloud(rng, 400)
-        empty = [0, 1, 150, 151, 298, 299]
-        counts = np.full(300, 400)
-        counts[empty] = 0
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        indices = np.tile(np.arange(400), 300 - len(empty))
-        assert offsets[-1] > 3 * 32_768
-        args = (tgt, src, om, offsets, indices, 0.05, 0.3)
-        ref = br_velocity_neighbors(*args, backend="numpy")
-        got = br_velocity_neighbors(*args, backend=backend)
-        assert_matches(got, ref, f"{backend}: neighbors with empty rows")
-        assert np.all(got[empty] == 0.0)
-
-    def test_neighbors_row_longer_than_a_chunk(self, backend, rng):
-        """A chunk boundary that falls inside the last row."""
-        tgt, _ = _cloud(rng, 2)
-        src, om = _cloud(rng, 400)
-        offsets = np.array([0, 400, 40_400])
-        indices = np.tile(np.arange(400), 101)
-        args = (tgt, src, om, offsets, indices, 0.05, 0.3)
-        ref = br_velocity_neighbors(*args, backend="numpy")
-        got = br_velocity_neighbors(*args, backend=backend)
-        assert_matches(got, ref, f"{backend}: one long neighbor row")
 
     def test_stencils_parity(self, backend, rng):
         nb = get_backend(backend)

@@ -1,5 +1,8 @@
 """Executor: concurrent runs, dedup, failure isolation, model mode."""
 
+import io
+import logging
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +14,7 @@ from repro.campaign import (
     CampaignStore,
     RunSpec,
     campaign_summary,
+    configure_logging,
     estimate_cost,
     longest_job_first,
     makespan_estimate,
@@ -256,3 +260,24 @@ class TestScheduler:
         span = makespan_estimate(specs, workers=2)
         assert longest <= span <= serial
         assert makespan_estimate(specs, workers=1) == pytest.approx(serial)
+
+
+def test_log_handler_follows_sys_stderr(monkeypatch):
+    """The console handler writes to the current ``sys.stderr``: closing
+    the stream it was configured under (a CLI test's capture) loses no
+    later line."""
+    logger = logging.getLogger("repro.campaign")
+    saved = logger.handlers[:], logger.propagate, logger.level
+    logger.handlers[:] = []
+    first, second = io.StringIO(), io.StringIO()
+    try:
+        monkeypatch.setattr(sys, "stderr", first)
+        configure_logging(0)
+        first.close()
+        monkeypatch.setattr(sys, "stderr", second)
+        logger.warning("after the first stream closed")
+    finally:
+        logger.handlers[:], logger.propagate = saved[:2]
+        logger.setLevel(saved[2])
+    assert "after the first stream closed" in second.getvalue()
+    assert "Logging error" not in second.getvalue()

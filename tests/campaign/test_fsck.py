@@ -25,7 +25,8 @@ DECK = {
 @pytest.fixture(autouse=True)
 def campaign_logger():
     """Leave the ``repro.campaign`` logger as found: ``main`` installs a
-    stderr handler on the stream the test's capture replaced."""
+    stderr handler and stops the logger propagating, which the
+    ``caplog`` tests of other modules rely on."""
     logger = logging.getLogger("repro.campaign")
     handlers, propagate, level = logger.handlers[:], logger.propagate, logger.level
     yield

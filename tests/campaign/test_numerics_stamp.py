@@ -65,6 +65,7 @@ NUMERICS_PINS = {
     2: "6e9ac969ae0d11bf",
     3: "d7e53a3681693b0b",
     4: "4ecf87793f013eab",
+    5: "cbbed42ba96fe124",
 }
 
 
@@ -73,10 +74,11 @@ def pinned_numerics() -> str:
     what a ``NUMERICS_VERSION`` promises stays put."""
     from tests.backend.test_panel_pool import PARENT_FLEET_STATES, PARENT_STATES
     from tests.core.test_cutoff_chunks import CUTOFF_STATES, DECK_CUTOFF_STATES
+    from tests.core.test_tree import TREE_STATES
 
     h = hashlib.sha256()
     for table in (PARENT_STATES, PARENT_FLEET_STATES, DECK_CUTOFF_STATES,
-                  CUTOFF_STATES):
+                  CUTOFF_STATES, TREE_STATES):
         h.update(repr(sorted(table.items())).encode())
     for path in sorted(GOLDEN.glob("*.json")):
         h.update(path.name.encode())

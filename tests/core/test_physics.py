@@ -17,9 +17,8 @@ from repro.core import (
     fit_growth_rate,
     rt_dispersion_sigma,
 )
-from repro.core.kernels import br_velocity_allpairs, br_velocity_neighbors
+from repro.core.kernels import br_velocity_allpairs
 from repro.core.time_integrator import rk3_scalar_reference
-from repro.spatial.neighbors import brute_force_lists
 from tests.conftest import spmd
 
 ATWOOD, GRAVITY = 0.5, 4.0
@@ -196,15 +195,18 @@ class TestBRKernels:
         out = br_velocity_allpairs(tgt, src, om, eps=0.0, dA=4 * np.pi)
         assert np.allclose(out, [[0.0, 1.0, 0.0]], atol=1e-12)
 
-    def test_neighbors_kernel_matches_allpairs(self, rng):
+    def test_pairwise_sum_matches_allpairs(self, rng):
+        """The kernel is the quadrature summed pair by pair."""
         pts = rng.uniform(-1, 1, size=(60, 3))
         om = rng.normal(size=(60, 3))
         dense = br_velocity_allpairs(pts, pts, om, eps=0.05, dA=0.1)
-        offsets, indices = brute_force_lists(pts, pts, 10.0)  # every pair
-        sparse = br_velocity_neighbors(
-            pts, pts, om, offsets, indices, eps=0.05, dA=0.1
-        )
-        np.testing.assert_allclose(sparse, dense, rtol=1e-10, atol=1e-14)
+        pairwise = np.zeros_like(pts)
+        for i, t in enumerate(pts):
+            for s, w in zip(pts, om):
+                d = t - s
+                pairwise[i] += np.cross(w, d) * (d @ d + 0.05 ** 2) ** -1.5
+        pairwise *= 0.1 / (4.0 * np.pi)
+        np.testing.assert_allclose(dense, pairwise, rtol=1e-10, atol=1e-14)
 
     def test_batching_invariance(self, rng, monkeypatch):
         from repro.backend import numpy_backend

@@ -112,6 +112,28 @@ class TestTreeSolver:
         parallel = spmd(4, program)[0]
         np.testing.assert_allclose(parallel, serial, rtol=1e-10, atol=1e-14)
 
+    def test_near_field_independent_of_decomposition(self):
+        """At leaf_size 32 every rank sums near sub-panels, and the
+        sub-panel path agrees between 1 and 4 ranks."""
+        def program(comm):
+            mesh, pm, omega = _setup(comm)
+            solver = TreeBRSolver(mesh.cart, mesh, eps=0.1, theta=0.5,
+                                  leaf_size=32)
+            out = solver.compute_velocities(pm.z.own, omega)
+            blocks = comm.gather((mesh.owned_space.mins, out), root=0)
+            near = comm.allgather(solver.interaction_stats()["near_pairs"])
+            if comm.rank != 0:
+                return None
+            full = np.zeros((N, N, 3))
+            for (i0, j0), block in blocks:
+                full[i0: i0 + block.shape[0], j0: j0 + block.shape[1]] = block
+            return full, near
+
+        serial, near_1 = spmd(1, program)[0]
+        parallel, near_4 = spmd(4, program)[0]
+        assert min(near_1 + near_4) > 0
+        np.testing.assert_allclose(parallel, serial, rtol=1e-10, atol=1e-14)
+
     def test_phase_sequence_recorded(self):
         trace = mpi.CommTrace()
 
@@ -241,3 +263,37 @@ class TestMachinePattern:
         )
         model = evaluation_model(spec)
         assert "tree_gather" in model.phases
+
+
+#: Digest of the final global ``z`` / ``w`` of a 16² high-order tree run
+#: (θ = 0.5, blocked engine) after 20 steps, keyed by rank count.  A
+#: change here is a numerics change: see ``NUMERICS_VERSION``.
+TREE_STATES = {
+    1: "01a16f634c007737",
+    2: "01a16f634c007737",
+}
+
+#: The arithmetic canary of the host the digests were recorded on.
+ARITHMETIC_CANARY = "9ead8a9764082226"
+
+
+@pytest.mark.parametrize("ranks", list(TREE_STATES))
+def test_tree_state_pinned(ranks):
+    from repro.core.diagnostics import gather_global_state
+    from repro.core.solver import arithmetic_canary, state_digest
+
+    if arithmetic_canary() != ARITHMETIC_CANARY:
+        pytest.skip("snapshot recorded on a host with other BLAS/SIMD rounding")
+    config = SolverConfig(
+        num_nodes=(16, 16), order="high", periodic=(False, False),
+        br_solver="tree", theta=0.5, dt=0.002, backend="blocked",
+    )
+    ic = InitialCondition(kind="multi_mode", magnitude=0.05, period=4)
+
+    def program(comm):
+        solver = Solver(comm, config, ic)
+        solver.run(20)
+        return gather_global_state(solver.pm)
+
+    z, w = spmd(ranks, program)[0]
+    assert state_digest(z, w) == TREE_STATES[ranks]

@@ -257,7 +257,10 @@ class TestTraceStructure:
         assert trace.message_count(kind="alltoallv") == 0
         assert trace.message_count(kind="send") > 0
 
-    def test_reorder_false_sends_more_messages(self):
+    def test_reorder_is_a_copy_flag(self):
+        """Point to point, ``reorder`` changes how each peer's piece is
+        copied, not the messages: the same sends and bytes, ``fft_pack``
+        copies with it and ``fft_strided`` copies without."""
         field = np.random.default_rng(0).normal(size=(16, 16))
 
         def run(reorder):
@@ -271,12 +274,20 @@ class TestTraceStructure:
                 fft.forward(field[fft.brick_box.slices()])
 
             spmd(4, program, trace=trace)
-            return trace.message_count(kind="send"), trace.total_bytes(kind="send")
+            sends = sorted((e.rank, e.peer, e.nbytes)
+                           for e in trace.filter(kind="send"))
+            copies = {(e.kernel, e.rank, e.bytes_moved)
+                      for e in trace.compute_events
+                      if e.kernel.startswith("fft_")}
+            return sends, copies
 
-        msgs_packed, bytes_packed = run(True)
-        msgs_rows, bytes_rows = run(False)
-        assert msgs_rows > msgs_packed
-        assert bytes_rows == bytes_packed  # same wire volume
+        sends_packed, packed = run(True)
+        sends_strided, strided = run(False)
+        assert sends_packed == sends_strided and sends_packed
+        assert {k for k, _, _ in packed} == {"fft_pack"}
+        assert {k for k, _, _ in strided} == {"fft_strided"}
+        assert ({(r, b) for _, r, b in packed}
+                == {(r, b) for _, r, b in strided})
 
     def test_stage_compute_events_pinned(self):
         """The 1-D stages call ``numpy.fft`` themselves and record the

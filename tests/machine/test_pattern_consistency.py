@@ -85,12 +85,14 @@ class TestFftSizingConsistency:
                         modeled_bytes += inter.size * 16
         assert functional_bytes == modeled_bytes
 
-    @pytest.mark.parametrize("cfg", ALL_CONFIGS[4:], ids=lambda c: f"cfg{c.index}")
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"cfg{c.index}")
     @pytest.mark.parametrize("nranks", [1, 2, 4])
     def test_low_evaluation_bytes_match_model(self, nranks, cfg):
-        """Traced ``alltoallv`` counts of one LOW ``compute_derivatives``
-        == the model's, hop for hop; elided hops appear in neither
-        (one rank: all four; a (2, 1) grid: brick ≡ rows, slab or pencil)."""
+        """Traced messages of one LOW ``compute_derivatives`` == the
+        model's, hop for hop: the ``alltoallv`` counts, or in
+        point-to-point mode one send to each peer the model ships bytes
+        to, with any ``reorder``; elided hops appear in neither (one
+        rank: all four; a (2, 1) grid: brick ≡ rows, slab or pencil)."""
         shape = (16, 12)
         trace = mpi.CommTrace()
         config = SolverConfig(num_nodes=shape, order="low", dt=0.01, fft_config=cfg)
@@ -101,11 +103,20 @@ class TestFftSizingConsistency:
 
         spmd(nranks, program, trace=trace)
         for rank in range(nranks):
-            traced = [
-                list(ev.counts)
-                for ev in trace.filter(kind="alltoallv", rank=rank, phase="fft")
-            ]
-            assert traced == fft_hop_counts(nranks, shape, cfg, rank=rank)
+            hops = fft_hop_counts(nranks, shape, cfg, rank=rank)
+            if cfg.alltoall:
+                traced = [
+                    list(ev.counts)
+                    for ev in trace.filter(kind="alltoallv", rank=rank, phase="fft")
+                ]
+                assert traced == hops
+                continue
+            traced = [(ev.peer, ev.nbytes)
+                      for ev in trace.filter(kind="send", rank=rank, phase="fft")]
+            peers = [(rank + shift) % nranks for shift in range(1, nranks)]
+            assert traced == [(peer, counts[peer]) for counts in hops
+                              for peer in peers if counts[peer] > 0]
+            assert not trace.filter(kind="alltoallv", rank=rank)
 
 
 class TestExactRingConsistency:

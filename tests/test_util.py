@@ -1,7 +1,5 @@
-"""Utility helpers: decomposition arithmetic, row chunking, errors."""
+"""Utility helpers: decomposition arithmetic, errors."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +12,6 @@ from repro.util import (
     dims_create,
     prod,
 )
-from repro.util.misc import chunk_rows
 
 
 class TestErrorsHierarchy:
@@ -33,31 +30,6 @@ class TestProd:
 
     def test_product(self):
         assert prod([2, 3, 4]) == 24
-
-
-class TestChunkRows:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        lengths=st.lists(st.integers(0, 50), min_size=1, max_size=40),
-        budget=st.integers(1, 64),
-    )
-    def test_runs_cover_rows_and_respect_budget(self, lengths, budget):
-        lengths = np.array(lengths)
-        first = np.cumsum(lengths) - lengths
-        cuts = chunk_rows(first, int(lengths.sum()), budget)
-        assert cuts[-1] == len(lengths)
-        assert cuts == sorted(set(cuts))
-        if lengths.sum() == 0:
-            assert cuts == [len(lengths)]
-            return
-        assert cuts[0] == 0
-        for k0, k1 in zip(cuts[:-1], cuts[1:]):
-            # A run overshoots by less than the row that straddles its end.
-            assert lengths[k0:k1].sum() < budget + max(lengths[k0:k1].max(), 1)
-
-    def test_multiple_inside_the_last_row(self):
-        assert chunk_rows(np.array([0, 100]), 130, 32) == [0, 1, 2]
-        assert chunk_rows(np.array([0]), 40_000, 32_768) == [0, 1]
 
 
 class TestDimsCreateProperties:
