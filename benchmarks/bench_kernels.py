@@ -107,15 +107,14 @@ def _time_allpairs(backend):
 def _time_chunk_sum(backend):
     pts, om = _surface(NB_NODES)
     blocks = chunk_pairs(pts, pts, NB_CUTOFF, symmetric=True)
-    empty = chunk_pairs(pts, pts[:0], NB_CUTOFF)
     trace = mpi.CommTrace()
     out = {}
 
     def run():
         trace.clear()
         out["result"], _ = br_velocity_within(
-            pts, om, pts[:0], om[:0], NB_CUTOFF, eps=0.05, dA=1e-3,
-            blocks=blocks, ghost_blocks=empty, trace=trace, backend=backend,
+            pts, pts, om, NB_CUTOFF, eps=0.05, dA=1e-3, blocks=blocks,
+            trace=trace, backend=backend,
         )
 
     elapsed = _best_of(run, 2)

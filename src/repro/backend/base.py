@@ -96,6 +96,7 @@ class ArrayBackend(abc.ABC):
         ``sources`` are the *same point set* in the same order; backends
         may exploit the shared pair geometry (``r_ij = r_ji``) to halve
         the distance work.  It is a hint: ignoring it is always correct.
+        A call with ``blocks`` ignores it and reads ``blocks.symmetric``.
 
         ``cutoff2`` (a ``(B,)`` vector like ``eps2``) turns the sum into
         the cutoff solver's: a pair whose ``r² > cutoff2[b]`` gets weight
@@ -113,57 +114,62 @@ class ArrayBackend(abc.ABC):
         (:class:`~repro.spatial.neighbors.ChunkPairs`): ``blocks.pairs``
         is an ``(m, 2)`` int64 array of (target chunk, source chunk)
         pairs, chunk ``k`` being points ``[k·c, (k+1)·c)`` for
-        ``c = blocks.chunk``; with ``symmetric`` it lists only ``I <= J``
-        and each pair stands for itself and its transpose.  With
-        ``cutoff2`` it is a hint like ``symmetric``: the caller asserts
-        that no pair of any scenario in an unlisted block is within the
-        cutoff, so an engine may skip those blocks.  Without it the sum
-        runs over every pair of the listed blocks and no other (the tree
-        solver's near field).  Either way a list covering every block
-        changes nothing, bit for bit (:meth:`_listed_blocks`).
+        ``c = blocks.chunk``.  A ``blocks.symmetric`` list has sources
+        that begin with the targets and may run past them (owned points,
+        then their ghosts): the first ``nt`` sources are the targets, the
+        rest are chunked on their own from chunk ``ni = ⌈nt / c⌉`` on,
+        and among the targets the list holds only ``I <= J``, each
+        off-diagonal pair standing for itself and its transpose (the
+        dense path mirrors whole panels when ``nt == ns``).  With
+        ``cutoff2`` the list is a hint: the caller asserts that no pair
+        of any scenario in an unlisted block is within the cutoff, so an
+        engine may skip those blocks.  Without it the sum runs over
+        every pair of the listed blocks and no other (the tree solver's
+        near field).  Either way a list covering every block changes
+        nothing, bit for bit (:meth:`_leaves_blocks_out`).
         """
 
     @staticmethod
-    def _listed_blocks(blocks, nt: int, ns: int, symmetric: bool):
-        """``blocks.pairs`` when the list leaves a block out, else ``None``
-        (no list, or one covering every block: the engine's dense path,
-        whose bits the list must not change)."""
-        if blocks is None:
-            return None
-        ni, nj = -(-nt // blocks.chunk), -(-ns // blocks.chunk)
-        every = ni * (ni + 1) // 2 if symmetric and nt == ns else ni * nj
-        return None if len(blocks.pairs) == every else blocks.pairs
+    def _leaves_blocks_out(blocks) -> bool:
+        """Whether the chunk list ``blocks`` leaves a block out.  Without
+        a list, or with one covering every block, an engine takes its
+        dense path, whose bits the list must not change."""
+        return blocks is not None and len(blocks.pairs) < blocks.every()
 
     @staticmethod
-    def _listed_layout(targets, sources, omega, cutoff2, pairs, chunk, mirror):
-        """One scenario's operands of a listed masked sum, shared by the
-        engines so they agree on the padding and the pair order.
+    def _listed_layout(targets, sources, omega, cutoff2, blocks):
+        """One scenario's operands of a sum over the chunk list
+        ``blocks``, shared by the engines so they agree on the padding
+        and the pair order.
 
         Returns ``(tgt, src, om, pairs, plain)``: the ``(chunks, chunk,
         3)`` targets, sources and ``ω``, whose ragged last chunks are
         padded with targets at ``+far`` and ``ω = 0`` sources at
         ``-far`` — beyond the cutoff (if any) of each other and of every
         real point, so a padded pair is masked out or weighs nothing —
-        and the pair list,
-        for a ``mirror`` list with its ``plain`` diagonal pairs first
-        (``plain`` is every pair of a list without a mirror).
+        and the pair list, its ``plain`` pairs first (in list order),
+        then those also applied transposed.  The sources of a symmetric
+        list are chunked as it counts them: the targets, then the rest.
         """
         reach = 0.0 if cutoff2 is None else np.sqrt(cutoff2)
         far = 2.0 * (max(np.abs(targets).max(), np.abs(sources).max())
                      + reach) + 1.0
+        chunk = blocks.chunk
 
-        def chunked(rows, fill):
-            padded = np.full((-(-rows.shape[0] // chunk) * chunk, 3), fill)
-            padded[:rows.shape[0]] = rows
+        def chunked(rows, fill, head):
+            # rows[:head] from chunk 0, the rest from the chunk after.
+            lead, rest = -(-head // chunk) * chunk, rows.shape[0] - head
+            padded = np.full((lead + -(-rest // chunk) * chunk, 3), fill)
+            padded[:head] = rows[:head]
+            padded[lead:lead + rest] = rows[head:]
             return padded.reshape(-1, chunk, 3)
 
-        plain = len(pairs)
-        if mirror:
-            diagonal = pairs[:, 0] == pairs[:, 1]
-            pairs = np.concatenate([pairs[diagonal], pairs[~diagonal]])
-            plain = int(np.count_nonzero(diagonal))
-        return (chunked(targets, far), chunked(sources, -far),
-                chunked(omega, 0.0), pairs, plain)
+        head = targets.shape[0] if blocks.symmetric else sources.shape[0]
+        mirrored = blocks.mirrored()
+        pairs = np.concatenate([blocks.pairs[~mirrored], blocks.pairs[mirrored]])
+        return (chunked(targets, far, targets.shape[0]),
+                chunked(sources, -far, head), chunked(omega, 0.0, head),
+                pairs, len(pairs) - int(np.count_nonzero(mirrored)))
 
     @staticmethod
     def _add_rows(acc: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:

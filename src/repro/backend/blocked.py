@@ -287,14 +287,13 @@ class BlockedBackend(ArrayBackend):
         kept = None if cutoff2 is None else np.zeros(nb, dtype=np.int64)
         if nb == 0 or nt == 0 or ns == 0:
             return kept
-        listed = self._listed_blocks(blocks, nt, ns, symmetric)
-        if listed is not None:
+        if self._leaves_blocks_out(blocks):
             for k in range(nb):
                 count = self._listed_allpairs(
                     targets[k], sources[k], omega[k], float(eps2[k]),
                     float(prefactor[k]),
                     None if cutoff2 is None else float(cutoff2[k]), out[k],
-                    listed, blocks.chunk, symmetric and nt == ns,
+                    blocks,
                 )
                 if kept is not None:
                     kept[k] = count
@@ -305,6 +304,8 @@ class BlockedBackend(ArrayBackend):
             None if cutoff2 is None
             else np.asarray(cutoff2, dtype=np.float64).reshape(nb, 1, 1)
         )
+        if blocks is not None:
+            symmetric = blocks.symmetric
         mirror = symmetric and nt == ns
         b = self.tile
         edge_t, edge_s = min(b, nt), min(b, ns)
@@ -376,8 +377,7 @@ class BlockedBackend(ArrayBackend):
         return kept
 
     def _listed_allpairs(
-        self, targets, sources, omega, eps2, pref, cut2, out, pairs, chunk,
-        mirror,
+        self, targets, sources, omega, eps2, pref, cut2, out, blocks,
     ) -> "int | None":
         """One scenario's sum over the listed chunk pairs only, masked by
         ``cut2`` if given; returns its count of ordered pairs within the
@@ -385,8 +385,8 @@ class BlockedBackend(ArrayBackend):
 
         Each listed pair is a ``chunk × chunk`` sub-panel formed with the
         panel path's operations (:func:`_weights`).  Sub-panels are
-        stacked into tasks of at most ``tile²`` pairs — the diagonal
-        ones of a ``mirror`` list first, then the rest, each of which is
+        stacked into tasks of at most ``tile²`` pairs — the plain ones
+        first, then those a symmetric list mirrors, each of which is
         also applied transposed — whose products are added to their
         chunk rows in list order (point 6 of the module docstring).
         Operands and pair order are :meth:`_listed_layout`'s.
@@ -394,9 +394,9 @@ class BlockedBackend(ArrayBackend):
         nt = targets.shape[0]
         center = sources.mean(axis=0)
         tgt_c, src_c, om_c, pairs, plain = self._listed_layout(
-            targets - center, sources - center, omega, cut2, pairs, chunk,
-            mirror,
+            targets - center, sources - center, omega, cut2, blocks
         )
+        chunk = blocks.chunk
         t1 = np.ones(tgt_c.shape[:1] + (3, chunk, 2))
         t1[..., 0] = tgt_c.transpose(0, 2, 1)
         s1 = np.ones(src_c.shape[:1] + (3, 2, chunk))

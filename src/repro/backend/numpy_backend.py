@@ -85,13 +85,12 @@ class NumpyBackend(ArrayBackend):
     ) -> "np.ndarray | None":
         nb, nt, ns = targets.shape[0], targets.shape[1], sources.shape[1]
         kept = np.zeros(nb, dtype=np.int64)
-        listed = self._listed_blocks(blocks, nt, ns, symmetric)
-        if listed is not None:
+        if self._leaves_blocks_out(blocks):
             for b in range(nb):
                 kept[b] = self._listed(
                     out[b], targets[b], sources[b], omega[b], eps2[b],
                     prefactor[b], None if cutoff2 is None else cutoff2[b],
-                    listed, blocks.chunk, symmetric and nt == ns,
+                    blocks,
                 )
             return None if cutoff2 is None else kept
         # Batch over targets so the (bt, ns) temporaries stay bounded.
@@ -107,16 +106,17 @@ class NumpyBackend(ArrayBackend):
         return None if cutoff2 is None else kept
 
     def _listed(self, out, targets, sources, omega, eps2, prefactor, cutoff2,
-                pairs, chunk, mirror) -> int:
-        """One scenario's sum over the listed chunk pairs (and, for a
-        ``mirror`` list, the transpose of each off-diagonal one), masked
+                blocks) -> int:
+        """One scenario's sum over the chunk pairs ``blocks`` lists (and the
+        transpose of each one a symmetric list mirrors), masked
         by ``cutoff2`` if given, a batch of ``chunk × chunk`` blocks at a
         time, on per-axis ``(blocks, chunk, chunk)`` arrays; returns the
         pairs within the cutoff (every pair without one).  Operands and
         pair order are :meth:`_listed_layout`'s."""
         tgt, src, om, pairs, plain = self._listed_layout(
-            targets, sources, omega, cutoff2, pairs, chunk, mirror
+            targets, sources, omega, cutoff2, blocks
         )
+        chunk = blocks.chunk
         pairs = np.concatenate([pairs, pairs[plain:, ::-1]])
         # (chunks, 3, chunk): one contiguous row per chunk and axis.
         tgt, src, om = (a.transpose(0, 2, 1).copy() for a in (tgt, src, om))

@@ -11,10 +11,12 @@ paper exactly:
    owner sees all sources within ``cutoff`` of its points;
 3. **neighbor search** — the chunk pairs whose bounding boxes come
    within the cutoff (:func:`~repro.spatial.neighbors.chunk_pairs`, the
-   ArborX substitute);
+   ArborX substitute), over the owned points followed by the ghosts,
+   each set in spatial order where that lists fewer candidates;
 4. **compute** — accumulate BR forces by the masked all-pairs kernel
-   over the listed sub-panels only: owned × owned (symmetric) plus
-   owned × ghost (:func:`~repro.core.kernels.br_velocity_within`);
+   over the listed sub-panels only, in one call: owned × owned
+   (symmetric) and owned × ghost
+   (:func:`~repro.core.kernels.br_velocity_within`);
 5. **migrate back** — return each point's velocity to its original
    surface-decomposition owner, in original order.
 
@@ -33,15 +35,18 @@ structure (routing, ghosts, chunk lists) on every evaluation.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.backend import ArrayBackend, get_backend
 from repro.core.kernels import br_velocity_within
 from repro.core.surface_mesh import SurfaceMesh
+from repro.grid import GlobalMesh2D, IndexSpace
 from repro.mpi.comm import Comm
 from repro.spatial.halo import halo_exchange
 from repro.spatial.migrate import ParticleMigrator
-from repro.spatial.neighbors import chunk_pairs
+from repro.spatial.neighbors import chunk_pairs, spatial_order
 from repro.spatial.spatial_mesh import SpatialMesh
 from repro.util.errors import ConfigurationError
 from repro.util.roofline import (
@@ -51,6 +56,29 @@ from repro.util.roofline import (
 )
 
 __all__ = ["CutoffBRSolver"]
+
+
+def _tile_grid(grid: GlobalMesh2D):
+    """The spatial order's grid: the mesh's corner and half its spacing,
+    so chunks are the mesh's own 4 × 4 tiles."""
+    return grid.low, (grid.spacing(0) / 2, grid.spacing(1) / 2)
+
+
+@functools.lru_cache(maxsize=64)
+def _tiles_list_fewer(grid: GlobalMesh2D, space: IndexSpace,
+                      cutoff: float) -> bool:
+    """Whether the block ``space`` of the flat reference mesh lists fewer
+    candidate pairs within ``cutoff`` in spatial order than in mesh
+    order (on a small sheet a strip is a whole mesh row, and tiles list
+    no fewer).  It depends on its arguments alone, so a resumed run
+    decides as the first one did, and it is cached: a campaign builds
+    many solvers on one mesh."""
+    x, y = np.broadcast_arrays(*grid.node_coordinates(space))
+    block = np.stack([x.ravel(), y.ravel(), np.zeros(x.size)], axis=1)
+    tiles = block[spatial_order(block, *_tile_grid(grid))]
+    tiled, strips = (chunk_pairs(p, p, cutoff, symmetric=True)
+                     for p in (tiles, block))
+    return bool(tiled.candidates() < strips.candidates())
 
 
 class CutoffBRSolver:
@@ -84,6 +112,11 @@ class CutoffBRSolver:
             mesh.cart.dims,
         )
         self.migrator = ParticleMigrator(comm, self.spatial_mesh)
+        # Chunks are cut in spatial order where the rank's owned block
+        # of the reference mesh lists fewer candidates that way.
+        self._tile_grid = _tile_grid(mesh.global_mesh)
+        self.tiled = _tiles_list_fewer(mesh.global_mesh, mesh.owned_space,
+                                       self.cutoff)
         # Diagnostics updated every evaluation (Figures 6/7 read these).
         self.last_owned_count = 0
         self.last_ghost_count = 0
@@ -111,19 +144,26 @@ class CutoffBRSolver:
         ghosts = halo_exchange(
             comm, self.spatial_mesh, mig.positions, mig.payload, self.cutoff
         )
-        owned = mig.positions
+        owned = mig.count
         with trace.phase("neighbor"):
             t0 = trace.clock()
-            own_pairs = chunk_pairs(owned, owned, self.cutoff, symmetric=True)
-            ghost_pairs = chunk_pairs(owned, ghosts.positions, self.cutoff)
+            points = np.concatenate([mig.positions, ghosts.positions])
+            omega = np.concatenate([mig.payload, ghosts.payload])
+            order = None
+            if self.tiled:
+                order = spatial_order(points, *self._tile_grid, split=owned)
+                points, omega = points[order], omega[order]
+            blocks = chunk_pairs(points[:owned], points, self.cutoff,
+                                 symmetric=True)
             search_s = trace.clock_since(t0)
 
         with trace.phase("br_compute"):
             velocity, pairs = br_velocity_within(
-                owned, mig.payload, ghosts.positions, ghosts.payload,
-                self.cutoff, self.eps, dA, own_pairs, ghost_pairs,
-                trace=trace, rank=comm.rank, backend=self.backend,
+                points[:owned], points, omega, self.cutoff, self.eps, dA,
+                blocks, trace=trace, rank=comm.rank, backend=self.backend,
             )
+        if order is not None:                   # back in arrival order
+            velocity[order[:owned]] = velocity.copy()
         # The search is priced as the machine model prices it: a
         # cell-list search yielding the in-cutoff pairs (its SEARCH_*
         # constants), whose count is known once the sum has run.
@@ -131,12 +171,12 @@ class CutoffBRSolver:
         trace.record_compute(
             "neighbor_search", comm.rank,
             flops=SEARCH_FLOPS * searched,
-            bytes_moved=24.0 * max(mig.count + ghosts.count, 1)
+            bytes_moved=24.0 * max(len(points), 1)
             + SEARCH_BYTES * searched,
             items=pairs, t_wall=search_s, phase="neighbor",
         )
         back = self.migrator.migrate_back(mig, velocity)
-        self.last_owned_count = mig.count
+        self.last_owned_count = owned
         self.last_ghost_count = ghosts.count
         self.last_pair_count = pairs
         return back.reshape(z_own.shape)

@@ -140,41 +140,37 @@ def br_velocity_listed(
 
 def br_velocity_within(
     points: np.ndarray,
-    omega: np.ndarray,
-    ghosts: np.ndarray,
-    ghost_omega: np.ndarray,
+    sources: np.ndarray,
+    source_omega: np.ndarray,
     cutoff: float,
     eps: float,
     dA: float,
     blocks,
-    ghost_blocks,
     *,
     trace=None,
     rank: int = 0,
     backend: "ArrayBackend | str | None" = None,
 ) -> tuple[np.ndarray, int]:
-    """BR velocity of ``(n, 3)`` points over the pairs within ``cutoff``
-    (inclusive) among themselves and from ``ghosts`` (the cutoff solver).
+    """BR velocity of ``(n, 3)`` points over the ``sources`` within
+    ``cutoff`` (inclusive); the sources begin with the points themselves
+    and go on with their ghosts (the cutoff solver).
 
-    ``blocks`` is the points' symmetric chunk list against themselves and
-    ``ghost_blocks`` theirs against the ghosts
-    (:func:`~repro.spatial.neighbors.chunk_pairs`): the masked all-pairs
-    kernel forms only the listed sub-panels, the first call symmetric.
-    Returns the velocity and the pair count (ordered pairs, self pairs
-    included) and records one ``br_neighbors`` event over those pairs.
+    ``blocks`` is the symmetric chunk list of the points against the
+    sources (:func:`~repro.spatial.neighbors.chunk_pairs`): one masked
+    all-pairs call forms only the listed sub-panels, the owned × owned
+    ones once for both directions.  Returns the velocity and the pair
+    count (ordered pairs, self pairs included) and records one
+    ``br_neighbors`` event over those pairs.
     """
     bk = get_backend(backend)
-    pts, om = _stack(points), _stack(omega)
+    pts, src, om = _stack(points), _stack(sources), _stack(source_omega)
     out = np.zeros(pts.shape)
-    eps2, pref = np.array([float(eps) ** 2]), np.array([dA / (4.0 * np.pi)])
-    cut2 = np.array([float(cutoff) ** 2])
     t0 = trace.clock() if trace is not None else None
-    pairs = int(bk.br_allpairs(pts, pts, om, eps2, pref, out, symmetric=True,
-                               cutoff2=cut2, blocks=blocks)[0])
-    if len(ghosts):
-        pairs += int(bk.br_allpairs(pts, _stack(ghosts), _stack(ghost_omega),
-                                    eps2, pref, out, cutoff2=cut2,
-                                    blocks=ghost_blocks)[0])
+    pairs = int(bk.br_allpairs(
+        pts, src, om, np.array([float(eps) ** 2]),
+        np.array([dA / (4.0 * np.pi)]), out,
+        cutoff2=np.array([float(cutoff) ** 2]), blocks=blocks,
+    )[0])
     if trace is not None:
         trace.record_compute(
             "br_neighbors", rank,

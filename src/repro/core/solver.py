@@ -66,8 +66,10 @@ __all__ = [
 #: bounding-box search lists (``core.br_cutoff``).  4: low order evolves
 #: a graph surface — z₃ and γ alone; z₁, z₂ stay the mesh coordinates.
 #: 5: the tree solver decides per piece and sums its near field as
-#: listed sub-panels (``core.br_tree``).
-NUMERICS_VERSION = 5
+#: listed sub-panels (``core.br_tree``).  6: the cutoff solver chunks
+#: its points in spatial order (compact tiles) and sums owned and ghost
+#: pairs in one listed call.
+NUMERICS_VERSION = 6
 
 
 def state_digest(*arrays: np.ndarray) -> str:

@@ -3,7 +3,6 @@ nothing and writes nothing, and a replay of K completed runs whose
 state digests must match their records bit for bit."""
 
 import json
-import logging
 import shutil
 
 import pytest
@@ -20,19 +19,6 @@ DECK = {
     "ic": {"kind": "multi_mode", "magnitude": 0.02, "period": 3},
     "grid": {"fft_config": [0, 3, 5, 7], "ranks": [1, 2], "ic.seed": [1, 2]},
 }
-
-
-@pytest.fixture(autouse=True)
-def campaign_logger():
-    """Leave the ``repro.campaign`` logger as found: ``main`` installs a
-    stderr handler and stops the logger propagating, which the
-    ``caplog`` tests of other modules rely on."""
-    logger = logging.getLogger("repro.campaign")
-    handlers, propagate, level = logger.handlers[:], logger.propagate, logger.level
-    yield
-    logger.handlers[:] = handlers
-    logger.propagate = propagate
-    logger.setLevel(level)
 
 
 @pytest.fixture(scope="module")

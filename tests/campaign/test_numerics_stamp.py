@@ -66,6 +66,7 @@ NUMERICS_PINS = {
     3: "d7e53a3681693b0b",
     4: "4ecf87793f013eab",
     5: "cbbed42ba96fe124",
+    6: "9806d746e484d486",
 }
 
 

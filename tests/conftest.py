@@ -26,6 +26,19 @@ def run_spmd():
     return spmd
 
 
+@pytest.fixture(autouse=True)
+def campaign_logger():
+    """Leave the ``repro.campaign`` logger as found, after every test:
+    ``main`` installs a stderr handler and stops the logger propagating,
+    which the ``caplog`` tests of other modules rely on."""
+    logger = logging.getLogger("repro.campaign")
+    handlers, propagate, level = logger.handlers[:], logger.propagate, logger.level
+    yield
+    logger.handlers[:] = handlers
+    logger.propagate = propagate
+    logger.setLevel(level)
+
+
 @pytest.fixture
 def campaign_log(caplog, monkeypatch):
     """``caplog`` holding the ``repro.campaign`` logger's INFO records,
