@@ -58,8 +58,8 @@ is the Nyquist row/column of an even-length axis (``−k`` aliases onto
 ``Re F⁻¹`` silently drops it, so ``k′`` zeroes that entry of the odd
 factor (``|k|`` keeps it) and the two forms agree to round-off on any
 real input, not only smooth ones.  The multiplier is built once per
-model by :func:`repro.fft.dfft.riesz_multiplier` in the layout the
-forward transform leaves the spectrum in.
+model by :func:`repro.fft.dfft.riesz_multiplier` in the layout and the
+memory order the forward transform leaves the spectrum in.
 
 The ZModel performs *no direct communication* — it calls the halo
 gather (via :class:`~repro.core.problem_manager.ProblemManager`), the
@@ -234,9 +234,10 @@ class ZModel:
         mesh = self.pm.mesh
         trace = mesh.cart.trace
         with trace.phase("fft"):
-            # (γ1, γ2) pairs are the memory layout of γ1 + iγ2; the
-            # transform runs on the trailing (grid) axes of the stack.
-            packed = np.ascontiguousarray(w_own).view(np.complex128)[..., 0]
+            # (γ1, γ2) pairs are the memory layout of γ1 + iγ2, so the
+            # owned block of the ghosted vorticity is read where it lies;
+            # the transform runs on the trailing (grid) axes of the stack.
+            packed = w_own.view(np.complex128)[..., 0]
             spectrum = self.fft.forward_transposed(packed)
             t0 = trace.clock()
             spectrum *= self._riesz
@@ -246,7 +247,11 @@ class ZModel:
                 bytes_moved=RIESZ_BYTES * spectrum.size,
                 items=spectrum.size, t_wall=trace.clock_since(t0),
             )
-            return self.fft.backward_transposed(spectrum).real
+            # W₃ leaves compact.  At low order this is the copy that
+            # ``compute_derivatives`` makes of ż anyway, made early: the
+            # complex result, twice its size, is freed before the rest
+            # of the evaluation allocates, instead of at its end.
+            return np.ascontiguousarray(self.fft.backward_transposed(spectrum).real)
 
     def _geometry(
         self, z_full: np.ndarray, w_own: np.ndarray

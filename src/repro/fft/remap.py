@@ -21,10 +21,22 @@ The functional result is identical for all configurations (tested);
 only the communication/computation *structure* differs — which is
 precisely what the paper's Figure 9 experiment measures.
 
-A remap whose two layouts coincide on *every* rank moves nothing: its
-``apply`` returns the input array itself — no copy, no rendezvous, no
-trace event.  Every rank sees all boxes, so all ranks agree on the
-elision without communicating.
+Each byte moves once per side.  The rank's own block is copied
+straight from its source box into its destination box; it never enters
+a message (the collective's recorded counts still include it, as
+``MPI_Alltoallv``'s do).  A peer's piece is packed straight from the
+strided source — into the collective's send buffer, or by ``Send``'s
+one buffered copy — and the receiver places it straight from that
+buffer into its destination box.  The trace does not see the
+difference: it records the logical pieces, so messages, bytes and the
+``fft_pack`` / ``fft_strided`` events are those of a remap that staged
+every piece.
+
+Elision rule: a remap whose two layouts coincide on *every* rank moves
+nothing.  Its ``apply`` returns the input array itself — no copy, no
+rendezvous, no trace event.  Every rank sees all boxes, so all ranks
+agree on the elision without communicating.  Any other remap writes a
+new array and never its input.
 
 Boxes index the two trailing axes of the local array, so one plan moves
 a ``(B, ni, nj)`` stack of same-layout arrays in the messages that move
@@ -42,7 +54,16 @@ from repro.grid.indexspace import IndexSpace
 from repro.mpi.comm import Comm
 from repro.util.errors import ConfigurationError
 
-__all__ = ["Remap"]
+__all__ = ["Remap", "empty_lines"]
+
+
+def empty_lines(shape: tuple[int, ...], dtype, axis: int) -> np.ndarray:
+    """An uninitialized array of ``shape`` whose ``axis`` (−1 or −2) is
+    contiguous; for −2 it is a ``swapaxes(-1, -2)`` view of a C-order
+    buffer."""
+    if axis == -1:
+        return np.empty(shape, dtype=dtype)
+    return np.empty(shape[:-2] + shape[:-3:-1], dtype=dtype).swapaxes(-1, -2)
 
 
 class Remap:
@@ -56,6 +77,7 @@ class Remap:
         config: FftConfig,
         tag_base: int,
         label: str = "remap",
+        transposed: bool = False,
     ) -> None:
         if len(src_boxes) != comm.size or len(dst_boxes) != comm.size:
             raise ConfigurationError(
@@ -65,6 +87,8 @@ class Remap:
         self.config = config
         self.tag_base = tag_base
         self.label = label
+        #: The destination is allocated with axis −2 contiguous.
+        self.transposed = transposed
         self.src_box = src_boxes[comm.rank]
         self.dst_box = dst_boxes[comm.rank]
         #: Source and destination layouts coincide on every rank.
@@ -80,10 +104,10 @@ class Remap:
 
     # -- helpers --------------------------------------------------------------
 
-    def _extract(self, local: np.ndarray, part: IndexSpace) -> np.ndarray:
-        """Copy the piece ``part`` (global box) out of my source array."""
+    def _source(self, local: np.ndarray, part: IndexSpace) -> np.ndarray:
+        """The piece ``part`` (global box) of my source array, as a view."""
         rel = part.relative_to(self.src_box.mins)
-        return np.ascontiguousarray(local[(Ellipsis, *rel.slices())])
+        return local[(Ellipsis, *rel.slices())]
 
     def _place(self, out: np.ndarray, part: IndexSpace, data: np.ndarray) -> None:
         rel = part.relative_to(self.dst_box.mins)
@@ -99,10 +123,14 @@ class Remap:
 
     def apply(self, local: np.ndarray) -> np.ndarray:
         """Redistribute ``local`` (my source box, or a ``(B, …)`` stack
-        of them) into my destination box.
+        of them, in any memory order) into my destination box.
 
         An identity remap returns ``local`` itself; callers must not
-        write into the result while they still need the input.
+        write into the result while they still need the input.  Any
+        other remap returns a new array, never writing ``local``; with
+        :attr:`transposed` its two trailing axes are a
+        ``swapaxes(-1, -2)`` view of a C-order buffer, so axis −2 is
+        contiguous.
         """
         if tuple(local.shape[-2:]) != self.src_box.shape:
             raise ConfigurationError(
@@ -111,7 +139,8 @@ class Remap:
             )
         if self.identity:
             return local
-        out = np.empty(local.shape[:-2] + self.dst_box.shape, dtype=local.dtype)
+        out = empty_lines(local.shape[:-2] + self.dst_box.shape, local.dtype,
+                          -2 if self.transposed else -1)
         if self.config.alltoall:
             self._apply_collective(local, out)
         else:
@@ -119,23 +148,23 @@ class Remap:
         return out
 
     def _apply_collective(self, local: np.ndarray, out: np.ndarray) -> None:
+        # ``exchange_arrays(into=)`` hands every piece, the own block
+        # included, to ``place`` as a view it must copy out at once.
+        packed = self.config.reorder
         per_dest: list[Optional[np.ndarray]] = []
-        for dest in range(self.comm.size):
-            part = self.send_parts[dest]
+        for part in self.send_parts:
             if part is None or part.empty:
                 per_dest.append(None)
                 continue
-            piece = self._extract(local, part)
-            self._record_copy(piece.nbytes, packed=self.config.reorder)
-            per_dest.append(piece.ravel())
-        received = self.comm.exchange_arrays(per_dest)
-        for src in range(self.comm.size):
-            part = self.recv_parts[src]
-            if part is None or part.empty:
-                continue
-            data = received[src]
-            self._record_copy(data.nbytes, packed=self.config.reorder)
-            self._place(out, part, data.astype(local.dtype, copy=False))
+            piece = self._source(local, part)
+            self._record_copy(piece.nbytes, packed)
+            per_dest.append(piece)
+
+        def place(src: int, data: np.ndarray) -> None:
+            self._record_copy(data.nbytes, packed)
+            self._place(out, self.recv_parts[src], data)
+
+        self.comm.exchange_arrays(per_dest, into=place)
 
     def _apply_p2p(self, local: np.ndarray, out: np.ndarray) -> None:
         comm = self.comm
@@ -143,16 +172,17 @@ class Remap:
         # Self-copy avoids the mailbox entirely, like a real MPI shortcut.
         self_part = self.send_parts[rank]
         if self_part is not None and not self_part.empty:
-            self._place(out, self_part, self._extract(local, self_part))
-        # Post all sends (buffered), starting after self to stagger peers.
+            self._place(out, self_part, self._source(local, self_part))
+        # Post all sends (buffered: ``Send`` makes the one C-order copy),
+        # starting after self to stagger peers.
         for shift in range(1, comm.size):
             dest = (rank + shift) % comm.size
             part = self.send_parts[dest]
             if part is None or part.empty:
                 continue
-            piece = self._extract(local, part)
+            piece = self._source(local, part)
             self._record_copy(piece.nbytes, packed=self.config.reorder)
-            comm.Send(piece.ravel(), dest, self.tag_base)
+            comm.Send(piece, dest, self.tag_base)
         # Receive from every peer that owes me a piece.
         for shift in range(1, comm.size):
             src = (rank - shift) % comm.size
@@ -161,4 +191,4 @@ class Remap:
                 continue
             data = comm.Recv(None, src, self.tag_base)
             self._record_copy(data.nbytes, packed=self.config.reorder)
-            self._place(out, part, data.astype(local.dtype, copy=False))
+            self._place(out, part, data)

@@ -13,6 +13,8 @@ length-``N`` 1D complex transform is the standard estimate
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 __all__ = ["fft_along", "ifft_along", "fft_flops"]
@@ -26,15 +28,18 @@ def fft_flops(n: int, batch: int) -> float:
 
 
 def fft_along(
-    data: np.ndarray, axis: int, trace=None, rank: int = 0
+    data: np.ndarray, axis: int, trace=None, rank: int = 0,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Complex forward FFT along one axis (norm='backward').
 
     The distributed transform passes ``axis`` counted from the right, so
     each member of a ``(B, …)`` stack transforms exactly as it would alone.
+    ``out`` receives the result; ``out=data`` transforms in place, with
+    no temporary and bitwise the same values.
     """
     t0 = trace.clock() if trace is not None else None
-    out = np.fft.fft(data, axis=axis)
+    out = np.fft.fft(data, axis=axis, out=out)
     if trace is not None:
         n = data.shape[axis]
         batch = data.size // max(n, 1)
@@ -48,11 +53,13 @@ def fft_along(
 
 
 def ifft_along(
-    data: np.ndarray, axis: int, trace=None, rank: int = 0
+    data: np.ndarray, axis: int, trace=None, rank: int = 0,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Complex inverse FFT along one axis (norm='backward': scales 1/N)."""
+    """Complex inverse FFT along one axis (norm='backward': scales 1/N);
+    ``out`` as for :func:`fft_along`."""
     t0 = trace.clock() if trace is not None else None
-    out = np.fft.ifft(data, axis=axis)
+    out = np.fft.ifft(data, axis=axis, out=out)
     if trace is not None:
         n = data.shape[axis]
         batch = data.size // max(n, 1)

@@ -128,11 +128,18 @@ class HaloExchange:
             raise ConfigurationError(
                 f"all arrays in one gather must share a dtype, got {dtypes}"
             )
+        dtype = dtypes.pop() if dtypes else np.float64
         for tag, src, dest, send_slab, recv_slab in self._plan:
             if dest != PROC_NULL:
-                packed = np.concatenate(
-                    [np.ascontiguousarray(a[send_slab]).ravel() for a in arrays]
-                )
+                # One pass: each slab is copied straight into its span.
+                slabs = [a[send_slab] for a in arrays]
+                packed = np.empty(sum(s.size for s in slabs), dtype=dtype)
+                offset_elems = 0
+                for slab in slabs:
+                    n = slab.size
+                    span = packed[offset_elems: offset_elems + n]
+                    span.reshape(slab.shape)[...] = slab
+                    offset_elems += n
                 cart.Send(packed, dest, tag)
             if src != PROC_NULL:
                 incoming = cart.Recv(None, src, tag)

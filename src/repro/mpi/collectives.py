@@ -24,7 +24,10 @@ round is copied once into a single contiguous ``uint8`` send buffer
 leased from the communicator's :class:`~repro.util.bufferpool.BufferPool`
 and shipped with a :class:`~repro.mpi.descriptor.MessageDescriptor`
 offset table; each receiver copies exactly its spans into one private
-assembly buffer and gets typed views back.  Trace events are recorded
+assembly buffer and gets typed views back.  ``exchange_arrays(into=)``
+skips that buffer: the receiver's callback copies each span straight
+from the sender's packed buffer to its final place, and the rank's own
+entry never enters a buffer at all.  Trace events are recorded
 from the logical payload descriptors, never from the packed buffers, so
 event kinds, counts and byte totals are what the application asked to
 move.  The byte movement is visible through the ``comm.packed_bytes``
@@ -147,16 +150,24 @@ class CollectiveMixin:
         self._finish_round(lease, desc.nbytes)
         return unpack_segments(private, descs, offsets)
 
+    def _exchange_round(
+        self, per_dest: Sequence[Optional[np.ndarray]]
+    ) -> tuple[dict[int, Any], np.ndarray, int]:
+        """Pack ``per_dest`` into a leased buffer and meet every rank:
+        ``(table, lease, packed bytes)``, where ``table[src]`` is rank
+        ``src``'s ``(buffer, descriptors, offsets)``."""
+        total = sum(0 if a is None else int(a.nbytes) for a in per_dest)
+        lease = self._lease(total)
+        packed = pack_segments(per_dest, out=lease)
+        return self._collective("exchange_arrays", packed, dict), lease, total
+
     def _packed_exchange(
         self, per_dest: Sequence[Optional[np.ndarray]]
     ) -> list[Optional[np.ndarray]]:
         """One array (or ``None``) to each rank; caller-owned receipts in
         source order."""
-        total = sum(0 if a is None else int(a.nbytes) for a in per_dest)
-        lease = self._lease(total)
-        buf, descs, offsets = pack_segments(per_dest, out=lease)
         rank, size = self._rank, self._size
-        table = self._collective("exchange_arrays", (buf, descs, offsets), dict)
+        table, lease, total = self._exchange_round(per_dest)
 
         # Assemble this rank's column into one private buffer.
         my_descs: list[Optional[MessageDescriptor]] = []
@@ -179,6 +190,34 @@ class CollectiveMixin:
             )
         self._finish_round(lease, total)
         return unpack_segments(private, my_descs, my_offsets)
+
+    def _borrowed_exchange(
+        self,
+        per_dest: Sequence[Optional[np.ndarray]],
+        into: Callable[[int, np.ndarray], None],
+    ) -> None:
+        """``into(src, view)`` per non-empty receipt, in source order, on
+        views the callee copies out of before it returns.
+
+        A peer's view borrows that sender's packed buffer, which the lease
+        rule above keeps intact until this rank enters its next packed
+        round.  This rank's own entry never enters the packed buffer or
+        the rendezvous table: ``into`` gets ``per_dest[rank]`` itself.
+        """
+        rank, size = self._rank, self._size
+        peers = list(per_dest)
+        own, peers[rank] = peers[rank], None
+        table, lease, total = self._exchange_round(peers)
+        for src in range(size):
+            if src == rank:
+                view = own
+            else:
+                sbuf, sdescs, soffs = table[src]
+                view = unpack_segments(sbuf, sdescs[rank:rank + 1],
+                                       soffs[rank:rank + 1])[0]
+            if view is not None and view.size:
+                into(src, view)
+        self._finish_round(lease, total)
 
     # -- barrier -----------------------------------------------------------
 
@@ -232,7 +271,11 @@ class CollectiveMixin:
 
     # -- all-to-all ------------------------------------------------------------
 
-    def exchange_arrays(self, per_dest: Sequence[Optional[np.ndarray]]) -> list[np.ndarray]:
+    def exchange_arrays(
+        self,
+        per_dest: Sequence[Optional[np.ndarray]],
+        into: Optional[Callable[[int, np.ndarray], None]] = None,
+    ) -> Optional[list[np.ndarray]]:
         """All-to-all of variable-shape numpy arrays (one per destination).
 
         This is the workhorse of the particle-migration layer: each rank
@@ -240,14 +283,24 @@ class CollectiveMixin:
         receives the arrays addressed to it, in source-rank order.
         Equivalent to a size exchange + ``Alltoallv`` in real MPI; the
         trace records it as an ``alltoallv`` with per-peer byte counts so
-        the machine model costs it identically.
+        the machine model costs it identically (the rank's own entry
+        included, as ``MPI_Alltoallv``'s counts do).
+
+        With ``into`` nothing is returned: each non-empty receipt is
+        handed to ``into(src, view)`` as a borrowed view (see
+        :meth:`_borrowed_exchange`), so a caller that copies it to its
+        final place moves every received byte once.
         """
         if len(per_dest) != self._size:
             raise CommunicationError(
                 f"exchange_arrays needs {self._size} entries, got {len(per_dest)}"
             )
-        received = self._packed_exchange(per_dest)
         counts = [0 if a is None else int(a.nbytes) for a in per_dest]
+        if into is not None:
+            self._borrowed_exchange(per_dest, into)
+            self._record("alltoallv", None, sum(counts), counts=counts)
+            return None
+        received = self._packed_exchange(per_dest)
         self._record("alltoallv", None, sum(counts), counts=counts)
         return [
             np.empty(0, dtype=np.float64) if arr is None else arr

@@ -66,7 +66,8 @@ class Comm(CollectiveMixin):
     def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> None:
         """Buffered send of a numpy array (copied at call time).
 
-        A send to :data:`PROC_NULL` is a no-op.
+        The copy is the one pass that also makes a strided ``buf``
+        C-contiguous.  A send to :data:`PROC_NULL` is a no-op.
         """
         if dest == PROC_NULL:
             return
@@ -74,7 +75,7 @@ class Comm(CollectiveMixin):
             raise CommunicationError(
                 f"destination {dest} out of range for comm of size {self._size}"
             )
-        payload = np.ascontiguousarray(buf).copy()
+        payload = np.array(buf, order="C", ndmin=1)
         nbytes = int(payload.nbytes)
         self._world.trace.record_comm(
             "send", self._rank, dest, nbytes, tag=tag,

@@ -1,5 +1,7 @@
 """Point-to-point semantics of the simulated MPI layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,31 @@ class TestSendRecv:
             return got.shape, np.array_equal(got, base[::2, 1::2])
 
         assert spmd(2, program)[1] == ((2, 3), True)
+
+    def test_strided_send_is_one_buffered_copy(self):
+        """A strided payload is copied once, C-ordered, at the call: the
+        sender may overwrite its array before the receive."""
+
+        def program(comm):
+            base = np.arange(512.0 * 512).reshape(512, 512)
+            if comm.rank == 0:
+                view = base[:, ::2]
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                comm.Send(view, 0)
+                staged = tracemalloc.get_traced_memory()[1] - before
+                base[...] = -1.0
+                got = comm.Recv(None, 0)
+                return staged / view.nbytes, got.flags.c_contiguous, got[3, 4]
+            return None
+
+        tracemalloc.start()
+        try:
+            staged, contiguous, value = spmd(1, program)[0]
+        finally:
+            tracemalloc.stop()
+        assert contiguous and value == 3 * 512 + 8
+        assert staged < 1.5
 
     def test_send_out_of_range_raises(self):
         def program(comm):
