@@ -479,8 +479,9 @@ class BlockedBackend(ArrayBackend):
         """4th-order ∂/∂α₁ of every scenario in one in-place sweep."""
         self._bcheck(full)
         out = self._binterior(full, -2, 0) - self._binterior(full, 2, 0)
-        out -= 8.0 * self._binterior(full, -1, 0)
-        out += 8.0 * self._binterior(full, 1, 0)
+        eight = np.multiply(8.0, self._binterior(full, -1, 0))
+        out -= eight
+        out += np.multiply(8.0, self._binterior(full, 1, 0), out=eight)
         out *= 1.0 / (12.0 * spacing)
         return out
 
@@ -488,8 +489,9 @@ class BlockedBackend(ArrayBackend):
         """4th-order ∂/∂α₂ of every scenario in one in-place sweep."""
         self._bcheck(full)
         out = self._binterior(full, 0, -2) - self._binterior(full, 0, 2)
-        out -= 8.0 * self._binterior(full, 0, -1)
-        out += 8.0 * self._binterior(full, 0, 1)
+        eight = np.multiply(8.0, self._binterior(full, 0, -1))
+        out -= eight
+        out += np.multiply(8.0, self._binterior(full, 0, 1), out=eight)
         out *= 1.0 / (12.0 * spacing)
         return out
 

@@ -70,7 +70,7 @@ class ProblemManager:
     def full_from_own(self, own: np.ndarray) -> np.ndarray:
         """Embed an owned-region ``(..., ni, nj, c)`` array or stack into
         a fresh ghosted full one."""
-        field = NodeArray(self.mesh, own.shape[-1])
-        field.full = np.zeros(own.shape[:-3] + field.shape)
-        field.own[...] = own
-        return field.full
+        full = np.zeros(own.shape[:-3] + self.mesh.local_shape + own.shape[-1:])
+        si, sj = self.mesh.own_slices
+        full[..., si, sj, :] = own
+        return full

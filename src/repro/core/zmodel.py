@@ -176,8 +176,11 @@ def vorticity_rate(
     dphi1 = bk.stencil_dx(phi_full, dx_)[..., 0]
     dphi2 = bk.stencil_dy(phi_full, dy_)[..., 0]
     wdot = np.empty(deth.shape + (2,))
-    wdot[..., 0] = 2.0 * atwood * dphi2 / deth
-    wdot[..., 1] = -2.0 * atwood * dphi1 / deth
+    # Written in place: full-size temporaries here are the churn that
+    # decides whether glibc trims a rank thread's heap every step.
+    np.multiply(2.0 * atwood, dphi2, out=wdot[..., 0])
+    np.multiply(-2.0 * atwood, dphi1, out=wdot[..., 1])
+    np.divide(wdot, deth[..., None], out=wdot)
     if np.count_nonzero(mu):
         wdot[..., 0] += mu * bk.stencil_laplacian(w_full[..., 0], dx_, dy_)
         wdot[..., 1] += mu * bk.stencil_laplacian(w_full[..., 1], dx_, dy_)

@@ -19,35 +19,34 @@ tree's gather) and ``exchange_arrays`` (FFT remaps, cutoff migration and
 spatial halo); small Python values go through the object collectives
 ``allreduce``, ``gather`` and ``allgather``; ``Barrier`` synchronizes.
 
-The vector collectives move their payloads packed: every segment of a
-round is copied once into a single contiguous ``uint8`` send buffer
+The vector collectives share one packed round: every segment bound for
+a peer is copied once into a single contiguous ``uint8`` send buffer
 leased from the communicator's :class:`~repro.util.bufferpool.BufferPool`
 and shipped with a :class:`~repro.mpi.descriptor.MessageDescriptor`
-offset table; each receiver copies exactly its spans into one private
-assembly buffer and gets typed views back.  ``exchange_arrays(into=)``
-skips that buffer: the receiver's callback copies each span straight
-from the sender's packed buffer to its final place, and the rank's own
-entry never enters a buffer at all.  Trace events are recorded
-from the logical payload descriptors, never from the packed buffers, so
-event kinds, counts and byte totals are what the application asked to
-move.  The byte movement is visible through the ``comm.packed_bytes``
-and ``bufferpool.hits|misses`` metrics.
+offset table, and each receiver is handed its spans, in source order,
+as typed views borrowed from the senders' buffers.  A borrowed view
+stays intact until the receiver enters its next vector collective on
+the same communicator.  ``exchange_arrays(into=)`` passes the views to
+the caller's callback, which copies each to its final place; the
+returning forms (``Allgatherv``, ``exchange_arrays`` without ``into``)
+are the same round with a sink that copies each view into a
+caller-owned array.  An exchange's own entry never enters a buffer.
+Trace events are recorded from the logical payloads, never from the
+packed buffers, so event kinds, counts and byte totals are what the
+application asked to move (the own entry included).  The bytes
+actually packed show in the ``comm.packed_bytes`` and
+``bufferpool.hits|misses`` metrics.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.mpi.descriptor import (
-    MessageDescriptor,
-    describe,
-    pack_segments,
-    payload_nbytes,
-    unpack_segments,
-)
+from repro.mpi.descriptor import pack_segments, payload_nbytes, unpack_segments
 from repro.mpi.ops import SUM, Op
 from repro.util.bufferpool import BufferPool
 from repro.util.errors import CommunicationError
@@ -123,99 +122,35 @@ class CollectiveMixin:
         self._packed_rounds += 1
         self._world.trace.metrics.counter("comm.packed_bytes").inc(nbytes)
 
-    def _packed_allgatherv(
-        self, sendbuf: np.ndarray, desc: MessageDescriptor
-    ) -> list[np.ndarray]:
-        """Every rank's array, in rank order, as caller-owned views."""
-        lease = self._lease(desc.nbytes)
-        buf = lease[: desc.nbytes]
-        if desc.nbytes:
-            # Gather straight into the pooled send buffer — one pass even
-            # when the payload is strided.
-            np.copyto(buf.view(desc.dtype).reshape(desc.shape), sendbuf)
-        size = self._size
-        table = self._collective(
-            "allgatherv", (buf, desc), lambda c: [c[r] for r in range(size)]
-        )
-        # Assemble every rank's span into one private buffer: a single
-        # allocation whose disjoint views are caller-owned.
-        descs = [d for _, d in table]
-        offsets, total = [], 0
-        for d in descs:
-            offsets.append(total)
-            total += d.nbytes
-        private = np.empty(total, dtype=np.uint8)
-        for (src, d), off in zip(table, offsets):
-            private[off: off + d.nbytes] = src
-        self._finish_round(lease, desc.nbytes)
-        return unpack_segments(private, descs, offsets)
-
-    def _exchange_round(
-        self, per_dest: Sequence[Optional[np.ndarray]]
-    ) -> tuple[dict[int, Any], np.ndarray, int]:
-        """Pack ``per_dest`` into a leased buffer and meet every rank:
-        ``(table, lease, packed bytes)``, where ``table[src]`` is rank
-        ``src``'s ``(buffer, descriptors, offsets)``."""
-        total = sum(0 if a is None else int(a.nbytes) for a in per_dest)
-        lease = self._lease(total)
-        packed = pack_segments(per_dest, out=lease)
-        return self._collective("exchange_arrays", packed, dict), lease, total
-
-    def _packed_exchange(
-        self, per_dest: Sequence[Optional[np.ndarray]]
-    ) -> list[Optional[np.ndarray]]:
-        """One array (or ``None``) to each rank; caller-owned receipts in
-        source order."""
-        rank, size = self._rank, self._size
-        table, lease, total = self._exchange_round(per_dest)
-
-        # Assemble this rank's column into one private buffer.
-        my_descs: list[Optional[MessageDescriptor]] = []
-        my_offsets: list[int] = []
-        my_total = 0
-        for src in range(size):
-            d = table[src][1][rank]
-            my_descs.append(d)
-            my_offsets.append(my_total)
-            my_total += 0 if d is None else d.nbytes
-        private = np.empty(my_total, dtype=np.uint8)
-        for src in range(size):
-            sbuf, sdescs, soffs = table[src]
-            d = sdescs[rank]
-            if d is None or d.nbytes == 0:
-                continue
-            off = soffs[rank]
-            private[my_offsets[src]: my_offsets[src] + d.nbytes] = (
-                sbuf[off: off + d.nbytes]
-            )
-        self._finish_round(lease, total)
-        return unpack_segments(private, my_descs, my_offsets)
-
-    def _borrowed_exchange(
+    def _packed_round(
         self,
-        per_dest: Sequence[Optional[np.ndarray]],
+        opname: str,
+        segments: Sequence[Optional[np.ndarray]],
+        slot: int,
+        own: Optional[np.ndarray],
         into: Callable[[int, np.ndarray], None],
     ) -> None:
-        """``into(src, view)`` per non-empty receipt, in source order, on
-        views the callee copies out of before it returns.
+        """Pack ``segments`` into a leased buffer, meet every rank, then
+        call ``into(src, view)`` in source order for each receipt sent
+        as an array (empty ones included; ``None`` is skipped).
 
-        A peer's view borrows that sender's packed buffer, which the lease
-        rule above keeps intact until this rank enters its next packed
-        round.  This rank's own entry never enters the packed buffer or
-        the rendezvous table: ``into`` gets ``per_dest[rank]`` itself.
+        A peer's view is segment ``slot`` of that sender's packed
+        buffer, borrowed: the lease rule above keeps it intact until
+        this rank enters its next packed round on this communicator.
+        This rank's own receipt is ``own``, handed over as it is.
         """
-        rank, size = self._rank, self._size
-        peers = list(per_dest)
-        own, peers[rank] = peers[rank], None
-        table, lease, total = self._exchange_round(peers)
-        for src in range(size):
-            if src == rank:
+        total = sum(0 if a is None else int(a.nbytes) for a in segments)
+        lease = self._lease(total)
+        packed = pack_segments(segments, out=lease)
+        table = self._collective(opname, packed, dict)
+        for src in range(self._size):
+            if src == self._rank:
                 view = own
             else:
-                sbuf, sdescs, soffs = table[src]
-                view = unpack_segments(sbuf, sdescs[rank:rank + 1],
-                                       soffs[rank:rank + 1])[0]
-            if view is not None and view.size:
+                buf, descs, offsets = table[src]
+                view = unpack_segments(buf, descs[slot:slot + 1],
+                                       offsets[slot:slot + 1])[0]
+            if view is not None:
                 into(src, view)
         self._finish_round(lease, total)
 
@@ -243,11 +178,14 @@ class CollectiveMixin:
     # -- gathers -------------------------------------------------------------
 
     def Allgatherv(self, sendbuf: np.ndarray) -> list[np.ndarray]:
-        """Variable-size allgather; returns the per-rank arrays in order."""
-        desc = describe(sendbuf)
-        result = self._packed_allgatherv(sendbuf, desc)
-        self._record("allgather", None, desc.nbytes)
-        return result
+        """Variable-size allgather; returns the per-rank arrays in order,
+        as caller-owned copies."""
+        sendbuf = np.asarray(sendbuf)
+        received: list[Any] = [None] * self._size
+        self._packed_round("allgatherv", [sendbuf], 0, sendbuf,
+                           functools.partial(_keep_copy, received))
+        self._record("allgather", None, int(sendbuf.nbytes))
+        return received
 
     def gather(self, obj: Any, root: int = 0) -> Optional[list[Any]]:
         """Object gather; the rank-ordered list at ``root``, else None."""
@@ -286,23 +224,30 @@ class CollectiveMixin:
         the machine model costs it identically (the rank's own entry
         included, as ``MPI_Alltoallv``'s counts do).
 
-        With ``into`` nothing is returned: each non-empty receipt is
-        handed to ``into(src, view)`` as a borrowed view (see
-        :meth:`_borrowed_exchange`), so a caller that copies it to its
-        final place moves every received byte once.
+        Without ``into`` the receipts come back as caller-owned copies,
+        a ``None`` one as an empty float64 array.  With ``into`` nothing
+        is returned: each receipt sent as an array is handed to
+        ``into(src, view)`` as a borrowed view (see :meth:`_packed_round`),
+        so a caller that copies it to its final place moves every
+        received byte once.  The rank's own entry never enters the
+        packed buffer.
         """
         if len(per_dest) != self._size:
             raise CommunicationError(
                 f"exchange_arrays needs {self._size} entries, got {len(per_dest)}"
             )
         counts = [0 if a is None else int(a.nbytes) for a in per_dest]
-        if into is not None:
-            self._borrowed_exchange(per_dest, into)
-            self._record("alltoallv", None, sum(counts), counts=counts)
-            return None
-        received = self._packed_exchange(per_dest)
+        received: Optional[list[np.ndarray]] = None
+        if into is None:
+            received = [np.empty(0, dtype=np.float64) for _ in per_dest]
+            into = functools.partial(_keep_copy, received)
+        peers = list(per_dest)
+        own, peers[self._rank] = peers[self._rank], None
+        self._packed_round("exchange_arrays", peers, self._rank, own, into)
         self._record("alltoallv", None, sum(counts), counts=counts)
-        return [
-            np.empty(0, dtype=np.float64) if arr is None else arr
-            for arr in received
-        ]
+        return received
+
+
+def _keep_copy(received: list[np.ndarray], src: int, view: np.ndarray) -> None:
+    """The returning forms' sink: a caller-owned copy of each receipt."""
+    received[src] = view.copy()

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mpi.comm import Comm
+from repro.spatial.migrate import route_rows
 from repro.spatial.spatial_mesh import SpatialMesh
 from repro.util.errors import CommunicationError, ConfigurationError
 
@@ -85,26 +86,10 @@ def halo_exchange(
         )
     with comm.trace.phase("spatial_halo"):
         point_idx, dest_rank = mesh.halo_targets(pos, cutoff)
-        order = np.argsort(dest_rank, kind="stable")
-        bounds = np.searchsorted(dest_rank[order], np.arange(comm.size + 1))
-        point_order = point_idx[order]
-        sorted_rec = np.concatenate([pos[point_order], pay[point_order]], axis=1)
-
-        per_dest: list[np.ndarray | None] = []
-        for dest in range(comm.size):
-            chunk = sorted_rec[bounds[dest]: bounds[dest + 1]]
-            per_dest.append(chunk if chunk.size else None)
-        received = comm.exchange_arrays(per_dest)
-
-        width = 3 + k
-        arrived = [r.reshape(-1, width) for r in received if r.size]
-        merged = (
-            np.concatenate(arrived)
-            if arrived
-            else np.empty((0, width), dtype=np.float64)
-        )
+        record = np.concatenate([pos[point_idx], pay[point_idx]], axis=1)
+        merged = route_rows(comm, record, dest_rank)
         return HaloResult(
             positions=merged[:, 0:3].copy(),
             payload=merged[:, 3:].copy(),
-            sent_copies=int(point_order.shape[0]),
+            sent_copies=int(point_idx.shape[0]),
         )

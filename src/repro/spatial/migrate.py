@@ -7,9 +7,16 @@ the original owner *in the original order*.
 
 Every migrated particle carries provenance (source rank, source-local
 index) so :meth:`ParticleMigrator.migrate_back` is exact regardless of
-how the exchange reordered particles.  The communication is a single
-``exchange_arrays`` (alltoallv-equivalent) each way, which is also what
-the machine model costs for the ``migrate`` phase.
+how the exchange reordered particles.
+
+Both hops, and the spatial halo of :mod:`repro.spatial.halo`, go
+through one router, :func:`route_rows`: each builds a float64 record
+per row and hands it the destination ranks.  The router sorts the
+records by destination, makes a single ``exchange_arrays``
+(alltoallv-equivalent) and copies each receipt once into its result,
+in source-rank order.  That exchange is what the machine model costs
+for the ``migrate`` and ``spatial_halo`` phases, at the widths of the
+three hops' records.
 
 One-block meshes
 ----------------
@@ -34,7 +41,7 @@ from repro.mpi.comm import Comm
 from repro.spatial.spatial_mesh import SpatialMesh
 from repro.util.errors import CommunicationError
 
-__all__ = ["ParticleMigrator", "Migration"]
+__all__ = ["ParticleMigrator", "Migration", "route_rows"]
 
 
 @dataclass
@@ -111,30 +118,14 @@ class ParticleMigrator:
             )
         with comm.trace.phase("migrate"):
             owners = self.mesh.owner_of(pos) if n else np.empty(0, dtype=np.int64)
-            order = np.argsort(owners, kind="stable")
-            bounds = np.searchsorted(owners[order], np.arange(comm.size + 1))
             # Record: [x y z | payload... | src_rank src_index]
-            record = np.empty((n, 3 + pay.shape[1] + 2), dtype=np.float64)
+            k = pay.shape[1]
+            record = np.empty((n, 3 + k + 2), dtype=np.float64)
             record[:, 0:3] = pos
-            record[:, 3: 3 + pay.shape[1]] = pay
+            record[:, 3: 3 + k] = pay
             record[:, -2] = comm.rank
             record[:, -1] = np.arange(n, dtype=np.float64)
-
-            per_dest: list[np.ndarray | None] = []
-            sorted_rec = record[order]
-            for dest in range(comm.size):
-                chunk = sorted_rec[bounds[dest]: bounds[dest + 1]]
-                per_dest.append(chunk if chunk.size else None)
-            received = comm.exchange_arrays(per_dest)
-
-            width = record.shape[1]
-            arrived = [r.reshape(-1, width) for r in received if r.size]
-            merged = (
-                np.concatenate(arrived)
-                if arrived
-                else np.empty((0, width), dtype=np.float64)
-            )
-            k = pay.shape[1]
+            merged = route_rows(comm, record, owners)
             return Migration(
                 positions=merged[:, 0:3].copy(),
                 payload=merged[:, 3: 3 + k].copy(),
@@ -165,34 +156,46 @@ class ParticleMigrator:
             )
         j = res.shape[1]
         if self.mesh.nblocks == 1:
-            returned = [(migration.src_index, res)]
+            idx, rows = migration.src_index, res
         else:
             with comm.trace.phase("migrate"):
                 record = np.empty((migration.count, j + 1), dtype=np.float64)
                 record[:, 0] = migration.src_index
                 record[:, 1:] = res
-
-                per_dest: list[np.ndarray | None] = []
-                order = np.argsort(migration.src_rank, kind="stable")
-                sorted_rec = record[order]
-                sorted_dst = migration.src_rank[order]
-                bounds = np.searchsorted(sorted_dst, np.arange(comm.size + 1))
-                for dest in range(comm.size):
-                    chunk = sorted_rec[bounds[dest]: bounds[dest + 1]]
-                    per_dest.append(chunk if chunk.size else None)
-                chunks = [
-                    r.reshape(-1, j + 1)
-                    for r in comm.exchange_arrays(per_dest) if r.size
-                ]
-                returned = [(c[:, 0].astype(np.int64), c[:, 1:]) for c in chunks]
-
-        out = np.empty((migration.sent_count, j), dtype=np.float64)
-        filled = 0
-        for idx, rows in returned:
-            out[idx] = rows
-            filled += rows.shape[0]
-        if filled != migration.sent_count:
+                merged = route_rows(comm, record, migration.src_rank)
+            idx, rows = merged[:, 0].astype(np.int64), merged[:, 1:]
+        if idx.shape[0] != migration.sent_count:
             raise CommunicationError(
-                f"migrate_back returned {filled} of {migration.sent_count} particles"
+                f"migrate_back returned {idx.shape[0]} of "
+                f"{migration.sent_count} particles"
             )
+        out = np.empty((migration.sent_count, j), dtype=np.float64)
+        out[idx] = rows
         return out
+
+
+def route_rows(comm: Comm, rows: np.ndarray, dest: np.ndarray) -> np.ndarray:
+    """Send row ``i`` of ``rows`` to rank ``dest[i]``; return the rows
+    this rank receives.
+
+    ``rows`` is ``(n, w)`` and ``dest`` ``(n,)`` integer ranks.  The
+    result is a fresh ``(m, w)`` array of every rank's rows addressed
+    here, in source-rank order and, within one source, in that source's
+    row order.  Collective: every rank calls it with the same ``w``,
+    even with no rows.  One ``exchange_arrays(into=)`` carries it, so
+    each receipt — this rank's own rows included — is copied once, from
+    where it arrived, into the result.
+    """
+    order = np.argsort(dest, kind="stable")
+    bounds = np.searchsorted(dest[order], np.arange(comm.size + 1))
+    ordered = rows[order]
+    per_dest = [ordered[lo:hi] if hi > lo else None
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # The peers' views are borrowed from their send buffers, intact
+    # until this rank's next vector collective: the concatenation below
+    # is their one copy.
+    arrived: list[np.ndarray] = []
+    comm.exchange_arrays(per_dest, into=lambda src, view: arrived.append(view))
+    if not arrived:
+        return np.empty((0, rows.shape[1]), dtype=rows.dtype)
+    return np.concatenate(arrived)

@@ -22,6 +22,7 @@ from repro.machine import (
     fft_hop_counts,
     low_order_evaluation,
 )
+from repro.machine.patterns import _HALO_RECORD, _MIGRATE_RECORD, _RETURN_RECORD
 from repro.util.misc import dims_create
 from tests.conftest import spmd
 
@@ -156,6 +157,48 @@ class TestExactRingConsistency:
         assert max(exact_hop_counts(nranks, shape), default=0) == (
             block * 48 if nranks > 1 else 0
         )
+
+
+class TestSpatialWireFormat:
+    @pytest.mark.parametrize("nranks", [2, 4])
+    def test_spatial_hops_carry_whole_model_records(self, nranks):
+        """Every traced ``alltoallv`` of the cutoff solver's spatial hops
+        carries whole records of the widths :func:`cutoff_evaluation`
+        prices: ``_MIGRATE_RECORD`` out, ``_RETURN_RECORD`` back (one
+        per point that went out, peer for peer) and ``_HALO_RECORD`` per
+        ghost copy."""
+        shape = (16, 16)
+        trace = mpi.CommTrace()
+        config = SolverConfig(
+            num_nodes=shape, low=(-np.pi, -np.pi), high=(np.pi, np.pi),
+            periodic=(False, False), order="high", br_solver="cutoff",
+            cutoff=1.2, dt=0.004, eps=0.1,
+        )
+        ic = InitialCondition(kind="multi_mode", magnitude=0.05, period=3)
+
+        def program(comm):
+            solver = Solver(comm, config, ic)
+            solver.zmodel.compute_derivatives()
+            return int(np.prod(solver.mesh.owned_shape))
+
+        owned = spmd(nranks, program, trace=trace)
+
+        def records(event, width):
+            assert all(c % width == 0 for c in event.counts), (event, width)
+            return [c // width for c in event.counts]
+
+        forward, back, ghosts = {}, {}, 0
+        for rank in range(nranks):
+            hops = trace.filter(kind="alltoallv", rank=rank, phase="migrate")
+            halos = trace.filter(kind="alltoallv", rank=rank, phase="spatial_halo")
+            assert len(hops) == 2 and len(halos) == 1
+            forward[rank] = records(hops[0], _MIGRATE_RECORD)
+            back[rank] = records(hops[1], _RETURN_RECORD)
+            ghosts += sum(records(halos[0], _HALO_RECORD))
+            assert sum(forward[rank]) == owned[rank]
+        for rank in range(nranks):
+            assert back[rank] == [forward[src][rank] for src in range(nranks)]
+        assert ghosts > 0
 
 
 class TestEvaluationModelStructure:

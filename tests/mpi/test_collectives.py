@@ -103,6 +103,27 @@ class TestBasicCollectives:
             for r, arr in enumerate(parts):
                 assert arr.size == r + 1 and np.all(arr == r)
 
+    def test_exchange_results_are_caller_owned(self, nranks):
+        """Mutating a receipt, the own one included, leaks into neither
+        a peer's receipt, nor what was sent, nor the next round."""
+
+        def program(comm):
+            send = [np.full(4, 10.0 * comm.rank + d) for d in range(comm.size)]
+            first = comm.exchange_arrays(send)
+            for arr in first:
+                arr += 1000.0
+            second = comm.exchange_arrays(send)
+            comm.Barrier()
+            return send, [a.copy() for a in first], [a.copy() for a in second]
+
+        for rank, (send, first, second) in enumerate(spmd(nranks, program)):
+            for dest, arr in enumerate(send):
+                np.testing.assert_array_equal(arr, np.full(4, 10.0 * rank + dest))
+            for src in range(nranks):
+                sent = np.full(4, 10.0 * src + rank)
+                np.testing.assert_array_equal(first[src], sent + 1000.0)
+                np.testing.assert_array_equal(second[src], sent)
+
 
 class TestAlltoallv:
     def test_exchange_arrays_shapes(self):
@@ -121,6 +142,29 @@ class TestAlltoallv:
             return True
 
         assert all(spmd(4, program))
+
+    @pytest.mark.parametrize("nranks", [1, 2, 4])
+    def test_into_sees_every_array_receipt_in_source_order(self, nranks):
+        """``into`` gets each receipt sent as an array, empty ones too,
+        in source order; a ``None`` entry is never delivered."""
+
+        def program(comm):
+            send = [
+                None if (comm.rank + d) % 3 == 2
+                else np.full((d + comm.rank) % 2, float(comm.rank))
+                for d in range(comm.size)
+            ]
+            seen = []
+            assert comm.exchange_arrays(
+                send, into=lambda src, view: seen.append((src, view.tolist()))
+            ) is None
+            return seen
+
+        for rank, seen in enumerate(spmd(nranks, program)):
+            assert seen == [
+                (src, [float(src)] * ((rank + src) % 2))
+                for src in range(nranks) if (src + rank) % 3 != 2
+            ]
 
     @pytest.mark.parametrize("nranks", [2, 3, 5])
     def test_roundtrip_identity(self, nranks):

@@ -1,4 +1,7 @@
-"""Spatial mesh ownership, migration round-trips, cutoff halos."""
+"""Spatial mesh ownership, the row router, migration round-trips,
+cutoff halos."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from repro.spatial import (
     ParticleMigrator,
     SpatialMesh,
     halo_exchange,
+    route_rows,
 )
 from repro.util.errors import CommunicationError, ConfigurationError
 from tests.conftest import spmd
@@ -122,6 +126,111 @@ class TestMigration:
         assert sum(c for c, _ in results) == 2
         assert results[0][1] == (2, 1)
         assert results[0][1][0] == 2
+
+
+@pytest.mark.parametrize("nranks", [1, 2, 4])
+class TestRouteRows:
+    """The one router under migrate, migrate-back and the spatial halo."""
+
+    def test_source_order_stable_within_a_source(self, nranks):
+        def program(comm):
+            rng = np.random.default_rng(11 + comm.rank)
+            n = 40 + 3 * comm.rank
+            dest = rng.integers(0, comm.size, size=n)
+            # Each row names its source, its index there and its target.
+            rows = np.column_stack(
+                [np.full(n, comm.rank), np.arange(n), dest]
+            ).astype(np.float64)
+            return rows, route_rows(comm, rows, dest)
+
+        results = spmd(nranks, program)
+        for rank, (_, got) in enumerate(results):
+            expected = np.concatenate(
+                [rows[rows[:, 2] == rank] for rows, _ in results]
+            )
+            assert got.shape == expected.shape and got.dtype == np.float64
+            assert np.array_equal(got, expected)
+
+    def test_empty_sends_and_a_rank_that_receives_nothing(self, nranks):
+        """Rank 0 sends no row, and every row goes to the last rank."""
+
+        def program(comm):
+            n = 0 if comm.rank == 0 else comm.rank + 1
+            rows = np.arange(2.0 * n).reshape(n, 2) + 100.0 * comm.rank
+            return rows, route_rows(comm, rows, np.full(n, comm.size - 1))
+
+        results = spmd(nranks, program)
+        everything = np.concatenate([rows for rows, _ in results])
+        for rank, (_, got) in enumerate(results):
+            want = everything if rank == nranks - 1 else np.empty((0, 2))
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_zero_rows_overall(self, nranks):
+        def program(comm):
+            none = np.empty(0, dtype=np.int64)
+            return (route_rows(comm, np.empty((0, 4)), none),
+                    route_rows(comm, np.empty((0, 3), dtype=np.int32), none))
+
+        for floats, ints in spmd(nranks, program):
+            assert floats.shape == (0, 4) and floats.dtype == np.float64
+            assert ints.shape == (0, 3) and ints.dtype == np.int32
+
+    def test_result_is_fresh(self, nranks):
+        """The result shares no memory with the input or any rank's
+        pooled send buffer, and later rounds that reuse those buffers
+        leave it intact."""
+
+        def program(comm):
+            rows = np.arange(12.0).reshape(6, 2) + 100.0 * comm.rank
+            # Everything from one peer: the only receipt is borrowed.
+            dest = np.full(6, (comm.rank + 1) % comm.size)
+            got = route_rows(comm, rows, dest)
+            leases = [lease for _, lease in comm._pending]
+            kept = got.copy()
+            for _ in range(3):  # the pool hands the same buffers out again
+                route_rows(comm, rows * -1.0, dest)
+            return rows, got, kept, leases
+
+        results = spmd(nranks, program)
+        every_lease = [lease for *_, leases in results for lease in leases]
+        assert every_lease
+        for rows, got, kept, _ in results:
+            assert not np.shares_memory(got, rows)
+            assert not any(np.shares_memory(got, lease) for lease in every_lease)
+            assert np.array_equal(got, kept)
+
+
+def test_route_rows_survives_back_to_back_rounds():
+    """Six rank threads on two cores, a 1 µs switch interval and fresh
+    rows every round: a receiver copies each peer's rows out of that
+    peer's pooled send buffer after the exchange has returned, so a
+    buffer reused one round too early would corrupt a row."""
+    rounds = 40
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def rows_of(rank, step, size):
+            rng = np.random.default_rng((rank, step))
+            n = int(rng.integers(0, 30))
+            dest = rng.integers(0, size, size=n)
+            return np.column_stack(
+                [np.full(n, rank), np.arange(n), dest, rng.normal(size=n)]
+            ), dest
+
+        def program(comm):
+            for step in range(rounds):
+                # Every rank's rows are known here without a collective,
+                # which would hold the senders back until this rank had
+                # copied out.
+                sent = [rows_of(src, step, comm.size)[0] for src in range(comm.size)]
+                expected = np.concatenate([r[r[:, 2] == comm.rank] for r in sent])
+                got = route_rows(comm, *rows_of(comm.rank, step, comm.size))
+                np.testing.assert_array_equal(got, expected)
+            return True
+
+        assert all(spmd(6, program, timeout=60.0))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestCutoffHalo:
