@@ -3,19 +3,50 @@
 Numerics-preserving to ~1e-12 against the numpy reference; what the BR
 kernels do, and why:
 
-1. **All-pairs in L2-resident panels.**  The weight matrix
-   ``w = 1/(r²+ε²)^{3/2}`` is formed one ``tile × tile`` panel at a
-   time in two scratch panels, kept per thread and rewritten in place
-   (``out=``), so a panel is produced and consumed without leaving the
-   cache.  The default edge is 256: two float64 panels are 1 MiB,
-   half of one core's 2 MiB L2 on the reference box, where the previous
-   512 (4 MiB of panels) streamed every pass through L3 — this kernel
-   measures 5.7 ns per pair at 512 and 3.4 at 256 (symmetric 4096²
-   call), flat from 192 to 256.  r² always comes from coordinate
-   differences (a GEMM expansion ``|t|²+|s|²−2t·s`` is faster but
-   loses ``|x|²/ε²`` digits); the differences themselves are K=2 GEMMs
-   ``[t 1]·[1 −s]ᵀ``, which round exactly like ``t − s`` and avoid
-   numpy's slow path for broadcast operands.
+1. **All-pairs in L2-resident panels, r² from one GEMM.**  The weight
+   matrix ``w = 1/(r²+ε²)^{3/2}`` is formed one ``tile × tile`` panel
+   at a time in two scratch panels, kept per thread and rewritten in
+   place (``out=``), so a panel is produced and consumed without
+   leaving the cache.  The default edge is 256: two float64 panels are
+   1 MiB, half of one core's 2 MiB L2 on the reference box, where the
+   previous 512 (4 MiB of panels) streamed every pass through L3 —
+   this kernel measured 5.7 ns per pair at 512 and 3.4 at 256
+   (symmetric 4096² call), flat from 192 to 256.
+
+   A panel's r² is one ``(a×5)·(5×b)`` GEMM,
+   ``[t′ |t′|² 1]·[−2s′; 1; |s′|²] = |t′|² + |s′|² − 2t′·s′``, with
+   ``t′ = t − c_I`` and ``s′ = s − c_I`` centred on the centroid
+   ``c_I`` of target panel ``I``.  The expansion rounds to about
+   ``ε_mach·(|t′|²+|s′|²)``, so a weight's relative error is about
+   ``ε_mach·(|t′|²+|s′|²)/(r²+ε²)``: centred on a whole call that is
+   ``|x|²/ε²`` ulps.  Panels keep it small: each scenario's targets are
+   first sorted by the 3-D Morton code of their position
+   (:func:`_morton_order`; a 64² sheet's 256-point panels become
+   16 × 16 tiles), so ``|t′|`` is at most a panel radius ρ and
+   ``|s′| ≤ |t′| + r``, and the ratio stays below about
+   ``ε_mach·(2 + 3ρ²/ε²)`` (a run spanning two distant clusters has
+   their distance for ρ; a rank's block of a sheet makes no such run).
+   The sources of a symmetric call follow the targets' permutation;
+   other sources keep their order, since only the target panel enters
+   the bound.  The permutation is made once per call and undone on
+   output, the ``[t′ |t′|² 1]`` rows are built once per call and the
+   ``[−2s′; 1; |s′|²]`` columns once per target-panel row (only the
+   rows of the wave in flight are held, so memory stays flat in the
+   stack).  The GEMM costs 0.5 ns per pair against ~2.9 for the
+   differences (three K=2 GEMMs, three squares, two adds).  Measured
+   against the numpy engine: 20 600-point clouds in [−1.5, 1.5]³ with
+   five pairs planted 1e-6 to 1e-2 apart stay within 3e-13
+   (max-normalised) at ε = 0.05, where differences gave 2e-13; at
+   ε = 0.02 the bound loosens, to 1.9e-12 in the worst draw against
+   6.6e-13.
+
+   Within rounding of zero the expansion cannot tell a coincident pair
+   from a near one.  The self pairs of a symmetric diagonal panel get
+   r² = 0 and weight zero through a strided view of the diagonal; any
+   other entry below the band ``8·ε_mach·(max|t′|² + max|s′|²)`` of its
+   panel — above the GEMM's worst rounding, so every coincident pair
+   is inside — is measured again from differences (only near-duplicate
+   points fall in it).
 
 2. **One fused GEMM per panel.**  The identity
    ``Σ_j w_ij ω_j × (t_i − s_j) = (Σ_j w_ij ω_j) × t_i − Σ_j w_ij (ω_j × s_j)``
@@ -23,8 +54,8 @@ kernels do, and why:
    ``(b, b) @ (b, 6)`` product against ``[ω | ω × s]`` plus one
    pointwise cross product per call.  Coordinates are centered on the
    source centroid first so the decomposition stays well-conditioned,
-   and exactly-coincident pairs (``r² == 0``) get weight zero —
-   preserving the exact-zero self-interaction of the direct
+   and exactly-coincident pairs (``r² + ε² == ε²``, point 1) get weight
+   zero — preserving the exact-zero self-interaction of the direct
    formulation, whose numerator the fused form never computes.  The
    cutoff solver's mask (``cutoff2``) zeroes the weight of every pair
    beyond the cutoff: one compare and one product more per panel.
@@ -54,9 +85,18 @@ kernels do, and why:
 
 6. **Listed sub-panels.**  Given a chunk list (``blocks=``), a call
    forms only the listed ``chunk × chunk`` sub-panels, masked under a
-   cutoff or not, with point 1's operations, stacked into tasks of at
-   most ``tile²`` pairs and added row by row in list order, so the
-   bits depend on the list alone.  These tasks stay on the calling
+   cutoff or not, stacked into tasks of at most ``tile²`` pairs and
+   added row by row in list order, so the bits depend on the list
+   alone.  Their r² comes from coordinate differences, as K=2 GEMMs
+   ``[t 1]·[1 −s]ᵀ`` per axis, which round exactly like ``t − s`` and
+   avoid numpy's slow path for broadcast operands; downstream of r²
+   they share point 1's operations.  Point 1's expansion was measured
+   here and not kept: on 16-point sub-panels it made ``cutoff_r2``
+   5–23 % slower in-run (5 of 5 pairs), since every sub-panel needs
+   operands centred on its own target chunk.  Two ways to tighten the
+   dense panels' bound were measured too and each cost the whole gain:
+   a per-entry relative cancellation band, and re-centring per 16-row
+   group.  These tasks stay on the calling
    thread: the cutoff solver makes one such call per rank thread at
    once, and on the pool each rank then waits on sub-panels queued
    behind another rank's (two ranks on two cores: 17–19 ms per
@@ -86,6 +126,11 @@ __all__ = ["BlockedBackend"]
 #: All-pairs panels per thread in one wave: the products of one wave are
 #: held until the in-order reduction has added them, then freed.
 _WAVE = 8
+
+#: r² from the expansion is trusted only above this multiple of
+#: ``max|t′|² + max|s′|²`` over its panel; below it, entries are
+#: measured again from differences (module docstring, point 1).
+_BAND = 8 * np.finfo(np.float64).eps
 
 _scratch = threading.local()       # per-thread r² / w / hit panels
 _pool: Optional[ThreadPoolExecutor] = None
@@ -133,65 +178,150 @@ def _buffers(size: int) -> tuple:
     return bufs
 
 
-def _weights(tp, sp, e, cut2, bufs):
-    """The weight panels ``w = 1/(r²+ε²)^{3/2}`` of a stack of panels, in
-    this thread's scratch, and their cutoff mask (``None`` without
-    ``cut2``, else already applied to ``w``).
+def _spread3(v: np.ndarray) -> np.ndarray:
+    """The bits of each non-negative ``< 2^21`` value moved to every
+    third position."""
+    for shift, mask in ((32, 0x1F00000000FFFF), (16, 0x1F0000FF0000FF),
+                        (8, 0x100F00F00F00F00F), (4, 0x10C30C30C30C30C3),
+                        (2, 0x1249249249249249)):
+        v |= v << shift
+        v &= mask
+    return v
 
-    ``tp`` is ``(k, 3, a, 2)`` (``[t 1]`` rows per axis), ``sp``
-    ``(k, 3, 2, b)`` (``[1 −s]`` columns); ``e`` and ``cut2`` broadcast
-    against the ``(k, a, b)`` panels.
-    """
-    r2_buf, w_buf, hit_buf, keep_buf = bufs
-    shape = (tp.shape[0], tp.shape[2], sp.shape[3])
-    n = shape[0] * shape[1] * shape[2]
-    r2 = r2_buf[:n].reshape(shape)
-    w = w_buf[:n].reshape(shape)
-    hit = hit_buf[:n].reshape(shape)
-    np.matmul(tp[:, 0], sp[:, 0], out=w)
-    np.multiply(w, w, out=r2)
-    for axis in (1, 2):
-        np.matmul(tp[:, axis], sp[:, axis], out=w)
-        np.multiply(w, w, out=w)
-        r2 += w
+
+def _morton_order(points: np.ndarray) -> np.ndarray:
+    """Per scenario of a ``(B, n, 3)`` stack, the stable permutation that
+    sorts its points by the 3-D Morton code of their cell on a cubic
+    2¹⁶-a-side grid over the scenario's bounding box: runs of a panel's
+    points are then compact boxes (a 64² sheet's 256-point runs are
+    16 × 16 tiles) whatever order the points came in."""
+    lo = points.min(axis=1, keepdims=True)
+    side = (points.max(axis=1, keepdims=True) - lo).max(axis=2, keepdims=True)
+    scale = (1 << 16) - 1
+    with np.errstate(invalid="ignore", divide="ignore"):  # a blown-up run
+        cells = np.nan_to_num((points - lo) * (scale / side))
+    cells = np.clip(cells, 0, scale).astype(np.int64)
+    codes = _spread3(cells[..., 0])
+    codes |= _spread3(cells[..., 1]) << 1
+    codes |= _spread3(cells[..., 2]) << 2
+    return np.argsort(codes, axis=1, kind="stable")
+
+
+def _diagonal(panels: np.ndarray) -> np.ndarray:
+    """The ``(i, i)`` entries of a C-contiguous ``(k, a, a)`` panel
+    stack, as a writable strided view."""
+    k, a = panels.shape[:2]
+    return panels.reshape(k, a * a)[:, ::a + 1]
+
+
+def _weights(r2, e, cut2, w, keep_buf):
+    """Everything downstream of r²: the cutoff mask (``None`` without
+    ``cut2``, else not yet applied), ``r2 += e`` and
+    ``w = 1/(r²+ε²)^{3/2}`` into ``w``.  ``e`` and ``cut2`` broadcast
+    against the ``(k, a, b)`` panels."""
     keep = None
     if cut2 is not None:
-        keep = keep_buf[:n].reshape(shape)
+        keep = keep_buf[:r2.size].reshape(r2.shape)
         np.less_equal(r2, cut2, out=keep)
     r2 += e
-    # r² + ε² == ε² marks a coincident pair, whose numerator
-    # ω × (t − s) vanishes: the fused reduction never forms it, so
-    # the weight is dropped instead.
-    np.equal(r2, e, out=hit)
     np.sqrt(r2, out=w)
     w *= r2
     with np.errstate(divide="ignore"):            # ε = 0 self-pairs
         np.divide(1.0, w, out=w)
-    np.copyto(w, 0.0, where=hit)
+    return keep
+
+
+def _mask(w, keep) -> None:
+    """Zero the weight of every pair beyond the cutoff."""
     if keep is not None:
         # A product, not a masked copy: ``copyto(where=)`` branches
-        # per element, and on the cutoff mask, dense and irregular
-        # where ``hit`` is sparse, that is 6x slower.  Beyond the
-        # cutoff w is finite, so the product is exactly 0.
+        # per element, and on the cutoff mask, dense and irregular,
+        # that is 6x slower.  Beyond the cutoff w is finite, so the
+        # product is exactly 0.
         np.multiply(w, keep, out=w)
+
+
+def _source_rows(src, cent, j_lo, edge) -> tuple:
+    """The ``[−2s′; 1; |s′|²]`` columns of one target panel's row of
+    panels, ``s′ = s − c_I`` for sources ``j_lo`` on, and the largest
+    ``|s′|²`` of each ``edge``-wide source panel: ``(sop, smax)`` with
+    ``sop`` ``(k, 5, ns − j_lo)``."""
+    sp = src[:, j_lo:] - cent
+    sop = np.empty((sp.shape[0], 5, sp.shape[1]))
+    np.multiply(sp.transpose(0, 2, 1), -2.0, out=sop[:, :3])
+    sop[:, 3] = 1.0
+    np.einsum("...k,...k->...", sp, sp, out=sop[:, 4])
+    smax = np.maximum.reduceat(sop[:, 4], np.arange(0, sp.shape[1], edge),
+                               axis=1)
+    return sop, smax
+
+
+def _panel_weights(job, tgt, src, e, cut2, mirror, bufs):
+    """The weight panels of one stack of dense panels (point 1 of the
+    module docstring) in this thread's scratch, and their cutoff mask.
+
+    ``job`` is ``(fleet, i0, i1, j0, j1, top, sop, band)``: ``top`` the
+    ``(k, a, 5)`` rows ``[t′ |t′|² 1]``, ``sop`` the ``(k, 5, b)``
+    columns ``[−2s′; 1; |s′|²]`` and ``band`` the ``(k, 1, 1)``
+    rounding band of r² there; ``tgt`` / ``src`` are the call-centred
+    points the band's entries are measured again from.
+    """
+    fleet, i0, i1, j0, j1, top, sop, band = job
+    r2_buf, w_buf, hit_buf, keep_buf = bufs
+    shape = (top.shape[0], i1 - i0, j1 - j0)
+    n = shape[0] * shape[1] * shape[2]
+    r2 = r2_buf[:n].reshape(shape)
+    w = w_buf[:n].reshape(shape)
+    hit = hit_buf[:n].reshape(shape)
+    np.matmul(top, sop, out=r2)
+    np.less(r2, band, out=hit)
+    diag = mirror and i0 == j0
+    if diag:                        # self pairs: r² = 0, weight zero
+        _diagonal(hit)[...] = False
+    zero = None
+    if hit.any():
+        # Within rounding of zero the expansion cannot tell a
+        # coincident pair from a near one: take these few from
+        # differences, which round like the reference.
+        k, i, j = np.nonzero(hit)
+        d = tgt[fleet][k, i0 + i] - src[fleet][k, j0 + j]
+        exact = d[:, 0] * d[:, 0]
+        exact += d[:, 1] * d[:, 1]
+        exact += d[:, 2] * d[:, 2]
+        r2[k, i, j] = exact
+        # r² + ε² == ε² marks a coincident pair, whose numerator
+        # ω × (t − s) vanishes: the fused reduction never forms it, so
+        # the weight is dropped instead.
+        ek = e.reshape(-1)[k]
+        gone = exact + ek == ek
+        zero = (k[gone], i[gone], j[gone])
+    if diag:
+        _diagonal(r2)[...] = 0.0
+    keep = _weights(r2, e, cut2, w, keep_buf)
+    if diag:
+        _diagonal(w)[...] = 0.0
+    if zero is not None:
+        w[zero] = 0.0
+    _mask(w, keep)
     return w, keep
 
 
-def _panel_products(panels, t1, s1, rhs, eps2, cut2, mirror, size) -> list:
-    """``w @ rhs[J]`` per ``(fleet, i0, i1, j0, j1)`` panel, plus
-    ``w.T @ rhs[I]`` for an off-diagonal mirrored one (else ``None``),
-    plus, with a ``cut2`` mask, each scenario's count of pairs within it
-    (else ``None``).
+def _panel_products(panels, tgt, src, rhs, eps2, cut2, mirror, size) -> list:
+    """``w @ rhs[J]`` per :func:`_panel_weights` job, plus ``w.T @
+    rhs[I]`` for an off-diagonal mirrored one (else ``None``), plus,
+    with a ``cut2`` mask, each scenario's count of pairs within it (else
+    ``None``).
 
     Runs on any thread: the ``size``-element scratch panels are the
     calling thread's own and every input is only read.
     """
     bufs = _buffers(size)
     products = []
-    for fleet, i0, i1, j0, j1 in panels:
-        w, keep = _weights(
-            t1[fleet, :, i0:i1], s1[fleet, :, :, j0:j1], eps2[fleet],
-            None if cut2 is None else cut2[fleet], bufs,
+    for job in panels:
+        fleet, i0, i1, j0, j1 = job[:5]
+        w, keep = _panel_weights(
+            job, tgt, src, eps2[fleet],
+            None if cut2 is None else cut2[fleet], mirror, bufs,
         )
         kept = None
         if keep is not None:
@@ -214,10 +344,29 @@ def _subpanel_products(i, j, plain, t1, s1, rhs, eps2, cut2, bufs) -> tuple:
     mirrored ones, else ``None``), and the count of ordered pairs within
     the cutoff (a mirrored sub-panel's twice; ``None`` without one).
 
-    ``t1`` is ``(chunks, 3, c, 2)``, ``s1`` ``(chunks, 3, 2, c)`` and
-    ``rhs`` ``(chunks, c, 6)``.
+    ``t1`` is ``(chunks, 3, c, 2)`` (``[t 1]`` rows per axis), ``s1``
+    ``(chunks, 3, 2, c)`` (``[1 −s]`` columns) and ``rhs``
+    ``(chunks, c, 6)``; r² comes from the differences (point 6).
     """
-    w, keep = _weights(t1[i], s1[j], eps2, cut2, bufs)
+    tp, sp = t1[i], s1[j]
+    r2_buf, w_buf, hit_buf, keep_buf = bufs
+    shape = (tp.shape[0], tp.shape[2], sp.shape[3])
+    n = shape[0] * shape[1] * shape[2]
+    r2 = r2_buf[:n].reshape(shape)
+    w = w_buf[:n].reshape(shape)
+    hit = hit_buf[:n].reshape(shape)
+    np.matmul(tp[:, 0], sp[:, 0], out=w)
+    np.multiply(w, w, out=r2)
+    for axis in (1, 2):
+        np.matmul(tp[:, axis], sp[:, axis], out=w)
+        np.multiply(w, w, out=w)
+        r2 += w
+    keep = _weights(r2, eps2, cut2, w, keep_buf)
+    # r2 now holds r² + ε²: == ε² marks a coincident pair (see
+    # _panel_weights).
+    np.equal(r2, eps2, out=hit)
+    np.copyto(w, 0.0, where=hit)
+    _mask(w, keep)
     kept = None
     if keep is not None:
         kept = (np.count_nonzero(keep[:plain])
@@ -270,9 +419,10 @@ class BlockedBackend(ArrayBackend):
         holds at most ``tile**2`` pairs, so each thread's two scratch
         panels stay in its L2 whatever the stack looks like (one
         scenario per chunk once a scenario fills a panel).  Each panel
-        costs three K=2 GEMMs for the coordinate differences, a handful
-        of in-place passes for ``1/(r²+ε²)^{3/2}`` and one
-        ``(b, b) @ (b, 6)`` GEMM against ``[ω | ω × s]``; with
+        costs one K=5 GEMM for r² on panel-centred coordinates (point 1
+        of the module docstring), a handful of in-place passes for
+        ``1/(r²+ε²)^{3/2}`` and one ``(b, b) @ (b, 6)`` GEMM against
+        ``[ω | ω × s]``; with
         ``symmetric`` only the upper triangle of panels is formed and
         each off-diagonal one is also applied transposed.  Panels are
         formed on every core and reduced in serial order (point 5 of the
@@ -333,33 +483,58 @@ class BlockedBackend(ArrayBackend):
                     kept[s] = part
             return kept
         center = sources.mean(axis=1, keepdims=True)          # (nb, 1, 3)
+        order = None
+        if nt > b:          # compact target panels (module docstring, 1)
+            order = _morton_order(targets)[..., None]
+            targets = np.take_along_axis(targets, order, axis=1)
+            if mirror:      # the sources are the targets
+                omega = np.take_along_axis(omega, order, axis=1)
         tgt = targets - center
-        src = sources - center
-        # t_i − s_j as the K=2 product [t_i 1]·[1 −s_j]ᵀ: both products
-        # are exact, so it rounds like the subtraction — without the
-        # broadcast operand that drops numpy onto its buffered path
-        # (4× slower at panel widths under 4096).
-        t1 = np.ones((nb, 3, nt, 2))
-        t1[..., 0] = tgt.transpose(0, 2, 1)
-        s1 = np.ones((nb, 3, 2, ns))
-        np.negative(src.transpose(0, 2, 1), out=s1[:, :, 1])
+        src = tgt if mirror else sources - center
         rhs = np.empty((nb, ns, 6))
         rhs[..., :3] = omega
         _cross(omega, src, rhs[..., 3:])                      # ω_j × s'_j
+        # [t′ |t′|² 1] rows, t′ = t − c_I for the centroid c_I of each
+        # target panel I, and the panel's largest |t′|².
+        top = np.ones((nb, nt, 5))
+        cents, tmax = [], []
+        for i0 in range(0, nt, b):
+            rows = top[:, i0:i0 + b]
+            cents.append(tgt[:, i0:i0 + b].mean(axis=1, keepdims=True))
+            np.subtract(tgt[:, i0:i0 + b], cents[-1], out=rows[..., :3])
+            np.einsum("...k,...k->...", rows[..., :3], rows[..., :3],
+                      out=rows[..., 3])
+            tmax.append(rows[..., 3].max(axis=1))
         acc = np.zeros((nb, nt, 6))        # Σ w ω_j | Σ w (ω_j × s'_j)
         task = partial(
-            _panel_products, t1=t1, s1=s1, rhs=rhs, eps2=eps2, cut2=cut2,
+            _panel_products, tgt=tgt, src=src, rhs=rhs, eps2=eps2, cut2=cut2,
             mirror=mirror, size=chunk * edge_t * edge_s,
         )
+        sops = {}
         for w0 in range(0, len(panels), _WAVE * stride):
             wave = panels[w0:w0 + _WAVE * stride]
+            jobs = []
+            for fleet, i0, i1, j0, j1 in wave:
+                key, j_lo = (fleet.start, i0), i0 if mirror else 0
+                if key not in sops:
+                    sops[key] = _source_rows(
+                        src[fleet], cents[i0 // b][fleet], j_lo, b
+                    )
+                sop, smax = sops[key]
+                band = _BAND * (tmax[i0 // b][fleet] + smax[:, (j0 - j_lo) // b])
+                jobs.append((fleet, i0, i1, j0, j1, top[fleet, i0:i1],
+                             sop[:, :, j0 - j_lo:j1 - j_lo],
+                             band.reshape(-1, 1, 1)))
+            # Source rows are built once each: only the last one can
+            # have panels in the next wave.
+            sops = {key: sops[key]}
             # Static stride: thread k forms panels k, k + stride, ...
             pending = [
-                _panel_pool(helpers).submit(task, wave[k::stride])
-                for k in range(1, min(stride, len(wave)))
+                _panel_pool(helpers).submit(task, jobs[k::stride])
+                for k in range(1, min(stride, len(jobs)))
             ]
             try:
-                mine = task(wave[0::stride])
+                mine = task(jobs[0::stride])
             finally:            # no task outlives the call, even on error
                 wait(pending)
             shares = [mine] + [f.result() for f in pending]
@@ -373,6 +548,10 @@ class BlockedBackend(ArrayBackend):
         contrib = _cross(acc[..., :3], tgt, np.empty_like(tgt))
         contrib -= acc[..., 3:]
         contrib *= pref
+        if order is not None:
+            contrib = np.take_along_axis(
+                contrib, np.argsort(order, axis=1), axis=1
+            )
         out += contrib
         return kept
 

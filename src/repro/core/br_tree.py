@@ -152,12 +152,20 @@ class TreeBRSolver:
         local = np.concatenate(
             [targets, np.ascontiguousarray(omega_own.reshape(-1, 3))], axis=1
         )
+        # Each rank's block arrives as a borrowed view, intact until this
+        # rank's next vector collective: its positions and vorticity are
+        # copied once, straight to their rows.
+        blocks: list = [None] * comm.size
         with trace.phase("tree_gather"):
-            blocks = comm.Allgatherv(local)
-        merged = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-        sources = np.ascontiguousarray(merged[:, 0:3])
-        source_omega = np.ascontiguousarray(merged[:, 3:6])
-        n_global = sources.shape[0]
+            comm.Allgatherv(local, into=blocks.__setitem__)
+        n_global = sum(len(b) for b in blocks)
+        sources = np.empty((n_global, 3))
+        source_omega = np.empty((n_global, 3))
+        row = 0
+        for block in blocks:
+            sources[row:row + len(block)] = block[:, 0:3]
+            source_omega[row:row + len(block)] = block[:, 3:6]
+            row += len(block)
 
         with trace.phase("tree_build"):
             t0 = trace.clock()

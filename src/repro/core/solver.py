@@ -68,8 +68,9 @@ __all__ = [
 #: 5: the tree solver decides per piece and sums its near field as
 #: listed sub-panels (``core.br_tree``).  6: the cutoff solver chunks
 #: its points in spatial order (compact tiles) and sums owned and ghost
-#: pairs in one listed call.
-NUMERICS_VERSION = 6
+#: pairs in one listed call.  7: the blocked engine's dense panels take
+#: r² from one GEMM on compact, panel-centred coordinates.
+NUMERICS_VERSION = 7
 
 
 def state_digest(*arrays: np.ndarray) -> str:

@@ -26,10 +26,10 @@ and shipped with a :class:`~repro.mpi.descriptor.MessageDescriptor`
 offset table, and each receiver is handed its spans, in source order,
 as typed views borrowed from the senders' buffers.  A borrowed view
 stays intact until the receiver enters its next vector collective on
-the same communicator.  ``exchange_arrays(into=)`` passes the views to
-the caller's callback, which copies each to its final place; the
-returning forms (``Allgatherv``, ``exchange_arrays`` without ``into``)
-are the same round with a sink that copies each view into a
+the same communicator.  ``exchange_arrays(into=)`` and
+``Allgatherv(into=)`` pass the views to the caller's callback, which
+copies each to its final place; the returning forms (both without
+``into``) are the same round with a sink that copies each view into a
 caller-owned array.  An exchange's own entry never enters a buffer.
 Trace events are recorded from the logical payloads, never from the
 packed buffers, so event kinds, counts and byte totals are what the
@@ -177,13 +177,22 @@ class CollectiveMixin:
 
     # -- gathers -------------------------------------------------------------
 
-    def Allgatherv(self, sendbuf: np.ndarray) -> list[np.ndarray]:
-        """Variable-size allgather; returns the per-rank arrays in order,
-        as caller-owned copies."""
+    def Allgatherv(
+        self,
+        sendbuf: np.ndarray,
+        into: Optional[Callable[[int, np.ndarray], None]] = None,
+    ) -> Optional[list[np.ndarray]]:
+        """Variable-size allgather.  Without ``into``, returns the
+        per-rank arrays in order, as caller-owned copies; with it, hands
+        each rank's array to ``into(src, view)`` in source order as a
+        borrowed view (this rank's is ``sendbuf`` itself; see
+        :meth:`_packed_round`) and returns nothing."""
         sendbuf = np.asarray(sendbuf)
-        received: list[Any] = [None] * self._size
-        self._packed_round("allgatherv", [sendbuf], 0, sendbuf,
-                           functools.partial(_keep_copy, received))
+        received: Optional[list[Any]] = None
+        if into is None:
+            received = [None] * self._size
+            into = functools.partial(_keep_copy, received)
+        self._packed_round("allgatherv", [sendbuf], 0, sendbuf, into)
         self._record("allgather", None, int(sendbuf.nbytes))
         return received
 

@@ -58,7 +58,8 @@ def halo_exchange(
 
     ``positions`` is ``(n, 3)`` float64 and ``payload`` ``(n, k)``
     float64 (``k`` may be 0; a 1-D payload is treated as one column),
-    this rank's owned particles after migration; inputs are never
+    this rank's owned particles after migration (so ``comm.rank`` owns
+    each one and no owner is looked up again); inputs are never
     modified and the returned ghost arrays are fresh copies.  Handles
     cutoffs larger than a block width (copies then travel more than
     one block).  Collective: every rank must call it, even with zero
@@ -85,7 +86,7 @@ def halo_exchange(
             positions=np.empty((0, 3)), payload=np.empty((0, k)), sent_copies=0
         )
     with comm.trace.phase("spatial_halo"):
-        point_idx, dest_rank = mesh.halo_targets(pos, cutoff)
+        point_idx, dest_rank = mesh.halo_targets(pos, cutoff, comm.rank)
         record = np.concatenate([pos[point_idx], pay[point_idx]], axis=1)
         merged = route_rows(comm, record, dest_rank)
         return HaloResult(

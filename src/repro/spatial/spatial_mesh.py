@@ -85,7 +85,8 @@ class SpatialMesh:
     # -- halo targets ------------------------------------------------------------
 
     def halo_targets(
-        self, positions: np.ndarray, cutoff: float
+        self, positions: np.ndarray, cutoff: float,
+        owner: "int | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """(point_index, dest_rank) pairs for cutoff ghost copies.
 
@@ -93,7 +94,9 @@ class SpatialMesh:
         within ``cutoff`` of it (excluding its owner).  With uniform
         blocks the set of such blocks is the rectangle of block indices
         covering ``[p - cutoff, p + cutoff]``, which handles cutoffs
-        larger than a block width too.
+        larger than a block width too.  ``owner`` is the rank that owns
+        every point, when the caller knows it (points it has just
+        migrated); otherwise each point's is :meth:`owner_of`.
         """
         if cutoff <= 0:
             raise ConfigurationError(f"cutoff must be positive, got {cutoff}")
@@ -102,7 +105,8 @@ class SpatialMesh:
         if n == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         wx, wy = self.block_widths()
-        owner = self.owner_of(pts)
+        if owner is None:
+            owner = self.owner_of(pts)
 
         def block_range(vals: np.ndarray, lo: float, width: float, nblocks: int):
             b_lo = np.floor((vals - cutoff - lo) / width).astype(np.int64)
@@ -127,7 +131,8 @@ class SpatialMesh:
                     continue
                 dest = bx[valid] * self.dims[1] + by[valid]
                 idx = np.nonzero(valid)[0]
-                not_owner = dest != owner[idx]
+                not_owner = dest != (owner if np.ndim(owner) == 0
+                                     else owner[idx])
                 points.append(idx[not_owner])
                 dests.append(dest[not_owner])
         if not points:

@@ -283,20 +283,22 @@ class TestFork:
 #: replaced.  Equal digests mean ``np.array_equal`` states, so store
 #: entries written before the pool stay valid.  The low-order entries
 #: were re-recorded when low order became a graph surface (its lateral
-#: positions never move; numerics 4).
+#: positions never move; numerics 4), the high-order blocked ones when
+#: dense panels began taking r² from one GEMM on panel-centred
+#: coordinates (numerics 7).
 PARENT_STATES = {
     ("high", True, "numpy", 1): "2ff6370de9288fbe",
     ("high", True, "numpy", 2): "fcc6c9e0ae66e56f",
     ("high", True, "numpy", 4): "dd367dd32f80a4f2",
-    ("high", True, "blocked", 1): "16d6c2601597fcc6",
-    ("high", True, "blocked", 2): "410d0fcebcc43d94",
-    ("high", True, "blocked", 4): "47a1cba3eff1957b",
+    ("high", True, "blocked", 1): "96c7405db55a1a05",
+    ("high", True, "blocked", 2): "9d3d29b82cdb9b0a",
+    ("high", True, "blocked", 4): "1b8bbf8560920e54",
     ("high", False, "numpy", 1): "1c83ef1f6e72b8ff",
     ("high", False, "numpy", 2): "95b95006d86d63b0",
     ("high", False, "numpy", 4): "89310f84754e9595",
-    ("high", False, "blocked", 1): "a3098a6aa22d8a4e",
-    ("high", False, "blocked", 2): "b788d982fd79cd92",
-    ("high", False, "blocked", 4): "b5183d82904ecc17",
+    ("high", False, "blocked", 1): "f98212553444a4a4",
+    ("high", False, "blocked", 2): "f57549cb3935bca5",
+    ("high", False, "blocked", 4): "50ff4566249d43b2",
     ("low", True, "numpy", 1): "2da8fe6d289b87f2",
     ("low", True, "numpy", 2): "2da8fe6d289b87f2",
     ("low", True, "numpy", 4): "2da8fe6d289b87f2",
@@ -310,10 +312,11 @@ PARENT_STATES = {
 #: The periodic high-order blocked entry was recorded before the kernel
 #: staged its stack in slices; the rest before the fleet shared the
 #: solver's boundary plan, stage coefficients and Z-Model sources; the
-#: low-order entries when low order became a graph surface.
+#: low-order entries when low order became a graph surface; both
+#: high-order blocked entries again for the GEMM r² (numerics 7).
 PARENT_FLEET_STATES = {
-    ("high", (True, True), "blocked", 0.0): "52570549139d1a66",
-    ("high", (False, False), "blocked", 0.0): "7a349fc0da7c20ed",
+    ("high", (True, True), "blocked", 0.0): "c5745ba1191ca897",
+    ("high", (False, False), "blocked", 0.0): "ef23119b92dab8f4",
     ("high", (True, False), "numpy", 0.0): "6570be9651ee7349",
     ("low", (True, True), "blocked", 0.0): "c5c04c36a59b5707",
     ("low", (True, True), "blocked", 0.02): "124019674bb03df0",

@@ -67,6 +67,7 @@ NUMERICS_PINS = {
     4: "4ecf87793f013eab",
     5: "cbbed42ba96fe124",
     6: "9806d746e484d486",
+    7: "7437c372a92a80a4",
 }
 
 

@@ -297,3 +297,55 @@ def test_tree_state_pinned(ranks):
 
     z, w = spmd(ranks, program)[0]
     assert state_digest(z, w) == TREE_STATES[ranks]
+
+
+def test_gather_copies_each_byte_once(monkeypatch):
+    """Each rank receives every rank's (positions | vorticity) block as a
+    borrowed view and copies it once, straight into the tree's sources:
+    when the tree is built, a rank holds its own payload, its owned
+    coordinates and one copy of the gathered points — not the returned
+    blocks and their concatenation besides."""
+    import threading
+    import tracemalloc
+
+    from repro.core import br_tree
+
+    n, ranks = 64, 2
+    gate = threading.Barrier(ranks)
+    held = []
+    real_build = br_tree.build_quadtree
+    measuring = threading.Event()
+
+    def build(*args, **kwargs):
+        if measuring.is_set():
+            gate.wait()                 # every rank has its sources
+            held.append(tracemalloc.get_traced_memory()[0])
+            gate.wait()
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(br_tree, "build_quadtree", build)
+
+    def program(comm):
+        mesh, pm, omega = _setup(comm, n=n)
+        solver = TreeBRSolver(mesh.cart, mesh, eps=0.1, theta=0.5,
+                              leaf_size=8)
+        for _ in range(2):      # the gather's pooled send buffers settle
+            solver.compute_velocities(pm.z.own, omega)
+        gate.wait()
+        if comm.rank == 0:
+            tracemalloc.start()
+            measuring.set()
+        gate.wait()
+        try:
+            solver.compute_velocities(pm.z.own, omega)
+        finally:
+            gate.wait()
+            if comm.rank == 0:
+                measuring.clear()
+                tracemalloc.stop()
+        return pm.z.own[..., 0].size
+
+    owned = spmd(ranks, program)
+    payload = 6 * 8                                   # bytes per point
+    bound = 1.2 * sum(2 * payload * k + payload * n * n for k in owned)
+    assert len(held) == ranks and min(held) < bound

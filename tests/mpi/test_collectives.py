@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpi.ops import MAX, SUM
+from repro.mpi.trace import CommTrace
 from tests.conftest import spmd
 
 SIZES = [1, 2, 3, 4, 7]
@@ -102,6 +103,31 @@ class TestBasicCollectives:
         for parts in spmd(nranks, program):
             for r, arr in enumerate(parts):
                 assert arr.size == r + 1 and np.all(arr == r)
+
+    def test_allgatherv_into_sees_every_block_in_source_order(self, nranks):
+        """``Allgatherv(into=)`` hands each rank's block, this rank's
+        own included and empty ones too, to the sink in source order,
+        records the same event as the returning form, and returns
+        nothing."""
+
+        def program(comm):
+            local = np.full((comm.rank % 3, 2), float(comm.rank))
+            seen = []
+            assert comm.Allgatherv(
+                local, into=lambda src, view: seen.append((src, view.tolist()))
+            ) is None
+            comm.Allgatherv(local)
+            return seen
+
+        trace = CommTrace()
+        for rank, seen in enumerate(spmd(nranks, program, trace=trace)):
+            assert seen == [(src, [[float(src)] * 2] * (src % 3))
+                            for src in range(nranks)]
+        events = trace.filter(kind="allgather")
+        assert len(events) == 2 * nranks
+        for rank in range(nranks):
+            first, second = [e.nbytes for e in events if e.rank == rank]
+            assert first == second == 16 * (rank % 3)
 
     def test_exchange_results_are_caller_owned(self, nranks):
         """Mutating a receipt, the own one included, leaks into neither

@@ -287,3 +287,52 @@ class TestCutoffHalo:
             return ghosts.count == 0 and ghosts.sent_copies == 0
 
         assert all(spmd(4, program))
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (2, 2)])
+def test_halo_targets_of_migrated_points_need_no_owner_lookup(dims):
+    """``halo_exchange`` tells ``halo_targets`` that this rank owns its
+    migrated points; the (point, dest) lists must be the ones a lookup
+    per point gives — points migrated in from outside the domain (owned
+    by the nearest edge block) included."""
+    mesh = SpatialMesh((-3, -3, -3), (3, 3, 3), dims)
+
+    def program(comm):
+        rng = np.random.default_rng(11 + comm.rank)
+        pos = rng.uniform(-4.5, 4.5, size=(200, 3))    # a third outside
+        m = ParticleMigrator(comm, mesh).migrate(pos, np.empty((200, 0)))
+        assert np.all(mesh.owner_of(m.positions) == comm.rank)
+        same = []
+        for cutoff in (0.3, 1.7, 7.0):
+            told = mesh.halo_targets(m.positions, cutoff, comm.rank)
+            looked_up = mesh.halo_targets(m.positions, cutoff)
+            same.append(all(np.array_equal(a, b)
+                            for a, b in zip(told, looked_up)))
+        outside = np.any(np.abs(m.positions[:, :2]) > 3, axis=1).sum()
+        return all(same), int(outside)
+
+    results = spmd(dims[0] * dims[1], program)
+    assert all(ok for ok, _ in results)
+    assert sum(outside for _, outside in results) > 0
+
+
+def test_halo_exchange_makes_no_owner_lookup(monkeypatch):
+    """Migration routed every point by its owner; the halo that follows
+    it does not look the owners up again."""
+    callers = []
+    real = SpatialMesh.owner_of
+
+    def spy(self, positions):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(self, positions)
+
+    monkeypatch.setattr(SpatialMesh, "owner_of", spy)
+
+    def program(comm):
+        rng = np.random.default_rng(5 + comm.rank)
+        pos = rng.uniform(-3, 3, size=(60, 3))
+        m = ParticleMigrator(comm, MESH).migrate(pos, np.empty((60, 0)))
+        return halo_exchange(comm, MESH, m.positions, m.payload, 0.8).count
+
+    assert sum(spmd(4, program)) > 0
+    assert "migrate" in callers and "halo_targets" not in callers
