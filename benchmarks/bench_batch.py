@@ -69,8 +69,8 @@ def _solo_final(spec):
         solver.run(spec.steps)
         return (
             solver.diagnostics(),
-            solver.pm.positions_own.copy(),
-            solver.pm.vorticity_own.copy(),
+            solver.pm.z.own.copy(),
+            solver.pm.w.own.copy(),
         )
 
     return mpi.run_spmd(1, program)[0]

@@ -61,9 +61,9 @@ class ArrayBackend(abc.ABC):
     Array arguments follow the conventions of the calling modules:
     BR kernels take flattened ``(n, 3)`` float64 point/vector arrays
     (``(B, n, 3)`` stacks for :meth:`br_allpairs`), stencil operators
-    take ghosted ``(B, ni + 4, nj + 4, ...)`` stacks and return
-    owned-region stacks, and the RK3 update works on ``(B, ...)``
-    owned-region stacks.
+    take ghosted stacks whose two trailing axes are the grid,
+    ``(B, ..., ni + 4, nj + 4)``, and return owned-region stacks, and
+    the RK3 update works on ``(B, ...)`` owned-region stacks.
     """
 
     #: Registry key; subclasses override.
@@ -358,20 +358,20 @@ class ArrayBackend(abc.ABC):
 
     @abc.abstractmethod
     def stencil_dx(self, full: np.ndarray, spacing: float) -> np.ndarray:
-        """4th-order ∂/∂α₁ (grid axis 0) of a ghosted stack, on owned
-        nodes: ``(B, n1 + 4, n2 + 4, ...)`` in, ``(B, n1, n2, ...)`` out."""
+        """4th-order ∂/∂α₁ (grid axis −2) of a ghosted stack, on owned
+        nodes: ``(B, ..., n1 + 4, n2 + 4)`` in, ``(B, ..., n1, n2)`` out."""
 
     @abc.abstractmethod
     def stencil_dy(self, full: np.ndarray, spacing: float) -> np.ndarray:
-        """4th-order ∂/∂α₂ (grid axis 1) of a ghosted stack, on owned
-        nodes: ``(B, n1 + 4, n2 + 4, ...)`` in, ``(B, n1, n2, ...)`` out."""
+        """4th-order ∂/∂α₂ (grid axis −1) of a ghosted stack, on owned
+        nodes: ``(B, ..., n1 + 4, n2 + 4)`` in, ``(B, ..., n1, n2)`` out."""
 
     @abc.abstractmethod
     def stencil_laplacian(
         self, full: np.ndarray, dx_: float, dy_: float
     ) -> np.ndarray:
         """4th-order ∂²/∂α₁² + ∂²/∂α₂² of a ghosted stack, on owned
-        nodes: ``(B, n1 + 4, n2 + 4, ...)`` in, ``(B, n1, n2, ...)`` out."""
+        nodes: ``(B, ..., n1 + 4, n2 + 4)`` in, ``(B, ..., n1, n2)`` out."""
 
     # -- fused state updates -----------------------------------------------
 

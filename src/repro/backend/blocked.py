@@ -642,16 +642,16 @@ class BlockedBackend(ArrayBackend):
     def _binterior(full: np.ndarray, oi: int, oj: int) -> np.ndarray:
         """Owned-region view of a stacked ghosted array, offset (oi, oj)."""
         h = 2
-        ni = full.shape[1] - 2 * h
-        nj = full.shape[2] - 2 * h
-        return full[:, h + oi : h + oi + ni, h + oj : h + oj + nj]
+        ni = full.shape[-2] - 2 * h
+        nj = full.shape[-1] - 2 * h
+        return full[..., h + oi : h + oi + ni, h + oj : h + oj + nj]
 
     @staticmethod
     def _bcheck(full: np.ndarray) -> None:
-        if full.ndim < 3 or full.shape[1] < 5 or full.shape[2] < 5:
+        if full.ndim < 3 or min(full.shape[-2:]) < 5:
             raise ConfigurationError(
                 "depth-2 stencils need ghosted arrays of at least 5 x 5 "
-                f"nodes (stacked: (B, >=5, >=5, ...)), got {full.shape}"
+                f"nodes (stacked: (B, ..., >=5, >=5)), got {full.shape}"
             )
 
     def stencil_dx(self, full: np.ndarray, spacing: float) -> np.ndarray:

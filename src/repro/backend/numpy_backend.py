@@ -2,10 +2,10 @@
 
 Every kernel keeps the formulation the solver shipped with — dense
 broadcast BR blocks and the 4th-order stencils of
-:mod:`repro.backend.stencils`, applied to a stack one scenario at a
-time; the tree solver's far-field kernel is the base class's, shared
-with the blocked engine.  It is the parity baseline for every other engine
-and the default when no backend is selected.  (The surrounding call
+:mod:`repro.backend.stencils`, run on the whole stack; the tree solver's
+far-field kernel is the base class's, shared with the blocked engine.
+It is the parity baseline for every other engine and the default when
+no backend is selected.  (The surrounding call
 sites did move — e.g. the TimeIntegrator now applies fused stage
 updates — so whole-solver trajectories may differ from the pre-backend
 code at the 1e-15 level even under this backend.)
@@ -144,18 +144,11 @@ class NumpyBackend(ArrayBackend):
         out += prefactor * acc.transpose(0, 2, 1).reshape(-1, 3)[:out.shape[0]]
         return kept
 
-    # -- stencils ---------------------------------------------------------
+    # -- stencils: the reference formulas, on the whole stack ---------------
 
-    def stencil_dx(self, full: np.ndarray, spacing: float) -> np.ndarray:
-        return np.stack([stencils.dx(f, spacing) for f in full])
-
-    def stencil_dy(self, full: np.ndarray, spacing: float) -> np.ndarray:
-        return np.stack([stencils.dy(f, spacing) for f in full])
-
-    def stencil_laplacian(
-        self, full: np.ndarray, dx_: float, dy_: float
-    ) -> np.ndarray:
-        return np.stack([stencils.laplacian(f, dx_, dy_) for f in full])
+    stencil_dx = staticmethod(stencils.dx)
+    stencil_dy = staticmethod(stencils.dy)
+    stencil_laplacian = staticmethod(stencils.laplacian)
 
     # -- fused state updates ----------------------------------------------
 

@@ -8,8 +8,8 @@ formulas (spacing ``d``):
 * first derivative:  ``(f[-2] - 8 f[-1] + 8 f[+1] - f[+2]) / (12 d)``
 * second derivative: ``(-f[-2] + 16 f[-1] - 30 f[0] + 16 f[+1] - f[+2]) / (12 d²)``
 
-All functions take a *full* ghosted array (halo depth 2) and return
-the result on owned nodes only.
+All functions take a *full* ghosted ``(…, n1 + 4, n2 + 4)`` array (halo
+depth 2, grid axes trailing) and return the owned ``(…, n1, n2)``.
 """
 
 from __future__ import annotations
@@ -26,20 +26,20 @@ HALO = 2
 def interior(full: np.ndarray, oi: int, oj: int) -> np.ndarray:
     """Owned-region view shifted by (oi, oj) nodes (|oi|,|oj| ≤ halo)."""
     h = HALO
-    ni = full.shape[0] - 2 * h
-    nj = full.shape[1] - 2 * h
-    return full[h + oi: h + oi + ni, h + oj: h + oj + nj]
+    ni = full.shape[-2] - 2 * h
+    nj = full.shape[-1] - 2 * h
+    return full[..., h + oi: h + oi + ni, h + oj: h + oj + nj]
 
 
 def check(full: np.ndarray) -> None:
-    if full.shape[0] < 2 * HALO + 1 or full.shape[1] < 2 * HALO + 1:
+    if full.ndim < 2 or min(full.shape[-2:]) < 2 * HALO + 1:
         raise ConfigurationError(
             f"array {full.shape} too small for depth-{HALO} stencils"
         )
 
 
 def dx(full: np.ndarray, spacing: float) -> np.ndarray:
-    """4th-order ∂/∂α₁ (axis 0) on owned nodes."""
+    """4th-order ∂/∂α₁ (grid axis −2) on owned nodes."""
     check(full)
     return (
         interior(full, -2, 0)
@@ -50,7 +50,7 @@ def dx(full: np.ndarray, spacing: float) -> np.ndarray:
 
 
 def dy(full: np.ndarray, spacing: float) -> np.ndarray:
-    """4th-order ∂/∂α₂ (axis 1) on owned nodes."""
+    """4th-order ∂/∂α₂ (grid axis −1) on owned nodes."""
     check(full)
     return (
         interior(full, 0, -2)

@@ -4,7 +4,7 @@ One solver run = one interface; heavy traffic means thousands of
 *small* concurrent simulations where per-run Python and dispatch
 overhead dwarfs the math.  This module batches them: a struct-of-arrays
 container (bluesky's ``Traffic`` shape) holds N independent same-grid
-scenarios in stacked arrays ``(N, ny + 2h, nx + 2h, 3)`` and advances
+scenarios in stacked planes ``(N, 3, ny + 2h, nx + 2h)`` and advances
 the whole fleet in lockstep — one call of each backend kernel per RK3
 stage for each stack of up to 32 scenarios (every kernel takes a stack;
 see :mod:`repro.backend.base`), with vectorized create/finish/remove so
@@ -29,7 +29,8 @@ halo gather, boundary plan, FFT, exact BR, Z-Model and RK3 code index
 the grid axes from the right, every backend kernel computes a scenario
 of a stack exactly as a stack of one, and the health check and
 diagnostics are the solver's own (:func:`~repro.core.solver.check_health`,
-:func:`~repro.core.solver.state_diagnostics`).  So a fleet member's
+:func:`~repro.core.solver.state_diagnostics`, on component-last views
+as a solo run's).  So a fleet member's
 state is ``np.array_equal`` to the same scenario run solo on one rank
 (``tests/batch/test_fleet_is_solo.py``).
 
@@ -56,6 +57,7 @@ from repro.core.solver import (
 )
 from repro.core.surface_mesh import SurfaceMesh
 from repro.core.zmodel import Order, ZModelParameters
+from repro.grid.array import component_last
 from repro.mpi.trace import CommTrace, NullTrace
 from repro.util.errors import ConfigurationError
 
@@ -162,13 +164,13 @@ class ScenarioFleet:
         )
         self.mesh = surface.global_mesh
         self._surface = surface
-        self._own = (Ellipsis, *surface.own_slices, slice(None))
+        self._own = (Ellipsis, *surface.own_slices)
         self._bound = template.amplitude_bound()
 
         # Struct-of-arrays state: stacked ghosted fields plus (N,)
         # per-scenario vectors, compacted together.
-        self._z = np.zeros((0,) + surface.local_shape + (3,))
-        self._w = np.zeros((0,) + surface.local_shape + (2,))
+        self._z = np.zeros((0, 3) + surface.local_shape)
+        self._w = np.zeros((0, 2) + surface.local_shape)
         self._vec = {name: np.zeros(0) for name in _VECTORS}
         self._ids: list[int] = []
         self._next_id = 0
@@ -217,9 +219,9 @@ class ScenarioFleet:
         low = np.asarray(self.mesh.low, dtype=np.float64)
         extent = np.asarray(self.mesh.extent, dtype=np.float64)
         for i, (_config, ic, _steps) in enumerate(items):
-            z_new[i][self._own], w_new[i][self._own] = initial_state(
-                ic, X, Y, low, extent
-            )
+            z, w = initial_state(ic, X, Y, low, extent)
+            component_last(z_new[i][self._own])[...] = z
+            component_last(w_new[i][self._own])[...] = w
         self._z = np.concatenate([self._z, z_new])
         self._w = np.concatenate([self._w, w_new])
         new = {
@@ -282,7 +284,7 @@ class ScenarioFleet:
         RunDivergedError}`` as its result; its siblings keep stepping.
         """
         vec = self._vec
-        z_own, w_own = self._z[self._own], self._w[self._own]
+        z_own, w_own = (component_last(a[self._own]) for a in (self._z, self._w))
         errors = check_health(z_own, w_own, self._bound, vec["steps"])
         diverged = np.array([e is not None for e in errors], dtype=bool)
         done = np.flatnonzero((vec["steps"] >= vec["target"]) | diverged)

@@ -14,10 +14,10 @@ the two corrections Beatnik's ``BoundaryCondition`` class performs:
   sensible to read.
 
 Neither correction communicates — both are pure local kernels, exactly
-as in Beatnik.  The planned selectors index the two grid axes in front
-of the trailing component axis, so one plan serves a block's
-``(n1 + 4, n2 + 4, c)`` arrays and a fleet's ``(B, n1 + 4, n2 + 4, c)``
-stacks (:mod:`repro.batch`) alike.
+as in Beatnik.  The planned selectors index the two trailing (grid)
+axes, so one plan serves a block's ``(c, n1 + 4, n2 + 4)`` planes, a
+``(n1 + 4, n2 + 4)`` field and a fleet's ``(B, c, …)`` stacks
+(:mod:`repro.batch`) alike.
 """
 
 from __future__ import annotations
@@ -38,12 +38,13 @@ class BoundaryType(Enum):
     FREE = "free"
 
 
-def _take(axis: int, index: "slice | int", comp=slice(None)) -> tuple:
-    """Selector of ``index`` along grid ``axis`` (and component ``comp``)
-    of a ghosted ``(..., n1 + 4, n2 + 4, c)`` array or stack."""
+def _take(axis: int, index: "slice | int", comp: "int | None" = None) -> tuple:
+    """Selector of ``index`` along grid ``axis`` of a ghosted
+    ``(…, n1 + 4, n2 + 4)`` array or stack, in component plane ``comp``
+    of ``(…, c, n1 + 4, n2 + 4)`` planes if given."""
     sel: list = [slice(None), slice(None)]
     sel[axis] = index
-    return (Ellipsis, *sel, comp)
+    return (Ellipsis, *sel) if comp is None else (Ellipsis, comp, *sel)
 
 
 class BoundaryCondition:

@@ -6,9 +6,9 @@ central differences, whose 5-point stencils read exactly two ghost
 nodes per side and therefore require the depth-2 halo the grid layer
 provides.
 
-All operators take a *full* local array (ghosts included, shape
-``(ni + 2h, nj + 2h, c)`` or 2D) and return the result on *owned*
-nodes only.  ``h`` must be ≥ 2.
+The stencils take a *full* ``(…, ni + 2h, nj + 2h)`` local array (grid
+axes trailing, ghosts included) and return the result on *owned* nodes
+only; ``h`` must be ≥ 2.  The vector algebra takes ``(…, 3)`` rows.
 
 Stencils (spacing ``d``):
 
@@ -41,8 +41,8 @@ __all__ = [
 
 
 def as_stack(a: np.ndarray) -> np.ndarray:
-    """One block's ``(ni, nj, c)`` array as a stack of one, a ``(B, ni, nj,
-    c)`` stack as given — the view the backend kernels take."""
+    """One block's ``(c, ni, nj)`` planes (or their ``(ni, nj, c)`` view)
+    as a stack of one, a ``(B, …)`` stack as given."""
     return a.reshape((-1,) + a.shape[-3:])
 
 

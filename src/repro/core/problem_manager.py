@@ -7,11 +7,12 @@ starts with.  Solvers that need ghost values for *derived* fields
 (e.g. the potential Φ) go through :meth:`gather_field` so all ghost
 fills share one code path.
 
-The state may also be a ``(B, …)`` stack of B same-grid scenarios on
-one rank (a :class:`~repro.batch.ScenarioFleet` slice, bound by
-assigning the stacks to ``z.full`` / ``w.full``): the gather, the
-boundary plan and :meth:`full_from_own` index the grid axes from the
-right.
+Both fields are stored as component planes (:class:`NodeArray`):
+``z.full`` is ``(3, n1 + 4, n2 + 4)``.  The state may also be a
+``(B, …)`` stack of B same-grid scenarios on one rank (a
+:class:`~repro.batch.ScenarioFleet` slice, bound by assigning the
+stacks to ``z.full`` / ``w.full``): the gather and the boundary plan
+index the two trailing (grid) axes.
 """
 
 from __future__ import annotations
@@ -36,16 +37,9 @@ class ProblemManager:
 
     # -- state access ----------------------------------------------------------
 
-    @property
-    def positions_own(self) -> np.ndarray:
-        return self.z.own
-
-    @property
-    def vorticity_own(self) -> np.ndarray:
-        return self.w.own
-
     def set_state(self, z_own: np.ndarray, w_own: np.ndarray) -> None:
-        """Install owned-state values (e.g. from an initial condition)."""
+        """Install owned-state values (e.g. from an initial condition),
+        given component-last as :attr:`NodeArray.own` reads them."""
         self.z.own[...] = z_own
         self.w.own[...] = w_own
 
@@ -66,11 +60,3 @@ class ProblemManager:
         """Halo-exchange one derived full-shape field + boundary fill."""
         self.mesh.gather([full])
         self.bc.apply_field(full)
-
-    def full_from_own(self, own: np.ndarray) -> np.ndarray:
-        """Embed an owned-region ``(..., ni, nj, c)`` array or stack into
-        a fresh ghosted full one."""
-        full = np.zeros(own.shape[:-3] + self.mesh.local_shape + own.shape[-1:])
-        si, sj = self.mesh.own_slices
-        full[..., si, sj, :] = own
-        return full

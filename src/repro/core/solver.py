@@ -284,7 +284,9 @@ def state_diagnostics(
 ) -> list[dict[str, float]]:
     """:meth:`Solver.diagnostics` of each member of the owned ``z`` /
     ``w`` (one block, or a ``(B, …)`` stack with ``time`` / ``steps`` /
-    ``dt`` as ``(B,)`` arrays), reduced over ``comm``."""
+    ``dt`` as ``(B,)`` arrays, component-last), reduced over ``comm``.
+    The vorticity norm, a pairwise sum whose rounding follows memory
+    order, runs on a contiguous copy."""
     from repro.mpi.ops import MAX
 
     z, w = as_stack(z), as_stack(w)
@@ -294,7 +296,8 @@ def state_diagnostics(
             "time": float(time[b]),
             "steps": float(steps[b]),
             "amplitude": comm.allreduce(float(np.max(np.abs(z[b, ..., 2]))), op=MAX),
-            "vorticity_norm": math.sqrt(comm.allreduce(float(np.sum(w[b] ** 2)))),
+            "vorticity_norm": math.sqrt(comm.allreduce(
+                float(np.sum(np.ascontiguousarray(w[b]) ** 2)))),
             "dt": float(dt[b]),
         }
         for b in range(z.shape[0])

@@ -8,9 +8,9 @@ timestep.  We use the Shu-Osher TVD-RK3 scheme:
     u⁽²⁾ = ¾ uⁿ + ¼ (u⁽¹⁾ + Δt L(u⁽¹⁾))
     uⁿ⁺¹ = ⅓ uⁿ + ⅔ (u⁽²⁾ + Δt L(u⁽²⁾))
 
-with u = (z, γ) on owned nodes — of z, only the components the ZModel
-moves (:attr:`ZModel.moving`): at low order ż = (0, 0, W₃), so the
-lateral positions are never written and stay the mesh coordinates.
+with u = (z, γ) on owned nodes — of z, only the component planes the
+ZModel moves (:attr:`ZModel.moving`): at low order ż = (0, 0, W₃), so
+the lateral positions are never written and stay the mesh coordinates.
 Every stage starts with a fresh halo gather inside
 :meth:`ZModel.compute_derivatives`, so the three evaluations per step
 each trigger the full communication pipeline — the property that makes
@@ -21,10 +21,11 @@ Each stage is one fused backend axpy per field,
 
     u ← a_u·u + a_0·u⁰ + a_Δ·Δt·L(u),
 
-applied in place on the owned state (no per-stage full-state
-temporaries beyond the single u⁰ snapshot per step), and recorded as a
-``rk3_axpy`` roofline compute event in the ``integrate`` phase — the
-same totals for every backend.  A ``(B, …)`` stack of scenarios (a
+applied in place on the owned planes of the state (no per-stage
+full-state temporaries beyond the single u⁰ snapshot per step; the BR ż
+is a view of its ``(…, 3)`` rows), recorded as a ``rk3_axpy`` roofline
+compute event in the ``integrate`` phase — the same totals for every
+backend.  A ``(B, …)`` stack of scenarios (a
 :class:`~repro.batch.ScenarioFleet` slice) steps the same way, with one
 ``dt`` per scenario.
 """
@@ -80,11 +81,11 @@ class TimeIntegrator:
         bk = self.backend
         trace = pm.mesh.cart.trace
         rank = pm.mesh.cart.rank
-        z, w = as_stack(pm.z.own), as_stack(pm.w.own)
+        z, w = as_stack(pm.z.planes), as_stack(pm.w.planes)
         # The modeled cost is the general surface's; only the moving
-        # components of z are written (z₃ alone at low order).
+        # planes of z are written (z₃ alone at low order).
         elements = z.size + w.size
-        z = z[..., self.zmodel.moving]
+        z = z[:, self.zmodel.moving]
         z0 = z.copy()
         w0 = w.copy()
 

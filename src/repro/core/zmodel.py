@@ -36,10 +36,14 @@ Low order                     ``W = (0, 0, W₃)``, so ``z₁ = α₁`` and
                               ``t₁ = (1, 0, ∂₁z₃)``, ``t₂ = (0, 1, ∂₂z₃)``
                               and ``|n| = sqrt(1 + (∂₁z₃)² + (∂₂z₃)²)``
 
-At low order the model therefore differentiates ``z₃`` alone, returns
-``ż`` as the one moving component ``W₃`` and the potential from
-``W₃²``; :attr:`ZModel.moving` tells the time integrator which
-components of ``z`` it steps.  The halo still carries all of ``z``.
+At low order the model therefore differentiates the ``z₃`` plane
+alone, returns ``ż`` as the one moving plane ``W₃`` and the potential
+from ``W₃²``; :attr:`ZModel.moving` tells the time integrator which
+planes of ``z`` it steps.  The halo still carries all of ``z``.
+
+The state is component planes (:class:`~repro.grid.NodeArray`); only
+``t₁ × t₂`` and ω are written into ``(…, 3)`` rows, the memory order
+``|t₁ × t₂|`` (an ``einsum``) and the BR solvers round in.
 
 Linearized about a flat interface this reproduces the Rayleigh-Taylor
 dispersion relation σ = sqrt(A g |k|) (pinned by tests), and the ⊥
@@ -87,12 +91,12 @@ from repro.backend import ArrayBackend, get_backend
 from repro.core import operators as ops
 from repro.core.problem_manager import ProblemManager
 from repro.fft.dfft import DistributedFFT2D, riesz_multiplier
+from repro.grid.array import component_last
 from repro.util.errors import ConfigurationError
 from repro.util.roofline import RIESZ_BYTES, RIESZ_FLOPS
 
 __all__ = [
-    "Order", "ZModelParameters", "ZModel", "BRSolverProtocol", "potential",
-    "vorticity_rate",
+    "Order", "ZModelParameters", "ZModel", "BRSolverProtocol", "vorticity_rate",
 ]
 
 
@@ -153,37 +157,28 @@ class ZModelParameters:
     bernoulli: float = 1.0
 
 
-def potential(z_own, w_sq, gravity, bernoulli) -> np.ndarray:
-    """Φ = g z₃ − β |W|²/2 on owned nodes, from ``w_sq`` = |W|².
-
-    ``gravity`` / ``bernoulli`` are floats or ``(B, 1, 1)`` arrays,
-    broadcasting over the node axes of the ``(B, n1, n2, ·)`` stacks.
-    """
-    return gravity * z_own[..., 2] - 0.5 * bernoulli * w_sq
-
-
 def vorticity_rate(
     bk: ArrayBackend, phi_full, w_full, deth, spacings, atwood, mu
 ) -> np.ndarray:
     """γ̇ = (2A ∂₂Φ, −2A ∂₁Φ) / |n| + μ Δ_s γ on the owned nodes of a stack.
 
-    ``phi_full`` / ``w_full`` are ghosted ``(B, n1 + 4, n2 + 4, 1)`` /
-    ``(…, 2)`` stacks and ``deth`` the ``(B, n1, n2)`` area element;
-    ``atwood`` / ``mu`` are floats or ``(B, 1, 1)`` arrays.  The viscous
-    term is skipped when every μ is zero.
+    ``phi_full`` / ``w_full`` are ghosted ``(B, n1 + 4, n2 + 4)`` /
+    ``(B, 2, …)`` stacks, ``deth`` the ``(B, n1, n2)`` area element and
+    the result ``(B, 2, n1, n2)``; ``atwood`` / ``mu`` are floats or
+    ``(B, 1, 1)`` arrays.  The viscous term is skipped when every μ is 0.
     """
     dx_, dy_ = spacings
-    dphi1 = bk.stencil_dx(phi_full, dx_)[..., 0]
-    dphi2 = bk.stencil_dy(phi_full, dy_)[..., 0]
-    wdot = np.empty(deth.shape + (2,))
+    dphi1 = bk.stencil_dx(phi_full, dx_)
+    dphi2 = bk.stencil_dy(phi_full, dy_)
+    wdot = np.empty(deth.shape[:1] + (2,) + deth.shape[1:])
     # Written in place: full-size temporaries here are the churn that
     # decides whether glibc trims a rank thread's heap every step.
-    np.multiply(2.0 * atwood, dphi2, out=wdot[..., 0])
-    np.multiply(-2.0 * atwood, dphi1, out=wdot[..., 1])
-    np.divide(wdot, deth[..., None], out=wdot)
+    np.multiply(2.0 * atwood, dphi2, out=wdot[:, 0])
+    np.multiply(-2.0 * atwood, dphi1, out=wdot[:, 1])
+    np.divide(wdot, deth[:, None], out=wdot)
     if np.count_nonzero(mu):
-        wdot[..., 0] += mu * bk.stencil_laplacian(w_full[..., 0], dx_, dy_)
-        wdot[..., 1] += mu * bk.stencil_laplacian(w_full[..., 1], dx_, dy_)
+        for k in range(2):
+            wdot[:, k] += mu * bk.stencil_laplacian(w_full[:, k], dx_, dy_)
     return wdot
 
 
@@ -223,7 +218,7 @@ class ZModel:
             )
         if self.order in (Order.MEDIUM, Order.HIGH) and br_solver is None:
             raise ConfigurationError(f"{self.order} order requires a BR solver")
-        # The components of z that ż moves: z₃ alone at low order.
+        # The component planes of z that ż moves: z₃ alone at low order.
         self.moving = slice(2, 3) if self.order is Order.LOW else slice(0, 3)
         # Evaluation statistics (examples/benchmarks read these).
         self.evaluations = 0
@@ -231,17 +226,19 @@ class ZModel:
     # -- pieces ------------------------------------------------------------
 
     def _spectral_velocity(self, w_own: np.ndarray) -> np.ndarray:
-        """Low-order BR approximation W₃ on owned nodes: one packed
-        transform pair (FFT).  W₁ = W₂ = 0."""
+        """Low-order BR approximation W₃ on owned nodes of the vorticity
+        planes: one packed transform pair (FFT).  W₁ = W₂ = 0."""
         assert self.fft is not None
         mesh = self.pm.mesh
         trace = mesh.cart.trace
         with trace.phase("fft"):
-            # (γ1, γ2) pairs are the memory layout of γ1 + iγ2, so the
-            # owned block of the ghosted vorticity is read where it lies;
-            # the transform runs on the trailing (grid) axes of the stack.
-            packed = w_own.view(np.complex128)[..., 0]
-            spectrum = self.fft.forward_transposed(packed)
+            # γ1 + iγ2 in one array, transformed in place by the first
+            # stage (on the grid axes of the stack) and freed after it.
+            packed = np.empty(w_own[..., 0, :, :].shape, np.complex128)
+            packed.real = w_own[..., 0, :, :]
+            packed.imag = w_own[..., 1, :, :]
+            spectrum = self.fft.forward_transposed(packed, overwrite_input=True)
+            del packed
             t0 = trace.clock()
             spectrum *= self._riesz
             trace.record_compute(
@@ -259,33 +256,32 @@ class ZModel:
     def _geometry(
         self, z_full: np.ndarray, w_own: np.ndarray
     ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """(|n|, ω) on owned nodes of a stack: the area element
-        |t₁ × t₂| and the vorticity vector ω = γ1 t₁ + γ2 t₂ the BR
-        solver takes (``None`` at low order, which has no BR solver).
+        """(|n|, ω) on owned nodes of a stack of position / vorticity
+        planes: the area element |t₁ × t₂| and the ``(B, n1, n2, 3)``
+        rows of the vorticity vector ω = γ1 t₁ + γ2 t₂ the BR solver
+        takes (``None`` at low order, which has no BR solver).
 
         At low order the surface is the graph of z₃: t₁ = (1, 0, p) and
-        t₂ = (0, 1, q) with p = ∂₁z₃, q = ∂₂z₃, so only z₃ is
+        t₂ = (0, 1, q) with p = ∂₁z₃, q = ∂₂z₃, so only the z₃ plane is
         differentiated and |n| = sqrt(1 + p² + q²) ≥ 1.
         """
         dx_, dy_ = self.pm.mesh.global_mesh.spacings
         bk = self.backend
         if self.order is Order.LOW:
-            z3 = z_full[..., 2:3]
-            p = bk.stencil_dx(z3, dx_)[..., 0]
-            q = bk.stencil_dy(z3, dy_)[..., 0]
+            z3 = z_full[:, 2]
+            p = bk.stencil_dx(z3, dx_)
+            q = bk.stencil_dy(z3, dy_)
             p *= p
             q *= q
             p += q
             p += 1.0
             return np.sqrt(p, out=p), None
-        t1 = bk.stencil_dx(z_full, dx_)
-        t2 = bk.stencil_dy(z_full, dy_)
+        t1 = component_last(bk.stencil_dx(z_full, dx_))
+        t2 = component_last(bk.stencil_dy(z_full, dy_))
         deth = ops.area_element(ops.cross(t1, t2))
-        return deth, w_own[..., 0:1] * t1 + w_own[..., 1:2] * t2
-
-    def _br_velocity(self, z_own: np.ndarray, omega_own: np.ndarray) -> np.ndarray:
-        assert self.br_solver is not None
-        return self.br_solver.compute_velocities(z_own, omega_own)
+        w = component_last(w_own)
+        return deth, np.add(w[..., 0:1] * t1, w[..., 1:2] * t2,
+                            out=np.empty(t1.shape))
 
     # -- main entry ------------------------------------------------------------
 
@@ -295,9 +291,10 @@ class ZModel:
         Gathers halos, applies boundary conditions, computes geometry,
         evaluates the order-appropriate velocities, and assembles the
         evolution equations.  Purely local except for the gather, FFT
-        and BR-solver calls.  Both results have the shape of the owned
-        state, one block's or a stack's, except that ż holds only the
-        :attr:`moving` components of z (W₃ alone at low order).
+        and BR-solver calls.  Both results are planes shaped like the
+        owned planes of the state, one block's or a stack's, except that
+        ż holds only the :attr:`moving` planes of z (W₃ alone at low
+        order, a view of the BR velocity's rows otherwise).
         """
         pm = self.pm
         mesh = pm.mesh
@@ -306,9 +303,8 @@ class ZModel:
         pm.gather_state()
 
         lead = pm.z.full.shape[:-3]
-        z_full, w_full, z_own, w_own = (
-            ops.as_stack(a) for a in (pm.z.full, pm.w.full, pm.z.own, pm.w.own)
-        )
+        z_full, w_full, z_own, w_own = map(
+            ops.as_stack, (pm.z.full, pm.w.full, pm.z.planes, pm.w.planes))
         need_fft = self.order in (Order.LOW, Order.MEDIUM)
         need_br = self.order in (Order.MEDIUM, Order.HIGH)
 
@@ -323,14 +319,21 @@ class ZModel:
             )
 
         w3 = self._spectral_velocity(w_own) if need_fft else None
-        w_br = self._br_velocity(z_own, omega) if need_br else None
+        w_br = (
+            self.br_solver.compute_velocities(component_last(z_own), omega)
+            if need_br else None
+        )
 
-        w_total = w_br if need_br else w3[..., None]
+        w_total = w_br.transpose(0, 3, 1, 2) if need_br else w3[:, None]
         w_sq = w3 * w3 if need_fft else ops.dot(w_br, w_br)
 
-        # The potential, haloed for its gradient.
-        phi_own = potential(z_own, w_sq, p.gravity, p.bernoulli)
-        phi_full = pm.full_from_own(phi_own[..., None])
+        # The potential Φ = g z₃ − β |W|²/2, written into the owned
+        # window of its ghosted array and haloed for its gradient.
+        phi_full = np.zeros(z_full.shape[:1] + mesh.local_shape)
+        phi = phi_full[(Ellipsis, *mesh.own_slices)]
+        np.multiply(p.gravity, z_own[:, 2], out=phi)
+        w_sq *= 0.5 * p.bernoulli
+        phi -= w_sq
         pm.gather_field(phi_full)
 
         with trace.phase("stencil"):
@@ -341,13 +344,13 @@ class ZModel:
             )
             trace.record_compute(
                 "vorticity_update", mesh.cart.rank,
-                flops=30.0 * wdot[..., 0].size,
-                bytes_moved=8.0 * 8 * wdot[..., 0].size,
-                items=wdot[..., 0].size, t_wall=trace.clock_since(t0),
+                flops=30.0 * deth.size,
+                bytes_moved=8.0 * 8 * deth.size,
+                items=deth.size, t_wall=trace.clock_since(t0),
             )
 
         self.evaluations += 1
         return (
-            np.ascontiguousarray(w_total).reshape(lead + w_total.shape[1:]),
+            w_total.reshape(lead + w_total.shape[1:]),
             wdot.reshape(lead + wdot.shape[1:]),
         )

@@ -36,14 +36,14 @@ inverse and ``cols_to_brick`` read the view where it lies.
 Elision rule: a hop whose source and destination layouts coincide on
 every rank (brick ≡ rows pencil on a ``(P, 1)`` process grid; every hop
 on one rank) hands its input through untouched — see
-:class:`~repro.fft.remap.Remap`.  No stage writes the caller's input:
-a 1-D stage runs in place only on an array the plan allocated in the
-same call (a real hop's destination or an earlier stage's result)
-whose transform axis is contiguous, and otherwise writes a new array
-with that axis contiguous — so the spectrum is a transposed view on one
-rank too.  The caller's input may
-be a strided view (the ZModel passes the owned block of its ghosted
-vorticity); it is read where it lies.
+:class:`~repro.fft.remap.Remap`.  No stage writes the caller's input
+unless the caller hands it over (``overwrite_input``): a 1-D stage runs
+in place only on an array the plan allocated in the same call (a real
+hop's destination or an earlier stage's result) or was handed, whose
+transform axis is contiguous, and otherwise writes a new array with
+that axis contiguous — so the spectrum is a transposed view on one rank
+too.  The caller's input may be a strided view; it is read where it
+lies.
 
 The intermediate layouts and the communication backend are chosen by
 :class:`~repro.fft.config.FftConfig` — the eight combinations of the
@@ -166,7 +166,7 @@ class DistributedFFT2D:
         return transform(work, axis, trace=self.cart.trace, rank=self.cart.rank,
                          out=out)
 
-    def forward_transposed(self, local: np.ndarray) -> np.ndarray:
+    def forward_transposed(self, local, overwrite_input=False) -> np.ndarray:
         """Forward complex 2D FFT; brick in, :attr:`spectrum_box` out.
 
         ``local`` is this rank's brick of real or complex data (or a
@@ -175,11 +175,13 @@ class DistributedFFT2D:
         cols-layout box of the (unnormalized, ``norm='backward'``)
         global spectrum, a ``swapaxes(-1, -2)`` view of an
         ``(…, m, N₁)`` buffer: axis −2, the one transformed last, is
-        contiguous.
+        contiguous.  ``overwrite_input`` (``scipy.fft``'s ``overwrite_x``)
+        lets the first stage run in place on ``local``.
         """
         data = np.asarray(local, dtype=np.complex128)
         work = self._to_rows.apply(data)
-        work = self._stage(fft_along, work, -1, owned=work is not local)
+        work = self._stage(fft_along, work, -1,
+                           owned=overwrite_input or work is not local)
         work = self._rows_to_cols.apply(work)
         return self._stage(fft_along, work, -2, owned=True)
 

@@ -1,15 +1,17 @@
 """Ghosted node arrays over a mesh block (Cabana ``Array`` analogue).
 
-A :class:`NodeArray` is a numpy array of shape
-``(ni + 2h, nj + 2h, ncomp)`` — owned nodes plus the ghost frame — with
-views that make solver code read naturally: ``arr.own`` is the owned
-interior, ``arr.full`` everything.  Solver kernels operate on ``full``
-(so stencils can read ghosts) and write ``own``.
+A :class:`NodeArray` is a numpy array of component planes, shape
+``(ncomp, ni + 2h, nj + 2h)`` — owned nodes plus the ghost frame — with
+views that make solver code read naturally: ``arr.full`` is everything,
+``arr.planes`` the owned nodes of each plane and ``arr.own`` the same
+nodes component-last, the order every array leaving the solver keeps.
+Solver kernels operate on ``full`` (so stencils can read ghosts) and
+write ``planes``, one plane of contiguous rows per component.
 
-The grid axes are indexed from the right, so a node array may also hold
-a ``(B, ni + 2h, nj + 2h, ncomp)`` stack of B same-grid scenarios
+The grid axes are the two trailing ones, so a node array may also hold
+a ``(B, ncomp, ni + 2h, nj + 2h)`` stack of B same-grid scenarios
 (:mod:`repro.batch`): assigning such a stack to ``full`` rebinds the
-array to it without a copy, and ``own`` is then the stack's owned view.
+array to it without a copy.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ from repro.util.errors import ConfigurationError
 if TYPE_CHECKING:
     from repro.core.surface_mesh import SurfaceMesh
 
-__all__ = ["NodeArray"]
+__all__ = ["NodeArray", "component_last"]
+
+
+def component_last(planes: np.ndarray) -> np.ndarray:
+    """The ``(…, ni, nj, c)`` view of ``(…, c, ni, nj)`` component planes
+    (two axis swaps: a tenth of ``np.moveaxis``'s call overhead)."""
+    return planes.swapaxes(-3, -2).swapaxes(-2, -1)
 
 
 class NodeArray:
@@ -39,16 +47,14 @@ class NodeArray:
         if ncomp < 1:
             raise ConfigurationError(f"ncomp must be >= 1, got {ncomp}")
         self.mesh = mesh
-        self.ncomp = ncomp
         self.name = name
-        ni, nj = mesh.local_shape
-        self._data = np.zeros((ni, nj, ncomp), dtype=dtype)
+        self._data = np.zeros((ncomp,) + mesh.local_shape, dtype=dtype)
 
     # -- views ------------------------------------------------------------
 
     @property
     def full(self) -> np.ndarray:
-        """The whole local array, ghosts included (shape ni+2h, nj+2h, c)."""
+        """The whole local array, ghosts included (shape c, ni+2h, nj+2h)."""
         return self._data
 
     @full.setter
@@ -62,14 +68,17 @@ class NodeArray:
         self._data = data
 
     @property
-    def own(self) -> np.ndarray:
-        """View of owned nodes only (writable; shares memory with full)."""
+    def planes(self) -> np.ndarray:
+        """Owned nodes of each component plane, ``(…, c, ni, nj)``
+        (writable; shares memory with full)."""
         si, sj = self.mesh.own_slices
-        return self._data[..., si, sj, :]
+        return self._data[..., si, sj]
 
     @property
-    def dtype(self) -> np.dtype:
-        return self._data.dtype
+    def own(self) -> np.ndarray:
+        """Owned nodes component-last, ``(…, ni, nj, c)`` (writable; a
+        strided view of :attr:`planes`)."""
+        return component_last(self.planes)
 
     @property
     def shape(self) -> tuple[int, ...]:

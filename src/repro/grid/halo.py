@@ -22,10 +22,10 @@ Periodicity is inherited from the Cartesian communicator: open edges
 have :data:`~repro.mpi.world.PROC_NULL` neighbours and their ghosts are
 left untouched (the boundary-condition code extrapolates into them).
 
-Slabs index the two grid axes in front of the trailing component axis,
-so one plan gathers a block's ``(ni + 2h, nj + 2h, c)`` arrays and a
-fleet's ``(B, ni + 2h, nj + 2h, c)`` stacks (:mod:`repro.batch`) alike:
-a stack still travels in the same 4 messages.
+Slabs index the two trailing (grid) axes, so one plan gathers a
+block's ``(c, ni + 2h, nj + 2h)`` component planes, a field and a
+fleet's ``(B, c, …)`` stacks (:mod:`repro.batch`) alike: a stack still
+travels in the same 4 messages.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ class HaloExchange:
                 recv = self._slabs(axis, sign)[1]
                 self._plan.append((
                     _TAG_BASE + 2 * phase + dir_index, src, dest,
-                    (Ellipsis, *send, slice(None)),
-                    (Ellipsis, *recv, slice(None)),
+                    (Ellipsis, *send), (Ellipsis, *recv),
                 ))
 
     # -- slab geometry -----------------------------------------------------
@@ -110,16 +109,16 @@ class HaloExchange:
     def gather(self, arrays: Sequence[np.ndarray]) -> None:
         """Fill ghost frames of ``arrays`` from neighbouring ranks.
 
-        ``arrays`` are full local arrays (shape ``local_shape + (c,)``)
-        or ``(B, …)`` stacks of them; they are modified in place.  All
-        arrays are exchanged in the same 4 messages.
+        ``arrays`` are full local ``(…, ni + 2h, nj + 2h)`` arrays (a
+        field, component planes or a stack), modified in place, all
+        exchanged in the same 4 messages.
         """
         if self.h == 0:
             return
         cart = self.mesh.cart
         expected = self.mesh.local_shape
         for a in arrays:
-            if a.shape[-3:-1] != expected:
+            if a.shape[-2:] != expected:
                 raise ConfigurationError(
                     f"array shape {a.shape} does not match mesh block {expected}"
                 )

@@ -182,7 +182,7 @@ class TestKernelParity:
     def test_stencils_parity(self, backend, rng):
         nb = get_backend(backend)
         ref = get_backend("numpy")
-        full = rng.normal(size=(2, 23, 19, 3))
+        full = rng.normal(size=(2, 3, 23, 19))
         assert_matches(
             nb.stencil_dx(full, 0.07), ref.stencil_dx(full, 0.07),
             f"{backend}: dx",

@@ -44,8 +44,8 @@ def solo_run(cfg, initial, steps):
         solver.run(steps)
         return (
             solver.diagnostics(),
-            solver.pm.positions_own.copy(),
-            solver.pm.vorticity_own.copy(),
+            solver.pm.z.own.copy(),
+            solver.pm.w.own.copy(),
         )
 
     return spmd(1, program)[0]

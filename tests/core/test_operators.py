@@ -69,12 +69,12 @@ class TestDerivativeAccuracy:
         assert np.allclose(ops.dy(full, 0.5), -2.0)
 
     def test_multicomponent_arrays(self):
-        full = np.zeros((12, 12, 3))
-        full[..., 1] = np.arange(12)[:, None] * 1.0
+        full = np.zeros((3, 12, 12))
+        full[1] = np.arange(12)[:, None] * 1.0
         d = ops.dx(full, 1.0)
-        assert d.shape == (8, 8, 3)
-        assert np.allclose(d[..., 1], 1.0)
-        assert np.allclose(d[..., 0], 0.0)
+        assert d.shape == (3, 8, 8)
+        assert np.allclose(d[1], 1.0)
+        assert np.allclose(d[0], 0.0)
 
     def test_too_small_raises(self):
         with pytest.raises(ConfigurationError):
@@ -108,7 +108,7 @@ class TestVectorAlgebra:
 
 
 def _tangents_and_normal(z, h):
-    t1, t2 = ops.dx(z, h), ops.dy(z, h)
+    t1, t2 = (np.moveaxis(d, 0, -1) for d in (ops.dx(z, h), ops.dy(z, h)))
     return t1, t2, ops.cross(t1, t2)
 
 
@@ -116,7 +116,7 @@ class TestSurfaceNormal:
     def test_flat_surface(self):
         x = np.arange(12) * 0.25
         X, Y = np.meshgrid(x, x, indexing="ij")
-        z = np.stack([X, Y, np.zeros_like(X)], axis=-1)
+        z = np.stack([X, Y, np.zeros_like(X)])
         t1, t2, n = _tangents_and_normal(z, 0.25)
         assert np.allclose(t1, [1, 0, 0])
         assert np.allclose(t2, [0, 1, 0])
@@ -126,7 +126,7 @@ class TestSurfaceNormal:
     def test_tilted_surface(self):
         x = np.arange(12) * 0.25
         X, Y = np.meshgrid(x, x, indexing="ij")
-        z = np.stack([X, Y, 0.5 * X], axis=-1)
+        z = np.stack([X, Y, 0.5 * X])
         t1, t2, n = _tangents_and_normal(z, 0.25)
         assert np.allclose(t1, [1, 0, 0.5])
         assert np.allclose(n, [-0.5, 0, 1.0])

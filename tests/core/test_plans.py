@@ -71,7 +71,8 @@ def _ref_gather(grid, arrays):
             if dest != PROC_NULL:
                 cart.Send(
                     np.concatenate(
-                        [np.ascontiguousarray(a[send_slab]).ravel() for a in arrays]
+                        [np.ascontiguousarray(a[(..., *send_slab)]).ravel()
+                         for a in arrays]
                     ),
                     dest, tag,
                 )
@@ -79,7 +80,7 @@ def _ref_gather(grid, arrays):
                 incoming = cart.Recv(None, src, tag)
                 at = 0
                 for a in arrays:
-                    region = a[recv_slab]
+                    region = a[(..., *recv_slab)]
                     region[...] = incoming[at: at + region.size].reshape(region.shape)
                     at += region.size
 
@@ -91,7 +92,7 @@ def _ref_extrapolate(grid, full, axis, side):
     def take(index):
         sel = [slice(None), slice(None)]
         sel[axis] = index
-        return tuple(sel)
+        return (..., *sel)
 
     if side == -1:
         edge, inner, targets = h, h + 1, range(h - 1, -1, -1)
@@ -118,10 +119,10 @@ def _ref_apply(mesh, full, position):
             sel = [slice(None), slice(None)]
             if first:
                 sel[axis] = slice(0, h)
-                full[tuple(sel) + (axis,)] -= period
+                full[(..., axis, *sel)] -= period
             if last:
                 sel[axis] = slice(n_owned + h, n_owned + 2 * h)
-                full[tuple(sel) + (axis,)] += period
+                full[(..., axis, *sel)] += period
         else:
             if first:
                 _ref_extrapolate(mesh, full, axis, -1)
@@ -191,8 +192,8 @@ def test_boundary_plan_applies_to_a_stack_member_by_member(dims, periodic):
         mesh = SurfaceMesh(cart, (0.0, -1.0), (2.0, 2.0), (12, 10), periodic)
         bc = ProblemManager(mesh).bc
         rng = np.random.default_rng(17 + comm.rank)
-        z = rng.normal(size=(5,) + mesh.local_shape + (3,))
-        w = rng.normal(size=(5,) + mesh.local_shape + (2,))
+        z = rng.normal(size=(5, 3) + mesh.local_shape)
+        w = rng.normal(size=(5, 2) + mesh.local_shape)
         want_z, want_w = z.copy(), w.copy()
         for member in want_z:
             _ref_apply(mesh, member, position=True)

@@ -33,7 +33,7 @@ class TestBoundaryCondition:
             z = pm.z.full
             dx = mesh.global_mesh.spacings[0]
             if mesh.global_boundary[0][0]:
-                diff = z[2, 2:-2, 0] - z[1, 2:-2, 0]
+                diff = z[0, 2, 2:-2] - z[0, 1, 2:-2]
                 return np.allclose(diff, dx)
             return True
 
@@ -50,7 +50,7 @@ class TestBoundaryCondition:
             z = pm.z.full
             if mesh.global_boundary[0][0]:
                 # Ghost rows continue z1 = X linearly.
-                step = z[1, 3, 0] - z[0, 3, 0]
+                step = z[0, 1, 3] - z[0, 0, 3]
                 return np.isclose(step, mesh.global_mesh.spacings[0])
             return True
 

@@ -188,7 +188,7 @@ class TestPackedSpectralVelocity:
             box = fft.brick_box.slices()
             pm.set_state(np.zeros(fft.brick_box.shape + (3,)), gamma[box])
             before = pm.w.own.copy()
-            got = model._spectral_velocity(pm.w.own)
+            got = model._spectral_velocity(pm.w.planes)
             assert np.array_equal(pm.w.own, before)  # input never written
             np.testing.assert_allclose(
                 got, want[box], rtol=0, atol=1e-13 * np.abs(want).max()
@@ -288,10 +288,11 @@ class TestGraphForm:
             pm, bk = solver.pm, get_backend(backend)
             pm.gather_state()
             z_full = ops.as_stack(pm.z.full)
-            deth, omega = solver.zmodel._geometry(z_full, ops.as_stack(pm.w.own))
+            deth, omega = solver.zmodel._geometry(z_full, ops.as_stack(pm.w.planes))
             dx_, dy_ = solver.mesh.global_mesh.spacings
             general = ops.area_element(ops.cross(
-                bk.stencil_dx(z_full, dx_), bk.stencil_dy(z_full, dy_)
+                np.moveaxis(bk.stencil_dx(z_full, dx_), 1, -1),
+                np.moveaxis(bk.stencil_dy(z_full, dy_), 1, -1),
             ))
             assert omega is None and deth.min() >= 1.0
             assert deth.max() > 1.01  # the surface is not flat

@@ -121,6 +121,27 @@ class TestTransposedHalves:
         # (2, 2) grid: every hop moves data.
         assert spmd(4, program) == [[False] * 6] * 4
 
+    @pytest.mark.parametrize("nranks", [1, 2, 4])
+    def test_overwrite_input_is_the_same_spectrum_in_place(self, nranks, rng):
+        """A handed-over brick is transformed in place where the first
+        hop is elided (one rank, a (2, 1) grid), bitwise as a copy of it
+        would be; without ``overwrite_input`` it is never written."""
+        shape = (16, 12)
+        field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        def program(comm):
+            fft = DistributedFFT2D(mpi.create_cart(comm, ndims=2), shape)
+            local = field[fft.brick_box.slices()].copy()
+            want = fft.forward_transposed(local)
+            unwritten = np.array_equal(local, field[fft.brick_box.slices()])
+            got = fft.forward_transposed(local, overwrite_input=True)
+            overwritten = not np.array_equal(local, field[fft.brick_box.slices()])
+            return unwritten, np.array_equal(got, want), overwritten
+
+        for unwritten, same, overwritten in spmd(nranks, program):
+            assert unwritten and same
+            assert overwritten == (nranks < 4)
+
 
 class TestStacks:
     @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"cfg{c.index}")

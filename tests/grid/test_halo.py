@@ -45,7 +45,7 @@ class TestPeriodicHalo:
             _fill_owned(mesh, f)
             mesh.halo.gather([f.full])
             li0, lj0 = _local_origin(mesh)
-            full = f.full[..., 0]
+            full = f.full[0]
             for li in range(full.shape[0]):
                 for lj in range(full.shape[1]):
                     gi = (li0 + li) % N
@@ -67,7 +67,7 @@ class TestPeriodicHalo:
             _fill_owned(mesh, a)
             b.own[..., 0] = 5.0
             mesh.halo.gather([a.full, b.full])
-            return np.all(b.full[..., 0] == 5.0)
+            return np.all(b.full[0] == 5.0)
 
         results = spmd(4, program, trace=trace)
         assert all(results)
@@ -84,7 +84,7 @@ class TestOpenBoundaryHalo:
             f.full.fill(-99.0)
             _fill_owned(mesh, f)
             mesh.halo.gather([f.full])
-            full = f.full[..., 0]
+            full = f.full[0]
             li0, lj0 = _local_origin(mesh)
             ok = True
             for li in range(full.shape[0]):
@@ -107,7 +107,7 @@ class TestOpenBoundaryHalo:
             f.full.fill(-99.0)
             _fill_owned(mesh, f)
             mesh.halo.gather([f.full])
-            full = f.full[..., 0]
+            full = f.full[0]
             li0, lj0 = _local_origin(mesh)
             for li in range(full.shape[0]):
                 for lj in range(full.shape[1]):
@@ -224,6 +224,6 @@ class TestNodeArray:
             arr = NodeArray(mesh, 2)
             arr.own[...] = 3.0
             h = mesh.halo_width
-            return float(arr.full[h, h, 0])
+            return float(arr.full[0, h, h])
 
         assert spmd(1, program)[0] == 3.0
