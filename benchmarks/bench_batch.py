@@ -11,8 +11,9 @@ the whole deck in lockstep, and checks:
   per second).  At 32x32 a solo step is dominated by Python dispatch
   — dozens of tiny kernel launches each touching a few kB — while the
   fleet pays that dispatch once per RK3 stage for all 64 scenarios;
-* **solo-vs-fleet parity on every registered backend**: for one probe
-  scenario per backend, the final owned ``z``/``w`` arrays and the
+* **solo-vs-fleet parity on both engines** (the ``blocked`` engine
+  every run uses and the ``numpy`` reference): for one probe
+  scenario per engine, the final owned ``z``/``w`` arrays and the
   diagnostics dict of a fleet-stepped run match the solo run to 1e-12
   (elementwise max-abs).  The fleet runs the probe alongside decoy
   scenarios so cross-contamination through the stacked arrays would be
@@ -26,13 +27,11 @@ gate still leaves the measurements on disk.
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_batch.py -q -s
 """
 
-import dataclasses
 import time
 
 import numpy as np
 
 from repro import mpi
-from repro.backend import available_backends
 from repro.batch import ScenarioFleet
 from repro.campaign import CampaignDeck
 from repro.core.solver import Solver
@@ -40,16 +39,12 @@ from repro.core.solver import Solver
 from common import print_series, save_results
 
 #: 64 scenarios: 16 Atwood numbers x 4 desingularization factors on a
-#: shared 32x32 low-order grid.  ``blocked`` pins the fused batched
-#: kernels as the measured fast path.
+#: shared 32x32 low-order grid, on the blocked engine every run uses.
 DECK = {
     "name": "bench_batch",
     "mode": "functional",
     "steps": 10,
-    "base": {
-        "order": "low", "num_nodes": [32, 32], "dt": 0.002,
-        "backend": "blocked",
-    },
+    "base": {"order": "low", "num_nodes": [32, 32], "dt": 0.002},
     "ic": {"kind": "multi_mode", "magnitude": 0.05, "period": 3},
     "grid": {
         "atwood": [round(0.05 + 0.055 * i, 4) for i in range(16)],
@@ -61,11 +56,11 @@ SPEEDUP_GATE = 2.0
 PARITY_TOL = 1e-12
 
 
-def _solo_final(spec):
+def _solo_final(spec, backend=None):
     """Final (diagnostics, z_own, w_own) of one spec through run_spmd."""
 
     def program(comm):
-        solver = Solver(comm, spec.config, spec.ic)
+        solver = Solver(comm, spec.config, spec.ic, backend=backend)
         solver.run(spec.steps)
         return (
             solver.diagnostics(),
@@ -92,22 +87,17 @@ def _fleet_wall(specs):
 
 
 def _parity_rows(specs):
-    """Max |solo - fleet| for one probe scenario on each backend."""
+    """Max |solo - fleet| for one probe scenario on each engine."""
     rows = []
-    for backend in available_backends():
-        probe = dataclasses.replace(specs[0].config, backend=backend)
-        decoys = [
-            dataclasses.replace(specs[i].config, backend=backend)
-            for i in (1, 2, 3)
-        ]
-        fleet = ScenarioFleet(probe, retain_state=True)
-        sid = fleet.add(probe, specs[0].ic, specs[0].steps)
-        for i, cfg in enumerate(decoys, start=1):
-            fleet.add(cfg, specs[i].ic, specs[i].steps)
+    for backend in ("numpy", "blocked"):
+        probe = specs[0]
+        fleet = ScenarioFleet(probe.config, retain_state=True, backend=backend)
+        sid = fleet.add(probe.config, probe.ic, probe.steps)
+        for decoy in specs[1:4]:
+            fleet.add(decoy.config, decoy.ic, decoy.steps)
         results = fleet.run()
 
-        spec = dataclasses.replace(specs[0], config=probe)
-        diag, z_solo, w_solo = _solo_final(spec)
+        diag, z_solo, w_solo = _solo_final(probe, backend)
         got = results[sid]
         dz = float(np.max(np.abs(got["z"] - z_solo)))
         dw = float(np.max(np.abs(got["w"] - w_solo)))
@@ -140,7 +130,7 @@ def test_fleet_speedup_and_parity():
         "scenarios": len(specs),
         "steps_per_scenario": DECK["steps"],
         "grid": DECK["base"]["num_nodes"],
-        "backend": DECK["base"]["backend"],
+        "backend": "blocked",
         "sequential_wall_s": seq_wall,
         "fleet_wall_s": fleet_wall,
         "sequential_rate_sps": seq_rate,

@@ -14,16 +14,10 @@ longest-job-first with store-level dedup, and the report module pivots
 the store back into the figure grid.  The crossover assertions are
 unchanged, and a functional sanity check still verifies all eight
 configurations agree numerically at 4 ranks.
-
-``$REPRO_BENCH_BACKEND`` selects the compute backend the deck's runs
-carry (default ``auto``), so the sweep exercises any registered engine
-end-to-end — the same axis mechanism that lets a deck compare engines
-the way this figure compares heFFTe flags.
 """
 
 import itertools
 import math
-import os
 
 import numpy as np
 
@@ -40,10 +34,6 @@ from common import GPU_SWEEP, print_series, save_results
 
 BASE_MESH = 4864
 
-#: Compute backend carried by every run of the deck (any registered
-#: engine; model-mode points only resolve it when built functionally).
-BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "auto")
-
 
 def fig9_deck() -> CampaignDeck:
     """The paper's weak-scaled 8-config sweep as a declarative deck."""
@@ -52,7 +42,7 @@ def fig9_deck() -> CampaignDeck:
         "name": "fig9_heffte_sweep",
         "mode": "model",
         "steps": 1,
-        "base": {"order": "low", "backend": BACKEND},
+        "base": {"order": "low"},
         "grid": {"fft_config": [c.index for c in ALL_CONFIGS]},
         "zip": {
             "ranks": list(GPU_SWEEP),

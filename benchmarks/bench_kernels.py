@@ -1,7 +1,8 @@
 """Kernel microbenchmarks — compute backends on the dense hot paths.
 
 Seeds the performance trajectory the figure benchmarks cannot see:
-wall-clock of every registered :mod:`repro.backend` engine on
+wall-clock of both :mod:`repro.backend` engines (``blocked``, which
+every run uses, and the ``numpy`` reference) on
 
 * the exact-BR all-pairs kernel at the paper's 128×128 working size
   (the acceptance gate: ``blocked`` must be ≥ 2× the numpy reference),
@@ -39,7 +40,7 @@ import time
 import numpy as np
 
 from repro import mpi
-from repro.backend import available_backends, blocked
+from repro.backend import blocked
 from repro.core import InitialCondition, Solver, SolverConfig
 from repro.core.kernels import br_velocity_allpairs, br_velocity_within
 from repro.grid import HaloExchange
@@ -54,6 +55,9 @@ BR_NODES = 128
 #: Chunk-sum and neighbor-search working size (cutoff pipeline scale).
 NB_NODES = 64
 NB_CUTOFF = 0.6
+
+#: The two engines: the numpy reference first, then the one every run uses.
+BACKENDS = ("numpy", "blocked")
 
 #: Required blocked-vs-numpy speedup on the all-pairs kernel.
 REQUIRED_SPEEDUP = 2.0
@@ -144,7 +148,7 @@ def _small_run(backend, br_solver, monkeypatch):
     spatial phases seen) of a 16×16 one-rank high-order run."""
     config = SolverConfig(
         num_nodes=(SMALL_NODES, SMALL_NODES), periodic=(False, False),
-        order="high", br_solver=br_solver, cutoff=0.5, backend=backend,
+        order="high", br_solver=br_solver, cutoff=0.5,
     )
     ic = InitialCondition(kind="multi_mode", magnitude=0.05, period=4)
     trace = mpi.CommTrace()
@@ -157,7 +161,7 @@ def _small_run(backend, br_solver, monkeypatch):
         return counted
 
     def program(comm):
-        solver = Solver(comm, config, ic)
+        solver = Solver(comm, config, ic, backend=backend)
         solver.step()  # warm the engine
         ms = 1e3 * _best_of(lambda: solver.run(SMALL_STEPS), 3) / SMALL_STEPS
         trace.clear()
@@ -175,7 +179,7 @@ def _small_run(backend, br_solver, monkeypatch):
 def test_small_run_step_time(monkeypatch):
     rows, small = [], {}
     for br_solver in ("exact", "cutoff"):
-        for backend in available_backends():
+        for backend in BACKENDS:
             ms, lookups, events, spatial = _small_run(backend, br_solver, monkeypatch)
             small.setdefault(br_solver, {})[backend] = {
                 "ms_per_step": ms, "lookups_per_eval": lookups,
@@ -249,8 +253,7 @@ def test_allpairs_one_worker_vs_all(monkeypatch):
 
 
 def test_backend_kernel_microbenchmarks():
-    backends = available_backends()
-    assert "numpy" in backends and "blocked" in backends
+    backends = list(BACKENDS)
 
     # row -> (timer, the ComputeEvent kernel it records)
     sections = {

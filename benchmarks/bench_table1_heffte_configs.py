@@ -7,14 +7,9 @@ ranks, the store's records are pivoted into the table payload, and the
 solver diagnostics must agree across all configurations (the flags tune
 communication, never numerics).  A per-configuration forward-transform
 micro-benchmark rides along unchanged.
-
-``$REPRO_BENCH_BACKEND`` selects the compute backend the functional
-runs use (default ``auto``), exercising the deck ``backend`` plumbing
-end-to-end.
 """
 
 import itertools
-import os
 
 import numpy as np
 import pytest
@@ -33,9 +28,6 @@ from common import print_series, save_results
 N = (64, 64)
 RANKS = 4
 
-#: Compute backend for the functional runs (any registered engine).
-BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "auto")
-
 
 def table1_deck() -> CampaignDeck:
     return CampaignDeck.from_dict({
@@ -43,8 +35,7 @@ def table1_deck() -> CampaignDeck:
         "mode": "functional",
         "steps": 2,
         "ranks": RANKS,
-        "base": {"order": "low", "num_nodes": [32, 32], "dt": 0.002,
-                 "backend": BACKEND},
+        "base": {"order": "low", "num_nodes": [32, 32], "dt": 0.002},
         "ic": {"kind": "multi_mode", "magnitude": 0.02, "period": 3},
         "grid": {"fft_config": [c.index for c in ALL_CONFIGS]},
     })

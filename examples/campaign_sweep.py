@@ -2,10 +2,9 @@
 """Campaign orchestration in miniature: one deck, two invocations.
 
 Builds a declarative sweep deck covering the paper's evaluation axes at
-laptop scale — model order × BR solver × rank count × compute backend
-(the ``backend`` axis compares engines the way Figure 9 compares heFFTe
-flags) — expands it to content-hashed run specs, and executes it twice
-through the campaign subsystem:
+laptop scale — model order × BR solver × rank count — expands it to
+content-hashed run specs, and executes it twice through the campaign
+subsystem:
 
 1. The first submission runs every point concurrently (longest-job-first
    order from the machine-model cost estimate) and persists results
@@ -38,10 +37,7 @@ DECK = {
         "cutoff": 1.0,
     },
     "ic": {"kind": "single_mode", "magnitude": 0.05, "period": 1},
-    "grid": {
-        "ranks": [1, 2],
-        "backend": ["numpy", "blocked"],
-    },
+    "grid": {"ranks": [1, 2]},
     "zip": {
         "order": ["low", "medium", "high", "high"],
         "br_solver": ["exact", "exact", "exact", "cutoff"],
@@ -76,7 +72,7 @@ def main() -> None:
     print("\n" + str(campaign_summary(store)))
     table = campaign_table(
         store,
-        ["config.order", "config.br_solver", "config.backend", "ranks",
+        ["config.order", "config.br_solver", "ranks",
          "result.diagnostics.amplitude", "elapsed"],
         sort_by="elapsed",
     )

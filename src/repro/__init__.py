@@ -7,7 +7,7 @@ stack (:mod:`repro.core`), the structured-grid substrate
 (:mod:`repro.grid`), a heFFTe-style distributed FFT (:mod:`repro.fft`),
 an ArborX/CabanaPD-style particle layer (:mod:`repro.spatial`), a
 Silo-style writer (:mod:`repro.io`), an in-process MPI simulator
-(:mod:`repro.mpi`), pluggable compute backends for the dense hot paths
+(:mod:`repro.mpi`), the compute engine of the dense hot paths
 (:mod:`repro.backend`) and a machine performance model
 (:mod:`repro.machine`) used by the benchmark harness to reproduce the
 paper's 4-to-1024-GPU scaling studies.

@@ -36,7 +36,7 @@ Numerical contract
 Backends may reorder floating-point reductions (tiling, BLAS) but must
 agree with the ``numpy`` reference to ~1e-12 relative accuracy on
 well-conditioned inputs; ``tests/backend/test_parity.py``
-pins this for every registered backend.  Exactly coincident
+pins the blocked engine to it.  Exactly coincident
 target/source points contribute exactly zero to BR sums (the
 numerator ``ω × (t − s)`` vanishes), and every backend must preserve
 that — it is what makes self-interaction need no special casing.

@@ -48,7 +48,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro import mpi
-from repro.backend import get_backend
+from repro.backend import ArrayBackend, get_backend
 from repro.core.initial_conditions import InitialCondition, initial_state
 from repro.core.problem_manager import ProblemManager
 from repro.core.solver import (
@@ -78,18 +78,16 @@ def fleet_key(config: SolverConfig) -> Optional[tuple]:
 
     Two configs with equal keys can share one :class:`ScenarioFleet`:
     they agree on everything the stacked arrays and shared kernels need
-    (grid shape/extent/periodicity, solve order, BR solver choice,
-    compute engine, as resolved: ``"auto"`` shares the fleet of the
-    engine it selects) while Atwood/gravity/mu/bernoulli/eps/dt/IC vary
-    per scenario.  Ineligible configs — approximate BR solvers (the
-    cutoff/tree neighbor machinery is not batched yet), order/boundary
-    combinations the solver itself rejects, an unknown engine — return
-    ``None`` so callers fall back to solo execution.
+    (grid shape/extent/periodicity, solve order, BR solver choice)
+    while Atwood/gravity/mu/bernoulli/eps/dt/IC vary per scenario.
+    Ineligible configs — approximate BR solvers (the cutoff/tree
+    neighbor machinery is not batched yet), order/boundary combinations
+    the solver itself rejects — return ``None`` so callers fall back to
+    solo execution.
     """
     try:
         order = Order.parse(config.order)
-        engine = get_backend(config.backend).name
-    except (ConfigurationError, ValueError):
+    except ConfigurationError:
         return None
     periodic = (bool(config.periodic[0]), bool(config.periodic[1]))
     if order in (Order.LOW, Order.MEDIUM) and not all(periodic):
@@ -108,7 +106,6 @@ def fleet_key(config: SolverConfig) -> Optional[tuple]:
         periodic,
         order.value,
         br,
-        engine,
     )
 
 
@@ -129,6 +126,9 @@ class ScenarioFleet:
     retain_state:
         When true, finished scenarios' results keep copies of the final
         owned ``z``/``w`` arrays (parity tests, benchmarks).
+    backend:
+        The engine the fleet steps on, as :class:`~repro.core.Solver`
+        takes it (``None`` is ``blocked``).
     """
 
     def __init__(
@@ -137,6 +137,7 @@ class ScenarioFleet:
         *,
         trace: Optional[CommTrace] = None,
         retain_state: bool = False,
+        backend: "ArrayBackend | str | None" = None,
     ) -> None:
         key = fleet_key(template)
         if key is None:
@@ -160,7 +161,7 @@ class ScenarioFleet:
             template.periodic,
         )
         self._integrator = build_integrator(
-            ProblemManager(surface), template, get_backend(template.backend)
+            ProblemManager(surface), template, get_backend(backend)
         )
         self.mesh = surface.global_mesh
         self._surface = surface

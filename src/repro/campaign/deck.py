@@ -28,10 +28,10 @@ pack from the scenario registry (:mod:`repro.scenarios`).  A
 ``scenario`` value (in ``base`` or as an axis) resolves the pack's
 ``base``/``ic`` dicts *underneath* the deck's own ``base``/``ic`` and
 axis overrides, so campaigns sweep scenario packs exactly the way they
-sweep backends::
+sweep any other axis::
 
     {"grid": {"scenario": ["multimode-periodic", "singlemode-rollup"],
-              "backend": ["numpy", "blocked"]}}
+              "atwood": [0.3, 0.5]}}
 
 A scenario pack *is* a deck: one with no axes, plus metadata
 (``family``, ``title``, ``description``, ``tags``, ``provenance``) that
@@ -49,7 +49,6 @@ store dedup, LJF scheduling and the batch fast path are unchanged.
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import functools
 import hashlib
 import itertools
@@ -59,7 +58,6 @@ import tomllib
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
-from repro.backend import available_backends
 from repro.core.initial_conditions import InitialCondition
 from repro.core.solver import SolverConfig
 from repro.fft.config import FftConfig
@@ -78,12 +76,17 @@ _TUPLE_FIELDS = ("num_nodes", "low", "high", "periodic", "spatial_low", "spatial
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
 _IC_FIELDS = {f.name for f in dataclasses.fields(InitialCondition)}
 
-#: SolverConfig fields that no longer exist, each at the one value every
-#: stored run carries.  They configured the cutoff solver's neighbor-
-#: structure cache, which was removed: a deck, pack or payload may still
-#: name one at exactly this value (it is dropped), and :class:`RunSpec`
-#: payloads keep carrying them, so no run hash moves.
-_RETIRED_FIELDS = {"skin": 0.0, "rebuild_freq": 0}
+#: SolverConfig fields that no longer exist: each at the one value every
+#: run it could still describe carries, and why no other value loads.  A
+#: deck, pack or payload may still name one at exactly that value (it is
+#: dropped), and :class:`RunSpec` payloads keep carrying them, so a run
+#: that spelled that value keeps its hash.
+_RETIRED_FIELDS = {
+    "skin": (0.0, "the Verlet-skin neighbor cache was removed"),
+    "rebuild_freq": (0, "the Verlet-skin neighbor cache was removed"),
+    "backend": ("blocked", "every solve runs on the blocked engine"),
+}
+_RETIRED_VALUES = {key: value for key, (value, _) in _RETIRED_FIELDS.items()}
 
 #: Run-level keys: a pack nests them under ``run``, a deck also sweeps them.
 _RUN_KEYS = ("steps", "ranks")
@@ -133,12 +136,12 @@ def build_config(params: dict[str, Any]) -> SolverConfig:
     retired field loads only at its retired value.
     """
     kwargs = dict(params)
-    for key, retired in _RETIRED_FIELDS.items():
+    for key, (retired, reason) in _RETIRED_FIELDS.items():
         value = kwargs.pop(key, retired)
         if value != retired:
             raise DeckError(
-                f"{key} = {value!r}: the Verlet-skin neighbor cache was "
-                f"removed, so only {retired!r} still loads", key,
+                f"{key} = {value!r}: {reason}, so only {retired!r} still "
+                "loads", key,
             )
     for key in _TUPLE_FIELDS:
         if kwargs.get(key) is not None:
@@ -149,25 +152,6 @@ def build_config(params: dict[str, Any]) -> SolverConfig:
     elif isinstance(fft, dict):
         kwargs["fft_config"] = FftConfig(**fft)
     return SolverConfig(**kwargs)
-
-
-def _check_backend(name: str) -> None:
-    """Reject a ``backend`` no registered engine answers to.
-
-    ``SolverConfig`` only resolves its engine when a solver is built, so
-    without this a typo would surface as one memoized ``failed`` record
-    per run instead of a bad deck.
-    """
-    engines = available_backends() + ["auto"]
-    key = name.strip().lower()
-    if key in engines:
-        return
-    suggestions = difflib.get_close_matches(key, engines, n=3)
-    hint = f" (did you mean {', '.join(suggestions)}?)" if suggestions else ""
-    raise ConfigurationError(
-        f"unknown compute backend {name!r} in deck field 'backend'{hint}; "
-        f"engines: {engines}"
-    )
 
 
 def _canonical(value: Any) -> Any:
@@ -218,7 +202,7 @@ class RunSpec:
             for f in dataclasses.fields(self.config)
         }
         return {
-            "config": {**_RETIRED_FIELDS, **config},
+            "config": {**_RETIRED_VALUES, **config},
             "ic": _canonical(dataclasses.asdict(self.ic)),
             "ranks": self.ranks,
             "steps": self.steps,
@@ -478,9 +462,8 @@ class CampaignDeck:
         deck's own ``steps`` / ``ranks`` apply, not the pack's.  The
         emitted spec carries only resolved parameters — no scenario
         field — so it content-hashes identically to the equivalent
-        explicit deck.  A ``backend`` that names no registered engine
-        raises :class:`ConfigurationError` here, before any run is
-        stored or dispatched.
+        explicit deck.  A retired field at any value but its own raises
+        :class:`DeckError` here, before any run is stored or dispatched.
         """
         specs = []
         for point in self._points():
@@ -503,11 +486,9 @@ class CampaignDeck:
                     ic_params[key[3:]] = value
                 else:
                     config_params[key] = value
-            config = build_config(config_params)
-            _check_backend(config.backend)
             specs.append(
                 RunSpec(
-                    config=config,
+                    config=build_config(config_params),
                     ic=InitialCondition(**ic_params),
                     mode=self.mode,
                     campaign=self.name,

@@ -20,12 +20,11 @@ Named workloads come from the scenario registry (:mod:`repro.scenarios`):
 ``--scenario <name>`` loads a validated pack — paper-sourced geometry,
 solver parameters and initial condition — and any explicitly-passed
 flag still overrides the pack field it names, also when it repeats the
-flag's default (``--backend`` is always a machine choice, never part of
-a pack).  ``--list-scenarios`` prints the
-registry with provenance::
+flag's default.  ``--list-scenarios`` prints the registry with
+provenance::
 
     rocketrig --scenario singlemode-rollup --outdir results/rig
-    rocketrig --scenario multimode-periodic --backend blocked --steps 5
+    rocketrig --scenario multimode-periodic --steps 5
     rocketrig --list-scenarios
 
 Batch campaigns (``rocketrig campaign``) run a whole sweep deck through
@@ -64,7 +63,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import mpi
-from repro.backend import available_backends, get_backend
 from repro.core import (
     InitialCondition,
     SiloWriter,
@@ -147,8 +145,8 @@ def _epilog() -> str:
     """Worked examples for ``--help``, generated from the registries.
 
     Every flag below exists in the parser (the CLI test suite runs
-    these exact lines through ``parse_args``), and the solver/backend
-    lists come from the same registries that drive dispatch.
+    these exact lines through ``parse_args``), and the solver list
+    comes from the same registry that drives dispatch.
     """
     return f"""\
 examples:
@@ -160,7 +158,7 @@ examples:
             --free-boundaries --ic multi_mode --steps 10 --trace
   rocketrig --nodes 64 --ranks 4 --steps 5 --profile run.trace.json
   rocketrig --scenario singlemode-rollup --outdir results/rig
-  rocketrig --scenario multimode-periodic --backend blocked --steps 5
+  rocketrig --scenario multimode-periodic --steps 5
   rocketrig campaign examples/decks/smoke.json --workers 4
   rocketrig campaign examples/decks/smoke.json --workers 1 \\
             --timeout 3600 --collective-timeout 600
@@ -173,11 +171,8 @@ examples:
 
 initial conditions (--ic): {", ".join(IC_CHOICES)} (default multi_mode)
 BR solvers (--br-solver):  {", ".join(available_br_solvers())} (default exact)
-compute backends (--backend): {", ".join(available_backends())} \
-(default: $REPRO_BACKEND or numpy)
 
-Run --list-solvers / --list-backends / --list-scenarios to print the
-registries and exit.
+Run --list-solvers / --list-scenarios to print the registries and exit.
 """
 
 
@@ -190,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--list-solvers", action="store_true",
                         help="print the registered BR solvers and exit")
-    parser.add_argument("--list-backends", action="store_true",
-                        help="print the registered compute backends and exit")
     parser.add_argument("--list-scenarios", action="store_true",
                         help="print the scenario-pack registry (name, "
                              "family, tags, provenance) and exit")
@@ -245,11 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Table-1 configuration index (default 7)")
 
     run = parser.add_argument_group("run")
-    run.add_argument("--backend", "-b", default="auto",
-                     help="compute backend for the dense hot paths "
-                          "(registered engines: "
-                          f"{', '.join(available_backends())}; "
-                          "default: $REPRO_BACKEND or numpy)")
     run.add_argument("--steps", "-t", type=int)
     run.add_argument("--ranks", "-r", type=int,
                      help="simulated MPI ranks (default 1)")
@@ -409,9 +397,7 @@ def _run_params(
 
     The base is the ``--scenario`` pack's fields, or without one the
     values in :data:`_FLAG_DEFAULTS`; every flag the user passed
-    overrides the field it names, and ``--backend`` is always applied —
-    packs forbid it, since the compute engine is a machine choice, not
-    part of scenario identity.  The config is built by
+    overrides the field it names.  The config is built by
     :func:`~repro.campaign.deck.build_config`, as a deck's is.
     """
     from repro.campaign.deck import build_config
@@ -432,7 +418,6 @@ def _run_params(
          if getattr(args, dest) is not None},
         config, ic, run,
     )
-    config["backend"] = args.backend
     return (build_config(config), InitialCondition(**ic), run["steps"],
             run["ranks"])
 
@@ -440,11 +425,6 @@ def _run_params(
 def run_from_args(args: argparse.Namespace) -> dict:
     try:
         config, ic, steps, ranks = _run_params(args)
-    except ReproError as exc:
-        raise SystemExit(f"rocketrig: {exc}")
-    # Resolve eagerly so an unknown engine fails before ranks spin up.
-    try:
-        backend_name = get_backend(config.backend).name
     except ReproError as exc:
         raise SystemExit(f"rocketrig: {exc}")
     profile_path = getattr(args, "profile", None)
@@ -478,8 +458,7 @@ def run_from_args(args: argparse.Namespace) -> dict:
 
     scenario_tag = f"scenario {args.scenario!r}, " if args.scenario else ""
     print(f"rocketrig: {scenario_tag}{config.order}-order, {ranks} ranks, "
-          f"{config.num_nodes[0]}x{config.num_nodes[1]} mesh, {steps} steps, "
-          f"{backend_name} backend")
+          f"{config.num_nodes[0]}x{config.num_nodes[1]} mesh, {steps} steps")
     for key, value in diag.items():
         print(f"  {key:>16}: {value:.6g}")
     if counts is not None:
@@ -788,11 +767,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # swallow stdout so the interpreter's exit flush stays quiet.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    if args.list_solvers or args.list_backends:
-        if args.list_solvers:
-            print("registered BR solvers:", ", ".join(available_br_solvers()))
-        if args.list_backends:
-            print("registered compute backends:", ", ".join(available_backends()))
+    if args.list_solvers:
+        print("registered BR solvers:", ", ".join(available_br_solvers()))
         return 0
     if getattr(args, "command", None) == "inspect":
         return inspect_from_args(args)

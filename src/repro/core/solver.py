@@ -31,7 +31,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.backend import get_backend
+from repro.backend import ArrayBackend, get_backend
 from repro.core.br_cutoff import CutoffBRSolver
 from repro.core.br_exact import ExactBRSolver
 from repro.core.br_tree import TreeBRSolver
@@ -135,11 +135,9 @@ class SolverConfig:
       (Barnes-Hut multipole approximation; ``theta`` bounds the
       geometric error of every accepted far-field interaction and
       ``leaf_size`` sets the near-field granularity).
-    * ``backend`` selects the compute engine for the dense hot paths
-      (see :mod:`repro.backend`): a registered name such as ``numpy``
-      or ``blocked``, or ``auto`` for ``$REPRO_BACKEND``-or-numpy.
-      Resolution happens when the Solver is built, so a deck can carry
-      engine names that only some machines provide.
+    * Every solve runs on the ``blocked`` engine (see
+      :mod:`repro.backend`); ``backend`` is a retired deck key that
+      loads only at ``"blocked"``.
     """
 
     num_nodes: tuple[int, int] = (64, 64)
@@ -163,7 +161,6 @@ class SolverConfig:
     spatial_low: Optional[tuple[float, float, float]] = None
     spatial_high: Optional[tuple[float, float, float]] = None
     fft_config: FftConfig = field(default_factory=FftConfig)
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         # The depth-2 halo stencils (and the FFT brick remap) need at
@@ -202,10 +199,6 @@ class SolverConfig:
         if self.mu < 0:
             raise ConfigurationError(
                 f"mu (artificial viscosity) must be >= 0, got {self.mu}"
-            )
-        if not isinstance(self.backend, str) or not self.backend.strip():
-            raise ConfigurationError(
-                f"backend must be a non-empty engine name, got {self.backend!r}"
             )
 
     # -- derived values -------------------------------------------------------
@@ -370,16 +363,21 @@ def build_integrator(
 
 
 class Solver:
-    """Builds the module stack from a config and runs timesteps."""
+    """Builds the module stack from a config and runs timesteps.
+
+    ``backend`` is the engine every hot path of this solver runs on
+    (:func:`~repro.backend.get_backend`: ``None`` is ``blocked``); only
+    reference runs in tests pass another.
+    """
 
     def __init__(
-        self, comm: Comm, config: SolverConfig, ic: InitialCondition
+        self, comm: Comm, config: SolverConfig, ic: InitialCondition,
+        *, backend: "ArrayBackend | str | None" = None,
     ) -> None:
         self.comm = comm
         self.config = config
         self.order = Order.parse(config.order)
-        # One engine instance drives every hot path of this solver.
-        self.backend = get_backend(config.backend)
+        self.backend = get_backend(backend)
 
         self.mesh = SurfaceMesh(
             comm, config.low, config.high, config.num_nodes, config.periodic
@@ -470,6 +468,7 @@ class Solver:
         config: SolverConfig,
         state: "str | dict[str, Any]",
         ic: Optional[InitialCondition] = None,
+        *, backend: "ArrayBackend | str | None" = None,
     ) -> "Solver":
         """Rebuild a solver from a checkpoint written by :meth:`save_checkpoint`.
 
@@ -489,7 +488,8 @@ class Solver:
                 f"checkpoint mesh {z_global.shape[:2]} does not match "
                 f"config num_nodes {tuple(config.num_nodes)}"
             )
-        solver = cls(comm, config, ic or InitialCondition(kind="flat"))
+        solver = cls(comm, config, ic or InitialCondition(kind="flat"),
+                     backend=backend)
         space = solver.mesh.owned_space
         (i0, j0), (ni, nj) = space.mins, space.shape
         solver.pm.set_state(

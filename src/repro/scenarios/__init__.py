@@ -95,14 +95,12 @@ def _check_pack(pack: CampaignDeck) -> None:
     if axes:
         fail(f"a pack is one run and sweeps no axes, got {axes}",
              "grid" if pack.grid else "zip")
-    if "backend" in pack.base:
-        fail("'backend' is machine-specific and cannot be pinned by a pack; "
-             "select engines per run (--backend, deck axes, $REPRO_BACKEND)",
-             "config.backend")
     if "scenario" in pack.base:
         fail("a pack cannot name another pack", "config.scenario")
     try:
         pack.expand()
+    except DeckError as exc:
+        fail(exc.message, exc.field and f"config.{exc.field}")
     except ConfigurationError as exc:
         fail(str(exc))
     except TypeError as exc:

@@ -40,7 +40,7 @@ upward pass aggregates children without revisiting points.
 
 The leaf-level moment reduction is a backend kernel
 (:meth:`repro.backend.base.ArrayBackend.moment_accumulate`), so every
-registered engine computes bit-compatible moments; the far-field pair
+engine computes bit-compatible moments; the far-field pair
 evaluation is its sibling kernel ``farfield_eval``.
 
 The tree's points are also cut into *pieces*: each leaf's run of

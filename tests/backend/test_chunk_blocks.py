@@ -13,8 +13,9 @@ one must give the same bits for any thread count.
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, blocked, get_backend
+from repro.backend import blocked, get_backend
 from repro.spatial.neighbors import _CHUNK, chunk_pairs
+from tests.conftest import ENGINES
 
 RTOL = 1e-12
 EPS2, PREF = 0.05 ** 2, 0.2
@@ -71,7 +72,7 @@ def assert_matches(got, want):
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * scale)
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", ENGINES)
 @pytest.mark.parametrize("n", [1024, 1000, 37])      # n % _CHUNK != 0 too
 @pytest.mark.parametrize("mask", [True, False])
 def test_sheet_matches_the_unlisted_sum(backend, n, mask, rng):
@@ -105,7 +106,7 @@ def test_sheet_matches_the_unlisted_sum(backend, n, mask, rng):
     assert_matches(got, want)
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", ENGINES)
 def test_coincident_points_weigh_zero(backend, rng):
     """Duplicated points in and across chunks, and a lone chunk: every
     coincident pair is counted and contributes exactly nothing."""
@@ -128,7 +129,7 @@ def test_coincident_points_weigh_zero(backend, rng):
     assert kept == 4 and np.all(got == 0.0)
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", ENGINES)
 def test_a_complete_list_changes_no_bit(backend, rng):
     pts, om = sheet(200, rng)
     every = chunk_pairs(pts, pts, 100.0, symmetric=True)
@@ -139,7 +140,7 @@ def test_a_complete_list_changes_no_bit(backend, rng):
     assert np.array_equal(listed, plain)
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", ENGINES)
 def test_stack_members_are_each_alone(backend, rng):
     """One list serves a stack: each member comes out as it does alone."""
     pts, om = sheet(500, rng)

@@ -113,7 +113,7 @@ class TestSerialBits:
     def test_periodic_images_solver_state(self, helpers):
         config = SolverConfig(
             num_nodes=(40, 40), order="high", br_images=True, dt=0.002,
-            eps=0.05, backend="blocked",
+            eps=0.05,
         )
 
         def state():
@@ -180,7 +180,7 @@ class TestNoPoolForOnePanel:
 
     def test_small_solo_run(self, fresh):
         config = SolverConfig(num_nodes=(16, 16), order="high", dt=0.002,
-                              eps=0.1, backend="blocked")
+                              eps=0.1)
         mpi.run_spmd(1, lambda comm: Solver(comm, config, IC).run(2))
         assert blocked._pool is None
         assert threading.active_count() == fresh
@@ -191,7 +191,7 @@ class TestNoPoolForOnePanel:
         spec = CampaignDeck.from_dict({
             "name": "spy", "mode": "functional", "steps": 2,
             "base": {"order": "high", "num_nodes": [16, 16], "dt": 0.002,
-                     "eps": 0.1, "backend": "blocked"},
+                     "eps": 0.1},
             "ic": {"kind": "multi_mode", "magnitude": 0.05, "period": 3},
         }).expand()[0]
         store = CampaignStore("spy", root=str(tmp_path))
@@ -339,12 +339,11 @@ class TestParentPin:
         order, periodic, backend, ranks = key
         config = SolverConfig(
             num_nodes=(40, 40), order=order, periodic=(periodic, periodic),
-            backend=backend, dt=0.002, eps=0.05,
-            low=(-np.pi, -np.pi), high=(np.pi, np.pi),
+            dt=0.002, eps=0.05, low=(-np.pi, -np.pi), high=(np.pi, np.pi),
         )
 
         def program(comm):
-            solver = Solver(comm, config, IC)
+            solver = Solver(comm, config, IC, backend=backend)
             solver.run(2)
             return gather_global_state(solver.pm)
 
@@ -357,8 +356,8 @@ class TestParentPin:
             pytest.skip("snapshot recorded on a host with other BLAS/SIMD rounding")
         order, periodic, backend, mu = key
         config = SolverConfig(num_nodes=(16, 16), order=order, periodic=periodic,
-                              mu=mu, dt=0.002, eps=0.1, backend=backend)
-        fleet = ScenarioFleet(config, retain_state=True)
+                              mu=mu, dt=0.002, eps=0.1)
+        fleet = ScenarioFleet(config, retain_state=True, backend=backend)
         ids = fleet.add_many([
             (replace(config, atwood=0.1 + 0.02 * k),
              InitialCondition(kind="multi_mode", magnitude=0.05, period=3,

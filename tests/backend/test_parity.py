@@ -1,25 +1,24 @@
-"""Cross-backend parity: every engine must match the numpy reference.
+"""Cross-engine parity: the blocked engine must match the numpy reference.
 
-The contract (see :mod:`repro.backend.base`): backends may reorder
+The contract (see :mod:`repro.backend.base`): engines may reorder
 floating-point reductions but must agree with the reference to ~1e-12
 relative accuracy, preserve the exact-zero self-interaction of the BR
-quadrature, and record identical roofline ComputeEvent totals.  Every
-registered backend is tested — registering an engine enrolls it here.
+quadrature, and record identical roofline ComputeEvent totals.
 """
 
 import numpy as np
 import pytest
 
 from repro import mpi
-from repro.backend import available_backends, get_backend
+from repro.backend import get_backend
 from repro.core import InitialCondition, Solver, SolverConfig
 from repro.core.kernels import br_velocity_allpairs
-from tests.conftest import spmd
+from tests.conftest import ENGINES, spmd
 
 RTOL = 1e-12
 
 #: Every non-reference engine.
-OTHERS = [b for b in available_backends() if b != "numpy"]
+OTHERS = [b for b in ENGINES if b != "numpy"]
 
 
 def assert_matches(result, reference, context=""):
@@ -215,7 +214,7 @@ class TestKernelParity:
         assert_matches(out, want, f"{backend}: rk3 non-aliased")
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", ENGINES)
 def test_allpairs_cutoff_past_every_pair_changes_no_bit(backend, rng):
     """``cutoff2`` beyond every pair is the unmasked kernel, bit for bit,
     on every engine (the reference included)."""
@@ -234,7 +233,7 @@ def test_allpairs_cutoff_past_every_pair_changes_no_bit(backend, rng):
 #: Regression for the aliasing bug: every engine (the reference too)
 #: must compute the fused update as if the RHS were fully materialized,
 #: no matter which operand ``out`` shares memory with.
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", ENGINES)
 @pytest.mark.parametrize("alias", ["u", "u0", "du", "none"])
 def test_rk3_axpy_aliasing_matrix(backend, alias, rng):
     bk = get_backend(backend)
@@ -270,12 +269,11 @@ def _solver_state(backend, order, br_solver, ranks=2):
         low=(-np.pi, -np.pi), high=(np.pi, np.pi),
         order=order, br_solver=br_solver,
         cutoff=2.0, dt=0.004, eps=0.1, mu=0.05,
-        backend=backend,
     )
     ic = InitialCondition(kind="multi_mode", magnitude=0.05, period=3)
 
     def program(comm):
-        solver = Solver(comm, cfg, ic)
+        solver = Solver(comm, cfg, ic, backend=backend)
         solver.run(3)
         from repro.core import gather_global_state
 
@@ -312,13 +310,14 @@ class TestComputeEventInvariance:
             cfg = SolverConfig(
                 num_nodes=(12, 12), low=(-np.pi, -np.pi), high=(np.pi, np.pi),
                 order=order, br_solver=br_solver, cutoff=2.0,
-                dt=0.004, eps=0.1, mu=0.02, backend=backend,
+                dt=0.004, eps=0.1, mu=0.02,
             )
 
             def program(comm):
                 Solver(
                     comm, cfg, InitialCondition(kind="single_mode",
-                                                magnitude=0.05)
+                                                magnitude=0.05),
+                    backend=backend,
                 ).step()
 
             spmd(2, program, trace=trace)
@@ -333,26 +332,33 @@ class TestComputeEventInvariance:
             )
 
 
-class TestDeckBackendAxis:
-    """A campaign deck can sweep the backend axis end-to-end."""
+class TestDeckRunsMatchReference:
+    """A campaign's runs, on the blocked engine every run uses, match
+    the numpy reference solver on the same points."""
 
-    def test_backend_axis_expands_and_runs(self, tmp_path):
+    def test_deck_points_match_the_reference_engine(self, tmp_path):
         from repro.campaign import CampaignDeck, CampaignExecutor, CampaignStore
 
         deck = CampaignDeck.from_dict({
-            "name": "backend_axis",
+            "name": "reference_axis",
             "mode": "functional",
             "steps": 2,
             "base": {"num_nodes": [12, 12], "order": "low", "dt": 0.004},
             "ic": {"kind": "single_mode", "magnitude": 0.05},
-            "grid": {"backend": ["numpy", "blocked"]},
+            "grid": {"atwood": [0.3, 0.5]},
         })
         specs = deck.expand()
-        assert [s.config.backend for s in specs] == ["numpy", "blocked"]
         assert len({s.run_hash() for s in specs}) == 2  # distinct hashes
 
         store = CampaignStore(deck.name, root=str(tmp_path))
         outcomes = CampaignExecutor(store, max_workers=2).submit(specs)
         assert all(o.status == "completed" for o in outcomes)
-        amps = [o.result["diagnostics"]["amplitude"] for o in outcomes]
-        assert amps[0] == pytest.approx(amps[1], rel=1e-10)
+        for spec, outcome in zip(specs, outcomes):
+            def program(comm):
+                solver = Solver(comm, spec.config, spec.ic, backend="numpy")
+                solver.run(spec.steps)
+                return solver.diagnostics()
+
+            reference = spmd(spec.ranks, program)[0]
+            got = outcome.result["diagnostics"]["amplitude"]
+            assert got == pytest.approx(reference["amplitude"], rel=1e-10)

@@ -12,7 +12,8 @@ The engines then agree with each other to the parity tolerance.
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, get_backend
+from repro.backend import get_backend
+from tests.conftest import ENGINES
 
 TOL = 1e-12
 B = 5  # scenarios per stack — odd, so blocked chunking hits a remainder
@@ -23,7 +24,7 @@ def _each(stack):
     return [stack[b : b + 1] for b in range(stack.shape[0])]
 
 
-@pytest.mark.parametrize("name", available_backends())
+@pytest.mark.parametrize("name", ENGINES)
 class TestStackEqualsStacksOfOne:
     @pytest.mark.parametrize("n", [48, 300])       # one panel; ragged panels
     def test_br_allpairs(self, name, n, rng):
@@ -109,7 +110,7 @@ class TestCrossEngineAgreement:
         eps2 = rng.uniform(0.01, 0.1, size=B)
         pref = rng.uniform(0.5, 2.0, size=B)
         outs = []
-        for name in available_backends():
+        for name in ENGINES:
             out = np.zeros((B, n, 3))
             get_backend(name).br_allpairs(
                 targets, targets, omega, eps2, pref, out, symmetric=True
@@ -123,7 +124,7 @@ class TestCrossEngineAgreement:
         results = [
             (bk.stencil_dx(full, 0.1), bk.stencil_dy(full, 0.2),
              bk.stencil_laplacian(full, 0.1, 0.2))
-            for bk in map(get_backend, available_backends())
+            for bk in map(get_backend, ENGINES)
         ]
         for got in results[1:]:
             for a, b in zip(got, results[0]):

@@ -57,9 +57,9 @@ class TestRouting:
         telemetry = store.load_telemetry(outcomes[0].run_hash)
         assert telemetry["metrics"]["batch.scenario_steps"] == 18.0
 
-    def test_groups_split_by_engine_run_solo(self, tmp_path):
+    def test_groups_split_by_grid_run_solo(self, tmp_path):
         split = specs(grid={"atwood": [0.1, 0.3, 0.5],
-                            "backend": ["numpy", "blocked"]})
+                            "num_nodes": [[16, 16], [12, 12]]})
         store, executor, outcomes = run(tmp_path, "serial", split)
         assert [o.status for o in outcomes] == ["completed"] * 6
         assert "campaign.batch_absorbed" not in executor.metrics.snapshot()

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, default_backend_name
 from repro.batch import ScenarioFleet, fleet_key
 from repro.core import InitialCondition, Solver, SolverConfig
 from repro.mpi.trace import CommTrace
 from repro.util.errors import ConfigurationError
-from tests.conftest import spmd
+from tests.conftest import ENGINES, spmd
 
 TOL = 1e-12
 
@@ -25,8 +24,8 @@ CASES = {
 }
 
 
-def config(backend="numpy", **overrides):
-    base = dict(num_nodes=(16, 16), dt=0.002, eps=0.1, backend=backend)
+def config(**overrides):
+    base = dict(num_nodes=(16, 16), dt=0.002, eps=0.1)
     base.update(overrides)
     return SolverConfig(**base)
 
@@ -36,11 +35,11 @@ def ic(seed=7):
                             seed=seed)
 
 
-def solo_run(cfg, initial, steps):
+def solo_run(cfg, initial, steps, backend=None):
     """(diagnostics, z_own, w_own) after a solo single-rank Solver run."""
 
     def program(comm):
-        solver = Solver(comm, cfg, initial)
+        solver = Solver(comm, cfg, initial, backend=backend)
         solver.run(steps)
         return (
             solver.diagnostics(),
@@ -52,23 +51,21 @@ def solo_run(cfg, initial, steps):
 
 
 class TestSoloFleetParity:
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("backend", ENGINES)
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_probe_matches_solo(self, backend, case):
         """A fleet-stepped scenario matches its solo run to 1e-12, even
         sharing the batch with decoys of different physics."""
-        cfg = config(backend=backend, **CASES[case])
-        fleet = ScenarioFleet(cfg, retain_state=True)
+        cfg = config(**CASES[case])
+        fleet = ScenarioFleet(cfg, retain_state=True, backend=backend)
         sid = fleet.add(cfg, ic(), 3)
         # Decoys: different Atwood/dt/IC so cross-scenario leakage
         # through the stacked arrays would show up in the probe.
-        fleet.add(config(backend=backend, atwood=0.8, **CASES[case]),
-                  ic(seed=11), 3)
-        fleet.add(config(backend=backend, dt=0.001, **CASES[case]),
-                  ic(seed=13), 5)
+        fleet.add(config(atwood=0.8, **CASES[case]), ic(seed=11), 3)
+        fleet.add(config(dt=0.001, **CASES[case]), ic(seed=13), 5)
         results = fleet.run()
 
-        diag, z_solo, w_solo = solo_run(cfg, ic(), 3)
+        diag, z_solo, w_solo = solo_run(cfg, ic(), 3, backend)
         got = results[sid]
         assert np.max(np.abs(got["z"] - z_solo)) <= TOL
         assert np.max(np.abs(got["w"] - w_solo)) <= TOL
@@ -137,21 +134,12 @@ class TestFleetKey:
             dict(dt=0.0005), dict(eps=0.2), dict(fft_config=7),
         ):
             assert fleet_key(config(**overrides)) == fleet_key(base)
-        # ...geometry/order/backend do.
+        # ...geometry/order do.
         for overrides in (
             dict(num_nodes=(32, 32)), dict(order="high"),
-            dict(high=(12.0, 12.0)), dict(backend="blocked"),
+            dict(high=(12.0, 12.0)),
         ):
             assert fleet_key(config(**overrides)) != fleet_key(base)
-
-    def test_keys_on_the_engine_not_its_spelling(self):
-        assert fleet_key(config(backend="BLOCKED")) == fleet_key(
-            config(backend="blocked")
-        )
-        assert fleet_key(config(backend="auto")) == fleet_key(
-            config(backend=default_backend_name())
-        )
-        assert fleet_key(config(backend="no-such-engine")) is None
 
     def test_ineligible_configs_return_none(self):
         # Approximate BR solvers are not batched.

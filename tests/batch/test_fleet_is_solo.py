@@ -15,7 +15,8 @@ from repro.batch import ScenarioFleet
 from repro.core import InitialCondition, Solver, SolverConfig
 from tests.conftest import spmd
 
-#: One case per engine x order x boundary x viscosity x images corner.
+#: One case per engine x order x boundary x viscosity x images corner;
+#: ``backend`` is the engine the fleet and the solo run are built on.
 CASES = {
     "high_periodic_blocked": dict(order="high", backend="blocked"),
     "high_free_blocked": dict(order="high", backend="blocked",
@@ -38,15 +39,16 @@ STEPS = 3
 def member(k, nodes, case):
     """Member ``k``: its own Atwood number, ε factor (so ε and dt
     differ too) and initial perturbation."""
+    overrides = {f: v for f, v in CASES[case].items() if f != "backend"}
     config = SolverConfig(num_nodes=(nodes, nodes), atwood=0.3 + 0.05 * k,
-                          eps_factor=0.5 + 0.25 * k, **CASES[case])
+                          eps_factor=0.5 + 0.25 * k, **overrides)
     ic = InitialCondition(kind="multi_mode", magnitude=0.05, period=3, seed=k)
     return config, ic
 
 
-def solo(config, ic):
+def solo(config, ic, backend):
     def program(comm):
-        solver = Solver(comm, config, ic)
+        solver = Solver(comm, config, ic, backend=backend)
         solver.run(STEPS)
         return solver.pm.z.own.copy(), solver.pm.w.own.copy()
 
@@ -56,11 +58,12 @@ def solo(config, ic):
 @pytest.mark.parametrize("nodes", [8, 16])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_every_member_equals_its_solo_run(case, nodes):
+    backend = CASES[case]["backend"]
     members = [member(k, nodes, case) for k in range(MEMBERS)]
-    fleet = ScenarioFleet(members[0][0], retain_state=True)
+    fleet = ScenarioFleet(members[0][0], retain_state=True, backend=backend)
     ids = fleet.add_many([(c, ic, STEPS) for c, ic in members])
     results = fleet.run()
     for k, (sid, (config, ic)) in enumerate(zip(ids, members)):
-        z, w = solo(config, ic)
+        z, w = solo(config, ic, backend)
         assert np.array_equal(results[sid]["z"], z), k
         assert np.array_equal(results[sid]["w"], w), k

@@ -278,9 +278,10 @@ class TestInterruptHardening:
             "name": "ctrlc", "mode": "functional", "steps": 4,
             "base": {"order": "low", "num_nodes": [16, 16], "dt": 0.002},
             "ic": {"kind": "multi_mode", "magnitude": 0.02, "period": 3},
-            # Two engines x three runs: each group under the fleet
+            # Two grids x three runs: each group under the fleet
             # minimum, so every run is its own lease.
-            "grid": {"atwood": [0.2, 0.3, 0.4], "backend": ["numpy", "blocked"]},
+            "grid": {"atwood": [0.2, 0.3, 0.4],
+                     "num_nodes": [[16, 16], [12, 12]]},
         })
         specs = deck.expand()
         store = CampaignStore("ctrlc", root=str(tmp_path))

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.backend import available_backends
 from repro.campaign import CampaignDeck, RunSpec
 from repro.campaign.deck import DeckError
 from repro.core import InitialCondition, SolverConfig
@@ -205,44 +204,6 @@ class TestPackLayout:
         assert str(err.value).startswith(f"{path}, field 'steps': ")
 
 
-class TestBackendField:
-    """An engine name no registry answers to is a bad deck, rejected
-    before anything is stored — not one memoized failed run per point."""
-
-    DECK = {
-        "name": "engines",
-        "mode": "functional",
-        "steps": 1,
-        "base": {"order": "low", "num_nodes": [16, 16], "dt": 0.002},
-        "grid": {"atwood": [0.1, 0.2]},
-    }
-
-    def deck(self, backend):
-        return dict(self.DECK, base=dict(self.DECK["base"], backend=backend))
-
-    @pytest.mark.parametrize("name", ["nmupy", "cupy", "numba"])
-    def test_unknown_engine_raises_at_expand(self, name):
-        with pytest.raises(ConfigurationError, match="'backend'") as err:
-            CampaignDeck.from_dict(self.deck(name)).expand()
-        for engine in available_backends() + ["auto"]:
-            assert engine in str(err.value)
-
-    def test_typo_gets_a_suggestion(self):
-        with pytest.raises(ConfigurationError, match="did you mean numpy"):
-            CampaignDeck.from_dict(self.deck("nmupy")).expand()
-
-    def test_backend_axis_checked_per_point(self):
-        deck = dict(self.DECK, grid={"backend": ["numpy", "cupy"]})
-        with pytest.raises(ConfigurationError, match="'cupy'"):
-            CampaignDeck.from_dict(deck).expand()
-
-    def test_registered_engines_and_auto_expand(self):
-        names = ["auto", "Blocked"] + available_backends()
-        deck = dict(self.DECK, grid={"backend": names})
-        specs = CampaignDeck.from_dict(deck).expand()
-        assert [s.config.backend for s in specs] == names
-
-
 class TestScenarioAxis:
     """The scenario deck axis: packs resolve underneath deck overrides."""
 
@@ -301,13 +262,12 @@ class TestScenarioAxis:
         deck = CampaignDeck.from_dict({
             "name": "combo", "mode": "functional", "steps": 1,
             "grid": {"scenario": ["atwood-low", "atwood-high"],
-                     "backend": ["numpy", "blocked"]},
+                     "gravity": [5.0, 10.0]},
         })
         specs = deck.expand()
         assert len(specs) == 4
-        assert {(s.config.atwood, s.config.backend) for s in specs} == {
-            (0.1, "numpy"), (0.1, "blocked"),
-            (0.9, "numpy"), (0.9, "blocked"),
+        assert {(s.config.atwood, s.config.gravity) for s in specs} == {
+            (0.1, 5.0), (0.1, 10.0), (0.9, 5.0), (0.9, 10.0),
         }
 
     def test_unknown_scenario_name_fails_expansion(self):

@@ -39,9 +39,9 @@ DECK = {
     "steps": 2,
     "base": {"order": "low", "num_nodes": [16, 16], "dt": 0.002},
     "ic": {"kind": "multi_mode", "magnitude": 0.02, "period": 3},
-    # Two engines: two runs per fleet key, under the fleet minimum, so
+    # Two grids: two runs per fleet key, under the fleet minimum, so
     # every run is its own lease.
-    "grid": {"fft_config": [0, 3], "backend": ["numpy", "blocked"]},
+    "grid": {"fft_config": [0, 3], "num_nodes": [[16, 16], [12, 12]]},
 }
 
 
@@ -123,7 +123,7 @@ class TestPayloadRoundTrip:
             config=SolverConfig(
                 num_nodes=(32, 16), periodic=(False, False), order="high",
                 br_solver="tree", theta=0.3, leaf_size=8, eps=0.05, dt=0.001,
-                fft_config=FftConfig.from_index(3), backend="blocked",
+                fft_config=FftConfig.from_index(3),
             ),
             ic=InitialCondition(kind="sech2", magnitude=0.1, tilt=0.2),
             ranks=4, steps=7, mode="model", campaign="rt",

@@ -1,18 +1,28 @@
-"""The cutoff solver's Verlet-skin cache is gone, and with it the
-``skin`` / ``rebuild_freq`` config fields.  Decks, packs and stored
-payloads that spell them at the value every run had still load, and
-every content address stays where it was; any other value is an error
-that names the field."""
+"""Retired config fields: the cutoff solver's Verlet-skin cache is gone,
+and with it ``skin`` / ``rebuild_freq``; every solve runs on the blocked
+engine, so ``backend`` went too.  Decks, packs and stored payloads that
+spell them at the value every run had (``"blocked"`` for the engine)
+still load, and every content address stays where it was; any other
+value is an error that names the field."""
 
 import dataclasses
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from repro.campaign import CampaignDeck, RunSpec, estimate_cost
+from repro.campaign import (
+    CampaignDeck,
+    CampaignExecutor,
+    CampaignStore,
+    RunSpec,
+    estimate_cost,
+)
 from repro.campaign.deck import DeckError, build_config
-from repro.cli.rocketrig import build_parser
+from repro.campaign.report import replay_records
+from repro.cli.rocketrig import _run_params, build_parser, main
 from repro.core import InitialCondition, SolverConfig
 
 CUTOFF = {
@@ -21,9 +31,11 @@ CUTOFF = {
 }
 IC = InitialCondition(kind="multi_mode", magnitude=0.05, period=4)
 
-#: ``RunSpec(build_config({**CUTOFF, "skin": 0.0, "rebuild_freq": 0}),
-#: IC, ranks=2, steps=3).run_hash()`` recorded while both fields existed.
-PARENT_CUTOFF_HASH = "6a19ef3d723d6aa0"
+#: ``RunSpec(build_config({**CUTOFF, "skin": 0.0, "rebuild_freq": 0,
+#: "backend": "blocked"}), IC, ranks=2, steps=3).run_hash()`` recorded
+#: while all three fields existed: the spec without ``backend`` hashed
+#: as ``"auto"`` then (``6a19ef3d723d6aa0``) and as ``"blocked"`` now.
+PARENT_CUTOFF_HASH = "3241955e9e578959"
 
 
 #: ``estimate_cost`` of a 256², 10-step model-mode cutoff spec per rank
@@ -68,8 +80,8 @@ def test_payload_keeps_the_retired_keys_at_their_values():
 
 def test_the_fields_left_the_config_and_the_cli():
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
-    assert not {"skin", "rebuild_freq"} & fields
-    for flag in ("--skin", "--rebuild-freq"):
+    assert not {"skin", "rebuild_freq", "backend"} & fields
+    for flag in ("--skin", "--rebuild-freq", "--backend"):
         with pytest.raises(SystemExit):
             build_parser().parse_args([flag, "0"])
 
@@ -136,3 +148,102 @@ def test_a_pack_with_a_skin_fails_at_expansion_naming_the_field(tmp_path):
     deck = CampaignDeck.from_file(path)
     with pytest.raises(DeckError, match="field 'skin': skin = 0.1"):
         deck.expand()
+
+
+# -- the engine field ----------------------------------------------------------
+
+#: A 16² low-order deck, and the hash the parent commit gave its one run
+#: with ``"backend": "blocked"`` spelled out.  Without the key the run
+#: hashed as ``"auto"`` there, whatever engine ``$REPRO_BACKEND`` chose;
+#: now both spellings are this one blocked run.
+ENGINE_DECK = {
+    "name": "engine", "mode": "functional", "steps": 2,
+    "base": {"num_nodes": [16, 16], "order": "low", "dt": 0.004},
+    "ic": {"kind": "single_mode", "magnitude": 0.05},
+}
+PARENT_BLOCKED_HASH = "28370743ecc1b6e9"
+
+#: The e2e campaign deck, which spells ``"backend": "blocked"``, and the
+#: hash of its first spec recorded at the parent commit.
+MIXED_DECK = (Path(__file__).resolve().parents[2]
+              / "benchmarks" / "e2e" / "decks" / "campaign_mixed.json")
+PARENT_MIXED_FIRST_HASH = "1de616c758c8640d"
+
+
+def engine_deck(**base):
+    return dict(ENGINE_DECK, base={**ENGINE_DECK["base"], **base})
+
+
+@pytest.mark.parametrize("base", [{}, {"backend": "blocked"}], ids=str)
+def test_a_deck_run_hashes_as_the_explicit_blocked_run(base):
+    (spec,) = CampaignDeck.from_dict(engine_deck(**base)).expand()
+    assert spec.run_hash() == PARENT_BLOCKED_HASH
+    assert spec.payload()["config"]["backend"] == "blocked"
+
+
+def test_the_e2e_campaign_deck_keeps_its_addresses():
+    assert (CampaignDeck.from_file(MIXED_DECK).expand()[0].run_hash()
+            == PARENT_MIXED_FIRST_HASH)
+
+
+@pytest.mark.parametrize("engine", ["numpy", "auto"])
+@pytest.mark.parametrize("where", ["base", "grid"])
+def test_another_engine_is_a_deck_error(engine, where):
+    deck = engine_deck()
+    if where == "base":
+        deck["base"]["backend"] = engine
+    else:
+        deck["grid"] = {"backend": ["blocked", engine]}
+    with pytest.raises(DeckError, match="blocked engine") as err:
+        CampaignDeck.from_dict(deck).expand()
+    assert err.value.field == "backend"
+
+
+@pytest.mark.parametrize("engine", ["numpy", "auto"])
+def test_another_engine_in_a_cli_pack_is_a_deck_error(
+    engine, tmp_path, monkeypatch
+):
+    pack = {
+        "name": "engine-pack", "family": "test",
+        "provenance": {"source": "conf_sc_StewartB24", "section": "§4"},
+        "config": {**ENGINE_DECK["base"], "backend": engine},
+    }
+    (tmp_path / "engine-pack.json").write_text(json.dumps(pack))
+    monkeypatch.setenv("REPRO_SCENARIO_PATH", str(tmp_path))
+    args = build_parser().parse_args(["--scenario", "engine-pack"])
+    with pytest.raises(DeckError) as err:
+        _run_params(args)
+    assert err.value.field == "config.backend"
+    with pytest.raises(SystemExit, match="config.backend"):
+        main(["--scenario", "engine-pack"])
+
+
+def test_a_stored_auto_run_is_skipped_by_replay_not_mismatched(tmp_path):
+    """A completed record the parent wrote for a deck without an engine
+    carries ``"backend": "auto"`` and that spelling's hash.  Its spec no
+    longer loads, so a replay counts it as skipped, and the same deck
+    now addresses another run: no store hit serves it."""
+    deck = CampaignDeck.from_dict(engine_deck())
+    (spec,) = deck.expand()
+    store = CampaignStore(deck.name, root=str(tmp_path))
+    outcomes = CampaignExecutor(store, max_workers=1).submit([spec])
+    assert [o.status for o in outcomes] == ["completed"]
+
+    payload = json.loads(json.dumps(spec.payload()))
+    payload["config"]["backend"] = "auto"
+    auto_hash = hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode("utf-8")
+    ).hexdigest()[:16]
+    index = Path(store.index_path)
+    text = index.read_text(encoding="utf-8")
+    index.write_text(text.replace(spec.run_hash(), auto_hash)
+                     .replace('"backend": "blocked"', '"backend": "auto"'),
+                     encoding="utf-8")
+    store = CampaignStore(deck.name, root=str(tmp_path))
+    assert store.completed_hashes() == {auto_hash} != {spec.run_hash()}
+
+    replay = replay_records(store, 8)
+    assert replay["mismatched"] == [] and replay["replayed"] == 0
+    (reason, count), = replay["skipped"].items()
+    assert count == 1
+    assert reason.startswith("spec no longer loads") and "'backend'" in reason

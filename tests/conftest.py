@@ -10,6 +10,10 @@ import pytest
 from repro import mpi
 from repro.campaign.protocol import Heartbeat, SocketEndpoint
 
+#: Both compute engines, the numpy reference first: every solve runs on
+#: ``blocked``; tests reach ``numpy`` by name through ``backend=``.
+ENGINES = ("numpy", "blocked")
+
 
 @pytest.fixture
 def rng():

@@ -48,7 +48,6 @@ class TestParser:
             cutoff=0.5, theta=0.5, leaf_size=32,
             atwood=0.5, gravity=10.0, mu=0.0, eps=None, dt=None,
             br_images=False, fft_config=FftConfig.from_index(7),
-            backend="auto",
         )
         assert built["ic"] == InitialCondition(
             kind="multi_mode", magnitude=0.05, period=4.0, seed=12345,
@@ -86,15 +85,12 @@ class TestParser:
         epilog's choice lists must match the registries."""
         import shlex
 
-        from repro.backend import available_backends
         from repro.core import available_br_solvers
 
         parser = build_parser()
         epilog = parser.epilog
         for solver in available_br_solvers():
             assert solver in epilog
-        for backend in available_backends():
-            assert backend in epilog
         commands = []
         pending = None
         for raw in epilog.splitlines():
@@ -116,18 +112,6 @@ class TestParser:
     def test_list_flags(self, capsys):
         assert main(["--list-solvers"]) == 0
         assert "tree" in capsys.readouterr().out
-        assert main(["--list-backends"]) == 0
-        assert "numpy" in capsys.readouterr().out
-
-    def test_list_backends_prints_the_registry(self, capsys):
-        """--list-backends names exactly the registered engines."""
-        from repro.backend import available_backends
-
-        assert main(["--list-backends"]) == 0
-        out = capsys.readouterr().out
-        assert out.strip() == (
-            "registered compute backends: " + ", ".join(available_backends())
-        )
 
     def test_br_solver_registry_single_source_of_truth(self, capsys):
         """--list-solvers, the --br-solver choices, config construction
@@ -277,8 +261,8 @@ class TestCampaignSubcommand:
         with pytest.raises(SystemExit, match="unknown base config"):
             main(["campaign", str(typo)])
 
-    @pytest.mark.parametrize("engine", ["nmupy", "cupy", "numba"])
-    def test_unknown_backend_is_a_bad_deck(self, engine, tmp_path):
+    @pytest.mark.parametrize("engine", ["numpy", "auto", "cupy"])
+    def test_an_engine_but_blocked_is_a_bad_deck(self, engine, tmp_path):
         """Rejected at expansion: no store directory, no failed records."""
         deck = dict(self.DECK, base=dict(self.DECK["base"], backend=engine))
         path = tmp_path / "deck.json"

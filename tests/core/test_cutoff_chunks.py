@@ -15,15 +15,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import mpi
-from repro.backend import available_backends
 from repro.core import InitialCondition, Solver, SolverConfig
 from repro.core.diagnostics import gather_global_state
 from repro.core.kernels import br_velocity_within
 from repro.core.solver import arithmetic_canary, state_digest
 from repro.spatial.neighbors import brute_force_lists, chunk_pairs
-from tests.conftest import spmd
+from tests.conftest import ENGINES, spmd
 
-BACKENDS = available_backends()
 RTOL = 1e-12
 IC = InitialCondition(kind="multi_mode", magnitude=0.05, period=4)
 
@@ -63,7 +61,7 @@ def deck_config(**overrides):
     the default [-1, 1]² domain (area ÷ cutoff² = 16)."""
     base = dict(
         num_nodes=(16, 16), order="high", periodic=(False, False),
-        br_solver="cutoff", cutoff=0.5, backend="blocked",
+        br_solver="cutoff", cutoff=0.5,
     )
     base.update(overrides)
     return SolverConfig(**base)
@@ -72,7 +70,7 @@ def deck_config(**overrides):
 # -- the kernel: the CSR sum, over the listed sub-panels only ---------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**31),
@@ -106,7 +104,7 @@ def test_chunk_sum_matches_csr_sum(backend, seed, n, ghosts, cutoff, eps, sheet)
     assert_matches(got, want)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 def test_boundary_is_inclusive(backend):
     """Dyadic geometry, so r² and the centred coordinates are exact:
     the pairs at exactly the cutoff count and are summed."""
@@ -131,32 +129,32 @@ def test_boundary_is_inclusive(backend):
 # -- the solver: one path, the CSR sum, the same readings --------------------
 
 
-def _solver_state(config, steps, ranks=1):
+def _solver_state(config, steps, ranks=1, backend=None):
     def program(comm):
-        solver = Solver(comm, config, IC)
+        solver = Solver(comm, config, IC, backend=backend)
         solver.run(steps)
         return gather_global_state(solver.pm), solver.br_solver
 
     return spmd(ranks, program)[0]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 def test_cutoff_past_the_diagonal_is_the_exact_solver(backend):
     """Every pair within the cutoff: the dense path is the exact
     solver's own-block call, bit for bit."""
-    exact, _ = _solver_state(deck_config(br_solver="exact", backend=backend), 2)
-    (z, w), br = _solver_state(deck_config(cutoff=3.0, backend=backend), 2)
+    exact, _ = _solver_state(deck_config(br_solver="exact"), 2, backend=backend)
+    (z, w), br = _solver_state(deck_config(cutoff=3.0), 2, backend=backend)
     assert np.array_equal(z, exact[0]) and np.array_equal(w, exact[1])
 
 
 @pytest.mark.parametrize("ranks", [1, 2])
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 def test_evaluation_is_the_csr_sum(backend, ranks):
     """One evaluation of a perturbed deck state: every rank's owned
     velocities are the CSR sum over all points within the cutoff."""
 
     def program(comm):
-        solver = Solver(comm, deck_config(backend=backend), IC)
+        solver = Solver(comm, deck_config(), IC, backend=backend)
         z = solver.pm.z.own.copy()
         z[..., 2] += 0.1 * np.sin(3.0 * z[..., 0]) * np.cos(2.0 * z[..., 1])
         omega = np.cos(7.0 * z + 1.0)
@@ -243,8 +241,8 @@ def test_deck_state_pinned(key):
     _pinned_host()
     order, backend, nodes = key
     (z, w), _ = _solver_state(
-        deck_config(order=order, backend=backend, num_nodes=(nodes, nodes),
-                    atwood=0.4, dt=0.002), PIN_STEPS,
+        deck_config(order=order, num_nodes=(nodes, nodes), atwood=0.4,
+                    dt=0.002), PIN_STEPS, backend=backend,
     )
     assert state_digest(z, w) == DECK_CUTOFF_STATES[key]
 
@@ -253,7 +251,7 @@ def pipeline_config():
     return SolverConfig(
         num_nodes=(24, 24), low=(-np.pi, -np.pi), high=(np.pi, np.pi),
         order="high", br_solver="cutoff", cutoff=1.2,
-        dt=0.004, eps=0.1, backend="blocked",
+        dt=0.004, eps=0.1,
     )
 
 

@@ -30,7 +30,7 @@ IC = InitialCondition(kind="multi_mode", magnitude=0.05, period=3)
 
 def _config(**overrides):
     base = dict(num_nodes=(16, 12), low=(-PI, -PI), high=(PI, PI),
-                order="low", dt=0.01, mu=0.05, eps=0.1, backend="blocked")
+                order="low", dt=0.01, mu=0.05, eps=0.1)
     base.update(overrides)
     return SolverConfig(**base)
 
@@ -40,8 +40,8 @@ def _planes_contiguous(a):
     return all(a[idx].flags.c_contiguous for idx in np.ndindex(a.shape[:-2]))
 
 
-def _fleet(config, members=4):
-    fleet = ScenarioFleet(config)
+def _fleet(config, members=4, backend=None):
+    fleet = ScenarioFleet(config, backend=backend)
     ids = fleet.add_many([
         (replace(config, atwood=0.1 + 0.1 * k), IC, 3) for k in range(members)
     ])
@@ -84,11 +84,12 @@ class TestStencilInputs:
                 return _real(full, *args)
 
             monkeypatch.setattr(type(engine), name, spy)
-        config = _config(backend=backend)
+        config = _config()
         if where == "solo":
-            spmd(2, lambda comm: Solver(comm, config, IC).zmodel.compute_derivatives())
+            spmd(2, lambda comm: Solver(comm, config, IC, backend=backend)
+                 .zmodel.compute_derivatives())
         else:
-            _fleet(config)[0].step()
+            _fleet(config, backend=backend)[0].step()
         assert {name for name, _ in seen} == {
             "stencil_dx", "stencil_dy", "stencil_laplacian"
         }
@@ -201,10 +202,10 @@ class TestDiagnosticsPin:
     @pytest.mark.parametrize("key", list(PARENT_DIAGNOSTICS), ids=str)
     def test_solo_diagnostics_equal_parent(self, key):
         order, nranks, backend = key
-        config = _config(order=order, backend=backend)
+        config = _config(order=order)
 
         def program(comm):
-            solver = Solver(comm, config, IC)
+            solver = Solver(comm, config, IC, backend=backend)
             solver.run(3)
             return solver.diagnostics()
 

@@ -403,7 +403,7 @@ def test_cutoff_r2_message_counts_pinned():
     config = SolverConfig(
         num_nodes=(64, 64), low=(-PI, -PI), high=(PI, PI),
         periodic=(False, False), order="high", br_solver="cutoff",
-        cutoff=0.5, dt=0.002, eps=0.05, backend="blocked",
+        cutoff=0.5, dt=0.002, eps=0.05,
     )
     ic = InitialCondition(kind="multi_mode", magnitude=0.05, period=4, seed=11)
     trace = mpi.CommTrace()

@@ -136,12 +136,11 @@ def deck(**base):
 
 class TestCampaign:
     @pytest.mark.parametrize(
-        "engines", [("numpy", "numpy"), ("blocked", "numpy")],
+        "healthy", [{}, {"num_nodes": [12, 12]}],
         ids=["fleet", "solo"],     # four runs share a fleet, or 3 + 1
     )
-    def test_diverged_run_recorded_failed_and_retried(self, tmp_path, engines):
-        healthy, diverging = engines
-        specs = deck(backend=healthy)[:3] + deck(dt=5.0, backend=diverging)[:1]
+    def test_diverged_run_recorded_failed_and_retried(self, tmp_path, healthy):
+        specs = deck(**healthy)[:3] + deck(dt=5.0)[:1]
         store = CampaignStore("health", root=str(tmp_path))
 
         def submit():

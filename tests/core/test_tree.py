@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import mpi
-from repro.backend import available_backends
 from repro.core import (
     ExactBRSolver,
     InitialCondition,
@@ -19,7 +18,7 @@ from repro.core import (
 from repro.machine import LASSEN
 from repro.machine.patterns import step_time, tree_evaluation
 from repro.util.errors import ConfigurationError
-from tests.conftest import spmd
+from tests.conftest import ENGINES, spmd
 
 N = 16
 
@@ -64,7 +63,7 @@ class TestConvergenceMatrix:
 
     THETAS = (0.0, 0.3, 0.7)
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("backend", ENGINES)
     @pytest.mark.parametrize("periodic", (True, False))
     def test_converges_to_exact(self, backend, periodic):
         errors = {
@@ -82,7 +81,7 @@ class TestConvergenceMatrix:
     def test_backends_agree(self):
         errors = [
             _relative_error((0.5, backend, False))
-            for backend in available_backends()
+            for backend in ENGINES
         ]
         first = errors[0]
         for err in errors[1:]:
@@ -286,7 +285,7 @@ def test_tree_state_pinned(ranks):
         pytest.skip("snapshot recorded on a host with other BLAS/SIMD rounding")
     config = SolverConfig(
         num_nodes=(16, 16), order="high", periodic=(False, False),
-        br_solver="tree", theta=0.5, dt=0.002, backend="blocked",
+        br_solver="tree", theta=0.5, dt=0.002,
     )
     ic = InitialCondition(kind="multi_mode", magnitude=0.05, period=4)
 

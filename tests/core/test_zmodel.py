@@ -218,10 +218,10 @@ class TestPackedSpectralVelocity:
             assert kinds == ["alltoallv"] * alltoallv_per_rank
 
 
-def _graph_config(order="low", backend="numpy", nodes=(24, 24)):
+def _graph_config(order="low", nodes=(24, 24)):
     return SolverConfig(
         num_nodes=nodes, low=(-np.pi, -np.pi), high=(np.pi, np.pi),
-        order=order, dt=0.01, backend=backend,
+        order=order, dt=0.01,
     )
 
 
@@ -236,7 +236,7 @@ class TestGraphSurface:
     @pytest.mark.parametrize("nranks", [1, 2, 4])
     def test_lateral_positions_never_move(self, nranks, backend):
         def program(comm):
-            solver = Solver(comm, _graph_config(backend=backend), GRAPH_IC)
+            solver = Solver(comm, _graph_config(), GRAPH_IC, backend=backend)
             X, Y = np.broadcast_arrays(*solver.mesh.owned_coordinates())
             solver.run(3)
             z = solver.pm.z.own
@@ -246,7 +246,7 @@ class TestGraphSurface:
         assert all(spmd(nranks, program))
 
     def test_fleet_lateral_positions_never_move(self):
-        config = _graph_config(backend="blocked", nodes=(16, 16))
+        config = _graph_config(nodes=(16, 16))
         fleet = ScenarioFleet(config, retain_state=True)
         ids = fleet.add_many([
             (config, InitialCondition(kind="multi_mode", magnitude=0.05,
@@ -264,7 +264,8 @@ class TestGraphSurface:
 
     def test_medium_lateral_positions_move(self):
         def program(comm):
-            solver = Solver(comm, _graph_config("medium", nodes=(16, 16)), GRAPH_IC)
+            solver = Solver(comm, _graph_config("medium", nodes=(16, 16)),
+                            GRAPH_IC, backend="numpy")
             X, Y = np.broadcast_arrays(*solver.mesh.owned_coordinates())
             solver.step()
             z = solver.pm.z.own
@@ -280,10 +281,10 @@ class TestGraphForm:
     @pytest.mark.parametrize("kind", ["multi_mode", "single_mode"])
     def test_graph_area_element_is_the_general_one(self, kind, backend):
         ic = InitialCondition(kind=kind, magnitude=0.3)
-        config = _graph_config(backend=backend, nodes=(64, 48))
+        config = _graph_config(nodes=(64, 48))
 
         def program(comm):
-            solver = Solver(comm, config, ic)
+            solver = Solver(comm, config, ic, backend=backend)
             solver.step()
             pm, bk = solver.pm, get_backend(backend)
             pm.gather_state()

@@ -2,7 +2,7 @@
 
 The two paths that lean hardest on the pooled vector collectives —
 the cutoff solver's migrate/halo exchanges (fresh every evaluation)
-and the tree solver's surface allgather — run on every registered compute backend on several ranks, twice.  Each
+and the tree solver's surface allgather — run on both compute engines on several ranks, twice.  Each
 run must:
 
 * match a one-rank run of the same configuration (partitioning moves
@@ -20,11 +20,8 @@ import numpy as np
 import pytest
 
 from repro import mpi
-from repro.backend import available_backends
 from repro.core import InitialCondition, Solver, SolverConfig, gather_global_state
-from tests.conftest import spmd
-
-BACKENDS = available_backends()
+from tests.conftest import ENGINES, spmd
 
 IC = InitialCondition(kind="single_mode", magnitude=0.08, period=0.5)
 
@@ -55,10 +52,10 @@ PATHS = {
 
 def _run(path, backend, nranks, trace=None):
     spec = PATHS[path]
-    cfg = SolverConfig(backend=backend, **spec["config"])
+    cfg = SolverConfig(**spec["config"])
 
     def program(comm):
-        solver = Solver(comm, cfg, IC)
+        solver = Solver(comm, cfg, IC, backend=backend)
         solver.run(spec["nsteps"])
         z, w = gather_global_state(solver.pm)
         diag = solver.diagnostics()
@@ -75,7 +72,7 @@ def _event_signature(trace):
     return kinds, nbytes
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 @pytest.mark.parametrize("path", sorted(PATHS))
 class TestCommBackendMatrix:
     def test_partitioned_runs_repeat_and_match_one_rank(self, path, backend):

@@ -1,6 +1,5 @@
 """Every shipped scenario pack: loads, validates, cites the paper."""
 
-from dataclasses import replace
 from pathlib import Path
 
 from repro.batch import fleet_key
@@ -12,9 +11,9 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 PACK_DIR = REPO_ROOT / "scenarios"
 
 
-def numpy_fleet_key(pack):
-    """Fleet eligibility of the pack's one run on the numpy engine."""
-    return fleet_key(replace(pack.expand()[0].config, backend="numpy"))
+def pack_fleet_key(pack):
+    """Fleet eligibility of the pack's one run."""
+    return fleet_key(pack.expand()[0].config)
 
 
 class TestShippedPacks:
@@ -57,7 +56,7 @@ class TestShippedPacks:
                            steps=scenario.steps)
             assert len(spec.run_hash()) == 16
 
-    def test_packs_never_pin_a_backend(self):
+    def test_packs_never_name_an_engine(self):
         for scenario in load_registry().values():
             assert "backend" not in scenario.base
 
@@ -75,7 +74,7 @@ class TestFamilies:
         every member of a family must ride one ScenarioFleet."""
         for family in ("atwood", "cfl"):
             keys = {
-                numpy_fleet_key(s)
+                pack_fleet_key(s)
                 for s in load_registry().values() if s.family == family
             }
             assert len(keys) == 1
@@ -86,7 +85,7 @@ class TestFamilies:
         # results, so fleet_key refuses it.
         pack = get_scenario("singlemode-rollup")
         assert pack.base["br_solver"] == "cutoff"
-        assert numpy_fleet_key(pack) is None
+        assert pack_fleet_key(pack) is None
 
 
 class TestGallery:

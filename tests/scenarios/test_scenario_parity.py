@@ -34,19 +34,22 @@ def _deck_spec(name, ranks, steps):
 
 #: Run hash of each pack's one run (its own steps / ranks).  A change in
 #: how packs are read must move none: each is a store entry's address.
+#: Packs never name an engine, so each hashed as ``"auto"`` while the
+#: engine was a config field; these are the hashes the same runs had
+#: with ``"backend": "blocked"`` spelled out, which is what they are now.
 PACK_HASHES = {
-    "atwood-high": "eb26c3246e7f3aeb",
-    "atwood-low": "85ddbadea94cb9b4",
-    "atwood-mid": "c94a6666f5a525c1",
-    "cfl-loose": "05bc6a5f0cd1825b",
-    "cfl-tight": "6c62144544342f62",
-    "gaussian-convergence": "ff90f024af14a4b6",
-    "sech2-convergence": "6baa015ee7cafeac",
-    "multimode-free": "ab98b8b311fe62c8",
-    "multimode-periodic": "a9a4ae9c3806f7bf",
-    "multimode-quickstart": "27a9cf237ca8d3cc",
-    "singlemode-periodic": "6a2aaf0fad4f54d2",
-    "singlemode-rollup": "35a05def4be6808a",
+    "atwood-high": "d5f3ebea1a567b6e",
+    "atwood-low": "194e1d2fb8330165",
+    "atwood-mid": "54941ad52eb428e2",
+    "cfl-loose": "71da66d273460bf7",
+    "cfl-tight": "e77936b8f0e15ebd",
+    "gaussian-convergence": "faa808368ad5507f",
+    "sech2-convergence": "aa7b7c63d60c10e4",
+    "multimode-free": "c20fd0ad9e533758",
+    "multimode-periodic": "a0d67393ab7ed8fd",
+    "multimode-quickstart": "ebba497211e67f9d",
+    "singlemode-periodic": "af6015604d5f39d7",
+    "singlemode-rollup": "43c71cbb5234cebb",
 }
 
 
@@ -109,15 +112,15 @@ class TestPaperScenarioParity:
                             steps=20, mode="functional")
         assert _deck_spec("multimode-periodic", 4, 20).run_hash() == hand_spec.run_hash()
 
-    def test_backend_override_does_not_change_scenario_identity(self):
-        # The engine is a machine choice: it IS part of the run hash
-        # (runs on different engines are distinct records), but the
-        # pack itself never pins one.
+    def test_the_retired_engine_field_does_not_change_scenario_identity(self):
+        # Every run is on the blocked engine: spelling it changes no
+        # config and no run hash.
         pack = get_scenario("multimode-periodic")
-        default = pack.expand()[0].config
-        named = build_config({**pack.base, "backend": "numpy"})
-        assert default.backend == "auto"
-        assert named.backend == "numpy"
+        default = pack.expand()[0]
+        named = build_config({**pack.base, "backend": "blocked"})
+        assert named == default.config
+        assert (RunSpec(config=named, ic=default.ic, ranks=default.ranks,
+                        steps=default.steps).run_hash() == default.run_hash())
 
 
 SCENARIO_DECK = {

@@ -83,11 +83,19 @@ class TestMalformedPacks:
         assert err.value.field == "config.atwod"
         assert err.value.path == str(path)
 
-    def test_machine_field_backend_forbidden(self, tmp_path):
+    @pytest.mark.parametrize("engine", ["numpy", "auto"])
+    def test_an_engine_but_blocked_is_a_pack_error(self, tmp_path, engine):
         path = write_pack(tmp_path, config={"num_nodes": [8, 8],
-                                            "backend": "numpy"})
-        with pytest.raises(DeckError, match="machine-specific"):
+                                            "backend": engine})
+        with pytest.raises(DeckError, match="blocked engine") as err:
             load_registry()
+        assert err.value.field == "config.backend"
+        assert err.value.path == str(path)
+
+    def test_the_retired_blocked_engine_loads(self, tmp_path):
+        write_pack(tmp_path, config={**VALID["config"], "backend": "blocked"})
+        plain = get_scenario("tiny-pack").expand()[0]
+        assert plain.payload()["config"]["backend"] == "blocked"
 
     def test_unknown_ic_field(self, tmp_path):
         path = write_pack(tmp_path, ic={"kind": "flat", "wavelength": 2})

@@ -13,7 +13,7 @@ bits, never the pairs kept.
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, get_backend
+from repro.backend import get_backend
 from repro.core import InitialCondition, Solver, SolverConfig
 from repro.core import br_cutoff
 from repro.spatial.neighbors import (
@@ -22,9 +22,8 @@ from repro.spatial.neighbors import (
     chunk_pairs,
     spatial_order,
 )
-from tests.conftest import spmd
+from tests.conftest import ENGINES, spmd
 
-BACKENDS = available_backends()
 RTOL = 1e-12
 IC = InitialCondition(kind="multi_mode", magnitude=0.05, period=4)
 EPS2, PREF = 0.05 ** 2, 0.2
@@ -46,7 +45,7 @@ def deck_config(**overrides):
     """The e2e campaign deck's cutoff run: 16², cutoff 0.5 on [-1, 1]²."""
     base = dict(
         num_nodes=(16, 16), order="high", periodic=(False, False),
-        br_solver="cutoff", cutoff=0.5, backend="blocked",
+        br_solver="cutoff", cutoff=0.5,
     )
     base.update(overrides)
     return SolverConfig(**base)
@@ -57,7 +56,7 @@ def cutoff_r2_config(**overrides):
     base = dict(
         num_nodes=(64, 64), low=(-np.pi, -np.pi), high=(np.pi, np.pi),
         periodic=(False, False), order="high", br_solver="cutoff",
-        cutoff=0.5, dt=0.002, eps=0.05, backend="blocked",
+        cutoff=0.5, dt=0.002, eps=0.05,
     )
     base.update(overrides)
     return SolverConfig(**base)
@@ -143,7 +142,7 @@ def listed(backend, points, sources, omega, cutoff, blocks):
     return out[0], int(kept[0])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 @pytest.mark.parametrize("owned,ghosts", [(1000, 300), (37, 5), (64, 0)])
 def test_owned_and_ghosts_in_one_listed_call(backend, owned, ghosts, rng):
     """A symmetric list over the owned points followed by ragged ghost
@@ -182,12 +181,12 @@ def test_a_symmetric_list_with_ghosts_lists_every_pair(rng):
 # -- the solver: the order changes no pair, and the mesh decides it ------
 
 
-def _evaluate(config, ranks, tiled, shuffle):
+def _evaluate(config, ranks, tiled, shuffle, backend):
     """One evaluation per rank, on a rank-locally shuffled perturbed
     state, with the order forced: owned velocities and pair counts."""
 
     def program(comm):
-        solver = Solver(comm, config, IC)
+        solver = Solver(comm, config, IC, backend=backend)
         br = solver.br_solver
         rng = np.random.default_rng(comm.rank)
         z = solver.pm.z.own.copy()
@@ -205,13 +204,13 @@ def _evaluate(config, ranks, tiled, shuffle):
 
 
 @pytest.mark.parametrize("ranks", [1, 2, 4])
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 def test_spatial_order_keeps_every_pair(backend, ranks):
     """A shuffled point set: the tiles keep exactly the arrival order's
     pairs, and the velocities agree to round-off."""
-    config = cutoff_r2_config(num_nodes=(32, 32), backend=backend)
-    arrival = _evaluate(config, ranks, False, shuffle=True)
-    tiles = _evaluate(config, ranks, True, shuffle=True)
+    config = cutoff_r2_config(num_nodes=(32, 32))
+    arrival = _evaluate(config, ranks, False, shuffle=True, backend=backend)
+    tiles = _evaluate(config, ranks, True, shuffle=True, backend=backend)
     for (v_a, pairs_a), (v_t, pairs_t) in zip(arrival, tiles):
         assert pairs_a == pairs_t > 0
         assert_matches(v_t, v_a)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, get_backend
+from repro.backend import get_backend
 from repro.spatial.tree import _GROUP, build_quadtree
 from repro.util.errors import ConfigurationError
+from tests.conftest import ENGINES
 
 
 def every(tree):
@@ -152,10 +153,10 @@ class TestBuild:
             build_quadtree(pos, omega[:-1])
 
     def test_moment_backend_parity(self, cloud):
-        """moment_accumulate agrees across every registered backend."""
+        """moment_accumulate agrees across both engines."""
         pos, omega = cloud
         reference = None
-        for name in available_backends():
+        for name in ENGINES:
             tree = build_quadtree(pos, omega, leaf_size=16,
                                   backend=get_backend(name))
             if reference is None:
@@ -328,7 +329,7 @@ class TestPieceWalk:
         chosen = np.isin(whole.near.pairs[:, 0], some)
         assert np.array_equal(part.near.pairs, whole.near.pairs[chosen])
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_farfield_is_the_pairwise_expansion(self, cloud, backend):
         """farfield_eval's per-piece products equal the expansion summed
         pair by pair, dipole terms included."""
